@@ -1,19 +1,20 @@
 GO ?= go
 
-.PHONY: tier1 fmt vet build test race bench bench-smoke eventlog-smoke server-smoke speculation-smoke columnar-smoke spill-smoke adaptive-smoke eqtl-smoke fuzz-smoke cover trace experiments
+.PHONY: tier1 fmt vet build test race bench bench-smoke eventlog-smoke server-smoke speculation-smoke spill-smoke adaptive-smoke eqtl-smoke fuzz-smoke cover bench-refresh trace experiments
 
 # tier1 is the CI gate: formatting, vet, build, the full test suite under the
 # race detector (the recovery layer is concurrent by construction), a smoke
 # run of the streaming-execution benchmarks, an event-log round trip through
 # the real CLIs, the job-server self-test over real HTTP (including deadline
 # cancellation freeing its pool slot), the speculation ablation's >= 3x
-# straggler-mitigation claim, the columnar engine's byte-parity and
-# >= 4x packed-storage claims, and the sort shuffle's spill-and-match claim
-# under a memory cap the hash shuffle cannot survive, the adaptive planner's
-# bitwise parity and skew-mitigation claims, the all-pairs eQTL engine's
-# wide-kernel parity and >= 2x pair-throughput claims, and the per-package
-# coverage floors in coverage_baseline.txt.
-tier1: fmt vet build race bench-smoke eventlog-smoke server-smoke speculation-smoke columnar-smoke spill-smoke adaptive-smoke eqtl-smoke cover
+# straggler-mitigation claim, the sort shuffle's spill-and-match claim under a
+# memory cap the hash shuffle cannot survive, the adaptive planner's bitwise
+# parity and skew-mitigation claims, the all-pairs eQTL engine's
+# broadcast/cartesian parity and chaos-recovery claims, and the per-package
+# coverage floors in coverage_baseline.txt. Nothing in tier1 writes into the
+# tree; the committed BENCH_*.json snapshots are refreshed only by the explicit
+# bench-refresh target.
+tier1: fmt vet build race bench-smoke eventlog-smoke server-smoke speculation-smoke spill-smoke adaptive-smoke eqtl-smoke cover
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -65,26 +66,12 @@ server-smoke:
 speculation-smoke:
 	$(GO) run ./cmd/benchtab -exp speculation
 
-# columnar-smoke runs the same small analysis through the 2-bit packed engine
-# and the boxed per-row pipeline and diffs the per-set report byte for byte,
-# then runs the columnar ablation (which itself asserts bitwise parity, the
-# >= 4x cached-genotype reduction, and a fused-kernel speedup) and refreshes
-# the BENCH_columnar.json snapshot.
-columnar-smoke:
-	$(GO) run ./cmd/sparkscore -generate -patients 60 -snps 300 -sets 6 -iterations 10 \
-		-columnar=true -out $${TMPDIR:-/tmp}/sparkscore-columnar.tsv > /dev/null
-	$(GO) run ./cmd/sparkscore -generate -patients 60 -snps 300 -sets 6 -iterations 10 \
-		-columnar=false -out $${TMPDIR:-/tmp}/sparkscore-boxed.tsv > /dev/null
-	cmp $${TMPDIR:-/tmp}/sparkscore-columnar.tsv $${TMPDIR:-/tmp}/sparkscore-boxed.tsv
-	$(GO) run ./cmd/benchtab -exp columnar -json
-	@echo "columnar-smoke: packed and boxed reports identical"
-
 # spill-smoke squeezes the unified memory pool far below the score pipeline's
 # shuffle working set: the sort shuffle must spill (the run prints its spill
 # accounting) yet produce a per-set report byte-identical to the uncapped run,
 # while the hash shuffle must abort out of memory at the same cap. Then the
-# memory experiment (capped chaos replay + working-set measurement) refreshes
-# the BENCH_memory.json snapshot.
+# memory experiment (capped chaos replay + working-set measurement) asserts
+# its own claims.
 spill-smoke:
 	$(GO) run ./cmd/sparkscore -generate -patients 60 -snps 300 -sets 6 -iterations 10 \
 		-out $${TMPDIR:-/tmp}/sparkscore-uncapped.tsv > /dev/null
@@ -96,43 +83,39 @@ spill-smoke:
 		-mem-cap-bytes 4096 -workers 1 -hash-shuffle > /dev/null 2>&1; then \
 		echo "spill-smoke: hash shuffle survived a cap it must OOM under"; exit 1; \
 	fi
-	$(GO) run ./cmd/benchtab -exp memory -json
+	$(GO) run ./cmd/benchtab -exp memory
 	@echo "spill-smoke: capped sort report identical to uncapped; hash aborted"
 
 # adaptive-smoke runs the same analysis with the adaptive planner off and on
 # and diffs the reports byte for byte (coalescing and skew splitting must be
 # invisible in results), then runs the adaptive ablation (which itself asserts
 # parity, a >= 1.3x stage-time win on the skewed scenario, and coalescing on
-# the partition-dust scenario) and refreshes the BENCH_adaptive.json snapshot.
+# the partition-dust scenario).
 adaptive-smoke:
 	$(GO) run ./cmd/sparkscore -generate -patients 60 -snps 300 -sets 6 -iterations 10 \
 		-adaptive=false -out $${TMPDIR:-/tmp}/sparkscore-static.tsv > /dev/null
 	$(GO) run ./cmd/sparkscore -generate -patients 60 -snps 300 -sets 6 -iterations 10 \
 		-adaptive=true -out $${TMPDIR:-/tmp}/sparkscore-adaptive.tsv > /dev/null
 	cmp $${TMPDIR:-/tmp}/sparkscore-static.tsv $${TMPDIR:-/tmp}/sparkscore-adaptive.tsv
-	$(GO) run ./cmd/benchtab -exp adaptive -json
+	$(GO) run ./cmd/benchtab -exp adaptive
 	@echo "adaptive-smoke: adaptive and static reports identical"
 
-# eqtl-smoke runs the all-pairs eQTL engine four ways over the same generated
-# input — wide multi-phenotype kernel, per-phenotype loop, cartesian block
-# join, and the wide kernel again under injected chaos — and diffs the four
-# reports byte for byte, then runs the eqtl experiment (which itself asserts
-# parity at two shapes, chaos recovery with byte-stable stripped replay logs,
-# and the >= 2x wide-kernel pair throughput) and refreshes BENCH_eqtl.json.
+# eqtl-smoke runs the all-pairs eQTL engine three ways over the same generated
+# input — broadcast join, cartesian block join, and broadcast again under
+# injected chaos — and diffs the three reports byte for byte, then runs the
+# eqtl experiment (which itself asserts parity at two shapes and chaos
+# recovery with byte-stable stripped replay logs).
 eqtl-smoke:
 	$(GO) run ./cmd/sparkscore -eqtl -generate -patients 80 -snps 400 -sets 8 \
-		-eqtl-phenos 12 -out $${TMPDIR:-/tmp}/sparkscore-eqtl-wide.tsv > /dev/null
-	$(GO) run ./cmd/sparkscore -eqtl -generate -patients 80 -snps 400 -sets 8 \
-		-eqtl-phenos 12 -eqtl-wide=false -out $${TMPDIR:-/tmp}/sparkscore-eqtl-loop.tsv > /dev/null
+		-eqtl-phenos 12 -out $${TMPDIR:-/tmp}/sparkscore-eqtl-bcast.tsv > /dev/null
 	$(GO) run ./cmd/sparkscore -eqtl -generate -patients 80 -snps 400 -sets 8 \
 		-eqtl-phenos 12 -eqtl-strategy cartesian -out $${TMPDIR:-/tmp}/sparkscore-eqtl-cart.tsv > /dev/null
 	$(GO) run ./cmd/sparkscore -eqtl -generate -patients 80 -snps 400 -sets 8 \
 		-eqtl-phenos 12 -chaos -out $${TMPDIR:-/tmp}/sparkscore-eqtl-chaos.tsv > /dev/null
-	cmp $${TMPDIR:-/tmp}/sparkscore-eqtl-wide.tsv $${TMPDIR:-/tmp}/sparkscore-eqtl-loop.tsv
-	cmp $${TMPDIR:-/tmp}/sparkscore-eqtl-wide.tsv $${TMPDIR:-/tmp}/sparkscore-eqtl-cart.tsv
-	cmp $${TMPDIR:-/tmp}/sparkscore-eqtl-wide.tsv $${TMPDIR:-/tmp}/sparkscore-eqtl-chaos.tsv
-	$(GO) run ./cmd/benchtab -exp eqtl -json
-	@echo "eqtl-smoke: wide, loop, cartesian, and chaos reports identical"
+	cmp $${TMPDIR:-/tmp}/sparkscore-eqtl-bcast.tsv $${TMPDIR:-/tmp}/sparkscore-eqtl-cart.tsv
+	cmp $${TMPDIR:-/tmp}/sparkscore-eqtl-bcast.tsv $${TMPDIR:-/tmp}/sparkscore-eqtl-chaos.tsv
+	$(GO) run ./cmd/benchtab -exp eqtl
+	@echo "eqtl-smoke: broadcast, cartesian, and chaos reports identical"
 
 # fuzz-smoke gives each native fuzz target a 10s budget on top of its checked-in
 # seed corpus (testdata/fuzz). The targets assert the GenoBlock and
@@ -161,6 +144,15 @@ cover:
 		fi; \
 	done < coverage_baseline.txt; \
 	exit $$fail
+
+# bench-refresh regenerates the committed BENCH_*.json snapshots, one
+# experiment per benchtab run (-exp takes a single id). It is the only target
+# that rewrites committed files; run it deliberately and commit the result.
+bench-refresh:
+	$(GO) run ./cmd/benchtab -exp speculation -json
+	$(GO) run ./cmd/benchtab -exp memory -json
+	$(GO) run ./cmd/benchtab -exp adaptive -json
+	$(GO) run ./cmd/benchtab -exp eqtl -json
 
 # trace runs the quickstart with a timeline listener and leaves a Chrome-trace
 # JSON next to the repo root (open in chrome://tracing or ui.perfetto.dev).

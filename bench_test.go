@@ -302,13 +302,12 @@ func TestBenchmarkRegistryMatchesPaperArtifacts(t *testing.T) {
 	}
 	// The paper's 7 artifacts plus the chaos (lineage recovery), combine
 	// (map-side combine ablation), serving (FIFO vs FAIR job-server
-	// latency), speculation (straggler mitigation), columnar (2-bit
-	// packed genotype engine), memory (sort-shuffle spill vs hash OOM
-	// under a capped unified pool), adaptive (skew splitting and
-	// partition coalescing), and eqtl (all-pairs wide kernel vs
-	// per-phenotype loop) experiments.
-	if len(harness.Experiments()) != 15 {
-		t.Errorf("%d canonical experiments, want 15", len(harness.Experiments()))
+	// latency), speculation (straggler mitigation), memory (sort-shuffle
+	// spill vs hash OOM under a capped unified pool), adaptive (skew
+	// splitting and partition coalescing), and eqtl (all-pairs broadcast
+	// vs cartesian parity under chaos) experiments.
+	if len(harness.Experiments()) != 14 {
+		t.Errorf("%d canonical experiments, want 14", len(harness.Experiments()))
 	}
 	_ = fmt.Sprintf // keep fmt imported alongside future debug logging
 }

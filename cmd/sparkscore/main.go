@@ -14,13 +14,12 @@
 // With -eqtl it instead runs the all-pairs association engine: -eqtl-phenos
 // generated expression phenotypes crossed with every SNP, reduced to a
 // streaming top-K plus a histogram-sketch Benjamini–Hochberg FDR summary. The
-// -out report is deterministic (assoc.WriteReport), so two runs — wide or
-// per-phenotype loop, broadcast or cartesian, with or without -chaos — can be
-// compared byte for byte:
+// -out report is deterministic (assoc.WriteReport), so two runs — broadcast
+// or cartesian, with or without -chaos — can be compared byte for byte:
 //
-//	sparkscore -generate -eqtl -eqtl-phenos 32 -out wide.tsv
-//	sparkscore -generate -eqtl -eqtl-phenos 32 -eqtl-wide=false -chaos -out loop.tsv
-//	cmp wide.tsv loop.tsv
+//	sparkscore -generate -eqtl -eqtl-phenos 32 -out broadcast.tsv
+//	sparkscore -generate -eqtl -eqtl-phenos 32 -eqtl-strategy cartesian -chaos -out cartesian.tsv
+//	cmp broadcast.tsv cartesian.tsv
 package main
 
 import (
@@ -52,7 +51,6 @@ func main() {
 		iterations = flag.Int("iterations", 1000, "resampling iterations (B)")
 		family     = flag.String("family", "cox", `score family: "cox", "gaussian", or "binomial"`)
 		noCache    = flag.Bool("no-cache", false, "disable caching of the score-contribution RDD")
-		columnar   = flag.Bool("columnar", true, "use the 2-bit packed columnar genotype engine (false: boxed per-row pipeline)")
 		adaptive   = flag.Bool("adaptive", false, "enable adaptive stage execution (coalesce small reduce partitions, split skewed ones from observed map-output sizes); results are bitwise identical either way")
 		chaos      = flag.Bool("chaos", false, "inject task crashes, fetch failures, and stragglers; results are bitwise unchanged")
 		setStat    = flag.String("set-stat", "skat", `SNP-set statistic: "skat" or "burden"`)
@@ -75,7 +73,6 @@ func main() {
 		eqtlPhenos   = flag.Int("eqtl-phenos", 32, "expression phenotypes to generate for -eqtl")
 		eqtlTop      = flag.Int("eqtl-top", 100, "most-significant pairs to keep for -eqtl")
 		eqtlStrategy = flag.String("eqtl-strategy", "auto", `join strategy for -eqtl: "auto", "broadcast", or "cartesian"`)
-		eqtlWide     = flag.Bool("eqtl-wide", true, "use the wide multi-phenotype kernel (false: per-phenotype loop; results are bitwise identical)")
 
 		eventsOut = flag.String("events", "", "write a JSONL event log to this file (render it with sparkui)")
 		traceOut  = flag.String("trace", "", "write a Chrome-trace timeline to this file (open in chrome://tracing)")
@@ -141,7 +138,7 @@ func main() {
 	if *eqtlMode {
 		err := runEQTL(ctx, ds, eqtlOptions{
 			phenos: *eqtlPhenos, topK: *eqtlTop, strategy: *eqtlStrategy,
-			wide: *eqtlWide, seed: *seed, top: *top, out: *out,
+			seed: *seed, top: *top, out: *out,
 		})
 		if err != nil {
 			fatal(err)
@@ -153,7 +150,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := core.Options{Family: *family, SetStatistic: *setStat, Seed: *seed}.WithColumnar(*columnar)
+	opts := core.Options{Family: *family, SetStatistic: *setStat, Seed: *seed}
 	if *noCache {
 		opts = opts.WithoutCache()
 	}
@@ -250,7 +247,6 @@ type eqtlOptions struct {
 	phenos   int
 	topK     int
 	strategy string
-	wide     bool
 	seed     uint64
 	top      int
 	out      string
@@ -265,17 +261,13 @@ func runEQTL(ctx *rdd.Context, ds *data.Dataset, o eqtlOptions) error {
 	if err != nil {
 		return err
 	}
-	cfg := assoc.Config{TopK: o.topK, Strategy: o.strategy}.WithWide(o.wide)
+	cfg := assoc.Config{TopK: o.topK, Strategy: o.strategy}
 	a, err := assoc.NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, cfg)
 	if err != nil {
 		return err
 	}
-	kernel := "wide"
-	if !o.wide {
-		kernel = "loop"
-	}
-	fmt.Printf("all-pairs: %d SNPs × %d phenotypes (%s strategy, %s kernel)\n",
-		ds.Genotypes.SNPs(), a.Phenos(), a.Strategy(), kernel)
+	fmt.Printf("all-pairs: %d SNPs × %d phenotypes (%s strategy)\n",
+		ds.Genotypes.SNPs(), a.Phenos(), a.Strategy())
 	res, err := a.Run()
 	if err != nil {
 		return err

@@ -12,14 +12,12 @@
 // Three cis-like signals are planted — three (SNP, phenotype) pairs where
 // the expression level shifts additively with the minor-allele dosage — and
 // the example shows them surfacing at the head of the top-K out of 48,000
-// tests, then re-runs the cross with the per-phenotype loop kernel and
-// checks the two reports agree byte for byte.
+// tests.
 //
 //	go run ./examples/eqtl_gaussian
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
@@ -111,28 +109,6 @@ func main() {
 		res.FDR.Alpha, res.FDR.Bins, res.FDR.Threshold, res.FDR.Discoveries)
 	fmt.Printf("%d of %d planted pairs recovered; simulated cluster time %.1f s\n",
 		recovered, len(planted), ctx.VirtualTime())
-
-	// The ablation the engine is pinned against: the same cross with the
-	// per-phenotype loop kernel must produce a byte-identical report.
-	var wideReport, loopReport bytes.Buffer
-	if err := assoc.WriteReport(&wideReport, res); err != nil {
-		log.Fatal(err)
-	}
-	loopAnalysis, err := assoc.NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, cfg.WithWide(false))
-	if err != nil {
-		log.Fatal(err)
-	}
-	loopRes, err := loopAnalysis.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := assoc.WriteReport(&loopReport, loopRes); err != nil {
-		log.Fatal(err)
-	}
-	if !bytes.Equal(wideReport.Bytes(), loopReport.Bytes()) {
-		log.Fatal("wide kernel and per-phenotype loop reports diverged")
-	}
-	fmt.Printf("wide kernel vs per-phenotype loop: reports byte-identical (%d bytes)\n", wideReport.Len())
 }
 
 // plantSignals adds an additive genotype effect to each planted phenotype:

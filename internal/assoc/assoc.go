@@ -17,16 +17,13 @@
 //     ship to every task.
 //
 // Both strategies visit the same pairs with the same arithmetic, so their
-// results are identical; a wide multi-phenotype kernel (stats.WideKernel)
-// amortises the 2-bit genotype decode across the batch, pinned bitwise
-// against the per-phenotype loop.
+// results are identical; the wide multi-phenotype kernel (stats.WideKernel)
+// amortises each row's 2-bit genotype decode across the phenotype batch.
 package assoc
 
 import (
 	"bytes"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"sparkscore/internal/data"
 	"sparkscore/internal/rdd"
@@ -56,11 +53,6 @@ type Config struct {
 	// PhenoBatch is the number of phenotypes per batch on the cartesian path
 	// (default 64).
 	PhenoBatch int
-
-	// Wide selects the multi-phenotype kernel (default on). False runs the
-	// per-phenotype loop — the ablation baseline the wide kernel is pinned
-	// bitwise against.
-	Wide *bool
 }
 
 func (c Config) family() string {
@@ -98,14 +90,6 @@ func (c Config) phenoBatch() int {
 	return c.PhenoBatch
 }
 
-func (c Config) wide() bool { return c.Wide == nil || *c.Wide }
-
-// WithWide returns a copy of c with the wide kernel switched on or off.
-func (c Config) WithWide(on bool) Config {
-	c.Wide = &on
-	return c
-}
-
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch c.family() {
@@ -130,10 +114,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// genoBlockRows is the number of SNP rows packed per block by the ingest,
-// matching the marginal pipeline's block shape.
-const genoBlockRows = 256
 
 // broadcastMaxBytes is the auto-strategy cutover: phenotype matrices at or
 // under this size are broadcast, larger ones go through the cartesian join.
@@ -234,10 +214,10 @@ func (a *Analysis) genotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 		return nil, err
 	}
 	patients := a.phenos.Patients
-	blocks := rdd.MapBatches(lines, "parsePackAllGenotypes", genoBlockRows, func(_ int, batch []string) data.GenoBlock {
+	blocks := rdd.MapBatches(lines, "parsePackAllGenotypes", data.GenoBlockRows, func(_ int, batch []string) data.GenoBlock {
 		blk := data.NewGenoBlock(patients, len(batch))
 		for _, line := range batch {
-			snp, rest, err := parseSNPPrefix(line)
+			snp, rest, err := data.ParseSNPPrefix(line)
 			if err != nil {
 				panic(err)
 			}
@@ -247,14 +227,14 @@ func (a *Analysis) genotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 		}
 		return blk
 	})
-	fullBlock := int64(genoBlockRows)*(int64(data.BlockRowBytes(patients))+8) + 96
+	fullBlock := int64(data.GenoBlockRows)*(int64(data.BlockRowBytes(patients))+8) + 96
 	return blocks.SetSizeHint(fullBlock).SetSizeFunc(data.GenoBlock.ApproxBytes), nil
 }
 
-// buildModels constructs the per-phenotype score models for rows [0, Rows())
-// of m. Row validity was checked at NewAnalysis time, so errors here are
-// programming errors.
-func buildModels(family string, m *data.PhenoMatrix) []stats.Model {
+// newKernel builds the wide kernel over the per-phenotype score models of
+// rows [0, Rows()) of m. Row validity was checked at NewAnalysis time, so
+// errors here are programming errors.
+func newKernel(family string, m *data.PhenoMatrix) *stats.WideKernel {
 	models := make([]stats.Model, m.Rows())
 	for r := range models {
 		model, err := stats.NewModel(family, m.Phenotype(r))
@@ -263,31 +243,11 @@ func buildModels(family string, m *data.PhenoMatrix) []stats.Model {
 		}
 		models[r] = model
 	}
-	return models
-}
-
-// scoreBlock scores every (SNP row of blk) × (model) pair into acc, with
-// phenotype ids taken from ids (parallel to models). The wide path decodes
-// each row once through stats.WideKernel; the loop path decodes the row and
-// then scores each phenotype independently — same values, pinned bitwise.
-func scoreBlock(acc *accumulator, blk data.GenoBlock, ids []int32, models []stats.Model, wide bool, dec []data.Genotype) {
-	if wide {
-		k, err := stats.NewWideKernel(models)
-		if err != nil {
-			panic(err)
-		}
-		k.BlockStats(blk, func(snp int32, pheno int, score, variance float64) {
-			acc.add(pairResult(snp, ids[pheno], score, variance))
-		})
-		return
+	k, err := stats.NewWideKernel(models)
+	if err != nil {
+		panic(err)
 	}
-	for r := 0; r < blk.Rows(); r++ {
-		stats.DecodeDosageGenotypes(blk.Row(r), dec)
-		snp := blk.SNPs[r]
-		for p, m := range models {
-			acc.add(pairResult(snp, ids[p], stats.Score(m, dec), m.Variance(dec)))
-		}
-	}
+	return k
 }
 
 func pairResult(snp, pheno int32, score, variance float64) PairResult {
@@ -301,18 +261,21 @@ func pairResult(snp, pheno int32, score, variance float64) PairResult {
 }
 
 // broadcastPartials runs the broadcast strategy: each genotype partition
-// scores the whole broadcast phenotype matrix and emits one partial.
+// builds one wide kernel over the whole broadcast phenotype matrix, scores
+// every block through it, and emits one partial.
 func (a *Analysis) broadcastPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial, error) {
 	bc := a.phenoBC
-	family, wide := a.cfg.family(), a.cfg.wide()
+	family := a.cfg.family()
 	k, bins := a.cfg.topK(), a.cfg.histBins()
 	partials := rdd.MapPartitions(blocks, "assocPartials", func(_ int, in []data.GenoBlock) []partial {
 		m := bc.Value()
-		models := buildModels(family, m)
+		kernel := newKernel(family, m)
 		acc := newAccumulator(k, bins)
-		dec := make([]data.Genotype, m.Patients)
+		visit := func(snp int32, pheno int, score, variance float64) {
+			acc.add(pairResult(snp, m.IDs[pheno], score, variance))
+		}
 		for _, blk := range in {
-			scoreBlock(acc, blk, m.IDs, models, wide, dec)
+			kernel.BlockStats(blk, visit)
 		}
 		return []partial{acc.partial()}
 	}).SetSizeHint(int64(k)*40 + int64(bins)*8 + 64)
@@ -328,27 +291,27 @@ func (a *Analysis) cartesianPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial
 	right := rdd.Parallelize(a.ctx, batches, len(batches)).
 		SetSizeFunc(data.PhenoMatrix.ApproxBytes)
 	pairs := rdd.Cartesian(blocks, right)
-	family, wide := a.cfg.family(), a.cfg.wide()
+	family := a.cfg.family()
 	k, bins := a.cfg.topK(), a.cfg.histBins()
 	partials := rdd.MapPartitions(pairs, "assocPairPartials", func(_ int, in []rdd.Pair[data.GenoBlock, data.PhenoMatrix]) []partial {
 		acc := newAccumulator(k, bins)
-		// One batch per right partition, so the models build once per
+		// One batch per right partition, so the kernel builds once per
 		// partition; the guard keys on the batch's first phenotype id in case
 		// a partition ever spans batches.
-		var models []stats.Model
-		var dec []data.Genotype
-		lastBatch := int32(-1)
+		var kernel *stats.WideKernel
+		var ids []int32
+		visit := func(snp int32, pheno int, score, variance float64) {
+			acc.add(pairResult(snp, ids[pheno], score, variance))
+		}
 		for i := range in {
 			batch := &in[i].Right
 			if batch.Rows() == 0 {
 				continue
 			}
-			if models == nil || batch.IDs[0] != lastBatch {
-				models = buildModels(family, batch)
-				lastBatch = batch.IDs[0]
-				dec = make([]data.Genotype, batch.Patients)
+			if kernel == nil || batch.IDs[0] != ids[0] {
+				kernel, ids = newKernel(family, batch), batch.IDs
 			}
-			scoreBlock(acc, in[i].Left, batch.IDs, models, wide, dec)
+			kernel.BlockStats(in[i].Left, visit)
 		}
 		return []partial{acc.partial()}
 	}).SetSizeHint(int64(k)*40 + int64(bins)*8 + 64)
@@ -373,21 +336,4 @@ func (a *Analysis) phenoBatches() []data.PhenoMatrix {
 		})
 	}
 	return out
-}
-
-// parseSNPPrefix splits a genotype-matrix line into its SNP id and the
-// genotype fields after the tab.
-func parseSNPPrefix(line string) (int, string, error) {
-	if strings.TrimSpace(line) == "" {
-		return 0, "", fmt.Errorf("assoc: empty genotype line")
-	}
-	snpStr, rest, ok := strings.Cut(line, "\t")
-	if !ok {
-		return 0, "", fmt.Errorf("assoc: genotype line missing tab")
-	}
-	snp, err := strconv.Atoi(snpStr)
-	if err != nil || snp < 0 {
-		return 0, "", fmt.Errorf("assoc: bad SNP id %q", snpStr)
-	}
-	return snp, rest, nil
 }

@@ -2,8 +2,10 @@ package assoc
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"sparkscore/internal/cluster"
@@ -98,14 +100,15 @@ func TestAllPairsMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestStrategiesAndKernelsAgree pins the four engine configurations —
-// {broadcast, cartesian} × {wide, loop} — to byte-identical reports.
+// TestStrategiesAndKernelsAgree pins the two join strategies to byte-identical
+// reports, and their shared top-K to the brute-force reference.
 func TestStrategiesAndKernelsAgree(t *testing.T) {
-	const patients, snps, phenos = 30, 700, 12
-	report := func(strategy string, wide bool) []byte {
+	const patients, snps, phenos, k = 30, 700, 12, 20
+	var all []PairResult
+	report := func(strategy string) []byte {
 		ctx := newTestContext(t, 2, rdd.FaultProfile{})
-		paths, _, _ := stageFixture(t, ctx, patients, snps, phenos)
-		cfg := Config{TopK: 20, HistBins: 256, Strategy: strategy, PhenoBatch: 5}.WithWide(wide)
+		paths, geno, expr := stageFixture(t, ctx, patients, snps, phenos)
+		cfg := Config{TopK: k, HistBins: 256, Strategy: strategy, PhenoBatch: 5}
 		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -117,21 +120,24 @@ func TestStrategiesAndKernelsAgree(t *testing.T) {
 		if res.Strategy != strategy {
 			t.Fatalf("ran strategy %q, want %q", res.Strategy, strategy)
 		}
+		if all == nil {
+			all = bruteForce(t, geno, expr, "gaussian")
+			sort.Slice(all, func(i, j int) bool { return pairLess(all[i], all[j]) })
+		}
+		for i, got := range res.TopK {
+			if got != all[i] {
+				t.Fatalf("%s top-K entry %d = %+v, brute force %+v", strategy, i, got, all[i])
+			}
+		}
 		var buf bytes.Buffer
 		if err := WriteReport(&buf, res); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	base := report("broadcast", true)
-	for _, tc := range []struct {
-		strategy string
-		wide     bool
-	}{{"broadcast", false}, {"cartesian", true}, {"cartesian", false}} {
-		if got := report(tc.strategy, tc.wide); !bytes.Equal(got, base) {
-			t.Fatalf("%s/wide=%v report differs from broadcast/wide:\n%s\n--- vs ---\n%s",
-				tc.strategy, tc.wide, got, base)
-		}
+	base := report("broadcast")
+	if got := report("cartesian"); !bytes.Equal(got, base) {
+		t.Fatalf("cartesian report differs from broadcast:\n%s\n--- vs ---\n%s", got, base)
 	}
 }
 
@@ -232,5 +238,24 @@ func TestBinomialFamilyAllPairs(t *testing.T) {
 		if res.TopK[i] != all[i] {
 			t.Fatalf("top-K entry %d = %+v, brute force %+v", i, res.TopK[i], all[i])
 		}
+	}
+}
+
+// TestMalformedGenotypeLineFailsTheJob checks the all-pairs ingest surfaces a
+// bad line as a task failure naming the SNP and field, not a bare panic.
+func TestMalformedGenotypeLineFailsTheJob(t *testing.T) {
+	ctx := newTestContext(t, 1, rdd.FaultProfile{})
+	paths, _, _ := stageFixture(t, ctx, 3, 4, 2)
+	if _, err := ctx.FS().Write(paths.Genotypes, []byte("0\t0 1 2\n7\t0 x 2\n")); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = a.Run()
+	var aborted *rdd.TaskAbortedError
+	if want := `SNP 7: data: field 2: bad genotype "x"`; !errors.As(err, &aborted) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run() = %v, want a task abort containing %q", err, want)
 	}
 }

@@ -25,9 +25,17 @@ type SetAsymptoticResult struct {
 	PValue   float64
 }
 
+// packedRow is the SetAsymptotic shuffle unit: one SNP's 2-bit packed
+// genotype column, routed to each set containing it — (patients+3)/4 genotype
+// bytes per row.
+type packedRow struct {
+	SNP   int32
+	Bytes []byte
+}
+
 // SetAsymptotic computes the observed set statistics and their asymptotic
-// p-values for every SNP-set, distributed: genotype rows are routed to their
-// sets with a shuffle and each set's moments are computed where its rows
+// p-values for every SNP-set, distributed: packed genotype rows are routed to
+// their sets with a shuffle and each set's moments are computed where its rows
 // land.
 func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
 	weights, err := a.loadWeights()
@@ -36,71 +44,6 @@ func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
 	}
 	nullBC := a.broadcastNull(a.phenotype)
 	wBC := rdd.NewBroadcast(a.ctx, weights, int64(len(weights))*8)
-	var results []SetAsymptoticResult
-	if a.opts.columnar() {
-		results, err = a.setAsymptoticColumnar(nullBC, wBC)
-	} else {
-		results, err = a.setAsymptoticBoxed(nullBC, wBC)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		results[i].Name = a.sets[results[i].Set].Name
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Set < results[j].Set })
-	return results, nil
-}
-
-func (a *Analysis) setAsymptoticBoxed(nullBC *rdd.Broadcast[nullModel], wBC *rdd.Broadcast[data.Weights]) ([]SetAsymptoticResult, error) {
-	fgm, err := a.filteredGenotypes()
-	if err != nil {
-		return nil, err
-	}
-	member := a.membership
-	rowBytes := 8 + data.BoxedRowBytes(a.patients)
-	bySet := rdd.FlatMap(fgm, "bySet", func(r GenoRow) []rdd.KV[int, GenoRow] {
-		sets := member.Value()[r.SNP]
-		out := make([]rdd.KV[int, GenoRow], len(sets))
-		for i, k := range sets {
-			out[i] = rdd.KV[int, GenoRow]{K: k, V: r}
-		}
-		return out
-	}).SetSizeHint(rowBytes)
-
-	grouped := rdd.GroupByKey(bySet, 0).SetSizeFunc(func(kv rdd.KV[int, []GenoRow]) int64 {
-		return 32 + int64(len(kv.V))*(rowBytes-8)
-	})
-	family := a.opts.family()
-	statName := a.setStat.Name()
-
-	perSet := rdd.Map(grouped, "liu", func(kv rdd.KV[int, []GenoRow]) SetAsymptoticResult {
-		nm := nullBC.Value()
-		model, err := stats.NewAdjustedModel(family, nm.Ph, nm.Cov)
-		if err != nil {
-			panic(err)
-		}
-		rows := make([][]data.Genotype, len(kv.V))
-		w := make([]float64, len(kv.V))
-		for i, r := range kv.V {
-			rows[i] = r.G
-			w[i] = wBC.Value()[r.SNP]
-		}
-		return setAsymptoticResult(statName, model, kv.K, rows, w)
-	}).SetSizeHint(48)
-
-	return rdd.Collect(perSet)
-}
-
-// packedRow is the columnar SetAsymptotic shuffle unit: one SNP's 2-bit
-// packed genotype column, routed to each set containing it. The shuffle
-// moves (patients+3)/4 genotype bytes per row instead of a boxed vector.
-type packedRow struct {
-	SNP   int32
-	Bytes []byte
-}
-
-func (a *Analysis) setAsymptoticColumnar(nullBC *rdd.Broadcast[nullModel], wBC *rdd.Broadcast[data.Weights]) ([]SetAsymptoticResult, error) {
 	blocks, err := a.filteredGenotypeBlocks()
 	if err != nil {
 		return nil, err
@@ -146,12 +89,19 @@ func (a *Analysis) setAsymptoticColumnar(nullBC *rdd.Broadcast[nullModel], wBC *
 		return setAsymptoticResult(statName, model, kv.K, rows, w)
 	}).SetSizeHint(48)
 
-	return rdd.Collect(perSet)
+	results, err := rdd.Collect(perSet)
+	if err != nil {
+		return nil, err
+	}
+	for i := range results {
+		results[i].Name = a.sets[results[i].Set].Name
+	}
+	sort.Slice(results, func(i, j int) bool { return results[i].Set < results[j].Set })
+	return results, nil
 }
 
 // setAsymptoticResult evaluates one set's asymptotic test from its decoded
-// genotype rows — shared by the boxed and columnar shuffles, so both layouts
-// feed identical inputs to the moment-matching step.
+// genotype rows.
 func setAsymptoticResult(statName string, model stats.Model, set int, rows [][]data.Genotype, w []float64) SetAsymptoticResult {
 	res := SetAsymptoticResult{Set: set, SNPs: len(rows)}
 	var err error

@@ -2,16 +2,26 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"sparkscore/internal/cluster"
 	"sparkscore/internal/data"
 	"sparkscore/internal/rdd"
+	"sparkscore/internal/stats"
 )
 
-// columnarRun executes one Monte Carlo analysis in the given engine mode and
+// chaosProfile crashes tasks, fails shuffle fetches, and loses a node
+// mid-run.
+var chaosProfile = rdd.FaultProfile{
+	TaskCrashProb:    0.25,
+	FetchFailureProb: 0.15,
+	NodeLoss:         []rdd.NodeLoss{{Node: 0, AfterTasks: 8}},
+}
+
+// monteCarloRun executes one Monte Carlo analysis under the fault profile and
 // returns the result plus the run's stripped event-log fingerprint.
-func columnarRun(t *testing.T, ds *data.Dataset, columnar bool, faults rdd.FaultProfile, iters int) (*Result, string) {
+func monteCarloRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, iters int) (*Result, string) {
 	t.Helper()
 	var logBuf bytes.Buffer
 	elw := rdd.NewEventLogWriter(&logBuf)
@@ -25,7 +35,7 @@ func columnarRun(t *testing.T, ds *data.Dataset, columnar bool, faults rdd.Fault
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := stagedAnalysis(t, ctx, ds, Options{Seed: 7}.WithColumnar(columnar))
+	a := stagedAnalysis(t, ctx, ds, Options{Seed: 7})
 	res, err := a.MonteCarlo(iters)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +60,7 @@ func columnarRun(t *testing.T, ds *data.Dataset, columnar bool, faults rdd.Fault
 }
 
 // assertBitwiseResult compares two resampling results for exact (bitwise)
-// float equality — the packed engine must not perturb a single ULP.
+// float equality — a rerun must not perturb a single ULP.
 func assertBitwiseResult(t *testing.T, got, want *Result) {
 	t.Helper()
 	if got.Iterations != want.Iterations {
@@ -72,11 +82,22 @@ func assertBitwiseResult(t *testing.T, got, want *Result) {
 	}
 }
 
-// TestColumnarBoxedByteParity is the ablation pin of the columnar engine:
-// at two dataset scales, observed statistics, exceedance counters, and
-// p-values must agree bitwise between the packed and boxed pipelines, and
-// each mode's stripped event log must be byte-stable across reruns.
-func TestColumnarBoxedByteParity(t *testing.T) {
+// assertMatchesReference pins an engine result to the engine-free reference:
+// observed statistics within 1e-9, exceedance counters equal.
+func assertMatchesReference(t *testing.T, got, want *Result) {
+	t.Helper()
+	assertClose(t, "observed", got.Observed, want.Observed, 1e-9)
+	for k := range want.Exceed {
+		if got.Exceed[k] != want.Exceed[k] {
+			t.Fatalf("Exceed[%d] = %d, reference %d", k, got.Exceed[k], want.Exceed[k])
+		}
+	}
+}
+
+// TestMonteCarloReplayStable runs the packed pipeline at two dataset scales:
+// the result must match ReferenceMonteCarlo, and a rerun must reproduce it
+// bitwise with a byte-identical stripped event log.
+func TestMonteCarloReplayStable(t *testing.T) {
 	cases := []struct {
 		name                  string
 		patients, snps, tsets int
@@ -87,122 +108,173 @@ func TestColumnarBoxedByteParity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := testDataset(t, tc.patients, tc.snps, tc.tsets, 21)
-			packed, fpPacked := columnarRun(t, ds, true, rdd.FaultProfile{}, 4)
-			boxed, fpBoxed := columnarRun(t, ds, false, rdd.FaultProfile{}, 4)
-			assertBitwiseResult(t, packed, boxed)
-
-			packed2, fpPacked2 := columnarRun(t, ds, true, rdd.FaultProfile{}, 4)
-			assertBitwiseResult(t, packed2, packed)
-			if fpPacked != fpPacked2 {
-				t.Fatal("columnar stripped event log not byte-stable across reruns")
+			want, err := ReferenceMonteCarlo(ds, Options{Seed: 7}, 4)
+			if err != nil {
+				t.Fatal(err)
 			}
-			boxed2, fpBoxed2 := columnarRun(t, ds, false, rdd.FaultProfile{}, 4)
-			assertBitwiseResult(t, boxed2, boxed)
-			if fpBoxed != fpBoxed2 {
-				t.Fatal("boxed stripped event log not byte-stable across reruns")
+			first, fp := monteCarloRun(t, ds, rdd.FaultProfile{}, 4)
+			assertMatchesReference(t, first, want)
+			second, fp2 := monteCarloRun(t, ds, rdd.FaultProfile{}, 4)
+			assertBitwiseResult(t, second, first)
+			if fp != fp2 {
+				t.Fatal("stripped event log not byte-stable across reruns")
 			}
 		})
 	}
 }
 
-// TestColumnarBoxedParityUnderChaos repeats the parity pin under a fault
-// profile that crashes tasks, fails shuffle fetches, and loses a node
-// mid-run: recovery must not disturb the packed/boxed agreement, and the
-// chaos run must reproduce the clean run's numbers exactly.
-func TestColumnarBoxedParityUnderChaos(t *testing.T) {
-	faults := rdd.FaultProfile{
-		TaskCrashProb:    0.25,
-		FetchFailureProb: 0.15,
-		NodeLoss:         []rdd.NodeLoss{{Node: 0, AfterTasks: 8}},
-	}
+// TestMonteCarloMatchesReferenceUnderChaos repeats the reference pin under the
+// chaos profile: recovery must not move a single number off the fault-free
+// run, which itself matches ReferenceMonteCarlo, and a seeded chaos replay
+// must reproduce the stripped event log byte for byte.
+func TestMonteCarloMatchesReferenceUnderChaos(t *testing.T) {
 	ds := testDataset(t, 20, 40, 4, 7)
-	packed, _ := columnarRun(t, ds, true, faults, 5)
-	boxed, _ := columnarRun(t, ds, false, faults, 5)
-	assertBitwiseResult(t, packed, boxed)
+	want, err := ReferenceMonteCarlo(ds, Options{Seed: 7}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos, fp := monteCarloRun(t, ds, chaosProfile, 5)
+	assertMatchesReference(t, chaos, want)
 
-	clean, _ := columnarRun(t, ds, true, rdd.FaultProfile{}, 5)
-	assertBitwiseResult(t, packed, clean)
+	clean, fpClean := monteCarloRun(t, ds, rdd.FaultProfile{}, 5)
+	assertBitwiseResult(t, chaos, clean)
+	if fp == fpClean {
+		t.Fatal("chaos profile injected nothing: event log equals the clean run's")
+	}
+	replay, fp2 := monteCarloRun(t, ds, chaosProfile, 5)
+	assertBitwiseResult(t, replay, chaos)
+	if fp != fp2 {
+		t.Fatal("stripped event log not byte-stable across seeded chaos replays")
+	}
 }
 
-// TestColumnarAsymptoticParity pins the non-resampling paths: per-SNP and
-// per-set asymptotic tests must agree bitwise between the two layouts,
-// including result order.
-func TestColumnarAsymptoticParity(t *testing.T) {
+// TestMarginalAsymptoticMatchesDirect pins the per-SNP asymptotic test bitwise
+// to stats.Score, Variance, and ChiSquaredSurvival evaluated straight on the
+// dataset's rows.
+func TestMarginalAsymptoticMatchesDirect(t *testing.T) {
 	ds := testDataset(t, 33, 90, 6, 3)
-	type pair struct {
-		marginal []MarginalResult
-		sets     []SetAsymptoticResult
+	inSet := map[int]bool{}
+	for _, set := range ds.SNPSets {
+		for _, j := range set.SNPs {
+			inSet[j] = true
+		}
 	}
-	run := func(columnar bool) pair {
-		ctx := testContext(t, 3)
-		a := stagedAnalysis(t, ctx, ds, Options{Family: "gaussian"}.WithColumnar(columnar))
-		m, err := a.MarginalAsymptotic()
+	for _, family := range []string{"cox", "gaussian"} {
+		a := stagedAnalysis(t, testContext(t, 3), ds, Options{Family: family})
+		got, err := a.MarginalAsymptotic()
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := a.SetAsymptotic()
+		if len(got) != len(inSet) {
+			t.Fatalf("%s: %d marginal results, want %d", family, len(got), len(inSet))
+		}
+		model, err := stats.NewAdjustedModel(family, ds.Phenotype, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pair{marginal: m, sets: s}
-	}
-	packed, boxed := run(true), run(false)
-	if len(packed.marginal) != len(boxed.marginal) {
-		t.Fatalf("%d marginal results, want %d", len(packed.marginal), len(boxed.marginal))
-	}
-	for i := range boxed.marginal {
-		if packed.marginal[i] != boxed.marginal[i] {
-			t.Fatalf("marginal[%d] = %+v, want %+v", i, packed.marginal[i], boxed.marginal[i])
-		}
-	}
-	if len(packed.sets) != len(boxed.sets) {
-		t.Fatalf("%d set results, want %d", len(packed.sets), len(boxed.sets))
-	}
-	for i := range boxed.sets {
-		if packed.sets[i] != boxed.sets[i] {
-			t.Fatalf("set[%d] = %+v, want %+v", i, packed.sets[i], boxed.sets[i])
+		for _, r := range got {
+			g := ds.Genotypes.Row(r.SNP)
+			score, variance := stats.Score(model, g), model.Variance(g)
+			want := MarginalResult{
+				SNP: r.SNP, Score: score, Variance: variance,
+				PValue: stats.ChiSquaredSurvival(stats.Chi2Stat(score, variance), 1),
+			}
+			if !inSet[r.SNP] || r != want {
+				t.Fatalf("%s: marginal = %+v, direct %+v", family, r, want)
+			}
 		}
 	}
 }
 
-// TestWarmGenotypesPackedBytesRatio pins the storage win the columnar layout
-// exists for: with a realistic cohort, the cached packed genotype matrix
-// must be at least 4x smaller than the boxed one under honest (size-class
-// aware) cache accounting.
-func TestWarmGenotypesPackedBytesRatio(t *testing.T) {
-	ds := testDataset(t, 1000, 64, 4, 5)
-	measure := func(columnar bool) int64 {
-		ctx, err := rdd.New(rdd.Config{
-			Cluster:      cluster.Config{Nodes: 2, Spec: cluster.M3TwoXLarge},
-			DFSBlockSize: 1 << 20, // whole file per partition: full blocks
-			Seed:         11,
-		})
+// TestSetAsymptoticMatchesDirect pins the per-set asymptotic tests to
+// stats.SKATAsymptotic and the burden formula evaluated on the dataset's rows.
+func TestSetAsymptoticMatchesDirect(t *testing.T) {
+	ds := testDataset(t, 33, 90, 6, 3)
+	model, err := stats.NewAdjustedModel("gaussian", ds.Phenotype, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	burden := func(rows [][]data.Genotype, w []float64) (observed, pvalue float64) {
+		collapsed := make([]float64, model.Patients())
+		u := make([]float64, model.Patients())
+		for r, g := range rows {
+			model.Contributions(g, u)
+			for i, v := range u {
+				collapsed[i] += w[r] * v
+			}
+		}
+		var sum, sumSq float64
+		for _, v := range collapsed {
+			sum += v
+			sumSq += v * v
+		}
+		return sum * sum, stats.ChiSquaredSurvival(stats.Chi2Stat(sum, sumSq), 1)
+	}
+	for _, stat := range []string{"skat", "burden"} {
+		a := stagedAnalysis(t, testContext(t, 3), ds, Options{Family: "gaussian", SetStatistic: stat})
+		got, err := a.SetAsymptotic()
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := stagedAnalysis(t, ctx, ds, Options{}.WithColumnar(columnar))
-		if err := a.WarmGenotypes(); err != nil {
-			t.Fatal(err)
+		if len(got) != len(ds.SNPSets) {
+			t.Fatalf("%s: %d set results, want %d", stat, len(got), len(ds.SNPSets))
 		}
-		bytes := ctx.CachedBytes()
-		a.ReleaseGenotypes()
-		if after := ctx.CachedBytes(); after >= bytes {
-			t.Fatalf("ReleaseGenotypes left %d of %d cached bytes", after, bytes)
+		for k, set := range ds.SNPSets {
+			rows := make([][]data.Genotype, len(set.SNPs))
+			w := make([]float64, len(set.SNPs))
+			for i, j := range set.SNPs {
+				rows[i], w[i] = ds.Genotypes.Row(j), ds.Weights[j]
+			}
+			var observed, pvalue float64
+			if stat == "skat" {
+				if observed, pvalue, err = stats.SKATAsymptotic(model, rows, w); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				observed, pvalue = burden(rows, w)
+			}
+			r := got[k]
+			if r.Set != k || r.SNPs != len(rows) ||
+				math.Abs(r.Observed-observed) > 1e-9*math.Max(1, math.Abs(observed)) ||
+				math.Abs(r.PValue-pvalue) > 1e-9 {
+				t.Fatalf("%s set %d = %+v, direct observed %v p %v", stat, k, r, observed, pvalue)
+			}
 		}
-		return bytes
-	}
-	packed, boxed := measure(true), measure(false)
-	if packed == 0 || boxed == 0 {
-		t.Fatalf("cached bytes packed=%d boxed=%d, want both non-zero", packed, boxed)
-	}
-	if ratio := float64(boxed) / float64(packed); ratio < 4 {
-		t.Fatalf("boxed/packed cached bytes = %.2f (boxed=%d packed=%d), want >= 4", ratio, boxed, packed)
 	}
 }
 
-// TestColumnarWarmServesResampling checks the Warm/Release lifecycle of the
-// packed engine: a Warm()ed analysis caches UBlocks, serves Replicate()
-// identically to the cold path, and Release drops the cache.
+// TestWarmGenotypesCachesPackedBlocks pins the storage the 2-bit layout
+// exists for: the cached filtered genotype matrix costs well under a byte per
+// genotype, and ReleaseGenotypes drops it.
+func TestWarmGenotypesCachesPackedBlocks(t *testing.T) {
+	const patients, snps = 1000, 64
+	ds := testDataset(t, patients, snps, 4, 5)
+	ctx, err := rdd.New(rdd.Config{
+		Cluster:      cluster.Config{Nodes: 2, Spec: cluster.M3TwoXLarge},
+		DFSBlockSize: 1 << 20, // whole file per partition: full blocks
+		Seed:         11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := stagedAnalysis(t, ctx, ds, Options{})
+	if err := a.WarmGenotypes(); err != nil {
+		t.Fatal(err)
+	}
+	cached := ctx.CachedBytes()
+	if cached == 0 || cached > patients*snps/3 {
+		t.Fatalf("cached packed genotype matrix = %d bytes for %d genotypes, want (0, %d]",
+			cached, patients*snps, patients*snps/3)
+	}
+	a.ReleaseGenotypes()
+	if after := ctx.CachedBytes(); after >= cached {
+		t.Fatalf("ReleaseGenotypes left %d of %d cached bytes", after, cached)
+	}
+}
+
+// TestColumnarWarmServesResampling checks the Warm/Release lifecycle: a
+// Warm()ed analysis caches UBlocks, serves Replicate() identically to the
+// cold path and in step with ReferenceMonteCarlo, and Release drops the cache.
 func TestColumnarWarmServesResampling(t *testing.T) {
 	ctx := testContext(t, 2)
 	ds := testDataset(t, 30, 80, 5, 15)
@@ -224,6 +296,25 @@ func TestColumnarWarmServesResampling(t *testing.T) {
 	for k := range cold {
 		if warm[k] != cold[k] {
 			t.Fatalf("replicate[%d] = %v warm, %v cold", k, warm[k], cold[k])
+		}
+	}
+	// Warm-served replicates tally to the reference's exceedance counters.
+	const iters = 3
+	want, err := ReferenceMonteCarlo(ds, Options{Seed: 4}, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := stats.NewCounter(want.Observed)
+	for b := uint64(1); b <= iters; b++ {
+		rep, err := a.Replicate(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter.Add(rep)
+	}
+	for k, n := range counter.Exceedances() {
+		if n != want.Exceed[k] {
+			t.Fatalf("warm exceed[%d] = %d, reference %d", k, n, want.Exceed[k])
 		}
 	}
 	warmBytes := ctx.CachedBytes()

@@ -63,14 +63,6 @@ type Options struct {
 	// strong-scaling collapse (Figure 6).
 	DiskSpill bool
 
-	// Columnar selects the 2-bit packed genotype engine (default on):
-	// RDD_FGM carries data.GenoBlock columns, contributions are computed by
-	// blocked kernels, and Monte Carlo reweighting is a matrix–vector
-	// product over cached stats.UBlock rows. False falls back to the boxed
-	// per-row pipeline — the ablation baseline, pinned byte-identical to the
-	// columnar results.
-	Columnar *bool
-
 	// Seed drives the resampling draws; a fixed seed reproduces p-values.
 	Seed uint64
 }
@@ -84,8 +76,6 @@ func (o Options) family() string {
 
 func (o Options) cache() bool { return o.Cache == nil || *o.Cache }
 
-func (o Options) columnar() bool { return o.Columnar == nil || *o.Columnar }
-
 // CacheOff is a convenience for Options.Cache.
 var cacheOff = false
 
@@ -93,20 +83,6 @@ var cacheOff = false
 func (o Options) WithoutCache() Options {
 	o.Cache = &cacheOff
 	return o
-}
-
-// WithColumnar returns a copy of o with the columnar engine switched on or
-// off (the packed-vs-boxed ablation flag).
-func (o Options) WithColumnar(on bool) Options {
-	o.Columnar = &on
-	return o
-}
-
-// GenoRow is one parsed genotype-matrix line: a SNP and its per-patient
-// genotypes, the element of the paper's RDD_GM.
-type GenoRow struct {
-	SNP int
-	G   []data.Genotype
 }
 
 // Result holds the outcome of a resampling analysis.
@@ -140,15 +116,12 @@ type Analysis struct {
 	genoPath    string
 	setStat     stats.SetStatistic
 
-	// warmU / warmUB, when non-nil, is a cached RDD U kept alive across
-	// resampling calls (see Warm) — boxed per-row vectors or columnar
-	// stats.UBlock matrices, depending on Options.Columnar.
-	warmU  *rdd.RDD[rdd.KV[int, []float64]]
+	// warmUB, when non-nil, is a cached RDD U (stats.UBlock matrices) kept
+	// alive across resampling calls (see Warm).
 	warmUB *rdd.RDD[stats.UBlock]
 
-	// warmFGM / warmFGMB, when non-nil, is the cached filtered genotype
-	// matrix (see WarmGenotypes) in the corresponding layout.
-	warmFGM  *rdd.RDD[GenoRow]
+	// warmFGMB, when non-nil, is the cached filtered genotype matrix (see
+	// WarmGenotypes).
 	warmFGMB *rdd.RDD[data.GenoBlock]
 }
 
@@ -245,41 +218,12 @@ func (a *Analysis) Sets() data.SNPSets { return a.sets }
 // Patients returns the cohort size.
 func (a *Analysis) Patients() int { return a.patients }
 
-// genoBlockRows is the number of SNP rows packed into one data.GenoBlock by
-// the columnar ingest. Blocks never span text partitions, so a partition's
-// final block may be shorter.
-const genoBlockRows = 256
-
-// filteredGenotypes builds the boxed RDD_FGM: the parsed genotype matrix
-// restricted to SNPs appearing in some SNP-set (Algorithm 1 steps 3–5).
-func (a *Analysis) filteredGenotypes() (*rdd.RDD[GenoRow], error) {
-	if a.warmFGM != nil {
-		return a.warmFGM, nil
-	}
-	lines, err := a.ctx.TextFile(a.genoPath, 0)
-	if err != nil {
-		return nil, err
-	}
-	patients := a.patients
-	gm := rdd.Map(lines, "parseGenotypes", func(line string) GenoRow {
-		row, err := ParseGenotypeLine(line, patients)
-		if err != nil {
-			panic(err)
-		}
-		return row
-	}).SetSizeHint(8 + data.BoxedRowBytes(patients))
-	member := a.membership
-	return rdd.Filter(gm, "inSNPSets", func(r GenoRow) bool {
-		_, ok := member.Value()[r.SNP]
-		return ok
-	}), nil
-}
-
-// filteredGenotypeBlocks builds the columnar RDD_FGM: genotype lines parsed
-// and 2-bit packed into data.GenoBlock columns at the source, restricted to
-// SNPs appearing in some SNP-set. The membership filter runs on the SNP-id
-// prefix alone, before any genotype field is decoded (predicate pushdown),
-// and the pack fuses with the text scan — no boxed row ever materialises.
+// filteredGenotypeBlocks builds RDD_FGM (Algorithm 1 steps 3–5): genotype
+// lines parsed and 2-bit packed into data.GenoBlock columns at the source,
+// restricted to SNPs appearing in some SNP-set. The membership filter runs on
+// the SNP-id prefix alone, before any genotype field is decoded (predicate
+// pushdown), and the pack fuses with the text scan — no per-row genotype
+// slice ever materialises.
 func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 	if a.warmFGMB != nil {
 		return a.warmFGMB, nil
@@ -290,10 +234,10 @@ func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 	}
 	patients := a.patients
 	member := a.membership
-	blocks := rdd.MapBatches(lines, "parsePackGenotypes", genoBlockRows, func(_ int, batch []string) data.GenoBlock {
+	blocks := rdd.MapBatches(lines, "parsePackGenotypes", data.GenoBlockRows, func(_ int, batch []string) data.GenoBlock {
 		blk := data.NewGenoBlock(patients, len(batch))
 		for _, line := range batch {
-			snp, rest, err := parseSNPPrefix(line)
+			snp, rest, err := data.ParseSNPPrefix(line)
 			if err != nil {
 				panic(err)
 			}
@@ -309,7 +253,7 @@ func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 	nonEmpty := rdd.Filter(blocks, "nonEmptyBlocks", func(b data.GenoBlock) bool {
 		return b.Rows() > 0
 	})
-	fullBlock := int64(genoBlockRows)*(int64(data.BlockRowBytes(patients))+8) + 96
+	fullBlock := int64(data.GenoBlockRows)*(int64(data.BlockRowBytes(patients))+8) + 96
 	return nonEmpty.SetSizeHint(fullBlock).SetSizeFunc(data.GenoBlock.ApproxBytes), nil
 }
 
@@ -328,34 +272,12 @@ func (a *Analysis) broadcastNull(ph *data.Phenotype) *rdd.Broadcast[nullModel] {
 	return rdd.NewBroadcast(a.ctx, nullModel{Ph: ph, Cov: a.covariates}, bytes)
 }
 
-// contributionsRDD builds RDD U for the given phenotype: (snp, [U_1j..U_nj])
-// (Algorithm 1 step 7). The phenotype (and covariates, when adjusting) is
-// broadcast; each partition builds the score model once and reuses it for
-// all its SNPs, while the rows themselves stream through fused with the
-// genotype parse upstream.
-func (a *Analysis) contributionsRDD(fgm *rdd.RDD[GenoRow], ph *data.Phenotype) *rdd.RDD[rdd.KV[int, []float64]] {
-	family := a.opts.family()
-	bc := a.broadcastNull(ph)
-	u := rdd.MapWithSetup(fgm, "scoreContributions", func(int) func(GenoRow) rdd.KV[int, []float64] {
-		nm := bc.Value()
-		model, err := stats.NewAdjustedModel(family, nm.Ph, nm.Cov)
-		if err != nil {
-			panic(err)
-		}
-		return func(row GenoRow) rdd.KV[int, []float64] {
-			u := make([]float64, len(row.G))
-			model.Contributions(row.G, u)
-			return rdd.KV[int, []float64]{K: row.SNP, V: u}
-		}
-	})
-	return u.SetSizeHint(32 + data.AllocBytes(int64(a.patients)*8))
-}
-
-// contributionBlocks is the columnar counterpart of contributionsRDD: each
-// packed genotype block maps to a stats.UBlock through a blocked kernel that
-// fuses the 2-bit dosage decode with the score accumulation. The kernel is
-// built once per partition and owns its decode scratch, so steady-state
-// allocations per block stay flat regardless of the patient count.
+// contributionBlocks builds RDD U for the given phenotype (Algorithm 1 step
+// 7): each packed genotype block maps to a stats.UBlock through a blocked
+// kernel that fuses the 2-bit dosage decode with the score accumulation. The
+// phenotype (and covariates, when adjusting) is broadcast; the kernel is built
+// once per partition and owns its decode scratch, so steady-state allocations
+// per block stay flat regardless of the patient count.
 func (a *Analysis) contributionBlocks(blocks *rdd.RDD[data.GenoBlock], ph *data.Phenotype) *rdd.RDD[stats.UBlock] {
 	family := a.opts.family()
 	bc := a.broadcastNull(ph)
@@ -367,42 +289,16 @@ func (a *Analysis) contributionBlocks(blocks *rdd.RDD[data.GenoBlock], ph *data.
 		}
 		return stats.NewBlockKernel(model).Contributions
 	})
-	fullBlock := int64(genoBlockRows)*(int64(a.patients)*8+4) + 96
+	fullBlock := int64(data.GenoBlockRows)*(int64(a.patients)*8+4) + 96
 	return u.SetSizeHint(fullBlock).SetSizeFunc(stats.UBlock.ApproxBytes)
 }
 
-// skatFromU runs Algorithm 1 steps 8–12 over a boxed RDD U: form the
-// (optionally Monte Carlo-reweighted) marginal scores, then hand the per-SNP
-// scores to skatFromScores. mc is nil for the observed statistic and the
-// per-patient weights Z otherwise (Algorithm 3 step 4(I)).
-func (a *Analysis) skatFromU(u *rdd.RDD[rdd.KV[int, []float64]], mc []float64) ([]float64, error) {
-	var mcb *rdd.Broadcast[[]float64]
-	if mc != nil {
-		mcb = rdd.NewBroadcast(a.ctx, mc, int64(len(mc))*8)
-	}
-	inner := rdd.Map(u, "marginalScore", func(kv rdd.KV[int, []float64]) rdd.KV[int, float64] {
-		var s float64
-		if mcb == nil {
-			for _, v := range kv.V {
-				s += v
-			}
-		} else {
-			z := mcb.Value()
-			for i, v := range kv.V {
-				s += v * z[i]
-			}
-		}
-		return rdd.KV[int, float64]{K: kv.K, V: s}
-	}).SetSizeHint(16)
-	return a.skatFromScores(inner)
-}
-
-// skatFromUBlocks is the columnar counterpart of skatFromU: marginal scores
-// come from a matrix–vector product over each cached stats.UBlock (one pass
-// over the flat contribution matrix), then flow through the same join and
-// set aggregation. Blocks emit their per-row scores in row order, so the
-// downstream float sums accumulate in exactly the boxed pipeline's order —
-// the statistics match the boxed path bitwise.
+// skatFromUBlocks runs Algorithm 1 steps 8–12 over RDD U: marginal scores
+// come from a matrix–vector product over each stats.UBlock (one pass over the
+// flat contribution matrix; row sums for the observed statistic, U·z for a
+// Monte Carlo replicate, Algorithm 3 step 4(I)), emitted in row order, then
+// flow through skatFromScores. mc is nil for the observed statistic and the
+// per-patient weights Z otherwise.
 func (a *Analysis) skatFromUBlocks(u *rdd.RDD[stats.UBlock], mc []float64) ([]float64, error) {
 	var mcb *rdd.Broadcast[[]float64]
 	if mc != nil {
@@ -459,58 +355,35 @@ func (a *Analysis) skatFromScores(inner *rdd.RDD[rdd.KV[int, float64]]) ([]float
 // per-patient draws z.
 type repFunc func(z []float64) ([]float64, error)
 
-// contributionSource builds RDD U in the engine selected by Options.Columnar
-// (or reuses the Warm()ed one) and returns the resampling pass over it. When
-// cache is true and the RDD was built fresh it is persisted for the lifetime
-// of the source; release drops it (and is a no-op otherwise).
+// contributionSource builds RDD U (or reuses the Warm()ed one) and returns
+// the resampling pass over it. When cache is true and the RDD was built fresh
+// it is persisted for the lifetime of the source; release drops it (and is a
+// no-op otherwise).
 func (a *Analysis) contributionSource(cache bool) (rep repFunc, release func(), err error) {
 	release = func() {}
-	if a.opts.columnar() {
-		u := a.warmUB
-		if u == nil {
-			blocks, err := a.filteredGenotypeBlocks()
-			if err != nil {
-				return nil, nil, err
-			}
-			u = a.contributionBlocks(blocks, a.phenotype)
-			if cache {
-				u.Persist(a.persistLevel())
-				release = u.Unpersist
-			}
-		}
-		return func(z []float64) ([]float64, error) { return a.skatFromUBlocks(u, z) }, release, nil
-	}
-	u := a.warmU
+	u := a.warmUB
 	if u == nil {
-		fgm, err := a.filteredGenotypes()
+		blocks, err := a.filteredGenotypeBlocks()
 		if err != nil {
 			return nil, nil, err
 		}
-		u = a.contributionsRDD(fgm, a.phenotype)
+		u = a.contributionBlocks(blocks, a.phenotype)
 		if cache {
 			u.Persist(a.persistLevel())
 			release = u.Unpersist
 		}
 	}
-	return func(z []float64) ([]float64, error) { return a.skatFromU(u, z) }, release, nil
+	return func(z []float64) ([]float64, error) { return a.skatFromUBlocks(u, z) }, release, nil
 }
 
 // pipelineOnce runs the full Algorithm 1 pipeline once for the given
-// phenotype, in the engine selected by Options.Columnar — the unit of work a
-// permutation replicate re-executes.
+// phenotype — the unit of work a permutation replicate re-executes.
 func (a *Analysis) pipelineOnce(ph *data.Phenotype) ([]float64, error) {
-	if a.opts.columnar() {
-		blocks, err := a.filteredGenotypeBlocks()
-		if err != nil {
-			return nil, err
-		}
-		return a.skatFromUBlocks(a.contributionBlocks(blocks, ph), nil)
-	}
-	fgm, err := a.filteredGenotypes()
+	blocks, err := a.filteredGenotypeBlocks()
 	if err != nil {
 		return nil, err
 	}
-	return a.skatFromU(a.contributionsRDD(fgm, ph), nil)
+	return a.skatFromUBlocks(a.contributionBlocks(blocks, ph), nil)
 }
 
 // Observed computes the observed SKAT statistics S_k^0 (Algorithm 1).
@@ -565,94 +438,52 @@ func (a *Analysis) persistLevel() rdd.StorageLevel {
 // useful when several Monte Carlo analyses run against the same data.
 // Release drops it.
 func (a *Analysis) Warm() error {
-	if a.opts.columnar() {
-		if a.warmUB != nil {
-			return nil
-		}
-		blocks, err := a.filteredGenotypeBlocks()
-		if err != nil {
-			return err
-		}
-		u := a.contributionBlocks(blocks, a.phenotype).Persist(a.persistLevel())
-		if _, err := rdd.Count(u); err != nil {
-			u.Unpersist()
-			return err
-		}
-		a.warmUB = u
+	if a.warmUB != nil {
 		return nil
 	}
-	if a.warmU != nil {
-		return nil
-	}
-	fgm, err := a.filteredGenotypes()
+	blocks, err := a.filteredGenotypeBlocks()
 	if err != nil {
 		return err
 	}
-	u := a.contributionsRDD(fgm, a.phenotype).Persist(a.persistLevel())
+	u := a.contributionBlocks(blocks, a.phenotype).Persist(a.persistLevel())
 	if _, err := rdd.Count(u); err != nil {
 		u.Unpersist()
 		return err
 	}
-	a.warmU = u
+	a.warmUB = u
 	return nil
 }
 
 // Release drops the cached RDD U retained by Warm.
 func (a *Analysis) Release() {
-	if a.warmU != nil {
-		a.warmU.Unpersist()
-		a.warmU = nil
-	}
 	if a.warmUB != nil {
 		a.warmUB.Unpersist()
 		a.warmUB = nil
 	}
 }
 
-// WarmGenotypes materialises RDD_FGM — the filtered genotype matrix, packed
-// or boxed per Options.Columnar — and keeps it cached; subsequent pipeline
-// builds read the cached matrix instead of re-scanning the text file. The
-// harness uses the cached footprint of each layout as the columnar
-// experiment's storage measurement.
+// WarmGenotypes materialises RDD_FGM — the packed, filtered genotype matrix —
+// and keeps it cached; subsequent pipeline builds read the cached matrix
+// instead of re-scanning the text file.
 func (a *Analysis) WarmGenotypes() error {
-	if a.opts.columnar() {
-		if a.warmFGMB != nil {
-			return nil
-		}
-		blocks, err := a.filteredGenotypeBlocks()
-		if err != nil {
-			return err
-		}
-		blocks.Persist(a.persistLevel())
-		if _, err := rdd.Count(blocks); err != nil {
-			blocks.Unpersist()
-			return err
-		}
-		a.warmFGMB = blocks
+	if a.warmFGMB != nil {
 		return nil
 	}
-	if a.warmFGM != nil {
-		return nil
-	}
-	fgm, err := a.filteredGenotypes()
+	blocks, err := a.filteredGenotypeBlocks()
 	if err != nil {
 		return err
 	}
-	fgm.Persist(a.persistLevel())
-	if _, err := rdd.Count(fgm); err != nil {
-		fgm.Unpersist()
+	blocks.Persist(a.persistLevel())
+	if _, err := rdd.Count(blocks); err != nil {
+		blocks.Unpersist()
 		return err
 	}
-	a.warmFGM = fgm
+	a.warmFGMB = blocks
 	return nil
 }
 
 // ReleaseGenotypes drops the cached RDD_FGM retained by WarmGenotypes.
 func (a *Analysis) ReleaseGenotypes() {
-	if a.warmFGM != nil {
-		a.warmFGM.Unpersist()
-		a.warmFGM = nil
-	}
 	if a.warmFGMB != nil {
 		a.warmFGMB.Unpersist()
 		a.warmFGMB = nil
@@ -724,9 +555,9 @@ func (a *Analysis) result(observed []float64, counter *stats.Counter) *Result {
 	return res
 }
 
-// MarginalAsymptotic runs the variant-by-variant asymptotic analysis: for
-// every analysed SNP, the score U_j, its null variance, and the 1-df
-// chi-squared p-value — the large-sample alternative to resampling.
+// MarginalResult is one SNP of the variant-by-variant asymptotic analysis:
+// the score U_j, its null variance, and the 1-df chi-squared p-value — the
+// large-sample alternative to resampling.
 type MarginalResult struct {
 	SNP      int
 	Score    float64
@@ -734,39 +565,10 @@ type MarginalResult struct {
 	PValue   float64
 }
 
-// MarginalAsymptotic computes per-SNP asymptotic score tests.
+// MarginalAsymptotic computes per-SNP asymptotic score tests: each packed
+// block decodes row by row into the kernel's scratch buffer and evaluates the
+// score and variance terms of the broadcast null model.
 func (a *Analysis) MarginalAsymptotic() ([]MarginalResult, error) {
-	if a.opts.columnar() {
-		return a.marginalAsymptoticColumnar()
-	}
-	fgm, err := a.filteredGenotypes()
-	if err != nil {
-		return nil, err
-	}
-	family := a.opts.family()
-	bc := a.broadcastNull(a.phenotype)
-	perSNP := rdd.MapWithSetup(fgm, "asymptotic", func(int) func(GenoRow) MarginalResult {
-		nm := bc.Value()
-		model, err := stats.NewAdjustedModel(family, nm.Ph, nm.Cov)
-		if err != nil {
-			panic(err)
-		}
-		return func(row GenoRow) MarginalResult {
-			return marginalResult(model, row.SNP, row.G)
-		}
-	}).SetSizeHint(40)
-	results, err := rdd.Collect(perSNP)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// marginalAsymptoticColumnar is MarginalAsymptotic over packed blocks: each
-// block decodes row by row into the kernel's scratch buffer and evaluates
-// the same score and variance terms, so results match the boxed path
-// bitwise.
-func (a *Analysis) marginalAsymptoticColumnar() ([]MarginalResult, error) {
 	blocks, err := a.filteredGenotypeBlocks()
 	if err != nil {
 		return nil, err
@@ -787,15 +589,11 @@ func (a *Analysis) marginalAsymptoticColumnar() ([]MarginalResult, error) {
 			}
 			return out
 		}
-	}).SetSizeHint(int64(genoBlockRows)*40 + 24)
+	}).SetSizeHint(int64(data.GenoBlockRows)*40 + 24)
 	perSNP := rdd.FlatMap(perBlock, "asymptotic", func(rs []MarginalResult) []MarginalResult {
 		return rs
 	}).SetSizeHint(40)
-	results, err := rdd.Collect(perSNP)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return rdd.Collect(perSNP)
 }
 
 func marginalResult(model stats.Model, snp int, g []data.Genotype) MarginalResult {
@@ -807,40 +605,6 @@ func marginalResult(model stats.Model, snp int, g []data.Genotype) MarginalResul
 		Variance: variance,
 		PValue:   stats.ChiSquaredSurvival(stats.Chi2Stat(score, variance), 1),
 	}
-}
-
-// parseSNPPrefix splits a genotype-matrix line into its SNP id and the
-// genotype fields after the tab — the cheap prefix parse the columnar ingest
-// runs before deciding whether to decode the fields at all.
-func parseSNPPrefix(line string) (int, string, error) {
-	if strings.TrimSpace(line) == "" {
-		return 0, "", fmt.Errorf("core: empty genotype line")
-	}
-	snpStr, rest, ok := strings.Cut(line, "\t")
-	if !ok {
-		return 0, "", fmt.Errorf("core: genotype line missing tab: %q", truncate(line))
-	}
-	snp, err := strconv.Atoi(snpStr)
-	if err != nil || snp < 0 {
-		return 0, "", fmt.Errorf("core: bad SNP id %q", snpStr)
-	}
-	return snp, rest, nil
-}
-
-// ParseGenotypeLine parses one genotype-matrix line ("snp\tg1 g2 ... gn").
-func ParseGenotypeLine(line string, patients int) (GenoRow, error) {
-	snp, rest, err := parseSNPPrefix(line)
-	if err != nil {
-		return GenoRow{}, err
-	}
-	g, err := data.ParseGenotypeFields(strings.Fields(rest))
-	if err != nil {
-		return GenoRow{}, fmt.Errorf("core: SNP %d: %v", snp, err)
-	}
-	if len(g) != patients {
-		return GenoRow{}, fmt.Errorf("core: SNP %d has %d genotypes, want %d", snp, len(g), patients)
-	}
-	return GenoRow{SNP: snp, G: g}, nil
 }
 
 func parseWeightLine(line string) (int, float64, error) {

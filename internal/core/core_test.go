@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -334,44 +335,36 @@ func TestMarginalAsymptotic(t *testing.T) {
 	}
 }
 
-func TestParseGenotypeLineErrors(t *testing.T) {
-	// Error cases must name the offending SNP and field so a bad line in a
-	// multi-gigabyte genotype file is findable from the message alone.
-	wantErr := func(line, msg string, patients int) {
-		t.Helper()
-		_, err := ParseGenotypeLine(line, patients)
-		if err == nil {
-			t.Fatalf("ParseGenotypeLine(%q) accepted, want error containing %q", line, msg)
+// TestMalformedGenotypeLinesFailTheJob feeds the ingest (data.ParseSNPPrefix
+// plus GenoBlock.AppendTextRow) one bad line at a time. Each must abort the job
+// as a task failure whose message names the offending SNP or field, so a bad
+// line in a multi-gigabyte genotype file is findable from the message alone.
+func TestMalformedGenotypeLinesFailTheJob(t *testing.T) {
+	ds := testDataset(t, 3, 6, 1, 4)
+	ds.SNPSets[0].SNPs = []int{0, 1, 2, 3, 4, 5} // every SNP passes the pushdown filter
+	for _, tc := range []struct{ line, msg string }{
+		{"no-tab-here", `missing tab: "no-tab-here"`},
+		{"x\t0 1 2", `bad SNP id "x"`},
+		{"-2\t0 1 2", `bad SNP id "-2"`},
+		{"", "empty genotype line"},
+		{"   ", "empty genotype line"},
+		{"0\t0 1", "SNP 0: data: 2 genotypes, want 3"},             // missing genotype
+		{"0\t0 1 2 1", "SNP 0: data: 4 genotypes, want 3"},         // extra genotype
+		{"5\t0 1 7", `SNP 5: data: field 3: bad genotype "7"`},     // out-of-domain code
+		{"5\t0 x 2", `SNP 5: data: field 2: bad genotype "x"`},     // non-numeric code
+		{"5\t0 1 2.0", `SNP 5: data: field 3: bad genotype "2.0"`}, // non-integer code
+	} {
+		ctx := testContext(t, 1)
+		a := stagedAnalysis(t, ctx, ds, Options{})
+		// Trailing and repeated whitespace is tolerated, not an extra field.
+		if _, err := ctx.FS().Write(a.genoPath, []byte("4\t0  1 2 \t\n"+tc.line+"\n1\t0 1 2\n")); err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), msg) {
-			t.Fatalf("ParseGenotypeLine(%q) = %q, want message containing %q", line, err, msg)
+		_, err := a.Observed()
+		var aborted *rdd.TaskAbortedError
+		if !errors.As(err, &aborted) || !strings.Contains(err.Error(), tc.msg) {
+			t.Fatalf("line %q: Observed() = %v, want a task abort containing %q", tc.line, err, tc.msg)
 		}
-	}
-	wantErr("no-tab-here", "missing tab", 3)
-	wantErr("x\t0 1 2", `bad SNP id "x"`, 3)
-	wantErr("-2\t0 1 2", `bad SNP id "-2"`, 3)
-	wantErr("", "empty genotype line", 3)
-	wantErr("   ", "empty genotype line", 3)
-	wantErr("0\t0 1", "SNP 0 has 2 genotypes, want 3", 3)          // missing genotype
-	wantErr("0\t0 1 2 1", "SNP 0 has 4 genotypes, want 3", 3)      // extra genotype
-	wantErr("5\t0 1 7", `SNP 5: field 3: bad genotype "7"`, 3)     // out-of-domain code
-	wantErr("5\t0 x 2", `SNP 5: field 2: bad genotype "x"`, 3)     // non-numeric code
-	wantErr("5\t0 1 2.0", `SNP 5: field 3: bad genotype "2.0"`, 3) // non-integer code
-
-	row, err := ParseGenotypeLine("4\t0 1 2", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.SNP != 4 || row.G[2] != 2 {
-		t.Fatalf("row = %+v", row)
-	}
-	// Trailing and repeated whitespace is tolerated, not an extra field.
-	row, err = ParseGenotypeLine("4\t0  1 2 \t", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.SNP != 4 || row.G[0] != 0 || row.G[1] != 1 || row.G[2] != 2 {
-		t.Fatalf("row = %+v", row)
 	}
 }
 
@@ -767,11 +760,7 @@ func TestMonteCarloResultsUnchangedUnderFaults(t *testing.T) {
 		return res, rdd.SummarizeRecovery(ctx.Jobs())
 	}
 	clean, cleanRec := run(rdd.FaultProfile{})
-	chaos, chaosRec := run(rdd.FaultProfile{
-		TaskCrashProb:    0.25,
-		FetchFailureProb: 0.15,
-		NodeLoss:         []rdd.NodeLoss{{Node: 0, AfterTasks: 8}},
-	})
+	chaos, chaosRec := run(chaosProfile)
 	if cleanRec.TaskRetries != 0 || cleanRec.StageAttempts != 0 {
 		t.Fatalf("fault-free run recorded recovery work: %+v", cleanRec)
 	}

@@ -102,6 +102,30 @@ func (b *GenoBlock) AppendRow(snp int, g []Genotype) error {
 	return nil
 }
 
+// GenoBlockRows is the number of SNP rows the text ingests pack into one
+// GenoBlock. Blocks never span text partitions, so a partition's final block
+// may be shorter.
+const GenoBlockRows = 256
+
+// ParseSNPPrefix splits a genotype-matrix line ("snp\tg1 g2 ... gn") into its
+// SNP id and the genotype fields after the tab — the cheap prefix parse an
+// ingest runs before deciding whether to hand the fields to AppendTextRow at
+// all.
+func ParseSNPPrefix(line string) (snp int, fields string, err error) {
+	if strings.TrimSpace(line) == "" {
+		return 0, "", fmt.Errorf("data: empty genotype line")
+	}
+	snpStr, fields, ok := strings.Cut(line, "\t")
+	if !ok {
+		return 0, "", fmt.Errorf("data: genotype line missing tab: %.40q", line)
+	}
+	snp, err = strconv.Atoi(snpStr)
+	if err != nil || snp < 0 {
+		return 0, "", fmt.Errorf("data: bad SNP id %q", snpStr)
+	}
+	return snp, fields, nil
+}
+
 // AppendTextRow parses one row's genotype fields ("g_1 g_2 ... g_n",
 // whitespace-separated, values in {0,1,2}) directly into packed form — the
 // text codec of the columnar parse path, which never materialises a boxed
@@ -230,43 +254,6 @@ func (b *GenoBlock) WriteTextRow(r int, sb *strings.Builder) {
 // would overcharge them).
 func (b GenoBlock) ApproxBytes() int64 {
 	return int64(len(b.Packed)) + 4*int64(len(b.SNPs)) + 4*int64(len(b.Counts)) + 96
-}
-
-// BoxedRowBytes estimates the resident size of one boxed genotype row (the
-// pre-columnar representation): a separately allocated []Genotype rounded up
-// to its Go allocator size class, plus the SNP id and slice header in the
-// row struct. This is what the boxed path's cache accounting charges, so the
-// packed-vs-boxed footprint comparison reflects real heap layouts.
-func BoxedRowBytes(patients int) int64 {
-	return sizeClass(int64(patients)) + 32
-}
-
-// AllocBytes rounds a payload size up to the Go allocator size class that
-// backs it — what a slice of that many bytes actually occupies on the heap.
-// Honest cache accounting for boxed values charges this, not the logical
-// length.
-func AllocBytes(n int64) int64 { return sizeClass(n) }
-
-// goSizeClasses are the Go allocator's small-object size classes
-// (runtime/sizeclasses.go); allocations above the last class round to 8 KiB
-// pages.
-var goSizeClasses = []int64{
-	8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224,
-	240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768,
-	896, 1024, 1152, 1280, 1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200,
-	3456, 4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192, 9472, 9728, 10240,
-	10880, 12288, 13568, 14336, 16384, 18432, 19072, 20480, 21760, 24576,
-	27264, 28672, 32768,
-}
-
-func sizeClass(n int64) int64 {
-	for _, c := range goSizeClasses {
-		if n <= c {
-			return c
-		}
-	}
-	const page = 8192
-	return (n + page - 1) / page * page
 }
 
 // DecodePool recycles per-row decode buffers for consumers that unpack

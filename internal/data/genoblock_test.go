@@ -126,16 +126,6 @@ func TestPackUnpackGenotypes(t *testing.T) {
 	}
 }
 
-func TestBoxedRowBytesUsesSizeClasses(t *testing.T) {
-	// 1000 genotypes allocate a 1024-byte class; plus SNP id and slice header.
-	if got := BoxedRowBytes(1000); got != 1024+32 {
-		t.Fatalf("BoxedRowBytes(1000) = %d, want %d", got, 1024+32)
-	}
-	if got := BoxedRowBytes(33000); got != 40960+32 {
-		t.Fatalf("BoxedRowBytes(33000) = %d, want %d", got, 40960+32)
-	}
-}
-
 func TestDecodePool(t *testing.T) {
 	p := NewDecodePool(6)
 	buf := p.Get()

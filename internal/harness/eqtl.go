@@ -1,16 +1,14 @@
 // The all-pairs eQTL experiment: every SNP crossed with every expression
 // phenotype through internal/assoc, measured three ways:
 //
-//  1. Parity — the wide multi-phenotype kernel, the per-phenotype loop, and
-//     the cartesian block join must produce byte-identical WriteReport output
-//     at two input shapes.
+//  1. Parity — the broadcast and cartesian join strategies must produce
+//     byte-identical WriteReport output at two input shapes.
 //  2. Recovery — the cross re-run under task crashes, fetch failures, and a
 //     node loss must still match the clean report byte for byte, and two
 //     seeded chaos replays must emit byte-identical stripped event logs.
 //  3. Pair throughput — a real-time microbenchmark of the scoring inner
-//     loop: the wide kernel (one decode per block row, all phenotypes) versus
-//     the per-phenotype loop, in ns per (SNP, phenotype) pair. The wide
-//     kernel must clear 2x.
+//     loop (stats.WideKernel: one decode per block row, all phenotypes), in
+//     ns per (SNP, phenotype) pair.
 
 package harness
 
@@ -25,7 +23,6 @@ import (
 
 	"sparkscore/internal/assoc"
 	"sparkscore/internal/cluster"
-	"sparkscore/internal/data"
 	"sparkscore/internal/gen"
 	"sparkscore/internal/metrics"
 	"sparkscore/internal/rdd"
@@ -40,7 +37,6 @@ type EQTLRun struct {
 	SNPs       int     `json:"snps"`
 	Phenos     int     `json:"phenos"`
 	Strategy   string  `json:"strategy"`
-	Wide       bool    `json:"wide"`
 	Tested     int64   `json:"tested"`
 	SimSeconds float64 `json:"simSeconds"`
 }
@@ -63,14 +59,12 @@ type EQTLPairBench struct {
 	Rows          int     `json:"rows"`
 	Phenos        int     `json:"phenos"`
 	WideNsPerPair float64 `json:"wideNsPerPair"`
-	LoopNsPerPair float64 `json:"loopNsPerPair"`
 	PairsPerSec   float64 `json:"pairsPerSec"`
-	Speedup       float64 `json:"speedup"`
 }
 
 // eqtlScale fixes the experiment at the paper's 1/100 scale regardless of the
-// harness Scale, like the columnar and speculation experiments: parity and
-// the kernel ratio are properties of the engine, not of the input size.
+// harness Scale, like the speculation experiment: parity is a property of the
+// engine, not of the input size.
 const eqtlScale = 100
 
 // eqtlShape is one input shape of the parity sweep.
@@ -186,12 +180,9 @@ func stripEventLog(raw []byte) (string, error) {
 	return sb.String(), nil
 }
 
-// measureEQTLKernel benchmarks the all-pairs scoring inner loop over one full
-// 256-row block of 1000 patients against 64 Gaussian phenotypes, best-of-5
-// in real time: the wide kernel decodes each row once and streams it through
-// every phenotype; the loop decodes once per row too but scores phenotypes
-// one at a time through the scalar kernels — the ablation the wide kernel is
-// pinned bitwise against in internal/assoc.
+// measureEQTLKernel benchmarks the all-pairs scoring inner loop — the wide
+// kernel over one full 256-row block of 1000 patients against 64 Gaussian
+// phenotypes — best-of-5 in real time.
 func measureEQTLKernel(seed uint64) (EQTLPairBench, error) {
 	const patients, rows, phenos = 1000, 256, 64
 	cfg := gen.Config{Patients: patients, SNPs: rows, SNPSets: 4}
@@ -210,66 +201,41 @@ func measureEQTLKernel(seed uint64) (EQTLPairBench, error) {
 		return EQTLPairBench{}, err
 	}
 
+	const inner = 5
 	var sink float64
-	wide := func() {
-		kernel.BlockStats(blk, func(_ int32, _ int, score, variance float64) {
-			sink += score - variance
-		})
-	}
-	dec := make([]data.Genotype, patients)
-	loop := func() {
-		for r := 0; r < blk.Rows(); r++ {
-			stats.DecodeDosageGenotypes(blk.Row(r), dec)
-			for _, m := range models {
-				sink += stats.Score(m, dec) - m.Variance(dec)
-			}
+	best := math.Inf(1)
+	for rep := 0; rep < 5; rep++ {
+		start := time.Now()
+		for i := 0; i < inner; i++ {
+			kernel.BlockStats(blk, func(_ int32, _ int, score, variance float64) {
+				sink += score - variance
+			})
 		}
-	}
-
-	bestNsPerPair := func(f func()) float64 {
-		const inner = 5
-		best := math.Inf(1)
-		for rep := 0; rep < 5; rep++ {
-			start := time.Now()
-			for i := 0; i < inner; i++ {
-				f()
-			}
-			perPair := float64(time.Since(start).Nanoseconds()) / float64(inner*rows*phenos)
-			if perPair < best {
-				best = perPair
-			}
+		perPair := float64(time.Since(start).Nanoseconds()) / float64(inner*rows*phenos)
+		if perPair < best {
+			best = perPair
 		}
-		return best
-	}
-
-	b := EQTLPairBench{
-		Patients:      patients,
-		Rows:          rows,
-		Phenos:        phenos,
-		WideNsPerPair: bestNsPerPair(wide),
-		LoopNsPerPair: bestNsPerPair(loop),
-	}
-	if b.WideNsPerPair > 0 {
-		b.PairsPerSec = 1e9 / b.WideNsPerPair
-		b.Speedup = b.LoopNsPerPair / b.WideNsPerPair
 	}
 	_ = sink
+
+	b := EQTLPairBench{Patients: patients, Rows: rows, Phenos: phenos, WideNsPerPair: best}
+	if best > 0 {
+		b.PairsPerSec = 1e9 / best
+	}
 	return b, nil
 }
 
-// runEQTL measures the all-pairs engine and asserts its claims: every
-// configuration byte-identical at both shapes, chaos recovery byte-identical
-// with byte-stable stripped replay logs, and a >= 2x wide-kernel pair
-// throughput over the per-phenotype loop.
+// runEQTL measures the all-pairs engine and asserts its claims: both join
+// strategies byte-identical at both shapes, and chaos recovery byte-identical
+// with byte-stable stripped replay logs.
 func runEQTL(h *Harness, w io.Writer) error {
 	type config struct {
 		name string
 		cfg  assoc.Config
 	}
 	configs := []config{
-		{"wide broadcast", assoc.Config{TopK: 50, HistBins: 512}},
-		{"loop broadcast", assoc.Config{TopK: 50, HistBins: 512}.WithWide(false)},
-		{"wide cartesian", assoc.Config{TopK: 50, HistBins: 512, Strategy: "cartesian", PhenoBatch: 8}},
+		{"broadcast", assoc.Config{TopK: 50, HistBins: 512}},
+		{"cartesian", assoc.Config{TopK: 50, HistBins: 512, Strategy: "cartesian", PhenoBatch: 8}},
 	}
 
 	var runs []EQTLRun
@@ -294,8 +260,7 @@ func runEQTL(h *Harness, w io.Writer) error {
 			}
 			runs = append(runs, EQTLRun{
 				Patients: shape.patients, SNPs: shape.snps, Phenos: shape.phenos,
-				Strategy: out.res.Strategy, Wide: c.cfg.Wide == nil || *c.cfg.Wide,
-				Tested: out.res.Tested, SimSeconds: out.simSeconds,
+				Strategy: out.res.Strategy, Tested: out.res.Tested, SimSeconds: out.simSeconds,
 			})
 			t.AddRow(c.name, fmt.Sprint(out.res.Tested), metrics.FormatSeconds(out.simSeconds), verdict)
 			if verdict == "DIVERGED" {
@@ -311,7 +276,7 @@ func runEQTL(h *Harness, w io.Writer) error {
 	// so the node loss lands mid-job) under crashes, fetch failures, and a
 	// node loss — run twice to pin replay determinism.
 	shape := eqtlShapes()[1]
-	chaosCfg := configs[2].cfg
+	chaosCfg := configs[1].cfg
 	clean, err := h.runEQTLConfig(shape, chaosCfg, rdd.FaultProfile{})
 	if err != nil {
 		return fmt.Errorf("eqtl: clean chaos baseline: %w", err)
@@ -352,8 +317,6 @@ func runEQTL(h *Harness, w io.Writer) error {
 		"inner loop", "ns/pair", "pairs/s")
 	kt.AddRow("wide multi-phenotype", fmt.Sprintf("%.1f", kernel.WideNsPerPair),
 		fmt.Sprintf("%.2fM", kernel.PairsPerSec/1e6))
-	kt.AddRow("per-phenotype loop", fmt.Sprintf("%.1f", kernel.LoopNsPerPair), "")
-	kt.AddRow("speedup", fmt.Sprintf("%.2fx", kernel.Speedup), "")
 	kt.Fprint(w)
 
 	if h.EQTLJSON != "" {
@@ -381,10 +344,6 @@ func runEQTL(h *Harness, w io.Writer) error {
 	}
 	if !chaos.ReplayStable {
 		return fmt.Errorf("eqtl: stripped event logs differ across seeded chaos replays")
-	}
-	if kernel.Speedup < 2 {
-		return fmt.Errorf("eqtl: wide kernel speedup %.2fx < 2x (wide %.1f ns/pair, loop %.1f ns/pair)",
-			kernel.Speedup, kernel.WideNsPerPair, kernel.LoopNsPerPair)
 	}
 	return nil
 }

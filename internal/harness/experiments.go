@@ -64,10 +64,9 @@ func Experiments() []Experiment {
 		{ID: "combine", Title: "Combine: shuffle bytes with and without map-side combine", Run: runCombine},
 		{ID: "serving", Title: "Serving: concurrent job throughput and latency, FIFO vs FAIR", Run: runServing},
 		{ID: "speculation", Title: "Speculation: stage wall-clock with 8x stragglers, speculative copies on/off", Run: runSpeculation},
-		{ID: "columnar", Title: "Columnar: 2-bit packed genotype engine vs boxed rows", Run: runColumnar},
 		{ID: "memory", Title: "Memory: sort-shuffle spill vs hash OOM under a capped unified pool", Run: runMemory},
 		{ID: "adaptive", Title: "Adaptive: skew splitting and partition coalescing, planner on/off", Run: runAdaptive},
-		{ID: "eqtl", Title: "EQTL: all-pairs wide kernel vs per-phenotype loop, parity and throughput", Run: runEQTL},
+		{ID: "eqtl", Title: "EQTL: all-pairs broadcast vs cartesian parity, chaos recovery, pair throughput", Run: runEQTL},
 	}
 }
 

@@ -56,11 +56,6 @@ type Harness struct {
 	// grid as a JSON snapshot to this path (benchtab's -json flag).
 	SpeculationJSON string
 
-	// ColumnarJSON, when set, makes the columnar experiment write its
-	// packed-vs-boxed measurements as a JSON snapshot to this path
-	// (benchtab's -json flag).
-	ColumnarJSON string
-
 	// MemoryJSON, when set, makes the memory experiment write its
 	// capped-pool measurements (sort-spill vs hash-OOM) as a JSON snapshot
 	// to this path (benchtab's -json flag).

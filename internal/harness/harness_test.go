@@ -103,8 +103,18 @@ func TestRegistryCoversEveryArtifact(t *testing.T) {
 			t.Errorf("artifact %s not resolvable", id)
 		}
 	}
-	if _, ok := Resolve("fig99"); ok {
-		t.Error("unknown artifact resolved")
+	for _, id := range []string{"fig99", "columnar"} {
+		if _, ok := Resolve(id); ok {
+			t.Errorf("unknown artifact %s resolved", id)
+		}
+	}
+	var ids []string
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
+	}
+	want := "tab1 fig2 fig3 fig4 fig5 fig6 fig7 chaos combine serving speculation memory adaptive eqtl"
+	if got := strings.Join(ids, " "); got != want {
+		t.Errorf("experiments = %q, want %q", got, want)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Blocked score kernels over packed genotype blocks. The boxed pipeline
+// Blocked score kernels over packed genotype blocks. Model.Contributions
 // computes one SNP at a time: decode a row, allocate a contribution slice,
 // loop. A BlockKernel instead consumes a whole data.GenoBlock in one pass —
 // for residual-form models (Gaussian, Binomial, and their covariate-adjusted
@@ -7,8 +7,9 @@
 // one flat allocation. Monte Carlo reweighting then becomes a matrix–vector
 // product over the cached UBlock instead of per-SNP MonteCarloScore calls.
 //
-// Arithmetic order matches the boxed path exactly (per row, in patient
-// order), so packed and boxed pipelines produce bitwise-identical scores.
+// Arithmetic order matches the per-row Model.Contributions path exactly (per
+// row, in patient order), so block kernels and the engine-free references
+// produce bitwise-identical scores.
 
 package stats
 
@@ -68,8 +69,8 @@ func (b UBlock) ApproxBytes() int64 {
 // Scores computes the per-row marginal scores into out (grown as needed):
 // with z nil each row sums to the observed U_j; otherwise the Monte Carlo
 // replicate Ũ_j = Σ_i z_i U_ij — the whole block is one matrix–vector
-// product. Summation runs in patient order per row, matching the boxed
-// per-SNP loop bit for bit.
+// product. Summation runs in patient order per row, matching the per-SNP
+// MonteCarloScore loop bit for bit.
 func (b *UBlock) Scores(z, out []float64) []float64 {
 	rows := b.Rows()
 	if cap(out) < rows {
@@ -169,7 +170,7 @@ func (k *BlockKernel) Decode(blk data.GenoBlock, r int) []data.Genotype {
 
 // fusedDosageAccumulate is the fused inner loop: u[i] = dosage(code_i) · r_i
 // straight off the packed bytes, four patients per byte, no intermediate
-// genotype slice. The multiply matches float64(g_i)·r_i of the boxed path
+// genotype slice. The multiply matches float64(g_i)·r_i of Model.Contributions
 // bit for bit, since the dosage table holds the same float64 values.
 func fusedDosageAccumulate(packed []byte, resid, u []float64) {
 	n := len(resid)

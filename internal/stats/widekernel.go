@@ -14,11 +14,11 @@
 // phenotype-invariant, so per (SNP, phenotype) pair only the score's dot
 // product remains.
 //
-// Arithmetic order matches the per-phenotype loop exactly — dosages are the
-// same float64 values the boxed decode yields, the score accumulates in
-// patient order, and the moment loops mirror Gaussian.Variance/
-// Binomial.Variance — so wide and per-phenotype results are bitwise
-// identical.
+// Arithmetic order matches per-phenotype Score/Variance calls exactly —
+// dosages are the same float64 values a genotype decode-then-convert yields,
+// the score accumulates in patient order, and the moment loops mirror
+// Gaussian.Variance/Binomial.Variance — so wide and per-phenotype results are
+// bitwise identical.
 
 package stats
 
@@ -46,7 +46,7 @@ func (b *Binomial) VarianceScale() float64 { return b.meanY * (1 - b.meanY) }
 
 // decodeDosages unpacks 2-bit codes straight into float64 scoring dosages
 // (missing -> 0), four patients per byte; len(dst) genotypes are read. The
-// table holds exactly float64(codeScoring[c]), so dst matches what a boxed
+// table holds exactly float64(codeScoring[c]), so dst matches what a genotype
 // decode-then-convert produces bit for bit.
 func decodeDosages(packed []byte, dst []float64) {
 	n := len(dst)
