@@ -39,9 +39,11 @@ bench:
 
 # bench-smoke proves the fused-chain benchmarks still run (allocation numbers
 # are asserted by TestFusedChainAllocsIndependentOfSize; this guards the
-# benchmark harness itself).
+# benchmark harness itself), and that the wide kernel's benchmark at the
+# eqtl_wide shape still builds its fixture and reports Mpairs/s.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
+	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x
 
 # eventlog-smoke exercises the observability surface end to end: a small
 # sparkscore run emits a JSONL event log, and sparkui must parse it back and

@@ -18,7 +18,8 @@
 //
 // Both strategies visit the same pairs with the same arithmetic, so their
 // results are identical; the wide multi-phenotype kernel (stats.WideKernel)
-// amortises each row's 2-bit genotype decode across the phenotype batch.
+// decodes each genotype row once and scores the whole phenotype batch off its
+// non-zero dosages.
 package assoc
 
 import (
@@ -232,22 +233,23 @@ func (a *Analysis) genotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 }
 
 // newKernel builds the wide kernel over the per-phenotype score models of
-// rows [0, Rows()) of m. Row validity was checked at NewAnalysis time, so
-// errors here are programming errors.
-func newKernel(family string, m *data.PhenoMatrix) *stats.WideKernel {
+// rows [0, Rows()) of m. NewAnalysis checked that every row builds a model;
+// what can still fail here is a row whose centred values overflow float64,
+// which the kernel rejects.
+func newKernel(family string, m *data.PhenoMatrix) (*stats.WideKernel, error) {
 	models := make([]stats.Model, m.Rows())
 	for r := range models {
 		model, err := stats.NewModel(family, m.Phenotype(r))
 		if err != nil {
-			panic(fmt.Errorf("assoc: phenotype %d: %v", m.IDs[r], err))
+			return nil, fmt.Errorf("assoc: phenotype %d: %w", m.IDs[r], err)
 		}
 		models[r] = model
 	}
 	k, err := stats.NewWideKernel(models)
 	if err != nil {
-		panic(err)
+		return nil, fmt.Errorf("assoc: phenotype batch starting at id %d: %w", m.IDs[0], err)
 	}
-	return k
+	return k, nil
 }
 
 func pairResult(snp, pheno int32, score, variance float64) PairResult {
@@ -260,16 +262,20 @@ func pairResult(snp, pheno int32, score, variance float64) PairResult {
 	}
 }
 
-// broadcastPartials runs the broadcast strategy: each genotype partition
-// builds one wide kernel over the whole broadcast phenotype matrix, scores
-// every block through it, and emits one partial.
+// broadcastPartials runs the broadcast strategy: the wide kernel's table over
+// the whole phenotype matrix is built once here on the driver and shared
+// read-only; each genotype partition forks its own scratch, scores every
+// block through it, and emits one partial.
 func (a *Analysis) broadcastPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial, error) {
+	shared, err := newKernel(a.cfg.family(), a.phenos)
+	if err != nil {
+		return nil, err
+	}
 	bc := a.phenoBC
-	family := a.cfg.family()
 	k, bins := a.cfg.topK(), a.cfg.histBins()
 	partials := rdd.MapPartitions(blocks, "assocPartials", func(_ int, in []data.GenoBlock) []partial {
 		m := bc.Value()
-		kernel := newKernel(family, m)
+		kernel := shared.Fork()
 		acc := newAccumulator(k, bins)
 		visit := func(snp int32, pheno int, score, variance float64) {
 			acc.add(pairResult(snp, m.IDs[pheno], score, variance))
@@ -309,7 +315,11 @@ func (a *Analysis) cartesianPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial
 				continue
 			}
 			if kernel == nil || batch.IDs[0] != ids[0] {
-				kernel, ids = newKernel(family, batch), batch.IDs
+				var err error
+				if kernel, err = newKernel(family, batch); err != nil {
+					panic(err) // fails the task; the job reports it
+				}
+				ids = batch.IDs
 			}
 			kernel.BlockStats(in[i].Left, visit)
 		}

@@ -259,3 +259,37 @@ func TestMalformedGenotypeLineFailsTheJob(t *testing.T) {
 		t.Fatalf("Run() = %v, want a task abort containing %q", err, want)
 	}
 }
+
+// TestOverflowingPhenotypeFailsTheRun stages a phenotype whose values are
+// finite (so the text codec accepts them) but whose sum overflows: its
+// residuals are infinite, the kernel refuses to build, and Run must report
+// that rather than histogram NaN p-values into the most significant bin.
+func TestOverflowingPhenotypeFailsTheRun(t *testing.T) {
+	const patients = 6
+	for _, strategy := range []string{"broadcast", "cartesian"} {
+		ctx := newTestContext(t, 1, rdd.FaultProfile{})
+		_, geno, _ := stageFixture(t, ctx, patients, 10, 1)
+		expr := data.NewPhenoMatrix(patients, 3)
+		for p, scale := range []float64{1, 2, 1e308} {
+			row := make([]float64, patients)
+			for i := range row {
+				row[i] = scale * (1 - 0.1*float64(i%2))
+			}
+			if err := expr.AppendRow(p, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		paths, err := Stage(ctx, geno, &expr, "overflow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{Strategy: strategy, PhenoBatch: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = a.Run()
+		if want := "stats: wide kernel phenotype"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: Run() = %v, want a kernel rejection containing %q", strategy, err, want)
+		}
+	}
+}

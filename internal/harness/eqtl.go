@@ -7,8 +7,8 @@
 //     node loss must still match the clean report byte for byte, and two
 //     seeded chaos replays must emit byte-identical stripped event logs.
 //  3. Pair throughput — a real-time microbenchmark of the scoring inner
-//     loop (stats.WideKernel: one decode per block row, all phenotypes), in
-//     ns per (SNP, phenotype) pair.
+//     loop (stats.WideKernel: one decode per block row, all phenotypes
+//     scored off its non-zero dosages), in ns per (SNP, phenotype) pair.
 
 package harness
 

@@ -1,6 +1,7 @@
 // Chi-squared tail probabilities for the asymptotic variant of the score
-// test, via the regularized incomplete gamma function (series expansion for
-// x < a+1, continued fraction otherwise; cf. Numerical Recipes §6.2).
+// test: the closed form erfc(√(x/2)) at df = 1, the regularized incomplete
+// gamma function otherwise (series expansion for x < a+1, continued fraction
+// beyond; cf. Numerical Recipes §6.2).
 
 package stats
 
@@ -10,13 +11,17 @@ import (
 )
 
 // ChiSquaredSurvival returns P(X > x) for X ~ χ²_df. It is the asymptotic
-// p-value of the score statistic U²/V with df = 1.
+// p-value of the score statistic U²/V with df = 1, where X is a squared
+// standard normal and the tail is exactly erfc(√(x/2)).
 func ChiSquaredSurvival(x float64, df int) float64 {
 	if df <= 0 {
 		panic(fmt.Sprintf("stats: chi-squared with df = %d", df))
 	}
 	if x <= 0 {
 		return 1
+	}
+	if df == 1 {
+		return math.Erfc(math.Sqrt(x / 2))
 	}
 	return regIncGammaQ(float64(df)/2, x/2)
 }

@@ -12,10 +12,10 @@ func TestChiSquaredKnownQuantiles(t *testing.T) {
 		want float64
 		tol  float64
 	}{
-		{3.841458820694124, 1, 0.05, 1e-9},
-		{6.634896601021213, 1, 0.01, 1e-9},
-		{2.705543454095404, 1, 0.10, 1e-9},
-		{10.827566170662733, 1, 0.001, 1e-9},
+		{3.841458820694124, 1, 0.05, 1e-12},
+		{6.634896601021213, 1, 0.01, 1e-12},
+		{2.705543454095404, 1, 0.10, 1e-12},
+		{10.827566170662733, 1, 0.001, 1e-12},
 		{5.991464547107979, 2, 0.05, 1e-9},
 		{7.814727903251179, 3, 0.05, 1e-9},
 	}
@@ -47,6 +47,36 @@ func TestChiSquaredBoundaries(t *testing.T) {
 	}
 	if got := ChiSquaredSurvival(1e4, 1); got > 1e-100 {
 		t.Fatalf("far tail = %v, want ~0", got)
+	}
+	if got := ChiSquaredSurvival(math.Inf(1), 1); got != 0 {
+		t.Fatalf("survival at +Inf = %v, want 0", got)
+	}
+	if got := ChiSquaredSurvival(math.NaN(), 1); !math.IsNaN(got) {
+		t.Fatalf("survival at NaN = %v, want NaN", got)
+	}
+	// e^-700 is still a normal float64: the tail must not underflow early.
+	if got := ChiSquaredSurvival(1400, 1); got <= 0 {
+		t.Fatalf("survival at 1400 = %v, want > 0", got)
+	}
+}
+
+// TestChiSquaredDF1ClosedForm pins the df = 1 closed form erfc(√(x/2)) to the
+// incomplete-gamma evaluation every other df uses, on a log grid from deep in
+// the body (p ≈ 1) to the edge of float64's range (p ≈ 1e-306), and checks it
+// is strictly decreasing there.
+func TestChiSquaredDF1ClosedForm(t *testing.T) {
+	const lo, hi, steps = 1e-12, 1400.0, 2000
+	prev := 1.0
+	for i := 0; i <= steps; i++ {
+		x := lo * math.Pow(hi/lo, float64(i)/steps)
+		got, want := ChiSquaredSurvival(x, 1), regIncGammaQ(0.5, x/2)
+		if rel := math.Abs(got-want) / want; rel > 1e-12 {
+			t.Errorf("x = %g: closed form %g, incomplete gamma %g (relative %.2g)", x, got, want, rel)
+		}
+		if got >= prev {
+			t.Errorf("x = %g: survival %g did not fall below %g", x, got, prev)
+		}
+		prev = got
 	}
 }
 

@@ -2,28 +2,36 @@
 // single-phenotype BlockKernel fuses one residual vector with the 2-bit
 // dosage decode; scoring M phenotypes that way decodes every genotype block M
 // times and rescans it twice more per phenotype for the variance. The wide
-// kernel instead decodes each SNP row ONCE into a dosage vector, computes the
-// SNP's genotype moments (sum, mean, centered sum of squares) once, and then
-// sweeps the whole phenotype batch over the shared dosages — matrix–matrix
-// instead of matrix–vector. The variance factorisation makes the amortisation
-// exact: for the Gaussian and Binomial families
+// kernel instead decodes each SNP row ONCE, computes the SNP's genotype
+// moments (sum, mean, centered sum of squares) once, and scores the whole
+// phenotype batch off the row's dosage classes. The variance factorisation
+// makes the amortisation exact: for the Gaussian and Binomial families
 //
 //	Var(U_j) = scale_p · Σ_i (G_ij − Ḡ_j)²
 //
 // where scale_p (σ̂² or Ȳ(1−Ȳ)) is SNP-invariant and the sum is
-// phenotype-invariant, so per (SNP, phenotype) pair only the score's dot
-// product remains.
+// phenotype-invariant, so per (SNP, phenotype) pair only the score remains.
 //
-// Arithmetic order matches per-phenotype Score/Variance calls exactly —
-// dosages are the same float64 values a genotype decode-then-convert yields,
-// the score accumulates in patient order, and the moment loops mirror
-// Gaussian.Variance/Binomial.Variance — so wide and per-phenotype results are
-// bitwise identical.
+// The score U_jp = Σ_i G_ij · r_p[i] has G_ij ∈ {0, 1, 2}, and most terms are
+// exact zeros at realistic allele frequencies. So the kernel never multiplies:
+// it keeps a table of 1·r_p[i] and 2·r_p[i], phenotype-tiled and
+// patient-major, turns each row into the list of table cells of its non-zero
+// patients, and adds those cells into wideTile register accumulators — one
+// list walk scores wideTile phenotypes.
+//
+// Summation-order contract. score(j, p) = Σ over patients in ascending index
+// of dosage·residual; exact-zero terms may be omitted; variance loops as in
+// Gaussian.Variance. Omitting a zero term is exact because residuals are
+// finite (NewWideKernel rejects any that are not), so the term is ±0, and a
+// running sum that starts at +0 is unchanged by adding ±0; 1·r and 2·r are
+// exact. Scores and variances therefore equal per-phenotype Score/Variance
+// calls bit for bit.
 
 package stats
 
 import (
 	"fmt"
+	"math"
 
 	"sparkscore/internal/data"
 )
@@ -62,29 +70,51 @@ func decodeDosages(packed []byte, dst []float64) {
 	}
 }
 
+// wideTile is the number of phenotypes scored per walk of a row's cell list:
+// one float64 register accumulator each.
+const wideTile = 8
+
+// wideCell is one table entry: c·r_p[i] for the wideTile phenotypes p of a
+// tile, at one patient i and dosage class c.
+type wideCell [wideTile]float64
+
+// wideTable is the immutable half of a wide kernel, shared read-only by every
+// kernel forked from it. Tile t covers phenotypes [t·wideTile, (t+1)·wideTile)
+// and is cells[t·2n : (t+1)·2n]; within it cell 2i+c−1 belongs to patient i
+// and dosage class c ∈ {1, 2}. A last partial tile is zero-padded.
+type wideTable struct {
+	patients int
+	scales   []float64 // per-phenotype variance factors; len is the batch width
+	cells    []wideCell
+}
+
 // WideKernel scores every (SNP, phenotype) pair of a genotype block against a
-// batch of phenotype models in one decode pass per SNP. A kernel is built
-// once per (partition, batch) and used from a single goroutine (it owns the
-// dosage scratch).
+// batch of phenotype models in one decode pass per SNP. The table built by
+// NewWideKernel is immutable; the scratch beside it makes a kernel
+// single-goroutine, so concurrent tasks each Fork their own.
 type WideKernel struct {
-	models []Model
-	resids [][]float64 // per-phenotype residual vectors
-	scales []float64   // per-phenotype variance factors
-	dos    []float64   // decoded dosages of the current SNP row
+	table *wideTable
+
+	dos    []float64 // decoded dosages of the current SNP row
+	ss     []float64 // per-row centered sum of squares of the current block
+	cells  []uint32  // the rows' cell lists, concatenated
+	ends   []int     // row r's list is cells[ends[r-1]:ends[r]]
+	scores []float64 // rows × phenotypes, row-major
 }
 
 // NewWideKernel builds a wide kernel over the batch. Every model must share
-// the patient count and implement Residualer and VarianceScaler.
+// the patient count, implement Residualer and VarianceScaler, and have finite
+// residuals and variance scale.
 func NewWideKernel(models []Model) (*WideKernel, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("stats: wide kernel over an empty phenotype batch")
 	}
 	n := models[0].Patients()
-	k := &WideKernel{
-		models: models,
-		resids: make([][]float64, len(models)),
-		scales: make([]float64, len(models)),
-		dos:    make([]float64, n),
+	tiles := (len(models) + wideTile - 1) / wideTile
+	t := &wideTable{
+		patients: n,
+		scales:   make([]float64, len(models)),
+		cells:    make([]wideCell, tiles*2*n),
 	}
 	for p, m := range models {
 		if m.Patients() != n {
@@ -99,47 +129,115 @@ func NewWideKernel(models []Model) (*WideKernel, error) {
 		if !ok {
 			return nil, fmt.Errorf("stats: wide kernel needs a factorised variance; %q does not provide one", m.Name())
 		}
-		k.resids[p] = r.Residuals()
-		k.scales[p] = v.VarianceScale()
+		scale := v.VarianceScale()
+		if math.IsNaN(scale) || math.IsInf(scale, 0) {
+			return nil, fmt.Errorf("stats: wide kernel phenotype %d has variance scale %v", p, scale)
+		}
+		t.scales[p] = scale
+		tile, lane := t.cells[p/wideTile*2*n:], p%wideTile
+		for i, res := range r.Residuals() {
+			// 2·res finite implies res finite; both go into the table.
+			if d := 2 * res; math.IsNaN(d) || math.IsInf(d, 0) {
+				return nil, fmt.Errorf("stats: wide kernel phenotype %d has residual %v for patient %d", p, res, i)
+			}
+			tile[2*i][lane] = res
+			tile[2*i+1][lane] = 2 * res
+		}
 	}
-	return k, nil
+	return &WideKernel{table: t}, nil
 }
 
-// Phenotypes returns the batch width.
-func (k *WideKernel) Phenotypes() int { return len(k.models) }
+// Fork returns a kernel that shares k's table and owns fresh scratch, so the
+// two may run BlockStats concurrently.
+func (k *WideKernel) Fork() *WideKernel { return &WideKernel{table: k.table} }
 
 // BlockStats visits every (SNP, phenotype) pair of the block in row-major
 // order (all phenotypes of row 0, then row 1, ...), passing the marginal
-// score and its null variance. Each row is decoded once and its genotype
-// moments computed once; per phenotype only the residual dot product runs.
+// score and its null variance.
 func (k *WideKernel) BlockStats(blk data.GenoBlock, visit func(snp int32, pheno int, score, variance float64)) {
-	n := blk.Patients
-	if n != k.models[0].Patients() {
-		panic(fmt.Sprintf("stats: block for %d patients, wide kernel for %d", n, k.models[0].Patients()))
+	t := k.table
+	n, m, rows := t.patients, len(t.scales), blk.Rows()
+	if blk.Patients != n {
+		panic(fmt.Sprintf("stats: block for %d patients, wide kernel for %d", blk.Patients, n))
 	}
-	dos := k.dos[:n]
-	for r := 0; r < blk.Rows(); r++ {
+	k.dos, k.ss, k.ends = sized(k.dos, n), sized(k.ss, rows), sized(k.ends, rows)
+	k.cells, k.scores = sized(k.cells, rows*n), sized(k.scores, rows*m)
+	dos, ss, ends, cells, scores := k.dos, k.ss, k.ends, k.cells, k.scores
+
+	// Per row: the genotype moments, then the cell list.
+	w := 0
+	for r := 0; r < rows; r++ {
 		decodeDosages(blk.Row(r), dos)
-		// Genotype moments, in the exact loop shapes of Gaussian.Variance and
-		// Binomial.Variance: one pass for the sum, one for the centered sum of
-		// squares.
+		// In the exact loop shapes of Gaussian.Variance and Binomial.Variance:
+		// one pass for the sum, one for the centered sum of squares.
 		var sumG float64
 		for _, v := range dos {
 			sumG += v
 		}
 		meanG := sumG / float64(n)
-		var ss float64
+		var rowSS float64
 		for _, v := range dos {
 			d := v - meanG
-			ss += d * d
+			rowSS += d * d
 		}
-		snp := blk.SNPs[r]
-		for p, resid := range k.resids {
-			var score float64
-			for i, v := range dos {
-				score += v * resid[i]
+		ss[r] = rowSS
+		// Branch-free compaction: every patient writes its cell index, only a
+		// non-zero dosage (1 or 2; 0 and missing decode to 0) advances w.
+		for i, v := range dos {
+			d := uint32(v)
+			cells[w] = uint32(2*i) + d - 1
+			w += int((d + 1) >> 1)
+		}
+		ends[r] = w
+	}
+
+	// Tiles outermost, so one tile's 2n cells stay cache-resident across all
+	// rows of the block; each list walk adds in ascending patient order.
+	for lo := 0; lo < m; lo += wideTile {
+		tile := t.cells[lo/wideTile*2*n:][:2*n]
+		width := min(wideTile, m-lo)
+		start := 0
+		for r, end := range ends {
+			var a0, a1, a2, a3, a4, a5, a6, a7 float64
+			// Bottom-tested, so each accumulator's only use inside the loop is
+			// its own add and the compiler folds the table load into it; a
+			// top-tested loop keeps eight loaded values live beside the eight
+			// sums, one more register than amd64 has, and spills a sum.
+			if list := cells[start:end]; len(list) > 0 {
+				for i := 0; ; {
+					e := &tile[list[i]]
+					a0 += e[0]
+					a1 += e[1]
+					a2 += e[2]
+					a3 += e[3]
+					a4 += e[4]
+					a5 += e[5]
+					a6 += e[6]
+					a7 += e[7]
+					if i++; i == len(list) {
+						break
+					}
+				}
 			}
-			visit(snp, p, score, k.scales[p]*ss)
+			start = end
+			acc := wideCell{a0, a1, a2, a3, a4, a5, a6, a7}
+			copy(scores[r*m+lo:], acc[:width])
 		}
 	}
+
+	for r := 0; r < rows; r++ {
+		snp, rowScores := blk.SNPs[r], scores[r*m:][:m]
+		for p, score := range rowScores {
+			visit(snp, p, score, t.scales[p]*ss[r])
+		}
+	}
+}
+
+// sized returns buf resliced to n elements, reallocated only when it is too
+// small; contents are unspecified.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -2,9 +2,12 @@ package stats
 
 import (
 	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"sparkscore/internal/data"
+	"sparkscore/internal/gen"
 	"sparkscore/internal/rng"
 )
 
@@ -29,13 +32,22 @@ func wideFixture(t testing.TB, patients, rows, phenos int, binary bool) ([]Model
 			panic(err)
 		}
 	}
+	return wideModels(r, patients, phenos, binary), blk
+}
+
+// wideModels draws a batch of phenotypes of the given family. A binary
+// phenotype that came out single-class (possible on a handful of patients)
+// gets its first outcome flipped, so every batch builds.
+func wideModels(r *rng.RNG, patients, phenos int, binary bool) []Model {
 	models := make([]Model, phenos)
 	for p := range models {
 		ph := data.NewPhenotype(patients)
+		ones := 0
 		for i := range ph.Y {
 			if binary {
 				if r.Bernoulli(0.3 + 0.4*float64(p%2)) {
 					ph.Y[i] = 1
+					ones++
 				}
 			} else {
 				ph.Y[i] = r.Normal() * float64(p+1)
@@ -44,6 +56,9 @@ func wideFixture(t testing.TB, patients, rows, phenos int, binary bool) ([]Model
 		family := "gaussian"
 		if binary {
 			family = "binomial"
+			if ones == 0 || ones == patients {
+				ph.Y[0] = 1 - ph.Y[0]
+			}
 		}
 		m, err := NewModel(family, ph)
 		if err != nil {
@@ -51,7 +66,7 @@ func wideFixture(t testing.TB, patients, rows, phenos int, binary bool) ([]Model
 		}
 		models[p] = m
 	}
-	return models, blk
+	return models
 }
 
 // TestWideKernelMatchesPerPhenotypeBitwise is the parity pin of the all-pairs
@@ -96,6 +111,126 @@ func TestWideKernelMatchesPerPhenotypeBitwise(t *testing.T) {
 	}
 }
 
+// shapeBlock draws a block whose rows mix per-row allele frequencies
+// ρ ~ U(0.01, 0.5) and 5 % missing calls with the degenerate rows the
+// zero-skipping kernel must get right: all-0, all-2 and all-missing.
+func shapeBlock(r *rng.RNG, patients, rows, firstSNP int) data.GenoBlock {
+	blk := data.NewGenoBlock(patients, rows)
+	g := make([]data.Genotype, patients)
+	for j := 0; j < rows; j++ {
+		rho := 0.01 + 0.49*r.Float64()
+		for i := range g {
+			switch {
+			case j%5 == 1:
+				g[i] = [...]data.Genotype{0, 2, data.MissingGenotype}[j/5%3]
+			case r.Bernoulli(0.05):
+				g[i] = data.MissingGenotype
+			default:
+				g[i] = data.Genotype(r.Binomial(2, rho))
+			}
+		}
+		if err := blk.AppendRow(firstSNP+j, g); err != nil {
+			panic(err)
+		}
+	}
+	return blk
+}
+
+// checkBlockBitwise scores blk through k and requires every pair, in
+// row-major visit order, to equal Score/Variance on the decoded row bit for
+// bit.
+func checkBlockBitwise(t *testing.T, k *WideKernel, models []Model, blk data.GenoBlock) {
+	t.Helper()
+	type cell struct {
+		snp             int32
+		pheno           int
+		score, variance float64
+	}
+	var got []cell
+	k.BlockStats(blk, func(snp int32, pheno int, score, variance float64) {
+		got = append(got, cell{snp, pheno, score, variance})
+	})
+	if len(got) != blk.Rows()*len(models) {
+		t.Errorf("visited %d pairs, want %d", len(got), blk.Rows()*len(models))
+		return
+	}
+	dec := make([]data.Genotype, blk.Patients)
+	for r := 0; r < blk.Rows(); r++ {
+		DecodeDosageGenotypes(blk.Row(r), dec)
+		for p, m := range models {
+			c := got[r*len(models)+p]
+			want := cell{blk.SNPs[r], p, Score(m, dec), m.Variance(dec)}
+			if c.snp != want.snp || c.pheno != want.pheno ||
+				math.Float64bits(c.score) != math.Float64bits(want.score) ||
+				math.Float64bits(c.variance) != math.Float64bits(want.variance) {
+				t.Errorf("%d-row block, visit %d = %+v, per-phenotype %+v", blk.Rows(), r*len(models)+p, c, want)
+				return
+			}
+		}
+	}
+}
+
+// TestWideKernelShapeMatrix walks the tile and scratch edges: phenotype counts
+// around the tile width (a lone phenotype, one short of a tile, exact tiles,
+// one over), patient counts around the 4-per-byte packing, and one kernel
+// scoring blocks of 1, 255, 257 and 3 rows in that order, so growing and then
+// reusing the scratch cannot leak an earlier block's scores. The 1001-patient
+// cohort, where the per-phenotype oracle is the whole cost, runs one, two and
+// nine tiles only; the small cohorts cover every tile edge.
+func TestWideKernelShapeMatrix(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		for _, patients := range []int{1, 3, 4, 5, 1001} {
+			if binary && patients == 1 {
+				continue // a binomial phenotype needs both classes
+			}
+			for _, phenos := range []int{1, 7, 8, 9, 64, 65} {
+				if patients == 1001 && phenos != 1 && phenos != 9 && phenos != 65 {
+					continue
+				}
+				r := rng.New(uint64(1000*patients + phenos))
+				models := wideModels(r, patients, phenos, binary)
+				k, err := NewWideKernel(models)
+				if err != nil {
+					t.Fatalf("binary=%v patients=%d phenos=%d: %v", binary, patients, phenos, err)
+				}
+				snp := 0
+				for _, rows := range []int{1, 255, 257, 3} {
+					checkBlockBitwise(t, k, models, shapeBlock(r, patients, rows, snp))
+					snp += rows
+				}
+				if t.Failed() {
+					t.Fatalf("binary=%v patients=%d phenos=%d", binary, patients, phenos)
+				}
+			}
+		}
+	}
+}
+
+// TestWideKernelForksShareTheTable runs two forks of one kernel on different
+// blocks at once; under -race this pins the table as read-only in BlockStats.
+func TestWideKernelForksShareTheTable(t *testing.T) {
+	const patients, phenos = 37, 13
+	r := rng.New(99)
+	models := wideModels(r, patients, phenos, false)
+	k, err := NewWideKernel(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := []data.GenoBlock{shapeBlock(r, patients, 40, 0), shapeBlock(r, patients, 60, 40)}
+	var wg sync.WaitGroup
+	for _, blk := range blocks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fork := k.Fork()
+			for i := 0; i < 20; i++ {
+				checkBlockBitwise(t, fork, models, blk)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestWideKernelRejectsBadBatches(t *testing.T) {
 	if _, err := NewWideKernel(nil); err == nil {
 		t.Fatal("accepted an empty batch")
@@ -114,6 +249,28 @@ func TestWideKernelRejectsBadBatches(t *testing.T) {
 	if _, err := NewWideKernel([]Model{mA, mB}); err == nil {
 		t.Fatal("accepted mismatched patient counts")
 	}
+	// Finite outcomes whose sum overflows: the mean is +Inf and every residual
+	// -Inf, for which skipping a zero-dosage term (0·Inf = NaN) is not exact.
+	phHuge := data.NewPhenotype(4)
+	phHuge.Y = []float64{1e308, 1e308, 1e308, 1e308}
+	mHuge, err := NewGaussian(phHuge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWideKernel([]Model{mA, mHuge}); err == nil || !strings.Contains(err.Error(), "phenotype 1 ") {
+		t.Fatalf("non-finite residuals: error %v, want one naming phenotype 1", err)
+	}
+	// Outcomes of ±1e200 centre to finite residuals whose squares overflow the
+	// variance scale.
+	phWide := data.NewPhenotype(4)
+	phWide.Y = []float64{1e200, -1e200, 1e200, -1e200}
+	mWide, err := NewGaussian(phWide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWideKernel([]Model{mA, mA, mWide}); err == nil || !strings.Contains(err.Error(), "phenotype 2 ") {
+		t.Fatalf("non-finite variance scale: error %v, want one naming phenotype 2", err)
+	}
 	for i := range phA.Event {
 		phA.Event[i] = 1
 	}
@@ -127,21 +284,46 @@ func TestWideKernelRejectsBadBatches(t *testing.T) {
 }
 
 // BenchmarkWideKernel vs BenchmarkPerPhenotypeLoop: the decode-amortisation
-// claim of the eqtl experiment at benchmark scale. Run with -benchmem.
+// claim of the eqtl experiment on the shared fixture (fixed 0.3 MAF), and the
+// kernel at the eqtl_wide benchmark's shape — one full block of 1000 patients
+// × 256 rows against 256 phenotypes, per-row MAF ~ U(0.01, 0.5) as gen draws
+// it. Run with -benchmem.
 func BenchmarkWideKernel(b *testing.B) {
-	models, blk := wideFixture(nil, 1000, 64, 32, false)
+	b.Run("fixture", func(b *testing.B) {
+		models, blk := wideFixture(nil, 1000, 64, 32, false)
+		benchWideKernel(b, models, blk)
+	})
+	b.Run("eqtl_wide", func(b *testing.B) {
+		const patients, rows, phenos = 1000, 256, 256
+		blk := gen.GenoBlocks(gen.Config{Patients: patients, SNPs: rows, SNPSets: 1}, rng.New(1), rows)[0]
+		expr := gen.ExpressionMatrix(gen.Config{Patients: patients}, rng.New(2), phenos)
+		models := make([]Model, phenos)
+		for p := range models {
+			m, err := NewGaussian(expr.Phenotype(p))
+			if err != nil {
+				b.Fatal(err)
+			}
+			models[p] = m
+		}
+		benchWideKernel(b, models, blk)
+	})
+}
+
+func benchWideKernel(b *testing.B, models []Model, blk data.GenoBlock) {
 	k, err := NewWideKernel(models)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var sink float64
+	visit := func(snp int32, pheno int, score, variance float64) { sink += score + variance }
+	k.BlockStats(blk, visit) // sizes the scratch, so the timed calls allocate nothing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.BlockStats(blk, func(snp int32, pheno int, score, variance float64) {
-			sink += score + variance
-		})
+		k.BlockStats(blk, visit)
 	}
+	pairs := float64(b.N) * float64(blk.Rows()*len(models))
+	b.ReportMetric(pairs/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 	_ = sink
 }
 
