@@ -8,7 +8,7 @@ GO ?= go
 # the real CLIs, the job-server self-test over real HTTP (including deadline
 # cancellation freeing its pool slot), the speculation ablation's >= 3x
 # straggler-mitigation claim, the sort shuffle's spill-and-match claim under a
-# memory cap the hash shuffle cannot survive, the adaptive planner's bitwise
+# memory cap below its per-task working set, the adaptive planner's bitwise
 # parity and skew-mitigation claims, the all-pairs eQTL engine's
 # broadcast/cartesian parity and chaos-recovery claims, and the per-package
 # coverage floors in coverage_baseline.txt. Nothing in tier1 writes into the
@@ -70,10 +70,9 @@ speculation-smoke:
 
 # spill-smoke squeezes the unified memory pool far below the score pipeline's
 # shuffle working set: the sort shuffle must spill (the run prints its spill
-# accounting) yet produce a per-set report byte-identical to the uncapped run,
-# while the hash shuffle must abort out of memory at the same cap. Then the
-# memory experiment (capped chaos replay + working-set measurement) asserts
-# its own claims.
+# accounting) yet produce a per-set report byte-identical to the uncapped run.
+# Then the memory experiment (capped chaos replay + working-set measurement)
+# asserts its own claims.
 spill-smoke:
 	$(GO) run ./cmd/sparkscore -generate -patients 60 -snps 300 -sets 6 -iterations 10 \
 		-out $${TMPDIR:-/tmp}/sparkscore-uncapped.tsv > /dev/null
@@ -81,12 +80,8 @@ spill-smoke:
 		-mem-cap-bytes 4096 -workers 1 \
 		-out $${TMPDIR:-/tmp}/sparkscore-spill.tsv | grep -q "shuffle spills:"
 	cmp $${TMPDIR:-/tmp}/sparkscore-uncapped.tsv $${TMPDIR:-/tmp}/sparkscore-spill.tsv
-	@if $(GO) run ./cmd/sparkscore -generate -patients 60 -snps 300 -sets 6 -iterations 10 \
-		-mem-cap-bytes 4096 -workers 1 -hash-shuffle > /dev/null 2>&1; then \
-		echo "spill-smoke: hash shuffle survived a cap it must OOM under"; exit 1; \
-	fi
 	$(GO) run ./cmd/benchtab -exp memory
-	@echo "spill-smoke: capped sort report identical to uncapped; hash aborted"
+	@echo "spill-smoke: capped sort report identical to uncapped"
 
 # adaptive-smoke runs the same analysis with the adaptive planner off and on
 # and diffs the reports byte for byte (coalescing and skew splitting must be

@@ -303,7 +303,7 @@ func TestBenchmarkRegistryMatchesPaperArtifacts(t *testing.T) {
 	// The paper's 7 artifacts plus the chaos (lineage recovery), combine
 	// (map-side combine ablation), serving (FIFO vs FAIR job-server
 	// latency), speculation (straggler mitigation), memory (sort-shuffle
-	// spill vs hash OOM under a capped unified pool), adaptive (skew
+	// spill-and-complete under a capped unified pool), adaptive (skew
 	// splitting and partition coalescing), and eqtl (all-pairs broadcast
 	// vs cartesian parity under chaos) experiments.
 	if len(harness.Experiments()) != 14 {

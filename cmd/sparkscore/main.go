@@ -62,7 +62,6 @@ func main() {
 		cores    = flag.Int("cores", 4, "cores per container")
 		mem      = flag.Float64("mem", 10, "memory per container (GiB)")
 		memCap   = flag.Int64("mem-cap-bytes", 0, "absolute per-container memory cap in bytes, overriding -mem (0 = off; squeezes the unified pool so the sort shuffle spills)")
-		hashShuf = flag.Bool("hash-shuffle", false, "use the legacy hash shuffle (resident buckets, no spill path) instead of the sort shuffle")
 		workers  = flag.Int("workers", 0, "host-side worker goroutines (0 = all CPUs; 1 makes spill points a pure function of the configuration)")
 		top      = flag.Int("top", 10, "print the top N SNP-sets by p-value")
 		marginal = flag.Bool("marginal", false, "also run the per-SNP asymptotic analysis")
@@ -112,10 +111,6 @@ func main() {
 	if *memCap > 0 {
 		memGiB = float64(*memCap) / float64(1<<30)
 	}
-	shuffle := rdd.ShuffleSort
-	if *hashShuf {
-		shuffle = rdd.ShuffleHash
-	}
 	var faults rdd.FaultProfile
 	if *chaos {
 		faults = rdd.FaultProfile{TaskCrashProb: 0.05, FetchFailureProb: 0.05, StragglerProb: 0.05}
@@ -125,12 +120,11 @@ func main() {
 			Nodes: *nodes, Spec: cluster.M3TwoXLarge,
 			ExecutorsPerNode: *execs, CoresPerExecutor: *cores, MemPerExecutorGiB: memGiB,
 		},
-		Seed:        *seed,
-		Faults:      faults,
-		SortShuffle: shuffle,
-		Workers:     *workers,
-		Adaptive:    rdd.AdaptiveConfig{Enabled: *adaptive},
-		Listeners:   listeners,
+		Seed:      *seed,
+		Faults:    faults,
+		Workers:   *workers,
+		Adaptive:  rdd.AdaptiveConfig{Enabled: *adaptive},
+		Listeners: listeners,
 	})
 	if err != nil {
 		fatal(err)

@@ -64,7 +64,7 @@ func Experiments() []Experiment {
 		{ID: "combine", Title: "Combine: shuffle bytes with and without map-side combine", Run: runCombine},
 		{ID: "serving", Title: "Serving: concurrent job throughput and latency, FIFO vs FAIR", Run: runServing},
 		{ID: "speculation", Title: "Speculation: stage wall-clock with 8x stragglers, speculative copies on/off", Run: runSpeculation},
-		{ID: "memory", Title: "Memory: sort-shuffle spill vs hash OOM under a capped unified pool", Run: runMemory},
+		{ID: "memory", Title: "Memory: sort-shuffle spill-and-complete under a capped unified pool", Run: runMemory},
 		{ID: "adaptive", Title: "Adaptive: skew splitting and partition coalescing, planner on/off", Run: runAdaptive},
 		{ID: "eqtl", Title: "EQTL: all-pairs broadcast vs cartesian parity, chaos recovery, pair throughput", Run: runEQTL},
 	}
@@ -289,13 +289,9 @@ func runFig6(h *Harness, w io.Writer) error {
 	return nil
 }
 
-// runChaos exercises the paper's fault-tolerance claim (Section II: "failed
-// tasks are automatically recomputed from the lineage") as a measurement:
-// Experiment A's configuration runs fault-free and then under a fault profile
-// that crashes tasks, loses shuffle fetches, and kills a whole machine
-// mid-analysis. The inference must be numerically identical; the table
-// reports what the recovery cost in simulated time.
-func runChaos(h *Harness, w io.Writer) error {
+// chaosParams is the chaos and memory experiments' measured configuration:
+// Experiment A's setup (scale-100 by default).
+func chaosParams(h *Harness) Params {
 	p := tunedContainers(Params{
 		Patients: 1000, SNPs: 100000, SNPSets: 1000, Nodes: 6, Cache: true,
 		Method: "mc", Iterations: 16,
@@ -303,11 +299,27 @@ func runChaos(h *Harness, w io.Writer) error {
 	if h.MaxIterations > 0 && p.Iterations > h.MaxIterations {
 		p.Iterations = h.MaxIterations
 	}
-	faults := rdd.FaultProfile{
+	return p
+}
+
+// chaosFaults is their fault profile: task crashes, fetch failures, and a
+// whole machine lost mid-analysis.
+func chaosFaults() rdd.FaultProfile {
+	return rdd.FaultProfile{
 		TaskCrashProb:    0.02,
 		FetchFailureProb: 0.02,
 		NodeLoss:         []rdd.NodeLoss{{Node: 0, AfterTasks: 20}},
 	}
+}
+
+// runChaos exercises the paper's fault-tolerance claim (Section II: "failed
+// tasks are automatically recomputed from the lineage") as a measurement:
+// Experiment A's configuration runs fault-free and then under a fault profile
+// that crashes tasks, loses shuffle fetches, and kills a whole machine
+// mid-analysis. The inference must be numerically identical; the table
+// reports what the recovery cost in simulated time.
+func runChaos(h *Harness, w io.Writer) error {
+	p, faults := chaosParams(h), chaosFaults()
 	first, err := h.MeasureRecovery(p, faults)
 	if err != nil {
 		return err

@@ -57,8 +57,8 @@ type Harness struct {
 	SpeculationJSON string
 
 	// MemoryJSON, when set, makes the memory experiment write its
-	// capped-pool measurements (sort-spill vs hash-OOM) as a JSON snapshot
-	// to this path (benchtab's -json flag).
+	// capped-pool measurements (spill-and-complete under a squeezed pool) as
+	// a JSON snapshot to this path (benchtab's -json flag).
 	MemoryJSON string
 
 	// AdaptiveJSON, when set, makes the adaptive-execution experiment write
@@ -75,6 +75,11 @@ type Harness struct {
 	// EventLogDir/TraceDir observers; experiments use it to probe per-task
 	// metrics (the memory experiment's buffer high-water mark).
 	extraListeners []rdd.Listener
+
+	// workers is rdd.Config.Workers for every run that does not pin
+	// Params.SingleWorker; zero leaves the engine default. The determinism
+	// tests set it to prove the chaos replay does not depend on it.
+	workers int
 
 	datasets map[dsKey]*data.Dataset
 	runSeq   int
@@ -119,10 +124,6 @@ type Params struct {
 	// NoMapSideCombine disables map-side combining in ReduceByKey (the
 	// `combine` ablation experiment).
 	NoMapSideCombine bool
-
-	// HashShuffle selects the legacy hash shuffle (resident buckets, no
-	// spill path) instead of the default sort shuffle.
-	HashShuffle bool
 
 	// MemCapBytes, when positive, overrides the scaled executor memory with
 	// an absolute per-executor cap in bytes — the memory experiment's pool
@@ -211,11 +212,7 @@ func (h *Harness) run(p Params, faults rdd.FaultProfile) (_ *rdd.Context, _ *cor
 	if p.MemCapBytes > 0 {
 		memGiB = float64(p.MemCapBytes) / float64(1<<30)
 	}
-	shuffle := rdd.ShuffleSort
-	if p.HashShuffle {
-		shuffle = rdd.ShuffleHash
-	}
-	workers := 0
+	workers := h.workers
 	if p.SingleWorker {
 		workers = 1
 	}
@@ -237,7 +234,6 @@ func (h *Harness) run(p Params, faults rdd.FaultProfile) (_ *rdd.Context, _ *cor
 		Seed:                  h.Seed,
 		Faults:                faults,
 		DisableMapSideCombine: p.NoMapSideCombine,
-		SortShuffle:           shuffle,
 		Workers:               workers,
 		Listeners:             observers,
 	})

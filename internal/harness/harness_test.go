@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"sparkscore/internal/rdd"
+	"sparkscore/internal/replaytest"
 )
 
 // tiny returns a harness whose scale makes every experiment near-trivial, so
@@ -331,6 +333,10 @@ func TestMeasureRecovery(t *testing.T) {
 	}
 }
 
+// TestChaosExperimentRuns runs the chaos experiment for its table, then puts
+// its configuration through the Workers matrix: the recovery trace, the
+// stripped event log, and the results' equality with the fault-free run must
+// not depend on host parallelism.
 func TestChaosExperimentRuns(t *testing.T) {
 	h := tiny()
 	e, ok := Lookup("chaos")
@@ -347,4 +353,28 @@ func TestChaosExperimentRuns(t *testing.T) {
 			t.Fatalf("chaos output missing %q:\n%s", want, out)
 		}
 	}
+
+	replaytest.AcrossWorkers(t, func(workers int) replaytest.Observation {
+		var log bytes.Buffer
+		elw := rdd.NewEventLogWriter(&log)
+		h := tiny()
+		h.workers = workers
+		h.extraListeners = []rdd.Listener{elw}
+		r, err := h.MeasureRecovery(chaosParams(h), chaosFaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := elw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		stripped, err := stripEventLog(log.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return replaytest.Observation{
+			Result:      fmt.Sprintf("results identical to fault-free: %v", r.ResultsMatch),
+			Fingerprint: r.Fingerprint,
+			Log:         stripped,
+		}
+	})
 }

@@ -1,25 +1,20 @@
 // The memory experiment: does the sort-based external shuffle survive a
-// unified pool squeezed below the shuffle working set where the hash shuffle
-// OOMs?
+// unified pool squeezed below the shuffle working set?
 //
-// The working set is measured, not guessed: an uncapped run of the legacy
-// hash shuffle reports (per task) the largest bucket set it had to hold
-// resident — map-side combine means this is far smaller than the raw pair
-// volume, so deriving the cap from raw shuffle bytes would squeeze nothing.
-// The executor pool is then capped at half that high-water mark and the
-// scale-100 chaos configuration (Experiment A + task crashes, fetch
-// failures, and a node loss) is rerun three ways:
+// The working set is measured, not guessed: an uncapped run reports (per
+// task) the largest shuffle buffer it held resident — deriving the cap from
+// raw shuffle bytes would squeeze nothing, because no single task ever holds
+// them all. The executor pool is then capped at half that high-water mark, so
+// a shuffle that must keep its buffers resident could not run at all, and the
+// scale-100 chaos configuration (Experiment A + task crashes, fetch failures,
+// and a node loss) is rerun twice: it must complete, must spill, must produce
+// a report bitwise-equal to the uncapped run, and the two seeded replays must
+// have identical job fingerprints (spill accounting included).
 //
-//   - sort shuffle, capped, twice: must complete, must spill, must produce a
-//     report bitwise-equal to the uncapped hash run, and the two seeded
-//     replays must have identical job fingerprints (spill accounting
-//     included).
-//   - hash shuffle, capped, once: must abort the job with the memory
-//     manager's out-of-memory denial — its buckets have no spill path.
-//
-// Capped runs pin Workers=1 (Params.SingleWorker): serialising host-side
-// execution makes grant denials, and with them spill points, a pure function
-// of the configuration rather than goroutine interleaving.
+// Capped runs pin Workers=1 (Params.SingleWorker): concurrent tasks share one
+// capped pool, so which grant is denied — and with it where a buffer spills —
+// depends on how they interleave unless host-side execution is serialised.
+// This is the one behaviour Config.Workers still influences.
 
 package harness
 
@@ -38,7 +33,6 @@ import (
 // MemoryRun is one measured mode of the capped-pool grid, serialized into
 // the -json snapshot.
 type MemoryRun struct {
-	Shuffle            string  `json:"shuffle"`            // "sort" or "hash"
 	CapBytes           int64   `json:"capBytes"`           // 0 = uncapped (scaled default)
 	Chaos              bool    `json:"chaos"`              // chaos fault profile active
 	Completed          bool    `json:"completed"`          // job finished (vs aborted)
@@ -50,38 +44,11 @@ type MemoryRun struct {
 	ExecutionPeakBytes int64   `json:"executionPeakBytes"` // largest execution grant footprint
 }
 
-// memoryParams is the measured configuration: the chaos experiment's
-// Experiment A setup (scale-100 by default), so the capped replay exercises
-// spills and lineage recovery together.
-func memoryParams(h *Harness) Params {
-	p := tunedContainers(Params{
-		Patients: 1000, SNPs: 100000, SNPSets: 1000, Nodes: 6, Cache: true,
-		Method: "mc", Iterations: 16,
-	})
-	if h.MaxIterations > 0 && p.Iterations > h.MaxIterations {
-		p.Iterations = h.MaxIterations
-	}
-	return p
-}
-
-// memoryChaosFaults mirrors runChaos: task crashes, fetch failures, and a
-// whole machine lost mid-analysis.
-func memoryChaosFaults() rdd.FaultProfile {
-	return rdd.FaultProfile{
-		TaskCrashProb:    0.02,
-		FetchFailureProb: 0.02,
-		NodeLoss:         []rdd.NodeLoss{{Node: 0, AfterTasks: 20}},
-	}
-}
-
 // runMemoryMode executes one grid cell with a TaskEnd probe for the per-task
 // buffer high-water mark, returning the measurements, the inference result
 // (nil when the job aborted), and the replay fingerprint of the job metrics.
 func (h *Harness) runMemoryMode(p Params, faults rdd.FaultProfile) (MemoryRun, *core.Result, string, error) {
-	run := MemoryRun{Shuffle: "sort", CapBytes: p.MemCapBytes, Chaos: faults.TaskCrashProb > 0}
-	if p.HashShuffle {
-		run.Shuffle = "hash"
-	}
+	run := MemoryRun{CapBytes: p.MemCapBytes, Chaos: faults.TaskCrashProb > 0}
 	probe := rdd.ListenerFunc(func(ev rdd.Event) {
 		if e, ok := ev.(*rdd.TaskEnd); ok && e.Metrics.ShuffleBufferBytes > run.TaskBufferPeak {
 			run.TaskBufferPeak = e.Metrics.ShuffleBufferBytes
@@ -109,56 +76,43 @@ func (h *Harness) runMemoryMode(p Params, faults rdd.FaultProfile) (MemoryRun, *
 	return run, res, fp.String(), nil
 }
 
-// runMemory measures the capped-pool grid and asserts the tentpole claim:
-// with executor memory capped at 50% of the hash shuffle's measured working
-// set, the sort shuffle spills and completes the chaos run bitwise-equal to
-// the uncapped hash baseline, while the hash shuffle aborts out of memory at
-// the same cap.
+// runMemory measures the capped-pool grid and asserts the claim: with
+// executor memory capped at 50% of the measured per-task working set, the
+// shuffle spills and completes the chaos run bitwise-equal to the uncapped
+// baseline, and replays identically.
 func runMemory(h *Harness, w io.Writer) error {
-	base := memoryParams(h)
+	base := chaosParams(h)
 
-	// Uncapped hash baseline: measures the working set (the largest bucket
-	// set any task held resident) and produces the reference report.
-	hashBase := base
-	hashBase.HashShuffle = true
-	baseline, baselineRes, _, err := h.runMemoryMode(hashBase, rdd.FaultProfile{})
+	// Uncapped baseline: measures the working set (the largest shuffle buffer
+	// any task held resident) and produces the reference report.
+	baseline, baselineRes, _, err := h.runMemoryMode(base, rdd.FaultProfile{})
 	if err != nil {
-		return fmt.Errorf("memory: uncapped hash baseline: %w", err)
+		return fmt.Errorf("memory: uncapped baseline: %w", err)
 	}
 	if !baseline.Completed {
-		return fmt.Errorf("memory: uncapped hash baseline aborted: %s", baseline.Error)
+		return fmt.Errorf("memory: uncapped baseline aborted: %s", baseline.Error)
 	}
 	workingSet := baseline.TaskBufferPeak
 	if workingSet <= 0 {
-		return fmt.Errorf("memory: hash baseline held no shuffle buffers; working set unmeasurable")
+		return fmt.Errorf("memory: baseline held no shuffle buffers; working set unmeasurable")
 	}
 	cap := workingSet / 2
 
 	capped := base
 	capped.MemCapBytes = cap
 	capped.SingleWorker = true
-
-	sortCfg := capped
-	sortRun, sortRes, fp1, err := h.runMemoryMode(sortCfg, memoryChaosFaults())
+	first, firstRes, fp1, err := h.runMemoryMode(capped, chaosFaults())
 	if err != nil {
-		return fmt.Errorf("memory: capped sort chaos run: %w", err)
+		return fmt.Errorf("memory: capped chaos run: %w", err)
 	}
-	replay, replayRes, fp2, err := h.runMemoryMode(sortCfg, memoryChaosFaults())
+	replay, replayRes, fp2, err := h.runMemoryMode(capped, chaosFaults())
 	if err != nil {
-		return fmt.Errorf("memory: capped sort replay: %w", err)
+		return fmt.Errorf("memory: capped replay: %w", err)
 	}
 
-	hashCfg := capped
-	hashCfg.HashShuffle = true
-	oom, _, _, err := h.runMemoryMode(hashCfg, rdd.FaultProfile{})
-	if err != nil {
-		return fmt.Errorf("memory: capped hash run: %w", err)
-	}
-
-	replaysIdentical := sortRun.Completed && replay.Completed && fp1 == fp2
-	resultsMatch := sortRes != nil && resultsEqual(baselineRes, sortRes) &&
+	replaysIdentical := first.Completed && replay.Completed && fp1 == fp2
+	resultsMatch := firstRes != nil && resultsEqual(baselineRes, firstRes) &&
 		replayRes != nil && resultsEqual(baselineRes, replayRes)
-	hashOOM := !oom.Completed && strings.Contains(oom.Error, "out of memory")
 
 	status := func(r MemoryRun) string {
 		if r.Completed {
@@ -172,17 +126,17 @@ func runMemory(h *Harness, w io.Writer) error {
 		}
 		return fmt.Sprint(r.CapBytes)
 	}
+	runs := []MemoryRun{baseline, first, replay}
 	t := metrics.NewTable(
-		fmt.Sprintf("Memory: chaos run under a %d B pool (50%% of the hash working set %d B)", cap, workingSet),
-		"shuffle", "cap (B)", "status", "sim-s", "spills", "spilled (B)", "task buffer peak (B)")
-	for _, r := range []MemoryRun{baseline, sortRun, replay, oom} {
-		t.AddRow(r.Shuffle, capCell(r), status(r), metrics.FormatSeconds(r.SimSeconds),
+		fmt.Sprintf("Memory: chaos run under a %d B pool (50%% of the per-task working set %d B)", cap, workingSet),
+		"cap (B)", "chaos", "status", "sim-s", "spills", "spilled (B)", "task buffer peak (B)")
+	for _, r := range runs {
+		t.AddRow(capCell(r), fmt.Sprint(r.Chaos), status(r), metrics.FormatSeconds(r.SimSeconds),
 			fmt.Sprint(r.SpillCount), fmt.Sprint(r.SpilledBytes), fmt.Sprint(r.TaskBufferPeak))
 	}
 	t.Fprint(w)
-	fmt.Fprintf(w, "capped sort replays identical: %v\n", replaysIdentical)
-	fmt.Fprintf(w, "capped sort report bitwise-equal to uncapped hash: %v\n", resultsMatch)
-	fmt.Fprintf(w, "capped hash aborted out of memory: %v\n", hashOOM)
+	fmt.Fprintf(w, "capped replays identical: %v\n", replaysIdentical)
+	fmt.Fprintf(w, "capped report bitwise-equal to uncapped: %v\n", resultsMatch)
 
 	if h.MemoryJSON != "" {
 		blob, err := json.MarshalIndent(map[string]any{
@@ -190,10 +144,9 @@ func runMemory(h *Harness, w io.Writer) error {
 			"scale":                h.scale(),
 			"workingSetBytes":      workingSet,
 			"capBytes":             cap,
-			"runs":                 []MemoryRun{baseline, sortRun, replay, oom},
+			"runs":                 runs,
 			"sortReplaysIdentical": replaysIdentical,
 			"resultsMatch":         resultsMatch,
-			"hashAbortedOOM":       hashOOM,
 		}, "", "  ")
 		if err != nil {
 			return err
@@ -204,24 +157,18 @@ func runMemory(h *Harness, w io.Writer) error {
 		fmt.Fprintf(w, "wrote %s\n", h.MemoryJSON)
 	}
 
-	if !sortRun.Completed {
-		return fmt.Errorf("memory: capped sort run aborted: %s", sortRun.Error)
+	if !first.Completed {
+		return fmt.Errorf("memory: capped run aborted: %s", first.Error)
 	}
-	if sortRun.SpillCount == 0 || sortRun.SpilledBytes == 0 {
-		return fmt.Errorf("memory: capped sort run did not spill (%d runs, %d B) — the cap is not below the working set",
-			sortRun.SpillCount, sortRun.SpilledBytes)
+	if first.SpillCount == 0 || first.SpilledBytes == 0 {
+		return fmt.Errorf("memory: capped run did not spill (%d runs, %d B) — the cap is not below the working set",
+			first.SpillCount, first.SpilledBytes)
 	}
 	if !replaysIdentical {
-		return fmt.Errorf("memory: capped sort replays with the same seed diverged (spill accounting or recovery trace)")
+		return fmt.Errorf("memory: capped replays with the same seed diverged (spill accounting or recovery trace)")
 	}
 	if !resultsMatch {
-		return fmt.Errorf("memory: capped sort inference not bitwise-equal to the uncapped hash baseline")
-	}
-	if oom.Completed {
-		return fmt.Errorf("memory: capped hash run completed; the cap did not model an OOM")
-	}
-	if !hashOOM {
-		return fmt.Errorf("memory: capped hash abort cause %q does not name the out-of-memory denial", oom.Error)
+		return fmt.Errorf("memory: capped inference not bitwise-equal to the uncapped baseline")
 	}
 	return nil
 }

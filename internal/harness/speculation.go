@@ -1,14 +1,16 @@
 // The speculation ablation: does speculative execution recover the stage
 // wall-clock a deterministic straggler profile destroys?
 //
-// The measured workload is a single compute-bound stage shaped like one wave
-// of Experiment A's resampling: 24 partitions on the 6-node cluster's 48
-// virtual cores, so every task starts at virtual time zero and each executor
-// keeps two cores free for speculative copies. Under StragglerProb 1 every
-// task runs StragglerFactor (8x) slow; with speculation on, copies launch at
-// multiplier x median and run at the normal rate, so the stage finishes at
-// roughly (multiplier + 1) x the normal task time instead of StragglerFactor
-// x — a bound the experiment asserts as >= 3x mitigation.
+// The workload is a single stage shaped like one wave of Experiment A's
+// resampling: 24 partitions on the 6-node cluster's 48 virtual cores, so
+// every task starts at virtual time zero and each executor keeps two cores
+// free for speculative copies. Task durations are modelled, not measured —
+// host compute is scaled away and every task costs a fixed 15 ms launch fee —
+// so the grid is a function of the schedule and the same on every run. Under
+// StragglerProb 1 every task runs StragglerFactor (8x) slow; with speculation
+// on, copies launch at multiplier x median and run at the normal rate, so the
+// stage finishes at (multiplier + 1) x the normal task time instead of
+// StragglerFactor x — a bound the experiment asserts as >= 3x mitigation.
 
 package harness
 
@@ -38,12 +40,12 @@ type SpecRow struct {
 }
 
 const (
-	specParts    = 24      // half the cluster's 48 slots: room for copies
-	specBusyIter = 2000000 // ~10-20ms of real compute per task
+	specParts   = 24    // half the cluster's 48 slots: room for copies
+	specTaskSec = 0.015 // every task's modelled duration
 )
 
-// runSpeculationCell measures one grid cell: a single compute-bound stage
-// under the given straggler/speculation switches.
+// runSpeculationCell measures one grid cell: a single stage of modelled
+// 15 ms tasks under the given straggler/speculation switches.
 func (h *Harness) runSpeculationCell(straggler, speculation bool) (SpecRow, error) {
 	var stageSec float64
 	var taskSec []float64
@@ -66,11 +68,12 @@ func (h *Harness) runSpeculationCell(straggler, speculation bool) (SpecRow, erro
 		},
 		Seed:   h.Seed,
 		Faults: faults,
-		// The stage fee must stay well under one task's compute so the
-		// stage wall-clock reflects the tasks the ablation manipulates (the
-		// default 0.05s would dwarf the ~15ms tasks).
+		// The stage fee must stay well under one task so the stage
+		// wall-clock reflects the tasks the ablation manipulates (the default
+		// 0.05s would dwarf them).
 		StageOverheadSec: 0.0005,
-		SchedOverheadSec: 0.0005,
+		SchedOverheadSec: specTaskSec,
+		CPUScale:         1e-9,
 		Speculation:      rdd.SpeculationConfig{Enabled: speculation},
 		Listeners:        []rdd.Listener{probe},
 	})
@@ -82,14 +85,7 @@ func (h *Harness) runSpeculationCell(straggler, speculation bool) (SpecRow, erro
 		ids[i] = i
 	}
 	nums := rdd.Parallelize(ctx, ids, specParts).SetSizeHint(8)
-	burned := rdd.Map(nums, "burn", func(n int) float64 {
-		x := float64(n)
-		for i := 0; i < specBusyIter; i++ {
-			x += math.Sqrt(x + float64(i))
-		}
-		return x
-	}).SetSizeHint(8)
-	if _, err := rdd.Collect(burned); err != nil {
+	if _, err := rdd.Collect(rdd.Map(nums, "work", func(n int) int { return n }).SetSizeHint(8)); err != nil {
 		return SpecRow{}, err
 	}
 	row := SpecRow{Straggler: straggler, Speculation: speculation, StageSeconds: stageSec}
@@ -145,7 +141,7 @@ func runSpeculation(h *Harness, w io.Writer) error {
 		return "off"
 	}
 	t := metrics.NewTable(
-		fmt.Sprintf("Speculation: one %d-task compute stage, 8x stragglers on all tasks", specParts),
+		fmt.Sprintf("Speculation: one %d-task stage of modelled 15 ms tasks, 8x stragglers on all tasks", specParts),
 		"straggler", "speculation", "stage (sim-s)", "p99 task (sim-s)", "copies", "won", "killed")
 	for _, r := range rows {
 		t.AddRow(onOff(r.Straggler), onOff(r.Speculation),

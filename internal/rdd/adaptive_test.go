@@ -77,6 +77,38 @@ func makeRandomPlan(i int) randomPlan {
 	return p
 }
 
+// planConfig is the engine configuration plan p runs under, planner on or off.
+func planConfig(p randomPlan, enabled bool) Config {
+	acfg := p.adaptive
+	acfg.Enabled = enabled
+	return Config{
+		Cluster:          concTestCluster(),
+		Seed:             p.seed,
+		Faults:           p.faults,
+		Speculation:      p.spec,
+		Adaptive:         acfg,
+		StageOverheadSec: 1e-4,
+		SchedOverheadSec: 1e-4,
+	}
+}
+
+// planDigest runs the plan's workload on c and renders the collected result
+// (or the job's error) as a string.
+func planDigest(c *Context, p randomPlan) string {
+	base := Parallelize(c, seq(p.elems), p.mapParts)
+	hot, cold := p.hotPct, p.coldKeys
+	pairs := Map(base, "pairs", func(i int) KV[int, int] {
+		if i%100 < hot {
+			return KV[int, int]{K: 0, V: i}
+		}
+		return KV[int, int]{K: 1 + i%cold, V: i}
+	}).SetSizeHint(p.hint)
+	if p.group {
+		return render(Collect(GroupByKey(pairs, p.reduceParts)))
+	}
+	return render(Collect(ReduceByKey(pairs, func(a, b int) int { return a + b }, p.reduceParts)))
+}
+
 // runPlan executes the plan once and returns the collected result rendered as
 // a string, the job-skeleton log (JobStart/JobEnd only, measured time
 // stripped), and the full stripped event log.
@@ -89,58 +121,24 @@ func runPlan(t *testing.T, p randomPlan, enabled bool) (digest, skeleton, full s
 	t.Helper()
 	var buf bytes.Buffer
 	elw := NewEventLogWriter(&buf)
-	acfg := p.adaptive
-	acfg.Enabled = enabled
-	c, err := New(Config{
-		Cluster:          concTestCluster(),
-		Seed:             p.seed,
-		Faults:           p.faults,
-		Speculation:      p.spec,
-		Adaptive:         acfg,
-		StageOverheadSec: 1e-4,
-		SchedOverheadSec: 1e-4,
-		Listeners:        []Listener{elw},
-	})
+	cfg := planConfig(p, enabled)
+	cfg.Listeners = []Listener{elw}
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Parallelize(c, seq(p.elems), p.mapParts)
-	hot, cold := p.hotPct, p.coldKeys
-	pairs := Map(base, "pairs", func(i int) KV[int, int] {
-		if i%100 < hot {
-			return KV[int, int]{K: 0, V: i}
-		}
-		return KV[int, int]{K: 1 + i%cold, V: i}
-	}).SetSizeHint(p.hint)
-	if p.group {
-		out, err := Collect(GroupByKey(pairs, p.reduceParts))
-		digest = render(out, err)
-	} else {
-		out, err := Collect(ReduceByKey(pairs, func(a, b int) int { return a + b }, p.reduceParts))
-		digest = render(out, err)
-	}
+	digest = planDigest(c, p)
 	if err := elw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadEventLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var skel, whole strings.Builder
-	for _, ev := range events {
-		line, err := MarshalEvent(StripMeasuredTime(ev))
-		if err != nil {
-			t.Fatal(err)
-		}
-		whole.Write(line)
-		whole.WriteByte('\n')
-		switch ev.(type) {
-		case *JobStart, *JobEnd:
-			skel.Write(line)
-			skel.WriteByte('\n')
+	full = strippedLog(t, buf.Bytes())
+	var skel strings.Builder
+	for _, line := range strings.SplitAfter(full, "\n") {
+		if strings.Contains(line, `"type":"JobStart"`) || strings.Contains(line, `"type":"JobEnd"`) {
+			skel.WriteString(line)
 		}
 	}
-	return digest, skel.String(), whole.String()
+	return digest, skel.String(), full
 }
 
 func render[T any](out []T, err error) string {
@@ -153,9 +151,9 @@ func render[T any](out []T, err error) string {
 // TestAdaptiveParityProperty is the property suite: across 1000 seeded random
 // plans, the adaptive and static schedules must produce byte-identical
 // results and job skeletons, and the adaptive schedule itself must replay
-// bit-for-bit under the same seed (full stripped log compared on a sample of
-// plans — three runs per plan everywhere would double the suite's cost for no
-// extra coverage).
+// bit-for-bit under the same seed whatever Config.Workers is (the Workers
+// matrix runs on a sample of plans — fifteen more runs per plan everywhere
+// would multiply the suite's cost for no extra coverage).
 func TestAdaptiveParityProperty(t *testing.T) {
 	plans := 1000
 	if testing.Short() {
@@ -179,10 +177,10 @@ func TestAdaptiveParityProperty(t *testing.T) {
 			t.Fatalf("plan %d (%+v): job skeleton diverged\nstatic:\n%s\nadaptive:\n%s", i, p, staticSkel, adaptSkel)
 		}
 		if i%8 == 0 {
-			_, _, again := runPlan(t, p, true)
-			if again != adaptFull {
-				t.Fatalf("plan %d (%+v): adaptive run is not replay-stable under its own seed:\n%s",
-					i, p, firstDiffLines(adaptFull, again))
+			obs := workersMatrix(t, planConfig(p, true), func(c *Context) string { return planDigest(c, p) })
+			if obs.Result != adaptDigest || obs.Log != adaptFull {
+				t.Fatalf("plan %d (%+v): the default-Workers adaptive run is not the matrix's run:\n%s",
+					i, p, firstDiffLines(adaptFull, obs.Log))
 			}
 		}
 	}

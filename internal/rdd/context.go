@@ -37,7 +37,9 @@ type Config struct {
 	Seed uint64
 
 	// Workers caps host-side parallelism of real task execution; zero
-	// selects runtime.NumCPU().
+	// selects runtime.NumCPU(). Results, replay fingerprints and stripped
+	// event logs do not depend on it (DESIGN.md §7 names the one exception:
+	// spill points under a capped memory pool shared by concurrent tasks).
 	Workers int
 
 	// Cost model. Zero values select the defaults noted per field.
@@ -73,13 +75,6 @@ type Config struct {
 	// I/O. Unlike Spark the storage region is a hard cap, not a floor — see
 	// memorymanager.go for why.
 	StorageFraction float64
-
-	// SortShuffle selects the shuffle implementation. The zero value is
-	// ShuffleSort — map tasks buffer pairs in execution memory and spill
-	// key-sorted runs to the DFS when the memory manager denies growth.
-	// ShuffleHash restores the legacy resident hash shuffle, which cannot
-	// spill: under a memory cap it aborts where the sort path completes.
-	SortShuffle ShuffleMode
 
 	// CompressSpills deflate-compresses spilled run files. Off by default:
 	// the simulation holds spill payloads in host memory, so compression
@@ -280,9 +275,6 @@ func (c Config) validate() error {
 	if c.StorageFraction < 0 || c.StorageFraction > 1 {
 		return fmt.Errorf("rdd: Config.StorageFraction = %g is not a fraction (want (0,1], or 0 for the default)", c.StorageFraction)
 	}
-	if c.SortShuffle != ShuffleSort && c.SortShuffle != ShuffleHash {
-		return fmt.Errorf("rdd: Config.SortShuffle = %d is not a ShuffleMode (want ShuffleSort or ShuffleHash)", c.SortShuffle)
-	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
@@ -429,7 +421,9 @@ func (c *Context) SchedulerMode() SchedulerMode { return c.sched.mode }
 
 // FailExecutorAfter arranges for the executor to fail once the given number
 // of further tasks have completed, injecting a failure in the middle of a
-// running job. Plans queue: repeated calls script cascading failures.
+// running job: the plan takes hold at the first wave boundary after the
+// threshold is reached (a running wave is never re-placed). Plans queue:
+// repeated calls script cascading failures.
 func (c *Context) FailExecutorAfter(id int, tasks int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -437,8 +431,8 @@ func (c *Context) FailExecutorAfter(id int, tasks int64) {
 }
 
 // FailNodeAfter arranges for the whole node to fail (FailNode) once the
-// given number of further tasks have completed. Plans queue like
-// FailExecutorAfter's.
+// given number of further tasks have completed. Plans queue, and take hold at
+// wave boundaries, like FailExecutorAfter's.
 func (c *Context) FailNodeAfter(node int, tasks int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -464,8 +458,8 @@ func (c *Context) ExcludedExecutors() []int {
 func (c *Context) CachedBytes() int64 { return c.blocks.storageBytes() }
 
 // ShuffleResidentBytes reports the retained shuffle output bytes across
-// executors — the in-memory buckets (hash mode) and unspilled sort outputs
-// that the seed's accounting never counted.
+// executors — the unspilled map outputs that the seed's accounting never
+// counted.
 func (c *Context) ShuffleResidentBytes() int64 { return c.blocks.shuffleResidentBytes() }
 
 // MemoryAccountedBytes reports everything the memory manager tracks: cached

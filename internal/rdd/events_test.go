@@ -14,17 +14,12 @@ import (
 // on the pre-listener scheduler (which accumulated metrics inline): the
 // metrics listener must reconstruct every field bit-for-bit from bus events.
 // The third job runs under a chaos profile chosen so all recovery counters
-// (TaskRetries, StageAttempts, RecomputedPartitions) are non-zero.
-//
-// Regenerated when the memory manager added SpilledBytes/SpillCount/
-// ShuffleBufferBytes/ExecutionPeakBytes: every pre-existing field was
-// verified unchanged, pinning that the sort shuffle's ample-memory path
-// reproduces the hash path's bytes exactly. ShuffleBufferBytes equals the
-// shuffled jobs' former invisible bucket residency; the spill counters stay
-// zero because these clusters have memory to spare.
+// (TaskRetries, StageAttempts, RecomputedPartitions) are non-zero; it pins
+// the recovery schedule in which an injected fetch failure destroys its
+// victim only after the wave has drained, the same on every host.
 const parityGolden = `rdd.JobMetrics{Action:"count", RDD:"filter:mod3(map:x2(parallelize[6000]))", Stages:1, Tasks:8, VirtualSeconds:0, ComputeSeconds:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:0, ShuffleRemoteBytes:0, CacheReadBytes:0, Evictions:0, MaterializedBytes:128000, PeakMaterializedBytes:16000, MaxFusedChain:3, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:0, ExecutionPeakBytes:0, TaskRetries:0, StageAttempts:0, RecomputedPartitions:0, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
 rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(filter:mod3(map:x2(parallelize[6000]))))", Stages:2, Tasks:12, VirtualSeconds:0, ComputeSeconds:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:3584, ShuffleRemoteBytes:2688, CacheReadBytes:128000, Evictions:0, MaterializedBytes:4480, PeakMaterializedBytes:640, MaxFusedChain:4, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:128000, ExecutionPeakBytes:16000, TaskRetries:0, StageAttempts:0, RecomputedPartitions:0, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
-rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(map:inc(filter:mod4(map:double(parallelize[10000])))))", Stages:8, Tasks:20, VirtualSeconds:0, ComputeSeconds:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:1088, ShuffleRemoteBytes:640, CacheReadBytes:0, Evictions:0, MaterializedBytes:6528, PeakMaterializedBytes:1088, MaxFusedChain:5, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:1280000, ExecutionPeakBytes:320000, TaskRetries:3, StageAttempts:3, RecomputedPartitions:3, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
+rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(map:inc(filter:mod4(map:double(parallelize[10000])))))", Stages:8, Tasks:16, VirtualSeconds:0, ComputeSeconds:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:1088, ShuffleRemoteBytes:704, CacheReadBytes:0, Evictions:0, MaterializedBytes:6528, PeakMaterializedBytes:1088, MaxFusedChain:5, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:1280000, ExecutionPeakBytes:320000, TaskRetries:3, StageAttempts:3, RecomputedPartitions:3, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
 `
 
 // parityFingerprint runs the fixed parity workload — a clean caching +

@@ -175,9 +175,10 @@ func (c *Context) maybeInjectCrash(tc *taskContext) {
 }
 
 // maybeInjectFetchFailure simulates the loss of one map output of the
-// shuffle as the task starts reading it: the victim output is destroyed (so
-// the parent map stage really must recompute it) and a fetch failure is
-// raised. The victim choice is as deterministic as the decision itself.
+// shuffle as the task starts reading it: a fetch failure naming the victim is
+// raised, and runStage's post-mortem destroys the victim once the wave has
+// drained (so the parent map stage really must recompute it). The victim
+// choice is as deterministic as the decision itself.
 func (c *Context) maybeInjectFetchFailure(tc *taskContext, shuffle, mapParts int) {
 	p := c.cfg.Faults.FetchFailureProb
 	if p <= 0 || mapParts == 0 {
@@ -188,7 +189,6 @@ func (c *Context) maybeInjectFetchFailure(tc *taskContext, shuffle, mapParts int
 		return
 	}
 	victim := int(mix64(tc.job^uint64(shuffle)<<20^uint64(tc.part)<<8^uint64(tc.round)) % uint64(mapParts))
-	c.shuffle.drop(shuffle, victim)
 	tc.emit(&FetchFailure{Job: tc.job, Stage: tc.stage, Round: tc.round, Part: tc.part,
 		Attempt: tc.attempt, Shuffle: shuffle, MapPart: victim, Injected: true})
 	panic(&fetchFailedError{shuffle: shuffle, mapPart: victim, injected: true})

@@ -61,10 +61,6 @@ const (
 	// acqSpill denies the request without touching storage: the caller can
 	// spill (sort-shuffle map buffers).
 	acqSpill acqMode = iota
-	// acqMustFit evicts cached blocks to make room and denies if storage
-	// eviction still cannot cover the request (the hash shuffle's resident
-	// buckets, which have no spill path — denial is the model of its OOM).
-	acqMustFit
 	// acqForce evicts cached blocks and then grants unconditionally, letting
 	// execution overshoot the pool (reduce-side merges, which must not spill:
 	// partial float aggregates are not bitwise-reassociable).
@@ -120,10 +116,10 @@ func newMemoryManager(cl *cluster.Cluster, memoryFraction, storageFraction float
 	return mm
 }
 
-// acquireExecution grants bytes of execution memory on the executor, or
-// reports that the pool is exhausted. Eviction behaviour depends on mode (see
-// acqMode); evicted blocks are returned so the caller can publish
-// BlockEvicted events from its task context.
+// acquireExecution grants bytes of execution memory on the executor, or — in
+// acqSpill mode only — reports that the pool is exhausted. acqForce evicts
+// cached blocks and always grants; evicted blocks are returned so the caller
+// can publish BlockEvicted events from its task context.
 func (mm *memoryManager) acquireExecution(executor int, bytes int64, mode acqMode) (ok bool, evicted []*block) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
@@ -146,11 +142,8 @@ func (mm *memoryManager) acquireExecution(executor int, bytes int64, mode acqMod
 		evicted = append(evicted, b)
 		e = prev
 	}
-	if bytes <= st.pool-st.execUsed-st.used || mode == acqForce {
-		st.execUsed += bytes
-		return true, evicted
-	}
-	return false, evicted
+	st.execUsed += bytes
+	return true, evicted
 }
 
 // releaseExecution returns granted execution bytes to the pool.

@@ -184,42 +184,30 @@ func TestAcquireExecutionSpillModeNeverEvicts(t *testing.T) {
 	}
 }
 
-func TestAcquireExecutionMustFitEvictsStorage(t *testing.T) {
+func TestAcquireExecutionForceEvictsThenOvercommits(t *testing.T) {
 	mm := newTestMM(t, 1)
 	pool := int64(1 << 30)
 	mm.put(0, blockKey{rdd: 1, part: 0}, "a", pool/4, false)
 	mm.put(0, blockKey{rdd: 1, part: 1}, "b", pool/4, false)
-	// Needs 7/8 of the pool: storage must shed one block (LRU first).
-	ok, evicted := mm.acquireExecution(0, pool*5/8, acqMustFit)
+	// Needs 5/8 of the pool: storage must shed one block (LRU first).
+	ok, evicted := mm.acquireExecution(0, pool*5/8, acqForce)
 	if !ok {
-		t.Fatal("must-fit request denied despite evictable storage")
+		t.Fatal("forced request denied despite evictable storage")
 	}
 	if len(evicted) != 1 || evicted[0].key != (blockKey{rdd: 1, part: 0}) {
 		t.Fatalf("evicted %v, want LRU block {1 0}", evicted)
 	}
 	if _, _, _, ok := mm.get(blockKey{rdd: 1, part: 1}); !ok {
-		t.Fatal("must-fit evicted more than needed")
+		t.Fatal("forced request evicted more than needed")
 	}
-	// A request no amount of eviction can satisfy is denied (the OOM model) —
-	// but only after storage was shed.
-	ok, evicted = mm.acquireExecution(0, pool, acqMustFit)
-	if ok {
-		t.Fatal("impossible must-fit request granted")
+	// A request no amount of eviction can satisfy sheds what storage is left
+	// and is granted anyway: execution overshoots the pool.
+	ok, evicted = mm.acquireExecution(0, pool*2, acqForce)
+	if !ok || len(evicted) != 1 {
+		t.Fatalf("over-pool forced request = (%v, %d evicted), want granted after shedding 1 block", ok, len(evicted))
 	}
-	if len(evicted) != 1 {
-		t.Fatalf("denial evicted %d blocks, want 1", len(evicted))
-	}
-}
-
-func TestAcquireExecutionForceOvercommits(t *testing.T) {
-	mm := newTestMM(t, 1)
-	pool := int64(1 << 30)
-	ok, _ := mm.acquireExecution(0, pool*2, acqForce)
-	if !ok {
-		t.Fatal("forced request denied")
-	}
-	if mm.totalBytes() != pool*2 {
-		t.Fatalf("totalBytes = %d, want overcommitted %d", mm.totalBytes(), pool*2)
+	if want := pool*5/8 + pool*2; mm.totalBytes() != want {
+		t.Fatalf("totalBytes = %d, want overcommitted %d", mm.totalBytes(), want)
 	}
 }
 

@@ -39,9 +39,8 @@ type JobMetrics struct {
 
 	// Memory-manager accounting. SpilledBytes/SpillCount total the sorted
 	// runs tasks wrote under memory pressure; ShuffleBufferBytes sums each
-	// task's shuffle-buffer high-water mark (the bytes the hash shuffle held
-	// invisibly); ExecutionPeakBytes is the largest execution-memory grant
-	// any single task reached. All are scheduling-order-insensitive (sums and
+	// task's shuffle-buffer high-water mark; ExecutionPeakBytes is the largest
+	// execution-memory grant any single task reached. All are scheduling-order-insensitive (sums and
 	// maxes over the task set), so they are part of the replay fingerprint.
 	SpilledBytes       int64
 	SpillCount         int

@@ -255,9 +255,8 @@ func (tc *taskContext) snapshot() TaskMetrics {
 
 // acquireExecution asks the memory manager for execution memory on the
 // task's executor, publishing any evictions the acquisition caused and
-// updating the task's grant accounting. A false return under acqSpill or
-// acqMustFit means the pool (after any eviction the mode allows) cannot
-// cover the request.
+// updating the task's grant accounting. A false return (acqSpill only) means
+// the pool cannot cover the request.
 func (tc *taskContext) acquireExecution(bytes int64, mode acqMode) bool {
 	ok, evicted := tc.ctx.blocks.acquireExecution(tc.executor, bytes, mode)
 	for _, b := range evicted {

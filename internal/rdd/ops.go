@@ -1,5 +1,5 @@
 // Secondary RDD operators: the rest of the everyday Spark surface built on
-// the same primitives (fused narrow nodes and the hash shuffle).
+// the same primitives (fused narrow nodes and the shuffle).
 
 package rdd
 

@@ -7,10 +7,12 @@ package rdd
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"sparkscore/internal/cluster"
+	"sparkscore/internal/replaytest"
 )
 
 // shuffledSum builds the canonical two-stage workload: 64 input elements in 8
@@ -208,75 +210,47 @@ func TestMultipleFailurePlansQueue(t *testing.T) {
 	}
 }
 
-// chaosRun executes the canonical workload under a fault profile and returns
-// the result plus the reproducible job fingerprints.
-func chaosRun(t *testing.T, faults FaultProfile) (map[int]int, string) {
+// chaosRun executes the canonical workload under a fault profile across the
+// Workers matrix, checking every run's answer against the truth.
+func chaosRun(t *testing.T, cfg Config) replaytest.Observation {
 	t.Helper()
-	c, err := New(Config{
-		Cluster: cluster.Config{Nodes: 4, Spec: cluster.M3TwoXLarge},
-		Seed:    7,
-		Faults:  faults,
+	return workersMatrix(t, cfg, func(c *Context) string {
+		out, err := CollectAsMap(shuffledSum(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range wantShuffledSum() {
+			if out[k] != v {
+				t.Fatalf("chaos result differs from truth at key %d: %d != %d", k, out[k], v)
+			}
+		}
+		return fmt.Sprint(out)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := CollectAsMap(shuffledSum(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fp string
-	for _, m := range c.Jobs() {
-		fp += fmt.Sprintf("%+v\n", m.WithoutMeasuredTime())
-	}
-	return out, fp
 }
 
 func TestFaultInjectionDeterministic(t *testing.T) {
-	faults := FaultProfile{TaskCrashProb: 0.15, FetchFailureProb: 0.1, StragglerProb: 0.1}
-	out1, fp1 := chaosRun(t, faults)
-	out2, fp2 := chaosRun(t, faults)
-
-	for k, v := range wantShuffledSum() {
-		if out1[k] != v {
-			t.Fatalf("chaos result differs from truth at key %d: %d != %d", k, out1[k], v)
-		}
-		if out2[k] != v {
-			t.Fatalf("second chaos result differs from truth at key %d", k)
-		}
+	cfg := Config{
+		Cluster: cluster.Config{Nodes: 4, Spec: cluster.M3TwoXLarge},
+		Seed:    7,
+		Faults:  FaultProfile{TaskCrashProb: 0.15, FetchFailureProb: 0.1, StragglerProb: 0.1},
 	}
-	if fp1 != fp2 {
-		t.Fatalf("identical Seed+FaultProfile produced different job fingerprints:\n--- run 1 ---\n%s--- run 2 ---\n%s", fp1, fp2)
-	}
+	chaos := chaosRun(t, cfg)
 	// The profile is aggressive enough that a run without any recovery work
 	// means injection silently stopped firing.
-	_, clean := chaosRun(t, FaultProfile{})
-	if fp1 == clean {
+	cfg.Faults = FaultProfile{}
+	if clean := chaosRun(t, cfg); chaos.Fingerprint == clean.Fingerprint {
 		t.Fatal("chaos fingerprint identical to fault-free fingerprint; no faults injected")
 	}
 }
 
 func TestInjectedFetchFailureRecovers(t *testing.T) {
-	c, err := New(Config{
+	obs := chaosRun(t, Config{
 		Cluster: cluster.Config{Nodes: 2, Spec: cluster.M3TwoXLarge},
 		Seed:    7,
 		Faults:  FaultProfile{FetchFailureProb: 0.5},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectAsMap(shuffledSum(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range wantShuffledSum() {
-		if got[k] != v {
-			t.Fatalf("result differs at key %d: %d != %d", k, got[k], v)
-		}
-	}
-	jobs := c.Jobs()
-	m := jobs[len(jobs)-1]
-	if m.StageAttempts == 0 {
-		t.Fatalf("50%% fetch-failure probability produced no stage re-attempts: %+v", m)
+	if !strings.Contains(obs.Log, `"type":"StageResubmitted"`) {
+		t.Fatalf("50%% fetch-failure probability produced no stage re-attempts:\n%s", obs.Fingerprint)
 	}
 }
 

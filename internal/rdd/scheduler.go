@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sparkscore/internal/simtime"
@@ -308,16 +307,9 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 	stageStart := jr.now()
 	c.emit(stageStart, &StageSubmitted{Job: job, Stage: stageID, Round: round, RDD: stageRDD.name, NumTasks: len(tasks), Recovery: recovery, Prefetch: prefetch})
 
-	// Placement: prefer localities, balance by per-stage assignment counts.
-	// The same loads map threads through re-placements and retries so late
-	// decisions still see the stage's live load balance.
+	// loads balances placement by per-stage assignment counts; it threads
+	// through every wave so retries still see the stage's load balance.
 	loads := map[int]int{}
-	c.mu.Lock()
-	for _, t := range tasks {
-		t.executor = c.placeLocked(stageRDD.preferredExecutors(t.part), loads)
-	}
-	c.mu.Unlock()
-
 	var (
 		charges     []*task // failed attempts, kept for virtual accounting
 		stageErr    error
@@ -334,12 +326,18 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 			wg     sync.WaitGroup
 			failMu sync.Mutex
 			fails  []failure
-			abort  atomic.Bool
 		)
+		// A wave sees one immutable world: due failure plans fire and every
+		// task is placed (preferring localities) here, and nothing the engine
+		// does changes the live-executor set, the map-output table, or a
+		// placement until the wave has drained.
+		c.firePlans()
+		c.mu.Lock()
 		for _, t := range wave {
-			if abort.Load() {
-				break // the job is doomed: drain instead of launching more
-			}
+			t.executor = c.placeLocked(stageRDD.preferredExecutors(t.part), loads)
+		}
+		c.mu.Unlock()
+		for _, t := range wave {
 			if jr.cancel.cancelled() {
 				break // the job is cancelled: this is the next task boundary
 			}
@@ -347,7 +345,7 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 			wg.Add(1)
 			c.workers <- struct{}{}
 			go func(t *task) {
-				tc := &taskContext{ctx: c, job: job, stage: stageID, round: round, part: t.part, attempt: attempt}
+				tc := &taskContext{ctx: c, job: job, stage: stageID, round: round, part: t.part, attempt: attempt, executor: t.executor}
 				start := time.Now()
 				defer func() {
 					t.computeSec = time.Since(start).Seconds()
@@ -362,9 +360,6 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 							f.ff = ff
 						} else {
 							f.err = fmt.Errorf("task %d (attempt %d) on executor %d: %v", t.part, attempt, t.executor, r)
-							if attempt >= c.cfg.TaskMaxFailures {
-								abort.Store(true)
-							}
 						}
 						failMu.Lock()
 						fails = append(fails, f)
@@ -378,8 +373,6 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 					<-c.workers
 					wg.Done()
 				}()
-				c.beforeTask(t, stageRDD, loads)
-				tc.executor = t.executor
 				c.maybeInjectCrash(tc)
 				t.run(tc)
 			}(t)
@@ -409,7 +402,12 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 				// A fetch failure fails the stage, not the task: it does
 				// not count against the attempt budget, and recovery means
 				// resubmitting the parent map stage. Running siblings
-				// finish first (their results are kept), as in Spark.
+				// finish first (their results are kept), as in Spark. An
+				// injected loss destroys its victim only now, so every
+				// sibling of the wave read the same map-output table.
+				if f.ff.injected {
+					c.shuffle.drop(f.ff.shuffle, f.ff.mapPart)
+				}
 				charge.failMsg = f.ff.Error()
 				if stageErr == nil {
 					stageErr = f.ff
@@ -437,15 +435,11 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 			stageErr = &JobCancelledError{Job: job, Reason: jr.cancel.why()}
 			break
 		}
-		if len(retry) > 0 {
-			c.mu.Lock()
-			for _, t := range retry {
-				t.executor = c.placeLocked(stageRDD.preferredExecutors(t.part), loads)
-			}
-			c.mu.Unlock()
-		}
 		wave = retry
 	}
+	// Plans that came due during the last wave take hold before the next
+	// stage (or the caller, after the job) looks at the cluster.
+	c.firePlans()
 
 	// Virtual accounting: greedy list scheduling of every attempt's duration
 	// — successful and failed alike, both occupied core slots — on each
@@ -476,7 +470,7 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 	var scheds []*attemptSched
 	schedule := func(t *task, isRecovery bool) {
 		if t.tc == nil {
-			return // never launched (drained after an abort)
+			return // never launched (the job was cancelled mid-wave)
 		}
 		base := c.taskBaseDuration(t)
 		slow := c.stragglerSlowdown(t.tc)
@@ -583,21 +577,9 @@ func (c *Context) emitAttempt(jr *jobRun, stage uint64, round int, stageStart fl
 	}
 }
 
-// beforeTask fires any due failure plans and re-places the task if its
-// executor has died or been excluded since placement, honouring the stage
-// RDD's locality preferences and the stage's live load balance.
-func (c *Context) beforeTask(t *task, stageRDD *node, loads map[int]int) {
-	c.firePlans()
-	c.mu.Lock()
-	if !c.cluster.Live(t.executor) || c.excluded[t.executor] {
-		t.executor = c.placeLocked(stageRDD.preferredExecutors(t.part), loads)
-	}
-	c.mu.Unlock()
-}
-
 // firePlans triggers every scheduled failure whose task-count threshold has
-// been reached. Multiple queued plans fire in submission order, so chaos
-// scripts can cascade failures.
+// been reached. runStage calls it only at wave boundaries. Multiple queued
+// plans fire in submission order, so chaos scripts can cascade failures.
 func (c *Context) firePlans() {
 	c.mu.Lock()
 	var due []*failurePlan

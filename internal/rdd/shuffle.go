@@ -1,25 +1,21 @@
-// Shuffle core shared by both shuffle implementations, plus the legacy hash
-// path. Map tasks produce one output per map partition — resident per-reduce
-// buckets, or (sort shuffle under memory pressure, see sortshuffle.go)
-// key-sorted run files on the DFS with an in-memory index — and register it
-// with the shuffle manager; reduce tasks fetch their partition from every map
-// output and merge. Outputs are retained for the lifetime of the context (as
-// with Spark's external shuffle service on YARN, they survive executor
-// failures), so a shuffle is computed at most once per lineage. Resident
-// bucket bytes are charged to the memory manager's shuffle-resident account;
-// run files live on the producing node's disk and are lost with the node.
+// Shuffle core: the map-output table, the pair operators, and the reduce-side
+// folds. Map tasks produce one output per map partition — resident per-reduce
+// buckets, or (under memory pressure, see sortshuffle.go) key-sorted run
+// files on the DFS with an in-memory index — and register it with the shuffle
+// manager; reduce tasks fetch their partition from every map output and
+// merge. Outputs are retained for the lifetime of the context (as with
+// Spark's external shuffle service on YARN, they survive executor failures),
+// so a shuffle is computed at most once per lineage. Resident bucket bytes
+// are charged to the memory manager's shuffle-resident account; run files
+// live on the producing node's disk and are lost with the node.
 //
-// Bucket writes are pipeline breakers: the map side streams the fused narrow
-// chain's cursor directly into per-reduce buckets, so the map input is never
-// materialised as one slice. For ReduceByKey/CountByKey the buckets are
-// combining hash maps (Spark's map-side combine), shrinking shuffled bytes
-// to one pair per (bucket, key) before the fetch; Config.DisableMapSideCombine
-// ablates this for the `combine` benchmark experiment.
-//
-// The hash path holds every bucket resident and acquires the whole output's
-// bytes in one must-fit execution grant — under a memory cap that denial is
-// an OOM abort, the behaviour the `memory` benchmark experiment contrasts
-// with the sort path's spill-and-complete.
+// Shuffle writes are pipeline breakers: the map side streams the fused narrow
+// chain's cursor into the spillable buffer, so the map input is never
+// materialised as one slice. For ReduceByKey/CountByKey an unspilled buffer
+// is combined per (bucket, key) before it is registered (Spark's map-side
+// combine), shrinking shuffled bytes to one pair per (bucket, key) before the
+// fetch; Config.DisableMapSideCombine ablates this for the `combine`
+// benchmark experiment.
 
 package rdd
 
@@ -272,9 +268,8 @@ var hashSeed = maphash.MakeSeed()
 
 // hashKey hashes a shuffle key. Integer and string keys are hashed natively;
 // anything else falls back to its fmt representation (slow but correct;
-// SparkScore itself only keys by int and string). The sort shuffle orders
-// spilled runs by this hash, so partition grouping and key order agree
-// between the two shuffle implementations.
+// SparkScore itself only keys by int and string). Spilled runs are ordered by
+// this hash, so partition grouping and key order agree.
 func hashKey[K comparable](k K) uint64 {
 	switch v := any(k).(type) {
 	case int:
@@ -355,10 +350,8 @@ func (m *orderedMap[K, V]) seq() iter.Seq[KV[K, V]] {
 
 // registerBuckets registers a map task's resident buckets with the shuffle
 // manager and accounts the materialisation (bucket writes are pipeline
-// breakers). The caller is responsible for having charged the bytes to the
-// memory manager: the hash path acquires them in one must-fit grant
-// (writeBuckets), the sort path's no-spill flush holds them under its
-// already-granted buffer reservation.
+// breakers). The bytes are already charged to the memory manager: the
+// no-spill flush holds them under its granted buffer reservation.
 func registerBuckets[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleDep, mapPart int, buckets [][]KV[K, V], bytesPerElem int64) {
 	anyBuckets := make([]any, len(buckets))
 	bytes := make([]int64, len(buckets))
@@ -424,34 +417,6 @@ func makeSubFetch[K comparable, V any](ctx *Context, sd *shuffleDep) func(tc *ta
 	}
 }
 
-// writeBuckets is the hash-shuffle registration: the whole output must fit in
-// execution memory at once — hash buckets cannot spill — so a denied grant is
-// the simulation's OOM, surfaced as a task failure the scheduler retries
-// until the job aborts.
-func writeBuckets[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleDep, mapPart int, buckets [][]KV[K, V], bytesPerElem int64) {
-	var total int64
-	for _, b := range buckets {
-		total += int64(len(b)) * bytesPerElem
-	}
-	if !tc.acquireExecution(total, acqMustFit) {
-		panic(fmt.Sprintf("executor %d out of memory: %d bytes of resident shuffle buckets exceed the unified pool (hash shuffle cannot spill; use Config.SortShuffle = ShuffleSort)",
-			tc.executor, total))
-	}
-	tc.noteShuffleBuffer(total)
-	registerBuckets(ctx, tc, sd, mapPart, buckets, bytesPerElem)
-}
-
-// bucketize streams pairs into one bucket per reduce partition, without
-// combining (GroupByKey, Join, and the combine-disabled ablation).
-func bucketize[K comparable, V any](in iter.Seq[KV[K, V]], parts int) [][]KV[K, V] {
-	buckets := make([][]KV[K, V], parts)
-	for kv := range in {
-		i := hashPartition(kv.K, parts)
-		buckets[i] = append(buckets[i], kv)
-	}
-	return buckets
-}
-
 // ReduceByKey merges the values of each key with combine, which must be
 // associative and commutative. The map side streams the parent cursor into
 // per-bucket combining hash maps (Spark's map-side combine), so each map
@@ -467,37 +432,11 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], combine func(V, V) V, pa
 	sd := &shuffleDep{id: ctx.newShuffleID(), parent: parent, parts: parts}
 	sd.subFetch = makeSubFetch[K, V](ctx, sd)
 	sd.runMap = func(tc *taskContext, mapPart int) {
-		in := seqOf[KV[K, V]](parent.iterate(tc, mapPart))
-		if ctx.cfg.SortShuffle == ShuffleSort {
-			mapCombine := combine
-			if ctx.cfg.DisableMapSideCombine {
-				mapCombine = nil
-			}
-			runSortMap(ctx, tc, sd, mapPart, in, parent.bytesPerElem, mapCombine)
-			return
-		}
-		var buckets [][]KV[K, V]
+		mapCombine := combine
 		if ctx.cfg.DisableMapSideCombine {
-			buckets = bucketize(in, parts)
-		} else {
-			combined := make([]*orderedMap[K, V], parts)
-			for i := range combined {
-				combined[i] = newOrderedMap[K, V]()
-			}
-			for kv := range in {
-				b := combined[hashPartition(kv.K, parts)]
-				if old, ok := b.get(kv.K); ok {
-					b.set(kv.K, combine(old, kv.V))
-				} else {
-					b.set(kv.K, kv.V)
-				}
-			}
-			buckets = make([][]KV[K, V], parts)
-			for i, b := range combined {
-				buckets[i] = b.pairs()
-			}
+			mapCombine = nil
 		}
-		writeBuckets(ctx, tc, sd, mapPart, buckets, parent.bytesPerElem)
+		runSortMap(ctx, tc, sd, mapPart, seqOf[KV[K, V]](parent.iterate(tc, mapPart)), parent.bytesPerElem, mapCombine)
 	}
 	n := newTypedNode[KV[K, V]](ctx, fmt.Sprintf("reduceByKey(%s)", parent.name), parts)
 	n.shuffleIn = []*shuffleDep{sd}
@@ -521,8 +460,8 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], combine func(V, V) V, pa
 			// Replay the map-side combine over this map output's pairs — an
 			// already-combined resident bucket passes through unchanged, raw
 			// spilled pairs get combined here — then fold the per-output
-			// results into the global merge. This reproduces the resident
-			// path's two-level fold tree, so float results are bitwise
+			// results into the global merge. This reproduces an unspilled
+			// output's two-level fold tree, so float results are bitwise
 			// identical whether or not the output was spilled.
 			perMap := newOrderedMap[K, V]()
 			for kv := range bucketSeq {
@@ -550,7 +489,7 @@ func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, []V
 	parent := r.n
 	sd := &shuffleDep{id: ctx.newShuffleID(), parent: parent, parts: parts}
 	sd.subFetch = makeSubFetch[K, V](ctx, sd)
-	sd.runMap = writeShuffleSide[K, V](ctx, sd, parent, parts)
+	sd.runMap = writeShuffleSide[K, V](ctx, sd, parent)
 	n := newTypedNode[KV[K, []V]](ctx, fmt.Sprintf("groupByKey(%s)", parent.name), parts)
 	n.shuffleIn = []*shuffleDep{sd}
 	n.bytesPerElem = parent.bytesPerElem
@@ -589,10 +528,10 @@ func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int)
 	left, right := a.n, b.n
 	sdL := &shuffleDep{id: ctx.newShuffleID(), parent: left, parts: parts}
 	sdL.subFetch = makeSubFetch[K, V](ctx, sdL)
-	sdL.runMap = writeShuffleSide[K, V](ctx, sdL, left, parts)
+	sdL.runMap = writeShuffleSide[K, V](ctx, sdL, left)
 	sdR := &shuffleDep{id: ctx.newShuffleID(), parent: right, parts: parts}
 	sdR.subFetch = makeSubFetch[K, W](ctx, sdR)
-	sdR.runMap = writeShuffleSide[K, W](ctx, sdR, right, parts)
+	sdR.runMap = writeShuffleSide[K, W](ctx, sdR, right)
 
 	n := newTypedNode[KV[K, JoinPair[V, W]]](ctx, fmt.Sprintf("join(%s,%s)", left.name, right.name), parts)
 	n.shuffleIn = []*shuffleDep{sdL, sdR}
@@ -640,16 +579,10 @@ func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int)
 }
 
 // writeShuffleSide builds the map-task body of a non-combining shuffle
-// dependency (GroupByKey and each Join side), dispatching on the configured
-// shuffle implementation.
-func writeShuffleSide[K comparable, V any](ctx *Context, sd *shuffleDep, parent *node, parts int) func(tc *taskContext, mapPart int) {
+// dependency (GroupByKey and each Join side).
+func writeShuffleSide[K comparable, V any](ctx *Context, sd *shuffleDep, parent *node) func(tc *taskContext, mapPart int) {
 	return func(tc *taskContext, mapPart int) {
-		in := seqOf[KV[K, V]](parent.iterate(tc, mapPart))
-		if ctx.cfg.SortShuffle == ShuffleSort {
-			runSortMap(ctx, tc, sd, mapPart, in, parent.bytesPerElem, nil)
-			return
-		}
-		writeBuckets(ctx, tc, sd, mapPart, bucketize(in, parts), parent.bytesPerElem)
+		runSortMap(ctx, tc, sd, mapPart, seqOf[KV[K, V]](parent.iterate(tc, mapPart)), parent.bytesPerElem, nil)
 	}
 }
 

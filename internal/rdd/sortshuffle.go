@@ -1,22 +1,23 @@
-// Sort-based external shuffle (the default; Spark's SortShuffleManager). Map
-// tasks append pairs to a buffer whose growth is charged to the memory
-// manager; when an acquisition is denied the buffer is sorted by
-// (reduce partition, key hash, arrival) and written to the DFS as one
-// length-prefixed run file on the map task's own node, with a per-partition
-// offset index kept on the map output. A map task that never spills registers
-// plain resident buckets, bit-identical to the hash shuffle's — ample memory
-// reproduces the legacy path exactly. Reduce tasks recombine each map
-// output's runs with a k-way streaming merge.
+// Sort-based external shuffle (Spark's SortShuffleManager). Map tasks append
+// pairs to a buffer whose growth is charged to the memory manager; when an
+// acquisition is denied the buffer is sorted by (reduce partition, key hash,
+// arrival) and written to the DFS as one length-prefixed run file on the map
+// task's own node, with a per-partition offset index kept on the map output.
+// A map task that never spills registers plain resident buckets. Reduce tasks
+// recombine each map output's runs with a k-way streaming merge.
 //
-// Reproducibility contract. The engine guarantees that shuffle results are
-// bitwise identical whether or not memory pressure forced spilling, and
-// identical to the hash path. Float addition is not bitwise-associative, so
-// two rules follow:
+// Reproducibility contract. Shuffle results are bitwise identical whether or
+// not memory pressure forced spilling, and equal to a sequential fold of the
+// input in (map partition, arrival) order: per map output first, then across
+// map outputs in partition order, for a combining ReduceByKey; one flat fold
+// for GroupByKey, Join and the combine-disabled ablation
+// (TestSortShuffleMatchesSequentialFold writes that fold out). Float addition
+// is not bitwise-associative, so two rules follow:
 //
 //   - Runs carry raw pairs with their arrival indices, never partial
 //     aggregates; the reduce side replays the map-side combine per map
-//     output, then folds the per-output results — the exact fold tree of the
-//     resident path.
+//     output, then folds the per-output results — the exact fold tree of an
+//     unspilled output.
 //   - The k-way merge is keyed by arrival index, not key: the key order of
 //     the run files serves partition grouping and the sort itself, while the
 //     merge restores the arrival order every downstream fold depends on.
@@ -34,27 +35,6 @@ import (
 	"iter"
 	"sort"
 )
-
-// ShuffleMode selects the shuffle implementation (Config.SortShuffle).
-type ShuffleMode int
-
-const (
-	// ShuffleSort is the spillable sort-based shuffle (default).
-	ShuffleSort ShuffleMode = iota
-	// ShuffleHash is the legacy resident hash shuffle; it cannot spill.
-	ShuffleHash
-)
-
-func (m ShuffleMode) String() string {
-	switch m {
-	case ShuffleSort:
-		return "sort"
-	case ShuffleHash:
-		return "hash"
-	default:
-		return fmt.Sprintf("ShuffleMode(%d)", int(m))
-	}
-}
 
 // spillRec is one shuffled pair inside a run file. A is the pair's arrival
 // index in its map partition, the sort key of the reduce-side merge. Fields
@@ -214,10 +194,10 @@ func encodeRunFrame[K comparable, V any](recs []spillRec[K, V], compress bool) [
 	return buf.Bytes()
 }
 
-// runSortMap drives one map task of a sort-shuffle dependency: stream the
-// parent cursor through a spillable buffer, then register either resident
-// buckets (no spill — combine applies, output bit-identical to the hash
-// path) or the spilled runs plus a final run holding the tail.
+// runSortMap drives one map task of a shuffle dependency: stream the parent
+// cursor through a spillable buffer, then register either resident buckets
+// (no spill — combine applies) or the spilled runs plus a final run holding
+// the tail.
 func runSortMap[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleDep, mapPart int,
 	in iter.Seq[KV[K, V]], bytesPerElem int64, combine func(V, V) V) {
 	buf := newSortBuffer[K, V](tc, sd, mapPart, bytesPerElem)
@@ -365,8 +345,7 @@ func mergeRuns[K comparable, V any](tc *taskContext, shuffle, mapPart int, runs 
 // shuffle and yields one pair sequence per map output, in map-partition
 // order. A resident output streams its bucket as-is; a spilled output is
 // recombined by mergeRuns. Either way the inner sequence is the map task's
-// arrival order, so reduce-side folds see the same pair order the hash
-// shuffle delivered.
+// arrival order, the order every reduce-side fold is defined over.
 func shuffleBucketSeqs[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleDep, reducePart, mapParts int) iter.Seq[iter.Seq[KV[K, V]]] {
 	if srcs, ok := sd.takePartials(reducePart, mapParts); ok {
 		// The adaptive skew sub-stage prefetched this partition: the

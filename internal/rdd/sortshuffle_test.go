@@ -1,19 +1,26 @@
-// Sort-shuffle acceptance pins: bitwise parity with the hash shuffle at two
-// scales and under the chaos fault profile, spill-and-complete under a memory
-// cap below the shuffle working set (with byte-identical stripped event logs
-// across seeded replays), and the hash path's OOM abort at the same cap.
+// Sort-shuffle acceptance pins: bitwise agreement with a sequential fold of
+// the input — the fold-order contract of sortshuffle.go written out without a
+// shuffle — at two scales and under the chaos fault profile, and
+// spill-and-complete under a memory cap below the shuffle working set (with
+// byte-identical stripped event logs across seeded replays).
 
 package rdd
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"sparkscore/internal/cluster"
 )
+
+// floatKV is the fold-order-sensitive input pair: sums of 1/(x+1) change bits
+// with any change in pair order or fold tree.
+func floatKV(x int) KV[int, float64] {
+	return KV[int, float64]{K: x % 31, V: 1.0 / float64(x+1)}
+}
 
 // floatShuffleResult runs a float64 pipeline whose ReduceByKey sums are
 // sensitive to fold order — any change in pair order or fold tree shows up in
@@ -24,10 +31,7 @@ func floatShuffleResult(t *testing.T, cfg Config, n, parts int) ([]KV[int, JoinP
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Parallelize(c, seq(n), parts)
-	pairs := Map(base, "fkey", func(x int) KV[int, float64] {
-		return KV[int, float64]{K: x % 31, V: 1.0 / float64(x+1)}
-	})
+	pairs := Map(Parallelize(c, seq(n), parts), "fkey", floatKV)
 	sums := ReduceByKey(pairs, func(a, b float64) float64 { return a + b }, parts)
 	weights := Map(Parallelize(c, seq(31), 2), "wkey", func(k int) KV[int, float64] {
 		return KV[int, float64]{K: k, V: float64(k) * 0.1}
@@ -53,52 +57,125 @@ func assertBitwiseEqual(t *testing.T, got, want []KV[int, JoinPair[float64, floa
 	}
 }
 
-// TestSortHashShuffleParity pins that with ample memory the sort shuffle
-// produces bitwise-identical results to the hash shuffle, at two scales.
-func TestSortHashShuffleParity(t *testing.T) {
-	for _, n := range []int{2000, 60000} {
-		base := Config{Cluster: cluster.Config{Nodes: 4, Spec: cluster.M3TwoXLarge}, Seed: 42}
-		sortCfg, hashCfg := base, base
-		sortCfg.SortShuffle = ShuffleSort
-		hashCfg.SortShuffle = ShuffleHash
-		sorted, _ := floatShuffleResult(t, sortCfg, n, 8)
-		hashed, _ := floatShuffleResult(t, hashCfg, n, 8)
-		assertBitwiseEqual(t, sorted, hashed, "sort vs hash")
-		if len(sorted) != 31 {
-			t.Fatalf("n=%d: %d joined keys, want 31", n, len(sorted))
+// sequentialFold is the oracle: floatKV(0..n-1) cut into map partitions the
+// way Parallelize cuts them and folded in (map partition, arrival) order.
+// twoLevel is the tree a combining ReduceByKey documents (combine within each
+// map partition, then fold the per-partition sums in partition order); flat
+// is the single fold of the combine-disabled ablation; groups is the value
+// order GroupByKey and Join deliver.
+func sequentialFold(n, parts int) (twoLevel, flat map[int]float64, groups map[int][]float64) {
+	twoLevel, flat, groups = map[int]float64{}, map[int]float64{}, map[int][]float64{}
+	for m := 0; m < parts; m++ {
+		perMap := map[int]float64{}
+		for x := m * n / parts; x < (m+1)*n/parts; x++ {
+			kv := floatKV(x)
+			perMap[kv.K] += kv.V
+			flat[kv.K] += kv.V
+			groups[kv.K] = append(groups[kv.K], kv.V)
 		}
+		for k, v := range perMap {
+			twoLevel[k] += v
+		}
+	}
+	return twoLevel, flat, groups
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// assertMatchesSequentialFold runs the three shuffle shapes under cfg — the
+// combining ReduceByKey joined to a weight table, the combine-disabled
+// ReduceByKey, GroupByKey — compares each bitwise against sequentialFold, and
+// returns how many retries and stage re-attempts the runs needed.
+func assertMatchesSequentialFold(t *testing.T, cfg Config, n, parts int) (recoveries int) {
+	t.Helper()
+	twoLevel, flat, groups := sequentialFold(n, parts)
+	count := func(c *Context) {
+		for _, m := range c.Jobs() {
+			recoveries += m.TaskRetries + m.StageAttempts
+		}
+	}
+
+	joined, c := floatShuffleResult(t, cfg, n, parts)
+	count(c)
+	if len(joined) != len(twoLevel) {
+		t.Fatalf("n=%d: %d joined keys, want %d", n, len(joined), len(twoLevel))
+	}
+	for _, kv := range joined {
+		if !sameBits(kv.V.Left, twoLevel[kv.K]) || !sameBits(kv.V.Right, float64(kv.K)*0.1) {
+			t.Fatalf("n=%d: join key %d = %+v, want bitwise {%v %v}", n, kv.K, kv.V, twoLevel[kv.K], float64(kv.K)*0.1)
+		}
+	}
+
+	raw := cfg
+	raw.DisableMapSideCombine = true
+	c, err := New(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := Map(Parallelize(c, seq(n), parts), "fkey", floatKV)
+	sums, err := Collect(ReduceByKey(pairs, func(a, b float64) float64 { return a + b }, parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, err := Collect(GroupByKey(pairs, parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	count(c)
+	if len(sums) != len(flat) || len(grouped) != len(groups) {
+		t.Fatalf("n=%d: %d sums and %d groups, want %d", n, len(sums), len(grouped), len(flat))
+	}
+	for _, kv := range sums {
+		if !sameBits(kv.V, flat[kv.K]) {
+			t.Fatalf("n=%d: uncombined sum of key %d = %v, want bitwise %v", n, kv.K, kv.V, flat[kv.K])
+		}
+	}
+	for _, kv := range grouped {
+		if fmt.Sprint(kv.V) != fmt.Sprint(groups[kv.K]) {
+			t.Fatalf("n=%d: group of key %d is not in (map partition, arrival) order", n, kv.K)
+		}
+	}
+	return recoveries
+}
+
+// TestSortShuffleMatchesSequentialFold pins the fold-order contract against
+// the oracle at two scales, and checks the pin can tell the two documented
+// trees apart.
+func TestSortShuffleMatchesSequentialFold(t *testing.T) {
+	cfg := Config{Cluster: cluster.Config{Nodes: 4, Spec: cluster.M3TwoXLarge}, Seed: 42}
+	for _, n := range []int{2000, 60000} {
+		assertMatchesSequentialFold(t, cfg, n, 8)
+	}
+	twoLevel, flat, _ := sequentialFold(60000, 8)
+	distinct := false
+	for k := range flat {
+		distinct = distinct || !sameBits(twoLevel[k], flat[k])
+	}
+	if !distinct {
+		t.Fatal("two-level and flat folds agree on every key; the oracle cannot tell the fold trees apart")
 	}
 }
 
-// TestSortHashShuffleParityUnderChaos pins the same bitwise parity when task
-// crashes and fetch failures force retries and map-stage recomputation in
-// both modes.
-func TestSortHashShuffleParityUnderChaos(t *testing.T) {
-	// Milder probabilities than the single-shuffle chaos tests: this pipeline
-	// crosses three shuffles, and the per-stage attempt budget must survive.
-	base := Config{
+// TestSortShuffleMatchesSequentialFoldUnderChaos pins the same bitwise
+// agreement when task crashes and fetch failures force retries and map-stage
+// recomputation.
+func TestSortShuffleMatchesSequentialFoldUnderChaos(t *testing.T) {
+	// Milder probabilities than the single-shuffle chaos tests: the joined
+	// pipeline crosses three shuffles, and the per-stage attempt budget must
+	// survive.
+	recoveries := assertMatchesSequentialFold(t, Config{
 		Cluster: cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
 		Seed:    7,
 		Faults:  FaultProfile{TaskCrashProb: 0.08, FetchFailureProb: 0.04},
-	}
-	sortCfg, hashCfg := base, base
-	sortCfg.SortShuffle = ShuffleSort
-	hashCfg.SortShuffle = ShuffleHash
-	sorted, sc := floatShuffleResult(t, sortCfg, 20000, 6)
-	hashed, _ := floatShuffleResult(t, hashCfg, 20000, 6)
-	assertBitwiseEqual(t, sorted, hashed, "chaos sort vs hash")
-	var retries int
-	for _, m := range sc.Jobs() {
-		retries += m.TaskRetries + m.StageAttempts
-	}
-	if retries == 0 {
-		t.Fatal("chaos profile injected no recovery work; parity pin is vacuous")
+	}, 20000, 6)
+	if recoveries == 0 {
+		t.Fatal("chaos profile injected no recovery work; the pin is vacuous")
 	}
 }
 
 // cappedCluster is one executor whose pool (~107 KB) sits well below the
-// ~160 KB per-task shuffle buffer the capped tests build, so the sort path
-// must spill and the hash path cannot fit its buckets.
+// ~160 KB per-task shuffle buffer the capped test builds, so map tasks must
+// spill.
 func cappedCluster() cluster.Config {
 	return cluster.Config{
 		Nodes:             1,
@@ -110,48 +187,47 @@ func cappedCluster() cluster.Config {
 }
 
 // TestSortShuffleSpillsAndMatchesUncapped pins the tentpole property: with
-// executor memory capped below the shuffle working set the sort path spills
-// sorted runs, completes, and produces results bitwise identical to an
-// uncapped run — and two capped seeded replays write byte-identical stripped
-// event logs, spills included.
+// executor memory capped below the shuffle working set — the uncapped run's
+// largest per-task buffer exceeds the whole capped pool, so no resident-only
+// shuffle could have fit — map tasks spill sorted runs, every shuffle shape
+// completes, and the results are bitwise identical to an uncapped run and to
+// the sequential fold; two capped seeded replays write byte-identical
+// stripped event logs, spills included.
 func TestSortShuffleSpillsAndMatchesUncapped(t *testing.T) {
 	const n, parts = 40000, 4
+	var taskBufferPeak int64
+	probe := ListenerFunc(func(ev Event) {
+		if e, ok := ev.(*TaskEnd); ok && e.Metrics.ShuffleBufferBytes > taskBufferPeak {
+			taskBufferPeak = e.Metrics.ShuffleBufferBytes
+		}
+	})
 	ample, _ := floatShuffleResult(t, Config{
-		Cluster: cluster.Config{Nodes: 4, Spec: cluster.M3TwoXLarge}, Seed: 42,
+		Cluster: cluster.Config{Nodes: 4, Spec: cluster.M3TwoXLarge}, Seed: 42, Listeners: []Listener{probe},
 	}, n, parts)
 
-	run := func() ([]KV[int, JoinPair[float64, float64]], []JobMetrics, string) {
+	// Workers: 1 serialises host-side execution: memory-manager denials, and
+	// with them spill points, are a pure function of the config.
+	cappedCfg := Config{Cluster: cappedCluster(), Seed: 42, Workers: 1}
+	run := func() ([]KV[int, JoinPair[float64, float64]], *Context, string) {
 		var buf bytes.Buffer
 		elw := NewEventLogWriter(&buf)
-		// Workers: 1 serialises host-side execution: memory-manager denials,
-		// and with them spill points, are a pure function of the config.
-		out, c := floatShuffleResult(t, Config{
-			Cluster: cappedCluster(), Seed: 42, Workers: 1, Listeners: []Listener{elw},
-		}, n, parts)
+		cfg := cappedCfg
+		cfg.Listeners = []Listener{elw}
+		out, c := floatShuffleResult(t, cfg, n, parts)
 		if err := elw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		events, err := ReadEventLog(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stripped strings.Builder
-		for _, ev := range events {
-			line, err := MarshalEvent(StripMeasuredTime(ev))
-			if err != nil {
-				t.Fatal(err)
-			}
-			stripped.Write(line)
-			stripped.WriteByte('\n')
-		}
-		return out, c.Jobs(), stripped.String()
+		return out, c, strippedLog(t, buf.Bytes())
 	}
 
-	capped, jobs, log1 := run()
+	capped, c, log1 := run()
 	assertBitwiseEqual(t, capped, ample, "capped sort vs uncapped")
+	if pool := c.blocks.stores[0].pool; taskBufferPeak <= pool {
+		t.Fatalf("uncapped per-task shuffle buffer peaks at %d B, within the capped pool of %d B — the cap is not below the working set", taskBufferPeak, pool)
+	}
 
 	var spills, spilledBytes, bufferBytes int64
-	for _, m := range jobs {
+	for _, m := range c.Jobs() {
 		spills += int64(m.SpillCount)
 		spilledBytes += m.SpilledBytes
 		bufferBytes += m.ShuffleBufferBytes
@@ -160,7 +236,7 @@ func TestSortShuffleSpillsAndMatchesUncapped(t *testing.T) {
 		}
 	}
 	if spills == 0 || spilledBytes == 0 {
-		t.Fatalf("capped run spilled %d runs / %d bytes, want > 0 — the cap is not below the working set", spills, spilledBytes)
+		t.Fatalf("capped run spilled %d runs / %d bytes, want > 0", spills, spilledBytes)
 	}
 	if bufferBytes == 0 {
 		t.Fatal("capped run reports zero shuffle-buffer bytes")
@@ -173,43 +249,8 @@ func TestSortShuffleSpillsAndMatchesUncapped(t *testing.T) {
 	if log1 != log2 {
 		t.Fatal("stripped event logs differ across seeded replays of the capped run")
 	}
-}
 
-// TestHashShuffleOOMAbortsUnderCap pins the contrast case: at the same cap
-// the hash shuffle, which must hold its buckets resident, aborts the job with
-// the task-retry path reporting the out-of-memory grant denial — while the
-// sort shuffle completes the identical workload by spilling. The workload is
-// a GroupByKey: map-side combine cannot shrink its buckets, so the resident
-// set is the full raw pair set, the case that kills the hash path in
-// practice. (A combining ReduceByKey's buckets hold one pair per key and fit
-// almost any cap — which is exactly why the `memory` experiment measures the
-// working set from the hash path's own buffer high-water mark.)
-func TestHashShuffleOOMAbortsUnderCap(t *testing.T) {
-	groupAll := func(mode ShuffleMode) ([]KV[int, []float64], error) {
-		c, err := New(Config{Cluster: cappedCluster(), Seed: 42, Workers: 1, SortShuffle: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs := Map(Parallelize(c, seq(40000), 4), "fkey", func(x int) KV[int, float64] {
-			return KV[int, float64]{K: x % 31, V: 1.0 / float64(x+1)}
-		})
-		return Collect(GroupByKey(pairs, 4))
-	}
-
-	_, err := groupAll(ShuffleHash)
-	var aborted *TaskAbortedError
-	if !errors.As(err, &aborted) {
-		t.Fatalf("capped hash shuffle returned %v, want TaskAbortedError", err)
-	}
-	if !strings.Contains(err.Error(), "out of memory") {
-		t.Fatalf("abort cause %q does not name the OOM", err)
-	}
-
-	got, err := groupAll(ShuffleSort)
-	if err != nil {
-		t.Fatalf("capped sort shuffle failed the workload the hash path aborts: %v", err)
-	}
-	if len(got) != 31 {
-		t.Fatalf("capped sort shuffle grouped %d keys, want 31", len(got))
-	}
+	// GroupByKey's buffers hold the full raw pair set (map-side combine cannot
+	// shrink them): it, too, must complete under the cap, in fold order.
+	assertMatchesSequentialFold(t, cappedCfg, n, parts)
 }

@@ -5,7 +5,6 @@
 package rdd
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -140,26 +139,19 @@ func TestFusedChainRecomputeAfterNodeLoss(t *testing.T) {
 	}
 }
 
-// TestFusedChainChaosFingerprint replays a fused-chain job twice under the
-// same seeded fault profile in fresh contexts: results, recovery
-// fingerprints (JobMetrics stripped of measured time), and the JSONL event
-// log (likewise stripped) must match bit for bit through the iterator path.
+// TestFusedChainChaosFingerprint replays a fused-chain job under a seeded
+// fault profile across the Workers matrix: results, recovery fingerprints
+// (JobMetrics stripped of measured time), and the JSONL event log (likewise
+// stripped) must match bit for bit through the iterator path.
 func TestFusedChainChaosFingerprint(t *testing.T) {
-	run := func() (string, string, string) {
-		var logBuf bytes.Buffer
-		elw := NewEventLogWriter(&logBuf)
-		c, err := New(Config{
-			Cluster: cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
-			Seed:    5,
-			Faults: FaultProfile{
-				TaskCrashProb:    0.05,
-				FetchFailureProb: 0.05,
-			},
-			Listeners: []Listener{elw},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	workersMatrix(t, Config{
+		Cluster: cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
+		Seed:    5,
+		Faults: FaultProfile{
+			TaskCrashProb:    0.05,
+			FetchFailureProb: 0.05,
+		},
+	}, func(c *Context) string {
 		pairs := Map(fusedTestChain(c, 10000), "key", func(x int) KV[int, int] {
 			return KV[int, int]{K: x % 17, V: x}
 		})
@@ -167,26 +159,8 @@ func TestFusedChainChaosFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fp string
-		for _, m := range c.Jobs() {
-			fp += fmt.Sprintf("%+v\n", m.WithoutMeasuredTime())
-		}
-		if err := elw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprint(sums), fp, strippedLog(t, logBuf.Bytes())
-	}
-	res1, fp1, log1 := run()
-	res2, fp2, log2 := run()
-	if res1 != res2 {
-		t.Fatal("same seed produced different results through the fused path")
-	}
-	if fp1 != fp2 {
-		t.Fatalf("same seed produced different job fingerprints:\n%s\nvs\n%s", fp1, fp2)
-	}
-	if log1 != log2 {
-		t.Fatalf("same seed produced different event logs:\n%s\nvs\n%s", log1, log2)
-	}
+		return fmt.Sprint(sums)
+	})
 }
 
 // TestMapSideCombineReducesShuffle pins the combine ablation at the engine
