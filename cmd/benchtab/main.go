@@ -20,14 +20,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "artifact id (tab1, fig2, tab3, ..., fig7, chaos, combine, serving, speculation, memory, adaptive, eqtl) or \"all\"")
+		exp      = flag.String("exp", "all", "artifact id (tab1, fig2, tab3, ..., fig7, chaos, serving, speculation, memory, adaptive, eqtl) or \"all\"")
 		scale    = flag.Int("scale", 100, "divide the paper's SNP counts, block size, and executor memory by this")
 		reps     = flag.Int("reps", 2, "repetitions per configuration (for mean/stdev tables)")
 		maxIters = flag.Int("max-iters", 0, "cap resampling iterations (0 = run the paper's full axes)")
 		seed     = flag.Uint64("seed", 1, "seed for data generation and resampling")
 		events   = flag.String("events", "", "write one JSONL event log per measured run into this directory (render with sparkui)")
 		trace    = flag.String("trace", "", "write one Chrome-trace timeline per measured run into this directory")
-		jsonOut  = flag.Bool("json", false, "write JSON snapshots: speculation to BENCH_speculation.json, memory to BENCH_memory.json, adaptive to BENCH_adaptive.json, eqtl to BENCH_eqtl.json")
 	)
 	flag.Parse()
 
@@ -42,12 +41,6 @@ func main() {
 	h := &harness.Harness{
 		Scale: *scale, Reps: *reps, MaxIterations: *maxIters, Seed: *seed,
 		EventLogDir: *events, TraceDir: *trace,
-	}
-	if *jsonOut {
-		h.SpeculationJSON = "BENCH_speculation.json"
-		h.MemoryJSON = "BENCH_memory.json"
-		h.AdaptiveJSON = "BENCH_adaptive.json"
-		h.EQTLJSON = "BENCH_eqtl.json"
 	}
 	start := time.Now()
 	var err error

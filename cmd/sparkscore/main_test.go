@@ -1,0 +1,95 @@
+// CLI contracts no package-level test can reach, driven through the real
+// binaries: flag sets that must not change a report, and the -events log that
+// sparkui must be able to render. Binaries and outputs live in t.TempDir().
+
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// buildCmd compiles ../<name> into dir and returns the binary's path.
+func buildCmd(t *testing.T, dir, name string) string {
+	t.Helper()
+	bin := filepath.Join(dir, name)
+	if out, err := exec.Command("go", "build", "-o", bin, "../"+name).CombinedOutput(); err != nil {
+		t.Fatalf("go build ../%s: %v\n%s", name, err, out)
+	}
+	return bin
+}
+
+func TestReportsIdenticalAcrossFlagSets(t *testing.T) {
+	dir := t.TempDir()
+	sparkscore, sparkui := buildCmd(t, dir, "sparkscore"), buildCmd(t, dir, "sparkui")
+	run := func(bin string, args ...string) string {
+		t.Helper()
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
+		}
+		return string(out)
+	}
+
+	type variant struct {
+		args   string
+		stdout string // what the run must print, if anything in particular
+	}
+	groups := []struct {
+		name     string
+		shape    string    // arguments every variant shares
+		variants []variant // each must write the same -out report, byte for byte
+	}{
+		{"skat", "-generate -patients 60 -snps 300 -sets 6 -iterations 10", []variant{
+			{},
+			// A pool far below the shuffle working set: the sort shuffle must
+			// spill, and say so, without changing a digit.
+			{args: "-mem-cap-bytes 4096 -workers 1", stdout: "shuffle spills:"},
+			{args: "-adaptive=false"},
+			{args: "-adaptive=true"},
+		}},
+		{"eqtl", "-eqtl -generate -patients 80 -snps 400 -sets 8 -eqtl-phenos 12", []variant{
+			{},
+			{args: "-eqtl-strategy cartesian"},
+			{args: "-chaos"},
+		}},
+	}
+	for _, g := range groups {
+		var baseline []byte
+		for i, v := range g.variants {
+			report := filepath.Join(dir, fmt.Sprintf("%s-%d.tsv", g.name, i))
+			args := append(strings.Fields(g.shape+" "+v.args), "-out", report)
+			if out := run(sparkscore, args...); !strings.Contains(out, v.stdout) {
+				t.Errorf("%s %q: output lacks %q:\n%s", g.name, v.args, v.stdout, out)
+			}
+			got, err := os.ReadFile(report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				baseline = got
+			} else if !bytes.Equal(got, baseline) {
+				t.Errorf("%s %q: report differs from the plain run's:\n%s\nwant:\n%s", g.name, v.args, got, baseline)
+			}
+		}
+	}
+
+	// The event log round trip: what sparkscore -events wrote, sparkui -log
+	// must parse back into the same number of jobs.
+	events := filepath.Join(dir, "events.jsonl")
+	out := run(sparkscore, append(strings.Fields(groups[0].shape), "-events", events)...)
+	var jobs int
+	if i := strings.Index(out, " s over "); i < 0 {
+		t.Fatalf("sparkscore printed no cluster accounting:\n%s", out)
+	} else if _, err := fmt.Sscanf(out[i:], " s over %d jobs", &jobs); err != nil {
+		t.Fatalf("parsing sparkscore's cluster accounting: %v\n%s", err, out)
+	}
+	if ui, want := run(sparkui, "-log", events), fmt.Sprintf(" %d jobs,", jobs); !strings.Contains(ui, want) {
+		t.Errorf("sparkui did not rebuild%s from the event log:\n%s", strings.TrimSuffix(want, ","), ui)
+	}
+}

@@ -23,14 +23,6 @@
 // answered 408 Request Timeout with a Retry-After (a disconnect is recorded
 // as 499 in /v1/jobs and /v1/stats). Cancellation leaves the shared driver
 // reusable: subsequent requests still match the batch CLI bit for bit.
-//
-// With -smoke it instead runs an in-process self-test: it serves on a
-// loopback port, submits score/SKAT/resampling jobs over real HTTP, asserts
-// the results match the batch path bit for bit, exercises queue-full
-// backpressure (429), timeout_ms cancellation (408 within the deadline, slot
-// freed, next request bit-equal to batch), and graceful drain (503), and
-// exits non-zero on any mismatch. The Makefile's server-smoke target runs
-// exactly this.
 package main
 
 import (
@@ -59,8 +51,7 @@ import (
 
 func main() {
 	var (
-		addr  = flag.String("addr", "127.0.0.1:8080", "listen address")
-		smoke = flag.Bool("smoke", false, "run the in-process serving self-test and exit")
+		addr = flag.String("addr", "127.0.0.1:8080", "listen address")
 
 		dir      = flag.String("dir", "", "directory with genotypes.txt/phenotype.txt/weights.txt/snpsets.txt")
 		generate = flag.Bool("generate", false, "generate a synthetic dataset instead of reading -dir")
@@ -89,15 +80,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	)
 	flag.Parse()
-
-	if *smoke {
-		if err := server.Smoke(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "sparkserved: smoke FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Println("server-smoke: all checks passed")
-		return
-	}
 
 	schedMode, err := rdd.ParseSchedulerMode(*mode)
 	if err != nil {

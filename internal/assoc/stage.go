@@ -1,6 +1,5 @@
 // Staging the all-pairs inputs onto the simulated HDFS, and the deterministic
-// text report the eqtl-smoke target compares byte-for-byte across engine
-// configurations.
+// text report that tests compare byte-for-byte across engine configurations.
 
 package assoc
 

@@ -21,27 +21,23 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"sparkscore/internal/cluster"
 	"sparkscore/internal/metrics"
 	"sparkscore/internal/rdd"
 )
 
-// AdaptiveRow is one measured cell of the adaptive grid, serialized into the
-// -json snapshot.
+// AdaptiveRow is one measured cell of the adaptive grid.
 type AdaptiveRow struct {
-	Scenario        string  `json:"scenario"`
-	Adaptive        bool    `json:"adaptive"`
-	StageSeconds    float64 `json:"stageSeconds"`
-	VirtualSeconds  float64 `json:"virtualSeconds"`
-	Tasks           int     `json:"tasks"`
-	CoalescedGroups int     `json:"coalescedGroups"`
-	SkewedParts     int     `json:"skewedParts"`
-	SubSplits       int     `json:"subSplits"`
+	Scenario        string
+	Adaptive        bool
+	StageSeconds    float64
+	Tasks           int
+	CoalescedGroups int
+	SkewedParts     int
+	SubSplits       int
 }
 
 const (
@@ -117,7 +113,6 @@ func (h *Harness) runAdaptiveCell(scenario string, adaptive bool) (AdaptiveRow, 
 	if err != nil {
 		return AdaptiveRow{}, "", err
 	}
-	row.VirtualSeconds = ctx.VirtualTime()
 	return row, fmt.Sprintf("%v", out), nil
 }
 
@@ -170,22 +165,6 @@ func runAdaptive(h *Harness, w io.Writer) error {
 	t.AddRow("skewed", "speedup", fmt.Sprintf("%.2fx", skewRatio), "", "", "", "")
 	t.AddRow("tiny-parts", "speedup", fmt.Sprintf("%.2fx", tinyRatio), "", "", "", "")
 	t.Fprint(w)
-
-	if h.AdaptiveJSON != "" {
-		blob, err := json.MarshalIndent(map[string]any{
-			"experiment":          "adaptive",
-			"rows":                rows,
-			"skewMitigationRatio": skewRatio,
-			"coalesceRatio":       tinyRatio,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(h.AdaptiveJSON, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", h.AdaptiveJSON)
-	}
 
 	for _, scenario := range []string{"skewed", "tiny-parts"} {
 		if cells[[2]any{scenario, false}].digest != cells[[2]any{scenario, true}].digest {

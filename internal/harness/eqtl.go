@@ -1,25 +1,18 @@
 // The all-pairs eQTL experiment: every SNP crossed with every expression
-// phenotype through internal/assoc, measured three ways:
+// phenotype through internal/assoc, measured two ways:
 //
 //  1. Parity — the broadcast and cartesian join strategies must produce
 //     byte-identical WriteReport output at two input shapes.
 //  2. Recovery — the cross re-run under task crashes, fetch failures, and a
 //     node loss must still match the clean report byte for byte, and two
 //     seeded chaos replays must emit byte-identical stripped event logs.
-//  3. Pair throughput — a real-time microbenchmark of the scoring inner
-//     loop (stats.WideKernel: one decode per block row, all phenotypes
-//     scored off its non-zero dosages), in ns per (SNP, phenotype) pair.
 
 package harness
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"os"
-	"time"
 
 	"sparkscore/internal/assoc"
 	"sparkscore/internal/cluster"
@@ -27,40 +20,7 @@ import (
 	"sparkscore/internal/metrics"
 	"sparkscore/internal/rdd"
 	"sparkscore/internal/rng"
-	"sparkscore/internal/stats"
 )
-
-// EQTLRun is one engine configuration's measurement at one input shape,
-// serialized into the -json snapshot.
-type EQTLRun struct {
-	Patients   int     `json:"patients"`
-	SNPs       int     `json:"snps"`
-	Phenos     int     `json:"phenos"`
-	Strategy   string  `json:"strategy"`
-	Tested     int64   `json:"tested"`
-	SimSeconds float64 `json:"simSeconds"`
-}
-
-// EQTLChaos is the fault-injection measurement: the clean run versus the
-// same cross under the chaos profile, plus replay determinism.
-type EQTLChaos struct {
-	CleanSimSeconds      float64 `json:"cleanSimSeconds"`
-	ChaosSimSeconds      float64 `json:"chaosSimSeconds"`
-	TaskRetries          int     `json:"taskRetries"`
-	RecomputedPartitions int     `json:"recomputedPartitions"`
-	ReportsMatch         bool    `json:"reportsMatch"`
-	ReplayStable         bool    `json:"replayStable"`
-}
-
-// EQTLPairBench is the real-time microbenchmark of the all-pairs scoring
-// inner loop over one full genotype block.
-type EQTLPairBench struct {
-	Patients      int     `json:"patients"`
-	Rows          int     `json:"rows"`
-	Phenos        int     `json:"phenos"`
-	WideNsPerPair float64 `json:"wideNsPerPair"`
-	PairsPerSec   float64 `json:"pairsPerSec"`
-}
 
 // eqtlScale fixes the experiment at the paper's 1/100 scale regardless of the
 // harness Scale, like the speculation experiment: parity is a property of the
@@ -180,51 +140,6 @@ func stripEventLog(raw []byte) (string, error) {
 	return sb.String(), nil
 }
 
-// measureEQTLKernel benchmarks the all-pairs scoring inner loop — the wide
-// kernel over one full 256-row block of 1000 patients against 64 Gaussian
-// phenotypes — best-of-5 in real time.
-func measureEQTLKernel(seed uint64) (EQTLPairBench, error) {
-	const patients, rows, phenos = 1000, 256, 64
-	cfg := gen.Config{Patients: patients, SNPs: rows, SNPSets: 4}
-	blk := gen.GenoBlocks(cfg, rng.New(seed), rows)[0]
-	expr := gen.ExpressionMatrix(gen.Config{Patients: patients}, rng.New(seed+1), phenos)
-	models := make([]stats.Model, expr.Rows())
-	for r := range models {
-		m, err := stats.NewModel("gaussian", expr.Phenotype(r))
-		if err != nil {
-			return EQTLPairBench{}, err
-		}
-		models[r] = m
-	}
-	kernel, err := stats.NewWideKernel(models)
-	if err != nil {
-		return EQTLPairBench{}, err
-	}
-
-	const inner = 5
-	var sink float64
-	best := math.Inf(1)
-	for rep := 0; rep < 5; rep++ {
-		start := time.Now()
-		for i := 0; i < inner; i++ {
-			kernel.BlockStats(blk, func(_ int32, _ int, score, variance float64) {
-				sink += score - variance
-			})
-		}
-		perPair := float64(time.Since(start).Nanoseconds()) / float64(inner*rows*phenos)
-		if perPair < best {
-			best = perPair
-		}
-	}
-	_ = sink
-
-	b := EQTLPairBench{Patients: patients, Rows: rows, Phenos: phenos, WideNsPerPair: best}
-	if best > 0 {
-		b.PairsPerSec = 1e9 / best
-	}
-	return b, nil
-}
-
 // runEQTL measures the all-pairs engine and asserts its claims: both join
 // strategies byte-identical at both shapes, and chaos recovery byte-identical
 // with byte-stable stripped replay logs.
@@ -238,7 +153,6 @@ func runEQTL(h *Harness, w io.Writer) error {
 		{"cartesian", assoc.Config{TopK: 50, HistBins: 512, Strategy: "cartesian", PhenoBatch: 8}},
 	}
 
-	var runs []EQTLRun
 	for _, shape := range eqtlShapes() {
 		var baseline []byte
 		t := metrics.NewTable(
@@ -258,10 +172,6 @@ func runEQTL(h *Harness, w io.Writer) error {
 			} else {
 				verdict = "DIVERGED"
 			}
-			runs = append(runs, EQTLRun{
-				Patients: shape.patients, SNPs: shape.snps, Phenos: shape.phenos,
-				Strategy: out.res.Strategy, Tested: out.res.Tested, SimSeconds: out.simSeconds,
-			})
 			t.AddRow(c.name, fmt.Sprint(out.res.Tested), metrics.FormatSeconds(out.simSeconds), verdict)
 			if verdict == "DIVERGED" {
 				t.Fprint(w)
@@ -289,60 +199,25 @@ func runEQTL(h *Harness, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("eqtl: chaos replay: %w", err)
 	}
-	chaos := EQTLChaos{
-		CleanSimSeconds:      clean.simSeconds,
-		ChaosSimSeconds:      first.simSeconds,
-		TaskRetries:          first.recovery.TaskRetries,
-		RecomputedPartitions: first.recovery.RecomputedPartitions,
-		ReportsMatch:         bytes.Equal(clean.report, first.report) && bytes.Equal(first.report, second.report),
-		ReplayStable:         first.stripped == second.stripped,
-	}
+	reportsMatch := bytes.Equal(clean.report, first.report) && bytes.Equal(first.report, second.report)
+	replayStable := first.stripped == second.stripped
 	ct := metrics.NewTable(
 		"Chaos: cartesian cross, crash/fetch 10% + node 0 lost after 5 tasks",
 		"run", "cross (sim-s)", "retries", "recomputed", "report vs clean", "stripped log")
-	ct.AddRow("clean", metrics.FormatSeconds(chaos.CleanSimSeconds), "0", "0", "baseline", "")
-	ct.AddRow("chaos", metrics.FormatSeconds(chaos.ChaosSimSeconds),
-		fmt.Sprint(chaos.TaskRetries), fmt.Sprint(chaos.RecomputedPartitions),
-		map[bool]string{true: "identical", false: "DIVERGED"}[chaos.ReportsMatch],
-		map[bool]string{true: "replay-stable", false: "UNSTABLE"}[chaos.ReplayStable])
+	ct.AddRow("clean", metrics.FormatSeconds(clean.simSeconds), "0", "0", "baseline", "")
+	ct.AddRow("chaos", metrics.FormatSeconds(first.simSeconds),
+		fmt.Sprint(first.recovery.TaskRetries), fmt.Sprint(first.recovery.RecomputedPartitions),
+		map[bool]string{true: "identical", false: "DIVERGED"}[reportsMatch],
+		map[bool]string{true: "replay-stable", false: "UNSTABLE"}[replayStable])
 	ct.Fprint(w)
 
-	kernel, err := measureEQTLKernel(h.Seed)
-	if err != nil {
-		return fmt.Errorf("eqtl: kernel bench: %w", err)
-	}
-	kt := metrics.NewTable(
-		fmt.Sprintf("Pair kernel: %d patients x %d rows x %d phenotypes per block",
-			kernel.Patients, kernel.Rows, kernel.Phenos),
-		"inner loop", "ns/pair", "pairs/s")
-	kt.AddRow("wide multi-phenotype", fmt.Sprintf("%.1f", kernel.WideNsPerPair),
-		fmt.Sprintf("%.2fM", kernel.PairsPerSec/1e6))
-	kt.Fprint(w)
-
-	if h.EQTLJSON != "" {
-		blob, err := json.MarshalIndent(map[string]any{
-			"experiment": "eqtl",
-			"scale":      eqtlScale,
-			"runs":       runs,
-			"chaos":      chaos,
-			"kernel":     kernel,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(h.EQTLJSON, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", h.EQTLJSON)
-	}
-
-	if !chaos.ReportsMatch {
+	if !reportsMatch {
 		return fmt.Errorf("eqtl: chaos report diverged from the clean run")
 	}
-	if chaos.TaskRetries+chaos.RecomputedPartitions == 0 {
+	if first.recovery.TaskRetries+first.recovery.RecomputedPartitions == 0 {
 		return fmt.Errorf("eqtl: chaos profile injected no faults (0 retries, 0 recomputed partitions) — the recovery claim is vacuous")
 	}
-	if !chaos.ReplayStable {
+	if !replayStable {
 		return fmt.Errorf("eqtl: stripped event logs differ across seeded chaos replays")
 	}
 	return nil

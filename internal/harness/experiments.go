@@ -61,12 +61,11 @@ func Experiments() []Experiment {
 		{ID: "fig6", Title: "Figure 6 + Table VI: strong scaling, 1M SNPs", Run: runFig6},
 		{ID: "fig7", Title: "Figure 7 + Tables VII-VIII: container auto-tuning, 1M SNPs", Run: runFig7},
 		{ID: "chaos", Title: "Chaos: lineage recovery under node loss and task failures", Run: runChaos},
-		{ID: "combine", Title: "Combine: shuffle bytes with and without map-side combine", Run: runCombine},
 		{ID: "serving", Title: "Serving: concurrent job throughput and latency, FIFO vs FAIR", Run: runServing},
 		{ID: "speculation", Title: "Speculation: stage wall-clock with 8x stragglers, speculative copies on/off", Run: runSpeculation},
 		{ID: "memory", Title: "Memory: sort-shuffle spill-and-complete under a capped unified pool", Run: runMemory},
 		{ID: "adaptive", Title: "Adaptive: skew splitting and partition coalescing, planner on/off", Run: runAdaptive},
-		{ID: "eqtl", Title: "EQTL: all-pairs broadcast vs cartesian parity, chaos recovery, pair throughput", Run: runEQTL},
+		{ID: "eqtl", Title: "EQTL: all-pairs broadcast vs cartesian parity, chaos recovery", Run: runEQTL},
 	}
 }
 
@@ -162,25 +161,16 @@ func runFig3(h *Harness, w io.Writer) error {
 	for _, cfg := range configs {
 		base := tunedContainers(Params{
 			Patients: 1000, SNPs: cfg.snps, SNPSets: 1000, Nodes: 6, Cache: true,
-			Iterations: cfg.iters,
 		})
-		label := fmt.Sprintf("%d x %d", cfg.iters, cfg.snps)
-		if h.MaxIterations > 0 && cfg.iters > h.MaxIterations {
-			t.AddRow(label, "skipped", "skipped")
-			continue
-		}
-		row := []string{label}
+		row := []string{fmt.Sprintf("%d x %d", cfg.iters, cfg.snps)}
 		for _, method := range []string{"mc", "perm"} {
 			p := base
 			p.Method = method
-			sample := metrics.Repeat(h.reps(), func() float64 {
-				v, err := h.Measure(p)
-				if err != nil {
-					panic(err)
-				}
-				return v
-			})
-			row = append(row, metrics.FormatSeconds(sample.Mean()))
+			s, err := h.sweep(p, []int{cfg.iters})
+			if err != nil {
+				return err
+			}
+			row = append(row, cell(s, cfg.iters, true))
 		}
 		t.AddRow(row...)
 	}
@@ -345,94 +335,6 @@ func runChaos(h *Harness, w io.Writer) error {
 	}
 	if first.Fingerprint != second.Fingerprint {
 		return fmt.Errorf("chaos: identical seed produced different recovery traces")
-	}
-	return nil
-}
-
-// runCombine is the map-side-combine ablation. The measured workload is the
-// SKAT set aggregation of Algorithm 1 step 10 in isolation: per-SNP terms
-// flat-mapped onto their SNP-sets and summed per set with ReduceByKey, at
-// cluster-wide parallelism on Experiment A's 6-node cluster. With ~100
-// SNPs per set, combining on the map side collapses each map task's buckets
-// to at most one pair per set before the shuffle, so both total and remote
-// shuffled bytes shrink by roughly the SNPs-per-set factor; disabling
-// combine ships every raw pair.
-func runCombine(h *Harness, w io.Writer) error {
-	// Floored so the ablation keeps duplicate keys per map task at extreme
-	// scales — with fewer elements than partitions there is nothing to
-	// combine and the comparison degenerates.
-	snps := 100000 / h.scale()
-	if snps < 2000 {
-		snps = 2000
-	}
-	sets := snps / 100 // the paper's ~100 SNPs per set
-	type tally struct {
-		shuffle, remote, peakMat int64
-		fused                    int
-		seconds                  float64
-	}
-	measure := func(disable bool) (tally, error) {
-		ctx, err := rdd.New(rdd.Config{
-			Cluster: cluster.Config{
-				Nodes: 6, Spec: cluster.M3TwoXLarge,
-				ExecutorsPerNode: 2, CoresPerExecutor: 4,
-				MemPerExecutorGiB: 10 / float64(h.scale()),
-			},
-			Seed:                  h.Seed,
-			DisableMapSideCombine: disable,
-		})
-		if err != nil {
-			return tally{}, err
-		}
-		ids := make([]int, snps)
-		for i := range ids {
-			ids[i] = i
-		}
-		snpIDs := rdd.Parallelize(ctx, ids, ctx.DefaultParallelism()).SetSizeHint(8)
-		perSet := rdd.FlatMap(snpIDs, "bySet", func(snp int) []rdd.KV[int, float64] {
-			return []rdd.KV[int, float64]{{K: snp % sets, V: float64(snp)}}
-		}).SetSizeHint(16)
-		sums := rdd.ReduceByKey(perSet, func(x, y float64) float64 { return x + y }, 0)
-		if _, err := rdd.CollectAsMap(sums); err != nil {
-			return tally{}, err
-		}
-		var s tally
-		for _, m := range ctx.Jobs() {
-			s.shuffle += m.ShuffleBytes
-			s.remote += m.ShuffleRemoteBytes
-			if m.PeakMaterializedBytes > s.peakMat {
-				s.peakMat = m.PeakMaterializedBytes
-			}
-			if m.MaxFusedChain > s.fused {
-				s.fused = m.MaxFusedChain
-			}
-		}
-		s.seconds = ctx.VirtualTime()
-		return s, nil
-	}
-	on, err := measure(false)
-	if err != nil {
-		return err
-	}
-	off, err := measure(true)
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable(
-		fmt.Sprintf("Map-side combine ablation: SNP-set aggregation, %d SNPs onto %d sets [scale 1/%d]", snps, sets, h.scale()),
-		"metric", "combine-on", "combine-off")
-	t.AddRowf("shuffle bytes", on.shuffle, off.shuffle)
-	t.AddRowf("remote shuffle bytes", on.remote, off.remote)
-	t.AddRowf("peak materialized bytes/task", on.peakMat, off.peakMat)
-	t.AddRowf("max fused chain", on.fused, off.fused)
-	t.AddRow("runtime (sim-s)", metrics.FormatSeconds(on.seconds), metrics.FormatSeconds(off.seconds))
-	if off.remote > 0 {
-		t.AddRow("remote bytes saved by combine",
-			metrics.FormatPercent(1-float64(on.remote)/float64(off.remote)), "")
-	}
-	t.Fprint(w)
-	if on.remote >= off.remote {
-		return fmt.Errorf("combine: map-side combine did not reduce remote shuffle bytes (%d >= %d)", on.remote, off.remote)
 	}
 	return nil
 }

@@ -52,25 +52,6 @@ type Harness struct {
 	EventLogDir string
 	TraceDir    string
 
-	// SpeculationJSON, when set, makes the speculation experiment write its
-	// grid as a JSON snapshot to this path (benchtab's -json flag).
-	SpeculationJSON string
-
-	// MemoryJSON, when set, makes the memory experiment write its
-	// capped-pool measurements (spill-and-complete under a squeezed pool) as
-	// a JSON snapshot to this path (benchtab's -json flag).
-	MemoryJSON string
-
-	// AdaptiveJSON, when set, makes the adaptive-execution experiment write
-	// its skew/coalesce grid as a JSON snapshot to this path (benchtab's
-	// -json flag).
-	AdaptiveJSON string
-
-	// EQTLJSON, when set, makes the all-pairs eQTL experiment write its
-	// parity/chaos/throughput measurements as a JSON snapshot to this path
-	// (benchtab's -json flag).
-	EQTLJSON string
-
 	// extraListeners are attached to every run in addition to the
 	// EventLogDir/TraceDir observers; experiments use it to probe per-task
 	// metrics (the memory experiment's buffer high-water mark).
@@ -120,10 +101,6 @@ type Params struct {
 	Cache      bool
 	DiskSpill  bool // persist RDD U at MEMORY_AND_DISK instead of MEMORY_ONLY
 	Iterations int
-
-	// NoMapSideCombine disables map-side combining in ReduceByKey (the
-	// `combine` ablation experiment).
-	NoMapSideCombine bool
 
 	// MemCapBytes, when positive, overrides the scaled executor memory with
 	// an absolute per-executor cap in bytes — the memory experiment's pool
@@ -229,13 +206,12 @@ func (h *Harness) run(p Params, faults rdd.FaultProfile) (_ *rdd.Context, _ *cor
 		// Scheduling overheads scale with the data so the overhead-to-work
 		// ratio of the paper's regime is preserved; at Scale=1 these are the
 		// engine defaults.
-		SchedOverheadSec:      0.004 / scale,
-		StageOverheadSec:      0.05 / scale,
-		Seed:                  h.Seed,
-		Faults:                faults,
-		DisableMapSideCombine: p.NoMapSideCombine,
-		Workers:               workers,
-		Listeners:             observers,
+		SchedOverheadSec: 0.004 / scale,
+		StageOverheadSec: 0.05 / scale,
+		Seed:             h.Seed,
+		Faults:           faults,
+		Workers:          workers,
+		Listeners:        observers,
 	})
 	if err != nil {
 		return nil, nil, err

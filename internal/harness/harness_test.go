@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -114,7 +116,7 @@ func TestRegistryCoversEveryArtifact(t *testing.T) {
 	for _, e := range Experiments() {
 		ids = append(ids, e.ID)
 	}
-	want := "tab1 fig2 fig3 fig4 fig5 fig6 fig7 chaos combine serving speculation memory adaptive eqtl"
+	want := "tab1 fig2 fig3 fig4 fig5 fig6 fig7 chaos serving speculation memory adaptive eqtl"
 	if got := strings.Join(ids, " "); got != want {
 		t.Errorf("experiments = %q, want %q", got, want)
 	}
@@ -231,6 +233,18 @@ func TestFig3RunsAtTinyScale(t *testing.T) {
 	if !strings.Contains(buf.String(), "skipped") {
 		// With MaxIterations 4 the 1000- and 100-iteration configs skip.
 		t.Fatalf("fig3 output did not honour the iteration cap:\n%s", buf.String())
+	}
+}
+
+// TestFig3ReturnsMeasureError pins that a failing run surfaces as fig3's
+// error like every other experiment's, not as a panic out of the sample loop.
+func TestFig3ReturnsMeasureError(t *testing.T) {
+	h := tiny()
+	h.MaxIterations = 10 // admit the 10-iteration configuration
+	h.EventLogDir = filepath.Join(t.TempDir(), "missing")
+	e, _ := Lookup("fig3")
+	if err := e.Run(h, io.Discard); err == nil {
+		t.Fatal("fig3 succeeded though no run could open its event log")
 	}
 }
 

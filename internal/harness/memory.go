@@ -19,10 +19,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"sparkscore/internal/core"
@@ -30,18 +28,16 @@ import (
 	"sparkscore/internal/rdd"
 )
 
-// MemoryRun is one measured mode of the capped-pool grid, serialized into
-// the -json snapshot.
+// MemoryRun is one measured mode of the capped-pool grid.
 type MemoryRun struct {
-	CapBytes           int64   `json:"capBytes"`           // 0 = uncapped (scaled default)
-	Chaos              bool    `json:"chaos"`              // chaos fault profile active
-	Completed          bool    `json:"completed"`          // job finished (vs aborted)
-	Error              string  `json:"error,omitempty"`    // abort cause when !Completed
-	SimSeconds         float64 `json:"simSeconds"`         // simulated runtime
-	SpilledBytes       int64   `json:"spilledBytes"`       // encoded sorted-run bytes written
-	SpillCount         int     `json:"spillCount"`         // sorted runs written
-	TaskBufferPeak     int64   `json:"taskBufferPeak"`     // largest per-task shuffle buffer
-	ExecutionPeakBytes int64   `json:"executionPeakBytes"` // largest execution grant footprint
+	CapBytes       int64   // 0 = uncapped (scaled default)
+	Chaos          bool    // chaos fault profile active
+	Completed      bool    // job finished (vs aborted)
+	Error          string  // abort cause when !Completed
+	SimSeconds     float64 // simulated runtime
+	SpilledBytes   int64   // encoded sorted-run bytes written
+	SpillCount     int     // sorted runs written
+	TaskBufferPeak int64   // largest per-task shuffle buffer
 }
 
 // runMemoryMode executes one grid cell with a TaskEnd probe for the per-task
@@ -68,9 +64,6 @@ func (h *Harness) runMemoryMode(p Params, faults rdd.FaultProfile) (MemoryRun, *
 	for _, m := range ctx.Jobs() {
 		run.SpilledBytes += m.SpilledBytes
 		run.SpillCount += m.SpillCount
-		if m.ExecutionPeakBytes > run.ExecutionPeakBytes {
-			run.ExecutionPeakBytes = m.ExecutionPeakBytes
-		}
 		fmt.Fprintf(&fp, "%+v\n", m.WithoutMeasuredTime())
 	}
 	return run, res, fp.String(), nil
@@ -137,25 +130,6 @@ func runMemory(h *Harness, w io.Writer) error {
 	t.Fprint(w)
 	fmt.Fprintf(w, "capped replays identical: %v\n", replaysIdentical)
 	fmt.Fprintf(w, "capped report bitwise-equal to uncapped: %v\n", resultsMatch)
-
-	if h.MemoryJSON != "" {
-		blob, err := json.MarshalIndent(map[string]any{
-			"experiment":           "memory",
-			"scale":                h.scale(),
-			"workingSetBytes":      workingSet,
-			"capBytes":             cap,
-			"runs":                 runs,
-			"sortReplaysIdentical": replaysIdentical,
-			"resultsMatch":         resultsMatch,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(h.MemoryJSON, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", h.MemoryJSON)
-	}
 
 	if !first.Completed {
 		return fmt.Errorf("memory: capped run aborted: %s", first.Error)

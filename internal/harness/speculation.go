@@ -15,11 +15,9 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 
 	"sparkscore/internal/cluster"
@@ -27,16 +25,15 @@ import (
 	"sparkscore/internal/rdd"
 )
 
-// SpecRow is one measured cell of the speculation grid, serialized into the
-// -json snapshot.
+// SpecRow is one measured cell of the speculation grid.
 type SpecRow struct {
-	Straggler           bool    `json:"straggler"`
-	Speculation         bool    `json:"speculation"`
-	StageSeconds        float64 `json:"stageSeconds"`
-	P99TaskSeconds      float64 `json:"p99TaskSeconds"`
-	SpeculatedTasks     int     `json:"speculatedTasks"`
-	SpeculationWonTasks int     `json:"speculationWonTasks"`
-	KilledTasks         int     `json:"killedTasks"`
+	Straggler           bool
+	Speculation         bool
+	StageSeconds        float64
+	P99TaskSeconds      float64
+	SpeculatedTasks     int
+	SpeculationWonTasks int
+	KilledTasks         int
 }
 
 const (
@@ -150,21 +147,6 @@ func runSpeculation(h *Harness, w io.Writer) error {
 	}
 	t.AddRow("", "mitigation", fmt.Sprintf("%.2fx", ratio), "", "", "", "")
 	t.Fprint(w)
-
-	if h.SpeculationJSON != "" {
-		blob, err := json.MarshalIndent(map[string]any{
-			"experiment":               "speculation",
-			"rows":                     rows,
-			"stragglerMitigationRatio": ratio,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(h.SpeculationJSON, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", h.SpeculationJSON)
-	}
 
 	clean := cellFor(false, false)
 	quiet := cellFor(false, true)

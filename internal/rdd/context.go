@@ -42,55 +42,12 @@ type Config struct {
 	// spill points under a capped memory pool shared by concurrent tasks).
 	Workers int
 
-	// Cost model. Zero values select the defaults noted per field.
+	// Cost model. Zero values select the defaults noted per field; the
+	// bandwidths and memory fractions the model also uses are constants (see
+	// taskBaseDuration and newMemoryManager).
 	CPUScale         float64 // simulated seconds per measured compute second (1.0)
 	SchedOverheadSec float64 // per-task launch/serialisation overhead (0.004)
 	StageOverheadSec float64 // per-stage DAG/committer overhead (0.05)
-	DiskMBps         float64 // local disk bandwidth per task (100)
-	NetMBps          float64 // network bandwidth per task (120)
-	MemGBps          float64 // memory bandwidth for local cache reads (8)
-
-	// ParseMBps is the simulated end-to-end throughput of the text-ingestion
-	// pipeline (HDFS text → line split → boxed records), charged per task on
-	// DFS bytes read. The default of 0.25 MB/s per task is calibrated from
-	// the paper itself: its observed-statistic computation over a ~200 MB,
-	// 2-block genotype file took 509 s (Table III, 0 iterations), i.e.
-	// ~0.25 MB/s per active task on 2015-era JVM Spark — three orders of
-	// magnitude slower than its cached-primitive arithmetic. Modelling the
-	// two costs separately is what makes cache-versus-recompute shapes
-	// reproduce. Set a large value to neutralise.
-	ParseMBps float64
-
-	// MemoryFraction is the share of executor memory forming the unified
-	// storage+execution pool, the analogue of spark.memory.fraction. Zero
-	// selects 1.0 rather than Spark's 0.6: Spark reserves the rest for user
-	// data structures on the JVM heap, which the simulation does not model.
-	MemoryFraction float64
-
-	// StorageFraction is the share of the unified pool reserved for cached
-	// blocks, as in Spark's unified memory model (spark.memory.storageFraction,
-	// 0.6 here). The remainder is execution memory: sort-shuffle buffers and
-	// reduce-side merges draw on it through the memory manager, and tasks
-	// whose working set exceeds their per-slot share of it are charged spill
-	// I/O. Unlike Spark the storage region is a hard cap, not a floor — see
-	// memorymanager.go for why.
-	StorageFraction float64
-
-	// CompressSpills deflate-compresses spilled run files. Off by default:
-	// the simulation holds spill payloads in host memory, so compression
-	// trades host CPU for nothing unless host memory is the constraint.
-	CompressSpills bool
-
-	// DisableMapSideCombine makes ReduceByKey (and CountByKey on top of it)
-	// shuffle raw pairs instead of combining per bucket on the map side. It
-	// exists for the ablation benchmark quantifying what map-side combine
-	// saves in shuffled bytes.
-	DisableMapSideCombine bool
-
-	// DisableLocality makes the task scheduler ignore placement preferences
-	// (cached block holders, HDFS replica nodes). It exists for the ablation
-	// benchmark quantifying what locality-aware scheduling buys.
-	DisableLocality bool
 
 	// TaskMaxFailures is the number of times one task may fail before the
 	// job aborts with a TaskAbortedError — Spark's task.maxFailures. Zero
@@ -152,24 +109,6 @@ func (c Config) withDefaults() Config {
 	if c.StageOverheadSec == 0 {
 		c.StageOverheadSec = 0.05
 	}
-	if c.DiskMBps == 0 {
-		c.DiskMBps = 100
-	}
-	if c.NetMBps == 0 {
-		c.NetMBps = 120
-	}
-	if c.MemGBps == 0 {
-		c.MemGBps = 8
-	}
-	if c.ParseMBps == 0 {
-		c.ParseMBps = 0.25
-	}
-	if c.MemoryFraction == 0 {
-		c.MemoryFraction = 1.0
-	}
-	if c.StorageFraction == 0 {
-		c.StorageFraction = 0.6
-	}
 	if c.TaskMaxFailures == 0 {
 		c.TaskMaxFailures = 4
 	}
@@ -192,7 +131,6 @@ type Context struct {
 	fs      *dfs.FS
 	blocks  *memoryManager
 	shuffle *shuffleManager
-	r       *rng.RNG
 
 	// faults is the dedicated fault-injection stream; it is split per
 	// decision point and never advanced, so draws are order-insensitive.
@@ -269,12 +207,6 @@ type failurePlan struct {
 // validate rejects configurations that can only be mistakes, before any of
 // their values feed a probability draw or a slot computation.
 func (c Config) validate() error {
-	if c.MemoryFraction < 0 || c.MemoryFraction > 1 {
-		return fmt.Errorf("rdd: Config.MemoryFraction = %g is not a fraction (want (0,1], or 0 for the default)", c.MemoryFraction)
-	}
-	if c.StorageFraction < 0 || c.StorageFraction > 1 {
-		return fmt.Errorf("rdd: Config.StorageFraction = %g is not a fraction (want (0,1], or 0 for the default)", c.StorageFraction)
-	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
@@ -303,7 +235,6 @@ func New(cfg Config) (*Context, error) {
 		cluster:        cl,
 		fs:             fs,
 		shuffle:        newShuffleManager(),
-		r:              rng.New(cfg.Seed ^ 0xc7a5),
 		faults:         rng.New(cfg.Seed ^ 0xfa17),
 		execFailures:   map[int]int{},
 		excluded:       map[int]bool{},
@@ -323,7 +254,7 @@ func New(cfg Config) (*Context, error) {
 			ctx.bus.add(l)
 		}
 	}
-	ctx.blocks = newMemoryManager(cl, cfg.MemoryFraction, cfg.StorageFraction)
+	ctx.blocks = newMemoryManager(cl, memoryFraction, storageFraction)
 	ctx.shuffle.mem = ctx.blocks
 	ctx.shuffle.fs = fs
 	for _, nl := range cfg.Faults.NodeLoss {
@@ -525,5 +456,5 @@ func (c *Context) chargeBroadcast() float64 {
 	for n := 1; n < execs; n *= 2 {
 		rounds++
 	}
-	return float64(bytes) / (c.cfg.NetMBps * 1e6) * rounds
+	return float64(bytes) / (netMBps * 1e6) * rounds
 }

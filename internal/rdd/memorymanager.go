@@ -13,14 +13,14 @@
 //     from whatever the unified pool has left after storage and earlier
 //     grants.
 //
-// The pool is Config.MemoryFraction of executor memory; the storage region is
-// Config.StorageFraction of the pool. Two deliberate divergences from Spark's
-// exact borrow rules, both documented in DESIGN.md §9d:
+// The pool is memoryFraction of executor memory; the storage region is
+// storageFraction of the pool. Two deliberate divergences from Spark's exact
+// borrow rules, both documented in DESIGN.md §9.4:
 //
 //   - Storage never borrows idle execution memory: the storage region is a
 //     hard cap, not a floor. The paper's cache-capacity experiments
 //     (Figures 4–6) calibrate working set against a fixed storage capacity of
-//     StorageFraction × memory; borrowing would dissolve the capacity cliff
+//     storageFraction × memory; borrowing would dissolve the capacity cliff
 //     they measure.
 //   - Execution under pressure may evict cached blocks below the storage
 //     region (Spark only reclaims storage's borrowed excess). Cached blocks
@@ -68,8 +68,8 @@ const (
 )
 
 type executorStore struct {
-	pool       int64      // unified memory: MemBytes × MemoryFraction
-	storageCap int64      // storage region: pool × StorageFraction (hard cap)
+	pool       int64      // unified memory: MemBytes × memoryFraction
+	storageCap int64      // storage region: pool × storageFraction (hard cap)
 	used       int64      // storage bytes held by in-memory blocks
 	execUsed   int64      // execution bytes currently granted
 	lru        *list.List // front = most recent; values are *block
@@ -99,17 +99,34 @@ type memoryManager struct {
 	shuffleResident map[int]int64
 }
 
-func newMemoryManager(cl *cluster.Cluster, memoryFraction, storageFraction float64) *memoryManager {
+const (
+	// memoryFraction is the share of executor memory forming the unified
+	// storage+execution pool, the analogue of spark.memory.fraction. It is 1.0
+	// rather than Spark's 0.6: Spark reserves the rest for user data
+	// structures on the JVM heap, which the simulation does not model.
+	memoryFraction = 1.0
+
+	// storageFraction is the share of the unified pool reserved for cached
+	// blocks (spark.memory.storageFraction). The remainder is execution
+	// memory: sort-shuffle buffers and reduce-side merges draw on it through
+	// the memory manager, and tasks whose working set exceeds their per-slot
+	// share of it are charged spill I/O.
+	storageFraction = 0.6
+)
+
+// newMemoryManager sizes every executor's pool and storage region; a Context
+// passes the two constants above, unit tests pass small pools.
+func newMemoryManager(cl *cluster.Cluster, poolShare, storageShare float64) *memoryManager {
 	mm := &memoryManager{
 		stores:          map[int]*executorStore{},
 		index:           map[blockKey]*block{},
 		shuffleResident: map[int]int64{},
 	}
 	for _, e := range cl.Executors() {
-		pool := int64(float64(e.MemBytes) * memoryFraction)
+		pool := int64(float64(e.MemBytes) * poolShare)
 		mm.stores[e.ID] = &executorStore{
 			pool:       pool,
-			storageCap: int64(float64(pool) * storageFraction),
+			storageCap: int64(float64(pool) * storageShare),
 			lru:        list.New(),
 		}
 	}

@@ -630,24 +630,6 @@ func (c *Context) noteTaskFailure(executor int) *ExecutorExcluded {
 // executor overall, breaking ties by id for determinism. If exclusion has
 // disqualified every live executor, it yields to liveness. Caller holds c.mu.
 func (c *Context) placeLocked(preferred []int, loads map[int]int) int {
-	if c.cfg.DisableLocality {
-		// Ignore preferences and place uniformly at random (deterministic in
-		// the context seed): without delay scheduling, where a task lands has
-		// no relation to where its data lives.
-		live := c.cluster.LiveExecutors()
-		cands := make([]int, 0, len(live))
-		for _, id := range live {
-			if !c.excluded[id] {
-				cands = append(cands, id)
-			}
-		}
-		if len(cands) == 0 {
-			cands = live
-		}
-		id := cands[c.r.Intn(len(cands))]
-		loads[id]++
-		return id
-	}
 	pick := func(cands []int, honourExclusion bool) (int, bool) {
 		best, bestLoad := -1, int(^uint(0)>>1)
 		for _, id := range cands {
@@ -684,19 +666,38 @@ func (c *Context) taskDuration(t *task) float64 {
 	return c.taskBaseDuration(t) * c.stragglerSlowdown(t.tc)
 }
 
+// The cost model's fixed rates, in the units their names carry.
+const (
+	diskMBps = 100 // local disk bandwidth per task
+	netMBps  = 120 // network bandwidth per task
+	memGBps  = 8   // memory bandwidth for local cache reads
+
+	// parseMBps is the simulated end-to-end throughput of the text-ingestion
+	// pipeline (HDFS text → line split → boxed records), charged per task on
+	// DFS bytes read. 0.25 MB/s per task is calibrated from the paper itself:
+	// its observed-statistic computation over a ~200 MB, 2-block genotype
+	// file took 509 s (Table III, 0 iterations), i.e. ~0.25 MB/s per active
+	// task on 2015-era JVM Spark — three orders of magnitude slower than its
+	// cached-primitive arithmetic. Modelling the two costs separately is what
+	// makes cache-versus-recompute shapes reproduce.
+	parseMBps = 0.25
+)
+
 // taskBaseDuration is taskDuration before the straggler slowdown — the
 // duration the task would have run at the stage's normal rate, which is what
 // a speculative copy of it runs at on another executor.
 func (c *Context) taskBaseDuration(t *task) float64 {
 	cfg := c.cfg
 	tc := t.tc
-	diskBps := cfg.DiskMBps * 1e6
-	netBps := cfg.NetMBps * 1e6
-	memBps := cfg.MemGBps * 1e9
+	const (
+		diskBps = diskMBps * 1e6
+		netBps  = netMBps * 1e6
+		memBps  = memGBps * 1e9
+	)
 
 	dur := cfg.SchedOverheadSec +
 		t.computeSec*cfg.CPUScale +
-		float64(tc.dfsLocalBytes+tc.dfsRemoteBytes)/(cfg.ParseMBps*1e6) +
+		float64(tc.dfsLocalBytes+tc.dfsRemoteBytes)/(parseMBps*1e6) +
 		float64(tc.dfsLocalBytes)/diskBps +
 		float64(tc.dfsRemoteBytes)/netBps +
 		float64(tc.shuffleLocalBytes)/diskBps +
@@ -714,7 +715,7 @@ func (c *Context) taskBaseDuration(t *task) float64 {
 	// manager actually denied; this heuristic covers narrow-stage working
 	// sets the manager never sees.)
 	exec := c.cluster.Executor(t.executor)
-	execMemPerSlot := float64(exec.MemBytes) * cfg.MemoryFraction * (1 - cfg.StorageFraction) / float64(exec.Cores)
+	execMemPerSlot := float64(exec.MemBytes) * memoryFraction * (1 - storageFraction) / float64(exec.Cores)
 	if ws := float64(tc.workBytes()); ws > execMemPerSlot {
 		dur += 2 * (ws - execMemPerSlot) / diskBps
 	}

@@ -14,8 +14,7 @@
 // materialised as one slice. For ReduceByKey/CountByKey an unspilled buffer
 // is combined per (bucket, key) before it is registered (Spark's map-side
 // combine), shrinking shuffled bytes to one pair per (bucket, key) before the
-// fetch; Config.DisableMapSideCombine ablates this for the `combine`
-// benchmark experiment.
+// fetch.
 
 package rdd
 
@@ -432,11 +431,7 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], combine func(V, V) V, pa
 	sd := &shuffleDep{id: ctx.newShuffleID(), parent: parent, parts: parts}
 	sd.subFetch = makeSubFetch[K, V](ctx, sd)
 	sd.runMap = func(tc *taskContext, mapPart int) {
-		mapCombine := combine
-		if ctx.cfg.DisableMapSideCombine {
-			mapCombine = nil
-		}
-		runSortMap(ctx, tc, sd, mapPart, seqOf[KV[K, V]](parent.iterate(tc, mapPart)), parent.bytesPerElem, mapCombine)
+		runSortMap(ctx, tc, sd, mapPart, seqOf[KV[K, V]](parent.iterate(tc, mapPart)), parent.bytesPerElem, combine)
 	}
 	n := newTypedNode[KV[K, V]](ctx, fmt.Sprintf("reduceByKey(%s)", parent.name), parts)
 	n.shuffleIn = []*shuffleDep{sd}
@@ -451,12 +446,6 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], combine func(V, V) V, pa
 			}
 		}
 		for bucketSeq := range shuffleBucketSeqs[K, V](ctx, tc, sd, p, parent.parts) {
-			if ctx.cfg.DisableMapSideCombine {
-				for kv := range bucketSeq {
-					fold(merged, kv.K, kv.V)
-				}
-				continue
-			}
 			// Replay the map-side combine over this map output's pairs — an
 			// already-combined resident bucket passes through unchanged, raw
 			// spilled pairs get combined here — then fold the per-output

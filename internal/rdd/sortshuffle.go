@@ -9,10 +9,9 @@
 // Reproducibility contract. Shuffle results are bitwise identical whether or
 // not memory pressure forced spilling, and equal to a sequential fold of the
 // input in (map partition, arrival) order: per map output first, then across
-// map outputs in partition order, for a combining ReduceByKey; one flat fold
-// for GroupByKey, Join and the combine-disabled ablation
-// (TestSortShuffleMatchesSequentialFold writes that fold out). Float addition
-// is not bitwise-associative, so two rules follow:
+// map outputs in partition order, for ReduceByKey; in one flat sequence for
+// GroupByKey and Join (TestSortShuffleMatchesSequentialFold writes both out).
+// Float addition is not bitwise-associative, so two rules follow:
 //
 //   - Runs carry raw pairs with their arrival indices, never partial
 //     aggregates; the reduce side replays the map-side combine per map
@@ -26,12 +25,10 @@ package rdd
 
 import (
 	"bytes"
-	"compress/flate"
 	"container/heap"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"iter"
 	"sort"
 )
@@ -48,11 +45,10 @@ type spillRec[K comparable, V any] struct {
 // shuffleRun is one spilled run: a key-sorted, partition-grouped file on the
 // DFS plus the in-memory index locating each reduce partition's frame.
 type shuffleRun struct {
-	file       string
-	offs       []int64 // payload offset per reduce partition
-	lens       []int64 // payload length per reduce partition (0 = empty)
-	elems      []int   // pair count per reduce partition
-	compressed bool
+	file  string
+	offs  []int64 // payload offset per reduce partition
+	lens  []int64 // payload length per reduce partition (0 = empty)
+	elems []int   // pair count per reduce partition
 }
 
 // spillEvery is how many appended pairs the buffer admits between memory
@@ -133,10 +129,9 @@ func (b *sortBuffer[K, V]) spill() {
 	})
 
 	run := &shuffleRun{
-		offs:       make([]int64, parts),
-		lens:       make([]int64, parts),
-		elems:      make([]int, parts),
-		compressed: tc.ctx.cfg.CompressSpills,
+		offs:  make([]int64, parts),
+		lens:  make([]int64, parts),
+		elems: make([]int, parts),
 	}
 	var file bytes.Buffer
 	i := 0
@@ -147,7 +142,7 @@ func (b *sortBuffer[K, V]) spill() {
 			recs = append(recs, spillRec[K, V]{A: b.arrivalBase + int64(e.idx), K: b.pairs[e.idx].K, V: b.pairs[e.idx].V})
 		}
 		run.elems[p] = len(recs)
-		payload := encodeRunFrame(recs, run.compressed)
+		payload := encodeRunFrame(recs)
 		var hdr [8]byte
 		binary.BigEndian.PutUint64(hdr[:], uint64(len(payload)))
 		file.Write(hdr[:])
@@ -175,21 +170,12 @@ func (b *sortBuffer[K, V]) spill() {
 	b.pairs = nil
 }
 
-// encodeRunFrame gob-encodes one partition's records, deflating when asked.
-// An unencodable element type is a programming error worth a clear panic.
-func encodeRunFrame[K comparable, V any](recs []spillRec[K, V], compress bool) []byte {
+// encodeRunFrame gob-encodes one partition's records. An unencodable element
+// type is a programming error worth a clear panic.
+func encodeRunFrame[K comparable, V any](recs []spillRec[K, V]) []byte {
 	var buf bytes.Buffer
-	var w io.Writer = &buf
-	var fw *flate.Writer
-	if compress {
-		fw, _ = flate.NewWriter(&buf, flate.BestSpeed)
-		w = fw
-	}
-	if err := gob.NewEncoder(w).Encode(recs); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
 		panic(fmt.Sprintf("rdd: shuffle spill cannot gob-encode %T: %v", recs, err))
-	}
-	if fw != nil {
-		fw.Close()
 	}
 	return buf.Bytes()
 }
@@ -268,19 +254,15 @@ func (h *runHeap[K, V]) Push(x any)        { *h = append(*h, x.(*runCursor[K, V]
 func (h *runHeap[K, V]) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // decodeFrameBytes decodes one reduce partition's frame out of a run file's
-// raw bytes: bounds-check the index against the file, inflate if compressed,
-// gob-decode. It returns an error — never panics — on truncated or corrupt
-// input, however mangled; the fuzz target FuzzDecodeFrameBytes pins that.
-func decodeFrameBytes[K comparable, V any](raw []byte, off, length int64, compressed bool) ([]spillRec[K, V], error) {
+// raw bytes: bounds-check the index against the file, then gob-decode. It
+// returns an error — never panics — on truncated or corrupt input, however
+// mangled; the fuzz target FuzzDecodeFrameBytes pins that.
+func decodeFrameBytes[K comparable, V any](raw []byte, off, length int64) ([]spillRec[K, V], error) {
 	if off < 0 || length < 0 || off > int64(len(raw)) || length > int64(len(raw))-off {
 		return nil, fmt.Errorf("frame [%d:+%d] out of bounds of %d-byte run file", off, length, len(raw))
 	}
-	var r io.Reader = bytes.NewReader(raw[off : off+length])
-	if compressed {
-		r = flate.NewReader(r)
-	}
 	var recs []spillRec[K, V]
-	if err := gob.NewDecoder(r).Decode(&recs); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(raw[off : off+length])).Decode(&recs); err != nil {
 		return nil, fmt.Errorf("decoding frame [%d:+%d]: %w", off, length, err)
 	}
 	return recs, nil
@@ -305,7 +287,7 @@ func decodeRunFrame[K comparable, V any](tc *taskContext, shuffle, mapPart int, 
 	if err != nil {
 		fail()
 	}
-	recs, err := decodeFrameBytes[K, V](raw, run.offs[reducePart], run.lens[reducePart], run.compressed)
+	recs, err := decodeFrameBytes[K, V](raw, run.offs[reducePart], run.lens[reducePart])
 	if err != nil {
 		fail()
 	}

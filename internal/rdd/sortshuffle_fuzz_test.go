@@ -21,17 +21,16 @@ func fuzzFrameRecs() []spillRec[int, int] {
 }
 
 func FuzzDecodeFrameBytes(f *testing.F) {
-	plain := encodeRunFrame(fuzzFrameRecs(), false)
-	packed := encodeRunFrame(fuzzFrameRecs(), true)
-	f.Add(plain, int64(0), int64(len(plain)), false)
-	f.Add(packed, int64(0), int64(len(packed)), true)
-	f.Add(plain, int64(0), int64(len(plain)), true)                   // wrong compression flag
-	f.Add(plain[:len(plain)/2], int64(0), int64(len(plain)/2), false) // truncated
-	f.Add(plain, int64(-1), int64(4), false)                          // negative offset
-	f.Add(plain, int64(3), int64(1)<<40, true)                        // length past EOF
-	f.Add([]byte{}, int64(0), int64(0), false)
-	f.Fuzz(func(t *testing.T, raw []byte, off, length int64, compressed bool) {
-		recs, err := decodeFrameBytes[int, int](raw, off, length, compressed)
+	plain := encodeRunFrame(fuzzFrameRecs())
+	f.Add(plain, int64(0), int64(len(plain)))
+	f.Add(plain, int64(5), int64(len(plain)-5))                // offset inside the frame
+	f.Add(plain, int64(len(plain)), int64(0))                  // empty frame at EOF
+	f.Add(plain[:len(plain)/2], int64(0), int64(len(plain)/2)) // truncated
+	f.Add(plain, int64(-1), int64(4))                          // negative offset
+	f.Add(plain, int64(3), int64(1)<<40)                       // length past EOF
+	f.Add([]byte{}, int64(0), int64(0))
+	f.Fuzz(func(t *testing.T, raw []byte, off, length int64) {
+		recs, err := decodeFrameBytes[int, int](raw, off, length)
 		if err != nil && recs != nil {
 			t.Fatalf("error %v returned alongside %d records", err, len(recs))
 		}
@@ -39,24 +38,22 @@ func FuzzDecodeFrameBytes(f *testing.F) {
 }
 
 // TestDecodeFrameBytesRoundTrip pins the happy path the fuzz target cannot
-// reach by mutation alone: encode -> decode is the identity for both
-// compression modes, and out-of-range indices fail cleanly.
+// reach by mutation alone: encode -> decode is the identity, and out-of-range
+// indices fail cleanly.
 func TestDecodeFrameBytesRoundTrip(t *testing.T) {
 	want := fuzzFrameRecs()
-	for _, compress := range []bool{false, true} {
-		raw := encodeRunFrame(want, compress)
-		got, err := decodeFrameBytes[int, int](raw, 0, int64(len(raw)), compress)
-		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("compress=%v: round trip changed records: %+v -> %+v", compress, want, got)
-		}
-		if _, err := decodeFrameBytes[int, int](raw, int64(len(raw)), 1, compress); err == nil {
-			t.Fatalf("compress=%v: frame past EOF decoded without error", compress)
-		}
-		if _, err := decodeFrameBytes[int, int](raw, -1, int64(len(raw)), compress); err == nil {
-			t.Fatalf("compress=%v: negative offset decoded without error", compress)
-		}
+	raw := encodeRunFrame(want)
+	got, err := decodeFrameBytes[int, int](raw, 0, int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip changed records: %+v -> %+v", want, got)
+	}
+	if _, err := decodeFrameBytes[int, int](raw, int64(len(raw)), 1); err == nil {
+		t.Fatal("frame past EOF decoded without error")
+	}
+	if _, err := decodeFrameBytes[int, int](raw, -1, int64(len(raw))); err == nil {
+		t.Fatal("negative offset decoded without error")
 	}
 }

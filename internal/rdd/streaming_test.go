@@ -163,44 +163,44 @@ func TestFusedChainChaosFingerprint(t *testing.T) {
 	})
 }
 
-// TestMapSideCombineReducesShuffle pins the combine ablation at the engine
-// level: the same ReduceByKey job shuffles fewer bytes with map-side combine
-// (the default) than without, and both agree on the result.
+// TestMapSideCombineReducesShuffle pins what map-side combine saves, exactly:
+// ReduceByKey ships one pair per (map partition, key) however many pairs went
+// in, while GroupByKey over the same pairs — which cannot combine — ships
+// every one.
 func TestMapSideCombineReducesShuffle(t *testing.T) {
-	run := func(disable bool) (map[int]int, int64) {
-		c, err := New(Config{
-			Cluster:               cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
-			Seed:                  7,
-			DisableMapSideCombine: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs := Map(Parallelize(c, seq(9000), 12), "key", func(x int) KV[int, int] {
-			return KV[int, int]{K: x % 10, V: 1}
-		})
-		got, err := CollectAsMap(ReduceByKey(pairs, func(a, b int) int { return a + b }, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var shuffled int64
+	const n, mapParts, keys = 9000, 12, 10
+	c, err := New(Config{Cluster: cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge}, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := Map(Parallelize(c, seq(n), mapParts), "key", func(x int) KV[int, int] {
+		return KV[int, int]{K: x % keys, V: 1}
+	})
+	shuffled := func() (total int64) {
 		for _, m := range c.Jobs() {
-			shuffled += m.ShuffleBytes
+			total += m.ShuffleBytes
 		}
-		return got, shuffled
+		return total
 	}
-	combined, withBytes := run(false)
-	raw, withoutBytes := run(true)
-	if fmt.Sprint(combined) != fmt.Sprint(raw) {
-		t.Fatalf("combine changed the result: %v vs %v", combined, raw)
+	sums, err := CollectAsMap(ReduceByKey(pairs, func(a, b int) int { return a + b }, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if withBytes >= withoutBytes {
-		t.Fatalf("map-side combine did not reduce shuffle bytes: %d >= %d", withBytes, withoutBytes)
-	}
-	for k, v := range combined {
-		if v != 900 {
-			t.Fatalf("key %d summed to %d, want 900", k, v)
+	for k, v := range sums {
+		if v != n/keys {
+			t.Fatalf("key %d summed to %d, want %d", k, v, n/keys)
 		}
+	}
+	combined, perPair := shuffled(), pairs.n.bytesPerElem
+	if want := mapParts * keys * perPair; combined != want {
+		t.Fatalf("ReduceByKey shuffled %d bytes, want %d map partitions x %d keys x %d B = %d",
+			combined, mapParts, keys, perPair, want)
+	}
+	if _, err := Collect(GroupByKey(pairs, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if raw, want := shuffled()-combined, n*perPair; raw != want {
+		t.Fatalf("GroupByKey shuffled %d bytes, want all %d pairs x %d B = %d", raw, n, perPair, want)
 	}
 }
 

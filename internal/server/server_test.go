@@ -90,39 +90,44 @@ func post(t *testing.T, hs *httptest.Server, path string, body any) (*Response, 
 
 func TestServedScoreMatchesBatch(t *testing.T) {
 	_, hs := newTestServer(t, nil, rdd.SchedFAIR)
-	env, _ := post(t, hs, "/v1/score", map[string]any{"top": 5})
-	var payload struct {
-		SNPs []ScoreRow `json:"snps"`
-	}
-	if err := json.Unmarshal(env.Result, &payload); err != nil {
-		t.Fatal(err)
-	}
-	if len(payload.SNPs) != 5 {
-		t.Fatalf("got %d rows, want 5", len(payload.SNPs))
-	}
-
 	_, batch := newAnalysis(t, rdd.SchedulerConfig{})
 	want, err := batch.MarginalAsymptotic()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range payload.SNPs {
-		found := false
-		for _, m := range want {
-			if m.SNP == row.SNP {
-				found = true
-				if m.Score != row.Score || m.Variance != row.Variance || m.PValue != row.PValue {
-					t.Errorf("SNP %d: served (%v,%v,%v) != batch (%v,%v,%v)",
-						row.SNP, row.Score, row.Variance, row.PValue, m.Score, m.Variance, m.PValue)
-				}
+	bySNP := map[int]core.MarginalResult{}
+	for _, m := range want {
+		bySNP[m.SNP] = m
+	}
+	for _, c := range []struct {
+		body map[string]any
+		rows int
+	}{
+		{map[string]any{"top": 5}, 5},
+		{map[string]any{}, len(want)}, // no top means every SNP, not a default page
+	} {
+		env, _ := post(t, hs, "/v1/score", c.body)
+		var payload struct {
+			SNPs []ScoreRow `json:"snps"`
+		}
+		if err := json.Unmarshal(env.Result, &payload); err != nil {
+			t.Fatal(err)
+		}
+		if len(payload.SNPs) != c.rows {
+			t.Fatalf("%v: got %d rows, want %d", c.body, len(payload.SNPs), c.rows)
+		}
+		for _, row := range payload.SNPs {
+			m, ok := bySNP[row.SNP]
+			if !ok {
+				t.Errorf("%v: served SNP %d not in batch results", c.body, row.SNP)
+			} else if m.Score != row.Score || m.Variance != row.Variance || m.PValue != row.PValue {
+				t.Errorf("%v: SNP %d: served (%v,%v,%v) != batch (%v,%v,%v)", c.body,
+					row.SNP, row.Score, row.Variance, row.PValue, m.Score, m.Variance, m.PValue)
 			}
 		}
-		if !found {
-			t.Errorf("served SNP %d not in batch results", row.SNP)
+		if env.Jobs == 0 {
+			t.Errorf("%v: score request reported zero jobs", c.body)
 		}
-	}
-	if env.Jobs == 0 {
-		t.Error("score request reported zero jobs")
 	}
 }
 
@@ -160,31 +165,73 @@ func TestServedSKATMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestServedResampleMatchesBatch serves Monte Carlo resampling on a
+// single-slot, no-queue pool twice: on a fresh server, and after a request
+// whose timeout_ms elapsed mid-job. The timed-out request must be answered 408
+// + Retry-After near its deadline (not when the job would have finished), and
+// the follow-up's 200 proves the cancelled job handed its only slot back and
+// left the shared driver bit-equal to batch.
 func TestServedResampleMatchesBatch(t *testing.T) {
-	_, hs := newTestServer(t, nil, rdd.SchedFAIR)
-	env, _ := post(t, hs, "/v1/resample", map[string]any{"method": "mc", "iterations": 6})
-	var payload struct {
-		Iterations int           `json:"iterations"`
-		Sets       []ResampleSet `json:"sets"`
-	}
-	if err := json.Unmarshal(env.Result, &payload); err != nil {
-		t.Fatal(err)
-	}
-
+	pools := []PoolConfig{{Name: "tiny", MaxConcurrent: 1, MaxQueue: -1}}
+	_, hs := newTestServer(t, pools, rdd.SchedFAIR)
 	_, batch := newAnalysis(t, rdd.SchedulerConfig{})
-	want, err := batch.MonteCarlo(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if payload.Iterations != want.Iterations {
-		t.Fatalf("iterations: served %d, batch %d", payload.Iterations, want.Iterations)
-	}
-	for k, row := range payload.Sets {
-		if row.Observed != want.Observed[k] || row.Exceed != want.Exceed[k] || row.PValue != want.PValues[k] {
-			t.Errorf("set %s: served (%v,%d,%v) != batch (%v,%d,%v)", row.Name,
-				row.Observed, row.Exceed, row.PValue, want.Observed[k], want.Exceed[k], want.PValues[k])
+	matchesBatch := func(env *Response, iterations int) {
+		t.Helper()
+		var payload struct {
+			Iterations int           `json:"iterations"`
+			Sets       []ResampleSet `json:"sets"`
+		}
+		if err := json.Unmarshal(env.Result, &payload); err != nil {
+			t.Fatal(err)
+		}
+		want, err := batch.MonteCarlo(iterations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload.Iterations != want.Iterations || len(payload.Sets) != len(want.Observed) {
+			t.Fatalf("served %d iterations over %d sets, batch %d over %d",
+				payload.Iterations, len(payload.Sets), want.Iterations, len(want.Observed))
+		}
+		for k, row := range payload.Sets {
+			if row.Observed != want.Observed[k] || row.Exceed != want.Exceed[k] || row.PValue != want.PValues[k] {
+				t.Errorf("set %s: served (%v,%d,%v) != batch (%v,%d,%v)", row.Name,
+					row.Observed, row.Exceed, row.PValue, want.Observed[k], want.Exceed[k], want.PValues[k])
+			}
 		}
 	}
+
+	env, _ := post(t, hs, "/v1/resample", map[string]any{"method": "mc", "iterations": 6, "pool": "tiny"})
+	matchesBatch(env, 6)
+
+	start := time.Now()
+	_, resp := post(t, hs, "/v1/resample",
+		map[string]any{"method": "perm", "iterations": 5000, "pool": "tiny", "timeout_ms": 100})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("timed-out request got status %d, want 408", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("408 without Retry-After header")
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("408 answered after %v, want close to the 100ms deadline", elapsed)
+	}
+	// The cancelled job winds down until its next task boundary; 429s until
+	// then are expected.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		env, resp = post(t, hs, "/v1/resample", map[string]any{"method": "mc", "iterations": 4, "pool": "tiny"})
+		if env != nil {
+			break
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("follow-up on the freed pool got status %d, want 200 (or 429 while the cancelled job winds down)", resp.StatusCode)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("pool slot still busy 30s after the 408: cancelled job leaked its slot")
+		}
+	}
+	matchesBatch(env, 4)
 }
 
 func TestServedReplicateMatchesBatch(t *testing.T) {
@@ -268,6 +315,7 @@ func TestServedEQTLPaginatesAndMatchesBatch(t *testing.T) {
 		}
 		var payload struct {
 			Tested int64      `json:"tested"`
+			TopK   int        `json:"topK"`
 			FDR    EQTLFDR    `json:"fdr"`
 			Pages  int        `json:"pages"`
 			Pairs  []EQTLPair `json:"pairs"`
@@ -275,11 +323,14 @@ func TestServedEQTLPaginatesAndMatchesBatch(t *testing.T) {
 		if err := json.Unmarshal(env.Result, &payload); err != nil {
 			t.Fatal(err)
 		}
-		if payload.Tested != want.Tested {
-			t.Fatalf("page %d: tested %d, batch %d", page, payload.Tested, want.Tested)
+		if payload.Tested != want.Tested || payload.TopK != len(want.TopK) {
+			t.Fatalf("page %d: served %d tests / top-%d, batch %d / top-%d",
+				page, payload.Tested, payload.TopK, want.Tested, len(want.TopK))
 		}
-		if payload.FDR.Threshold != want.FDR.Threshold || payload.FDR.Discoveries != want.FDR.Discoveries {
-			t.Fatalf("page %d: FDR %+v, batch %+v", page, payload.FDR, want.FDR)
+		wantFDR := EQTLFDR{Alpha: want.FDR.Alpha, Bins: want.FDR.Bins,
+			Threshold: want.FDR.Threshold, Discoveries: want.FDR.Discoveries}
+		if payload.FDR != wantFDR {
+			t.Fatalf("page %d: FDR %+v, batch %+v", page, payload.FDR, wantFDR)
 		}
 		got = append(got, payload.Pairs...)
 		pages = payload.Pages
