@@ -34,20 +34,26 @@ bench:
 
 # bench-smoke proves the fused-chain benchmarks still run (allocation numbers
 # are asserted by TestFusedChainAllocsIndependentOfSize; this guards the
-# benchmark harness itself), and that the wide kernel's benchmark at the
-# eqtl_wide shape still builds its fixture and reports Mpairs/s.
+# benchmark harness itself), that the wide kernel's benchmark at the
+# eqtl_wide shape still builds its fixture and reports Mpairs/s, and that the
+# Monte Carlo panel kernel's benchmark still builds its larger-than-cache U
+# (82 MB) and reports ns/elem-replicate at b = 1 and at core's batch width.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x
+	$(GO) test ./internal/stats -run '^$$' -bench UBlockPanel -benchtime=3x
 
 # fuzz-smoke gives each native fuzz target a 10s budget on top of its checked-in
 # seed corpus (testdata/fuzz). The targets assert the GenoBlock and
-# phenotype-matrix text codecs round-trip whatever they accept and the
-# spill-frame reader returns errors instead of panicking on arbitrary bytes.
+# phenotype-matrix text codecs round-trip whatever they accept, the
+# spill-frame reader returns errors instead of panicking on arbitrary bytes,
+# and every column of the Monte Carlo panel kernel equals the scalar loop
+# bit for bit.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzGenoBlockTextRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzPhenoMatrixRoundTrip -fuzztime=10s
 	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzDecodeFrameBytes -fuzztime=10s
+	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzUBlockPanel -fuzztime=10s
 
 # cover enforces the per-package statement-coverage floors recorded in
 # coverage_baseline.txt: <package> <min-percent> per line, '#' comments

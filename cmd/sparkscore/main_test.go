@@ -47,9 +47,10 @@ func TestReportsIdenticalAcrossFlagSets(t *testing.T) {
 	}{
 		{"skat", "-generate -patients 60 -snps 300 -sets 6 -iterations 10", []variant{
 			{},
-			// A pool far below the shuffle working set: the sort shuffle must
-			// spill, and say so, without changing a digit.
-			{args: "-mem-cap-bytes 4096 -workers 1", stdout: "shuffle spills:"},
+			// A pool below the shuffle working set — one map task's
+			// 6 sets × (16 + 8·10) B of batched partial sums: the sort
+			// shuffle must spill, and say so, without changing a digit.
+			{args: "-mem-cap-bytes 512 -workers 1", stdout: "shuffle spills:"},
 			{args: "-adaptive=false"},
 			{args: "-adaptive=true"},
 		}},

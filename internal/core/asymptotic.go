@@ -7,7 +7,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -38,29 +37,20 @@ type packedRow struct {
 // their sets with a shuffle and each set's moments are computed where its rows
 // land.
 func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
-	weights, err := a.loadWeights()
-	if err != nil {
-		return nil, err
-	}
 	nullBC := a.broadcastNull(a.phenotype)
-	wBC := rdd.NewBroadcast(a.ctx, weights, int64(len(weights))*8)
 	blocks, err := a.filteredGenotypeBlocks()
 	if err != nil {
 		return nil, err
 	}
-	member := a.membership
+	index := a.index
 	patients := a.patients
 	rowBytes := int64(data.BlockRowBytes(patients))
 	bySet := rdd.FlatMap(blocks, "bySetPacked", func(b data.GenoBlock) []rdd.KV[int, packedRow] {
 		var out []rdd.KV[int, packedRow]
 		for r := 0; r < b.Rows(); r++ {
-			sets := member.Value()[int(b.SNPs[r])]
-			if len(sets) == 0 {
-				continue
-			}
 			pr := packedRow{SNP: b.SNPs[r], Bytes: b.Row(r)}
-			for _, k := range sets {
-				out = append(out, rdd.KV[int, packedRow]{K: k, V: pr})
+			for _, k := range index.Value().of(int(pr.SNP)) {
+				out = append(out, rdd.KV[int, packedRow]{K: int(k), V: pr})
 			}
 		}
 		return out
@@ -84,7 +74,7 @@ func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
 			g := make([]data.Genotype, patients)
 			stats.DecodeDosageGenotypes(pr.Bytes, g)
 			rows[i] = g
-			w[i] = wBC.Value()[pr.SNP]
+			w[i] = index.Value().weights[pr.SNP]
 		}
 		return setAsymptoticResult(statName, model, kv.K, rows, w)
 	}).SetSizeHint(48)
@@ -140,25 +130,4 @@ func burdenAsymptotic(model stats.Model, rows [][]data.Genotype, weights []float
 	observed = sum * sum
 	pvalue = stats.ChiSquaredSurvival(stats.Chi2Stat(sum, sumSq), 1)
 	return observed, pvalue
-}
-
-// loadWeights reads the per-SNP weight vector onto the driver (lazily). The
-// mutex makes the memoisation safe when the job server runs concurrent
-// analyses against one Analysis.
-func (a *Analysis) loadWeights() (data.Weights, error) {
-	a.weightsMu.Lock()
-	defer a.weightsMu.Unlock()
-	if a.weightsVec != nil {
-		return a.weightsVec, nil
-	}
-	raw, err := a.ctx.FS().ReadAll(a.weightsPath)
-	if err != nil {
-		return nil, err
-	}
-	w, err := data.ReadWeights(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	a.weightsVec = w
-	return w, nil
 }

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sparkscore/internal/cluster"
 	"sparkscore/internal/data"
 	"sparkscore/internal/rdd"
+	"sparkscore/internal/replaytest"
 	"sparkscore/internal/stats"
 )
 
@@ -20,8 +23,9 @@ var chaosProfile = rdd.FaultProfile{
 }
 
 // monteCarloRun executes one Monte Carlo analysis under the fault profile and
-// returns the result plus the run's stripped event-log fingerprint.
-func monteCarloRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, iters int) (*Result, string) {
+// returns the result plus everything a seeded replay must reproduce: the
+// rendered report, the jobs' replay fingerprint and the stripped event log.
+func monteCarloRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, iters, workers int) (*Result, replaytest.Observation) {
 	t.Helper()
 	var logBuf bytes.Buffer
 	elw := rdd.NewEventLogWriter(&logBuf)
@@ -30,6 +34,7 @@ func monteCarloRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, iter
 		DFSBlockSize: 4 << 10,
 		Seed:         11,
 		Faults:       faults,
+		Workers:      workers,
 		Listeners:    []rdd.Listener{elw},
 	})
 	if err != nil {
@@ -47,16 +52,22 @@ func monteCarloRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, iter
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fp bytes.Buffer
+	var report, fp, log bytes.Buffer
+	if err := WriteResult(&report, res); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ctx.Jobs() {
+		fmt.Fprintf(&fp, "%+v\n", m.WithoutMeasuredTime())
+	}
 	for _, ev := range events {
 		line, err := rdd.MarshalEvent(rdd.StripMeasuredTime(ev))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp.Write(line)
-		fp.WriteByte('\n')
+		log.Write(line)
+		log.WriteByte('\n')
 	}
-	return res, fp.String()
+	return res, replaytest.Observation{Result: report.String(), Fingerprint: fp.String(), Log: log.String()}
 }
 
 // assertBitwiseResult compares two resampling results for exact (bitwise)
@@ -94,6 +105,11 @@ func assertMatchesReference(t *testing.T, got, want *Result) {
 	}
 }
 
+// chaosIters is the replicate count of the replay and chaos pins: one whole
+// batch and a 3-replicate tail batch, so injected faults land inside batched
+// jobs and both tile shapes are in play.
+const chaosIters = mcBatch + 3
+
 // TestMonteCarloReplayStable runs the packed pipeline at two dataset scales:
 // the result must match ReferenceMonteCarlo, and a rerun must reproduce it
 // bitwise with a byte-identical stripped event log.
@@ -108,15 +124,15 @@ func TestMonteCarloReplayStable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := testDataset(t, tc.patients, tc.snps, tc.tsets, 21)
-			want, err := ReferenceMonteCarlo(ds, Options{Seed: 7}, 4)
+			want, err := ReferenceMonteCarlo(ds, Options{Seed: 7}, chaosIters)
 			if err != nil {
 				t.Fatal(err)
 			}
-			first, fp := monteCarloRun(t, ds, rdd.FaultProfile{}, 4)
+			first, obs := monteCarloRun(t, ds, rdd.FaultProfile{}, chaosIters, 0)
 			assertMatchesReference(t, first, want)
-			second, fp2 := monteCarloRun(t, ds, rdd.FaultProfile{}, 4)
+			second, obs2 := monteCarloRun(t, ds, rdd.FaultProfile{}, chaosIters, 0)
 			assertBitwiseResult(t, second, first)
-			if fp != fp2 {
+			if obs.Log != obs2.Log {
 				t.Fatal("stripped event log not byte-stable across reruns")
 			}
 		})
@@ -126,25 +142,32 @@ func TestMonteCarloReplayStable(t *testing.T) {
 // TestMonteCarloMatchesReferenceUnderChaos repeats the reference pin under the
 // chaos profile: recovery must not move a single number off the fault-free
 // run, which itself matches ReferenceMonteCarlo, and a seeded chaos replay
-// must reproduce the stripped event log byte for byte.
+// must reproduce report, job fingerprint and stripped event log byte for byte
+// whatever the host parallelism (the Workers ∈ {1, 2, 8} × 5 matrix).
 func TestMonteCarloMatchesReferenceUnderChaos(t *testing.T) {
-	ds := testDataset(t, 20, 40, 4, 7)
-	want, err := ReferenceMonteCarlo(ds, Options{Seed: 7}, 5)
+	// Seven genotype partitions, so 14 tasks a job: the node loss (after 8
+	// tasks) takes cached U partitions with it during the observed job, the
+	// batched jobs recompute them, and fetch failures land inside both.
+	ds := testDataset(t, 61, 200, 9, 7)
+	want, err := ReferenceMonteCarlo(ds, Options{Seed: 7}, chaosIters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, fp := monteCarloRun(t, ds, chaosProfile, 5)
+	var chaos *Result
+	obs := replaytest.AcrossWorkers(t, func(workers int) replaytest.Observation {
+		res, obs := monteCarloRun(t, ds, chaosProfile, chaosIters, workers)
+		chaos = res
+		return obs
+	})
 	assertMatchesReference(t, chaos, want)
 
-	clean, fpClean := monteCarloRun(t, ds, rdd.FaultProfile{}, 5)
+	clean, obsClean := monteCarloRun(t, ds, rdd.FaultProfile{}, chaosIters, 0)
 	assertBitwiseResult(t, chaos, clean)
-	if fp == fpClean {
-		t.Fatal("chaos profile injected nothing: event log equals the clean run's")
-	}
-	replay, fp2 := monteCarloRun(t, ds, chaosProfile, 5)
-	assertBitwiseResult(t, replay, chaos)
-	if fp != fp2 {
-		t.Fatal("stripped event log not byte-stable across seeded chaos replays")
+	for _, want := range []string{`"type":"FetchFailure","data":{"time":0,"job":2,`, `"type":"FetchFailure","data":{"time":0,"job":3,`,
+		`"type":"StageResubmitted"`, `"type":"NodeLost"`, "injected task crash"} {
+		if !strings.Contains(obs.Log, want) || strings.Contains(obsClean.Log, want) {
+			t.Errorf("%s: want it in the chaos log and not in the clean one; the pin is vacuous for it", want)
+		}
 	}
 }
 
@@ -317,10 +340,8 @@ func TestColumnarWarmServesResampling(t *testing.T) {
 			t.Fatalf("warm exceed[%d] = %d, reference %d", k, n, want.Exceed[k])
 		}
 	}
-	warmBytes := ctx.CachedBytes()
 	a.Release()
-	// Only the small cached weights RDD may remain.
-	if got := ctx.CachedBytes(); got >= warmBytes {
-		t.Fatalf("%d bytes cached after Release, want fewer than %d", got, warmBytes)
+	if got := ctx.CachedBytes(); got != 0 {
+		t.Fatalf("%d bytes cached after Release, want none", got)
 	}
 }

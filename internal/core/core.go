@@ -1,30 +1,31 @@
 // Package core implements SparkScore: the paper's Algorithms 1 (observed
 // SKAT statistics), 2 (permutation resampling), and 3 (Monte Carlo
 // resampling with a cached score-contribution RDD), expressed against the
-// rdd engine exactly as the paper expresses them against Spark.
+// rdd engine as the paper expresses them against Spark, with one
+// substitution: the weights, like the phenotype, are small enough to
+// broadcast, so the paper's weights join is a lookup inside the block task.
 //
 // The data flow of Algorithm 1:
 //
-//	weights file  ──map──►  RDD (snp, ω²)            ─┐
-//	genotype file ──map──►  RDD (snp, genotypes)      │
-//	              ──filter by union of SNP-sets──►    │
-//	              ──map (broadcast phenotype)──►      │
-//	              RDD U (snp, per-patient U_ij)       │
-//	              ──map──►  RDD (snp, U_j²)          ─┴─join──► (snp, ω²·U_j²)
-//	              ──flatMap set membership / reduceByKey──► (set, S_k)
+//	weights, SNP-sets ──driver──► broadcast (ω_j, SNP → sets) ────────┐
+//	genotype file ──mapBatches──► RDD (packed genotype blocks)        │
+//	              (rows outside every SNP-set dropped at the parse)   │
+//	              ──map (broadcast phenotype)──►                      │
+//	              RDD U (blocks of per-patient U_ij)                  │
+//	              ──fold per partition: U·Z, ω_j, set sums──► (set, partial sums)
+//	              ──reduceByKey──► (set, S_k)
 //
 // Algorithm 2 re-runs the whole pipeline per iteration under a shuffled
-// phenotype; Algorithm 3 caches RDD U and per iteration only reweights it
-// with standard-normal draws (Lin 2005), skipping the genotype parse and
-// score recomputation entirely.
+// phenotype; Algorithm 3 caches RDD U and only reweights it with
+// standard-normal draws (Lin 2005), skipping the genotype parse and score
+// recomputation entirely — mcBatch replicates per job, as the columns of a
+// patients × b panel Z, so one pass over the cached U serves b replicates.
 package core
 
 import (
 	"bytes"
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
+	"io"
 
 	"sparkscore/internal/data"
 	"sparkscore/internal/rdd"
@@ -105,16 +106,11 @@ type Analysis struct {
 	sets       data.SNPSets
 	patients   int
 
-	// membership maps each SNP to the indices of the sets containing it,
-	// broadcast to executors for the SKAT aggregation.
-	membership *rdd.Broadcast[map[int][]int]
-
-	weightsRDD  *rdd.RDD[rdd.KV[int, float64]] // (snp, ω_j)
-	weightsPath string
-	weightsMu   sync.Mutex   // guards weightsVec (lazily loaded, analyses may be served concurrently)
-	weightsVec  data.Weights // lazily loaded driver-side copy
-	genoPath    string
-	setStat     stats.SetStatistic
+	// index is the small side of the set aggregation — per-SNP weights and
+	// SNP → sets membership — read once and broadcast to executors.
+	index    *rdd.Broadcast[*setIndex]
+	genoPath string
+	setStat  stats.SetStatistic
 
 	// warmUB, when non-nil, is a cached RDD U (stats.UBlock matrices) kept
 	// alive across resampling calls (see Warm).
@@ -125,33 +121,30 @@ type Analysis struct {
 	warmFGMB *rdd.RDD[data.GenoBlock]
 }
 
-// NewAnalysis reads the small inputs (phenotype, SNP-sets) onto the driver,
-// sets up the weight RDD, and validates the score family. The genotype
-// matrix itself stays on the DFS and is only streamed through tasks.
+// NewAnalysis reads the small inputs (phenotype, SNP-sets, weights) onto the
+// driver, checks that every SNP-set member has a weight, and validates the
+// score family. The genotype matrix itself stays on the DFS and is only
+// streamed through tasks.
 func NewAnalysis(ctx *rdd.Context, paths Paths, opts Options) (*Analysis, error) {
-	phRaw, err := ctx.FS().ReadAll(paths.Phenotype)
+	ph, err := readInput(ctx, paths.Phenotype, data.ReadPhenotype)
 	if err != nil {
 		return nil, err
 	}
-	ph, err := data.ReadPhenotype(bytes.NewReader(phRaw))
+	sets, err := readInput(ctx, paths.SNPSets, data.ReadSNPSets)
 	if err != nil {
 		return nil, err
 	}
-	setsRaw, err := ctx.FS().ReadAll(paths.SNPSets)
+	weights, err := readInput(ctx, paths.Weights, data.ReadWeights)
 	if err != nil {
 		return nil, err
 	}
-	sets, err := data.ReadSNPSets(bytes.NewReader(setsRaw))
+	index, err := newSetIndex(sets, weights)
 	if err != nil {
 		return nil, err
 	}
 	var covariates [][]float64
 	if paths.Covariates != "" {
-		covRaw, err := ctx.FS().ReadAll(paths.Covariates)
-		if err != nil {
-			return nil, err
-		}
-		cov, err := data.ReadCovariates(bytes.NewReader(covRaw))
+		cov, err := readInput(ctx, paths.Covariates, data.ReadCovariates)
 		if err != nil {
 			return nil, err
 		}
@@ -173,43 +166,61 @@ func NewAnalysis(ctx *rdd.Context, paths Paths, opts Options) (*Analysis, error)
 	if !ctx.FS().Exists(paths.Genotypes) {
 		return nil, fmt.Errorf("core: genotype file %q not staged", paths.Genotypes)
 	}
+	return &Analysis{
+		ctx:        ctx,
+		opts:       opts,
+		phenotype:  ph,
+		covariates: covariates,
+		sets:       sets,
+		patients:   ph.Patients(),
+		index:      rdd.NewBroadcast(ctx, index, int64(len(weights))*32+int64(sets.TotalMembers())*4),
+		genoPath:   paths.Genotypes,
+		setStat:    setStat,
+	}, nil
+}
 
-	member := map[int][]int{}
+// readInput reads one of the small driver-side input files whole and parses it.
+func readInput[T any](ctx *rdd.Context, path string, parse func(io.Reader) (T, error)) (T, error) {
+	raw, err := ctx.FS().ReadAll(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return parse(bytes.NewReader(raw))
+}
+
+// setIndex is what a block task needs besides U to turn marginal scores into
+// set sums, both dense by SNP id: the weight ω_j and the indices of the sets
+// containing SNP j (in SNP-set file order).
+type setIndex struct {
+	weights data.Weights
+	sets    [][]int32
+}
+
+// newSetIndex inverts the SNP-sets over the weight file's id range. A set
+// member without a weight is an input error: the analysis could only drop
+// the SNP silently or fail inside a task.
+func newSetIndex(sets data.SNPSets, weights data.Weights) (*setIndex, error) {
+	x := &setIndex{weights: weights, sets: make([][]int32, len(weights))}
 	for k, set := range sets {
 		for _, j := range set.SNPs {
-			member[j] = append(member[j], k)
+			if j >= len(weights) {
+				return nil, fmt.Errorf("core: SNP-set %q contains SNP %d, but the weights file ends at SNP %d",
+					set.Name, j, len(weights)-1)
+			}
+			x.sets[j] = append(x.sets[j], int32(k))
 		}
 	}
+	return x, nil
+}
 
-	weightLines, err := ctx.TextFile(paths.Weights, 0)
-	if err != nil {
-		return nil, err
+// of returns the indices of the sets containing snp; none for an id beyond
+// the weight file (a genotype row no set can name).
+func (x *setIndex) of(snp int) []int32 {
+	if snp >= len(x.sets) {
+		return nil
 	}
-	// RDD_Weights is built once per analysis (Algorithm 1 step 2) and reused
-	// by the join of every resampling replicate; cache it so iterations do
-	// not re-ingest the weight file.
-	weightsRDD := rdd.Map(weightLines, "parseWeights", func(line string) rdd.KV[int, float64] {
-		snp, w, err := parseWeightLine(line)
-		if err != nil {
-			panic(err)
-		}
-		return rdd.KV[int, float64]{K: snp, V: w}
-	}).SetSizeHint(16).Cache()
-
-	a := &Analysis{
-		ctx:         ctx,
-		opts:        opts,
-		phenotype:   ph,
-		covariates:  covariates,
-		sets:        sets,
-		patients:    ph.Patients(),
-		membership:  rdd.NewBroadcast(ctx, member, int64(sets.TotalMembers())*16),
-		weightsRDD:  weightsRDD,
-		weightsPath: paths.Weights,
-		genoPath:    paths.Genotypes,
-		setStat:     setStat,
-	}
-	return a, nil
+	return x.sets[snp]
 }
 
 // Sets returns the SNP-sets of the analysis.
@@ -233,7 +244,7 @@ func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 		return nil, err
 	}
 	patients := a.patients
-	member := a.membership
+	index := a.index
 	blocks := rdd.MapBatches(lines, "parsePackGenotypes", data.GenoBlockRows, func(_ int, batch []string) data.GenoBlock {
 		blk := data.NewGenoBlock(patients, len(batch))
 		for _, line := range batch {
@@ -241,7 +252,7 @@ func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 			if err != nil {
 				panic(err)
 			}
-			if _, ok := member.Value()[snp]; !ok {
+			if len(index.Value().of(snp)) == 0 {
 				continue
 			}
 			if err := blk.AppendTextRow(snp, rest); err != nil {
@@ -293,67 +304,113 @@ func (a *Analysis) contributionBlocks(blocks *rdd.RDD[data.GenoBlock], ph *data.
 	return u.SetSizeHint(fullBlock).SetSizeFunc(stats.UBlock.ApproxBytes)
 }
 
-// skatFromUBlocks runs Algorithm 1 steps 8–12 over RDD U: marginal scores
-// come from a matrix–vector product over each stats.UBlock (one pass over the
-// flat contribution matrix; row sums for the observed statistic, U·z for a
-// Monte Carlo replicate, Algorithm 3 step 4(I)), emitted in row order, then
-// flow through skatFromScores. mc is nil for the observed statistic and the
-// per-patient weights Z otherwise.
-func (a *Analysis) skatFromUBlocks(u *rdd.RDD[stats.UBlock], mc []float64) ([]float64, error) {
-	var mcb *rdd.Broadcast[[]float64]
-	if mc != nil {
-		mcb = rdd.NewBroadcast(a.ctx, mc, int64(len(mc))*8)
-	}
-	inner := rdd.FlatMap(u, "blockScores", func(b stats.UBlock) []rdd.KV[int, float64] {
+// mcBatch is the number of Monte Carlo replicates one job scores: wide enough
+// that the panel kernel is compute-bound rather than streaming U
+// (BenchmarkUBlockPanel is flat from b = 16 on) and that per-job scheduling
+// is noise, small enough that a task's sets × b partial sums stay cache-sized.
+const mcBatch = 64
+
+// setStats is Algorithm 1 steps 8–12 over RDD U, for the observed statistic
+// (width 0) or for Monte Carlo replicates first … first+width−1 at once
+// (Algorithm 3 step 4). Each task draws the replicates' weight panel, streams
+// its partition's blocks through the U·Z panel product, applies the weight
+// and the set statistic's per-SNP term, and accumulates into a task-local
+// sets × width matrix, emitting one vector per set it touched; a reduce sums
+// the vectors per set. The result is indexed [replicate][set].
+//
+// Summation-order contract: marginal scores are stats.UBlock.PanelScores'
+// (bitwise the scalar loop's); a set's sum adds its rows in partition order
+// within a map task, then the map outputs in partition order. Nothing depends
+// on width, so replicate k is the same bits whichever batch carries it.
+func (a *Analysis) setStats(u *rdd.RDD[stats.UBlock], first uint64, width int) ([][]float64, error) {
+	seed, patients, mc := a.opts.Seed, a.patients, width > 0
+	width = max(width, 1)
+	index, setStat, sets := a.index, a.setStat, len(a.sets)
+	partials := rdd.FoldPartition(u, "setSums", func(int) (func(stats.UBlock), func() []rdd.KV[int, []float64]) {
 		var z []float64
-		if mcb != nil {
-			z = mcb.Value()
+		if mc {
+			z = drawPanel(seed, patients, first, width)
 		}
-		scores := b.Scores(z, nil)
-		out := make([]rdd.KV[int, float64], len(scores))
-		for r, s := range scores {
-			out[r] = rdd.KV[int, float64]{K: int(b.SNPs[r]), V: s}
+		x := index.Value()
+		sums, touched := make([]float64, sets*width), make([]bool, sets)
+		var scores []float64
+		add := func(b stats.UBlock) {
+			scores = b.PanelScores(z, width, scores)
+			for r, snp := range b.SNPs {
+				w, rowScores := x.weights[snp], scores[r*width:][:width]
+				for _, k := range x.of(int(snp)) {
+					touched[k] = true
+					acc := sums[int(k)*width:][:width]
+					for c, score := range rowScores {
+						acc[c] += setStat.PerSNP(w, score)
+					}
+				}
+			}
 		}
-		return out
-	}).SetSizeHint(16)
-	return a.skatFromScores(inner)
-}
-
-// skatFromScores finishes Algorithm 1 from per-SNP marginal scores: join the
-// weights, apply the set statistic's per-SNP term, aggregate into SNP-sets
-// with a reduce, finalise per set, and return S indexed by set.
-func (a *Analysis) skatFromScores(inner *rdd.RDD[rdd.KV[int, float64]]) ([]float64, error) {
-	joined := rdd.Join(a.weightsRDD, inner, 0)
-	setStat := a.setStat
-	snpScore := rdd.Map(joined, "snpScore", func(kv rdd.KV[int, rdd.JoinPair[float64, float64]]) rdd.KV[int, float64] {
-		return rdd.KV[int, float64]{K: kv.K, V: setStat.PerSNP(kv.V.Left, kv.V.Right)}
-	}).SetSizeHint(16)
-
-	member := a.membership
-	perSet := rdd.FlatMap(snpScore, "bySet", func(kv rdd.KV[int, float64]) []rdd.KV[int, float64] {
-		sets := member.Value()[kv.K]
-		out := make([]rdd.KV[int, float64], len(sets))
-		for i, k := range sets {
-			out[i] = rdd.KV[int, float64]{K: k, V: kv.V}
+		finish := func() []rdd.KV[int, []float64] {
+			var out []rdd.KV[int, []float64]
+			for k, ok := range touched {
+				if ok {
+					out = append(out, rdd.KV[int, []float64]{K: k, V: sums[k*width:][:width:width]})
+				}
+			}
+			return out
 		}
-		return out
-	}).SetSizeHint(16)
+		return add, finish
+	}).SetSizeHint(16 + 8*int64(width))
 
-	sums, err := rdd.CollectAsMap(rdd.ReduceByKey(perSet, func(x, y float64) float64 { return x + y }, 0))
+	sums, err := rdd.CollectAsMap(rdd.ReduceByKey(partials, addVectors, 0))
 	if err != nil {
 		return nil, err
 	}
-	s := make([]float64, len(a.sets))
-	for k := range s {
-		s[k] = setStat.Finalize(sums[k])
+	out := make([][]float64, width)
+	for c := range out {
+		out[c] = make([]float64, sets)
+		for k := range out[c] {
+			if v := sums[k]; v != nil { // else no SNP of the set has a genotype row: the sum is zero
+				out[c][k] = v[c]
+			}
+			out[c][k] = setStat.Finalize(out[c][k])
+		}
 	}
-	return s, nil
+	return out, nil
 }
 
-// repFunc computes one resampling pass over a built RDD U: the observed
-// statistic for z == nil, or the Monte Carlo reweighted statistic for
-// per-patient draws z.
-type repFunc func(z []float64) ([]float64, error)
+// addVectors is the set-sum reduce's combiner. It allocates instead of adding
+// in place: the vectors a reduce task folds still belong to resident map
+// outputs, which a retried or speculative copy of the task reads again.
+func addVectors(x, y []float64) []float64 {
+	out := make([]float64, len(x))
+	for i := range out {
+		out[i] = x[i] + y[i]
+	}
+	return out
+}
+
+// drawPanel draws the Monte Carlo weights of replicates first … first+width−1
+// as a patients × width panel, patient-major. Replicate k's column comes from
+// the seed stream's k-th split in patient order, so its weights do not depend
+// on the batch, or the task, it is drawn in. Tasks draw their own panel: Z is
+// a pure function of (seed, replicate), so a job ships two integers where a
+// broadcast would put B × patients × 8 bytes through the driver over a run,
+// and a task's redraw is patients × width normals against its rows × patients
+// × width multiply-adds.
+func drawPanel(seed uint64, patients int, first uint64, width int) []float64 {
+	root := rng.New(seed ^ 0xcafe)
+	z := make([]float64, patients*width)
+	for c := 0; c < width; c++ {
+		r := root.Split(first + uint64(c))
+		for i := 0; i < patients; i++ {
+			z[i*width+c] = r.Normal()
+		}
+	}
+	return z
+}
+
+// repFunc computes one resampling job over a built RDD U: the set statistics
+// of Monte Carlo replicates first … first+width−1, or the observed statistic
+// for width 0 (see setStats).
+type repFunc func(first uint64, width int) ([][]float64, error)
 
 // contributionSource builds RDD U (or reuses the Warm()ed one) and returns
 // the resampling pass over it. When cache is true and the RDD was built fresh
@@ -373,7 +430,7 @@ func (a *Analysis) contributionSource(cache bool) (rep repFunc, release func(), 
 			release = u.Unpersist
 		}
 	}
-	return func(z []float64) ([]float64, error) { return a.skatFromUBlocks(u, z) }, release, nil
+	return func(first uint64, width int) ([][]float64, error) { return a.setStats(u, first, width) }, release, nil
 }
 
 // pipelineOnce runs the full Algorithm 1 pipeline once for the given
@@ -383,7 +440,15 @@ func (a *Analysis) pipelineOnce(ph *data.Phenotype) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.skatFromUBlocks(a.contributionBlocks(blocks, ph), nil)
+	return onlyRow(a.setStats(a.contributionBlocks(blocks, ph), 0, 0))
+}
+
+// onlyRow unwraps the result of a one-column pass.
+func onlyRow(s [][]float64, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	return s[0], nil
 }
 
 // Observed computes the observed SKAT statistics S_k^0 (Algorithm 1).
@@ -393,7 +458,7 @@ func (a *Analysis) Observed() ([]float64, error) {
 		return nil, err
 	}
 	defer release()
-	return rep(nil)
+	return onlyRow(rep(0, 0))
 }
 
 // Permutation runs Algorithm 2: the observed statistic, then B full pipeline
@@ -422,7 +487,7 @@ func (a *Analysis) Permutation(iterations int) (*Result, error) {
 		}
 		counter.Add(rep)
 	}
-	return a.result(observed, counter), nil
+	return newResult(a.sets, observed, counter), nil
 }
 
 // persistLevel maps the DiskSpill option to a storage level.
@@ -491,7 +556,8 @@ func (a *Analysis) ReleaseGenotypes() {
 }
 
 // MonteCarlo runs Algorithm 3: the observed statistic with RDD U cached,
-// then B cheap reweightings Ũ_j = Σ_i Z_i U_ij with Z ~ N(0,1).
+// then B cheap reweightings Ũ_j = Σ_i Z_i U_ij with Z ~ N(0,1), mcBatch
+// replicates per job.
 func (a *Analysis) MonteCarlo(iterations int) (*Result, error) {
 	if iterations < 0 {
 		return nil, fmt.Errorf("core: %d iterations", iterations)
@@ -501,50 +567,52 @@ func (a *Analysis) MonteCarlo(iterations int) (*Result, error) {
 		return nil, err
 	}
 	defer release()
-	observed, err := rep(nil)
+	observed, err := onlyRow(rep(0, 0))
 	if err != nil {
 		return nil, err
 	}
 	counter := stats.NewCounter(observed)
-	root := rng.New(a.opts.Seed ^ 0xcafe)
-	for b := 1; b <= iterations; b++ {
-		r := root.Split(uint64(b))
-		z := make([]float64, a.patients)
-		for i := range z {
-			z[i] = r.Normal()
-		}
-		s, err := rep(z)
-		if err != nil {
-			return nil, fmt.Errorf("core: Monte Carlo replicate %d: %w", b, err)
-		}
-		counter.Add(s)
+	if err := a.replicates(rep, iterations, counter.Add); err != nil {
+		return nil, err
 	}
-	return a.result(observed, counter), nil
+	return newResult(a.sets, observed, counter), nil
+}
+
+// replicates runs Monte Carlo replicates 1 … iterations over rep, mcBatch per
+// job, handing each replicate's set statistics to visit in replicate order.
+func (a *Analysis) replicates(rep repFunc, iterations int, visit func([]float64)) error {
+	for first := 1; first <= iterations; first += mcBatch {
+		width := min(mcBatch, iterations-first+1)
+		batch, err := rep(uint64(first), width)
+		if err != nil {
+			return fmt.Errorf("core: Monte Carlo replicates %d-%d: %w", first, first+width-1, err)
+		}
+		for _, s := range batch {
+			visit(s)
+		}
+	}
+	return nil
 }
 
 // Replicate computes one Monte Carlo reweighting Ũ = Σ_i Z_i U_i with
 // Z ~ N(0,1) drawn from the replicate's split of the analysis seed stream —
-// the unit of interactive resampling the job server exposes. Replicate(b)
-// returns exactly the b-th replicate MonteCarlo(B) would produce for b ≤ B,
-// so served replicates and batch runs agree. Against a Warm()ed analysis it
-// is a single cached-read job, cheap enough to serve at interactive latency.
+// the unit of interactive resampling the job server exposes. It is the
+// one-column case of the job MonteCarlo batches, so Replicate(b) is bit for
+// bit the b-th replicate MonteCarlo(B) tallies for b ≤ B. Against a Warm()ed
+// analysis it is a single cached-read job, cheap enough to serve interactively.
 func (a *Analysis) Replicate(replicate uint64) ([]float64, error) {
 	rep, release, err := a.contributionSource(false)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	r := rng.New(a.opts.Seed ^ 0xcafe).Split(replicate)
-	z := make([]float64, a.patients)
-	for i := range z {
-		z[i] = r.Normal()
-	}
-	return rep(z)
+	return onlyRow(rep(replicate, 1))
 }
 
-func (a *Analysis) result(observed []float64, counter *stats.Counter) *Result {
+// newResult assembles a resampling outcome from the tallied counter.
+func newResult(sets data.SNPSets, observed []float64, counter *stats.Counter) *Result {
 	res := &Result{
-		Sets:       a.sets,
+		Sets:       sets,
 		Observed:   observed,
 		Exceed:     counter.Exceedances(),
 		Iterations: counter.Replicates(),
@@ -605,27 +673,4 @@ func marginalResult(model stats.Model, snp int, g []data.Genotype) MarginalResul
 		Variance: variance,
 		PValue:   stats.ChiSquaredSurvival(stats.Chi2Stat(score, variance), 1),
 	}
-}
-
-func parseWeightLine(line string) (int, float64, error) {
-	idStr, wStr, ok := strings.Cut(line, "\t")
-	if !ok {
-		return 0, 0, fmt.Errorf("core: weight line missing tab: %q", truncate(line))
-	}
-	id, err := strconv.Atoi(idStr)
-	if err != nil || id < 0 {
-		return 0, 0, fmt.Errorf("core: bad SNP id %q", idStr)
-	}
-	w, err := strconv.ParseFloat(wStr, 64)
-	if err != nil || w < 0 {
-		return 0, 0, fmt.Errorf("core: bad weight %q", wStr)
-	}
-	return id, w, nil
-}
-
-func truncate(s string) string {
-	if len(s) > 40 {
-		return s[:40] + "..."
-	}
-	return s
 }

@@ -49,7 +49,7 @@ func ReferencePermutation(ds *data.Dataset, opts Options, iterations int) (*Resu
 		}
 		counter.Add(rep)
 	}
-	return referenceResult(ds, observed, counter), nil
+	return newResult(ds.SNPSets, observed, counter), nil
 }
 
 // ReferenceMonteCarlo computes the Monte Carlo result sequentially with the
@@ -96,7 +96,7 @@ func ReferenceMonteCarlo(ds *data.Dataset, opts Options, iterations int) (*Resul
 		}
 		counter.Add(stats.CombineAll(st, ds.SNPSets, ds.Weights, sums(z)))
 	}
-	return referenceResult(ds, observed, counter), nil
+	return newResult(ds.SNPSets, observed, counter), nil
 }
 
 func covariateRows(ds *data.Dataset) [][]float64 {
@@ -126,21 +126,4 @@ func referenceSetStats(ds *data.Dataset, family string, st stats.SetStatistic, p
 		scores[j] = s
 	}
 	return stats.CombineAll(st, ds.SNPSets, ds.Weights, scores), nil
-}
-
-func referenceResult(ds *data.Dataset, observed []float64, counter *stats.Counter) *Result {
-	return &Result{
-		Sets:       ds.SNPSets,
-		Observed:   observed,
-		Exceed:     counter.Exceedances(),
-		Iterations: counter.Replicates(),
-		PValues:    pvaluesOrNil(counter),
-	}
-}
-
-func pvaluesOrNil(c *stats.Counter) []float64 {
-	if c.Replicates() == 0 {
-		return nil
-	}
-	return c.PValues()
 }

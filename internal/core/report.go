@@ -47,7 +47,7 @@ func ReadResultPValues(r io.Reader) ([]float64, error) {
 		if first {
 			first = false
 			if !strings.HasPrefix(line, "set\t") {
-				return nil, fmt.Errorf("core: not a result file (header %q)", truncate(line))
+				return nil, fmt.Errorf("core: not a result file (header %.40q)", line)
 			}
 			continue
 		}

@@ -2,7 +2,8 @@
 // groups a streamed partition into fixed-size element batches and maps each
 // batch to one output element, staying fused with the chain — the batch
 // buffer is the only intermediate, it is bounded by the batch size, and it is
-// reused across batches within a partition drain.
+// reused across batches within a partition drain. FoldPartition is its
+// many-to-few sibling: a streaming per-partition aggregate.
 
 package rdd
 
@@ -37,6 +38,35 @@ func MapBatches[T, U any](r *RDD[T], name string, size int, f func(p int, batch 
 			}
 			if len(batch) > 0 {
 				yield(f(p, batch))
+			}
+		})
+	}
+	return &RDD[U]{n: n}
+}
+
+// FoldPartition aggregates each partition as it streams: setup runs once per
+// partition drain and returns add, applied to every element in upstream
+// order, and finish, whose result is emitted once the partition is exhausted
+// (an empty partition still calls finish). Fused like MapWithSetup — nothing
+// is retained between elements, so each dies as soon as add returns, where
+// MapPartitions would hold the whole partition live — and a retried or
+// recomputed partition runs setup again, so no state crosses attempts.
+func FoldPartition[T, U any](r *RDD[T], name string, setup func(p int) (add func(T), finish func() []U)) *RDD[U] {
+	parent := r.n
+	n := newTypedNode[U](parent.ctx, fmt.Sprintf("fold:%s(%s)", name, parent.name), parent.parts)
+	n.narrowParents = []*node{parent}
+	n.fusedDepth = parent.fusedDepth + 1
+	n.compute = func(tc *taskContext, p int) any {
+		in := seqOf[T](parent.iterate(tc, p))
+		return boxSeq[U](func(yield func(U) bool) {
+			add, finish := setup(p)
+			for v := range in {
+				add(v)
+			}
+			for _, u := range finish() {
+				if !yield(u) {
+					return
+				}
 			}
 		})
 	}

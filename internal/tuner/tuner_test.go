@@ -41,8 +41,11 @@ func TestTuneRanksMemoryStarvedLayoutsLast(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := Workload{
-		Dataset:    ds,
-		Iterations: 10,
+		Dataset: ds,
+		// Ten resampling jobs after the observed pass, which is what the 2x
+		// threshold below was set for: Monte Carlo batches 64 replicates per
+		// job, so the 10 iterations of the job-per-replicate days are 640.
+		Iterations: 10 * 64,
 		Nodes:      2,
 		// Small blocks and scaled overheads, as when tuning a scaled
 		// stand-in for a big study.
@@ -53,7 +56,7 @@ func TestTuneRanksMemoryStarvedLayoutsLast(t *testing.T) {
 	}
 	roomy := Candidate{ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 10}
 	// U here is ~16 MB; 4 MiB executors cannot hold their share, forcing
-	// recomputation every iteration.
+	// recomputation in every job.
 	starved := Candidate{ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 4.0 / 1024}
 	evals, err := Tune(w, []Candidate{starved, roomy})
 	if err != nil {
