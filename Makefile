@@ -37,11 +37,16 @@ bench:
 # benchmark harness itself), that the wide kernel's benchmark at the
 # eqtl_wide shape still builds its fixture and reports Mpairs/s, and that the
 # Monte Carlo panel kernel's benchmark still builds its larger-than-cache U
-# (82 MB) and reports ns/elem-replicate at b = 1 and at core's batch width.
+# (82 MB) and reports ns/elem-replicate at b = 1 and at core's batch width,
+# and that Algorithm 2's two kernels still report ns/genotype at perm_scan's
+# row width: the text codec on a canonical row and on a one-tab row the
+# tokenizer decides, and the packed-row score kernel on a 256 × 1000 block.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x
 	$(GO) test ./internal/stats -run '^$$' -bench UBlockPanel -benchtime=3x
+	$(GO) test ./internal/data -run '^$$' -bench AppendTextRow -benchtime=3x
+	$(GO) test ./internal/stats -run '^$$' -bench PackedRowScores -benchtime=3x
 
 # fuzz-smoke gives each native fuzz target a 10s budget on top of its checked-in
 # seed corpus (testdata/fuzz). The targets assert the GenoBlock and

@@ -260,6 +260,27 @@ func TestMalformedGenotypeLineFailsTheJob(t *testing.T) {
 	}
 }
 
+// TestSNPIDBeyondInt32FailsTheJob: the all-pairs ingest has no membership
+// filter, so an id that wrapped into the block's int32 column would report
+// its pairs under another SNP (4294967301 as SNP 5). The job must fail naming
+// the line's id instead.
+func TestSNPIDBeyondInt32FailsTheJob(t *testing.T) {
+	ctx := newTestContext(t, 1, rdd.FaultProfile{})
+	paths, _, _ := stageFixture(t, ctx, 3, 4, 2)
+	if _, err := ctx.FS().Write(paths.Genotypes, []byte("0\t0 1 2\n4294967301\t0 1 2\n")); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = a.Run()
+	var aborted *rdd.TaskAbortedError
+	if want := "SNP id 4294967301"; !errors.As(err, &aborted) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run() = %v, want a task abort containing %q", err, want)
+	}
+}
+
 // TestOverflowingPhenotypeFailsTheRun stages a phenotype whose values are
 // finite (so the text codec accepts them) but whose sum overflows: its
 // residuals are infinite, the kernel refuses to build, and Run must report

@@ -22,10 +22,16 @@ var chaosProfile = rdd.FaultProfile{
 	NodeLoss:         []rdd.NodeLoss{{Node: 0, AfterTasks: 8}},
 }
 
-// monteCarloRun executes one Monte Carlo analysis under the fault profile and
+// monteCarloRun executes one Monte Carlo analysis under the fault profile.
+func monteCarloRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, iters, workers int) (*Result, replaytest.Observation) {
+	t.Helper()
+	return resampleRun(t, ds, faults, workers, func(a *Analysis) (*Result, error) { return a.MonteCarlo(iters) })
+}
+
+// resampleRun executes one resampling analysis under the fault profile and
 // returns the result plus everything a seeded replay must reproduce: the
 // rendered report, the jobs' replay fingerprint and the stripped event log.
-func monteCarloRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, iters, workers int) (*Result, replaytest.Observation) {
+func resampleRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, workers int, resample func(*Analysis) (*Result, error)) (*Result, replaytest.Observation) {
 	t.Helper()
 	var logBuf bytes.Buffer
 	elw := rdd.NewEventLogWriter(&logBuf)
@@ -40,8 +46,7 @@ func monteCarloRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, iter
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := stagedAnalysis(t, ctx, ds, Options{Seed: 7})
-	res, err := a.MonteCarlo(iters)
+	res, err := resample(stagedAnalysis(t, ctx, ds, Options{Seed: 7}))
 	if err != nil {
 		t.Fatal(err)
 	}

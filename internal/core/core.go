@@ -5,21 +5,27 @@
 // substitution: the weights, like the phenotype, are small enough to
 // broadcast, so the paper's weights join is a lookup inside the block task.
 //
-// The data flow of Algorithm 1:
+// The data flow of Algorithm 1, whose set-sum fold (foldSetSums) takes the
+// marginal scores from either of two sources:
 //
 //	weights, SNP-sets ──driver──► broadcast (ω_j, SNP → sets) ────────┐
 //	genotype file ──mapBatches──► RDD (packed genotype blocks)        │
 //	              (rows outside every SNP-set dropped at the parse)   │
+//	  source U — Lin's method needs the per-patient terms:            │
 //	              ──map (broadcast phenotype)──►                      │
 //	              RDD U (blocks of per-patient U_ij)                  │
 //	              ──fold per partition: U·Z, ω_j, set sums──► (set, partial sums)
+//	  source packed rows — a pass that only needs U_j = Σ_i G_ij r_i: │
+//	              (driver fits the null model, broadcasts r)          │
+//	              ──fold per partition: G·r, ω_j, set sums──► (set, partial sums)
 //	              ──reduceByKey──► (set, S_k)
 //
-// Algorithm 2 re-runs the whole pipeline per iteration under a shuffled
-// phenotype; Algorithm 3 caches RDD U and only reweights it with
-// standard-normal draws (Lin 2005), skipping the genotype parse and score
-// recomputation entirely — mcBatch replicates per job, as the columns of a
-// patients × b panel Z, so one pass over the cached U serves b replicates.
+// Algorithm 2 re-runs the whole scan per iteration under a shuffled
+// phenotype, always off the packed rows: no U is ever built for it.
+// Algorithm 3 caches RDD U and only reweights it with standard-normal draws
+// (Lin 2005), skipping the genotype parse and score recomputation entirely —
+// mcBatch replicates per job, as the columns of a patients × b panel Z, so
+// one pass over the cached U serves b replicates.
 package core
 
 import (
@@ -312,31 +318,79 @@ const mcBatch = 64
 
 // setStats is Algorithm 1 steps 8–12 over RDD U, for the observed statistic
 // (width 0) or for Monte Carlo replicates first … first+width−1 at once
-// (Algorithm 3 step 4). Each task draws the replicates' weight panel, streams
-// its partition's blocks through the U·Z panel product, applies the weight
-// and the set statistic's per-SNP term, and accumulates into a task-local
-// sets × width matrix, emitting one vector per set it touched; a reduce sums
-// the vectors per set. The result is indexed [replicate][set].
+// (Algorithm 3 step 4). Each task draws the replicates' weight panel and
+// streams its partition's blocks through the U·Z panel product into the
+// set-sum fold. The result is indexed [replicate][set].
 //
 // Summation-order contract: marginal scores are stats.UBlock.PanelScores'
-// (bitwise the scalar loop's); a set's sum adds its rows in partition order
-// within a map task, then the map outputs in partition order. Nothing depends
-// on width, so replicate k is the same bits whichever batch carries it.
+// (bitwise the scalar loop's) and nothing depends on width, so replicate k is
+// the same bits whichever batch carries it.
 func (a *Analysis) setStats(u *rdd.RDD[stats.UBlock], first uint64, width int) ([][]float64, error) {
 	seed, patients, mc := a.opts.Seed, a.patients, width > 0
 	width = max(width, 1)
-	index, setStat, sets := a.index, a.setStat, len(a.sets)
-	partials := rdd.FoldPartition(u, "setSums", func(int) (func(stats.UBlock), func() []rdd.KV[int, []float64]) {
+	return foldSetSums(a, u, width, func() blockScorer[stats.UBlock] {
 		var z []float64
 		if mc {
 			z = drawPanel(seed, patients, first, width)
 		}
+		return func(b stats.UBlock, scores []float64) ([]int32, []float64) {
+			return b.SNPs, b.PanelScores(z, width, scores)
+		}
+	})
+}
+
+// scoreStats is Algorithm 1 for a pass that needs the marginal scores and
+// nothing else — the observed statistic, a permutation replicate — straight
+// off the packed genotype rows. The marginal score is linear in the genotypes,
+// U_j = Σ_i G_ij r_i (stats.ScoreResidualer), so the driver builds the null
+// model for ph once and broadcasts r, 8 bytes a patient; tasks build no model
+// and no U. Scores follow stats.PackedRowScores' summation order.
+func (a *Analysis) scoreStats(ph *data.Phenotype) ([]float64, error) {
+	model, err := stats.NewAdjustedModel(a.opts.family(), ph, a.covariates)
+	if err != nil {
+		return nil, err
+	}
+	sr, ok := model.(stats.ScoreResidualer)
+	if !ok {
+		return nil, fmt.Errorf("core: the %s score has no residual form", model.Name())
+	}
+	resid := rdd.NewBroadcast(a.ctx, sr.ScoreResiduals(), 8*int64(a.patients))
+	blocks, err := a.filteredGenotypeBlocks()
+	if err != nil {
+		return nil, err
+	}
+	return onlyRow(foldSetSums(a, blocks, 1, func() blockScorer[data.GenoBlock] {
+		r := resid.Value()
+		return func(b data.GenoBlock, scores []float64) ([]int32, []float64) {
+			return b.SNPs, stats.PackedRowScores(b, r, scores)
+		}
+	}))
+}
+
+// blockScorer turns one block of a set-sum source into its rows' SNP ids and
+// marginal scores (rows × width, row-major), reusing scores' storage.
+type blockScorer[B any] func(b B, scores []float64) (snps []int32, out []float64)
+
+// foldSetSums is the body of Algorithm 1 steps 8–12 shared by both score
+// sources. Each task builds its scorer once (setup), streams its partition's
+// blocks through it, applies the weight and the set statistic's per-SNP term,
+// and accumulates into a task-local sets × width matrix, emitting one vector
+// per set it touched; a reduce sums the vectors per set. The result is indexed
+// [column][set].
+//
+// Summation-order contract: a set's sum adds its rows in partition order
+// within a map task, then the map outputs in partition order.
+func foldSetSums[B any](a *Analysis, blocks *rdd.RDD[B], width int, setup func() blockScorer[B]) ([][]float64, error) {
+	index, setStat, sets := a.index, a.setStat, len(a.sets)
+	partials := rdd.FoldPartition(blocks, "setSums", func(int) (func(B), func() []rdd.KV[int, []float64]) {
+		scoreBlock := setup()
 		x := index.Value()
 		sums, touched := make([]float64, sets*width), make([]bool, sets)
 		var scores []float64
-		add := func(b stats.UBlock) {
-			scores = b.PanelScores(z, width, scores)
-			for r, snp := range b.SNPs {
+		add := func(b B) {
+			var snps []int32
+			snps, scores = scoreBlock(b, scores)
+			for r, snp := range snps {
 				w, rowScores := x.weights[snp], scores[r*width:][:width]
 				for _, k := range x.of(int(snp)) {
 					touched[k] = true
@@ -433,16 +487,6 @@ func (a *Analysis) contributionSource(cache bool) (rep repFunc, release func(), 
 	return func(first uint64, width int) ([][]float64, error) { return a.setStats(u, first, width) }, release, nil
 }
 
-// pipelineOnce runs the full Algorithm 1 pipeline once for the given
-// phenotype — the unit of work a permutation replicate re-executes.
-func (a *Analysis) pipelineOnce(ph *data.Phenotype) ([]float64, error) {
-	blocks, err := a.filteredGenotypeBlocks()
-	if err != nil {
-		return nil, err
-	}
-	return onlyRow(a.setStats(a.contributionBlocks(blocks, ph), 0, 0))
-}
-
 // onlyRow unwraps the result of a one-column pass.
 func onlyRow(s [][]float64, err error) ([]float64, error) {
 	if err != nil {
@@ -451,18 +495,19 @@ func onlyRow(s [][]float64, err error) ([]float64, error) {
 	return s[0], nil
 }
 
-// Observed computes the observed SKAT statistics S_k^0 (Algorithm 1).
+// Observed computes the observed SKAT statistics S_k^0 (Algorithm 1): off the
+// Warm()ed U when there is one, else straight off the packed genotype rows.
 func (a *Analysis) Observed() ([]float64, error) {
-	rep, release, err := a.contributionSource(false)
-	if err != nil {
-		return nil, err
+	if a.warmUB != nil {
+		return onlyRow(a.setStats(a.warmUB, 0, 0))
 	}
-	defer release()
-	return onlyRow(rep(0, 0))
+	return a.scoreStats(a.phenotype)
 }
 
 // Permutation runs Algorithm 2: the observed statistic, then B full pipeline
-// re-executions under random shufflings of the phenotype pairs.
+// re-executions under random shufflings of the phenotype pairs. Every pass,
+// the observed one included, is scoreStats — the ≥ tally compares replicates
+// with the observed statistic, so both must come from the same kernel.
 func (a *Analysis) Permutation(iterations int) (*Result, error) {
 	if iterations < 0 {
 		return nil, fmt.Errorf("core: %d iterations", iterations)
@@ -473,7 +518,7 @@ func (a *Analysis) Permutation(iterations int) (*Result, error) {
 		// Lin's Monte Carlo method when baseline covariates are present.
 		return nil, fmt.Errorf("core: permutation resampling cannot adjust for baseline covariates; use MonteCarlo")
 	}
-	observed, err := a.Observed()
+	observed, err := a.scoreStats(a.phenotype)
 	if err != nil {
 		return nil, err
 	}
@@ -481,7 +526,7 @@ func (a *Analysis) Permutation(iterations int) (*Result, error) {
 	root := rng.New(a.opts.Seed ^ 0x5ca1ab1e)
 	for b := 1; b <= iterations; b++ {
 		perm := root.Split(uint64(b)).Perm(a.patients)
-		rep, err := a.pipelineOnce(a.phenotype.Permuted(perm))
+		rep, err := a.scoreStats(a.phenotype.Permuted(perm))
 		if err != nil {
 			return nil, fmt.Errorf("core: permutation replicate %d: %w", b, err)
 		}

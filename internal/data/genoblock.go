@@ -16,6 +16,7 @@ package data
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,9 +78,21 @@ func (b *GenoBlock) Row(r int) []byte {
 	return b.Packed[r*b.RowBytes : (r+1)*b.RowBytes]
 }
 
+// checkSNPID rejects an id the block's int32 SNP column cannot hold: stored
+// truncated it would name another SNP.
+func checkSNPID(snp int) error {
+	if snp < math.MinInt32 || snp > math.MaxInt32 {
+		return fmt.Errorf("data: SNP id %d does not fit the 32-bit id column", snp)
+	}
+	return nil
+}
+
 // AppendRow packs one SNP row onto the block. Genotypes must be in
 // {MissingGenotype, 0, 1, 2}.
 func (b *GenoBlock) AppendRow(snp int, g []Genotype) error {
+	if err := checkSNPID(snp); err != nil {
+		return err
+	}
 	if len(g) != b.Patients {
 		return fmt.Errorf("data: SNP %d has %d genotypes, want %d", snp, len(g), b.Patients)
 	}
@@ -123,21 +136,102 @@ func ParseSNPPrefix(line string) (snp int, fields string, err error) {
 	if err != nil || snp < 0 {
 		return 0, "", fmt.Errorf("data: bad SNP id %q", snpStr)
 	}
+	if err := checkSNPID(snp); err != nil {
+		return 0, "", err
+	}
 	return snp, fields, nil
 }
 
 // AppendTextRow parses one row's genotype fields ("g_1 g_2 ... g_n",
 // whitespace-separated, values in {0,1,2}) directly into packed form — the
 // text codec of the columnar parse path, which never materialises a boxed
-// []Genotype row. Errors name the offending 1-based field.
+// []Genotype row. Errors name the offending 1-based field, and a rejected row
+// leaves the block untouched.
+//
+// Canonical or fall through: a row in exactly the encoding WriteGenotypes
+// emits packs a word at a time (packCanonical); any other row — accepted or
+// not — is decided by the tokenizer (packTokens) alone, so which rows are
+// accepted, with what bytes and what error text, is the tokenizer's contract
+// whatever path packed the row.
 func (b *GenoBlock) AppendTextRow(snp int, fields string) error {
+	if err := checkSNPID(snp); err != nil {
+		return err
+	}
 	base := len(b.Packed)
 	b.Packed = append(b.Packed, make([]byte, b.RowBytes)...)
 	row := b.Packed[base:]
-	var count int32
+	count, ok := packCanonical(fields, row, b.Patients)
+	if !ok {
+		clear(row)
+		var err error
+		if count, err = packTokens(fields, row, b.Patients); err != nil {
+			b.Packed = b.Packed[:base]
+			return err
+		}
+	}
+	b.SNPs = append(b.SNPs, int32(snp))
+	b.Counts = append(b.Counts, count)
+	return nil
+}
+
+// The canonical encoding seen eight bytes ("d d d d ") at a time as one
+// little-endian word of four 16-bit lanes: digit in the low byte, separator
+// in the high byte.
+const (
+	canonZeros  = 0x2030203020302030 // "0 0 0 0 "
+	canonDigits = 0x0003000300030003 // the two value bits of each digit lane
+	canonOnes   = 0x0001000100010001
+	// canonGather moves lane k's two code bits to bits 48+2k … 49+2k of the
+	// product; the partial products of 2-bit lanes never overlap, so nothing
+	// carries into that byte.
+	canonGather = 1<<48 | 1<<34 | 1<<20 | 1<<6
+)
+
+// packCanonical packs a row in the canonical text encoding — single digits in
+// {0,1,2} separated by exactly one space, nothing before or after — into the
+// zeroed row and returns its allele count. Every byte of fields is checked;
+// on the first deviation of any kind it reports !ok and leaves deciding the
+// row to packTokens (row may then hold partial codes).
+func packCanonical(fields string, row []byte, patients int) (count int32, ok bool) {
+	if len(fields) != 2*patients-1 {
+		return 0, false
+	}
+	words := len(fields) / 8
+	var bad, sum uint64
+	for k := 0; k < words; k++ {
+		s := fields[8*k : 8*k+8]
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		// x holds each lane's value if the word is canonical: then nothing
+		// but the digit bits is set and no lane reads 3.
+		x := w ^ canonZeros
+		bad |= x&^canonDigits | x&(x>>1)&canonOnes
+		// Lane code 3^d − (d>>1) is genoCodes: 0 → 11, 1 → 10, 2 → 00.
+		codes := (x ^ canonDigits) - (x>>1)&canonOnes
+		row[k] = byte(codes * canonGather >> 48)
+		sum += x * canonOnes >> 48 // the four lanes' sum lands in the top lane
+	}
+	if bad != 0 {
+		return 0, false
+	}
+	// The final group has no trailing space and may be short.
+	for i := 4 * words; i < patients; i++ {
+		d := fields[2*i] - '0'
+		if d > 2 || (i+1 < patients && fields[2*i+1] != ' ') {
+			return 0, false
+		}
+		row[i>>2] |= genoCodes[d+1] << uint((i&3)*2)
+		sum += uint64(d)
+	}
+	return int32(sum), true
+}
+
+// packTokens is the field-at-a-time codec: it packs whitespace-separated
+// genotype fields into the zeroed row and returns the row's allele count.
+func packTokens(fields string, row []byte, patients int) (count int32, err error) {
 	i := 0
 	for f, rest := nextField(fields); f != ""; f, rest = nextField(rest) {
-		if i >= b.Patients {
+		if i >= patients {
 			i++
 			continue // count the surplus for the error below
 		}
@@ -150,20 +244,16 @@ func (b *GenoBlock) AppendTextRow(snp int, fields string) error {
 		case "2":
 			v = 2
 		default:
-			b.Packed = b.Packed[:base]
-			return fmt.Errorf("data: field %d: bad genotype %q", i+1, f)
+			return 0, fmt.Errorf("data: field %d: bad genotype %q", i+1, f)
 		}
 		row[i>>2] |= genoCodes[v+1] << uint((i&3)*2)
 		count += int32(v)
 		i++
 	}
-	if i != b.Patients {
-		b.Packed = b.Packed[:base]
-		return fmt.Errorf("data: %d genotypes, want %d", i, b.Patients)
+	if i != patients {
+		return 0, fmt.Errorf("data: %d genotypes, want %d", i, patients)
 	}
-	b.SNPs = append(b.SNPs, int32(snp))
-	b.Counts = append(b.Counts, count)
-	return nil
+	return count, nil
 }
 
 // nextField splits the next whitespace-separated token off s, mirroring

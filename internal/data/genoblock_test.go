@@ -1,6 +1,8 @@
 package data
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -136,5 +138,102 @@ func TestDecodePool(t *testing.T) {
 	p.Put(make([]Genotype, 2)) // undersized buffers are dropped
 	if got := p.Get(); len(got) != 6 {
 		t.Fatalf("recycled buffer length %d", len(got))
+	}
+}
+
+// TestSNPIDBeyondInt32Rejected is the regression test for ids that used to
+// wrap silently into the block's int32 column: "4294967301\t0 1 2" was
+// accepted and stored as SNP 5.
+func TestSNPIDBeyondInt32Rejected(t *testing.T) {
+	wrapping, err := strconv.Atoi("4294967301") // int32(wrapping) == 5
+	if err != nil {
+		t.Skip("int cannot hold an id beyond int32")
+	}
+	line := strconv.Itoa(wrapping) + "\t0 1 2"
+	if _, _, err := ParseSNPPrefix(line); err == nil || !strings.Contains(err.Error(), "SNP id 4294967301") {
+		t.Fatalf("ParseSNPPrefix(%q) = %v, want an error naming the id", line, err)
+	}
+	b := NewGenoBlock(3, 1)
+	for name, err := range map[string]error{
+		"AppendTextRow": b.AppendTextRow(wrapping, "0 1 2"),
+		"AppendRow":     b.AppendRow(wrapping, []Genotype{0, 1, 2}),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "SNP id 4294967301") {
+			t.Errorf("%s = %v, want an error naming the id", name, err)
+		}
+	}
+	if b.Rows() != 0 || len(b.Packed) != 0 {
+		t.Fatalf("rejected ids left state behind: %d rows, %d packed bytes", b.Rows(), len(b.Packed))
+	}
+	// The largest id the column holds still goes in.
+	if snp, _, err := ParseSNPPrefix(strconv.Itoa(math.MaxInt32) + "\t0 1 2"); err != nil || snp != math.MaxInt32 {
+		t.Fatalf("ParseSNPPrefix(MaxInt32) = %d, %v", snp, err)
+	}
+	if err := b.AppendTextRow(math.MaxInt32, "0 1 2"); err != nil || b.SNPs[0] != math.MaxInt32 {
+		t.Fatalf("AppendTextRow(MaxInt32) = %v, stored ids %v", err, b.SNPs)
+	}
+}
+
+// TestAppendTextRowCountsWideRow packs a row whose allele count (140 000)
+// exceeds anything a 16-bit lane could total: the word-at-a-time path sums
+// each word's four lanes before adding, so no row width overflows it.
+func TestAppendTextRowCountsWideRow(t *testing.T) {
+	const patients = 70_000
+	fields := strings.TrimSuffix(strings.Repeat("2 ", patients), " ")
+	b := NewGenoBlock(patients, 1)
+	if _, ok := packCanonical(fields, make([]byte, b.RowBytes), patients); !ok {
+		t.Fatal("canonical row not taken by the word-at-a-time path")
+	}
+	if err := b.AppendTextRow(0, fields); err != nil {
+		t.Fatal(err)
+	}
+	if b.Counts[0] != 2*patients {
+		t.Fatalf("allele count %d, want %d", b.Counts[0], 2*patients)
+	}
+	for i, v := range b.Packed {
+		if v != 0 { // code 00 = genotype 2
+			t.Fatalf("packed byte %d = %#x, want 0", i, v)
+		}
+	}
+}
+
+// canonicalRow renders patients genotypes in the encoding WriteGenotypes
+// emits, cycling through every dosage.
+func canonicalRow(patients int) string {
+	var sb strings.Builder
+	for i := 0; i < patients; i++ {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteByte("0120021"[i%7])
+	}
+	return sb.String()
+}
+
+// BenchmarkAppendTextRow prices the text codec per genotype at perm_scan's
+// row width, on a canonical row (the word-at-a-time path) and on the same row
+// with one separator turned into a tab (the tokenizer decides the whole row).
+// One op packs a full block, so the smoke run's three ops are 768 rows.
+func BenchmarkAppendTextRow(b *testing.B) {
+	const patients = 1000
+	canonical := canonicalRow(patients)
+	for _, bc := range []struct{ name, row string }{
+		{"canonical", canonical},
+		{"one-tab", strings.Replace(canonical, " ", "\t", 1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			blk := NewGenoBlock(patients, GenoBlockRows)
+			b.SetBytes(int64(GenoBlockRows * len(bc.row)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blk.SNPs, blk.Counts, blk.Packed = blk.SNPs[:0], blk.Counts[:0], blk.Packed[:0]
+				for snp := 0; snp < GenoBlockRows; snp++ {
+					if err := blk.AppendTextRow(snp, bc.row); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(GenoBlockRows*patients), "ns/genotype")
+		})
 	}
 }

@@ -492,7 +492,13 @@ func TestDrainRejectsNewRequestsAndFinishesInFlight(t *testing.T) {
 		inFlightOK <- nil
 	}()
 	<-started
-	time.Sleep(5 * time.Millisecond) // let the request pass admission
+	// Let the request pass admission: wait until it holds the pool's slot (or
+	// has already answered). A fixed sleep loses this race on a loaded host
+	// under -race, and the drain then rightly 503s the request.
+	slots := s.pool("").slots
+	for deadline := time.Now().Add(10 * time.Second); len(slots) == 0 && len(inFlightOK) == 0 && time.Now().Before(deadline); {
+		time.Sleep(200 * time.Microsecond)
+	}
 	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Drain(dctx); err != nil {

@@ -56,6 +56,9 @@ func (m *residualModel) Patients() int { return len(m.resid) }
 // the SNP-invariant factor the blocked kernel fuses with the dosage decode.
 func (m *residualModel) Residuals() []float64 { return m.resid }
 
+// ScoreResiduals implements ScoreResidualer.
+func (m *residualModel) ScoreResiduals() []float64 { return m.resid }
+
 func (m *residualModel) Contributions(g []data.Genotype, u []float64) {
 	n := len(m.resid)
 	checkLens(n, g, u)

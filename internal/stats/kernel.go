@@ -151,12 +151,62 @@ func panelColumn(row, z []float64, stride int) float64 {
 // U_ij = G_ij · r_i for a SNP-invariant per-patient residual vector r — the
 // Gaussian and Binomial families and their covariate-adjusted forms. The
 // kernel exploits it to fuse dosage decode with accumulation; models without
-// the factorisation (Cox, whose risk sets couple patients) take the
-// decode-then-Contributions path instead.
+// the factorisation (Cox, whose risk sets couple the per-patient terms) take
+// the decode-then-Contributions path instead.
 type Residualer interface {
 	// Residuals returns the per-patient residual vector; callers must not
 	// mutate it.
 	Residuals() []float64
+}
+
+// ScoreResidualer is implemented by models whose marginal score factorises as
+// U_j = Σ_i G_ij · r_i for a SNP-invariant vector r, whether or not the
+// per-patient contributions do: every Residualer (r is its residual vector)
+// and Cox (see Cox.ScoreResiduals). It is all a pass that never reweights
+// patients needs — the observed statistic, a permutation replicate — and
+// PackedRowScores evaluates it with no U at all. Lin's Monte Carlo method
+// needs the per-patient terms and stays on Contributions.
+type ScoreResidualer interface {
+	// ScoreResiduals returns r; callers must not mutate it.
+	ScoreResiduals() []float64
+}
+
+// PackedRowScores computes the marginal score U_j = Σ_i dosage(G_ij) · r_i of
+// every row of the block straight off its 2-bit bytes into out (grown as
+// needed), for r the model's score residuals; missing scores as dosage zero.
+//
+// Summation-order contract. Lane k ∈ {0,1,2,3} sums dosage_i · r_i over the
+// patients i ≡ k (mod 4) in ascending i, each term one rounded multiply added
+// to the lane's running sum; the score is (lane0 + lane1) + (lane2 + lane3).
+// A row's score therefore depends on its bytes and r alone — not on the block
+// or partition that carries the row, nor on how many workers run.
+func PackedRowScores(blk data.GenoBlock, r, out []float64) []float64 {
+	if len(r) != blk.Patients {
+		panic(fmt.Sprintf("stats: block for %d patients, %d score residuals", blk.Patients, len(r)))
+	}
+	rows := blk.Rows()
+	out = sized(out, rows)
+	for row := range out {
+		out[row] = packedRowScore(blk.Row(row), r)
+	}
+	return out
+}
+
+func packedRowScore(packed []byte, r []float64) float64 {
+	var a0, a1, a2, a3 float64
+	full := len(r) >> 2
+	for k, v := range packed[:full] {
+		q := r[4*k : 4*k+4 : 4*k+4]
+		a0 += codeDosage[v&3] * q[0]
+		a1 += codeDosage[(v>>2)&3] * q[1]
+		a2 += codeDosage[(v>>4)&3] * q[2]
+		a3 += codeDosage[v>>6] * q[3]
+	}
+	lanes := [4]float64{a0, a1, a2, a3}
+	for l, x := range r[4*full:] { // the final, partial byte
+		lanes[l] += codeDosage[(packed[full]>>uint(2*l))&3] * x
+	}
+	return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
 // BlockKernel applies a score model to packed genotype blocks. A kernel is
@@ -167,6 +217,8 @@ type BlockKernel struct {
 	model Model
 	resid []float64 // non-nil selects the fused dosage×residual path
 	dec   []data.Genotype
+	cox   *Cox      // non-nil when the model is Cox, whose contributions take cum
+	cum   []float64 // Cox's prefix-sum scratch: one per kernel, not one per SNP
 }
 
 // NewBlockKernel builds a kernel for the model.
@@ -174,6 +226,8 @@ func NewBlockKernel(m Model) *BlockKernel {
 	k := &BlockKernel{model: m, dec: make([]data.Genotype, m.Patients())}
 	if r, ok := m.(Residualer); ok {
 		k.resid = r.Residuals()
+	} else if c, ok := m.(*Cox); ok {
+		k.cox, k.cum = c, make([]float64, m.Patients()+1)
 	}
 	return k
 }
@@ -199,9 +253,13 @@ func (k *BlockKernel) Contributions(blk data.GenoBlock) UBlock {
 		u := out.U[r*n : (r+1)*n]
 		if k.resid != nil {
 			fusedDosageAccumulate(blk.Row(r), k.resid, u)
+			continue
+		}
+		dec := k.dec[:n]
+		DecodeDosageGenotypes(blk.Row(r), dec)
+		if k.cox != nil {
+			k.cox.contributions(dec, u, k.cum)
 		} else {
-			dec := k.dec[:n]
-			DecodeDosageGenotypes(blk.Row(r), dec)
 			k.model.Contributions(dec, u)
 		}
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"testing"
 
 	"sparkscore/internal/data"
@@ -181,4 +182,185 @@ func BenchmarkBoxedRows(b *testing.B) {
 			_ = s
 		}
 	}
+}
+
+// weightedNaiveCoxScore is the covariate-adjusted Cox score of one SNP by the
+// literal double loop: U_j = Σ_i Δ_i (G_i − Σ_{l∈R_i} w_l G_l / Σ_{l∈R_i} w_l).
+func weightedNaiveCoxScore(ph *data.Phenotype, w []float64, g []data.Genotype) float64 {
+	var score float64
+	for i := range g {
+		if ph.Event[i] == 0 {
+			continue
+		}
+		var a, den float64
+		for l := range g {
+			if ph.Y[l] >= ph.Y[i] {
+				a += w[l] * float64(g[l])
+				den += w[l]
+			}
+		}
+		score += float64(g[i]) - a/den
+	}
+	return score
+}
+
+// TestCoxScoreResidualsMatchNaiveRowSums pins the score-residual identity to
+// something that shares no code with it: PackedRowScores over
+// Cox.ScoreResiduals must equal the row sums of NaiveCoxContributions (the
+// weighted double loop under risk weights) within 1e-12·n, whatever the tie
+// and censoring structure, for every patient count mod 4, missing genotypes
+// scoring as dosage zero.
+func TestCoxScoreResidualsMatchNaiveRowSums(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		reshape  func(ph *data.Phenotype)
+		weighted bool
+	}{
+		{"distinct times", func(*data.Phenotype) {}, false},
+		{"heavy ties", func(ph *data.Phenotype) {
+			for i := range ph.Y {
+				ph.Y[i] = float64(i % 3)
+			}
+		}, false},
+		{"all censored", func(ph *data.Phenotype) { clear(ph.Event) }, false},
+		{"one event", func(ph *data.Phenotype) { clear(ph.Event); ph.Event[len(ph.Event)/2] = 1 }, false},
+		{"risk weights", func(*data.Phenotype) {}, true},
+		{"risk weights, heavy ties", func(ph *data.Phenotype) {
+			for i := range ph.Y {
+				ph.Y[i] = float64(i % 4)
+			}
+		}, true},
+	} {
+		for _, patients := range []int{36, 37, 38, 39} {
+			ph, blk := kernelFixture(t, patients, 12, false)
+			tc.reshape(ph)
+			blk.Packed[0] = blk.Packed[0]&^3 | 1 // row 0, patient 0: missing
+			cox, err := NewCox(ph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w []float64
+			if tc.weighted {
+				w = make([]float64, patients)
+				for i, r := 0, rng.New(7); i < patients; i++ {
+					w[i] = 0.25 + 3*r.Float64()
+				}
+				cox = cox.withRiskWeights(w)
+			}
+			got := PackedRowScores(blk, cox.ScoreResiduals(), nil)
+			g, u := make([]data.Genotype, patients), make([]float64, patients)
+			for r := 0; r < blk.Rows(); r++ {
+				DecodeDosageGenotypes(blk.Row(r), g)
+				var want float64
+				if tc.weighted {
+					want = weightedNaiveCoxScore(ph, w, g)
+				} else {
+					NaiveCoxContributions(ph, g, u)
+					for _, v := range u {
+						want += v
+					}
+				}
+				if diff := math.Abs(got[r] - want); !(diff <= 1e-12*float64(patients)) {
+					t.Fatalf("%s, %d patients, row %d: score off residuals %v, naive row sum %v (diff %g)",
+						tc.name, patients, r, got[r], want, diff)
+				}
+			}
+		}
+	}
+}
+
+// TestPackedRowScoresMatchContributions runs every family — the Residualers
+// and the covariate-adjusted forms included — through the packed-row kernel
+// and compares with the row sums of the model's own Contributions.
+func TestPackedRowScoresMatchContributions(t *testing.T) {
+	const patients, rows = 41, 10
+	cov := make([][]float64, patients)
+	for i, r := 0, rng.New(3); i < patients; i++ {
+		cov[i] = []float64{r.Normal(), r.Float64()}
+	}
+	for _, family := range []string{"cox", "gaussian", "binomial"} {
+		for _, covariates := range [][][]float64{nil, cov} {
+			ph, blk := kernelFixture(t, patients, rows, family == "binomial")
+			model, err := NewAdjustedModel(family, ph, covariates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := PackedRowScores(blk, model.(ScoreResidualer).ScoreResiduals(), nil)
+			ub := NewBlockKernel(model).Contributions(blk)
+			for r, want := range ub.Scores(nil, nil) {
+				if diff := math.Abs(got[r] - want); !(diff <= 1e-12*patients) {
+					t.Fatalf("%s (adjusted: %v) row %d: %v off residuals, %v summing contributions",
+						family, covariates != nil, r, got[r], want)
+				}
+			}
+		}
+	}
+}
+
+// TestPackedRowScoresSummationOrder pins the written order: four lanes by
+// patient index mod 4, ascending within a lane, combined (0+1)+(2+3) — bit for
+// bit, and the same bits wherever in whatever block the row sits.
+func TestPackedRowScoresSummationOrder(t *testing.T) {
+	for _, patients := range []int{1, 2, 3, 4, 5, 63, 64, 1000} {
+		ph, blk := kernelFixture(t, patients, 7, false)
+		model, err := NewGaussian(ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := model.ScoreResiduals()
+		got := PackedRowScores(blk, r, nil)
+		g := make([]data.Genotype, patients)
+		for row := range got {
+			DecodeDosageGenotypes(blk.Row(row), g)
+			var lanes [4]float64
+			for i, v := range g {
+				lanes[i%4] += float64(v) * r[i]
+			}
+			if want := (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]); got[row] != want {
+				t.Fatalf("%d patients, row %d: %v, written order gives %v", patients, row, got[row], want)
+			}
+			alone := data.NewGenoBlock(patients, 1)
+			if err := alone.AppendRow(0, blk.DecodeRow(row, nil)); err != nil {
+				t.Fatal(err)
+			}
+			if s := PackedRowScores(alone, r, nil); s[0] != got[row] {
+				t.Fatalf("%d patients, row %d: %v alone in a block, %v as row %d of 7", patients, row, s[0], got[row], row)
+			}
+		}
+	}
+}
+
+// TestBlockKernelCoxAllocsFlatAcrossRows pins the Cox kernel's prefix-sum
+// scratch to the kernel: allocations per block do not grow with its rows.
+func TestBlockKernelCoxAllocsFlatAcrossRows(t *testing.T) {
+	allocs := func(rows int) float64 {
+		ph, blk := kernelFixture(nil, 64, rows, false)
+		model, err := NewCox(ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := NewBlockKernel(model)
+		return testing.AllocsPerRun(20, func() { k.Contributions(blk) })
+	}
+	if few, many := allocs(2), allocs(64); few != many || few > 3 {
+		t.Fatalf("Cox kernel allocates %v times for 2 rows, %v for 64; want equal and <= 3", few, many)
+	}
+}
+
+// BenchmarkPackedRowScores prices the score-only kernel per genotype on one
+// full block at perm_scan's shape (256 SNPs × 1000 patients, Cox residuals).
+func BenchmarkPackedRowScores(b *testing.B) {
+	const patients, rows = 1000, 256
+	ph, blk := kernelFixture(nil, patients, rows, false)
+	model, err := NewCox(ph)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := model.ScoreResiduals()
+	var scores []float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scores = PackedRowScores(blk, r, scores)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(patients*rows), "ns/genotype")
 }

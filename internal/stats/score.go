@@ -128,10 +128,17 @@ func (c *Cox) Patients() int { return len(c.order) }
 // Contributions implements Model in O(n) per SNP. Under covariate-adjusted
 // risk weights w_l the risk-set genotype average becomes weighted.
 func (c *Cox) Contributions(g []data.Genotype, u []float64) {
+	c.contributions(g, u, make([]float64, len(c.order)+1))
+}
+
+// contributions is Contributions with the prefix-sum scratch supplied by the
+// caller (n+1 floats, any contents), so a kernel scoring many SNPs from one
+// goroutine allocates it once.
+func (c *Cox) contributions(g []data.Genotype, u, cum []float64) {
 	n := len(c.order)
 	checkLens(n, g, u)
 	// cum[p+1] = weighted genotype sum of the first p+1 sorted patients.
-	cum := make([]float64, n+1)
+	cum[0] = 0
 	for p, i := range c.order {
 		wi := 1.0
 		if c.w != nil {
@@ -147,6 +154,41 @@ func (c *Cox) Contributions(g []data.Genotype, u []float64) {
 		a := cum[c.groupEnd[c.pos[i]]+1]
 		u[i] = float64(g[i]) - a/c.riskDen[i]
 	}
+}
+
+// ScoreResiduals implements ScoreResidualer. The contributions couple
+// patients through the risk sets, but their sum does not: exchanging the
+// order of summation in U_j = Σ_i Δ_i (G_ij − Σ_{l∈R_i} w_l G_lj / den_i)
+// gives U_j = Σ_l G_lj r_l with
+//
+//	r_l = Δ_l − w_l · Σ_{i: Δ_i=1, Y_i ≤ Y_l} 1/den_i
+//
+// (w ≡ 1 unadjusted) — the martingale residual of the null model. One O(n)
+// walk over the tie groups from the shortest time up accumulates the inner
+// sum; a tie group's events all count for each of its members.
+func (c *Cox) ScoreResiduals() []float64 {
+	r := make([]float64, len(c.order))
+	var hazard float64
+	for end := len(c.order) - 1; end >= 0; {
+		start := end
+		for start > 0 && c.groupEnd[start-1] == end {
+			start--
+		}
+		for _, i := range c.order[start : end+1] {
+			if c.ph.Event[i] != 0 {
+				hazard += 1 / c.riskDen[i]
+			}
+		}
+		for _, i := range c.order[start : end+1] {
+			wi := 1.0
+			if c.w != nil {
+				wi = c.w[i]
+			}
+			r[i] = float64(c.ph.Event[i]) - wi*hazard
+		}
+		end = start - 1
+	}
+	return r
 }
 
 // Variance implements Model with the usual observed-information estimate of
@@ -255,6 +297,9 @@ func (g *Gaussian) Contributions(geno []data.Genotype, u []float64) {
 // Residuals implements Residualer: U_ij = G_ij · (Y_i − Ȳ).
 func (g *Gaussian) Residuals() []float64 { return g.resid }
 
+// ScoreResiduals implements ScoreResidualer.
+func (g *Gaussian) ScoreResiduals() []float64 { return g.resid }
+
 // Variance implements Model: Var(U_j) = σ̂² Σ_i (G_ij − Ḡ_j)².
 func (g *Gaussian) Variance(geno []data.Genotype) float64 {
 	n := g.ph.Patients()
@@ -328,6 +373,9 @@ func (b *Binomial) Contributions(geno []data.Genotype, u []float64) {
 
 // Residuals implements Residualer: U_ij = G_ij · (Y_i − Ȳ).
 func (b *Binomial) Residuals() []float64 { return b.resid }
+
+// ScoreResiduals implements ScoreResidualer.
+func (b *Binomial) ScoreResiduals() []float64 { return b.resid }
 
 // Variance implements Model: Var(U_j) = Ȳ(1−Ȳ) Σ_i (G_ij − Ḡ_j)².
 func (b *Binomial) Variance(geno []data.Genotype) float64 {
