@@ -51,9 +51,11 @@ bench-smoke:
 # fuzz-smoke gives each native fuzz target a 10s budget on top of its checked-in
 # seed corpus (testdata/fuzz). The targets assert the GenoBlock and
 # phenotype-matrix text codecs round-trip whatever they accept, the
-# spill-frame reader returns errors instead of panicking on arbitrary bytes,
-# and every column of the Monte Carlo panel kernel equals the scalar loop
-# bit for bit.
+# spill-frame reader (a bounds-checked gob frame of raw pairs in arrival
+# order; no arrival index, nothing to re-sort) returns errors instead of
+# panicking on arbitrary bytes or on a frame of a foreign record type, and
+# every column of the Monte Carlo panel kernel equals the scalar loop bit
+# for bit.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzGenoBlockTextRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzPhenoMatrixRoundTrip -fuzztime=10s

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -92,5 +93,24 @@ func TestReportsIdenticalAcrossFlagSets(t *testing.T) {
 	}
 	if ui, want := run(sparkui, "-log", events), fmt.Sprintf(" %d jobs,", jobs); !strings.Contains(ui, want) {
 		t.Errorf("sparkui did not rebuild%s from the event log:\n%s", strings.TrimSuffix(want, ","), ui)
+	}
+}
+
+// TestDeletedFlagsStayDeleted: the online tuner's switches are gone from both
+// binaries that carried them, not hidden — the flag package refuses them.
+func TestDeletedFlagsStayDeleted(t *testing.T) {
+	dir := t.TempDir()
+	for cmd, flags := range map[string][]string{
+		"sparkserved": {"-autotune"},
+		"sparktune":   {"-online", "-batches=8"},
+	} {
+		bin := buildCmd(t, dir, cmd)
+		for _, flag := range flags {
+			out, err := exec.Command(bin, flag).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined") {
+				t.Errorf("%s %s: err = %v, want exit status 2 with \"flag provided but not defined\":\n%s", cmd, flag, err, out)
+			}
+		}
 	}
 }

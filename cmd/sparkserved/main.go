@@ -46,7 +46,6 @@ import (
 	"sparkscore/internal/rdd"
 	"sparkscore/internal/rng"
 	"sparkscore/internal/server"
-	"sparkscore/internal/tuner"
 )
 
 func main() {
@@ -74,7 +73,6 @@ func main() {
 
 		mode     = flag.String("mode", "fair", `job scheduler: "fifo" or "fair"`)
 		pools    = flag.String("pools", "", `serving pools as a JSON array, or @file to read one (default: a single "default" pool)`)
-		autotune = flag.Bool("autotune", false, "enable the online tuner: observe stage stats and retune default parallelism between served jobs (off by default; tuned runs are not bit-comparable to the batch CLI)")
 		adaptive = flag.Bool("adaptive", false, "enable adaptive stage execution (coalescing + skew splitting)")
 
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
@@ -121,7 +119,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	var online *tuner.Online
 	scfg := server.Config{Context: ctx, Analysis: analysis, Pools: poolCfgs}
 	if *eqtlPhenos > 0 {
 		// The expression matrix stages beside the dataset; the eQTL engine
@@ -141,10 +138,6 @@ func main() {
 			fatal(err)
 		}
 		scfg.EQTL = eq
-	}
-	if *autotune {
-		online = tuner.NewOnline(ctx, tuner.OnlineConfig{})
-		scfg.Tuner = online
 	}
 	srv, err := server.New(scfg)
 	if err != nil {

@@ -7,11 +7,6 @@
 //
 // Candidates are scored on the discrete-event cluster model, so the sweep
 // costs seconds instead of cluster-hours.
-//
-// With -online the offline sweep is replaced by the feedback loop: one
-// long-lived context runs -batches Monte Carlo batches while the online
-// controller folds stage times into its EWMA and retunes default parallelism
-// between batches, printing the adaptation trace.
 package main
 
 import (
@@ -20,10 +15,8 @@ import (
 	"os"
 
 	"sparkscore/internal/cluster"
-	"sparkscore/internal/core"
 	"sparkscore/internal/gen"
 	"sparkscore/internal/metrics"
-	"sparkscore/internal/rdd"
 	"sparkscore/internal/tuner"
 )
 
@@ -37,8 +30,6 @@ func main() {
 		family     = flag.String("family", "cox", "score family")
 		scale      = flag.Int("scale", 1, "divide block size and scheduling overheads by this when the workload is a scaled stand-in")
 		seed       = flag.Uint64("seed", 1, "seed")
-		online     = flag.Bool("online", false, "run the online tuner demo instead of the offline grid sweep")
-		batches    = flag.Int("batches", 8, "Monte Carlo batches between retunes for -online")
 	)
 	flag.Parse()
 
@@ -58,12 +49,6 @@ func main() {
 		w.DFSBlockSize = int(float64(128<<20) / s)
 		w.SchedOverheadSec = 0.004 / s
 		w.StageOverheadSec = 0.05 / s
-	}
-	if *online {
-		if err := runOnline(w, *batches); err != nil {
-			fatal(err)
-		}
-		return
 	}
 	candidates := tuner.Grid(cluster.M3TwoXLarge)
 	fmt.Printf("sparktune: scoring %d container layouts on %d nodes (%d SNPs x %d patients, %d iterations)\n\n",
@@ -86,55 +71,6 @@ func main() {
 		t.AddRowf(i+1, e.Candidate.String(), e.SimSeconds, note)
 	}
 	t.Fprint(os.Stdout)
-}
-
-// runOnline demos the feedback loop: one context, -batches Monte Carlo
-// batches, a Retune between each, and the resulting adaptation trace.
-func runOnline(w tuner.Workload, batches int) error {
-	ctx, err := rdd.New(rdd.Config{
-		Cluster: cluster.Config{
-			Nodes: w.Nodes, Spec: cluster.M3TwoXLarge,
-			ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 10,
-		},
-		DFSBlockSize:     w.DFSBlockSize,
-		SchedOverheadSec: w.SchedOverheadSec,
-		StageOverheadSec: w.StageOverheadSec,
-		Seed:             w.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	o := tuner.NewOnline(ctx, tuner.OnlineConfig{})
-	paths, err := core.StageDataset(ctx, w.Dataset, "tune")
-	if err != nil {
-		return err
-	}
-	a, err := core.NewAnalysis(ctx, paths, core.Options{Family: w.Family, Seed: w.Seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sparktune: online mode, %d batches x %d iterations on %d nodes (initial parallelism %d)\n\n",
-		batches, w.Iterations, w.Nodes, ctx.DefaultParallelism())
-	t := metrics.NewTable("online tuner trace", "batch", "sim-s", "ewma-wave-s", "parallelism", "retuned")
-	for i := 0; i < batches; i++ {
-		before := ctx.VirtualTime()
-		if _, err := a.MonteCarlo(w.Iterations); err != nil {
-			return err
-		}
-		p, changed := o.Retune()
-		st := o.Stats()
-		note := ""
-		if changed {
-			note = "yes"
-		}
-		t.AddRowf(i+1, metrics.FormatSeconds(ctx.VirtualTime()-before),
-			metrics.FormatSeconds(st.EWMAWaveSeconds), p, note)
-	}
-	t.Fprint(os.Stdout)
-	st := o.Stats()
-	fmt.Printf("\nonline: %d stages observed, %d retunes, final parallelism %d\n",
-		st.Stages, st.Retunes, st.Parallelism)
-	return nil
 }
 
 func fatal(err error) {

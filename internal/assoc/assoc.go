@@ -216,15 +216,9 @@ func (a *Analysis) genotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 	}
 	patients := a.phenos.Patients
 	blocks := rdd.MapBatches(lines, "parsePackAllGenotypes", data.GenoBlockRows, func(_ int, batch []string) data.GenoBlock {
-		blk := data.NewGenoBlock(patients, len(batch))
-		for _, line := range batch {
-			snp, rest, err := data.ParseSNPPrefix(line)
-			if err != nil {
-				panic(err)
-			}
-			if err := blk.AppendTextRow(snp, rest); err != nil {
-				panic(fmt.Errorf("assoc: SNP %d: %v", snp, err))
-			}
+		blk, err := data.ParseGenoBlock(batch, patients, nil)
+		if err != nil {
+			panic(err)
 		}
 		return blk
 	})

@@ -62,21 +62,25 @@ func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
 	family := a.opts.family()
 	statName := a.setStat.Name()
 
-	perSet := rdd.Map(grouped, "liu", func(kv rdd.KV[int, []packedRow]) SetAsymptoticResult {
+	// The null model is fitted once per partition, as in contributionBlocks:
+	// with covariates it is a Newton–Raphson or IRLS fit, not a lookup.
+	perSet := rdd.MapWithSetup(grouped, "liu", func(int) func(rdd.KV[int, []packedRow]) SetAsymptoticResult {
 		nm := nullBC.Value()
 		model, err := stats.NewAdjustedModel(family, nm.Ph, nm.Cov)
 		if err != nil {
 			panic(err)
 		}
-		rows := make([][]data.Genotype, len(kv.V))
-		w := make([]float64, len(kv.V))
-		for i, pr := range kv.V {
-			g := make([]data.Genotype, patients)
-			stats.DecodeDosageGenotypes(pr.Bytes, g)
-			rows[i] = g
-			w[i] = index.Value().weights[pr.SNP]
+		return func(kv rdd.KV[int, []packedRow]) SetAsymptoticResult {
+			rows := make([][]data.Genotype, len(kv.V))
+			w := make([]float64, len(kv.V))
+			for i, pr := range kv.V {
+				g := make([]data.Genotype, patients)
+				stats.DecodeDosageGenotypes(pr.Bytes, g)
+				rows[i] = g
+				w[i] = index.Value().weights[pr.SNP]
+			}
+			return setAsymptoticResult(statName, model, kv.K, rows, w)
 		}
-		return setAsymptoticResult(statName, model, kv.K, rows, w)
 	}).SetSizeHint(48)
 
 	results, err := rdd.Collect(perSet)

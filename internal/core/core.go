@@ -251,19 +251,11 @@ func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 	}
 	patients := a.patients
 	index := a.index
+	inSomeSet := func(snp int) bool { return len(index.Value().of(snp)) > 0 }
 	blocks := rdd.MapBatches(lines, "parsePackGenotypes", data.GenoBlockRows, func(_ int, batch []string) data.GenoBlock {
-		blk := data.NewGenoBlock(patients, len(batch))
-		for _, line := range batch {
-			snp, rest, err := data.ParseSNPPrefix(line)
-			if err != nil {
-				panic(err)
-			}
-			if len(index.Value().of(snp)) == 0 {
-				continue
-			}
-			if err := blk.AppendTextRow(snp, rest); err != nil {
-				panic(fmt.Errorf("core: SNP %d: %v", snp, err))
-			}
+		blk, err := data.ParseGenoBlock(batch, patients, inSomeSet)
+		if err != nil {
+			panic(err)
 		}
 		return blk
 	})

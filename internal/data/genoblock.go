@@ -142,6 +142,28 @@ func ParseSNPPrefix(line string) (snp int, fields string, err error) {
 	return snp, fields, nil
 }
 
+// ParseGenoBlock packs a batch of genotype-matrix lines into one GenoBlock —
+// the body of every text ingest: ParseSNPPrefix on each line, then
+// AppendTextRow for the SNPs keep accepts (nil keeps all), so a skipped row
+// costs its prefix parse and nothing else. The first bad line fails the whole
+// batch, and the error names its SNP once the id has parsed.
+func ParseGenoBlock(lines []string, patients int, keep func(snp int) bool) (GenoBlock, error) {
+	blk := NewGenoBlock(patients, len(lines))
+	for _, line := range lines {
+		snp, fields, err := ParseSNPPrefix(line)
+		if err != nil {
+			return GenoBlock{}, err
+		}
+		if keep != nil && !keep(snp) {
+			continue
+		}
+		if err := blk.AppendTextRow(snp, fields); err != nil {
+			return GenoBlock{}, fmt.Errorf("data: SNP %d: %w", snp, err)
+		}
+	}
+	return blk, nil
+}
+
 // AppendTextRow parses one row's genotype fields ("g_1 g_2 ... g_n",
 // whitespace-separated, values in {0,1,2}) directly into packed form — the
 // text codec of the columnar parse path, which never materialises a boxed

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -235,5 +236,37 @@ func BenchmarkAppendTextRow(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(GenoBlockRows*patients), "ns/genotype")
 		})
+	}
+}
+
+// TestParseGenoBlock pins the shared ingest body: kept rows pack as
+// AppendTextRow packs them, a row keep rejects is skipped before its fields
+// are looked at (so its bad genotype goes unnoticed), and a bad line fails the
+// batch with an error naming its SNP.
+func TestParseGenoBlock(t *testing.T) {
+	lines := []string{"4\t0 1 2", "9\t0 x 2", "1\t2 2 0"}
+	blk, err := ParseGenoBlock(lines, 3, func(snp int) bool { return snp != 9 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewGenoBlock(3, 2)
+	for _, row := range []struct {
+		snp    int
+		fields string
+	}{{4, "0 1 2"}, {1, "2 2 0"}} {
+		if err := want.AppendTextRow(row.snp, row.fields); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(blk, want) {
+		t.Fatalf("ParseGenoBlock = %+v, want %+v", blk, want)
+	}
+	for _, tc := range []struct{ line, msg string }{
+		{"9\t0 x 2", `SNP 9: data: field 2: bad genotype "x"`},
+		{"x\t0 1 2", `bad SNP id "x"`},
+	} {
+		if _, err := ParseGenoBlock([]string{"4\t0 1 2", tc.line}, 3, nil); err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("ParseGenoBlock with line %q = %v, want an error containing %q", tc.line, err, tc.msg)
+		}
 	}
 }

@@ -164,7 +164,7 @@ func TestAdaptiveParityProperty(t *testing.T) {
 		staticDigest, staticSkel, _ := runPlan(t, p, false)
 		adaptDigest, adaptSkel, adaptFull := runPlan(t, p, true)
 		if strings.HasPrefix(staticDigest, "error:") || strings.HasPrefix(adaptDigest, "error:") {
-			// A job abort (task exceeding TaskMaxFailures under chaos) is a
+			// A job abort (task exhausting its attempts under chaos) is a
 			// legal outcome, but its timing is mode-dependent; parity is a
 			// claim about produced results.
 			continue

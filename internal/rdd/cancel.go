@@ -1,5 +1,6 @@
-// Job cancellation: deadlines and explicit CancelJob, the engine's
-// counterpart of SparkContext.cancelJob and spark.job.interruptOnCancel.
+// Job cancellation from the submitter's context.Context (deadline, explicit
+// cancel, client disconnect), the engine's counterpart of
+// SparkContext.cancelJob and spark.job.interruptOnCancel.
 //
 // A cancellation is a *signal*, not a teardown: the scheduler notices it at
 // the next task boundary (between task launches within a wave, and between
@@ -17,11 +18,10 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// JobCancelledError is returned by actions whose job was cancelled by
-// CancelJob, a RunJobWithDeadline deadline, or a RunWithCancel context.
+// JobCancelledError is returned by actions whose job was cancelled by a
+// RunWithCancel context.
 type JobCancelledError struct {
 	Job    uint64 // 0 if the job was cancelled while queued, before admission
 	Reason string
@@ -35,8 +35,8 @@ func (e *JobCancelledError) Error() string {
 }
 
 // jobCancel is the cancellation token shared between the submitting
-// goroutine, the scheduler, and CancelJob callers. done is closed at most
-// once; reason records why.
+// goroutine and the scheduler. done is closed at most once; reason records
+// why.
 type jobCancel struct {
 	once   sync.Once
 	done   chan struct{}
@@ -104,32 +104,6 @@ func (c *Context) RunWithCancel(ctx context.Context, fn func() error) error {
 		}
 	}()
 	return fn()
-}
-
-// RunJobWithDeadline runs fn with a deadline: jobs still running d after the
-// call are cancelled at their next task boundary.
-func (c *Context) RunJobWithDeadline(d time.Duration, fn func() error) error {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return c.RunWithCancel(ctx, fn)
-}
-
-// CancelJob cancels the running job with the given id (as carried by
-// JobStart events and JobSpans). It returns false if no such job is running.
-// The job aborts at its next task boundary and its action returns a
-// *JobCancelledError.
-func (c *Context) CancelJob(job uint64, reason string) bool {
-	c.mu.Lock()
-	tok := c.runningCancels[job]
-	c.mu.Unlock()
-	if tok == nil {
-		return false
-	}
-	if reason == "" {
-		reason = "cancelled by CancelJob"
-	}
-	tok.cancel(reason)
-	return true
 }
 
 // currentCancel returns the goroutine-scoped cancellation token installed by

@@ -482,15 +482,13 @@ func TestRunInPoolAttribution(t *testing.T) {
 	}
 }
 
-// TestRetuneRacesConcurrentJobs stress-tests online retuning against live
-// FAIR-pool jobs (race detector on: `go test -race` runs this): while worker
-// goroutines build pipelines off DefaultParallelism and run them — with the
-// adaptive planner enabled, so retuning races the map-output statistics
-// listener too — a tuner goroutine hammers SetDefaultParallelism and
-// DefaultParallelism the way tuner.Online.Retune does between jobs. Every job
-// must still produce correct sums, and the override must land exactly where
-// the last SetDefaultParallelism put it.
-func TestRetuneRacesConcurrentJobs(t *testing.T) {
+// TestAdaptiveRacesConcurrentJobs stress-tests the adaptive planner against
+// live FAIR-pool jobs (race detector on: `go test -race` runs this): worker
+// goroutines build shuffles at differing partition counts and run them
+// concurrently, so every job's map-output statistics and coalescing plan race
+// the others' on the shared bus and shuffle manager. Every job must still
+// produce correct sums.
+func TestAdaptiveRacesConcurrentJobs(t *testing.T) {
 	c, err := New(Config{
 		Cluster:  concTestCluster(),
 		Seed:     13,
@@ -505,24 +503,6 @@ func TestRetuneRacesConcurrentJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers, iters = 4, 6
-	stop := make(chan struct{})
-	var tunerWG sync.WaitGroup
-	tunerWG.Add(1)
-	go func() {
-		defer tunerWG.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.SetDefaultParallelism([]int{0, 4, 8, 16, 32}[i%5])
-			if p := c.DefaultParallelism(); p < 1 {
-				t.Errorf("DefaultParallelism() = %d mid-retune", p)
-				return
-			}
-		}
-	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*iters)
 	for w := 0; w < workers; w++ {
@@ -534,10 +514,7 @@ func TestRetuneRacesConcurrentJobs(t *testing.T) {
 				pool = "b"
 			}
 			for i := 0; i < iters; i++ {
-				// Partition counts snapshot whatever override is live at
-				// lineage-construction time; the job must be correct under
-				// any of them.
-				parts := c.DefaultParallelism()
+				parts := []int{4, 8, 16, 32}[(w+i)%4]
 				pairs := Map(Parallelize(c, seq(600), parts), fmt.Sprintf("rt%d-%d", w, i),
 					func(x int) KV[int, int] { return KV[int, int]{K: x % 16, V: x} })
 				errs <- c.RunInPool(pool, func() error {
@@ -558,21 +535,11 @@ func TestRetuneRacesConcurrentJobs(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	tunerWG.Wait()
 	close(errs)
 	for err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	c.SetDefaultParallelism(7)
-	if got := c.DefaultParallelism(); got != 7 {
-		t.Errorf("DefaultParallelism() = %d after SetDefaultParallelism(7)", got)
-	}
-	c.SetDefaultParallelism(0)
-	if got, slots := c.DefaultParallelism(), c.Cluster().TotalSlots(); got != slots {
-		t.Errorf("DefaultParallelism() = %d after clearing override, want cluster slots %d", got, slots)
 	}
 }
 

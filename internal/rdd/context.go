@@ -49,12 +49,6 @@ type Config struct {
 	SchedOverheadSec float64 // per-task launch/serialisation overhead (0.004)
 	StageOverheadSec float64 // per-stage DAG/committer overhead (0.05)
 
-	// TaskMaxFailures is the number of times one task may fail before the
-	// job aborts with a TaskAbortedError — Spark's task.maxFailures. Zero
-	// selects the Spark default of 4; failed attempts are retried on a
-	// freshly chosen executor.
-	TaskMaxFailures int
-
 	// MaxStageAttempts bounds how many times a map stage may run (initial
 	// attempt plus resubmissions after fetch failures) before the job
 	// aborts with a StageAbortedError. Zero selects 4, Spark's
@@ -109,9 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.StageOverheadSec == 0 {
 		c.StageOverheadSec = 0.05
 	}
-	if c.TaskMaxFailures == 0 {
-		c.TaskMaxFailures = 4
-	}
 	if c.MaxStageAttempts == 0 {
 		c.MaxStageAttempts = 4
 	}
@@ -155,10 +146,8 @@ type Context struct {
 	jobObservers sync.Map
 
 	// cancelTokens holds the goroutine-scoped cancellation token installed by
-	// RunWithCancel; runningCancels (under mu) indexes the token of every job
-	// currently running, so CancelJob can reach it by id.
-	cancelTokens   sync.Map
-	runningCancels map[uint64]*jobCancel
+	// RunWithCancel.
+	cancelTokens sync.Map
 
 	mu            sync.Mutex
 	clock         float64
@@ -166,10 +155,6 @@ type Context struct {
 	nextShuffleID int
 	nextJobID     uint64
 	pendingBcast  int64 // broadcast bytes not yet charged to a job
-
-	// parallelismOverride, when positive, replaces the cluster-derived
-	// DefaultParallelism — set by the online tuner between jobs.
-	parallelismOverride int
 
 	// activeJobs and pendingEvents buffer context-level events (node losses)
 	// raised while a job runs, so they reach the bus at a deterministic
@@ -231,18 +216,17 @@ func New(cfg Config) (*Context, error) {
 		return nil, err
 	}
 	ctx := &Context{
-		cfg:            cfg,
-		cluster:        cl,
-		fs:             fs,
-		shuffle:        newShuffleManager(),
-		faults:         rng.New(cfg.Seed ^ 0xfa17),
-		execFailures:   map[int]int{},
-		excluded:       map[int]bool{},
-		runningCancels: map[uint64]*jobCancel{},
-		workers:        make(chan struct{}, cfg.Workers),
-		bus:            &listenerBus{},
-		metrics:        newMetricsListener(),
-		sched:          newJobArbiter(cfg.Scheduler, cfg.Seed),
+		cfg:          cfg,
+		cluster:      cl,
+		fs:           fs,
+		shuffle:      newShuffleManager(),
+		faults:       rng.New(cfg.Seed ^ 0xfa17),
+		execFailures: map[int]int{},
+		excluded:     map[int]bool{},
+		workers:      make(chan struct{}, cfg.Workers),
+		bus:          &listenerBus{},
+		metrics:      newMetricsListener(),
+		sched:        newJobArbiter(cfg.Scheduler, cfg.Seed),
 	}
 	ctx.bus.add(ctx.metrics)
 	if cfg.Adaptive.Enabled {

@@ -78,7 +78,7 @@ type JobEnd struct {
 	VirtualSeconds float64 `json:"virtualSeconds"`
 	Failed         bool    `json:"failed,omitempty"`
 	Error          string  `json:"error,omitempty"`
-	// Cancelled marks a job ended by CancelJob / a deadline, not by failure:
+	// Cancelled marks a job ended by its RunWithCancel context, not by failure:
 	// the job produced no result but the context remains fully usable.
 	Cancelled bool `json:"cancelled,omitempty"`
 }
@@ -197,7 +197,7 @@ type TaskMetrics struct {
 	MaterializedBytes   int64 `json:"materializedBytes,omitempty"`
 	FusedChain          int   `json:"fusedChain,omitempty"`
 	// Spill and execution-memory accounting (sort shuffle / memory manager).
-	// SpilledBytes is the encoded bytes of sorted runs the task wrote under
+	// SpilledBytes is the encoded bytes of the runs the task wrote under
 	// memory pressure, SpillCount how many; ShuffleBufferBytes is the largest
 	// shuffle buffer the task held; ExecutionPeakBytes its execution-memory
 	// high-water mark. All zero (and absent from logs) when memory is ample.
@@ -237,7 +237,7 @@ type BlockEvicted struct {
 
 func (*BlockEvicted) Name() string { return "BlockEvicted" }
 
-// ShuffleSpill marks a map task's shuffle buffer spilling a key-sorted run
+// ShuffleSpill marks a map task's shuffle buffer spilling a run
 // to the DFS after the memory manager denied further buffering — the engine's
 // counterpart of Spark's "spilling sort data ... to disk" executor log line.
 // Bytes is the encoded size of the run file; Elems the pairs it holds.
@@ -330,7 +330,7 @@ type TaskKilled struct {
 
 func (*TaskKilled) Name() string { return "TaskKilled" }
 
-// JobCancelled marks a job being torn down by CancelJob or a deadline
+// JobCancelled marks a job being torn down by its RunWithCancel context
 // (Spark's SparkListenerJobEnd with JobFailed(SparkException: "cancelled"),
 // surfaced as its own event here so cancellations are not conflated with
 // failures). It is followed by the terminal JobEnd{Cancelled: true}.

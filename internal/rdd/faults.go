@@ -18,7 +18,7 @@ import "fmt"
 type FaultProfile struct {
 	// TaskCrashProb is the probability that a task attempt crashes at
 	// launch, before producing any output. Crashed attempts are retried up
-	// to Config.TaskMaxFailures times.
+	// to taskMaxFailures (4) times.
 	TaskCrashProb float64
 
 	// FetchFailureProb is the probability, per shuffle read per task
@@ -139,11 +139,6 @@ func (s SpeculationConfig) Validate() error {
 	return nil
 }
 
-// enabled reports whether the profile injects anything at all.
-func (f FaultProfile) enabled() bool {
-	return f.TaskCrashProb > 0 || f.FetchFailureProb > 0 || f.StragglerProb > 0 || len(f.NodeLoss) > 0
-}
-
 // Fault decision-point kinds, mixed into the injection key.
 const (
 	faultCrash     = 0x1c
@@ -227,12 +222,12 @@ func (e *fetchFailedError) Error() string {
 }
 
 // TaskAbortedError is the structured job-abort error returned when a task
-// has failed Config.TaskMaxFailures times (Spark's task.maxFailures
+// has failed taskMaxFailures (4) times (Spark's task.maxFailures
 // semantics: the whole job is failed, not just the task).
 type TaskAbortedError struct {
 	Stage    string // lineage label of the stage's RDD
 	Part     int    // partition whose task exhausted its attempts
-	Attempts int    // attempts consumed (== TaskMaxFailures)
+	Attempts int    // attempts consumed (== taskMaxFailures)
 	Cause    error  // the final attempt's failure
 }
 

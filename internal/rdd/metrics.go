@@ -37,7 +37,7 @@ type JobMetrics struct {
 	PeakMaterializedBytes int64
 	MaxFusedChain         int
 
-	// Memory-manager accounting. SpilledBytes/SpillCount total the sorted
+	// Memory-manager accounting. SpilledBytes/SpillCount total the spill
 	// runs tasks wrote under memory pressure; ShuffleBufferBytes sums each
 	// task's shuffle-buffer high-water mark; ExecutionPeakBytes is the largest
 	// execution-memory grant any single task reached. All are scheduling-order-insensitive (sums and
@@ -66,7 +66,7 @@ type JobMetrics struct {
 	SpeculationWonTasks int
 	KilledTasks         int
 
-	// Cancelled marks a job ended by CancelJob or a deadline: it produced no
+	// Cancelled marks a job ended by its RunWithCancel context: it produced no
 	// result, but unlike a failure nothing is wrong with the context.
 	Cancelled bool
 }

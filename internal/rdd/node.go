@@ -211,7 +211,7 @@ type taskContext struct {
 	// grant from the memory manager, released when the attempt ends;
 	// execPeak is its high-water mark. shuffleBufferPeak is the largest
 	// shuffle buffer (sort) or bucket set (hash) the task held; spilledBytes
-	// and spillCount record sorted runs written under memory pressure.
+	// and spillCount record runs written under memory pressure.
 	execReserved      int64
 	execPeak          int64
 	shuffleBufferPeak int64

@@ -256,32 +256,6 @@ func lineStartAtOrAfter(data []byte, off int) int {
 	return off + i + 1
 }
 
-// DefaultParallelism is the conventional partition count for cluster-wide
-// work: the total live core slots (Spark's default.parallelism on YARN),
-// unless the online tuner has overridden it (SetDefaultParallelism).
-func (c *Context) DefaultParallelism() int {
-	c.mu.Lock()
-	o := c.parallelismOverride
-	c.mu.Unlock()
-	if o > 0 {
-		return o
-	}
-	return c.cluster.TotalSlots()
-}
-
-// SetDefaultParallelism overrides DefaultParallelism for subsequently built
-// RDDs — the online tuner's actuator (tuner.Online.Retune). n <= 0 restores
-// the cluster-derived value. Running jobs are unaffected: partition counts
-// are fixed at RDD construction.
-func (c *Context) SetDefaultParallelism(n int) {
-	c.mu.Lock()
-	if n <= 0 {
-		n = 0
-	}
-	c.parallelismOverride = n
-	c.mu.Unlock()
-}
-
 // Map applies f to every element. Fused: elements stream through f without
 // an intermediate slice.
 func Map[T, U any](r *RDD[T], name string, f func(T) U) *RDD[U] {

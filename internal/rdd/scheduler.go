@@ -11,7 +11,7 @@
 // Failure handling mirrors Spark's DAGScheduler/TaskSetManager split:
 //
 //   - A failed task attempt is retried on a freshly chosen executor, up to
-//     Config.TaskMaxFailures attempts; exhaustion aborts the job with a
+//     taskMaxFailures attempts; exhaustion aborts the job with a
 //     TaskAbortedError. Executors accumulating failures are excluded from
 //     further placement (blacklisting).
 //   - A fetch failure (missing map output) fails the stage, not the task:
@@ -82,13 +82,9 @@ func (c *Context) runJob(final *node, action string, eval func(tc *taskContext, 
 		return &JobCancelledError{Reason: cancel.why()}
 	}
 	job := c.newJobID()
-	if cancel == nil {
-		cancel = newJobCancel() // reachable by CancelJob even without RunWithCancel
-	}
 	c.mu.Lock()
 	base := c.clock
 	c.activeJobs++
-	c.runningCancels[job] = cancel
 	c.mu.Unlock()
 	c.sched.jobStarted(job, pool)
 	jr := &jobRun{job: job, pool: pool, base: base, cancel: cancel}
@@ -123,7 +119,6 @@ func (c *Context) runJob(final *node, action string, eval func(tc *taskContext, 
 		if failErr == nil && jr.now() > c.clock {
 			c.clock = jr.now()
 		}
-		delete(c.runningCancels, job)
 		c.activeJobs--
 		c.mu.Unlock()
 		c.sched.jobEnded(job)
@@ -295,7 +290,7 @@ func isFetchFailure(err error) bool {
 }
 
 // runStage places, executes, and accounts one stage, retrying failed task
-// attempts (each on a freshly chosen executor) up to Config.TaskMaxFailures
+// attempts (each on a freshly chosen executor) up to taskMaxFailures
 // times. It returns a *fetchFailedError when a task found a map output
 // missing — the caller resubmits the parent map stage — and a
 // *TaskAbortedError when a task exhausted its attempts.
@@ -412,7 +407,7 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 				if stageErr == nil {
 					stageErr = f.ff
 				}
-			case t.attempt >= c.cfg.TaskMaxFailures:
+			case t.attempt >= taskMaxFailures:
 				charge.failMsg = f.err.Error()
 				noteFailure()
 				if stageErr == nil || isFetchFailure(stageErr) {
@@ -660,12 +655,6 @@ func (c *Context) placeLocked(preferred []int, loads map[int]int) int {
 	return anyID
 }
 
-// taskDuration converts a task's measured compute time and recorded I/O into
-// simulated seconds, straggler slowdown included.
-func (c *Context) taskDuration(t *task) float64 {
-	return c.taskBaseDuration(t) * c.stragglerSlowdown(t.tc)
-}
-
 // The cost model's fixed rates, in the units their names carry.
 const (
 	diskMBps = 100 // local disk bandwidth per task
@@ -683,9 +672,15 @@ const (
 	parseMBps = 0.25
 )
 
-// taskBaseDuration is taskDuration before the straggler slowdown — the
-// duration the task would have run at the stage's normal rate, which is what
-// a speculative copy of it runs at on another executor.
+// taskMaxFailures is the number of times one task may fail before the job
+// aborts with a TaskAbortedError — Spark's task.maxFailures, at its default.
+// Failed attempts are retried on a freshly chosen executor.
+const taskMaxFailures = 4
+
+// taskBaseDuration converts a task's measured compute time and recorded I/O
+// into simulated seconds before the straggler slowdown — the duration the task
+// would have run at the stage's normal rate, which is what a speculative copy
+// of it runs at on another executor.
 func (c *Context) taskBaseDuration(t *task) float64 {
 	cfg := c.cfg
 	tc := t.tc
@@ -706,7 +701,7 @@ func (c *Context) taskBaseDuration(t *task) float64 {
 		float64(tc.cacheDiskLocalBytes)/diskBps +
 		float64(tc.cacheRemoteBytes)/netBps +
 		float64(tc.shipBytes)/netBps +
-		float64(tc.spilledBytes)/diskBps // sorted runs written under memory pressure
+		float64(tc.spilledBytes)/diskBps // runs written under memory pressure
 
 	// Modelled spill: the task's share of execution memory is the unified
 	// pool's non-storage region divided over the executor's core slots; any

@@ -1,6 +1,6 @@
 // Shuffle core: the map-output table, the pair operators, and the reduce-side
 // folds. Map tasks produce one output per map partition — resident per-reduce
-// buckets, or (under memory pressure, see sortshuffle.go) key-sorted run
+// buckets, or (under memory pressure, see sortshuffle.go) partition-grouped run
 // files on the DFS with an in-memory index — and register it with the shuffle
 // manager; reduce tasks fetch their partition from every map output and
 // merge. Outputs are retained for the lifetime of the context (as with
@@ -240,7 +240,7 @@ func (sm *shuffleManager) dropNode(node int) {
 // context. A missing output — destroyed by a node loss or by fault
 // injection — raises a fetchFailedError that the scheduler turns into a
 // map-stage resubmission. (Reading a spilled output's run files happens
-// lazily in mergeRuns, with the same failure semantics.)
+// lazily in readRuns, with the same failure semantics.)
 func (sm *shuffleManager) fetch(tc *taskContext, shuffle, reducePart, mapParts int) []*mapOutput {
 	tc.ctx.maybeInjectFetchFailure(tc, shuffle, mapParts)
 	out := make([]*mapOutput, 0, mapParts)
@@ -378,8 +378,8 @@ func emitMapOutputStats(ctx *Context, tc *taskContext, sd *shuffleDep, mapPart i
 
 // fetchRange is one skew-split sub-task's work: fetch the reduce partition
 // from map outputs [lo, hi), charging the transfer exactly as a full fetch
-// would, and park the pairs — in map-output order, spilled runs merged back
-// to arrival order — for the consuming reduce task.
+// would, and park the pairs — in map-output order, spilled runs read back
+// in arrival order — for the consuming reduce task.
 func fetchRange[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleDep, reducePart, lo, hi int) {
 	mapParts := sd.parent.parts
 	ctx.maybeInjectFetchFailure(tc, sd.id, mapParts)
@@ -399,7 +399,7 @@ func fetchRange[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleD
 		if mo.runs == nil {
 			pairs = mo.buckets[reducePart].([]KV[K, V])
 		} else {
-			for kv := range mergeRuns[K, V](tc, sd.id, m, mo.runs, reducePart) {
+			for kv := range readRuns[K, V](tc, sd.id, m, mo.runs, reducePart) {
 				pairs = append(pairs, kv)
 			}
 			tc.noteMaterialized(int64(len(pairs)) * sd.parent.bytesPerElem)

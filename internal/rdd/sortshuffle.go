@@ -1,10 +1,10 @@
-// Sort-based external shuffle (Spark's SortShuffleManager). Map tasks append
+// External shuffle (the role of Spark's SortShuffleManager). Map tasks append
 // pairs to a buffer whose growth is charged to the memory manager; when an
-// acquisition is denied the buffer is sorted by (reduce partition, key hash,
-// arrival) and written to the DFS as one length-prefixed run file on the map
-// task's own node, with a per-partition offset index kept on the map output.
-// A map task that never spills registers plain resident buckets. Reduce tasks
-// recombine each map output's runs with a k-way streaming merge.
+// acquisition is denied the buffer is grouped by reduce partition, keeping
+// arrival order, and written to the DFS as one run file of length-prefixed
+// frames on the map task's own node, with a per-partition offset index kept
+// on the map output. A map task that never spills registers plain resident
+// buckets. Reduce tasks read each map output's runs back to back.
 //
 // Reproducibility contract. Shuffle results are bitwise identical whether or
 // not memory pressure forced spilling, and equal to a sequential fold of the
@@ -13,37 +13,34 @@
 // GroupByKey and Join (TestSortShuffleMatchesSequentialFold writes both out).
 // Float addition is not bitwise-associative, so two rules follow:
 //
-//   - Runs carry raw pairs with their arrival indices, never partial
-//     aggregates; the reduce side replays the map-side combine per map
-//     output, then folds the per-output results — the exact fold tree of an
-//     unspilled output.
-//   - The k-way merge is keyed by arrival index, not key: the key order of
-//     the run files serves partition grouping and the sort itself, while the
-//     merge restores the arrival order every downstream fold depends on.
+//   - Runs carry raw pairs, never partial aggregates; the reduce side
+//     replays the map-side combine per map output, then folds the per-output
+//     results — the exact fold tree of an unspilled output.
+//   - Nothing is sorted. A run holds a contiguous range of arrivals and a
+//     later run holds later ones, so a partition's frames read in run order
+//     are already the arrival order every downstream fold depends on; a key
+//     order inside a frame would have no reader, because raw pairs cannot be
+//     merged by key without changing that fold.
 
 package rdd
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"iter"
-	"sort"
 )
 
-// spillRec is one shuffled pair inside a run file. A is the pair's arrival
-// index in its map partition, the sort key of the reduce-side merge. Fields
-// are exported for gob.
+// spillRec is one shuffled pair inside a run file; a frame holds them in
+// arrival order. Fields are exported for gob.
 type spillRec[K comparable, V any] struct {
-	A int64
 	K K
 	V V
 }
 
-// shuffleRun is one spilled run: a key-sorted, partition-grouped file on the
-// DFS plus the in-memory index locating each reduce partition's frame.
+// shuffleRun is one spilled run: a partition-grouped file on the DFS plus the
+// in-memory index locating each reduce partition's frame.
 type shuffleRun struct {
 	file  string
 	offs  []int64 // payload offset per reduce partition
@@ -58,17 +55,16 @@ type shuffleRun struct {
 const spillEvery = 64
 
 // sortBuffer buffers one map task's shuffle output in arrival order,
-// spilling sorted runs when the memory manager denies growth.
+// spilling a run when the memory manager denies growth.
 type sortBuffer[K comparable, V any] struct {
 	tc           *taskContext
 	sd           *shuffleDep
 	mapPart      int
 	bytesPerElem int64
 
-	pairs       []KV[K, V]
-	arrivalBase int64 // arrival index of pairs[0]
-	reserved    int64 // execution bytes granted for the current buffer
-	runs        []*shuffleRun
+	pairs    []KV[K, V]
+	reserved int64 // execution bytes granted for the current buffer
+	runs     []*shuffleRun
 }
 
 func newSortBuffer[K comparable, V any](tc *taskContext, sd *shuffleDep, mapPart int, bytesPerElem int64) *sortBuffer[K, V] {
@@ -97,9 +93,9 @@ func (b *sortBuffer[K, V]) ensure() {
 	b.spill()
 }
 
-// spill sorts the buffered pairs by (reduce partition, key hash, arrival),
-// writes them as one length-prefixed run file on the task's node, and
-// releases the buffer's memory grant.
+// spill groups the buffered pairs by reduce partition in arrival order,
+// writes them as one run file of length-prefixed frames on the task's node,
+// and releases the buffer's memory grant.
 func (b *sortBuffer[K, V]) spill() {
 	n := len(b.pairs)
 	if n == 0 {
@@ -109,24 +105,11 @@ func (b *sortBuffer[K, V]) spill() {
 	parts := sd.parts
 	b.tc.noteShuffleBuffer(int64(n) * b.bytesPerElem)
 
-	type sortEntry struct {
-		part int
-		hash uint64
-		idx  int
+	frames := make([][]spillRec[K, V], parts)
+	for _, kv := range b.pairs {
+		p := hashPartition(kv.K, parts)
+		frames[p] = append(frames[p], spillRec[K, V](kv))
 	}
-	entries := make([]sortEntry, n)
-	for i, kv := range b.pairs {
-		h := hashKey(kv.K)
-		entries[i] = sortEntry{part: int(h % uint64(parts)), hash: h, idx: i}
-	}
-	// Stable on arrival order: equal (partition, hash) pairs keep it, and the
-	// reduce-side merge restores it globally from the stored indices.
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].part != entries[j].part {
-			return entries[i].part < entries[j].part
-		}
-		return entries[i].hash < entries[j].hash
-	})
 
 	run := &shuffleRun{
 		offs:  make([]int64, parts),
@@ -134,13 +117,7 @@ func (b *sortBuffer[K, V]) spill() {
 		elems: make([]int, parts),
 	}
 	var file bytes.Buffer
-	i := 0
-	for p := 0; p < parts; p++ {
-		recs := make([]spillRec[K, V], 0, spillEvery)
-		for ; i < n && entries[i].part == p; i++ {
-			e := entries[i]
-			recs = append(recs, spillRec[K, V]{A: b.arrivalBase + int64(e.idx), K: b.pairs[e.idx].K, V: b.pairs[e.idx].V})
-		}
+	for p, recs := range frames {
 		run.elems[p] = len(recs)
 		payload := encodeRunFrame(recs)
 		var hdr [8]byte
@@ -166,7 +143,6 @@ func (b *sortBuffer[K, V]) spill() {
 
 	tc.releaseExecution(b.reserved)
 	b.reserved = 0
-	b.arrivalBase += int64(n)
 	b.pairs = nil
 }
 
@@ -236,23 +212,6 @@ func runSortMap[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleD
 	emitMapOutputStats(ctx, tc, sd, mapPart, bytes)
 }
 
-// runCursor is one run segment being merged: records re-sorted to arrival
-// order, plus the merge position.
-type runCursor[K comparable, V any] struct {
-	recs []spillRec[K, V]
-	pos  int
-}
-
-// runHeap is the k-way merge frontier, ordered by the arrival index at each
-// cursor's head.
-type runHeap[K comparable, V any] []*runCursor[K, V]
-
-func (h runHeap[K, V]) Len() int           { return len(h) }
-func (h runHeap[K, V]) Less(i, j int) bool { return h[i].recs[h[i].pos].A < h[j].recs[h[j].pos].A }
-func (h runHeap[K, V]) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *runHeap[K, V]) Push(x any)        { *h = append(*h, x.(*runCursor[K, V])) }
-func (h *runHeap[K, V]) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
 // decodeFrameBytes decodes one reduce partition's frame out of a run file's
 // raw bytes: bounds-check the index against the file, then gob-decode. It
 // returns an error — never panics — on truncated or corrupt input, however
@@ -268,12 +227,11 @@ func decodeFrameBytes[K comparable, V any](raw []byte, off, length int64) ([]spi
 	return recs, nil
 }
 
-// decodeRunFrame reads one reduce partition's records out of a run file,
-// restoring arrival order (frames are stored key-sorted). A missing,
-// unreadable, truncated, or corrupt file means the map output is gone — a
-// fetch failure, exactly as when a resident output disappears — rather than
-// a panic: on a real cluster a shuffle file can be half-written by a dying
-// executor, and the recovery answer is recomputation, not a crash.
+// decodeRunFrame reads one reduce partition's records out of a run file. A
+// missing, unreadable, truncated, or corrupt file means the map output is
+// gone — a fetch failure, exactly as when a resident output disappears —
+// rather than a panic: on a real cluster a shuffle file can be half-written
+// by a dying executor, and the recovery answer is recomputation, not a crash.
 func decodeRunFrame[K comparable, V any](tc *taskContext, shuffle, mapPart int, run *shuffleRun, reducePart int) []spillRec[K, V] {
 	if run.lens[reducePart] == 0 && run.elems[reducePart] == 0 {
 		return nil
@@ -291,33 +249,18 @@ func decodeRunFrame[K comparable, V any](tc *taskContext, shuffle, mapPart int, 
 	if err != nil {
 		fail()
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].A < recs[j].A })
 	return recs
 }
 
-// mergeRuns streams one map output's spilled pairs for the reduce partition
-// in arrival order: a k-way heap merge of the runs keyed by arrival index.
-func mergeRuns[K comparable, V any](tc *taskContext, shuffle, mapPart int, runs []*shuffleRun, reducePart int) iter.Seq[KV[K, V]] {
+// readRuns streams one map output's spilled pairs for the reduce partition
+// in arrival order: run 0's frame, then run 1's, and so on.
+func readRuns[K comparable, V any](tc *taskContext, shuffle, mapPart int, runs []*shuffleRun, reducePart int) iter.Seq[KV[K, V]] {
 	return func(yield func(KV[K, V]) bool) {
-		h := make(runHeap[K, V], 0, len(runs))
 		for _, run := range runs {
-			recs := decodeRunFrame[K, V](tc, shuffle, mapPart, run, reducePart)
-			if len(recs) > 0 {
-				h = append(h, &runCursor[K, V]{recs: recs})
-			}
-		}
-		heap.Init(&h)
-		for h.Len() > 0 {
-			cur := h[0]
-			rec := cur.recs[cur.pos]
-			if !yield(KV[K, V]{K: rec.K, V: rec.V}) {
-				return
-			}
-			cur.pos++
-			if cur.pos == len(cur.recs) {
-				heap.Pop(&h)
-			} else {
-				heap.Fix(&h, 0)
+			for _, rec := range decodeRunFrame[K, V](tc, shuffle, mapPart, run, reducePart) {
+				if !yield(KV[K, V](rec)) {
+					return
+				}
 			}
 		}
 	}
@@ -326,7 +269,7 @@ func mergeRuns[K comparable, V any](tc *taskContext, shuffle, mapPart int, runs 
 // shuffleBucketSeqs fetches the reduce partition from every map output of the
 // shuffle and yields one pair sequence per map output, in map-partition
 // order. A resident output streams its bucket as-is; a spilled output is
-// recombined by mergeRuns. Either way the inner sequence is the map task's
+// read back by readRuns. Either way the inner sequence is the map task's
 // arrival order, the order every reduce-side fold is defined over.
 func shuffleBucketSeqs[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleDep, reducePart, mapParts int) iter.Seq[iter.Seq[KV[K, V]]] {
 	if srcs, ok := sd.takePartials(reducePart, mapParts); ok {
@@ -374,7 +317,7 @@ func shuffleBucketSeqs[K comparable, V any](ctx *Context, tc *taskContext, sd *s
 					}
 				}
 			} else {
-				seq = mergeRuns[K, V](tc, sd.id, m, mo.runs, reducePart)
+				seq = readRuns[K, V](tc, sd.id, m, mo.runs, reducePart)
 			}
 			if !yield(seq) {
 				return

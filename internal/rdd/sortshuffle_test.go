@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -179,7 +180,7 @@ func cappedCluster() cluster.Config {
 // TestSortShuffleSpillsAndMatchesUncapped pins the tentpole property: with
 // executor memory capped below the shuffle working set — the uncapped run's
 // largest per-task buffer exceeds the whole capped pool, so no resident-only
-// shuffle could have fit — map tasks spill sorted runs, every shuffle shape
+// shuffle could have fit — map tasks spill runs, every shuffle shape
 // completes, and the results are bitwise identical to an uncapped run and to
 // the sequential fold; two capped seeded replays write byte-identical
 // stripped event logs, spills included.
@@ -233,6 +234,11 @@ func TestSortShuffleSpillsAndMatchesUncapped(t *testing.T) {
 	}
 	if !strings.Contains(log1, `"type":"ShuffleSpill"`) {
 		t.Fatal("event log holds no ShuffleSpill events")
+	}
+	// A second run in one map output: the bitwise comparison above read runs
+	// back to back, it did not merely read a lone run.
+	if !regexp.MustCompile(`"type":"ShuffleSpill"[^\n]*"run":[1-9]`).MatchString(log1) {
+		t.Fatal("no map task spilled more than one run")
 	}
 
 	_, _, log2 := run()

@@ -158,7 +158,7 @@ func (c *Context) planSpeculation(job, stage uint64, round int, scheds []*attemp
 // specCrashes draws the injected-crash decision for a speculative copy. The
 // draw uses its own fault kind, so a copy crashing is independent of — and
 // never double-counts against — the original attempt sequence bounded by
-// Config.TaskMaxFailures.
+// taskMaxFailures.
 func (c *Context) specCrashes(job, stage uint64, round, part, attempt int) bool {
 	p := c.cfg.Faults.TaskCrashProb
 	if p <= 0 {

@@ -154,9 +154,11 @@ func TestSpeculativeCrashDoesNotCountTowardMaxFailures(t *testing.T) {
 }
 
 // TestRunJobWithDeadline checks deadline cancellation end to end inside the
-// engine: a job whose tasks outlast the deadline is cancelled at a task
-// boundary with a JobCancelledError, terminal cancelled events are emitted,
-// and the same context then runs a subsequent job to a correct result.
+// engine, wired the way the server wires it (RunWithCancel over a
+// context.WithTimeout): a job whose tasks outlast the deadline is cancelled at
+// a task boundary with a JobCancelledError, terminal cancelled events are
+// emitted, and the same context then runs a subsequent job to a correct
+// result.
 func TestRunJobWithDeadline(t *testing.T) {
 	var events []Event
 	var mu sync.Mutex
@@ -170,7 +172,9 @@ func TestRunJobWithDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err = c.RunJobWithDeadline(30*time.Millisecond, func() error {
+	deadline, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	err = c.RunWithCancel(deadline, func() error {
 		_, cerr := Count(Map(Parallelize(c, seq(64), 64), "slow", func(x int) int {
 			time.Sleep(5 * time.Millisecond)
 			return x

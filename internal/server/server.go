@@ -53,17 +53,6 @@ type Config struct {
 	Pools []PoolConfig
 	// CacheEntries caps the result cache (0 selects 64).
 	CacheEntries int
-	// Tuner, if set, is invoked after every successfully served request —
-	// between jobs, never during one — so an online controller (tuner.Online)
-	// can retune the context from the jobs it just observed.
-	Tuner Retuner
-}
-
-// Retuner is the server's view of the online tuner: one control step between
-// jobs. Declared here (rather than importing internal/tuner) so the serving
-// layer depends only on the interface.
-type Retuner interface {
-	Retune() (parallelism int, changed bool)
 }
 
 // Server handles job requests against one Context + Analysis pair.
@@ -72,7 +61,6 @@ type Server struct {
 	analysis *core.Analysis
 	cache    *resultCache
 	mux      *http.ServeMux
-	tuner    Retuner
 
 	// eqtl is the optional all-pairs analysis behind /v1/eqtl; the memo holds
 	// its last full result so pages are sliced, not recomputed (see eqtl.go).
@@ -80,10 +68,6 @@ type Server struct {
 	eqtlMu    sync.Mutex
 	eqtlRes   *assoc.Result
 	eqtlEpoch uint64
-
-	tuneMu  sync.Mutex
-	retunes uint64
-	tunedTo int
 
 	poolMu    sync.Mutex
 	pools     map[string]*servingPool
@@ -118,7 +102,6 @@ func New(cfg Config) (*Server, error) {
 		eqtl:     cfg.EQTL,
 		cache:    newResultCache(cfg.CacheEntries),
 		pools:    map[string]*servingPool{},
-		tuner:    cfg.Tuner,
 	}
 	for _, p := range cfg.Pools {
 		if _, ok := s.pools[p.Name]; ok {
@@ -547,28 +530,12 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 	// rests on were live at completion, and a later fault bumps the epoch and
 	// invalidates it.
 	s.cache.put(fp, s.ctx.StorageEpoch(), body)
-	s.maybeRetune()
 	resp.QueueSeconds = queueSec
 	resp.Jobs = len(spans)
 	resp.Result = body
 	rec.Status = http.StatusOK
 	s.record(rec)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// maybeRetune runs one online-tuner control step after a served request. The
-// request's own jobs have ended, so the new parallelism only shapes future
-// plans.
-func (s *Server) maybeRetune() {
-	if s.tuner == nil {
-		return
-	}
-	if n, changed := s.tuner.Retune(); changed {
-		s.tuneMu.Lock()
-		s.retunes++
-		s.tunedTo = n
-		s.tuneMu.Unlock()
-	}
 }
 
 // ---- request types ----
@@ -786,24 +753,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	requests, r429, r503 := s.reqSeq, s.rejected429, s.rejected503
 	t408, c499 := s.timedOut408, s.closed499
 	s.statMu.Unlock()
-	s.tuneMu.Lock()
-	retunes := s.retunes
-	s.tuneMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"mode":               s.ctx.SchedulerMode().String(),
-		"draining":           s.Draining(),
-		"virtualTime":        s.ctx.VirtualTime(),
-		"storageEpoch":       s.ctx.StorageEpoch(),
-		"completedJobs":      len(s.ctx.Jobs()),
-		"requests":           requests,
-		"rejected429":        r429,
-		"rejected503":        r503,
-		"timedOut408":        t408,
-		"disconnected499":    c499,
-		"defaultParallelism": s.ctx.DefaultParallelism(),
-		"retunes":            retunes,
-		"pools":              pools,
-		"cache":              s.cache.stats(),
+		"mode":            s.ctx.SchedulerMode().String(),
+		"draining":        s.Draining(),
+		"virtualTime":     s.ctx.VirtualTime(),
+		"storageEpoch":    s.ctx.StorageEpoch(),
+		"completedJobs":   len(s.ctx.Jobs()),
+		"requests":        requests,
+		"rejected429":     r429,
+		"rejected503":     r503,
+		"timedOut408":     t408,
+		"disconnected499": c499,
+		"pools":           pools,
+		"cache":           s.cache.stats(),
 	})
 }
 

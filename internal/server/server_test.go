@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -544,8 +545,26 @@ func TestStatsAndJobsEndpoints(t *testing.T) {
 		Requests      uint64      `json:"requests"`
 		Pools         []PoolStats `json:"pools"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	// The key set is a contract: bench/serve_layers.go reads the first three,
+	// and the last two reported an online tuner that no longer exists.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]bool{
+		"requests": true, "rejected429": true, "timedOut408": true,
+		"retunes": false, "defaultParallelism": false,
+	} {
+		if _, ok := keys[key]; ok != want {
+			t.Errorf("/v1/stats has key %q: %v, want %v", key, ok, want)
+		}
 	}
 	if stats.Mode != "FAIR" {
 		t.Errorf("mode %q, want FAIR", stats.Mode)
