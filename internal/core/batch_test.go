@@ -162,8 +162,7 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 			setsOf[int32(j)] = append(setsOf[int32(j)], k)
 		}
 	}
-	var touched int64
-	err := rdd.Foreach(a.warmUB, func(_ int, blocks []stats.UBlock) {
+	perPart, err := rdd.Collect(rdd.MapPartitions(a.warmUB, "setsTouched", func(_ int, blocks []stats.UBlock) []int64 {
 		seen := map[int]bool{}
 		for _, b := range blocks {
 			for _, snp := range b.SNPs {
@@ -172,10 +171,14 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 				}
 			}
 		}
-		touched += int64(len(seen))
-	})
+		return []int64{int64(len(seen))}
+	}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	var touched int64
+	for _, n := range perPart {
+		touched += n
 	}
 	if parts := a.warmUB.Partitions(); parts < 2 || touched <= int64(len(ds.SNPSets)) {
 		t.Fatalf("%d partitions touching %d sets in total: the fixture does not spread sets over partitions", parts, touched)

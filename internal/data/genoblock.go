@@ -19,7 +19,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // MissingGenotype marks an uncalled genotype. It never appears in the text
@@ -366,29 +365,4 @@ func (b *GenoBlock) WriteTextRow(r int, sb *strings.Builder) {
 // would overcharge them).
 func (b GenoBlock) ApproxBytes() int64 {
 	return int64(len(b.Packed)) + 4*int64(len(b.SNPs)) + 4*int64(len(b.Counts)) + 96
-}
-
-// DecodePool recycles per-row decode buffers for consumers that unpack
-// blocks concurrently (the single-goroutine score kernel owns its buffer
-// instead and never touches the pool).
-type DecodePool struct {
-	patients int
-	pool     sync.Pool
-}
-
-// NewDecodePool returns a pool of decode buffers for the given cohort size.
-func NewDecodePool(patients int) *DecodePool {
-	p := &DecodePool{patients: patients}
-	p.pool.New = func() any { return make([]Genotype, patients) }
-	return p
-}
-
-// Get returns a decode buffer of length Patients.
-func (p *DecodePool) Get() []Genotype { return p.pool.Get().([]Genotype) }
-
-// Put returns a buffer to the pool.
-func (p *DecodePool) Put(buf []Genotype) {
-	if cap(buf) >= p.patients {
-		p.pool.Put(buf[:p.patients])
-	}
 }

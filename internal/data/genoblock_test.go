@@ -129,19 +129,6 @@ func TestPackUnpackGenotypes(t *testing.T) {
 	}
 }
 
-func TestDecodePool(t *testing.T) {
-	p := NewDecodePool(6)
-	buf := p.Get()
-	if len(buf) != 6 {
-		t.Fatalf("pool buffer length %d", len(buf))
-	}
-	p.Put(buf)
-	p.Put(make([]Genotype, 2)) // undersized buffers are dropped
-	if got := p.Get(); len(got) != 6 {
-		t.Fatalf("recycled buffer length %d", len(got))
-	}
-}
-
 // TestSNPIDBeyondInt32Rejected is the regression test for ids that used to
 // wrap silently into the block's int32 column: "4294967301\t0 1 2" was
 // accepted and stored as SNP 5.

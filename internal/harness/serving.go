@@ -134,11 +134,9 @@ func measureServing(seed uint64, mode rdd.SchedulerMode, clients int) (servingRo
 			for i := 0; i < servingJobsPerClient; i++ {
 				label := fmt.Sprintf("c%d-r%d", c, i)
 				submit := ctx.VirtualTime()
-				spans, err := ctx.ObserveJobs(func() error {
-					return ctx.RunInPool(pool, func() error {
-						_, cerr := rdd.CollectAsMap(servingRequest(ctx, label))
-						return cerr
-					})
+				spans, err := ctx.Submit(rdd.Submission{Pool: pool}, func() error {
+					_, cerr := rdd.CollectAsMap(servingRequest(ctx, label))
+					return cerr
 				})
 				mu.Lock()
 				if err != nil && firstErr == nil {

@@ -75,13 +75,34 @@ func TestCartesianComposesWithShuffleAndActions(t *testing.T) {
 	sums := Map(prod, "sum", func(p Pair[int, int]) KV[int, int] {
 		return KV[int, int]{K: p.Left % 3, V: p.Right}
 	})
-	counts, err := CountByKey(sums)
+	ones := Map(sums, "one", func(kv KV[int, int]) KV[int, int] { return KV[int, int]{K: kv.K, V: 1} })
+	counts, err := CollectAsMap(ReduceByKey(ones, func(a, b int) int { return a + b }, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 20 lefts × 5 rights = 100 pairs; keys 0,1 get 7 lefts, key 2 gets 6.
 	if counts[0] != 35 || counts[1] != 35 || counts[2] != 30 {
 		t.Fatalf("counts = %v", counts)
+	}
+}
+
+// TestCartesianOfShuffledRDDs runs a result stage whose narrow chain reaches
+// two shuffles through two narrow parents: both map stages must run before it.
+func TestCartesianOfShuffledRDDs(t *testing.T) {
+	c := newTestContext(t, 2)
+	add := func(x, y int) int { return x + y }
+	a := ReduceByKey(Parallelize(c, []KV[int, int]{{1, 1}, {1, 2}}, 1), add, 1)
+	b := ReduceByKey(Parallelize(c, []KV[int, int]{{2, 5}}, 1), add, 1)
+	out, err := Collect(Cartesian(a, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Pair[KV[int, int], KV[int, int]]{Left: KV[int, int]{1, 3}, Right: KV[int, int]{2, 5}}
+	if len(out) != 1 || out[0] != want {
+		t.Fatalf("cross of shuffles = %v, want [%v]", out, want)
+	}
+	if jobs := c.Jobs(); jobs[len(jobs)-1].Stages != 3 {
+		t.Fatalf("stages = %d, want 3 (two map stages, one result)", jobs[len(jobs)-1].Stages)
 	}
 }
 

@@ -135,14 +135,12 @@ func runTwoPoolJobs(t *testing.T, mode SchedulerMode) (spans []JobSpan, shares [
 			defer wg.Done()
 			ready.Done()
 			ready.Wait()
-			ss, err := c.ObserveJobs(func() error {
-				return c.RunInPool(pool, func() error {
-					out, err := Collect(pipes[i])
-					if err == nil && len(out) == 0 {
-						err = fmt.Errorf("pipeline %d returned no output", i)
-					}
-					return err
-				})
+			ss, err := c.Submit(Submission{Pool: pool}, func() error {
+				out, err := Collect(pipes[i])
+				if err == nil && len(out) == 0 {
+					err = fmt.Errorf("pipeline %d returned no output", i)
+				}
+				return err
 			})
 			if err != nil {
 				t.Errorf("job in pool %s: %v", pool, err)
@@ -339,7 +337,7 @@ func TestConcurrentJobsStress(t *testing.T) {
 				if i%2 == 1 {
 					pool = "b"
 				}
-				err := c.RunInPool(pool, func() error {
+				_, err := c.Submit(Submission{Pool: pool}, func() error {
 					out, err := Collect(pipes[i])
 					if err != nil {
 						return err
@@ -443,9 +441,10 @@ func TestJobsSnapshotExcludesInFlight(t *testing.T) {
 	}
 }
 
-// TestRunInPoolAttribution checks pool stamping end to end: JobStart events
-// carry the submitting goroutine's pool, nesting restores the outer pool, and
-// unnamed submissions land in the default pool.
+// TestRunInPoolAttribution checks scope stamping end to end: JobStart events
+// and spans carry the submitting goroutine's pool, a nested Submit collects
+// its own spans and restores the outer scope on return, and submissions
+// outside any scope land in the default pool and in nobody's spans.
 func TestRunInPoolAttribution(t *testing.T) {
 	var pools []string
 	rec := ListenerFunc(func(ev Event) {
@@ -461,14 +460,22 @@ func TestRunInPoolAttribution(t *testing.T) {
 		_, err := Count(Parallelize(c, seq(10), 2))
 		return err
 	}
-	if err := count(); err != nil { // no pool → default
+	spanPools := func(spans []JobSpan) (out []string) {
+		for _, sp := range spans {
+			out = append(out, sp.Pool)
+		}
+		return out
+	}
+	if err := count(); err != nil { // no scope → default
 		t.Fatal(err)
 	}
-	err = c.RunInPool("outer", func() error {
+	var inner []JobSpan
+	outer, err := c.Submit(Submission{Pool: "outer"}, func() error {
 		if err := count(); err != nil { // outer
 			return err
 		}
-		if err := c.RunInPool("inner", count); err != nil { // inner
+		var err error
+		if inner, err = c.Submit(Submission{Pool: "inner"}, count); err != nil { // inner
 			return err
 		}
 		return count() // back to outer
@@ -476,9 +483,15 @@ func TestRunInPoolAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{DefaultPool, "outer", "inner", "outer"}
+	if err := count(); err != nil { // the scope is gone → default again
+		t.Fatal(err)
+	}
+	want := []string{DefaultPool, "outer", "inner", "outer", DefaultPool}
 	if fmt.Sprint(pools) != fmt.Sprint(want) {
 		t.Errorf("JobStart pools = %v, want %v", pools, want)
+	}
+	if got := fmt.Sprint(spanPools(outer), spanPools(inner)); got != "[outer outer] [inner]" {
+		t.Errorf("outer and inner span pools = %s, want [outer outer] [inner]", got)
 	}
 }
 
@@ -517,7 +530,7 @@ func TestAdaptiveRacesConcurrentJobs(t *testing.T) {
 				parts := []int{4, 8, 16, 32}[(w+i)%4]
 				pairs := Map(Parallelize(c, seq(600), parts), fmt.Sprintf("rt%d-%d", w, i),
 					func(x int) KV[int, int] { return KV[int, int]{K: x % 16, V: x} })
-				errs <- c.RunInPool(pool, func() error {
+				_, err := c.Submit(Submission{Pool: pool}, func() error {
 					out, err := Collect(ReduceByKey(pairs, func(a, b int) int { return a + b }, parts))
 					if err != nil {
 						return err
@@ -531,6 +544,7 @@ func TestAdaptiveRacesConcurrentJobs(t *testing.T) {
 					}
 					return nil
 				})
+				errs <- err
 			}
 		}(w)
 	}
@@ -612,7 +626,28 @@ func TestCacheDropRacesConcurrentJobs(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if c.MemoryAccountedBytes() < 0 {
-		t.Fatalf("memory manager accounts %d bytes", c.MemoryAccountedBytes())
+	if c.blocks.totalBytes() < 0 {
+		t.Fatalf("memory manager accounts %d bytes", c.blocks.totalBytes())
+	}
+}
+
+// TestParseSchedulerMode pins "any case": a mixed-case spelling parses, and
+// anything that is not one of the two modes is rejected.
+func TestParseSchedulerMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want SchedulerMode
+		ok   bool
+	}{
+		{"fifo", SchedFIFO, true},
+		{"FAIR", SchedFAIR, true},
+		{"fAiR", SchedFAIR, true},
+		{"", 0, false},
+		{"round-robin", 0, false},
+	} {
+		got, err := ParseSchedulerMode(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseSchedulerMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
 	}
 }

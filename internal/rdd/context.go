@@ -139,15 +139,10 @@ type Context struct {
 	// sched arbitrates cluster slots among concurrently running jobs.
 	sched *jobArbiter
 
-	// localPools and jobObservers hold goroutine-scoped submission
-	// properties (RunInPool, ObserveJobs), keyed by goroutine id — the Go
-	// analogue of Spark's thread-local spark.scheduler.pool.
-	localPools   sync.Map
-	jobObservers sync.Map
-
-	// cancelTokens holds the goroutine-scoped cancellation token installed by
-	// RunWithCancel.
-	cancelTokens sync.Map
+	// scopes holds the *submitScope each goroutine inside a Submit call is
+	// submitting under, keyed by goroutine id — the Go analogue of Spark's
+	// thread-local job properties.
+	scopes sync.Map
 
 	mu            sync.Mutex
 	clock         float64
@@ -242,16 +237,13 @@ func New(cfg Config) (*Context, error) {
 	ctx.shuffle.mem = ctx.blocks
 	ctx.shuffle.fs = fs
 	for _, nl := range cfg.Faults.NodeLoss {
-		ctx.FailNodeAfter(nl.Node, nl.AfterTasks)
+		ctx.failNodeAfter(nl.Node, nl.AfterTasks)
 	}
 	return ctx, nil
 }
 
 // FS exposes the simulated HDFS so callers can stage input files.
 func (c *Context) FS() *dfs.FS { return c.fs }
-
-// Cluster exposes the simulated cluster.
-func (c *Context) Cluster() *cluster.Cluster { return c.cluster }
 
 // VirtualTime returns the simulated seconds elapsed across all jobs so far.
 func (c *Context) VirtualTime() float64 {
@@ -284,7 +276,8 @@ func (c *Context) AddListener(l Listener) {
 
 // FailExecutor kills an executor immediately: its cached blocks are lost and
 // future tasks are placed elsewhere. Shuffle outputs survive, as with
-// Spark's external shuffle service on YARN.
+// Spark's external shuffle service on YARN. Exported as a fault hook:
+// server_test.go injects storage loss through it from outside the package.
 func (c *Context) FailExecutor(id int) error {
 	if err := c.cluster.Fail(id); err != nil {
 		return err
@@ -294,13 +287,13 @@ func (c *Context) FailExecutor(id int) error {
 	return nil
 }
 
-// FailNode kills a whole machine: every executor on it dies with its cached
+// failNode kills a whole machine: every executor on it dies with its cached
 // blocks, the node's shuffle outputs are destroyed (unlike an executor loss,
 // a machine loss takes the external shuffle service down with it), and the
 // node's DFS replicas disappear. Jobs recover by re-placing tasks,
 // recomputing lost cache from lineage, and resubmitting map stages whose
 // outputs are gone.
-func (c *Context) FailNode(node int) error {
+func (c *Context) failNode(node int) error {
 	ids, err := c.cluster.FailNode(node)
 	if err != nil {
 		return err
@@ -338,25 +331,27 @@ func (c *Context) SchedulerMode() SchedulerMode { return c.sched.mode }
 // of further tasks have completed, injecting a failure in the middle of a
 // running job: the plan takes hold at the first wave boundary after the
 // threshold is reached (a running wave is never re-placed). Plans queue:
-// repeated calls script cascading failures.
+// repeated calls script cascading failures. Exported as a fault hook:
+// core_test.go fails an executor mid-analysis from outside the package.
 func (c *Context) FailExecutorAfter(id int, tasks int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.failPlans = append(c.failPlans, &failurePlan{executor: id, node: -1, afterTasks: c.tasksDone + tasks})
 }
 
-// FailNodeAfter arranges for the whole node to fail (FailNode) once the
-// given number of further tasks have completed. Plans queue, and take hold at
-// wave boundaries, like FailExecutorAfter's.
-func (c *Context) FailNodeAfter(node int, tasks int64) {
+// failNodeAfter arranges for the whole node to fail (failNode) once the
+// given number of further tasks have completed — Config.Faults.NodeLoss is
+// its caller. Plans queue, and take hold at wave boundaries, like
+// FailExecutorAfter's.
+func (c *Context) failNodeAfter(node int, tasks int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.failPlans = append(c.failPlans, &failurePlan{executor: -1, node: node, afterTasks: c.tasksDone + tasks})
 }
 
-// ExcludedExecutors returns the ids of executors currently excluded from
+// excludedExecutors returns the ids of executors currently excluded from
 // scheduling after repeated task failures, in id order.
-func (c *Context) ExcludedExecutors() []int {
+func (c *Context) excludedExecutors() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []int
@@ -371,15 +366,6 @@ func (c *Context) ExcludedExecutors() []int {
 
 // CachedBytes reports the total bytes currently cached across live executors.
 func (c *Context) CachedBytes() int64 { return c.blocks.storageBytes() }
-
-// ShuffleResidentBytes reports the retained shuffle output bytes across
-// executors — the unspilled map outputs that the seed's accounting never
-// counted.
-func (c *Context) ShuffleResidentBytes() int64 { return c.blocks.shuffleResidentBytes() }
-
-// MemoryAccountedBytes reports everything the memory manager tracks: cached
-// blocks, outstanding execution grants, and retained shuffle outputs.
-func (c *Context) MemoryAccountedBytes() int64 { return c.blocks.totalBytes() }
 
 func (c *Context) newNodeID() int {
 	c.mu.Lock()

@@ -35,8 +35,8 @@ func MarshalEvent(ev Event) ([]byte, error) {
 	return json.Marshal(eventLogLine{Type: ev.Name(), Data: data})
 }
 
-// UnmarshalEvent decodes one event-log line back into its typed event.
-func UnmarshalEvent(line []byte) (Event, error) {
+// unmarshalEvent decodes one event-log line back into its typed event.
+func unmarshalEvent(line []byte) (Event, error) {
 	var env eventLogLine
 	if err := json.Unmarshal(line, &env); err != nil {
 		return nil, fmt.Errorf("rdd: malformed event-log line: %w", err)
@@ -115,7 +115,7 @@ func ReadEventLog(r io.Reader) ([]Event, error) {
 		if len(line) == 0 {
 			continue
 		}
-		ev, err := UnmarshalEvent(line)
+		ev, err := unmarshalEvent(line)
 		if err != nil {
 			return nil, err
 		}

@@ -57,7 +57,7 @@ type JobStart struct {
 	Job    uint64 `json:"job"`
 	Action string `json:"action"`
 	RDD    string `json:"rdd"`
-	// Pool is the scheduling pool the job was submitted to (RunInPool);
+	// Pool is the scheduling pool the job was submitted to (Submission.Pool);
 	// empty in logs written before pools existed.
 	Pool string `json:"pool,omitempty"`
 	// BroadcastSeconds is the virtual time charged up front for pending
@@ -78,7 +78,7 @@ type JobEnd struct {
 	VirtualSeconds float64 `json:"virtualSeconds"`
 	Failed         bool    `json:"failed,omitempty"`
 	Error          string  `json:"error,omitempty"`
-	// Cancelled marks a job ended by its RunWithCancel context, not by failure:
+	// Cancelled marks a job ended by its Submission's context, not by failure:
 	// the job produced no result but the context remains fully usable.
 	Cancelled bool `json:"cancelled,omitempty"`
 }
@@ -330,7 +330,7 @@ type TaskKilled struct {
 
 func (*TaskKilled) Name() string { return "TaskKilled" }
 
-// JobCancelled marks a job being torn down by its RunWithCancel context
+// JobCancelled marks a job being torn down by its Submission's context
 // (Spark's SparkListenerJobEnd with JobFailed(SparkException: "cancelled"),
 // surfaced as its own event here so cancellations are not conflated with
 // failures). It is followed by the terminal JobEnd{Cancelled: true}.

@@ -30,9 +30,11 @@ package rdd
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -58,10 +60,10 @@ func (m SchedulerMode) String() string {
 
 // ParseSchedulerMode parses "fifo" or "fair" (any case).
 func ParseSchedulerMode(s string) (SchedulerMode, error) {
-	switch s {
-	case "fifo", "FIFO", "Fifo":
+	switch strings.ToLower(s) {
+	case "fifo":
 		return SchedFIFO, nil
-	case "fair", "FAIR", "Fair":
+	case "fair":
 		return SchedFAIR, nil
 	}
 	return SchedFIFO, fmt.Errorf("rdd: unknown scheduler mode %q (want fifo or fair)", s)
@@ -92,7 +94,7 @@ func (p PoolSpec) weight() float64 {
 // SchedulerConfig configures multi-job arbitration on a Context.
 type SchedulerConfig struct {
 	Mode SchedulerMode
-	// Pools declares the named pools available to RunInPool. Jobs naming an
+	// Pools declares the named pools a Submission can name. Jobs naming an
 	// undeclared pool fall into an implicit weight-1 pool of that name, as
 	// Spark creates pools with default parameters on first use.
 	Pools []PoolSpec
@@ -146,11 +148,11 @@ func (a *jobArbiter) poolSpec(name string) PoolSpec {
 }
 
 // admit blocks until the job may start, returning false if the submitter's
-// cancellation token fired while it was still queued (its ticket is then
-// abandoned and skipped by jobEnded). FIFO admits strictly in ticket order —
-// one job at a time, so later submissions wait for every earlier job to end.
-// FAIR admits immediately. A nil token never cancels.
-func (a *jobArbiter) admit(tok *jobCancel) bool {
+// context ended while it was still queued (its ticket is then abandoned and
+// skipped by jobEnded). FIFO admits strictly in ticket order — one job at a
+// time, so later submissions wait for every earlier job to end. FAIR admits
+// immediately.
+func (a *jobArbiter) admit(ctx context.Context) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ticket := a.nextTicket
@@ -158,24 +160,17 @@ func (a *jobArbiter) admit(tok *jobCancel) bool {
 	if a.mode != SchedFIFO || a.serving == ticket {
 		return true
 	}
-	if tok != nil {
-		// Waker: turn the token firing into a cond broadcast so the wait
-		// loop below re-checks. Stopped when admit returns (close does not
-		// block, and runs before the mutex defer releases).
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-tok.done:
-				a.mu.Lock()
-				a.cond.Broadcast()
-				a.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
+	// Turn the context ending into a broadcast so the wait loop re-checks.
+	// The callback needs a.mu, so it cannot slip in between the check and the
+	// Wait below.
+	stop := context.AfterFunc(ctx, func() {
+		a.mu.Lock()
+		a.cond.Broadcast()
+		a.mu.Unlock()
+	})
+	defer stop()
 	for a.serving != ticket {
-		if tok.cancelled() {
+		if ctx.Err() != nil {
 			a.abandoned[ticket] = true
 			return false
 		}
@@ -279,45 +274,31 @@ func (a *jobArbiter) tieDraw(job uint64, executor int) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// ---- goroutine-scoped job submission properties ----
+// ---- the submission scope ----
 //
-// Spark attributes a job to a pool through a thread-local property
-// (spark.scheduler.pool) set on the submitting thread. The Go analogue keys
-// the property by goroutine id for the duration of a RunInPool call; actions
-// invoked inside the closure — on the same goroutine, however deep the call
-// chain — submit their jobs into that pool.
+// Spark attributes a job to a pool, and to a cancellable job group, through
+// thread-local properties set on the submitting thread. The Go analogue is one
+// value per submitting goroutine: Submit installs it for the duration of a
+// closure, and every action invoked inside — on the same goroutine, however
+// deep the call chain — submits its job under it.
 
-// RunInPool runs fn with every job it submits (from this goroutine) assigned
-// to the named scheduling pool. Calls nest: the previous pool is restored on
-// return. An empty name means the default pool.
-func (c *Context) RunInPool(pool string, fn func() error) error {
-	g := gid()
-	prev, had := c.localPools.Load(g)
-	c.localPools.Store(g, pool)
-	defer func() {
-		if had {
-			c.localPools.Store(g, prev)
-		} else {
-			c.localPools.Delete(g)
-		}
-	}()
-	return fn()
+// Submission is everything a caller says about the jobs it is about to
+// submit. The zero value is what a job outside any Submit runs under.
+type Submission struct {
+	// Context cancels the scope's jobs: when it is done (deadline, explicit
+	// cancel, or — in an HTTP handler — the client disconnecting), a queued
+	// job is abandoned and a running one stops at its next task boundary;
+	// either way the action returns a *JobCancelledError whose Reason is
+	// Context.Err(). Nil means context.Background().
+	Context context.Context
+	// Pool names the scheduling pool the jobs are assigned to; empty means
+	// DefaultPool.
+	Pool string
 }
 
-// currentPool resolves the submitting goroutine's pool, defaulting to
-// DefaultPool.
-func (c *Context) currentPool() string {
-	if v, ok := c.localPools.Load(gid()); ok {
-		if name := v.(string); name != "" {
-			return name
-		}
-	}
-	return DefaultPool
-}
-
-// JobSpan is one job's position on the virtual clock, reported by
-// ObserveJobs: the serving layer uses it to measure per-request virtual-time
-// latency (queue wait shows up as StartVirtual minus the clock at submission).
+// JobSpan is one job's position on the virtual clock, reported by Submit:
+// the serving layer uses it to measure per-request virtual-time latency
+// (queue wait shows up as StartVirtual minus the clock at submission).
 type JobSpan struct {
 	Job          uint64
 	Pool         string
@@ -327,46 +308,44 @@ type JobSpan struct {
 	Failed       bool
 }
 
-// ObserveJobs runs fn and returns the virtual-time spans of every job the
-// closure submitted from this goroutine, in completion order. It composes
-// with RunInPool in either nesting order.
-func (c *Context) ObserveJobs(fn func() error) ([]JobSpan, error) {
-	g := gid()
-	col := &spanCollector{}
-	prev, had := c.jobObservers.Load(g)
-	c.jobObservers.Store(g, col)
-	defer func() {
-		if had {
-			c.jobObservers.Store(g, prev)
-		} else {
-			c.jobObservers.Delete(g)
-		}
-	}()
-	err := fn()
-	return col.spans, err
-}
-
-type spanCollector struct {
-	mu    sync.Mutex
+// submitScope is a Submission in force on one goroutine, defaults filled in,
+// plus the spans of the jobs that ended under it. Only that goroutine touches
+// it: runJob looks it up and appends to it on the goroutine that called the
+// action.
+type submitScope struct {
+	Submission
 	spans []JobSpan
 }
 
-// noteJobSpan records the finished job on the submitting goroutine's
-// collector, if one is registered. Called from runJob's endJob, which runs on
-// the submitting goroutine.
-func (c *Context) noteJobSpan(s JobSpan) {
-	if v, ok := c.jobObservers.Load(gid()); ok {
-		col := v.(*spanCollector)
-		col.mu.Lock()
-		col.spans = append(col.spans, s)
-		col.mu.Unlock()
+// Submit runs fn with every job it submits (from this goroutine) governed by
+// s, and returns the virtual-time spans of those jobs in completion order. A
+// nested Submit replaces the outer scope — nothing is inherited — and the
+// outer scope is restored on return.
+func (c *Context) Submit(s Submission, fn func() error) ([]JobSpan, error) {
+	sc := &submitScope{Submission: s}
+	if sc.Context == nil {
+		sc.Context = context.Background()
 	}
+	if sc.Pool == "" {
+		sc.Pool = DefaultPool
+	}
+	g := gid()
+	outer, nested := c.scopes.Swap(g, sc)
+	defer func() {
+		if nested {
+			c.scopes.Store(g, outer)
+		} else {
+			c.scopes.Delete(g)
+		}
+	}()
+	err := fn()
+	return sc.spans, err
 }
 
 // gid returns the current goroutine's id, parsed from the runtime stack
 // header ("goroutine N [running]:"). It is the standard trick for
-// thread-local-like properties; the cost (~1µs) is paid once per job
-// submission and pool lookup, never per task.
+// thread-local-like properties; the cost (~2.5µs) is paid once per Submit and
+// once per job, never per task.
 func gid() uint64 {
 	var buf [40]byte
 	n := runtime.Stack(buf[:], false)

@@ -37,7 +37,7 @@ type FaultProfile struct {
 
 	// NodeLoss schedules whole-machine losses: once AfterTasks further
 	// tasks complete, the node dies — executors, cached blocks, shuffle
-	// outputs, and DFS replicas included (Context.FailNode).
+	// outputs, and DFS replicas included (Context.failNode).
 	NodeLoss []NodeLoss
 }
 

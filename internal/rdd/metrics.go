@@ -66,7 +66,7 @@ type JobMetrics struct {
 	SpeculationWonTasks int
 	KilledTasks         int
 
-	// Cancelled marks a job ended by its RunWithCancel context: it produced no
+	// Cancelled marks a job ended by its Submission's context: it produced no
 	// result, but unlike a failure nothing is wrong with the context.
 	Cancelled bool
 }

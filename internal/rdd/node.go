@@ -33,8 +33,9 @@ type node struct {
 	shuffleIn []*shuffleDep
 
 	// compute returns partition p as a boxed iter.Seq[T]. The sequence is
-	// single-use per compute call: stateful operators (Sample) reset their
-	// state inside the closure, so recomputation replays identically.
+	// single-use per compute call: stateful operators (a MapWithSetup whose
+	// setup builds per-partition state) rebuild that state inside the closure,
+	// so recomputation replays identically.
 	compute func(tc *taskContext, p int) any
 
 	// count extracts the element count from a materialised partition (the

@@ -1,12 +1,14 @@
 // The typed RDD surface: sources (Parallelize, TextFile), narrow
-// transformations (Map, Filter, FlatMap, MapWithSetup, MapPartitions, Union),
-// persistence (Cache/Unpersist), and actions (Collect, Count, Reduce,
-// Foreach). Narrow transformations fuse into a single streaming pass within
-// one task: each operator wraps its parent's partition cursor (iter.Seq[T])
-// in another lazy sequence, so no intermediate slices are allocated between
-// operators. Go methods cannot introduce new type parameters, so
-// transformations that change the element type are free functions, the
-// conventional Go generics idiom.
+// transformations (Map, Filter, FlatMap, MapWithSetup, MapPartitions),
+// persistence (Cache/Unpersist), and actions (Collect, Count). It holds the
+// operators this repository's callers use — core, assoc, harness, server,
+// cmd, examples, bench — and no others (surface_test.go fails on one that
+// loses its last caller). Narrow transformations fuse into a single
+// streaming pass within one task: each operator wraps its parent's partition
+// cursor (iter.Seq[T]) in another lazy sequence, so no intermediate slices
+// are allocated between operators. Go methods cannot introduce new type
+// parameters, so transformations that change the element type are free
+// functions, the conventional Go generics idiom.
 
 package rdd
 
@@ -346,26 +348,6 @@ func FlatMap[T, U any](r *RDD[T], name string, f func(T) []U) *RDD[U] {
 	return &RDD[U]{n: n}
 }
 
-// Union concatenates two RDDs of the same type; partitions of a follow
-// partitions of b. Fused into whichever parent chain the partition maps to.
-func Union[T any](a, b *RDD[T]) *RDD[T] {
-	if a.n.ctx != b.n.ctx {
-		panic("rdd: union of RDDs from different contexts")
-	}
-	ctx := a.n.ctx
-	n := newTypedNode[T](ctx, fmt.Sprintf("union(%s,%s)", a.n.name, b.n.name), a.n.parts+b.n.parts)
-	n.narrowParents = []*node{a.n, b.n}
-	n.bytesPerElem = max(a.n.bytesPerElem, b.n.bytesPerElem)
-	n.fusedDepth = max(a.n.fusedDepth, b.n.fusedDepth) + 1
-	n.compute = func(tc *taskContext, p int) any {
-		if p < a.n.parts {
-			return a.n.iterate(tc, p)
-		}
-		return b.n.iterate(tc, p-a.n.parts)
-	}
-	return &RDD[T]{n: n}
-}
-
 // runSeqJob runs the action on the final node: eval consumes partition p's
 // cursor inside the task (in parallel, outside the driver lock) and its
 // result is handed to visit under the lock, at most once per partition.
@@ -423,63 +405,4 @@ func Count[T any](r *RDD[T]) (int, error) {
 		total += c
 	}
 	return total, nil
-}
-
-// Reduce folds all elements with f, which must be associative and
-// commutative. Streaming: each partition folds off the cursor without being
-// materialised. It returns an error on an empty RDD.
-func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
-	type partial struct {
-		v  T
-		ok bool
-	}
-	partials := make([]partial, r.n.parts)
-	var zero T
-	err := runSeqJob(r.n, "reduce", func(_ *taskContext, s iter.Seq[T]) any {
-		var pt partial
-		for x := range s {
-			if !pt.ok {
-				pt.v, pt.ok = x, true
-			} else {
-				pt.v = f(pt.v, x)
-			}
-		}
-		return pt
-	}, func(p int, v any) {
-		partials[p] = v.(partial)
-	})
-	if err != nil {
-		return zero, err
-	}
-	var acc T
-	seen := false
-	for _, pt := range partials {
-		if !pt.ok {
-			continue
-		}
-		if !seen {
-			acc, seen = pt.v, true
-		} else {
-			acc = f(acc, pt.v)
-		}
-	}
-	if !seen {
-		return zero, fmt.Errorf("rdd: Reduce of empty RDD")
-	}
-	return acc, nil
-}
-
-// Foreach runs visit once per partition on the driver, in no particular
-// order but with exclusive access (visit need not be concurrency-safe). It
-// is the low-level action behind custom aggregations; the partition is
-// materialised to honour the slice contract.
-func Foreach[T any](r *RDD[T], visit func(p int, in []T)) error {
-	n := r.n
-	return runSeqJob(n, "foreach", func(tc *taskContext, s iter.Seq[T]) any {
-		out := drainSeq(s)
-		tc.noteMaterialized(int64(len(out)) * n.bytesPerElem)
-		return out
-	}, func(p int, v any) {
-		visit(p, v.([]T))
-	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"sparkscore/internal/cluster"
+	"sparkscore/internal/rng"
 )
 
 func newTestContext(t testing.TB, nodes int) *Context {
@@ -138,22 +139,6 @@ func TestMapPartitionsSeesPartitionIndex(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	c := newTestContext(t, 2)
-	a := Parallelize(c, []int{1, 2}, 1)
-	b := Parallelize(c, []int{3, 4, 5}, 2)
-	got, err := Collect(Union(a, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 2, 3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCount(t *testing.T) {
 	c := newTestContext(t, 2)
 	n, err := Count(Parallelize(c, seq(123), 9))
@@ -162,44 +147,6 @@ func TestCount(t *testing.T) {
 	}
 	if n != 123 {
 		t.Fatalf("Count = %d", n)
-	}
-}
-
-func TestReduce(t *testing.T) {
-	c := newTestContext(t, 2)
-	// 17 partitions over 10 elements guarantees empty partitions.
-	sum, err := Reduce(Parallelize(c, seq(10), 17), func(a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 45 {
-		t.Fatalf("Reduce sum = %d, want 45", sum)
-	}
-}
-
-func TestReduceEmptyRDDErrors(t *testing.T) {
-	c := newTestContext(t, 1)
-	if _, err := Reduce(Parallelize(c, []int{}, 3), func(a, b int) int { return a + b }); err == nil {
-		t.Fatal("Reduce of empty RDD succeeded")
-	}
-}
-
-func TestForeachVisitsEveryPartitionOnce(t *testing.T) {
-	c := newTestContext(t, 2)
-	visited := map[int]int{}
-	err := Foreach(Parallelize(c, seq(30), 6), func(p int, in []int) { visited[p] += len(in) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for p := 0; p < 6; p++ {
-		if visited[p] != 5 {
-			t.Fatalf("partition %d visited with %d elements", p, visited[p])
-		}
-		total += visited[p]
-	}
-	if total != 30 {
-		t.Fatalf("total visited %d", total)
 	}
 }
 
@@ -507,5 +454,75 @@ func TestPartitionCountInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomPipelineSemantics drives randomly composed transformation chains
+// through the engine and checks them against direct slice evaluation.
+func TestRandomPipelineSemantics(t *testing.T) {
+	c := newTestContext(t, 3)
+	r := rng.New(11)
+	for trial := 0; trial < 40; trial++ {
+		rr := r.Split(uint64(trial))
+		n := rr.Intn(200) + 1
+		in := make([]int, n)
+		for i := range in {
+			in[i] = rr.Intn(1000) - 500
+		}
+		want := append([]int(nil), in...)
+		rddV := Parallelize(c, in, rr.Intn(6)+1)
+		steps := rr.Intn(5) + 1
+		for s := 0; s < steps; s++ {
+			switch rr.Intn(4) {
+			case 0:
+				k := rr.Intn(7) + 1
+				rddV = Map(rddV, "mul", func(x int) int { return x * k })
+				for i := range want {
+					want[i] *= k
+				}
+			case 1:
+				m := rr.Intn(5) + 2
+				rddV = Filter(rddV, "mod", func(x int) bool { return x%m != 0 })
+				var kept []int
+				for _, x := range want {
+					if x%m != 0 {
+						kept = append(kept, x)
+					}
+				}
+				want = kept
+			case 2:
+				rddV = FlatMap(rddV, "pair", func(x int) []int { return []int{x, -x} })
+				var doubled []int
+				for _, x := range want {
+					doubled = append(doubled, x, -x)
+				}
+				want = doubled
+			case 3:
+				// A pipeline breaker between two fused segments.
+				d := rr.Intn(9) - 4
+				rddV = MapPartitions(rddV, "shift", func(_ int, part []int) []int {
+					out := make([]int, len(part))
+					for i, x := range part {
+						out[i] = x + d
+					}
+					return out
+				})
+				for i := range want {
+					want[i] += d
+				}
+			}
+		}
+		got, err := Collect(rddV)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d elements, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: got[%d] = %d, want %d", trial, i, got[i], want[i])
+			}
+		}
 	}
 }

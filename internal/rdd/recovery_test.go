@@ -43,7 +43,7 @@ func TestNodeLossResubmitsMapStage(t *testing.T) {
 
 	// Losing a whole machine destroys its shuffle outputs (the external
 	// shuffle service dies with it), unlike a bare executor loss.
-	if err := c.FailNode(0); err != nil {
+	if err := c.failNode(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,7 +75,7 @@ func TestNodeLossResubmitsMapStage(t *testing.T) {
 
 func TestMidJobNodeLossRecovers(t *testing.T) {
 	c := newTestContext(t, 4)
-	c.FailNodeAfter(0, 5)
+	c.failNodeAfter(0, 5)
 	got, err := CollectAsMap(shuffledSum(c))
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +85,8 @@ func TestMidJobNodeLossRecovers(t *testing.T) {
 			t.Fatalf("result differs at key %d: %d != %d", k, got[k], v)
 		}
 	}
-	for _, id := range c.Cluster().ExecutorsOnNode(0) {
-		if c.Cluster().Live(id) {
+	for _, id := range c.cluster.ExecutorsOnNode(0) {
+		if c.cluster.Live(id) {
 			t.Fatal("node-loss plan did not fire")
 		}
 	}
@@ -180,12 +180,12 @@ func TestExecutorExclusionAfterFailures(t *testing.T) {
 	}
 	// Each of the two failed attempts ran on some executor; with a threshold
 	// of 1 both hosts are excluded from further scheduling.
-	excluded := c.ExcludedExecutors()
+	excluded := c.excludedExecutors()
 	if len(excluded) != 2 {
 		t.Fatalf("excluded executors = %v, want 2 entries", excluded)
 	}
 	for _, id := range excluded {
-		if !c.Cluster().Live(id) {
+		if !c.cluster.Live(id) {
 			t.Fatalf("excluded executor %d is dead; exclusion is for live flaky hosts", id)
 		}
 	}
@@ -204,9 +204,9 @@ func TestMultipleFailurePlansQueue(t *testing.T) {
 			t.Fatalf("got[%d] = %d", i, v)
 		}
 	}
-	if c.Cluster().Live(0) || c.Cluster().Live(1) {
+	if c.cluster.Live(0) || c.cluster.Live(1) {
 		t.Fatalf("queued failure plans did not both fire (live: 0=%v 1=%v)",
-			c.Cluster().Live(0), c.Cluster().Live(1))
+			c.cluster.Live(0), c.cluster.Live(1))
 	}
 }
 
@@ -302,42 +302,56 @@ func TestStragglerSlowsVirtualTime(t *testing.T) {
 	}
 }
 
-func TestForeachNotReplayedOnStageRetry(t *testing.T) {
+func TestCollectNotReplayedOnStageRetry(t *testing.T) {
 	// The result stage re-runs only unvisited partitions after a fetch
-	// failure, so side-effecting actions observe each partition exactly once.
+	// failure: no partition is evaluated, and so none delivered, twice.
+	// Injected fetch failures hit some result tasks of the first round and
+	// spare others, which is the case the rule is about.
+	var mu sync.Mutex
+	resultTasks := map[int]int{} // partition → successful result-stage tasks
+	firstRound := 0              // of those, how many ran before any resubmission
 	c, err := New(Config{
 		Cluster: cluster.Config{Nodes: 4, Spec: cluster.M3TwoXLarge},
 		Seed:    7,
+		Faults:  FaultProfile{FetchFailureProb: 0.4},
+		Listeners: []Listener{ListenerFunc(func(ev Event) {
+			if e, ok := ev.(*TaskEnd); ok && e.Stage == 0 && e.OK {
+				mu.Lock()
+				resultTasks[e.Part]++
+				if e.Round == 0 {
+					firstRound++
+				}
+				mu.Unlock()
+			}
+		})},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := shuffledSum(c)
-	if _, err := Collect(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.FailNode(0); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	seen := map[int]int{}
-	err = Foreach(r, func(p int, in []KV[int, int]) {
-		mu.Lock()
-		for _, kv := range in {
-			seen[kv.K]++
-		}
-		mu.Unlock()
-	})
+	out, err := Collect(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := c.Jobs()
-	if m := jobs[len(jobs)-1]; m.StageAttempts == 0 {
-		t.Fatalf("foreach after node loss triggered no resubmission: %+v", m)
+	if m := c.Jobs()[0]; m.StageAttempts == 0 || firstRound == 0 || firstRound == r.Partitions() {
+		t.Fatalf("fixture: %d resubmissions, %d of %d result tasks done in the first round; want some but not all",
+			m.StageAttempts, firstRound, r.Partitions())
+	}
+	seen := map[int]int{}
+	for _, kv := range out {
+		seen[kv.K]++
 	}
 	for k, n := range seen {
 		if n != 1 {
-			t.Fatalf("key %d visited %d times across stage re-attempts, want 1", k, n)
+			t.Fatalf("key %d delivered %d times across stage re-attempts, want 1", k, n)
+		}
+	}
+	if len(seen) != len(wantShuffledSum()) {
+		t.Fatalf("%d keys delivered, want %d", len(seen), len(wantShuffledSum()))
+	}
+	for p := 0; p < r.Partitions(); p++ {
+		if resultTasks[p] != 1 {
+			t.Fatalf("result partition %d evaluated %d times across stage re-attempts, want 1", p, resultTasks[p])
 		}
 	}
 }

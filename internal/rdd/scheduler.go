@@ -25,6 +25,7 @@
 package rdd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -48,16 +49,15 @@ type task struct {
 	failMsg    string // why the attempt failed (charge records only)
 }
 
-// jobRun is the driver-side state of one running job: its id, its scheduling
-// pool, the virtual clock at job start, and the virtual seconds accumulated
-// so far. Virtual event timestamps are base + virt; all metric accumulation
-// happens in bus listeners, not here.
+// jobRun is the driver-side state of one running job: its id, the context
+// that cancels it, the virtual clock at job start, and the virtual seconds
+// accumulated so far. Virtual event timestamps are base + virt; all metric
+// accumulation happens in bus listeners, not here.
 type jobRun struct {
-	job    uint64
-	pool   string
-	base   float64 // context clock when the job was admitted
-	virt   float64 // virtual seconds this job has accumulated
-	cancel *jobCancel
+	job  uint64
+	ctx  context.Context // the submission's; done means stop at the next task boundary
+	base float64         // context clock when the job was admitted
+	virt float64         // virtual seconds this job has accumulated
 }
 
 func (j *jobRun) now() float64 { return j.base + j.virt }
@@ -69,17 +69,23 @@ func (j *jobRun) now() float64 { return j.base + j.virt }
 // result under the driver lock (no internal synchronisation needed) and is
 // called at most once per partition even across stage re-attempts.
 func (c *Context) runJob(final *node, action string, eval func(tc *taskContext, p int) any, visit func(p int, v any)) (err error) {
+	// A job outside any Submit runs uncancellable in the default pool and
+	// reports its span to nobody.
+	var scope *submitScope
+	ctx, pool := context.Background(), DefaultPool
+	if v, ok := c.scopes.Load(gid()); ok {
+		scope = v.(*submitScope)
+		ctx, pool = scope.Context, scope.Pool
+	}
 	// Admission: under FIFO this blocks until every earlier submission has
 	// ended (jobs run back-to-back on the virtual clock); under FAIR it
 	// returns immediately and the job runs on its pool's slot share. The job
 	// id and clock base are taken only after admission, so ids and start
 	// times follow admission order.
-	pool := c.currentPool()
-	cancel := c.currentCancel()
-	if !c.sched.admit(cancel) {
+	if !c.sched.admit(ctx) {
 		// Cancelled while queued for FIFO admission: the job never started —
 		// no id was assigned and no events are emitted.
-		return &JobCancelledError{Reason: cancel.why()}
+		return &JobCancelledError{Reason: ctx.Err().Error()}
 	}
 	job := c.newJobID()
 	c.mu.Lock()
@@ -87,7 +93,7 @@ func (c *Context) runJob(final *node, action string, eval func(tc *taskContext, 
 	c.activeJobs++
 	c.mu.Unlock()
 	c.sched.jobStarted(job, pool)
-	jr := &jobRun{job: job, pool: pool, base: base, cancel: cancel}
+	jr := &jobRun{job: job, ctx: ctx, base: base}
 
 	// endJob publishes the terminal JobEnd exactly once — from the success
 	// path or from the deferred failure handler — after flushing buffered
@@ -122,8 +128,10 @@ func (c *Context) runJob(final *node, action string, eval func(tc *taskContext, 
 		c.activeJobs--
 		c.mu.Unlock()
 		c.sched.jobEnded(job)
-		c.noteJobSpan(JobSpan{Job: job, Pool: pool, Action: action,
-			StartVirtual: jr.base, EndVirtual: jr.now(), Failed: failErr != nil})
+		if scope != nil {
+			scope.spans = append(scope.spans, JobSpan{Job: job, Pool: pool, Action: action,
+				StartVirtual: jr.base, EndVirtual: jr.now(), Failed: failErr != nil})
+		}
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -333,7 +341,7 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 		}
 		c.mu.Unlock()
 		for _, t := range wave {
-			if jr.cancel.cancelled() {
+			if jr.ctx.Err() != nil {
 				break // the job is cancelled: this is the next task boundary
 			}
 			t.attempt = attempt
@@ -424,10 +432,10 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 		if stageErr != nil {
 			break
 		}
-		if jr.cancel.cancelled() {
+		if err := jr.ctx.Err(); err != nil {
 			// Launched attempts (and their failures) are accounted as usual;
 			// the stage then completes as cancelled and the job unwinds.
-			stageErr = &JobCancelledError{Job: job, Reason: jr.cancel.why()}
+			stageErr = &JobCancelledError{Job: job, Reason: err.Error()}
 			break
 		}
 		wave = retry
@@ -588,7 +596,7 @@ func (c *Context) firePlans() {
 	for _, fp := range due {
 		// Best effort; failing the last live executor or node is refused.
 		if fp.node >= 0 {
-			_ = c.FailNode(fp.node)
+			_ = c.failNode(fp.node)
 		} else {
 			_ = c.FailExecutor(fp.executor)
 		}

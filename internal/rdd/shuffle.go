@@ -11,7 +11,7 @@
 //
 // Shuffle writes are pipeline breakers: the map side streams the fused narrow
 // chain's cursor into the spillable buffer, so the map input is never
-// materialised as one slice. For ReduceByKey/CountByKey an unspilled buffer
+// materialised as one slice. For ReduceByKey an unspilled buffer
 // is combined per (bucket, key) before it is registered (Spark's map-side
 // combine), shrinking shuffled bytes to one pair per (bucket, key) before the
 // fetch.
@@ -506,6 +506,10 @@ func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, []V
 // emitted lazily off the merged sides. parts <= 0 inherits the larger
 // parent's partition count, as Spark's defaultPartitioner does — joining a
 // small side must not collapse the big side's parallelism.
+//
+// Kept for one caller: bench/layers.go replays a join-and-reduce to price a
+// shuffled record. core broadcasts the weights instead (PAPER.md §2), so Join
+// goes when that replay does.
 func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int) *RDD[KV[K, JoinPair[V, W]]] {
 	ctx := a.n.ctx
 	if b.n.ctx != ctx {

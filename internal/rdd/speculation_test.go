@@ -154,7 +154,7 @@ func TestSpeculativeCrashDoesNotCountTowardMaxFailures(t *testing.T) {
 }
 
 // TestRunJobWithDeadline checks deadline cancellation end to end inside the
-// engine, wired the way the server wires it (RunWithCancel over a
+// engine, wired the way the server wires it (Submit under a
 // context.WithTimeout): a job whose tasks outlast the deadline is cancelled at
 // a task boundary with a JobCancelledError, terminal cancelled events are
 // emitted, and the same context then runs a subsequent job to a correct
@@ -174,7 +174,7 @@ func TestRunJobWithDeadline(t *testing.T) {
 
 	deadline, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	err = c.RunWithCancel(deadline, func() error {
+	_, err = c.Submit(Submission{Context: deadline}, func() error {
 		_, cerr := Count(Map(Parallelize(c, seq(64), 64), "slow", func(x int) int {
 			time.Sleep(5 * time.Millisecond)
 			return x
@@ -262,10 +262,11 @@ func TestCancelWhileQueuedFIFO(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	queuedErr := make(chan error, 1)
 	go func() {
-		queuedErr <- c.RunWithCancel(ctx, func() error {
+		_, qerr := c.Submit(Submission{Context: ctx}, func() error {
 			_, qerr := Count(Parallelize(c, seq(10), 2))
 			return qerr
 		})
+		queuedErr <- qerr
 	}()
 	time.Sleep(30 * time.Millisecond) // let it enqueue behind the slow job
 	cancel()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sparkscore/internal/cluster"
+	"sparkscore/internal/rng"
 )
 
 // drainChain drives a fused chain's cursor for one partition the way a task
@@ -108,9 +109,10 @@ func TestCollectPreallocates(t *testing.T) {
 }
 
 // TestFusedChainRecomputeAfterNodeLoss kills a machine under a cached fused
-// chain that includes a stateful operator (Sample) and checks the recomputed
-// result is identical to the pre-failure one — the RNG is re-seeded inside
-// the cursor, so a replayed drain flips the same coins.
+// chain that includes a stateful operator (a MapWithSetup whose mapper draws
+// from a per-partition RNG) and checks the recomputed result is identical to
+// the pre-failure one — setup runs again inside the cursor, so a replayed
+// drain re-seeds and flips the same coins.
 func TestFusedChainRecomputeAfterNodeLoss(t *testing.T) {
 	c, err := New(Config{
 		Cluster: cluster.Config{Nodes: 4, Spec: cluster.M3TwoXLarge},
@@ -120,14 +122,17 @@ func TestFusedChainRecomputeAfterNodeLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Parallelize(c, seq(20000), 12)
-	sampled := Sample(Map(base, "x3", func(x int) int { return 3 * x }), 0.5, 99)
-	chain := Map(sampled, "inc", func(x int) int { return x + 1 }).Cache()
+	noisy := MapWithSetup(Map(base, "x3", func(x int) int { return 3 * x }), "noise", func(p int) func(int) int {
+		rr := rng.New(99).Split(uint64(p))
+		return func(x int) int { return x + rr.Intn(1000) }
+	})
+	chain := Map(noisy, "inc", func(x int) int { return x + 1 }).Cache()
 
 	before, err := Collect(chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.FailNode(0); err != nil {
+	if err := c.failNode(0); err != nil {
 		t.Fatal(err)
 	}
 	after, err := Collect(chain)

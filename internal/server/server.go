@@ -7,7 +7,7 @@
 // Three layers stack on the engine's multi-job scheduler:
 //
 //   - Scheduling: every request names a pool; the request's jobs are
-//     submitted under rdd.Context.RunInPool, so the engine's FIFO/FAIR
+//     submitted under one rdd.Context.Submit, so the engine's FIFO/FAIR
 //     arbiter (weight, minShare) decides how concurrent requests share the
 //     cluster's virtual core slots.
 //   - Admission: each pool additionally caps how many requests run at once
@@ -454,14 +454,9 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 	done := make(chan outcome, 1)
 	go func() {
 		var payload any
-		spans, err := s.ctx.ObserveJobs(func() error {
-			return s.ctx.RunWithCancel(cctx, func() error {
-				return s.ctx.RunInPool(poolName, func() error {
-					var werr error
-					payload, werr = req.run(s.analysis)
-					return werr
-				})
-			})
+		spans, err := s.ctx.Submit(rdd.Submission{Context: cctx, Pool: poolName}, func() (werr error) {
+			payload, werr = req.run(s.analysis)
+			return werr
 		})
 		done <- outcome{payload: payload, spans: spans, err: err}
 	}()

@@ -211,8 +211,7 @@ func packedRowScore(packed []byte, r []float64) float64 {
 
 // BlockKernel applies a score model to packed genotype blocks. A kernel is
 // built once per partition (it owns a decode buffer) and used from a single
-// goroutine; concurrent consumers build one kernel each, or share blocks via
-// data.DecodePool.
+// goroutine; concurrent consumers build one kernel each.
 type BlockKernel struct {
 	model Model
 	resid []float64 // non-nil selects the fused dosage×residual path
