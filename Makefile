@@ -36,15 +36,16 @@ bench:
 # are asserted by TestFusedChainAllocsIndependentOfSize; this guards the
 # benchmark harness itself), that the wide kernel's benchmark at the
 # eqtl_wide shape still builds its fixture and reports Mpairs/s, and that the
-# Monte Carlo panel kernel's benchmark still builds its larger-than-cache U
-# (82 MB) and reports ns/elem-replicate at b = 1 and at core's batch width,
+# Monte Carlo panel kernel's benchmark still builds mc_cached's packed matrix
+# (500 and 1000 patients × 20 000 SNPs) and reports ns/elem-replicate at
+# b = 1, one tile and core's batch width, table build counted,
 # and that Algorithm 2's two kernels still report ns/genotype at perm_scan's
 # row width: the text codec on a canonical row and on a one-tab row the
 # tokenizer decides, and the packed-row score kernel on a 256 × 1000 block.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x
-	$(GO) test ./internal/stats -run '^$$' -bench UBlockPanel -benchtime=3x
+	$(GO) test ./internal/stats -run '^$$' -bench PackedPanel -benchtime=3x
 	$(GO) test ./internal/data -run '^$$' -bench AppendTextRow -benchtime=3x
 	$(GO) test ./internal/stats -run '^$$' -bench PackedRowScores -benchtime=3x
 
@@ -54,13 +55,13 @@ bench-smoke:
 # spill-frame reader (a bounds-checked gob frame of raw pairs in arrival
 # order; no arrival index, nothing to re-sort) returns errors instead of
 # panicking on arbitrary bytes or on a frame of a foreign record type, and
-# every column of the Monte Carlo panel kernel equals the scalar loop bit
-# for bit.
+# every column of the Monte Carlo panel kernel equals PackedRowScores on that
+# column bit for bit.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzGenoBlockTextRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzPhenoMatrixRoundTrip -fuzztime=10s
 	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzDecodeFrameBytes -fuzztime=10s
-	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzUBlockPanel -fuzztime=10s
+	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPanelKernel -fuzztime=10s
 
 # cover enforces the per-package statement-coverage floors recorded in
 # coverage_baseline.txt: <package> <min-percent> per line, '#' comments

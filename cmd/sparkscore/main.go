@@ -50,7 +50,7 @@ func main() {
 		method     = flag.String("method", "mc", `resampling method: "mc" (Monte Carlo) or "perm" (permutation)`)
 		iterations = flag.Int("iterations", 1000, "resampling iterations (B)")
 		family     = flag.String("family", "cox", `score family: "cox", "gaussian", or "binomial"`)
-		noCache    = flag.Bool("no-cache", false, "disable caching of the score-contribution RDD")
+		noCache    = flag.Bool("no-cache", false, "disable caching of the packed genotype RDD")
 		adaptive   = flag.Bool("adaptive", false, "enable adaptive stage execution (coalesce small reduce partitions, split skewed ones from observed map-output sizes); results are bitwise identical either way")
 		chaos      = flag.Bool("chaos", false, "inject task crashes, fetch failures, and stragglers; results are bitwise unchanged")
 		setStat    = flag.String("set-stat", "skat", `SNP-set statistic: "skat" or "burden"`)

@@ -64,7 +64,7 @@ func main() {
 		family  = flag.String("family", "cox", `score family: "cox", "gaussian", or "binomial"`)
 		setStat = flag.String("set-stat", "skat", `SNP-set statistic: "skat" or "burden"`)
 		seed    = flag.Uint64("seed", 1, "seed for data generation and resampling")
-		warm    = flag.Bool("warm", true, "pre-materialise and cache RDD U before serving")
+		warm    = flag.Bool("warm", true, "pre-materialise and cache the packed genotype matrix before serving")
 
 		nodes = flag.Int("nodes", 6, "simulated cluster nodes (m3.2xlarge)")
 		execs = flag.Int("executors-per-node", 2, "YARN containers per node")
@@ -114,7 +114,7 @@ func main() {
 		fatal(err)
 	}
 	if *warm {
-		fmt.Println("sparkserved: warming the score-contribution RDD cache ...")
+		fmt.Println("sparkserved: warming the packed genotype cache ...")
 		if err := analysis.Warm(); err != nil {
 			fatal(err)
 		}

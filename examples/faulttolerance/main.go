@@ -126,9 +126,9 @@ func run(ds *data.Dataset, faults rdd.FaultProfile, extra ...rdd.Listener) outco
 		log.Fatal(err)
 	}
 
-	// Materialise and cache RDD U before the chaos starts, so the scheduled
-	// node loss destroys real cached state, real shuffle outputs, and real
-	// HDFS replicas mid-analysis.
+	// Materialise and cache the packed genotype blocks before the chaos
+	// starts, so the scheduled node loss destroys real cached state, real
+	// shuffle outputs, and real HDFS replicas mid-analysis.
 	if err := a.Warm(); err != nil {
 		log.Fatal(err)
 	}

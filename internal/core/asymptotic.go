@@ -37,7 +37,6 @@ type packedRow struct {
 // their sets with a shuffle and each set's moments are computed where its rows
 // land.
 func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
-	nullBC := a.broadcastNull(a.phenotype)
 	blocks, err := a.filteredGenotypeBlocks()
 	if err != nil {
 		return nil, err
@@ -59,28 +58,18 @@ func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
 	grouped := rdd.GroupByKey(bySet, 0).SetSizeFunc(func(kv rdd.KV[int, []packedRow]) int64 {
 		return 32 + int64(len(kv.V))*(32+rowBytes)
 	})
-	family := a.opts.family()
-	statName := a.setStat.Name()
+	statName, null := a.setStat.Name(), a.null
 
-	// The null model is fitted once per partition, as in contributionBlocks:
-	// with covariates it is a Newton–Raphson or IRLS fit, not a lookup.
-	perSet := rdd.MapWithSetup(grouped, "liu", func(int) func(rdd.KV[int, []packedRow]) SetAsymptoticResult {
-		nm := nullBC.Value()
-		model, err := stats.NewAdjustedModel(family, nm.Ph, nm.Cov)
-		if err != nil {
-			panic(err)
+	perSet := rdd.Map(grouped, "liu", func(kv rdd.KV[int, []packedRow]) SetAsymptoticResult {
+		rows := make([][]data.Genotype, len(kv.V))
+		w := make([]float64, len(kv.V))
+		for i, pr := range kv.V {
+			g := make([]data.Genotype, patients)
+			stats.DecodeDosageGenotypes(pr.Bytes, g)
+			rows[i] = g
+			w[i] = index.Value().weights[pr.SNP]
 		}
-		return func(kv rdd.KV[int, []packedRow]) SetAsymptoticResult {
-			rows := make([][]data.Genotype, len(kv.V))
-			w := make([]float64, len(kv.V))
-			for i, pr := range kv.V {
-				g := make([]data.Genotype, patients)
-				stats.DecodeDosageGenotypes(pr.Bytes, g)
-				rows[i] = g
-				w[i] = index.Value().weights[pr.SNP]
-			}
-			return setAsymptoticResult(statName, model, kv.K, rows, w)
-		}
+		return setAsymptoticResult(statName, null.Value(), kv.K, rows, w)
 	}).SetSizeHint(48)
 
 	results, err := rdd.Collect(perSet)

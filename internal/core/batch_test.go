@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"sparkscore/internal/cluster"
 	"sparkscore/internal/data"
 	"sparkscore/internal/gen"
 	"sparkscore/internal/rdd"
+	"sparkscore/internal/replaytest"
 	"sparkscore/internal/rng"
 	"sparkscore/internal/stats"
 )
@@ -25,17 +28,37 @@ type batchConfig struct {
 }
 
 // batchConfigs covers both set statistics, on the Cox score and on the
-// covariate-adjusted Gaussian score.
+// covariate-adjusted Gaussian score, and every other residual panel once: the
+// Binomial family and the covariate-adjusted Cox and Binomial models (the
+// plain Gaussian panel is the adjusted one's with other residuals).
 func batchConfigs(t *testing.T) []batchConfig {
 	cox := testDataset(t, 25, 120, 6, 31)
 	adjusted := testDataset(t, 40, 120, 6, 32)
 	adjusted.Covariates = gen.Covariates(gen.Config{Patients: 40, SNPs: 120, SNPSets: 6}, rng.New(3))
+	binary, adjustedBinary := *cox, *adjusted
+	binary.Phenotype, adjustedBinary.Phenotype = binarised(cox.Phenotype), binarised(adjusted.Phenotype)
 	return []batchConfig{
 		{"cox/skat", cox, Options{Seed: 5}},
 		{"cox/burden", cox, Options{Seed: 5, SetStatistic: "burden"}},
 		{"adjusted-gaussian/skat", adjusted, Options{Seed: 6, Family: "gaussian"}},
 		{"adjusted-gaussian/burden", adjusted, Options{Seed: 6, Family: "gaussian", SetStatistic: "burden"}},
+		{"binomial/skat", &binary, Options{Seed: 7, Family: "binomial"}},
+		{"adjusted-cox/skat", adjusted, Options{Seed: 8}},
+		{"adjusted-binomial/skat", &adjustedBinary, Options{Seed: 9, Family: "binomial"}},
 	}
+}
+
+// binarised returns the phenotype with its outcome cut at the median-ish 12
+// months, for the binomial family.
+func binarised(ph *data.Phenotype) *data.Phenotype {
+	out := data.NewPhenotype(ph.Patients())
+	copy(out.Event, ph.Event)
+	for i, y := range ph.Y {
+		if y > 12 {
+			out.Y[i] = 1
+		}
+	}
+	return out
 }
 
 // TestMonteCarloBatchBoundaries pins MonteCarlo(B) to ReferenceMonteCarlo at
@@ -97,12 +120,12 @@ func TestReplicateIsTheBatchColumn(t *testing.T) {
 			}
 			for _, iters := range batchBoundaries {
 				a := stagedAnalysis(t, testContext(t, 2), cfg.ds, cfg.opts)
-				rep, release, err := a.contributionSource(true)
+				blocks, release, err := a.source(true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var batched [][]float64
-				err = a.replicates(rep, iters, func(s []float64) { batched = append(batched, s) })
+				err = a.replicates(blocks, iters, func(s []float64) { batched = append(batched, s) })
 				release()
 				if err != nil {
 					t.Fatal(err)
@@ -134,9 +157,210 @@ func TestReplicateIsTheBatchColumn(t *testing.T) {
 	}
 }
 
+// workersContext is testContext on three nodes with the host parallelism
+// pinned.
+func workersContext(t *testing.T, workers int, faults rdd.FaultProfile) *rdd.Context {
+	t.Helper()
+	ctx, err := rdd.New(rdd.Config{
+		Cluster:      cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
+		DFSBlockSize: 4 << 10,
+		Seed:         11,
+		Faults:       faults,
+		Workers:      workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctx
+}
+
+// TestObservedSameBitsWarmOrCold pins the one summation order every pass now
+// shares: the observed statistics are the same bits from a cold analysis, a
+// Warm()ed one, MonteCarlo and Permutation, whatever the host parallelism.
+// When a warmed analysis summed a cached U in patient order and a cold one
+// ran PackedRowScores, all ten statistics of this fixture differed in their
+// last digits.
+func TestObservedSameBitsWarmOrCold(t *testing.T) {
+	ds := testDataset(t, 200, 300, 10, 41)
+	var ref []float64
+	for _, workers := range []int{1, 2, 8} {
+		a := stagedAnalysis(t, workersContext(t, workers, rdd.FaultProfile{}), ds, Options{Seed: 3})
+		cold, err := a.Observed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm, err := a.Permutation(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldMC, err := a.MonteCarlo(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Warm(); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := a.Observed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmMC, err := a.MonteCarlo(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = cold
+		}
+		for name, got := range map[string][]float64{
+			"cold Observed()": cold, "Permutation(0).Observed": perm.Observed, "cold MonteCarlo(0).Observed": coldMC.Observed,
+			"warm Observed()": warm, "warm MonteCarlo(0).Observed": warmMC.Observed,
+		} {
+			for k := range ref {
+				if math.Float64bits(got[k]) != math.Float64bits(ref[k]) {
+					t.Fatalf("workers=%d set %d: %s = %v, the first cold Observed() %v", workers, k, name, got[k], ref[k])
+				}
+			}
+		}
+	}
+}
+
+// TestBatchColumnsAreReplicatesUnderChaos is TestReplicateIsTheBatchColumn
+// with faults injected and the host parallelism varied: the per-replicate
+// statistics a batched run hands out — one whole batch and a 3-replicate tail,
+// tasks crashing, fetches failing and a node lost with its cached blocks — are
+// the same bits under Workers ∈ {1, 2, 8}, and the bits a fault-free cold
+// Replicate(k) returns.
+func TestBatchColumnsAreReplicatesUnderChaos(t *testing.T) {
+	ds := testDataset(t, 61, 200, 9, 7)
+	var columns [][]float64
+	replaytest.AcrossWorkers(t, func(workers int) replaytest.Observation {
+		a := stagedAnalysis(t, workersContext(t, workers, chaosProfile), ds, Options{Seed: 7})
+		blocks, release, err := a.source(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		columns = nil
+		if err := a.replicates(blocks, chaosIters, func(s []float64) { columns = append(columns, s) }); err != nil {
+			t.Fatal(err)
+		}
+		var bits strings.Builder
+		for _, s := range columns {
+			for _, v := range s {
+				fmt.Fprintf(&bits, "%016x ", math.Float64bits(v))
+			}
+		}
+		return replaytest.Observation{Result: bits.String()}
+	})
+	clean := stagedAnalysis(t, workersContext(t, 0, rdd.FaultProfile{}), ds, Options{Seed: 7})
+	for k, column := range columns {
+		single, err := clean.Replicate(uint64(k + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for set := range single {
+			if math.Float64bits(column[set]) != math.Float64bits(single[set]) {
+				t.Fatalf("replicate %d set %d: %v in a batch under chaos, %v from a clean Replicate", k+1, set, column[set], single[set])
+			}
+		}
+	}
+}
+
+// TestResamplingNeverRefitsTheNullModel pins "fitted once per Analysis": the
+// covariates are not retained past NewAnalysis, and with the phenotype taken
+// away as well nothing is left to fit a null model from — Warm, Observed, ten
+// served replicates and a batched run still succeed (a task that tried would
+// crash its job) and return the bits of an untouched analysis. The adjusted
+// Cox model is a Newton–Raphson fit, the adjusted Binomial an IRLS one.
+func TestResamplingNeverRefitsTheNullModel(t *testing.T) {
+	for _, cfg := range batchConfigs(t) {
+		if !strings.HasPrefix(cfg.name, "adjusted-") {
+			continue
+		}
+		t.Run(cfg.name, func(t *testing.T) {
+			run := func(poison bool) (out [][]float64) {
+				a := stagedAnalysis(t, testContext(t, 2), cfg.ds, cfg.opts)
+				if poison {
+					a.phenotype = nil
+				}
+				if err := a.Warm(); err != nil {
+					t.Fatal(err)
+				}
+				observed, err := a.Observed()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, observed)
+				for k := uint64(1); k <= 10; k++ {
+					s, err := a.Replicate(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, s)
+				}
+				res, err := a.MonteCarlo(mcBatch + 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return append(out, res.Observed, res.PValues)
+			}
+			if got, want := fmt.Sprint(run(true)), fmt.Sprint(run(false)); got != want {
+				t.Fatalf("without its phenotype the analysis returns\n%s\nwant\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestNewAnalysisRejectsNonFiniteResiduals covers the fail-closed check on
+// the null model: leaving zero-dosage terms out of a score is exact only for
+// finite residuals, so an analysis whose model has none is refused at
+// construction, naming the patient.
+func TestNewAnalysisRejectsNonFiniteResiduals(t *testing.T) {
+	const patients = 40
+	fixture := func() *data.Dataset {
+		ds := testDataset(t, patients, 30, 3, 9)
+		ds.Covariates = gen.Covariates(gen.Config{Patients: patients, SNPs: 30, SNPSets: 3}, rng.New(4))
+		return ds
+	}
+	// A covariate that shortens survival, so its fitted log-hazard is
+	// positive — and the earliest patient, censored, is in no event's risk
+	// set: the fit never sees a value there that overflows exp.
+	overflow := fixture()
+	first := 0
+	for i, y := range overflow.Phenotype.Y {
+		overflow.Covariates.Rows[i][0] -= math.Log(y) / 2
+		if y < overflow.Phenotype.Y[first] {
+			first = i
+		}
+	}
+	overflow.Phenotype.Event[first] = 0
+	overflow.Covariates.Rows[first][0] = 1e4
+	nan := fixture()
+	nan.Phenotype.Y[3] = math.NaN()
+	for _, tc := range []struct {
+		name string
+		ds   *data.Dataset
+		opts Options
+		want string
+	}{
+		{"covariate overflows exp", overflow, Options{}, fmt.Sprintf("stats: cox risk weight +Inf for patient %d", first)},
+		{"NaN outcome", nan, Options{Family: "gaussian"}, "stats: score residual NaN for patient 0"},
+	} {
+		ctx := testContext(t, 1)
+		paths, err := StageDataset(ctx, tc.ds, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewAnalysis(ctx, paths, tc.opts); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: NewAnalysis = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestMonteCarloDataflowShape pins the dataflow as counters: 1 + ⌈B/b⌉ jobs of
-// two stages — the fold and the reduce, no weights stage and no join — the
-// cached U read once per job however many replicates the job carries, and a
+// two stages — the fold straight over the cached packed genotype blocks and
+// the reduce, no contribution stage, no weights stage and no join — the cached
+// blocks read once per job however many replicates the job carries, and a
 // shuffle of exactly one (16 + 8·width)-byte vector per (map partition, set
 // touched).
 func TestMonteCarloDataflowShape(t *testing.T) {
@@ -152,7 +376,7 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 	if err := a.Warm(); err != nil {
 		t.Fatal(err)
 	}
-	cachedU := ctx.CachedBytes()
+	cachedG := ctx.CachedBytes()
 
 	// Sets touched per map partition, worked out from the partition's SNP ids
 	// and the dataset's set lists rather than from the pipeline's own index.
@@ -162,7 +386,7 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 			setsOf[int32(j)] = append(setsOf[int32(j)], k)
 		}
 	}
-	perPart, err := rdd.Collect(rdd.MapPartitions(a.warmUB, "setsTouched", func(_ int, blocks []stats.UBlock) []int64 {
+	perPart, err := rdd.Collect(rdd.MapPartitions(a.warm, "setsTouched", func(_ int, blocks []data.GenoBlock) []int64 {
 		seen := map[int]bool{}
 		for _, b := range blocks {
 			for _, snp := range b.SNPs {
@@ -180,7 +404,7 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 	for _, n := range perPart {
 		touched += n
 	}
-	if parts := a.warmUB.Partitions(); parts < 2 || touched <= int64(len(ds.SNPSets)) {
+	if parts := a.warm.Partitions(); parts < 2 || touched <= int64(len(ds.SNPSets)) {
 		t.Fatalf("%d partitions touching %d sets in total: the fixture does not spread sets over partitions", parts, touched)
 	}
 
@@ -196,20 +420,41 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 		t.Fatalf("MonteCarlo(%d) ran %d jobs, want %d", 2*mcBatch+tail, len(jobs), len(widths))
 	}
 	for i, m := range jobs {
-		if m.Stages != 2 || m.Tasks != 2*a.warmUB.Partitions() {
-			t.Errorf("job %d: %d stages, %d tasks, want 2 and %d", i, m.Stages, m.Tasks, 2*a.warmUB.Partitions())
+		if m.Stages != 2 || m.Tasks != 2*a.warm.Partitions() {
+			t.Errorf("job %d: %d stages, %d tasks, want 2 and %d", i, m.Stages, m.Tasks, 2*a.warm.Partitions())
 		}
-		if m.CacheReadBytes != cachedU {
-			t.Errorf("job %d (%d replicates) read %d cached bytes, want U once = %d", i, widths[i], m.CacheReadBytes, cachedU)
+		if m.CacheReadBytes != cachedG {
+			t.Errorf("job %d (%d replicates) read %d cached bytes, want the packed matrix once = %d", i, widths[i], m.CacheReadBytes, cachedG)
 		}
 		if want := touched * (16 + 8*widths[i]); m.ShuffleBytes != want {
 			t.Errorf("job %d shuffled %d bytes, want %d (partition, set) vectors x (16 + 8x%d) B = %d",
 				i, m.ShuffleBytes, touched, widths[i], want)
 		}
 	}
+	// Without the cache every job — the observed pass and each batch — re-scans
+	// the genotype text, once.
+	text, err := ctx.FS().ReadAll(a.genoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Release()
+	before = len(ctx.Jobs())
+	uncached := *a
+	uncached.opts = a.opts.WithoutCache()
+	if _, err := uncached.MonteCarlo(mcBatch + tail); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range ctx.Jobs()[before:] {
+		if m.DFSBytes != int64(len(text)) || m.CacheReadBytes != 0 {
+			t.Errorf("uncached job %d read %d DFS bytes and %d cached bytes, want the %d-byte text once and no cache", i, m.DFSBytes, m.CacheReadBytes, len(text))
+		}
+	}
+	if n := len(ctx.Jobs()) - before; n != 3 {
+		t.Fatalf("uncached MonteCarlo(%d) ran %d jobs, want 3", mcBatch+tail, n)
+	}
 	// The weights are a broadcast: no stage reads them and nothing is joined.
 	for i, name := range stages {
-		want := []string{"fold:setSums(map:blockContributions(", "reduceByKey(fold:setSums("}[i%2]
+		want := []string{"fold:setSums(filter:nonEmptyBlocks(", "reduceByKey(fold:setSums(filter:nonEmptyBlocks("}[i%2]
 		if !strings.HasPrefix(name, want) || strings.Contains(name, "join(") || strings.Contains(name, "eights") {
 			t.Errorf("stage %d is %q, want a %s…) stage over the genotype lineage alone", i, name, want)
 		}

@@ -151,7 +151,7 @@ func TestMonteCarloReplayStable(t *testing.T) {
 // whatever the host parallelism (the Workers ∈ {1, 2, 8} × 5 matrix).
 func TestMonteCarloMatchesReferenceUnderChaos(t *testing.T) {
 	// Seven genotype partitions, so 14 tasks a job: the node loss (after 8
-	// tasks) takes cached U partitions with it during the observed job, the
+	// tasks) takes cached genotype partitions with it during the observed job, the
 	// batched jobs recompute them, and fetch failures land inside both.
 	ds := testDataset(t, 61, 200, 9, 7)
 	want, err := ReferenceMonteCarlo(ds, Options{Seed: 7}, chaosIters)
@@ -271,10 +271,11 @@ func TestSetAsymptoticMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestWarmGenotypesCachesPackedBlocks pins the storage the 2-bit layout
-// exists for: the cached filtered genotype matrix costs well under a byte per
-// genotype, and ReleaseGenotypes drops it.
-func TestWarmGenotypesCachesPackedBlocks(t *testing.T) {
+// TestWarmCachesPackedBlocks pins the storage the 2-bit layout exists for:
+// what Warm caches is the packed filtered genotype matrix and nothing else —
+// the sum of its blocks' ApproxBytes, well under a byte per genotype — and
+// Release drops it.
+func TestWarmCachesPackedBlocks(t *testing.T) {
 	const patients, snps = 1000, 64
 	ds := testDataset(t, patients, snps, 4, 5)
 	ctx, err := rdd.New(rdd.Config{
@@ -286,7 +287,7 @@ func TestWarmGenotypesCachesPackedBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := stagedAnalysis(t, ctx, ds, Options{})
-	if err := a.WarmGenotypes(); err != nil {
+	if err := a.Warm(); err != nil {
 		t.Fatal(err)
 	}
 	cached := ctx.CachedBytes()
@@ -294,14 +295,25 @@ func TestWarmGenotypesCachesPackedBlocks(t *testing.T) {
 		t.Fatalf("cached packed genotype matrix = %d bytes for %d genotypes, want (0, %d]",
 			cached, patients*snps, patients*snps/3)
 	}
-	a.ReleaseGenotypes()
-	if after := ctx.CachedBytes(); after >= cached {
-		t.Fatalf("ReleaseGenotypes left %d of %d cached bytes", after, cached)
+	blocks, err := rdd.Collect(a.warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var packed int64
+	for _, b := range blocks {
+		packed += b.ApproxBytes()
+	}
+	if cached != packed {
+		t.Fatalf("Warm cached %d bytes, its blocks' ApproxBytes sum to %d", cached, packed)
+	}
+	a.Release()
+	if after := ctx.CachedBytes(); after != 0 {
+		t.Fatalf("Release left %d of %d cached bytes", after, cached)
 	}
 }
 
 // TestColumnarWarmServesResampling checks the Warm/Release lifecycle: a
-// Warm()ed analysis caches UBlocks, serves Replicate() identically to the
+// Warm()ed analysis caches packed blocks, serves Replicate() identically to the
 // cold path and in step with ReferenceMonteCarlo, and Release drops the cache.
 func TestColumnarWarmServesResampling(t *testing.T) {
 	ctx := testContext(t, 2)

@@ -1,31 +1,31 @@
 // Package core implements SparkScore: the paper's Algorithms 1 (observed
 // SKAT statistics), 2 (permutation resampling), and 3 (Monte Carlo
-// resampling with a cached score-contribution RDD), expressed against the
-// rdd engine as the paper expresses them against Spark, with one
-// substitution: the weights, like the phenotype, are small enough to
-// broadcast, so the paper's weights join is a lookup inside the block task.
+// resampling over a cached RDD), expressed against the rdd engine as the
+// paper expresses them against Spark, with two substitutions. The weights,
+// like the phenotype, are small enough to broadcast, so the paper's weights
+// join is a lookup inside the block task. And no pass stores the per-patient
+// contributions U_ij: every marginal score it needs is linear in the
+// genotypes, U_j = Σ_i G_ij r_i for the null model's score residuals r, so
+// the driver fits the model once and tasks multiply packed genotype blocks by
+// residuals.
 //
-// The data flow of Algorithm 1, whose set-sum fold (foldSetSums) takes the
-// marginal scores from either of two sources:
+// The data flow of every pass, whose set-sum fold (foldSetSums) differs only
+// in the residuals it multiplies by:
 //
 //	weights, SNP-sets ──driver──► broadcast (ω_j, SNP → sets) ────────┐
+//	phenotype, covariates ──driver──► null model, broadcast ──────────┤
 //	genotype file ──mapBatches──► RDD (packed genotype blocks)        │
 //	              (rows outside every SNP-set dropped at the parse)   │
-//	  source U — Lin's method needs the per-patient terms:            │
-//	              ──map (broadcast phenotype)──►                      │
-//	              RDD U (blocks of per-patient U_ij)                  │
-//	              ──fold per partition: U·Z, ω_j, set sums──► (set, partial sums)
-//	  source packed rows — a pass that only needs U_j = Σ_i G_ij r_i: │
-//	              (driver fits the null model, broadcasts r)          │
-//	              ──fold per partition: G·r, ω_j, set sums──► (set, partial sums)
+//	              ──fold per partition: G·r or G·R̃(Z), ω_j, set sums──► (set, partial sums)
 //	              ──reduceByKey──► (set, S_k)
 //
 // Algorithm 2 re-runs the whole scan per iteration under a shuffled
-// phenotype, always off the packed rows: no U is ever built for it.
-// Algorithm 3 caches RDD U and only reweights it with standard-normal draws
-// (Lin 2005), skipping the genotype parse and score recomputation entirely —
-// mcBatch replicates per job, as the columns of a patients × b panel Z, so
-// one pass over the cached U serves b replicates.
+// phenotype (a new r per pass). Algorithm 3 caches the packed blocks — 2 bits
+// per (SNP, patient) where the paper's RDD U holds 8 bytes — and reweights
+// with standard-normal draws (Lin 2005): Σ_i Z_i U_ij = Σ_l G_lj r̃_l(Z)
+// (stats.ScoreResidualer.PanelResiduals), mcBatch replicates per job as the
+// columns of a patients × b panel R̃, so one parse-free pass over the cached
+// blocks serves b replicates.
 package core
 
 import (
@@ -59,15 +59,16 @@ type Options struct {
 	// statistics: "skat" (default, the paper's statistic) or "burden".
 	SetStatistic string
 
-	// Cache controls whether Monte Carlo caches RDD U (Algorithm 3 step 2).
+	// Cache controls whether Monte Carlo caches the packed genotype blocks it
+	// resamples over (Algorithm 3 step 2, with the blocks in RDD U's place).
 	// The paper's Experiment B flips exactly this switch. Default true.
 	Cache *bool
 
-	// DiskSpill persists RDD U at MEMORY_AND_DISK instead of Spark's default
-	// MEMORY_ONLY: partitions that overflow executor storage are demoted to
-	// local disk rather than recomputed from the genotype file — the
-	// configuration change that would have cured the paper's 6-node
-	// strong-scaling collapse (Figure 6).
+	// DiskSpill persists the cached blocks at MEMORY_AND_DISK instead of
+	// Spark's default MEMORY_ONLY: partitions that overflow executor storage
+	// are demoted to local disk rather than recomputed from the genotype file
+	// — the configuration change that cures a strong-scaling collapse like the
+	// paper's Figure 6 at six nodes.
 	DiskSpill bool
 
 	// Seed drives the resampling draws; a fixed seed reproduces p-values.
@@ -83,12 +84,9 @@ func (o Options) family() string {
 
 func (o Options) cache() bool { return o.Cache == nil || *o.Cache }
 
-// CacheOff is a convenience for Options.Cache.
-var cacheOff = false
-
 // WithoutCache returns a copy of o with caching disabled.
 func (o Options) WithoutCache() Options {
-	o.Cache = &cacheOff
+	o.Cache = new(bool)
 	return o
 }
 
@@ -107,10 +105,10 @@ type Analysis struct {
 	ctx  *rdd.Context
 	opts Options
 
-	phenotype  *data.Phenotype
-	covariates [][]float64 // nil when unadjusted
-	sets       data.SNPSets
-	patients   int
+	phenotype *data.Phenotype
+	adjusted  bool // the null model adjusts for baseline covariates
+	sets      data.SNPSets
+	patients  int
 
 	// index is the small side of the set aggregation — per-SNP weights and
 	// SNP → sets membership — read once and broadcast to executors.
@@ -118,13 +116,13 @@ type Analysis struct {
 	genoPath string
 	setStat  stats.SetStatistic
 
-	// warmUB, when non-nil, is a cached RDD U (stats.UBlock matrices) kept
-	// alive across resampling calls (see Warm).
-	warmUB *rdd.RDD[stats.UBlock]
+	// null is the score model of the observed phenotype (and covariates),
+	// fitted once on the driver and broadcast: tasks never refit it.
+	null *rdd.Broadcast[stats.ScoreResidualer]
 
-	// warmFGMB, when non-nil, is the cached filtered genotype matrix (see
-	// WarmGenotypes).
-	warmFGMB *rdd.RDD[data.GenoBlock]
+	// warm, when non-nil, is the cached filtered genotype matrix kept alive
+	// across calls (see Warm).
+	warm *rdd.RDD[data.GenoBlock]
 }
 
 // NewAnalysis reads the small inputs (phenotype, SNP-sets, weights) onto the
@@ -162,7 +160,8 @@ func NewAnalysis(ctx *rdd.Context, paths Paths, opts Options) (*Analysis, error)
 	}
 	// Fail fast on an unusable family, covariates, or set statistic before
 	// any job runs.
-	if _, err := stats.NewAdjustedModel(opts.family(), ph, covariates); err != nil {
+	null, err := scoreModel(opts.family(), ph, covariates)
+	if err != nil {
 		return nil, err
 	}
 	setStat, err := stats.NewSetStatistic(opts.SetStatistic)
@@ -173,16 +172,32 @@ func NewAnalysis(ctx *rdd.Context, paths Paths, opts Options) (*Analysis, error)
 		return nil, fmt.Errorf("core: genotype file %q not staged", paths.Genotypes)
 	}
 	return &Analysis{
-		ctx:        ctx,
-		opts:       opts,
-		phenotype:  ph,
-		covariates: covariates,
-		sets:       sets,
-		patients:   ph.Patients(),
-		index:      rdd.NewBroadcast(ctx, index, int64(len(weights))*32+int64(sets.TotalMembers())*4),
-		genoPath:   paths.Genotypes,
-		setStat:    setStat,
+		ctx:       ctx,
+		opts:      opts,
+		phenotype: ph,
+		adjusted:  covariates != nil,
+		sets:      sets,
+		patients:  ph.Patients(),
+		index:     rdd.NewBroadcast(ctx, index, int64(len(weights))*32+int64(sets.TotalMembers())*4),
+		genoPath:  paths.Genotypes,
+		setStat:   setStat,
+		// Cox, the largest: five 8-byte vectors beside the phenotype's 9 bytes.
+		null: rdd.NewBroadcast(ctx, null, 49*int64(ph.Patients())),
 	}, nil
+}
+
+// scoreModel fits the null model of a phenotype in the residual form the
+// packed kernels multiply by, refusing residuals they cannot score exactly.
+func scoreModel(family string, ph *data.Phenotype, covariates [][]float64) (stats.ScoreResidualer, error) {
+	model, err := stats.NewAdjustedModel(family, ph, covariates)
+	if err != nil {
+		return nil, err
+	}
+	null, ok := model.(stats.ScoreResidualer)
+	if !ok {
+		return nil, fmt.Errorf("core: the %s score has no residual form", model.Name())
+	}
+	return null, stats.CheckResiduals(null)
 }
 
 // readInput reads one of the small driver-side input files whole and parses it.
@@ -242,8 +257,8 @@ func (a *Analysis) Patients() int { return a.patients }
 // pushdown), and the pack fuses with the text scan — no per-row genotype
 // slice ever materialises.
 func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
-	if a.warmFGMB != nil {
-		return a.warmFGMB, nil
+	if a.warm != nil {
+		return a.warm, nil
 	}
 	lines, err := a.ctx.TextFile(a.genoPath, 0)
 	if err != nil {
@@ -266,123 +281,62 @@ func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 	return nonEmpty.SetSizeHint(fullBlock).SetSizeFunc(data.GenoBlock.ApproxBytes), nil
 }
 
-// nullModel bundles what executors need to build the score model: the
-// phenotype and, when adjusting, the covariate matrix.
-type nullModel struct {
-	Ph  *data.Phenotype
-	Cov [][]float64
-}
-
-func (a *Analysis) broadcastNull(ph *data.Phenotype) *rdd.Broadcast[nullModel] {
-	bytes := int64(ph.Patients()) * 17
-	if a.covariates != nil && len(a.covariates) > 0 {
-		bytes += int64(len(a.covariates)) * int64(len(a.covariates[0])) * 8
-	}
-	return rdd.NewBroadcast(a.ctx, nullModel{Ph: ph, Cov: a.covariates}, bytes)
-}
-
-// contributionBlocks builds RDD U for the given phenotype (Algorithm 1 step
-// 7): each packed genotype block maps to a stats.UBlock through a blocked
-// kernel that fuses the 2-bit dosage decode with the score accumulation. The
-// phenotype (and covariates, when adjusting) is broadcast; the kernel is built
-// once per partition and owns its decode scratch, so steady-state allocations
-// per block stay flat regardless of the patient count.
-func (a *Analysis) contributionBlocks(blocks *rdd.RDD[data.GenoBlock], ph *data.Phenotype) *rdd.RDD[stats.UBlock] {
-	family := a.opts.family()
-	bc := a.broadcastNull(ph)
-	u := rdd.MapWithSetup(blocks, "blockContributions", func(int) func(data.GenoBlock) stats.UBlock {
-		nm := bc.Value()
-		model, err := stats.NewAdjustedModel(family, nm.Ph, nm.Cov)
-		if err != nil {
-			panic(err)
-		}
-		return stats.NewBlockKernel(model).Contributions
-	})
-	fullBlock := int64(data.GenoBlockRows)*(int64(a.patients)*8+4) + 96
-	return u.SetSizeHint(fullBlock).SetSizeFunc(stats.UBlock.ApproxBytes)
-}
-
 // mcBatch is the number of Monte Carlo replicates one job scores: wide enough
-// that the panel kernel is compute-bound rather than streaming U
-// (BenchmarkUBlockPanel is flat from b = 16 on) and that per-job scheduling
-// is noise, small enough that a task's sets × b partial sums stay cache-sized.
+// that the panel kernel's per-block cell lists and per-task class table are
+// amortised (BenchmarkPackedPanel: b = 64 costs a quarter of b = 1 per
+// replicate, and half of b = 8) and that per-job scheduling is noise, small
+// enough that the table and a task's sets × b partial sums stay cache-sized.
 const mcBatch = 64
 
-// setStats is Algorithm 1 steps 8–12 over RDD U, for the observed statistic
-// (width 0) or for Monte Carlo replicates first … first+width−1 at once
-// (Algorithm 3 step 4). Each task draws the replicates' weight panel and
-// streams its partition's blocks through the U·Z panel product into the
-// set-sum fold. The result is indexed [replicate][set].
+// panelStats is Algorithm 3 step 4 for Monte Carlo replicates first …
+// first+width−1 at once, indexed [replicate][set]. Each task draws the
+// replicates' weight panel and turns it into the residual panel R̃ of the
+// broadcast null model for the set-sum fold to multiply its blocks by.
 //
-// Summation-order contract: marginal scores are stats.UBlock.PanelScores'
-// (bitwise the scalar loop's) and nothing depends on width, so replicate k is
-// the same bits whichever batch carries it.
-func (a *Analysis) setStats(u *rdd.RDD[stats.UBlock], first uint64, width int) ([][]float64, error) {
-	seed, patients, mc := a.opts.Seed, a.patients, width > 0
-	width = max(width, 1)
-	return foldSetSums(a, u, width, func() blockScorer[stats.UBlock] {
-		var z []float64
-		if mc {
-			z = drawPanel(seed, patients, first, width)
-		}
-		return func(b stats.UBlock, scores []float64) ([]int32, []float64) {
-			return b.SNPs, b.PanelScores(z, width, scores)
-		}
+// Summation-order contract: marginal scores are stats.PanelKernel's — column
+// k is bitwise stats.PackedRowScores on r̃_k, the order scoreStats sums r in —
+// and nothing depends on width, so replicate k is the same bits whichever
+// batch carries it.
+func (a *Analysis) panelStats(blocks *rdd.RDD[data.GenoBlock], first uint64, width int) ([][]float64, error) {
+	seed, patients, null := a.opts.Seed, a.patients, a.null
+	return foldSetSums(a, blocks, width, func() []float64 {
+		return null.Value().PanelResiduals(drawPanel(seed, patients, first, width), width)
 	})
 }
 
-// scoreStats is Algorithm 1 for a pass that needs the marginal scores and
-// nothing else — the observed statistic, a permutation replicate — straight
-// off the packed genotype rows. The marginal score is linear in the genotypes,
-// U_j = Σ_i G_ij r_i (stats.ScoreResidualer), so the driver builds the null
-// model for ph once and broadcasts r, 8 bytes a patient; tasks build no model
-// and no U. Scores follow stats.PackedRowScores' summation order.
-func (a *Analysis) scoreStats(ph *data.Phenotype) ([]float64, error) {
-	model, err := stats.NewAdjustedModel(a.opts.family(), ph, a.covariates)
+// scoreStats is Algorithm 1 for the marginal scores of one residual vector —
+// the null model's for the observed statistic, a shuffled phenotype's for a
+// permutation replicate — straight off the packed genotype rows:
+// U_j = Σ_i G_ij r_i (stats.ScoreResidualer). The driver broadcasts r, 8 bytes
+// a patient; tasks build no model. Scores follow stats.PackedRowScores'
+// summation order: it is the one-column panel kernel.
+func (a *Analysis) scoreStats(blocks *rdd.RDD[data.GenoBlock], r []float64) ([]float64, error) {
+	s, err := foldSetSums(a, blocks, 1, rdd.NewBroadcast(a.ctx, r, 8*int64(a.patients)).Value)
 	if err != nil {
 		return nil, err
 	}
-	sr, ok := model.(stats.ScoreResidualer)
-	if !ok {
-		return nil, fmt.Errorf("core: the %s score has no residual form", model.Name())
-	}
-	resid := rdd.NewBroadcast(a.ctx, sr.ScoreResiduals(), 8*int64(a.patients))
-	blocks, err := a.filteredGenotypeBlocks()
-	if err != nil {
-		return nil, err
-	}
-	return onlyRow(foldSetSums(a, blocks, 1, func() blockScorer[data.GenoBlock] {
-		r := resid.Value()
-		return func(b data.GenoBlock, scores []float64) ([]int32, []float64) {
-			return b.SNPs, stats.PackedRowScores(b, r, scores)
-		}
-	}))
+	return s[0], nil
 }
 
-// blockScorer turns one block of a set-sum source into its rows' SNP ids and
-// marginal scores (rows × width, row-major), reusing scores' storage.
-type blockScorer[B any] func(b B, scores []float64) (snps []int32, out []float64)
-
-// foldSetSums is the body of Algorithm 1 steps 8–12 shared by both score
-// sources. Each task builds its scorer once (setup), streams its partition's
-// blocks through it, applies the weight and the set statistic's per-SNP term,
-// and accumulates into a task-local sets × width matrix, emitting one vector
-// per set it touched; a reduce sums the vectors per set. The result is indexed
-// [column][set].
+// foldSetSums is the body of Algorithm 1 steps 8–12 shared by every pass.
+// Each task builds the kernel of its patients × width residual panel once,
+// streams its partition's blocks through it, applies the weight and the set
+// statistic's per-SNP term, and accumulates into a task-local sets × width
+// matrix, emitting one vector per set it touched; a reduce sums the vectors
+// per set. The result is indexed [column][set].
 //
 // Summation-order contract: a set's sum adds its rows in partition order
 // within a map task, then the map outputs in partition order.
-func foldSetSums[B any](a *Analysis, blocks *rdd.RDD[B], width int, setup func() blockScorer[B]) ([][]float64, error) {
-	index, setStat, sets := a.index, a.setStat, len(a.sets)
-	partials := rdd.FoldPartition(blocks, "setSums", func(int) (func(B), func() []rdd.KV[int, []float64]) {
-		scoreBlock := setup()
+func foldSetSums(a *Analysis, blocks *rdd.RDD[data.GenoBlock], width int, panel func() []float64) ([][]float64, error) {
+	index, setStat, sets, patients := a.index, a.setStat, len(a.sets), a.patients
+	partials := rdd.FoldPartition(blocks, "setSums", func(int) (func(data.GenoBlock), func() []rdd.KV[int, []float64]) {
+		kernel := stats.NewPanelKernel(patients, width, panel())
 		x := index.Value()
 		sums, touched := make([]float64, sets*width), make([]bool, sets)
 		var scores []float64
-		add := func(b B) {
-			var snps []int32
-			snps, scores = scoreBlock(b, scores)
-			for r, snp := range snps {
+		add := func(b data.GenoBlock) {
+			scores = kernel.Scores(b, scores)
+			for r, snp := range b.SNPs {
 				w, rowScores := x.weights[snp], scores[r*width:][:width]
 				for _, k := range x.of(int(snp)) {
 					touched[k] = true
@@ -453,64 +407,47 @@ func drawPanel(seed uint64, patients int, first uint64, width int) []float64 {
 	return z
 }
 
-// repFunc computes one resampling job over a built RDD U: the set statistics
-// of Monte Carlo replicates first … first+width−1, or the observed statistic
-// for width 0 (see setStats).
-type repFunc func(first uint64, width int) ([][]float64, error)
-
-// contributionSource builds RDD U (or reuses the Warm()ed one) and returns
-// the resampling pass over it. When cache is true and the RDD was built fresh
-// it is persisted for the lifetime of the source; release drops it (and is a
-// no-op otherwise).
-func (a *Analysis) contributionSource(cache bool) (rep repFunc, release func(), err error) {
+// source returns the packed genotype blocks a run of passes folds over: the
+// Warm()ed matrix, else a fresh scan of the text, persisted when cache is set
+// (the first pass fills the cache as it scans) until release.
+func (a *Analysis) source(cache bool) (blocks *rdd.RDD[data.GenoBlock], release func(), err error) {
 	release = func() {}
-	u := a.warmUB
-	if u == nil {
-		blocks, err := a.filteredGenotypeBlocks()
-		if err != nil {
-			return nil, nil, err
+	if blocks, err = a.filteredGenotypeBlocks(); err == nil && cache && a.warm == nil {
+		level := rdd.MemoryOnly
+		if a.opts.DiskSpill {
+			level = rdd.MemoryAndDisk
 		}
-		u = a.contributionBlocks(blocks, a.phenotype)
-		if cache {
-			u.Persist(a.persistLevel())
-			release = u.Unpersist
-		}
+		blocks.Persist(level)
+		release = blocks.Unpersist
 	}
-	return func(first uint64, width int) ([][]float64, error) { return a.setStats(u, first, width) }, release, nil
+	return blocks, release, err
 }
 
-// onlyRow unwraps the result of a one-column pass.
-func onlyRow(s [][]float64, err error) ([]float64, error) {
+// Observed computes the observed SKAT statistics S_k^0 (Algorithm 1).
+func (a *Analysis) Observed() ([]float64, error) {
+	blocks, err := a.filteredGenotypeBlocks()
 	if err != nil {
 		return nil, err
 	}
-	return s[0], nil
-}
-
-// Observed computes the observed SKAT statistics S_k^0 (Algorithm 1): off the
-// Warm()ed U when there is one, else straight off the packed genotype rows.
-func (a *Analysis) Observed() ([]float64, error) {
-	if a.warmUB != nil {
-		return onlyRow(a.setStats(a.warmUB, 0, 0))
-	}
-	return a.scoreStats(a.phenotype)
+	return a.scoreStats(blocks, a.null.Value().ScoreResiduals())
 }
 
 // Permutation runs Algorithm 2: the observed statistic, then B full pipeline
-// re-executions under random shufflings of the phenotype pairs. Every pass,
-// the observed one included, is scoreStats — the ≥ tally compares replicates
-// with the observed statistic, so both must come from the same kernel.
+// re-executions under random shufflings of the phenotype pairs, the null model
+// rebuilt on the driver for each. Every pass, the observed one included, is
+// scoreStats — the ≥ tally compares replicates with the observed statistic,
+// so both must come from the same kernel.
 func (a *Analysis) Permutation(iterations int) (*Result, error) {
 	if iterations < 0 {
 		return nil, fmt.Errorf("core: %d iterations", iterations)
 	}
-	if a.covariates != nil {
+	if a.adjusted {
 		// Shuffling the outcomes would break their link to the covariates as
 		// well as to the genotypes; this is exactly why the paper prefers
 		// Lin's Monte Carlo method when baseline covariates are present.
 		return nil, fmt.Errorf("core: permutation resampling cannot adjust for baseline covariates; use MonteCarlo")
 	}
-	observed, err := a.scoreStats(a.phenotype)
+	observed, err := a.Observed()
 	if err != nil {
 		return nil, err
 	}
@@ -518,7 +455,7 @@ func (a *Analysis) Permutation(iterations int) (*Result, error) {
 	root := rng.New(a.opts.Seed ^ 0x5ca1ab1e)
 	for b := 1; b <= iterations; b++ {
 		perm := root.Split(uint64(b)).Perm(a.patients)
-		rep, err := a.scoreStats(a.phenotype.Permuted(perm))
+		rep, err := a.permuted(perm)
 		if err != nil {
 			return nil, fmt.Errorf("core: permutation replicate %d: %w", b, err)
 		}
@@ -527,100 +464,79 @@ func (a *Analysis) Permutation(iterations int) (*Result, error) {
 	return newResult(a.sets, observed, counter), nil
 }
 
-// persistLevel maps the DiskSpill option to a storage level.
-func (a *Analysis) persistLevel() rdd.StorageLevel {
-	if a.opts.DiskSpill {
-		return rdd.MemoryAndDisk
+// permuted is one permutation replicate: Algorithm 1 re-run from the text
+// under the phenotype shuffled by perm.
+func (a *Analysis) permuted(perm []int) ([]float64, error) {
+	model, err := scoreModel(a.opts.family(), a.phenotype.Permuted(perm), nil)
+	if err != nil {
+		return nil, err
 	}
-	return rdd.MemoryOnly
+	blocks, err := a.filteredGenotypeBlocks()
+	if err != nil {
+		return nil, err
+	}
+	return a.scoreStats(blocks, model.ScoreResiduals())
 }
 
-// Warm materialises RDD U and keeps it cached across subsequent resampling
-// calls — an interactive-session extension of Algorithm 3's caching step,
-// useful when several Monte Carlo analyses run against the same data.
+// Warm materialises RDD_FGM — the packed, filtered genotype matrix — and
+// keeps it cached across subsequent calls, which read it instead of
+// re-scanning the text: an interactive-session extension of Algorithm 3's
+// caching step, useful when several analyses run against the same data.
 // Release drops it.
 func (a *Analysis) Warm() error {
-	if a.warmUB != nil {
+	if a.warm != nil {
 		return nil
 	}
-	blocks, err := a.filteredGenotypeBlocks()
+	blocks, release, err := a.source(true)
 	if err != nil {
 		return err
 	}
-	u := a.contributionBlocks(blocks, a.phenotype).Persist(a.persistLevel())
-	if _, err := rdd.Count(u); err != nil {
-		u.Unpersist()
-		return err
-	}
-	a.warmUB = u
-	return nil
-}
-
-// Release drops the cached RDD U retained by Warm.
-func (a *Analysis) Release() {
-	if a.warmUB != nil {
-		a.warmUB.Unpersist()
-		a.warmUB = nil
-	}
-}
-
-// WarmGenotypes materialises RDD_FGM — the packed, filtered genotype matrix —
-// and keeps it cached; subsequent pipeline builds read the cached matrix
-// instead of re-scanning the text file.
-func (a *Analysis) WarmGenotypes() error {
-	if a.warmFGMB != nil {
-		return nil
-	}
-	blocks, err := a.filteredGenotypeBlocks()
-	if err != nil {
-		return err
-	}
-	blocks.Persist(a.persistLevel())
 	if _, err := rdd.Count(blocks); err != nil {
-		blocks.Unpersist()
+		release()
 		return err
 	}
-	a.warmFGMB = blocks
+	a.warm = blocks
 	return nil
 }
 
-// ReleaseGenotypes drops the cached RDD_FGM retained by WarmGenotypes.
-func (a *Analysis) ReleaseGenotypes() {
-	if a.warmFGMB != nil {
-		a.warmFGMB.Unpersist()
-		a.warmFGMB = nil
+// Release drops the cached matrix retained by Warm.
+func (a *Analysis) Release() {
+	if a.warm != nil {
+		a.warm.Unpersist()
+		a.warm = nil
 	}
 }
 
-// MonteCarlo runs Algorithm 3: the observed statistic with RDD U cached,
-// then B cheap reweightings Ũ_j = Σ_i Z_i U_ij with Z ~ N(0,1), mcBatch
-// replicates per job.
+// MonteCarlo runs Algorithm 3: the observed statistic with the packed blocks
+// cached, then B cheap reweightings Ũ_j = Σ_i Z_i U_ij = Σ_l G_lj r̃_l(Z) with
+// Z ~ N(0,1), mcBatch replicates per job.
 func (a *Analysis) MonteCarlo(iterations int) (*Result, error) {
 	if iterations < 0 {
 		return nil, fmt.Errorf("core: %d iterations", iterations)
 	}
-	rep, release, err := a.contributionSource(a.opts.cache())
+	blocks, release, err := a.source(a.opts.cache())
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	observed, err := onlyRow(rep(0, 0))
+	observed, err := a.scoreStats(blocks, a.null.Value().ScoreResiduals())
 	if err != nil {
 		return nil, err
 	}
 	counter := stats.NewCounter(observed)
-	if err := a.replicates(rep, iterations, counter.Add); err != nil {
+	if err := a.replicates(blocks, iterations, counter.Add); err != nil {
 		return nil, err
 	}
 	return newResult(a.sets, observed, counter), nil
 }
 
-// replicates runs Monte Carlo replicates 1 … iterations over rep, mcBatch per
-// job, handing each replicate's set statistics to visit in replicate order.
-func (a *Analysis) replicates(rep repFunc, iterations int, visit func([]float64)) error {
+// replicates runs Monte Carlo replicates 1 … iterations over blocks, mcBatch
+// per job, handing each replicate's set statistics to visit in replicate
+// order.
+func (a *Analysis) replicates(blocks *rdd.RDD[data.GenoBlock], iterations int, visit func([]float64)) error {
 	for first := 1; first <= iterations; first += mcBatch {
 		width := min(mcBatch, iterations-first+1)
-		batch, err := rep(uint64(first), width)
+		batch, err := a.panelStats(blocks, uint64(first), width)
 		if err != nil {
 			return fmt.Errorf("core: Monte Carlo replicates %d-%d: %w", first, first+width-1, err)
 		}
@@ -635,15 +551,18 @@ func (a *Analysis) replicates(rep repFunc, iterations int, visit func([]float64)
 // Z ~ N(0,1) drawn from the replicate's split of the analysis seed stream —
 // the unit of interactive resampling the job server exposes. It is the
 // one-column case of the job MonteCarlo batches, so Replicate(b) is bit for
-// bit the b-th replicate MonteCarlo(B) tallies for b ≤ B. Against a Warm()ed
-// analysis it is a single cached-read job, cheap enough to serve interactively.
+// bit the b-th replicate MonteCarlo(B) tallies; against a Warm()ed analysis
+// it is a single cached-read job.
 func (a *Analysis) Replicate(replicate uint64) ([]float64, error) {
-	rep, release, err := a.contributionSource(false)
+	blocks, err := a.filteredGenotypeBlocks()
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	return onlyRow(rep(replicate, 1))
+	batch, err := a.panelStats(blocks, replicate, 1)
+	if err != nil {
+		return nil, err
+	}
+	return batch[0], nil
 }
 
 // newResult assembles a resampling outcome from the tallied counter.
@@ -678,14 +597,9 @@ func (a *Analysis) MarginalAsymptotic() ([]MarginalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	family := a.opts.family()
-	bc := a.broadcastNull(a.phenotype)
+	null := a.null
 	perBlock := rdd.MapWithSetup(blocks, "asymptoticBlocks", func(int) func(data.GenoBlock) []MarginalResult {
-		nm := bc.Value()
-		model, err := stats.NewAdjustedModel(family, nm.Ph, nm.Cov)
-		if err != nil {
-			panic(err)
-		}
+		model := null.Value()
 		k := stats.NewBlockKernel(model)
 		return func(b data.GenoBlock) []MarginalResult {
 			out := make([]MarginalResult, b.Rows())

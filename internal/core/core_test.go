@@ -410,7 +410,6 @@ func TestWarmKeepsCacheAcrossCalls(t *testing.T) {
 	}
 	warmBytes := ctx.CachedBytes()
 	a.Release()
-	// The warm U cache is gone; only the small cached weights RDD remains.
 	if got := ctx.CachedBytes(); got >= warmBytes {
 		t.Fatalf("%d bytes cached after Release, want fewer than %d", got, warmBytes)
 	}

@@ -51,10 +51,8 @@ func TestPermutationMatchesReferenceUnderChaos(t *testing.T) {
 // TestPermutationReplicatesShareTheObservedKernel is the same-path pin: the ≥
 // tally compares each replicate with the observed statistics, so the two must
 // come from one kernel. A replicate under the identity permutation is the
-// observed pass again and must reproduce it bit for bit — also on an analysis
-// holding a Warm()ed U, whose Observed() reads U instead (and so may differ in
-// the last bits, which is why Permutation must not take its observed
-// statistics from there).
+// observed pass again and must reproduce it bit for bit, as must Observed() —
+// also on a Warm()ed analysis, whose passes read the cached blocks.
 func TestPermutationReplicatesShareTheObservedKernel(t *testing.T) {
 	ds := testDataset(t, 61, 200, 9, 7)
 	identity := make([]int, ds.Phenotype.Patients())
@@ -73,18 +71,17 @@ func TestPermutationReplicatesShareTheObservedKernel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := a.scoreStats(a.phenotype.Permuted(identity))
+			rep, err := a.permuted(identity)
 			if err != nil {
 				t.Fatal(err)
 			}
-			observed, err := a.Observed() // off U when warm, else the same packed-row pass
+			observed, err := a.Observed()
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertClose(t, "Observed()", observed, res.Observed, 1e-9)
 			for k := range rep {
-				if rep[k] != res.Observed[k] || (!warm && observed[k] != res.Observed[k]) {
-					t.Fatalf("%s (warm U: %v) set %d: identity replicate %v, Observed() %v, Permutation's observed %v",
+				if rep[k] != res.Observed[k] || observed[k] != res.Observed[k] {
+					t.Fatalf("%s (warm: %v) set %d: identity replicate %v, Observed() %v, Permutation's observed %v",
 						family, warm, k, rep[k], observed[k], res.Observed[k])
 				}
 			}
@@ -95,8 +92,8 @@ func TestPermutationReplicatesShareTheObservedKernel(t *testing.T) {
 // TestPermutationDataflowShape pins Algorithm 2's dataflow as counters:
 // Permutation(B) is 1 + B jobs of two stages — the fold over the packed
 // genotype lineage and the reduce, no contribution stage and so no U — each
-// scanning the genotype text exactly once; with WarmGenotypes() the text is
-// read once for good and every pass reads the cached packed blocks.
+// scanning the genotype text exactly once; after Warm() the text is read once
+// for good and every pass reads the cached packed blocks.
 func TestPermutationDataflowShape(t *testing.T) {
 	const iters = 3
 	ds := testDataset(t, 61, 200, 9, 21)
@@ -141,18 +138,18 @@ func TestPermutationDataflowShape(t *testing.T) {
 	}
 	for i, name := range stages {
 		want := []string{"fold:setSums(filter:nonEmptyBlocks(mapBatches:parsePackGenotypes(textFile(", "reduceByKey(fold:setSums(filter:nonEmptyBlocks("}[i%2]
-		if !strings.HasPrefix(name, want) || strings.Contains(name, "blockContributions") {
+		if !strings.HasPrefix(name, want) {
 			t.Errorf("stage %d is %q, want a %s…) stage straight over the packed genotype lineage", i, name, want)
 		}
 	}
 
-	if err := a.WarmGenotypes(); err != nil {
+	if err := a.Warm(); err != nil {
 		t.Fatal(err)
 	}
 	cached := ctx.CachedBytes()
 	warmJob := ctx.Jobs()[1+iters]
 	if warmJob.DFSBytes != int64(len(text)) {
-		t.Fatalf("WarmGenotypes read %d DFS bytes, want the text once = %d", warmJob.DFSBytes, len(text))
+		t.Fatalf("Warm read %d DFS bytes, want the text once = %d", warmJob.DFSBytes, len(text))
 	}
 	if _, err := a.Permutation(iters); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func ReferenceObserved(ds *data.Dataset, opts Options) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return referenceSetStats(ds, opts.family(), st, ds.Phenotype, nil)
+	return referenceSetStats(ds, opts.family(), st, ds.Phenotype)
 }
 
 // ReferencePermutation computes the permutation result sequentially.
@@ -34,7 +34,7 @@ func ReferencePermutation(ds *data.Dataset, opts Options, iterations int) (*Resu
 	if ds.Covariates != nil {
 		return nil, fmt.Errorf("core: permutation resampling cannot adjust for baseline covariates; use MonteCarlo")
 	}
-	observed, err := referenceSetStats(ds, opts.family(), st, ds.Phenotype, nil)
+	observed, err := referenceSetStats(ds, opts.family(), st, ds.Phenotype)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ func ReferencePermutation(ds *data.Dataset, opts Options, iterations int) (*Resu
 	n := ds.Phenotype.Patients()
 	for b := 1; b <= iterations; b++ {
 		perm := root.Split(uint64(b)).Perm(n)
-		rep, err := referenceSetStats(ds, opts.family(), st, ds.Phenotype.Permuted(perm), nil)
+		rep, err := referenceSetStats(ds, opts.family(), st, ds.Phenotype.Permuted(perm))
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +106,7 @@ func covariateRows(ds *data.Dataset) [][]float64 {
 	return ds.Covariates.Rows
 }
 
-func referenceSetStats(ds *data.Dataset, family string, st stats.SetStatistic, ph *data.Phenotype, z []float64) ([]float64, error) {
+func referenceSetStats(ds *data.Dataset, family string, st stats.SetStatistic, ph *data.Phenotype) ([]float64, error) {
 	model, err := stats.NewAdjustedModel(family, ph, covariateRows(ds))
 	if err != nil {
 		return nil, fmt.Errorf("core: reference: %w", err)
@@ -115,15 +115,9 @@ func referenceSetStats(ds *data.Dataset, family string, st stats.SetStatistic, p
 	u := make([]float64, ph.Patients())
 	for j := range scores {
 		model.Contributions(ds.Genotypes.Row(j), u)
-		var s float64
-		if z == nil {
-			for _, v := range u {
-				s += v
-			}
-		} else {
-			s = stats.MonteCarloScore(u, z)
+		for _, v := range u {
+			scores[j] += v
 		}
-		scores[j] = s
 	}
 	return stats.CombineAll(st, ds.SNPSets, ds.Weights, scores), nil
 }

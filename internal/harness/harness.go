@@ -99,7 +99,7 @@ type Params struct {
 
 	Method     string // "mc" or "perm"
 	Cache      bool
-	DiskSpill  bool // persist RDD U at MEMORY_AND_DISK instead of MEMORY_ONLY
+	DiskSpill  bool // persist the cached genotype blocks at MEMORY_AND_DISK instead of MEMORY_ONLY
 	Iterations int
 
 	// MemCapBytes, when positive, overrides the scaled executor memory with

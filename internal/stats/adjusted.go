@@ -3,7 +3,7 @@
 // in the analysis": the nuisance model (outcome on covariates) is fitted
 // once under the null, and the per-patient score contributions are formed
 // from its residuals — after which Algorithm 3 applies unchanged, since the
-// cached U RDD already encodes the adjustment.
+// model's residual panel already encodes the adjustment.
 //
 //   - Gaussian: Y regressed on [1, X] by OLS; U_ij = G_ij (Y_i − Ŷ_i).
 //   - Binomial: logistic regression of Y on [1, X]; U_ij = G_ij (Y_i − p̂_i).
@@ -45,19 +45,12 @@ func NewAdjustedModel(family string, ph *data.Phenotype, covariates [][]float64)
 // models: per-patient residuals r_i with U_ij = G_ij r_i.
 type residualModel struct {
 	name     string
-	resid    []float64
+	resid              // Y_i − Ŷ_i
 	variance []float64 // per-patient variance weights for the null variance
 }
 
 func (m *residualModel) Name() string  { return m.name }
 func (m *residualModel) Patients() int { return len(m.resid) }
-
-// Residuals implements Residualer: the adjusted residual vector is exactly
-// the SNP-invariant factor the blocked kernel fuses with the dosage decode.
-func (m *residualModel) Residuals() []float64 { return m.resid }
-
-// ScoreResiduals implements ScoreResidualer.
-func (m *residualModel) ScoreResiduals() []float64 { return m.resid }
 
 func (m *residualModel) Contributions(g []data.Genotype, u []float64) {
 	n := len(m.resid)

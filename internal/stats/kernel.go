@@ -1,20 +1,17 @@
-// Blocked score kernels over packed genotype blocks. Model.Contributions
-// computes one SNP at a time: decode a row, allocate a contribution slice,
-// loop. A BlockKernel instead consumes a whole data.GenoBlock in one pass —
-// for residual-form models (Gaussian, Binomial, and their covariate-adjusted
-// variants) the 2-bit dosage decode and the score accumulation fuse into a
-// single loop over the packed bytes, and the block's contributions land in
-// one flat allocation. Monte Carlo reweighting then becomes a matrix–vector
-// product over the cached UBlock instead of per-SNP MonteCarloScore calls.
-//
-// Arithmetic order matches the per-row Model.Contributions path exactly (per
-// row, in patient order), so block kernels and the engine-free references
-// produce bitwise-identical scores.
+// Blocked score kernels over packed genotype blocks. Every resampling pass
+// needs only marginal scores, and those are linear in the genotypes: G · r for
+// the model's score residuals (PackedRowScores: the observed score, a
+// permutation replicate) and G · R̃(Z) for the residual panel of a batch of
+// Lin's Monte Carlo weight draws (PanelKernel), both straight off the 2-bit
+// bytes in one written summation order. The per-patient terms — a block at a
+// time into a UBlock, bit for bit Model.Contributions per row — remain for the
+// asymptotic tests and as the arithmetic of the Reference* oracles.
 
 package stats
 
 import (
 	"fmt"
+	"math"
 
 	"sparkscore/internal/data"
 )
@@ -45,8 +42,8 @@ func DecodeDosageGenotypes(packed []byte, dst []data.Genotype) {
 
 // UBlock holds the per-patient score contributions of a block of SNPs,
 // row-major in one flat allocation: row r is U[r*Patients:(r+1)*Patients],
-// the contributions of SNP SNPs[r]. It is the cached unit of the columnar
-// Monte Carlo pipeline (Algorithm 3's RDD U, blocked).
+// the contributions of SNP SNPs[r] — the paper's RDD U, blocked, at 8 bytes
+// per (SNP, patient) where the packed block it came from holds 2 bits.
 type UBlock struct {
 	Patients int
 	SNPs     []int32
@@ -66,109 +63,76 @@ func (b UBlock) ApproxBytes() int64 {
 	return 8*int64(len(b.U)) + 4*int64(len(b.SNPs)) + 96
 }
 
-// Scores computes the per-row marginal scores into out (grown as needed):
-// with z nil each row sums to the observed U_j; otherwise the Monte Carlo
-// replicate Ũ_j = Σ_i z_i U_ij, a matrix–vector product over the block. It is
-// the width-1 case of PanelScores.
+// Scores computes MonteCarloScore(row, z) of every row into out (grown as
+// needed); a nil z is the plain row sum, the observed U_j. Its callers are
+// bench/layers.go's layer replay and the tests that check a kernel against
+// the Reference* oracles' arithmetic; no analysis path holds a UBlock.
 func (b *UBlock) Scores(z, out []float64) []float64 {
-	return b.PanelScores(z, 1, out)
-}
-
-// panelTile is the number of Monte Carlo replicates scored per pass over a U
-// row: one float64 register accumulator each (the wide kernel's idiom).
-const panelTile = 8
-
-// PanelScores computes the marginal scores of every row under width Monte
-// Carlo replicates at once — the block's slice of the U·Z product of
-// replicate-batched Algorithm 3. z is the patients × width weight panel,
-// patient-major (patient i's weight in replicate k is z[i*width+k]); out,
-// grown as needed, is rows × width, row-major. A nil z with width 1 is the
-// observed statistic: each row's plain sum.
-//
-// Summation-order contract. out[r*width+k] = Σ over patients in ascending
-// index of U_ri · z_ik, each term one rounded multiply added to one running
-// sum: exactly MonteCarloScore(Row(r), column k), bit for bit, whatever the
-// width. Each row is read once per tile of panelTile replicates; columns
-// beyond the last whole tile run MonteCarloScore's own loop one at a time, so
-// width 1 costs the plain matrix–vector product.
-func (b *UBlock) PanelScores(z []float64, width int, out []float64) []float64 {
-	rows, n := b.Rows(), b.Patients
-	if width < 1 || (z == nil && width != 1) || (z != nil && len(z) != n*width) {
-		panic(fmt.Sprintf("stats: %d Monte Carlo weights for %d patients x %d replicates", len(z), n, width))
-	}
-	out = sized(out, rows*width)
-	tiled := width &^ (panelTile - 1)
-	for r := 0; r < rows; r++ {
-		row, dst := b.U[r*n:(r+1)*n], out[r*width:(r+1)*width]
-		if z == nil {
-			var s float64
-			for _, v := range row {
-				s += v
-			}
-			dst[0] = s
+	out = sized(out, b.Rows())
+	for r := range out {
+		if z != nil {
+			out[r] = MonteCarloScore(b.Row(r), z)
 			continue
 		}
-		for lo := 0; lo < tiled; lo += panelTile {
-			var a0, a1, a2, a3, a4, a5, a6, a7 float64
-			zt := z[lo:]
-			for i, v := range row {
-				e := zt[i*width:][:panelTile]
-				a0 += v * e[0]
-				a1 += v * e[1]
-				a2 += v * e[2]
-				a3 += v * e[3]
-				a4 += v * e[4]
-				a5 += v * e[5]
-				a6 += v * e[6]
-				a7 += v * e[7]
-			}
-			copy(dst[lo:], []float64{a0, a1, a2, a3, a4, a5, a6, a7})
-		}
-		for k := tiled; k < width; k++ {
-			dst[k] = panelColumn(row, z[k:], width)
+		out[r] = 0
+		for _, v := range b.Row(r) {
+			out[r] += v
 		}
 	}
 	return out
 }
 
-// panelColumn is Σ_i row[i] · z[i*stride] in ascending i. A contiguous column
-// goes to MonteCarloScore itself: the strided loop measures ~10% slower at
-// stride 1, and a served Replicate is exactly that case.
-func panelColumn(row, z []float64, stride int) float64 {
-	if stride == 1 {
-		return MonteCarloScore(row, z)
-	}
-	var s float64
-	j := 0
-	for _, v := range row {
-		s += v * z[j]
-		j += stride
-	}
-	return s
-}
-
-// Residualer is implemented by models whose contribution factorises as
-// U_ij = G_ij · r_i for a SNP-invariant per-patient residual vector r — the
-// Gaussian and Binomial families and their covariate-adjusted forms. The
-// kernel exploits it to fuse dosage decode with accumulation; models without
-// the factorisation (Cox, whose risk sets couple the per-patient terms) take
-// the decode-then-Contributions path instead.
-type Residualer interface {
-	// Residuals returns the per-patient residual vector; callers must not
-	// mutate it.
-	Residuals() []float64
-}
-
 // ScoreResidualer is implemented by models whose marginal score factorises as
 // U_j = Σ_i G_ij · r_i for a SNP-invariant vector r, whether or not the
-// per-patient contributions do: every Residualer (r is its residual vector)
-// and Cox (see Cox.ScoreResiduals). It is all a pass that never reweights
-// patients needs — the observed statistic, a permutation replicate — and
-// PackedRowScores evaluates it with no U at all. Lin's Monte Carlo method
-// needs the per-patient terms and stays on Contributions.
+// per-patient contributions do: the Gaussian and Binomial families and their
+// covariate-adjusted forms (U_ij = G_ij · r_i for their residual vector r) and
+// Cox (its martingale residuals). The factorisation survives reweighting
+// the patients — Lin's replicate Σ_i Z_i U_ij is Σ_l G_lj · r̃_l(Z) — so it is
+// all any resampling pass needs, and every model in this package has it.
 type ScoreResidualer interface {
+	Model
+
 	// ScoreResiduals returns r; callers must not mutate it.
 	ScoreResiduals() []float64
+
+	// PanelResiduals returns R̃ for an n × width panel of patient weights,
+	// patient-major (patient i's weight in replicate k is z[i*width+k]), in
+	// the same layout: Σ_i z_ik · U_ij = Σ_l G_lj · R̃_lk for every SNP j. It is
+	// r ∘ z where the contributions factorise; see Cox.PanelResiduals.
+	PanelResiduals(z []float64, width int) []float64
+}
+
+// residualHeadroom is how far below overflow CheckResiduals wants every
+// magnitude: a replicate scales residuals by |Z| < 16, Cox's hazard sums a
+// cohort of them, and the class table doubles the result.
+const residualHeadroom = 1 << 64
+
+// CheckResiduals fails closed on a null model the packed kernels cannot score
+// exactly. Leaving out a zero-dosage term is exact only while the residual it
+// would have multiplied is finite (0 · Inf is NaN), in every replicate's R̃ as
+// well as in r — so r and, for Cox, the risk weights w_l and the event
+// patients' 1/den_i that R̃ is built from must be finite with residualHeadroom
+// to spare. The error names the first offending patient.
+func CheckResiduals(m ScoreResidualer) error {
+	bad := func(v float64) bool { return !(math.Abs(v) <= math.MaxFloat64/residualHeadroom) }
+	if c, ok := m.(*Cox); ok {
+		for i, w := range c.w {
+			if bad(w) {
+				return fmt.Errorf("stats: cox risk weight %v for patient %d", w, i)
+			}
+		}
+		for i, den := range c.riskDen {
+			if c.ph.Event[i] != 0 && bad(1/den) {
+				return fmt.Errorf("stats: cox risk-set weight sum %v for patient %d", den, i)
+			}
+		}
+	}
+	for i, v := range m.ScoreResiduals() {
+		if bad(v) {
+			return fmt.Errorf("stats: score residual %v for patient %d", v, i)
+		}
+	}
+	return nil
 }
 
 // PackedRowScores computes the marginal score U_j = Σ_i dosage(G_ij) · r_i of
@@ -209,12 +173,118 @@ func packedRowScore(packed []byte, r []float64) float64 {
 	return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
+// PanelKernel scores packed genotype blocks against a patients × width panel
+// of score residuals R̃, one column per Monte Carlo replicate, so that one pass
+// over a block serves width replicates. It is the wide kernel's dosage-class
+// idea in PackedRowScores' summation order: a table of 1·r̃ and 2·r̃,
+// replicate-tiled and patient-major as wideTable, each row turned into lists
+// of the table cells of its non-zero patients, and the cells added into
+// wideTile register accumulators per walk.
+//
+// Summation-order contract. A row's cells are listed in four lane segments,
+// lane l holding the patients i ≡ l (mod 4) in ascending i; each segment is
+// walked on its own from +0 and the four sums combined (l0 + l1) + (l2 + l3).
+// That is PackedRowScores' order with the exact-zero terms left out, which
+// changes nothing while the panel is finite and 2·r̃ does not overflow (the
+// omitted term is ±0, and 1·r̃ and 2·r̃ are exact): column k of Scores is bit
+// for bit PackedRowScores(blk, column k of R̃), whatever the width and
+// wherever in a batch the column sits. Width 1 is PackedRowScores itself.
+//
+// The scratch makes a kernel single-goroutine; a task builds its own.
+type PanelKernel struct {
+	patients, width int
+	column          []float64  // width 1: the panel, handed to PackedRowScores
+	table           []wideCell // width > 1: tile t is table[t·2n:(t+1)·2n], cell 2i+c−1 = c·r̃_i
+	cells           []uint32   // row r, lane l lists at cells[(4r+l)·⌈n/4⌉:ends[4r+l]]
+	ends            []int
+}
+
+// NewPanelKernel builds the kernel of a patients × width panel, patient-major
+// (patient i's residual in column k is panel[i*width+k]), in one pass over it.
+func NewPanelKernel(patients, width int, panel []float64) *PanelKernel {
+	checkPanel(patients, panel, width)
+	if width == 1 {
+		return &PanelKernel{patients: patients, width: width, column: panel}
+	}
+	tiles := (width + wideTile - 1) / wideTile
+	k := &PanelKernel{patients: patients, width: width, table: make([]wideCell, tiles*2*patients)}
+	for i := 0; i < patients; i++ {
+		for c, v := range panel[i*width:][:width] {
+			tile := k.table[c/wideTile*2*patients:]
+			tile[2*i][c%wideTile] = v
+			tile[2*i+1][c%wideTile] = 2 * v
+		}
+	}
+	return k
+}
+
+// dosageClass is codeScoring as the cell offset a class adds: missing (01) and
+// the reference homozygote (11) have no cell.
+var dosageClass = [4]uint32{2, 0, 1, 0}
+
+// Scores computes the block's rows × width marginal scores, row-major, into
+// out (grown as needed).
+func (k *PanelKernel) Scores(blk data.GenoBlock, out []float64) []float64 {
+	if k.width == 1 {
+		return PackedRowScores(blk, k.column, out)
+	}
+	n, width, rows := k.patients, k.width, blk.Rows()
+	if blk.Patients != n {
+		panic(fmt.Sprintf("stats: block for %d patients, residual panel for %d", blk.Patients, n))
+	}
+	quarter := (n + 3) / 4
+	k.cells, k.ends = sized(k.cells, rows*4*quarter), sized(k.ends, rows*4)
+	cells, ends := k.cells, k.ends
+	out = sized(out, rows*width)
+
+	// Branch-free compaction, as in the wide kernel, into four cursors: every
+	// patient writes its cell index at its lane's cursor and only a non-zero
+	// dosage advances it.
+	for r := 0; r < rows; r++ {
+		packed := blk.Row(r)
+		w := [4]int{4 * r * quarter, (4*r + 1) * quarter, (4*r + 2) * quarter, (4*r + 3) * quarter}
+		for b, v := range packed[:n>>2] {
+			at := uint32(8*b) - 1 // cell 2i+c−1 of patient i = 4b+l is at+2l+c
+			c0, c1, c2, c3 := dosageClass[v&3], dosageClass[(v>>2)&3], dosageClass[(v>>4)&3], dosageClass[v>>6]
+			cells[w[0]] = at + c0
+			w[0] += int((c0 + 1) >> 1)
+			cells[w[1]] = at + 2 + c1
+			w[1] += int((c1 + 1) >> 1)
+			cells[w[2]] = at + 4 + c2
+			w[2] += int((c2 + 1) >> 1)
+			cells[w[3]] = at + 6 + c3
+			w[3] += int((c3 + 1) >> 1)
+		}
+		for l := 0; l < n&3; l++ { // the final, partial byte
+			c := dosageClass[(packed[n>>2]>>uint(2*l))&3]
+			cells[w[l]] = uint32(2*(n&^3+l)) - 1 + c
+			w[l] += int((c + 1) >> 1)
+		}
+		copy(ends[4*r:], w[:])
+	}
+
+	// Tiles outermost, so one tile's 2n cells stay cache-resident across the
+	// block's rows.
+	for lo := 0; lo < width; lo += wideTile {
+		tile := k.table[lo/wideTile*2*n:][:2*n]
+		for r := 0; r < rows; r++ {
+			var lane [4]wideCell
+			for l := range lane {
+				sumCells(tile, cells[(4*r+l)*quarter:ends[4*r+l]], &lane[l])
+			}
+			for c := range out[r*width+lo:][:min(wideTile, width-lo)] {
+				out[r*width+lo+c] = (lane[0][c] + lane[1][c]) + (lane[2][c] + lane[3][c])
+			}
+		}
+	}
+	return out
+}
+
 // BlockKernel applies a score model to packed genotype blocks. A kernel is
 // built once per partition (it owns a decode buffer) and used from a single
 // goroutine; concurrent consumers build one kernel each.
 type BlockKernel struct {
 	model Model
-	resid []float64 // non-nil selects the fused dosage×residual path
 	dec   []data.Genotype
 	cox   *Cox      // non-nil when the model is Cox, whose contributions take cum
 	cum   []float64 // Cox's prefix-sum scratch: one per kernel, not one per SNP
@@ -223,16 +293,11 @@ type BlockKernel struct {
 // NewBlockKernel builds a kernel for the model.
 func NewBlockKernel(m Model) *BlockKernel {
 	k := &BlockKernel{model: m, dec: make([]data.Genotype, m.Patients())}
-	if r, ok := m.(Residualer); ok {
-		k.resid = r.Residuals()
-	} else if c, ok := m.(*Cox); ok {
+	if c, ok := m.(*Cox); ok {
 		k.cox, k.cum = c, make([]float64, m.Patients()+1)
 	}
 	return k
 }
-
-// Model returns the kernel's score model.
-func (k *BlockKernel) Model() Model { return k.model }
 
 // Contributions computes the block's per-patient contributions: the columnar
 // form of Algorithm 1 step 7. Allocations are flat per block (the SNP column
@@ -249,13 +314,7 @@ func (k *BlockKernel) Contributions(blk data.GenoBlock) UBlock {
 		U:        make([]float64, rows*n),
 	}
 	for r := 0; r < rows; r++ {
-		u := out.U[r*n : (r+1)*n]
-		if k.resid != nil {
-			fusedDosageAccumulate(blk.Row(r), k.resid, u)
-			continue
-		}
-		dec := k.dec[:n]
-		DecodeDosageGenotypes(blk.Row(r), dec)
+		u, dec := out.U[r*n:(r+1)*n], k.Decode(blk, r)
 		if k.cox != nil {
 			k.cox.contributions(dec, u, k.cum)
 		} else {
@@ -272,23 +331,4 @@ func (k *BlockKernel) Decode(blk data.GenoBlock, r int) []data.Genotype {
 	dec := k.dec[:blk.Patients]
 	DecodeDosageGenotypes(blk.Row(r), dec)
 	return dec
-}
-
-// fusedDosageAccumulate is the fused inner loop: u[i] = dosage(code_i) · r_i
-// straight off the packed bytes, four patients per byte, no intermediate
-// genotype slice. The multiply matches float64(g_i)·r_i of Model.Contributions
-// bit for bit, since the dosage table holds the same float64 values.
-func fusedDosageAccumulate(packed []byte, resid, u []float64) {
-	n := len(resid)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		v := packed[i>>2]
-		u[i] = codeDosage[v&3] * resid[i]
-		u[i+1] = codeDosage[(v>>2)&3] * resid[i+1]
-		u[i+2] = codeDosage[(v>>4)&3] * resid[i+2]
-		u[i+3] = codeDosage[v>>6] * resid[i+3]
-	}
-	for ; i < n; i++ {
-		u[i] = codeDosage[(packed[i>>2]>>uint((i&3)*2))&3] * resid[i]
-	}
 }

@@ -7,98 +7,124 @@ import (
 	"strings"
 	"testing"
 
+	"sparkscore/internal/data"
 	"sparkscore/internal/rng"
 )
 
 // panelEdge are the values a seeded panel fixture mixes into its normal
-// draws: both zeros and magnitudes whose products overflow, underflow and
-// cancel, so a reordered or fused sum would show.
+// draws: both zeros and magnitudes that cancel, underflow and sit a doubling
+// away from overflow, so a reordered or fused sum would show.
 var panelEdge = []float64{0, math.Copysign(0, -1), 1e300, -1e300, 1e-300, -1e-300}
 
-// panelFixture fills a rows × patients UBlock and a patients × width panel
-// with standard normals from the seed, an edgeShare of the entries replaced
-// by draws from panelEdge.
-func panelFixture(seed uint64, patients, rows, width int, edgeShare float64) (UBlock, []float64) {
+// panelFixture builds a rows × patients packed block whose row j has minor
+// allele frequency maf(j) and a missingShare of its calls missing, and a
+// patients × width panel of standard normals with an edgeShare of the entries
+// replaced by draws from panelEdge.
+func panelFixture(seed uint64, patients, rows, width int, maf func(row int) float64, missingShare, edgeShare float64) (data.GenoBlock, []float64) {
 	r := rng.New(seed)
-	draw := func(dst []float64) {
-		for i := range dst {
-			if r.Bernoulli(edgeShare) {
-				dst[i] = panelEdge[r.Intn(len(panelEdge))]
-			} else {
-				dst[i] = r.Normal()
+	blk := data.NewGenoBlock(patients, rows)
+	g := make([]data.Genotype, patients)
+	for j := 0; j < rows; j++ {
+		p := maf(j)
+		for i := range g {
+			g[i] = data.Genotype(r.Binomial(2, p))
+			if r.Bernoulli(missingShare) {
+				g[i] = data.MissingGenotype
 			}
 		}
+		if err := blk.AppendRow(j, g); err != nil {
+			panic(err)
+		}
 	}
-	ub := UBlock{Patients: patients, SNPs: make([]int32, rows), U: make([]float64, rows*patients)}
-	z := make([]float64, patients*width)
-	draw(ub.U)
-	draw(z)
-	return ub, z
+	panel := make([]float64, patients*width)
+	for i := range panel {
+		if r.Bernoulli(edgeShare) {
+			panel[i] = panelEdge[r.Intn(len(panelEdge))]
+		} else {
+			panel[i] = r.Normal()
+		}
+	}
+	return blk, panel
 }
 
-// sameBits is the contract's equality: the same bit pattern, so −0 differs
-// from +0, except that any NaN equals any NaN (Inf − Inf arises over the
-// 1e±300 entries, and which operand's payload a NaN·NaN product keeps is the
-// instruction selector's choice, not the summation order's).
-func sameBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-}
-
-// checkPanelColumns pins every column of PanelScores to the scalar
-// MonteCarloScore over the same row and the panel's k-th column, bitwise.
-func checkPanelColumns(t *testing.T, ub UBlock, z []float64, width int) {
+// checkPanelColumns pins every column of PanelKernel.Scores to
+// PackedRowScores over the same block and the panel's k-th column, bit for
+// bit (−0 differs from +0).
+func checkPanelColumns(t *testing.T, blk data.GenoBlock, panel []float64, width int) {
 	t.Helper()
-	got := ub.PanelScores(z, width, nil)
-	if len(got) != ub.Rows()*width {
-		t.Fatalf("%d scores for %d rows x %d replicates", len(got), ub.Rows(), width)
+	got := NewPanelKernel(blk.Patients, width, panel).Scores(blk, nil)
+	if len(got) != blk.Rows()*width {
+		t.Fatalf("%d scores for %d rows x %d replicates", len(got), blk.Rows(), width)
 	}
-	col := make([]float64, ub.Patients)
+	col := make([]float64, blk.Patients)
 	for k := 0; k < width; k++ {
 		for i := range col {
-			col[i] = z[i*width+k]
+			col[i] = panel[i*width+k]
 		}
-		single := ub.Scores(col, nil)
-		for r := 0; r < ub.Rows(); r++ {
-			want := MonteCarloScore(ub.Row(r), col)
-			if !sameBits(got[r*width+k], want) {
-				t.Fatalf("patients=%d rows=%d width=%d: panel[%d][%d] = %v, scalar %v",
-					ub.Patients, ub.Rows(), width, r, k, got[r*width+k], want)
-			}
-			if !sameBits(single[r], want) {
-				t.Fatalf("patients=%d width=%d: Scores(column %d)[%d] = %v, scalar %v",
-					ub.Patients, width, k, r, single[r], want)
+		for r, want := range PackedRowScores(blk, col, nil) {
+			if math.Float64bits(got[r*width+k]) != math.Float64bits(want) {
+				t.Fatalf("patients=%d rows=%d width=%d: panel[%d][%d] = %v, PackedRowScores %v",
+					blk.Patients, blk.Rows(), width, r, k, got[r*width+k], want)
 			}
 		}
 	}
 }
 
-// TestUBlockPanelMatchesScalarBitwise is the panel kernel's contract: whole
-// tiles, the tail columns and the width-1 case all reproduce the scalar loop
-// bit for bit, at patient counts around the unroll and row counts including
-// the empty block.
-func TestUBlockPanelMatchesScalarBitwise(t *testing.T) {
-	for _, patients := range []int{1, 3, 4, 7, 500} {
-		for _, rows := range []int{0, 1, 256} {
-			for _, width := range []int{1, 7, 8, 9, 16, 67} {
-				ub, z := panelFixture(uint64(patients*1000+rows*10+width), patients, rows, width, 0.25)
-				checkPanelColumns(t, ub, z, width)
+// panelPatients and panelWidths are the shapes the contract is pinned at:
+// every patient count around the four lanes and the partial byte, the
+// benchmark's cohorts and one that ends mid-byte; width 1, a lone partial
+// tile, a whole tile, tile-and-tail, and core's tail and batch widths.
+var (
+	panelPatients = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 500, 503, 1000}
+	panelWidths   = []int{1, 2, 7, 8, 9, 44, 64}
+)
+
+// TestPanelKernelMatchesPackedRowScoresBitwise is the panel kernel's
+// contract: whatever the width, every column is PackedRowScores on that
+// column, with missing calls present, monomorphic and saturated rows, and the
+// empty block.
+func TestPanelKernelMatchesPackedRowScoresBitwise(t *testing.T) {
+	maf := func(row int) float64 { return []float64{0, 0.02, 0.3, 0.5, 1}[row%5] }
+	for _, patients := range panelPatients {
+		for _, rows := range []int{0, 1, 11} {
+			for _, width := range panelWidths {
+				blk, panel := panelFixture(uint64(patients*1000+rows*100+width), patients, rows, width, maf, 0.05, 0.25)
+				checkPanelColumns(t, blk, panel, width)
 			}
 		}
 	}
 }
 
-func TestUBlockPanelRejectsWrongPanelLength(t *testing.T) {
-	ub, z := panelFixture(1, 5, 2, 3, 0)
+// TestPanelKernelReusesScratchAcrossBlocks scores blocks of different row
+// counts through one kernel, as a fold task does: stale cell lists from a
+// larger block must not leak into a smaller one.
+func TestPanelKernelReusesScratchAcrossBlocks(t *testing.T) {
+	const patients, width = 37, 9
+	_, panel := panelFixture(1, patients, 0, width, nil, 0, 0)
+	k := NewPanelKernel(patients, width, panel)
+	var out []float64
+	for _, rows := range []int{12, 3, 12, 0, 5} {
+		blk, _ := panelFixture(uint64(rows), patients, rows, 0, func(int) float64 { return 0.4 }, 0.1, 0)
+		out = k.Scores(blk, out)
+		fresh := NewPanelKernel(patients, width, panel).Scores(blk, nil)
+		if fmt.Sprint(out) != fmt.Sprint(fresh) {
+			t.Fatalf("%d rows: a reused kernel scores %v, a fresh one %v", rows, out, fresh)
+		}
+	}
+}
+
+func TestPanelKernelRejectsWrongShapes(t *testing.T) {
+	blk, panel := panelFixture(1, 5, 2, 3, func(int) float64 { return 0.3 }, 0, 0)
 	for name, call := range map[string]func(){
-		"short panel": func() { ub.PanelScores(z[:len(z)-1], 3, nil) },
-		"zero width":  func() { ub.PanelScores(nil, 0, nil) },
-		"Scores":      func() { ub.Scores(z[:4], nil) },
+		"short panel":   func() { NewPanelKernel(5, 3, panel[:len(panel)-1]) },
+		"zero width":    func() { NewPanelKernel(5, 0, nil) },
+		"foreign block": func() { NewPanelKernel(4, 3, panel[:12]).Scores(blk, nil) },
+		"width one":     func() { NewPanelKernel(4, 1, panel[:4]).Scores(blk, nil) },
 	} {
 		func() {
 			defer func() {
-				msg, _ := recover().(string)
-				if !strings.HasPrefix(msg, "stats: ") || !strings.Contains(msg, "Monte Carlo weights for 5 patients") {
-					t.Errorf("%s: panic %q, want the Monte Carlo weights message", name, msg)
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "stats: ") {
+					t.Errorf("%s: panic %q, want a stats: message", name, msg)
 				}
 			}()
 			call()
@@ -106,62 +132,237 @@ func TestUBlockPanelRejectsWrongPanelLength(t *testing.T) {
 	}
 }
 
-// FuzzUBlockPanel is the same bitwise pin over fuzzer-chosen shapes and raw
-// float bit patterns (NaNs and infinities included): the first three bytes
-// pick patients, rows and width, the rest fills U then Z eight bytes a value,
-// cycling.
-func FuzzUBlockPanel(f *testing.F) {
-	f.Add([]byte{3, 2, 9, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+// TestPanelResidualsMatchContributions pins the identity Algorithm 3 now
+// rests on, Σ_i Z_ik U_ij = Σ_l G_lj R̃_lk, against the arithmetic it
+// replaced: the panel kernel over PanelResiduals must equal MonteCarloScore
+// over the model's own Contributions within 1e-9, for every family and
+// covariate-adjusted model and, for Cox, whatever the tie and censoring
+// structure — tie groups with no event and risk weights included.
+func TestPanelResidualsMatchContributions(t *testing.T) {
+	const patients, rows, width = 301, 9, 11
+	cov := make([][]float64, patients)
+	for i, r := 0, rng.New(3); i < patients; i++ {
+		cov[i] = []float64{r.Normal(), r.Float64()}
+	}
+	type fixture struct {
+		name       string
+		family     string
+		covariates [][]float64
+		reshape    func(ph *data.Phenotype)
+	}
+	cases := []fixture{
+		{"gaussian", "gaussian", nil, nil},
+		{"binomial", "binomial", nil, nil},
+		{"adjusted gaussian", "gaussian", cov, nil},
+		{"adjusted binomial", "binomial", cov, nil},
+		{"cox", "cox", nil, nil},
+		{"cox, heavy ties, 30% censored", "cox", nil, func(ph *data.Phenotype) {
+			for i := range ph.Y {
+				ph.Y[i] = float64(i % 7)
+				ph.Event[i] = uint8(min(i%10/3, 1))
+			}
+		}},
+		{"cox, tie groups with no event", "cox", nil, func(ph *data.Phenotype) {
+			for i := range ph.Y {
+				ph.Y[i] = float64(i % 5)
+				ph.Event[i] = uint8(i % 5 % 2)
+			}
+		}},
+		{"cox, all censored", "cox", nil, func(ph *data.Phenotype) { clear(ph.Event) }},
+		{"adjusted cox", "cox", cov, nil},
+		{"adjusted cox, heavy ties", "cox", cov, func(ph *data.Phenotype) {
+			for i := range ph.Y {
+				ph.Y[i] = math.Floor(ph.Y[i] / 6)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		ph, _ := kernelFixture(t, patients, 0, tc.family == "binomial")
+		if tc.reshape != nil {
+			tc.reshape(ph)
+		}
+		model, err := NewAdjustedModel(tc.family, ph, tc.covariates)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		blk, z := panelFixture(5, patients, rows, width, func(row int) float64 { return 0.05 + 0.05*float64(row) }, 0.03, 0)
+		sr := model.(ScoreResidualer)
+		panel := sr.PanelResiduals(z, width)
+		got := NewPanelKernel(patients, width, panel).Scores(blk, nil)
+		ub := NewBlockKernel(model).Contributions(blk)
+		col := make([]float64, patients)
+		for k := 0; k < width; k++ {
+			for i := range col {
+				col[i] = z[i*width+k]
+			}
+			for r, want := range ub.Scores(col, nil) {
+				if diff := math.Abs(got[r*width+k] - want); !(diff <= 1e-9*math.Max(1, math.Abs(want))) {
+					t.Fatalf("%s row %d replicate %d: %v off the residual panel, %v reweighting contributions (diff %g)",
+						tc.name, r, k, got[r*width+k], want, diff)
+				}
+			}
+		}
+		// Unit weights are the observed score's residuals, to the bit.
+		ones := make([]float64, patients)
+		for i := range ones {
+			ones[i] = 1
+		}
+		for i, v := range sr.PanelResiduals(ones, 1) {
+			if r := sr.ScoreResiduals()[i]; math.Float64bits(v) != math.Float64bits(r) {
+				t.Fatalf("%s patient %d: panel residual under unit weights %v, score residual %v", tc.name, i, v, r)
+			}
+		}
+	}
+}
+
+func TestPanelResidualsRejectWrongPanelLength(t *testing.T) {
+	ph, _ := kernelFixture(t, 5, 0, false)
+	for _, family := range []string{"cox", "gaussian"} {
+		model, err := NewModel(family, ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, call := range map[string]func(){
+			"short panel": func() { model.(ScoreResidualer).PanelResiduals(make([]float64, 14), 3) },
+			"zero width":  func() { model.(ScoreResidualer).PanelResiduals(nil, 0) },
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "values for 5 patients") {
+						t.Errorf("%s, %s: panic %q, want the panel shape message", family, name, msg)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+}
+
+// TestCheckResiduals covers each refusal: a residual, a Cox risk weight and a
+// Cox risk-set sum that is not finite, or finite without the headroom a
+// replicate's scaling and the class table's doubling need.
+func TestCheckResiduals(t *testing.T) {
+	ph, _ := kernelFixture(t, 12, 0, false)
+	for i := range ph.Event {
+		ph.Event[i] = 1
+	}
+	cox := func(w ...float64) *Cox {
+		c, err := NewCox(ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		weights := make([]float64, 12)
+		for i := range weights {
+			weights[i] = 1
+		}
+		copy(weights[4:], w)
+		return c.withRiskWeights(weights)
+	}
+	gaussian := func(at int, y float64) *Gaussian {
+		q := *ph
+		q.Y = append([]float64(nil), ph.Y...)
+		q.Y[at] = y
+		g, err := NewGaussian(&q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	zeros := make([]float64, 12)
+	for _, tc := range []struct {
+		name  string
+		model ScoreResidualer
+		want  string
+	}{
+		{"finite cox", cox(0.5, 2), ""},
+		{"finite gaussian", gaussian(0, 3), ""},
+		{"infinite outcome", gaussian(7, math.Inf(1)), "stats: score residual -Inf for patient 0"},
+		{"no headroom", gaussian(7, 1e300), "stats: score residual"},
+		{"infinite risk weight", cox(math.Inf(1)), "stats: cox risk weight +Inf for patient 4"},
+		{"NaN risk weight", cox(1, math.NaN()), "stats: cox risk weight NaN for patient 5"},
+		{"empty risk sets", cox().withRiskWeights(zeros), "stats: cox risk-set weight sum 0 for patient 0"},
+	} {
+		err := CheckResiduals(tc.model)
+		if (err == nil) != (tc.want == "") || (err != nil && !strings.HasPrefix(err.Error(), tc.want)) {
+			t.Errorf("%s: CheckResiduals = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// FuzzPanelKernel is the same bitwise pin over fuzzer-chosen shapes, 2-bit
+// codes (the missing code included) and raw float bit patterns: the first
+// three bytes pick patients, width and rows, the rest is read cyclically, two
+// bits a genotype and then eight bytes a panel value. The contract holds for
+// panels whose doubles are finite, so a pattern that is not has its top
+// exponent bit cleared.
+func FuzzPanelKernel(f *testing.F) {
+	f.Add([]byte{3, 4, 2, 0x1b, 0xe4, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 4 {
 			return
 		}
-		patients, rows, width := int(raw[0])%40+1, int(raw[1])%6, int(raw[2])%20+1
+		patients := panelPatients[int(raw[0])%len(panelPatients)]
+		width := panelWidths[int(raw[1])%len(panelWidths)]
+		rows := int(raw[2]) % 5
 		raw = raw[3:]
-		next := func(i int) float64 {
+		blk := data.NewGenoBlock(patients, rows)
+		g := make([]data.Genotype, patients)
+		for j := 0; j < rows; j++ {
+			for i := range g {
+				at := j*patients + i
+				g[i] = data.CodeGenotypes[raw[at/4%len(raw)]>>uint(at%4*2)&3]
+			}
+			if err := blk.AppendRow(j, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		panel := make([]float64, patients*width)
+		for i := range panel {
 			var b [8]byte
 			for j := range b {
 				b[j] = raw[(8*i+j)%len(raw)]
 			}
-			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+			bits := binary.LittleEndian.Uint64(b[:])
+			if d := 2 * math.Float64frombits(bits); math.IsNaN(d) || math.IsInf(d, 0) {
+				bits &^= 1 << 62
+			}
+			panel[i] = math.Float64frombits(bits)
 		}
-		ub := UBlock{Patients: patients, SNPs: make([]int32, rows), U: make([]float64, rows*patients)}
-		z := make([]float64, patients*width)
-		for i := range ub.U {
-			ub.U[i] = next(i)
-		}
-		for i := range z {
-			z[i] = next(len(ub.U) + i)
-		}
-		checkPanelColumns(t, ub, z, width)
+		checkPanelColumns(t, blk, panel, width)
 	})
 }
 
-// BenchmarkUBlockPanel measures the Monte Carlo kernel where it really runs:
-// streaming a U larger than the last-level cache's per-core share (80 blocks
-// of 256 rows × 500 patients, 82 MB — mc_cached's shape), so width 1 pays
-// DRAM bandwidth as a cached-read replicate does, and reports ns per
-// (element, replicate). The widths are the b = 1 of a served Replicate, the
-// b = 16 where the tile becomes compute-bound, and core.mcBatch = 64, chosen
-// from this benchmark as past the knee.
-func BenchmarkUBlockPanel(b *testing.B) {
-	const patients, rows, blocks = 500, 256, 80
-	ublocks := make([]UBlock, blocks)
-	for i := range ublocks {
-		ublocks[i], _ = panelFixture(uint64(i), patients, rows, 1, 0)
-	}
-	for _, width := range []int{1, 16, 64} {
-		b.Run(fmt.Sprintf("b=%d", width), func(b *testing.B) {
-			_, z := panelFixture(99, patients, 0, width, 0)
-			var out []float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range ublocks {
-					out = ublocks[j].PanelScores(z, width, out)
+// BenchmarkPackedPanel measures the Monte Carlo kernel as a fold task runs
+// it: one kernel built per pass (the table build is counted) scoring
+// mc_cached's genotype matrix — 20 000 SNPs in blocks of 256, minor allele
+// frequencies ~ U(0.01, 0.5) as gen draws them — and reports ns per
+// (genotype, replicate). The widths are the b = 1 of a served Replicate
+// (PackedRowScores itself, which is why width 1 dispatches to it), one tile,
+// and core.mcBatch = 64, chosen from this benchmark.
+func BenchmarkPackedPanel(b *testing.B) {
+	const snps = 20000
+	for _, patients := range []int{500, 1000} {
+		var blocks []data.GenoBlock
+		mafs := rng.New(7)
+		for at := 0; at < snps; at += data.GenoBlockRows {
+			blk, _ := panelFixture(uint64(at), patients, min(data.GenoBlockRows, snps-at), 0,
+				func(int) float64 { return 0.01 + 0.49*mafs.Float64() }, 0, 0)
+			blocks = append(blocks, blk)
+		}
+		for _, width := range []int{1, 8, 64} {
+			b.Run(fmt.Sprintf("patients=%d/b=%d", patients, width), func(b *testing.B) {
+				_, panel := panelFixture(99, patients, 0, width, nil, 0, 0)
+				var out []float64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := NewPanelKernel(patients, width, panel)
+					for _, blk := range blocks {
+						out = k.Scores(blk, out)
+					}
 				}
-			}
-			elems := float64(b.N) * blocks * rows * patients * float64(width)
-			b.ReportMetric(b.Elapsed().Seconds()*1e9/elems, "ns/elem-replicate")
-		})
+				elems := float64(b.N) * snps * float64(patients) * float64(width)
+				b.ReportMetric(b.Elapsed().Seconds()*1e9/elems, "ns/elem-replicate")
+			})
+		}
 	}
 }

@@ -156,27 +156,42 @@ func (c *Cox) contributions(g []data.Genotype, u, cum []float64) {
 	}
 }
 
-// ScoreResiduals implements ScoreResidualer. The contributions couple
-// patients through the risk sets, but their sum does not: exchanging the
-// order of summation in U_j = Σ_i Δ_i (G_ij − Σ_{l∈R_i} w_l G_lj / den_i)
-// gives U_j = Σ_l G_lj r_l with
-//
-//	r_l = Δ_l − w_l · Σ_{i: Δ_i=1, Y_i ≤ Y_l} 1/den_i
-//
-// (w ≡ 1 unadjusted) — the martingale residual of the null model. One O(n)
-// walk over the tie groups from the shortest time up accumulates the inner
-// sum; a tie group's events all count for each of its members.
+// ScoreResiduals implements ScoreResidualer: the null model's martingale
+// residuals, PanelResiduals under unit weights.
 func (c *Cox) ScoreResiduals() []float64 {
-	r := make([]float64, len(c.order))
-	var hazard float64
-	for end := len(c.order) - 1; end >= 0; {
+	ones := make([]float64, len(c.order))
+	for i := range ones {
+		ones[i] = 1
+	}
+	return c.PanelResiduals(ones, 1)
+}
+
+// PanelResiduals implements ScoreResidualer. The contributions couple
+// patients through the risk sets, but their weighted sum does not: exchanging
+// the order of summation in
+// Ũ_j = Σ_i Z_i Δ_i (G_ij − Σ_{l∈R_i} w_l G_lj / den_i) gives Ũ_j = Σ_l G_lj r̃_l
+// with
+//
+//	r̃_l = Z_l Δ_l − w_l · Σ_{i: Δ_i=1, Y_i ≤ Y_l} Z_i/den_i
+//
+// (w ≡ 1 unadjusted). One O(n · width) walk over the tie groups from the
+// shortest time up accumulates the inner sums; a tie group's events all count
+// for each of its members.
+func (c *Cox) PanelResiduals(z []float64, width int) []float64 {
+	n := len(c.order)
+	checkPanel(n, z, width)
+	out := make([]float64, n*width)
+	hazard := make([]float64, width)
+	for end := n - 1; end >= 0; {
 		start := end
 		for start > 0 && c.groupEnd[start-1] == end {
 			start--
 		}
 		for _, i := range c.order[start : end+1] {
 			if c.ph.Event[i] != 0 {
-				hazard += 1 / c.riskDen[i]
+				for k := range hazard {
+					hazard[k] += z[i*width+k] / c.riskDen[i]
+				}
 			}
 		}
 		for _, i := range c.order[start : end+1] {
@@ -184,11 +199,39 @@ func (c *Cox) ScoreResiduals() []float64 {
 			if c.w != nil {
 				wi = c.w[i]
 			}
-			r[i] = float64(c.ph.Event[i]) - wi*hazard
+			for k, h := range hazard {
+				out[i*width+k] = float64(c.ph.Event[i])*z[i*width+k] - wi*h
+			}
 		}
 		end = start - 1
 	}
-	return r
+	return out
+}
+
+// checkPanel panics unless z is an n × width panel.
+func checkPanel(n int, z []float64, width int) {
+	if width < 1 || len(z) != n*width {
+		panic(fmt.Sprintf("stats: a panel of %d values for %d patients x %d replicates", len(z), n, width))
+	}
+}
+
+// resid is the SNP-invariant factor r of a model whose contributions factorise
+// as U_ij = G_ij · r_i; embedding it implements ScoreResidualer's two methods.
+type resid []float64
+
+// ScoreResiduals implements ScoreResidualer.
+func (r resid) ScoreResiduals() []float64 { return r }
+
+// PanelResiduals implements ScoreResidualer: row i of the panel scaled by r_i.
+func (r resid) PanelResiduals(z []float64, width int) []float64 {
+	checkPanel(len(r), z, width)
+	out := make([]float64, len(z))
+	for i, ri := range r {
+		for k, zik := range z[i*width:][:width] {
+			out[i*width+k] = ri * zik
+		}
+	}
+	return out
 }
 
 // Variance implements Model with the usual observed-information estimate of
@@ -254,8 +297,8 @@ func NaiveCoxContributions(ph *data.Phenotype, g []data.Genotype, u []float64) {
 type Gaussian struct {
 	ph     *data.Phenotype
 	meanY  float64
-	sigma2 float64   // residual variance estimate Σ(Y−Ȳ)²/n
-	resid  []float64 // Y_i − Ȳ, the SNP-invariant factor of U_ij
+	sigma2 float64 // residual variance estimate Σ(Y−Ȳ)²/n
+	resid          // Y_i − Ȳ, the SNP-invariant factor of U_ij
 }
 
 // NewGaussian builds a Gaussian score model for the phenotype.
@@ -294,12 +337,6 @@ func (g *Gaussian) Contributions(geno []data.Genotype, u []float64) {
 	}
 }
 
-// Residuals implements Residualer: U_ij = G_ij · (Y_i − Ȳ).
-func (g *Gaussian) Residuals() []float64 { return g.resid }
-
-// ScoreResiduals implements ScoreResidualer.
-func (g *Gaussian) ScoreResiduals() []float64 { return g.resid }
-
 // Variance implements Model: Var(U_j) = σ̂² Σ_i (G_ij − Ḡ_j)².
 func (g *Gaussian) Variance(geno []data.Genotype) float64 {
 	n := g.ph.Patients()
@@ -328,7 +365,7 @@ func (g *Gaussian) Variance(geno []data.Genotype) float64 {
 type Binomial struct {
 	ph    *data.Phenotype
 	meanY float64
-	resid []float64 // Y_i − Ȳ
+	resid // Y_i − Ȳ
 }
 
 // NewBinomial builds a Binomial score model. Every outcome must be 0 or 1 and
@@ -370,12 +407,6 @@ func (b *Binomial) Contributions(geno []data.Genotype, u []float64) {
 		u[i] = float64(geno[i]) * (b.ph.Y[i] - b.meanY)
 	}
 }
-
-// Residuals implements Residualer: U_ij = G_ij · (Y_i − Ȳ).
-func (b *Binomial) Residuals() []float64 { return b.resid }
-
-// ScoreResiduals implements ScoreResidualer.
-func (b *Binomial) ScoreResiduals() []float64 { return b.resid }
 
 // Variance implements Model: Var(U_j) = Ȳ(1−Ȳ) Σ_i (G_ij − Ḡ_j)².
 func (b *Binomial) Variance(geno []data.Genotype) float64 {

@@ -38,9 +38,9 @@ import (
 
 // VarianceScaler is implemented by models whose null variance factorises as
 // VarianceScale() · Σ_i (G_ij − Ḡ_j)² — the Gaussian and Binomial families.
-// Together with Residualer it is what the wide kernel needs to amortise the
-// genotype decode across a phenotype batch; the Cox family (risk sets couple
-// patients) satisfies neither and stays on the per-phenotype path.
+// Together with ScoreResidualer it is what the wide kernel needs to amortise
+// the genotype decode across a phenotype batch; the Cox family (risk sets
+// couple patients in its variance) does not have it.
 type VarianceScaler interface {
 	// VarianceScale returns the SNP-invariant factor of the null variance.
 	VarianceScale() float64
@@ -103,7 +103,7 @@ type WideKernel struct {
 }
 
 // NewWideKernel builds a wide kernel over the batch. Every model must share
-// the patient count, implement Residualer and VarianceScaler, and have finite
+// the patient count, implement ScoreResidualer and VarianceScaler, and have finite
 // residuals and variance scale.
 func NewWideKernel(models []Model) (*WideKernel, error) {
 	if len(models) == 0 {
@@ -121,7 +121,7 @@ func NewWideKernel(models []Model) (*WideKernel, error) {
 			return nil, fmt.Errorf("stats: wide kernel phenotype %d has %d patients, batch has %d",
 				p, m.Patients(), n)
 		}
-		r, ok := m.(Residualer)
+		r, ok := m.(ScoreResidualer)
 		if !ok {
 			return nil, fmt.Errorf("stats: wide kernel needs residual-form models; %q does not factorise", m.Name())
 		}
@@ -135,7 +135,7 @@ func NewWideKernel(models []Model) (*WideKernel, error) {
 		}
 		t.scales[p] = scale
 		tile, lane := t.cells[p/wideTile*2*n:], p%wideTile
-		for i, res := range r.Residuals() {
+		for i, res := range r.ScoreResiduals() {
 			// 2·res finite implies res finite; both go into the table.
 			if d := 2 * res; math.IsNaN(d) || math.IsInf(d, 0) {
 				return nil, fmt.Errorf("stats: wide kernel phenotype %d has residual %v for patient %d", p, res, i)
@@ -198,29 +198,9 @@ func (k *WideKernel) BlockStats(blk data.GenoBlock, visit func(snp int32, pheno 
 		width := min(wideTile, m-lo)
 		start := 0
 		for r, end := range ends {
-			var a0, a1, a2, a3, a4, a5, a6, a7 float64
-			// Bottom-tested, so each accumulator's only use inside the loop is
-			// its own add and the compiler folds the table load into it; a
-			// top-tested loop keeps eight loaded values live beside the eight
-			// sums, one more register than amd64 has, and spills a sum.
-			if list := cells[start:end]; len(list) > 0 {
-				for i := 0; ; {
-					e := &tile[list[i]]
-					a0 += e[0]
-					a1 += e[1]
-					a2 += e[2]
-					a3 += e[3]
-					a4 += e[4]
-					a5 += e[5]
-					a6 += e[6]
-					a7 += e[7]
-					if i++; i == len(list) {
-						break
-					}
-				}
-			}
+			var acc wideCell
+			sumCells(tile, cells[start:end], &acc)
 			start = end
-			acc := wideCell{a0, a1, a2, a3, a4, a5, a6, a7}
 			copy(scores[r*m+lo:], acc[:width])
 		}
 	}
@@ -231,6 +211,33 @@ func (k *WideKernel) BlockStats(blk data.GenoBlock, visit func(snp int32, pheno 
 			visit(snp, p, score, t.scales[p]*ss[r])
 		}
 	}
+}
+
+// sumCells adds the listed cells of a tile into sum, in list order from +0:
+// the walk the wide kernel and the panel kernel share.
+func sumCells(tile []wideCell, list []uint32, sum *wideCell) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+	// Bottom-tested, so each accumulator's only use inside the loop is its own
+	// add and the compiler folds the table load into it; a top-tested loop
+	// keeps eight loaded values live beside the eight sums, one more register
+	// than amd64 has, and spills a sum.
+	if len(list) > 0 {
+		for i := 0; ; {
+			e := &tile[list[i]]
+			a0 += e[0]
+			a1 += e[1]
+			a2 += e[2]
+			a3 += e[3]
+			a4 += e[4]
+			a5 += e[5]
+			a6 += e[6]
+			a7 += e[7]
+			if i++; i == len(list) {
+				break
+			}
+		}
+	}
+	*sum = wideCell{a0, a1, a2, a3, a4, a5, a6, a7}
 }
 
 // sized returns buf resliced to n elements, reallocated only when it is too

@@ -55,9 +55,9 @@ func TestTuneRanksMemoryStarvedLayoutsLast(t *testing.T) {
 		Seed:             3,
 	}
 	roomy := Candidate{ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 10}
-	// U here is ~16 MB; 4 MiB executors cannot hold their share, forcing
-	// recomputation in every job.
-	starved := Candidate{ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 4.0 / 1024}
+	// The cached packed matrix here is ~0.5 MB in four partitions; 64 KiB
+	// executors cannot hold one, forcing recomputation in every job.
+	starved := Candidate{ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 64.0 / (1 << 20)}
 	evals, err := Tune(w, []Candidate{starved, roomy})
 	if err != nil {
 		t.Fatal(err)
