@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -58,34 +59,16 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	files := []struct {
-		name  string
-		write func(f *os.File) error
-	}{
-		{"genotypes.txt", func(f *os.File) error { return data.WriteGenotypes(f, ds.Genotypes) }},
-		{"phenotype.txt", func(f *os.File) error { return data.WritePhenotype(f, ds.Phenotype) }},
-		{"weights.txt", func(f *os.File) error { return data.WriteWeights(f, ds.Weights) }},
-		{"snpsets.txt", func(f *os.File) error { return data.WriteSNPSets(f, ds.SNPSets) }},
+	var wrote []string
+	err = data.WriteDataset(ds, func(name string) (io.WriteCloser, error) {
+		path := filepath.Join(*out, name)
+		wrote = append(wrote, path)
+		return os.Create(path)
+	})
+	if err != nil {
+		fatal(err)
 	}
-	if ds.Covariates != nil {
-		files = append(files, struct {
-			name  string
-			write func(f *os.File) error
-		}{"covariates.txt", func(f *os.File) error { return data.WriteCovariates(f, ds.Covariates) }})
-	}
-	for _, spec := range files {
-		path := filepath.Join(*out, spec.name)
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := spec.write(f); err != nil {
-			f.Close()
-			fatal(fmt.Errorf("writing %s: %w", path, err))
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	for _, path := range wrote {
 		fmt.Printf("wrote %s\n", path)
 	}
 }

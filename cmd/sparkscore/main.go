@@ -14,19 +14,18 @@
 // With -eqtl it instead runs the all-pairs association engine: -eqtl-phenos
 // generated expression phenotypes crossed with every SNP, reduced to a
 // streaming top-K plus a histogram-sketch Benjamini–Hochberg FDR summary. The
-// -out report is deterministic (assoc.WriteReport), so two runs — broadcast
-// or cartesian, with or without -chaos — can be compared byte for byte:
+// -out report is deterministic (assoc.WriteReport), so two runs — with and
+// without -chaos, on any cluster shape — can be compared byte for byte:
 //
-//	sparkscore -generate -eqtl -eqtl-phenos 32 -out broadcast.tsv
-//	sparkscore -generate -eqtl -eqtl-phenos 32 -eqtl-strategy cartesian -chaos -out cartesian.tsv
-//	cmp broadcast.tsv cartesian.tsv
+//	sparkscore -generate -eqtl -eqtl-phenos 32 -out clean.tsv
+//	sparkscore -generate -eqtl -eqtl-phenos 32 -chaos -nodes 3 -out chaos.tsv
+//	cmp clean.tsv chaos.tsv
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"sparkscore/internal/assoc"
@@ -68,16 +67,18 @@ func main() {
 		setAsym  = flag.Bool("asymptotic", false, "also run the per-set asymptotic (Liu) analysis")
 		out      = flag.String("out", "", "write the per-set result table (TSV) to this file")
 
-		eqtlMode     = flag.Bool("eqtl", false, "run the all-pairs eQTL engine instead of the SKAT pipeline")
-		eqtlPhenos   = flag.Int("eqtl-phenos", 32, "expression phenotypes to generate for -eqtl")
-		eqtlTop      = flag.Int("eqtl-top", 100, "most-significant pairs to keep for -eqtl")
-		eqtlStrategy = flag.String("eqtl-strategy", "auto", `join strategy for -eqtl: "auto", "broadcast", or "cartesian"`)
+		eqtlMode   = flag.Bool("eqtl", false, "run the all-pairs eQTL engine instead of the SKAT pipeline")
+		eqtlPhenos = flag.Int("eqtl-phenos", 32, "expression phenotypes to generate for -eqtl")
+		eqtlTop    = flag.Int("eqtl-top", 100, "most-significant pairs to keep for -eqtl")
 
 		eventsOut = flag.String("events", "", "write a JSONL event log to this file (render it with sparkui)")
 		traceOut  = flag.String("trace", "", "write a Chrome-trace timeline to this file (open in chrome://tracing)")
 		progress  = flag.Bool("progress", false, "print job/stage/recovery progress as the analysis runs")
 	)
 	flag.Parse()
+	if *top < 0 || *eqtlTop < 0 {
+		fatal(fmt.Errorf("-top %d / -eqtl-top %d: must be non-negative", *top, *eqtlTop))
+	}
 
 	ds, err := loadDataset(*dir, *generate, *patients, *snps, *sets, *seed)
 	if err != nil {
@@ -131,7 +132,7 @@ func main() {
 	}
 	if *eqtlMode {
 		err := runEQTL(ctx, ds, eqtlOptions{
-			phenos: *eqtlPhenos, topK: *eqtlTop, strategy: *eqtlStrategy,
+			phenos: *eqtlPhenos, topK: *eqtlTop,
 			seed: *seed, top: *top, out: *out,
 		})
 		if err != nil {
@@ -238,12 +239,11 @@ func finishRun(ctx *rdd.Context, eventLog *rdd.EventLogWriter, eventFile *os.Fil
 }
 
 type eqtlOptions struct {
-	phenos   int
-	topK     int
-	strategy string
-	seed     uint64
-	top      int
-	out      string
+	phenos int
+	topK   int
+	seed   uint64
+	top    int
+	out    string
 }
 
 // runEQTL stages the genotypes beside a generated expression matrix, runs the
@@ -255,13 +255,11 @@ func runEQTL(ctx *rdd.Context, ds *data.Dataset, o eqtlOptions) error {
 	if err != nil {
 		return err
 	}
-	cfg := assoc.Config{TopK: o.topK, Strategy: o.strategy}
-	a, err := assoc.NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, cfg)
+	a, err := assoc.NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, assoc.Config{TopK: o.topK})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("all-pairs: %d SNPs × %d phenotypes (%s strategy)\n",
-		ds.Genotypes.SNPs(), a.Phenos(), a.Strategy())
+	fmt.Printf("all-pairs: %d SNPs × %d phenotypes\n", ds.Genotypes.SNPs(), a.Phenos())
 	res, err := a.Run()
 	if err != nil {
 		return err
@@ -298,36 +296,7 @@ func loadDataset(dir string, generate bool, patients, snps, sets int, seed uint6
 	if generate || dir == "" {
 		return gen.Generate(gen.Config{Patients: patients, SNPs: snps, SNPSets: sets}, seed)
 	}
-	open := func(name string) (*os.File, error) { return os.Open(filepath.Join(dir, name)) }
-	ds := &data.Dataset{}
-	var err error
-	load := func(name string, read func(f *os.File) error) {
-		if err != nil {
-			return
-		}
-		var f *os.File
-		if f, err = open(name); err != nil {
-			return
-		}
-		defer f.Close()
-		err = read(f)
-	}
-	load("genotypes.txt", func(f *os.File) (e error) { ds.Genotypes, e = data.ReadGenotypes(f); return })
-	load("phenotype.txt", func(f *os.File) (e error) { ds.Phenotype, e = data.ReadPhenotype(f); return })
-	load("weights.txt", func(f *os.File) (e error) { ds.Weights, e = data.ReadWeights(f); return })
-	load("snpsets.txt", func(f *os.File) (e error) { ds.SNPSets, e = data.ReadSNPSets(f); return })
-	if err != nil {
-		return nil, err
-	}
-	// Covariates are optional: adjust the analysis when the file exists.
-	if f, cerr := open("covariates.txt"); cerr == nil {
-		ds.Covariates, err = data.ReadCovariates(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ds, ds.Validate()
+	return data.ReadDataset(os.DirFS(dir))
 }
 
 func printResult(res *core.Result, top int) {

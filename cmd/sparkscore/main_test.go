@@ -57,8 +57,8 @@ func TestReportsIdenticalAcrossFlagSets(t *testing.T) {
 		}},
 		{"eqtl", "-eqtl -generate -patients 80 -snps 400 -sets 8 -eqtl-phenos 12", []variant{
 			{},
-			{args: "-eqtl-strategy cartesian"},
 			{args: "-chaos"},
+			{args: "-chaos -nodes 2 -workers 1"},
 		}},
 	}
 	for _, g := range groups {
@@ -96,13 +96,15 @@ func TestReportsIdenticalAcrossFlagSets(t *testing.T) {
 	}
 }
 
-// TestDeletedFlagsStayDeleted: the online tuner's switches are gone from both
-// binaries that carried them, not hidden — the flag package refuses them.
+// TestDeletedFlagsStayDeleted: the online tuner's switches and the eQTL join
+// strategy are gone from the binaries that carried them, not hidden — the
+// flag package refuses them.
 func TestDeletedFlagsStayDeleted(t *testing.T) {
 	dir := t.TempDir()
 	for cmd, flags := range map[string][]string{
 		"sparkserved": {"-autotune"},
 		"sparktune":   {"-online", "-batches=8"},
+		"sparkscore":  {"-eqtl-strategy=cartesian"},
 	} {
 		bin := buildCmd(t, dir, cmd)
 		for _, flag := range flags {
@@ -111,6 +113,21 @@ func TestDeletedFlagsStayDeleted(t *testing.T) {
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined") {
 				t.Errorf("%s %s: err = %v, want exit status 2 with \"flag provided but not defined\":\n%s", cmd, flag, err, out)
 			}
+		}
+	}
+}
+
+// TestNegativeTopRejected: a negative row count is refused after flag parsing
+// with the usual one-line error, in every mode that prints a table — it used
+// to reach rows[:top] and panic.
+func TestNegativeTopRejected(t *testing.T) {
+	bin := buildCmd(t, t.TempDir(), "sparkscore")
+	const shape = "-generate -patients 20 -snps 40 -sets 2 -iterations 2"
+	for _, args := range []string{"-top -1", "-asymptotic -marginal -top -3", "-eqtl -eqtl-phenos 2 -top -1", "-eqtl -eqtl-phenos 2 -eqtl-top -1"} {
+		out, err := exec.Command(bin, strings.Fields(shape+" "+args)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "must be non-negative") || strings.Contains(string(out), "panic") {
+			t.Errorf("sparkscore %s: err = %v, want exit status 1 with \"must be non-negative\":\n%s", args, err, out)
 		}
 	}
 }

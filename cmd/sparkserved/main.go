@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -152,8 +151,8 @@ func main() {
 		schedMode, len(poolCfgs), *addr)
 	fmt.Printf("  try: curl -s %s/v1/skat -d '{\"top\":5}'\n", "http://"+*addr)
 	if scfg.EQTL != nil {
-		fmt.Printf("  eqtl: %d phenotypes × %d SNPs all-pairs on /v1/eqtl (%s strategy)\n",
-			scfg.EQTL.Phenos(), ds.Genotypes.SNPs(), scfg.EQTL.Strategy())
+		fmt.Printf("  eqtl: %d phenotypes × %d SNPs all-pairs on /v1/eqtl\n",
+			scfg.EQTL.Phenos(), ds.Genotypes.SNPs())
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -196,35 +195,7 @@ func loadDataset(dir string, generate bool, patients, snps, sets int, seed uint6
 	if generate || dir == "" {
 		return gen.Generate(gen.Config{Patients: patients, SNPs: snps, SNPSets: sets}, seed)
 	}
-	open := func(name string) (*os.File, error) { return os.Open(filepath.Join(dir, name)) }
-	ds := &data.Dataset{}
-	var err error
-	load := func(name string, read func(f *os.File) error) {
-		if err != nil {
-			return
-		}
-		var f *os.File
-		if f, err = open(name); err != nil {
-			return
-		}
-		defer f.Close()
-		err = read(f)
-	}
-	load("genotypes.txt", func(f *os.File) (e error) { ds.Genotypes, e = data.ReadGenotypes(f); return })
-	load("phenotype.txt", func(f *os.File) (e error) { ds.Phenotype, e = data.ReadPhenotype(f); return })
-	load("weights.txt", func(f *os.File) (e error) { ds.Weights, e = data.ReadWeights(f); return })
-	load("snpsets.txt", func(f *os.File) (e error) { ds.SNPSets, e = data.ReadSNPSets(f); return })
-	if err != nil {
-		return nil, err
-	}
-	if f, cerr := open("covariates.txt"); cerr == nil {
-		ds.Covariates, err = data.ReadCovariates(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ds, ds.Validate()
+	return data.ReadDataset(os.DirFS(dir))
 }
 
 func fatal(err error) {

@@ -79,8 +79,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("all-pairs eQTL (gaussian score): %d samples, %d SNPs x %d phenotypes = %d tests (%s strategy)\n",
-		patients, snps, phenos, res.Tested, res.Strategy)
+	fmt.Printf("all-pairs eQTL (gaussian score): %d samples, %d SNPs x %d phenotypes = %d tests\n",
+		patients, snps, phenos, res.Tested)
 	fmt.Printf("planted pairs: ")
 	for i, p := range planted {
 		if i > 0 {

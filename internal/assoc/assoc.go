@@ -4,22 +4,12 @@
 // result reduced to a streaming top-K plus a histogram-sketch
 // Benjamini–Hochberg FDR summary — billions of tests, bounded driver state.
 //
-// The cross runs in one of two strategies, picked by whichever side is
-// smaller:
-//
-//   - broadcast: the phenotype matrix is broadcast whole and each genotype
-//     partition scores all phenotypes in one pass — the eQTL norm, where
-//     thousands of phenotypes fit beside a partition of a much larger
-//     genotype matrix;
-//   - cartesian: phenotype batches become an RDD and rdd.Cartesian crosses
-//     them with genotype partitions, each output partition pairing one
-//     genotype partition with one batch — for phenotype matrices too large to
-//     ship to every task.
-//
-// Both strategies visit the same pairs with the same arithmetic, so their
-// results are identical; the wide multi-phenotype kernel (stats.WideKernel)
-// decodes each genotype row once and scores the whole phenotype batch off its
-// non-zero dosages.
+// The phenotype matrix is the small side, so it ships by broadcast (the
+// paper's Algorithm 1, step 6): the wide multi-phenotype kernel
+// (stats.WideKernel) is built over it once on the driver, and every genotype
+// partition folds its blocks through a fork of that kernel — each row decoded
+// once, the whole phenotype matrix scored off its non-zero dosages — into one
+// bounded partial. The driver merges partials; it never collects the cross.
 package assoc
 
 import (
@@ -40,21 +30,12 @@ type Config struct {
 	// TopK is the number of most-significant pairs to keep (default 100).
 	TopK int
 
-	// Alpha is the Benjamini–Hochberg false-discovery rate (default 0.05).
-	Alpha float64
-
 	// HistBins is the width of the p-value histogram sketch (default 4096).
 	HistBins int
-
-	// Strategy forces a join strategy: "auto" (default — broadcast when the
-	// phenotype matrix is small enough, cartesian otherwise), "broadcast", or
-	// "cartesian".
-	Strategy string
-
-	// PhenoBatch is the number of phenotypes per batch on the cartesian path
-	// (default 64).
-	PhenoBatch int
 }
+
+// fdrAlpha is the Benjamini–Hochberg false-discovery rate of the FDR summary.
+const fdrAlpha = 0.05
 
 func (c Config) family() string {
 	if c.Family == "" {
@@ -70,25 +51,11 @@ func (c Config) topK() int {
 	return c.TopK
 }
 
-func (c Config) alpha() float64 {
-	if c.Alpha == 0 {
-		return 0.05
-	}
-	return c.Alpha
-}
-
 func (c Config) histBins() int {
 	if c.HistBins == 0 {
 		return 4096
 	}
 	return c.HistBins
-}
-
-func (c Config) phenoBatch() int {
-	if c.PhenoBatch == 0 {
-		return 64
-	}
-	return c.PhenoBatch
 }
 
 // Validate reports whether the configuration is usable.
@@ -98,27 +65,14 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("assoc: family %q (the all-pairs engine needs a factorised variance: gaussian or binomial)", c.Family)
 	}
-	switch c.Strategy {
-	case "", "auto", "broadcast", "cartesian":
-	default:
-		return fmt.Errorf("assoc: strategy %q, want auto, broadcast, or cartesian", c.Strategy)
-	}
 	switch {
 	case c.TopK < 0:
 		return fmt.Errorf("assoc: TopK = %d, must be non-negative", c.TopK)
-	case c.Alpha < 0 || c.Alpha > 1:
-		return fmt.Errorf("assoc: Alpha = %g outside [0,1]", c.Alpha)
 	case c.HistBins < 0:
 		return fmt.Errorf("assoc: HistBins = %d, must be non-negative", c.HistBins)
-	case c.PhenoBatch < 0:
-		return fmt.Errorf("assoc: PhenoBatch = %d, must be non-negative", c.PhenoBatch)
 	}
 	return nil
 }
-
-// broadcastMaxBytes is the auto-strategy cutover: phenotype matrices at or
-// under this size are broadcast, larger ones go through the cartesian join.
-const broadcastMaxBytes = 32 << 20
 
 // Analysis binds a driver context to a staged genotype file and a phenotype
 // matrix and runs the all-pairs cross.
@@ -167,20 +121,10 @@ func NewAnalysis(ctx *rdd.Context, genoPath, phenoPath string, cfg Config) (*Ana
 // Phenos returns the number of expression phenotypes.
 func (a *Analysis) Phenos() int { return a.phenos.Rows() }
 
-// Patients returns the cohort size.
-func (a *Analysis) Patients() int { return a.phenos.Patients }
-
-// Strategy returns the join strategy the next Run will use.
-func (a *Analysis) Strategy() string {
-	switch a.cfg.Strategy {
-	case "broadcast", "cartesian":
-		return a.cfg.Strategy
-	}
-	if a.phenos.ApproxBytes() <= broadcastMaxBytes {
-		return "broadcast"
-	}
-	return "cartesian"
-}
+// Strategy names how the phenotype side reaches the tasks. There is one way;
+// the method is kept for its one caller, bench/batch.go:384, which refuses to
+// time a run that is not "broadcast" (same footing as rdd.Join).
+func (a *Analysis) Strategy() string { return "broadcast" }
 
 // Run executes the all-pairs cross and returns the merged result.
 func (a *Analysis) Run() (*Result, error) {
@@ -188,19 +132,11 @@ func (a *Analysis) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategy := a.Strategy()
-	var parts []partial
-	switch strategy {
-	case "broadcast":
-		parts, err = a.broadcastPartials(blocks)
-	case "cartesian":
-		parts, err = a.cartesianPartials(blocks)
-	}
+	parts, err := a.broadcastPartials(blocks)
 	if err != nil {
 		return nil, err
 	}
-	res := mergePartials(parts, a.cfg.topK(), a.cfg.histBins(), a.cfg.alpha())
-	res.Strategy = strategy
+	res := mergePartials(parts, a.cfg.topK(), a.cfg.histBins())
 	res.Phenos = a.phenos.Rows()
 	res.SNPBlocks = blocks.Partitions()
 	return res, nil
@@ -256,10 +192,10 @@ func pairResult(snp, pheno int32, score, variance float64) PairResult {
 	}
 }
 
-// broadcastPartials runs the broadcast strategy: the wide kernel's table over
-// the whole phenotype matrix is built once here on the driver and shared
-// read-only; each genotype partition forks its own scratch, scores every
-// block through it, and emits one partial.
+// broadcastPartials runs the cross: the wide kernel's table over the whole
+// phenotype matrix is built once here on the driver and shared read-only;
+// each genotype partition forks its own scratch, folds every block through it
+// as the block streams by, and emits one partial.
 func (a *Analysis) broadcastPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial, error) {
 	shared, err := newKernel(a.cfg.family(), a.phenos)
 	if err != nil {
@@ -267,77 +203,16 @@ func (a *Analysis) broadcastPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial
 	}
 	bc := a.phenoBC
 	k, bins := a.cfg.topK(), a.cfg.histBins()
-	partials := rdd.MapPartitions(blocks, "assocPartials", func(_ int, in []data.GenoBlock) []partial {
+	partials := rdd.FoldPartition(blocks, "assocPartials", func(int) (func(data.GenoBlock), func() []partial) {
 		m := bc.Value()
 		kernel := shared.Fork()
 		acc := newAccumulator(k, bins)
 		visit := func(snp int32, pheno int, score, variance float64) {
 			acc.add(pairResult(snp, m.IDs[pheno], score, variance))
 		}
-		for _, blk := range in {
-			kernel.BlockStats(blk, visit)
-		}
-		return []partial{acc.partial()}
+		add := func(blk data.GenoBlock) { kernel.BlockStats(blk, visit) }
+		finish := func() []partial { return []partial{acc.partial()} }
+		return add, finish
 	}).SetSizeHint(int64(k)*40 + int64(bins)*8 + 64)
 	return rdd.Collect(partials)
-}
-
-// cartesianPartials runs the block-join strategy: the phenotype matrix is
-// split into batches, parallelised, and crossed with the genotype partitions
-// through rdd.Cartesian; each output partition pairs one genotype partition
-// with one batch and emits one partial.
-func (a *Analysis) cartesianPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial, error) {
-	batches := a.phenoBatches()
-	right := rdd.Parallelize(a.ctx, batches, len(batches)).
-		SetSizeFunc(data.PhenoMatrix.ApproxBytes)
-	pairs := rdd.Cartesian(blocks, right)
-	family := a.cfg.family()
-	k, bins := a.cfg.topK(), a.cfg.histBins()
-	partials := rdd.MapPartitions(pairs, "assocPairPartials", func(_ int, in []rdd.Pair[data.GenoBlock, data.PhenoMatrix]) []partial {
-		acc := newAccumulator(k, bins)
-		// One batch per right partition, so the kernel builds once per
-		// partition; the guard keys on the batch's first phenotype id in case
-		// a partition ever spans batches.
-		var kernel *stats.WideKernel
-		var ids []int32
-		visit := func(snp int32, pheno int, score, variance float64) {
-			acc.add(pairResult(snp, ids[pheno], score, variance))
-		}
-		for i := range in {
-			batch := &in[i].Right
-			if batch.Rows() == 0 {
-				continue
-			}
-			if kernel == nil || batch.IDs[0] != ids[0] {
-				var err error
-				if kernel, err = newKernel(family, batch); err != nil {
-					panic(err) // fails the task; the job reports it
-				}
-				ids = batch.IDs
-			}
-			kernel.BlockStats(in[i].Left, visit)
-		}
-		return []partial{acc.partial()}
-	}).SetSizeHint(int64(k)*40 + int64(bins)*8 + 64)
-	return rdd.Collect(partials)
-}
-
-// phenoBatches slices the phenotype matrix into batches of at most
-// cfg.PhenoBatch rows. Each batch shares the parent's value storage.
-func (a *Analysis) phenoBatches() []data.PhenoMatrix {
-	size := a.cfg.phenoBatch()
-	m := a.phenos
-	var out []data.PhenoMatrix
-	for lo := 0; lo < m.Rows(); lo += size {
-		hi := lo + size
-		if hi > m.Rows() {
-			hi = m.Rows()
-		}
-		out = append(out, data.PhenoMatrix{
-			Patients: m.Patients,
-			IDs:      m.IDs[lo:hi],
-			Values:   m.Values[lo*m.Patients : hi*m.Patients],
-		})
-	}
-	return out
 }

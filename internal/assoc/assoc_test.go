@@ -3,6 +3,7 @@ package assoc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -16,12 +17,16 @@ import (
 	"sparkscore/internal/stats"
 )
 
-func newTestContext(t testing.TB, nodes int, faults rdd.FaultProfile) *rdd.Context {
+// newTestContext builds a context whose genotype file splits into blocks of
+// blockSize bytes — one partition, and so one partial, each (0 = the dfs
+// default, which holds any fixture here in one block).
+func newTestContext(t testing.TB, nodes, blockSize int, faults rdd.FaultProfile) *rdd.Context {
 	t.Helper()
 	c, err := rdd.New(rdd.Config{
-		Cluster: cluster.Config{Nodes: nodes, Spec: cluster.M3TwoXLarge},
-		Seed:    7,
-		Faults:  faults,
+		Cluster:      cluster.Config{Nodes: nodes, Spec: cluster.M3TwoXLarge},
+		DFSBlockSize: blockSize,
+		Seed:         7,
+		Faults:       faults,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +65,7 @@ func bruteForce(t testing.TB, geno *data.GenotypeMatrix, expr *data.PhenoMatrix,
 
 func TestAllPairsMatchesBruteForce(t *testing.T) {
 	const patients, snps, phenos, k = 40, 600, 9, 25
-	ctx := newTestContext(t, 2, rdd.FaultProfile{})
+	ctx := newTestContext(t, 2, 0, rdd.FaultProfile{})
 	paths, geno, expr := stageFixture(t, ctx, patients, snps, phenos)
 	a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{TopK: k, HistBins: 512})
 	if err != nil {
@@ -100,16 +105,17 @@ func TestAllPairsMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestStrategiesAndKernelsAgree pins the two join strategies to byte-identical
-// reports, and their shared top-K to the brute-force reference.
+// TestStrategiesAndKernelsAgree pins the report to the pairs and not to how
+// the genotype side was cut up: one partition and a dozen (as many partials
+// merged at the driver) give byte-identical reports, and the wide kernel's
+// top-K is the brute-force reference's, computed one phenotype at a time.
 func TestStrategiesAndKernelsAgree(t *testing.T) {
 	const patients, snps, phenos, k = 30, 700, 12, 20
 	var all []PairResult
-	report := func(strategy string) []byte {
-		ctx := newTestContext(t, 2, rdd.FaultProfile{})
+	report := func(blockSize, minBlocks int) []byte {
+		ctx := newTestContext(t, 2, blockSize, rdd.FaultProfile{})
 		paths, geno, expr := stageFixture(t, ctx, patients, snps, phenos)
-		cfg := Config{TopK: k, HistBins: 256, Strategy: strategy, PhenoBatch: 5}
-		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, cfg)
+		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{TopK: k, HistBins: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +123,8 @@ func TestStrategiesAndKernelsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Strategy != strategy {
-			t.Fatalf("ran strategy %q, want %q", res.Strategy, strategy)
+		if res.SNPBlocks < minBlocks {
+			t.Fatalf("block size %d gave %d genotype partitions, want at least %d", blockSize, res.SNPBlocks, minBlocks)
 		}
 		if all == nil {
 			all = bruteForce(t, geno, expr, "gaussian")
@@ -126,7 +132,7 @@ func TestStrategiesAndKernelsAgree(t *testing.T) {
 		}
 		for i, got := range res.TopK {
 			if got != all[i] {
-				t.Fatalf("%s top-K entry %d = %+v, brute force %+v", strategy, i, got, all[i])
+				t.Fatalf("block size %d: top-K entry %d = %+v, brute force %+v", blockSize, i, got, all[i])
 			}
 		}
 		var buf bytes.Buffer
@@ -135,20 +141,20 @@ func TestStrategiesAndKernelsAgree(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	base := report("broadcast")
-	if got := report("cartesian"); !bytes.Equal(got, base) {
-		t.Fatalf("cartesian report differs from broadcast:\n%s\n--- vs ---\n%s", got, base)
+	base := report(0, 1)
+	if got := report(4<<10, 8); !bytes.Equal(got, base) {
+		t.Fatalf("report over many partitions differs from the one-partition report:\n%s\n--- vs ---\n%s", got, base)
 	}
 }
 
-// TestAllPairsUnderChaos runs the cross under the chaos fault profile: the
-// report must be byte-identical to the clean run.
+// TestAllPairsUnderChaos runs the cross under task crashes, stragglers and a
+// node lost mid-job, over enough partitions that attempts really are retried:
+// the report must be byte-identical to the clean run.
 func TestAllPairsUnderChaos(t *testing.T) {
-	report := func(faults rdd.FaultProfile) []byte {
-		ctx := newTestContext(t, 3, faults)
+	report := func(faults rdd.FaultProfile) ([]byte, rdd.RecoveryStats) {
+		ctx := newTestContext(t, 3, 4<<10, faults)
 		paths, _, _ := stageFixture(t, ctx, 25, 900, 6)
-		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes,
-			Config{TopK: 15, HistBins: 128, Strategy: "cartesian", PhenoBatch: 2})
+		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{TopK: 15, HistBins: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,39 +162,47 @@ func TestAllPairsUnderChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if res.SNPBlocks < 8 {
+			t.Fatalf("%d genotype partitions, want at least 8 for the node loss to land mid-job", res.SNPBlocks)
+		}
 		var buf bytes.Buffer
 		if err := WriteReport(&buf, res); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return buf.Bytes(), rdd.SummarizeRecovery(ctx.Jobs())
 	}
-	clean := report(rdd.FaultProfile{})
-	chaos := report(rdd.FaultProfile{TaskCrashProb: 0.1, FetchFailureProb: 0.1, StragglerProb: 0.1})
+	clean, _ := report(rdd.FaultProfile{})
+	chaos, recovery := report(rdd.FaultProfile{
+		TaskCrashProb: 0.4, StragglerProb: 0.1,
+		NodeLoss: []rdd.NodeLoss{{Node: 0, AfterTasks: 3}},
+	})
 	if !bytes.Equal(clean, chaos) {
 		t.Fatalf("chaos changed the report:\n%s\n--- vs clean ---\n%s", chaos, clean)
 	}
+	if recovery.TaskRetries == 0 {
+		t.Fatal("the chaos profile retried no task: the recovery claim is vacuous")
+	}
 }
 
+// TestAutoStrategyPicksBroadcastForSmallMatrix pins the word bench/batch.go
+// checks before it times eqtl_wide.
 func TestAutoStrategyPicksBroadcastForSmallMatrix(t *testing.T) {
-	ctx := newTestContext(t, 1, rdd.FaultProfile{})
+	ctx := newTestContext(t, 1, 0, rdd.FaultProfile{})
 	paths, _, _ := stageFixture(t, ctx, 10, 20, 3)
 	a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Strategy(); got != "broadcast" {
-		t.Fatalf("auto strategy = %q, want broadcast for a tiny matrix", got)
+		t.Fatalf("Strategy() = %q, want broadcast", got)
 	}
 }
 
 func TestNewAnalysisRejects(t *testing.T) {
-	ctx := newTestContext(t, 1, rdd.FaultProfile{})
+	ctx := newTestContext(t, 1, 0, rdd.FaultProfile{})
 	paths, _, _ := stageFixture(t, ctx, 10, 20, 3)
 	if _, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{Family: "cox"}); err == nil {
 		t.Fatal("accepted the cox family")
-	}
-	if _, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{Strategy: "bogus"}); err == nil {
-		t.Fatal("accepted a bogus strategy")
 	}
 	// Expression values are continuous, so binomial must fail fast.
 	if _, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{Family: "binomial"}); err == nil {
@@ -203,7 +217,7 @@ func TestNewAnalysisRejects(t *testing.T) {
 // the binomial score, pinned against brute force.
 func TestBinomialFamilyAllPairs(t *testing.T) {
 	const patients, snps, phenos = 30, 300, 4
-	ctx := newTestContext(t, 2, rdd.FaultProfile{})
+	ctx := newTestContext(t, 2, 0, rdd.FaultProfile{})
 	cfg := gen.Config{Patients: patients, SNPs: snps, SNPSets: 1}
 	geno := gen.Genotypes(cfg, rng.New(9))
 	r := rng.New(10)
@@ -241,13 +255,26 @@ func TestBinomialFamilyAllPairs(t *testing.T) {
 	}
 }
 
-// TestMalformedGenotypeLineFailsTheJob checks the all-pairs ingest surfaces a
-// bad line as a task failure naming the SNP and field, not a bare panic.
-func TestMalformedGenotypeLineFailsTheJob(t *testing.T) {
-	ctx := newTestContext(t, 1, rdd.FaultProfile{})
+// runWithBadLine stages a genotype file of sixty good rows with bad spliced
+// into the middle, cut into enough blocks that the good partitions finish
+// around the one that keeps failing, and returns Run's error.
+func runWithBadLine(t *testing.T, bad string) error {
+	t.Helper()
+	ctx := newTestContext(t, 2, 64, rdd.FaultProfile{})
 	paths, _, _ := stageFixture(t, ctx, 3, 4, 2)
-	if _, err := ctx.FS().Write(paths.Genotypes, []byte("0\t0 1 2\n7\t0 x 2\n")); err != nil {
+	var text strings.Builder
+	for snp := 0; snp < 60; snp++ {
+		if snp == 30 {
+			text.WriteString(bad)
+		}
+		fmt.Fprintf(&text, "%d\t0 1 2\n", snp)
+	}
+	f, err := ctx.FS().Write(paths.Genotypes, []byte(text.String()))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(f.Blocks) < 8 {
+		t.Fatalf("genotype file staged as %d blocks, want at least 8", len(f.Blocks))
 	}
 	a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{})
 	if err != nil {
@@ -255,7 +282,17 @@ func TestMalformedGenotypeLineFailsTheJob(t *testing.T) {
 	}
 	_, err = a.Run()
 	var aborted *rdd.TaskAbortedError
-	if want := `SNP 7: data: field 2: bad genotype "x"`; !errors.As(err, &aborted) || !strings.Contains(err.Error(), want) {
+	if !errors.As(err, &aborted) || aborted.Attempts < 2 {
+		t.Fatalf("Run() = %v, want a task abort after retries", err)
+	}
+	return err
+}
+
+// TestMalformedGenotypeLineFailsTheJob checks the all-pairs ingest surfaces a
+// bad line as a task failure naming the SNP and field, not a bare panic.
+func TestMalformedGenotypeLineFailsTheJob(t *testing.T) {
+	err := runWithBadLine(t, "77\t0 x 2\n")
+	if want := `SNP 77: data: field 2: bad genotype "x"`; !strings.Contains(err.Error(), want) {
 		t.Fatalf("Run() = %v, want a task abort containing %q", err, want)
 	}
 }
@@ -265,18 +302,8 @@ func TestMalformedGenotypeLineFailsTheJob(t *testing.T) {
 // its pairs under another SNP (4294967301 as SNP 5). The job must fail naming
 // the line's id instead.
 func TestSNPIDBeyondInt32FailsTheJob(t *testing.T) {
-	ctx := newTestContext(t, 1, rdd.FaultProfile{})
-	paths, _, _ := stageFixture(t, ctx, 3, 4, 2)
-	if _, err := ctx.FS().Write(paths.Genotypes, []byte("0\t0 1 2\n4294967301\t0 1 2\n")); err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = a.Run()
-	var aborted *rdd.TaskAbortedError
-	if want := "SNP id 4294967301"; !errors.As(err, &aborted) || !strings.Contains(err.Error(), want) {
+	err := runWithBadLine(t, "4294967301\t0 1 2\n")
+	if want := "SNP id 4294967301"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("Run() = %v, want a task abort containing %q", err, want)
 	}
 }
@@ -287,30 +314,28 @@ func TestSNPIDBeyondInt32FailsTheJob(t *testing.T) {
 // that rather than histogram NaN p-values into the most significant bin.
 func TestOverflowingPhenotypeFailsTheRun(t *testing.T) {
 	const patients = 6
-	for _, strategy := range []string{"broadcast", "cartesian"} {
-		ctx := newTestContext(t, 1, rdd.FaultProfile{})
-		_, geno, _ := stageFixture(t, ctx, patients, 10, 1)
-		expr := data.NewPhenoMatrix(patients, 3)
-		for p, scale := range []float64{1, 2, 1e308} {
-			row := make([]float64, patients)
-			for i := range row {
-				row[i] = scale * (1 - 0.1*float64(i%2))
-			}
-			if err := expr.AppendRow(p, row); err != nil {
-				t.Fatal(err)
-			}
+	ctx := newTestContext(t, 1, 0, rdd.FaultProfile{})
+	_, geno, _ := stageFixture(t, ctx, patients, 10, 1)
+	expr := data.NewPhenoMatrix(patients, 3)
+	for p, scale := range []float64{1, 2, 1e308} {
+		row := make([]float64, patients)
+		for i := range row {
+			row[i] = scale * (1 - 0.1*float64(i%2))
 		}
-		paths, err := Stage(ctx, geno, &expr, "overflow")
-		if err != nil {
+		if err := expr.AppendRow(p, row); err != nil {
 			t.Fatal(err)
 		}
-		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{Strategy: strategy, PhenoBatch: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = a.Run()
-		if want := "stats: wide kernel phenotype"; err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s: Run() = %v, want a kernel rejection containing %q", strategy, err, want)
-		}
+	}
+	paths, err := Stage(ctx, geno, &expr, "overflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = a.Run()
+	if want := "stats: wide kernel phenotype"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run() = %v, want a kernel rejection containing %q", err, want)
 	}
 }

@@ -176,8 +176,6 @@ type Result struct {
 	TopK []PairResult
 	// FDR is the sketch-based Benjamini–Hochberg summary over all tests.
 	FDR FDR
-	// Strategy records which join strategy ran ("broadcast" or "cartesian").
-	Strategy string
 	// Phenos and SNPBlocks record the input shape for reporting.
 	Phenos    int
 	SNPBlocks int
@@ -185,7 +183,7 @@ type Result struct {
 
 // mergePartials combines per-partition partials (in partition order, though
 // the merge is order-independent) into the final result.
-func mergePartials(parts []partial, k, bins int, alpha float64) *Result {
+func mergePartials(parts []partial, k, bins int) *Result {
 	res := &Result{}
 	hist := make([]int64, bins)
 	merged := newTopK(k)
@@ -199,6 +197,6 @@ func mergePartials(parts []partial, k, bins int, alpha float64) *Result {
 		}
 	}
 	res.TopK = merged.sorted()
-	res.FDR = bhFromHist(hist, res.Tested, alpha)
+	res.FDR = bhFromHist(hist, res.Tested, fdrAlpha)
 	return res
 }

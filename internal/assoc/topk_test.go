@@ -209,8 +209,8 @@ func TestMergePartialsOrderIndependent(t *testing.T) {
 		return acc.partial()
 	}
 	parts := []partial{mk(pairs[:100]), mk(pairs[100:150]), mk(pairs[150:])}
-	fwd := mergePartials(parts, k, bins, 0.05)
-	rev := mergePartials([]partial{parts[2], parts[0], parts[1]}, k, bins, 0.05)
+	fwd := mergePartials(parts, k, bins)
+	rev := mergePartials([]partial{parts[2], parts[0], parts[1]}, k, bins)
 	if fwd.Tested != rev.Tested || fwd.FDR != rev.FDR || len(fwd.TopK) != len(rev.TopK) {
 		t.Fatalf("merge order changed result: %+v vs %+v", fwd, rev)
 	}

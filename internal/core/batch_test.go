@@ -386,16 +386,16 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 			setsOf[int32(j)] = append(setsOf[int32(j)], k)
 		}
 	}
-	perPart, err := rdd.Collect(rdd.MapPartitions(a.warm, "setsTouched", func(_ int, blocks []data.GenoBlock) []int64 {
+	perPart, err := rdd.Collect(rdd.FoldPartition(a.warm, "setsTouched", func(int) (func(data.GenoBlock), func() []int64) {
 		seen := map[int]bool{}
-		for _, b := range blocks {
+		add := func(b data.GenoBlock) {
 			for _, snp := range b.SNPs {
 				for _, k := range setsOf[snp] {
 					seen[k] = true
 				}
 			}
 		}
-		return []int64{int64(len(seen))}
+		return add, func() []int64 { return []int64{int64(len(seen))} }
 	}))
 	if err != nil {
 		t.Fatal(err)

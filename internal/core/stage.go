@@ -4,52 +4,46 @@ package core
 
 import (
 	"bytes"
-	"fmt"
+	"io"
 
 	"sparkscore/internal/data"
+	"sparkscore/internal/dfs"
 	"sparkscore/internal/rdd"
 )
 
-// StageDataset writes the four input files of Algorithm 1 to the context's
-// file system under the given name prefix and returns their paths.
+// StageDataset writes the input files of Algorithm 1 — the dataset directory
+// of internal/data — to the context's file system under the given name prefix
+// and returns their paths.
 func StageDataset(ctx *rdd.Context, ds *data.Dataset, prefix string) (Paths, error) {
-	if err := ds.Validate(); err != nil {
+	path := func(name string) string { return prefix + "/" + name }
+	err := data.WriteDataset(ds, func(name string) (io.WriteCloser, error) {
+		return &stagedFile{fs: ctx.FS(), name: path(name)}, nil
+	})
+	if err != nil {
 		return Paths{}, err
 	}
 	paths := Paths{
-		Genotypes: prefix + "/genotypes.txt",
-		Phenotype: prefix + "/phenotype.txt",
-		Weights:   prefix + "/weights.txt",
-		SNPSets:   prefix + "/snpsets.txt",
-	}
-	var buf bytes.Buffer
-	write := func(name string, encode func() error) error {
-		buf.Reset()
-		if err := encode(); err != nil {
-			return fmt.Errorf("core: encoding %s: %w", name, err)
-		}
-		if _, err := ctx.FS().Write(name, append([]byte(nil), buf.Bytes()...)); err != nil {
-			return fmt.Errorf("core: staging %s: %w", name, err)
-		}
-		return nil
-	}
-	if err := write(paths.Genotypes, func() error { return data.WriteGenotypes(&buf, ds.Genotypes) }); err != nil {
-		return Paths{}, err
-	}
-	if err := write(paths.Phenotype, func() error { return data.WritePhenotype(&buf, ds.Phenotype) }); err != nil {
-		return Paths{}, err
-	}
-	if err := write(paths.Weights, func() error { return data.WriteWeights(&buf, ds.Weights) }); err != nil {
-		return Paths{}, err
-	}
-	if err := write(paths.SNPSets, func() error { return data.WriteSNPSets(&buf, ds.SNPSets) }); err != nil {
-		return Paths{}, err
+		Genotypes: path(data.GenotypesFile),
+		Phenotype: path(data.PhenotypeFile),
+		Weights:   path(data.WeightsFile),
+		SNPSets:   path(data.SNPSetsFile),
 	}
 	if ds.Covariates != nil {
-		paths.Covariates = prefix + "/covariates.txt"
-		if err := write(paths.Covariates, func() error { return data.WriteCovariates(&buf, ds.Covariates) }); err != nil {
-			return Paths{}, err
-		}
+		paths.Covariates = path(data.CovariatesFile)
 	}
 	return paths, nil
+}
+
+// stagedFile buffers one file's text and writes it to the DFS on Close. The
+// DFS keeps the slice it is handed, so it gets an exact-size copy and the
+// buffer's slack dies with the buffer.
+type stagedFile struct {
+	bytes.Buffer
+	fs   *dfs.FS
+	name string
+}
+
+func (f *stagedFile) Close() error {
+	_, err := f.fs.Write(f.name, bytes.Clone(f.Bytes()))
+	return err
 }

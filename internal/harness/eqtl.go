@@ -1,16 +1,17 @@
 // The all-pairs eQTL experiment: every SNP crossed with every expression
 // phenotype through internal/assoc, measured two ways:
 //
-//  1. Parity — the broadcast and cartesian join strategies must produce
-//     byte-identical WriteReport output at two input shapes.
-//  2. Recovery — the cross re-run under task crashes, fetch failures, and a
-//     node loss must still match the clean report byte for byte, and two
-//     seeded chaos replays must emit byte-identical stripped event logs.
+//  1. The cross at two input shapes — simulated seconds, pairs tested, and a
+//     digest of the deterministic WriteReport output.
+//  2. Recovery — the cross re-run under task crashes and a node lost mid-job
+//     must still match the clean report byte for byte, and two seeded chaos
+//     replays must emit byte-identical stripped event logs.
 
 package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 
@@ -23,17 +24,27 @@ import (
 )
 
 // eqtlScale fixes the experiment at the paper's 1/100 scale regardless of the
-// harness Scale, like the speculation experiment: parity is a property of the
-// engine, not of the input size.
+// harness Scale, like the speculation experiment: recovery is a property of
+// the engine, not of the input size.
 const eqtlScale = 100
 
-// eqtlShape is one input shape of the parity sweep.
+// eqtlBlockSize is the DFS block size at eqtlScale; eqtlChaosBlockSize cuts
+// the chaos arm's genotype file sixteen times finer, so the cross is a few
+// dozen tasks: the 10% crash draw hits some of them and the node loss, due
+// after five, takes hold before their retry wave. (At eqtlBlockSize either
+// shape is two tasks and the plan never comes due.)
+const (
+	eqtlBlockSize      = (128 << 20) / eqtlScale
+	eqtlChaosBlockSize = eqtlBlockSize / 16
+)
+
+// eqtlShape is one input shape of the sweep.
 type eqtlShape struct {
 	patients, snps, phenos int
 }
 
-// eqtlShapes are the two shapes parity is asserted at: a phenotype-light
-// cross and a phenotype-heavy one whose SNP side is partitioned differently.
+// eqtlShapes are the two shapes measured: a phenotype-light cross and a
+// phenotype-heavy one.
 func eqtlShapes() []eqtlShape {
 	return []eqtlShape{
 		{patients: 500, snps: 2000, phenos: 16},
@@ -42,19 +53,17 @@ func eqtlShapes() []eqtlShape {
 }
 
 // eqtlFaults is the chaos profile of the recovery measurement: background
-// task crashes and fetch failures plus one whole node lost mid-job.
+// task crashes plus one whole node lost mid-job. (The cross has no shuffle,
+// so there is no fetch to fail.)
 func eqtlFaults() rdd.FaultProfile {
 	return rdd.FaultProfile{
-		TaskCrashProb:    0.1,
-		FetchFailureProb: 0.1,
-		NodeLoss:         []rdd.NodeLoss{{Node: 0, AfterTasks: 5}},
+		TaskCrashProb: 0.1,
+		NodeLoss:      []rdd.NodeLoss{{Node: 0, AfterTasks: 5}},
 	}
 }
 
-// runEQTLConfig stages shape's genotype and expression matrices on a fresh
-// tuned 6-node cluster, runs the all-pairs cross under cfg and faults, and
-// returns the deterministic report, the result, the simulated seconds of the
-// cross itself, and the stripped event log of the run.
+// eqtlRunOut is one run of the cross: the deterministic report, the result,
+// the simulated seconds of the cross itself, and the stripped event log.
 type eqtlRunOut struct {
 	report     []byte
 	res        *assoc.Result
@@ -63,7 +72,10 @@ type eqtlRunOut struct {
 	recovery   rdd.RecoveryStats
 }
 
-func (h *Harness) runEQTLConfig(shape eqtlShape, cfg assoc.Config, faults rdd.FaultProfile) (eqtlRunOut, error) {
+// runEQTLCross stages shape's genotype and expression matrices on a fresh
+// tuned 6-node cluster in blocks of blockSize bytes and runs the all-pairs
+// cross under faults.
+func (h *Harness) runEQTLCross(shape eqtlShape, blockSize int, faults rdd.FaultProfile) (eqtlRunOut, error) {
 	ds, err := gen.Generate(gen.Config{Patients: shape.patients, SNPs: shape.snps, SNPSets: 4}, h.Seed)
 	if err != nil {
 		return eqtlRunOut{}, err
@@ -81,7 +93,7 @@ func (h *Harness) runEQTLConfig(shape eqtlShape, cfg assoc.Config, faults rdd.Fa
 			CoresPerExecutor:  4,
 			MemPerExecutorGiB: 10 / scale,
 		},
-		DFSBlockSize:     int(float64(128<<20) / scale),
+		DFSBlockSize:     blockSize,
 		SchedOverheadSec: 0.004 / scale,
 		StageOverheadSec: 0.05 / scale,
 		Seed:             h.Seed,
@@ -95,7 +107,7 @@ func (h *Harness) runEQTLConfig(shape eqtlShape, cfg assoc.Config, faults rdd.Fa
 	if err != nil {
 		return eqtlRunOut{}, err
 	}
-	a, err := assoc.NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, cfg)
+	a, err := assoc.NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, assoc.Config{TopK: 50, HistBins: 512})
 	if err != nil {
 		return eqtlRunOut{}, err
 	}
@@ -140,82 +152,58 @@ func stripEventLog(raw []byte) (string, error) {
 	return sb.String(), nil
 }
 
-// runEQTL measures the all-pairs engine and asserts its claims: both join
-// strategies byte-identical at both shapes, and chaos recovery byte-identical
-// with byte-stable stripped replay logs.
+// runEQTL measures the all-pairs engine and asserts its claim: chaos recovery
+// byte-identical to the clean run, with byte-stable stripped replay logs.
 func runEQTL(h *Harness, w io.Writer) error {
-	type config struct {
-		name string
-		cfg  assoc.Config
-	}
-	configs := []config{
-		{"broadcast", assoc.Config{TopK: 50, HistBins: 512}},
-		{"cartesian", assoc.Config{TopK: 50, HistBins: 512, Strategy: "cartesian", PhenoBatch: 8}},
-	}
-
+	t := metrics.NewTable(
+		fmt.Sprintf("All-pairs cross (fixed scale /%d)", eqtlScale),
+		"SNPs", "phenotypes", "patients", "tested", "cross (sim-s)", "report digest")
 	for _, shape := range eqtlShapes() {
-		var baseline []byte
-		t := metrics.NewTable(
-			fmt.Sprintf("All-pairs: %d SNPs x %d phenotypes, %d patients (fixed scale /%d)",
-				shape.snps, shape.phenos, shape.patients, eqtlScale),
-			"engine", "tested", "cross (sim-s)", "report")
-		for _, c := range configs {
-			out, err := h.runEQTLConfig(shape, c.cfg, rdd.FaultProfile{})
-			if err != nil {
-				return fmt.Errorf("eqtl: %s at %dx%d: %w", c.name, shape.snps, shape.phenos, err)
-			}
-			verdict := "baseline"
-			if baseline == nil {
-				baseline = out.report
-			} else if bytes.Equal(out.report, baseline) {
-				verdict = "identical"
-			} else {
-				verdict = "DIVERGED"
-			}
-			t.AddRow(c.name, fmt.Sprint(out.res.Tested), metrics.FormatSeconds(out.simSeconds), verdict)
-			if verdict == "DIVERGED" {
-				t.Fprint(w)
-				return fmt.Errorf("eqtl: %s report diverged from %s at %d SNPs x %d phenotypes",
-					c.name, configs[0].name, shape.snps, shape.phenos)
-			}
+		out, err := h.runEQTLCross(shape, eqtlBlockSize, rdd.FaultProfile{})
+		if err != nil {
+			return fmt.Errorf("eqtl: %d SNPs x %d phenotypes: %w", shape.snps, shape.phenos, err)
 		}
-		t.Fprint(w)
+		t.AddRow(fmt.Sprint(shape.snps), fmt.Sprint(shape.phenos), fmt.Sprint(shape.patients),
+			fmt.Sprint(out.res.Tested), metrics.FormatSeconds(out.simSeconds),
+			fmt.Sprintf("%.6x", sha256.Sum256(out.report)))
 	}
+	t.Fprint(w)
 
-	// Chaos: the phenotype-heavy shape's cartesian cross (the most partitions,
-	// so the node loss lands mid-job) under crashes, fetch failures, and a
-	// node loss — run twice to pin replay determinism.
+	// Chaos: the phenotype-heavy shape, cut fine, under crashes and a node
+	// loss — run twice to pin replay determinism.
 	shape := eqtlShapes()[1]
-	chaosCfg := configs[1].cfg
-	clean, err := h.runEQTLConfig(shape, chaosCfg, rdd.FaultProfile{})
+	clean, err := h.runEQTLCross(shape, eqtlChaosBlockSize, rdd.FaultProfile{})
 	if err != nil {
 		return fmt.Errorf("eqtl: clean chaos baseline: %w", err)
 	}
-	first, err := h.runEQTLConfig(shape, chaosCfg, eqtlFaults())
+	first, err := h.runEQTLCross(shape, eqtlChaosBlockSize, eqtlFaults())
 	if err != nil {
 		return fmt.Errorf("eqtl: chaos run: %w", err)
 	}
-	second, err := h.runEQTLConfig(shape, chaosCfg, eqtlFaults())
+	second, err := h.runEQTLCross(shape, eqtlChaosBlockSize, eqtlFaults())
 	if err != nil {
 		return fmt.Errorf("eqtl: chaos replay: %w", err)
 	}
 	reportsMatch := bytes.Equal(clean.report, first.report) && bytes.Equal(first.report, second.report)
 	replayStable := first.stripped == second.stripped
 	ct := metrics.NewTable(
-		"Chaos: cartesian cross, crash/fetch 10% + node 0 lost after 5 tasks",
-		"run", "cross (sim-s)", "retries", "recomputed", "report vs clean", "stripped log")
-	ct.AddRow("clean", metrics.FormatSeconds(clean.simSeconds), "0", "0", "baseline", "")
-	ct.AddRow("chaos", metrics.FormatSeconds(first.simSeconds),
-		fmt.Sprint(first.recovery.TaskRetries), fmt.Sprint(first.recovery.RecomputedPartitions),
+		fmt.Sprintf("Chaos: the %d x %d cross in %d partitions, crash 10%% + node 0 lost after 5 tasks",
+			shape.snps, shape.phenos, clean.res.SNPBlocks),
+		"run", "cross (sim-s)", "retries", "report vs clean", "stripped log")
+	ct.AddRow("clean", metrics.FormatSeconds(clean.simSeconds), "0", "baseline", "")
+	ct.AddRow("chaos", metrics.FormatSeconds(first.simSeconds), fmt.Sprint(first.recovery.TaskRetries),
 		map[bool]string{true: "identical", false: "DIVERGED"}[reportsMatch],
 		map[bool]string{true: "replay-stable", false: "UNSTABLE"}[replayStable])
 	ct.Fprint(w)
 
+	if clean.res.SNPBlocks < 8 {
+		return fmt.Errorf("eqtl: the chaos arm ran %d genotype partitions, want at least 8 for the node loss to land mid-job", clean.res.SNPBlocks)
+	}
 	if !reportsMatch {
 		return fmt.Errorf("eqtl: chaos report diverged from the clean run")
 	}
-	if first.recovery.TaskRetries+first.recovery.RecomputedPartitions == 0 {
-		return fmt.Errorf("eqtl: chaos profile injected no faults (0 retries, 0 recomputed partitions) — the recovery claim is vacuous")
+	if first.recovery.TaskRetries == 0 {
+		return fmt.Errorf("eqtl: chaos profile injected no faults (0 retries) — the recovery claim is vacuous")
 	}
 	if !replayStable {
 		return fmt.Errorf("eqtl: stripped event logs differ across seeded chaos replays")

@@ -88,7 +88,7 @@ func Experiments() []Experiment {
 		{ID: "speculation", Title: "Speculation: stage wall-clock with 8x stragglers, speculative copies on/off", Run: runSpeculation},
 		{ID: "memory", Title: "Memory: sort-shuffle spill-and-complete under a capped unified pool", Run: runMemory},
 		{ID: "adaptive", Title: "Adaptive: skew splitting and partition coalescing, planner on/off", Run: runAdaptive},
-		{ID: "eqtl", Title: "EQTL: all-pairs broadcast vs cartesian parity, chaos recovery", Run: runEQTL},
+		{ID: "eqtl", Title: "EQTL: the all-pairs cross, chaos recovery", Run: runEQTL},
 	}
 }
 

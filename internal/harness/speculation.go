@@ -7,10 +7,10 @@
 // free for speculative copies. Task durations are modelled, not measured —
 // host compute is scaled away and every task costs a fixed 15 ms launch fee —
 // so the grid is a function of the schedule and the same on every run. Under
-// StragglerProb 1 every task runs StragglerFactor (8x) slow; with speculation
-// on, copies launch at multiplier x median and run at the normal rate, so the
-// stage finishes at (multiplier + 1) x the normal task time instead of
-// StragglerFactor x — a bound the experiment asserts as >= 3x mitigation.
+// StragglerProb 1 every task runs 8x slow (the engine's straggler factor);
+// with speculation on, copies launch at multiplier x median and run at the
+// normal rate, so the stage finishes at (multiplier + 1) x the normal task
+// time instead of 8x — a bound the experiment asserts as >= 3x mitigation.
 
 package harness
 
@@ -56,7 +56,7 @@ func (h *Harness) runSpeculationCell(straggler, speculation bool) (SpecRow, erro
 	})
 	var faults rdd.FaultProfile
 	if straggler {
-		faults = rdd.FaultProfile{StragglerProb: 1, StragglerFactor: 8}
+		faults = rdd.FaultProfile{StragglerProb: 1}
 	}
 	ctx, err := rdd.New(rdd.Config{
 		Cluster: cluster.Config{

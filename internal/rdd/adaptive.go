@@ -1,7 +1,8 @@
 // Adaptive stage execution — the engine's counterpart of Spark 3.x Adaptive
 // Query Execution (AQE). After a shuffle's map stage completes, the planner
-// reads the per-reduce-partition output sizes the map tasks published on the
-// event bus (MapOutputStats) and rewrites the consuming stage's task set:
+// reads the per-reduce-partition output sizes from the map-output table the
+// shuffle manager already keeps (Spark's MapOutputStatistics) and rewrites
+// the consuming stage's task set:
 //
 //   - Coalescing: runs of adjacent small reduce partitions are merged into
 //     one physical task up to Config.Adaptive.TargetPartitionBytes (the
@@ -10,8 +11,8 @@
 //     partition's original closure in partition order inside one task
 //     context, so every fold tree is untouched — only the per-task scheduling
 //     overhead and task count change.
-//   - Skew splitting: a reduce partition larger than SkewFactor × the median
-//     (and at least SkewMinBytes) has its fetch split into up to MaxSubSplits
+//   - Skew splitting: a reduce partition larger than skewFactor × the median
+//     (and at least skewMinBytes) has its fetch split into up to maxSubSplits
 //     contiguous map-output ranges (spark.sql.adaptive.skewJoin semantics),
 //     run as a prefetch sub-stage before the consuming stage. Each sub-task
 //     charges its range's transfer bytes and materialises the range's pairs
@@ -20,21 +21,24 @@
 //     fetch would have delivered (see shuffleBucketSeqs), so results are
 //     bitwise identical to the non-adaptive plan.
 //
-// Determinism. The plan is a pure function of the map-output statistics,
-// which are themselves deterministic for a fixed Config — byte counts, never
-// measured durations, drive every decision. What adaptation changes is the
-// physical task set (and therefore virtual-time accounting and the
-// per-physical-task fault draws: a grouped task draws its launch-crash and
-// straggler decisions once, under its first logical partition's identity);
-// what it never changes is the value computed for any partition, pinned by
-// the adaptive-versus-static parity suite in adaptive_test.go.
+// Determinism. The plan is a pure function of the map-output table, which
+// is complete and immutable between stages (one world per wave) and
+// deterministic for a fixed Config — byte counts, never measured durations,
+// drive every decision. A map output that is missing when the planner looks
+// (its node died after the map stage) means the static plan this round; the
+// fetch failure that follows repairs the table and the next round plans from
+// it. What adaptation changes is the physical task set (and therefore
+// virtual-time accounting and the per-physical-task fault draws: a grouped
+// task draws its launch-crash and straggler decisions once, under its first
+// logical partition's identity); what it never changes is the value computed
+// for any partition, pinned by the adaptive-versus-static parity suite in
+// adaptive_test.go.
 
 package rdd
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // AdaptiveConfig enables adaptive stage execution (Spark's
@@ -49,28 +53,18 @@ type AdaptiveConfig struct {
 	// under it (spark.sql.adaptive.advisoryPartitionSizeInBytes). Zero
 	// selects 64 MiB, Spark's default advisory size.
 	TargetPartitionBytes int64
-
-	// MinPartitionNum is the floor on the physical task count after
-	// coalescing (spark.sql.adaptive.coalescePartitions.minPartitionNum).
-	// Zero selects 1.
-	MinPartitionNum int
-
-	// SkewFactor is the skew threshold: a partition is skewed when its input
-	// exceeds SkewFactor × the median partition input
-	// (spark.sql.adaptive.skewJoin.skewedPartitionFactor). Zero selects 5,
-	// Spark's default.
-	SkewFactor float64
-
-	// SkewMinBytes is the absolute floor below which a partition is never
-	// considered skewed, however lopsided the distribution
-	// (spark.sql.adaptive.skewJoin.skewedPartitionThresholdInBytes). Zero
-	// selects 1 MiB.
-	SkewMinBytes int64
-
-	// MaxSubSplits caps how many fetch sub-splits a skewed partition is
-	// divided into. Zero selects 8.
-	MaxSubSplits int
 }
+
+// The skew policy, at Spark's spark.sql.adaptive.skewJoin defaults: a reduce
+// partition is skewed when its input exceeds skewFactor × the median
+// partition input (skewedPartitionFactor) and is at least skewMinBytes
+// (skewedPartitionThresholdInBytes, scaled to this engine's inputs); its
+// fetch is divided into at most maxSubSplits sub-tasks.
+const (
+	skewFactor   = 5
+	skewMinBytes = 1 << 20
+	maxSubSplits = 8
+)
 
 func (a AdaptiveConfig) targetPartitionBytes() int64 {
 	if a.TargetPartitionBytes <= 0 {
@@ -79,75 +73,14 @@ func (a AdaptiveConfig) targetPartitionBytes() int64 {
 	return a.TargetPartitionBytes
 }
 
-func (a AdaptiveConfig) minPartitionNum() int {
-	if a.MinPartitionNum <= 0 {
-		return 1
-	}
-	return a.MinPartitionNum
-}
-
-func (a AdaptiveConfig) skewFactor() float64 {
-	if a.SkewFactor <= 0 {
-		return 5
-	}
-	return a.SkewFactor
-}
-
-func (a AdaptiveConfig) skewMinBytes() int64 {
-	if a.SkewMinBytes <= 0 {
-		return 1 << 20
-	}
-	return a.SkewMinBytes
-}
-
-func (a AdaptiveConfig) maxSubSplits() int {
-	if a.MaxSubSplits <= 0 {
-		return 8
-	}
-	return a.MaxSubSplits
-}
-
-// Validate rejects nonsensical adaptive knobs with an error naming the field.
+// Validate rejects a negative coalescing target with an error naming the
+// field.
 func (a AdaptiveConfig) Validate() error {
 	if a.TargetPartitionBytes < 0 {
 		return fmt.Errorf("rdd: AdaptiveConfig.TargetPartitionBytes = %d is negative", a.TargetPartitionBytes)
 	}
-	if a.MinPartitionNum < 0 {
-		return fmt.Errorf("rdd: AdaptiveConfig.MinPartitionNum = %d is negative", a.MinPartitionNum)
-	}
-	if a.SkewFactor < 0 {
-		return fmt.Errorf("rdd: AdaptiveConfig.SkewFactor = %g is negative", a.SkewFactor)
-	}
-	if a.SkewFactor > 0 && a.SkewFactor < 1 {
-		return fmt.Errorf("rdd: AdaptiveConfig.SkewFactor = %g would call the median partition skewed (want >= 1, or 0 for the default)", a.SkewFactor)
-	}
-	if a.SkewMinBytes < 0 {
-		return fmt.Errorf("rdd: AdaptiveConfig.SkewMinBytes = %d is negative", a.SkewMinBytes)
-	}
-	if a.MaxSubSplits < 0 {
-		return fmt.Errorf("rdd: AdaptiveConfig.MaxSubSplits = %d is negative", a.MaxSubSplits)
-	}
 	return nil
 }
-
-// MapOutputStats is published by every successful map task of a shuffle when
-// adaptive execution is enabled: the encoded bytes its output holds for each
-// reduce partition — the map-side statistics Spark's AQE reads from
-// MapOutputStatistics. It is the planner's only input.
-type MapOutputStats struct {
-	EventTime
-	Job     uint64 `json:"job"`
-	Stage   uint64 `json:"stage"`
-	Round   int    `json:"round"`
-	Attempt int    `json:"attempt"`
-	Shuffle int    `json:"shuffle"`
-	MapPart int    `json:"mapPart"`
-	// BytesPerReduce[p] is the output's encoded bytes destined for reduce
-	// partition p.
-	BytesPerReduce []int64 `json:"bytesPerReduce"`
-}
-
-func (*MapOutputStats) Name() string { return "MapOutputStats" }
 
 // AdaptivePlan records one non-trivial plan rewrite: how many logical
 // partitions the stage had, how many physical tasks the planner scheduled,
@@ -170,56 +103,6 @@ type AdaptivePlan struct {
 }
 
 func (*AdaptivePlan) Name() string { return "AdaptivePlan" }
-
-// adaptiveStats collects MapOutputStats off the bus, keyed by shuffle and map
-// partition. Re-registered outputs (stage resubmissions, retries) overwrite —
-// recomputed outputs carry identical statistics, so the planner never sees a
-// torn view.
-type adaptiveStats struct {
-	mu        sync.Mutex
-	byShuffle map[int]map[int][]int64
-}
-
-func newAdaptiveStats() *adaptiveStats {
-	return &adaptiveStats{byShuffle: map[int]map[int][]int64{}}
-}
-
-// OnEvent implements Listener.
-func (s *adaptiveStats) OnEvent(ev Event) {
-	ms, ok := ev.(*MapOutputStats)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.byShuffle[ms.Shuffle]
-	if m == nil {
-		m = map[int][]int64{}
-		s.byShuffle[ms.Shuffle] = m
-	}
-	m[ms.MapPart] = ms.BytesPerReduce
-}
-
-// bytesFor returns the per-map-output reduce-partition byte rows for a
-// shuffle, or false until every map partition has reported (or if any row has
-// the wrong width — a shuffle recorded under an older partitioning).
-func (s *adaptiveStats) bytesFor(shuffle, mapParts, reduceParts int) ([][]int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.byShuffle[shuffle]
-	if len(m) < mapParts {
-		return nil, false
-	}
-	rows := make([][]int64, mapParts)
-	for i := 0; i < mapParts; i++ {
-		row, ok := m[i]
-		if !ok || len(row) != reduceParts {
-			return nil, false
-		}
-		rows[i] = row
-	}
-	return rows, true
-}
 
 // mapRange is one contiguous range of map outputs, [lo, hi).
 type mapRange struct {
@@ -265,11 +148,11 @@ func splitByteRanges(perMap []int64, k int) []mapRange {
 // (ascending partition order), it returns the physical task set to run —
 // coalesced groups and skew singletons — after running the prefetch sub-stage
 // for skewed partitions. It returns the input unchanged whenever adaptation
-// does not apply: disabled, no shuffle inputs, statistics incomplete, or an
-// input dependency partitioned differently from the stage.
+// does not apply: disabled, no shuffle inputs, a map output missing from the
+// table, or an input dependency partitioned differently from the stage.
 func (c *Context) adaptStage(jr *jobRun, stageID uint64, round int, stageNode *node, tasks []*task, recovery bool) ([]*task, error) {
 	ac := c.cfg.Adaptive
-	if !ac.Enabled || c.adaptive == nil || len(tasks) == 0 {
+	if !ac.Enabled || len(tasks) == 0 {
 		return tasks, nil
 	}
 	inputs := stageNode.stageShuffleDeps()
@@ -283,7 +166,7 @@ func (c *Context) adaptStage(jr *jobRun, stageID uint64, round int, stageNode *n
 		if sd.parts != parts || sd.subFetch == nil {
 			return tasks, nil
 		}
-		rows, ok := c.adaptive.bytesFor(sd.id, sd.parent.parts, parts)
+		rows, ok := c.shuffle.bytesFor(sd.id, sd.parent.parts, parts)
 		if !ok {
 			return tasks, nil
 		}
@@ -306,13 +189,13 @@ func (c *Context) adaptStage(jr *jobRun, stageID uint64, round int, stageNode *n
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	median := sorted[len(sorted)/2]
 
-	// Skew detection: size beyond SkewFactor × median and the absolute
+	// Skew detection: size beyond skewFactor × median and the absolute
 	// floor, and at least two map outputs to split the fetch across.
 	skewed := map[int]bool{}
 	if maxMapParts >= 2 {
-		limit := ac.skewFactor() * float64(median)
+		limit := skewFactor * float64(median)
 		for p, sz := range sizes {
-			if float64(sz) > limit && sz >= ac.skewMinBytes() {
+			if float64(sz) > limit && sz >= skewMinBytes {
 				skewed[p] = true
 			}
 		}
@@ -343,14 +226,6 @@ func (c *Context) adaptStage(jr *jobRun, stageID uint64, round int, stageNode *n
 		curBytes += sizes[t.part]
 	}
 	flush()
-	if len(groups) < ac.minPartitionNum() && len(tasks) >= ac.minPartitionNum() {
-		// Coalescing would drop below the configured task floor: fall back
-		// to the static per-partition plan (skew handling still applies).
-		groups = groups[:0]
-		for _, t := range tasks {
-			groups = append(groups, []*task{t})
-		}
-	}
 
 	coalesced := 0
 	out := make([]*task, 0, len(groups))
@@ -392,7 +267,7 @@ func (c *Context) adaptStage(jr *jobRun, stageID uint64, round int, stageNode *n
 			for m := range perMap {
 				perMap[m] = perDep[i][m][p]
 			}
-			for _, rg := range splitByteRanges(perMap, ac.maxSubSplits()) {
+			for _, rg := range splitByteRanges(perMap, maxSubSplits) {
 				sub++
 				subSplits++
 				sd, p, rg := sd, p, rg

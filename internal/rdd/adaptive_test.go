@@ -5,7 +5,10 @@
 // outputs in map-output order, so the pair stream every reduce partition
 // folds is identical to the static plan's; these tests pin that with 1000
 // seeded random plans (fewer under -short) plus targeted unit cases for the
-// planner's cut-point arithmetic.
+// planner's cut-point arithmetic. The skew policy is constants (adaptive.go),
+// so the plans reach both sides of it by shape: a size hint large enough
+// makes a hot partition "skewed" without allocating it, and the map-side
+// partition count bounds the sub-splits.
 
 package rdd
 
@@ -45,21 +48,20 @@ func makeRandomPlan(i int) randomPlan {
 		elems:       40 + rng.Intn(360),
 		mapParts:    2 + rng.Intn(7),
 		reduceParts: 1 + rng.Intn(10),
-		hint:        []int64{8, 512, 4096}[rng.Intn(3)],
+		hint:        []int64{8, 512, 4096, 64 << 10, 256 << 10, 1 << 20}[rng.Intn(6)],
 		coldKeys:    4 + rng.Intn(60),
 		group:       rng.Intn(2) == 0,
 		adaptive: AdaptiveConfig{
 			TargetPartitionBytes: []int64{4 << 10, 64 << 10, 64 << 20}[rng.Intn(3)],
-			SkewFactor:           []float64{2, 5}[rng.Intn(2)],
-			SkewMinBytes:         []int64{1 << 10, 1 << 20}[rng.Intn(2)],
-			MaxSubSplits:         []int{2, 4, 8}[rng.Intn(3)],
 		},
 	}
-	switch rng.Intn(3) {
+	switch rng.Intn(4) {
 	case 0:
 		p.hotPct = 50
 	case 1:
 		p.hotPct = 90
+	case 2:
+		p.hotPct = 97
 	}
 	if rng.Intn(2) == 0 { // chaos: probability-keyed faults replay identically
 		p.faults = FaultProfile{
@@ -69,7 +71,6 @@ func makeRandomPlan(i int) randomPlan {
 	}
 	if rng.Intn(3) == 0 {
 		p.faults.StragglerProb = 0.2
-		p.faults.StragglerFactor = 4
 	}
 	if rng.Intn(2) == 0 {
 		p.spec = SpeculationConfig{Enabled: true}
@@ -159,6 +160,7 @@ func TestAdaptiveParityProperty(t *testing.T) {
 	if testing.Short() {
 		plans = 120
 	}
+	split, coalesced := 0, 0
 	for i := 0; i < plans; i++ {
 		p := makeRandomPlan(i)
 		staticDigest, staticSkel, _ := runPlan(t, p, false)
@@ -176,6 +178,12 @@ func TestAdaptiveParityProperty(t *testing.T) {
 		if staticSkel != adaptSkel {
 			t.Fatalf("plan %d (%+v): job skeleton diverged\nstatic:\n%s\nadaptive:\n%s", i, p, staticSkel, adaptSkel)
 		}
+		if strings.Contains(adaptFull, `"subSplits":`) {
+			split++
+		}
+		if strings.Contains(adaptFull, `"coalescedGroups":`) {
+			coalesced++
+		}
 		if i%8 == 0 {
 			obs := workersMatrix(t, planConfig(p, true), func(c *Context) string { return planDigest(c, p) })
 			if obs.Result != adaptDigest || obs.Log != adaptFull {
@@ -183,6 +191,13 @@ func TestAdaptiveParityProperty(t *testing.T) {
 					i, p, firstDiffLines(adaptFull, obs.Log))
 			}
 		}
+	}
+	// The skew policy is fixed, so it is the shapes that must reach it: a
+	// suite in which the planner rarely rewrote anything compares the static
+	// schedule with itself.
+	if split < plans/10 || coalesced < plans/4 {
+		t.Fatalf("of %d plans only %d split a skewed partition and %d coalesced; the parity claim is close to vacuous",
+			plans, split, coalesced)
 	}
 }
 
@@ -195,7 +210,7 @@ func TestAdaptiveDisabledLogsUnchanged(t *testing.T) {
 	p.faults = FaultProfile{}
 	p.spec = SpeculationConfig{}
 	_, _, full := runPlan(t, p, false)
-	for _, banned := range []string{"MapOutputStats", "AdaptivePlan", "prefetch", "\"sub\""} {
+	for _, banned := range []string{"AdaptivePlan", "prefetch", "\"sub\""} {
 		if strings.Contains(full, banned) {
 			t.Errorf("planner-off log contains %q:\n%s", banned, firstDiffLines(full, ""))
 		}
@@ -236,25 +251,15 @@ func TestAdaptiveConfigValidate(t *testing.T) {
 	good := []AdaptiveConfig{
 		{},
 		{Enabled: true},
-		{Enabled: true, TargetPartitionBytes: 1 << 20, SkewFactor: 3, SkewMinBytes: 1, MaxSubSplits: 2},
+		{Enabled: true, TargetPartitionBytes: 1 << 20},
 	}
 	for i, cfg := range good {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("config %d: unexpected error %v", i, err)
 		}
 	}
-	bad := []AdaptiveConfig{
-		{TargetPartitionBytes: -1},
-		{MinPartitionNum: -2},
-		{SkewFactor: 0.5},
-		{SkewFactor: -1},
-		{SkewMinBytes: -1},
-		{MaxSubSplits: -3},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %d (%+v): invalid config accepted", i, cfg)
-		}
+	if err := (AdaptiveConfig{TargetPartitionBytes: -1}).Validate(); err == nil {
+		t.Error("negative TargetPartitionBytes accepted")
 	}
 }
 
@@ -275,7 +280,7 @@ func TestAdaptiveSkewSplitHappens(t *testing.T) {
 			ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 2,
 		},
 		Seed:      5,
-		Adaptive:  AdaptiveConfig{Enabled: true, SkewMinBytes: 1 << 10},
+		Adaptive:  AdaptiveConfig{Enabled: true},
 		Listeners: []Listener{probe},
 	})
 	if err != nil {
@@ -311,5 +316,61 @@ func TestAdaptiveSkewSplitHappens(t *testing.T) {
 	}
 	if !split {
 		t.Fatalf("planner never split the hot partition: %+v", plans)
+	}
+}
+
+// TestAdaptiveStaticPlanWhenMapOutputLost loses a node between the map stage
+// and planning. The planner reads the map-output table, which now has holes,
+// so that round runs the static plan; its fetch failure resubmits the map
+// stage, and the next round plans from the repaired table. The result is the
+// undisturbed run's, and the whole sequence replays bit for bit.
+func TestAdaptiveStaticPlanWhenMapOutputLost(t *testing.T) {
+	const mapParts = 8
+	work := func(c *Context) string {
+		pairs := Map(Parallelize(c, seq(2000), mapParts), "hot", func(i int) KV[int, int] {
+			if i%10 != 0 {
+				return KV[int, int]{K: 0, V: i}
+			}
+			return KV[int, int]{K: 1 + i%7, V: i}
+		}).SetSizeHint(4096)
+		return render(Collect(GroupByKey(pairs, 8)))
+	}
+	cfg := Config{
+		Cluster:  cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
+		Seed:     5,
+		Adaptive: AdaptiveConfig{Enabled: true},
+	}
+	undisturbed, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := work(undisturbed)
+
+	// The plan comes due when the map stage's last task ends and fires at the
+	// stage's closing wave boundary — after the outputs were registered,
+	// before the consuming stage is planned.
+	cfg.Faults = FaultProfile{NodeLoss: []NodeLoss{{Node: 0, AfterTasks: mapParts}}}
+	obs := workersMatrix(t, cfg, work)
+	if obs.Result != want {
+		t.Fatalf("result changed by the node loss:\n%.200s\nwant\n%.200s", obs.Result, want)
+	}
+	events, err := ReadEventLog(strings.NewReader(obs.Log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resubmitted, planRounds := false, []int{}
+	for _, ev := range events {
+		switch e := ev.(type) {
+		case *StageResubmitted:
+			resubmitted = true
+		case *AdaptivePlan:
+			planRounds = append(planRounds, e.Round)
+		}
+	}
+	if !resubmitted {
+		t.Fatal("no map stage was resubmitted: the node loss took no map output, so the test proves nothing")
+	}
+	if len(planRounds) == 0 || planRounds[0] == 0 {
+		t.Fatalf("AdaptivePlan rounds %v: want none in round 0 (holes in the table mean the static plan) and one after the repair", planRounds)
 	}
 }

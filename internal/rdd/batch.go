@@ -21,7 +21,7 @@ func MapBatches[T, U any](r *RDD[T], name string, size int, f func(p int, batch 
 	}
 	parent := r.n
 	n := newTypedNode[U](parent.ctx, fmt.Sprintf("mapBatches:%s(%s)", name, parent.name), parent.parts)
-	n.narrowParents = []*node{parent}
+	n.narrowParent = parent
 	n.fusedDepth = parent.fusedDepth + 1
 	n.compute = func(tc *taskContext, p int) any {
 		in := seqOf[T](parent.iterate(tc, p))
@@ -48,13 +48,13 @@ func MapBatches[T, U any](r *RDD[T], name string, size int, f func(p int, batch 
 // partition drain and returns add, applied to every element in upstream
 // order, and finish, whose result is emitted once the partition is exhausted
 // (an empty partition still calls finish). Fused like MapWithSetup — nothing
-// is retained between elements, so each dies as soon as add returns, where
-// MapPartitions would hold the whole partition live — and a retried or
-// recomputed partition runs setup again, so no state crosses attempts.
+// is retained between elements, so each dies as soon as add returns — and a
+// retried or recomputed partition runs setup again, so no state crosses
+// attempts.
 func FoldPartition[T, U any](r *RDD[T], name string, setup func(p int) (add func(T), finish func() []U)) *RDD[U] {
 	parent := r.n
 	n := newTypedNode[U](parent.ctx, fmt.Sprintf("fold:%s(%s)", name, parent.name), parent.parts)
-	n.narrowParents = []*node{parent}
+	n.narrowParent = parent
 	n.fusedDepth = parent.fusedDepth + 1
 	n.compute = func(tc *taskContext, p int) any {
 		in := seqOf[T](parent.iterate(tc, p))

@@ -27,10 +27,10 @@ import (
 type Config struct {
 	Cluster cluster.Config
 
-	// DFSBlockSize and DFSReplication configure the HDFS stand-in; zero
-	// values select the dfs package defaults.
-	DFSBlockSize   int
-	DFSReplication int
+	// DFSBlockSize is the HDFS stand-in's block size — and so the partition
+	// size of every TextFile; zero selects the dfs package default. Blocks
+	// are replicated three ways, HDFS's default.
+	DFSBlockSize int
 
 	// Seed drives every random decision in the simulation (replica
 	// placement, tie-breaking); identical configurations replay identically.
@@ -48,18 +48,6 @@ type Config struct {
 	CPUScale         float64 // simulated seconds per measured compute second (1.0)
 	SchedOverheadSec float64 // per-task launch/serialisation overhead (0.004)
 	StageOverheadSec float64 // per-stage DAG/committer overhead (0.05)
-
-	// MaxStageAttempts bounds how many times a map stage may run (initial
-	// attempt plus resubmissions after fetch failures) before the job
-	// aborts with a StageAbortedError. Zero selects 4, Spark's
-	// spark.stage.maxConsecutiveAttempts.
-	MaxStageAttempts int
-
-	// ExcludeAfterFailures is the number of task failures on one executor
-	// after which that executor is excluded from further scheduling
-	// (Spark's blacklisting). Zero selects 2; negative disables exclusion.
-	// The last schedulable executor is never excluded.
-	ExcludeAfterFailures int
 
 	// Faults configures deterministic fault injection; the zero value
 	// injects nothing. Every decision derives from Seed, so chaos runs
@@ -103,12 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.StageOverheadSec == 0 {
 		c.StageOverheadSec = 0.05
 	}
-	if c.MaxStageAttempts == 0 {
-		c.MaxStageAttempts = 4
-	}
-	if c.ExcludeAfterFailures == 0 {
-		c.ExcludeAfterFailures = 2
-	}
 	return c
 }
 
@@ -131,10 +113,6 @@ type Context struct {
 	// reconstructs JobMetrics from them (always registered first).
 	bus     *listenerBus
 	metrics *metricsListener
-
-	// adaptive collects MapOutputStats for the adaptive planner; nil unless
-	// Config.Adaptive.Enabled.
-	adaptive *adaptiveStats
 
 	// sched arbitrates cluster slots among concurrently running jobs.
 	sched *jobArbiter
@@ -166,8 +144,8 @@ type Context struct {
 	// have dropped blocks the cached result depended on.
 	storageEpoch uint64
 
-	// execFailures counts task failures per executor; crossing
-	// ExcludeAfterFailures moves the executor into excluded.
+	// execFailures counts task failures per executor; reaching
+	// excludeAfterFailures moves the executor into excluded.
 	execFailures map[int]int
 	excluded     map[int]bool
 
@@ -190,9 +168,6 @@ func (c Config) validate() error {
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
-	if err := c.Speculation.Validate(); err != nil {
-		return err
-	}
 	return c.Adaptive.Validate()
 }
 
@@ -206,7 +181,7 @@ func New(cfg Config) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs, err := dfs.New(cl.Nodes(), cfg.DFSBlockSize, cfg.DFSReplication, cfg.Seed^0xd1f5)
+	fs, err := dfs.New(cl.Nodes(), cfg.DFSBlockSize, 0, cfg.Seed^0xd1f5)
 	if err != nil {
 		return nil, err
 	}
@@ -224,10 +199,6 @@ func New(cfg Config) (*Context, error) {
 		sched:        newJobArbiter(cfg.Scheduler, cfg.Seed),
 	}
 	ctx.bus.add(ctx.metrics)
-	if cfg.Adaptive.Enabled {
-		ctx.adaptive = newAdaptiveStats()
-		ctx.bus.add(ctx.adaptive)
-	}
 	for _, l := range cfg.Listeners {
 		if l != nil {
 			ctx.bus.add(l)

@@ -359,13 +359,13 @@ func TestCacheShuffledRDD(t *testing.T) {
 }
 
 func TestLocalityPlacementReadsLocally(t *testing.T) {
-	// Single replicas on six nodes make locality misses visible: a placement
-	// that ignored where blocks live would read 1/6 of its input locally.
+	// Three replicas on twelve nodes make locality misses visible: a
+	// placement that ignored where blocks live would read 1/4 of its input
+	// locally.
 	c, err := New(Config{
-		Cluster:        cluster.Config{Nodes: 6, Spec: cluster.M3TwoXLarge},
-		DFSBlockSize:   2 << 10,
-		DFSReplication: 1,
-		Seed:           3,
+		Cluster:      cluster.Config{Nodes: 12, Spec: cluster.M3TwoXLarge},
+		DFSBlockSize: 2 << 10,
+		Seed:         3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +388,7 @@ func TestLocalityPlacementReadsLocally(t *testing.T) {
 	// several blocks overflows to remote executors rather than stacking its
 	// own.
 	if m.DFSBytes == 0 || float64(m.DFSLocalBytes)/float64(m.DFSBytes) < 0.7 {
-		t.Fatalf("%d of %d DFS bytes read locally, want >= 0.7 (location-blind placement on 6 nodes gives 1/6)",
+		t.Fatalf("%d of %d DFS bytes read locally, want >= 0.7 (location-blind placement on 12 nodes gives 1/4)",
 			m.DFSLocalBytes, m.DFSBytes)
 	}
 }

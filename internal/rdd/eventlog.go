@@ -198,11 +198,6 @@ func StripMeasuredTime(ev Event) Event {
 		c := *e
 		c.Time = 0
 		return &c
-	case *MapOutputStats:
-		c := *e
-		c.Time = 0
-		c.BytesPerReduce = append([]int64(nil), e.BytesPerReduce...)
-		return &c
 	case *AdaptivePlan:
 		c := *e
 		c.Time = 0

@@ -363,7 +363,6 @@ var eventFactories = map[string]func() Event{
 	"SpeculativeTaskLaunched": func() Event { return &SpeculativeTaskLaunched{} },
 	"TaskKilled":              func() Event { return &TaskKilled{} },
 	"JobCancelled":            func() Event { return &JobCancelled{} },
-	"MapOutputStats":          func() Event { return &MapOutputStats{} },
 	"AdaptivePlan":            func() Event { return &AdaptivePlan{} },
 }
 

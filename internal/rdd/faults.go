@@ -28,12 +28,8 @@ type FaultProfile struct {
 	FetchFailureProb float64
 
 	// StragglerProb is the probability that a task attempt is a straggler;
-	// its simulated duration is multiplied by StragglerFactor.
+	// its simulated duration is multiplied by stragglerFactor (8).
 	StragglerProb float64
-
-	// StragglerFactor is the slowdown multiplier for stragglers; zero
-	// selects 8.
-	StragglerFactor float64
 
 	// NodeLoss schedules whole-machine losses: once AfterTasks further
 	// tasks complete, the node dies — executors, cached blocks, shuffle
@@ -48,9 +44,9 @@ type NodeLoss struct {
 }
 
 // Validate rejects profiles that could only have been written by mistake —
-// probabilities outside [0,1], a "straggler" that would run faster than
-// normal, node losses scheduled before the run starts — with an error naming
-// the field, instead of silently clamping or misbehaving at runtime.
+// probabilities outside [0,1], node losses scheduled before the run starts —
+// with an error naming the field, instead of silently clamping or
+// misbehaving at runtime.
 func (f FaultProfile) Validate() error {
 	check := func(name string, p float64) error {
 		if p < 0 || p > 1 {
@@ -67,12 +63,6 @@ func (f FaultProfile) Validate() error {
 	if err := check("StragglerProb", f.StragglerProb); err != nil {
 		return err
 	}
-	if f.StragglerFactor < 0 {
-		return fmt.Errorf("rdd: FaultProfile.StragglerFactor = %g is negative", f.StragglerFactor)
-	}
-	if f.StragglerFactor > 0 && f.StragglerFactor < 1 {
-		return fmt.Errorf("rdd: FaultProfile.StragglerFactor = %g would make stragglers faster than normal tasks (want >= 1, or 0 for the default)", f.StragglerFactor)
-	}
 	for i, nl := range f.NodeLoss {
 		if nl.Node < 0 {
 			return fmt.Errorf("rdd: FaultProfile.NodeLoss[%d].Node = %d is negative", i, nl.Node)
@@ -84,59 +74,14 @@ func (f FaultProfile) Validate() error {
 	return nil
 }
 
-func (f FaultProfile) stragglerFactor() float64 {
-	if f.StragglerFactor <= 0 {
-		return 8
-	}
-	return f.StragglerFactor
-}
-
 // SpeculationConfig enables Spark-style speculative execution — the engine's
-// counterpart of spark.speculation and its companion knobs. The zero value
-// disables speculation entirely, preserving the pre-speculation schedule
-// bit for bit.
+// counterpart of spark.speculation. The zero value disables speculation
+// entirely, preserving the pre-speculation schedule bit for bit. When and
+// what to speculate are Spark's defaults (speculationQuantile,
+// speculationMultiplier in speculation.go).
 type SpeculationConfig struct {
 	// Enabled turns speculative re-launching on (spark.speculation).
 	Enabled bool
-
-	// Quantile is the fraction of a stage's tasks that must be projected
-	// complete before copies launch (spark.speculation.quantile). Zero
-	// selects Spark's default of 0.75.
-	Quantile float64
-
-	// Multiplier is how many times slower than the stage's median a task must
-	// be running before it is speculated (spark.speculation.multiplier). Zero
-	// selects Spark's default of 1.5.
-	Multiplier float64
-}
-
-func (s SpeculationConfig) quantile() float64 {
-	if s.Quantile <= 0 {
-		return 0.75
-	}
-	return s.Quantile
-}
-
-func (s SpeculationConfig) multiplier() float64 {
-	if s.Multiplier <= 0 {
-		return 1.5
-	}
-	return s.Multiplier
-}
-
-// Validate rejects nonsensical speculation knobs with an error naming the
-// field.
-func (s SpeculationConfig) Validate() error {
-	if s.Quantile < 0 || s.Quantile > 1 {
-		return fmt.Errorf("rdd: SpeculationConfig.Quantile = %g is not a fraction (want (0,1], or 0 for the default)", s.Quantile)
-	}
-	if s.Multiplier < 0 {
-		return fmt.Errorf("rdd: SpeculationConfig.Multiplier = %g is negative", s.Multiplier)
-	}
-	if s.Multiplier > 0 && s.Multiplier <= 1 {
-		return fmt.Errorf("rdd: SpeculationConfig.Multiplier = %g would speculate tasks running at the median rate (want > 1, or 0 for the default)", s.Multiplier)
-	}
-	return nil
 }
 
 // Fault decision-point kinds, mixed into the injection key.
@@ -190,14 +135,14 @@ func (c *Context) maybeInjectFetchFailure(tc *taskContext, shuffle, mapParts int
 }
 
 // stragglerSlowdown returns the duration multiplier for the task attempt: 1
-// normally, StragglerFactor when the attempt is selected as a straggler.
+// normally, stragglerFactor when the attempt is selected as a straggler.
 func (c *Context) stragglerSlowdown(tc *taskContext) float64 {
 	f := c.cfg.Faults
 	if f.StragglerProb <= 0 {
 		return 1
 	}
 	if c.faultDraw(faultStraggler, tc.job, tc.stage, uint64(tc.round), uint64(tc.part), uint64(tc.attempt)) < f.StragglerProb {
-		return f.stragglerFactor()
+		return stragglerFactor
 	}
 	return 1
 }
@@ -238,8 +183,8 @@ func (e *TaskAbortedError) Error() string {
 
 func (e *TaskAbortedError) Unwrap() error { return e.Cause }
 
-// StageAbortedError is returned when a map stage has been resubmitted
-// Config.MaxStageAttempts times and its outputs still cannot be fetched.
+// StageAbortedError is returned when a map stage has run maxStageAttempts
+// (4) times and its outputs still cannot be fetched.
 type StageAbortedError struct {
 	Stage    string // lineage label of the map stage's RDD
 	Shuffle  int    // shuffle id whose outputs kept disappearing

@@ -27,8 +27,9 @@ type node struct {
 
 	parts int
 
-	// narrowParents are pulled directly inside compute (pipelined).
-	narrowParents []*node
+	// narrowParent, when set, is pulled directly inside compute (pipelined).
+	// Every narrow operator has exactly one.
+	narrowParent *node
 	// shuffleIn lists the shuffle dependencies whose outputs compute reads.
 	shuffleIn []*shuffleDep
 
@@ -144,12 +145,8 @@ func (n *node) preferredExecutors(p int) []int {
 		}
 		return execs
 	}
-	for _, parent := range n.narrowParents {
-		if parent.parts == n.parts {
-			if pref := parent.preferredExecutors(p); len(pref) > 0 {
-				return pref
-			}
-		}
+	if n.narrowParent != nil {
+		return n.narrowParent.preferredExecutors(p)
 	}
 	return nil
 }
@@ -158,19 +155,9 @@ func (n *node) preferredExecutors(p int) []int {
 // crossing another shuffle boundary — the inputs of n's stage.
 func (n *node) stageShuffleDeps() []*shuffleDep {
 	var out []*shuffleDep
-	seen := map[int]bool{}
-	var walk func(m *node)
-	walk = func(m *node) {
-		if seen[m.id] {
-			return
-		}
-		seen[m.id] = true
+	for m := n; m != nil; m = m.narrowParent {
 		out = append(out, m.shuffleIn...)
-		for _, p := range m.narrowParents {
-			walk(p)
-		}
 	}
-	walk(n)
 	return out
 }
 

@@ -1,7 +1,6 @@
 // The typed RDD surface: sources (Parallelize, TextFile), narrow
-// transformations (Map, Filter, FlatMap, MapWithSetup, MapPartitions),
-// persistence (Cache/Unpersist), and actions (Collect, Count). It holds the
-// operators this repository's callers use — core, assoc, harness, server,
+// transformations (Map, Filter, FlatMap, MapWithSetup), persistence
+// (Cache/Unpersist), and actions (Collect, Count). It holds the operators this repository's callers use — core, assoc, harness, server,
 // cmd, examples, bench — and no others (surface_test.go fails on one that
 // loses its last caller). Narrow transformations fuse into a single
 // streaming pass within one task: each operator wraps its parent's partition
@@ -265,13 +264,13 @@ func Map[T, U any](r *RDD[T], name string, f func(T) U) *RDD[U] {
 }
 
 // MapWithSetup is Map with per-partition setup: setup runs once per
-// partition drain (amortising e.g. model construction, as MapPartitions
-// does) and the mapper it returns is applied to every element. Unlike
-// MapPartitions the chain stays fused — the partition is never materialised.
+// partition drain (amortising e.g. model construction) and the mapper it
+// returns is applied to every element. The chain stays fused — the partition
+// is never materialised.
 func MapWithSetup[T, U any](r *RDD[T], name string, setup func(p int) func(T) U) *RDD[U] {
 	parent := r.n
 	n := newTypedNode[U](parent.ctx, fmt.Sprintf("map:%s(%s)", name, parent.name), parent.parts)
-	n.narrowParents = []*node{parent}
+	n.narrowParent = parent
 	n.fusedDepth = parent.fusedDepth + 1
 	n.compute = func(tc *taskContext, p int) any {
 		in := seqOf[T](parent.iterate(tc, p))
@@ -287,29 +286,11 @@ func MapWithSetup[T, U any](r *RDD[T], name string, setup func(p int) func(T) U)
 	return &RDD[U]{n: n}
 }
 
-// MapPartitions applies f to each whole partition, for transformations whose
-// contract needs the full slice at once. It is a local pipeline breaker: the
-// parent partition is materialised to feed f (prefer MapWithSetup when the
-// per-partition work is only setup).
-func MapPartitions[T, U any](r *RDD[T], name string, f func(p int, in []T) []U) *RDD[U] {
-	parent := r.n
-	n := newTypedNode[U](parent.ctx, fmt.Sprintf("mapPartitions:%s(%s)", name, parent.name), parent.parts)
-	n.narrowParents = []*node{parent}
-	n.compute = func(tc *taskContext, p int) any {
-		in := drainSeq(seqOf[T](parent.iterate(tc, p)))
-		tc.noteMaterialized(int64(len(in)) * parent.bytesPerElem)
-		out := f(p, in)
-		tc.noteMaterialized(int64(len(out)) * n.bytesPerElem)
-		return boxSeq(sliceSeq(out))
-	}
-	return &RDD[U]{n: n}
-}
-
 // Filter keeps the elements for which pred is true. Fused.
 func Filter[T any](r *RDD[T], name string, pred func(T) bool) *RDD[T] {
 	parent := r.n
 	n := newTypedNode[T](parent.ctx, fmt.Sprintf("filter:%s(%s)", name, parent.name), parent.parts)
-	n.narrowParents = []*node{parent}
+	n.narrowParent = parent
 	n.bytesPerElem = parent.bytesPerElem
 	n.fusedDepth = parent.fusedDepth + 1
 	n.compute = func(tc *taskContext, p int) any {
@@ -331,7 +312,7 @@ func Filter[T any](r *RDD[T], name string, pred func(T) bool) *RDD[T] {
 func FlatMap[T, U any](r *RDD[T], name string, f func(T) []U) *RDD[U] {
 	parent := r.n
 	n := newTypedNode[U](parent.ctx, fmt.Sprintf("flatMap:%s(%s)", name, parent.name), parent.parts)
-	n.narrowParents = []*node{parent}
+	n.narrowParent = parent
 	n.fusedDepth = parent.fusedDepth + 1
 	n.compute = func(tc *taskContext, p int) any {
 		in := seqOf[T](parent.iterate(tc, p))

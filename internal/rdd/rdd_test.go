@@ -121,24 +121,6 @@ func TestFlatMap(t *testing.T) {
 	}
 }
 
-func TestMapPartitionsSeesPartitionIndex(t *testing.T) {
-	c := newTestContext(t, 2)
-	r := MapPartitions(Parallelize(c, seq(10), 3), "tag", func(p int, in []int) []string {
-		out := make([]string, len(in))
-		for i, v := range in {
-			out[i] = fmt.Sprintf("%d:%d", p, v)
-		}
-		return out
-	})
-	got, err := Collect(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 || got[0] != "0:0" || got[9] != "2:9" {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestCount(t *testing.T) {
 	c := newTestContext(t, 2)
 	n, err := Count(Parallelize(c, seq(123), 9))
@@ -498,14 +480,12 @@ func TestRandomPipelineSemantics(t *testing.T) {
 				}
 				want = doubled
 			case 3:
-				// A pipeline breaker between two fused segments.
+				// A pipeline breaker between two fused segments: the fold
+				// holds the partition and emits it only at finish.
 				d := rr.Intn(9) - 4
-				rddV = MapPartitions(rddV, "shift", func(_ int, part []int) []int {
-					out := make([]int, len(part))
-					for i, x := range part {
-						out[i] = x + d
-					}
-					return out
+				rddV = FoldPartition(rddV, "shift", func(int) (func(int), func() []int) {
+					var out []int
+					return func(x int) { out = append(out, x+d) }, func() []int { return out }
 				})
 				for i := range want {
 					want[i] += d

@@ -154,35 +154,34 @@ func TestTaskRetryExhaustionAborts(t *testing.T) {
 
 func TestExecutorExclusionAfterFailures(t *testing.T) {
 	c, err := New(Config{
-		Cluster:              cluster.Config{Nodes: 2, Spec: cluster.M3TwoXLarge},
-		Seed:                 7,
-		ExcludeAfterFailures: 1,
+		Cluster: cluster.Config{Nodes: 2, Spec: cluster.M3TwoXLarge},
+		Seed:    7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every partition's first attempt fails: eight tasks over four executors
+	// charge each executor excludeAfterFailures (2) failures in one wave.
 	var mu sync.Mutex
-	attempts := 0
+	failed := map[int]bool{}
 	r := Map(Parallelize(c, seq(8), 8), "flaky", func(x int) int {
-		if x == 3 {
-			mu.Lock()
-			attempts++
-			n := attempts
-			mu.Unlock()
-			if n <= 2 {
-				panic(fmt.Sprintf("transient failure %d", n))
-			}
+		mu.Lock()
+		first := !failed[x]
+		failed[x] = true
+		mu.Unlock()
+		if first {
+			panic(fmt.Sprintf("transient failure of %d", x))
 		}
 		return x
 	})
 	if _, err := Collect(r); err != nil {
 		t.Fatal(err)
 	}
-	// Each of the two failed attempts ran on some executor; with a threshold
-	// of 1 both hosts are excluded from further scheduling.
+	// All four reached the threshold; the last schedulable executor is never
+	// excluded, and it ran the retries.
 	excluded := c.excludedExecutors()
-	if len(excluded) != 2 {
-		t.Fatalf("excluded executors = %v, want 2 entries", excluded)
+	if len(excluded) != 3 {
+		t.Fatalf("excluded executors = %v, want 3 of the 4", excluded)
 	}
 	for _, id := range excluded {
 		if !c.cluster.Live(id) {
@@ -256,10 +255,9 @@ func TestInjectedFetchFailureRecovers(t *testing.T) {
 
 func TestStageAttemptExhaustionAborts(t *testing.T) {
 	c, err := New(Config{
-		Cluster:          cluster.Config{Nodes: 2, Spec: cluster.M3TwoXLarge},
-		Seed:             7,
-		MaxStageAttempts: 2,
-		Faults:           FaultProfile{FetchFailureProb: 1},
+		Cluster: cluster.Config{Nodes: 2, Spec: cluster.M3TwoXLarge},
+		Seed:    7,
+		Faults:  FaultProfile{FetchFailureProb: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +270,8 @@ func TestStageAttemptExhaustionAborts(t *testing.T) {
 	if !errors.As(err, &sa) {
 		t.Fatalf("error is %T (%v), want *StageAbortedError", err, err)
 	}
-	if sa.Attempts != 2 {
-		t.Fatalf("aborted after %d stage attempts, want MaxStageAttempts=2", sa.Attempts)
+	if sa.Attempts != maxStageAttempts {
+		t.Fatalf("aborted after %d stage attempts, want maxStageAttempts = %d", sa.Attempts, maxStageAttempts)
 	}
 }
 
@@ -296,7 +294,7 @@ func TestStragglerSlowsVirtualTime(t *testing.T) {
 		return c.VirtualTime()
 	}
 	clean := run(FaultProfile{})
-	slowed := run(FaultProfile{StragglerProb: 1, StragglerFactor: 8})
+	slowed := run(FaultProfile{StragglerProb: 1})
 	if slowed < clean*4 {
 		t.Fatalf("every-task straggler x8 raised virtual time only %.4fs -> %.4fs", clean, slowed)
 	}

@@ -17,8 +17,7 @@
 //   - A fetch failure (missing map output) fails the stage, not the task:
 //     the parent shuffle dependency is marked not-done and the map stage is
 //     resubmitted for the missing partitions only, bounded by
-//     Config.MaxStageAttempts. Result partitions already visited are not
-//     re-run.
+//     maxStageAttempts. Result partitions already visited are not re-run.
 //   - Recovery work — failed attempts, retries, resubmitted stages — is
 //     accounted separately in JobMetrics.RecoverySeconds.
 
@@ -254,8 +253,8 @@ func (c *Context) runJob(final *node, action string, eval func(tc *taskContext, 
 		}
 		resubmits[sd.id]++
 		// After n failures the stage has attempted n times; allowing another
-		// attempt requires n < MaxStageAttempts.
-		if resubmits[sd.id] >= c.cfg.MaxStageAttempts {
+		// attempt requires n < maxStageAttempts.
+		if resubmits[sd.id] >= maxStageAttempts {
 			return &StageAbortedError{Stage: sd.parent.name, Shuffle: sd.id, Attempts: resubmits[sd.id], Cause: ff}
 		}
 		c.emit(jr.now(), &StageResubmitted{Job: job, Shuffle: sd.id, Attempt: resubmits[sd.id], Reason: ff.Error()})
@@ -269,27 +268,23 @@ func (c *Context) runJob(final *node, action string, eval func(tc *taskContext, 
 // findShuffleDep locates the shuffle dependency with the given id anywhere
 // in the lineage reachable from n (crossing shuffle boundaries).
 func findShuffleDep(n *node, shuffle int) *shuffleDep {
-	var found *shuffleDep
 	seen := map[int]bool{}
-	var walk func(m *node)
-	walk = func(m *node) {
-		if m == nil || seen[m.id] || found != nil {
-			return
-		}
-		seen[m.id] = true
-		for _, sd := range m.shuffleIn {
-			if sd.id == shuffle {
-				found = sd
-				return
+	var walk func(m *node) *shuffleDep
+	walk = func(m *node) *shuffleDep {
+		for ; m != nil && !seen[m.id]; m = m.narrowParent {
+			seen[m.id] = true
+			for _, sd := range m.shuffleIn {
+				if sd.id == shuffle {
+					return sd
+				}
+				if found := walk(sd.parent); found != nil {
+					return found
+				}
 			}
-			walk(sd.parent)
 		}
-		for _, p := range m.narrowParents {
-			walk(p)
-		}
+		return nil
 	}
-	walk(n)
-	return found
+	return walk(n)
 }
 
 func isFetchFailure(err error) bool {
@@ -603,20 +598,16 @@ func (c *Context) firePlans() {
 	}
 }
 
-// noteTaskFailure counts a task failure against the executor; crossing the
-// Config.ExcludeAfterFailures threshold takes the executor out of scheduling
-// (Spark's blacklisting) and returns the ExecutorExcluded event for the
-// caller to publish at a deterministic point. The last schedulable executor
-// is never excluded.
+// noteTaskFailure counts a task failure against the executor; reaching
+// excludeAfterFailures takes the executor out of scheduling (Spark's
+// blacklisting) and returns the ExecutorExcluded event for the caller to
+// publish at a deterministic point. The last schedulable executor is never
+// excluded.
 func (c *Context) noteTaskFailure(executor int) *ExecutorExcluded {
-	limit := c.cfg.ExcludeAfterFailures
-	if limit <= 0 {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.execFailures[executor]++
-	if c.execFailures[executor] < limit || c.excluded[executor] {
+	if c.execFailures[executor] < excludeAfterFailures || c.excluded[executor] {
 		return nil
 	}
 	for _, id := range c.cluster.LiveExecutors() {
@@ -680,10 +671,27 @@ const (
 	parseMBps = 0.25
 )
 
-// taskMaxFailures is the number of times one task may fail before the job
-// aborts with a TaskAbortedError — Spark's task.maxFailures, at its default.
-// Failed attempts are retried on a freshly chosen executor.
-const taskMaxFailures = 4
+// The recovery policy, at Spark's defaults.
+const (
+	// taskMaxFailures is the number of times one task may fail before the job
+	// aborts with a TaskAbortedError (task.maxFailures). Failed attempts are
+	// retried on a freshly chosen executor.
+	taskMaxFailures = 4
+
+	// maxStageAttempts bounds how many times a map stage may run — the
+	// initial attempt plus resubmissions after fetch failures — before the
+	// job aborts with a StageAbortedError
+	// (spark.stage.maxConsecutiveAttempts).
+	maxStageAttempts = 4
+
+	// excludeAfterFailures is the number of task failures on one executor
+	// after which it is excluded from further scheduling.
+	excludeAfterFailures = 2
+
+	// stragglerFactor is the slowdown of an attempt the fault profile's
+	// StragglerProb selects.
+	stragglerFactor = 8
+)
 
 // taskBaseDuration converts a task's measured compute time and recorded I/O
 // into simulated seconds before the straggler slowdown — the duration the task

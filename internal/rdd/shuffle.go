@@ -213,6 +213,23 @@ func (sm *shuffleManager) get(shuffle, mapPart int) *mapOutput {
 	return sm.outputs[mapKey{shuffle, mapPart}]
 }
 
+// bytesFor returns each map output's per-reduce-partition byte sizes for a
+// shuffle — the adaptive planner's input — or false if an output is gone or
+// was written under another partitioning.
+func (sm *shuffleManager) bytesFor(shuffle, mapParts, reduceParts int) ([][]int64, bool) {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	rows := make([][]int64, mapParts)
+	for m := range rows {
+		mo := sm.outputs[mapKey{shuffle, m}]
+		if mo == nil || len(mo.bytes) != reduceParts {
+			return nil, false
+		}
+		rows[m] = mo.bytes
+	}
+	return rows, true
+}
+
 // drop destroys one map output (injected shuffle-data loss).
 func (sm *shuffleManager) drop(shuffle, mapPart int) {
 	sm.mu.Lock()
@@ -362,18 +379,6 @@ func registerBuckets[K comparable, V any](ctx *Context, tc *taskContext, sd *shu
 	}
 	tc.noteMaterialized(total)
 	ctx.shuffle.write(sd.id, mapPart, tc.node(), tc.executor, anyBuckets, bytes, nil)
-	emitMapOutputStats(ctx, tc, sd, mapPart, bytes)
-}
-
-// emitMapOutputStats publishes a map output's per-reduce byte sizes for the
-// adaptive planner. Gated on the adaptive flag so default-off event logs stay
-// byte-identical to every log written before adaptation existed.
-func emitMapOutputStats(ctx *Context, tc *taskContext, sd *shuffleDep, mapPart int, bytes []int64) {
-	if !ctx.cfg.Adaptive.Enabled {
-		return
-	}
-	tc.emit(&MapOutputStats{Job: tc.job, Stage: tc.stage, Round: tc.round, Attempt: tc.attempt,
-		Shuffle: sd.id, MapPart: mapPart, BytesPerReduce: append([]int64(nil), bytes...)})
 }
 
 // fetchRange is one skew-split sub-task's work: fetch the reduce partition

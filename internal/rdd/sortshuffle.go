@@ -209,7 +209,6 @@ func runSortMap[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleD
 	}
 	tc.noteMaterialized(total)
 	ctx.shuffle.write(sd.id, mapPart, tc.node(), tc.executor, nil, bytes, buf.runs)
-	emitMapOutputStats(ctx, tc, sd, mapPart, bytes)
 }
 
 // decodeFrameBytes decodes one reduce partition's frame out of a run file's

@@ -33,6 +33,16 @@ import (
 	"sparkscore/internal/simtime"
 )
 
+// When and what to speculate, at Spark's defaults: copies may launch once
+// speculationQuantile of a stage's tasks are projected complete
+// (spark.speculation.quantile), for tasks running more than
+// speculationMultiplier times slower than the stage's median
+// (spark.speculation.multiplier).
+const (
+	speculationQuantile   = 0.75
+	speculationMultiplier = 1.5
+)
+
 // attemptSched is one attempt's position in the stage's virtual schedule,
 // built in phase one of the accounting pass and emitted in phase three.
 type attemptSched struct {
@@ -59,8 +69,7 @@ type specCopy struct {
 // originals. Everything it decides is a pure function of the Config and the
 // stage's deterministic attempt list.
 func (c *Context) planSpeculation(job, stage uint64, round int, scheds []*attemptSched, poolFor func(int) *simtime.SlotPool) {
-	spec := c.cfg.Speculation
-	if !spec.Enabled {
+	if !c.cfg.Speculation.Enabled {
 		return
 	}
 	// Only successful original attempts are raced; failed attempts are the
@@ -90,7 +99,7 @@ func (c *Context) planSpeculation(job, stage uint64, round int, scheds []*attemp
 		ends[i] = s.done - s.dur + s.base
 	}
 	sort.Float64s(ends)
-	qi := int(math.Ceil(spec.quantile()*float64(len(ends)))) - 1
+	qi := int(math.Ceil(speculationQuantile*float64(len(ends)))) - 1
 	if qi < 0 {
 		qi = 0
 	}
@@ -114,9 +123,8 @@ func (c *Context) planSpeculation(job, stage uint64, round int, scheds []*attemp
 		specLoads[s.t.executor]++
 	}
 
-	mult := spec.multiplier()
 	for _, s := range oks {
-		if s.slow <= mult {
+		if s.slow <= speculationMultiplier {
 			continue // running within multiplier× the stage norm
 		}
 		target, found := -1, false
@@ -135,7 +143,7 @@ func (c *Context) planSpeculation(job, stage uint64, round int, scheds []*attemp
 		// the earliest moment the policy can tell it is slow — further gated
 		// by the stage quantile.
 		start := s.done - s.dur
-		ready := math.Max(tq, start+mult*median)
+		ready := math.Max(tq, start+speculationMultiplier*median)
 		crashed := c.specCrashes(job, stage, round, s.t.part, s.t.attempt)
 		dur := s.base
 		if crashed {

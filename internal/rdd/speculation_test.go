@@ -104,7 +104,7 @@ func TestSpeculativeCrashDoesNotCountTowardMaxFailures(t *testing.T) {
 			Seed:    23,
 			Faults: FaultProfile{
 				TaskCrashProb: 0.3,
-				StragglerProb: 1, StragglerFactor: 8,
+				StragglerProb: 1,
 			},
 			Speculation: SpeculationConfig{Enabled: spec},
 			Listeners:   []Listener{elw},
@@ -301,8 +301,8 @@ func TestCancelWhileQueuedFIFO(t *testing.T) {
 	}
 }
 
-// TestConfigValidation checks that nonsense fault and speculation knobs are
-// rejected at Context construction with errors naming the field.
+// TestConfigValidation checks that nonsense fault knobs are rejected at
+// Context construction with errors naming the field.
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -312,13 +312,9 @@ func TestConfigValidation(t *testing.T) {
 		{"crash prob > 1", Config{Faults: FaultProfile{TaskCrashProb: 1.5}}, "TaskCrashProb"},
 		{"negative fetch prob", Config{Faults: FaultProfile{FetchFailureProb: -0.1}}, "FetchFailureProb"},
 		{"straggler prob > 1", Config{Faults: FaultProfile{StragglerProb: 7}}, "StragglerProb"},
-		{"negative straggler factor", Config{Faults: FaultProfile{StragglerFactor: -2}}, "StragglerFactor"},
-		{"straggler faster than normal", Config{Faults: FaultProfile{StragglerProb: 0.5, StragglerFactor: 0.5}}, "faster than normal"},
 		{"negative node", Config{Faults: FaultProfile{NodeLoss: []NodeLoss{{Node: -1}}}}, "NodeLoss[0].Node"},
 		{"negative after-tasks", Config{Faults: FaultProfile{NodeLoss: []NodeLoss{{Node: 0, AfterTasks: -5}}}}, "NodeLoss[0].AfterTasks"},
-		{"quantile > 1", Config{Speculation: SpeculationConfig{Quantile: 1.2}}, "Quantile"},
-		{"negative multiplier", Config{Speculation: SpeculationConfig{Multiplier: -1}}, "Multiplier"},
-		{"multiplier at median", Config{Speculation: SpeculationConfig{Multiplier: 1}}, "median"},
+		{"negative coalescing target", Config{Adaptive: AdaptiveConfig{TargetPartitionBytes: -1}}, "TargetPartitionBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -332,11 +328,11 @@ func TestConfigValidation(t *testing.T) {
 			}
 		})
 	}
-	// And the happy path: defaults plus valid custom knobs pass.
+	// And the happy path: valid knobs pass.
 	if _, err := New(Config{
 		Cluster:     cluster.Config{Nodes: 1, Spec: cluster.M3TwoXLarge},
-		Faults:      FaultProfile{TaskCrashProb: 0.1, StragglerProb: 0.2, StragglerFactor: 4},
-		Speculation: SpeculationConfig{Enabled: true, Quantile: 0.9, Multiplier: 2},
+		Faults:      FaultProfile{TaskCrashProb: 0.1, StragglerProb: 0.2},
+		Speculation: SpeculationConfig{Enabled: true},
 	}); err != nil {
 		t.Fatalf("New rejected a valid config: %v", err)
 	}

@@ -47,22 +47,20 @@ type cacheEntry struct {
 	body  []byte // encoded result payload
 }
 
+// cacheEntries caps the result cache.
+const cacheEntries = 64
+
 // resultCache is a small LRU over encoded result payloads.
 type resultCache struct {
 	mu      sync.Mutex
-	cap     int
 	order   *list.List // front = most recently used; values are *cacheEntry
 	entries map[string]*list.Element
 
 	hits, misses, invalidations, evictions uint64
 }
 
-func newResultCache(capacity int) *resultCache {
-	if capacity <= 0 {
-		capacity = 64
-	}
+func newResultCache() *resultCache {
 	return &resultCache{
-		cap:     capacity,
 		order:   list.New(),
 		entries: map[string]*list.Element{},
 	}
@@ -104,7 +102,7 @@ func (c *resultCache) put(key string, epoch uint64, body []byte) {
 		return
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, epoch: epoch, body: body})
-	for len(c.entries) > c.cap {
+	for len(c.entries) > cacheEntries {
 		el := c.order.Back()
 		c.order.Remove(el)
 		delete(c.entries, el.Value.(*cacheEntry).key)

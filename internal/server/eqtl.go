@@ -76,17 +76,17 @@ func (r *eqtlRequest) run(_ *core.Analysis) (any, error) {
 		return nil, err
 	}
 	size := r.pageSize()
-	pages := (len(res.TopK) + size - 1) / size
-	if pages == 0 {
-		pages = 1
+	// page and page_size come off the wire, so nothing here may overflow:
+	// the page count is a division, and page is compared against it before
+	// it is multiplied. A page past the end is an empty page.
+	pages := len(res.TopK) / size
+	if len(res.TopK)%size != 0 || pages == 0 {
+		pages++
 	}
-	lo := r.Page * size
-	hi := lo + size
-	if lo > len(res.TopK) {
-		lo = len(res.TopK)
-	}
-	if hi > len(res.TopK) {
-		hi = len(res.TopK)
+	lo, hi := len(res.TopK), len(res.TopK)
+	if r.Page < pages {
+		lo = r.Page * size
+		hi = min(lo+size, len(res.TopK))
 	}
 	pairs := make([]EQTLPair, 0, hi-lo)
 	for _, p := range res.TopK[lo:hi] {
@@ -94,7 +94,6 @@ func (r *eqtlRequest) run(_ *core.Analysis) (any, error) {
 	}
 	return map[string]any{
 		"tested":     res.Tested,
-		"strategy":   res.Strategy,
 		"phenotypes": res.Phenos,
 		"snpBlocks":  res.SNPBlocks,
 		"topK":       len(res.TopK),

@@ -51,8 +51,6 @@ type Config struct {
 	// fall into an implicit pool with default limits, as the engine does for
 	// scheduling.
 	Pools []PoolConfig
-	// CacheEntries caps the result cache (0 selects 64).
-	CacheEntries int
 }
 
 // Server handles job requests against one Context + Analysis pair.
@@ -100,7 +98,7 @@ func New(cfg Config) (*Server, error) {
 		ctx:      cfg.Context,
 		analysis: cfg.Analysis,
 		eqtl:     cfg.EQTL,
-		cache:    newResultCache(cfg.CacheEntries),
+		cache:    newResultCache(),
 		pools:    map[string]*servingPool{},
 	}
 	for _, p := range cfg.Pools {
@@ -455,6 +453,13 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 	go func() {
 		var payload any
 		spans, err := s.ctx.Submit(rdd.Submission{Context: cctx, Pool: poolName}, func() (werr error) {
+			// A panic on this goroutine would take the process down, and
+			// every other request with it; it is this request's 500.
+			defer func() {
+				if r := recover(); r != nil {
+					werr = fmt.Errorf("server: %s request panicked: %v", endpoint, r)
+				}
+			}()
 			payload, werr = req.run(s.analysis)
 			return werr
 		})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -383,6 +384,64 @@ func TestEQTLPagesShareOneCross(t *testing.T) {
 	}
 	if !bytes.Equal(first.Result, recomputed.Result) {
 		t.Fatal("recomputed page differs after executor loss (lineage recovery broken?)")
+	}
+}
+
+// TestEQTLPagePastTheEndIsEmpty: page and page_size come off the wire, and
+// page × page_size used to overflow into a negative slice bound that took the
+// whole process down. Any page past the end is an empty page, and a page size
+// past the end is one page.
+func TestEQTLPagePastTheEndIsEmpty(t *testing.T) {
+	_, hs, _ := newEQTLServer(t)
+	type page struct {
+		Pages int        `json:"pages"`
+		Pairs []EQTLPair `json:"pairs"`
+	}
+	for _, c := range []struct {
+		body         map[string]any
+		pages, pairs int
+	}{
+		{map[string]any{"page": 92233720368547759, "page_size": 100}, 1, 0},
+		{map[string]any{"page": math.MaxInt64, "page_size": math.MaxInt64}, 1, 0},
+		{map[string]any{"page": 3, "page_size": 5}, 3, 0},
+		{map[string]any{"page": 0, "page_size": math.MaxInt64}, 1, 12},
+	} {
+		env, resp := post(t, hs, "/v1/eqtl", c.body)
+		if env == nil {
+			t.Fatalf("%v: status %d, want 200", c.body, resp.StatusCode)
+		}
+		var got page
+		if err := json.Unmarshal(env.Result, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Pages != c.pages || len(got.Pairs) != c.pairs {
+			t.Errorf("%v: %d pairs of %d pages, want %d of %d", c.body, len(got.Pairs), got.Pages, c.pairs, c.pages)
+		}
+	}
+}
+
+// panickingRequest is a score request whose work panics.
+type panickingRequest struct{ scoreRequest }
+
+func (*panickingRequest) run(*core.Analysis) (any, error) { panic("boom") }
+
+// TestPanickingRequestIs500: a panic under a request's work is that request's
+// 500 and a line in the job log, and the server goes on serving.
+func TestPanickingRequestIs500(t *testing.T) {
+	s, hs := newTestServer(t, nil, rdd.SchedFAIR)
+	rec := httptest.NewRecorder()
+	s.serveJob(rec, httptest.NewRequest(http.MethodPost, "/v1/boom", strings.NewReader("{}")), "boom", &panickingRequest{})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "boom") {
+		t.Fatalf("status %d body %s, want a 500 naming the panic", rec.Code, rec.Body)
+	}
+	s.statMu.Lock()
+	last := s.recent[len(s.recent)-1]
+	s.statMu.Unlock()
+	if last.Endpoint != "boom" || last.Status != http.StatusInternalServerError || !strings.Contains(last.Error, "panicked") {
+		t.Fatalf("job log records %+v, want the 500", last)
+	}
+	if env, resp := post(t, hs, "/v1/score", map[string]any{"top": 1}); env == nil {
+		t.Fatalf("the next request got status %d; the panic leaked its pool slot or the server", resp.StatusCode)
 	}
 }
 
