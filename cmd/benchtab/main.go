@@ -22,13 +22,16 @@ func main() {
 	var (
 		exp      = flag.String("exp", "all", "artifact id (tab1, fig2, tab3, ..., fig7, chaos, serving, speculation, memory, adaptive, eqtl) or \"all\"")
 		scale    = flag.Int("scale", 100, "divide the paper's SNP counts, block size, and executor memory by this")
-		reps     = flag.Int("reps", 2, "repetitions per configuration (for mean/stdev tables)")
 		maxIters = flag.Int("max-iters", 0, "cap resampling iterations (0 = run the paper's full axes)")
 		seed     = flag.Uint64("seed", 1, "seed for data generation and resampling")
 		events   = flag.String("events", "", "write one JSONL event log per measured run into this directory (render with sparkui)")
 		trace    = flag.String("trace", "", "write one Chrome-trace timeline per measured run into this directory")
 	)
 	flag.Parse()
+	if *scale < 1 || *maxIters < 0 {
+		fmt.Fprintf(os.Stderr, "benchtab: -scale must be at least 1 and -max-iters non-negative (got %d, %d)\n", *scale, *maxIters)
+		os.Exit(2)
+	}
 
 	for _, dir := range []string{*events, *trace} {
 		if dir != "" {
@@ -39,7 +42,7 @@ func main() {
 		}
 	}
 	h := &harness.Harness{
-		Scale: *scale, Reps: *reps, MaxIterations: *maxIters, Seed: *seed,
+		Scale: *scale, MaxIterations: *maxIters, Seed: *seed,
 		EventLogDir: *events, TraceDir: *trace,
 	}
 	start := time.Now()
@@ -63,8 +66,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("\nbenchtab: done in %.1fs wall (scale 1/%d, %d reps)\n",
-		time.Since(start).Seconds(), *scale, *reps)
+	fmt.Printf("\nbenchtab: done in %.1fs wall (scale 1/%d)\n", time.Since(start).Seconds(), *scale)
 	if *events != "" {
 		fmt.Printf("benchtab: per-run event logs in %s (render with: sparkui -log <file>)\n", *events)
 	}

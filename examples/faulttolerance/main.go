@@ -81,9 +81,9 @@ func main() {
 	fmt.Println()
 
 	if disturbed.fingerprint == replay.fingerprint {
-		fmt.Println("replaying the chaos run reproduced the full event log byte for byte")
-		fmt.Println("(timestamps stripped): every injected fault is a pure function of the")
-		fmt.Println("configuration seed.")
+		fmt.Println("replaying the chaos run reproduced the full event log byte for byte,")
+		fmt.Println("timestamps included: every injected fault, and every simulated second,")
+		fmt.Println("is a pure function of the configuration.")
 	} else {
 		fmt.Println("WARNING: chaos replay diverged — fault injection is not deterministic")
 	}
@@ -93,9 +93,9 @@ func main() {
 }
 
 // outcome is one full analysis run with its recovery accounting. The
-// fingerprint is the run's entire event log with measured-time fields
-// stripped — a much stronger determinism witness than the per-job metrics
-// alone, since it pins every task attempt, fault, and recovery action.
+// fingerprint is the run's entire event log as written — a much stronger
+// determinism witness than the per-job metrics alone, since it pins every
+// task attempt, fault, and recovery action, and when each happened.
 type outcome struct {
 	res          *core.Result
 	simTime      float64
@@ -144,27 +144,8 @@ func run(ds *data.Dataset, faults rdd.FaultProfile, extra ...rdd.Listener) outco
 	if err := elw.Close(); err != nil {
 		log.Fatal(err)
 	}
-	o.fingerprint = strippedEventLog(logBuf.Bytes())
+	o.fingerprint = logBuf.String()
 	return o
-}
-
-// strippedEventLog re-renders a JSONL event log with every measured-time
-// field zeroed, leaving only the reproducible structure of the run.
-func strippedEventLog(raw []byte) string {
-	events, err := rdd.ReadEventLog(bytes.NewReader(raw))
-	if err != nil {
-		log.Fatal(err)
-	}
-	var sb bytes.Buffer
-	for _, ev := range events {
-		line, err := rdd.MarshalEvent(rdd.StripMeasuredTime(ev))
-		if err != nil {
-			log.Fatal(err)
-		}
-		sb.Write(line)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 func compare(a, b *core.Result) string {

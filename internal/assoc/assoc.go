@@ -151,7 +151,7 @@ func (a *Analysis) genotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 		return nil, err
 	}
 	patients := a.phenos.Patients
-	blocks := rdd.MapBatches(lines, "parsePackAllGenotypes", data.GenoBlockRows, func(_ int, batch []string) data.GenoBlock {
+	blocks := rdd.MapBatches(lines, "parsePackAllGenotypes", data.GenoBlockRows, func(_ rdd.Task, batch []string) data.GenoBlock {
 		blk, err := data.ParseGenoBlock(batch, patients, nil)
 		if err != nil {
 			panic(err)
@@ -195,7 +195,8 @@ func pairResult(snp, pheno int32, score, variance float64) PairResult {
 // broadcastPartials runs the cross: the wide kernel's table over the whole
 // phenotype matrix is built once here on the driver and shared read-only;
 // each genotype partition forks its own scratch, folds every block through it
-// as the block streams by, and emits one partial.
+// as the block streams by, and emits one partial. On the clock a block costs
+// rows × phenotypes × patients operations.
 func (a *Analysis) broadcastPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial, error) {
 	shared, err := newKernel(a.cfg.family(), a.phenos)
 	if err != nil {
@@ -203,14 +204,18 @@ func (a *Analysis) broadcastPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial
 	}
 	bc := a.phenoBC
 	k, bins := a.cfg.topK(), a.cfg.histBins()
-	partials := rdd.FoldPartition(blocks, "assocPartials", func(int) (func(data.GenoBlock), func() []partial) {
+	partials := rdd.FoldPartition(blocks, "assocPartials", func(t rdd.Task) (func(data.GenoBlock), func() []partial) {
 		m := bc.Value()
+		perRow := int64(m.Rows()) * int64(m.Patients)
 		kernel := shared.Fork()
 		acc := newAccumulator(k, bins)
 		visit := func(snp int32, pheno int, score, variance float64) {
 			acc.add(pairResult(snp, m.IDs[pheno], score, variance))
 		}
-		add := func(blk data.GenoBlock) { kernel.BlockStats(blk, visit) }
+		add := func(blk data.GenoBlock) {
+			t.Charge(int64(blk.Rows()) * perRow)
+			kernel.BlockStats(blk, visit)
+		}
 		finish := func() []partial { return []partial{acc.partial()} }
 		return add, finish
 	}).SetSizeHint(int64(k)*40 + int64(bins)*8 + 64)

@@ -60,16 +60,25 @@ func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
 	})
 	statName, null := a.setStat.Name(), a.null
 
-	perSet := rdd.Map(grouped, "liu", func(kv rdd.KV[int, []packedRow]) SetAsymptoticResult {
-		rows := make([][]data.Genotype, len(kv.V))
-		w := make([]float64, len(kv.V))
-		for i, pr := range kv.V {
-			g := make([]data.Genotype, patients)
-			stats.DecodeDosageGenotypes(pr.Bytes, g)
-			rows[i] = g
-			w[i] = index.Value().weights[pr.SNP]
+	// Clock: a set of m rows charges m × patients operations for its
+	// contribution vectors, times m for SKAT's Gram matrix of them.
+	perSet := rdd.MapWithSetup(grouped, "liu", func(t rdd.Task) func(rdd.KV[int, []packedRow]) SetAsymptoticResult {
+		return func(kv rdd.KV[int, []packedRow]) SetAsymptoticResult {
+			ops := int64(len(kv.V)) * int64(patients)
+			if statName == "skat" {
+				ops *= int64(len(kv.V))
+			}
+			t.Charge(ops)
+			rows := make([][]data.Genotype, len(kv.V))
+			w := make([]float64, len(kv.V))
+			for i, pr := range kv.V {
+				g := make([]data.Genotype, patients)
+				stats.DecodeDosageGenotypes(pr.Bytes, g)
+				rows[i] = g
+				w[i] = index.Value().weights[pr.SNP]
+			}
+			return setAsymptoticResult(statName, null.Value(), kv.K, rows, w)
 		}
-		return setAsymptoticResult(statName, null.Value(), kv.K, rows, w)
 	}).SetSizeHint(48)
 
 	results, err := rdd.Collect(perSet)

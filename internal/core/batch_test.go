@@ -386,7 +386,7 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 			setsOf[int32(j)] = append(setsOf[int32(j)], k)
 		}
 	}
-	perPart, err := rdd.Collect(rdd.FoldPartition(a.warm, "setsTouched", func(int) (func(data.GenoBlock), func() []int64) {
+	perPart, err := rdd.Collect(rdd.FoldPartition(a.warm, "setsTouched", func(rdd.Task) (func(data.GenoBlock), func() []int64) {
 		seen := map[int]bool{}
 		add := func(b data.GenoBlock) {
 			for _, snp := range b.SNPs {

@@ -267,7 +267,7 @@ func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 	patients := a.patients
 	index := a.index
 	inSomeSet := func(snp int) bool { return len(index.Value().of(snp)) > 0 }
-	blocks := rdd.MapBatches(lines, "parsePackGenotypes", data.GenoBlockRows, func(_ int, batch []string) data.GenoBlock {
+	blocks := rdd.MapBatches(lines, "parsePackGenotypes", data.GenoBlockRows, func(_ rdd.Task, batch []string) data.GenoBlock {
 		blk, err := data.ParseGenoBlock(batch, patients, inSomeSet)
 		if err != nil {
 			panic(err)
@@ -327,14 +327,18 @@ func (a *Analysis) scoreStats(blocks *rdd.RDD[data.GenoBlock], r []float64) ([]f
 //
 // Summation-order contract: a set's sum adds its rows in partition order
 // within a map task, then the map outputs in partition order.
+//
+// Clock: a block charges rows × patients × width operations, one per genotype
+// per residual column — the unit rdd's kernelGops was calibrated in.
 func foldSetSums(a *Analysis, blocks *rdd.RDD[data.GenoBlock], width int, panel func() []float64) ([][]float64, error) {
 	index, setStat, sets, patients := a.index, a.setStat, len(a.sets), a.patients
-	partials := rdd.FoldPartition(blocks, "setSums", func(int) (func(data.GenoBlock), func() []rdd.KV[int, []float64]) {
+	partials := rdd.FoldPartition(blocks, "setSums", func(t rdd.Task) (func(data.GenoBlock), func() []rdd.KV[int, []float64]) {
 		kernel := stats.NewPanelKernel(patients, width, panel())
 		x := index.Value()
 		sums, touched := make([]float64, sets*width), make([]bool, sets)
 		var scores []float64
 		add := func(b data.GenoBlock) {
+			t.Charge(int64(b.Rows()) * int64(patients) * int64(width))
 			scores = kernel.Scores(b, scores)
 			for r, snp := range b.SNPs {
 				w, rowScores := x.weights[snp], scores[r*width:][:width]
@@ -591,17 +595,19 @@ type MarginalResult struct {
 
 // MarginalAsymptotic computes per-SNP asymptotic score tests: each packed
 // block decodes row by row into the kernel's scratch buffer and evaluates the
-// score and variance terms of the broadcast null model.
+// score and variance terms of the broadcast null model — on the clock, two
+// operations a genotype.
 func (a *Analysis) MarginalAsymptotic() ([]MarginalResult, error) {
 	blocks, err := a.filteredGenotypeBlocks()
 	if err != nil {
 		return nil, err
 	}
-	null := a.null
-	perBlock := rdd.MapWithSetup(blocks, "asymptoticBlocks", func(int) func(data.GenoBlock) []MarginalResult {
+	null, patients := a.null, a.patients
+	perBlock := rdd.MapWithSetup(blocks, "asymptoticBlocks", func(t rdd.Task) func(data.GenoBlock) []MarginalResult {
 		model := null.Value()
 		k := stats.NewBlockKernel(model)
 		return func(b data.GenoBlock) []MarginalResult {
+			t.Charge(2 * int64(b.Rows()) * int64(patients))
 			out := make([]MarginalResult, b.Rows())
 			for r := range out {
 				out[r] = marginalResult(model, int(b.SNPs[r]), k.Decode(b, r))

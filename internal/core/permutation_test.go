@@ -22,7 +22,7 @@ func permutationRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, wor
 // to the engine-free reference, which sums per-patient contributions: within
 // 1e-9 with equal exceedance counters, clean and under the chaos profile;
 // recovery must not move a bit off the fault-free run, and a seeded chaos
-// replay must reproduce report, job fingerprint and stripped event log byte
+// replay must reproduce report, job fingerprint and event log byte
 // for byte across the Workers ∈ {1, 2, 8} × 5 matrix.
 func TestPermutationMatchesReferenceUnderChaos(t *testing.T) {
 	ds := testDataset(t, 61, 200, 9, 7) // seven genotype partitions, as in the Monte Carlo chaos pin

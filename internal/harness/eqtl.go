@@ -5,7 +5,7 @@
 //     digest of the deterministic WriteReport output.
 //  2. Recovery — the cross re-run under task crashes and a node lost mid-job
 //     must still match the clean report byte for byte, and two seeded chaos
-//     replays must emit byte-identical stripped event logs.
+//     replays must emit byte-identical event logs.
 
 package harness
 
@@ -63,12 +63,12 @@ func eqtlFaults() rdd.FaultProfile {
 }
 
 // eqtlRunOut is one run of the cross: the deterministic report, the result,
-// the simulated seconds of the cross itself, and the stripped event log.
+// the simulated seconds of the cross itself, and the event log.
 type eqtlRunOut struct {
 	report     []byte
 	res        *assoc.Result
 	simSeconds float64
-	stripped   string
+	log        string
 	recovery   rdd.RecoveryStats
 }
 
@@ -125,35 +125,12 @@ func (h *Harness) runEQTLCross(shape eqtlShape, blockSize int, faults rdd.FaultP
 	if err := elw.Close(); err != nil {
 		return eqtlRunOut{}, err
 	}
-	out.stripped, err = stripEventLog(logBuf.Bytes())
-	if err != nil {
-		return eqtlRunOut{}, err
-	}
+	out.log = logBuf.String()
 	return out, nil
 }
 
-// stripEventLog re-renders a raw JSONL event log with every measured-time
-// field removed (rdd.StripMeasuredTime), the form that is byte-stable across
-// seeded replays.
-func stripEventLog(raw []byte) (string, error) {
-	events, err := rdd.ReadEventLog(bytes.NewReader(raw))
-	if err != nil {
-		return "", err
-	}
-	var sb bytes.Buffer
-	for _, ev := range events {
-		line, err := rdd.MarshalEvent(rdd.StripMeasuredTime(ev))
-		if err != nil {
-			return "", err
-		}
-		sb.Write(line)
-		sb.WriteByte('\n')
-	}
-	return sb.String(), nil
-}
-
 // runEQTL measures the all-pairs engine and asserts its claim: chaos recovery
-// byte-identical to the clean run, with byte-stable stripped replay logs.
+// byte-identical to the clean run, with byte-stable replay logs.
 func runEQTL(h *Harness, w io.Writer) error {
 	t := metrics.NewTable(
 		fmt.Sprintf("All-pairs cross (fixed scale /%d)", eqtlScale),
@@ -185,11 +162,11 @@ func runEQTL(h *Harness, w io.Writer) error {
 		return fmt.Errorf("eqtl: chaos replay: %w", err)
 	}
 	reportsMatch := bytes.Equal(clean.report, first.report) && bytes.Equal(first.report, second.report)
-	replayStable := first.stripped == second.stripped
+	replayStable := first.log == second.log
 	ct := metrics.NewTable(
 		fmt.Sprintf("Chaos: the %d x %d cross in %d partitions, crash 10%% + node 0 lost after 5 tasks",
 			shape.snps, shape.phenos, clean.res.SNPBlocks),
-		"run", "cross (sim-s)", "retries", "report vs clean", "stripped log")
+		"run", "cross (sim-s)", "retries", "report vs clean", "event log")
 	ct.AddRow("clean", metrics.FormatSeconds(clean.simSeconds), "0", "baseline", "")
 	ct.AddRow("chaos", metrics.FormatSeconds(first.simSeconds), fmt.Sprint(first.recovery.TaskRetries),
 		map[bool]string{true: "identical", false: "DIVERGED"}[reportsMatch],
@@ -206,7 +183,7 @@ func runEQTL(h *Harness, w io.Writer) error {
 		return fmt.Errorf("eqtl: chaos profile injected no faults (0 retries) — the recovery claim is vacuous")
 	}
 	if !replayStable {
-		return fmt.Errorf("eqtl: stripped event logs differ across seeded chaos replays")
+		return fmt.Errorf("eqtl: event logs differ across seeded chaos replays")
 	}
 	return nil
 }

@@ -118,7 +118,10 @@ func runTab1(h *Harness, w io.Writer) error {
 }
 
 // runFig2 is Experiment A: 100K SNPs on 6 nodes, permutation vs Monte Carlo
-// over the iteration axis; Table III adds mean and stdev over repetitions.
+// over the iteration axis. The paper's Table III is the same points as mean
+// and standard deviation over repetitions; here a repetition reproduces the
+// run digit for digit, so the table is the figure's values and the deviation
+// is zero by construction.
 func runFig2(h *Harness, w io.Writer) error {
 	base := tunedContainers(Params{
 		Patients: 1000, SNPs: 100000, SNPSets: 1000, Nodes: 6, Cache: true,
@@ -139,7 +142,7 @@ func runFig2(h *Harness, w io.Writer) error {
 		return err
 	}
 
-	fig := metrics.NewTable(fmt.Sprintf("Figure 2: execution time (sim-s) vs iterations [scale 1/%d]", h.scale()),
+	fig := metrics.NewTable(fmt.Sprintf("Figure 2: execution time (sim-s) vs iterations [scale 1/%d]", h.Scale),
 		"iterations", "monte-carlo", "permutation")
 	for _, it := range expAIterMC {
 		permCell := cell(perm, it, it <= 16)
@@ -148,26 +151,9 @@ func runFig2(h *Harness, w io.Writer) error {
 	fig.Fprint(w)
 	fmt.Fprintln(w)
 
-	tab := metrics.NewTable(fmt.Sprintf("Table III: runtimes over %d repetitions (sim-s)", h.reps()),
-		"iterations", "mc-avg", "mc-stdev", "perm-avg", "perm-stdev")
-	for _, it := range expAIterMC {
-		row := []string{fmt.Sprint(it), cell(mc, it, true), stdevCell(mc, it, true)}
-		row = append(row, cell(perm, it, it <= 16), stdevCell(perm, it, it <= 16))
-		tab.AddRow(row...)
-	}
-	tab.Fprint(w)
+	fig.Title = "Table III: runtimes (sim-s; every repetition identical)"
+	fig.Fprint(w)
 	return nil
-}
-
-func stdevCell(samples map[int]metrics.Sample, it int, measured bool) string {
-	if !measured {
-		return "N/A"
-	}
-	s, ok := samples[it]
-	if !ok {
-		return "skipped"
-	}
-	return metrics.FormatSeconds(s.Stdev())
 }
 
 // runFig3 holds iterations x SNPs constant across three configurations.
@@ -179,7 +165,7 @@ func runFig3(h *Harness, w io.Writer) error {
 		{100, 100000},
 		{10, 1000000},
 	}
-	t := metrics.NewTable(fmt.Sprintf("Figure 3: sensitivity, iterations x SNPs = 10^7 [scale 1/%d]", h.scale()),
+	t := metrics.NewTable(fmt.Sprintf("Figure 3: sensitivity, iterations x SNPs = 10^7 [scale 1/%d]", h.Scale),
 		"iterations x snps", "monte-carlo", "permutation")
 	for _, cfg := range configs {
 		base := tunedContainers(Params{
@@ -202,7 +188,7 @@ func runFig3(h *Harness, w io.Writer) error {
 }
 
 // runFig4 is Experiment B at 10K SNPs: Monte Carlo with and without caching;
-// Table V adds mean/stdev.
+// Table V is the figure's values, as Table III is Figure 2's.
 func runFig4(h *Harness, w io.Writer) error {
 	base := tunedContainers(Params{
 		Patients: 1000, SNPs: 10000, SNPSets: 1000, Nodes: 18, Method: "mc",
@@ -226,19 +212,15 @@ func runFig4(h *Harness, w io.Writer) error {
 		return err
 	}
 
-	fig := metrics.NewTable(fmt.Sprintf("Figure 4: Monte Carlo w/ and w/o caching, 10K SNPs (sim-s) [scale 1/%d]", h.scale()),
+	fig := metrics.NewTable(fmt.Sprintf("Figure 4: Monte Carlo w/ and w/o caching, 10K SNPs (sim-s) [scale 1/%d]", h.Scale),
 		"iterations", "with-cache", "without-cache")
-	tab := metrics.NewTable(fmt.Sprintf("Table V: runtimes over %d repetitions (sim-s)", h.reps()),
-		"iterations", "cache-avg", "cache-stdev", "nocache-avg", "nocache-stdev")
 	for _, it := range expBIterAll {
-		measuredNC := it <= 200
-		fig.AddRow(fmt.Sprint(it), cell(withCache, it, true), cell(noCache, it, measuredNC))
-		tab.AddRow(fmt.Sprint(it), cell(withCache, it, true), stdevCell(withCache, it, true),
-			cell(noCache, it, measuredNC), stdevCell(noCache, it, measuredNC))
+		fig.AddRow(fmt.Sprint(it), cell(withCache, it, true), cell(noCache, it, it <= 200))
 	}
 	fig.Fprint(w)
 	fmt.Fprintln(w)
-	tab.Fprint(w)
+	fig.Title = "Table V: runtimes (sim-s; every repetition identical)"
+	fig.Fprint(w)
 	return nil
 }
 
@@ -260,7 +242,7 @@ func runFig5(h *Harness, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fig := metrics.NewTable(fmt.Sprintf("Figure 5: Monte Carlo w/ and w/o caching, 1M SNPs (sim-s) [scale 1/%d]", h.scale()),
+	fig := metrics.NewTable(fmt.Sprintf("Figure 5: Monte Carlo w/ and w/o caching, 1M SNPs (sim-s) [scale 1/%d]", h.Scale),
 		"iterations", "with-cache", "without-cache")
 	for _, it := range expBIter1M {
 		fig.AddRow(fmt.Sprint(it), cell(withCache, it, true), cell(noCache, it, it <= 10))
@@ -288,9 +270,9 @@ func runFig6(h *Harness, w io.Writer) error {
 	// one job for the lot here (64 replicates a job). 640 and 1280 are the
 	// same 10 and 20 jobs, where the 6-node recomputation shows as it did.
 	iters := []int{0, 10, 20, 640, 1280}
-	t := metrics.NewTable(fmt.Sprintf("Figure 6: strong scaling, 1M SNPs (sim-s) [scale 1/%d]", h.scale()),
+	t := metrics.NewTable(fmt.Sprintf("Figure 6: strong scaling, 1M SNPs (sim-s) [scale 1/%d]", h.Scale),
 		"iterations", "6-nodes", "12-nodes", "18-nodes")
-	results := map[int]map[int]metrics.Sample{}
+	results := map[int]map[int]float64{}
 	for _, p := range rows {
 		p.Method, p.Cache = "mc", true
 		if p.Nodes == 6 {
@@ -391,9 +373,9 @@ func runFig7(h *Harness, w io.Writer) error {
 	fmt.Fprintln(w)
 
 	iters := []int{0, 10, 100}
-	t := metrics.NewTable(fmt.Sprintf("Figure 7: Spark run-time properties on YARN, 1M SNPs (sim-s) [scale 1/%d]", h.scale()),
+	t := metrics.NewTable(fmt.Sprintf("Figure 7: Spark run-time properties on YARN, 1M SNPs (sim-s) [scale 1/%d]", h.Scale),
 		"iterations", "42-containers", "84-containers", "126-containers")
-	results := make([]map[int]metrics.Sample, len(layouts))
+	results := make([]map[int]float64, len(layouts))
 	for i, p := range layouts {
 		p.Method, p.Cache = "mc", true
 		s, err := h.sweep(p, iters)

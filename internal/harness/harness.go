@@ -29,14 +29,9 @@ import (
 
 // Harness carries the run-wide knobs shared by all experiments.
 type Harness struct {
-	// Scale divides the paper's SNP counts, block size, and executor memory.
-	// Zero selects 100.
+	// Scale divides the paper's SNP counts, block size, and executor memory;
+	// at least 1 (benchtab refuses less, and defaults to 100).
 	Scale int
-
-	// Reps is how many times each configuration is run for mean/stdev
-	// tables. Zero selects 2 (the paper ran selected configurations 5 times
-	// and the rest twice).
-	Reps int
 
 	// MaxIterations caps the resampling iteration counts attempted; axis
 	// points above the cap are reported as "skipped". Zero means no cap.
@@ -68,20 +63,6 @@ type Harness struct {
 
 type dsKey struct {
 	patients, snps, sets int
-}
-
-func (h *Harness) scale() int {
-	if h.Scale <= 0 {
-		return 100
-	}
-	return h.Scale
-}
-
-func (h *Harness) reps() int {
-	if h.Reps <= 0 {
-		return 2
-	}
-	return h.Reps
 }
 
 // Params describes one measured configuration in the paper's full-scale
@@ -117,7 +98,7 @@ type Params struct {
 // scaledSets returns the SNP-set count after scaling (the set count scales
 // with the SNP count so the paper's average SNPs-per-set is preserved).
 func (h *Harness) scaledSets(p Params) int {
-	k := p.SNPSets / h.scale()
+	k := p.SNPSets / h.Scale
 	if k < 1 {
 		k = 1
 	}
@@ -127,7 +108,7 @@ func (h *Harness) scaledSets(p Params) int {
 // scaledSNPs returns the SNP count after scaling, floored at the scaled set
 // count so the generator stays valid.
 func (h *Harness) scaledSNPs(p Params) int {
-	s := p.SNPs / h.scale()
+	s := p.SNPs / h.Scale
 	if k := h.scaledSets(p); s < k {
 		s = k
 	}
@@ -184,7 +165,7 @@ func (h *Harness) run(p Params, faults rdd.FaultProfile) (_ *rdd.Context, _ *cor
 			err = ferr
 		}
 	}()
-	scale := float64(h.scale())
+	scale := float64(h.Scale)
 	memGiB := p.MemPerExecutorGiB / scale
 	if p.MemCapBytes > 0 {
 		memGiB = float64(p.MemCapBytes) / float64(1<<30)
@@ -324,7 +305,7 @@ func (h *Harness) MeasureRecovery(p Params, faults rdd.FaultProfile) (RecoveryRe
 	jobs := chaosCtx.Jobs()
 	var fp strings.Builder
 	for _, m := range jobs {
-		fmt.Fprintf(&fp, "%+v\n", m.WithoutMeasuredTime())
+		fmt.Fprintf(&fp, "%+v\n", m)
 	}
 	return RecoveryResult{
 		CleanSeconds: cleanCtx.VirtualTime(),
@@ -360,41 +341,38 @@ func resultsEqual(a, b *core.Result) bool {
 	return true
 }
 
-// sweep measures the configuration at each iteration count, Reps times,
-// honouring MaxIterations. The result maps iteration count to its sample;
-// capped points are absent.
-func (h *Harness) sweep(p Params, iters []int) (map[int]metrics.Sample, error) {
-	out := map[int]metrics.Sample{}
+// sweep measures the configuration at each iteration count, honouring
+// MaxIterations. The result maps iteration count to simulated seconds; capped
+// points are absent. One run per point: the clock is a function of the
+// configuration, so a repetition would print the same digits.
+func (h *Harness) sweep(p Params, iters []int) (map[int]float64, error) {
+	out := map[int]float64{}
 	for _, it := range iters {
 		if h.MaxIterations > 0 && it > h.MaxIterations {
 			continue
 		}
-		sample := make(metrics.Sample, 0, h.reps())
-		for rep := 0; rep < h.reps(); rep++ {
-			q := p
-			q.Iterations = it
-			v, err := h.Measure(q)
-			if err != nil {
-				return nil, fmt.Errorf("harness: %s @%d iterations: %w", p.Method, it, err)
-			}
-			sample = append(sample, v)
+		q := p
+		q.Iterations = it
+		v, err := h.Measure(q)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %s @%d iterations: %w", p.Method, it, err)
 		}
-		out[it] = sample
+		out[it] = v
 	}
 	return out, nil
 }
 
-// cell renders a swept point: mean seconds, "skipped" if capped, or "N/A"
+// cell renders a swept point: its seconds, "skipped" if capped, or "N/A"
 // where the paper itself reports N/A.
-func cell(samples map[int]metrics.Sample, it int, measured bool) string {
+func cell(swept map[int]float64, it int, measured bool) string {
 	if !measured {
 		return "N/A"
 	}
-	s, ok := samples[it]
+	v, ok := swept[it]
 	if !ok {
 		return "skipped"
 	}
-	return metrics.FormatSeconds(s.Mean())
+	return metrics.FormatSeconds(v)
 }
 
 // Experiment is one regenerable paper artifact.

@@ -64,7 +64,7 @@ func (h *Harness) runMemoryMode(p Params, faults rdd.FaultProfile) (MemoryRun, *
 	for _, m := range ctx.Jobs() {
 		run.SpilledBytes += m.SpilledBytes
 		run.SpillCount += m.SpillCount
-		fmt.Fprintf(&fp, "%+v\n", m.WithoutMeasuredTime())
+		fmt.Fprintf(&fp, "%+v\n", m)
 	}
 	return run, res, fp.String(), nil
 }

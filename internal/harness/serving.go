@@ -6,12 +6,10 @@
 // head-of-line blocking and FAIR's slot sharing show up in the same metric.
 //
 // Each request is a resampling-shaped two-stage pipeline (per-SNP-block
-// contributions reduced onto SNP-sets) whose tasks park on a timer instead of
-// spinning, standing in for the measured per-block compute. Parked tasks
-// release the host processor, so concurrently submitted requests genuinely
-// coexist even on a single-CPU host — CPU-bound request bodies would
-// serialise there and neither mode could ever overlap jobs. The virtual-time
-// model charges the measured task duration either way.
+// contributions reduced onto SNP-sets) whose tasks declare their per-block
+// kernel work to the virtual clock instead of doing it. What holds FAIR
+// requests overlapping is therefore not how long a task takes on the host but
+// a rendezvous (servingGate).
 
 package harness
 
@@ -20,8 +18,8 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
-	"time"
 
 	"sparkscore/internal/cluster"
 	"sparkscore/internal/metrics"
@@ -29,18 +27,17 @@ import (
 )
 
 const (
-	// servingJobsPerClient is how many sequential requests each client submits.
-	servingJobsPerClient = 1
 	// servingParts is tasks per request stage, matching the 32 cluster slots:
 	// a lone request fills the whole cluster for one wave.
 	servingParts = 32
-	// servingPause is the per-element park standing in for block compute.
-	servingPause = 400 * time.Microsecond
+	// servingBlockOps is the kernel work a block declares: 0.4 ms on the
+	// virtual clock, a 256-row block of 1000 patients at a batch of eleven.
+	servingBlockOps = 2_800_000
 )
 
 // runServing measures interactive resampling served against one shared
 // driver: for each scheduler mode and client count, every client submits
-// servingJobsPerClient requests from its own goroutine, odd clients into a
+// one request from its own goroutine, odd clients into a
 // weight-1 "batch" pool and even clients into a weight-3 "interactive" pool,
 // and the virtual-time sojourn of every request is recorded.
 func runServing(h *Harness, w io.Writer) error {
@@ -75,25 +72,69 @@ type servingRow struct {
 	makespan float64
 }
 
+// servingGate is a listener that holds a cell's FAIR requests overlapping on
+// the virtual clock however the host interleaves the clients: no first-stage
+// task runs until every request's job has started, and no job ends until
+// every job's first stage has been accounted — so each of those stages, which
+// carry the requests' virtual time, is divided among all the clients. What
+// stays host-ordered is the short second stage and which job id a client
+// draws, which is why this experiment is in no golden file.
+type servingGate struct{ started, accounted sync.WaitGroup }
+
+func (g *servingGate) OnEvent(ev rdd.Event) {
+	switch e := ev.(type) {
+	case *rdd.JobStart:
+		g.started.Done()
+	case *rdd.StageCompleted:
+		if strings.HasPrefix(e.RDD, "map:resample:") {
+			g.accounted.Done()
+		}
+	}
+}
+
 // servingRequest builds one request's pipeline: per-SNP-block contributions
-// (one parked map element per block) reduced onto a handful of SNP-sets.
-func servingRequest(ctx *rdd.Context, label string) *rdd.RDD[rdd.KV[int, float64]] {
+// (one charged map element per block) reduced onto a handful of SNP-sets. A
+// non-nil gate holds it where servingGate says; the second wait parks one
+// task per request.
+func servingRequest(ctx *rdd.Context, label string, gate *servingGate) *rdd.RDD[rdd.KV[int, float64]] {
 	blocks := make([]int, 2*servingParts)
 	for i := range blocks {
 		blocks[i] = i
 	}
 	base := rdd.Parallelize(ctx, blocks, servingParts).SetSizeHint(8)
-	contrib := rdd.Map(base, "resample:"+label, func(b int) rdd.KV[int, float64] {
-		time.Sleep(servingPause)
-		return rdd.KV[int, float64]{K: b % 8, V: float64(b)}
+	contrib := rdd.MapWithSetup(base, "resample:"+label, func(t rdd.Task) func(int) rdd.KV[int, float64] {
+		if gate != nil {
+			gate.started.Wait()
+		}
+		return func(b int) rdd.KV[int, float64] {
+			t.Charge(servingBlockOps)
+			return rdd.KV[int, float64]{K: b % 8, V: float64(b)}
+		}
 	}).SetSizeHint(16)
-	return rdd.ReduceByKey(contrib, func(x, y float64) float64 { return x + y }, 8)
+	sums := rdd.ReduceByKey(contrib, func(x, y float64) float64 { return x + y }, 8)
+	return rdd.MapWithSetup(sums, "hold", func(t rdd.Task) func(rdd.KV[int, float64]) rdd.KV[int, float64] {
+		if gate != nil && t.Partition == 0 {
+			gate.accounted.Wait()
+		}
+		return func(kv rdd.KV[int, float64]) rdd.KV[int, float64] { return kv }
+	}).SetSizeHint(16)
 }
 
 // measureServing runs one (mode, clients) cell on a fresh driver. A
-// rendezvous holds every client until all are ready, so first-wave requests
-// are submitted together and the modes differ only in how they schedule them.
+// rendezvous holds every client until all are ready, so the requests are
+// submitted together at virtual time zero — a request's sojourn is its job's
+// end — and the modes differ only in how they schedule them. Under FAIR the
+// gate keeps them sharing the cluster; under FIFO a job starts only when its
+// predecessor has ended, and the queueing is the measurement.
 func measureServing(seed uint64, mode rdd.SchedulerMode, clients int) (servingRow, error) {
+	var gate *servingGate
+	var listeners []rdd.Listener
+	if mode == rdd.SchedFAIR {
+		gate = &servingGate{}
+		gate.started.Add(clients)
+		gate.accounted.Add(clients)
+		listeners = append(listeners, gate)
+	}
 	ctx, err := rdd.New(rdd.Config{
 		// 8-core executors (32 slots): wide enough that a 3:1 weight ratio
 		// survives stageSlots' one-slot-per-executor floor with 4 jobs per pool.
@@ -102,7 +143,7 @@ func measureServing(seed uint64, mode rdd.SchedulerMode, clients int) (servingRo
 			ExecutorsPerNode: 2, CoresPerExecutor: 8, MemPerExecutorGiB: 4,
 		},
 		Seed:    seed,
-		Workers: 64, // parked tasks from 8 concurrent jobs must not exhaust host-side slots
+		Workers: 16, // the gate parks up to one task per client
 		Scheduler: rdd.SchedulerConfig{
 			Mode: mode,
 			Pools: []rdd.PoolSpec{
@@ -111,6 +152,7 @@ func measureServing(seed uint64, mode rdd.SchedulerMode, clients int) (servingRo
 			},
 		},
 		StageOverheadSec: 1e-9, // so sojourns reflect task time, not DAG overhead
+		Listeners:        listeners,
 	})
 	if err != nil {
 		return servingRow{}, err
@@ -131,21 +173,17 @@ func measureServing(seed uint64, mode rdd.SchedulerMode, clients int) (servingRo
 			defer wg.Done()
 			ready.Done()
 			ready.Wait()
-			for i := 0; i < servingJobsPerClient; i++ {
-				label := fmt.Sprintf("c%d-r%d", c, i)
-				submit := ctx.VirtualTime()
-				spans, err := ctx.Submit(rdd.Submission{Pool: pool}, func() error {
-					_, cerr := rdd.CollectAsMap(servingRequest(ctx, label))
-					return cerr
-				})
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				for _, sp := range spans {
-					row.byPool[pool] = append(row.byPool[pool], sp.EndVirtual-submit)
-				}
-				mu.Unlock()
+			spans, err := ctx.Submit(rdd.Submission{Pool: pool}, func() error {
+				_, cerr := rdd.CollectAsMap(servingRequest(ctx, fmt.Sprintf("c%d", c), gate))
+				return cerr
+			})
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			for _, sp := range spans {
+				row.byPool[pool] = append(row.byPool[pool], sp.EndVirtual)
 			}
 		}(c, pool)
 	}

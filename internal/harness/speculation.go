@@ -4,9 +4,9 @@
 // The workload is a single stage shaped like one wave of Experiment A's
 // resampling: 24 partitions on the 6-node cluster's 48 virtual cores, so
 // every task starts at virtual time zero and each executor keeps two cores
-// free for speculative copies. Task durations are modelled, not measured —
-// host compute is scaled away and every task costs a fixed 15 ms launch fee —
-// so the grid is a function of the schedule and the same on every run. Under
+// free for speculative copies. The tasks declare no kernel work and move a
+// few bytes, so each costs its 15 ms launch fee and the grid is a function of
+// the schedule, like every simulated second in this repository. Under
 // StragglerProb 1 every task runs 8x slow (the engine's straggler factor);
 // with speculation on, copies launch at multiplier x median and run at the
 // normal rate, so the stage finishes at (multiplier + 1) x the normal task
@@ -70,7 +70,6 @@ func (h *Harness) runSpeculationCell(straggler, speculation bool) (SpecRow, erro
 		// 0.05s would dwarf them).
 		StageOverheadSec: 0.0005,
 		SchedOverheadSec: specTaskSec,
-		CPUScale:         1e-9,
 		Speculation:      rdd.SpeculationConfig{Enabled: speculation},
 		Listeners:        []rdd.Listener{probe},
 	})

@@ -1,7 +1,6 @@
-// Package metrics provides the small statistics and formatting layer of the
-// benchmark harness: samples of repeated runtimes with mean and standard
-// deviation (the paper's Tables III and V report exactly these), and aligned
-// text tables/series for regenerated figures.
+// Package metrics provides the formatting layer of the benchmark harness:
+// aligned text tables and the seconds and percent renderings the regenerated
+// figures share.
 package metrics
 
 import (
@@ -10,74 +9,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Sample is a set of repeated measurements.
-type Sample []float64
-
-// Mean returns the arithmetic mean; NaN for an empty sample.
-func (s Sample) Mean() float64 {
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range s {
-		sum += v
-	}
-	return sum / float64(len(s))
-}
-
-// Stdev returns the sample standard deviation (n−1 denominator); 0 for
-// samples with fewer than two observations, matching how the paper reports
-// single runs.
-func (s Sample) Stdev() float64 {
-	if len(s) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s)-1))
-}
-
-// Min returns the smallest observation; NaN for an empty sample.
-func (s Sample) Min() float64 {
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	m := s[0]
-	for _, v := range s[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest observation; NaN for an empty sample.
-func (s Sample) Max() float64 {
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	m := s[0]
-	for _, v := range s[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Repeat collects n measurements of f.
-func Repeat(n int, f func() float64) Sample {
-	s := make(Sample, n)
-	for i := range s {
-		s[i] = f()
-	}
-	return s
-}
 
 // Table is an aligned text table with a title, a header, and string cells.
 type Table struct {

@@ -4,74 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestMeanStdevKnown(t *testing.T) {
-	s := Sample{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := s.Mean(); m != 5 {
-		t.Fatalf("mean = %v", m)
-	}
-	// Sample stdev with n-1: sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if sd := s.Stdev(); math.Abs(sd-want) > 1e-12 {
-		t.Fatalf("stdev = %v, want %v", sd, want)
-	}
-}
-
-func TestEmptyAndSingletonSamples(t *testing.T) {
-	var empty Sample
-	if !math.IsNaN(empty.Mean()) || !math.IsNaN(empty.Min()) || !math.IsNaN(empty.Max()) {
-		t.Fatal("empty sample did not yield NaN")
-	}
-	one := Sample{3}
-	if one.Stdev() != 0 {
-		t.Fatalf("singleton stdev = %v", one.Stdev())
-	}
-	if one.Min() != 3 || one.Max() != 3 {
-		t.Fatal("singleton min/max wrong")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	s := Sample{5, -2, 9, 0}
-	if s.Min() != -2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
-}
-
-func TestStdevNonNegativeAndShiftInvariant(t *testing.T) {
-	f := func(xs []float64) bool {
-		if len(xs) < 2 {
-			return true
-		}
-		for _, x := range xs {
-			if math.IsNaN(x) || math.Abs(x) > 1e100 {
-				return true
-			}
-		}
-		s := Sample(xs)
-		if s.Stdev() < 0 {
-			return false
-		}
-		shifted := make(Sample, len(xs))
-		for i, x := range xs {
-			shifted[i] = x + 100
-		}
-		return math.Abs(s.Stdev()-shifted.Stdev()) < 1e-6*(1+s.Stdev())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRepeat(t *testing.T) {
-	i := 0.0
-	s := Repeat(4, func() float64 { i++; return i })
-	if len(s) != 4 || s[0] != 1 || s[3] != 4 {
-		t.Fatalf("Repeat = %v", s)
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("Table X", "iterations", "runtime")

@@ -111,8 +111,9 @@ func planDigest(c *Context, p randomPlan) string {
 }
 
 // runPlan executes the plan once and returns the collected result rendered as
-// a string, the job-skeleton log (JobStart/JobEnd only, measured time
-// stripped), and the full stripped event log.
+// a string, the job skeleton (each JobStart and JobEnd without its clock
+// fields, which the two modes legitimately disagree on), and the full event
+// log.
 //
 // The full log is comparable only between runs of the SAME mode: adaptive
 // runs charge the hot partition's fetch bytes to prefetch executors, so task
@@ -123,7 +124,15 @@ func runPlan(t *testing.T, p randomPlan, enabled bool) (digest, skeleton, full s
 	var buf bytes.Buffer
 	elw := NewEventLogWriter(&buf)
 	cfg := planConfig(p, enabled)
-	cfg.Listeners = []Listener{elw}
+	var skel strings.Builder
+	cfg.Listeners = []Listener{elw, ListenerFunc(func(ev Event) {
+		switch e := ev.(type) {
+		case *JobStart:
+			fmt.Fprintf(&skel, "start %d %s %s pool=%s\n", e.Job, e.Action, e.RDD, e.Pool)
+		case *JobEnd:
+			fmt.Fprintf(&skel, "end %d %s %s failed=%v %q cancelled=%v\n", e.Job, e.Action, e.RDD, e.Failed, e.Error, e.Cancelled)
+		}
+	})}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,14 +141,7 @@ func runPlan(t *testing.T, p randomPlan, enabled bool) (digest, skeleton, full s
 	if err := elw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	full = strippedLog(t, buf.Bytes())
-	var skel strings.Builder
-	for _, line := range strings.SplitAfter(full, "\n") {
-		if strings.Contains(line, `"type":"JobStart"`) || strings.Contains(line, `"type":"JobEnd"`) {
-			skel.WriteString(line)
-		}
-	}
-	return digest, skel.String(), full
+	return digest, skel.String(), buf.String()
 }
 
 func render[T any](out []T, err error) string {

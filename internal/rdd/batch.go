@@ -15,7 +15,7 @@ import "fmt"
 // the slice it is handed (copy out whatever survives the call). Batches
 // never span partitions, and the upstream element order is preserved within
 // and across batches, so deterministic pipelines stay deterministic.
-func MapBatches[T, U any](r *RDD[T], name string, size int, f func(p int, batch []T) U) *RDD[U] {
+func MapBatches[T, U any](r *RDD[T], name string, size int, f func(t Task, batch []T) U) *RDD[U] {
 	if size <= 0 {
 		panic(fmt.Sprintf("rdd: MapBatches size %d", size))
 	}
@@ -26,18 +26,19 @@ func MapBatches[T, U any](r *RDD[T], name string, size int, f func(p int, batch 
 	n.compute = func(tc *taskContext, p int) any {
 		in := seqOf[T](parent.iterate(tc, p))
 		return boxSeq[U](func(yield func(U) bool) {
+			t := Task{Partition: p, tc: tc}
 			batch := make([]T, 0, size)
 			for v := range in {
 				batch = append(batch, v)
 				if len(batch) == size {
-					if !yield(f(p, batch)) {
+					if !yield(f(t, batch)) {
 						return
 					}
 					batch = batch[:0]
 				}
 			}
 			if len(batch) > 0 {
-				yield(f(p, batch))
+				yield(f(t, batch))
 			}
 		})
 	}
@@ -51,7 +52,7 @@ func MapBatches[T, U any](r *RDD[T], name string, size int, f func(p int, batch 
 // is retained between elements, so each dies as soon as add returns — and a
 // retried or recomputed partition runs setup again, so no state crosses
 // attempts.
-func FoldPartition[T, U any](r *RDD[T], name string, setup func(p int) (add func(T), finish func() []U)) *RDD[U] {
+func FoldPartition[T, U any](r *RDD[T], name string, setup func(t Task) (add func(T), finish func() []U)) *RDD[U] {
 	parent := r.n
 	n := newTypedNode[U](parent.ctx, fmt.Sprintf("fold:%s(%s)", name, parent.name), parent.parts)
 	n.narrowParent = parent
@@ -59,7 +60,7 @@ func FoldPartition[T, U any](r *RDD[T], name string, setup func(p int) (add func
 	n.compute = func(tc *taskContext, p int) any {
 		in := seqOf[T](parent.iterate(tc, p))
 		return boxSeq[U](func(yield func(U) bool) {
-			add, finish := setup(p)
+			add, finish := setup(Task{Partition: p, tc: tc})
 			for v := range in {
 				add(v)
 			}

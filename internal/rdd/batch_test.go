@@ -8,7 +8,7 @@ import (
 func TestMapBatchesPreservesOrderAndBounds(t *testing.T) {
 	c := newTestContext(t, 2)
 	in := Parallelize(c, seq(103), 4)
-	sums := MapBatches(in, "sumBatch", 10, func(p int, batch []int) []int {
+	sums := MapBatches(in, "sumBatch", 10, func(_ Task, batch []int) []int {
 		out := make([]int, len(batch))
 		copy(out, batch)
 		return out
@@ -48,7 +48,7 @@ func TestMapBatchesReusesBuffer(t *testing.T) {
 	in := Parallelize(c, seq(40), 1)
 	var first []int
 	distinct := 0
-	probe := MapBatches(in, "probe", 8, func(p int, batch []int) int {
+	probe := MapBatches(in, "probe", 8, func(_ Task, batch []int) int {
 		if first == nil {
 			first = batch[:1]
 		} else if &first[0] != &batch[0] {
@@ -67,7 +67,7 @@ func TestMapBatchesReusesBuffer(t *testing.T) {
 func TestMapBatchesStaysFused(t *testing.T) {
 	c := newTestContext(t, 1)
 	in := Parallelize(c, seq(64), 2)
-	batched := MapBatches(in, "len", 16, func(p int, batch []int) int { return len(batch) })
+	batched := MapBatches(in, "len", 16, func(_ Task, batch []int) int { return len(batch) })
 	doubled := Map(batched, "double", func(n int) int { return 2 * n })
 	if _, err := Collect(doubled); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,8 @@ func TestSetSizeFuncDrivesCacheAccounting(t *testing.T) {
 // foldSums folds each partition of in to one (partition, count, sum) record,
 // failing the test if add ever sees the stream out of upstream order.
 func foldSums(t *testing.T, in *RDD[int], onAdd func(p, v int)) *RDD[[3]int] {
-	return FoldPartition(in, "sum", func(p int) (func(int), func() [][3]int) {
+	return FoldPartition(in, "sum", func(task Task) (func(int), func() [][3]int) {
+		p := task.Partition
 		acc, last := [3]int{p, 0, 0}, -1
 		return func(v int) {
 				if onAdd != nil {

@@ -1,13 +1,14 @@
 // Concurrent multi-job execution: the race-detector stress test (N jobs from
 // N goroutines against one Context), the FAIR-versus-FIFO acceptance checks
 // (equal-weight pools split the cluster ~in half in virtual time; FIFO runs
-// back-to-back), per-job byte-stability of stripped event logs across seeded
-// runs, and the Jobs()-snapshot guarantee that in-flight jobs stay invisible.
+// back-to-back), per-job byte-stability of event logs across seeded runs, and
+// the Jobs()-snapshot guarantee that in-flight jobs stay invisible.
 
 package rdd
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -29,31 +30,58 @@ func concTestCluster() cluster.Config {
 	}
 }
 
+// overlapGate is a listener that holds n concurrently submitted FAIR jobs
+// overlapping on the virtual clock however the host interleaves their
+// goroutines: no stage-1 task of heavyPipeline runs until every job has
+// started, and no job gets past stage 3 until every job's stage 1 has been
+// accounted — so each of those stages is divided among all n jobs.
+type overlapGate struct{ started, accounted sync.WaitGroup }
+
+func newOverlapGate(n int) *overlapGate {
+	g := &overlapGate{}
+	g.started.Add(n)
+	g.accounted.Add(n)
+	return g
+}
+
+func (g *overlapGate) OnEvent(ev Event) {
+	switch e := ev.(type) {
+	case *JobStart:
+		g.started.Done()
+	case *StageCompleted:
+		if strings.HasPrefix(e.RDD, "map:w:") {
+			g.accounted.Done()
+		}
+	}
+}
+
 // heavyPipeline builds a 4-stage pipeline (three chained shuffles plus the
 // result stage) with `parts` tasks per stage, labelled uniquely so jobs are
 // identifiable in logs and metrics regardless of job-id assignment order.
-// Each stage-1 element sleeps for pause: parked tasks release the host
-// processor, so concurrently submitted jobs genuinely interleave even on a
-// single-CPU host (CPU-spinning tasks would serialise there). If gate is
-// non-nil, stage-1 tasks wait on it before doing anything — the tests open it
-// once every job under test has emitted JobStart, pinning "all jobs admitted"
-// before any stage completes.
-func heavyPipeline(c *Context, label string, parts int, pause time.Duration, gate *sync.WaitGroup) *RDD[KV[int, int]] {
+// Each stage-1 element declares ops kernel operations, so that stage carries
+// the job's virtual time. A non-nil gate holds the job where overlapGate
+// says; its stage-3 wait parks one task per job, which the Workers of the
+// context must exceed.
+func heavyPipeline(c *Context, label string, parts int, ops int64, gate *overlapGate) *RDD[KV[int, int]] {
 	base := Parallelize(c, seq(4*parts), parts)
-	m := Map(base, "w:"+label, func(x int) KV[int, int] {
+	m := MapWithSetup(base, "w:"+label, func(t Task) func(int) KV[int, int] {
 		if gate != nil {
-			gate.Wait()
+			gate.started.Wait()
 		}
-		time.Sleep(pause)
-		return KV[int, int]{K: x % 64, V: 1}
+		return func(x int) KV[int, int] {
+			t.Charge(ops)
+			return KV[int, int]{K: x % 64, V: 1}
+		}
 	})
 	r1 := ReduceByKey(m, func(a, b int) int { return a + b }, parts)
-	m2 := Map(r1, "x:"+label, func(kv KV[int, int]) KV[int, int] {
-		time.Sleep(pause)
-		return KV[int, int]{K: kv.K % 32, V: kv.V}
-	})
+	m2 := Map(r1, "x:"+label, func(kv KV[int, int]) KV[int, int] { return KV[int, int]{K: kv.K % 32, V: kv.V} })
 	r2 := ReduceByKey(m2, func(a, b int) int { return a + b }, parts)
-	m3 := Map(r2, "y:"+label, func(kv KV[int, int]) KV[int, int] { return KV[int, int]{K: kv.K % 8, V: kv.V} })
+	m3 := MapWithSetup(r2, "y:"+label, func(t Task) func(KV[int, int]) KV[int, int] {
+		if gate != nil && t.Partition == 0 {
+			gate.accounted.Wait()
+		}
+		return func(kv KV[int, int]) KV[int, int] { return KV[int, int]{K: kv.K % 8, V: kv.V} }
+	})
 	return ReduceByKey(m3, func(a, b int) int { return a + b }, parts)
 }
 
@@ -80,40 +108,26 @@ func (l *taskSecondsListener) OnEvent(ev Event) {
 func runTwoPoolJobs(t *testing.T, mode SchedulerMode) (spans []JobSpan, shares []float64) {
 	t.Helper()
 	tl := &taskSecondsListener{}
-	// Under FAIR, stage-1 tasks wait until both jobs have emitted JobStart, so
-	// every stage of both jobs is accounted with two active jobs (the
-	// half-share steady state). Under FIFO the gate would deadlock — job 2
-	// cannot start until job 1 ends — so it is disabled; serialisation is the
-	// property under test there.
-	var gate *sync.WaitGroup
+	// Under FAIR the gate holds both jobs active while either's heavy stage
+	// is accounted (the half-share steady state). Under FIFO it would
+	// deadlock — job 2 cannot start until job 1 ends — so it is disabled;
+	// serialisation is the property under test there.
+	var gate *overlapGate
 	listeners := []Listener{tl}
 	if mode == SchedFAIR {
-		gate = &sync.WaitGroup{}
-		gate.Add(2)
-		listeners = append(listeners, ListenerFunc(func(ev Event) {
-			if _, ok := ev.(*JobStart); ok {
-				gate.Done()
-			}
-		}))
+		gate = newOverlapGate(2)
+		listeners = append(listeners, gate)
 	}
 	cfg := Config{
 		Cluster: concTestCluster(),
 		Seed:    7,
-		Workers: 16, // parked sleepers must not exhaust host-side slots
+		Workers: 16,
 		Scheduler: SchedulerConfig{
 			Mode:  mode,
 			Pools: []PoolSpec{{Name: "a", Weight: 1}, {Name: "b", Weight: 1}},
 		},
 		StageOverheadSec: 1e-9, // so occupancy reflects task slots, not DAG overhead
 		Listeners:        listeners,
-	}
-	if mode == SchedFIFO {
-		// Serialised jobs need no host overlap, so their task durations can be
-		// modelled rather than measured: with host compute scaled away every
-		// task costs the fixed launch overhead plus its byte-derived I/O, and
-		// the asserted occupancy is a function of the schedule, not of how long
-		// a 200 µs time.Sleep took on a busy host.
-		cfg.CPUScale = 1e-9
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -122,8 +136,8 @@ func runTwoPoolJobs(t *testing.T, mode SchedulerMode) (spans []JobSpan, shares [
 	// Lineages are built sequentially (deterministic node and shuffle ids);
 	// only submission is concurrent.
 	pipes := []*RDD[KV[int, int]]{
-		heavyPipeline(c, "p0", 32, 200*time.Microsecond, gate),
-		heavyPipeline(c, "p1", 32, 200*time.Microsecond, gate),
+		heavyPipeline(c, "p0", 32, 70_000_000, gate), // 10 ms a stage-1 element
+		heavyPipeline(c, "p1", 32, 70_000_000, gate),
 	}
 
 	spanCh := make(chan JobSpan, 2)
@@ -209,71 +223,45 @@ func TestFIFOSchedulerRunsBackToBack(t *testing.T) {
 	}
 }
 
-// setEventJob rewrites the event's job id (on a copy the caller owns): job ids
-// are assigned in admission order, which is host-timing dependent across
-// concurrent submitters, so per-job log comparison normalises them away.
-func setEventJob(ev Event, job uint64) {
-	switch e := ev.(type) {
-	case *JobStart:
-		e.Job = job
-	case *JobEnd:
-		e.Job = job
-	case *StageSubmitted:
-		e.Job = job
-	case *StageCompleted:
-		e.Job = job
-	case *StageResubmitted:
-		e.Job = job
-	case *TaskStart:
-		e.Job = job
-	case *TaskEnd:
-		e.Job = job
-	case *BlockCached:
-		e.Job = job
-	case *BlockEvicted:
-		e.Job = job
-	case *ShuffleSpill:
-		e.Job = job
-	case *FetchFailure:
-		e.Job = job
-	}
-}
-
-// perJobStrippedLogs groups a (possibly interleaved) event log by job,
-// strips measured time, normalises job ids, and renders each job's event
-// subsequence as one string keyed by the job's identity (action + lineage
-// label), which is stable across runs even when job ids are not.
-func perJobStrippedLogs(t *testing.T, raw []byte) map[string]string {
+// perJobLogs groups a (possibly interleaved) event log by job and renders each
+// job's event subsequence as one string keyed by the job's identity (action +
+// lineage label). Two things in a concurrent FAIR log follow which jobs
+// overlapped on the host rather than the seed, and are removed: job ids
+// (assigned in admission order) and the timeline — timestamps, task start
+// times, stage and job seconds, all stretched by the slot share a stage was
+// accounted under. Everything else, each task's DurationSec included, stays.
+func perJobLogs(t *testing.T, raw []byte) map[string]string {
 	t.Helper()
-	events, err := ReadEventLog(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+	type logLine struct {
+		Type string         `json:"type"`
+		Data map[string]any `json:"data"`
 	}
-	keyByJob := map[uint64]string{}
-	for _, ev := range events {
-		if js, ok := ev.(*JobStart); ok {
-			keyByJob[js.Job] = js.Action + " " + js.RDD
+	var lines []logLine
+	keyByJob := map[any]string{}
+	for _, text := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var l logLine
+		if err := json.Unmarshal(text, &l); err != nil {
+			t.Fatal(err)
 		}
+		if l.Type == "JobStart" {
+			keyByJob[l.Data["job"]] = fmt.Sprint(l.Data["action"], " ", l.Data["rdd"])
+		}
+		lines = append(lines, l)
 	}
 	logs := map[string]string{}
-	for _, ev := range events {
-		job := eventJob(ev)
-		if js, ok := ev.(*JobStart); ok {
-			job = js.Job
-		} else if je, ok := ev.(*JobEnd); ok {
-			job = je.Job
-		}
-		key, ok := keyByJob[job]
+	for _, l := range lines {
+		key, ok := keyByJob[l.Data["job"]]
 		if !ok {
 			continue // context events (NodeLost etc.) belong to no job
 		}
-		stripped := StripMeasuredTime(ev)
-		setEventJob(stripped, 0)
-		line, err := MarshalEvent(stripped)
+		for _, hostOrdered := range []string{"job", "time", "startSec", "seconds", "virtualSeconds"} {
+			delete(l.Data, hostOrdered)
+		}
+		text, err := json.Marshal(l) // map keys marshal sorted
 		if err != nil {
 			t.Fatal(err)
 		}
-		logs[key] += string(line) + "\n"
+		logs[key] += string(text) + "\n"
 	}
 	return logs
 }
@@ -282,7 +270,7 @@ func perJobStrippedLogs(t *testing.T, raw []byte) map[string]string {
 // context (race detector on: `go test -race` runs this), asserts every job
 // completes with correct results and a full metrics snapshot, that Jobs()
 // polled mid-flight never exposes more jobs than have ended, and that each
-// job's stripped event log is byte-identical across two seeded runs.
+// job's event log (perJobLogs) is byte-identical across two seeded runs.
 func TestConcurrentJobsStress(t *testing.T) {
 	const n = 8
 	run := func() (map[string]string, []JobMetrics) {
@@ -303,7 +291,7 @@ func TestConcurrentJobsStress(t *testing.T) {
 		}
 		pipes := make([]*RDD[KV[int, int]], n)
 		for i := range pipes {
-			pipes[i] = heavyPipeline(c, fmt.Sprintf("s%d", i), 16, 50*time.Microsecond, nil)
+			pipes[i] = heavyPipeline(c, fmt.Sprintf("s%d", i), 16, 350_000, nil)
 		}
 
 		// Poll the snapshot while jobs are in flight: it must only ever hold
@@ -367,7 +355,7 @@ func TestConcurrentJobsStress(t *testing.T) {
 		if len(jobs) != n {
 			t.Fatalf("want %d completed jobs in snapshot, got %d", n, len(jobs))
 		}
-		return perJobStrippedLogs(t, buf.Bytes()), jobs
+		return perJobLogs(t, buf.Bytes()), jobs
 	}
 
 	logs1, _ := run()
@@ -382,7 +370,7 @@ func TestConcurrentJobsStress(t *testing.T) {
 			continue
 		}
 		if l1 != l2 {
-			t.Errorf("stripped event log for job %q differs between seeded runs:\nrun1:\n%s\nrun2:\n%s",
+			t.Errorf("event log for job %q differs between seeded runs:\nrun1:\n%s\nrun2:\n%s",
 				key, firstDiffLines(l1, l2), firstDiffLines(l2, l1))
 		}
 	}

@@ -5,15 +5,17 @@
 //
 // Execution is two-layered. Every task runs *for real* on the host (results
 // are exact, and cache hits versus lineage recomputation are real code
-// paths), while the scheduler charges each task a simulated duration — real
-// compute time scaled per core, plus modelled scheduling, HDFS, shuffle, and
-// spill costs — and plays those durations onto the virtual core slots of the
-// configured cluster. Context.VirtualTime is the cluster wall clock the
-// benchmarks report.
+// paths), while the scheduler charges each task a simulated duration — the
+// kernel operations it declared plus modelled scheduling, HDFS, shuffle, and
+// spill costs, all counted, none timed — and plays those durations onto the
+// virtual core slots of the configured cluster. Context.VirtualTime is the
+// cluster wall clock the benchmarks report: for one submitting goroutine it
+// is a function of the Config, the same on every host and every run.
 package rdd
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -37,15 +39,14 @@ type Config struct {
 	Seed uint64
 
 	// Workers caps host-side parallelism of real task execution; zero
-	// selects runtime.NumCPU(). Results, replay fingerprints and stripped
-	// event logs do not depend on it (DESIGN.md §7 names the one exception:
-	// spill points under a capped memory pool shared by concurrent tasks).
+	// selects runtime.NumCPU(). Results, the virtual clock and event logs do
+	// not depend on it (DESIGN.md §7 names the one exception: spill points
+	// under a capped memory pool shared by concurrent tasks).
 	Workers int
 
 	// Cost model. Zero values select the defaults noted per field; the
-	// bandwidths and memory fractions the model also uses are constants (see
+	// rates and memory fractions the model also uses are constants (see
 	// taskBaseDuration and newMemoryManager).
-	CPUScale         float64 // simulated seconds per measured compute second (1.0)
 	SchedOverheadSec float64 // per-task launch/serialisation overhead (0.004)
 	StageOverheadSec float64 // per-stage DAG/committer overhead (0.05)
 
@@ -81,9 +82,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = runtime.NumCPU()
-	}
-	if c.CPUScale == 0 {
-		c.CPUScale = 1
 	}
 	if c.SchedOverheadSec == 0 {
 		c.SchedOverheadSec = 0.004
@@ -165,6 +163,18 @@ type failurePlan struct {
 // validate rejects configurations that can only be mistakes, before any of
 // their values feed a probability draw or a slot computation.
 func (c Config) validate() error {
+	if c.Workers < 0 {
+		return fmt.Errorf("rdd: Workers %d is negative", c.Workers)
+	}
+	// A negative overhead would run the virtual clock backwards.
+	for _, o := range []struct {
+		name string
+		sec  float64
+	}{{"SchedOverheadSec", c.SchedOverheadSec}, {"StageOverheadSec", c.StageOverheadSec}} {
+		if !(o.sec >= 0) || math.IsInf(o.sec, 1) {
+			return fmt.Errorf("rdd: %s %v is not a finite, non-negative number of seconds", o.name, o.sec)
+		}
+	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}

@@ -1,12 +1,14 @@
 // The event log: a JSONL rendering of the bus, one event per line, the
 // engine's analogue of Spark's spark.eventLog JSON logs. A log written under
-// a fixed Config (Seed and FaultProfile included) is replay-stable: two runs
-// produce bit-identical logs once the fields derived from measured host time
-// are stripped (StripMeasuredTime), which is what the chaos fingerprint
-// tests compare. When concurrent jobs share one log the guarantee is per job:
-// the interleaving of lines across jobs follows host timing, but each job's
-// own stripped event subsequence is bit-stable. cmd/sparkui re-reads these
-// logs into its text Spark-UI, as the History Server replays Spark's.
+// a fixed Config (Seed and FaultProfile included) by one submitting goroutine
+// is replay-stable as written: two runs produce bit-identical files,
+// timestamps and durations included, which is what the chaos replay tests
+// compare. When concurrent jobs share one log the guarantee is per job and
+// logical: the interleaving of lines across jobs, and under FAIR the
+// timestamps slot shares stretch, follow which jobs overlapped on the host;
+// each job's own event subsequence is otherwise bit-stable. cmd/sparkui
+// re-reads these logs into its text Spark-UI, as the History Server replays
+// Spark's.
 
 package rdd
 
@@ -25,9 +27,9 @@ type eventLogLine struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// MarshalEvent renders one event as a single event-log line (no trailing
+// marshalEvent renders one event as a single event-log line (no trailing
 // newline).
-func MarshalEvent(ev Event) ([]byte, error) {
+func marshalEvent(ev Event) ([]byte, error) {
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return nil, err
@@ -78,7 +80,7 @@ func (l *EventLogWriter) OnEvent(ev Event) {
 	if l.err != nil {
 		return
 	}
-	line, err := MarshalEvent(ev)
+	line, err := marshalEvent(ev)
 	if err == nil {
 		_, err = l.w.Write(append(line, '\n'))
 	}
@@ -125,85 +127,4 @@ func ReadEventLog(r io.Reader) ([]Event, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// StripMeasuredTime returns a copy of the event with every field derived
-// from measured host time zeroed: timestamps, task spans and compute
-// seconds, stage and job durations. What remains — identities, byte
-// counters, success/failure shape — is bit-for-bit reproducible for a given
-// Config, the event-log counterpart of JobMetrics.WithoutMeasuredTime.
-func StripMeasuredTime(ev Event) Event {
-	switch e := ev.(type) {
-	case *JobEnd:
-		c := *e
-		c.Time, c.VirtualSeconds = 0, 0
-		return &c
-	case *StageCompleted:
-		c := *e
-		c.Time, c.Seconds = 0, 0
-		return &c
-	case *TaskStart:
-		c := *e
-		c.Time = 0
-		return &c
-	case *TaskEnd:
-		c := *e
-		c.Time, c.StartSec, c.DurationSec, c.ComputeSec = 0, 0, 0, 0
-		return &c
-	case *JobStart:
-		c := *e
-		c.Time = 0
-		return &c
-	case *StageSubmitted:
-		c := *e
-		c.Time = 0
-		return &c
-	case *StageResubmitted:
-		c := *e
-		c.Time = 0
-		return &c
-	case *BlockCached:
-		c := *e
-		c.Time = 0
-		return &c
-	case *BlockEvicted:
-		c := *e
-		c.Time = 0
-		return &c
-	case *ShuffleSpill:
-		c := *e
-		c.Time = 0
-		return &c
-	case *FetchFailure:
-		c := *e
-		c.Time = 0
-		return &c
-	case *ExecutorExcluded:
-		c := *e
-		c.Time = 0
-		return &c
-	case *NodeLost:
-		c := *e
-		c.Time = 0
-		return &c
-	case *SpeculativeTaskLaunched:
-		c := *e
-		c.Time = 0
-		return &c
-	case *TaskKilled:
-		c := *e
-		c.Time = 0
-		return &c
-	case *JobCancelled:
-		c := *e
-		c.Time = 0
-		return &c
-	case *AdaptivePlan:
-		c := *e
-		c.Time = 0
-		c.Skewed = append([]int(nil), e.Skewed...)
-		return &c
-	default:
-		return ev
-	}
 }

@@ -172,11 +172,13 @@ type TaskEnd struct {
 	Speculative bool `json:"speculative,omitempty"`
 	Killed      bool `json:"killed,omitempty"`
 	// StartSec/DurationSec locate the attempt's span on the virtual clock
-	// (the event's Time is the end of the span); ComputeSec is the measured
-	// host compute. All three derive from host timing.
+	// (the event's Time is the end of the span); both are functions of the
+	// Config. ComputeSec is the host time the attempt took — the one
+	// host-derived value on the bus, for in-process listeners (bench's
+	// tracer): the clock never reads it and the log never carries it.
 	StartSec    float64     `json:"startSec"`
 	DurationSec float64     `json:"durationSec"`
-	ComputeSec  float64     `json:"computeSec"`
+	ComputeSec  float64     `json:"-"`
 	Metrics     TaskMetrics `json:"metrics"`
 }
 
@@ -184,7 +186,8 @@ func (*TaskEnd) Name() string { return "TaskEnd" }
 
 // TaskMetrics is the per-attempt cost snapshot carried by TaskEnd — the
 // analogue of Spark's TaskMetrics. All fields are byte counters or counts,
-// reproducible for a fixed Config.
+// reproducible for a fixed Config. Ops is the kernel work the task's closures
+// declared through Task.Charge.
 type TaskMetrics struct {
 	DFSLocalBytes       int64 `json:"dfsLocalBytes,omitempty"`
 	DFSRemoteBytes      int64 `json:"dfsRemoteBytes,omitempty"`
@@ -194,6 +197,7 @@ type TaskMetrics struct {
 	CacheDiskLocalBytes int64 `json:"cacheDiskLocalBytes,omitempty"`
 	CacheRemoteBytes    int64 `json:"cacheRemoteBytes,omitempty"`
 	ShipBytes           int64 `json:"shipBytes,omitempty"`
+	Ops                 int64 `json:"ops,omitempty"`
 	MaterializedBytes   int64 `json:"materializedBytes,omitempty"`
 	FusedChain          int   `json:"fusedChain,omitempty"`
 	// Spill and execution-memory accounting (sort shuffle / memory manager).

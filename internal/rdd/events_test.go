@@ -16,22 +16,24 @@ import (
 // The third job runs under a chaos profile chosen so all recovery counters
 // (TaskRetries, StageAttempts, RecomputedPartitions) are non-zero; it pins
 // the recovery schedule in which an injected fetch failure destroys its
-// victim only after the wave has drained, the same on every host.
-const parityGolden = `rdd.JobMetrics{Action:"count", RDD:"filter:mod3(map:x2(parallelize[6000]))", Stages:1, Tasks:8, VirtualSeconds:0, ComputeSeconds:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:0, ShuffleRemoteBytes:0, CacheReadBytes:0, Evictions:0, MaterializedBytes:128000, PeakMaterializedBytes:16000, MaxFusedChain:3, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:0, ExecutionPeakBytes:0, TaskRetries:0, StageAttempts:0, RecomputedPartitions:0, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
-rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(filter:mod3(map:x2(parallelize[6000]))))", Stages:2, Tasks:12, VirtualSeconds:0, ComputeSeconds:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:3584, ShuffleRemoteBytes:2688, CacheReadBytes:128000, Evictions:0, MaterializedBytes:4480, PeakMaterializedBytes:640, MaxFusedChain:4, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:128000, ExecutionPeakBytes:16000, TaskRetries:0, StageAttempts:0, RecomputedPartitions:0, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
-rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(map:inc(filter:mod4(map:double(parallelize[10000])))))", Stages:8, Tasks:16, VirtualSeconds:0, ComputeSeconds:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:1088, ShuffleRemoteBytes:704, CacheReadBytes:0, Evictions:0, MaterializedBytes:6528, PeakMaterializedBytes:1088, MaxFusedChain:5, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:1280000, ExecutionPeakBytes:320000, TaskRetries:3, StageAttempts:3, RecomputedPartitions:3, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
+// victim only after the wave has drained, the same on every host. The
+// simulated seconds are part of the golden: they are counted work, so a
+// changed digit is a changed cost model, never a busy host.
+const parityGolden = `rdd.JobMetrics{Action:"count", RDD:"filter:mod3(map:x2(parallelize[6000]))", Stages:1, Tasks:8, VirtualSeconds:0.054400000000000004, Ops:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:0, ShuffleRemoteBytes:0, CacheReadBytes:0, Evictions:0, MaterializedBytes:128000, PeakMaterializedBytes:16000, MaxFusedChain:3, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:0, ExecutionPeakBytes:0, TaskRetries:0, StageAttempts:0, RecomputedPartitions:0, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
+rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(filter:mod3(map:x2(parallelize[6000]))))", Stages:2, Tasks:12, VirtualSeconds:0.1080244, Ops:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:3584, ShuffleRemoteBytes:2688, CacheReadBytes:128000, Evictions:0, MaterializedBytes:4480, PeakMaterializedBytes:640, MaxFusedChain:4, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:128000, ExecutionPeakBytes:16000, TaskRetries:0, StageAttempts:0, RecomputedPartitions:0, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
+rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(map:inc(filter:mod4(map:double(parallelize[10000])))))", Stages:8, Tasks:16, VirtualSeconds:0.45333888, Ops:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:1088, ShuffleRemoteBytes:704, CacheReadBytes:0, Evictions:0, MaterializedBytes:6528, PeakMaterializedBytes:1088, MaxFusedChain:5, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:1280000, ExecutionPeakBytes:320000, TaskRetries:3, StageAttempts:3, RecomputedPartitions:3, RecoverySeconds:0.08000544000000001, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
 `
 
 // parityFingerprint runs the fixed parity workload — a clean caching +
 // shuffle pipeline, then a chaos run exercising retries and stage
-// resubmissions — and renders every JobMetrics field (measured time
-// stripped) in Go syntax, bypassing the String() summary.
+// resubmissions — and renders every JobMetrics field, simulated seconds
+// included, in Go syntax, bypassing the String() summary.
 func parityFingerprint(t *testing.T) string {
 	t.Helper()
 	var fp string
 	record := func(c *Context) {
 		for _, m := range c.Jobs() {
-			fp += fmt.Sprintf("%#v\n", m.WithoutMeasuredTime())
+			fp += fmt.Sprintf("%#v\n", m)
 		}
 	}
 
@@ -169,33 +171,13 @@ func chaosEventLogRun(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// strippedLog re-renders an event log with every measured-time field zeroed;
-// the result must be bit-identical across same-seed runs.
-func strippedLog(t *testing.T, raw []byte) string {
-	t.Helper()
-	events, err := ReadEventLog(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	for _, ev := range events {
-		line, err := MarshalEvent(StripMeasuredTime(ev))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb.Write(line)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
 // TestEventLogDeterminism replays the chaos workload in two fresh contexts:
-// after stripping measured host times, the JSONL event logs must match bit
-// for bit, and the log must actually contain the full event vocabulary of a
+// the JSONL event logs must match bit for bit as written, timestamps and
+// durations included, and the log must actually contain the full event vocabulary of a
 // chaos run — caching, fetch failures, retries, and stage resubmissions.
 func TestEventLogDeterminism(t *testing.T) {
-	log1 := strippedLog(t, chaosEventLogRun(t))
-	log2 := strippedLog(t, chaosEventLogRun(t))
+	log1 := string(chaosEventLogRun(t))
+	log2 := string(chaosEventLogRun(t))
 	if log1 != log2 {
 		t.Fatalf("same seed produced different event logs:\n%s\nvs\n%s", log1, log2)
 	}

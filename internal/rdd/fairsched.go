@@ -17,14 +17,19 @@
 //     jobs each see half the cluster and take ~2x their solo time while both
 //     make progress.
 //
-// Determinism: a job's *logical* execution — stage structure, placement,
-// byte counters, its stripped event log — depends only on its own lineage and
-// the Config seed, never on what else is running. Slot shares affect only
-// virtual durations and timestamps, which StripMeasuredTime removes; the
+// Determinism: task durations are counted work, never host time, so for one
+// submitting goroutine JobMetrics.VirtualSeconds, every event's Time and the
+// whole event log are functions of the Config — and under FIFO with several
+// submitters they are functions of the Config and the admission order, since
+// jobs never overlap. Concurrent FAIR jobs keep less: a job's *logical*
+// execution — stage structure, placement, byte and operation counters, each
+// task's DurationSec — depends only on its own lineage and the Config seed,
+// never on what else is running, but its slot shares, and with them stage
+// seconds, task start times and timestamps, depend on which jobs were active
+// when each stage was accounted, which follows host timing. The
 // fractional-slot rounding that shares force is broken by a seeded hash of
-// (job, executor), not by map order, so a fixed seed and job set replays the
-// same virtual timeline. Under FIFO the whole schedule is replayable since
-// jobs never overlap.
+// (job, executor), not by map order, so a fixed seed and a fixed overlap
+// replay the same virtual timeline.
 
 package rdd
 

@@ -115,7 +115,7 @@ func (ml *metricsListener) OnEvent(ev Event) {
 			jm.SpeculationWonTasks++
 		}
 		m := e.Metrics
-		jm.ComputeSeconds += e.ComputeSec
+		jm.Ops += m.Ops
 		jm.DFSBytes += m.DFSLocalBytes + m.DFSRemoteBytes
 		jm.DFSLocalBytes += m.DFSLocalBytes
 		jm.ShuffleBytes += m.ShuffleLocalBytes + m.ShuffleRemoteBytes

@@ -16,8 +16,8 @@ type JobMetrics struct {
 	// VirtualSeconds is the job's simulated wall-clock on the configured
 	// cluster; the sum over jobs is Context.VirtualTime.
 	VirtualSeconds float64
-	// ComputeSeconds is the total measured host compute across tasks.
-	ComputeSeconds float64
+	// Ops is the total kernel work the job's tasks declared (Task.Charge).
+	Ops int64
 
 	DFSBytes           int64 // total input scanned (local + remote)
 	DFSLocalBytes      int64 // portion read on a node holding a replica
@@ -73,8 +73,8 @@ type JobMetrics struct {
 
 // String renders a one-line summary.
 func (m JobMetrics) String() string {
-	s := fmt.Sprintf("%s(%s): %d stages, %d tasks, %.3f sim-s, %.3f cpu-s, dfs=%dB shuffle=%dB cache=%dB peakMat=%dB fused=%d",
-		m.Action, m.RDD, m.Stages, m.Tasks, m.VirtualSeconds, m.ComputeSeconds,
+	s := fmt.Sprintf("%s(%s): %d stages, %d tasks, %.3f sim-s, %d ops, dfs=%dB shuffle=%dB cache=%dB peakMat=%dB fused=%d",
+		m.Action, m.RDD, m.Stages, m.Tasks, m.VirtualSeconds, m.Ops,
 		m.DFSBytes, m.ShuffleBytes, m.CacheReadBytes, m.PeakMaterializedBytes, m.MaxFusedChain)
 	if m.SpillCount > 0 {
 		s += fmt.Sprintf(" [spill: %d runs, %dB]", m.SpillCount, m.SpilledBytes)
@@ -91,16 +91,6 @@ func (m JobMetrics) String() string {
 		s += " [cancelled]"
 	}
 	return s
-}
-
-// WithoutMeasuredTime returns a copy with every field derived from measured
-// host compute time zeroed (VirtualSeconds, ComputeSeconds,
-// RecoverySeconds). Everything that remains — stage/task/retry counts and
-// byte counters — is bit-for-bit reproducible for a given Config (Seed and
-// FaultProfile included), which is what chaos tests compare across runs.
-func (m JobMetrics) WithoutMeasuredTime() JobMetrics {
-	m.VirtualSeconds, m.ComputeSeconds, m.RecoverySeconds = 0, 0, 0
-	return m
 }
 
 // RecoveryStats aggregates recovery accounting across jobs.

@@ -185,6 +185,10 @@ type taskContext struct {
 	cacheRemoteBytes    int64
 	shipBytes           int64 // driver-to-executor payload (Parallelize)
 
+	// ops is the kernel work the task's closures declared (Task.Charge): the
+	// compute term of its simulated duration.
+	ops int64
+
 	// materializedBytes totals the bytes this task materialised at pipeline
 	// breakers (cache puts, shuffle bucket writes, action boundaries). A
 	// fully fused narrow chain ending in a streaming action materialises
@@ -232,6 +236,7 @@ func (tc *taskContext) snapshot() TaskMetrics {
 		CacheDiskLocalBytes: tc.cacheDiskLocalBytes,
 		CacheRemoteBytes:    tc.cacheRemoteBytes,
 		ShipBytes:           tc.shipBytes,
+		Ops:                 tc.ops,
 		MaterializedBytes:   tc.materializedBytes,
 		FusedChain:          tc.fusedChain,
 		SpilledBytes:        tc.spilledBytes,

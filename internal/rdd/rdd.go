@@ -260,14 +260,33 @@ func lineStartAtOrAfter(data []byte, off int) int {
 // Map applies f to every element. Fused: elements stream through f without
 // an intermediate slice.
 func Map[T, U any](r *RDD[T], name string, f func(T) U) *RDD[U] {
-	return MapWithSetup(r, name, func(int) func(T) U { return f })
+	return MapWithSetup(r, name, func(Task) func(T) U { return f })
+}
+
+// Task is what MapWithSetup, FoldPartition and MapBatches hand the caller's
+// per-partition function: the partition it is draining, and the one way a
+// kernel tells the virtual clock what it did.
+type Task struct {
+	Partition int
+	tc        *taskContext
+}
+
+// Charge adds ops counted kernel operations to the running task attempt. The
+// scheduler prices them at kernelGops (DESIGN.md §5 says what one operation is
+// at each call site); host time spent computing is never read, so work that
+// is not charged is free on the virtual clock.
+func (t Task) Charge(ops int64) {
+	if ops < 0 {
+		panic(fmt.Sprintf("rdd: charge of %d operations", ops))
+	}
+	t.tc.ops += ops
 }
 
 // MapWithSetup is Map with per-partition setup: setup runs once per
 // partition drain (amortising e.g. model construction) and the mapper it
 // returns is applied to every element. The chain stays fused — the partition
 // is never materialised.
-func MapWithSetup[T, U any](r *RDD[T], name string, setup func(p int) func(T) U) *RDD[U] {
+func MapWithSetup[T, U any](r *RDD[T], name string, setup func(t Task) func(T) U) *RDD[U] {
 	parent := r.n
 	n := newTypedNode[U](parent.ctx, fmt.Sprintf("map:%s(%s)", name, parent.name), parent.parts)
 	n.narrowParent = parent
@@ -275,7 +294,7 @@ func MapWithSetup[T, U any](r *RDD[T], name string, setup func(p int) func(T) U)
 	n.compute = func(tc *taskContext, p int) any {
 		in := seqOf[T](parent.iterate(tc, p))
 		return boxSeq[U](func(yield func(U) bool) {
-			f := setup(p)
+			f := setup(Task{Partition: p, tc: tc})
 			for v := range in {
 				if !yield(f(v)) {
 					return

@@ -483,7 +483,7 @@ func TestRandomPipelineSemantics(t *testing.T) {
 				// A pipeline breaker between two fused segments: the fold
 				// holds the partition and emits it only at finish.
 				d := rr.Intn(9) - 4
-				rddV = FoldPartition(rddV, "shift", func(int) (func(int), func() []int) {
+				rddV = FoldPartition(rddV, "shift", func(Task) (func(int), func() []int) {
 					var out []int
 					return func(x int) { out = append(out, x+d) }, func() []int { return out }
 				})

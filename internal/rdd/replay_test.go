@@ -6,8 +6,10 @@ package rdd
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"sparkscore/internal/cluster"
 	"sparkscore/internal/replaytest"
@@ -16,7 +18,7 @@ import (
 // workersMatrix is this package's adapter to replaytest.AcrossWorkers: every
 // cell gets a fresh context built from cfg — Workers set by the matrix, an
 // event-log writer attached — runs the workload on it, and is observed as the
-// rendered result, the job fingerprints and the stripped event log.
+// rendered result, the job fingerprints and the event log as written.
 func workersMatrix(t *testing.T, cfg Config, work func(c *Context) string) replaytest.Observation {
 	t.Helper()
 	return replaytest.AcrossWorkers(t, func(workers int) replaytest.Observation {
@@ -35,9 +37,9 @@ func workersMatrix(t *testing.T, cfg Config, work func(c *Context) string) repla
 		}
 		var fp strings.Builder
 		for _, m := range c.Jobs() {
-			fmt.Fprintf(&fp, "%#v\n", m.WithoutMeasuredTime())
+			fmt.Fprintf(&fp, "%#v\n", m)
 		}
-		return replaytest.Observation{Result: result, Fingerprint: fp.String(), Log: strippedLog(t, buf.Bytes())}
+		return replaytest.Observation{Result: result, Fingerprint: fp.String(), Log: buf.String()}
 	})
 }
 
@@ -88,5 +90,66 @@ func TestSeededReplayIndependentOfWorkers(t *testing.T) {
 				t.Errorf("speculation=%v: chaos log is missing %s; the matrix is vacuous for it", spec, want)
 			}
 		}
+	}
+}
+
+// TestVirtualClockIgnoresHostTime pins the clock's one input: counted work.
+// Every other run of the matrix parks 20 ms of host time inside one task of a
+// seeded two-stage job; every run must still report the first run's
+// JobMetrics — VirtualSeconds included — and write its event log byte for
+// byte, timestamps and all.
+func TestVirtualClockIgnoresHostTime(t *testing.T) {
+	runs := 0
+	obs := workersMatrix(t, Config{Cluster: cluster.Config{Nodes: 2, Spec: cluster.M3TwoXLarge}, Seed: 9}, func(c *Context) string {
+		park := runs%2 == 1
+		runs++
+		pairs := MapWithSetup(Parallelize(c, seq(400), 4), "key", func(task Task) func(int) KV[int, int] {
+			if park && task.Partition == 2 {
+				time.Sleep(20 * time.Millisecond)
+			}
+			return func(x int) KV[int, int] {
+				task.Charge(1000)
+				return KV[int, int]{K: x % 7, V: x}
+			}
+		})
+		out, err := Collect(ReduceByKey(pairs, func(a, b int) int { return a + b }, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(out)
+	})
+	if !strings.Contains(obs.Log, `"ops":100000`) {
+		t.Errorf("no task of the log carries its 100 elements' declared operations:\n%s", obs.Log)
+	}
+}
+
+// TestChargeBuysExactlyItsSeconds runs one task with and without a declared
+// charge: its DurationSec moves by the charge ÷ kernelGops and nothing else.
+func TestChargeBuysExactlyItsSeconds(t *testing.T) {
+	const ops = 3_500_000_000 // half a second at 7 × 10⁹ a second
+	duration := func(charge int64) float64 {
+		var dur float64
+		c, err := New(Config{
+			Cluster: cluster.Config{Nodes: 1, Spec: cluster.M3TwoXLarge},
+			Listeners: []Listener{ListenerFunc(func(ev Event) {
+				if e, ok := ev.(*TaskEnd); ok {
+					dur = e.DurationSec
+				}
+			})},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Count(MapWithSetup(Parallelize(c, seq(10), 1), "work", func(task Task) func(int) int {
+			task.Charge(charge)
+			return func(x int) int { return x }
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dur
+	}
+	if got, want := duration(ops)-duration(0), ops/(kernelGops*1e9); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("charging %d operations moved the task's DurationSec by %v s, want %v", int64(ops), got, want)
 	}
 }

@@ -5,8 +5,10 @@
 //
 // Tasks are placed on executors by locality preference (cached block holder,
 // then HDFS replica node, then least-loaded), run for real on the host under
-// a bounded worker pool, and have their measured compute time plus modelled
-// I/O converted into virtual seconds on the executor's core slots.
+// a bounded worker pool, and have the work they counted — bytes moved, kernel
+// operations declared — converted into virtual seconds on the executor's core
+// slots. The host's stopwatch times every attempt too (TaskEnd.ComputeSec),
+// for observers; no simulated second is derived from it.
 //
 // Failure handling mirrors Spark's DAGScheduler/TaskSetManager split:
 //
@@ -42,7 +44,7 @@ type task struct {
 	run      func(tc *taskContext)
 
 	// filled after execution
-	computeSec float64
+	computeSec float64 // host time of the attempt; reaches TaskEnd.ComputeSec and nothing else
 	tc         *taskContext
 	ok         bool
 	failMsg    string // why the attempt failed (charge records only)
@@ -565,7 +567,7 @@ func (c *Context) emitAttempt(jr *jobRun, stage uint64, round int, stageStart fl
 			cte.Failure = fmt.Sprintf("injected task crash (speculative copy of stage %d partition %d attempt %d)", stage, t.part, t.attempt)
 		} else {
 			// The winning copy re-ran the same partition for real: it carries
-			// the original's measured compute and byte counters, honestly
+			// the original's host compute and work counters, honestly
 			// double-charging what speculation cost the cluster.
 			cte.OK = true
 			cte.ComputeSec = t.computeSec
@@ -660,6 +662,14 @@ const (
 	netMBps  = 120 // network bandwidth per task
 	memGBps  = 8   // memory bandwidth for local cache reads
 
+	// kernelGops is the rate, in 10⁹ per second per task, at which the kernel
+	// operations a task declared (Task.Charge) are charged. One operation is
+	// one genotype met by one residual column; 7 of them per nanosecond is
+	// what this repository's panel kernel measured at Monte Carlo's batch
+	// width when the constant replaced a stopwatch (DESIGN.md §5 has the
+	// derivation and what each call site counts).
+	kernelGops = 7
+
 	// parseMBps is the simulated end-to-end throughput of the text-ingestion
 	// pipeline (HDFS text → line split → boxed records), charged per task on
 	// DFS bytes read. 0.25 MB/s per task is calibrated from the paper itself:
@@ -693,8 +703,9 @@ const (
 	stragglerFactor = 8
 )
 
-// taskBaseDuration converts a task's measured compute time and recorded I/O
-// into simulated seconds before the straggler slowdown — the duration the task
+// taskBaseDuration converts a task's counted work — declared kernel operations
+// and recorded I/O, nothing the host's clock said — into simulated seconds
+// before the straggler slowdown — the duration the task
 // would have run at the stage's normal rate, which is what a speculative copy
 // of it runs at on another executor.
 func (c *Context) taskBaseDuration(t *task) float64 {
@@ -707,7 +718,7 @@ func (c *Context) taskBaseDuration(t *task) float64 {
 	)
 
 	dur := cfg.SchedOverheadSec +
-		t.computeSec*cfg.CPUScale +
+		float64(tc.ops)/(kernelGops*1e9) +
 		float64(tc.dfsLocalBytes+tc.dfsRemoteBytes)/(parseMBps*1e6) +
 		float64(tc.dfsLocalBytes)/diskBps +
 		float64(tc.dfsRemoteBytes)/netBps +

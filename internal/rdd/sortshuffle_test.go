@@ -2,7 +2,7 @@
 // the input — the fold-order contract of sortshuffle.go written out without a
 // shuffle — at two scales and under the chaos fault profile, and
 // spill-and-complete under a memory cap below the shuffle working set (with
-// byte-identical stripped event logs across seeded replays).
+// byte-identical event logs across seeded replays).
 
 package rdd
 
@@ -182,8 +182,8 @@ func cappedCluster() cluster.Config {
 // largest per-task buffer exceeds the whole capped pool, so no resident-only
 // shuffle could have fit — map tasks spill runs, every shuffle shape
 // completes, and the results are bitwise identical to an uncapped run and to
-// the sequential fold; two capped seeded replays write byte-identical
-// stripped event logs, spills included.
+// the sequential fold; two capped seeded replays write byte-identical event
+// logs, spills included.
 func TestSortShuffleSpillsAndMatchesUncapped(t *testing.T) {
 	const n, parts = 40000, 4
 	var taskBufferPeak int64
@@ -208,7 +208,7 @@ func TestSortShuffleSpillsAndMatchesUncapped(t *testing.T) {
 		if err := elw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return out, c, strippedLog(t, buf.Bytes())
+		return out, c, buf.String()
 	}
 
 	capped, c, log1 := run()
@@ -243,7 +243,7 @@ func TestSortShuffleSpillsAndMatchesUncapped(t *testing.T) {
 
 	_, _, log2 := run()
 	if log1 != log2 {
-		t.Fatal("stripped event logs differ across seeded replays of the capped run")
+		t.Fatal("event logs differ across seeded replays of the capped run")
 	}
 
 	// GroupByKey's buffers hold the full raw pair set (map-side combine cannot

@@ -7,18 +7,17 @@
 // the same policy on the virtual clock, with one twist required by the
 // determinism contract: "running slower than multiplier × the median" is
 // decided from the task's *injected slowdown factor* (a pure function of the
-// fault draws) rather than from noisy measured durations — the simulator's
-// analogue of the rate-based (efficiency) speculation heuristic Spark 3.x
-// added, which compares process rates instead of raw runtimes. Structural
-// decisions — which tasks are speculated, where copies land, which attempt
-// wins — therefore replay bit-for-bit for a fixed Config, while timestamps
-// remain measured-derived and are stripped by StripMeasuredTime.
+// fault draws) rather than from task durations — the simulator's analogue of
+// the rate-based (efficiency) speculation heuristic Spark 3.x added, which
+// compares process rates instead of raw runtimes. Structural decisions —
+// which tasks are speculated, where copies land, which attempt wins — and
+// the timestamps they happen at replay bit-for-bit for a fixed Config.
 //
 // The copy runs at the task's un-slowed base duration: it lands on a
 // different executor, escaping whatever host-local pathology made the
 // original drag — the premise of speculation. It therefore wins whenever it
 // does not crash (the race is resolved structurally, not by comparing float
-// timestamps, so a measurement jitter can never flip a kill into a win); the
+// timestamps, so a last-digit rounding can never flip a kill into a win); the
 // original is killed at the copy's completion time, truncating its span.
 // Copies occupy their executor's arbitrated slot share for the stage like any
 // other attempt, so under FAIR scheduling speculation spends the job's own

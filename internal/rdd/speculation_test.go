@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ import (
 
 // TestSpeculationEventLogDeterminism replays a shuffle workload under
 // stragglers + task crashes with speculation on across the Workers matrix:
-// the stripped event logs must be byte-identical, and speculation must
+// the event logs must be byte-identical, and speculation must
 // actually have fired — copies launched, originals killed, wins counted.
 func TestSpeculationEventLogDeterminism(t *testing.T) {
 	var stats RecoveryStats
@@ -81,7 +82,7 @@ func TestSpeculationOffByteIdentical(t *testing.T) {
 		if err := elw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return strippedLog(t, buf.Bytes())
+		return buf.String()
 	}
 	// No stragglers → no task exceeds multiplier x median → the two logs must
 	// be byte-identical even with the knob on.
@@ -301,8 +302,9 @@ func TestCancelWhileQueuedFIFO(t *testing.T) {
 	}
 }
 
-// TestConfigValidation checks that nonsense fault knobs are rejected at
-// Context construction with errors naming the field.
+// TestConfigValidation checks that nonsense knobs — fault probabilities, a
+// negative worker count, overheads that would run the clock backwards — are
+// rejected at Context construction with errors naming the field.
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -315,6 +317,11 @@ func TestConfigValidation(t *testing.T) {
 		{"negative node", Config{Faults: FaultProfile{NodeLoss: []NodeLoss{{Node: -1}}}}, "NodeLoss[0].Node"},
 		{"negative after-tasks", Config{Faults: FaultProfile{NodeLoss: []NodeLoss{{Node: 0, AfterTasks: -5}}}}, "NodeLoss[0].AfterTasks"},
 		{"negative coalescing target", Config{Adaptive: AdaptiveConfig{TargetPartitionBytes: -1}}, "TargetPartitionBytes"},
+		{"negative workers", Config{Workers: -2}, "Workers"},
+		{"negative task overhead", Config{SchedOverheadSec: -0.004}, "SchedOverheadSec"},
+		{"NaN task overhead", Config{SchedOverheadSec: math.NaN()}, "SchedOverheadSec"},
+		{"negative stage overhead", Config{StageOverheadSec: -1}, "StageOverheadSec"},
+		{"infinite stage overhead", Config{StageOverheadSec: math.Inf(1)}, "StageOverheadSec"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

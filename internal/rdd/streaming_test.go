@@ -122,8 +122,8 @@ func TestFusedChainRecomputeAfterNodeLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Parallelize(c, seq(20000), 12)
-	noisy := MapWithSetup(Map(base, "x3", func(x int) int { return 3 * x }), "noise", func(p int) func(int) int {
-		rr := rng.New(99).Split(uint64(p))
+	noisy := MapWithSetup(Map(base, "x3", func(x int) int { return 3 * x }), "noise", func(task Task) func(int) int {
+		rr := rng.New(99).Split(uint64(task.Partition))
 		return func(x int) int { return x + rr.Intn(1000) }
 	})
 	chain := Map(noisy, "inc", func(x int) int { return x + 1 }).Cache()
@@ -146,8 +146,8 @@ func TestFusedChainRecomputeAfterNodeLoss(t *testing.T) {
 
 // TestFusedChainChaosFingerprint replays a fused-chain job under a seeded
 // fault profile across the Workers matrix: results, recovery fingerprints
-// (JobMetrics stripped of measured time), and the JSONL event log (likewise
-// stripped) must match bit for bit through the iterator path.
+// (every job's JobMetrics) and the JSONL event log must match bit for bit
+// through the iterator path.
 func TestFusedChainChaosFingerprint(t *testing.T) {
 	workersMatrix(t, Config{
 		Cluster: cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},

@@ -14,8 +14,8 @@ import (
 // Observation is everything a seeded run must reproduce bit for bit.
 type Observation struct {
 	Result      string // the workload's answer, rendered
-	Fingerprint string // every job's JobMetrics.WithoutMeasuredTime
-	Log         string // the event log after rdd.StripMeasuredTime
+	Fingerprint string // every job's JobMetrics, simulated seconds included
+	Log         string // the event log as written
 }
 
 // AcrossWorkers runs the workload under Workers ∈ {1, 2, 8}, five repetitions
@@ -34,11 +34,11 @@ func AcrossWorkers(t testing.TB, run func(workers int) Observation) Observation 
 			for _, f := range []struct{ name, got, want string }{
 				{"result", got.Result, ref.Result},
 				{"fingerprint", got.Fingerprint, ref.Fingerprint},
-				{"stripped event log", got.Log, ref.Log},
+				{"event log", got.Log, ref.Log},
 			} {
 				if f.got != f.want {
 					t.Fatalf("workers=%d rep=%d: %s differs from the Workers: 1 run (length %d vs %d)\n%s",
-						workers, rep, f.name, len(f.got), len(f.want), firstDiff(f.got, f.want))
+						workers, rep, f.name, len(f.got), len(f.want), FirstDiff(f.got, f.want))
 				}
 			}
 		}
@@ -46,8 +46,8 @@ func AcrossWorkers(t testing.TB, run func(workers int) Observation) Observation 
 	return ref
 }
 
-// firstDiff renders the first line on which got and want disagree.
-func firstDiff(got, want string) string {
+// FirstDiff renders the first line on which got and want disagree.
+func FirstDiff(got, want string) string {
 	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; i < len(g) || i < len(w); i++ {
 		var gl, wl string

@@ -74,6 +74,35 @@ func TestTuneRanksMemoryStarvedLayoutsLast(t *testing.T) {
 	}
 }
 
+// TestTuneRankingIsReproducible tunes one workload twice over the whole grid:
+// scores are counted work on a virtual clock, so the two rankings must be the
+// same evaluations in the same order — ties included, which a clock that read
+// the host's stopwatch reordered from run to run.
+func TestTuneRankingIsReproducible(t *testing.T) {
+	ds, err := gen.Generate(gen.Config{Patients: 50, SNPs: 500, SNPSets: 5}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Workload{Dataset: ds, Iterations: 4, Nodes: 2, Seed: 1}
+	first, err := Tune(w, Grid(cluster.M3TwoXLarge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Tune(w, Grid(cluster.M3TwoXLarge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		if first[i].Err != nil || second[i].Err != nil {
+			t.Fatalf("rank %d: unexpected errors %v, %v", i+1, first[i].Err, second[i].Err)
+		}
+		if first[i] != second[i] {
+			t.Errorf("rank %d: %v at %v sim-s, then %v at %v sim-s", i+1,
+				first[i].Candidate, first[i].SimSeconds, second[i].Candidate, second[i].SimSeconds)
+		}
+	}
+}
+
 func TestTuneInfeasibleCandidatesSortLast(t *testing.T) {
 	ds, err := gen.Generate(gen.Config{Patients: 50, SNPs: 100, SNPSets: 5}, 1)
 	if err != nil {
