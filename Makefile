@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 fmt vet build test race bench bench-smoke fuzz-smoke cover trace experiments
+.PHONY: tier1 fmt vet build cross test race bench bench-smoke fuzz-smoke cover trace experiments
 
 # tier1 is the CI gate: formatting, vet, build, the full test suite under the
 # race detector (the recovery layer is concurrent by construction; every claim
@@ -9,7 +9,7 @@ GO ?= go
 # a smoke run of the benchmarks bench-smoke names, and the per-package
 # coverage floors in coverage_baseline.txt. Nothing in tier1 writes into the
 # tree.
-tier1: fmt vet build race bench-smoke cover
+tier1: fmt vet build cross race bench-smoke cover
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -22,6 +22,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# cross proves the portable path compiles and vets where the amd64 assembly
+# (internal/stats/kernel_amd64.s) is absent: a 64-bit and a 32-bit GOARCH.
+# On amd64, vet's asmdecl pass checks the assembly's frame offsets against its
+# Go declaration.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -41,7 +49,8 @@ bench:
 # b = 1, one tile and core's batch width, table build counted,
 # and that Algorithm 2's two kernels still report ns/genotype at perm_scan's
 # row width: the text codec on a canonical row and on a one-tab row the
-# tokenizer decides, and the packed-row score kernel on a 256 × 1000 block.
+# tokenizer decides, and the packed-row score kernel (four rows per call in
+# amd64 assembly) on a 256 × 1000 block.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x
@@ -56,12 +65,14 @@ bench-smoke:
 # order; no arrival index, nothing to re-sort) returns errors instead of
 # panicking on arbitrary bytes or on a frame of a foreign record type, and
 # every column of the Monte Carlo panel kernel equals PackedRowScores on that
-# column bit for bit.
+# column bit for bit, and PackedRowScores equals its written summation order
+# bit for bit (or NaN both) on arbitrary packed bytes and residuals.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzGenoBlockTextRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzPhenoMatrixRoundTrip -fuzztime=10s
 	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzDecodeFrameBytes -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPanelKernel -fuzztime=10s
+	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPackedRowScores -fuzztime=10s
 
 # cover enforces the per-package statement-coverage floors recorded in
 # coverage_baseline.txt: <package> <min-percent> per line, '#' comments

@@ -79,6 +79,12 @@ func main() {
 	if *top < 0 || *eqtlTop < 0 {
 		fatal(fmt.Errorf("-top %d / -eqtl-top %d: must be non-negative", *top, *eqtlTop))
 	}
+	if *memCap < 0 {
+		fatal(fmt.Errorf("-mem-cap-bytes %d: must be non-negative", *memCap))
+	}
+	if *eqtlMode && *eqtlPhenos < 1 {
+		fatal(fmt.Errorf("-eqtl-phenos %d: must be at least 1 with -eqtl", *eqtlPhenos))
+	}
 
 	ds, err := loadDataset(*dir, *generate, *patients, *snps, *sets, *seed)
 	if err != nil {

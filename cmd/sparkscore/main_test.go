@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildCmd compiles ../<name> into dir and returns the binary's path.
@@ -117,17 +119,32 @@ func TestDeletedFlagsStayDeleted(t *testing.T) {
 	}
 }
 
-// TestNegativeTopRejected: a negative row count is refused after flag parsing
-// with the usual one-line error, in every mode that prints a table — it used
-// to reach rows[:top] and panic.
+// TestNegativeTopRejected: a negative row count, phenotype count or memory
+// cap is refused after flag parsing with the usual one-line error — in every
+// mode that prints a table, where -top used to reach rows[:top] and panic;
+// with -eqtl, where a negative phenotype count panicked in makeslice; and
+// where a negative value used to mean "off" without saying so.
 func TestNegativeTopRejected(t *testing.T) {
-	bin := buildCmd(t, t.TempDir(), "sparkscore")
-	const shape = "-generate -patients 20 -snps 40 -sets 2 -iterations 2"
-	for _, args := range []string{"-top -1", "-asymptotic -marginal -top -3", "-eqtl -eqtl-phenos 2 -top -1", "-eqtl -eqtl-phenos 2 -eqtl-top -1"} {
-		out, err := exec.Command(bin, strings.Fields(shape+" "+args)...).CombinedOutput()
+	dir := t.TempDir()
+	bins := map[string]string{"sparkscore": buildCmd(t, dir, "sparkscore"), "sparkserved": buildCmd(t, dir, "sparkserved")}
+	const shape = "-generate -patients 20 -snps 40 -sets 2"
+	for _, tc := range []struct{ cmd, args, want string }{
+		{"sparkscore", "-iterations 2 -top -1", "must be non-negative"},
+		{"sparkscore", "-iterations 2 -asymptotic -marginal -top -3", "must be non-negative"},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -top -1", "must be non-negative"},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -eqtl-top -1", "must be non-negative"},
+		{"sparkscore", "-eqtl -eqtl-phenos -2", "must be at least 1"},
+		{"sparkscore", "-eqtl -eqtl-phenos 0", "must be at least 1"},
+		{"sparkscore", "-iterations 2 -mem-cap-bytes -5", "must be non-negative"},
+		// A sparkserved that accepted its flags would serve until killed.
+		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-phenos -2", "must be non-negative"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		out, err := exec.CommandContext(ctx, bins[tc.cmd], strings.Fields(shape+" "+tc.args)...).CombinedOutput()
+		cancel()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "must be non-negative") || strings.Contains(string(out), "panic") {
-			t.Errorf("sparkscore %s: err = %v, want exit status 1 with \"must be non-negative\":\n%s", args, err, out)
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "panic") {
+			t.Errorf("%s %s: err = %v, want exit status 1 with %q:\n%s", tc.cmd, tc.args, err, tc.want, out)
 		}
 	}
 }

@@ -77,6 +77,9 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	)
 	flag.Parse()
+	if *eqtlPhenos < 0 {
+		fatal(fmt.Errorf("-eqtl-phenos %d: must be non-negative (0 disables /v1/eqtl)", *eqtlPhenos))
+	}
 
 	schedMode, err := rdd.ParseSchedulerMode(*mode)
 	if err != nil {

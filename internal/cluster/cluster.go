@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -65,11 +66,16 @@ func (c Config) DefaultContainers() Config {
 }
 
 // Validate applies the YARN-style admission checks: containers must fit on
-// the node in both cores and memory.
+// the node in both cores and memory. Memory sizes must be finite: every
+// comparison with a NaN is false, so a NaN would pass each check below.
 func (c Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("cluster: %d nodes", c.Nodes)
+	case math.IsNaN(c.Spec.MemGiB) || math.IsInf(c.Spec.MemGiB, 0):
+		return fmt.Errorf("cluster: node spec MemGiB %g is not finite", c.Spec.MemGiB)
+	case math.IsNaN(c.MemPerExecutorGiB) || math.IsInf(c.MemPerExecutorGiB, 0):
+		return fmt.Errorf("cluster: MemPerExecutorGiB %g is not finite", c.MemPerExecutorGiB)
 	case c.Spec.VCPUs <= 0 || c.Spec.MemGiB <= 0:
 		return fmt.Errorf("cluster: invalid node spec %+v", c.Spec)
 	case c.ExecutorsPerNode <= 0 || c.CoresPerExecutor <= 0 || c.MemPerExecutorGiB <= 0:

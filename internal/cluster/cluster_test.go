@@ -1,6 +1,10 @@
 package cluster
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestNewClusterLayout(t *testing.T) {
 	c, err := New(Config{Nodes: 6, Spec: M3TwoXLarge})
@@ -39,6 +43,23 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+	// Non-finite memory: NaN passes every <= and > check, so each must be
+	// refused by name rather than sized into a NaN or infinite pool.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{Nodes: 2, Spec: M3TwoXLarge, ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: nan}, "MemPerExecutorGiB"},
+		{Config{Nodes: 2, Spec: M3TwoXLarge, ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: nan, TotalExecutors: 3}, "MemPerExecutorGiB"},
+		{Config{Nodes: 2, Spec: M3TwoXLarge, ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: -inf}, "MemPerExecutorGiB"},
+		{Config{Nodes: 2, Spec: NodeSpec{VCPUs: 8, MemGiB: nan}}, "MemGiB"},
+		{Config{Nodes: 2, Spec: NodeSpec{VCPUs: 8, MemGiB: inf}, ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 10}, "MemGiB"},
+	} {
+		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: err = %v, want one naming %s", tc.cfg, err, tc.field)
 		}
 	}
 }

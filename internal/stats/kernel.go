@@ -3,9 +3,12 @@
 // the model's score residuals (PackedRowScores: the observed score, a
 // permutation replicate) and G · R̃(Z) for the residual panel of a batch of
 // Lin's Monte Carlo weight draws (PanelKernel), both straight off the 2-bit
-// bytes in one written summation order. The per-patient terms — a block at a
-// time into a UBlock, bit for bit Model.Contributions per row — remain for the
-// asymptotic tests and as the arithmetic of the Reference* oracles.
+// bytes in one written summation order. That order is four lanes, which on
+// amd64 are two SSE2 registers: kernel_amd64.s scores four rows per call, and
+// packedRowScore — the same order in Go — scores the rest and every row on
+// other GOARCHes. The per-patient terms — a block at a time into a UBlock,
+// bit for bit Model.Contributions per row — remain for the asymptotic tests
+// and as the arithmetic of the Reference* oracles.
 
 package stats
 
@@ -144,13 +147,25 @@ func CheckResiduals(m ScoreResidualer) error {
 // to the lane's running sum; the score is (lane0 + lane1) + (lane2 + lane3).
 // A row's score therefore depends on its bytes and r alone — not on the block
 // or partition that carries the row, nor on how many workers run.
+//
+// On amd64 the order is two SSE2 registers per row: kernel_amd64.s scores
+// the full bytes of four rows per call, and this wrapper adds each row's
+// partial byte and combines its lanes. packedRowScore, the same order one row
+// at a time in Go, scores the rows left after the last group of four, and
+// every row off amd64. The block's shape is checked first, so a malformed
+// block (a corrupt spill frame, say) panics before any row is scored instead
+// of being read out of bounds.
 func PackedRowScores(blk data.GenoBlock, r, out []float64) []float64 {
 	if len(r) != blk.Patients {
 		panic(fmt.Sprintf("stats: block for %d patients, %d score residuals", blk.Patients, len(r)))
 	}
 	rows := blk.Rows()
+	if want := data.BlockRowBytes(blk.Patients); blk.RowBytes != want || len(blk.Packed) < rows*want {
+		panic(fmt.Sprintf("stats: block of %d rows for %d patients has %d-byte rows and %d packed bytes, want %d-byte rows",
+			rows, blk.Patients, blk.RowBytes, len(blk.Packed), want))
+	}
 	out = sized(out, rows)
-	for row := range out {
+	for row := scoreRowGroups(blk, r, out); row < rows; row++ {
 		out[row] = packedRowScore(blk.Row(row), r)
 	}
 	return out

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -297,34 +298,150 @@ func TestPackedRowScoresMatchContributions(t *testing.T) {
 	}
 }
 
-// TestPackedRowScoresSummationOrder pins the written order: four lanes by
-// patient index mod 4, ascending within a lane, combined (0+1)+(2+3) — bit for
-// bit, and the same bits wherever in whatever block the row sits.
+// writtenOrder is PackedRowScores' summation-order contract as a decoded loop
+// that shares no code with the kernels: four lanes by patient index mod 4,
+// ascending within a lane, combined (0+1)+(2+3).
+func writtenOrder(packed []byte, r []float64) float64 {
+	g := make([]data.Genotype, len(r))
+	DecodeDosageGenotypes(packed, g)
+	var lanes [4]float64
+	for i, v := range g {
+		lanes[i%4] += float64(v) * r[i]
+	}
+	return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+}
+
+// TestPackedRowScoresSummationOrder pins the written order bit for bit, and
+// the same bits wherever in whatever block the row sits: for every patient
+// count around the four lanes and the partial byte, and row counts below,
+// at and around the four-row groups, with missing calls, the scored rows a
+// view into the middle of a larger block.
 func TestPackedRowScoresSummationOrder(t *testing.T) {
-	for _, patients := range []int{1, 2, 3, 4, 5, 63, 64, 1000} {
-		ph, blk := kernelFixture(t, patients, 7, false)
-		model, err := NewGaussian(ph)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := model.ScoreResiduals()
-		got := PackedRowScores(blk, r, nil)
-		g := make([]data.Genotype, patients)
-		for row := range got {
-			DecodeDosageGenotypes(blk.Row(row), g)
-			var lanes [4]float64
-			for i, v := range g {
-				lanes[i%4] += float64(v) * r[i]
-			}
-			if want := (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]); got[row] != want {
-				t.Fatalf("%d patients, row %d: %v, written order gives %v", patients, row, got[row], want)
-			}
-			alone := data.NewGenoBlock(patients, 1)
-			if err := alone.AppendRow(0, blk.DecodeRow(row, nil)); err != nil {
+	for _, patients := range []int{1, 2, 3, 4, 5, 63, 64, 1000, 1003} {
+		for _, rows := range []int{1, 3, 4, 5, 8, 256} {
+			ph, whole := kernelFixture(t, patients, rows+4, false)
+			model, err := NewGaussian(ph)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if s := PackedRowScores(alone, r, nil); s[0] != got[row] {
-				t.Fatalf("%d patients, row %d: %v alone in a block, %v as row %d of 7", patients, row, s[0], got[row], row)
+			r := model.ScoreResiduals()
+			for i, src := 0, rng.New(uint64(patients*1000+rows)); i < len(whole.Packed); i++ {
+				if src.Bernoulli(0.2) {
+					s := 2 * src.Intn(4)
+					whole.Packed[i] = whole.Packed[i]&^(3<<s) | 1<<s // a missing call
+				}
+			}
+			rb := whole.RowBytes
+			blk := data.GenoBlock{Patients: patients, RowBytes: rb,
+				SNPs: whole.SNPs[2 : 2+rows], Counts: whole.Counts[2 : 2+rows], Packed: whole.Packed[2*rb:]}
+			got := PackedRowScores(blk, r, nil)
+			for row := range got {
+				if want := writtenOrder(blk.Row(row), r); math.Float64bits(got[row]) != math.Float64bits(want) {
+					t.Fatalf("%d patients, row %d of %d: %v, written order gives %v", patients, row, rows, got[row], want)
+				}
+				alone := data.NewGenoBlock(patients, 1)
+				if err := alone.AppendRow(0, blk.DecodeRow(row, nil)); err != nil {
+					t.Fatal(err)
+				}
+				if s := PackedRowScores(alone, r, nil); math.Float64bits(s[0]) != math.Float64bits(got[row]) {
+					t.Fatalf("%d patients, row %d: %v alone in a block, %v as row %d of %d", patients, row, s[0], got[row], row, rows)
+				}
+			}
+		}
+	}
+}
+
+// fuzzResiduals are the residuals FuzzPackedRowScores mixes into raw bit
+// patterns: both zeros, the smallest subnormals and a larger one, both
+// infinities and NaN.
+var fuzzResiduals = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1030,
+	math.Inf(1), math.Inf(-1), math.NaN()}
+
+// FuzzPackedRowScores pins PackedRowScores to writtenOrder over arbitrary
+// packed bytes — the missing code and the padding bits of a partial byte
+// included — and residuals of any bit pattern: the same bits, or NaN both.
+// The first two bytes pick patients and rows; the rest is read cyclically,
+// as the block's packed bytes and then one selector byte a residual (below
+// 0x40: a fuzzResiduals entry, else eight raw bytes from there on).
+func FuzzPackedRowScores(f *testing.F) {
+	f.Add([]byte{4, 5, 0x1b, 0xe4, 0x55, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 3 {
+			return
+		}
+		patients := panelPatients[int(raw[0])%len(panelPatients)]
+		rows := int(raw[1]) % 10
+		raw = raw[2:]
+		at := 0
+		next := func() byte { at++; return raw[(at-1)%len(raw)] }
+		blk := data.GenoBlock{Patients: patients, RowBytes: data.BlockRowBytes(patients),
+			SNPs: make([]int32, rows), Packed: make([]byte, rows*data.BlockRowBytes(patients))}
+		for i := range blk.Packed {
+			blk.Packed[i] = next()
+		}
+		r := make([]float64, patients)
+		for i := range r {
+			if sel := next(); sel < 0x40 {
+				r[i] = fuzzResiduals[int(sel)%len(fuzzResiduals)]
+				continue
+			}
+			var b [8]byte
+			for j := range b {
+				b[j] = next()
+			}
+			r[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		for row, got := range PackedRowScores(blk, r, nil) {
+			want := writtenOrder(blk.Row(row), r)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("%d patients, row %d of %d: %v (%#x), written order gives %v (%#x)",
+					patients, row, rows, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	})
+}
+
+// TestPackedRowScoresRejectsMalformedBlocks: a block whose packed bytes are
+// shorter than its rows, or whose row stride is not BlockRowBytes(Patients) —
+// what a corrupt spill frame could decode to — panics before any row is
+// scored, instead of letting the kernel read past what the block holds.
+func TestPackedRowScoresRejectsMalformedBlocks(t *testing.T) {
+	const patients, rows = 1003, 9
+	ph, good := kernelFixture(t, patients, rows, false)
+	model, err := NewGaussian(ph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := model.ScoreResiduals()
+	for _, tc := range []struct {
+		name  string
+		block func(b *data.GenoBlock)
+	}{
+		{"packed one byte short", func(b *data.GenoBlock) { b.Packed = b.Packed[:len(b.Packed)-1] }},
+		{"packed a row short", func(b *data.GenoBlock) { b.Packed = b.Packed[:len(b.Packed)-b.RowBytes] }},
+		{"no packed bytes", func(b *data.GenoBlock) { b.Packed = nil }},
+		{"rows a byte narrow", func(b *data.GenoBlock) { b.RowBytes-- }},
+		{"rows a byte wide", func(b *data.GenoBlock) { b.RowBytes++ }},
+		{"zero-byte rows", func(b *data.GenoBlock) { b.RowBytes = 0 }},
+	} {
+		blk := good
+		tc.block(&blk)
+		out := make([]float64, rows)
+		for i := range out {
+			out[i] = -1
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: PackedRowScores did not panic", tc.name)
+				}
+			}()
+			PackedRowScores(blk, r, out)
+		}()
+		for i, v := range out {
+			if v != -1 {
+				t.Errorf("%s: row %d scored (%v) before the panic", tc.name, i, v)
+				break
 			}
 		}
 	}
