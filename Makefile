@@ -24,9 +24,10 @@ build:
 	$(GO) build ./...
 
 # cross proves the portable path compiles and vets where the amd64 assembly
-# (internal/stats/kernel_amd64.s) is absent: a 64-bit and a 32-bit GOARCH.
-# On amd64, vet's asmdecl pass checks the assembly's frame offsets against its
-# Go declaration.
+# (internal/stats/kernel_amd64.s: packedRows4 and the two-list cell walk
+# cellPairs) is absent: a 64-bit and a 32-bit GOARCH, where the Go sumCells is
+# the whole walk. On amd64, vet's asmdecl pass checks both routines' frame
+# offsets against their Go declarations.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
@@ -46,7 +47,8 @@ bench:
 # eqtl_wide shape still builds its fixture and reports Mpairs/s, and that the
 # Monte Carlo panel kernel's benchmark still builds mc_cached's packed matrix
 # (500 and 1000 patients × 20 000 SNPs) and reports ns/elem-replicate at
-# b = 1, one tile and core's batch width, table build counted,
+# b = 1, one tile and core's batch width, table build counted — both walk
+# their cell lists two per call through the SSE2 routine cellPairs on amd64 —
 # and that Algorithm 2's two kernels still report ns/genotype at perm_scan's
 # row width: the text codec on a canonical row and on a one-tab row the
 # tokenizer decides, and the packed-row score kernel (four rows per call in
@@ -65,14 +67,17 @@ bench-smoke:
 # order; no arrival index, nothing to re-sort) returns errors instead of
 # panicking on arbitrary bytes or on a frame of a foreign record type, and
 # every column of the Monte Carlo panel kernel equals PackedRowScores on that
-# column bit for bit, and PackedRowScores equals its written summation order
-# bit for bit (or NaN both) on arbitrary packed bytes and residuals.
+# column bit for bit, PackedRowScores equals its written summation order
+# bit for bit (or NaN both) on arbitrary packed bytes and residuals, and the
+# two-list cell walk equals two sumCells calls (equal bits or NaN both, or the
+# same panic on an out-of-range index) on arbitrary tile bits and lists.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzGenoBlockTextRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzPhenoMatrixRoundTrip -fuzztime=10s
 	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzDecodeFrameBytes -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPanelKernel -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPackedRowScores -fuzztime=10s
+	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzSumCellPairs -fuzztime=10s
 
 # cover enforces the per-package statement-coverage floors recorded in
 # coverage_baseline.txt: <package> <min-percent> per line, '#' comments

@@ -32,6 +32,10 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "seed")
 	)
 	flag.Parse()
+	if *scale < 1 || *iterations < 0 {
+		fmt.Fprintf(os.Stderr, "sparktune: -scale must be at least 1 and -iterations non-negative (got %d, %d)\n", *scale, *iterations)
+		os.Exit(2)
+	}
 
 	ds, err := gen.Generate(gen.Config{Patients: *patients, SNPs: *snps, SNPSets: *sets}, *seed)
 	if err != nil {

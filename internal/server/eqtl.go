@@ -9,7 +9,6 @@ package server
 
 import (
 	"fmt"
-	"time"
 
 	"sparkscore/internal/assoc"
 	"sparkscore/internal/core"
@@ -29,8 +28,8 @@ type eqtlRequest struct {
 	srv *Server
 }
 
-func (r *eqtlRequest) pool() string           { return r.PoolName }
-func (r *eqtlRequest) timeout() time.Duration { return time.Duration(r.TimeoutMS) * time.Millisecond }
+func (r *eqtlRequest) pool() string     { return r.PoolName }
+func (r *eqtlRequest) timeoutMS() int64 { return r.TimeoutMS }
 
 func (r *eqtlRequest) validate() error {
 	if r.Page < 0 {

@@ -320,10 +320,14 @@ type jobRequest interface {
 	// work between queues, never changes the answer. timeout_ms is likewise
 	// absent: it bounds how long the caller waits, never the answer itself.
 	fingerprintParts(endpoint string) []string
-	// timeout is the per-request deadline from timeout_ms (0 = none).
-	timeout() time.Duration
+	// timeoutMS is the request's timeout_ms as sent (0 = no deadline).
+	timeoutMS() int64
 	run(a *core.Analysis) (any, error)
 }
+
+// maxTimeoutMS is the largest timeout_ms whose deadline a time.Duration holds,
+// about 292 years.
+const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
 
 // Response is the envelope every job endpoint returns.
 type Response struct {
@@ -394,10 +398,15 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 		writeError(w, &httpError{status: http.StatusBadRequest, msg: err.Error()})
 		return
 	}
-	if req.timeout() < 0 {
-		writeError(w, &httpError{status: http.StatusBadRequest, msg: "timeout_ms must be >= 0"})
+	// The one conversion of timeout_ms: a value whose nanoseconds do not fit
+	// a time.Duration would wrap to a short or negative deadline.
+	ms := req.timeoutMS()
+	if ms < 0 || ms > maxTimeoutMS {
+		writeError(w, &httpError{status: http.StatusBadRequest,
+			msg: fmt.Sprintf("timeout_ms must be in [0, %d]", maxTimeoutMS)})
 		return
 	}
+	timeout := time.Duration(ms) * time.Millisecond
 	id := s.nextRequestID()
 	poolName := req.pool()
 	if poolName == "" {
@@ -429,9 +438,9 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 	// a server-side deadline on top. Either way the job is cancelled at its
 	// next task boundary and the pool slot is returned.
 	cctx := r.Context()
-	if d := req.timeout(); d > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(cctx, d)
+		cctx, cancel = context.WithTimeout(cctx, timeout)
 		defer cancel()
 	}
 	start := time.Now()
@@ -546,8 +555,8 @@ type scoreRequest struct {
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }
 
-func (r *scoreRequest) pool() string           { return r.PoolName }
-func (r *scoreRequest) timeout() time.Duration { return time.Duration(r.TimeoutMS) * time.Millisecond }
+func (r *scoreRequest) pool() string     { return r.PoolName }
+func (r *scoreRequest) timeoutMS() int64 { return r.TimeoutMS }
 func (r *scoreRequest) validate() error {
 	if r.Top < 0 {
 		return fmt.Errorf("top must be >= 0")
@@ -593,8 +602,8 @@ type skatRequest struct {
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }
 
-func (r *skatRequest) pool() string           { return r.PoolName }
-func (r *skatRequest) timeout() time.Duration { return time.Duration(r.TimeoutMS) * time.Millisecond }
+func (r *skatRequest) pool() string     { return r.PoolName }
+func (r *skatRequest) timeoutMS() int64 { return r.TimeoutMS }
 func (r *skatRequest) validate() error {
 	if r.Top < 0 {
 		return fmt.Errorf("top must be >= 0")
@@ -642,10 +651,8 @@ type resampleRequest struct {
 	TimeoutMS  int64  `json:"timeout_ms,omitempty"`
 }
 
-func (r *resampleRequest) pool() string { return r.PoolName }
-func (r *resampleRequest) timeout() time.Duration {
-	return time.Duration(r.TimeoutMS) * time.Millisecond
-}
+func (r *resampleRequest) pool() string     { return r.PoolName }
+func (r *resampleRequest) timeoutMS() int64 { return r.TimeoutMS }
 func (r *resampleRequest) validate() error {
 	switch r.Method {
 	case "mc", "perm":

@@ -659,24 +659,36 @@ func TestStatsAndJobsEndpoints(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, nil, rdd.SchedFIFO)
+	const timeoutRange = "timeout_ms must be in [0, 9223372036854]"
 	cases := []struct {
 		path string
 		body string
+		want string // a substring of the error, when the case pins one
 	}{
-		{"/v1/score", `{"top": -1}`},
-		{"/v1/resample", `{"method": "bogus"}`},
-		{"/v1/resample", `{"method": "mc"}`},
-		{"/v1/resample", `{"method": "replicate"}`},
-		{"/v1/skat", `{"unknown": true}`},
+		{"/v1/score", `{"top": -1}`, ""},
+		{"/v1/resample", `{"method": "bogus"}`, ""},
+		{"/v1/resample", `{"method": "mc"}`, ""},
+		{"/v1/resample", `{"method": "replicate"}`, ""},
+		{"/v1/skat", `{"unknown": true}`, ""},
+		{"/v1/score", `{"timeout_ms": -1}`, timeoutRange},
+		{"/v1/score", `{"timeout_ms": 9223372036855}`, timeoutRange},
+		// ~584 years: its nanoseconds wrap time.Duration to a 448 µs deadline.
+		{"/v1/resample", `{"method": "mc", "iterations": 1000, "timeout_ms": 18446744073710}`, timeoutRange},
+		// ~295 years: its nanoseconds wrap negative.
+		{"/v1/skat", `{"timeout_ms": 9300000000000}`, timeoutRange},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(hs.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s %s: status %d, want 400", c.path, c.body, resp.StatusCode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s %s: status %d, %s; want 400 with %q", c.path, c.body, resp.StatusCode, body, c.want)
 		}
 	}
 }

@@ -6,9 +6,11 @@
 // bytes in one written summation order. That order is four lanes, which on
 // amd64 are two SSE2 registers: kernel_amd64.s scores four rows per call, and
 // packedRowScore — the same order in Go — scores the rest and every row on
-// other GOARCHes. The per-patient terms — a block at a time into a UBlock,
-// bit for bit Model.Contributions per row — remain for the asymptotic tests
-// and as the arithmetic of the Reference* oracles.
+// other GOARCHes; the panel kernel's cell lists are walked two per call by
+// the same file's cellPairs, or by sumCells in Go. The per-patient terms — a
+// block at a time into a UBlock, bit for bit Model.Contributions per row —
+// remain for the asymptotic tests and as the arithmetic of the Reference*
+// oracles.
 
 package stats
 
@@ -194,11 +196,13 @@ func packedRowScore(packed []byte, r []float64) float64 {
 // idea in PackedRowScores' summation order: a table of 1·r̃ and 2·r̃,
 // replicate-tiled and patient-major as wideTable, each row turned into lists
 // of the table cells of its non-zero patients, and the cells added into
-// wideTile register accumulators per walk.
+// wideTile accumulators per list, two lists per sumCellPairs call — on amd64
+// eight SSE2 registers of two columns each.
 //
 // Summation-order contract. A row's cells are listed in four lane segments,
 // lane l holding the patients i ≡ l (mod 4) in ascending i; each segment is
-// walked on its own from +0 and the four sums combined (l0 + l1) + (l2 + l3).
+// summed on its own from +0 (segments 0 and 1 share one walk, 2 and 3 the
+// next) and the four sums combined (l0 + l1) + (l2 + l3).
 // That is PackedRowScores' order with the exact-zero terms left out, which
 // changes nothing while the panel is finite and 2·r̃ does not overflow (the
 // omitted term is ±0, and 1·r̃ and 2·r̃ are exact): column k of Scores is bit
@@ -284,9 +288,9 @@ func (k *PanelKernel) Scores(blk data.GenoBlock, out []float64) []float64 {
 		tile := k.table[lo/wideTile*2*n:][:2*n]
 		for r := 0; r < rows; r++ {
 			var lane [4]wideCell
-			for l := range lane {
-				sumCells(tile, cells[(4*r+l)*quarter:ends[4*r+l]], &lane[l])
-			}
+			list := func(l int) []uint32 { return cells[(4*r+l)*quarter : ends[4*r+l]] }
+			sumCellPairs(tile, list(0), list(1), (*[2]wideCell)(lane[:2]))
+			sumCellPairs(tile, list(2), list(3), (*[2]wideCell)(lane[2:]))
 			for c := range out[r*width+lo:][:min(wideTile, width-lo)] {
 				out[r*width+lo+c] = (lane[0][c] + lane[1][c]) + (lane[2][c] + lane[3][c])
 			}

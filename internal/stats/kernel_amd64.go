@@ -21,6 +21,23 @@ var dosageQuads = func() (t [256][4]float64) {
 //go:noescape
 func packedRows4(table *[256][4]float64, packed *byte, stride, full int, r *float64, lanes *[4][4]float64)
 
+// cellPairs is in kernel_amd64.s. It reads the listed cells of tile, each
+// index checked against len(tile) first, and reports false, with sums
+// unwritten, at the first out of range.
+//
+//go:noescape
+func cellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) bool
+
+// sumCellPairs is sumCells(tile, a, &sums[0]) then sumCells(tile, b,
+// &sums[1]), bit for bit, in one walk of the two lists. On an out-of-range
+// index it runs exactly those two calls, which panic on it as indexing does.
+func sumCellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) {
+	if !cellPairs(tile, a, b, sums) {
+		sumCells(tile, a, &sums[0])
+		sumCells(tile, b, &sums[1])
+	}
+}
+
 // scoreRowGroups scores the block's rows four at a time in PackedRowScores'
 // order and returns how many it scored: every whole group of four, or none
 // when a row has no full byte. PackedRowScores has checked r and the block's

@@ -89,3 +89,128 @@ done:
 	MOVUPD X6, 96(DI)
 	MOVUPD X7, 112(DI)
 	RET
+
+// func cellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) bool
+//
+// sumCells over two lists in one walk: sums[0] is list a's cells added in
+// list order from +0, sums[1] list b's. A 64-byte cell is four 16-byte loads
+// and four ADDPDs into its list's accumulators — X0–X3 for a, X4–X7 for b,
+// two columns each — so every column of every list is its own chain and adds
+// its terms in sumCells' order. The lists are walked together up to the
+// shorter length, then the longer one's tail alone. Every index is compared
+// with len(tile) before its load; on the first that is out of range the
+// routine returns false and writes nothing.
+TEXT ·cellPairs(SB), NOSPLIT, $0-81
+	MOVQ tile_base+0(FP), SI
+	MOVQ tile_len+8(FP), DX
+	MOVQ a_base+24(FP), R8
+	MOVQ a_len+32(FP), R9
+	MOVQ b_base+48(FP), R10
+	MOVQ b_len+56(FP), R11
+	MOVQ sums+72(FP), DI
+
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+
+	// R12 = min(len(a), len(b)): the shared walk.
+	MOVQ   R9, R12
+	CMPQ   R11, R12
+	CMOVQLT R11, R12
+
+	XORQ CX, CX
+	CMPQ CX, R12
+	JAE  atail
+
+pairs:
+	MOVLQZX (R8)(CX*4), AX
+	CMPQ    AX, DX
+	JAE     bad
+	MOVLQZX (R10)(CX*4), BX
+	CMPQ    BX, DX
+	JAE     bad
+	SHLQ    $6, AX
+	SHLQ    $6, BX
+
+	MOVUPD 0(SI)(AX*1), X8
+	MOVUPD 16(SI)(AX*1), X9
+	MOVUPD 32(SI)(AX*1), X10
+	MOVUPD 48(SI)(AX*1), X11
+	ADDPD  X8, X0
+	ADDPD  X9, X1
+	ADDPD  X10, X2
+	ADDPD  X11, X3
+
+	MOVUPD 0(SI)(BX*1), X12
+	MOVUPD 16(SI)(BX*1), X13
+	MOVUPD 32(SI)(BX*1), X14
+	MOVUPD 48(SI)(BX*1), X15
+	ADDPD  X12, X4
+	ADDPD  X13, X5
+	ADDPD  X14, X6
+	ADDPD  X15, X7
+
+	INCQ CX
+	CMPQ CX, R12
+	JB   pairs
+
+	// At most one of the two tails below is non-empty.
+atail:
+	CMPQ CX, R9
+	JAE  btail
+	MOVLQZX (R8)(CX*4), AX
+	CMPQ    AX, DX
+	JAE     bad
+	SHLQ    $6, AX
+	MOVUPD  0(SI)(AX*1), X8
+	MOVUPD  16(SI)(AX*1), X9
+	MOVUPD  32(SI)(AX*1), X10
+	MOVUPD  48(SI)(AX*1), X11
+	ADDPD   X8, X0
+	ADDPD   X9, X1
+	ADDPD   X10, X2
+	ADDPD   X11, X3
+	INCQ    CX
+	JMP     atail
+
+btail:
+	MOVQ R12, CX
+
+bloop:
+	CMPQ CX, R11
+	JAE  done
+	MOVLQZX (R10)(CX*4), BX
+	CMPQ    BX, DX
+	JAE     bad
+	SHLQ    $6, BX
+	MOVUPD  0(SI)(BX*1), X12
+	MOVUPD  16(SI)(BX*1), X13
+	MOVUPD  32(SI)(BX*1), X14
+	MOVUPD  48(SI)(BX*1), X15
+	ADDPD   X12, X4
+	ADDPD   X13, X5
+	ADDPD   X14, X6
+	ADDPD   X15, X7
+	INCQ    CX
+	JMP     bloop
+
+done:
+	MOVUPD X0, 0(DI)
+	MOVUPD X1, 16(DI)
+	MOVUPD X2, 32(DI)
+	MOVUPD X3, 48(DI)
+	MOVUPD X4, 64(DI)
+	MOVUPD X5, 80(DI)
+	MOVUPD X6, 96(DI)
+	MOVUPD X7, 112(DI)
+	MOVB   $1, ret+80(FP)
+	RET
+
+bad:
+	MOVB $0, ret+80(FP)
+	RET

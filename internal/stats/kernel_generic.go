@@ -7,3 +7,9 @@ import "sparkscore/internal/data"
 // scoreRowGroups scores no rows in groups off amd64: PackedRowScores hands
 // every row to packedRowScore.
 func scoreRowGroups(data.GenoBlock, []float64, []float64) int { return 0 }
+
+// sumCellPairs walks the two lists one after the other off amd64.
+func sumCellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) {
+	sumCells(tile, a, &sums[0])
+	sumCells(tile, b, &sums[1])
+}

@@ -16,8 +16,11 @@
 // exact zeros at realistic allele frequencies. So the kernel never multiplies:
 // it keeps a table of 1·r_p[i] and 2·r_p[i], phenotype-tiled and
 // patient-major, turns each row into the list of table cells of its non-zero
-// patients, and adds those cells into wideTile register accumulators — one
-// list walk scores wideTile phenotypes.
+// patients, and adds those cells into one accumulator per phenotype — one
+// list walk scores wideTile phenotypes. The walk takes two rows' lists per
+// call (sumCellPairs): on amd64 that is kernel_amd64.s's cellPairs, eight
+// SSE2 registers whose sixteen columns are independent chains; elsewhere it
+// is sumCells, the same adds one list at a time in Go.
 //
 // Summation-order contract. score(j, p) = Σ over patients in ascending index
 // of dosage·residual; exact-zero terms may be omitted; variance loops as in
@@ -71,7 +74,8 @@ func decodeDosages(packed []byte, dst []float64) {
 }
 
 // wideTile is the number of phenotypes scored per walk of a row's cell list:
-// one float64 register accumulator each.
+// one float64 accumulator each, a 64-byte cell — four SSE2 registers in the
+// amd64 walk.
 const wideTile = 8
 
 // wideCell is one table entry: c·r_p[i] for the wideTile phenotypes p of a
@@ -192,16 +196,20 @@ func (k *WideKernel) BlockStats(blk data.GenoBlock, visit func(snp int32, pheno 
 	}
 
 	// Tiles outermost, so one tile's 2n cells stay cache-resident across all
-	// rows of the block; each list walk adds in ascending patient order.
+	// rows of the block; rows r and r+1 share a walk (a last odd row pairs
+	// with an empty list), and each list adds in ascending patient order.
 	for lo := 0; lo < m; lo += wideTile {
 		tile := t.cells[lo/wideTile*2*n:][:2*n]
 		width := min(wideTile, m-lo)
 		start := 0
-		for r, end := range ends {
-			var acc wideCell
-			sumCells(tile, cells[start:end], &acc)
+		for r := 0; r < rows; r += 2 {
+			mid, end := ends[r], ends[min(r+1, rows-1)]
+			var sums [2]wideCell
+			sumCellPairs(tile, cells[start:mid], cells[mid:end], &sums)
 			start = end
-			copy(scores[r*m+lo:], acc[:width])
+			for j, s := range sums[:min(2, rows-r)] {
+				copy(scores[(r+j)*m+lo:], s[:width])
+			}
 		}
 	}
 
@@ -214,7 +222,8 @@ func (k *WideKernel) BlockStats(blk data.GenoBlock, visit func(snp int32, pheno 
 }
 
 // sumCells adds the listed cells of a tile into sum, in list order from +0:
-// the walk the wide kernel and the panel kernel share.
+// the walk the wide kernel and the panel kernel share, run through
+// sumCellPairs. It is that walk off amd64 and the oracle of the amd64 one.
 func sumCells(tile []wideCell, list []uint32, sum *wideCell) {
 	var a0, a1, a2, a3, a4, a5, a6, a7 float64
 	// Bottom-tested, so each accumulator's only use inside the loop is its own

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -281,6 +283,137 @@ func TestWideKernelRejectsBadBatches(t *testing.T) {
 	if _, err := NewWideKernel([]Model{cox}); err == nil {
 		t.Fatal("accepted a Cox model, which has no factorised variance")
 	}
+}
+
+// pairOutcome runs walk and reports its two sums, or what it panicked with.
+func pairOutcome(walk func(*[2]wideCell)) (sums [2]wideCell, panicked any) {
+	defer func() { panicked = recover() }()
+	walk(&sums)
+	return sums, nil
+}
+
+// checkCellPairs requires sumCellPairs(tile, a, b) to equal sumCells over a
+// then over b: the same bits in all sixteen columns (or NaN both, when nan is
+// set), or the same panic.
+func checkCellPairs(t *testing.T, tile []wideCell, a, b []uint32, nan bool) {
+	t.Helper()
+	want, wantPanic := pairOutcome(func(s *[2]wideCell) {
+		sumCells(tile, a, &s[0])
+		sumCells(tile, b, &s[1])
+	})
+	got, gotPanic := pairOutcome(func(s *[2]wideCell) { sumCellPairs(tile, a, b, s) })
+	if fmt.Sprint(gotPanic) != fmt.Sprint(wantPanic) {
+		t.Fatalf("lists of %d and %d over %d cells: sumCellPairs panicked with %v, sumCells with %v",
+			len(a), len(b), len(tile), gotPanic, wantPanic)
+	}
+	for l := range want {
+		for c, w := range want[l] {
+			g := got[l][c]
+			if math.Float64bits(g) != math.Float64bits(w) && !(nan && math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("lists of %d and %d over %d cells: list %d column %d is %v (%#x), sumCells gives %v (%#x)",
+					len(a), len(b), len(tile), l, c, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// TestSumCellPairsMatchesSumCells pins the two-list walk to two sumCells
+// calls bit for bit over every pairing of list lengths — equal, shorter
+// first and longer first, either list empty — on a tile mixing ±0,
+// subnormals and magnitudes from 1e-300 to 1e300, and requires an index
+// equal to len(tile) or MaxUint32, in either list, in the shared walk or in
+// a tail, to panic as sumCells does.
+func TestSumCellPairsMatchesSumCells(t *testing.T) {
+	r := rng.New(26)
+	edge := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1030, 1e300, -1e300, 1e-300}
+	tile := make([]wideCell, 53)
+	for i := range tile {
+		for c := range tile[i] {
+			if r.Bernoulli(0.3) {
+				tile[i][c] = edge[r.Intn(len(edge))]
+			} else {
+				tile[i][c] = r.Normal() * math.Pow(10, float64(r.Intn(9)-4))
+			}
+		}
+	}
+	list := func(n int) []uint32 {
+		l := make([]uint32, n)
+		for i := range l {
+			l[i] = uint32(r.Intn(len(tile)))
+		}
+		return l
+	}
+	lengths := []int{0, 1, 2, 3, 7, 64, 257}
+	for _, la := range lengths {
+		for _, lb := range lengths {
+			checkCellPairs(t, tile, list(la), list(lb), false)
+		}
+	}
+	for _, bad := range []uint32{uint32(len(tile)), math.MaxUint32} {
+		for _, la := range []int{1, 3, 7} {
+			for _, lb := range []int{1, 3, 7} {
+				for side := 0; side < 2; side++ {
+					for _, first := range []bool{true, false} {
+						a, b := list(la), list(lb)
+						l := [2][]uint32{a, b}[side]
+						if first {
+							l[0] = bad
+						} else {
+							l[len(l)-1] = bad
+						}
+						checkCellPairs(t, tile, a, b, false)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzSumCellPairs is the same pin over arbitrary tile bits, NaN and ±Inf
+// included, and arbitrary lists: equal bits or NaN both, or the same panic.
+// The first three bytes pick the tile's cell count and the two list lengths;
+// the rest is read cyclically, one byte an index (0xfe is len(tile), 0xff
+// MaxUint32, anything else an in-range cell) and then eight bytes a tile
+// value.
+func FuzzSumCellPairs(f *testing.F) {
+	f.Add([]byte{3, 5, 2, 0, 1, 2, 3, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 4 {
+			return
+		}
+		cells, la, lb := 1+int(raw[0])%16, int(raw[1])%40, int(raw[2])%40
+		raw = raw[3:]
+		at := 0
+		next := func() byte { at++; return raw[(at-1)%len(raw)] }
+		index := func() uint32 {
+			switch sel := next(); sel {
+			case 0xfe:
+				return uint32(cells)
+			case 0xff:
+				return math.MaxUint32
+			default:
+				return uint32(int(sel) % cells)
+			}
+		}
+		a, b := make([]uint32, la), make([]uint32, lb)
+		for i := range a {
+			a[i] = index()
+		}
+		for i := range b {
+			b[i] = index()
+		}
+		tile := make([]wideCell, cells)
+		for i := range tile {
+			for c := range tile[i] {
+				var v [8]byte
+				for j := range v {
+					v[j] = next()
+				}
+				tile[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(v[:]))
+			}
+		}
+		checkCellPairs(t, tile, a, b, true)
+	})
 }
 
 // BenchmarkWideKernel vs BenchmarkPerPhenotypeLoop: the decode-amortisation
