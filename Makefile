@@ -62,7 +62,9 @@ bench-smoke:
 
 # fuzz-smoke gives each native fuzz target a 10s budget on top of its checked-in
 # seed corpus (testdata/fuzz). The targets assert the GenoBlock and
-# phenotype-matrix text codecs round-trip whatever they accept, the
+# phenotype-matrix text codecs round-trip whatever they accept, the weights
+# and phenotype readers accept only finite values (NaN and ±Inf are errors
+# naming the line) and round-trip those through their writers, the
 # spill-frame reader (a bounds-checked gob frame of raw pairs in arrival
 # order; no arrival index, nothing to re-sort) returns errors instead of
 # panicking on arbitrary bytes or on a frame of a foreign record type, and
@@ -74,6 +76,8 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzGenoBlockTextRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzPhenoMatrixRoundTrip -fuzztime=10s
+	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s
+	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadPhenotype -fuzztime=10s
 	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzDecodeFrameBytes -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPanelKernel -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPackedRowScores -fuzztime=10s

@@ -1,13 +1,14 @@
 // Distributed asymptotic SNP-set inference: the large-sample alternative to
-// Algorithms 2 and 3. Each SNP-set's null distribution is approximated from
-// the same per-patient contributions the resampling methods use — by the
-// Liu moment-matching chi-square for SKAT, and by a 1-df chi-square for the
-// burden statistic (whose quadratic form has a single eigenvalue).
+// Algorithms 2 and 3. Each set's observed statistic is the one the resampling
+// methods compare against — Algorithm 1's fold, the same bits as Observed() —
+// and its null distribution is approximated from the per-patient
+// contributions by the Liu moment-matching chi-square, for SKAT and for the
+// burden statistic alike (burden's quadratic form has a single eigenvalue, so
+// the match is its 1-df chi-square).
 
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"sparkscore/internal/data"
@@ -32,12 +33,25 @@ type packedRow struct {
 	Bytes []byte
 }
 
+// setMoments is the liu stage's answer for one set: how many rows it holds and
+// the cumulants of its statistic's null quadratic form.
+type setMoments struct {
+	set, snps int
+	moments   stats.SKATMoments
+}
+
 // SetAsymptotic computes the observed set statistics and their asymptotic
-// p-values for every SNP-set, distributed: packed genotype rows are routed to
-// their sets with a shuffle and each set's moments are computed where its rows
-// land.
+// p-values for every SNP-set, in two jobs over one scan of the text: the
+// observed statistics by scoreStats, then the null moments, distributed —
+// packed genotype rows are routed to their sets with a shuffle and each set's
+// moments are computed where its rows land.
 func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
-	blocks, err := a.filteredGenotypeBlocks()
+	blocks, release, err := a.source(true)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	observed, err := a.scoreStats(blocks, a.null.Value().ScoreResiduals())
 	if err != nil {
 		return nil, err
 	}
@@ -58,78 +72,56 @@ func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
 	grouped := rdd.GroupByKey(bySet, 0).SetSizeFunc(func(kv rdd.KV[int, []packedRow]) int64 {
 		return 32 + int64(len(kv.V))*(32+rowBytes)
 	})
-	statName, null := a.setStat.Name(), a.null
+	burden, null := a.setStat.Name() == "burden", a.null
 
-	// Clock: a set of m rows charges m × patients operations for its
-	// contribution vectors, times m for SKAT's Gram matrix of them.
-	perSet := rdd.MapWithSetup(grouped, "liu", func(t rdd.Task) func(rdd.KV[int, []packedRow]) SetAsymptoticResult {
-		return func(kv rdd.KV[int, []packedRow]) SetAsymptoticResult {
-			ops := int64(len(kv.V)) * int64(patients)
-			if statName == "skat" {
-				ops *= int64(len(kv.V))
+	// Clock: a set of m rows charges m × patients for its contribution
+	// vectors, m × patients more for burden's sum of them, then k(k+1)/2 ×
+	// patients for the Gram matrix of the k weighted vectors (k = m for SKAT,
+	// 1 for burden) and k³ for squaring it.
+	perSet := rdd.MapWithSetup(grouped, "liu", func(t rdd.Task) func(rdd.KV[int, []packedRow]) setMoments {
+		kernel, weights := stats.NewBlockKernel(null.Value()), index.Value().weights
+		return func(kv rdd.KV[int, []packedRow]) setMoments {
+			blk := data.NewGenoBlock(patients, len(kv.V))
+			for _, pr := range kv.V {
+				blk.SNPs = append(blk.SNPs, pr.SNP)
+				blk.Packed = append(blk.Packed, pr.Bytes...)
 			}
-			t.Charge(ops)
-			rows := make([][]data.Genotype, len(kv.V))
-			w := make([]float64, len(kv.V))
-			for i, pr := range kv.V {
-				g := make([]data.Genotype, patients)
-				stats.DecodeDosageGenotypes(pr.Bytes, g)
-				rows[i] = g
-				w[i] = index.Value().weights[pr.SNP]
+			u := kernel.Contributions(blk)
+			v := make([][]float64, len(kv.V))
+			for r := range v {
+				w := weights[blk.SNPs[r]]
+				v[r] = u.Row(r)
+				for i := range v[r] {
+					v[r][i] *= w
+				}
 			}
-			return setAsymptoticResult(statName, null.Value(), kv.K, rows, w)
+			m, n := int64(len(v)), int64(patients)
+			ops := m * n
+			if burden {
+				for _, row := range v[1:] {
+					for i, x := range row {
+						v[0][i] += x
+					}
+				}
+				v, ops = v[:1], 2*m*n
+			}
+			k := int64(len(v))
+			t.Charge(ops + k*(k+1)/2*n + k*k*k)
+			return setMoments{set: kv.K, snps: len(kv.V), moments: stats.ComputeSKATMoments(v)}
 		}
 	}).SetSizeHint(48)
 
-	results, err := rdd.Collect(perSet)
+	moments, err := rdd.Collect(perSet)
 	if err != nil {
 		return nil, err
 	}
-	for i := range results {
-		results[i].Name = a.sets[results[i].Set].Name
+	results := make([]SetAsymptoticResult, len(moments))
+	for i, m := range moments {
+		results[i] = SetAsymptoticResult{
+			Set: m.set, Name: a.sets[m.set].Name, SNPs: m.snps,
+			Observed: observed[m.set], PValue: stats.LiuPValue(observed[m.set], m.moments),
+		}
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Set < results[j].Set })
 	return results, nil
-}
-
-// setAsymptoticResult evaluates one set's asymptotic test from its decoded
-// genotype rows.
-func setAsymptoticResult(statName string, model stats.Model, set int, rows [][]data.Genotype, w []float64) SetAsymptoticResult {
-	res := SetAsymptoticResult{Set: set, SNPs: len(rows)}
-	var err error
-	switch statName {
-	case "skat":
-		res.Observed, res.PValue, err = stats.SKATAsymptotic(model, rows, w)
-		if err != nil {
-			panic(err)
-		}
-	case "burden":
-		res.Observed, res.PValue = burdenAsymptotic(model, rows, w)
-	default:
-		panic(fmt.Sprintf("core: no asymptotic approximation for set statistic %q", statName))
-	}
-	return res
-}
-
-// burdenAsymptotic tests the burden statistic (Σ ω U)² against its 1-df
-// chi-square null using the empirical variance of the collapsed per-patient
-// contributions.
-func burdenAsymptotic(model stats.Model, rows [][]data.Genotype, weights []float64) (observed, pvalue float64) {
-	n := model.Patients()
-	collapsed := make([]float64, n)
-	u := make([]float64, n)
-	for r, g := range rows {
-		model.Contributions(g, u)
-		for i, v := range u {
-			collapsed[i] += weights[r] * v
-		}
-	}
-	var sum, sumSq float64
-	for _, v := range collapsed {
-		sum += v
-		sumSq += v * v
-	}
-	observed = sum * sum
-	pvalue = stats.ChiSquaredSurvival(stats.Chi2Stat(sum, sumSq), 1)
-	return observed, pvalue
 }

@@ -335,6 +335,15 @@ func TestNewAnalysisRejectsNonFiniteResiduals(t *testing.T) {
 	}
 	overflow.Phenotype.Event[first] = 0
 	overflow.Covariates.Rows[first][0] = 1e4
+	// A finite outcome too large for a replicate's headroom: the mean it
+	// drags along leaves every residual out of range, patient 0's first.
+	huge := fixture()
+	huge.Covariates, huge.Phenotype.Y[3] = nil, 1e300
+	gaussian, err := stats.NewGaussian(huge.Phenotype)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-finite outcome never reaches the model: the reader refuses it.
 	nan := fixture()
 	nan.Phenotype.Y[3] = math.NaN()
 	for _, tc := range []struct {
@@ -344,7 +353,8 @@ func TestNewAnalysisRejectsNonFiniteResiduals(t *testing.T) {
 		want string
 	}{
 		{"covariate overflows exp", overflow, Options{}, fmt.Sprintf("stats: cox risk weight +Inf for patient %d", first)},
-		{"NaN outcome", nan, Options{Family: "gaussian"}, "stats: score residual NaN for patient 0"},
+		{"huge outcome", huge, Options{Family: "gaussian"}, fmt.Sprintf("stats: score residual %v for patient 0", gaussian.ScoreResiduals()[0])},
+		{"NaN outcome", nan, Options{Family: "gaussian"}, `data: phenotype line 4: bad outcome "NaN"`},
 	} {
 		ctx := testContext(t, 1)
 		paths, err := StageDataset(ctx, tc.ds, "test")
@@ -473,6 +483,8 @@ func TestNewAnalysisValidatesWeights(t *testing.T) {
 		{"duplicate line", weightLines(12) + "3\t2\n", "data: duplicate weight for SNP 3"},
 		{"malformed line", weightLines(12) + "12 0.5\n", "data: weight line 13: missing tab"},
 		{"negative weight", weightLines(11) + "11\t-1\n", `data: weight line 12: bad weight "-1"`},
+		{"NaN weight", weightLines(11) + "11\tNaN\n", `data: weight line 12: bad weight "NaN"`},
+		{"infinite weight", weightLines(11) + "11\t+Inf\n", `data: weight line 12: bad weight "+Inf"`},
 	} {
 		ctx := testContext(t, 1)
 		paths, err := StageDataset(ctx, ds, "test")

@@ -29,9 +29,28 @@ func monteCarloRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, iter
 }
 
 // resampleRun executes one resampling analysis under the fault profile and
-// returns the result plus everything a seeded replay must reproduce: the
-// rendered report, the jobs' replay fingerprint and the event log.
+// returns the result plus everything a seeded replay must reproduce.
 func resampleRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, workers int, resample func(*Analysis) (*Result, error)) (*Result, replaytest.Observation) {
+	t.Helper()
+	var res *Result
+	obs := replayRun(t, ds, faults, workers, func(a *Analysis) string {
+		var err error
+		if res, err = resample(a); err != nil {
+			t.Fatal(err)
+		}
+		var report bytes.Buffer
+		if err := WriteResult(&report, res); err != nil {
+			t.Fatal(err)
+		}
+		return report.String()
+	})
+	return res, obs
+}
+
+// replayRun runs one analysis (seed 7) under the fault profile and returns
+// everything a seeded replay must reproduce: the result as run renders it, the
+// jobs' replay fingerprint and the event log.
+func replayRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, workers int, run func(*Analysis) string) replaytest.Observation {
 	t.Helper()
 	var logBuf bytes.Buffer
 	elw := rdd.NewEventLogWriter(&logBuf)
@@ -46,21 +65,15 @@ func resampleRun(t *testing.T, ds *data.Dataset, faults rdd.FaultProfile, worker
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := resample(stagedAnalysis(t, ctx, ds, Options{Seed: 7}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	result := run(stagedAnalysis(t, ctx, ds, Options{Seed: 7}))
 	if err := elw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var report, fp bytes.Buffer
-	if err := WriteResult(&report, res); err != nil {
-		t.Fatal(err)
-	}
+	var fp bytes.Buffer
 	for _, m := range ctx.Jobs() {
 		fmt.Fprintf(&fp, "%+v\n", m)
 	}
-	return res, replaytest.Observation{Result: report.String(), Fingerprint: fp.String(), Log: logBuf.String()}
+	return replaytest.Observation{Result: result, Fingerprint: fp.String(), Log: logBuf.String()}
 }
 
 // assertBitwiseResult compares two resampling results for exact (bitwise)
@@ -166,8 +179,9 @@ func TestMonteCarloMatchesReferenceUnderChaos(t *testing.T) {
 }
 
 // TestMarginalAsymptoticMatchesDirect pins the per-SNP asymptotic test bitwise
-// to stats.Score, Variance, and ChiSquaredSurvival evaluated straight on the
-// dataset's rows.
+// to the kernels evaluated straight on the dataset's rows: the score is
+// stats.PackedRowScores on the SNP's packed row — the bits every resampling
+// pass computes for it — and the variance Model.Variance on its genotypes.
 func TestMarginalAsymptoticMatchesDirect(t *testing.T) {
 	ds := testDataset(t, 33, 90, 6, 3)
 	inSet := map[int]bool{}
@@ -191,73 +205,106 @@ func TestMarginalAsymptoticMatchesDirect(t *testing.T) {
 		}
 		for _, r := range got {
 			g := ds.Genotypes.Row(r.SNP)
-			score, variance := stats.Score(model, g), model.Variance(g)
-			want := MarginalResult{
-				SNP: r.SNP, Score: score, Variance: variance,
-				PValue: stats.ChiSquaredSurvival(stats.Chi2Stat(score, variance), 1),
+			blk := data.NewGenoBlock(ds.Genotypes.Patients, 1)
+			if err := blk.AppendRow(r.SNP, g); err != nil {
+				t.Fatal(err)
 			}
-			if !inSet[r.SNP] || r != want {
-				t.Fatalf("%s: marginal = %+v, direct %+v", family, r, want)
+			score := stats.PackedRowScores(blk, model.(stats.ScoreResidualer).ScoreResiduals(), nil)[0]
+			variance := model.Variance(g)
+			pvalue := stats.ChiSquaredSurvival(stats.Chi2Stat(score, variance), 1)
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{{"score", r.Score, score}, {"variance", r.Variance, variance}, {"p-value", r.PValue, pvalue}} {
+				if !inSet[r.SNP] || math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Fatalf("%s SNP %d: %s %v, direct %v", family, r.SNP, c.name, c.got, c.want)
+				}
 			}
 		}
 	}
 }
 
-// TestSetAsymptoticMatchesDirect pins the per-set asymptotic tests to
-// stats.SKATAsymptotic and the burden formula evaluated on the dataset's rows.
+// TestSetAsymptoticMatchesDirect pins the per-set asymptotic tests. The
+// observed statistic is the resampling path's to the bit — Observed() and
+// MonteCarlo(B).Observed — for SKAT and burden on the Cox and Gaussian scores,
+// and the Liu p-value is within 1e-9 of the set's test evaluated on the
+// dataset's rows with every sum in patient order: SKAT's observed statistic
+// against its Liu moments, and burden's against the 1-df chi-square of its
+// collapsed contributions' variance, the closed form of its rank-one Liu match.
 func TestSetAsymptoticMatchesDirect(t *testing.T) {
 	ds := testDataset(t, 33, 90, 6, 3)
-	model, err := stats.NewAdjustedModel("gaussian", ds.Phenotype, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	burden := func(rows [][]data.Genotype, w []float64) (observed, pvalue float64) {
-		collapsed := make([]float64, model.Patients())
-		u := make([]float64, model.Patients())
-		for r, g := range rows {
-			model.Contributions(g, u)
-			for i, v := range u {
-				collapsed[i] += w[r] * v
-			}
-		}
-		var sum, sumSq float64
-		for _, v := range collapsed {
-			sum += v
-			sumSq += v * v
-		}
-		return sum * sum, stats.ChiSquaredSurvival(stats.Chi2Stat(sum, sumSq), 1)
-	}
-	for _, stat := range []string{"skat", "burden"} {
-		a := stagedAnalysis(t, testContext(t, 3), ds, Options{Family: "gaussian", SetStatistic: stat})
-		got, err := a.SetAsymptotic()
+	for _, family := range []string{"cox", "gaussian"} {
+		model, err := stats.NewAdjustedModel(family, ds.Phenotype, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(ds.SNPSets) {
-			t.Fatalf("%s: %d set results, want %d", stat, len(got), len(ds.SNPSets))
-		}
-		for k, set := range ds.SNPSets {
-			rows := make([][]data.Genotype, len(set.SNPs))
-			w := make([]float64, len(set.SNPs))
-			for i, j := range set.SNPs {
-				rows[i], w[i] = ds.Genotypes.Row(j), ds.Weights[j]
+		for _, stat := range []string{"skat", "burden"} {
+			a := stagedAnalysis(t, testContext(t, 3), ds, Options{Family: family, SetStatistic: stat})
+			got, err := a.SetAsymptotic()
+			if err != nil {
+				t.Fatal(err)
 			}
-			var observed, pvalue float64
-			if stat == "skat" {
-				if observed, pvalue, err = stats.SKATAsymptotic(model, rows, w); err != nil {
-					t.Fatal(err)
+			observed, err := a.Observed()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc, err := a.MonteCarlo(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(ds.SNPSets) {
+				t.Fatalf("%s/%s: %d set results, want %d", family, stat, len(got), len(ds.SNPSets))
+			}
+			for k, set := range ds.SNPSets {
+				r := got[k]
+				if r.Set != k || r.SNPs != len(set.SNPs) ||
+					math.Float64bits(r.Observed) != math.Float64bits(observed[k]) ||
+					math.Float64bits(r.Observed) != math.Float64bits(mc.Observed[k]) {
+					t.Fatalf("%s/%s set %d = %+v, Observed() %v, MonteCarlo observed %v", family, stat, k, r, observed[k], mc.Observed[k])
 				}
-			} else {
-				observed, pvalue = burden(rows, w)
-			}
-			r := got[k]
-			if r.Set != k || r.SNPs != len(rows) ||
-				math.Abs(r.Observed-observed) > 1e-9*math.Max(1, math.Abs(observed)) ||
-				math.Abs(r.PValue-pvalue) > 1e-9 {
-				t.Fatalf("%s set %d = %+v, direct observed %v p %v", stat, k, r, observed, pvalue)
+				if pvalue := directSetPValue(t, model, stat, ds, set); math.Abs(r.PValue-pvalue) > 1e-9 {
+					t.Fatalf("%s/%s set %d: p %v, direct %v", family, stat, k, r.PValue, pvalue)
+				}
 			}
 		}
 	}
+}
+
+// directSetPValue evaluates one set's asymptotic p-value on the dataset's rows
+// with per-row Model.Contributions, all sums in patient order.
+func directSetPValue(t *testing.T, model stats.Model, stat string, ds *data.Dataset, set data.SNPSet) float64 {
+	t.Helper()
+	n := model.Patients()
+	v := make([][]float64, len(set.SNPs))
+	for r, j := range set.SNPs {
+		v[r] = make([]float64, n)
+		model.Contributions(ds.Genotypes.Row(j), v[r])
+		for i := range v[r] {
+			v[r][i] *= ds.Weights[j]
+		}
+	}
+	if stat == "burden" {
+		var sum, sumSq float64
+		for i := 0; i < n; i++ {
+			collapsed := 0.0
+			for _, row := range v {
+				collapsed += row[i]
+			}
+			sum += collapsed
+			sumSq += collapsed * collapsed
+		}
+		return stats.ChiSquaredSurvival(stats.Chi2Stat(sum, sumSq), 1)
+	}
+	mo := stats.ComputeSKATMoments(v)
+	observed := 0.0
+	for _, row := range v {
+		s := 0.0
+		for _, x := range row {
+			s += x
+		}
+		observed += s * s
+	}
+	return stats.LiuPValue(observed, mo)
 }
 
 // TestWarmCachesPackedBlocks pins the storage the 2-bit layout exists for:

@@ -594,8 +594,10 @@ type MarginalResult struct {
 }
 
 // MarginalAsymptotic computes per-SNP asymptotic score tests: each packed
-// block decodes row by row into the kernel's scratch buffer and evaluates the
-// score and variance terms of the broadcast null model — on the clock, two
+// block is scored by stats.PackedRowScores against the broadcast null model's
+// score residuals — the bits every resampling pass computes for the row — and
+// each row decodes into the kernel's scratch buffer for Model.Variance, since
+// Cox's variance couples patients through the risk sets. On the clock, two
 // operations a genotype.
 func (a *Analysis) MarginalAsymptotic() ([]MarginalResult, error) {
 	blocks, err := a.filteredGenotypeBlocks()
@@ -603,31 +605,21 @@ func (a *Analysis) MarginalAsymptotic() ([]MarginalResult, error) {
 		return nil, err
 	}
 	null, patients := a.null, a.patients
-	perBlock := rdd.MapWithSetup(blocks, "asymptoticBlocks", func(t rdd.Task) func(data.GenoBlock) []MarginalResult {
+	perSNP := rdd.FoldPartition(blocks, "asymptoticBlocks", func(t rdd.Task) (func(data.GenoBlock), func() []MarginalResult) {
 		model := null.Value()
-		k := stats.NewBlockKernel(model)
-		return func(b data.GenoBlock) []MarginalResult {
+		r, k := model.ScoreResiduals(), stats.NewBlockKernel(model)
+		var scores []float64
+		var out []MarginalResult
+		add := func(b data.GenoBlock) {
 			t.Charge(2 * int64(b.Rows()) * int64(patients))
-			out := make([]MarginalResult, b.Rows())
-			for r := range out {
-				out[r] = marginalResult(model, int(b.SNPs[r]), k.Decode(b, r))
+			scores = stats.PackedRowScores(b, r, scores)
+			for row, score := range scores {
+				variance := model.Variance(k.Decode(b, row))
+				out = append(out, MarginalResult{SNP: int(b.SNPs[row]), Score: score, Variance: variance,
+					PValue: stats.ChiSquaredSurvival(stats.Chi2Stat(score, variance), 1)})
 			}
-			return out
 		}
-	}).SetSizeHint(int64(data.GenoBlockRows)*40 + 24)
-	perSNP := rdd.FlatMap(perBlock, "asymptotic", func(rs []MarginalResult) []MarginalResult {
-		return rs
+		return add, func() []MarginalResult { return out }
 	}).SetSizeHint(40)
 	return rdd.Collect(perSNP)
-}
-
-func marginalResult(model stats.Model, snp int, g []data.Genotype) MarginalResult {
-	score := stats.Score(model, g)
-	variance := model.Variance(g)
-	return MarginalResult{
-		SNP:      snp,
-		Score:    score,
-		Variance: variance,
-		PValue:   stats.ChiSquaredSurvival(stats.Chi2Stat(score, variance), 1),
-	}
 }

@@ -600,7 +600,7 @@ func TestSetAsymptoticAgreesWithMonteCarlo(t *testing.T) {
 		if r.PValue < 0 || r.PValue > 1 {
 			t.Fatalf("set %d p = %v", r.Set, r.PValue)
 		}
-		if math.Abs(r.Observed-mc.Observed[r.Set]) > 1e-6*(1+mc.Observed[r.Set]) {
+		if math.Float64bits(r.Observed) != math.Float64bits(mc.Observed[r.Set]) {
 			t.Fatalf("set %d observed %v vs MC %v", r.Set, r.Observed, mc.Observed[r.Set])
 		}
 		if diff := math.Abs(r.PValue - mc.PValues[r.Set]); diff > 0.12 {
@@ -623,7 +623,7 @@ func TestSetAsymptoticBurden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range asym {
-		if math.Abs(r.Observed-mc.Observed[r.Set]) > 1e-6*(1+mc.Observed[r.Set]) {
+		if math.Float64bits(r.Observed) != math.Float64bits(mc.Observed[r.Set]) {
 			t.Fatalf("burden set %d observed %v vs MC %v", r.Set, r.Observed, mc.Observed[r.Set])
 		}
 		if diff := math.Abs(r.PValue - mc.PValues[r.Set]); diff > 0.12 {

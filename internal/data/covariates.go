@@ -42,8 +42,8 @@ func (c *Covariates) Validate() error {
 			return fmt.Errorf("data: covariate row %d has %d values, want %d", i, len(row), w)
 		}
 		for j, v := range row {
-			if v != v { // NaN
-				return fmt.Errorf("data: covariate (%d,%d) is NaN", i, j)
+			if !finite(v) {
+				return fmt.Errorf("data: covariate (%d,%d) is %v", i, j, v)
 			}
 		}
 	}
@@ -95,7 +95,7 @@ func ReadCovariates(r io.Reader) (*Covariates, error) {
 		vals := make([]float64, len(fields))
 		for j, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
-			if err != nil || v != v {
+			if err != nil || !finite(v) {
 				return nil, fmt.Errorf("data: covariate line %d: bad value %q", sc.lineNo, f)
 			}
 			vals[j] = v

@@ -109,10 +109,10 @@ func (p *Phenotype) Permuted(perm []int) *Phenotype {
 // annotation; the statistic uses ω_j².
 type Weights []float64
 
-// Validate checks that no weight is negative or NaN.
+// Validate checks that every weight is finite and not negative.
 func (w Weights) Validate() error {
 	for j, v := range w {
-		if v < 0 || v != v {
+		if !(v >= 0 && finite(v)) {
 			return fmt.Errorf("data: SNP %d has invalid weight %v", j, v)
 		}
 	}

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math"
 	"testing"
 )
 
@@ -94,6 +95,11 @@ func TestWeightsValidate(t *testing.T) {
 	if err := (Weights{1, -0.5}).Validate(); err == nil {
 		t.Fatal("negative weight accepted")
 	}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if err := (Weights{1, bad}).Validate(); err == nil {
+			t.Fatalf("weight %v accepted", bad)
+		}
+	}
 }
 
 func TestSNPSetsValidate(t *testing.T) {
@@ -163,6 +169,10 @@ func TestCovariatesValidate(t *testing.T) {
 	c.Rows[1] = []float64{3, nan()}
 	if err := c.Validate(); err == nil {
 		t.Fatal("NaN covariate accepted")
+	}
+	c.Rows[1] = []float64{3, math.Inf(-1)}
+	if err := c.Validate(); err == nil {
+		t.Fatal("infinite covariate accepted")
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -146,7 +147,7 @@ func ReadPhenotype(r io.Reader) (*Phenotype, error) {
 			return nil, fmt.Errorf("data: phenotype line %d: bad patient id %q", sc.lineNo, parts[0])
 		}
 		y, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
+		if err != nil || !finite(y) {
 			return nil, fmt.Errorf("data: phenotype line %d: bad outcome %q", sc.lineNo, parts[1])
 		}
 		ev, err := strconv.Atoi(parts[2])
@@ -208,7 +209,7 @@ func ReadWeights(r io.Reader) (Weights, error) {
 			return nil, fmt.Errorf("data: weight line %d: bad SNP id %q", sc.lineNo, idStr)
 		}
 		v, err := strconv.ParseFloat(vStr, 64)
-		if err != nil || v < 0 {
+		if err != nil || !(v >= 0 && finite(v)) {
 			return nil, fmt.Errorf("data: weight line %d: bad weight %q", sc.lineNo, vStr)
 		}
 		if _, dup := vals[id]; dup {
@@ -296,6 +297,10 @@ func ReadSNPSets(r io.Reader) (SNPSets, error) {
 	}
 	return sets, nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf, which strconv.ParseFloat
+// accepts as "NaN" and "Inf" but no analysis can score.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
 // lineScanner wraps bufio.Scanner with line counting and a buffer large
 // enough for million-patient genotype rows.

@@ -1,0 +1,95 @@
+// Fuzzing the weights and phenotype readers, the two driver-side inputs whose
+// floats reach every analysis: a reader must return an error rather than
+// panic, and whatever it accepts must be finite (non-negative, for a weight)
+// and survive a write/read round trip through its writer bit for bit. Seed
+// corpora under testdata/fuzz/FuzzReadWeights and
+// testdata/fuzz/FuzzReadPhenotype; `make fuzz-smoke` gives each target a
+// 10-second budget.
+
+package data
+
+import (
+	"bytes"
+	"math"
+	"strings"
+	"testing"
+)
+
+func FuzzReadWeights(f *testing.F) {
+	f.Add("0\t1\n1\t0.5\n2\t2.25\n")
+	f.Add("1\t3e-17\n0\t-0\n")
+	f.Add("0\t1e308\n1\t1e309\n")
+	f.Add("0\tNaN\n")
+	f.Add("0\t+Inf\n")
+	f.Add("0\t1\n0\t2\n")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, in string) {
+		w, err := ReadWeights(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for j, v := range w {
+			if !(v >= 0) || math.IsInf(v, 0) {
+				t.Fatalf("SNP %d weight parsed to %v from %q", j, v, in)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteWeights(&buf, w); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadWeights(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written weights %q: %v", buf.String(), err)
+		}
+		if len(back) != len(w) {
+			t.Fatalf("round trip: %d weights, want %d", len(back), len(w))
+		}
+		for j := range w {
+			if math.Float64bits(back[j]) != math.Float64bits(w[j]) {
+				t.Fatalf("round trip changed SNP %d's weight: %v -> %v (input %q)", j, w[j], back[j], in)
+			}
+		}
+	})
+}
+
+func FuzzReadPhenotype(f *testing.F) {
+	f.Add("0\t12.5\t1\n1\t3\t0\n")
+	f.Add("1\t-0\t0\n0\t1e-320\t1\n")
+	f.Add("0\t1e308\t1\n1\t1e309\t0\n")
+	f.Add("0\tNaN\t1\n")
+	f.Add("0\t-Inf\t0\n")
+	f.Add("0\t1\t2\n")
+	f.Add("0\t1\n")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, in string) {
+		p, err := ReadPhenotype(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("accepted phenotype fails Validate: %v (input %q)", err, in)
+		}
+		for i, y := range p.Y {
+			if math.IsNaN(y) || math.IsInf(y, 0) {
+				t.Fatalf("patient %d outcome parsed to %v from %q", i, y, in)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WritePhenotype(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadPhenotype(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written phenotype %q: %v", buf.String(), err)
+		}
+		if back.Patients() != p.Patients() {
+			t.Fatalf("round trip: %d patients, want %d", back.Patients(), p.Patients())
+		}
+		for i := range p.Y {
+			if math.Float64bits(back.Y[i]) != math.Float64bits(p.Y[i]) || back.Event[i] != p.Event[i] {
+				t.Fatalf("round trip changed patient %d: (%v, %d) -> (%v, %d) (input %q)",
+					i, p.Y[i], p.Event[i], back.Y[i], back.Event[i], in)
+			}
+		}
+	})
+}

@@ -162,6 +162,48 @@ func TestReadWeightsErrors(t *testing.T) {
 	}
 }
 
+// TestReadersRefuseNonFiniteValues: strconv.ParseFloat accepts "NaN", "Inf"
+// and their spellings, and a NaN weight used to reach the analysis — Monte
+// Carlo reported its set at the smallest p it can give — as a NaN survival
+// time ran to finite, meaningless p-values. Each reader refuses them, naming
+// the line.
+func TestReadersRefuseNonFiniteValues(t *testing.T) {
+	for _, tc := range []struct {
+		name, in, want string
+		read           func(string) error
+	}{
+		{"NaN weight", "0\t1\n1\tNaN\n", `data: weight line 2: bad weight "NaN"`, readWeights},
+		{"+Inf weight", "0\t+Inf\n", `data: weight line 1: bad weight "+Inf"`, readWeights},
+		{"-Inf weight", "0\t1\n1\t2\n2\t-Inf\n", `data: weight line 3: bad weight "-Inf"`, readWeights},
+		{"infinity weight", "0\tinfinity\n", `data: weight line 1: bad weight "infinity"`, readWeights},
+		{"NaN outcome", "0\t1\t1\n1\tNaN\t1\n", `data: phenotype line 2: bad outcome "NaN"`, readPhenotype},
+		{"inf outcome", "0\tinf\t0\n", `data: phenotype line 1: bad outcome "inf"`, readPhenotype},
+		{"-Inf outcome", "0\t2\t1\n\n1\t-Inf\t1\n", `data: phenotype line 3: bad outcome "-Inf"`, readPhenotype},
+		{"+Inf covariate", "0\t+Inf 1\n", `data: covariate line 1: bad value "+Inf"`, readCovariates},
+		{"-Inf covariate", "0\t1\n1\t-Inf\n", `data: covariate line 2: bad value "-Inf"`, readCovariates},
+		{"NaN covariate", "0\t1 nan\n", `data: covariate line 1: bad value "nan"`, readCovariates},
+	} {
+		if err := tc.read(tc.in); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func readWeights(s string) error {
+	_, err := ReadWeights(strings.NewReader(s))
+	return err
+}
+
+func readPhenotype(s string) error {
+	_, err := ReadPhenotype(strings.NewReader(s))
+	return err
+}
+
+func readCovariates(s string) error {
+	_, err := ReadCovariates(strings.NewReader(s))
+	return err
+}
+
 func TestSNPSetsRoundTrip(t *testing.T) {
 	s := SNPSets{{Name: "gene1", SNPs: []int{0, 5, 2}}, {Name: "gene2", SNPs: []int{1}}}
 	var buf bytes.Buffer

@@ -7,10 +7,12 @@
 // amd64 are two SSE2 registers: kernel_amd64.s scores four rows per call, and
 // packedRowScore — the same order in Go — scores the rest and every row on
 // other GOARCHes; the panel kernel's cell lists are walked two per call by
-// the same file's cellPairs, or by sumCells in Go. The per-patient terms — a
-// block at a time into a UBlock, bit for bit Model.Contributions per row —
-// remain for the asymptotic tests and as the arithmetic of the Reference*
-// oracles.
+// the same file's cellPairs, or by sumCells in Go. Every score an analysis
+// reports, the asymptotic tests' included, is one of these. The per-patient
+// terms — a block at a time into a UBlock, bit for bit Model.Contributions per
+// row (BlockKernel.Contributions) — serve only the asymptotic set tests' Liu
+// moments, which need the contributions themselves, and the arithmetic of the
+// Reference* oracles.
 
 package stats
 
@@ -71,7 +73,7 @@ func (b UBlock) ApproxBytes() int64 {
 // Scores computes MonteCarloScore(row, z) of every row into out (grown as
 // needed); a nil z is the plain row sum, the observed U_j. Its callers are
 // bench/layers.go's layer replay and the tests that check a kernel against
-// the Reference* oracles' arithmetic; no analysis path holds a UBlock.
+// the Reference* oracles' arithmetic; no analysis path calls it.
 func (b *UBlock) Scores(z, out []float64) []float64 {
 	out = sized(out, b.Rows())
 	for r := range out {

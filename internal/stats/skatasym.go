@@ -1,70 +1,56 @@
-// Asymptotic SKAT p-values. The observed statistic S_k = Σ ω² U² is a
-// quadratic form in the asymptotically normal score vector, so its null
-// distribution is a weighted sum of chi-squares. Following the SKAT
-// literature we approximate it by the moment-matching method of Liu, Tang &
-// Zhang (2009): the first four cumulants of the quadratic form are computed
-// exactly from the per-patient contributions, and the distribution is
-// matched to a (possibly noncentral) scaled chi-square.
+// Asymptotic set p-values. The SKAT statistic S_k = Σ ω² U² is a quadratic
+// form in the asymptotically normal score vector, so its null distribution is
+// a weighted sum of chi-squares. Following the SKAT literature we approximate
+// it by the moment-matching method of Liu, Tang & Zhang (2009): the first four
+// cumulants of the quadratic form are computed exactly from the per-patient
+// contributions, and the distribution is matched to a (possibly noncentral)
+// scaled chi-square. The burden statistic (Σ ω U)² is the rank-one case — one
+// vector, the weighted contributions summed — where the match is
+// P(χ²₁ > S/c₁) to rounding.
 //
 // This is the "asymptotics, or large sample theory" route the paper
 // contrasts with resampling — fast, but relying on the regularity conditions
-// that resampling avoids.
+// that resampling avoids. Only the null's moments are computed here: the
+// observed statistic is the resampling path's.
 
 package stats
 
 import (
 	"fmt"
 	"math"
-
-	"sparkscore/internal/data"
 )
 
-// SKATMoments holds the cumulants c_r = tr((WΣ)^r) of the SKAT quadratic
-// form, computed from the weighted Gram matrix of the per-patient score
-// contributions.
+// SKATMoments holds the cumulants c_r = tr((WΣ)^r) of a set statistic's null
+// quadratic form, computed from the Gram matrix of its weighted per-patient
+// contribution vectors.
 type SKATMoments struct {
 	C1, C2, C3, C4 float64
-	SNPs           int
 }
 
-// ComputeSKATMoments builds the per-SNP contribution vectors of the set
-// under the model and returns the exact first four cumulants of the SKAT
-// statistic's null quadratic form. rows[r] holds the genotypes of the set's
-// r-th SNP; weights[r] is its ω.
-func ComputeSKATMoments(model Model, rows [][]data.Genotype, weights []float64) (SKATMoments, error) {
-	m := len(rows)
-	if m == 0 {
-		return SKATMoments{}, fmt.Errorf("stats: empty SNP-set")
-	}
-	if len(weights) != m {
-		return SKATMoments{}, fmt.Errorf("stats: %d weights for %d SNPs", len(weights), m)
-	}
-	n := model.Patients()
-	// Weighted contribution vectors v_r = ω_r · u_r.
-	v := make([][]float64, m)
-	buf := make([]float64, n)
-	for r, g := range rows {
-		model.Contributions(g, buf)
-		v[r] = make([]float64, n)
-		for i, x := range buf {
-			v[r][i] = weights[r] * x
-		}
-	}
+// ComputeSKATMoments returns the exact first four cumulants of the null
+// quadratic form whose kernel is the Gram matrix of the vectors v: for SKAT
+// v[r] = ω_r · u_r, the set's r-th SNP's weighted contributions; for burden
+// the single vector Σ_r ω_r · u_r. No vectors is the degenerate form, every
+// cumulant zero; vectors of different lengths panic.
+func ComputeSKATMoments(v [][]float64) SKATMoments {
+	m := len(v)
 	// Gram matrix G_rs = v_r · v_s; the quadratic form's kernel eigenvalues
 	// are those of G, so c_k = tr(G^k).
 	gram := newSquare(m)
 	for r := 0; r < m; r++ {
+		if len(v[r]) != len(v[0]) {
+			panic(fmt.Sprintf("stats: contribution vector %d has %d patients, vector 0 has %d", r, len(v[r]), len(v[0])))
+		}
 		for s := 0; s <= r; s++ {
 			dot := 0.0
-			for i := 0; i < n; i++ {
-				dot += v[r][i] * v[s][i]
+			for i, x := range v[r] {
+				dot += x * v[s][i]
 			}
 			gram[r][s] = dot
 			gram[s][r] = dot
 		}
 	}
 	var mo SKATMoments
-	mo.SNPs = m
 	for r := 0; r < m; r++ {
 		mo.C1 += gram[r][r]
 	}
@@ -78,7 +64,7 @@ func ComputeSKATMoments(model Model, rows [][]data.Genotype, weights []float64) 
 			mo.C4 += g2[r][s] * g2[s][r]
 		}
 	}
-	return mo, nil
+	return mo
 }
 
 func matmul(a, b [][]float64) [][]float64 {
@@ -162,23 +148,4 @@ func noncentralChiSquaredSurvival(x, df, ncp float64) float64 {
 		total = 1
 	}
 	return total
-}
-
-// SKATAsymptotic computes the observed SKAT statistic of one set and its
-// Liu-approximated asymptotic p-value in a single pass.
-func SKATAsymptotic(model Model, rows [][]data.Genotype, weights []float64) (observed, pvalue float64, err error) {
-	mo, err := ComputeSKATMoments(model, rows, weights)
-	if err != nil {
-		return 0, 0, err
-	}
-	u := make([]float64, model.Patients())
-	for r, g := range rows {
-		model.Contributions(g, u)
-		var s float64
-		for _, x := range u {
-			s += x
-		}
-		observed += weights[r] * weights[r] * s * s
-	}
-	return observed, LiuPValue(observed, mo), nil
 }

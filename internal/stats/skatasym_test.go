@@ -18,31 +18,62 @@ func setRowsWeights(r *rng.RNG, n, m int) ([][]data.Genotype, []float64) {
 	return rows, weights
 }
 
+// weightedContributions returns ω_r · u_r for each row, the vectors
+// ComputeSKATMoments takes for SKAT.
+func weightedContributions(m Model, rows [][]data.Genotype, weights []float64) [][]float64 {
+	v := make([][]float64, len(rows))
+	for r, g := range rows {
+		v[r] = make([]float64, m.Patients())
+		m.Contributions(g, v[r])
+		for i := range v[r] {
+			v[r][i] *= weights[r]
+		}
+	}
+	return v
+}
+
+// skatObserved is Σ ω² U² with each U summed in patient order.
+func skatObserved(v [][]float64) float64 {
+	observed := 0.0
+	for _, row := range v {
+		s := 0.0
+		for _, x := range row {
+			s += x
+		}
+		observed += s * s
+	}
+	return observed
+}
+
+// TestSingleSNPAsymptoticMatchesChiSquare pins the rank-one form — one SNP's
+// SKAT statistic, and every burden statistic — to its closed form: the
+// quadratic form S = (Σ v)² has the single eigenvalue c₁ = Σ v², and the Liu
+// match must collapse to P(χ²₁ > S/c₁), so the burden test needs no route of
+// its own. Two thousand random one-vector forms (Cox contributions of random
+// genotypes, scaled by random weights over eight orders of magnitude).
 func TestSingleSNPAsymptoticMatchesChiSquare(t *testing.T) {
-	// With one SNP the quadratic form is w²U² with a single eigenvalue
-	// w²Σu²; the Liu match must collapse to P(χ²_1 > U²/Σu²).
 	r := rng.New(1)
-	n := 500
-	ph := randomSurvival(r, n)
-	cox, err := NewCox(ph)
-	if err != nil {
-		t.Fatal(err)
+	worst := 0.0
+	for trial := 0; trial < 2000; trial++ {
+		n := 20 + r.Intn(400)
+		cox, err := NewCox(randomSurvival(r, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := math.Pow(10, 8*r.Float64()-4)
+		v := weightedContributions(cox, [][]data.Genotype{randomGenotypes(r, n)}, []float64{w})
+		mo := ComputeSKATMoments(v)
+		q := skatObserved(v)
+		want := ChiSquaredSurvival(q/mo.C1, 1)
+		got := LiuPValue(q, mo)
+		if rel := math.Abs(got-want) / want; rel > worst {
+			worst = rel
+		}
 	}
-	g := randomGenotypes(r, n)
-	u := make([]float64, n)
-	cox.Contributions(g, u)
-	var sum, sumSq float64
-	for _, v := range u {
-		sum += v
-		sumSq += v * v
-	}
-	want := ChiSquaredSurvival(sum*sum/sumSq, 1)
-	_, got, err := SKATAsymptotic(cox, [][]data.Genotype{g}, []float64{2.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("single-SNP asymptotic p = %v, want %v", got, want)
+	// The two tails are computed differently (erfc against the incomplete gamma
+	// series); 2.6e-13 on this draw, worst where p is near 1.
+	if worst > 1e-12 {
+		t.Fatalf("rank-one Liu p-values within %.3g relative of P(χ²₁ > q/c₁), want 1e-12", worst)
 	}
 }
 
@@ -57,10 +88,7 @@ func TestMomentsMatchEmpiricalResampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, weights := setRowsWeights(r, n, 6)
-	mo, err := ComputeSKATMoments(cox, rows, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mo := ComputeSKATMoments(weightedContributions(cox, rows, weights))
 	// Monte Carlo replicates of S under the null.
 	u := make([][]float64, len(rows))
 	for j, g := range rows {
@@ -103,10 +131,10 @@ func TestLiuPValueAgreesWithMonteCarlo(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, weights := setRowsWeights(r, n, 8)
-	observed, asymP, err := SKATAsymptotic(cox, rows, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := weightedContributions(cox, rows, weights)
+	mo := ComputeSKATMoments(v)
+	observed := skatObserved(v)
+	asymP := LiuPValue(observed, mo)
 	u := make([][]float64, len(rows))
 	for j, g := range rows {
 		u[j] = make([]float64, n)
@@ -135,7 +163,7 @@ func TestLiuPValueAgreesWithMonteCarlo(t *testing.T) {
 }
 
 func TestLiuPValueBoundsAndMonotone(t *testing.T) {
-	mo := SKATMoments{C1: 10, C2: 30, C3: 100, C4: 400, SNPs: 3}
+	mo := SKATMoments{C1: 10, C2: 30, C3: 100, C4: 400}
 	prev := 1.1
 	for q := 0.0; q < 200; q += 5 {
 		p := LiuPValue(q, mo)
@@ -160,16 +188,15 @@ func TestLiuPValueDegenerate(t *testing.T) {
 }
 
 func TestComputeSKATMomentsValidation(t *testing.T) {
-	r := rng.New(4)
-	ph := randomSurvival(r, 10)
-	cox, _ := NewCox(ph)
-	if _, err := ComputeSKATMoments(cox, nil, nil); err == nil {
-		t.Fatal("empty set accepted")
+	if mo := ComputeSKATMoments(nil); mo != (SKATMoments{}) || LiuPValue(0, mo) != 1 {
+		t.Fatalf("no vectors: moments %+v, want the degenerate form", mo)
 	}
-	g := randomGenotypes(r, 10)
-	if _, err := ComputeSKATMoments(cox, [][]data.Genotype{g}, []float64{1, 2}); err == nil {
-		t.Fatal("weight/SNP mismatch accepted")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("vectors of unequal patient counts accepted")
+		}
+	}()
+	ComputeSKATMoments([][]float64{{1, 2, 3}, {1, 2}})
 }
 
 func TestNoncentralChiSquared(t *testing.T) {
