@@ -67,8 +67,9 @@ bench-smoke:
 # naming the line) and round-trip those through their writers, the
 # spill-frame reader (a bounds-checked gob frame of raw pairs in arrival
 # order; no arrival index, nothing to re-sort) returns errors instead of
-# panicking on arbitrary bytes or on a frame of a foreign record type, and
-# every column of the Monte Carlo panel kernel equals PackedRowScores on that
+# panicking on arbitrary bytes or on a frame of a foreign record type, the
+# event-log reader never panics and whatever it accepts renders to a fixed
+# point through the writer, every column of the Monte Carlo panel kernel equals PackedRowScores on that
 # column bit for bit, PackedRowScores equals its written summation order
 # bit for bit (or NaN both) on arbitrary packed bytes and residuals, and the
 # two-list cell walk equals two sumCells calls (equal bits or NaN both, or the
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadPhenotype -fuzztime=10s
 	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzDecodeFrameBytes -fuzztime=10s
+	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzReadEventLog -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPanelKernel -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPackedRowScores -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzSumCellPairs -fuzztime=10s

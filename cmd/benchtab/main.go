@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "artifact id (tab1, fig2, tab3, ..., fig7, chaos, serving, speculation, memory, adaptive, eqtl) or \"all\"")
+		exp      = flag.String("exp", "all", "artifact id (tab1, fig2, tab3, ..., fig7, chaos, serving, memory, eqtl) or \"all\"")
 		scale    = flag.Int("scale", 100, "divide the paper's SNP counts, block size, and executor memory by this")
 		maxIters = flag.Int("max-iters", 0, "cap resampling iterations (0 = run the paper's full axes)")
 		seed     = flag.Uint64("seed", 1, "seed for data generation and resampling")

@@ -50,7 +50,6 @@ func main() {
 		iterations = flag.Int("iterations", 1000, "resampling iterations (B)")
 		family     = flag.String("family", "cox", `score family: "cox", "gaussian", or "binomial"`)
 		noCache    = flag.Bool("no-cache", false, "disable caching of the packed genotype RDD")
-		adaptive   = flag.Bool("adaptive", false, "enable adaptive stage execution (coalesce small reduce partitions, split skewed ones from observed map-output sizes); results are bitwise identical either way")
 		chaos      = flag.Bool("chaos", false, "inject task crashes, fetch failures, and stragglers; results are bitwise unchanged")
 		setStat    = flag.String("set-stat", "skat", `SNP-set statistic: "skat" or "burden"`)
 		betaWts    = flag.Bool("beta-weights", false, "replace input weights with Beta(MAF;1,25) weights (Wu et al. 2011)")
@@ -130,7 +129,6 @@ func main() {
 		Seed:      *seed,
 		Faults:    faults,
 		Workers:   *workers,
-		Adaptive:  rdd.AdaptiveConfig{Enabled: *adaptive},
 		Listeners: listeners,
 	})
 	if err != nil {

@@ -54,8 +54,6 @@ func TestReportsIdenticalAcrossFlagSets(t *testing.T) {
 			// 6 sets × (16 + 8·10) B of batched partial sums: the sort
 			// shuffle must spill, and say so, without changing a digit.
 			{args: "-mem-cap-bytes 512 -workers 1", stdout: "shuffle spills:"},
-			{args: "-adaptive=false"},
-			{args: "-adaptive=true"},
 		}},
 		{"eqtl", "-eqtl -generate -patients 80 -snps 400 -sets 8 -eqtl-phenos 12", []variant{
 			{},
@@ -98,15 +96,15 @@ func TestReportsIdenticalAcrossFlagSets(t *testing.T) {
 	}
 }
 
-// TestDeletedFlagsStayDeleted: the online tuner's switches and the eQTL join
-// strategy are gone from the binaries that carried them, not hidden — the
-// flag package refuses them.
+// TestDeletedFlagsStayDeleted: the online tuner's switches, the eQTL join
+// strategy and adaptive planning are gone from the binaries that carried
+// them, not hidden — the flag package refuses them.
 func TestDeletedFlagsStayDeleted(t *testing.T) {
 	dir := t.TempDir()
 	for cmd, flags := range map[string][]string{
-		"sparkserved": {"-autotune"},
+		"sparkserved": {"-autotune", "-adaptive"},
 		"sparktune":   {"-online", "-batches=8"},
-		"sparkscore":  {"-eqtl-strategy=cartesian"},
+		"sparkscore":  {"-eqtl-strategy=cartesian", "-adaptive"},
 	} {
 		bin := buildCmd(t, dir, cmd)
 		for _, flag := range flags {

@@ -70,9 +70,8 @@ func main() {
 		cores = flag.Int("cores", 4, "cores per container")
 		mem   = flag.Float64("mem", 10, "memory per container (GiB)")
 
-		mode     = flag.String("mode", "fair", `job scheduler: "fifo" or "fair"`)
-		pools    = flag.String("pools", "", `serving pools as a JSON array, or @file to read one (default: a single "default" pool)`)
-		adaptive = flag.Bool("adaptive", false, "enable adaptive stage execution (coalescing + skew splitting)")
+		mode  = flag.String("mode", "fair", `job scheduler: "fifo" or "fair"`)
+		pools = flag.String("pools", "", `serving pools as a JSON array, or @file to read one (default: a single "default" pool)`)
 
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	)
@@ -100,7 +99,6 @@ func main() {
 		},
 		Seed:      *seed,
 		Scheduler: server.SchedulerConfig(schedMode, poolCfgs),
-		Adaptive:  rdd.AdaptiveConfig{Enabled: *adaptive},
 	})
 	if err != nil {
 		fatal(err)

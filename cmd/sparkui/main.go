@@ -33,6 +33,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: sparkui -log <events.jsonl> [-tasks]")
 		os.Exit(2)
 	}
+	if *taskLimit < 0 {
+		fmt.Fprintln(os.Stderr, "sparkui: -task-limit must be >= 0")
+		os.Exit(2)
+	}
 	f, err := os.Open(*logPath)
 	if err != nil {
 		fatal(err)
@@ -41,10 +45,6 @@ func main() {
 	f.Close()
 	if err != nil {
 		fatal(err)
-	}
-	if *taskLimit < 0 {
-		fmt.Fprintln(os.Stderr, "sparkui: -task-limit must be >= 0")
-		os.Exit(2)
 	}
 	ui := build(events)
 	ui.render(os.Stdout, *tasks, *taskLimit)
@@ -66,7 +66,6 @@ type stage struct {
 	spills         int   // sorted runs the stage's tasks spilled
 	spilledBytes   int64 // encoded bytes of those runs
 	recovery       bool
-	prefetch       bool // adaptive skew-split sub-fetch stage
 	failed         bool
 	done           bool
 	attempts       []*rdd.TaskEnd
@@ -74,22 +73,20 @@ type stage struct {
 
 // job is one action's accounting, rebuilt from its events.
 type job struct {
-	id         uint64
-	action     string
-	pool       string
-	rdd        string
-	tasks      int
-	retries    int
-	resubmits  int
-	evictions  int
-	speculated int
-	killed     int
-	seconds    float64
-	ended      bool
-	failed     bool
-	cancelled  bool
-	errMsg     string
-	stages     []*stage
+	id        uint64
+	action    string
+	pool      string
+	rdd       string
+	tasks     int
+	retries   int
+	resubmits int
+	evictions int
+	seconds   float64
+	ended     bool
+	failed    bool
+	cancelled bool
+	errMsg    string
+	stages    []*stage
 }
 
 // recoveryEvent is one row of the recovery table: anything the fault-recovery
@@ -103,7 +100,6 @@ type model struct {
 	events   int
 	jobs     []*job
 	recovery []recoveryEvent
-	adaptive []*rdd.AdaptivePlan
 }
 
 // build folds the event stream into jobs, stages, and recovery rows.
@@ -141,23 +137,13 @@ func build(events []rdd.Event) *model {
 			j.seconds = e.VirtualSeconds
 		case *rdd.JobCancelled:
 			m.recoveryf(e.Time, "job %d: cancelled %s(%s): %s", e.Job, e.Action, e.RDD, e.Reason)
-		case *rdd.SpeculativeTaskLaunched:
-			jobOf(e.Job).speculated++
-			m.recoveryf(e.Time, "job %d: stage %s task %d speculated on executor %d (original on %d)",
-				e.Job, stageLabel(e.Stage), e.Part, e.Executor, e.Original)
-		case *rdd.TaskKilled:
-			jobOf(e.Job).killed++
-			m.recoveryf(e.Time, "job %d: stage %s task %d attempt %d killed on executor %d: %s",
-				e.Job, stageLabel(e.Stage), e.Part, e.Attempt, e.Executor, e.Reason)
 		case *rdd.StageSubmitted:
 			j := jobOf(e.Job)
 			j.tasks += e.NumTasks
 			j.stages = append(j.stages, &stage{
 				id: e.Stage, round: e.Round, rdd: e.RDD,
-				tasks: e.NumTasks, recovery: e.Recovery, prefetch: e.Prefetch,
+				tasks: e.NumTasks, recovery: e.Recovery,
 			})
-		case *rdd.AdaptivePlan:
-			m.adaptive = append(m.adaptive, e)
 		case *rdd.StageCompleted:
 			if s := openStage(jobOf(e.Job), e.Stage, e.Round); s != nil {
 				s.done, s.failed = true, e.Failed
@@ -177,9 +163,7 @@ func build(events []rdd.Event) *model {
 				s.spills += e.Metrics.SpillCount
 				s.spilledBytes += e.Metrics.SpilledBytes
 			}
-			// A killed original is not a failure; its TaskKilled event
-			// already carries the recovery row.
-			if !e.OK && !e.Killed {
+			if !e.OK {
 				m.recoveryf(e.Time, "job %d: stage %s task %d attempt %d failed on executor %d: %s",
 					e.Job, stageLabel(e.Stage), e.Part, e.Attempt, e.Executor, e.Failure)
 			}
@@ -221,10 +205,10 @@ func stageLabel(id uint64) string {
 func (m *model) render(w *os.File, withTasks bool, taskLimit int) {
 	fmt.Fprintf(w, "event log: %d events, %d jobs, %d recovery events\n\n", m.events, len(m.jobs), len(m.recovery))
 
-	jt := metrics.NewTable("jobs", "job", "action", "pool", "stages", "tasks", "retries", "stage-reattempts", "evictions", "spec-copies", "killed", "sim-s", "status")
+	jt := metrics.NewTable("jobs", "job", "action", "pool", "stages", "tasks", "retries", "stage-reattempts", "evictions", "sim-s", "status")
 	for _, j := range m.jobs {
 		jt.AddRowf(int(j.id), j.action, j.pool, len(j.stages), j.tasks, j.retries, j.resubmits, j.evictions,
-			j.speculated, j.killed, metrics.FormatSeconds(j.seconds), jobStatus(j))
+			metrics.FormatSeconds(j.seconds), jobStatus(j))
 	}
 	jt.Fprint(w)
 	fmt.Fprintln(w)
@@ -232,27 +216,13 @@ func (m *model) render(w *os.File, withTasks bool, taskLimit int) {
 	st := metrics.NewTable("stages", "job", "stage", "round", "tasks", "failed-attempts", "spills", "spilled-B", "sim-s", "recovery", "rdd")
 	for _, j := range m.jobs {
 		for _, s := range j.stages {
-			label := stageLabel(s.id)
-			if s.prefetch {
-				label += " [prefetch]"
-			}
-			st.AddRowf(int(j.id), label, s.round, s.tasks, s.failedAttempts,
+			st.AddRowf(int(j.id), stageLabel(s.id), s.round, s.tasks, s.failedAttempts,
 				s.spills, s.spilledBytes,
 				metrics.FormatSeconds(s.seconds), flag3(s.recovery, s.failed, s.done), truncate(s.rdd, 48))
 		}
 	}
 	st.Fprint(w)
 	fmt.Fprintln(w)
-
-	if len(m.adaptive) > 0 {
-		at := metrics.NewTable("adaptive plans", "job", "stage", "round", "parts", "tasks", "coalesced-groups", "skewed-parts", "sub-splits", "rdd")
-		for _, p := range m.adaptive {
-			at.AddRowf(int(p.Job), stageLabel(p.Stage), p.Round, p.Partitions, p.Tasks,
-				p.CoalescedGroups, fmt.Sprintf("%v", p.Skewed), p.SubSplits, truncate(p.RDD, 48))
-		}
-		at.Fprint(w)
-		fmt.Fprintln(w)
-	}
 
 	rt := metrics.NewTable("recovery events", "sim-t", "event")
 	for _, r := range m.recovery {
@@ -265,7 +235,7 @@ func (m *model) render(w *os.File, withTasks bool, taskLimit int) {
 
 	if withTasks {
 		fmt.Fprintln(w)
-		tt := metrics.NewTable("task attempts", "job", "stage", "round", "part", "attempt", "kind", "executor", "start-s", "dur-s", "spills", "spilled-B", "status")
+		tt := metrics.NewTable("task attempts", "job", "stage", "round", "part", "attempt", "executor", "start-s", "dur-s", "spills", "spilled-B", "status")
 		shown, total := 0, 0
 		for _, j := range m.jobs {
 			for _, s := range j.stages {
@@ -275,22 +245,14 @@ func (m *model) render(w *os.File, withTasks bool, taskLimit int) {
 						continue
 					}
 					shown++
-					kind := "orig"
-					if t.Speculative {
-						kind = "spec"
-					}
 					status := "ok"
 					switch {
-					case t.Killed:
-						status = "killed (copy won)"
 					case !t.OK:
 						status = "FAILED"
-					case t.Speculative:
-						status = "ok (won)"
 					case t.Recovery:
 						status = "ok (recovery)"
 					}
-					tt.AddRowf(int(j.id), stageLabel(s.id), s.round, t.Part, t.Attempt, kind, t.Executor,
+					tt.AddRowf(int(j.id), stageLabel(s.id), s.round, t.Part, t.Attempt, t.Executor,
 						metrics.FormatSeconds(t.StartSec), metrics.FormatSeconds(t.DurationSec),
 						t.Metrics.SpillCount, t.Metrics.SpilledBytes, status)
 				}

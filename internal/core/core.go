@@ -382,7 +382,7 @@ func foldSetSums(a *Analysis, blocks *rdd.RDD[data.GenoBlock], width int, panel 
 
 // addVectors is the set-sum reduce's combiner. It allocates instead of adding
 // in place: the vectors a reduce task folds still belong to resident map
-// outputs, which a retried or speculative copy of the task reads again.
+// outputs, which a retried attempt of the task reads again.
 func addVectors(x, y []float64) []float64 {
 	out := make([]float64, len(x))
 	for i := range out {

@@ -18,6 +18,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 
 	"sparkscore/internal/data"
 	"sparkscore/internal/rng"
@@ -60,6 +61,14 @@ func (c Config) withDefaults() Config {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	c = c.withDefaults()
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"MinMAF", c.MinMAF}, {"MaxMAF", c.MaxMAF}, {"EventRate", c.EventRate}, {"MeanSurvival", c.MeanSurvival}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("gen: %s = %g, must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Patients <= 0:
 		return fmt.Errorf("gen: Patients = %d, must be positive", c.Patients)

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -249,5 +250,31 @@ func TestGenoBlocksDecodeToGenotypesMatrix(t *testing.T) {
 	}
 	if j != cfg.SNPs {
 		t.Fatalf("blocks hold %d rows, want %d", j, cfg.SNPs)
+	}
+}
+
+// TestConfigValidateRefusesNonFinite: a NaN or infinite generator parameter is
+// refused naming the field — not a panic (an infinite mean survival), not a
+// phenotype file the reader then refuses (a NaN one), not a silently
+// degenerate dataset (a NaN event rate censors everyone, a NaN MAF bound
+// makes every genotype 0).
+func TestConfigValidateRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{MinMAF: nan, MaxMAF: 0.5}, "MinMAF"},
+		{Config{MinMAF: -inf, MaxMAF: 0.5}, "MinMAF"},
+		{Config{MinMAF: 0.01, MaxMAF: nan}, "MaxMAF"},
+		{Config{EventRate: nan}, "EventRate"},
+		{Config{EventRate: -inf}, "EventRate"},
+		{Config{MeanSurvival: nan}, "MeanSurvival"},
+		{Config{MeanSurvival: inf}, "MeanSurvival"},
+	} {
+		tc.cfg.Patients, tc.cfg.SNPs, tc.cfg.SNPSets = 10, 10, 2
+		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want one naming %s", tc.cfg, err, tc.want)
+		}
 	}
 }

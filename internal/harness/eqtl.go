@@ -24,8 +24,7 @@ import (
 )
 
 // eqtlScale fixes the experiment at the paper's 1/100 scale regardless of the
-// harness Scale, like the speculation experiment: recovery is a property of
-// the engine, not of the input size.
+// harness Scale: recovery is a property of the engine, not of the input size.
 const eqtlScale = 100
 
 // eqtlBlockSize is the DFS block size at eqtlScale; eqtlChaosBlockSize cuts

@@ -85,9 +85,7 @@ func Experiments() []Experiment {
 		{ID: "fig7", Title: "Figure 7 + Tables VII-VIII: container auto-tuning, 1M SNPs", Run: runFig7},
 		{ID: "chaos", Title: "Chaos: lineage recovery under node loss and task failures", Run: runChaos},
 		{ID: "serving", Title: "Serving: concurrent job throughput and latency, FIFO vs FAIR", Run: runServing},
-		{ID: "speculation", Title: "Speculation: stage wall-clock with 8x stragglers, speculative copies on/off", Run: runSpeculation},
 		{ID: "memory", Title: "Memory: sort-shuffle spill-and-complete under a capped unified pool", Run: runMemory},
-		{ID: "adaptive", Title: "Adaptive: skew splitting and partition coalescing, planner on/off", Run: runAdaptive},
 		{ID: "eqtl", Title: "EQTL: the all-pairs cross, chaos recovery", Run: runEQTL},
 	}
 }

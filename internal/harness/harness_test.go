@@ -117,7 +117,7 @@ func TestRegistryCoversEveryArtifact(t *testing.T) {
 	for _, e := range Experiments() {
 		ids = append(ids, e.ID)
 	}
-	want := "tab1 fig2 fig3 fig4 fig5 fig6 fig7 chaos serving speculation memory adaptive eqtl"
+	want := "tab1 fig2 fig3 fig4 fig5 fig6 fig7 chaos serving memory eqtl"
 	if got := strings.Join(ids, " "); got != want {
 		t.Errorf("experiments = %q, want %q", got, want)
 	}

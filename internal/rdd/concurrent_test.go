@@ -483,68 +483,6 @@ func TestRunInPoolAttribution(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRacesConcurrentJobs stress-tests the adaptive planner against
-// live FAIR-pool jobs (race detector on: `go test -race` runs this): worker
-// goroutines build shuffles at differing partition counts and run them
-// concurrently, so every job's map-output statistics and coalescing plan race
-// the others' on the shared bus and shuffle manager. Every job must still
-// produce correct sums.
-func TestAdaptiveRacesConcurrentJobs(t *testing.T) {
-	c, err := New(Config{
-		Cluster:  concTestCluster(),
-		Seed:     13,
-		Workers:  16,
-		Adaptive: AdaptiveConfig{Enabled: true, TargetPartitionBytes: 1 << 10},
-		Scheduler: SchedulerConfig{
-			Mode:  SchedFAIR,
-			Pools: []PoolSpec{{Name: "a", Weight: 1}, {Name: "b", Weight: 1}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, iters = 4, 6
-	var wg sync.WaitGroup
-	errs := make(chan error, workers*iters)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool := "a"
-			if w%2 == 1 {
-				pool = "b"
-			}
-			for i := 0; i < iters; i++ {
-				parts := []int{4, 8, 16, 32}[(w+i)%4]
-				pairs := Map(Parallelize(c, seq(600), parts), fmt.Sprintf("rt%d-%d", w, i),
-					func(x int) KV[int, int] { return KV[int, int]{K: x % 16, V: x} })
-				_, err := c.Submit(Submission{Pool: pool}, func() error {
-					out, err := Collect(ReduceByKey(pairs, func(a, b int) int { return a + b }, parts))
-					if err != nil {
-						return err
-					}
-					total := 0
-					for _, kv := range out {
-						total += kv.V
-					}
-					if want := 600 * 599 / 2; total != want {
-						return fmt.Errorf("worker %d iter %d: sum = %d, want %d", w, i, total, want)
-					}
-					return nil
-				})
-				errs <- err
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestCacheDropRacesConcurrentJobs stress-tests the memory manager's
 // dropRDD/dropExecutor paths racing live jobs that share a cached lineage
 // (race detector on: `go test -race` runs this). Worker goroutines repeatedly

@@ -55,16 +55,6 @@ type Config struct {
 	// replay bit-for-bit.
 	Faults FaultProfile
 
-	// Speculation configures Spark-style speculative execution of straggler
-	// tasks (spark.speculation.*). The zero value disables it.
-	Speculation SpeculationConfig
-
-	// Adaptive configures adaptive stage execution — coalescing of small
-	// reduce partitions and skew splitting from observed map-output sizes
-	// (spark.sql.adaptive.*). The zero value disables it; results are
-	// bitwise identical either way.
-	Adaptive AdaptiveConfig
-
 	// Scheduler configures multi-job arbitration (Spark's
 	// spark.scheduler.mode and fairscheduler.xml). The zero value is FIFO
 	// with no named pools: concurrent submissions run back-to-back in
@@ -175,10 +165,7 @@ func (c Config) validate() error {
 			return fmt.Errorf("rdd: %s %v is not a finite, non-negative number of seconds", o.name, o.sec)
 		}
 	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
-	}
-	return c.Adaptive.Validate()
+	return c.Faults.Validate()
 }
 
 // New builds a driver context over a fresh cluster and file system.

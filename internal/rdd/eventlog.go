@@ -41,15 +41,15 @@ func marshalEvent(ev Event) ([]byte, error) {
 func unmarshalEvent(line []byte) (Event, error) {
 	var env eventLogLine
 	if err := json.Unmarshal(line, &env); err != nil {
-		return nil, fmt.Errorf("rdd: malformed event-log line: %w", err)
+		return nil, fmt.Errorf("malformed line: %w", err)
 	}
 	factory, ok := eventFactories[env.Type]
 	if !ok {
-		return nil, fmt.Errorf("rdd: unknown event type %q", env.Type)
+		return nil, fmt.Errorf("unknown event type %q", env.Type)
 	}
 	ev := factory()
 	if err := json.Unmarshal(env.Data, ev); err != nil {
-		return nil, fmt.Errorf("rdd: decoding %s event: %w", env.Type, err)
+		return nil, fmt.Errorf("decoding %s event: %w", env.Type, err)
 	}
 	return ev, nil
 }
@@ -107,24 +107,27 @@ func (l *EventLogWriter) Err() error {
 }
 
 // ReadEventLog decodes a JSONL event log back into typed events, skipping
-// blank lines.
+// blank lines. Every error names the 1-based line it is about; a type this
+// build does not emit is an error, not a line to skip.
 func ReadEventLog(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	n := 0
 	for sc.Scan() {
+		n++
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		ev, err := unmarshalEvent(line)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("rdd: event log line %d: %w", n, err)
 		}
 		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rdd: event log line %d: %w", n+1, err)
 	}
 	return out, nil
 }

@@ -96,9 +96,6 @@ type StageSubmitted struct {
 	RDD      string `json:"rdd"`
 	NumTasks int    `json:"numTasks"`
 	Recovery bool   `json:"recovery,omitempty"`
-	// Prefetch marks the skew-split sub-stage adaptive execution runs ahead
-	// of a consuming stage (see adaptive.go).
-	Prefetch bool `json:"prefetch,omitempty"`
 }
 
 func (*StageSubmitted) Name() string { return "StageSubmitted" }
@@ -117,7 +114,6 @@ type StageCompleted struct {
 	Seconds        float64 `json:"seconds"`
 	Failed         bool    `json:"failed,omitempty"`
 	Error          string  `json:"error,omitempty"`
-	Prefetch       bool    `json:"prefetch,omitempty"`
 }
 
 func (*StageCompleted) Name() string { return "StageCompleted" }
@@ -136,15 +132,12 @@ type StageResubmitted struct {
 func (*StageResubmitted) Name() string { return "StageResubmitted" }
 
 // TaskStart marks a task attempt's virtual launch (SparkListenerTaskStart).
-// Sub distinguishes adaptive skew-split sub-tasks sharing one partition
-// (1-based within the prefetch sub-stage); 0 for ordinary tasks.
 type TaskStart struct {
 	EventTime
 	Job      uint64 `json:"job"`
 	Stage    uint64 `json:"stage"`
 	Round    int    `json:"round"`
 	Part     int    `json:"part"`
-	Sub      int    `json:"sub,omitempty"`
 	Attempt  int    `json:"attempt"`
 	Executor int    `json:"executor"`
 }
@@ -160,17 +153,11 @@ type TaskEnd struct {
 	Stage    uint64 `json:"stage"`
 	Round    int    `json:"round"`
 	Part     int    `json:"part"`
-	Sub      int    `json:"sub,omitempty"`
 	Attempt  int    `json:"attempt"`
 	Executor int    `json:"executor"`
 	OK       bool   `json:"ok"`
 	Failure  string `json:"failure,omitempty"`
 	Recovery bool   `json:"recovery,omitempty"`
-	// Speculative marks the attempt as a speculative copy launched by the
-	// straggler mitigator; Killed marks an attempt killed because the copy
-	// (or original) racing it finished first.
-	Speculative bool `json:"speculative,omitempty"`
-	Killed      bool `json:"killed,omitempty"`
 	// StartSec/DurationSec locate the attempt's span on the virtual clock
 	// (the event's Time is the end of the span); both are functions of the
 	// Config. ComputeSec is the host time the attempt took — the one
@@ -300,40 +287,6 @@ type NodeLost struct {
 
 func (*NodeLost) Name() string { return "NodeLost" }
 
-// SpeculativeTaskLaunched marks the straggler mitigator launching a copy of a
-// running task attempt on a different executor (the launch half of Spark's
-// speculative task attempts). Part/Attempt identify the original attempt being
-// raced; Executor is where the copy runs, Original where the straggler runs.
-type SpeculativeTaskLaunched struct {
-	EventTime
-	Job      uint64 `json:"job"`
-	Stage    uint64 `json:"stage"`
-	Round    int    `json:"round"`
-	Part     int    `json:"part"`
-	Attempt  int    `json:"attempt"`
-	Executor int    `json:"executor"`
-	Original int    `json:"original"`
-}
-
-func (*SpeculativeTaskLaunched) Name() string { return "SpeculativeTaskLaunched" }
-
-// TaskKilled marks an attempt killed because the other attempt racing it won
-// (Spark's TaskKilled TaskEndReason, "another attempt succeeded"). The killed
-// attempt also emits a TaskEnd with Killed set and its span truncated at the
-// kill time.
-type TaskKilled struct {
-	EventTime
-	Job      uint64 `json:"job"`
-	Stage    uint64 `json:"stage"`
-	Round    int    `json:"round"`
-	Part     int    `json:"part"`
-	Attempt  int    `json:"attempt"`
-	Executor int    `json:"executor"`
-	Reason   string `json:"reason"`
-}
-
-func (*TaskKilled) Name() string { return "TaskKilled" }
-
 // JobCancelled marks a job being torn down by its Submission's context
 // (Spark's SparkListenerJobEnd with JobFailed(SparkException: "cancelled"),
 // surfaced as its own event here so cancellations are not conflated with
@@ -351,23 +304,20 @@ func (*JobCancelled) Name() string { return "JobCancelled" }
 // eventFactories maps event-log type names back to empty event values;
 // ReadEventLog uses it to decode lines.
 var eventFactories = map[string]func() Event{
-	"JobStart":                func() Event { return &JobStart{} },
-	"JobEnd":                  func() Event { return &JobEnd{} },
-	"StageSubmitted":          func() Event { return &StageSubmitted{} },
-	"StageCompleted":          func() Event { return &StageCompleted{} },
-	"StageResubmitted":        func() Event { return &StageResubmitted{} },
-	"TaskStart":               func() Event { return &TaskStart{} },
-	"TaskEnd":                 func() Event { return &TaskEnd{} },
-	"BlockCached":             func() Event { return &BlockCached{} },
-	"BlockEvicted":            func() Event { return &BlockEvicted{} },
-	"ShuffleSpill":            func() Event { return &ShuffleSpill{} },
-	"FetchFailure":            func() Event { return &FetchFailure{} },
-	"ExecutorExcluded":        func() Event { return &ExecutorExcluded{} },
-	"NodeLost":                func() Event { return &NodeLost{} },
-	"SpeculativeTaskLaunched": func() Event { return &SpeculativeTaskLaunched{} },
-	"TaskKilled":              func() Event { return &TaskKilled{} },
-	"JobCancelled":            func() Event { return &JobCancelled{} },
-	"AdaptivePlan":            func() Event { return &AdaptivePlan{} },
+	"JobStart":         func() Event { return &JobStart{} },
+	"JobEnd":           func() Event { return &JobEnd{} },
+	"StageSubmitted":   func() Event { return &StageSubmitted{} },
+	"StageCompleted":   func() Event { return &StageCompleted{} },
+	"StageResubmitted": func() Event { return &StageResubmitted{} },
+	"TaskStart":        func() Event { return &TaskStart{} },
+	"TaskEnd":          func() Event { return &TaskEnd{} },
+	"BlockCached":      func() Event { return &BlockCached{} },
+	"BlockEvicted":     func() Event { return &BlockEvicted{} },
+	"ShuffleSpill":     func() Event { return &ShuffleSpill{} },
+	"FetchFailure":     func() Event { return &FetchFailure{} },
+	"ExecutorExcluded": func() Event { return &ExecutorExcluded{} },
+	"NodeLost":         func() Event { return &NodeLost{} },
+	"JobCancelled":     func() Event { return &JobCancelled{} },
 }
 
 // listenerBus delivers events synchronously to every registered listener, in

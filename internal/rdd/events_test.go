@@ -19,9 +19,9 @@ import (
 // victim only after the wave has drained, the same on every host. The
 // simulated seconds are part of the golden: they are counted work, so a
 // changed digit is a changed cost model, never a busy host.
-const parityGolden = `rdd.JobMetrics{Action:"count", RDD:"filter:mod3(map:x2(parallelize[6000]))", Stages:1, Tasks:8, VirtualSeconds:0.054400000000000004, Ops:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:0, ShuffleRemoteBytes:0, CacheReadBytes:0, Evictions:0, MaterializedBytes:128000, PeakMaterializedBytes:16000, MaxFusedChain:3, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:0, ExecutionPeakBytes:0, TaskRetries:0, StageAttempts:0, RecomputedPartitions:0, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
-rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(filter:mod3(map:x2(parallelize[6000]))))", Stages:2, Tasks:12, VirtualSeconds:0.1080244, Ops:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:3584, ShuffleRemoteBytes:2688, CacheReadBytes:128000, Evictions:0, MaterializedBytes:4480, PeakMaterializedBytes:640, MaxFusedChain:4, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:128000, ExecutionPeakBytes:16000, TaskRetries:0, StageAttempts:0, RecomputedPartitions:0, RecoverySeconds:0, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
-rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(map:inc(filter:mod4(map:double(parallelize[10000])))))", Stages:8, Tasks:16, VirtualSeconds:0.45333888, Ops:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:1088, ShuffleRemoteBytes:704, CacheReadBytes:0, Evictions:0, MaterializedBytes:6528, PeakMaterializedBytes:1088, MaxFusedChain:5, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:1280000, ExecutionPeakBytes:320000, TaskRetries:3, StageAttempts:3, RecomputedPartitions:3, RecoverySeconds:0.08000544000000001, SpeculatedTasks:0, SpeculationWonTasks:0, KilledTasks:0, Cancelled:false}
+const parityGolden = `rdd.JobMetrics{Action:"count", RDD:"filter:mod3(map:x2(parallelize[6000]))", Stages:1, Tasks:8, VirtualSeconds:0.054400000000000004, Ops:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:0, ShuffleRemoteBytes:0, CacheReadBytes:0, Evictions:0, MaterializedBytes:128000, PeakMaterializedBytes:16000, MaxFusedChain:3, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:0, ExecutionPeakBytes:0, TaskRetries:0, StageAttempts:0, RecomputedPartitions:0, RecoverySeconds:0, Cancelled:false}
+rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(filter:mod3(map:x2(parallelize[6000]))))", Stages:2, Tasks:12, VirtualSeconds:0.1080244, Ops:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:3584, ShuffleRemoteBytes:2688, CacheReadBytes:128000, Evictions:0, MaterializedBytes:4480, PeakMaterializedBytes:640, MaxFusedChain:4, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:128000, ExecutionPeakBytes:16000, TaskRetries:0, StageAttempts:0, RecomputedPartitions:0, RecoverySeconds:0, Cancelled:false}
+rdd.JobMetrics{Action:"collect", RDD:"reduceByKey(map:key(map:inc(filter:mod4(map:double(parallelize[10000])))))", Stages:8, Tasks:16, VirtualSeconds:0.45333888, Ops:0, DFSBytes:0, DFSLocalBytes:0, ShuffleBytes:1088, ShuffleRemoteBytes:704, CacheReadBytes:0, Evictions:0, MaterializedBytes:6528, PeakMaterializedBytes:1088, MaxFusedChain:5, SpilledBytes:0, SpillCount:0, ShuffleBufferBytes:1280000, ExecutionPeakBytes:320000, TaskRetries:3, StageAttempts:3, RecomputedPartitions:3, RecoverySeconds:0.08000544000000001, Cancelled:false}
 `
 
 // parityFingerprint runs the fixed parity workload — a clean caching +
@@ -345,5 +345,26 @@ func TestConsoleProgressListener(t *testing.T) {
 	}
 	if quiet.Len() != 0 {
 		t.Errorf("RecoveryOnly listener printed on a clean run:\n%s", quiet.String())
+	}
+}
+
+// TestReadEventLogNamesTheLine: every reader error names the 1-based line it
+// is about, blank lines counted, and the event types this engine no longer
+// emits — adaptive planning's and speculation's — are refused, not skipped.
+func TestReadEventLogNamesTheLine(t *testing.T) {
+	const start = `{"type":"JobStart","data":{"time":0,"job":1,"action":"count","rdd":"r"}}`
+	for _, tc := range []struct{ log, want string }{
+		{start + "\n" + `{"type":"AdaptivePlan","data":{"time":0.5,"job":1,"stage":1,"round":0,"rdd":"r","partitions":5,"tasks":1,"coalescedGroups":1}}` + "\n",
+			`line 2: unknown event type "AdaptivePlan"`},
+		{start + "\n\n" + `{"type":"SpeculativeTaskLaunched","data":{"time":0.1,"job":1,"stage":0,"round":0,"part":3,"attempt":1,"executor":2,"original":0}}`,
+			`line 3: unknown event type "SpeculativeTaskLaunched"`},
+		{`{"type":"TaskKilled","data":{"time":0.2,"job":1,"stage":0,"round":0,"part":3,"attempt":1,"executor":0,"reason":"speculative copy finished first"}}`,
+			`line 1: unknown event type "TaskKilled"`},
+		{start + "\n" + `{"type":"JobEnd","data":{"time":`, "line 2: malformed line"},
+		{start + "\n" + `{"type":"JobEnd","data":{"job":"one"}}`, "line 2: decoding JobEnd event"},
+	} {
+		if _, err := ReadEventLog(strings.NewReader(tc.log)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadEventLog: error %v, want one containing %q", err, tc.want)
+		}
 	}
 }

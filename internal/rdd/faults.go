@@ -44,12 +44,12 @@ type NodeLoss struct {
 }
 
 // Validate rejects profiles that could only have been written by mistake —
-// probabilities outside [0,1], node losses scheduled before the run starts —
-// with an error naming the field, instead of silently clamping or
+// probabilities outside [0,1] or NaN, node losses scheduled before the run
+// starts — with an error naming the field, instead of silently clamping or
 // misbehaving at runtime.
 func (f FaultProfile) Validate() error {
 	check := func(name string, p float64) error {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("rdd: FaultProfile.%s = %g is not a probability (want [0,1])", name, p)
 		}
 		return nil
@@ -74,22 +74,11 @@ func (f FaultProfile) Validate() error {
 	return nil
 }
 
-// SpeculationConfig enables Spark-style speculative execution — the engine's
-// counterpart of spark.speculation. The zero value disables speculation
-// entirely, preserving the pre-speculation schedule bit for bit. When and
-// what to speculate are Spark's defaults (speculationQuantile,
-// speculationMultiplier in speculation.go).
-type SpeculationConfig struct {
-	// Enabled turns speculative re-launching on (spark.speculation).
-	Enabled bool
-}
-
 // Fault decision-point kinds, mixed into the injection key.
 const (
 	faultCrash     = 0x1c
 	faultFetch     = 0x2f
 	faultStraggler = 0x35
-	faultSpecCrash = 0x5c
 )
 
 // faultDraw returns a uniform [0,1) draw that depends only on the decision

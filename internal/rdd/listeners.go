@@ -55,10 +55,6 @@ func eventJob(ev Event) uint64 {
 		return e.Job
 	case *FetchFailure:
 		return e.Job
-	case *SpeculativeTaskLaunched:
-		return e.Job
-	case *TaskKilled:
-		return e.Job
 	case *JobCancelled:
 		return e.Job
 	}
@@ -106,14 +102,7 @@ func (ml *metricsListener) OnEvent(ev Event) {
 		if e.Attempt > 1 {
 			jm.TaskRetries++
 		}
-	case *SpeculativeTaskLaunched:
-		jm.SpeculatedTasks++
-	case *TaskKilled:
-		jm.KilledTasks++
 	case *TaskEnd:
-		if e.Speculative && e.OK {
-			jm.SpeculationWonTasks++
-		}
 		m := e.Metrics
 		jm.Ops += m.Ops
 		jm.DFSBytes += m.DFSLocalBytes + m.DFSRemoteBytes
@@ -198,22 +187,15 @@ func (tl *TimelineListener) OnEvent(ev Event) {
 	switch e := ev.(type) {
 	case *TaskEnd:
 		status := "ok"
-		switch {
-		case e.Killed:
-			status = "killed"
-		case !e.OK:
+		if !e.OK {
 			status = "failed"
-		}
-		name := fmt.Sprintf("job %d stage %d part %d attempt %d", e.Job, e.Stage, e.Part, e.Attempt)
-		if e.Speculative {
-			name += " (speculative)"
 		}
 		tl.execs[e.Executor] = true
 		tl.spans = append(tl.spans, traceEvent{
-			Name: name,
+			Name: fmt.Sprintf("job %d stage %d part %d attempt %d", e.Job, e.Stage, e.Part, e.Attempt),
 			Ph:   "X", Ts: e.StartSec * microsecond, Dur: e.DurationSec * microsecond,
 			Pid: e.Executor + 1, Tid: e.Part,
-			Args: map[string]any{"status": status, "recovery": e.Recovery, "failure": e.Failure, "speculative": e.Speculative},
+			Args: map[string]any{"status": status, "recovery": e.Recovery, "failure": e.Failure},
 		})
 	case *StageCompleted:
 		tl.spans = append(tl.spans, traceEvent{
@@ -224,8 +206,6 @@ func (tl *TimelineListener) OnEvent(ev Event) {
 		})
 	case *StageResubmitted:
 		tl.instant(fmt.Sprintf("resubmit shuffle %d (attempt %d)", e.Shuffle, e.Attempt), e.Time)
-	case *SpeculativeTaskLaunched:
-		tl.instant(fmt.Sprintf("speculate job %d stage %d part %d on executor %d", e.Job, e.Stage, e.Part, e.Executor), e.Time)
 	case *JobCancelled:
 		tl.instant(fmt.Sprintf("job %d cancelled: %s", e.Job, e.Reason), e.Time)
 	case *ExecutorExcluded:
@@ -307,9 +287,6 @@ func (cp *ConsoleProgressListener) OnEvent(ev Event) {
 		}
 	case *JobCancelled:
 		cp.printf("[job %d] cancelling %s(%s): %s", e.Job, e.Action, e.RDD, e.Reason)
-	case *SpeculativeTaskLaunched:
-		cp.printf("[job %d]     speculating task %d (stage %s) on executor %d (original on %d)",
-			e.Job, e.Part, stageLabel(e.Stage), e.Executor, e.Original)
 	case *StageSubmitted:
 		if !cp.RecoveryOnly {
 			suffix := ""
@@ -329,10 +306,7 @@ func (cp *ConsoleProgressListener) OnEvent(ev Event) {
 		cp.printf("[job %d] fetch failure: resubmitting map stage of shuffle %d (attempt %d): %s",
 			e.Job, e.Shuffle, e.Attempt, e.Reason)
 	case *TaskEnd:
-		if e.Killed {
-			cp.printf("[job %d]     task %d attempt %d killed on executor %d: %s",
-				e.Job, e.Part, e.Attempt, e.Executor, e.Failure)
-		} else if !e.OK {
+		if !e.OK {
 			cp.printf("[job %d]     task %d attempt %d failed on executor %d: %s",
 				e.Job, e.Part, e.Attempt, e.Executor, e.Failure)
 		}

@@ -58,14 +58,6 @@ type JobMetrics struct {
 	// as a fraction of fault-free time.
 	RecoverySeconds float64
 
-	// Speculation accounting. SpeculatedTasks counts speculative copies
-	// launched, SpeculationWonTasks the copies that finished first, and
-	// KilledTasks the losing attempts killed mid-flight. All are
-	// scheduling-order-insensitive counts, part of the replay fingerprint.
-	SpeculatedTasks     int
-	SpeculationWonTasks int
-	KilledTasks         int
-
 	// Cancelled marks a job ended by its Submission's context: it produced no
 	// result, but unlike a failure nothing is wrong with the context.
 	Cancelled bool
@@ -83,10 +75,6 @@ func (m JobMetrics) String() string {
 		s += fmt.Sprintf(" [recovery: %d retries, %d stage re-attempts, %d recomputed parts, %.3f sim-s]",
 			m.TaskRetries, m.StageAttempts, m.RecomputedPartitions, m.RecoverySeconds)
 	}
-	if m.SpeculatedTasks > 0 {
-		s += fmt.Sprintf(" [speculation: %d copies, %d won, %d killed]",
-			m.SpeculatedTasks, m.SpeculationWonTasks, m.KilledTasks)
-	}
 	if m.Cancelled {
 		s += " [cancelled]"
 	}
@@ -98,9 +86,6 @@ type RecoveryStats struct {
 	TaskRetries          int
 	StageAttempts        int
 	RecomputedPartitions int
-	SpeculatedTasks      int
-	SpeculationWonTasks  int
-	KilledTasks          int
 	CancelledJobs        int
 	RecoverySeconds      float64
 	VirtualSeconds       float64
@@ -114,9 +99,6 @@ func SummarizeRecovery(jobs []JobMetrics) RecoveryStats {
 		s.TaskRetries += m.TaskRetries
 		s.StageAttempts += m.StageAttempts
 		s.RecomputedPartitions += m.RecomputedPartitions
-		s.SpeculatedTasks += m.SpeculatedTasks
-		s.SpeculationWonTasks += m.SpeculationWonTasks
-		s.KilledTasks += m.KilledTasks
 		if m.Cancelled {
 			s.CancelledJobs++
 		}

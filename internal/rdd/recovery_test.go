@@ -300,6 +300,65 @@ func TestStragglerSlowsVirtualTime(t *testing.T) {
 	}
 }
 
+// TestNodeLossBetweenMapStageAndConsumer loses a node exactly between a map
+// stage and the stage that reads it: the plan comes due when the map stage's
+// last task ends and fires at the stage's closing wave boundary — after every
+// output was registered, before the consumer fetches one. The consumer's fetch
+// failure resubmits the map stage, the result is the undisturbed run's, and
+// the whole sequence replays bit for bit across the Workers matrix.
+func TestNodeLossBetweenMapStageAndConsumer(t *testing.T) {
+	const mapParts = 8
+	work := func(c *Context) string {
+		pairs := Map(Parallelize(c, seq(2000), mapParts), "hot", func(i int) KV[int, int] {
+			if i%10 != 0 {
+				return KV[int, int]{K: 0, V: i}
+			}
+			return KV[int, int]{K: 1 + i%7, V: i}
+		}).SetSizeHint(4096)
+		out, err := Collect(GroupByKey(pairs, 8))
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprint(out)
+	}
+	cfg := Config{Cluster: cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge}, Seed: 5}
+	undisturbed, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := work(undisturbed)
+
+	cfg.Faults = FaultProfile{NodeLoss: []NodeLoss{{Node: 0, AfterTasks: mapParts}}}
+	obs := workersMatrix(t, cfg, work)
+	if obs.Result != want {
+		t.Fatalf("result changed by the node loss:\n%.200s\nwant\n%.200s", obs.Result, want)
+	}
+	events, err := ReadEventLog(strings.NewReader(obs.Log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapDone, lost, resubmitted := false, false, false
+	for _, ev := range events {
+		switch e := ev.(type) {
+		case *StageCompleted:
+			if e.Stage != 0 && e.Round == 0 {
+				mapDone = !e.Failed
+			}
+		case *NodeLost:
+			lost = true
+		case *StageSubmitted:
+			if e.Stage == 0 && e.Round == 0 && !lost {
+				t.Fatal("the consumer stage was submitted before the node loss: the plan did not fire at the map stage's boundary")
+			}
+		case *StageResubmitted:
+			resubmitted = true
+		}
+	}
+	if !mapDone || !lost || !resubmitted {
+		t.Fatalf("map stage completed %v, node lost %v, map stage resubmitted %v: want all three", mapDone, lost, resubmitted)
+	}
+}
+
 func TestCollectNotReplayedOnStageRetry(t *testing.T) {
 	// The result stage re-runs only unvisited partitions after a fetch
 	// failure: no partition is evaluated, and so none delivered, twice.

@@ -45,50 +45,43 @@ func workersMatrix(t *testing.T, cfg Config, work func(c *Context) string) repla
 
 // TestSeededReplayIndependentOfWorkers is the workload no narrower test
 // covers: every fault kind at once — task crashes, fetch failures, stragglers
-// and a scheduled node loss — with speculation off and on, over a cached
-// lineage that three successive jobs read through fresh ReduceByKey + Join
-// shuffles, so later jobs recover what the node loss took from earlier ones.
+// and a scheduled node loss — over a cached lineage that three successive
+// jobs read through fresh ReduceByKey + Join shuffles, so later jobs recover
+// what the node loss took from earlier ones.
 func TestSeededReplayIndependentOfWorkers(t *testing.T) {
-	for _, spec := range []bool{false, true} {
-		cfg := Config{
-			Cluster: cluster.Config{Nodes: 4, Spec: cluster.M3TwoXLarge},
-			Seed:    23,
-			Faults: FaultProfile{
-				TaskCrashProb:    0.1,
-				FetchFailureProb: 0.08,
-				StragglerProb:    0.2,
-				NodeLoss:         []NodeLoss{{Node: 1, AfterTasks: 9}},
-			},
-			Speculation: SpeculationConfig{Enabled: spec},
-		}
-		obs := workersMatrix(t, cfg, func(c *Context) string {
-			cached := Map(Parallelize(c, seq(6000), 8), "x3", func(x int) int { return 3 * x }).Cache()
-			weights := Map(Parallelize(c, seq(40), 2), "wkey", func(k int) KV[int, int] {
-				return KV[int, int]{K: k, V: 10 * k}
-			})
-			var out strings.Builder
-			for job := 0; job < 3; job++ {
-				mod := 17 + 6*job
-				pairs := Map(cached, fmt.Sprintf("key%d", mod), func(x int) KV[int, int] {
-					return KV[int, int]{K: x % mod, V: x}
-				})
-				sums := ReduceByKey(pairs, func(a, b int) int { return a + b }, 6)
-				joined, err := Collect(Join(sums, weights, 5))
-				if err != nil {
-					t.Fatalf("speculation=%v job %d: %v", spec, job, err)
-				}
-				fmt.Fprintln(&out, joined)
-			}
-			return out.String()
+	cfg := Config{
+		Cluster: cluster.Config{Nodes: 4, Spec: cluster.M3TwoXLarge},
+		Seed:    23,
+		Faults: FaultProfile{
+			TaskCrashProb:    0.1,
+			FetchFailureProb: 0.08,
+			StragglerProb:    0.2,
+			NodeLoss:         []NodeLoss{{Node: 1, AfterTasks: 9}},
+		},
+	}
+	obs := workersMatrix(t, cfg, func(c *Context) string {
+		cached := Map(Parallelize(c, seq(6000), 8), "x3", func(x int) int { return 3 * x }).Cache()
+		weights := Map(Parallelize(c, seq(40), 2), "wkey", func(k int) KV[int, int] {
+			return KV[int, int]{K: k, V: 10 * k}
 		})
-		wants := []string{`"type":"NodeLost"`, `"type":"FetchFailure"`, `"type":"StageResubmitted"`, `injected task crash`}
-		if spec {
-			wants = append(wants, `"type":"SpeculativeTaskLaunched"`)
-		}
-		for _, want := range wants {
-			if !strings.Contains(obs.Log, want) {
-				t.Errorf("speculation=%v: chaos log is missing %s; the matrix is vacuous for it", spec, want)
+		var out strings.Builder
+		for job := 0; job < 3; job++ {
+			mod := 17 + 6*job
+			pairs := Map(cached, fmt.Sprintf("key%d", mod), func(x int) KV[int, int] {
+				return KV[int, int]{K: x % mod, V: x}
+			})
+			sums := ReduceByKey(pairs, func(a, b int) int { return a + b }, 6)
+			joined, err := Collect(Join(sums, weights, 5))
+			if err != nil {
+				t.Fatalf("job %d: %v", job, err)
 			}
+			fmt.Fprintln(&out, joined)
+		}
+		return out.String()
+	})
+	for _, want := range []string{`"type":"NodeLost"`, `"type":"FetchFailure"`, `"type":"StageResubmitted"`, `injected task crash`} {
+		if !strings.Contains(obs.Log, want) {
+			t.Errorf("chaos log is missing %s; the matrix is vacuous for it", want)
 		}
 	}
 }

@@ -38,7 +38,6 @@ import (
 
 type task struct {
 	part     int
-	sub      int // 1-based skew-split sub-task index (adaptive prefetch); 0 otherwise
 	executor int
 	attempt  int // 1-based attempt number of the latest launch
 	run      func(tc *taskContext)
@@ -186,12 +185,7 @@ func (c *Context) runJob(final *node, action string, eval func(tc *taskContext, 
 						p := p
 						tasks = append(tasks, &task{part: p, run: func(tc *taskContext) { sd.runMap(tc, p) }})
 					}
-					recovery := resubmits[sd.id] > 0
-					tasks, err := c.adaptStage(jr, uint64(sd.id), round, sd.parent, tasks, recovery)
-					if err != nil {
-						return err
-					}
-					if err := c.runStage(jr, uint64(sd.id), round, sd.parent, tasks, recovery, false); err != nil {
+					if err := c.runStage(jr, uint64(sd.id), round, sd.parent, tasks, resubmits[sd.id] > 0); err != nil {
 						return err
 					}
 					// Only now is the shuffle complete; marking it done before
@@ -215,29 +209,14 @@ func (c *Context) runJob(final *node, action string, eval func(tc *taskContext, 
 			}
 			p := p
 			tasks = append(tasks, &task{part: p, run: func(tc *taskContext) {
-				// An adaptive group task re-runs every member on an in-stage
-				// retry; partitions already visited by the first try must not
-				// be evaluated (or visited) twice.
-				visitMu.Lock()
-				done := completed[p]
-				visitMu.Unlock()
-				if done {
-					return
-				}
 				v := eval(tc, p)
 				visitMu.Lock()
-				if !completed[p] {
-					visit(p, v)
-					completed[p] = true
-				}
+				visit(p, v)
+				completed[p] = true
 				visitMu.Unlock()
 			}})
 		}
-		tasks, err := c.adaptStage(jr, 0, round, final, tasks, round > 0)
-		if err != nil {
-			return err
-		}
-		return c.runStage(jr, 0, round, final, tasks, round > 0, false)
+		return c.runStage(jr, 0, round, final, tasks, round > 0)
 	}
 
 	for round := 0; ; round++ {
@@ -299,13 +278,13 @@ func isFetchFailure(err error) bool {
 // times. It returns a *fetchFailedError when a task found a map output
 // missing — the caller resubmits the parent map stage — and a
 // *TaskAbortedError when a task exhausted its attempts.
-func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node, tasks []*task, recovery, prefetch bool) error {
+func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node, tasks []*task, recovery bool) error {
 	if len(tasks) == 0 {
 		return nil
 	}
 	job := jr.job
 	stageStart := jr.now()
-	c.emit(stageStart, &StageSubmitted{Job: job, Stage: stageID, Round: round, RDD: stageRDD.name, NumTasks: len(tasks), Recovery: recovery, Prefetch: prefetch})
+	c.emit(stageStart, &StageSubmitted{Job: job, Stage: stageID, Round: round, RDD: stageRDD.name, NumTasks: len(tasks), Recovery: recovery})
 
 	// loads balances placement by per-stage assignment counts; it threads
 	// through every wave so retries still see the stage's load balance.
@@ -379,19 +358,13 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 		}
 		wg.Wait()
 
-		// Deterministic post-mortem, in (partition, sub-task) order: attribute
-		// failures to executors, pick the error that escalates, build the
-		// retry wave.
-		sort.Slice(fails, func(i, j int) bool {
-			if fails[i].t.part != fails[j].t.part {
-				return fails[i].t.part < fails[j].t.part
-			}
-			return fails[i].t.sub < fails[j].t.sub
-		})
+		// Deterministic post-mortem, in partition order: attribute failures to
+		// executors, pick the error that escalates, build the retry wave.
+		sort.Slice(fails, func(i, j int) bool { return fails[i].t.part < fails[j].t.part })
 		var retry []*task
 		for _, f := range fails {
 			t := f.t
-			charge := &task{part: t.part, sub: t.sub, executor: t.executor, attempt: t.attempt, computeSec: t.computeSec, tc: t.tc}
+			charge := &task{part: t.part, executor: t.executor, attempt: t.attempt, computeSec: t.computeSec, tc: t.tc}
 			noteFailure := func() {
 				if ev := c.noteTaskFailure(t.executor); ev != nil {
 					stageEvents = append(stageEvents, ev)
@@ -463,50 +436,33 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 		}
 		return pool
 	}
-	// Phase one: schedule. Play every attempt's duration onto its executor's
-	// slots (successful tasks in partition order, then failed attempts in
-	// post-mortem order) without emitting anything yet — speculation needs the
-	// whole schedule before any TaskEnd is final.
-	var scheds []*attemptSched
-	schedule := func(t *task, isRecovery bool) {
+	makespan := 0.0
+	account := func(t *task, isRecovery bool) {
 		if t.tc == nil {
 			return // never launched (the job was cancelled mid-wave)
 		}
-		base := c.taskBaseDuration(t)
-		slow := c.stragglerSlowdown(t.tc)
-		dur := base * slow
+		dur := c.taskBaseDuration(t) * c.stragglerSlowdown(t.tc)
 		done := poolFor(t.executor).Run(0, dur)
-		scheds = append(scheds, &attemptSched{t: t, recovery: isRecovery,
-			base: base, slow: slow, dur: dur, done: done, effDone: done})
+		makespan = max(makespan, done)
+		start, end := stageStart+done-dur, stageStart+done
+		c.emit(start, &TaskStart{Job: job, Stage: stageID, Round: round, Part: t.part, Attempt: t.attempt, Executor: t.executor})
+		for _, ev := range t.tc.events {
+			c.emit(end, ev)
+		}
+		c.emit(end, &TaskEnd{
+			Job: job, Stage: stageID, Round: round, Part: t.part, Attempt: t.attempt, Executor: t.executor,
+			OK: t.ok, Failure: t.failMsg, Recovery: isRecovery,
+			StartSec: start, DurationSec: dur, ComputeSec: t.computeSec,
+			Metrics: t.tc.snapshot(),
+		})
 	}
 	for _, t := range tasks {
 		if t.ok {
-			schedule(t, recovery || t.attempt > 1)
+			account(t, recovery || t.attempt > 1)
 		}
 	}
 	for _, t := range charges {
-		schedule(t, true)
-	}
-	// Phase two: speculation. Copies of straggling attempts are placed on
-	// other executors' remaining slots; a surviving copy wins and truncates
-	// its original at the copy's completion (a no-op unless enabled).
-	if stageErr == nil {
-		c.planSpeculation(job, stageID, round, scheds, poolFor)
-	}
-	// Phase three: emit, in schedule order. The stage barrier is the last
-	// *effective* completion — killed originals count up to their kill time
-	// only, which is exactly the speculation win.
-	makespan := 0.0
-	for _, s := range scheds {
-		if s.effDone > makespan {
-			makespan = s.effDone
-		}
-		if s.copy != nil && s.copy.done > makespan {
-			makespan = s.copy.done
-		}
-	}
-	for _, s := range scheds {
-		c.emitAttempt(jr, stageID, round, stageStart, s)
+		account(t, true)
 	}
 	// Node losses fired by plans during this stage, then executor exclusions,
 	// land at the stage barrier — a deterministic log position.
@@ -516,65 +472,13 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 	}
 	elapsed := makespan + c.cfg.StageOverheadSec
 	done := &StageCompleted{Job: job, Stage: stageID, Round: round, RDD: stageRDD.name,
-		NumTasks: len(tasks), FailedAttempts: len(charges), Seconds: elapsed, Prefetch: prefetch}
+		NumTasks: len(tasks), FailedAttempts: len(charges), Seconds: elapsed}
 	if stageErr != nil {
 		done.Failed, done.Error = true, stageErr.Error()
 	}
 	c.emit(stageStart+elapsed, done)
 	jr.virt += elapsed
 	return stageErr
-}
-
-// emitAttempt flushes one scheduled attempt's events: TaskStart at its
-// virtual launch, the events the task buffered while running, then TaskEnd —
-// plus, when a speculative copy raced it, the copy's launch, the kill of the
-// losing original, and the copy's own TaskEnd.
-func (c *Context) emitAttempt(jr *jobRun, stage uint64, round int, stageStart float64, s *attemptSched) {
-	t := s.t
-	start, end := stageStart+s.done-s.dur, stageStart+s.effDone
-	c.emit(start, &TaskStart{Job: jr.job, Stage: stage, Round: round, Part: t.part, Sub: t.sub, Attempt: t.attempt, Executor: t.executor})
-	for _, ev := range t.tc.events {
-		c.emit(end, ev)
-	}
-	te := &TaskEnd{
-		Job: jr.job, Stage: stage, Round: round, Part: t.part, Sub: t.sub, Attempt: t.attempt, Executor: t.executor,
-		OK: t.ok, Failure: t.failMsg, Recovery: s.recovery,
-		StartSec: start, DurationSec: s.dur, ComputeSec: t.computeSec,
-		Metrics: t.tc.snapshot(),
-	}
-	cp := s.copy
-	if cp != nil {
-		c.emit(stageStart+cp.done-cp.dur, &SpeculativeTaskLaunched{Job: jr.job, Stage: stage, Round: round,
-			Part: t.part, Attempt: t.attempt, Executor: cp.executor, Original: t.executor})
-		if !cp.crashed {
-			// The copy won: the original is killed at the copy's completion,
-			// its span truncated there.
-			te.OK, te.Killed = false, true
-			te.Failure = "killed: speculative copy won"
-			te.DurationSec = s.effDone - (s.done - s.dur)
-			c.emit(end, &TaskKilled{Job: jr.job, Stage: stage, Round: round, Part: t.part,
-				Attempt: t.attempt, Executor: t.executor, Reason: "speculative copy finished first"})
-		}
-	}
-	c.emit(end, te)
-	if cp != nil {
-		cte := &TaskEnd{
-			Job: jr.job, Stage: stage, Round: round, Part: t.part, Sub: t.sub, Attempt: t.attempt, Executor: cp.executor,
-			Speculative: true, Recovery: s.recovery,
-			StartSec: stageStart + cp.done - cp.dur, DurationSec: cp.dur,
-		}
-		if cp.crashed {
-			cte.Failure = fmt.Sprintf("injected task crash (speculative copy of stage %d partition %d attempt %d)", stage, t.part, t.attempt)
-		} else {
-			// The winning copy re-ran the same partition for real: it carries
-			// the original's host compute and work counters, honestly
-			// double-charging what speculation cost the cluster.
-			cte.OK = true
-			cte.ComputeSec = t.computeSec
-			cte.Metrics = t.tc.snapshot()
-		}
-		c.emit(stageStart+cp.done, cte)
-	}
 }
 
 // firePlans triggers every scheduled failure whose task-count threshold has
@@ -705,9 +609,8 @@ const (
 
 // taskBaseDuration converts a task's counted work — declared kernel operations
 // and recorded I/O, nothing the host's clock said — into simulated seconds
-// before the straggler slowdown — the duration the task
-// would have run at the stage's normal rate, which is what a speculative copy
-// of it runs at on another executor.
+// before the straggler slowdown: the duration the task would have run at the
+// stage's normal rate.
 func (c *Context) taskBaseDuration(t *task) float64 {
 	cfg := c.cfg
 	tc := t.tc

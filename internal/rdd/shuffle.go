@@ -45,13 +45,6 @@ type shuffleDep struct {
 	parts  int
 	runMap func(tc *taskContext, mapPart int)
 
-	// subFetch fetches one reduce partition's pairs from a contiguous range
-	// of map outputs [mapLo, mapHi) and parks them on the dependency for the
-	// consuming task (adaptive skew splitting; see adaptive.go). Set by every
-	// typed shuffle constructor — it closes over the element types the way
-	// runMap does.
-	subFetch func(tc *taskContext, reducePart, mapLo, mapHi int)
-
 	// done means the map stage has *successfully* completed at least once.
 	// The scheduler sets it only after the stage succeeds, and clears it
 	// when a fetch failure shows the outputs are gone, so a resubmitted job
@@ -67,53 +60,6 @@ type shuffleDep struct {
 	// the acquisition order is a topological partial order and cannot
 	// deadlock.
 	runMu sync.Mutex
-
-	// partials holds per-reduce-partition pair slices parked by skew-split
-	// prefetch sub-tasks, consumed once by the reduce task (takePartials).
-	partialMu sync.Mutex
-	partials  map[int]*partialFetch
-}
-
-// partialFetch accumulates one reduce partition's prefetched pairs, one slot
-// per map output so the consuming task can replay them in map-output order.
-type partialFetch struct {
-	bySource []any // bySource[m] is the []KV[K,V] fetched from map output m
-	filled   []bool
-	n        int
-}
-
-// storePartial parks one map output's pairs for a reduce partition.
-func (sd *shuffleDep) storePartial(reducePart, mapParts, mapPart int, pairs any) {
-	sd.partialMu.Lock()
-	defer sd.partialMu.Unlock()
-	if sd.partials == nil {
-		sd.partials = map[int]*partialFetch{}
-	}
-	pf := sd.partials[reducePart]
-	if pf == nil || len(pf.bySource) != mapParts {
-		pf = &partialFetch{bySource: make([]any, mapParts), filled: make([]bool, mapParts)}
-		sd.partials[reducePart] = pf
-	}
-	if !pf.filled[mapPart] {
-		pf.n++
-	}
-	pf.bySource[mapPart] = pairs
-	pf.filled[mapPart] = true
-}
-
-// takePartials consumes a reduce partition's prefetched pairs, but only when
-// every map output has been parked — a half-prefetched partition (the
-// sub-stage was re-planned, or an older round left leftovers) falls back to a
-// full fetch, which produces the identical pair stream.
-func (sd *shuffleDep) takePartials(reducePart, mapParts int) ([]any, bool) {
-	sd.partialMu.Lock()
-	defer sd.partialMu.Unlock()
-	pf := sd.partials[reducePart]
-	if pf == nil || len(pf.bySource) != mapParts || pf.n != mapParts {
-		return nil, false
-	}
-	delete(sd.partials, reducePart)
-	return pf.bySource, true
 }
 
 func (sd *shuffleDep) isDone() bool {
@@ -204,30 +150,6 @@ func (sm *shuffleManager) has(shuffle, mapPart int) bool {
 	defer sm.mu.Unlock()
 	_, ok := sm.outputs[mapKey{shuffle, mapPart}]
 	return ok
-}
-
-// get returns one map output, or nil if it is gone.
-func (sm *shuffleManager) get(shuffle, mapPart int) *mapOutput {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	return sm.outputs[mapKey{shuffle, mapPart}]
-}
-
-// bytesFor returns each map output's per-reduce-partition byte sizes for a
-// shuffle — the adaptive planner's input — or false if an output is gone or
-// was written under another partitioning.
-func (sm *shuffleManager) bytesFor(shuffle, mapParts, reduceParts int) ([][]int64, bool) {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	rows := make([][]int64, mapParts)
-	for m := range rows {
-		mo := sm.outputs[mapKey{shuffle, m}]
-		if mo == nil || len(mo.bytes) != reduceParts {
-			return nil, false
-		}
-		rows[m] = mo.bytes
-	}
-	return rows, true
 }
 
 // drop destroys one map output (injected shuffle-data loss).
@@ -381,46 +303,6 @@ func registerBuckets[K comparable, V any](ctx *Context, tc *taskContext, sd *shu
 	ctx.shuffle.write(sd.id, mapPart, tc.node(), tc.executor, anyBuckets, bytes, nil)
 }
 
-// fetchRange is one skew-split sub-task's work: fetch the reduce partition
-// from map outputs [lo, hi), charging the transfer exactly as a full fetch
-// would, and park the pairs — in map-output order, spilled runs read back
-// in arrival order — for the consuming reduce task.
-func fetchRange[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleDep, reducePart, lo, hi int) {
-	mapParts := sd.parent.parts
-	ctx.maybeInjectFetchFailure(tc, sd.id, mapParts)
-	for m := lo; m < hi; m++ {
-		mo := ctx.shuffle.get(sd.id, m)
-		if mo == nil {
-			tc.emit(&FetchFailure{Job: tc.job, Stage: tc.stage, Round: tc.round, Part: tc.part,
-				Attempt: tc.attempt, Shuffle: sd.id, MapPart: m})
-			panic(&fetchFailedError{shuffle: sd.id, mapPart: m})
-		}
-		if mo.node == tc.node() {
-			tc.shuffleLocalBytes += mo.bytes[reducePart]
-		} else {
-			tc.shuffleRemoteBytes += mo.bytes[reducePart]
-		}
-		var pairs []KV[K, V]
-		if mo.runs == nil {
-			pairs = mo.buckets[reducePart].([]KV[K, V])
-		} else {
-			for kv := range readRuns[K, V](tc, sd.id, m, mo.runs, reducePart) {
-				pairs = append(pairs, kv)
-			}
-			tc.noteMaterialized(int64(len(pairs)) * sd.parent.bytesPerElem)
-		}
-		sd.storePartial(reducePart, mapParts, m, pairs)
-	}
-}
-
-// makeSubFetch closes fetchRange over the dependency's element types; every
-// typed shuffle constructor installs it on its shuffleDep.
-func makeSubFetch[K comparable, V any](ctx *Context, sd *shuffleDep) func(tc *taskContext, reducePart, lo, hi int) {
-	return func(tc *taskContext, reducePart, lo, hi int) {
-		fetchRange[K, V](ctx, tc, sd, reducePart, lo, hi)
-	}
-}
-
 // ReduceByKey merges the values of each key with combine, which must be
 // associative and commutative. The map side streams the parent cursor into
 // per-bucket combining hash maps (Spark's map-side combine), so each map
@@ -434,7 +316,6 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], combine func(V, V) V, pa
 	}
 	parent := r.n
 	sd := &shuffleDep{id: ctx.newShuffleID(), parent: parent, parts: parts}
-	sd.subFetch = makeSubFetch[K, V](ctx, sd)
 	sd.runMap = func(tc *taskContext, mapPart int) {
 		runSortMap(ctx, tc, sd, mapPart, seqOf[KV[K, V]](parent.iterate(tc, mapPart)), parent.bytesPerElem, combine)
 	}
@@ -482,7 +363,6 @@ func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, []V
 	}
 	parent := r.n
 	sd := &shuffleDep{id: ctx.newShuffleID(), parent: parent, parts: parts}
-	sd.subFetch = makeSubFetch[K, V](ctx, sd)
 	sd.runMap = writeShuffleSide[K, V](ctx, sd, parent)
 	n := newTypedNode[KV[K, []V]](ctx, fmt.Sprintf("groupByKey(%s)", parent.name), parts)
 	n.shuffleIn = []*shuffleDep{sd}
@@ -525,10 +405,8 @@ func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int)
 	}
 	left, right := a.n, b.n
 	sdL := &shuffleDep{id: ctx.newShuffleID(), parent: left, parts: parts}
-	sdL.subFetch = makeSubFetch[K, V](ctx, sdL)
 	sdL.runMap = writeShuffleSide[K, V](ctx, sdL, left)
 	sdR := &shuffleDep{id: ctx.newShuffleID(), parent: right, parts: parts}
-	sdR.subFetch = makeSubFetch[K, W](ctx, sdR)
 	sdR.runMap = writeShuffleSide[K, W](ctx, sdR, right)
 
 	n := newTypedNode[KV[K, JoinPair[V, W]]](ctx, fmt.Sprintf("join(%s,%s)", left.name, right.name), parts)

@@ -271,37 +271,6 @@ func readRuns[K comparable, V any](tc *taskContext, shuffle, mapPart int, runs [
 // read back by readRuns. Either way the inner sequence is the map task's
 // arrival order, the order every reduce-side fold is defined over.
 func shuffleBucketSeqs[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleDep, reducePart, mapParts int) iter.Seq[iter.Seq[KV[K, V]]] {
-	if srcs, ok := sd.takePartials(reducePart, mapParts); ok {
-		// The adaptive skew sub-stage prefetched this partition: the
-		// sub-tasks already charged the transfer. The injection draw below is
-		// keyed identically to the full-fetch path's, so the fault schedule
-		// is unchanged (for this task's attempt the prefetch sub-tasks made —
-		// and survived — the same draw); the existence checks catch outputs
-		// chaos destroyed between prefetch and consumption.
-		ctx.maybeInjectFetchFailure(tc, sd.id, mapParts)
-		for m := 0; m < mapParts; m++ {
-			if !ctx.shuffle.has(sd.id, m) {
-				tc.emit(&FetchFailure{Job: tc.job, Stage: tc.stage, Round: tc.round, Part: tc.part,
-					Attempt: tc.attempt, Shuffle: sd.id, MapPart: m})
-				panic(&fetchFailedError{shuffle: sd.id, mapPart: m})
-			}
-		}
-		return func(yield func(iter.Seq[KV[K, V]]) bool) {
-			for _, src := range srcs {
-				pairs := src.([]KV[K, V])
-				seq := func(y func(KV[K, V]) bool) {
-					for _, kv := range pairs {
-						if !y(kv) {
-							return
-						}
-					}
-				}
-				if !yield(seq) {
-					return
-				}
-			}
-		}
-	}
 	outs := ctx.shuffle.fetch(tc, sd.id, reducePart, mapParts)
 	return func(yield func(iter.Seq[KV[K, V]]) bool) {
 		for m, mo := range outs {

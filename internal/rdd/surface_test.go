@@ -152,7 +152,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 
 // censusStructs names the option structs of the tree by declaring package.
 var censusStructs = map[string][]string{
-	"sparkscore/internal/rdd":    {"Config", "FaultProfile", "SpeculationConfig", "AdaptiveConfig", "SchedulerConfig", "PoolSpec"},
+	"sparkscore/internal/rdd":    {"Config", "FaultProfile", "SchedulerConfig", "PoolSpec"},
 	"sparkscore/internal/core":   {"Options"},
 	"sparkscore/internal/assoc":  {"Config"},
 	"sparkscore/internal/server": {"Config", "PoolConfig"},

@@ -95,8 +95,13 @@ func CombineAll(st SetStatistic, sets data.SNPSets, weights data.Weights, scores
 // genotype; monomorphic SNPs (MAF 0 or 1) get weight 0 so they cannot
 // dominate through an unbounded density.
 func BetaMAFWeights(m *data.GenotypeMatrix, a, b float64) (data.Weights, error) {
-	if a <= 0 || b <= 0 {
-		return nil, fmt.Errorf("stats: Beta weight parameters (%g,%g) must be positive", a, b)
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"a", a}, {"b", b}} {
+		if !(p.v > 0) || math.IsInf(p.v, 1) {
+			return nil, fmt.Errorf("stats: Beta weight parameter %s = %g, must be positive and finite", p.name, p.v)
+		}
 	}
 	lgA, _ := math.Lgamma(a)
 	lgB, _ := math.Lgamma(b)

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -138,13 +139,26 @@ func TestBetaMAFWeightsFoldsMajorAllele(t *testing.T) {
 	}
 }
 
+// TestBetaMAFWeightsRejectsBadParams: a shape that is not positive and
+// finite is refused naming the parameter — an infinite or NaN one used to come
+// back as NaN weights.
 func TestBetaMAFWeightsRejectsBadParams(t *testing.T) {
 	m := data.NewGenotypeMatrix(1, 2)
-	if _, err := BetaMAFWeights(m, 0, 25); err == nil {
-		t.Fatal("a=0 accepted")
-	}
-	if _, err := BetaMAFWeights(m, 1, -1); err == nil {
-		t.Fatal("b<0 accepted")
+	copy(m.Rows[0], []data.Genotype{0, 1})
+	for _, tc := range []struct {
+		a, b float64
+		want string
+	}{
+		{0, 25, "parameter a"},
+		{math.Inf(1), 25, "parameter a"},
+		{math.NaN(), 25, "parameter a"},
+		{1, -1, "parameter b"},
+		{1, math.Inf(1), "parameter b"},
+		{1, math.NaN(), "parameter b"},
+	} {
+		if _, err := BetaMAFWeights(m, tc.a, tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("BetaMAFWeights(%g, %g): error %v, want one naming %s", tc.a, tc.b, err, tc.want)
+		}
 	}
 }
 
