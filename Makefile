@@ -44,7 +44,9 @@ bench:
 # bench-smoke proves the fused-chain benchmarks still run (allocation numbers
 # are asserted by TestFusedChainAllocsIndependentOfSize; this guards the
 # benchmark harness itself), that the wide kernel's benchmark at the
-# eqtl_wide shape still builds its fixture and reports Mpairs/s, and that the
+# eqtl_wide shape still builds its fixture and reports Mpairs/s — beside it
+# the all-pairs fold at that shape, the kernel's rows through the cut-off
+# accumulator, one task's worth — and that the
 # Monte Carlo panel kernel's benchmark still builds mc_cached's packed matrix
 # (500 and 1000 patients × 20 000 SNPs) and reports ns/elem-replicate at
 # b = 1, one tile and core's batch width, table build counted — both walk
@@ -56,6 +58,7 @@ bench:
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x
+	$(GO) test ./internal/assoc -run '^$$' -bench 'Fold/eqtl_wide' -benchmem -benchtime=3x
 	$(GO) test ./internal/stats -run '^$$' -bench PackedPanel -benchtime=3x
 	$(GO) test ./internal/data -run '^$$' -bench AppendTextRow -benchtime=3x
 	$(GO) test ./internal/stats -run '^$$' -bench PackedRowScores -benchtime=3x
@@ -73,7 +76,10 @@ bench-smoke:
 # column bit for bit, PackedRowScores equals its written summation order
 # bit for bit (or NaN both) on arbitrary packed bytes and residuals, and the
 # two-list cell walk equals two sumCells calls (equal bits or NaN both, or the
-# same panic on an out-of-range index) on arbitrary tile bits and lists.
+# same panic on an out-of-range index) on arbitrary tile bits and lists, and
+# the all-pairs accumulator's χ² cut-offs leave its partial equal to the exact
+# path's (Tested, top-K bits, BH result) on arbitrary score and variance
+# streams, NaN, ±Inf, zeros, subnormals and ties included.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzGenoBlockTextRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzPhenoMatrixRoundTrip -fuzztime=10s
@@ -84,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPanelKernel -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPackedRowScores -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzSumCellPairs -fuzztime=10s
+	$(GO) test ./internal/assoc -run='^$$' -fuzz=FuzzAccumulatorCutoff -fuzztime=10s
 
 # cover enforces the per-package statement-coverage floors recorded in
 # coverage_baseline.txt: <package> <min-percent> per line, '#' comments

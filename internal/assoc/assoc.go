@@ -204,17 +204,18 @@ func (a *Analysis) broadcastPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial
 	}
 	bc := a.phenoBC
 	k, bins := a.cfg.topK(), a.cfg.histBins()
+	edge := newBHEdge(bins, fdrAlpha)
 	partials := rdd.FoldPartition(blocks, "assocPartials", func(t rdd.Task) (func(data.GenoBlock), func() []partial) {
 		m := bc.Value()
 		perRow := int64(m.Rows()) * int64(m.Patients)
 		kernel := shared.Fork()
-		acc := newAccumulator(k, bins)
-		visit := func(snp int32, pheno int, score, variance float64) {
-			acc.add(pairResult(snp, m.IDs[pheno], score, variance))
+		acc := newAccumulator(k, edge)
+		row := func(snp int32, scores, variances []float64) {
+			acc.addRow(snp, m.IDs, scores, variances)
 		}
 		add := func(blk data.GenoBlock) {
 			t.Charge(int64(blk.Rows()) * perRow)
-			kernel.BlockStats(blk, visit)
+			kernel.BlockRows(blk, row)
 		}
 		finish := func() []partial { return []partial{acc.partial()} }
 		return add, finish

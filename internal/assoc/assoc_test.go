@@ -339,3 +339,228 @@ func TestOverflowingPhenotypeFailsTheRun(t *testing.T) {
 		t.Fatalf("Run() = %v, want a kernel rejection containing %q", err, want)
 	}
 }
+
+// TestScoreSquareOverflowFailsTheRun: a phenotype at 1e155 × (1, 0.9, ...)
+// has finite residuals and a finite variance scale, but a pair's score² can
+// overflow to +Inf and report p = 0 for a χ² that does not depend on scale.
+// The kernel must refuse it by name; at 1e150 the bounds hold and every
+// p-value is the scale-1 phenotype's.
+func TestScoreSquareOverflowFailsTheRun(t *testing.T) {
+	const patients, snps = 6, 10
+	run := func(scale float64) (*Result, error) {
+		ctx := newTestContext(t, 1, 0, rdd.FaultProfile{})
+		_, geno, _ := stageFixture(t, ctx, patients, snps, 1)
+		expr := data.NewPhenoMatrix(patients, 2)
+		for p, s := range []float64{1, scale} {
+			row := make([]float64, patients)
+			for i := range row {
+				row[i] = s * (1 - 0.1*float64(i%2))
+			}
+			if err := expr.AppendRow(p, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		paths, err := Stage(ctx, geno, &expr, "overflow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{TopK: 2 * snps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Run()
+	}
+	if _, err := run(1e155); err == nil || !strings.Contains(err.Error(), "stats: wide kernel phenotype 1 ") {
+		t.Fatalf("scale 1e155: Run() = %v, want a kernel rejection naming phenotype 1", err)
+	}
+	res, err := run(1e150)
+	if err != nil {
+		t.Fatalf("scale 1e150: %v", err)
+	}
+	pv := map[[2]int32]float64{}
+	for _, p := range res.TopK {
+		pv[[2]int32{p.SNP, p.Pheno}] = p.PValue
+	}
+	if len(pv) != 2*snps {
+		t.Fatalf("top-K holds %d pairs, want all %d", len(pv), 2*snps)
+	}
+	for snp := int32(0); snp < snps; snp++ {
+		one, big := pv[[2]int32{snp, 0}], pv[[2]int32{snp, 1}]
+		if math.Abs(big-one) > 1e-12*math.Abs(one) {
+			t.Fatalf("SNP %d: p = %v at scale 1e150, %v at scale 1", snp, big, one)
+		}
+	}
+}
+
+// cutoffFixture is one input of the cut-off grid.
+type cutoffFixture struct {
+	name, family string
+	geno         *data.GenotypeMatrix
+	expr         *data.PhenoMatrix
+	many         int // a DFS block size that cuts the genotype file into several partitions
+}
+
+// binaryPhenos draws phenos 0/1 phenotypes, each with both classes.
+func binaryPhenos(t *testing.T, r *rng.RNG, patients, phenos int) *data.PhenoMatrix {
+	expr := data.NewPhenoMatrix(patients, phenos)
+	row := make([]float64, patients)
+	for p := 0; p < phenos; p++ {
+		for i := range row {
+			row[i] = 0
+			if r.Bernoulli(0.4) || i == 0 {
+				row[i] = 1
+			}
+		}
+		row[1] = 0
+		if err := expr.AppendRow(p, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &expr
+}
+
+// cutoffFixtures: an expression cross, a binary one, one where more pairs
+// than any K below underflow to p = 0 (phenotypes equal to the dosages of ten
+// SNPs over 2 000 patients, χ² ≈ n), and one whose every third row is
+// monomorphic (variance 0, p = 1).
+func cutoffFixtures(t *testing.T) []cutoffFixture {
+	small := gen.Config{Patients: 40, SNPs: 300, SNPSets: 1}
+	expression := cutoffFixture{name: "expression", family: "gaussian", many: 2 << 10,
+		geno: gen.Genotypes(small, rng.New(5)), expr: gen.ExpressionMatrix(small, rng.New(6), 6)}
+	binary := cutoffFixture{name: "binary", family: "binomial", many: 2 << 10,
+		geno: gen.Genotypes(small, rng.New(9)), expr: binaryPhenos(t, rng.New(10), 40, 4)}
+
+	wide := gen.Config{Patients: 2000, SNPs: 30, SNPSets: 1}
+	underflow := cutoffFixture{name: "underflow", family: "gaussian", many: 16 << 10, geno: gen.Genotypes(wide, rng.New(11))}
+	dosages := data.NewPhenoMatrix(wide.Patients, 10)
+	row := make([]float64, wide.Patients)
+	for p := 0; p < 10; p++ {
+		for i, g := range underflow.geno.Rows[p] {
+			row[i] = 0
+			if g != data.MissingGenotype {
+				row[i] = float64(g)
+			}
+		}
+		if err := dosages.AppendRow(p, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	underflow.expr = &dosages
+
+	mono := cutoffFixture{name: "monomorphic", family: "binomial", many: 2 << 10,
+		geno: gen.Genotypes(gen.Config{Patients: 40, SNPs: 200, SNPSets: 1}, rng.New(12)), expr: binaryPhenos(t, rng.New(13), 40, 5)}
+	for j := 0; j < len(mono.geno.Rows); j += 3 {
+		for i := range mono.geno.Rows[j] {
+			mono.geno.Rows[j][i] = data.Genotype(j / 3 % 3)
+		}
+	}
+	return []cutoffFixture{expression, binary, underflow, mono}
+}
+
+// TestCutoffMatchesBruteForce runs the cross over a grid — K of 1, 7 and more
+// than a partition's pairs; 1, 20 (where α·W is exactly 1), 512 and 4096 bins;
+// one partition and several; Gaussian and binomial — on every cut-off fixture,
+// and requires the brute-force top-K bit for bit, every pair tested, and the
+// FDR summary of exact BH on the bin-snapped p-values.
+func TestCutoffMatchesBruteForce(t *testing.T) {
+	for _, fx := range cutoffFixtures(t) {
+		all := bruteForce(t, fx.geno, fx.expr, fx.family)
+		sort.Slice(all, func(i, j int) bool { return pairLess(all[i], all[j]) })
+		if fx.name == "underflow" {
+			zeros := 0
+			for _, p := range all {
+				if p.PValue == 0 {
+					zeros++
+				}
+			}
+			if zeros <= 7 {
+				t.Fatalf("underflow fixture has %d pairs at p = 0, want more than 7", zeros)
+			}
+		}
+		for _, blockSize := range []int{0, fx.many} {
+			ctx := newTestContext(t, 2, blockSize, rdd.FaultProfile{})
+			paths, err := Stage(ctx, fx.geno, fx.expr, fx.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 7, len(all) + 1} {
+				for _, bins := range []int{1, 20, 512, 4096} {
+					where := fmt.Sprintf("%s block=%d k=%d bins=%d", fx.name, blockSize, k, bins)
+					a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{Family: fx.family, TopK: k, HistBins: bins})
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					res, err := a.Run()
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if blockSize != 0 && res.SNPBlocks < 3 {
+						t.Fatalf("%s: %d genotype partitions, want several", where, res.SNPBlocks)
+					}
+					if res.Tested != int64(len(all)) {
+						t.Fatalf("%s: tested %d pairs, want %d", where, res.Tested, len(all))
+					}
+					want := all[:min(k, len(all))]
+					if len(res.TopK) != len(want) {
+						t.Fatalf("%s: top-K has %d entries, want %d", where, len(res.TopK), len(want))
+					}
+					for i, g := range res.TopK {
+						w := want[i]
+						if g.SNP != w.SNP || g.Pheno != w.Pheno ||
+							math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
+							math.Float64bits(g.Variance) != math.Float64bits(w.Variance) ||
+							math.Float64bits(g.PValue) != math.Float64bits(w.PValue) {
+							t.Fatalf("%s: top-K entry %d = %+v, brute force %+v", where, i, g, w)
+						}
+					}
+					snapped := make([]float64, len(all))
+					for i, p := range all {
+						snapped[i] = snap(p.PValue, bins)
+					}
+					thr, disc := exactBH(snapped, fdrAlpha)
+					if math.Float64bits(res.FDR.Threshold) != math.Float64bits(thr) || res.FDR.Discoveries != disc {
+						t.Fatalf("%s: FDR = %+v, exact-on-snapped (%v, %d)", where, res.FDR, thr, disc)
+					}
+				}
+			}
+		}
+	}
+}
+
+// foldSink keeps BenchmarkFold's result live.
+var foldSink *accumulator
+
+// BenchmarkFold times one eqtl_wide task's fold in process: the wide kernel's
+// rows through the cut-off accumulator — four blocks of 256 SNPs × 1 000
+// patients against 256 phenotypes, a fresh accumulator per iteration as each
+// partition builds one (eqtl_wide runs about twenty such tasks). Mpairs/s
+// reads beside stats' BenchmarkWideKernel/eqtl_wide, the kernel alone.
+func BenchmarkFold(b *testing.B) {
+	b.Run("eqtl_wide", func(b *testing.B) {
+		const patients, snps, phenos = 1000, 1024, 256
+		cfg := gen.Config{Patients: patients, SNPs: snps, SNPSets: 1}
+		blocks := gen.GenoBlocks(cfg, rng.New(1), data.GenoBlockRows)
+		expr := gen.ExpressionMatrix(cfg, rng.New(2), phenos)
+		shared, err := newKernel("gaussian", expr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kernel, edge := shared.Fork(), newBHEdge(Config{}.histBins(), fdrAlpha)
+		fold := func() *accumulator {
+			acc := newAccumulator(Config{}.topK(), edge)
+			row := func(snp int32, scores, variances []float64) { acc.addRow(snp, expr.IDs, scores, variances) }
+			for _, blk := range blocks {
+				kernel.BlockRows(blk, row)
+			}
+			return acc
+		}
+		acc := fold() // sizes the kernel's scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			foldSink = fold()
+		}
+		b.ReportMetric(float64(b.N)*float64(snps*phenos)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+		b.ReportMetric(float64(acc.scored)/float64(acc.tested), "scored/pair")
+	})
+}

@@ -19,12 +19,22 @@
 //     exactly BH run on the p-values rounded up to their bin's upper edge, so
 //     the sketch is conservative: its discovery set is a subset of exact BH's,
 //     and any p-value it admits exceeds the exact threshold by < 1/W.
+//   - Pairs below both cut-offs are counted, not scored. BH can set its
+//     threshold only at a bin whose upper edge is ≤ α, and a full heap admits
+//     no pair less significant than its root; both edges are monotone in
+//     χ² = s²/v, so a pair whose χ² is strictly below both (each lowered by
+//     cutMargin) only adds to Tested. Bins past α are never incremented. A
+//     partial is then the exact path's partial with those bins zeroed, and
+//     they cannot change bhFromHist: the BH threshold comes out the same.
 
 package assoc
 
 import (
 	"container/heap"
+	"math"
 	"sort"
+
+	"sparkscore/internal/stats"
 )
 
 // PairResult is one scored (SNP, phenotype) association.
@@ -66,18 +76,36 @@ type topK struct {
 
 func newTopK(k int) *topK { return &topK{k: k} }
 
-func (t *topK) add(p PairResult) {
+// add offers p to the heap and reports whether it was kept.
+func (t *topK) add(p PairResult) bool {
 	if t.k <= 0 {
-		return
+		return false
 	}
 	if len(t.h) < t.k {
 		heap.Push(&t.h, p)
-		return
+		return true
 	}
 	if pairLess(p, t.h[0]) {
 		t.h[0] = p
 		heap.Fix(&t.h, 0)
+		return true
 	}
+	return false
+}
+
+// cut is the heap's χ² cut-off: a pair whose χ² is strictly below it cannot
+// enter. With K ≤ 0 no pair can; until the heap is full, every pair can. It
+// reads the root's p-value as its χ²'s, which holds for every pair
+// pairResult builds.
+func (t *topK) cut() float64 {
+	switch {
+	case t.k <= 0:
+		return math.Inf(1)
+	case len(t.h) < t.k:
+		return 0
+	}
+	root := t.h[0]
+	return cutBelow(stats.Chi2Stat(root.Score, root.Variance), root.PValue)
 }
 
 // sorted returns the kept pairs in ascending pairLess order.
@@ -87,17 +115,17 @@ func (t *topK) sorted() []PairResult {
 	return out
 }
 
-// histAdd counts p into its fixed-width bin over [0,1]: bin b covers
+// histBin is p's fixed-width bin among w over [0,1]: bin b covers
 // (b/W, (b+1)/W], with p = 0 landing in bin 0.
-func histAdd(h []int64, p float64) {
-	idx := int(p * float64(len(h)))
-	if idx >= len(h) {
-		idx = len(h) - 1
+func histBin(p float64, w int) int {
+	idx := int(p * float64(w))
+	if idx >= w {
+		idx = w - 1
 	}
 	if idx < 0 {
 		idx = 0
 	}
-	h[idx]++
+	return idx
 }
 
 // FDR is the Benjamini–Hochberg summary computed from the histogram sketch.
@@ -147,21 +175,106 @@ type partial struct {
 	Hist   []int64
 }
 
-// accumulator builds a partial from a stream of scored pairs.
+// cutMargin is how far, relatively, a cut-off sits below the χ² of the edge
+// it guards. Where the report's edges lie (p ≈ α, or a top-K root well inside
+// the normal range) it moves p by ~1e-6 relative, against erfc's error of a
+// few ulps (~1e-16), so float rounding cannot carry a pair below the cut-off
+// across the edge.
+const cutMargin = 1e-6
+
+// cutBelow turns an edge into a cut-off. x is a χ² whose p-value is p; the
+// result is x lowered by cutMargin, checked to leave every χ² strictly below
+// it a computed p-value above p·(1 + 1e-9): strictly above p, and still past
+// the edge once multiplied by the sketch width. Where erfc is too flat for
+// the margin to move p that far (χ² near 0), where p is not comfortably
+// normal (near erfc's underflow, where pairs tied at p = 0 order by SNP and
+// phenotype), and for a NaN edge, it returns 0, which no χ² is below.
+func cutBelow(x, p float64) float64 {
+	c := x * (1 - cutMargin)
+	if !(p >= 1e-300) || !(stats.ChiSquaredSurvival(c, 1) > p*(1+1e-9)) {
+		return 0
+	}
+	return c
+}
+
+// bhEdge is the run's BH cut-off, computed once from the sketch width: BH can
+// set its threshold only at a bin b with u_b = (b+1)/W ≤ α·C_b/m ≤ α, so only
+// the bins below keep count, and a pair whose χ² is below cut lands past them.
+type bhEdge struct {
+	bins int     // the sketch width W
+	keep int     // bins [0, keep) have u_b ≤ α, in bhFromHist's expression
+	cut  float64 // a χ² strictly below cut has a p-value in bin ≥ keep
+}
+
+func newBHEdge(bins int, alpha float64) bhEdge {
+	e := bhEdge{bins: bins}
+	w := float64(bins)
+	for e.keep < bins && float64(e.keep+1)/w <= alpha {
+		e.keep++
+	}
+	if e.keep == 0 {
+		e.cut = math.Inf(1) // no bin can set the threshold: none counts
+		return e
+	}
+	// Bisect for the χ² at which p·W reaches keep, the lower edge of the
+	// first bin past α; p(0) = 1 is on the low side, and p is 0 by χ² = 2048.
+	q := float64(e.keep) / w
+	lo, hi := 0.0, 2048.0
+	for range 200 {
+		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
+		}
+		if stats.ChiSquaredSurvival(mid, 1) >= q {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	e.cut = cutBelow(lo, q)
+	return e
+}
+
+// accumulator builds a partial from the kernel's rows. A pair whose χ² is
+// strictly below cut = min(BH cut-off, heap cut-off) is counted only; every
+// other pair — NaN χ² included, since NaN < cut is false — takes the exact
+// path: its p-value, its histogram bin if kept, and the heap.
 type accumulator struct {
 	tested int64
+	scored int64 // pairs that took the exact path
 	top    *topK
 	hist   []int64
+	edge   bhEdge
+	cut    float64
 }
 
-func newAccumulator(k, bins int) *accumulator {
-	return &accumulator{top: newTopK(k), hist: make([]int64, bins)}
+func newAccumulator(k int, edge bhEdge) *accumulator {
+	a := &accumulator{top: newTopK(k), hist: make([]int64, edge.bins), edge: edge}
+	a.cut = min(edge.cut, a.top.cut())
+	return a
 }
 
-func (a *accumulator) add(p PairResult) {
-	a.tested++
-	histAdd(a.hist, p.PValue)
-	a.top.add(p)
+// addRow accounts one kernel row: the pairs (snp, phenos[p]) with scores[p]
+// and variances[p].
+func (a *accumulator) addRow(snp int32, phenos []int32, scores, variances []float64) {
+	a.tested += int64(len(scores))
+	variances = variances[:len(scores)]
+	for p, s := range scores {
+		if x := stats.Chi2Stat(s, variances[p]); !(x < a.cut) {
+			a.score(pairResult(snp, phenos[p], s, variances[p]))
+		}
+	}
+}
+
+// score is the exact path for one pair.
+func (a *accumulator) score(p PairResult) {
+	a.scored++
+	if b := histBin(p.PValue, len(a.hist)); b < a.edge.keep {
+		a.hist[b]++
+	}
+	if a.top.add(p) {
+		a.cut = min(a.edge.cut, a.top.cut())
+	}
 }
 
 func (a *accumulator) partial() partial {

@@ -1,25 +1,28 @@
 package assoc
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
 
 	"sparkscore/internal/rng"
+	"sparkscore/internal/stats"
 )
 
+// randomPairs draws n scored pairs of distinct p-values: standard-normal
+// scores over variances in [1, 2).
 func randomPairs(seed uint64, n int) []PairResult {
 	r := rng.New(seed)
 	out := make([]PairResult, n)
 	for i := range out {
-		out[i] = PairResult{
-			SNP:    int32(i / 7),
-			Pheno:  int32(i % 7),
-			PValue: r.Float64(),
-		}
+		out[i] = pairResult(int32(i/7), int32(i%7), r.Normal(), 1+r.Float64())
 	}
 	return out
 }
+
+// histAdd counts p into its bin of h, as the exact path does for every pair.
+func histAdd(h []int64, p float64) { h[histBin(p, len(h))]++ }
 
 func TestTopKEqualsSortedPrefix(t *testing.T) {
 	pairs := randomPairs(3, 500)
@@ -202,9 +205,9 @@ func TestMergePartialsOrderIndependent(t *testing.T) {
 	pairs := randomPairs(7, 300)
 	const k, bins = 20, 64
 	mk := func(chunk []PairResult) partial {
-		acc := newAccumulator(k, bins)
+		acc := newAccumulator(k, newBHEdge(bins, fdrAlpha))
 		for _, p := range chunk {
-			acc.add(p)
+			acc.addRow(p.SNP, []int32{p.Pheno}, []float64{p.Score}, []float64{p.Variance})
 		}
 		return acc.partial()
 	}
@@ -226,4 +229,222 @@ func TestMergePartialsOrderIndependent(t *testing.T) {
 			t.Fatalf("merged top-K entry %d = %+v, stream top-K %+v", i, fwd.TopK[i], p)
 		}
 	}
+}
+
+// pairRow is one kernel row as the accumulator sees it.
+type pairRow struct {
+	snp               int32
+	phenos            []int32
+	scores, variances []float64
+}
+
+// exactPartial is the partial of the path without cut-offs: every pair
+// scored, every bin counted, every pair offered to the heap.
+func exactPartial(k, bins int, rows []pairRow) partial {
+	out := partial{Hist: make([]int64, bins)}
+	top := newTopK(k)
+	for _, r := range rows {
+		for p, s := range r.scores {
+			pr := pairResult(r.snp, r.phenos[p], s, r.variances[p])
+			out.Tested++
+			histAdd(out.Hist, pr.PValue)
+			top.add(pr)
+		}
+	}
+	out.Top = top.sorted()
+	return out
+}
+
+// checkCutoff streams rows through the cut-off accumulator and the exact
+// path and requires equal Tested, Float64bits-equal tops and an equal BH
+// result; it returns the accumulator for the caller's non-vacuity checks.
+func checkCutoff(t *testing.T, k, bins int, rows []pairRow) *accumulator {
+	t.Helper()
+	acc := newAccumulator(k, newBHEdge(bins, fdrAlpha))
+	for _, r := range rows {
+		acc.addRow(r.snp, r.phenos, r.scores, r.variances)
+	}
+	got, want := acc.partial(), exactPartial(k, bins, rows)
+	if got.Tested != want.Tested {
+		t.Fatalf("k=%d bins=%d: tested %d, exact %d", k, bins, got.Tested, want.Tested)
+	}
+	if len(got.Top) != len(want.Top) {
+		t.Fatalf("k=%d bins=%d: kept %d pairs, exact %d", k, bins, len(got.Top), len(want.Top))
+	}
+	for i, g := range got.Top {
+		w := want.Top[i]
+		if g.SNP != w.SNP || g.Pheno != w.Pheno ||
+			math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
+			math.Float64bits(g.Variance) != math.Float64bits(w.Variance) ||
+			math.Float64bits(g.PValue) != math.Float64bits(w.PValue) {
+			t.Fatalf("k=%d bins=%d: top entry %d = %+v, exact %+v", k, bins, i, g, w)
+		}
+	}
+	if g, w := bhFromHist(got.Hist, got.Tested, fdrAlpha), bhFromHist(want.Hist, want.Tested, fdrAlpha); g != w {
+		t.Fatalf("k=%d bins=%d: FDR %+v, exact %+v", k, bins, g, w)
+	}
+	return acc
+}
+
+// onePairRows makes one row per (score, variance), SNP ids in stream order.
+func onePairRows(pairs ...[2]float64) []pairRow {
+	rows := make([]pairRow, len(pairs))
+	for i, p := range pairs {
+		rows[i] = pairRow{snp: int32(i), phenos: []int32{0}, scores: []float64{p[0]}, variances: []float64{p[1]}}
+	}
+	return rows
+}
+
+// TestBHEdgeKeepsTheBinsAtOrBelowAlpha pins the run-wide cut-off: keep counts
+// the bins whose upper edge bhFromHist could accept, a χ² just below the
+// cut-off lands past them, and the cut-off is tight — 1e-5 above it, p is
+// back in a kept bin — wherever any bin is kept.
+func TestBHEdgeKeepsTheBinsAtOrBelowAlpha(t *testing.T) {
+	for _, c := range []struct{ bins, keep int }{
+		{1, 0}, {19, 0}, {20, 1}, {21, 1}, {40, 2}, {512, 25}, {4096, 204}, {1 << 20, 52428},
+	} {
+		e := newBHEdge(c.bins, fdrAlpha)
+		if e.keep != c.keep {
+			t.Fatalf("bins=%d: keep %d, want %d", c.bins, e.keep, c.keep)
+		}
+		if c.keep == 0 {
+			if !math.IsInf(e.cut, 1) {
+				t.Fatalf("bins=%d: no bin is kept, yet cut-off %v counts some pairs", c.bins, e.cut)
+			}
+			continue
+		}
+		below := stats.ChiSquaredSurvival(math.Nextafter(e.cut, 0), 1)
+		if b := histBin(below, c.bins); b < e.keep {
+			t.Fatalf("bins=%d: χ² just below the cut-off %v lands in kept bin %d", c.bins, e.cut, b)
+		}
+		above := stats.ChiSquaredSurvival(e.cut*(1+1e-5), 1)
+		if b := histBin(above, c.bins); b >= e.keep {
+			t.Fatalf("bins=%d: cut-off %v is not tight: 1e-5 above it p = %v, bin %d", c.bins, e.cut, above, b)
+		}
+		// Pairs just above the cut-off, in the last kept bin but at
+		// W = 2²⁰: BH sets its threshold there.
+		rows := onePairRows([2]float64{math.Sqrt(e.cut * (1 + 1e-5)), 1}, [2]float64{math.Sqrt(e.cut * (1 + 2e-5)), 1})
+		acc := checkCutoff(t, 1, c.bins, rows)
+		if got := bhFromHist(acc.hist, acc.tested, fdrAlpha); got.Discoveries != 2 {
+			t.Fatalf("bins=%d: pairs in the last kept bin gave %+v, want both discovered", c.bins, got)
+		}
+	}
+}
+
+// TestCutoffHazards pins the four ways a cut-off could drop a pair the exact
+// path keeps, each against the exact path.
+func TestCutoffHazards(t *testing.T) {
+	t.Run("NaN χ² takes the exact path", func(t *testing.T) {
+		// A NaN score bins at 0 and so can set the BH threshold.
+		rows := onePairRows([2]float64{3, 1}, [2]float64{0.1, 1}, [2]float64{math.NaN(), 1}, [2]float64{0.2, 1})
+		if acc := checkCutoff(t, 1, 4096, rows); acc.scored != 2 {
+			t.Fatalf("scored %d pairs, want the first, the NaN one and no other", acc.scored)
+		}
+	})
+	t.Run("zero variance is counted only", func(t *testing.T) {
+		rows := onePairRows([2]float64{3, 1}, [2]float64{2, 0}, [2]float64{0, 0}, [2]float64{5, -1})
+		if acc := checkCutoff(t, 1, 4096, rows); acc.scored != 1 {
+			t.Fatalf("scored %d pairs, want only the first", acc.scored)
+		}
+	})
+	t.Run("no heap cut-off while the root's p is 0", func(t *testing.T) {
+		// χ² 2000 and 1600 both underflow to p = 0, so the later, lower-SNP
+		// pair beats the root on the tie rule although its χ² is far lower.
+		rows := onePairRows([2]float64{math.Sqrt(2000), 1}, [2]float64{40, 1})
+		rows[0].snp = 9
+		if stats.ChiSquaredSurvival(1600, 1) != 0 {
+			t.Fatal("χ² = 1600 no longer underflows: pick a larger fixture χ²")
+		}
+		if acc := checkCutoff(t, 1, 1, rows); acc.scored != 2 {
+			t.Fatalf("scored %d pairs, want both", acc.scored)
+		}
+	})
+	t.Run("no heap cut-off where erfc is flat", func(t *testing.T) {
+		// Near χ² = 0 a relative 1e-6 moves no bit of p: the second pair ties
+		// the root's p and wins on SNP.
+		root, next := 1e-30, 1e-30*(1-2*cutMargin)
+		if stats.ChiSquaredSurvival(root, 1) != stats.ChiSquaredSurvival(next, 1) {
+			t.Fatal("the fixture χ² values no longer tie in p")
+		}
+		rows := onePairRows([2]float64{math.Sqrt(root), 1}, [2]float64{math.Sqrt(next), 1})
+		rows[0].snp = 9
+		if acc := checkCutoff(t, 1, 1, rows); acc.scored != 2 {
+			t.Fatalf("scored %d pairs, want both", acc.scored)
+		}
+	})
+}
+
+// TestCutoffCountsMostOfANullStream is the cut-off's non-vacuity: on a null
+// stream most pairs are counted without a p-value, and the partial is the
+// exact path's.
+func TestCutoffCountsMostOfANullStream(t *testing.T) {
+	pairs := randomPairs(13, 20000)
+	rows := make([]pairRow, 0, len(pairs)/7)
+	for i := 0; i+7 <= len(pairs); i += 7 {
+		r := pairRow{snp: pairs[i].SNP}
+		for _, p := range pairs[i : i+7] {
+			r.phenos = append(r.phenos, p.Pheno)
+			r.scores = append(r.scores, p.Score)
+			r.variances = append(r.variances, p.Variance)
+		}
+		rows = append(rows, r)
+	}
+	for _, k := range []int{0, 1, 100} {
+		acc := checkCutoff(t, k, 4096, rows)
+		if acc.scored*5 > acc.tested {
+			t.Fatalf("k=%d: scored %d of %d pairs, want at most a fifth", k, acc.scored, acc.tested)
+		}
+	}
+}
+
+// FuzzAccumulatorCutoff feeds arbitrary kernel rows — NaN, ±Inf, ±0,
+// subnormal and tied scores and variances, repeated pair ids — through the
+// cut-off accumulator and the exact path; the partials must agree.
+func FuzzAccumulatorCutoff(f *testing.F) {
+	f.Add([]byte{2, 6, 0x13, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	palette := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 1e-310, 1e-30, 1e-15, 0.5, 1, 1.96, 2, 3,
+		40, 45, 1e155, -1, -1.96, -40, math.MaxFloat64,
+	}
+	widths := []int{1, 2, 19, 20, 21, 64, 512, 4096}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 3 {
+			return
+		}
+		k, bins := int(raw[0]%9), widths[int(raw[1])%len(widths)]
+		raw = raw[2:]
+		next := func() byte {
+			if len(raw) == 0 {
+				return 0
+			}
+			b := raw[0]
+			raw = raw[1:]
+			return b
+		}
+		value := func() float64 {
+			sel := next()
+			if sel%4 != 0 || len(raw) < 8 {
+				return palette[int(sel/4)%len(palette)]
+			}
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			raw = raw[8:]
+			return v
+		}
+		var rows []pairRow
+		for len(raw) >= 2 {
+			h := next()
+			r := pairRow{snp: int32(h % 8)}
+			for range 1 + int(h>>3)%4 {
+				if len(raw) < 3 {
+					break
+				}
+				r.phenos = append(r.phenos, int32(next()%4))
+				r.scores = append(r.scores, value())
+				r.variances = append(r.variances, value())
+			}
+			rows = append(rows, r)
+		}
+		checkCutoff(t, k, bins, rows)
+	})
 }

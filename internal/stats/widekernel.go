@@ -22,6 +22,12 @@
 // SSE2 registers whose sixteen columns are independent chains; elsewhere it
 // is sumCells, the same adds one list at a time in Go.
 //
+// The kernel hands its consumer one SNP row at a time (BlockRows): the row's
+// scores against the whole batch and their variances, so a consumer that
+// needs only a cut-off test per pair — the all-pairs engine's χ² = s²/v
+// against its report's edges — pays no call per pair. BlockStats is the
+// per-pair view of the same walk.
+//
 // Summation-order contract. score(j, p) = Σ over patients in ascending index
 // of dosage·residual; exact-zero terms may be omitted; variance loops as in
 // Gaussian.Variance. Omitting a zero term is exact because residuals are
@@ -104,11 +110,17 @@ type WideKernel struct {
 	cells  []uint32  // the rows' cell lists, concatenated
 	ends   []int     // row r's list is cells[ends[r-1]:ends[r]]
 	scores []float64 // rows × phenotypes, row-major
+	vars   []float64 // the current row's variance per phenotype
 }
 
 // NewWideKernel builds a wide kernel over the batch. Every model must share
 // the patient count, implement ScoreResidualer and VarianceScaler, and have finite
-// residuals and variance scale.
+// residuals and variance scale. Its worst cases must be finite too: a score
+// is Σ dosage·r with dosages in [0, 2], so |score| ≤ 2·Σ|r| and score² ≤
+// (2·Σ|r|)²; a variance is scale·Σ(G−Ḡ)², and a dosage in [0, 2] spreads at
+// most 1 per patient, so variance ≤ scale·n. A phenotype past either bound
+// could score a pair whose s² overflows to +Inf and report p = 0 for a χ²
+// that does not depend on the phenotype's scale.
 func NewWideKernel(models []Model) (*WideKernel, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("stats: wide kernel over an empty phenotype batch")
@@ -139,6 +151,7 @@ func NewWideKernel(models []Model) (*WideKernel, error) {
 		}
 		t.scales[p] = scale
 		tile, lane := t.cells[p/wideTile*2*n:], p%wideTile
+		var sumAbs float64
 		for i, res := range r.ScoreResiduals() {
 			// 2·res finite implies res finite; both go into the table.
 			if d := 2 * res; math.IsNaN(d) || math.IsInf(d, 0) {
@@ -146,27 +159,47 @@ func NewWideKernel(models []Model) (*WideKernel, error) {
 			}
 			tile[2*i][lane] = res
 			tile[2*i+1][lane] = 2 * res
+			sumAbs += math.Abs(res)
+		}
+		if b := 2 * sumAbs; math.IsInf(b*b, 0) {
+			return nil, fmt.Errorf("stats: wide kernel phenotype %d has worst-case score 2·Σ|r| = %v, whose square overflows", p, b)
+		}
+		if v := scale * float64(n); math.IsInf(v, 0) {
+			return nil, fmt.Errorf("stats: wide kernel phenotype %d has variance bound scale·n = %v", p, v)
 		}
 	}
 	return &WideKernel{table: t}, nil
 }
 
 // Fork returns a kernel that shares k's table and owns fresh scratch, so the
-// two may run BlockStats concurrently.
+// two may run BlockRows concurrently.
 func (k *WideKernel) Fork() *WideKernel { return &WideKernel{table: k.table} }
 
 // BlockStats visits every (SNP, phenotype) pair of the block in row-major
 // order (all phenotypes of row 0, then row 1, ...), passing the marginal
-// score and its null variance.
+// score and its null variance: BlockRows, one call per pair.
 func (k *WideKernel) BlockStats(blk data.GenoBlock, visit func(snp int32, pheno int, score, variance float64)) {
+	k.BlockRows(blk, func(snp int32, scores, variances []float64) {
+		for p, s := range scores {
+			visit(snp, p, s, variances[p])
+		}
+	})
+}
+
+// BlockRows visits the block's SNP rows in order, one call per row: the SNP
+// id, scores[p] — the marginal score against phenotype p of the batch — and
+// variances[p] = scale_p · Σ_i (G_ij − Ḡ_j)², its null variance. Both slices
+// have one entry per phenotype and are the kernel's scratch, overwritten by
+// the next row: a consumer that keeps a value copies it.
+func (k *WideKernel) BlockRows(blk data.GenoBlock, row func(snp int32, scores, variances []float64)) {
 	t := k.table
 	n, m, rows := t.patients, len(t.scales), blk.Rows()
 	if blk.Patients != n {
 		panic(fmt.Sprintf("stats: block for %d patients, wide kernel for %d", blk.Patients, n))
 	}
 	k.dos, k.ss, k.ends = sized(k.dos, n), sized(k.ss, rows), sized(k.ends, rows)
-	k.cells, k.scores = sized(k.cells, rows*n), sized(k.scores, rows*m)
-	dos, ss, ends, cells, scores := k.dos, k.ss, k.ends, k.cells, k.scores
+	k.cells, k.scores, k.vars = sized(k.cells, rows*n), sized(k.scores, rows*m), sized(k.vars, m)
+	dos, ss, ends, cells, scores, vars := k.dos, k.ss, k.ends, k.cells, k.scores, k.vars
 
 	// Per row: the genotype moments, then the cell list.
 	w := 0
@@ -214,10 +247,10 @@ func (k *WideKernel) BlockStats(blk data.GenoBlock, visit func(snp int32, pheno 
 	}
 
 	for r := 0; r < rows; r++ {
-		snp, rowScores := blk.SNPs[r], scores[r*m:][:m]
-		for p, score := range rowScores {
-			visit(snp, p, score, t.scales[p]*ss[r])
+		for p, scale := range t.scales {
+			vars[p] = scale * ss[r]
 		}
+		row(blk.SNPs[r], scores[r*m:][:m], vars)
 	}
 }
 

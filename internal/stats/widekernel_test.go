@@ -233,6 +233,12 @@ func TestWideKernelForksShareTheTable(t *testing.T) {
 	wg.Wait()
 }
 
+// hugeScale is a Gaussian whose variance scale is finite but whose bound,
+// scale·n, is not.
+type hugeScale struct{ *Gaussian }
+
+func (hugeScale) VarianceScale() float64 { return math.MaxFloat64 / 2 }
+
 func TestWideKernelRejectsBadBatches(t *testing.T) {
 	if _, err := NewWideKernel(nil); err == nil {
 		t.Fatal("accepted an empty batch")
@@ -272,6 +278,20 @@ func TestWideKernelRejectsBadBatches(t *testing.T) {
 	}
 	if _, err := NewWideKernel([]Model{mA, mA, mWide}); err == nil || !strings.Contains(err.Error(), "phenotype 2 ") {
 		t.Fatalf("non-finite variance scale: error %v, want one naming phenotype 2", err)
+	}
+	// Outcomes of 1e155 × (1, 0.9, 1, 0.9) centre to finite residuals and a
+	// finite scale, but 2·Σ|r| = 4e154 squares past float64.
+	phScore := data.NewPhenotype(4)
+	phScore.Y = []float64{1e155, 0.9e155, 1e155, 0.9e155}
+	mScore, err := NewGaussian(phScore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWideKernel([]Model{mA, mScore}); err == nil || !strings.Contains(err.Error(), "phenotype 1 has worst-case score") {
+		t.Fatalf("overflowing worst-case score²: error %v, want one naming phenotype 1", err)
+	}
+	if _, err := NewWideKernel([]Model{hugeScale{mA}}); err == nil || !strings.Contains(err.Error(), "phenotype 0 has variance bound") {
+		t.Fatalf("overflowing variance bound: error %v, want one naming phenotype 0", err)
 	}
 	for i := range phA.Event {
 		phA.Event[i] = 1
