@@ -25,9 +25,11 @@ build:
 
 # cross proves the portable path compiles and vets where the amd64 assembly
 # (internal/stats/kernel_amd64.s: packedRows4 and the two-list cell walk
-# cellPairs) is absent: a 64-bit and a 32-bit GOARCH, where the Go sumCells is
-# the whole walk. On amd64, vet's asmdecl pass checks both routines' frame
-# offsets against their Go declarations.
+# cellPairs; internal/data/pack_amd64.s: the canonical text codec's
+# packCanon64) is absent: a 64-bit and a 32-bit GOARCH, where the Go sumCells
+# is the whole walk and packCanonical's word loop the whole row. On amd64,
+# vet's asmdecl pass checks the three routines' frame offsets against their
+# Go declarations.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
@@ -52,15 +54,16 @@ bench:
 # b = 1, one tile and core's batch width, table build counted — both walk
 # their cell lists two per call through the SSE2 routine cellPairs on amd64 —
 # and that Algorithm 2's two kernels still report ns/genotype at perm_scan's
-# row width: the text codec on a canonical row and on a one-tab row the
-# tokenizer decides, and the packed-row score kernel (four rows per call in
-# amd64 assembly) on a 256 × 1000 block.
+# row width: the ingest's ParseGenoBlock over a block of byte lines, canonical
+# rows (64 text bytes per SSE2 step on amd64) and one-tab rows the tokenizer
+# decides, and the packed-row score kernel (four rows per call in amd64
+# assembly) on a 256 × 1000 block.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x
 	$(GO) test ./internal/assoc -run '^$$' -bench 'Fold/eqtl_wide' -benchmem -benchtime=3x
 	$(GO) test ./internal/stats -run '^$$' -bench PackedPanel -benchtime=3x
-	$(GO) test ./internal/data -run '^$$' -bench AppendTextRow -benchtime=3x
+	$(GO) test ./internal/data -run '^$$' -bench ParseGenoBlock -benchtime=3x
 	$(GO) test ./internal/stats -run '^$$' -bench PackedRowScores -benchtime=3x
 
 # fuzz-smoke gives each native fuzz target a 10s budget on top of its checked-in

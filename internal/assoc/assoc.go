@@ -151,7 +151,7 @@ func (a *Analysis) genotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 		return nil, err
 	}
 	patients := a.phenos.Patients
-	blocks := rdd.MapBatches(lines, "parsePackAllGenotypes", data.GenoBlockRows, func(_ rdd.Task, batch []string) data.GenoBlock {
+	blocks := rdd.MapBatches(lines, "parsePackAllGenotypes", data.GenoBlockRows, func(_ rdd.Task, batch [][]byte) data.GenoBlock {
 		blk, err := data.ParseGenoBlock(batch, patients, nil)
 		if err != nil {
 			panic(err)

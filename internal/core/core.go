@@ -267,7 +267,7 @@ func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 	patients := a.patients
 	index := a.index
 	inSomeSet := func(snp int) bool { return len(index.Value().of(snp)) > 0 }
-	blocks := rdd.MapBatches(lines, "parsePackGenotypes", data.GenoBlockRows, func(_ rdd.Task, batch []string) data.GenoBlock {
+	blocks := rdd.MapBatches(lines, "parsePackGenotypes", data.GenoBlockRows, func(_ rdd.Task, batch [][]byte) data.GenoBlock {
 		blk, err := data.ParseGenoBlock(batch, patients, inSomeSet)
 		if err != nil {
 			panic(err)

@@ -335,10 +335,11 @@ func TestMarginalAsymptotic(t *testing.T) {
 	}
 }
 
-// TestMalformedGenotypeLinesFailTheJob feeds the ingest (data.ParseSNPPrefix
-// plus GenoBlock.AppendTextRow) one bad line at a time. Each must abort the job
-// as a task failure whose message names the offending SNP or field, so a bad
-// line in a multi-gigabyte genotype file is findable from the message alone.
+// TestMalformedGenotypeLinesFailTheJob feeds the ingest (data.ParseGenoBlock)
+// one bad line at a time. Each must abort the job as a task failure whose
+// message names the offending SNP or field, so a bad line in a
+// multi-gigabyte genotype file is findable from the message alone, wherever
+// the DFS blocks put it.
 func TestMalformedGenotypeLinesFailTheJob(t *testing.T) {
 	ds := testDataset(t, 3, 6, 1, 4)
 	ds.SNPSets[0].SNPs = []int{0, 1, 2, 3, 4, 5} // every SNP passes the pushdown filter
@@ -354,16 +355,28 @@ func TestMalformedGenotypeLinesFailTheJob(t *testing.T) {
 		{"5\t0 x 2", `SNP 5: data: field 2: bad genotype "x"`},     // non-numeric code
 		{"5\t0 1 2.0", `SNP 5: data: field 3: bad genotype "2.0"`}, // non-integer code
 	} {
-		ctx := testContext(t, 1)
-		a := stagedAnalysis(t, ctx, ds, Options{})
-		// Trailing and repeated whitespace is tolerated, not an extra field.
-		if _, err := ctx.FS().Write(a.genoPath, []byte("4\t0  1 2 \t\n"+tc.line+"\n1\t0 1 2\n")); err != nil {
-			t.Fatal(err)
-		}
-		_, err := a.Observed()
-		var aborted *rdd.TaskAbortedError
-		if !errors.As(err, &aborted) || !strings.Contains(err.Error(), tc.msg) {
-			t.Fatalf("line %q: Observed() = %v, want a task abort containing %q", tc.line, err, tc.msg)
+		// The first line is 11 bytes, so 11-byte DFS blocks end on the bad
+		// line: a blank one there must fail the job as it does mid-block.
+		for _, blockSize := range []int{4 << 10, 11} {
+			ctx, err := rdd.New(rdd.Config{
+				Cluster:      cluster.Config{Nodes: 1, Spec: cluster.M3TwoXLarge},
+				DFSBlockSize: blockSize,
+				Seed:         11,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := stagedAnalysis(t, ctx, ds, Options{})
+			// Trailing and repeated whitespace is tolerated, not an extra field.
+			if _, err := ctx.FS().Write(a.genoPath, []byte("4\t0  1 2 \t\n"+tc.line+"\n1\t0 1 2\n")); err != nil {
+				t.Fatal(err)
+			}
+			_, err = a.Observed()
+			var aborted *rdd.TaskAbortedError
+			if !errors.As(err, &aborted) || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("line %q, %d-byte blocks: Observed() = %v, want a task abort containing %q",
+					tc.line, blockSize, err, tc.msg)
+			}
 		}
 	}
 }

@@ -6,6 +6,12 @@
 // many cached genotype partitions fit per executor, and score kernels can
 // decode dosages straight out of the packed bytes in one pass.
 //
+// Blocks are built from genotype text by ParseGenoBlock, over lines that may
+// be the staged file's bytes in place: the codec only reads them. A row in
+// the canonical encoding packs 64 text bytes per step (SSE2 on amd64,
+// pack_amd64.s), then a word per step; any other row is decided by the
+// field-at-a-time tokenizer alone.
+//
 // The 2-bit codes follow the PLINK .bed convention:
 //
 //	code 00 -> 2 (homozygous minor)
@@ -15,6 +21,8 @@
 package data
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -121,32 +129,33 @@ const GenoBlockRows = 256
 
 // ParseSNPPrefix splits a genotype-matrix line ("snp\tg1 g2 ... gn") into its
 // SNP id and the genotype fields after the tab — the cheap prefix parse an
-// ingest runs before deciding whether to hand the fields to AppendTextRow at
-// all.
-func ParseSNPPrefix(line string) (snp int, fields string, err error) {
-	if strings.TrimSpace(line) == "" {
-		return 0, "", fmt.Errorf("data: empty genotype line")
+// ingest runs before deciding whether to pack the fields at all. fields is a
+// sub-slice of line.
+func ParseSNPPrefix(line []byte) (snp int, fields []byte, err error) {
+	if len(bytes.TrimSpace(line)) == 0 {
+		return 0, nil, fmt.Errorf("data: empty genotype line")
 	}
-	snpStr, fields, ok := strings.Cut(line, "\t")
+	snpStr, fields, ok := bytes.Cut(line, []byte{'\t'})
 	if !ok {
-		return 0, "", fmt.Errorf("data: genotype line missing tab: %.40q", line)
+		return 0, nil, fmt.Errorf("data: genotype line missing tab: %.40q", line)
 	}
-	snp, err = strconv.Atoi(snpStr)
+	snp, err = strconv.Atoi(string(snpStr))
 	if err != nil || snp < 0 {
-		return 0, "", fmt.Errorf("data: bad SNP id %q", snpStr)
+		return 0, nil, fmt.Errorf("data: bad SNP id %q", snpStr)
 	}
 	if err := checkSNPID(snp); err != nil {
-		return 0, "", err
+		return 0, nil, err
 	}
 	return snp, fields, nil
 }
 
 // ParseGenoBlock packs a batch of genotype-matrix lines into one GenoBlock —
-// the body of every text ingest: ParseSNPPrefix on each line, then
-// AppendTextRow for the SNPs keep accepts (nil keeps all), so a skipped row
-// costs its prefix parse and nothing else. The first bad line fails the whole
-// batch, and the error names its SNP once the id has parsed.
-func ParseGenoBlock(lines []string, patients int, keep func(snp int) bool) (GenoBlock, error) {
+// the body of every text ingest: ParseSNPPrefix on each line, then the text
+// codec for the SNPs keep accepts (nil keeps all), so a skipped row costs its
+// prefix parse and nothing else. Lines are only read: they may be the staged
+// file's bytes, in place. The first bad line fails the whole batch, and the
+// error names its SNP once the id has parsed.
+func ParseGenoBlock(lines [][]byte, patients int, keep func(snp int) bool) (GenoBlock, error) {
 	blk := NewGenoBlock(patients, len(lines))
 	for _, line := range lines {
 		snp, fields, err := ParseSNPPrefix(line)
@@ -156,7 +165,7 @@ func ParseGenoBlock(lines []string, patients int, keep func(snp int) bool) (Geno
 		if keep != nil && !keep(snp) {
 			continue
 		}
-		if err := blk.AppendTextRow(snp, fields); err != nil {
+		if err := blk.appendText(snp, fields); err != nil {
 			return GenoBlock{}, fmt.Errorf("data: SNP %d: %w", snp, err)
 		}
 	}
@@ -164,17 +173,22 @@ func ParseGenoBlock(lines []string, patients int, keep func(snp int) bool) (Geno
 }
 
 // AppendTextRow parses one row's genotype fields ("g_1 g_2 ... g_n",
-// whitespace-separated, values in {0,1,2}) directly into packed form — the
-// text codec of the columnar parse path, which never materialises a boxed
-// []Genotype row. Errors name the offending 1-based field, and a rejected row
-// leaves the block untouched.
+// whitespace-separated, values in {0,1,2}) directly into packed form. It is
+// the text codec ParseGenoBlock runs, over a string: errors name the
+// offending 1-based field, and a rejected row leaves the block untouched.
+func (b *GenoBlock) AppendTextRow(snp int, fields string) error {
+	return b.appendText(snp, []byte(fields))
+}
+
+// appendText is the text codec of the columnar parse path, which never
+// materialises a boxed []Genotype row.
 //
 // Canonical or fall through: a row in exactly the encoding WriteGenotypes
-// emits packs a word at a time (packCanonical); any other row — accepted or
-// not — is decided by the tokenizer (packTokens) alone, so which rows are
-// accepted, with what bytes and what error text, is the tokenizer's contract
-// whatever path packed the row.
-func (b *GenoBlock) AppendTextRow(snp int, fields string) error {
+// emits packs 64 text bytes, then a word, at a time (packCanonical); any
+// other row — accepted or not — is decided by the tokenizer (packTokens)
+// alone, so which rows are accepted, with what bytes and what error text, is
+// the tokenizer's contract whatever path packed the row.
+func (b *GenoBlock) appendText(snp int, fields []byte) error {
 	if err := checkSNPID(snp); err != nil {
 		return err
 	}
@@ -212,20 +226,24 @@ const (
 // {0,1,2} separated by exactly one space, nothing before or after — into the
 // zeroed row and returns its allele count. Every byte of fields is checked;
 // on the first deviation of any kind it reports !ok and leaves deciding the
-// row to packTokens (row may then hold partial codes).
-func packCanonical(fields string, row []byte, patients int) (count int32, ok bool) {
+// row to packTokens (row may then hold partial codes). canonGroups packs the
+// whole 64-byte groups (in SSE2 on amd64, none elsewhere); the word loop
+// below packs the words after them, each lane checked as the groups' lanes
+// are.
+func packCanonical(fields, row []byte, patients int) (count int32, ok bool) {
 	if len(fields) != 2*patients-1 {
 		return 0, false
 	}
+	groups, sum, ok := canonGroups(fields, row)
+	if !ok {
+		return 0, false
+	}
 	words := len(fields) / 8
-	var bad, sum uint64
-	for k := 0; k < words; k++ {
-		s := fields[8*k : 8*k+8]
-		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+	var bad uint64
+	for k := 8 * groups; k < words; k++ {
 		// x holds each lane's value if the word is canonical: then nothing
 		// but the digit bits is set and no lane reads 3.
-		x := w ^ canonZeros
+		x := binary.LittleEndian.Uint64(fields[8*k:]) ^ canonZeros
 		bad |= x&^canonDigits | x&(x>>1)&canonOnes
 		// Lane code 3^d − (d>>1) is genoCodes: 0 → 11, 1 → 10, 2 → 00.
 		codes := (x ^ canonDigits) - (x>>1)&canonOnes
@@ -249,22 +267,15 @@ func packCanonical(fields string, row []byte, patients int) (count int32, ok boo
 
 // packTokens is the field-at-a-time codec: it packs whitespace-separated
 // genotype fields into the zeroed row and returns the row's allele count.
-func packTokens(fields string, row []byte, patients int) (count int32, err error) {
+func packTokens(fields, row []byte, patients int) (count int32, err error) {
 	i := 0
-	for f, rest := nextField(fields); f != ""; f, rest = nextField(rest) {
+	for f, rest := nextField(fields); len(f) > 0; f, rest = nextField(rest) {
 		if i >= patients {
 			i++
 			continue // count the surplus for the error below
 		}
-		var v Genotype
-		switch f {
-		case "0":
-			v = 0
-		case "1":
-			v = 1
-		case "2":
-			v = 2
-		default:
+		v := f[0] - '0'
+		if len(f) != 1 || v > 2 {
 			return 0, fmt.Errorf("data: field %d: bad genotype %q", i+1, f)
 		}
 		row[i>>2] |= genoCodes[v+1] << uint((i&3)*2)
@@ -279,7 +290,7 @@ func packTokens(fields string, row []byte, patients int) (count int32, err error
 
 // nextField splits the next whitespace-separated token off s, mirroring
 // strings.Fields one token at a time without allocating the field slice.
-func nextField(s string) (field, rest string) {
+func nextField[S string | []byte](s S) (field, rest S) {
 	start := 0
 	for start < len(s) && (s[start] == ' ' || s[start] == '\t') {
 		start++

@@ -3,7 +3,8 @@
 // exactly as the tokenizer alone would (accept/reject, error text, packed
 // bytes, allele count — whichever of its two paths packed the row), and
 // whatever it accepts must survive a WriteTextRow/AppendTextRow round trip bit
-// for bit. Seed corpus under testdata/fuzz/FuzzGenoBlockTextRoundTrip; `make
+// for bit. Seed corpus under testdata/fuzz/FuzzGenoBlockTextRoundTrip, whose
+// files carry rows of 64 bytes and more for the 64-byte groups; `make
 // fuzz-smoke` gives the target a 10-second budget.
 
 package data
@@ -55,7 +56,7 @@ func FuzzGenoBlockTextRoundTrip(f *testing.F) {
 
 		// The tokenizer alone on the same fields is the codec's contract.
 		row := make([]byte, b.RowBytes)
-		count, tokErr := packTokens(fields, row, patients)
+		count, tokErr := packTokens([]byte(fields), row, patients)
 		if (err == nil) != (tokErr == nil) || (err != nil && err.Error() != tokErr.Error()) {
 			t.Fatalf("AppendTextRow(%q) = %v, the tokenizer alone says %v", fields, err, tokErr)
 		}
@@ -71,7 +72,7 @@ func FuzzGenoBlockTextRoundTrip(f *testing.F) {
 		}
 		// Whatever the word-at-a-time path takes, it packs as the tokenizer does.
 		fast := make([]byte, b.RowBytes)
-		if c, ok := packCanonical(fields, fast, patients); ok && (string(fast) != string(row) || c != count) {
+		if c, ok := packCanonical([]byte(fields), fast, patients); ok && (string(fast) != string(row) || c != count) {
 			t.Fatalf("packCanonical(%q) packed %x count %d, the tokenizer %x count %d", fields, fast, c, row, count)
 		}
 		if b.Rows() != 1 || len(b.Packed) != b.RowBytes {

@@ -1,6 +1,8 @@
 package data
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -137,7 +139,7 @@ func TestSNPIDBeyondInt32Rejected(t *testing.T) {
 	if err != nil {
 		t.Skip("int cannot hold an id beyond int32")
 	}
-	line := strconv.Itoa(wrapping) + "\t0 1 2"
+	line := []byte(strconv.Itoa(wrapping) + "\t0 1 2")
 	if _, _, err := ParseSNPPrefix(line); err == nil || !strings.Contains(err.Error(), "SNP id 4294967301") {
 		t.Fatalf("ParseSNPPrefix(%q) = %v, want an error naming the id", line, err)
 	}
@@ -154,7 +156,7 @@ func TestSNPIDBeyondInt32Rejected(t *testing.T) {
 		t.Fatalf("rejected ids left state behind: %d rows, %d packed bytes", b.Rows(), len(b.Packed))
 	}
 	// The largest id the column holds still goes in.
-	if snp, _, err := ParseSNPPrefix(strconv.Itoa(math.MaxInt32) + "\t0 1 2"); err != nil || snp != math.MaxInt32 {
+	if snp, _, err := ParseSNPPrefix([]byte(strconv.Itoa(math.MaxInt32) + "\t0 1 2")); err != nil || snp != math.MaxInt32 {
 		t.Fatalf("ParseSNPPrefix(MaxInt32) = %d, %v", snp, err)
 	}
 	if err := b.AppendTextRow(math.MaxInt32, "0 1 2"); err != nil || b.SNPs[0] != math.MaxInt32 {
@@ -169,7 +171,7 @@ func TestAppendTextRowCountsWideRow(t *testing.T) {
 	const patients = 70_000
 	fields := strings.TrimSuffix(strings.Repeat("2 ", patients), " ")
 	b := NewGenoBlock(patients, 1)
-	if _, ok := packCanonical(fields, make([]byte, b.RowBytes), patients); !ok {
+	if _, ok := packCanonical([]byte(fields), make([]byte, b.RowBytes), patients); !ok {
 		t.Fatal("canonical row not taken by the word-at-a-time path")
 	}
 	if err := b.AppendTextRow(0, fields); err != nil {
@@ -198,11 +200,12 @@ func canonicalRow(patients int) string {
 	return sb.String()
 }
 
-// BenchmarkAppendTextRow prices the text codec per genotype at perm_scan's
-// row width, on a canonical row (the word-at-a-time path) and on the same row
-// with one separator turned into a tab (the tokenizer decides the whole row).
-// One op packs a full block, so the smoke run's three ops are 768 rows.
-func BenchmarkAppendTextRow(b *testing.B) {
+// BenchmarkParseGenoBlock prices the ingest's text codec per genotype at
+// perm_scan's row width, over a block of lines as TextFile yields them: on
+// canonical rows (64 text bytes, then a word, at a time) and on the same rows
+// with one separator turned into a tab (the tokenizer decides each row). One
+// op packs a full block, so the smoke run's three ops are 768 rows.
+func BenchmarkParseGenoBlock(b *testing.B) {
 	const patients = 1000
 	canonical := canonicalRow(patients)
 	for _, bc := range []struct{ name, row string }{
@@ -210,20 +213,35 @@ func BenchmarkAppendTextRow(b *testing.B) {
 		{"one-tab", strings.Replace(canonical, " ", "\t", 1)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			blk := NewGenoBlock(patients, GenoBlockRows)
-			b.SetBytes(int64(GenoBlockRows * len(bc.row)))
+			var text []byte
+			for snp := 0; snp < GenoBlockRows; snp++ {
+				text = fmt.Appendf(text, "%d\t%s\n", snp, bc.row)
+			}
+			lines := bytes.Split(bytes.TrimSuffix(text, []byte{'\n'}), []byte{'\n'})
+			b.SetBytes(int64(len(text)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				blk.SNPs, blk.Counts, blk.Packed = blk.SNPs[:0], blk.Counts[:0], blk.Packed[:0]
-				for snp := 0; snp < GenoBlockRows; snp++ {
-					if err := blk.AppendTextRow(snp, bc.row); err != nil {
-						b.Fatal(err)
-					}
+				blk, err := ParseGenoBlock(lines, patients, nil)
+				if err != nil {
+					b.Fatal(err)
 				}
+				parsedBlock = blk
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(GenoBlockRows*patients), "ns/genotype")
 		})
 	}
+}
+
+// parsedBlock keeps BenchmarkParseGenoBlock's result live.
+var parsedBlock GenoBlock
+
+// byteLines returns the lines as TextFile would yield them.
+func byteLines(lines ...string) [][]byte {
+	out := make([][]byte, len(lines))
+	for i, l := range lines {
+		out[i] = []byte(l)
+	}
+	return out
 }
 
 // TestParseGenoBlock pins the shared ingest body: kept rows pack as
@@ -231,7 +249,7 @@ func BenchmarkAppendTextRow(b *testing.B) {
 // are looked at (so its bad genotype goes unnoticed), and a bad line fails the
 // batch with an error naming its SNP.
 func TestParseGenoBlock(t *testing.T) {
-	lines := []string{"4\t0 1 2", "9\t0 x 2", "1\t2 2 0"}
+	lines := byteLines("4\t0 1 2", "9\t0 x 2", "1\t2 2 0")
 	blk, err := ParseGenoBlock(lines, 3, func(snp int) bool { return snp != 9 })
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +270,7 @@ func TestParseGenoBlock(t *testing.T) {
 		{"9\t0 x 2", `SNP 9: data: field 2: bad genotype "x"`},
 		{"x\t0 1 2", `bad SNP id "x"`},
 	} {
-		if _, err := ParseGenoBlock([]string{"4\t0 1 2", tc.line}, 3, nil); err == nil || !strings.Contains(err.Error(), tc.msg) {
+		if _, err := ParseGenoBlock(byteLines("4\t0 1 2", tc.line), 3, nil); err == nil || !strings.Contains(err.Error(), tc.msg) {
 			t.Errorf("ParseGenoBlock with line %q = %v, want an error containing %q", tc.line, err, tc.msg)
 		}
 	}

@@ -17,26 +17,53 @@ import (
 	"strings"
 )
 
-// WriteGenotypes writes m in the genotype text format.
+// WriteGenotypes writes m in the genotype text format. Each row is appended
+// into one reused line buffer, a genotype in {0,1,2} as its single digit and
+// any other value in decimal. A destination that can grow (a bytes.Buffer,
+// a strings.Builder) is grown once to the text's size first, so staging
+// holds one buffer of the text rather than a doubling chain of them.
 func WriteGenotypes(w io.Writer, m *GenotypeMatrix) error {
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(genotypeTextBytes(m))
+	}
 	bw := bufio.NewWriter(w)
-	var sb strings.Builder
+	var line []byte
 	for j, row := range m.Rows {
-		sb.Reset()
-		sb.WriteString(strconv.Itoa(j))
-		sb.WriteByte('\t')
+		line = strconv.AppendInt(line[:0], int64(j), 10)
+		line = append(line, '\t')
 		for i, g := range row {
 			if i > 0 {
-				sb.WriteByte(' ')
+				line = append(line, ' ')
 			}
-			sb.WriteString(strconv.Itoa(int(g)))
+			if uint8(g) <= 2 {
+				line = append(line, '0'+byte(g))
+			} else {
+				line = strconv.AppendInt(line, int64(g), 10)
+			}
 		}
-		sb.WriteByte('\n')
-		if _, err := bw.WriteString(sb.String()); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// genotypeTextBytes is the size of WriteGenotypes' text for m when every
+// genotype is in {0,1,2}: per row the id's digits, a tab, one byte per
+// genotype and per separator, and a newline.
+func genotypeTextBytes(m *GenotypeMatrix) int {
+	n := 0
+	for j, row := range m.Rows {
+		for d := j; ; d /= 10 {
+			n++
+			if d < 10 {
+				break
+			}
+		}
+		n += 1 + max(2*len(row), 1)
+	}
+	return n
 }
 
 // ReadGenotypes parses the genotype text format. Lines may arrive in any

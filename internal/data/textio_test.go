@@ -1,13 +1,70 @@
 package data
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"sparkscore/internal/rng"
 )
+
+// writeGenotypesOracle is the encoder WriteGenotypes replaced: every
+// genotype through strconv.Itoa into a strings.Builder, then copied out.
+func writeGenotypesOracle(w io.Writer, m *GenotypeMatrix) error {
+	bw := bufio.NewWriter(w)
+	var sb strings.Builder
+	for j, row := range m.Rows {
+		sb.Reset()
+		sb.WriteString(strconv.Itoa(j))
+		sb.WriteByte('\t')
+		for i, g := range row {
+			if i > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(strconv.Itoa(int(g)))
+		}
+		sb.WriteByte('\n')
+		if _, err := bw.WriteString(sb.String()); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// TestWriteGenotypesMatchesOracle pins WriteGenotypes' bytes to the
+// Itoa-per-genotype encoder's, on values outside {0,1,2} too, and the size it
+// grows its destination to to the bytes it writes when every value is in
+// {0,1,2}.
+func TestWriteGenotypesMatchesOracle(t *testing.T) {
+	m := NewGenotypeMatrix(5, 7)
+	r := rng.New(3)
+	for j := range m.Rows {
+		for i := range m.Rows[j] {
+			m.Rows[j][i] = Genotype(r.Intn(3))
+		}
+	}
+	m.Rows[1][0], m.Rows[2][6], m.Rows[3][3] = MissingGenotype, 7, -128
+	noPatients := NewGenotypeMatrix(12, 0) // an id and a tab per row
+	for _, tc := range []*GenotypeMatrix{m, sampleMatrix(), noPatients, NewGenotypeMatrix(120, 3), {}} {
+		var got, want bytes.Buffer
+		if err := WriteGenotypes(&got, tc); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeGenotypesOracle(&want, tc); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteGenotypes wrote %q, the oracle %q", got.Bytes(), want.Bytes())
+		}
+		if tc != m && got.Len() != genotypeTextBytes(tc) {
+			t.Fatalf("%d rows of {0,1,2}: wrote %d bytes, sized the buffer for %d", len(tc.Rows), got.Len(), genotypeTextBytes(tc))
+		}
+	}
+}
 
 func TestGenotypeRoundTrip(t *testing.T) {
 	m := sampleMatrix()

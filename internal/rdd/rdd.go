@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"fmt"
 	"iter"
-	"strings"
 )
 
 // RDD is a resilient distributed dataset of T: an immutable, partitioned,
@@ -164,10 +163,16 @@ func partRange(n, parts, p int) (lo, hi int) {
 // partition owns exactly the lines that *start* inside its range — so map
 // parallelism can match the cluster's core count rather than the block
 // count. Task placement prefers the owning block's replica nodes; reads are
-// charged at disk speed when local and network speed otherwise. Lines stream
-// off the block one at a time; the partition's line set is never materialised
-// as a slice.
-func (c *Context) TextFile(name string, minPartitions int) (*RDD[string], error) {
+// charged at disk speed when local and network speed otherwise.
+//
+// The line set is the file's, whatever its block or split geometry: the
+// text split at every newline, interior blank lines kept, and the newlines
+// that end the file starting no line. Each partition yields its lines in
+// place, with no per-task copy: a line is a sub-slice of the staged block,
+// capped at its own length (appending to it reallocates rather than writing
+// into the next line). A line belongs to the staged file and must not be
+// modified. The partition's line set is never materialised as a slice.
+func (c *Context) TextFile(name string, minPartitions int) (*RDD[[]byte], error) {
 	f, err := c.fs.Open(name)
 	if err != nil {
 		return nil, err
@@ -194,7 +199,17 @@ func (c *Context) TextFile(name string, minPartitions int) (*RDD[string], error)
 			splits = append(splits, split{block: b, lo: lo, hi: hi})
 		}
 	}
-	n := newTypedNode[string](c, fmt.Sprintf("textFile(%s)", name), len(splits))
+	// The file's text ends at its last byte that is not a newline: in block
+	// lastBlock, at offset lastEnd. Blocks after it hold only the file's
+	// closing newlines.
+	lastBlock, lastEnd := -1, 0
+	for b := len(f.Blocks) - 1; b >= 0; b-- {
+		if n := len(bytes.TrimRight(f.Blocks[b].Data, "\n")); n > 0 {
+			lastBlock, lastEnd = b, n
+			break
+		}
+	}
+	n := newTypedNode[[]byte](c, fmt.Sprintf("textFile(%s)", name), len(splits))
 	n.prefNodes = func(p int) []int { return c.fs.BlockLocations(f, splits[p].block) }
 	n.compute = func(tc *taskContext, p int) any {
 		sp := splits[p]
@@ -202,7 +217,7 @@ func (c *Context) TextFile(name string, minPartitions int) (*RDD[string], error)
 		start := lineStartAtOrAfter(data, sp.lo)
 		end := lineStartAtOrAfter(data, sp.hi)
 		if start >= end {
-			return boxSeq(sliceSeq[string](nil))
+			return boxSeq(sliceSeq[[]byte](nil))
 		}
 		local := false
 		for _, nd := range tc.ctx.fs.BlockLocations(f, sp.block) {
@@ -216,25 +231,37 @@ func (c *Context) TextFile(name string, minPartitions int) (*RDD[string], error)
 		} else {
 			tc.dfsRemoteBytes += int64(end - start)
 		}
-		// One contiguous string copy; yielded lines are substrings of it, so
-		// the cursor allocates nothing per line. Trailing newlines do not
-		// start an extra empty line (interior blank lines are kept).
-		text := strings.TrimRight(string(data[start:end]), "\n")
-		if text == "" {
-			return boxSeq(sliceSeq[string](nil))
+		// The range holds whole lines. The newline that ends its last line
+		// starts no line of its own, nor do the file's closing newlines.
+		switch {
+		case sp.block > lastBlock:
+			end = start
+		case sp.block == lastBlock:
+			end = min(end, lastEnd)
 		}
-		return boxSeq[string](func(yield func(string) bool) {
+		if start >= end {
+			return boxSeq(sliceSeq[[]byte](nil))
+		}
+		text := data[start:end]
+		if text[len(text)-1] == '\n' {
+			text = text[:len(text)-1]
+		}
+		return boxSeq[[]byte](func(yield func([]byte) bool) {
 			rest := text
 			for {
-				line, more, found := strings.Cut(rest, "\n")
-				if !yield(line) || !found {
+				i := bytes.IndexByte(rest, '\n')
+				if i < 0 {
+					yield(rest[:len(rest):len(rest)])
 					return
 				}
-				rest = more
+				if !yield(rest[:i:i]) {
+					return
+				}
+				rest = rest[i+1:]
 			}
 		})
 	}
-	return &RDD[string]{n: n}, nil
+	return &RDD[[]byte]{n: n}, nil
 }
 
 // lineStartAtOrAfter returns the offset of the first line that starts at or

@@ -155,7 +155,7 @@ func TestTextFileLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(r)
+	got, err := collectLines(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestTextFileMultiBlock(t *testing.T) {
 	if r.Partitions() < 2 {
 		t.Fatalf("expected multiple partitions, got %d", r.Partitions())
 	}
-	got, err := Collect(r)
+	got, err := collectLines(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestTextFileSubSplitsCoverAllLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Collect(r)
+		got, err := collectLines(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestTextFileNoTrailingNewline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(r)
+	got, err := collectLines(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestTextFileSubSplitProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Collect(r)
+		got, err := collectLines(r)
 		if err != nil {
 			return false
 		}
@@ -504,5 +504,100 @@ func TestRandomPipelineSemantics(t *testing.T) {
 				t.Fatalf("trial %d: got[%d] = %d, want %d", trial, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// collectLines collects a TextFile RDD as strings, each a copy of its line.
+func collectLines(r *RDD[[]byte]) ([]string, error) {
+	got, err := Collect(r)
+	out := make([]string, len(got))
+	for i, l := range got {
+		out[i] = string(l)
+	}
+	return out, err
+}
+
+// TestTextFileLineSetIgnoresGeometry pins TextFile's line set against the
+// whole file's: split at every newline, interior blank lines kept, closing
+// newlines starting no line — for every block size, including ones that end
+// a block on a blank line or split a run of closing newlines across blocks,
+// and for every minPartitions sub-split.
+func TestTextFileLineSetIgnoresGeometry(t *testing.T) {
+	texts := []string{
+		"a\n\nb\n",
+		"a\n\n\n",
+		"\n\na\n\n",
+		"ab\n\ncd\n\n\nef\n\n",
+		"a\nb\nc",
+		"\n",
+		"\n\n\n",
+		"",
+		"x",
+		"line one\n\n\n\nline five\nsix\n",
+	}
+	for _, text := range texts {
+		var want []string
+		if trimmed := strings.TrimRight(text, "\n"); trimmed != "" {
+			want = strings.Split(trimmed, "\n")
+		}
+		for _, blockSize := range []int{2, 3, 5, 7, 1 << 20} {
+			c, err := New(Config{
+				Cluster:      cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
+				DFSBlockSize: blockSize,
+				Seed:         7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.FS().Write("g.txt", []byte(text)); err != nil {
+				t.Fatal(err)
+			}
+			for _, minParts := range []int{0, 2, 3, 7, 64} {
+				r, err := c.TextFile("g.txt", minParts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := collectLines(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+					t.Errorf("%q at block size %d, minPartitions %d: lines %q, want %q",
+						text, blockSize, minParts, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTextFileLinesAliasNothingWritable checks the aliasing contract: lines
+// are the staged bytes, read in place, yet appending to one reallocates
+// rather than overwriting the newline and the next line behind it.
+func TestTextFileLinesAliasNothingWritable(t *testing.T) {
+	c := newTestContext(t, 2)
+	const text = "alpha\nbeta\n\ngamma\n"
+	if _, err := c.FS().Write("a.txt", []byte(text)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.TextFile("a.txt", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := Collect(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range lines {
+		if cap(l) != len(l) {
+			t.Errorf("line %d %q has capacity %d beyond its length", i, l, cap(l))
+		}
+		_ = append(l, "XXXX"...)
+	}
+	got, err := c.FS().ReadAll("a.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != text {
+		t.Fatalf("staged file reads %q after appending to its lines, want %q", got, text)
 	}
 }

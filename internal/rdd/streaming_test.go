@@ -220,7 +220,7 @@ func TestTextFileStreamsLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(r)
+	got, err := collectLines(r)
 	if err != nil {
 		t.Fatal(err)
 	}
