@@ -4,8 +4,8 @@ GO ?= go
 
 # tier1 is the CI gate: formatting, vet, build, the full test suite under the
 # race detector (the recovery layer is concurrent by construction; every claim
-# the repo makes — serving contracts over loopback HTTP, the extension
-# experiments' assertions, CLI report parity across flag sets — is a Go test),
+# the repo makes — serving contracts over loopback HTTP, spill and chaos
+# replays, CLI report parity across flag sets — is a Go test),
 # a smoke run of the benchmarks bench-smoke names, and the per-package
 # coverage floors in coverage_baseline.txt. Nothing in tier1 writes into the
 # tree.
@@ -122,15 +122,13 @@ trace:
 # experiments regenerates the two checked-in renderings of the paper's
 # evaluation: experiments_scale100.txt (what EXPERIMENTS.md quotes) and the
 # small-scale cut harness.TestPaperArtifactsMatchGolden compares byte for byte
-# on every `go test` — benchtab's output above its wall-time footer for the
-# ids that test lists. Every digit is counted work on the virtual clock, so
-# both files are functions of the source tree; this target is the only writer
-# of either.
+# on every `go test` — benchtab -exp all's output above its wall-time footer
+# (the footer is a blank line and the `benchtab:` lines). Every digit is
+# counted work on the virtual clock, so both files are functions of the
+# source tree; this target is the only writer of either.
 GOLDEN = internal/harness/testdata/paper_scale2000.txt
 experiments:
 	$(GO) run ./cmd/benchtab -exp all -scale 100 > experiments_scale100.txt
-	rm -f $(GOLDEN)
-	for id in tab1 fig2 fig3 fig4 fig5 fig6 fig7 chaos; do \
-		$(GO) run ./cmd/benchtab -exp $$id -scale 2000 -max-iters 640 > $(GOLDEN).part || exit 1; \
-		sed '/^benchtab: /d' $(GOLDEN).part >> $(GOLDEN); \
-	done; rm -f $(GOLDEN).part
+	$(GO) run ./cmd/benchtab -exp all -scale 2000 -max-iters 640 > $(GOLDEN).part
+	sed '/^benchtab: /d' $(GOLDEN).part | sed '$$d' > $(GOLDEN)
+	rm -f $(GOLDEN).part

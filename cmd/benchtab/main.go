@@ -13,14 +13,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"sparkscore/internal/harness"
 )
 
 func main() {
+	var ids []string
+	for _, e := range harness.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	known := strings.Join(ids, ", ") + " (plus table aliases tab2..tab8)"
 	var (
-		exp      = flag.String("exp", "all", "artifact id (tab1, fig2, tab3, ..., fig7, chaos, serving, memory, eqtl) or \"all\"")
+		exp      = flag.String("exp", "all", "artifact id: "+known+", or \"all\"")
 		scale    = flag.Int("scale", 100, "divide the paper's SNP counts, block size, and executor memory by this")
 		maxIters = flag.Int("max-iters", 0, "cap resampling iterations (0 = run the paper's full axes)")
 		seed     = flag.Uint64("seed", 1, "seed for data generation and resampling")
@@ -52,11 +58,7 @@ func main() {
 	} else {
 		e, ok := harness.Resolve(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchtab: unknown artifact %q; known:", *exp)
-			for _, known := range harness.Experiments() {
-				fmt.Fprintf(os.Stderr, " %s", known.ID)
-			}
-			fmt.Fprintln(os.Stderr, " (plus table aliases tab2..tab8)")
+			fmt.Fprintf(os.Stderr, "benchtab: unknown artifact %q; known: %s\n", *exp, known)
 			os.Exit(2)
 		}
 		fmt.Printf("== %s ==\n", e.Title)

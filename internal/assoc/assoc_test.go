@@ -13,6 +13,7 @@ import (
 	"sparkscore/internal/data"
 	"sparkscore/internal/gen"
 	"sparkscore/internal/rdd"
+	"sparkscore/internal/replaytest"
 	"sparkscore/internal/rng"
 	"sparkscore/internal/stats"
 )
@@ -149,10 +150,24 @@ func TestStrategiesAndKernelsAgree(t *testing.T) {
 
 // TestAllPairsUnderChaos runs the cross under task crashes, stragglers and a
 // node lost mid-job, over enough partitions that attempts really are retried:
-// the report must be byte-identical to the clean run.
+// the report must be byte-identical to the clean run, and the chaos run's
+// report, job fingerprints and event log must replay byte for byte whatever
+// the host parallelism.
 func TestAllPairsUnderChaos(t *testing.T) {
-	report := func(faults rdd.FaultProfile) ([]byte, rdd.RecoveryStats) {
-		ctx := newTestContext(t, 3, 4<<10, faults)
+	run := func(faults rdd.FaultProfile, workers int) (replaytest.Observation, rdd.RecoveryStats) {
+		var log bytes.Buffer
+		elw := rdd.NewEventLogWriter(&log)
+		ctx, err := rdd.New(rdd.Config{
+			Cluster:      cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
+			DFSBlockSize: 4 << 10,
+			Seed:         7,
+			Faults:       faults,
+			Workers:      workers,
+			Listeners:    []rdd.Listener{elw},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		paths, _, _ := stageFixture(t, ctx, 25, 900, 6)
 		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{TopK: 15, HistBins: 128})
 		if err != nil {
@@ -165,19 +180,31 @@ func TestAllPairsUnderChaos(t *testing.T) {
 		if res.SNPBlocks < 8 {
 			t.Fatalf("%d genotype partitions, want at least 8 for the node loss to land mid-job", res.SNPBlocks)
 		}
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, res); err != nil {
+		var report, fp strings.Builder
+		if err := WriteReport(&report, res); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), rdd.SummarizeRecovery(ctx.Jobs())
+		if err := elw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ctx.Jobs() {
+			fmt.Fprintf(&fp, "%+v\n", m)
+		}
+		obs := replaytest.Observation{Result: report.String(), Fingerprint: fp.String(), Log: log.String()}
+		return obs, rdd.SummarizeRecovery(ctx.Jobs())
 	}
-	clean, _ := report(rdd.FaultProfile{})
-	chaos, recovery := report(rdd.FaultProfile{
-		TaskCrashProb: 0.4, StragglerProb: 0.1,
-		NodeLoss: []rdd.NodeLoss{{Node: 0, AfterTasks: 3}},
+	clean, _ := run(rdd.FaultProfile{}, 0)
+	var recovery rdd.RecoveryStats
+	chaos := replaytest.AcrossWorkers(t, func(workers int) replaytest.Observation {
+		obs, rec := run(rdd.FaultProfile{
+			TaskCrashProb: 0.4, StragglerProb: 0.1,
+			NodeLoss: []rdd.NodeLoss{{Node: 0, AfterTasks: 3}},
+		}, workers)
+		recovery = rec
+		return obs
 	})
-	if !bytes.Equal(clean, chaos) {
-		t.Fatalf("chaos changed the report:\n%s\n--- vs clean ---\n%s", chaos, clean)
+	if chaos.Result != clean.Result {
+		t.Fatalf("chaos changed the report:\n%s\n--- vs clean ---\n%s", chaos.Result, clean.Result)
 	}
 	if recovery.TaskRetries == 0 {
 		t.Fatal("the chaos profile retried no task: the recovery claim is vacuous")

@@ -84,9 +84,6 @@ func Experiments() []Experiment {
 		{ID: "fig6", Title: "Figure 6 + Table VI: strong scaling, 1M SNPs", Run: runFig6},
 		{ID: "fig7", Title: "Figure 7 + Tables VII-VIII: container auto-tuning, 1M SNPs", Run: runFig7},
 		{ID: "chaos", Title: "Chaos: lineage recovery under node loss and task failures", Run: runChaos},
-		{ID: "serving", Title: "Serving: concurrent job throughput and latency, FIFO vs FAIR", Run: runServing},
-		{ID: "memory", Title: "Memory: sort-shuffle spill-and-complete under a capped unified pool", Run: runMemory},
-		{ID: "eqtl", Title: "EQTL: the all-pairs cross, chaos recovery", Run: runEQTL},
 	}
 }
 
@@ -293,11 +290,11 @@ func runFig6(h *Harness, w io.Writer) error {
 	return nil
 }
 
-// chaosParams is the chaos and memory experiments' measured configuration:
-// Experiment A's setup (scale-100 by default) at 1024 iterations. What the
-// two experiments need is resampling *jobs* for faults to land in and buffers
-// to squeeze — 16 of them, as when a replicate was a job; Monte Carlo now
-// batches 64 replicates per job, so 16 jobs are 16 × 64 iterations.
+// chaosParams is the chaos experiment's measured configuration: Experiment
+// A's setup (scale-100 by default) at 1024 iterations. What the experiment
+// needs is resampling *jobs* for faults to land in — 16 of them, as when a
+// replicate was a job; Monte Carlo now batches 64 replicates per job, so 16
+// jobs are 16 × 64 iterations.
 func chaosParams(h *Harness) Params {
 	p := tunedContainers(Params{
 		Patients: 1000, SNPs: 100000, SNPSets: 1000, Nodes: 6, Cache: true,
@@ -309,7 +306,7 @@ func chaosParams(h *Harness) Params {
 	return p
 }
 
-// chaosFaults is their fault profile: task crashes, fetch failures, and a
+// chaosFaults is its fault profile: task crashes, fetch failures, and a
 // whole machine lost mid-analysis.
 func chaosFaults() rdd.FaultProfile {
 	return rdd.FaultProfile{

@@ -48,13 +48,13 @@ type Harness struct {
 	TraceDir    string
 
 	// extraListeners are attached to every run in addition to the
-	// EventLogDir/TraceDir observers; experiments use it to probe per-task
-	// metrics (the memory experiment's buffer high-water mark).
+	// EventLogDir/TraceDir observers; the chaos determinism test uses it to
+	// record each run's event log.
 	extraListeners []rdd.Listener
 
-	// workers is rdd.Config.Workers for every run that does not pin
-	// Params.SingleWorker; zero leaves the engine default. The determinism
-	// tests set it to prove the chaos replay does not depend on it.
+	// workers is rdd.Config.Workers for every run; zero leaves the engine
+	// default. The determinism tests set it to prove the chaos replay does
+	// not depend on it.
 	workers int
 
 	datasets map[dsKey]*data.Dataset
@@ -84,15 +84,10 @@ type Params struct {
 	Iterations int
 
 	// MemCapBytes, when positive, overrides the scaled executor memory with
-	// an absolute per-executor cap in bytes — the memory experiment's pool
-	// squeeze. Unlike MemPerExecutorGiB it is NOT divided by Scale.
+	// an absolute per-executor cap in bytes — StarveCache's squeeze of the
+	// strong-scaling runs. Unlike MemPerExecutorGiB it is NOT divided by
+	// Scale.
 	MemCapBytes int64
-
-	// SingleWorker serialises host-side execution (rdd.Config.Workers = 1)
-	// so memory-manager grant denials — and with them spill points — are a
-	// pure function of the configuration, not goroutine interleaving.
-	// Capped runs need it for byte-identical replays.
-	SingleWorker bool
 }
 
 // scaledSets returns the SNP-set count after scaling (the set count scales
@@ -170,10 +165,6 @@ func (h *Harness) run(p Params, faults rdd.FaultProfile) (_ *rdd.Context, _ *cor
 	if p.MemCapBytes > 0 {
 		memGiB = float64(p.MemCapBytes) / float64(1<<30)
 	}
-	workers := h.workers
-	if p.SingleWorker {
-		workers = 1
-	}
 	ctx, err := rdd.New(rdd.Config{
 		Cluster: cluster.Config{
 			Nodes:             p.Nodes,
@@ -191,7 +182,7 @@ func (h *Harness) run(p Params, faults rdd.FaultProfile) (_ *rdd.Context, _ *cor
 		StageOverheadSec: 0.05 / scale,
 		Seed:             h.Seed,
 		Faults:           faults,
-		Workers:          workers,
+		Workers:          h.workers,
 		Listeners:        observers,
 	})
 	if err != nil {

@@ -117,7 +117,7 @@ func TestRegistryCoversEveryArtifact(t *testing.T) {
 	for _, e := range Experiments() {
 		ids = append(ids, e.ID)
 	}
-	want := "tab1 fig2 fig3 fig4 fig5 fig6 fig7 chaos serving memory eqtl"
+	want := "tab1 fig2 fig3 fig4 fig5 fig6 fig7 chaos"
 	if got := strings.Join(ids, " "); got != want {
 		t.Errorf("experiments = %q, want %q", got, want)
 	}
@@ -402,26 +402,20 @@ func TestChaosExperimentRuns(t *testing.T) {
 }
 
 // TestPaperArtifactsMatchGolden regenerates a small-scale cut of the paper's
-// tables — what `benchtab -exp <id> -scale 2000 -max-iters 640` prints above
-// its wall-time footer, for each id in paper order — and compares it byte for
-// byte with testdata/paper_scale2000.txt. Every digit there is counted work
-// on the virtual clock, so a difference is a changed model, input or
-// schedule: look at it, and if it is meant, `make experiments` rewrites the
-// file along with experiments_scale100.txt (nothing else does). serving is
-// left out: its timeline depends on which FAIR jobs overlapped on the host.
+// tables — what `benchtab -exp all -scale 2000 -max-iters 640` prints above
+// its wall-time footer — and compares it byte for byte with
+// testdata/paper_scale2000.txt. Every digit there is
+// counted work on the virtual clock, so a difference is a changed model,
+// input or schedule: look at it, and if it is meant, `make experiments`
+// rewrites the file along with experiments_scale100.txt (nothing else does).
 func TestPaperArtifactsMatchGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "paper_scale2000.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	for _, id := range []string{"tab1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "chaos"} {
-		e, _ := Lookup(id)
-		fmt.Fprintf(&got, "== %s ==\n", e.Title)
-		if err := e.Run(&Harness{Scale: 2000, MaxIterations: 640, Seed: 1}, &got); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		fmt.Fprintln(&got)
+	if err := RunAll(&Harness{Scale: 2000, MaxIterations: 640, Seed: 1}, &got); err != nil {
+		t.Fatal(err)
 	}
 	if got.String() != string(want) {
 		t.Fatalf("paper artifacts drifted from testdata/paper_scale2000.txt:\n%s", replaytest.FirstDiff(got.String(), string(want)))

@@ -1,7 +1,7 @@
 // Concurrent multi-job execution: the race-detector stress test (N jobs from
 // N goroutines against one Context), the FAIR-versus-FIFO acceptance checks
 // (equal-weight pools split the cluster ~in half in virtual time; FIFO runs
-// back-to-back), per-job byte-stability of event logs across seeded runs, and
+// back-to-back), the share arithmetic under unequal weights, per-job byte-stability of event logs across seeded runs, and
 // the Jobs()-snapshot guarantee that in-flight jobs stay invisible.
 
 package rdd
@@ -220,6 +220,48 @@ func TestFIFOSchedulerRunsBackToBack(t *testing.T) {
 		if sh < 0.8 {
 			t.Errorf("FIFO job %d slot share = %.3f, want ~1.0 (whole cluster)", i, sh)
 		}
+	}
+}
+
+// TestFairSharesFollowPoolWeights pins the share arithmetic FAIR accounts each
+// stage under, with unequal weights: while both run, a weight-3 pool's job
+// gets three times the slots of a weight-1 pool's.
+func TestFairSharesFollowPoolWeights(t *testing.T) {
+	const slots = 32
+	weighted := []PoolSpec{{Name: "interactive", Weight: 3}, {Name: "batch", Weight: 1}}
+	type job struct {
+		pool string
+		want float64
+	}
+	for _, tc := range []struct {
+		name  string
+		mode  SchedulerMode
+		pools []PoolSpec
+		jobs  []job
+	}{
+		{"3:1 weights, one job per pool", SchedFAIR, weighted,
+			[]job{{"interactive", 0.75}, {"batch", 0.25}}},
+		{"two jobs halve their pool's share", SchedFAIR, weighted,
+			[]job{{"interactive", 0.375}, {"interactive", 0.375}, {"batch", 0.25}}},
+		{"minShare raises a small pool to its floor", SchedFAIR,
+			[]PoolSpec{{Name: "interactive", Weight: 3}, {Name: "batch", Weight: 1, MinShare: 16}},
+			[]job{{"interactive", 0.75}, {"batch", 0.5}}},
+		{"a lone job gets the cluster", SchedFAIR, weighted,
+			[]job{{"batch", 1}}},
+		{"FIFO gives every job the cluster", SchedFIFO, weighted,
+			[]job{{"interactive", 1}, {"batch", 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newJobArbiter(SchedulerConfig{Mode: tc.mode, Pools: tc.pools}, 1)
+			for id, j := range tc.jobs {
+				a.jobStarted(uint64(id), j.pool)
+			}
+			for id, j := range tc.jobs {
+				if got := a.slotFraction(uint64(id), slots); got != j.want {
+					t.Errorf("job %d in %s: slotFraction = %v, want %v", id, j.pool, got, j.want)
+				}
+			}
+		})
 	}
 }
 

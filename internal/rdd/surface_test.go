@@ -166,6 +166,7 @@ var censusStructs = map[string][]string{
 // carries the same one.)
 var optionsKept = map[string]string{
 	"assoc.Config.Family":             "selects the score statistic, not a tuning value; callers take the gaussian default",
+	"assoc.Config.HistBins":           "the BH sketch's first bin must sit below alpha/T for T tests: examples/eqtl_gaussian needs 2^20 bins at 48 000 tests, the 4096 default serves the CLI, server and bench",
 	"server.PoolConfig.Weight":        "deployment setting decoded from sparkserved's -pools JSON",
 	"server.PoolConfig.MinShare":      "deployment setting decoded from sparkserved's -pools JSON",
 	"server.PoolConfig.MaxConcurrent": "deployment setting decoded from sparkserved's -pools JSON",

@@ -436,8 +436,8 @@ func FuzzSumCellPairs(f *testing.F) {
 	})
 }
 
-// BenchmarkWideKernel vs BenchmarkPerPhenotypeLoop: the decode-amortisation
-// claim of the eqtl experiment on the shared fixture (fixed 0.3 MAF), and the
+// BenchmarkWideKernel vs BenchmarkPerPhenotypeLoop: the all-pairs cross's
+// decode-amortisation claim on the shared fixture (fixed 0.3 MAF), and the
 // kernel at the eqtl_wide benchmark's shape — one full block of 1000 patients
 // × 256 rows against 256 phenotypes, per-row MAF ~ U(0.01, 0.5) as gen draws
 // it. Run with -benchmem.
