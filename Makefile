@@ -23,16 +23,18 @@ vet:
 build:
 	$(GO) build ./...
 
-# cross proves the portable path compiles and vets where the amd64 assembly
-# (internal/stats/kernel_amd64.s: packedRows4 and the two-list cell walk
-# cellPairs; internal/data/pack_amd64.s: the canonical text codec's
-# packCanon64) is absent: a 64-bit and a 32-bit GOARCH, where the Go sumCells
-# is the whole walk and packCanonical's word loop the whole row. On amd64,
-# vet's asmdecl pass checks the three routines' frame offsets against their
-# Go declarations.
+# cross proves the portable path where the amd64 assembly
+# (internal/stats/kernel_amd64.s: the AVX2 walks packedRows4 and cellPairs
+# and their CPUID check; internal/data/pack_amd64.s: the canonical text
+# codec's packCanon64) is absent: arm64 vets, and the whole test suite runs
+# on 386 — natively on an amd64 Linux host — where packedRowScore scores every
+# row, the Go sumCells is the whole cell walk and packCanonical's word loop
+# the whole row. That Go path is also what an amd64 host without AVX2 runs.
+# On amd64, vet's asmdecl pass checks the four routines' frame offsets
+# against their Go declarations.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
-	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -52,12 +54,12 @@ bench:
 # Monte Carlo panel kernel's benchmark still builds mc_cached's packed matrix
 # (500 and 1000 patients × 20 000 SNPs) and reports ns/elem-replicate at
 # b = 1, one tile and core's batch width, table build counted — both walk
-# their cell lists two per call through the SSE2 routine cellPairs on amd64 —
-# and that Algorithm 2's two kernels still report ns/genotype at perm_scan's
-# row width: the ingest's ParseGenoBlock over a block of byte lines, canonical
-# rows (64 text bytes per SSE2 step on amd64) and one-tab rows the tokenizer
-# decides, and the packed-row score kernel (four rows per call in amd64
-# assembly) on a 256 × 1000 block.
+# their cell lists two per call through the AVX2 routine cellPairs on an
+# amd64 host that has it — and that Algorithm 2's two kernels still report
+# ns/genotype at perm_scan's row width: the ingest's ParseGenoBlock over a
+# block of byte lines, canonical rows (64 text bytes per SSE2 step on amd64)
+# and one-tab rows the tokenizer decides, and the packed-row score kernel
+# (four rows per call in AVX2 assembly) on a 256 × 1000 block.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x

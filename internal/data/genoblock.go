@@ -87,7 +87,7 @@ func (b *GenoBlock) Row(r int) []byte {
 
 // checkSNPID rejects an id the block's int32 SNP column cannot hold: stored
 // truncated it would name another SNP.
-func checkSNPID(snp int) error {
+func checkSNPID(snp int64) error {
 	if snp < math.MinInt32 || snp > math.MaxInt32 {
 		return fmt.Errorf("data: SNP id %d does not fit the 32-bit id column", snp)
 	}
@@ -97,7 +97,7 @@ func checkSNPID(snp int) error {
 // AppendRow packs one SNP row onto the block. Genotypes must be in
 // {MissingGenotype, 0, 1, 2}.
 func (b *GenoBlock) AppendRow(snp int, g []Genotype) error {
-	if err := checkSNPID(snp); err != nil {
+	if err := checkSNPID(int64(snp)); err != nil {
 		return err
 	}
 	if len(g) != b.Patients {
@@ -139,14 +139,14 @@ func ParseSNPPrefix(line []byte) (snp int, fields []byte, err error) {
 	if !ok {
 		return 0, nil, fmt.Errorf("data: genotype line missing tab: %.40q", line)
 	}
-	snp, err = strconv.Atoi(string(snpStr))
-	if err != nil || snp < 0 {
+	id, err := strconv.ParseInt(string(snpStr), 10, 64)
+	if err != nil || id < 0 {
 		return 0, nil, fmt.Errorf("data: bad SNP id %q", snpStr)
 	}
-	if err := checkSNPID(snp); err != nil {
+	if err := checkSNPID(id); err != nil {
 		return 0, nil, err
 	}
-	return snp, fields, nil
+	return int(id), fields, nil
 }
 
 // ParseGenoBlock packs a batch of genotype-matrix lines into one GenoBlock —
@@ -189,7 +189,7 @@ func (b *GenoBlock) AppendTextRow(snp int, fields string) error {
 // alone, so which rows are accepted, with what bytes and what error text, is
 // the tokenizer's contract whatever path packed the row.
 func (b *GenoBlock) appendText(snp int, fields []byte) error {
-	if err := checkSNPID(snp); err != nil {
+	if err := checkSNPID(int64(snp)); err != nil {
 		return err
 	}
 	base := len(b.Packed)

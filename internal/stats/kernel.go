@@ -4,15 +4,15 @@
 // permutation replicate) and G · R̃(Z) for the residual panel of a batch of
 // Lin's Monte Carlo weight draws (PanelKernel), both straight off the 2-bit
 // bytes in one written summation order. That order is four lanes, which on
-// amd64 are two SSE2 registers: kernel_amd64.s scores four rows per call, and
-// packedRowScore — the same order in Go — scores the rest and every row on
-// other GOARCHes; the panel kernel's cell lists are walked two per call by
-// the same file's cellPairs, or by sumCells in Go. Every score an analysis
-// reports, the asymptotic tests' included, is one of these. The per-patient
-// terms — a block at a time into a UBlock, bit for bit Model.Contributions per
-// row (BlockKernel.Contributions) — serve only the asymptotic set tests' Liu
-// moments, which need the contributions themselves, and the arithmetic of the
-// Reference* oracles.
+// an amd64 host with AVX2 are one ymm register: kernel_amd64.s scores four
+// rows per call, and packedRowScore — the same order in Go — scores the rest,
+// and every row on other hosts; the panel kernel's cell lists are walked two
+// per call by the same file's cellPairs, or by sumCells in Go. Every score an
+// analysis reports, the asymptotic tests' included, is one of these. The
+// per-patient terms — a block at a time into a UBlock, bit for bit
+// Model.Contributions per row (BlockKernel.Contributions) — serve only the
+// asymptotic set tests' Liu moments, which need the contributions themselves,
+// and the arithmetic of the Reference* oracles.
 
 package stats
 
@@ -152,13 +152,13 @@ func CheckResiduals(m ScoreResidualer) error {
 // A row's score therefore depends on its bytes and r alone — not on the block
 // or partition that carries the row, nor on how many workers run.
 //
-// On amd64 the order is two SSE2 registers per row: kernel_amd64.s scores
-// the full bytes of four rows per call, and this wrapper adds each row's
-// partial byte and combines its lanes. packedRowScore, the same order one row
-// at a time in Go, scores the rows left after the last group of four, and
-// every row off amd64. The block's shape is checked first, so a malformed
-// block (a corrupt spill frame, say) panics before any row is scored instead
-// of being read out of bounds.
+// On amd64 with AVX2 the order is one ymm register per row: kernel_amd64.s
+// scores the full bytes of four rows per call, and this wrapper adds each
+// row's partial byte and combines its lanes. packedRowScore, the same order
+// one row at a time in Go, scores the rows left after the last group of four,
+// and every row on a host without AVX2 or off amd64. The block's shape is
+// checked first, so a malformed block (a corrupt spill frame, say) panics
+// before any row is scored instead of being read out of bounds.
 func PackedRowScores(blk data.GenoBlock, r, out []float64) []float64 {
 	if len(r) != blk.Patients {
 		panic(fmt.Sprintf("stats: block for %d patients, %d score residuals", blk.Patients, len(r)))
@@ -199,7 +199,7 @@ func packedRowScore(packed []byte, r []float64) float64 {
 // replicate-tiled and patient-major as wideTable, each row turned into lists
 // of the table cells of its non-zero patients, and the cells added into
 // wideTile accumulators per list, two lists per sumCellPairs call — on amd64
-// eight SSE2 registers of two columns each.
+// with AVX2 four ymm registers of four columns each.
 //
 // Summation-order contract. A row's cells are listed in four lane segments,
 // lane l holding the patients i ≡ l (mod 4) in ascending i; each segment is

@@ -1,10 +1,23 @@
+// The amd64 entry points of the two float walks: packedRows4 and cellPairs
+// in kernel_amd64.s, AVX2 without FMA, so each lane or column is its own
+// chain of rounded products and adds in the written order. One CPUID/XGETBV
+// check at package init selects them; a host without AVX2 runs what other
+// GOARCHes run (kernel_generic.go), the same bits in Go.
+
 package stats
 
 import "sparkscore/internal/data"
 
+// hasAVX2 is in kernel_amd64.s: CPUID and XGETBV, true when the CPU has AVX2
+// and the OS saves the ymm registers.
+func hasAVX2() bool
+
+// useAVX2 selects the assembly walks; nothing writes it after init.
+var useAVX2 = hasAVX2()
+
 // dosageQuads[v] holds the dosages of byte v's four 2-bit codes in lane
-// order, so one 32-byte load hands packedRows4 a whole byte: two SSE2
-// registers' worth.
+// order, so one 32-byte load hands packedRows4 a whole byte: one ymm
+// register's worth.
 var dosageQuads = func() (t [256][4]float64) {
 	for v := range t {
 		for l := range t[v] {
@@ -29,10 +42,11 @@ func packedRows4(table *[256][4]float64, packed *byte, stride, full int, r *floa
 func cellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) bool
 
 // sumCellPairs is sumCells(tile, a, &sums[0]) then sumCells(tile, b,
-// &sums[1]), bit for bit, in one walk of the two lists. On an out-of-range
-// index it runs exactly those two calls, which panic on it as indexing does.
+// &sums[1]), bit for bit, in one walk of the two lists where the host has
+// AVX2. On an out-of-range index, or without AVX2, it runs exactly those two
+// calls, which panic on the index as indexing does.
 func sumCellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) {
-	if !cellPairs(tile, a, b, sums) {
+	if !useAVX2 || !cellPairs(tile, a, b, sums) {
 		sumCells(tile, a, &sums[0])
 		sumCells(tile, b, &sums[1])
 	}
@@ -40,11 +54,11 @@ func sumCellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) {
 
 // scoreRowGroups scores the block's rows four at a time in PackedRowScores'
 // order and returns how many it scored: every whole group of four, or none
-// when a row has no full byte. PackedRowScores has checked r and the block's
-// shape, and sized out to its rows.
+// when a row has no full byte or the host has no AVX2. PackedRowScores has
+// checked r and the block's shape, and sized out to its rows.
 func scoreRowGroups(blk data.GenoBlock, r, out []float64) int {
 	full := len(r) >> 2
-	if full == 0 {
+	if full == 0 || !useAVX2 {
 		return 0
 	}
 	stride, grouped := blk.RowBytes, len(out)&^3

@@ -1,14 +1,53 @@
 #include "textflag.h"
 
+// func hasAVX2() bool
+//
+// Reports whether the CPU has AVX2 and the OS saves the ymm registers: CPUID
+// leaf 1's OSXSAVE (ECX bit 27) and AVX (ECX bit 28), XCR0's SSE and AVX
+// state (bits 1 and 2), and CPUID leaf 7's AVX2 (EBX bit 5), leaf 7 only
+// where leaf 0 says it exists.
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JB   no
+
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+
+	XORL   CX, CX
+	XGETBV
+	ANDL   $6, AX
+	CMPL   AX, $6
+	JNE    no
+
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x20, BX
+	JZ    no
+
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func packedRows4(table *[256][4]float64, packed *byte, stride, full int, r *float64, lanes *[4][4]float64)
 //
 // Scores the full bytes of four packed rows, row j at packed + j·stride, in
 // PackedRowScores' four lanes: lanes[j] is row j's (l0, l1, l2, l3) over the
-// patients 0 … 4·full−1. Byte k of a row is one 32-byte load of table[byte],
-// its four dosages, multiplied by r[4k:4k+4] and added into the row's two
-// accumulators — X(2j) holds lanes 0 and 1, X(2j+1) lanes 2 and 3 — so every
-// lane adds one rounded product per byte in ascending patient order, and the
-// four rows share each load of r.
+// patients 0 … 4·full−1, held in Yj. Byte k of a row is table[byte], its four
+// dosages, multiplied by r[4k:4k+4] — one load shared by the four rows — and
+// added into Yj, so every lane adds one rounded product per byte in ascending
+// patient order. A multiply and an add, never a fused one: the contract
+// rounds the product before the sum.
 TEXT ·packedRows4(SB), NOSPLIT, $0-48
 	MOVQ table+0(FP), R8
 	MOVQ packed+8(FP), SI
@@ -21,58 +60,37 @@ TEXT ·packedRows4(SB), NOSPLIT, $0-48
 	LEAQ (SI)(BX*2), R10
 	LEAQ (R10)(BX*1), R11
 
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
 
 	XORQ  R12, R12
 	TESTQ CX, CX
 	JZ    done
 
 loop:
-	MOVUPD (DX), X8
-	MOVUPD 16(DX), X9
+	VMOVUPD (DX), Y8
 
 	MOVBQZX (SI)(R12*1), AX
 	SHLQ    $5, AX
-	MOVUPD  (R8)(AX*1), X10
-	MOVUPD  16(R8)(AX*1), X11
-	MULPD   X8, X10
-	MULPD   X9, X11
-	ADDPD   X10, X0
-	ADDPD   X11, X1
+	VMULPD  (R8)(AX*1), Y8, Y4
+	VADDPD  Y4, Y0, Y0
 
 	MOVBQZX (R9)(R12*1), R13
 	SHLQ    $5, R13
-	MOVUPD  (R8)(R13*1), X12
-	MOVUPD  16(R8)(R13*1), X13
-	MULPD   X8, X12
-	MULPD   X9, X13
-	ADDPD   X12, X2
-	ADDPD   X13, X3
+	VMULPD  (R8)(R13*1), Y8, Y5
+	VADDPD  Y5, Y1, Y1
 
 	MOVBQZX (R10)(R12*1), AX
 	SHLQ    $5, AX
-	MOVUPD  (R8)(AX*1), X10
-	MOVUPD  16(R8)(AX*1), X11
-	MULPD   X8, X10
-	MULPD   X9, X11
-	ADDPD   X10, X4
-	ADDPD   X11, X5
+	VMULPD  (R8)(AX*1), Y8, Y6
+	VADDPD  Y6, Y2, Y2
 
 	MOVBQZX (R11)(R12*1), R13
 	SHLQ    $5, R13
-	MOVUPD  (R8)(R13*1), X12
-	MOVUPD  16(R8)(R13*1), X13
-	MULPD   X8, X12
-	MULPD   X9, X13
-	ADDPD   X12, X6
-	ADDPD   X13, X7
+	VMULPD  (R8)(R13*1), Y8, Y7
+	VADDPD  Y7, Y3, Y3
 
 	ADDQ $32, DX
 	INCQ R12
@@ -80,26 +98,23 @@ loop:
 	JB   loop
 
 done:
-	MOVUPD X0, 0(DI)
-	MOVUPD X1, 16(DI)
-	MOVUPD X2, 32(DI)
-	MOVUPD X3, 48(DI)
-	MOVUPD X4, 64(DI)
-	MOVUPD X5, 80(DI)
-	MOVUPD X6, 96(DI)
-	MOVUPD X7, 112(DI)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
 	RET
 
 // func cellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) bool
 //
 // sumCells over two lists in one walk: sums[0] is list a's cells added in
-// list order from +0, sums[1] list b's. A 64-byte cell is four 16-byte loads
-// and four ADDPDs into its list's accumulators — X0–X3 for a, X4–X7 for b,
-// two columns each — so every column of every list is its own chain and adds
-// its terms in sumCells' order. The lists are walked together up to the
-// shorter length, then the longer one's tail alone. Every index is compared
-// with len(tile) before its load; on the first that is out of range the
-// routine returns false and writes nothing.
+// list order from +0, sums[1] list b's. A 64-byte cell is two 32-byte
+// VADDPDs into its list's accumulators — Y0–Y1 for a, Y2–Y3 for b, four
+// columns each — so every column of every list is its own chain and adds its
+// terms in sumCells' order. The lists are walked together up to the shorter
+// length, then the longer one's tail alone. Every index is compared with
+// len(tile) before its load; on the first that is out of range the routine
+// returns false and writes nothing.
 TEXT ·cellPairs(SB), NOSPLIT, $0-81
 	MOVQ tile_base+0(FP), SI
 	MOVQ tile_len+8(FP), DX
@@ -109,14 +124,10 @@ TEXT ·cellPairs(SB), NOSPLIT, $0-81
 	MOVQ b_len+56(FP), R11
 	MOVQ sums+72(FP), DI
 
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
 
 	// R12 = min(len(a), len(b)): the shared walk.
 	MOVQ   R9, R12
@@ -137,23 +148,10 @@ pairs:
 	SHLQ    $6, AX
 	SHLQ    $6, BX
 
-	MOVUPD 0(SI)(AX*1), X8
-	MOVUPD 16(SI)(AX*1), X9
-	MOVUPD 32(SI)(AX*1), X10
-	MOVUPD 48(SI)(AX*1), X11
-	ADDPD  X8, X0
-	ADDPD  X9, X1
-	ADDPD  X10, X2
-	ADDPD  X11, X3
-
-	MOVUPD 0(SI)(BX*1), X12
-	MOVUPD 16(SI)(BX*1), X13
-	MOVUPD 32(SI)(BX*1), X14
-	MOVUPD 48(SI)(BX*1), X15
-	ADDPD  X12, X4
-	ADDPD  X13, X5
-	ADDPD  X14, X6
-	ADDPD  X15, X7
+	VADDPD 0(SI)(AX*1), Y0, Y0
+	VADDPD 32(SI)(AX*1), Y1, Y1
+	VADDPD 0(SI)(BX*1), Y2, Y2
+	VADDPD 32(SI)(BX*1), Y3, Y3
 
 	INCQ CX
 	CMPQ CX, R12
@@ -167,14 +165,8 @@ atail:
 	CMPQ    AX, DX
 	JAE     bad
 	SHLQ    $6, AX
-	MOVUPD  0(SI)(AX*1), X8
-	MOVUPD  16(SI)(AX*1), X9
-	MOVUPD  32(SI)(AX*1), X10
-	MOVUPD  48(SI)(AX*1), X11
-	ADDPD   X8, X0
-	ADDPD   X9, X1
-	ADDPD   X10, X2
-	ADDPD   X11, X3
+	VADDPD  0(SI)(AX*1), Y0, Y0
+	VADDPD  32(SI)(AX*1), Y1, Y1
 	INCQ    CX
 	JMP     atail
 
@@ -188,29 +180,21 @@ bloop:
 	CMPQ    BX, DX
 	JAE     bad
 	SHLQ    $6, BX
-	MOVUPD  0(SI)(BX*1), X12
-	MOVUPD  16(SI)(BX*1), X13
-	MOVUPD  32(SI)(BX*1), X14
-	MOVUPD  48(SI)(BX*1), X15
-	ADDPD   X12, X4
-	ADDPD   X13, X5
-	ADDPD   X14, X6
-	ADDPD   X15, X7
+	VADDPD  0(SI)(BX*1), Y2, Y2
+	VADDPD  32(SI)(BX*1), Y3, Y3
 	INCQ    CX
 	JMP     bloop
 
 done:
-	MOVUPD X0, 0(DI)
-	MOVUPD X1, 16(DI)
-	MOVUPD X2, 32(DI)
-	MOVUPD X3, 48(DI)
-	MOVUPD X4, 64(DI)
-	MOVUPD X5, 80(DI)
-	MOVUPD X6, 96(DI)
-	MOVUPD X7, 112(DI)
-	MOVB   $1, ret+80(FP)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	MOVB    $1, ret+80(FP)
 	RET
 
 bad:
+	VZEROUPPER
 	MOVB $0, ret+80(FP)
 	RET

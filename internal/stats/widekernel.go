@@ -18,9 +18,9 @@
 // patient-major, turns each row into the list of table cells of its non-zero
 // patients, and adds those cells into one accumulator per phenotype — one
 // list walk scores wideTile phenotypes. The walk takes two rows' lists per
-// call (sumCellPairs): on amd64 that is kernel_amd64.s's cellPairs, eight
-// SSE2 registers whose sixteen columns are independent chains; elsewhere it
-// is sumCells, the same adds one list at a time in Go.
+// call (sumCellPairs): on an amd64 host with AVX2 that is kernel_amd64.s's
+// cellPairs, four ymm registers whose sixteen columns are independent chains;
+// elsewhere it is sumCells, the same adds one list at a time in Go.
 //
 // The kernel hands its consumer one SNP row at a time (BlockRows): the row's
 // scores against the whole batch and their variances, so a consumer that

@@ -391,17 +391,24 @@ func TestSumCellPairsMatchesSumCells(t *testing.T) {
 
 // FuzzSumCellPairs is the same pin over arbitrary tile bits, NaN and ±Inf
 // included, and arbitrary lists: equal bits or NaN both, or the same panic.
-// The first three bytes pick the tile's cell count and the two list lengths;
-// the rest is read cyclically, one byte an index (0xfe is len(tile), 0xff
-// MaxUint32, anything else an in-range cell) and then eight bytes a tile
-// value.
+// The first three bytes pick the tile's cell count and the two list lengths
+// (a length byte below 0xf0 is a length below 40, 0xf0–0xff the long lists
+// 242–257); the rest is read cyclically, one byte an index (0xfe is
+// len(tile), 0xff MaxUint32, anything else an in-range cell) and then eight
+// bytes a tile value.
 func FuzzSumCellPairs(f *testing.F) {
 	f.Add([]byte{3, 5, 2, 0, 1, 2, 3, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 4 {
 			return
 		}
-		cells, la, lb := 1+int(raw[0])%16, int(raw[1])%40, int(raw[2])%40
+		length := func(b byte) int {
+			if b >= 0xf0 {
+				return int(b) + 2
+			}
+			return int(b) % 40
+		}
+		cells, la, lb := 1+int(raw[0])%16, length(raw[1]), length(raw[2])
 		raw = raw[3:]
 		at := 0
 		next := func() byte { at++; return raw[(at-1)%len(raw)] }
