@@ -24,14 +24,15 @@ build:
 	$(GO) build ./...
 
 # cross proves the portable path where the amd64 assembly
-# (internal/stats/kernel_amd64.s: the AVX2 walks packedRows4 and cellPairs
-# and their CPUID check; internal/data/pack_amd64.s: the canonical text
-# codec's packCanon64) is absent: arm64 vets, and the whole test suite runs
-# on 386 — natively on an amd64 Linux host — where packedRowScore scores every
-# row, the Go sumCells is the whole cell walk and packCanonical's word loop
-# the whole row. That Go path is also what an amd64 host without AVX2 runs.
-# On amd64, vet's asmdecl pass checks the four routines' frame offsets
-# against their Go declarations.
+# (internal/stats/kernel_amd64.s: the AVX2 walks packedRows4 and cellPairs,
+# the panel kernel's lane-list compaction compactChunks, and their CPUID
+# check; internal/data/pack_amd64.s: the canonical text codec's packCanon64)
+# is absent: arm64 vets, and the whole test suite runs on 386 — natively on
+# an amd64 Linux host — where packedRowScore scores every row, the Go sumCells
+# is the whole cell walk, compactBytes the whole compaction and
+# packCanonical's word loop the whole row. That Go path is also what an amd64
+# host without AVX2 runs. On amd64, vet's asmdecl pass checks the five
+# routines' frame offsets against their Go declarations.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./...
@@ -53,13 +54,15 @@ bench:
 # accumulator, one task's worth — and that the
 # Monte Carlo panel kernel's benchmark still builds mc_cached's packed matrix
 # (500 and 1000 patients × 20 000 SNPs) and reports ns/elem-replicate at
-# b = 1, one tile and core's batch width, table build counted — both walk
-# their cell lists two per call through the AVX2 routine cellPairs on an
-# amd64 host that has it — and that Algorithm 2's two kernels still report
-# ns/genotype at perm_scan's row width: the ingest's ParseGenoBlock over a
-# block of byte lines, canonical rows (64 text bytes per SSE2 step on amd64)
-# and one-tab rows the tokenizer decides, and the packed-row score kernel
-# (four rows per call in AVX2 assembly) on a 256 × 1000 block.
+# b = 1, one tile and core's batch width, the kernel built once and forked
+# per pass as a fold task forks it — the rows compacted 32 patients a step by
+# compactChunks and the cell lists walked two per call by cellPairs, both
+# AVX2, on an amd64 host that has it — and that Algorithm 2's two kernels
+# still report ns/genotype at perm_scan's row width: the ingest's
+# ParseGenoBlock over a block of byte lines, canonical rows (64 text bytes
+# per SSE2 step on amd64) and one-tab rows the tokenizer decides, and the
+# packed-row score kernel (four rows per call in AVX2 assembly) on a
+# 256 × 1000 block.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x
@@ -78,7 +81,10 @@ bench-smoke:
 # panicking on arbitrary bytes or on a frame of a foreign record type, the
 # event-log reader never panics and whatever it accepts renders to a fixed
 # point through the writer, every column of the Monte Carlo panel kernel equals PackedRowScores on that
-# column bit for bit, PackedRowScores equals its written summation order
+# column bit for bit, the panel kernel's lane lists compacted in AVX2 equal
+# the Go loop's (lists and ends) on arbitrary packed rows, missing codes,
+# all-zero and all-non-zero rows and every chunk, tail and partial-byte
+# boundary included, PackedRowScores equals its written summation order
 # bit for bit (or NaN both) on arbitrary packed bytes and residuals, and the
 # two-list cell walk equals two sumCells calls (equal bits or NaN both, or the
 # same panic on an out-of-range index) on arbitrary tile bits and lists, and
@@ -93,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzDecodeFrameBytes -fuzztime=10s
 	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzReadEventLog -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPanelKernel -fuzztime=10s
+	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPanelCompaction -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPackedRowScores -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzSumCellPairs -fuzztime=10s
 	$(GO) test ./internal/assoc -run='^$$' -fuzz=FuzzAccumulatorCutoff -fuzztime=10s

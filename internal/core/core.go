@@ -282,26 +282,25 @@ func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 }
 
 // mcBatch is the number of Monte Carlo replicates one job scores: wide enough
-// that the panel kernel's per-block cell lists and per-task class table are
-// amortised (BenchmarkPackedPanel: b = 64 costs a quarter of b = 1 per
-// replicate, and half of b = 8) and that per-job scheduling is noise, small
-// enough that the table and a task's sets × b partial sums stay cache-sized.
+// that the panel kernel's per-block cell lists are amortised over many tiles
+// and per-job scheduling is noise (BenchmarkPackedPanel, the kernel built once
+// and forked per pass, on a 2-vCPU VM: 0.105–0.112 ns per genotype-replicate
+// at b = 64, 0.13–0.14 at b = 8, 0.20–0.30 at b = 1), small enough that the
+// class table and a task's sets × b partial sums stay cache-sized.
 const mcBatch = 64
 
 // panelStats is Algorithm 3 step 4 for Monte Carlo replicates first …
-// first+width−1 at once, indexed [replicate][set]. Each task draws the
-// replicates' weight panel and turns it into the residual panel R̃ of the
-// broadcast null model for the set-sum fold to multiply its blocks by.
+// first+width−1 at once, indexed [replicate][set]. The driver draws the
+// replicates' weight panel, turns it into the residual panel R̃ of the null
+// model and builds its kernel once; every set-sum task forks that kernel.
 //
 // Summation-order contract: marginal scores are stats.PanelKernel's — column
 // k is bitwise stats.PackedRowScores on r̃_k, the order scoreStats sums r in —
 // and nothing depends on width, so replicate k is the same bits whichever
 // batch carries it.
 func (a *Analysis) panelStats(blocks *rdd.RDD[data.GenoBlock], first uint64, width int) ([][]float64, error) {
-	seed, patients, null := a.opts.Seed, a.patients, a.null
-	return foldSetSums(a, blocks, width, func() []float64 {
-		return null.Value().PanelResiduals(drawPanel(seed, patients, first, width), width)
-	})
+	z := drawPanel(a.opts.Seed, a.patients, first, width)
+	return foldSetSums(a, blocks, width, stats.NewPanelKernel(a.patients, width, a.null.Value().PanelResiduals(z, width)))
 }
 
 // scoreStats is Algorithm 1 for the marginal scores of one residual vector —
@@ -311,7 +310,8 @@ func (a *Analysis) panelStats(blocks *rdd.RDD[data.GenoBlock], first uint64, wid
 // a patient; tasks build no model. Scores follow stats.PackedRowScores'
 // summation order: it is the one-column panel kernel.
 func (a *Analysis) scoreStats(blocks *rdd.RDD[data.GenoBlock], r []float64) ([]float64, error) {
-	s, err := foldSetSums(a, blocks, 1, rdd.NewBroadcast(a.ctx, r, 8*int64(a.patients)).Value)
+	bc := rdd.NewBroadcast(a.ctx, r, 8*int64(a.patients))
+	s, err := foldSetSums(a, blocks, 1, stats.NewPanelKernel(a.patients, 1, bc.Value()))
 	if err != nil {
 		return nil, err
 	}
@@ -319,21 +319,22 @@ func (a *Analysis) scoreStats(blocks *rdd.RDD[data.GenoBlock], r []float64) ([]f
 }
 
 // foldSetSums is the body of Algorithm 1 steps 8–12 shared by every pass.
-// Each task builds the kernel of its patients × width residual panel once,
-// streams its partition's blocks through it, applies the weight and the set
-// statistic's per-SNP term, and accumulates into a task-local sets × width
-// matrix, emitting one vector per set it touched; a reduce sums the vectors
-// per set. The result is indexed [column][set].
+// Each task forks the pass's kernel of its patients × width residual panel,
+// streams its partition's blocks through it, adds each row's weighted
+// per-SNP terms into the task-local sets × width matrix with one
+// SetStatistic.AddPerSNP call per (row, set), and emits one vector per set it
+// touched; a reduce sums the vectors per set. The result is indexed
+// [column][set].
 //
 // Summation-order contract: a set's sum adds its rows in partition order
 // within a map task, then the map outputs in partition order.
 //
 // Clock: a block charges rows × patients × width operations, one per genotype
 // per residual column — the unit rdd's kernelGops was calibrated in.
-func foldSetSums(a *Analysis, blocks *rdd.RDD[data.GenoBlock], width int, panel func() []float64) ([][]float64, error) {
+func foldSetSums(a *Analysis, blocks *rdd.RDD[data.GenoBlock], width int, shared *stats.PanelKernel) ([][]float64, error) {
 	index, setStat, sets, patients := a.index, a.setStat, len(a.sets), a.patients
 	partials := rdd.FoldPartition(blocks, "setSums", func(t rdd.Task) (func(data.GenoBlock), func() []rdd.KV[int, []float64]) {
-		kernel := stats.NewPanelKernel(patients, width, panel())
+		kernel := shared.Fork()
 		x := index.Value()
 		sums, touched := make([]float64, sets*width), make([]bool, sets)
 		var scores []float64
@@ -344,10 +345,7 @@ func foldSetSums(a *Analysis, blocks *rdd.RDD[data.GenoBlock], width int, panel 
 				w, rowScores := x.weights[snp], scores[r*width:][:width]
 				for _, k := range x.of(int(snp)) {
 					touched[k] = true
-					acc := sums[int(k)*width:][:width]
-					for c, score := range rowScores {
-						acc[c] += setStat.PerSNP(w, score)
-					}
+					setStat.AddPerSNP(sums[int(k)*width:][:width], w, rowScores)
 				}
 			}
 		}
@@ -394,11 +392,11 @@ func addVectors(x, y []float64) []float64 {
 // drawPanel draws the Monte Carlo weights of replicates first … first+width−1
 // as a patients × width panel, patient-major. Replicate k's column comes from
 // the seed stream's k-th split in patient order, so its weights do not depend
-// on the batch, or the task, it is drawn in. Tasks draw their own panel: Z is
-// a pure function of (seed, replicate), so a job ships two integers where a
-// broadcast would put B × patients × 8 bytes through the driver over a run,
-// and a task's redraw is patients × width normals against its rows × patients
-// × width multiply-adds.
+// on the batch it is drawn in. The cost model still has each task derive its
+// panel from (seed, replicate) — a job ships two integers where a broadcast
+// would put B × patients × 8 bytes through the driver over a run — and never
+// charged that derivation; the host does it once per job, on the driver, and
+// the tasks share the kernel built from it.
 func drawPanel(seed uint64, patients int, first uint64, width int) []float64 {
 	root := rng.New(seed ^ 0xcafe)
 	z := make([]float64, patients*width)
@@ -596,8 +594,9 @@ type MarginalResult struct {
 // MarginalAsymptotic computes per-SNP asymptotic score tests: each packed
 // block is scored by stats.PackedRowScores against the broadcast null model's
 // score residuals — the bits every resampling pass computes for the row — and
-// each row decodes into the kernel's scratch buffer for Model.Variance, since
-// Cox's variance couples patients through the risk sets. On the clock, two
+// each row's variance is BlockKernel.Variance: the row decoded into the
+// kernel's scratch, since Cox's variance couples patients through the risk
+// sets, and Cox's prefix sums in the kernel's scratch too. On the clock, two
 // operations a genotype.
 func (a *Analysis) MarginalAsymptotic() ([]MarginalResult, error) {
 	blocks, err := a.filteredGenotypeBlocks()
@@ -614,7 +613,7 @@ func (a *Analysis) MarginalAsymptotic() ([]MarginalResult, error) {
 			t.Charge(2 * int64(b.Rows()) * int64(patients))
 			scores = stats.PackedRowScores(b, r, scores)
 			for row, score := range scores {
-				variance := model.Variance(k.Decode(b, row))
+				variance := k.Variance(b, row)
 				out = append(out, MarginalResult{SNP: int(b.SNPs[row]), Score: score, Variance: variance,
 					PValue: stats.ChiSquaredSurvival(stats.Chi2Stat(score, variance), 1)})
 			}

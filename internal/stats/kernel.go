@@ -6,9 +6,10 @@
 // bytes in one written summation order. That order is four lanes, which on
 // an amd64 host with AVX2 are one ymm register: kernel_amd64.s scores four
 // rows per call, and packedRowScore — the same order in Go — scores the rest,
-// and every row on other hosts; the panel kernel's cell lists are walked two
-// per call by the same file's cellPairs, or by sumCells in Go. Every score an
-// analysis reports, the asymptotic tests' included, is one of these. The
+// and every row on other hosts; the panel kernel's rows become cell lists 32
+// patients a step in the same file's compactChunks, or in compactBytes in
+// Go, and the lists are walked two per call by its cellPairs, or by sumCells
+// in Go. Every score an analysis reports, the asymptotic tests' included, is one of these. The
 // per-patient terms — a block at a time into a UBlock, bit for bit
 // Model.Contributions per row (BlockKernel.Contributions) — serve only the
 // asymptotic set tests' Liu moments, which need the contributions themselves,
@@ -197,9 +198,10 @@ func packedRowScore(packed []byte, r []float64) float64 {
 // over a block serves width replicates. It is the wide kernel's dosage-class
 // idea in PackedRowScores' summation order: a table of 1·r̃ and 2·r̃,
 // replicate-tiled and patient-major as wideTable, each row turned into lists
-// of the table cells of its non-zero patients, and the cells added into
-// wideTile accumulators per list, two lists per sumCellPairs call — on amd64
-// with AVX2 four ymm registers of four columns each.
+// of the table cells of its non-zero patients (compactLanes: 32 patients a
+// step on amd64 with AVX2), and the cells added into wideTile accumulators
+// per list, two lists per sumCellPairs call — on amd64 with AVX2 four ymm
+// registers of four columns each.
 //
 // Summation-order contract. A row's cells are listed in four lane segments,
 // lane l holding the patients i ≡ l (mod 4) in ascending i; each segment is
@@ -211,7 +213,8 @@ func packedRowScore(packed []byte, r []float64) float64 {
 // for bit PackedRowScores(blk, column k of R̃), whatever the width and
 // wherever in a batch the column sits. Width 1 is PackedRowScores itself.
 //
-// The scratch makes a kernel single-goroutine; a task builds its own.
+// The table built by NewPanelKernel is immutable; the scratch beside it makes
+// a kernel single-goroutine, so concurrent tasks each Fork their own.
 type PanelKernel struct {
 	patients, width int
 	column          []float64  // width 1: the panel, handed to PackedRowScores
@@ -239,6 +242,12 @@ func NewPanelKernel(patients, width int, panel []float64) *PanelKernel {
 	return k
 }
 
+// Fork returns a kernel that shares k's table (or column) and owns fresh
+// scratch, so the two may run Scores concurrently.
+func (k *PanelKernel) Fork() *PanelKernel {
+	return &PanelKernel{patients: k.patients, width: k.width, column: k.column, table: k.table}
+}
+
 // dosageClass is codeScoring as the cell offset a class adds: missing (01) and
 // the reference homozygote (11) have no cell.
 var dosageClass = [4]uint32{2, 0, 1, 0}
@@ -258,30 +267,10 @@ func (k *PanelKernel) Scores(blk data.GenoBlock, out []float64) []float64 {
 	cells, ends := k.cells, k.ends
 	out = sized(out, rows*width)
 
-	// Branch-free compaction, as in the wide kernel, into four cursors: every
-	// patient writes its cell index at its lane's cursor and only a non-zero
-	// dosage advances it.
 	for r := 0; r < rows; r++ {
-		packed := blk.Row(r)
-		w := [4]int{4 * r * quarter, (4*r + 1) * quarter, (4*r + 2) * quarter, (4*r + 3) * quarter}
-		for b, v := range packed[:n>>2] {
-			at := uint32(8*b) - 1 // cell 2i+c−1 of patient i = 4b+l is at+2l+c
-			c0, c1, c2, c3 := dosageClass[v&3], dosageClass[(v>>2)&3], dosageClass[(v>>4)&3], dosageClass[v>>6]
-			cells[w[0]] = at + c0
-			w[0] += int((c0 + 1) >> 1)
-			cells[w[1]] = at + 2 + c1
-			w[1] += int((c1 + 1) >> 1)
-			cells[w[2]] = at + 4 + c2
-			w[2] += int((c2 + 1) >> 1)
-			cells[w[3]] = at + 6 + c3
-			w[3] += int((c3 + 1) >> 1)
-		}
-		for l := 0; l < n&3; l++ { // the final, partial byte
-			c := dosageClass[(packed[n>>2]>>uint(2*l))&3]
-			cells[w[l]] = uint32(2*(n&^3+l)) - 1 + c
-			w[l] += int((c + 1) >> 1)
-		}
-		copy(ends[4*r:], w[:])
+		w := (*[4]int)(ends[4*r:])
+		*w = [4]int{4 * r * quarter, (4*r + 1) * quarter, (4*r + 2) * quarter, (4*r + 3) * quarter}
+		compactLanes(cells, blk.Row(r), n, w)
 	}
 
 	// Tiles outermost, so one tile's 2n cells stay cache-resident across the
@@ -301,21 +290,56 @@ func (k *PanelKernel) Scores(blk data.GenoBlock, out []float64) []float64 {
 	return out
 }
 
+// compactLanes appends the table cells of a packed row's n patients to its
+// four lane lists: patient i = 4b+l of dosage class c ≠ 0 is cell 8b+2l+c−1,
+// written at cells[w[l]], and w[l] advances past it. laneChunks takes the
+// row's whole 8-byte chunks where the host has AVX2; compactBytes the rest,
+// or the whole row.
+func compactLanes(cells []uint32, packed []byte, n int, w *[4]int) {
+	compactBytes(cells, packed, n, laneChunks(cells, packed, n, w), w)
+}
+
+// compactBytes is compactLanes from byte from on, in Go: branch-free, as in
+// the wide kernel, every patient writes its cell index at its lane's cursor
+// and only a non-zero dosage advances it. It is the whole compaction off
+// amd64 and the oracle of laneChunks.
+func compactBytes(cells []uint32, packed []byte, n, from int, w *[4]int) {
+	w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+	for j, v := range packed[from : n>>2] {
+		at := uint32(8*(from+j)) - 1 // cell 2i+c−1 of patient i = 4b+l is at+2l+c
+		c0, c1, c2, c3 := dosageClass[v&3], dosageClass[(v>>2)&3], dosageClass[(v>>4)&3], dosageClass[v>>6]
+		cells[w0] = at + c0
+		w0 += int((c0 + 1) >> 1)
+		cells[w1] = at + 2 + c1
+		w1 += int((c1 + 1) >> 1)
+		cells[w2] = at + 4 + c2
+		w2 += int((c2 + 1) >> 1)
+		cells[w3] = at + 6 + c3
+		w3 += int((c3 + 1) >> 1)
+	}
+	*w = [4]int{w0, w1, w2, w3}
+	for l := 0; l < n&3; l++ { // the final, partial byte
+		c := dosageClass[(packed[n>>2]>>uint(2*l))&3]
+		cells[w[l]] = uint32(2*(n&^3+l)) - 1 + c
+		w[l] += int((c + 1) >> 1)
+	}
+}
+
 // BlockKernel applies a score model to packed genotype blocks. A kernel is
 // built once per partition (it owns a decode buffer) and used from a single
 // goroutine; concurrent consumers build one kernel each.
 type BlockKernel struct {
-	model Model
-	dec   []data.Genotype
-	cox   *Cox      // non-nil when the model is Cox, whose contributions take cum
-	cum   []float64 // Cox's prefix-sum scratch: one per kernel, not one per SNP
+	model     Model
+	dec       []data.Genotype
+	cox       *Cox      // non-nil when the model is Cox, whose contributions and variance take cum
+	cum, cum2 []float64 // Cox's prefix-sum scratch: one per kernel, not one per SNP
 }
 
 // NewBlockKernel builds a kernel for the model.
 func NewBlockKernel(m Model) *BlockKernel {
 	k := &BlockKernel{model: m, dec: make([]data.Genotype, m.Patients())}
 	if c, ok := m.(*Cox); ok {
-		k.cox, k.cum = c, make([]float64, m.Patients()+1)
+		k.cox, k.cum, k.cum2 = c, make([]float64, m.Patients()+1), make([]float64, m.Patients()+1)
 	}
 	return k
 }
@@ -352,4 +376,15 @@ func (k *BlockKernel) Decode(blk data.GenoBlock, r int) []data.Genotype {
 	dec := k.dec[:blk.Patients]
 	DecodeDosageGenotypes(blk.Row(r), dec)
 	return dec
+}
+
+// Variance is Model.Variance of row r of the block, bit for bit: the row
+// decoded into the kernel's buffer and, for Cox, the prefix sums in its
+// scratch, so a task scoring many rows allocates neither per row.
+func (k *BlockKernel) Variance(blk data.GenoBlock, r int) float64 {
+	dec := k.Decode(blk, r)
+	if k.cox != nil {
+		return k.cox.variance(dec, k.cum, k.cum2)
+	}
+	return k.model.Variance(dec)
 }

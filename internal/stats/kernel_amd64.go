@@ -1,18 +1,24 @@
-// The amd64 entry points of the two float walks: packedRows4 and cellPairs
+// The amd64 entry points of the two float walks, packedRows4 and cellPairs
 // in kernel_amd64.s, AVX2 without FMA, so each lane or column is its own
-// chain of rounded products and adds in the written order. One CPUID/XGETBV
-// check at package init selects them; a host without AVX2 runs what other
-// GOARCHes run (kernel_generic.go), the same bits in Go.
+// chain of rounded products and adds in the written order, and of the panel
+// kernel's lane-list compaction, compactChunks, the same lists as the Go loop
+// 32 patients a step. One CPUID/XGETBV check at package init selects them; a
+// host without AVX2 runs what other GOARCHes run (kernel_generic.go), the
+// same results in Go.
 
 package stats
 
-import "sparkscore/internal/data"
+import (
+	"fmt"
+
+	"sparkscore/internal/data"
+)
 
 // hasAVX2 is in kernel_amd64.s: CPUID and XGETBV, true when the CPU has AVX2
-// and the OS saves the ymm registers.
+// and POPCNT and the OS saves the ymm registers.
 func hasAVX2() bool
 
-// useAVX2 selects the assembly walks; nothing writes it after init.
+// useAVX2 selects the assembly routines; nothing writes it after init.
 var useAVX2 = hasAVX2()
 
 // dosageQuads[v] holds the dosages of byte v's four 2-bit codes in lane
@@ -74,4 +80,53 @@ func scoreRowGroups(blk data.GenoBlock, r, out []float64) int {
 		}
 	}
 	return grouped
+}
+
+// laneCompress[m] lists the positions of mask m's set bits in ascending
+// order, then zeros: VPERMD through row m moves the dwords m selects to the
+// front of a ymm register, in order.
+var laneCompress = func() (t [256][8]uint32) {
+	for m := range t {
+		k := 0
+		for j := range 8 {
+			if m>>j&1 != 0 {
+				t[m][k] = uint32(j)
+				k++
+			}
+		}
+	}
+	return t
+}()
+
+// compactChunks is in kernel_amd64.s. It compacts chunks 8-byte chunks of the
+// row at packed into the four lane lists, lane l's entries stored from
+// cells[w[l]] on, and advances each w[l] past its entries. Every chunk stores
+// eight entries per lane whatever its count, so it reads 8·chunks bytes of
+// packed and writes cells[w[l] : w[l]+8·chunks] of each lane; the caller
+// checks every one of those.
+//
+//go:noescape
+func compactChunks(compress *[256][8]uint32, packed *byte, chunks int, cells *uint32, w *[4]int)
+
+// laneChunks is compactBytes over the row's whole 8-byte chunks, 32 patients
+// a step, and returns how many bytes it took: every whole chunk, or none when
+// the row has none or the host has no AVX2. A lane's stores reach up to
+// 8·⌊n/32⌋ entries past its starting cursor, so the lanes' segments must be
+// at least that long — the panel kernel's ⌈n/4⌉-entry segments are — or one
+// lane's stores would overwrite the next lane's entries.
+func laneChunks(cells []uint32, packed []byte, n int, w *[4]int) int {
+	chunks := n >> 5
+	if chunks == 0 || !useAVX2 {
+		return 0
+	}
+	if len(packed) < 8*chunks {
+		panic(fmt.Sprintf("stats: a row of %d patients in %d packed bytes", n, len(packed)))
+	}
+	for l, at := range w {
+		if at < 0 || at > len(cells)-8*chunks {
+			panic(fmt.Sprintf("stats: lane %d at cell %d has no room for %d entries in %d", l, at, 8*chunks, len(cells)))
+		}
+	}
+	compactChunks(&laneCompress, &packed[0], chunks, &cells[0], w)
+	return 8 * chunks
 }

@@ -2,10 +2,10 @@
 
 // func hasAVX2() bool
 //
-// Reports whether the CPU has AVX2 and the OS saves the ymm registers: CPUID
-// leaf 1's OSXSAVE (ECX bit 27) and AVX (ECX bit 28), XCR0's SSE and AVX
-// state (bits 1 and 2), and CPUID leaf 7's AVX2 (EBX bit 5), leaf 7 only
-// where leaf 0 says it exists.
+// Reports whether the CPU has AVX2 and POPCNT and the OS saves the ymm
+// registers: CPUID leaf 1's POPCNT (ECX bit 23), OSXSAVE (ECX bit 27) and AVX
+// (ECX bit 28), XCR0's SSE and AVX state (bits 1 and 2), and CPUID leaf 7's
+// AVX2 (EBX bit 5), leaf 7 only where leaf 0 says it exists.
 TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	XORL AX, AX
 	XORL CX, CX
@@ -16,8 +16,8 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
+	ANDL $0x18800000, CX
+	CMPL CX, $0x18800000
 	JNE  no
 
 	XORL   CX, CX
@@ -197,4 +197,139 @@ done:
 bad:
 	VZEROUPPER
 	MOVB $0, ret+80(FP)
+	RET
+
+// laneBase is the class-2 cell of lane 0 for each byte j of an 8-byte chunk,
+// 8j+1, as eight dwords; laneOne and laneStep are broadcast.
+DATA laneBase<>+0(SB)/4, $1
+DATA laneBase<>+4(SB)/4, $9
+DATA laneBase<>+8(SB)/4, $17
+DATA laneBase<>+12(SB)/4, $25
+DATA laneBase<>+16(SB)/4, $33
+DATA laneBase<>+20(SB)/4, $41
+DATA laneBase<>+24(SB)/4, $49
+DATA laneBase<>+28(SB)/4, $57
+GLOBL laneBase<>(SB), RODATA|NOPTR, $32
+
+DATA laneOne<>+0(SB)/4, $1
+GLOBL laneOne<>(SB), RODATA|NOPTR, $4
+
+DATA laneStep<>+0(SB)/4, $64
+GLOBL laneStep<>(SB), RODATA|NOPTR, $4
+
+// func compactChunks(compress *[256][8]uint32, packed *byte, chunks int, cells *uint32, w *[4]int)
+//
+// compactBytes over whole 8-byte chunks: per chunk, VPMOVZXBD widens its
+// bytes to eight dwords in Y0, and for each lane l in order 0–3 the code
+// x = byte>>2l has a non-zero dosage where its low bit is 0 (codes 00 and
+// 10), of class 2−hi for its high bit hi, so its cell is 8b+2l+1−hi. The
+// mask of those dwords (VMOVMSKPS) picks a row of compress, VPERMD moves the
+// selected cells to the front in byte order, one unaligned 32-byte store
+// writes all eight at lane l's cursor, and POPCNT of the mask advances it.
+// Y9–Y12 hold lanes 0–3's 8j+2l+1 for the chunk's bytes j and step by 64,
+// eight cells a byte, per chunk. VEX encodings only, so no SSE/AVX
+// transition.
+TEXT ·compactChunks(SB), NOSPLIT, $0-40
+	MOVQ compress+0(FP), R8
+	MOVQ packed+8(FP), SI
+	MOVQ chunks+16(FP), CX
+	MOVQ cells+24(FP), DI
+	MOVQ w+32(FP), DX
+
+	MOVQ 0(DX), R9
+	MOVQ 8(DX), R10
+	MOVQ 16(DX), R11
+	MOVQ 24(DX), R12
+
+	VPBROADCASTD laneOne<>(SB), Y15
+	VPBROADCASTD laneStep<>(SB), Y14
+	VPXOR        Y13, Y13, Y13
+	VPADDD       Y15, Y15, Y8
+	VMOVDQU      laneBase<>(SB), Y9
+	VPADDD       Y8, Y9, Y10
+	VPADDD       Y8, Y10, Y11
+	VPADDD       Y8, Y11, Y12
+
+	TESTQ CX, CX
+	JZ    done
+
+chunk:
+	VPMOVZXBD (SI), Y0
+
+	// lane 0
+	VPAND     Y15, Y0, Y1
+	VPCMPEQD  Y13, Y1, Y1
+	VPSRLD    $1, Y0, Y2
+	VPAND     Y15, Y2, Y2
+	VPSUBD    Y2, Y9, Y2
+	VMOVMSKPS Y1, AX
+	MOVQ      AX, BX
+	SHLQ      $5, BX
+	VMOVDQU   (R8)(BX*1), Y3
+	VPERMD    Y2, Y3, Y4
+	VMOVDQU   Y4, (DI)(R9*4)
+	POPCNTL   AX, AX
+	ADDQ      AX, R9
+
+	// lane 1
+	VPSRLD    $2, Y0, Y5
+	VPAND     Y15, Y5, Y1
+	VPCMPEQD  Y13, Y1, Y1
+	VPSRLD    $1, Y5, Y2
+	VPAND     Y15, Y2, Y2
+	VPSUBD    Y2, Y10, Y2
+	VMOVMSKPS Y1, AX
+	MOVQ      AX, BX
+	SHLQ      $5, BX
+	VMOVDQU   (R8)(BX*1), Y3
+	VPERMD    Y2, Y3, Y4
+	VMOVDQU   Y4, (DI)(R10*4)
+	POPCNTL   AX, AX
+	ADDQ      AX, R10
+
+	// lane 2
+	VPSRLD    $4, Y0, Y5
+	VPAND     Y15, Y5, Y1
+	VPCMPEQD  Y13, Y1, Y1
+	VPSRLD    $1, Y5, Y2
+	VPAND     Y15, Y2, Y2
+	VPSUBD    Y2, Y11, Y2
+	VMOVMSKPS Y1, AX
+	MOVQ      AX, BX
+	SHLQ      $5, BX
+	VMOVDQU   (R8)(BX*1), Y3
+	VPERMD    Y2, Y3, Y4
+	VMOVDQU   Y4, (DI)(R11*4)
+	POPCNTL   AX, AX
+	ADDQ      AX, R11
+
+	// lane 3: byte>>6 is the code alone, so its high bit needs no mask
+	VPSRLD    $6, Y0, Y5
+	VPAND     Y15, Y5, Y1
+	VPCMPEQD  Y13, Y1, Y1
+	VPSRLD    $7, Y0, Y2
+	VPSUBD    Y2, Y12, Y2
+	VMOVMSKPS Y1, AX
+	MOVQ      AX, BX
+	SHLQ      $5, BX
+	VMOVDQU   (R8)(BX*1), Y3
+	VPERMD    Y2, Y3, Y4
+	VMOVDQU   Y4, (DI)(R12*4)
+	POPCNTL   AX, AX
+	ADDQ      AX, R12
+
+	VPADDD Y14, Y9, Y9
+	VPADDD Y14, Y10, Y10
+	VPADDD Y14, Y11, Y11
+	VPADDD Y14, Y12, Y12
+	ADDQ   $8, SI
+	DECQ   CX
+	JNZ    chunk
+
+done:
+	MOVQ R9, 0(DX)
+	MOVQ R10, 8(DX)
+	MOVQ R11, 16(DX)
+	MOVQ R12, 24(DX)
+	VZEROUPPER
 	RET

@@ -13,3 +13,6 @@ func sumCellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) {
 	sumCells(tile, a, &sums[0])
 	sumCells(tile, b, &sums[1])
 }
+
+// laneChunks compacts no chunks off amd64: compactBytes takes the whole row.
+func laneChunks([]uint32, []byte, int, *[4]int) int { return 0 }

@@ -65,6 +65,9 @@ func TestBlockKernelMatchesModelBitwise(t *testing.T) {
 					t.Fatalf("%s row %d patient %d: kernel %v, boxed %v", family, r, i, got[i], u[i])
 				}
 			}
+			if got, want := k.Variance(blk, r), model.Variance(dec); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s row %d: kernel variance %v, boxed %v", family, r, got, want)
+			}
 		}
 	}
 }
@@ -461,6 +464,20 @@ func TestBlockKernelCoxAllocsFlatAcrossRows(t *testing.T) {
 	}
 	if few, many := allocs(2), allocs(64); few != many || few > 3 {
 		t.Fatalf("Cox kernel allocates %v times for 2 rows, %v for 64; want equal and <= 3", few, many)
+	}
+}
+
+// TestBlockKernelCoxVarianceAllocatesNothing pins Cox's variance prefix sums
+// to the kernel's scratch: MarginalAsymptotic calls it once per SNP row.
+func TestBlockKernelCoxVarianceAllocatesNothing(t *testing.T) {
+	ph, blk := kernelFixture(t, 64, 3, false)
+	model, err := NewCox(ph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewBlockKernel(model)
+	if allocs := testing.AllocsPerRun(20, func() { k.Variance(blk, 2) }); allocs != 0 {
+		t.Fatalf("Cox kernel variance allocates %v times a row, want 0", allocs)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"sparkscore/internal/data"
@@ -71,11 +73,13 @@ func checkPanelColumns(t *testing.T, blk data.GenoBlock, panel []float64, width 
 }
 
 // panelPatients and panelWidths are the shapes the contract is pinned at:
-// every patient count around the four lanes and the partial byte, the
+// every patient count around the four lanes and the partial byte; around the
+// compaction's 32-patient AVX2 steps — none, exactly one, one and a partial
+// byte, one and a tail, two, two and a tail, four and a partial byte; the
 // benchmark's cohorts and one that ends mid-byte; width 1, a lone partial
 // tile, a whole tile, tile-and-tail, and core's tail and batch widths.
 var (
-	panelPatients = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 500, 503, 1000}
+	panelPatients = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65, 129, 500, 503, 1000}
 	panelWidths   = []int{1, 2, 7, 8, 9, 44, 64}
 )
 
@@ -111,6 +115,99 @@ func TestPanelKernelReusesScratchAcrossBlocks(t *testing.T) {
 			t.Fatalf("%d rows: a reused kernel scores %v, a fresh one %v", rows, out, fresh)
 		}
 	}
+}
+
+// TestPanelKernelForksShareTheTable runs forks of one kernel on different
+// blocks at once, as a job's fold tasks do; under -race this pins the table
+// (or the width-1 column) as read-only in Scores, and every fork must score
+// bit for bit like a fresh kernel.
+func TestPanelKernelForksShareTheTable(t *testing.T) {
+	const patients = 67
+	for _, width := range []int{1, 19} {
+		_, panel := panelFixture(3, patients, 0, width, nil, 0, 0.1)
+		shared := NewPanelKernel(patients, width, panel)
+		var wg sync.WaitGroup
+		for _, rows := range []int{40, 7, 60} {
+			blk, _ := panelFixture(uint64(rows), patients, rows, 0, func(int) float64 { return 0.3 }, 0.05, 0)
+			want := NewPanelKernel(patients, width, panel).Scores(blk, nil)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fork := shared.Fork()
+				var out []float64
+				for range 20 {
+					out = fork.Scores(blk, out)
+					for i, v := range out {
+						if math.Float64bits(v) != math.Float64bits(want[i]) {
+							t.Errorf("width %d, %d rows: a fork scores %v at %d, a fresh kernel %v", width, rows, v, i, want[i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// checkCompaction pins compactLanes — laneChunks' 32-patient AVX2 steps where
+// the host has them, then compactBytes for the rest — to compactBytes alone
+// over the whole packed row of n patients: the same four lists and the same
+// ends. Entries past a list's end are scratch and not compared.
+func checkCompaction(t *testing.T, packed []byte, n int) {
+	t.Helper()
+	quarter := (n + 3) / 4
+	start := [4]int{0, quarter, 2 * quarter, 3 * quarter}
+	got, want := make([]uint32, 4*quarter), make([]uint32, 4*quarter)
+	gotEnds, wantEnds := start, start
+	compactLanes(got, packed, n, &gotEnds)
+	compactBytes(want, packed, n, 0, &wantEnds)
+	if gotEnds != wantEnds {
+		t.Fatalf("n=%d row %x: lists end at %v, the Go loop's at %v", n, packed, gotEnds, wantEnds)
+	}
+	for l, at := range start {
+		if g, w := got[at:gotEnds[l]], want[at:wantEnds[l]]; !slices.Equal(g, w) {
+			t.Fatalf("n=%d row %x: lane %d lists %v, the Go loop %v", n, packed, l, g, w)
+		}
+	}
+}
+
+// TestPanelCompactionMatchesGoLoop runs checkCompaction over every patient
+// count to 140 — no whole chunk, one, and up to four with every tail and
+// partial byte — on rows of one code each (00 every patient class 2, 01
+// every call missing, 10 class 1, 11 the reference homozygote) and on random
+// rows.
+func TestPanelCompactionMatchesGoLoop(t *testing.T) {
+	r := rng.New(11)
+	for n := 1; n <= 140; n++ {
+		packed := make([]byte, (n+3)/4)
+		for _, fill := range []byte{0x00, 0x55, 0xaa, 0xff} {
+			for i := range packed {
+				packed[i] = fill
+			}
+			checkCompaction(t, packed, n)
+		}
+		for range 8 {
+			for i := range packed {
+				packed[i] = byte(r.Intn(256))
+			}
+			checkCompaction(t, packed, n)
+		}
+	}
+}
+
+// FuzzPanelCompaction is checkCompaction on arbitrary rows: raw[1:] is the
+// packed row and raw[0] mod 4 how many patients its last byte lacks. Every
+// code is a byte pattern away, the missing one included; the checked-in
+// seeds cover no whole chunk, exactly one, and a chunk, tail bytes and a
+// partial byte.
+func FuzzPanelCompaction(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 2 {
+			return
+		}
+		checkCompaction(t, raw[1:], 4*(len(raw)-1)-int(raw[0]%4))
+	})
 }
 
 func TestPanelKernelRejectsWrongShapes(t *testing.T) {
@@ -332,10 +429,11 @@ func FuzzPanelKernel(f *testing.F) {
 	})
 }
 
-// BenchmarkPackedPanel measures the Monte Carlo kernel as a fold task runs
-// it: one kernel built per pass (the table build is counted) scoring
-// mc_cached's genotype matrix — 20 000 SNPs in blocks of 256, minor allele
-// frequencies ~ U(0.01, 0.5) as gen draws them — and reports ns per
+// BenchmarkPackedPanel measures the Monte Carlo kernel as a job runs it: the
+// kernel built once, as the driver builds it, and forked per pass, as a fold
+// task forks it (the fork's scratch is allocated per pass and counted),
+// scoring mc_cached's genotype matrix — 20 000 SNPs in blocks of 256, minor
+// allele frequencies ~ U(0.01, 0.5) as gen draws them — and reports ns per
 // (genotype, replicate). The widths are the b = 1 of a served Replicate
 // (PackedRowScores itself, which is why width 1 dispatches to it), one tile,
 // and core.mcBatch = 64, chosen from this benchmark.
@@ -352,10 +450,11 @@ func BenchmarkPackedPanel(b *testing.B) {
 		for _, width := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("patients=%d/b=%d", patients, width), func(b *testing.B) {
 				_, panel := panelFixture(99, patients, 0, width, nil, 0, 0)
+				shared := NewPanelKernel(patients, width, panel)
 				var out []float64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					k := NewPanelKernel(patients, width, panel)
+					k := shared.Fork()
 					for _, blk := range blocks {
 						out = k.Scores(blk, out)
 					}

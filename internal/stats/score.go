@@ -239,10 +239,17 @@ func (r resid) PanelResiduals(z []float64, width int) []float64 {
 //
 //	V_j = Σ_i Δ_i [ (Σ_{l∈R_i} G_lj²)/b_i − (a_ij/b_i)² ]
 func (c *Cox) Variance(g []data.Genotype) float64 {
+	n := len(c.order) + 1
+	cum := make([]float64, 2*n)
+	return c.variance(g, cum[:n], cum[n:])
+}
+
+// variance is Variance with the two prefix-sum scratch vectors supplied by
+// the caller (n+1 floats each, any contents), as contributions takes cum.
+func (c *Cox) variance(g []data.Genotype, cum, cum2 []float64) float64 {
 	n := len(c.order)
 	checkLens(n, g, nil)
-	cum := make([]float64, n+1)
-	cum2 := make([]float64, n+1)
+	cum[0], cum2[0] = 0, 0
 	for p, i := range c.order {
 		gi := float64(g[i])
 		wi := 1.0

@@ -24,6 +24,10 @@ type SetStatistic interface {
 	// PerSNP maps one SNP's weight ω_j and marginal score U_j to its
 	// additive contribution to the set sum.
 	PerSNP(weight, score float64) float64
+	// AddPerSNP adds one SNP's terms for a row of scores into a row of set
+	// sums: acc[c] += PerSNP(weight, scores[c]) for every c, bit for bit, in
+	// one call. len(acc) must be at least len(scores).
+	AddPerSNP(acc []float64, weight float64, scores []float64)
 	// Finalize maps the summed contributions to the set statistic.
 	Finalize(sum float64) float64
 }
@@ -40,6 +44,17 @@ func (SKATStatistic) PerSNP(weight, score float64) float64 {
 	return weight * weight * score * score
 }
 
+// AddPerSNP implements SetStatistic. The explicit conversion rounds each
+// term before its add, as PerSNP's return does: without it the spec lets a
+// compiler fuse the last multiply and the add into one FMA.
+func (SKATStatistic) AddPerSNP(acc []float64, weight float64, scores []float64) {
+	acc = acc[:len(scores)]
+	ww := weight * weight
+	for c, s := range scores {
+		acc[c] += float64(ww * s * s)
+	}
+}
+
 // Finalize implements SetStatistic (identity).
 func (SKATStatistic) Finalize(sum float64) float64 { return sum }
 
@@ -54,6 +69,15 @@ func (BurdenStatistic) Name() string { return "burden" }
 // PerSNP implements SetStatistic: ω_j U_j.
 func (BurdenStatistic) PerSNP(weight, score float64) float64 {
 	return weight * score
+}
+
+// AddPerSNP implements SetStatistic, each product rounded before its add as
+// in SKATStatistic.AddPerSNP.
+func (BurdenStatistic) AddPerSNP(acc []float64, weight float64, scores []float64) {
+	acc = acc[:len(scores)]
+	for c, s := range scores {
+		acc[c] += float64(weight * s)
+	}
 }
 
 // Finalize implements SetStatistic: the square of the weighted sum.

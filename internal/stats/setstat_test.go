@@ -181,3 +181,32 @@ func TestBetaUniformIsFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestAddPerSNPMatchesPerSNPBitwise pins the one-call fold to the per-score
+// term it replaces, acc[c] + PerSNP(weight, scores[c]), bit for bit for SKAT
+// and burden: over ±0, subnormals, ±Inf, products that overflow or underflow,
+// and random normals, where a product fused into its add would round once
+// instead of twice.
+func TestAddPerSNPMatchesPerSNPBitwise(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072009e-308,
+		1e-160, -1e-160, 1e160, -1e160, 1e308, math.Inf(1), math.Inf(-1), 0.1, 1.0 / 3, -2.5}
+	for r := rng.New(5); len(values) < 40; {
+		values = append(values, r.Normal())
+	}
+	for _, st := range []SetStatistic{SKATStatistic{}, BurdenStatistic{}} {
+		acc := make([]float64, len(values))
+		for _, weight := range values {
+			for _, start := range values {
+				for c := range acc {
+					acc[c] = start
+				}
+				st.AddPerSNP(acc, weight, values)
+				for c, score := range values {
+					if want := start + st.PerSNP(weight, score); math.Float64bits(acc[c]) != math.Float64bits(want) {
+						t.Fatalf("%s: %v + term(%v, %v): AddPerSNP %v, PerSNP %v", st.Name(), start, weight, score, acc[c], want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -80,7 +80,7 @@ func decodeDosages(packed []byte, dst []float64) {
 }
 
 // wideTile is the number of phenotypes scored per walk of a row's cell list:
-// one float64 accumulator each, a 64-byte cell — four SSE2 registers in the
+// one float64 accumulator each, a 64-byte cell — two ymm registers in the
 // amd64 walk.
 const wideTile = 8
 
