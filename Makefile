@@ -24,10 +24,10 @@ build:
 	$(GO) build ./...
 
 # cross proves the portable path where the amd64 assembly
-# (internal/stats/kernel_amd64.s: the AVX2 walks packedRows4 and cellPairs,
-# the panel kernel's lane-list compaction compactChunks, and their CPUID
-# check; internal/data/pack_amd64.s: the canonical text codec's packCanon64)
-# is absent: arm64 vets, and the whole test suite runs on 386 — natively on
+# (internal/stats/kernel_amd64.s: the AVX2 walks packedRows4 and cellPairs
+# and the panel kernel's lane-list compaction compactChunks;
+# internal/data/pack_amd64.s: the canonical text codec's AVX2 packCanon64 and
+# hasAVX2, the one CPUID check both packages read) is absent: arm64 vets, and the whole test suite runs on 386 — natively on
 # an amd64 Linux host — where packedRowScore scores every row, the Go sumCells
 # is the whole cell walk, compactBytes the whole compaction and
 # packCanonical's word loop the whole row. That Go path is also what an amd64
@@ -59,21 +59,25 @@ bench:
 # compactChunks and the cell lists walked two per call by cellPairs, both
 # AVX2, on an amd64 host that has it — and that Algorithm 2's two kernels
 # still report ns/genotype at perm_scan's row width: the ingest's
-# ParseGenoBlock over a block of byte lines, canonical rows (64 text bytes
-# per SSE2 step on amd64) and one-tab rows the tokenizer decides, and the
-# packed-row score kernel (four rows per call in AVX2 assembly) on a
+# ParseGenoText over canonical partition text (the line ends found as it
+# packs, 64 text bytes per AVX2 step on amd64) — one 256-row block's text,
+# which stays in cache, and a 10 000-row, 20 MB text, which does not — and
+# the packed-row score kernel (four rows per call in AVX2 assembly) on a
 # 256 × 1000 block.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x
 	$(GO) test ./internal/assoc -run '^$$' -bench 'Fold/eqtl_wide' -benchmem -benchtime=3x
 	$(GO) test ./internal/stats -run '^$$' -bench PackedPanel -benchtime=3x
-	$(GO) test ./internal/data -run '^$$' -bench ParseGenoBlock -benchtime=3x
+	$(GO) test ./internal/data -run '^$$' -bench ParseGenoText -benchtime=3x
 	$(GO) test ./internal/stats -run '^$$' -bench PackedRowScores -benchtime=3x
 
 # fuzz-smoke gives each native fuzz target a 10s budget on top of its checked-in
 # seed corpus (testdata/fuzz). The targets assert the GenoBlock and
-# phenotype-matrix text codecs round-trip whatever they accept, the weights
+# phenotype-matrix text codecs round-trip whatever they accept, the one-pass
+# genotype text splitter yields the blocks and errors of the line-at-a-time
+# oracle (bytes.Split, then ParseGenoBlock per 256 lines) on arbitrary
+# partition text, patient counts and keep-sets, the weights
 # and phenotype readers accept only finite values (NaN and ±Inf are errors
 # naming the line) and round-trip those through their writers, the
 # spill-frame reader (a bounds-checked gob frame of raw pairs in arrival
@@ -93,6 +97,7 @@ bench-smoke:
 # streams, NaN, ±Inf, zeros, subnormals and ties included.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzGenoBlockTextRoundTrip -fuzztime=10s
+	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzParseGenoText -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzPhenoMatrixRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadPhenotype -fuzztime=10s

@@ -15,6 +15,7 @@ package assoc
 import (
 	"bytes"
 	"fmt"
+	"iter"
 
 	"sparkscore/internal/data"
 	"sparkscore/internal/rdd"
@@ -146,17 +147,17 @@ func (a *Analysis) Run() (*Result, error) {
 // source — the all-pairs ingest analyses every SNP, so unlike the SKAT
 // pipeline there is no set-membership filter.
 func (a *Analysis) genotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
-	lines, err := a.ctx.TextFile(a.genoPath, 0)
+	splits, err := a.ctx.TextSplits(a.genoPath, 0)
 	if err != nil {
 		return nil, err
 	}
 	patients := a.phenos.Patients
-	blocks := rdd.MapBatches(lines, "parsePackAllGenotypes", data.GenoBlockRows, func(_ rdd.Task, batch [][]byte) data.GenoBlock {
-		blk, err := data.ParseGenoBlock(batch, patients, nil)
-		if err != nil {
-			panic(err)
+	blocks := rdd.FlatMap(splits, "parsePackAllGenotypes", func(text []byte) iter.Seq[data.GenoBlock] {
+		return func(yield func(data.GenoBlock) bool) {
+			if err := data.ParseGenoText(text, patients, nil, yield); err != nil {
+				panic(err)
+			}
 		}
-		return blk
 	})
 	fullBlock := int64(data.GenoBlockRows)*(int64(data.BlockRowBytes(patients))+8) + 96
 	return blocks.SetSizeHint(fullBlock).SetSizeFunc(data.GenoBlock.ApproxBytes), nil

@@ -9,6 +9,8 @@
 package core
 
 import (
+	"iter"
+	"slices"
 	"sort"
 
 	"sparkscore/internal/data"
@@ -58,7 +60,7 @@ func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
 	index := a.index
 	patients := a.patients
 	rowBytes := int64(data.BlockRowBytes(patients))
-	bySet := rdd.FlatMap(blocks, "bySetPacked", func(b data.GenoBlock) []rdd.KV[int, packedRow] {
+	bySet := rdd.FlatMap(blocks, "bySetPacked", func(b data.GenoBlock) iter.Seq[rdd.KV[int, packedRow]] {
 		var out []rdd.KV[int, packedRow]
 		for r := 0; r < b.Rows(); r++ {
 			pr := packedRow{SNP: b.SNPs[r], Bytes: b.Row(r)}
@@ -66,7 +68,7 @@ func (a *Analysis) SetAsymptotic() ([]SetAsymptoticResult, error) {
 				out = append(out, rdd.KV[int, packedRow]{K: int(k), V: pr})
 			}
 		}
-		return out
+		return slices.Values(out)
 	}).SetSizeHint(40 + rowBytes)
 
 	grouped := rdd.GroupByKey(bySet, 0).SetSizeFunc(func(kv rdd.KV[int, []packedRow]) int64 {

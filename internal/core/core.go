@@ -14,7 +14,7 @@
 //
 //	weights, SNP-sets ──driver──► broadcast (ω_j, SNP → sets) ────────┐
 //	phenotype, covariates ──driver──► null model, broadcast ──────────┤
-//	genotype file ──mapBatches──► RDD (packed genotype blocks)        │
+//	genotype file ──flatMap─────► RDD (packed genotype blocks)        │
 //	              (rows outside every SNP-set dropped at the parse)   │
 //	              ──fold per partition: G·r or G·R̃(Z), ω_j, set sums──► (set, partial sums)
 //	              ──reduceByKey──► (set, S_k)
@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"iter"
 
 	"sparkscore/internal/data"
 	"sparkscore/internal/rdd"
@@ -254,25 +255,26 @@ func (a *Analysis) Patients() int { return a.patients }
 // lines parsed and 2-bit packed into data.GenoBlock columns at the source,
 // restricted to SNPs appearing in some SNP-set. The membership filter runs on
 // the SNP-id prefix alone, before any genotype field is decoded (predicate
-// pushdown), and the pack fuses with the text scan — no per-row genotype
-// slice ever materialises.
+// pushdown), and the pack fuses with the text scan: data.ParseGenoText finds
+// each line's end as it packs the line, streaming one block at a time, so the
+// text is read once and no per-row genotype slice ever materialises.
 func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 	if a.warm != nil {
 		return a.warm, nil
 	}
-	lines, err := a.ctx.TextFile(a.genoPath, 0)
+	splits, err := a.ctx.TextSplits(a.genoPath, 0)
 	if err != nil {
 		return nil, err
 	}
 	patients := a.patients
 	index := a.index
 	inSomeSet := func(snp int) bool { return len(index.Value().of(snp)) > 0 }
-	blocks := rdd.MapBatches(lines, "parsePackGenotypes", data.GenoBlockRows, func(_ rdd.Task, batch [][]byte) data.GenoBlock {
-		blk, err := data.ParseGenoBlock(batch, patients, inSomeSet)
-		if err != nil {
-			panic(err)
+	blocks := rdd.FlatMap(splits, "parsePackGenotypes", func(text []byte) iter.Seq[data.GenoBlock] {
+		return func(yield func(data.GenoBlock) bool) {
+			if err := data.ParseGenoText(text, patients, inSomeSet, yield); err != nil {
+				panic(err)
+			}
 		}
-		return blk
 	})
 	nonEmpty := rdd.Filter(blocks, "nonEmptyBlocks", func(b data.GenoBlock) bool {
 		return b.Rows() > 0

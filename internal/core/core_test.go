@@ -335,7 +335,7 @@ func TestMarginalAsymptotic(t *testing.T) {
 	}
 }
 
-// TestMalformedGenotypeLinesFailTheJob feeds the ingest (data.ParseGenoBlock)
+// TestMalformedGenotypeLinesFailTheJob feeds the ingest (data.ParseGenoText)
 // one bad line at a time. Each must abort the job as a task failure whose
 // message names the offending SNP or field, so a bad line in a
 // multi-gigabyte genotype file is findable from the message alone, wherever

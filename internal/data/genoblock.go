@@ -6,9 +6,10 @@
 // many cached genotype partitions fit per executor, and score kernels can
 // decode dosages straight out of the packed bytes in one pass.
 //
-// Blocks are built from genotype text by ParseGenoBlock, over lines that may
-// be the staged file's bytes in place: the codec only reads them. A row in
-// the canonical encoding packs 64 text bytes per step (SSE2 on amd64,
+// Blocks are built from a partition's genotype text by ParseGenoText, over
+// text that may be the staged file's bytes in place: the codec only reads it,
+// once, finding a canonical row's line end as it packs the row. A row in the
+// canonical encoding packs 64 text bytes per step (AVX2 on amd64,
 // pack_amd64.s), then a word per step; any other row is decided by the
 // field-at-a-time tokenizer alone.
 //
@@ -149,33 +150,91 @@ func ParseSNPPrefix(line []byte) (snp int, fields []byte, err error) {
 	return int(id), fields, nil
 }
 
-// ParseGenoBlock packs a batch of genotype-matrix lines into one GenoBlock —
-// the body of every text ingest: ParseSNPPrefix on each line, then the text
-// codec for the SNPs keep accepts (nil keeps all), so a skipped row costs its
-// prefix parse and nothing else. Lines are only read: they may be the staged
-// file's bytes, in place. The first bad line fails the whole batch, and the
-// error names its SNP once the id has parsed.
-func ParseGenoBlock(lines [][]byte, patients int, keep func(snp int) bool) (GenoBlock, error) {
-	blk := NewGenoBlock(patients, len(lines))
-	for _, line := range lines {
-		snp, fields, err := ParseSNPPrefix(line)
-		if err != nil {
-			return GenoBlock{}, err
+// ParseGenoText packs a partition's genotype text — lines separated by '\n',
+// as rdd's TextSplits yields them — into GenoBlocks of GenoBlockRows lines
+// each, handing each block to yield as it fills, the partition's last block
+// possibly shorter; a skipped line counts toward its block's lines, so the
+// geometry is the line count's alone. It packs the SNPs keep accepts (nil
+// keeps all); the text is only read, and may be the staged file's bytes in
+// place. It returns the first bad line's error — naming its SNP once the id
+// has parsed — after yielding the blocks before that line's, or nil once the
+// text is packed or yield has returned false.
+//
+// Reading the text once: a line that starts with a decimal id fitting int32
+// and a tab, and whose 2·patients-th byte after the tab is a newline or the
+// end of the text, is predicted to be that span. When keep accepts the id and
+// packCanonical validates every byte of the span as canonical fields, no
+// newline can lie inside it, so the prediction is the line and no newline
+// search runs. Any other line is found by a newline search and decided by the
+// per-line code (ParseSNPPrefix, keep, appendText), so which rows are kept,
+// with what bytes and what error text, is that code's contract.
+func ParseGenoText(text []byte, patients int, keep func(snp int) bool, yield func(GenoBlock) bool) error {
+	// A kept line holds at least an id digit, a tab and 2·patients−1 field
+	// bytes, so this bounds the rows left and sizes the final block.
+	minLine := 2*patients + 2
+	blk := NewGenoBlock(patients, min(GenoBlockRows, len(text)/minLine+1))
+	lines := 0
+	for pos := 0; ; {
+		end, ok := blk.appendCanonicalLine(text, pos, keep)
+		if !ok {
+			end = len(text)
+			if i := bytes.IndexByte(text[pos:], '\n'); i >= 0 {
+				end = pos + i
+			}
+			snp, fields, err := ParseSNPPrefix(text[pos:end])
+			if err != nil {
+				return err
+			}
+			if keep == nil || keep(snp) {
+				if err := blk.appendText(snp, fields); err != nil {
+					return fmt.Errorf("data: SNP %d: %w", snp, err)
+				}
+			}
 		}
-		if keep != nil && !keep(snp) {
-			continue
+		if lines++; lines == GenoBlockRows || end == len(text) {
+			if !yield(blk) || end == len(text) {
+				return nil
+			}
+			blk, lines = NewGenoBlock(patients, min(GenoBlockRows, (len(text)-end)/minLine+1)), 0
 		}
-		if err := blk.appendText(snp, fields); err != nil {
-			return GenoBlock{}, fmt.Errorf("data: SNP %d: %w", snp, err)
-		}
+		pos = end + 1
 	}
-	return blk, nil
+}
+
+// appendCanonicalLine packs the line at text[pos:] if it is a canonical row
+// keep accepts: an id of at most ten digits that fits int32, a tab, and
+// canonical fields ending at a newline or the end of the text. It returns the
+// line's end and true, or false with the block untouched.
+func (b *GenoBlock) appendCanonicalLine(text []byte, pos int, keep func(snp int) bool) (end int, ok bool) {
+	if b.Patients == 0 {
+		return 0, false
+	}
+	tab, id := pos, int64(0)
+	for ; tab < len(text) && tab-pos < 10 && text[tab]-'0' <= 9; tab++ {
+		id = id*10 + int64(text[tab]-'0')
+	}
+	end = tab + 2*b.Patients
+	if tab == pos || end > len(text) || text[tab] != '\t' || id > math.MaxInt32 ||
+		(end < len(text) && text[end] != '\n') || (keep != nil && !keep(int(id))) {
+		return 0, false
+	}
+	base := len(b.Packed)
+	b.Packed = append(b.Packed, make([]byte, b.RowBytes)...)
+	count, ok := packCanonical(text[tab+1:end], b.Packed[base:], b.Patients)
+	if !ok {
+		b.Packed = b.Packed[:base]
+		return 0, false
+	}
+	b.SNPs = append(b.SNPs, int32(id))
+	b.Counts = append(b.Counts, count)
+	return end, true
 }
 
 // AppendTextRow parses one row's genotype fields ("g_1 g_2 ... g_n",
 // whitespace-separated, values in {0,1,2}) directly into packed form. It is
-// the text codec ParseGenoBlock runs, over a string: errors name the
-// offending 1-based field, and a rejected row leaves the block untouched.
+// the text codec ParseGenoText runs on the lines it does not pack itself,
+// over a string: errors name the offending 1-based field, and a rejected row
+// leaves the block untouched.
 func (b *GenoBlock) AppendTextRow(snp int, fields string) error {
 	return b.appendText(snp, []byte(fields))
 }
@@ -227,7 +286,7 @@ const (
 // zeroed row and returns its allele count. Every byte of fields is checked;
 // on the first deviation of any kind it reports !ok and leaves deciding the
 // row to packTokens (row may then hold partial codes). canonGroups packs the
-// whole 64-byte groups (in SSE2 on amd64, none elsewhere); the word loop
+// whole 64-byte groups (in AVX2 on amd64, none elsewhere); the word loop
 // below packs the words after them, each lane checked as the groups' lanes
 // are.
 func packCanonical(fields, row []byte, patients int) (count int32, ok bool) {

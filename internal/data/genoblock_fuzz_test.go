@@ -10,6 +10,7 @@
 package data
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -102,6 +103,63 @@ func FuzzGenoBlockTextRoundTrip(f *testing.F) {
 		if b.Counts[0] != b2.Counts[0] || b.SNPs[0] != b2.SNPs[0] {
 			t.Fatalf("round trip changed row summary: count %d->%d, snp %d->%d",
 				b.Counts[0], b2.Counts[0], b.SNPs[0], b2.SNPs[0])
+		}
+	})
+}
+
+// FuzzParseGenoText holds the one-pass splitter to the line-at-a-time
+// oracle: on arbitrary partition text, patient counts and keep-sets,
+// ParseGenoText must yield the blocks oracleGenoText builds (SNPs, counts,
+// packed bytes, block by block) and fail with its error text, or succeed
+// both. keepBits keeps SNP s when bit s%16 is set; zero is a nil keep.
+func FuzzParseGenoText(f *testing.F) {
+	row := func(snp, patients int) string { return strconv.Itoa(snp) + "\t" + canonicalRow(patients) }
+	lines := func(ls ...string) string { return strings.Join(ls, "\n") }
+	f.Add(3, uint16(0), lines(row(1, 3), row(2, 3)))
+	f.Add(3, uint16(0), "1\t0 1\n2\n3\t0 1 2")                 // a newline inside the predicted span
+	f.Add(3, uint16(0), "5\t0 1\n7\n8\t0 1 2")                 // a short line, then one ending at its predicted width
+	f.Add(3, uint16(0), "5\t0 1\n\t0 1\n8\t0 1 2")             // the same, the next line's id empty
+	f.Add(3, uint16(0), lines("007\t0 1 2", row(8, 3)))        // leading zeros
+	f.Add(3, uint16(0), lines("+7\t0 1 2", row(8, 3)))         // a sign
+	f.Add(3, uint16(0), lines("2147483648\t0 1 2", row(8, 3))) // beyond int32
+	f.Add(3, uint16(0), lines("2147483647\t0 1 2", row(8, 3))) // the largest id that fits
+	f.Add(3, uint16(0), lines("00000000007\t0 1 2"))           // eleven digits
+	f.Add(3, uint16(0), lines("\t0 1 2", row(8, 3)))           // no id at all
+	f.Add(3, uint16(0), lines("", row(1, 3)))                  // empty first line
+	f.Add(3, uint16(0), lines(row(1, 3), "", row(2, 3)))       // empty middle line
+	f.Add(3, uint16(0), lines(row(1, 3), row(2, 3), ""))       // empty last line
+	f.Add(3, uint16(0), "")                                    // no text at all
+	f.Add(3, uint16(0), row(1, 3)+"\r\n"+row(2, 3))            // a carriage return
+	f.Add(3, uint16(1<<3), "1\t0\n2\t0\n3\t0 1 2")             // rejected rows whose spans hold a newline
+	f.Add(3, uint16(1<<3), "1\t0 x\n3\t0 1 2")                 // a rejected row's bad genotype goes unnoticed
+	f.Add(0, uint16(0), "1\t\n2\t")                            // no patients
+	f.Add(0, uint16(0), "1\t\n2")                              // no patients, digits to the end
+	f.Add(1, uint16(0), "1\t2\n2\t3")
+	f.Add(40, uint16(0), lines(row(1, 40), row(2, 40)))          // a whole 64-byte group
+	f.Add(40, uint16(0xaaaa), lines(row(1, 40), row(2, 40)+" ")) // a trailing blank
+	var many []string
+	for snp := range 300 {
+		many = append(many, row(snp, 5))
+	}
+	f.Add(5, uint16(0x7fff), lines(many...)) // two blocks, some rows rejected
+	many[270] = "270\t0 1  2 0 1"
+	f.Add(5, uint16(0), lines(many...)) // an error in the second block
+	f.Fuzz(func(t *testing.T, patients int, keepBits uint16, text string) {
+		if patients < 0 {
+			patients = -patients
+		}
+		patients %= 300
+		var keep func(snp int) bool
+		if keepBits != 0 {
+			keep = func(snp int) bool { return keepBits>>(snp%16)&1 != 0 }
+		}
+		got, err := parseGenoText([]byte(text), patients, keep)
+		want, wantErr := oracleGenoText([]byte(text), patients, keep)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("ParseGenoText(%q) = %v, the oracle %v", text, err, wantErr)
+		}
+		if !sameBlocks(got, want) {
+			t.Fatalf("ParseGenoText(%q) yielded %+v, the oracle %+v", text, got, want)
 		}
 	})
 }

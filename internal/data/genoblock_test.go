@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -200,39 +201,104 @@ func canonicalRow(patients int) string {
 	return sb.String()
 }
 
-// BenchmarkParseGenoBlock prices the ingest's text codec per genotype at
-// perm_scan's row width, over a block of lines as TextFile yields them: on
-// canonical rows (64 text bytes, then a word, at a time) and on the same rows
-// with one separator turned into a tab (the tokenizer decides each row). One
-// op packs a full block, so the smoke run's three ops are 768 rows.
-func BenchmarkParseGenoBlock(b *testing.B) {
+// ParseGenoBlock is the line-at-a-time ingest ParseGenoText must equal: it
+// packs a batch of lines into one GenoBlock — ParseSNPPrefix on each line,
+// then the text codec for the SNPs keep accepts (nil keeps all) — and the
+// first bad line fails the whole batch, with an error naming its SNP once the
+// id has parsed.
+func ParseGenoBlock(lines [][]byte, patients int, keep func(snp int) bool) (GenoBlock, error) {
+	blk := NewGenoBlock(patients, len(lines))
+	for _, line := range lines {
+		snp, fields, err := ParseSNPPrefix(line)
+		if err != nil {
+			return GenoBlock{}, err
+		}
+		if keep != nil && !keep(snp) {
+			continue
+		}
+		if err := blk.appendText(snp, fields); err != nil {
+			return GenoBlock{}, fmt.Errorf("data: SNP %d: %w", snp, err)
+		}
+	}
+	return blk, nil
+}
+
+// oracleGenoText is ParseGenoText by ParseGenoBlock: the text split at every
+// newline, one block per GenoBlockRows lines, stopping at the first error.
+func oracleGenoText(text []byte, patients int, keep func(snp int) bool) ([]GenoBlock, error) {
+	lines := bytes.Split(text, []byte{'\n'})
+	var blocks []GenoBlock
+	for lo := 0; lo < len(lines); lo += GenoBlockRows {
+		blk, err := ParseGenoBlock(lines[lo:min(lo+GenoBlockRows, len(lines))], patients, keep)
+		if err != nil {
+			return blocks, err
+		}
+		blocks = append(blocks, blk)
+	}
+	return blocks, nil
+}
+
+// parseGenoText collects ParseGenoText's blocks.
+func parseGenoText(text []byte, patients int, keep func(snp int) bool) ([]GenoBlock, error) {
+	var blocks []GenoBlock
+	err := ParseGenoText(text, patients, keep, func(b GenoBlock) bool {
+		blocks = append(blocks, b)
+		return true
+	})
+	return blocks, err
+}
+
+// sameBlocks reports whether two block lists hold the same rows, block by
+// block (capacities aside).
+func sameBlocks(a, b []GenoBlock) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Patients != b[i].Patients || a[i].RowBytes != b[i].RowBytes ||
+			!slices.Equal(a[i].SNPs, b[i].SNPs) || !slices.Equal(a[i].Counts, b[i].Counts) ||
+			!bytes.Equal(a[i].Packed, b[i].Packed) {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchmarkParseGenoText prices the ingest per genotype at perm_scan's row
+// width, over partition text as TextSplits yields it, canonical rows: one
+// block's 256 rows, which stay in cache across ops, and a 10 000-row text of
+// about 20 MB, which does not, so each op pays the text's first touch from
+// memory as a genotype scan does.
+func BenchmarkParseGenoText(b *testing.B) {
 	const patients = 1000
-	canonical := canonicalRow(patients)
-	for _, bc := range []struct{ name, row string }{
-		{"canonical", canonical},
-		{"one-tab", strings.Replace(canonical, " ", "\t", 1)},
-	} {
+	row := canonicalRow(patients)
+	for _, bc := range []struct {
+		name string
+		rows int
+	}{{"block", GenoBlockRows}, {"20MB", 10_000}} {
 		b.Run(bc.name, func(b *testing.B) {
 			var text []byte
-			for snp := 0; snp < GenoBlockRows; snp++ {
-				text = fmt.Appendf(text, "%d\t%s\n", snp, bc.row)
+			for snp := 0; snp < bc.rows; snp++ {
+				text = fmt.Appendf(text, "%d\t%s\n", snp, row)
 			}
-			lines := bytes.Split(bytes.TrimSuffix(text, []byte{'\n'}), []byte{'\n'})
+			text = text[:len(text)-1]
 			b.SetBytes(int64(len(text)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				blk, err := ParseGenoBlock(lines, patients, nil)
+				err := ParseGenoText(text, patients, nil, func(blk GenoBlock) bool {
+					parsedBlock = blk
+					return true
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				parsedBlock = blk
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(GenoBlockRows*patients), "ns/genotype")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.rows*patients), "ns/genotype")
 		})
 	}
 }
 
-// parsedBlock keeps BenchmarkParseGenoBlock's result live.
+// parsedBlock keeps BenchmarkParseGenoText's result live.
 var parsedBlock GenoBlock
 
 // byteLines returns the lines as TextFile would yield them.
@@ -244,13 +310,14 @@ func byteLines(lines ...string) [][]byte {
 	return out
 }
 
-// TestParseGenoBlock pins the shared ingest body: kept rows pack as
-// AppendTextRow packs them, a row keep rejects is skipped before its fields
-// are looked at (so its bad genotype goes unnoticed), and a bad line fails the
-// batch with an error naming its SNP.
+// TestParseGenoBlock pins the shared ingest body, line by line and over a
+// partition's text: kept rows pack as AppendTextRow packs them, a row keep
+// rejects is skipped before its fields are looked at (so its bad genotype goes
+// unnoticed), and a bad line fails with an error naming its SNP.
 func TestParseGenoBlock(t *testing.T) {
 	lines := byteLines("4\t0 1 2", "9\t0 x 2", "1\t2 2 0")
-	blk, err := ParseGenoBlock(lines, 3, func(snp int) bool { return snp != 9 })
+	keep := func(snp int) bool { return snp != 9 }
+	blk, err := ParseGenoBlock(lines, 3, keep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +333,9 @@ func TestParseGenoBlock(t *testing.T) {
 	if !reflect.DeepEqual(blk, want) {
 		t.Fatalf("ParseGenoBlock = %+v, want %+v", blk, want)
 	}
+	if blocks, err := parseGenoText(bytes.Join(lines, []byte{'\n'}), 3, keep); err != nil || !sameBlocks(blocks, []GenoBlock{want}) {
+		t.Fatalf("ParseGenoText = %+v, %v, want %+v", blocks, err, want)
+	}
 	for _, tc := range []struct{ line, msg string }{
 		{"9\t0 x 2", `SNP 9: data: field 2: bad genotype "x"`},
 		{"x\t0 1 2", `bad SNP id "x"`},
@@ -273,5 +343,37 @@ func TestParseGenoBlock(t *testing.T) {
 		if _, err := ParseGenoBlock(byteLines("4\t0 1 2", tc.line), 3, nil); err == nil || !strings.Contains(err.Error(), tc.msg) {
 			t.Errorf("ParseGenoBlock with line %q = %v, want an error containing %q", tc.line, err, tc.msg)
 		}
+		if _, err := parseGenoText([]byte("4\t0 1 2\n"+tc.line), 3, nil); err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("ParseGenoText with line %q = %v, want an error containing %q", tc.line, err, tc.msg)
+		}
+	}
+}
+
+// TestParseGenoTextBlockGeometry packs 600 lines, every third one rejected by
+// keep: blocks hold 256 lines each, skipped ones included, as the oracle's
+// do; and a yield that returns false ends the parse after that block.
+func TestParseGenoTextBlockGeometry(t *testing.T) {
+	const patients = 70 // two whole 64-byte groups, then words and a tail
+	var text []byte
+	for snp := 0; snp < 600; snp++ {
+		text = fmt.Appendf(text, "%d\t%s\n", snp, canonicalRow(patients))
+	}
+	text = text[:len(text)-1]
+	keep := func(snp int) bool { return snp%3 != 0 }
+	got, err := parseGenoText(text, patients, keep)
+	want, wantErr := oracleGenoText(text, patients, keep)
+	if err != nil || wantErr != nil || !sameBlocks(got, want) {
+		t.Fatalf("ParseGenoText: %d blocks (%v), the oracle %d (%v), or they differ", len(got), err, len(want), wantErr)
+	}
+	var rows []int
+	for _, b := range got {
+		rows = append(rows, b.Rows())
+	}
+	if fmt.Sprint(rows) != "[170 171 59]" {
+		t.Fatalf("blocks of %v rows, want [170 171 59]", rows)
+	}
+	calls := 0
+	if err := ParseGenoText(text, patients, keep, func(GenoBlock) bool { calls++; return false }); err != nil || calls != 1 {
+		t.Fatalf("a yield that stops: %d calls, %v; want 1 call and no error", calls, err)
 	}
 }

@@ -1,106 +1,119 @@
 #include "textflag.h"
 
+// func hasAVX2() bool
+//
+// Reports whether the CPU has AVX2 and POPCNT and the OS saves the ymm
+// registers: CPUID leaf 1's POPCNT (ECX bit 23), OSXSAVE (ECX bit 27) and AVX
+// (ECX bit 28), XCR0's SSE and AVX state (bits 1 and 2), and CPUID leaf 7's
+// AVX2 (EBX bit 5), leaf 7 only where leaf 0 says it exists.
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JB   no
+
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18800000, CX
+	CMPL CX, $0x18800000
+	JNE  no
+
+	XORL   CX, CX
+	XGETBV
+	ANDL   $6, AX
+	CMPL   AX, $6
+	JNE    no
+
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x20, BX
+	JZ    no
+
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func packCanon64(text *byte, groups int, row *byte) (sum uint64, ok bool)
 //
 // Packs groups 64-byte groups of canonical genotype text, "d d d … d " with
-// d in {0,1,2}, into 8 row bytes each. A group is four xmm loads of eight
-// 16-bit lanes, digit in the low byte and space in the high byte. Per lane,
-// x = lane XOR "0 " is the digit if the lane is canonical: then no bit
+// d in {0,1,2}, into 8 row bytes each, in AVX2. A group is two ymm loads of
+// sixteen 16-bit lanes, digit in the low byte and space in the high byte. Per
+// lane, x = lane XOR "0 " is the digit if the lane is canonical: then no bit
 // outside the two digit bits is set and x is not 3. Every lane's x is ORed
-// into X12 and every lane's x AND x>>1 into X13, and both are masked and
+// into Y12 and every lane's x AND x>>1 into Y13, and both are masked and
 // tested once at the end, so ok is the word loop's check over the same
-// lanes. The digits are summed with PSADBW. The code (x XOR 3) − (x>>1) maps
-// 0 → 11, 1 → 10, 2 → 00; PMADDWL by {1,4} and by {1,16} gathers four codes
-// into a byte, and the PACK steps keep lane order, so byte k of the group's
-// 8 holds patients 4k … 4k+3 in its 2-bit lanes, low to high.
+// lanes. The digits are summed with VPSADBW. The code (x XOR 3) − (x>>1) maps
+// 0 → 11, 1 → 10, 2 → 00. VPMADDWD by {1,4} gathers two codes into a dword;
+// VPACKSSDW packs the two loads' dwords to words within each 128-bit half,
+// and VPERMQ puts the halves back in patient order; VPMADDWD by {1,16}
+// gathers four codes into a dword, and the final packs narrow the eight
+// dwords to the group's 8 row bytes: byte k holds patients 4k … 4k+3 in its
+// 2-bit lanes, low to high. Only VEX-encoded instructions touch the vector
+// registers, and VZEROUPPER ends the routine.
 TEXT ·packCanon64(SB), NOSPLIT, $0-33
 	MOVQ text+0(FP), SI
 	MOVQ groups+8(FP), CX
 	MOVQ row+16(FP), DI
 
-	MOVQ       $0x2030203020302030, AX
-	MOVQ       AX, X8
-	PUNPCKLQDQ X8, X8                  // "0 " in every lane
-	MOVQ       $0x0003000300030003, AX
-	MOVQ       AX, X9
-	PUNPCKLQDQ X9, X9                  // 3 in every lane
-	MOVQ       $0x0004000100040001, AX
-	MOVQ       AX, X10
-	PUNPCKLQDQ X10, X10                // {1,4} per lane pair
-	MOVQ       $0x0010000100100001, AX
-	MOVQ       AX, X11
-	PUNPCKLQDQ X11, X11                // {1,16} per lane pair
+	MOVQ         $0x2030203020302030, AX
+	VMOVQ        AX, X8
+	VPBROADCASTQ X8, Y8                  // "0 " in every lane
+	MOVQ         $0x0003000300030003, AX
+	VMOVQ        AX, X9
+	VPBROADCASTQ X9, Y9                  // 3 in every lane
+	MOVQ         $0x0004000100040001, AX
+	VMOVQ        AX, X10
+	VPBROADCASTQ X10, Y10                // {1,4} per lane pair
+	MOVQ         $0x0010000100100001, AX
+	VMOVQ        AX, X11
+	VPBROADCASTQ X11, Y11                // {1,16} per lane pair
 
-	PXOR X12, X12 // OR of every x
-	PXOR X13, X13 // OR of every x AND x>>1
-	PXOR X14, X14 // digit sum, one per qword
-	PXOR X15, X15
+	VPXOR Y12, Y12, Y12 // OR of every x
+	VPXOR Y13, Y13, Y13 // OR of every x AND x>>1
+	VPXOR Y14, Y14, Y14 // digit sum, one per qword
+	VPXOR Y15, Y15, Y15
 
 	TESTQ CX, CX
 	JZ    done
 
 loop:
-	MOVOU 0(SI), X0
-	MOVOU 16(SI), X1
-	MOVOU 32(SI), X2
-	MOVOU 48(SI), X3
-	PXOR  X8, X0
-	PXOR  X8, X1
-	PXOR  X8, X2
-	PXOR  X8, X3
-	POR   X0, X12
-	POR   X1, X12
-	POR   X2, X12
-	POR   X3, X12
+	VMOVDQU 0(SI), Y0
+	VMOVDQU 32(SI), Y1
+	VPXOR   Y8, Y0, Y0
+	VPXOR   Y8, Y1, Y1
+	VPOR    Y0, Y12, Y12
+	VPOR    Y1, Y12, Y12
 
-	MOVO   X0, X4
-	PADDB  X1, X4
-	PADDB  X2, X4
-	PADDB  X3, X4
-	PSADBW X15, X4
-	PADDQ  X4, X14
+	VPADDB   Y0, Y1, Y4
+	VPSADBW  Y15, Y4, Y4
+	VPADDQ   Y4, Y14, Y14
 
-	MOVO  X0, X4
-	PSRLW $1, X4
-	MOVO  X4, X5
-	PAND  X0, X5
-	PXOR  X9, X0
-	PSUBW X4, X0
-	MOVO  X1, X6
-	PSRLW $1, X6
-	MOVO  X6, X7
-	PAND  X1, X7
-	PXOR  X9, X1
-	PSUBW X6, X1
-	POR   X5, X13
-	POR   X7, X13
+	VPSRLW $1, Y0, Y4
+	VPAND  Y0, Y4, Y5
+	VPXOR  Y9, Y0, Y0
+	VPSUBW Y4, Y0, Y0
+	VPSRLW $1, Y1, Y6
+	VPAND  Y1, Y6, Y7
+	VPXOR  Y9, Y1, Y1
+	VPSUBW Y6, Y1, Y1
+	VPOR   Y5, Y13, Y13
+	VPOR   Y7, Y13, Y13
 
-	MOVO  X2, X4
-	PSRLW $1, X4
-	MOVO  X4, X5
-	PAND  X2, X5
-	PXOR  X9, X2
-	PSUBW X4, X2
-	MOVO  X3, X6
-	PSRLW $1, X6
-	MOVO  X6, X7
-	PAND  X3, X7
-	PXOR  X9, X3
-	PSUBW X6, X3
-	POR   X5, X13
-	POR   X7, X13
-
-	PMADDWL  X10, X0
-	PMADDWL  X10, X1
-	PMADDWL  X10, X2
-	PMADDWL  X10, X3
-	PACKSSLW X1, X0
-	PACKSSLW X3, X2
-	PMADDWL  X11, X0
-	PMADDWL  X11, X2
-	PACKSSLW X2, X0
-	PACKUSWB X0, X0
-	MOVQ     X0, (DI)
+	VPMADDWD     Y10, Y0, Y0
+	VPMADDWD     Y10, Y1, Y1
+	VPACKSSDW    Y1, Y0, Y0
+	VPERMQ       $0xd8, Y0, Y0
+	VPMADDWD     Y11, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPACKUSDW    X1, X0, X0
+	VPACKUSWB    X0, X0, X0
+	VMOVQ        X0, (DI)
 
 	ADDQ $64, SI
 	ADDQ $8, DI
@@ -108,21 +121,22 @@ loop:
 	JNZ  loop
 
 done:
-	MOVQ       $0xfffcfffcfffcfffc, AX
-	MOVQ       AX, X0
-	PUNPCKLQDQ X0, X0
-	PAND       X0, X12
-	MOVQ       $0x0001000100010001, AX
-	MOVQ       AX, X1
-	PUNPCKLQDQ X1, X1
-	PAND       X1, X13
-	POR        X13, X12
-	PCMPEQB    X15, X12
-	PMOVMSKB   X12, AX
-	CMPQ       AX, $0xffff
-	SETEQ      ok+32(FP)
+	MOVQ         $0xfffcfffcfffcfffc, AX
+	VMOVQ        AX, X0
+	VPBROADCASTQ X0, Y0
+	VPAND        Y0, Y12, Y12
+	MOVQ         $0x0001000100010001, AX
+	VMOVQ        AX, X1
+	VPBROADCASTQ X1, Y1
+	VPAND        Y1, Y13, Y13
+	VPOR         Y13, Y12, Y12
+	VPTEST       Y12, Y12
+	SETEQ        ok+32(FP)
 
-	PSHUFD $0x4e, X14, X0
-	PADDQ  X14, X0
-	MOVQ   X0, sum+24(FP)
+	VEXTRACTI128 $1, Y14, X0
+	VPADDQ       X0, X14, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPADDQ       X1, X0, X0
+	VMOVQ        X0, sum+24(FP)
+	VZEROUPPER
 	RET

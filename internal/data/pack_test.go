@@ -11,8 +11,13 @@ import (
 // trailing words and every final-group length). Every canonical row takes the
 // fast path with the tokenizer's bytes and count; every single-byte
 // corruption, at every position, takes it exactly when the row is still
-// canonical, and then packs as the tokenizer does.
+// canonical, and then packs as the tokenizer does. It runs over each pack
+// body the host has: the AVX2 groups and the word loop alone.
 func TestPackCanonicalAgreesWithTokenizer(t *testing.T) {
+	packBodies(t, testPackCanonicalAgreesWithTokenizer)
+}
+
+func testPackCanonicalAgreesWithTokenizer(t *testing.T) {
 	corruptions := []byte{'0', '1', '2', '3', '4', '7', ' ', '\t', '$', 'x', '/', ':', 0x80, 0x72}
 	for patients := 1; patients <= 140; patients++ {
 		rb := BlockRowBytes(patients)

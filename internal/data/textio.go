@@ -19,9 +19,11 @@ import (
 
 // WriteGenotypes writes m in the genotype text format. Each row is appended
 // into one reused line buffer, a genotype in {0,1,2} as its single digit and
-// any other value in decimal. A destination that can grow (a bytes.Buffer,
-// a strings.Builder) is grown once to the text's size first, so staging
-// holds one buffer of the text rather than a doubling chain of them.
+// any other value in decimal, each with its separator in the same append (the
+// row's last one dropped), so the per-genotype loop has one branch. A
+// destination that can grow (a bytes.Buffer, a strings.Builder) is grown once
+// to the text's size first, so staging holds one buffer of the text rather
+// than a doubling chain of them.
 func WriteGenotypes(w io.Writer, m *GenotypeMatrix) error {
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		g.Grow(genotypeTextBytes(m))
@@ -31,15 +33,15 @@ func WriteGenotypes(w io.Writer, m *GenotypeMatrix) error {
 	for j, row := range m.Rows {
 		line = strconv.AppendInt(line[:0], int64(j), 10)
 		line = append(line, '\t')
-		for i, g := range row {
-			if i > 0 {
-				line = append(line, ' ')
-			}
+		for _, g := range row {
 			if uint8(g) <= 2 {
-				line = append(line, '0'+byte(g))
+				line = append(line, '0'+byte(g), ' ')
 			} else {
-				line = strconv.AppendInt(line, int64(g), 10)
+				line = append(strconv.AppendInt(line, int64(g), 10), ' ')
 			}
+		}
+		if len(row) > 0 {
+			line = line[:len(line)-1]
 		}
 		line = append(line, '\n')
 		if _, err := bw.Write(line); err != nil {

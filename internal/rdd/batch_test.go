@@ -5,84 +5,6 @@ import (
 	"testing"
 )
 
-func TestMapBatchesPreservesOrderAndBounds(t *testing.T) {
-	c := newTestContext(t, 2)
-	in := Parallelize(c, seq(103), 4)
-	sums := MapBatches(in, "sumBatch", 10, func(_ Task, batch []int) []int {
-		out := make([]int, len(batch))
-		copy(out, batch)
-		return out
-	})
-	got, err := Collect(sums)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flat []int
-	maxBatch := 0
-	for _, b := range got {
-		flat = append(flat, b...)
-		if len(b) > maxBatch {
-			maxBatch = len(b)
-		}
-		if len(b) == 0 {
-			t.Fatal("empty batch yielded")
-		}
-	}
-	if len(flat) != 103 {
-		t.Fatalf("flattened %d elements, want 103", len(flat))
-	}
-	for i, v := range flat {
-		if v != i {
-			t.Fatalf("element %d = %d; batching reordered the stream", i, v)
-		}
-	}
-	if maxBatch > 10 {
-		t.Fatalf("batch of %d elements exceeds size 10", maxBatch)
-	}
-}
-
-func TestMapBatchesReusesBuffer(t *testing.T) {
-	// The contract says f must not retain the batch: verify the engine indeed
-	// hands the same backing array to consecutive batches of one partition.
-	c := newTestContext(t, 1)
-	in := Parallelize(c, seq(40), 1)
-	var first []int
-	distinct := 0
-	probe := MapBatches(in, "probe", 8, func(_ Task, batch []int) int {
-		if first == nil {
-			first = batch[:1]
-		} else if &first[0] != &batch[0] {
-			distinct++
-		}
-		return len(batch)
-	})
-	if _, err := Collect(probe); err != nil {
-		t.Fatal(err)
-	}
-	if distinct != 0 {
-		t.Fatalf("%d batches got fresh buffers; the buffer should be reused", distinct)
-	}
-}
-
-func TestMapBatchesStaysFused(t *testing.T) {
-	c := newTestContext(t, 1)
-	in := Parallelize(c, seq(64), 2)
-	batched := MapBatches(in, "len", 16, func(_ Task, batch []int) int { return len(batch) })
-	doubled := Map(batched, "double", func(n int) int { return 2 * n })
-	if _, err := Collect(doubled); err != nil {
-		t.Fatal(err)
-	}
-	maxChain := 0
-	for _, m := range c.Jobs() {
-		if m.MaxFusedChain > maxChain {
-			maxChain = m.MaxFusedChain
-		}
-	}
-	if maxChain < 3 {
-		t.Fatalf("fused chain %d; MapBatches broke fusion", maxChain)
-	}
-}
-
 func TestSetSizeFuncDrivesCacheAccounting(t *testing.T) {
 	c := newTestContext(t, 1)
 	in := Parallelize(c, []int{1, 10, 100}, 1)

@@ -1,4 +1,4 @@
-// The typed RDD surface: sources (Parallelize, TextFile), narrow
+// The typed RDD surface: sources (Parallelize, TextSplits, TextFile), narrow
 // transformations (Map, Filter, FlatMap, MapWithSetup), persistence
 // (Cache/Unpersist), and actions (Collect, Count). It holds the operators this repository's callers use — core, assoc, harness, server,
 // cmd, examples, bench — and no others (surface_test.go fails on one that
@@ -157,22 +157,21 @@ func partRange(n, parts, p int) (lo, hi int) {
 	return lo, hi
 }
 
-// TextFile opens a file on the simulated HDFS as an RDD of lines. With
-// minPartitions <= the block count there is one partition per block; a
-// larger value sub-splits blocks into byte ranges, Hadoop-style — a
-// partition owns exactly the lines that *start* inside its range — so map
-// parallelism can match the cluster's core count rather than the block
-// count. Task placement prefers the owning block's replica nodes; reads are
-// charged at disk speed when local and network speed otherwise.
+// TextSplits opens a file on the simulated HDFS as an RDD with one element
+// per non-empty partition: the partition's whole lines as one []byte, without
+// the newline that ends the last of them — exactly the text TextFile splits
+// at '\n' into that partition's lines. With minPartitions <= the block count
+// there is one partition per block; a larger value sub-splits blocks into
+// byte ranges, Hadoop-style — a partition owns exactly the lines that *start*
+// inside its range — so map parallelism can match the cluster's core count
+// rather than the block count. Task placement prefers the owning block's
+// replica nodes; reads are charged at disk speed when local and network speed
+// otherwise.
 //
-// The line set is the file's, whatever its block or split geometry: the
-// text split at every newline, interior blank lines kept, and the newlines
-// that end the file starting no line. Each partition yields its lines in
-// place, with no per-task copy: a line is a sub-slice of the staged block,
-// capped at its own length (appending to it reallocates rather than writing
-// into the next line). A line belongs to the staged file and must not be
-// modified. The partition's line set is never materialised as a slice.
-func (c *Context) TextFile(name string, minPartitions int) (*RDD[[]byte], error) {
+// The text is the staged block's bytes in place, with no per-task copy,
+// capped at its own length: it belongs to the staged file and must not be
+// modified.
+func (c *Context) TextSplits(name string, minPartitions int) (*RDD[[]byte], error) {
 	f, err := c.fs.Open(name)
 	if err != nil {
 		return nil, err
@@ -246,22 +245,38 @@ func (c *Context) TextFile(name string, minPartitions int) (*RDD[[]byte], error)
 		if text[len(text)-1] == '\n' {
 			text = text[:len(text)-1]
 		}
-		return boxSeq[[]byte](func(yield func([]byte) bool) {
-			rest := text
-			for {
-				i := bytes.IndexByte(rest, '\n')
-				if i < 0 {
-					yield(rest[:len(rest):len(rest)])
-					return
-				}
-				if !yield(rest[:i:i]) {
-					return
-				}
-				rest = rest[i+1:]
-			}
-		})
+		return boxSeq(sliceSeq([][]byte{text[:len(text):len(text)]}))
 	}
 	return &RDD[[]byte]{n: n}, nil
+}
+
+// TextFile opens a file on the simulated HDFS as an RDD of lines: each
+// TextSplits element split at every newline, so the line set is the file's
+// whatever its block or split geometry — interior blank lines kept, and the
+// newlines that end the file starting no line. A line is a sub-slice of the
+// staged block, capped at its own length (appending to it reallocates rather
+// than writing into the next line), and must not be modified. The
+// partition's line set is never materialised as a slice.
+func (c *Context) TextFile(name string, minPartitions int) (*RDD[[]byte], error) {
+	splits, err := c.TextSplits(name, minPartitions)
+	if err != nil {
+		return nil, err
+	}
+	return FlatMap(splits, "lines", func(text []byte) iter.Seq[[]byte] {
+		return func(yield func([]byte) bool) {
+			for {
+				i := bytes.IndexByte(text, '\n')
+				if i < 0 {
+					yield(text)
+					return
+				}
+				if !yield(text[:i:i]) {
+					return
+				}
+				text = text[i+1:]
+			}
+		}
+	}), nil
 }
 
 // lineStartAtOrAfter returns the offset of the first line that starts at or
@@ -290,7 +305,7 @@ func Map[T, U any](r *RDD[T], name string, f func(T) U) *RDD[U] {
 	return MapWithSetup(r, name, func(Task) func(T) U { return f })
 }
 
-// Task is what MapWithSetup, FoldPartition and MapBatches hand the caller's
+// Task is what MapWithSetup and FoldPartition hand the caller's
 // per-partition function: the partition it is draining, and the one way a
 // kernel tells the virtual clock what it did.
 type Task struct {
@@ -352,10 +367,11 @@ func Filter[T any](r *RDD[T], name string, pred func(T) bool) *RDD[T] {
 	return &RDD[T]{n: n}
 }
 
-// FlatMap applies f to every element and concatenates the results. Fused:
-// only f's own per-element return slices are allocated, never the
-// partition-wide concatenation.
-func FlatMap[T, U any](r *RDD[T], name string, f func(T) []U) *RDD[U] {
+// FlatMap applies f to every element and concatenates the sequences it
+// returns. Fused and streamed: each of f's elements goes downstream as it is
+// produced, so neither f's output for one element nor the partition-wide
+// concatenation is ever materialised.
+func FlatMap[T, U any](r *RDD[T], name string, f func(T) iter.Seq[U]) *RDD[U] {
 	parent := r.n
 	n := newTypedNode[U](parent.ctx, fmt.Sprintf("flatMap:%s(%s)", name, parent.name), parent.parts)
 	n.narrowParent = parent
@@ -364,7 +380,7 @@ func FlatMap[T, U any](r *RDD[T], name string, f func(T) []U) *RDD[U] {
 		in := seqOf[T](parent.iterate(tc, p))
 		return boxSeq[U](func(yield func(U) bool) {
 			for v := range in {
-				for _, u := range f(v) {
+				for u := range f(v) {
 					if !yield(u) {
 						return
 					}

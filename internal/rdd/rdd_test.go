@@ -2,6 +2,8 @@ package rdd
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -105,7 +107,7 @@ func TestFilter(t *testing.T) {
 
 func TestFlatMap(t *testing.T) {
 	c := newTestContext(t, 2)
-	r := FlatMap(Parallelize(c, []int{1, 2, 3}, 2), "dup", func(x int) []int { return []int{x, x} })
+	r := FlatMap(Parallelize(c, []int{1, 2, 3}, 2), "dup", func(x int) iter.Seq[int] { return slices.Values([]int{x, x}) })
 	got, err := Collect(r)
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +475,7 @@ func TestRandomPipelineSemantics(t *testing.T) {
 				}
 				want = kept
 			case 2:
-				rddV = FlatMap(rddV, "pair", func(x int) []int { return []int{x, -x} })
+				rddV = FlatMap(rddV, "pair", func(x int) iter.Seq[int] { return slices.Values([]int{x, -x}) })
 				var doubled []int
 				for _, x := range want {
 					doubled = append(doubled, x, -x)
@@ -521,7 +523,11 @@ func collectLines(r *RDD[[]byte]) ([]string, error) {
 // whole file's: split at every newline, interior blank lines kept, closing
 // newlines starting no line — for every block size, including ones that end
 // a block on a blank line or split a run of closing newlines across blocks,
-// and for every minPartitions sub-split.
+// and for every minPartitions sub-split. At each geometry it pins TextSplits
+// as TextFile's source too: a partition is one element exactly when it has
+// lines, that element split at every newline is the partition's lines, and
+// each scan charges every byte of the file, closing newlines included, to the
+// DFS read once.
 func TestTextFileLineSetIgnoresGeometry(t *testing.T) {
 	texts := []string{
 		"a\n\nb\n",
@@ -565,8 +571,94 @@ func TestTextFileLineSetIgnoresGeometry(t *testing.T) {
 					t.Errorf("%q at block size %d, minPartitions %d: lines %q, want %q",
 						text, blockSize, minParts, got, want)
 				}
+
+				splits, err := c.TextSplits("g.txt", minParts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines, err := partitionLines(r, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				elems, err := partitionLines(splits, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				split, err := partitionLines(splits, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := range lines {
+					if len(elems[p]) != min(len(lines[p]), 1) {
+						t.Errorf("%q at block size %d, minPartitions %d: partition %d has %d elements for %d lines",
+							text, blockSize, minParts, p, len(elems[p]), len(lines[p]))
+					}
+				}
+				if fmt.Sprintf("%q", split) != fmt.Sprintf("%q", lines) {
+					t.Errorf("%q at block size %d, minPartitions %d: split elements %q, TextFile's lines %q",
+						text, blockSize, minParts, split, lines)
+				}
+				for _, m := range c.Jobs() {
+					if m.DFSBytes != int64(len(text)) {
+						t.Errorf("%q at block size %d, minPartitions %d: a scan charged %d DFS bytes, want the file's %d",
+							text, blockSize, minParts, m.DFSBytes, len(text))
+					}
+				}
 			}
 		}
+	}
+}
+
+// partitionLines collects each partition of r as its elements, copied to
+// strings — split at every newline when split is set — so a partition with
+// no elements is an empty entry.
+func partitionLines(r *RDD[[]byte], split bool) ([][]string, error) {
+	parts, err := Collect(FoldPartition(r, "lines", func(Task) (func([]byte), func() [][]string) {
+		lines := []string{}
+		return func(v []byte) {
+				if split {
+					lines = append(lines, strings.Split(string(v), "\n")...)
+				} else {
+					lines = append(lines, string(v))
+				}
+			}, func() [][]string {
+				return [][]string{lines}
+			}
+	}))
+	return parts, err
+}
+
+// TestFlatMapStreams checks that FlatMap hands each element of f's sequence
+// downstream before asking for the next: a fold over it sees produce and
+// add strictly interleaved, so no sequence's output is ever held whole.
+func TestFlatMapStreams(t *testing.T) {
+	c := newTestContext(t, 1)
+	var events []string
+	spread := FlatMap(Parallelize(c, []int{1, 2}, 1), "spread", func(x int) iter.Seq[int] {
+		return func(yield func(int) bool) {
+			for k := range 3 {
+				events = append(events, fmt.Sprint("make ", 10*x+k))
+				if !yield(10*x + k) {
+					return
+				}
+			}
+		}
+	})
+	folded := FoldPartition(spread, "log", func(Task) (func(int), func() []int) {
+		return func(v int) { events = append(events, fmt.Sprint("add ", v)) }, func() []int { return nil }
+	})
+	if _, err := Collect(folded); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, v := range []int{10, 11, 12, 20, 21, 22} {
+		want = append(want, fmt.Sprint("make ", v), fmt.Sprint("add ", v))
+	}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Fatalf("events %q, want %q", events, want)
+	}
+	if chain := c.Jobs()[0].MaxFusedChain; chain < 3 {
+		t.Fatalf("fused chain %d; FlatMap broke fusion", chain)
 	}
 }
 

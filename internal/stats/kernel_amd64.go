@@ -2,7 +2,7 @@
 // in kernel_amd64.s, AVX2 without FMA, so each lane or column is its own
 // chain of rounded products and adds in the written order, and of the panel
 // kernel's lane-list compaction, compactChunks, the same lists as the Go loop
-// 32 patients a step. One CPUID/XGETBV check at package init selects them; a
+// 32 patients a step. data's CPUID/XGETBV check, run at init, selects them; a
 // host without AVX2 runs what other GOARCHes run (kernel_generic.go), the
 // same results in Go.
 
@@ -14,12 +14,9 @@ import (
 	"sparkscore/internal/data"
 )
 
-// hasAVX2 is in kernel_amd64.s: CPUID and XGETBV, true when the CPU has AVX2
-// and POPCNT and the OS saves the ymm registers.
-func hasAVX2() bool
-
-// useAVX2 selects the assembly routines; nothing writes it after init.
-var useAVX2 = hasAVX2()
+// useAVX2 selects the assembly routines: data's CPUID/XGETBV check, the one
+// probe, read once at init.
+var useAVX2 = data.HasAVX2
 
 // dosageQuads[v] holds the dosages of byte v's four 2-bit codes in lane
 // order, so one 32-byte load hands packedRows4 a whole byte: one ymm

@@ -1,44 +1,5 @@
 #include "textflag.h"
 
-// func hasAVX2() bool
-//
-// Reports whether the CPU has AVX2 and POPCNT and the OS saves the ymm
-// registers: CPUID leaf 1's POPCNT (ECX bit 23), OSXSAVE (ECX bit 27) and AVX
-// (ECX bit 28), XCR0's SSE and AVX state (bits 1 and 2), and CPUID leaf 7's
-// AVX2 (EBX bit 5), leaf 7 only where leaf 0 says it exists.
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	XORL AX, AX
-	XORL CX, CX
-	CPUID
-	CMPL AX, $7
-	JB   no
-
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18800000, CX
-	CMPL CX, $0x18800000
-	JNE  no
-
-	XORL   CX, CX
-	XGETBV
-	ANDL   $6, AX
-	CMPL   AX, $6
-	JNE    no
-
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	TESTL $0x20, BX
-	JZ    no
-
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func packedRows4(table *[256][4]float64, packed *byte, stride, full int, r *float64, lanes *[4][4]float64)
 //
 // Scores the full bytes of four packed rows, row j at packed + j·stride, in

@@ -1,38 +1,9 @@
-//go:build linux
-
 package stats
 
 import (
-	"os"
-	"slices"
 	"strings"
 	"testing"
 )
-
-// TestAVX2SelectedWhereHostHasIt pins the CPUID/XGETBV check to the kernel's
-// own view of the host: the assembly routines must be selected exactly where
-// /proc/cpuinfo lists avx2 and popcnt (compactChunks counts each lane's
-// entries with POPCNT). Every bit-equality test passes on either path, so a
-// wrong check would otherwise route an AVX2 host to the Go loops unnoticed.
-func TestAVX2SelectedWhereHostHasIt(t *testing.T) {
-	info, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		t.Skipf("no cpuinfo: %v", err)
-	}
-	for _, line := range strings.Split(string(info), "\n") {
-		name, flags, ok := strings.Cut(line, ":")
-		if !ok || strings.TrimSpace(name) != "flags" {
-			continue
-		}
-		fields := strings.Fields(flags)
-		avx2, popcnt := slices.Contains(fields, "avx2"), slices.Contains(fields, "popcnt")
-		if useAVX2 != (avx2 && popcnt) {
-			t.Fatalf("useAVX2 = %v, but cpuinfo's avx2 flag present = %v, popcnt = %v", useAVX2, avx2, popcnt)
-		}
-		return
-	}
-	t.Skip("cpuinfo has no flags line")
-}
 
 // TestLaneChunksChecksItsBounds: before compactChunks runs, its wrapper
 // refuses a row shorter than its whole chunks and a lane whose eight-entry
