@@ -43,8 +43,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench runs the root package's benchmarks (the engine ablations and
+# baselines) and the Cox score ablations, which live beside their oracles in
+# internal/stats.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
+	$(GO) test ./internal/stats -run '^$$' -bench=Ablation -benchmem -benchtime=1x
 
 # bench-smoke proves the fused-chain benchmarks still run (allocation numbers
 # are asserted by TestFusedChainAllocsIndependentOfSize; this guards the

@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -175,7 +176,7 @@ func main() {
 		fatal(err)
 	}
 
-	printResult(res, *top)
+	printResult(os.Stdout, res, *top)
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -303,7 +304,9 @@ func loadDataset(dir string, generate bool, patients, snps, sets int, seed uint6
 	return data.ReadDataset(os.DirFS(dir))
 }
 
-func printResult(res *core.Result, top int) {
+// printResult writes the top sets of res, by p-value when it has them and by
+// observed statistic when it does not; ties keep set order.
+func printResult(w io.Writer, res *core.Result, top int) {
 	type row struct {
 		name string
 		s0   float64
@@ -316,22 +319,24 @@ func printResult(res *core.Result, top int) {
 			rows[k].p = res.PValues[k]
 		}
 	}
+	// Monte Carlo and permutation p-values are (c+1)/(B+1): ties are common,
+	// and which tied set makes the top must not be up to the sort.
 	if res.PValues != nil {
-		sort.Slice(rows, func(i, j int) bool { return rows[i].p < rows[j].p })
+		sort.SliceStable(rows, func(i, j int) bool { return rows[i].p < rows[j].p })
 	} else {
-		sort.Slice(rows, func(i, j int) bool { return rows[i].s0 > rows[j].s0 })
+		sort.SliceStable(rows, func(i, j int) bool { return rows[i].s0 > rows[j].s0 })
 	}
 	if top > len(rows) {
 		top = len(rows)
 	}
-	fmt.Printf("\n%d resampling iterations; top %d SNP-sets:\n", res.Iterations, top)
-	fmt.Printf("%-16s %14s %10s\n", "snp-set", "observed-skat", "p-value")
+	fmt.Fprintf(w, "\n%d resampling iterations; top %d SNP-sets:\n", res.Iterations, top)
+	fmt.Fprintf(w, "%-16s %14s %10s\n", "snp-set", "observed-skat", "p-value")
 	for _, r := range rows[:top] {
 		p := "n/a"
 		if res.PValues != nil {
 			p = fmt.Sprintf("%.4g", r.p)
 		}
-		fmt.Printf("%-16s %14.4f %10s\n", r.name, r.s0, p)
+		fmt.Fprintf(w, "%-16s %14.4f %10s\n", r.name, r.s0, p)
 	}
 }
 
@@ -340,7 +345,12 @@ func printSetAsymptotic(a *core.Analysis, top int) error {
 	if err != nil {
 		return err
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].PValue < results[j].PValue })
+	sort.Slice(results, func(i, j int) bool {
+		if results[i].PValue != results[j].PValue {
+			return results[i].PValue < results[j].PValue
+		}
+		return results[i].Set < results[j].Set
+	})
 	if top > len(results) {
 		top = len(results)
 	}
@@ -357,7 +367,12 @@ func printMarginal(a *core.Analysis, top int) error {
 	if err != nil {
 		return err
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].PValue < results[j].PValue })
+	sort.Slice(results, func(i, j int) bool {
+		if results[i].PValue != results[j].PValue {
+			return results[i].PValue < results[j].PValue
+		}
+		return results[i].SNP < results[j].SNP
+	})
 	if top > len(results) {
 		top = len(results)
 	}

@@ -15,6 +15,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sparkscore/internal/core"
+	"sparkscore/internal/data"
 )
 
 // buildCmd compiles ../<name> into dir and returns the binary's path.
@@ -144,5 +147,35 @@ func TestNegativeTopRejected(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "panic") {
 			t.Errorf("%s %s: err = %v, want exit status 1 with %q:\n%s", tc.cmd, tc.args, err, tc.want, out)
 		}
+	}
+}
+
+// TestPrintResultBreaksTiesBySetIndex: Monte Carlo p-values (c+1)/(B+1) tie
+// often, and which tied sets make -top must be the lowest-indexed ones, in
+// index order — not whatever order the sort leaves them in. Forty sets, so
+// the sort is past its small-slice insertion path.
+func TestPrintResultBreaksTiesBySetIndex(t *testing.T) {
+	const sets = 40
+	res := &core.Result{Iterations: 9, Sets: make(data.SNPSets, sets), Observed: make([]float64, sets), PValues: make([]float64, sets)}
+	for k := range sets {
+		res.Sets[k].Name = fmt.Sprintf("set%02d", k)
+		res.PValues[k] = float64(1+k%3) / 10 // three p-values, each shared by 13 or 14 sets
+	}
+	var buf bytes.Buffer
+	printResult(&buf, res, 20)
+	var got []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "set") {
+			got = append(got, name)
+		}
+	}
+	var want []string
+	for r := range 3 {
+		for k := r; k < sets && len(want) < 20; k += 3 {
+			want = append(want, fmt.Sprintf("set%02d", k))
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("top 20 = %v, want %v", got, want)
 	}
 }

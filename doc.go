@@ -8,8 +8,9 @@
 // substrate the paper assumes: a Spark-like RDD engine with lineage,
 // caching, shuffles and broadcast (internal/rdd), a YARN-style cluster and
 // container model (internal/cluster), an HDFS stand-in (internal/dfs), and
-// a discrete-event virtual clock that answers multi-node scaling questions
-// on a single machine (internal/simtime).
+// a virtual clock — counted work on each executor's core slots, kept by the
+// scheduler in internal/rdd — that answers multi-node scaling questions on a
+// single machine.
 //
 // Entry points:
 //

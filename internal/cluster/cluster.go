@@ -149,9 +149,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Config returns the (normalised) configuration the cluster was built from.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Nodes returns the node count.
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 

@@ -11,7 +11,7 @@ func TestNewClusterLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := c.Config()
+	cfg := c.cfg
 	if cfg.ExecutorsPerNode != 2 || cfg.CoresPerExecutor != 4 {
 		t.Fatalf("default layout %dx%d, want 2x4", cfg.ExecutorsPerNode, cfg.CoresPerExecutor)
 	}

@@ -485,8 +485,8 @@ func (a *Analysis) permuted(perm []int) ([]float64, error) {
 // Warm materialises RDD_FGM — the packed, filtered genotype matrix — and
 // keeps it cached across subsequent calls, which read it instead of
 // re-scanning the text: an interactive-session extension of Algorithm 3's
-// caching step, useful when several analyses run against the same data.
-// Release drops it.
+// caching step, useful when several analyses run against the same data. The
+// matrix stays cached for the life of the Analysis.
 func (a *Analysis) Warm() error {
 	if a.warm != nil {
 		return nil
@@ -501,14 +501,6 @@ func (a *Analysis) Warm() error {
 	}
 	a.warm = blocks
 	return nil
-}
-
-// Release drops the cached matrix retained by Warm.
-func (a *Analysis) Release() {
-	if a.warm != nil {
-		a.warm.Unpersist()
-		a.warm = nil
-	}
 }
 
 // MonteCarlo runs Algorithm 3: the observed statistic with the packed blocks

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,6 +18,24 @@ import (
 	"sparkscore/internal/rng"
 	"sparkscore/internal/stats"
 )
+
+// ReferenceObserved computes S_k^0 sequentially: the oracle of Algorithm 1.
+func ReferenceObserved(ds *data.Dataset, opts Options) ([]float64, error) {
+	st, err := stats.NewSetStatistic(opts.SetStatistic)
+	if err != nil {
+		return nil, err
+	}
+	return referenceSetStats(ds, opts.family(), st, ds.Phenotype)
+}
+
+// Release drops the cached matrix retained by Warm, so a test can see the
+// bytes go.
+func (a *Analysis) Release() {
+	if a.warm != nil {
+		a.warm.Unpersist()
+		a.warm = nil
+	}
+}
 
 func testContext(t testing.TB, nodes int) *rdd.Context {
 	t.Helper()
@@ -674,6 +696,45 @@ func TestSetAsymptoticCoversEverySet(t *testing.T) {
 	if total != ds.SNPSets.TotalMembers() {
 		t.Fatalf("total member SNPs %d, want %d", total, ds.SNPSets.TotalMembers())
 	}
+}
+
+// ReadResultPValues parses the pvalue column of a WriteResult TSV back into
+// a slice indexed by set (NA entries become -1), so the writer can be tested
+// by a round trip.
+func ReadResultPValues(r io.Reader) ([]float64, error) {
+	sc := bufio.NewScanner(r)
+	var out []float64
+	first := true
+	for sc.Scan() {
+		line := sc.Text()
+		if first {
+			first = false
+			if !strings.HasPrefix(line, "set\t") {
+				return nil, fmt.Errorf("core: not a result file (header %.40q)", line)
+			}
+			continue
+		}
+		if line == "" {
+			continue
+		}
+		fields := strings.Split(line, "\t")
+		if len(fields) != 7 {
+			return nil, fmt.Errorf("core: result row has %d fields, want 7", len(fields))
+		}
+		if fields[6] == "NA" {
+			out = append(out, -1)
+			continue
+		}
+		p, err := strconv.ParseFloat(fields[6], 64)
+		if err != nil {
+			return nil, fmt.Errorf("core: bad pvalue %q", fields[6])
+		}
+		out = append(out, p)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func TestWriteResultRoundTrip(t *testing.T) {

@@ -1,7 +1,8 @@
-// Sequential reference implementations of Algorithms 1–3, computed directly
-// on a driver-side dataset with no engine involved. They exist (a) as the
-// ground truth the distributed pipeline is tested against, and (b) as the
-// single-machine baseline for ablation benchmarks. They honour the same
+// Sequential reference implementations of Algorithms 2 and 3, computed
+// directly on a driver-side dataset with no engine involved. They exist (a) as
+// the ground truth the distributed pipeline is tested against, and (b) as the
+// single-machine baseline bench measures (Algorithm 1's, ReferenceObserved,
+// serves only (a) and lives in core's tests). They honour the same
 // Options (score family, set statistic, seed) and the same seed-splitting
 // scheme as Analysis, so engine and reference results are replicate-for-
 // replicate identical.
@@ -15,15 +16,6 @@ import (
 	"sparkscore/internal/rng"
 	"sparkscore/internal/stats"
 )
-
-// ReferenceObserved computes S_k^0 sequentially.
-func ReferenceObserved(ds *data.Dataset, opts Options) ([]float64, error) {
-	st, err := stats.NewSetStatistic(opts.SetStatistic)
-	if err != nil {
-		return nil, err
-	}
-	return referenceSetStats(ds, opts.family(), st, ds.Phenotype)
-}
 
 // ReferencePermutation computes the permutation result sequentially.
 func ReferencePermutation(ds *data.Dataset, opts Options, iterations int) (*Result, error) {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // WriteResult writes res as a TSV with a header:
@@ -33,43 +32,4 @@ func WriteResult(w io.Writer, res *Result) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadResultPValues parses the pvalue column of a WriteResult TSV back into
-// a slice indexed by set (NA entries become NaN-free -1 so downstream code
-// can detect them without NaN plumbing).
-func ReadResultPValues(r io.Reader) ([]float64, error) {
-	sc := bufio.NewScanner(r)
-	var out []float64
-	first := true
-	for sc.Scan() {
-		line := sc.Text()
-		if first {
-			first = false
-			if !strings.HasPrefix(line, "set\t") {
-				return nil, fmt.Errorf("core: not a result file (header %.40q)", line)
-			}
-			continue
-		}
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, "\t")
-		if len(fields) != 7 {
-			return nil, fmt.Errorf("core: result row has %d fields, want 7", len(fields))
-		}
-		if fields[6] == "NA" {
-			out = append(out, -1)
-			continue
-		}
-		p, err := strconv.ParseFloat(fields[6], 64)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad pvalue %q", fields[6])
-		}
-		out = append(out, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -10,7 +10,6 @@ package data
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Genotype values are counts of the minor allele and therefore in {0, 1, 2}.
@@ -143,23 +142,6 @@ func (s SNPSets) Validate(totalSNPs int) error {
 		}
 	}
 	return nil
-}
-
-// Union returns the sorted union of all member SNPs, i.e. the paper's
-// UnionSetSNPSets used to filter the genotype RDD before computing scores.
-func (s SNPSets) Union() []int {
-	seen := map[int]bool{}
-	for _, set := range s {
-		for _, j := range set.SNPs {
-			seen[j] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for j := range seen {
-		out = append(out, j)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // TotalMembers returns the sum of set sizes (counting duplicates across sets).

@@ -116,18 +116,8 @@ func TestSNPSetsValidate(t *testing.T) {
 	}
 }
 
-func TestSNPSetsUnion(t *testing.T) {
+func TestSNPSetsTotalMembers(t *testing.T) {
 	s := SNPSets{{Name: "a", SNPs: []int{3, 1}}, {Name: "b", SNPs: []int{1, 5}}}
-	got := s.Union()
-	want := []int{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("union = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("union = %v, want %v", got, want)
-		}
-	}
 	if s.TotalMembers() != 4 {
 		t.Fatalf("TotalMembers = %d, want 4", s.TotalMembers())
 	}

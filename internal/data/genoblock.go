@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // MissingGenotype marks an uncalled genotype. It never appears in the text
@@ -387,46 +386,6 @@ func UnpackGenotypes(packed []byte, dst []Genotype) {
 	for i := n &^ 3; i < n; i++ {
 		dst[i] = CodeGenotypes[(packed[i>>2]>>uint((i&3)*2))&3]
 	}
-}
-
-// PackGenotypes packs g into dst, which must hold BlockRowBytes(len(g))
-// zeroed bytes. Genotypes must be in {MissingGenotype, 0, 1, 2}.
-func PackGenotypes(g []Genotype, dst []byte) error {
-	if want := BlockRowBytes(len(g)); len(dst) < want {
-		return fmt.Errorf("data: pack buffer holds %d bytes, want %d", len(dst), want)
-	}
-	for i, v := range g {
-		if v < MissingGenotype || v > 2 {
-			return fmt.Errorf("data: genotype %d at index %d outside {missing,0,1,2}", v, i)
-		}
-		dst[i>>2] |= genoCodes[v+1] << uint((i&3)*2)
-	}
-	return nil
-}
-
-// WriteTextRow appends row r in the genotype text format ("snp\tg1 g2 ...")
-// to sb. Missing genotypes are written as "NA" (the text reader does not
-// accept them back; blocks carrying missing data stay binary).
-func (b *GenoBlock) WriteTextRow(r int, sb *strings.Builder) {
-	sb.WriteString(strconv.Itoa(int(b.SNPs[r])))
-	sb.WriteByte('\t')
-	row := b.Row(r)
-	for i := 0; i < b.Patients; i++ {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		switch CodeGenotypes[(row[i>>2]>>uint((i&3)*2))&3] {
-		case MissingGenotype:
-			sb.WriteString("NA")
-		case 0:
-			sb.WriteByte('0')
-		case 1:
-			sb.WriteByte('1')
-		case 2:
-			sb.WriteByte('2')
-		}
-	}
-	sb.WriteByte('\n')
 }
 
 // ApproxBytes estimates the block's resident size: packed bytes, the two

@@ -2,14 +2,15 @@
 // leave the block untouched when it rejects a row, must decide every row
 // exactly as the tokenizer alone would (accept/reject, error text, packed
 // bytes, allele count — whichever of its two paths packed the row), and
-// whatever it accepts must survive a WriteTextRow/AppendTextRow round trip bit
-// for bit. Seed corpus under testdata/fuzz/FuzzGenoBlockTextRoundTrip, whose
+// whatever it accepts must survive the production round trip — WriteGenotypes,
+// then ParseGenoText — bit for bit. Seed corpus under testdata/fuzz/FuzzGenoBlockTextRoundTrip, whose
 // files carry rows of 64 bytes and more for the 64-byte groups; `make
 // fuzz-smoke` gives the target a 10-second budget.
 
 package data
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
@@ -85,24 +86,30 @@ func FuzzGenoBlockTextRoundTrip(f *testing.F) {
 				t.Fatalf("patient %d decoded to %d from text input %q", i, g, fields)
 			}
 		}
-		// Round trip: rewrite the row as text and re-parse it.
-		var sb strings.Builder
-		b.WriteTextRow(0, &sb)
-		line := strings.TrimSuffix(sb.String(), "\n")
-		tab := strings.IndexByte(line, '\t')
-		if tab < 0 {
-			t.Fatalf("WriteTextRow produced no snp/genotype separator: %q", line)
+		// Round trip: the decoded row through the production writer and the
+		// production reader.
+		var text bytes.Buffer
+		if err := WriteGenotypes(&text, &GenotypeMatrix{Patients: patients, Rows: [][]Genotype{b.DecodeRow(0, nil)}}); err != nil {
+			t.Fatal(err)
 		}
-		b2 := NewGenoBlock(patients, 1)
-		if err := b2.AppendTextRow(11, line[tab+1:]); err != nil {
-			t.Fatalf("re-parsing written row %q: %v", line, err)
+		// A partition's text reaches the reader without the newline that
+		// ends its last line, as rdd's TextSplits hands it over.
+		var back []GenoBlock
+		if err := ParseGenoText(bytes.TrimSuffix(text.Bytes(), []byte("\n")), patients, nil, func(blk GenoBlock) bool {
+			back = append(back, blk)
+			return true
+		}); err != nil {
+			t.Fatalf("re-parsing written row %q: %v", text.String(), err)
 		}
-		if string(b.Packed) != string(b2.Packed) {
-			t.Fatalf("round trip changed packed bytes: %x -> %x (input %q)", b.Packed, b2.Packed, fields)
+		if len(back) != 1 || back[0].Rows() != 1 {
+			t.Fatalf("written row %q parsed to %d blocks, want one block of one row", text.String(), len(back))
 		}
-		if b.Counts[0] != b2.Counts[0] || b.SNPs[0] != b2.SNPs[0] {
-			t.Fatalf("round trip changed row summary: count %d->%d, snp %d->%d",
-				b.Counts[0], b2.Counts[0], b.SNPs[0], b2.SNPs[0])
+		if string(b.Packed) != string(back[0].Packed) {
+			t.Fatalf("round trip changed packed bytes: %x -> %x (input %q)", b.Packed, back[0].Packed, fields)
+		}
+		if b.Counts[0] != back[0].Counts[0] || back[0].SNPs[0] != 0 {
+			t.Fatalf("round trip changed row summary: count %d->%d, snp %d, want 0",
+				b.Counts[0], back[0].Counts[0], back[0].SNPs[0])
 		}
 	})
 }

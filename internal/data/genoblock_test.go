@@ -94,12 +94,6 @@ func TestGenoBlockTextCodec(t *testing.T) {
 		}
 	}
 
-	var sb strings.Builder
-	b.WriteTextRow(0, &sb)
-	if got := sb.String(); got != "7\t0 1 2 0 1\n" {
-		t.Fatalf("WriteTextRow = %q", got)
-	}
-
 	if err := b.AppendTextRow(9, "0 1 2 0"); err == nil || !strings.Contains(err.Error(), "4 genotypes, want 5") {
 		t.Fatalf("short row error = %v", err)
 	}
@@ -376,4 +370,20 @@ func TestParseGenoTextBlockGeometry(t *testing.T) {
 	if err := ParseGenoText(text, patients, keep, func(GenoBlock) bool { calls++; return false }); err != nil || calls != 1 {
 		t.Fatalf("a yield that stops: %d calls, %v; want 1 call and no error", calls, err)
 	}
+}
+
+// PackGenotypes packs g into dst, which must hold BlockRowBytes(len(g))
+// zeroed bytes. Genotypes must be in {MissingGenotype, 0, 1, 2}. It is the
+// codes table written out, the oracle the packed decoders are tested against.
+func PackGenotypes(g []Genotype, dst []byte) error {
+	if want := BlockRowBytes(len(g)); len(dst) < want {
+		return fmt.Errorf("data: pack buffer holds %d bytes, want %d", len(dst), want)
+	}
+	for i, v := range g {
+		if v < MissingGenotype || v > 2 {
+			return fmt.Errorf("data: genotype %d at index %d outside {missing,0,1,2}", v, i)
+		}
+		dst[i>>2] |= genoCodes[v+1] << uint((i&3)*2)
+	}
+	return nil
 }

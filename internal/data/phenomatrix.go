@@ -75,34 +75,6 @@ func (m *PhenoMatrix) AppendRow(id int, vals []float64) error {
 	return nil
 }
 
-// AppendTextRow parses one row's value fields ("y_1 y_2 ... y_n",
-// whitespace-separated finite floats) directly into the matrix — the text
-// codec of the all-pairs ingest. A rejected row leaves the matrix untouched;
-// errors name the offending 1-based field.
-func (m *PhenoMatrix) AppendTextRow(id int, fields string) error {
-	base := len(m.Values)
-	i := 0
-	for f, rest := nextField(fields); f != ""; f, rest = nextField(rest) {
-		if i >= m.Patients {
-			i++
-			continue // count the surplus for the error below
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			m.Values = m.Values[:base]
-			return fmt.Errorf("data: field %d: bad value %q", i+1, f)
-		}
-		m.Values = append(m.Values, v)
-		i++
-	}
-	if i != m.Patients {
-		m.Values = m.Values[:base]
-		return fmt.Errorf("data: %d values, want %d", i, m.Patients)
-	}
-	m.IDs = append(m.IDs, int32(id))
-	return nil
-}
-
 // WriteTextRow appends row r in the phenotype-matrix text format
 // ("pheno\ty1 y2 ...") to sb, using shortest-round-trip float formatting.
 func (m *PhenoMatrix) WriteTextRow(r int, sb *strings.Builder) {

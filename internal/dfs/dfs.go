@@ -72,15 +72,6 @@ func New(nodes, blockSize, replication int, seed uint64) (*FS, error) {
 	}, nil
 }
 
-// BlockSize returns the configured block size.
-func (fs *FS) BlockSize() int { return fs.blockSize }
-
-// Replication returns the configured replication factor.
-func (fs *FS) Replication() int { return fs.replication }
-
-// Nodes returns the number of storage nodes.
-func (fs *FS) Nodes() int { return fs.nodes }
-
 // Write stores data under name, splitting it into blocks at line boundaries
 // and placing replicas on distinct nodes. Writing an existing name replaces
 // the file.
@@ -221,15 +212,4 @@ func (fs *FS) ReadAll(name string) ([]byte, error) {
 		out = append(out, b.Data...)
 	}
 	return out, nil
-}
-
-// List returns the names of all files.
-func (fs *FS) List() []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	return names
 }

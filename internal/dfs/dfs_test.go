@@ -79,8 +79,8 @@ func TestReplicationPlacement(t *testing.T) {
 
 func TestReplicationCappedAtNodes(t *testing.T) {
 	fs := mustFS(t, 2, 8, 5)
-	if fs.Replication() != 2 {
-		t.Fatalf("replication %d, want capped to 2", fs.Replication())
+	if fs.replication != 2 {
+		t.Fatalf("replication %d, want capped to 2", fs.replication)
 	}
 }
 
@@ -130,16 +130,6 @@ func TestOverwriteReplaces(t *testing.T) {
 	}
 }
 
-func TestList(t *testing.T) {
-	fs := mustFS(t, 2, 8, 1)
-	fs.Write("a", []byte("1\n"))
-	fs.Write("b", []byte("2\n"))
-	names := fs.List()
-	if len(names) != 2 {
-		t.Fatalf("List = %v", names)
-	}
-}
-
 func TestWriteRejectsEmptyName(t *testing.T) {
 	fs := mustFS(t, 2, 8, 1)
 	if _, err := fs.Write("", []byte("x")); err == nil {
@@ -155,11 +145,11 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.BlockSize() != DefaultBlockSize {
-		t.Fatalf("default block size %d", fs.BlockSize())
+	if fs.blockSize != DefaultBlockSize {
+		t.Fatalf("default block size %d", fs.blockSize)
 	}
-	if fs.Replication() != 3 {
-		t.Fatalf("default replication %d", fs.Replication())
+	if fs.replication != 3 {
+		t.Fatalf("default replication %d", fs.replication)
 	}
 }
 

@@ -32,8 +32,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"sparkscore/internal/simtime"
 )
 
 type task struct {
@@ -426,12 +424,12 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 	// stage: all cores under FIFO or when the job runs alone, a weight- and
 	// minShare-derived fraction when FAIR jobs overlap (see jobArbiter).
 	totalSlots := c.cluster.TotalSlots()
-	pools := map[int]*simtime.SlotPool{}
-	poolFor := func(executor int) *simtime.SlotPool {
+	pools := map[int]slotPool{}
+	poolFor := func(executor int) slotPool {
 		pool, ok := pools[executor]
 		if !ok {
 			cores := c.cluster.Executor(executor).Cores
-			pool = simtime.NewSlotPool(c.sched.stageSlots(job, executor, cores, totalSlots))
+			pool = newSlotPool(c.sched.stageSlots(job, executor, cores, totalSlots))
 			pools[executor] = pool
 		}
 		return pool
@@ -442,7 +440,7 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 			return // never launched (the job was cancelled mid-wave)
 		}
 		dur := c.taskBaseDuration(t) * c.stragglerSlowdown(t.tc)
-		done := poolFor(t.executor).Run(0, dur)
+		done := poolFor(t.executor).run(dur)
 		makespan = max(makespan, done)
 		start, end := stageStart+done-dur, stageStart+done
 		c.emit(start, &TaskStart{Job: job, Stage: stageID, Round: round, Part: t.part, Attempt: t.attempt, Executor: t.executor})
@@ -645,4 +643,35 @@ func (c *Context) taskBaseDuration(t *task) float64 {
 		dur += 2 * (ws - execMemPerSlot) / diskBps
 	}
 	return dur
+}
+
+// slotPool is the free-at times of one executor's core slots in a stage,
+// all free at the stage's start. The virtual clock schedules greedily: each
+// task in submission order takes the slot that frees first, as Spark's task
+// scheduler fills executor cores, so a stage's makespan is the completion
+// time of its last task.
+type slotPool []float64
+
+// newSlotPool returns a pool of n core slots, all free at time 0.
+func newSlotPool(n int) slotPool {
+	if n <= 0 {
+		panic(fmt.Sprintf("rdd: slot pool with %d slots", n))
+	}
+	return make(slotPool, n)
+}
+
+// run schedules a task of the given duration on the slot that frees first
+// and returns its completion time.
+func (p slotPool) run(duration float64) float64 {
+	if duration < 0 {
+		panic(fmt.Sprintf("rdd: negative task duration %g", duration))
+	}
+	s := 0
+	for i, free := range p {
+		if free < p[s] {
+			s = i
+		}
+	}
+	p[s] += duration
+	return p[s]
 }

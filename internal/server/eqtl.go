@@ -18,18 +18,14 @@ import (
 const DefaultEQTLPageSize = 100
 
 type eqtlRequest struct {
-	PoolName  string `json:"pool,omitempty"`
-	Page      int    `json:"page,omitempty"`
-	PageSize  int    `json:"page_size,omitempty"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
+	jobFields
+	Page     int `json:"page,omitempty"`
+	PageSize int `json:"page_size,omitempty"`
 
 	// srv reaches the server's assoc analysis and result memo; the shared
 	// jobRequest plumbing only hands run the core analysis.
 	srv *Server
 }
-
-func (r *eqtlRequest) pool() string     { return r.PoolName }
-func (r *eqtlRequest) timeoutMS() int64 { return r.TimeoutMS }
 
 func (r *eqtlRequest) validate() error {
 	if r.Page < 0 {

@@ -549,23 +549,35 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 
 // ---- request types ----
 
-type scoreRequest struct {
+// jobFields are the body fields every job endpoint takes: the pool the
+// request runs in and its timeout_ms. A request type embeds them, so they
+// decode at the top level of its body.
+type jobFields struct {
 	PoolName  string `json:"pool,omitempty"`
-	Top       int    `json:"top,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }
 
-func (r *scoreRequest) pool() string     { return r.PoolName }
-func (r *scoreRequest) timeoutMS() int64 { return r.TimeoutMS }
-func (r *scoreRequest) validate() error {
+func (f *jobFields) pool() string     { return f.PoolName }
+func (f *jobFields) timeoutMS() int64 { return f.TimeoutMS }
+
+// topRequest is the body of the two asymptotic endpoints: the Top rows by
+// p-value, 0 for all of them.
+type topRequest struct {
+	jobFields
+	Top int `json:"top,omitempty"`
+}
+
+func (r *topRequest) validate() error {
 	if r.Top < 0 {
 		return fmt.Errorf("top must be >= 0")
 	}
 	return nil
 }
-func (r *scoreRequest) fingerprintParts(endpoint string) []string {
+func (r *topRequest) fingerprintParts(endpoint string) []string {
 	return []string{endpoint, fmt.Sprintf("top=%d", r.Top)}
 }
+
+type scoreRequest struct{ topRequest }
 
 // ScoreRow is one SNP's asymptotic score test in a score response.
 type ScoreRow struct {
@@ -596,23 +608,7 @@ func (r *scoreRequest) run(a *core.Analysis) (any, error) {
 	return map[string]any{"snps": rows}, nil
 }
 
-type skatRequest struct {
-	PoolName  string `json:"pool,omitempty"`
-	Top       int    `json:"top,omitempty"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
-}
-
-func (r *skatRequest) pool() string     { return r.PoolName }
-func (r *skatRequest) timeoutMS() int64 { return r.TimeoutMS }
-func (r *skatRequest) validate() error {
-	if r.Top < 0 {
-		return fmt.Errorf("top must be >= 0")
-	}
-	return nil
-}
-func (r *skatRequest) fingerprintParts(endpoint string) []string {
-	return []string{endpoint, fmt.Sprintf("top=%d", r.Top)}
-}
+type skatRequest struct{ topRequest }
 
 // SKATRow is one SNP-set's asymptotic test in a skat response.
 type SKATRow struct {
@@ -644,15 +640,12 @@ func (r *skatRequest) run(a *core.Analysis) (any, error) {
 }
 
 type resampleRequest struct {
-	PoolName   string `json:"pool,omitempty"`
+	jobFields
 	Method     string `json:"method"`
 	Iterations int    `json:"iterations,omitempty"`
 	Replicate  uint64 `json:"replicate,omitempty"`
-	TimeoutMS  int64  `json:"timeout_ms,omitempty"`
 }
 
-func (r *resampleRequest) pool() string     { return r.PoolName }
-func (r *resampleRequest) timeoutMS() int64 { return r.TimeoutMS }
 func (r *resampleRequest) validate() error {
 	switch r.Method {
 	case "mc", "perm":

@@ -670,6 +670,11 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/resample", `{"method": "mc"}`, ""},
 		{"/v1/resample", `{"method": "replicate"}`, ""},
 		{"/v1/skat", `{"unknown": true}`, ""},
+		// Only the score and skat bodies take top; no body takes the
+		// embedded structs' own names.
+		{"/v1/resample", `{"method": "mc", "iterations": 1, "top": 1}`, "unknown field"},
+		{"/v1/score", `{"jobFields": {}}`, "unknown field"},
+		{"/v1/skat", `{"topRequest": {"top": 1}}`, "unknown field"},
 		{"/v1/score", `{"timeout_ms": -1}`, timeoutRange},
 		{"/v1/score", `{"timeout_ms": 9223372036855}`, timeoutRange},
 		// ~584 years: its nanoseconds wrap time.Duration to a 448 µs deadline.
@@ -690,6 +695,36 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
 			t.Errorf("%s %s: status %d, %s; want 400 with %q", c.path, c.body, resp.StatusCode, body, c.want)
 		}
+	}
+}
+
+// TestRequestKeys: pool and timeout_ms decode at the top level of every job
+// body, beside the endpoint's own keys.
+func TestRequestKeys(t *testing.T) {
+	for _, c := range []struct {
+		req  jobRequest
+		body string
+	}{
+		{&scoreRequest{}, `{"pool": "p", "timeout_ms": 7, "top": 2}`},
+		{&skatRequest{}, `{"pool": "p", "timeout_ms": 7, "top": 2}`},
+		{&resampleRequest{}, `{"pool": "p", "timeout_ms": 7, "method": "mc", "iterations": 2}`},
+		{&eqtlRequest{}, `{"pool": "p", "timeout_ms": 7, "page": 1, "page_size": 2}`},
+	} {
+		dec := json.NewDecoder(strings.NewReader(c.body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(c.req); err != nil {
+			t.Fatalf("%T %s: %v", c.req, c.body, err)
+		}
+		if c.req.pool() != "p" || c.req.timeoutMS() != 7 || c.req.validate() != nil {
+			t.Errorf("%T %s: pool %q, timeout_ms %d, validate %v", c.req, c.body, c.req.pool(), c.req.timeoutMS(), c.req.validate())
+		}
+	}
+	// The eqtl body takes no top (TestBadRequests covers the others over
+	// HTTP; its test server has no phenotype matrix to serve eqtl).
+	dec := json.NewDecoder(strings.NewReader(`{"top": 1}`))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&eqtlRequest{}); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("eqtl body with top: %v, want an unknown-field error", err)
 	}
 }
 

@@ -194,6 +194,10 @@ func (c *Cox) withRiskWeights(w []float64) *Cox {
 	return &out
 }
 
+// ErrNoConvergence is wrapped by fitCoxMulti when Newton–Raphson fails; the
+// paper notes a likelihood fit requires monitoring exactly this failure mode.
+var ErrNoConvergence = fmt.Errorf("stats: Newton–Raphson did not converge")
+
 // fitCoxMulti maximises the multivariate Cox partial likelihood over the
 // covariates z (n×p, no intercept) by Newton–Raphson, using the risk-set
 // structure precomputed by the model.

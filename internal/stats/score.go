@@ -272,28 +272,6 @@ func (c *Cox) variance(g []data.Genotype, cum, cum2 []float64) float64 {
 	return v
 }
 
-// NaiveCoxContributions computes the Cox contributions with the literal O(n²)
-// double loop from the formula. It exists as a reference implementation for
-// tests and for the ablation benchmark quantifying the suffix-sum speedup.
-func NaiveCoxContributions(ph *data.Phenotype, g []data.Genotype, u []float64) {
-	n := ph.Patients()
-	checkLens(n, g, u)
-	for i := 0; i < n; i++ {
-		if ph.Event[i] == 0 {
-			u[i] = 0
-			continue
-		}
-		var a, b float64
-		for l := 0; l < n; l++ {
-			if ph.Y[l] >= ph.Y[i] {
-				a += float64(g[l])
-				b++
-			}
-		}
-		u[i] = float64(g[i]) - a/b
-	}
-}
-
 // Gaussian is the efficient score model for quantitative phenotypes under the
 // linear-model null Y_i = μ + β G_ij + ε, β = 0:
 //

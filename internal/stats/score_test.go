@@ -485,3 +485,25 @@ func TestGaussianScoreScaleCovariance(t *testing.T) {
 		}
 	}
 }
+
+// NaiveCoxContributions computes the Cox contributions with the literal O(n²)
+// double loop from the formula: the oracle the suffix-sum Cox is tested
+// against, and the other side of BenchmarkAblationCoxSuffixSum.
+func NaiveCoxContributions(ph *data.Phenotype, g []data.Genotype, u []float64) {
+	n := ph.Patients()
+	checkLens(n, g, u)
+	for i := 0; i < n; i++ {
+		if ph.Event[i] == 0 {
+			u[i] = 0
+			continue
+		}
+		var a, b float64
+		for l := 0; l < n; l++ {
+			if ph.Y[l] >= ph.Y[i] {
+				a += float64(g[l])
+				b++
+			}
+		}
+		u[i] = float64(g[i]) - a/b
+	}
+}

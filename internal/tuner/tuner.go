@@ -30,13 +30,13 @@ func (c Candidate) String() string {
 	return fmt.Sprintf("%d/node x %d cores x %g GiB", c.ExecutorsPerNode, c.CoresPerExecutor, c.MemPerExecutorGiB)
 }
 
-// Workload describes the job each candidate is scored on.
+// Workload describes the job each candidate is scored on, on Nodes
+// m3.2xlarge nodes (cluster.M3TwoXLarge, the spec the paper's cluster ran).
 type Workload struct {
 	Dataset    *data.Dataset
 	Family     string // "" = cox
 	Iterations int    // Monte Carlo iterations
 	Nodes      int
-	Spec       cluster.NodeSpec // zero = m3.2xlarge
 
 	// DFSBlockSize and overhead overrides mirror rdd.Config (zero = engine
 	// defaults); set them when tuning a scaled-down stand-in workload.
@@ -45,13 +45,6 @@ type Workload struct {
 	StageOverheadSec float64
 
 	Seed uint64
-}
-
-func (w Workload) withDefaults() Workload {
-	if w.Spec.VCPUs == 0 {
-		w.Spec = cluster.M3TwoXLarge
-	}
-	return w
 }
 
 // Evaluation is one scored candidate. Err is non-nil when the layout is
@@ -108,7 +101,6 @@ func dedupe(cands []Candidate) []Candidate {
 // Tune scores every candidate on the simulator and returns the evaluations
 // sorted best-first (failed candidates last, in input order).
 func Tune(w Workload, candidates []Candidate) ([]Evaluation, error) {
-	w = w.withDefaults()
 	if w.Dataset == nil {
 		return nil, fmt.Errorf("tuner: nil dataset")
 	}
@@ -144,7 +136,7 @@ func (w Workload) run(cand Candidate) (float64, error) {
 	ctx, err := rdd.New(rdd.Config{
 		Cluster: cluster.Config{
 			Nodes:             w.Nodes,
-			Spec:              w.Spec,
+			Spec:              cluster.M3TwoXLarge,
 			ExecutorsPerNode:  cand.ExecutorsPerNode,
 			CoresPerExecutor:  cand.CoresPerExecutor,
 			MemPerExecutorGiB: cand.MemPerExecutorGiB,
