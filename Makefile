@@ -67,9 +67,12 @@ bench:
 # packs, 64 text bytes per AVX2 step on amd64) — one 256-row block's text,
 # which stays in cache, and a 10 000-row, 20 MB text, which does not — and
 # the packed-row score kernel (four rows per call in AVX2 assembly) on a
-# 256 × 1000 block.
+# 256 × 1000 block — and that a reduce-by-key job at the set-sum shape
+# (10 map × 10 reduce partitions, 100 keys, []float64 values) still reports
+# allocs/op, where one combining map per (map task, bucket) would show again.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
+	$(GO) test ./internal/rdd -run '^$$' -bench ReduceByKeyCombine -benchmem -benchtime=10x
 	$(GO) test ./internal/stats -run '^$$' -bench 'WideKernel/eqtl_wide' -benchmem -benchtime=3x
 	$(GO) test ./internal/assoc -run '^$$' -bench 'Fold/eqtl_wide' -benchmem -benchtime=3x
 	$(GO) test ./internal/stats -run '^$$' -bench PackedPanel -benchtime=3x

@@ -207,7 +207,7 @@ func main() {
 // finishRun prints the simulated-cluster accounting and flushes the optional
 // event log and Chrome trace — the shared tail of every sparkscore mode.
 func finishRun(ctx *rdd.Context, eventLog *rdd.EventLogWriter, eventFile *os.File, timeline *rdd.TimelineListener, eventsOut, traceOut string) {
-	fmt.Printf("\nsimulated cluster time: %.1f s over %d jobs\n", ctx.VirtualTime(), len(ctx.Jobs()))
+	fmt.Printf("\nsimulated cluster time: %.1f s over %d jobs\n", ctx.VirtualTime(), ctx.JobCount())
 	var spilledBytes int64
 	var spillCount int
 	for _, m := range ctx.Jobs() {

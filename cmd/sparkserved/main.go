@@ -172,7 +172,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sparkserved: shutdown:", err)
 		}
 		fmt.Printf("sparkserved: stopped after %.1f simulated seconds over %d jobs\n",
-			ctx.VirtualTime(), len(ctx.Jobs()))
+			ctx.VirtualTime(), ctx.JobCount())
 	}
 }
 

@@ -234,6 +234,12 @@ func (c *Context) Jobs() []JobMetrics {
 	return c.metrics.snapshot()
 }
 
+// JobCount is len(Jobs()) without copying the history: how many jobs have
+// completed since the last ResetClock.
+func (c *Context) JobCount() int {
+	return c.metrics.count()
+}
+
 // AddListener registers a bus listener after construction; it receives every
 // subsequent scheduler event. Config.Listeners registers at creation.
 func (c *Context) AddListener(l Listener) {

@@ -141,6 +141,12 @@ func (ml *metricsListener) snapshot() []JobMetrics {
 	return out
 }
 
+func (ml *metricsListener) count() int {
+	ml.mu.Lock()
+	defer ml.mu.Unlock()
+	return len(ml.jobs)
+}
+
 func (ml *metricsListener) reset() {
 	ml.mu.Lock()
 	ml.jobs = nil

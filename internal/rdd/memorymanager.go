@@ -95,7 +95,9 @@ type memoryManager struct {
 	// shuffleResident tracks retained shuffle output bytes per executor. They
 	// are visible (totalBytes) but not arbitrated: retained outputs model the
 	// external shuffle service's on-disk files, outside the executor's heap,
-	// and accumulate for the context's lifetime.
+	// and stay until the shuffle manager releases them — a node loss, an
+	// injected fetch failure, or the cleanup that runs once no lineage can
+	// reach their shuffle.
 	shuffleResident map[int]int64
 }
 

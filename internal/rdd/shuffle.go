@@ -3,18 +3,20 @@
 // buckets, or (under memory pressure, see sortshuffle.go) partition-grouped run
 // files on the DFS with an in-memory index — and register it with the shuffle
 // manager; reduce tasks fetch their partition from every map output and
-// merge. Outputs are retained for the lifetime of the context (as with
-// Spark's external shuffle service on YARN, they survive executor failures),
-// so a shuffle is computed at most once per lineage. Resident bucket bytes
-// are charged to the memory manager's shuffle-resident account; run files
-// live on the producing node's disk and are lost with the node.
+// merge. Outputs are retained while some RDD lineage can still reach their
+// shuffle dependency (as with Spark's external shuffle service on YARN, they
+// survive executor failures), so a shuffle is computed at most once per
+// lineage; once the last RDD that reads it is garbage, a cleanup registered
+// on the dependency frees them (Spark's ContextCleaner). Resident bucket
+// bytes are charged to the memory manager's shuffle-resident account; run
+// files live on the producing node's disk and are lost with the node.
 //
 // Shuffle writes are pipeline breakers: the map side streams the fused narrow
 // chain's cursor into the spillable buffer, so the map input is never
 // materialised as one slice. For ReduceByKey an unspilled buffer
-// is combined per (bucket, key) before it is registered (Spark's map-side
-// combine), shrinking shuffled bytes to one pair per (bucket, key) before the
-// fetch.
+// is combined per key — one combining map per map task, split into buckets
+// afterwards — before it is registered (Spark's map-side combine), shrinking
+// shuffled bytes to one pair per (bucket, key) before the fetch.
 
 package rdd
 
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"iter"
+	"runtime"
 	"sync"
 
 	"sparkscore/internal/dfs"
@@ -74,11 +77,6 @@ func (sd *shuffleDep) setDone(v bool) {
 	sd.mu.Unlock()
 }
 
-type mapKey struct {
-	shuffle int
-	mapPart int
-}
-
 type mapOutput struct {
 	node     int // cluster node that produced (and serves) the output
 	executor int // executor whose memory holds resident buckets
@@ -104,8 +102,10 @@ func (mo *mapOutput) residentBytes() int64 {
 }
 
 type shuffleManager struct {
-	mu      sync.Mutex
-	outputs map[mapKey]*mapOutput
+	mu sync.Mutex
+	// outputs holds each shuffle's map outputs, indexed by map partition;
+	// nil marks a partition not (or no longer) written.
+	outputs map[int][]*mapOutput
 
 	// mem accounts resident bucket bytes per executor; fs holds spilled run
 	// files. Both are nil only in unit tests that never register outputs.
@@ -114,7 +114,18 @@ type shuffleManager struct {
 }
 
 func newShuffleManager() *shuffleManager {
-	return &shuffleManager{outputs: map[mapKey]*mapOutput{}}
+	return &shuffleManager{outputs: map[int][]*mapOutput{}}
+}
+
+// newShuffleDep allocates a shuffle dependency and registers its cleanup:
+// once no lineage can reach the dependency, the garbage collector runs
+// release on its id. The cleanup holds the id and the manager, never the
+// dependency, so the registration itself keeps nothing alive. A job running
+// on the lineage holds its final RDD, and with it every dependency below.
+func (c *Context) newShuffleDep(parent *node, parts int) *shuffleDep {
+	sd := &shuffleDep{id: c.newShuffleID(), parent: parent, parts: parts}
+	runtime.AddCleanup(sd, c.shuffle.release, sd.id)
+	return sd
 }
 
 // releaseLocked undoes an output's footprint: resident bytes leave the
@@ -133,32 +144,50 @@ func (sm *shuffleManager) releaseLocked(mo *mapOutput) {
 	}
 }
 
-func (sm *shuffleManager) write(shuffle, mapPart, node, executor int, buckets []any, bytes []int64, runs []*shuffleRun) {
+// release frees every output of a shuffle no lineage can reach any more. It
+// emits no event and touches nothing the scheduler, the memory arbiter or
+// DFS placement reads, so when the collector gets to it cannot move a
+// report, an event log or the virtual clock.
+func (sm *shuffleManager) release(shuffle int) {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	for _, mo := range sm.outputs[shuffle] {
+		sm.releaseLocked(mo)
+	}
+	delete(sm.outputs, shuffle)
+}
+
+func (sm *shuffleManager) write(shuffle, mapPart, mapParts, node, executor int, buckets []any, bytes []int64, runs []*shuffleRun) {
 	mo := &mapOutput{node: node, executor: executor, buckets: buckets, bytes: bytes, runs: runs}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	k := mapKey{shuffle, mapPart}
-	sm.releaseLocked(sm.outputs[k])
+	outs := sm.outputs[shuffle]
+	if outs == nil {
+		outs = make([]*mapOutput, mapParts)
+		sm.outputs[shuffle] = outs
+	}
+	sm.releaseLocked(outs[mapPart])
 	if r := mo.residentBytes(); r > 0 && sm.mem != nil {
 		sm.mem.addShuffleResident(executor, r)
 	}
-	sm.outputs[k] = mo
+	outs[mapPart] = mo
 }
 
 func (sm *shuffleManager) has(shuffle, mapPart int) bool {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	_, ok := sm.outputs[mapKey{shuffle, mapPart}]
-	return ok
+	outs := sm.outputs[shuffle]
+	return outs != nil && outs[mapPart] != nil
 }
 
 // drop destroys one map output (injected shuffle-data loss).
 func (sm *shuffleManager) drop(shuffle, mapPart int) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	k := mapKey{shuffle, mapPart}
-	sm.releaseLocked(sm.outputs[k])
-	delete(sm.outputs, k)
+	if outs := sm.outputs[shuffle]; outs != nil {
+		sm.releaseLocked(outs[mapPart])
+		outs[mapPart] = nil
+	}
 }
 
 // dropNode destroys every map output served from the node: a machine loss
@@ -166,10 +195,12 @@ func (sm *shuffleManager) drop(shuffle, mapPart int) {
 func (sm *shuffleManager) dropNode(node int) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	for k, mo := range sm.outputs {
-		if mo.node == node {
-			sm.releaseLocked(mo)
-			delete(sm.outputs, k)
+	for _, outs := range sm.outputs {
+		for m, mo := range outs {
+			if mo != nil && mo.node == node {
+				sm.releaseLocked(mo)
+				outs[m] = nil
+			}
 		}
 	}
 }
@@ -182,12 +213,12 @@ func (sm *shuffleManager) dropNode(node int) {
 // lazily in readRuns, with the same failure semantics.)
 func (sm *shuffleManager) fetch(tc *taskContext, shuffle, reducePart, mapParts int) []*mapOutput {
 	tc.ctx.maybeInjectFetchFailure(tc, shuffle, mapParts)
-	out := make([]*mapOutput, 0, mapParts)
-	for m := 0; m < mapParts; m++ {
-		sm.mu.Lock()
-		mo, ok := sm.outputs[mapKey{shuffle, m}]
-		sm.mu.Unlock()
-		if !ok {
+	out := make([]*mapOutput, mapParts)
+	sm.mu.Lock()
+	copy(out, sm.outputs[shuffle])
+	sm.mu.Unlock()
+	for m, mo := range out {
+		if mo == nil {
 			tc.emit(&FetchFailure{Job: tc.job, Stage: tc.stage, Round: tc.round, Part: tc.part,
 				Attempt: tc.attempt, Shuffle: shuffle, MapPart: m})
 			panic(&fetchFailedError{shuffle: shuffle, mapPart: m})
@@ -197,7 +228,6 @@ func (sm *shuffleManager) fetch(tc *taskContext, shuffle, reducePart, mapParts i
 		} else {
 			tc.shuffleRemoteBytes += mo.bytes[reducePart]
 		}
-		out = append(out, mo)
 	}
 	return out
 }
@@ -266,6 +296,18 @@ func (m *orderedMap[K, V]) set(k K, v V) {
 	m.vals = append(m.vals, v)
 }
 
+// combine folds v into k's value with f, in arrival order; a new key takes v
+// as it is.
+func (m *orderedMap[K, V]) combine(k K, v V, f func(V, V) V) {
+	if i, ok := m.idx[k]; ok {
+		m.vals[i] = f(m.vals[i], v)
+		return
+	}
+	m.idx[k] = len(m.keys)
+	m.keys = append(m.keys, k)
+	m.vals = append(m.vals, v)
+}
+
 func (m *orderedMap[K, V]) pairs() []KV[K, V] {
 	out := make([]KV[K, V], len(m.keys))
 	for i, k := range m.keys {
@@ -300,13 +342,13 @@ func registerBuckets[K comparable, V any](ctx *Context, tc *taskContext, sd *shu
 		total += bytes[i]
 	}
 	tc.noteMaterialized(total)
-	ctx.shuffle.write(sd.id, mapPart, tc.node(), tc.executor, anyBuckets, bytes, nil)
+	ctx.shuffle.write(sd.id, mapPart, sd.parent.parts, tc.node(), tc.executor, anyBuckets, bytes, nil)
 }
 
 // ReduceByKey merges the values of each key with combine, which must be
 // associative and commutative. The map side streams the parent cursor into
-// per-bucket combining hash maps (Spark's map-side combine), so each map
-// output holds one pair per (bucket, key) — shuffled bytes scale with
+// a spillable buffer and combines it per key (Spark's map-side combine), so
+// each map output holds one pair per (bucket, key) — shuffled bytes scale with
 // distinct keys rather than input size. parts <= 0 inherits the parent
 // partition count.
 func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], combine func(V, V) V, parts int) *RDD[KV[K, V]] {
@@ -315,7 +357,7 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], combine func(V, V) V, pa
 		parts = r.n.parts
 	}
 	parent := r.n
-	sd := &shuffleDep{id: ctx.newShuffleID(), parent: parent, parts: parts}
+	sd := ctx.newShuffleDep(parent, parts)
 	sd.runMap = func(tc *taskContext, mapPart int) {
 		runSortMap(ctx, tc, sd, mapPart, seqOf[KV[K, V]](parent.iterate(tc, mapPart)), parent.bytesPerElem, combine)
 	}
@@ -324,26 +366,26 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], combine func(V, V) V, pa
 	n.bytesPerElem = parent.bytesPerElem
 	n.compute = func(tc *taskContext, p int) any {
 		merged := newOrderedMap[K, V]()
-		fold := func(m *orderedMap[K, V], k K, v V) {
-			if old, ok := m.get(k); ok {
-				m.set(k, combine(old, v))
-			} else {
-				m.set(k, v)
+		for bucketSeq, spilled := range shuffleBucketSeqs[K, V](ctx, tc, sd, p, parent.parts) {
+			if !spilled {
+				// A resident bucket is already combined — its keys are
+				// unique — so it folds straight into the global merge.
+				for kv := range bucketSeq {
+					merged.combine(kv.K, kv.V, combine)
+				}
+				continue
 			}
-		}
-		for bucketSeq := range shuffleBucketSeqs[K, V](ctx, tc, sd, p, parent.parts) {
-			// Replay the map-side combine over this map output's pairs — an
-			// already-combined resident bucket passes through unchanged, raw
-			// spilled pairs get combined here — then fold the per-output
-			// results into the global merge. This reproduces an unspilled
-			// output's two-level fold tree, so float results are bitwise
-			// identical whether or not the output was spilled.
+			// A spilled output holds raw pairs: replay the map-side combine
+			// over them, then fold the per-output results into the global
+			// merge. This reproduces a resident output's two-level fold
+			// tree, so float results are bitwise identical whether or not
+			// the output was spilled.
 			perMap := newOrderedMap[K, V]()
 			for kv := range bucketSeq {
-				fold(perMap, kv.K, kv.V)
+				perMap.combine(kv.K, kv.V, combine)
 			}
 			for i, k := range perMap.keys {
-				fold(merged, k, perMap.vals[i])
+				merged.combine(k, perMap.vals[i], combine)
 			}
 		}
 		est := int64(len(merged.keys)) * n.bytesPerElem
@@ -362,7 +404,7 @@ func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, []V
 		parts = r.n.parts
 	}
 	parent := r.n
-	sd := &shuffleDep{id: ctx.newShuffleID(), parent: parent, parts: parts}
+	sd := ctx.newShuffleDep(parent, parts)
 	sd.runMap = writeShuffleSide[K, V](ctx, sd, parent)
 	n := newTypedNode[KV[K, []V]](ctx, fmt.Sprintf("groupByKey(%s)", parent.name), parts)
 	n.shuffleIn = []*shuffleDep{sd}
@@ -404,9 +446,9 @@ func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int)
 		parts = max(a.n.parts, b.n.parts)
 	}
 	left, right := a.n, b.n
-	sdL := &shuffleDep{id: ctx.newShuffleID(), parent: left, parts: parts}
+	sdL := ctx.newShuffleDep(left, parts)
 	sdL.runMap = writeShuffleSide[K, V](ctx, sdL, left)
-	sdR := &shuffleDep{id: ctx.newShuffleID(), parent: right, parts: parts}
+	sdR := ctx.newShuffleDep(right, parts)
 	sdR.runMap = writeShuffleSide[K, W](ctx, sdR, right)
 
 	n := newTypedNode[KV[K, JoinPair[V, W]]](ctx, fmt.Sprintf("join(%s,%s)", left.name, right.name), parts)

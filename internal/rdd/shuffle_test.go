@@ -232,3 +232,42 @@ func TestOrderedMap(t *testing.T) {
 		t.Fatalf("pairs = %v (insertion order lost)", pairs)
 	}
 }
+
+// BenchmarkReduceByKeyCombine runs one reduce-by-key job at the set-sum shape
+// core's passes shuffle: 10 map partitions, each emitting one []float64 per
+// key for the same 100 keys, reduced into 10 partitions. Each iteration
+// builds a fresh ReduceByKey, so the map stage runs every time. With
+// -benchmem, allocs/op shows the map side's combine: one map per map task,
+// where one per (task, bucket) would add 90 maps a job.
+func BenchmarkReduceByKeyCombine(b *testing.B) {
+	const mapParts, reduceParts, keys, width = 10, 10, 100, 4
+	c := newTestContext(b, 3)
+	in := make([]KV[int, []float64], 0, mapParts*keys)
+	for m := 0; m < mapParts; m++ {
+		for k := 0; k < keys; k++ {
+			v := make([]float64, width)
+			for i := range v {
+				v[i] = float64(m*keys+k) + float64(i)/width
+			}
+			in = append(in, KV[int, []float64]{K: k, V: v})
+		}
+	}
+	src := Parallelize(c, in, mapParts)
+	add := func(x, y []float64) []float64 {
+		out := make([]float64, len(x))
+		for i := range out {
+			out[i] = x[i] + y[i]
+		}
+		return out
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		out, err := Collect(ReduceByKey(src, add, reduceParts))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != keys {
+			b.Fatalf("%d keys reduced, want %d", len(out), keys)
+		}
+	}
+}

@@ -170,32 +170,7 @@ func runSortMap[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleD
 	parts := sd.parts
 	if len(buf.runs) == 0 {
 		tc.noteShuffleBuffer(int64(len(buf.pairs)) * bytesPerElem)
-		var buckets [][]KV[K, V]
-		if combine != nil {
-			combined := make([]*orderedMap[K, V], parts)
-			for i := range combined {
-				combined[i] = newOrderedMap[K, V]()
-			}
-			for _, kv := range buf.pairs {
-				b := combined[hashPartition(kv.K, parts)]
-				if old, ok := b.get(kv.K); ok {
-					b.set(kv.K, combine(old, kv.V))
-				} else {
-					b.set(kv.K, kv.V)
-				}
-			}
-			buckets = make([][]KV[K, V], parts)
-			for i, b := range combined {
-				buckets[i] = b.pairs()
-			}
-		} else {
-			buckets = make([][]KV[K, V], parts)
-			for _, kv := range buf.pairs {
-				i := hashPartition(kv.K, parts)
-				buckets[i] = append(buckets[i], kv)
-			}
-		}
-		registerBuckets(ctx, tc, sd, mapPart, buckets, bytesPerElem)
+		registerBuckets(ctx, tc, sd, mapPart, mapBuckets(buf.pairs, parts, combine), bytesPerElem)
 		return
 	}
 	buf.spill()
@@ -208,7 +183,50 @@ func runSortMap[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleD
 		}
 	}
 	tc.noteMaterialized(total)
-	ctx.shuffle.write(sd.id, mapPart, tc.node(), tc.executor, nil, bytes, buf.runs)
+	ctx.shuffle.write(sd.id, mapPart, sd.parent.parts, tc.node(), tc.executor, nil, bytes, buf.runs)
+}
+
+// mapBuckets splits an unspilled map task's pairs into its reduce buckets,
+// combined per key when combine is set (Spark's map-side combine). One
+// combining map serves the whole task: a key lands in exactly one bucket, so
+// splitting the combined pairs in first-insertion order leaves each bucket's
+// keys in their first-insertion order, each folded in arrival order.
+func mapBuckets[K comparable, V any](pairs []KV[K, V], parts int, combine func(V, V) V) [][]KV[K, V] {
+	if combine != nil {
+		combined := newOrderedMap[K, V]()
+		for _, kv := range pairs {
+			combined.combine(kv.K, kv.V, combine)
+		}
+		pairs = combined.pairs()
+	}
+	return splitBuckets(pairs, parts)
+}
+
+// splitBuckets distributes pairs over parts reduce buckets by key hash,
+// keeping their order within each bucket. The buckets share one backing
+// array, each capped at its own length.
+func splitBuckets[K comparable, V any](pairs []KV[K, V], parts int) [][]KV[K, V] {
+	dest := make([]int32, len(pairs))
+	starts := make([]int, parts+1)
+	for i, kv := range pairs {
+		p := hashPartition(kv.K, parts)
+		dest[i] = int32(p)
+		starts[p+1]++
+	}
+	for p := 1; p <= parts; p++ {
+		starts[p] += starts[p-1]
+	}
+	backing := make([]KV[K, V], len(pairs))
+	buckets := make([][]KV[K, V], parts)
+	for p := range buckets {
+		buckets[p] = backing[starts[p]:starts[p+1]:starts[p+1]]
+	}
+	// starts[p] now serves as bucket p's write cursor.
+	for i, kv := range pairs {
+		backing[starts[dest[i]]] = kv
+		starts[dest[i]]++
+	}
+	return buckets
 }
 
 // decodeFrameBytes decodes one reduce partition's frame out of a run file's
@@ -267,12 +285,13 @@ func readRuns[K comparable, V any](tc *taskContext, shuffle, mapPart int, runs [
 
 // shuffleBucketSeqs fetches the reduce partition from every map output of the
 // shuffle and yields one pair sequence per map output, in map-partition
-// order. A resident output streams its bucket as-is; a spilled output is
-// read back by readRuns. Either way the inner sequence is the map task's
-// arrival order, the order every reduce-side fold is defined over.
-func shuffleBucketSeqs[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleDep, reducePart, mapParts int) iter.Seq[iter.Seq[KV[K, V]]] {
+// order, with whether that output spilled. A resident output streams its
+// bucket as-is; a spilled output is read back by readRuns. Either way the
+// inner sequence is the map task's arrival order, the order every
+// reduce-side fold is defined over.
+func shuffleBucketSeqs[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleDep, reducePart, mapParts int) iter.Seq2[iter.Seq[KV[K, V]], bool] {
 	outs := ctx.shuffle.fetch(tc, sd.id, reducePart, mapParts)
-	return func(yield func(iter.Seq[KV[K, V]]) bool) {
+	return func(yield func(iter.Seq[KV[K, V]], bool) bool) {
 		for m, mo := range outs {
 			var seq iter.Seq[KV[K, V]]
 			if mo.runs == nil {
@@ -287,7 +306,7 @@ func shuffleBucketSeqs[K comparable, V any](ctx *Context, tc *taskContext, sd *s
 			} else {
 				seq = readRuns[K, V](tc, sd.id, m, mo.runs, reducePart)
 			}
-			if !yield(seq) {
+			if !yield(seq, mo.runs != nil) {
 				return
 			}
 		}

@@ -758,7 +758,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"draining":        s.Draining(),
 		"virtualTime":     s.ctx.VirtualTime(),
 		"storageEpoch":    s.ctx.StorageEpoch(),
-		"completedJobs":   len(s.ctx.Jobs()),
+		"completedJobs":   s.ctx.JobCount(),
 		"requests":        requests,
 		"rejected429":     r429,
 		"rejected503":     r503,
