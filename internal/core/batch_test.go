@@ -339,7 +339,7 @@ func TestNewAnalysisRejectsNonFiniteResiduals(t *testing.T) {
 	// drags along leaves every residual out of range, patient 0's first.
 	huge := fixture()
 	huge.Covariates, huge.Phenotype.Y[3] = nil, 1e300
-	gaussian, err := stats.NewGaussian(huge.Phenotype)
+	gaussian, err := stats.NewModel("gaussian", huge.Phenotype)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func TestMarginalAsymptoticMatchesDirect(t *testing.T) {
 			if err := blk.AppendRow(r.SNP, g); err != nil {
 				t.Fatal(err)
 			}
-			score := stats.PackedRowScores(blk, model.(stats.ScoreResidualer).ScoreResiduals(), nil)[0]
+			score := stats.PackedRowScores(blk, model.ScoreResiduals(), nil)[0]
 			variance := model.Variance(g)
 			pvalue := stats.ChiSquaredSurvival(stats.Chi2Stat(score, variance), 1)
 			for _, c := range []struct {

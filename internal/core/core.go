@@ -23,7 +23,7 @@
 // phenotype (a new r per pass). Algorithm 3 caches the packed blocks — 2 bits
 // per (SNP, patient) where the paper's RDD U holds 8 bytes — and reweights
 // with standard-normal draws (Lin 2005): Σ_i Z_i U_ij = Σ_l G_lj r̃_l(Z)
-// (stats.ScoreResidualer.PanelResiduals), mcBatch replicates per job as the
+// (stats.Model.PanelResiduals), mcBatch replicates per job as the
 // columns of a patients × b panel R̃, so one parse-free pass over the cached
 // blocks serves b replicates.
 package core
@@ -119,7 +119,7 @@ type Analysis struct {
 
 	// null is the score model of the observed phenotype (and covariates),
 	// fitted once on the driver and broadcast: tasks never refit it.
-	null *rdd.Broadcast[stats.ScoreResidualer]
+	null *rdd.Broadcast[stats.Model]
 
 	// warm, when non-nil, is the cached filtered genotype matrix kept alive
 	// across calls (see Warm).
@@ -189,16 +189,12 @@ func NewAnalysis(ctx *rdd.Context, paths Paths, opts Options) (*Analysis, error)
 
 // scoreModel fits the null model of a phenotype in the residual form the
 // packed kernels multiply by, refusing residuals they cannot score exactly.
-func scoreModel(family string, ph *data.Phenotype, covariates [][]float64) (stats.ScoreResidualer, error) {
+func scoreModel(family string, ph *data.Phenotype, covariates [][]float64) (stats.Model, error) {
 	model, err := stats.NewAdjustedModel(family, ph, covariates)
 	if err != nil {
 		return nil, err
 	}
-	null, ok := model.(stats.ScoreResidualer)
-	if !ok {
-		return nil, fmt.Errorf("core: the %s score has no residual form", model.Name())
-	}
-	return null, stats.CheckResiduals(null)
+	return model, stats.CheckResiduals(model)
 }
 
 // readInput reads one of the small driver-side input files whole and parses it.
@@ -308,8 +304,8 @@ func (a *Analysis) panelStats(blocks *rdd.RDD[data.GenoBlock], first uint64, wid
 // scoreStats is Algorithm 1 for the marginal scores of one residual vector —
 // the null model's for the observed statistic, a shuffled phenotype's for a
 // permutation replicate — straight off the packed genotype rows:
-// U_j = Σ_i G_ij r_i (stats.ScoreResidualer). The driver broadcasts r, 8 bytes
-// a patient; tasks build no model. Scores follow stats.PackedRowScores'
+// U_j = Σ_i G_ij r_i (stats.Model.ScoreResiduals). The driver broadcasts r,
+// 8 bytes a patient; tasks build no model. Scores follow stats.PackedRowScores'
 // summation order: it is the one-column panel kernel.
 func (a *Analysis) scoreStats(blocks *rdd.RDD[data.GenoBlock], r []float64) ([]float64, error) {
 	bc := rdd.NewBroadcast(a.ctx, r, 8*int64(a.patients))

@@ -100,7 +100,12 @@ func Resolve(id string) (Experiment, bool) {
 	if canonical, ok := aliases[id]; ok {
 		id = canonical
 	}
-	return Lookup(id)
+	for _, e := range Experiments() {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
 func runTab1(h *Harness, w io.Writer) error {

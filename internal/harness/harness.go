@@ -373,16 +373,6 @@ type Experiment struct {
 	Run   func(h *Harness, w io.Writer) error
 }
 
-// Lookup finds an experiment by id.
-func Lookup(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
 // RunAll runs every experiment in order, writing titled sections to w.
 func RunAll(h *Harness, w io.Writer) error {
 	for _, e := range Experiments() {

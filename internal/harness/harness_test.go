@@ -108,6 +108,9 @@ func TestRegistryCoversEveryArtifact(t *testing.T) {
 			t.Errorf("artifact %s not resolvable", id)
 		}
 	}
+	if e, _ := Resolve("tab8"); e.ID != "fig7" {
+		t.Errorf("alias tab8 resolved to %q, want fig7", e.ID)
+	}
 	for _, id := range []string{"fig99", "columnar"} {
 		if _, ok := Resolve(id); ok {
 			t.Errorf("unknown artifact %s resolved", id)
@@ -125,7 +128,7 @@ func TestRegistryCoversEveryArtifact(t *testing.T) {
 
 func TestTab1Runs(t *testing.T) {
 	var buf bytes.Buffer
-	e, _ := Lookup("tab1")
+	e, _ := Resolve("tab1")
 	if err := e.Run(tiny(), &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func TestTab1Runs(t *testing.T) {
 
 func TestFig2RunsAtTinyScale(t *testing.T) {
 	var buf bytes.Buffer
-	e, _ := Lookup("fig2")
+	e, _ := Resolve("fig2")
 	if err := e.Run(tiny(), &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestFig2RunsAtTinyScale(t *testing.T) {
 
 func TestFig6RunsAtTinyScale(t *testing.T) {
 	var buf bytes.Buffer
-	e, _ := Lookup("fig6")
+	e, _ := Resolve("fig6")
 	if err := e.Run(tiny(), &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +167,7 @@ func TestFig6RunsAtTinyScale(t *testing.T) {
 
 func TestFig7RunsAtTinyScale(t *testing.T) {
 	var buf bytes.Buffer
-	e, _ := Lookup("fig7")
+	e, _ := Resolve("fig7")
 	if err := e.Run(tiny(), &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +233,7 @@ func TestMonteCarloBeatsPermutation(t *testing.T) {
 
 func TestFig3RunsAtTinyScale(t *testing.T) {
 	var buf bytes.Buffer
-	e, _ := Lookup("fig3")
+	e, _ := Resolve("fig3")
 	if err := e.Run(tiny(), &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +249,7 @@ func TestFig3ReturnsMeasureError(t *testing.T) {
 	h := tiny()
 	h.MaxIterations = 10 // admit the 10-iteration configuration
 	h.EventLogDir = filepath.Join(t.TempDir(), "missing")
-	e, _ := Lookup("fig3")
+	e, _ := Resolve("fig3")
 	if err := e.Run(h, io.Discard); err == nil {
 		t.Fatal("fig3 succeeded though no run could open its event log")
 	}
@@ -254,7 +257,7 @@ func TestFig3ReturnsMeasureError(t *testing.T) {
 
 func TestFig4RunsAtTinyScale(t *testing.T) {
 	var buf bytes.Buffer
-	e, _ := Lookup("fig4")
+	e, _ := Resolve("fig4")
 	if err := e.Run(tiny(), &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +271,7 @@ func TestFig4RunsAtTinyScale(t *testing.T) {
 
 func TestFig5RunsAtTinyScale(t *testing.T) {
 	var buf bytes.Buffer
-	e, _ := Lookup("fig5")
+	e, _ := Resolve("fig5")
 	if err := e.Run(tiny(), &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +368,7 @@ func TestMeasureRecovery(t *testing.T) {
 // depend on host parallelism.
 func TestChaosExperimentRuns(t *testing.T) {
 	h := tiny()
-	e, ok := Lookup("chaos")
+	e, ok := Resolve("chaos")
 	if !ok {
 		t.Fatal("chaos experiment not registered")
 	}

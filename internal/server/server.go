@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -329,6 +330,9 @@ type jobRequest interface {
 // about 292 years.
 const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
 
+// maxBodyBytes bounds a job request body, which is a handful of small fields.
+const maxBodyBytes = 1 << 20
+
 // Response is the envelope every job endpoint returns.
 type Response struct {
 	Request  uint64 `json:"request"`
@@ -380,7 +384,8 @@ func (s *Server) nextRequestID() uint64 {
 	return id
 }
 
-// serveJob is the shared request path: decode, consult the cache, pass
+// serveJob is the shared request path: decode (exactly one JSON value of at
+// most maxBodyBytes; anything else is a 400), consult the cache, pass
 // admission control, run the work in the request's pool while observing its
 // job spans, cache, and respond.
 func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint string, req jobRequest) {
@@ -388,9 +393,15 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 		writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
 		return
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
+	err := dec.Decode(req)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeError(w, &httpError{status: http.StatusBadRequest, msg: "bad request body: " + err.Error()})
 		return
 	}

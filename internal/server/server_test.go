@@ -681,6 +681,10 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/resample", `{"method": "mc", "iterations": 1000, "timeout_ms": 18446744073710}`, timeoutRange},
 		// ~295 years: its nanoseconds wrap negative.
 		{"/v1/skat", `{"timeout_ms": 9300000000000}`, timeoutRange},
+		// A body is exactly one JSON value of at most 1 MiB.
+		{"/v1/score", `{"top":3}garbage`, "bad request body"},
+		{"/v1/score", `{"top":3} {"top":4}`, "data after the JSON value"},
+		{"/v1/score", `{"pool": "` + strings.Repeat("x", 1<<20) + `"}`, "request body too large"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(hs.URL+c.path, "application/json", strings.NewReader(c.body))
@@ -693,7 +697,7 @@ func TestBadRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
-			t.Errorf("%s %s: status %d, %s; want 400 with %q", c.path, c.body, resp.StatusCode, body, c.want)
+			t.Errorf("%s %.80s: status %d, %s; want 400 with %q", c.path, c.body, resp.StatusCode, body, c.want)
 		}
 	}
 }

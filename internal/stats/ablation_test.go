@@ -33,7 +33,7 @@ func ablationPhenoGeno(n int) (*data.Phenotype, []data.Genotype) {
 // score used in production.
 func BenchmarkAblationCoxSuffixSum(b *testing.B) {
 	ph, g := ablationPhenoGeno(1000)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func BenchmarkAblationCoxNaive(b *testing.B) {
 // score statistic (no optimisation, the paper's argument).
 func BenchmarkAblationScoreTest(b *testing.B) {
 	ph, g := ablationPhenoGeno(1000)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func BenchmarkAblationScoreTest(b *testing.B) {
 // alternative: Newton-Raphson on the Cox partial likelihood.
 func BenchmarkAblationWaldNewton(b *testing.B) {
 	ph, g := ablationPhenoGeno(1000)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

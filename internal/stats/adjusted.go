@@ -1,9 +1,9 @@
-// Covariate-adjusted efficient score models. The paper singles out the Monte
-// Carlo method because "it allows for incorporation of baseline covariates
-// in the analysis": the nuisance model (outcome on covariates) is fitted
-// once under the null, and the per-patient score contributions are formed
-// from its residuals — after which Algorithm 3 applies unchanged, since the
-// model's residual panel already encodes the adjustment.
+// Covariate adjustment of the efficient score models. The paper singles out
+// the Monte Carlo method because "it allows for incorporation of baseline
+// covariates in the analysis": the nuisance model (outcome on covariates) is
+// fitted once under the null, and the per-patient score contributions are
+// formed from its residuals — after which Algorithm 3 applies unchanged,
+// since the model's residual panel already encodes the adjustment.
 //
 //   - Gaussian: Y regressed on [1, X] by OLS; U_ij = G_ij (Y_i − Ŷ_i).
 //   - Binomial: logistic regression of Y on [1, X]; U_ij = G_ij (Y_i − p̂_i).
@@ -11,147 +11,22 @@
 //     Newton–Raphson on the partial likelihood; the SNP score is then the
 //     usual risk-set residual with patients weighted by e^{γ·X_l}:
 //     U_ij = Δ_i (G_ij − Σ_{l∈R_i} w_l G_lj / Σ_{l∈R_i} w_l).
+//
+// newLinear fits the first two; this file holds the Cox fit.
 
 package stats
 
 import (
 	"fmt"
 	"math"
-
-	"sparkscore/internal/data"
 )
 
-// NewAdjustedModel constructs a covariate-adjusted model of the named family.
-// covariates is an n×p matrix (one row per patient, no intercept column —
-// it is added internally). With p = 0 columns it reduces to the unadjusted
-// model of the family.
-func NewAdjustedModel(family string, ph *data.Phenotype, covariates [][]float64) (Model, error) {
-	if len(covariates) == 0 {
-		return NewModel(family, ph)
-	}
-	switch family {
-	case "cox":
-		return NewCoxAdjusted(ph, covariates)
-	case "gaussian":
-		return NewGaussianAdjusted(ph, covariates)
-	case "binomial":
-		return NewBinomialAdjusted(ph, covariates)
-	default:
-		return nil, fmt.Errorf("stats: unknown score family %q", family)
-	}
-}
-
-// residualModel is the shared shape of the adjusted Gaussian and Binomial
-// models: per-patient residuals r_i with U_ij = G_ij r_i.
-type residualModel struct {
-	name     string
-	resid              // Y_i − Ŷ_i
-	variance []float64 // per-patient variance weights for the null variance
-}
-
-func (m *residualModel) Name() string  { return m.name }
-func (m *residualModel) Patients() int { return len(m.resid) }
-
-func (m *residualModel) Contributions(g []data.Genotype, u []float64) {
-	n := len(m.resid)
-	checkLens(n, g, u)
-	for i := 0; i < n; i++ {
-		u[i] = float64(g[i]) * m.resid[i]
-	}
-}
-
-// Variance uses the plug-in estimate Σ_i v_i (G_ij − Ḡ_j)² with per-patient
-// variance weights v_i; it ignores the (second-order) effect of estimating
-// the nuisance coefficients, which the resampling path does not rely on.
-func (m *residualModel) Variance(g []data.Genotype) float64 {
-	n := len(m.resid)
-	checkLens(n, g, nil)
-	var sumG float64
-	for _, v := range g {
-		sumG += float64(v)
-	}
-	meanG := sumG / float64(n)
-	var ss float64
-	for i, v := range g {
-		d := float64(v) - meanG
-		ss += m.variance[i] * d * d
-	}
-	return ss
-}
-
-// NewGaussianAdjusted builds the covariate-adjusted Gaussian score model.
-func NewGaussianAdjusted(ph *data.Phenotype, covariates [][]float64) (Model, error) {
-	n := ph.Patients()
-	if n == 0 {
-		return nil, fmt.Errorf("stats: empty phenotype")
-	}
-	design, err := designMatrix(covariates, n)
+// fitRiskWeights fits the null proportional-hazards model with the
+// covariates only and sets every patient's risk weight to e^{γ̂·X}.
+func (c *Cox) fitRiskWeights(covariates [][]float64) error {
+	design, err := designMatrix(covariates, len(c.order))
 	if err != nil {
-		return nil, err
-	}
-	_, fitted, err := fitOLS(design, ph.Y)
-	if err != nil {
-		return nil, fmt.Errorf("stats: adjusted gaussian: %w", err)
-	}
-	m := &residualModel{name: "gaussian", resid: make([]float64, n), variance: make([]float64, n)}
-	var ss float64
-	for i := range m.resid {
-		m.resid[i] = ph.Y[i] - fitted[i]
-		ss += m.resid[i] * m.resid[i]
-	}
-	sigma2 := ss / float64(n)
-	for i := range m.variance {
-		m.variance[i] = sigma2
-	}
-	return m, nil
-}
-
-// NewBinomialAdjusted builds the covariate-adjusted Binomial (logistic)
-// score model. Outcomes must be 0/1 with both classes present.
-func NewBinomialAdjusted(ph *data.Phenotype, covariates [][]float64) (Model, error) {
-	n := ph.Patients()
-	if n == 0 {
-		return nil, fmt.Errorf("stats: empty phenotype")
-	}
-	ones := 0
-	for i, y := range ph.Y {
-		if y != 0 && y != 1 {
-			return nil, fmt.Errorf("stats: binomial outcome for patient %d is %v, want 0 or 1", i, y)
-		}
-		if y == 1 {
-			ones++
-		}
-	}
-	if ones == 0 || ones == n {
-		return nil, fmt.Errorf("stats: binomial phenotype has a single class")
-	}
-	design, err := designMatrix(covariates, n)
-	if err != nil {
-		return nil, err
-	}
-	_, fitted, err := fitLogistic(design, ph.Y)
-	if err != nil {
-		return nil, fmt.Errorf("stats: adjusted binomial: %w", err)
-	}
-	m := &residualModel{name: "binomial", resid: make([]float64, n), variance: make([]float64, n)}
-	for i := range m.resid {
-		m.resid[i] = ph.Y[i] - fitted[i]
-		m.variance[i] = fitted[i] * (1 - fitted[i])
-	}
-	return m, nil
-}
-
-// NewCoxAdjusted builds the covariate-adjusted Cox score model: it fits the
-// null proportional-hazards model with the covariates only, then weights
-// every patient's risk-set contribution by e^{γ̂·X}.
-func NewCoxAdjusted(ph *data.Phenotype, covariates [][]float64) (*Cox, error) {
-	base, err := NewCox(ph)
-	if err != nil {
-		return nil, err
-	}
-	design, err := designMatrix(covariates, ph.Patients())
-	if err != nil {
-		return nil, err
+		return err
 	}
 	// Strip the intercept: the Cox partial likelihood has no intercept
 	// (absorbed into the baseline hazard).
@@ -159,39 +34,18 @@ func NewCoxAdjusted(ph *data.Phenotype, covariates [][]float64) (*Cox, error) {
 	for i, row := range design {
 		z[i] = row[1:]
 	}
-	gamma, err := base.fitCoxMulti(z, 25, 1e-10)
+	gamma, err := c.fitCoxMulti(z, 25, 1e-10)
 	if err != nil {
-		return nil, fmt.Errorf("stats: adjusted cox: %w", err)
+		return fmt.Errorf("stats: adjusted cox: %w", err)
 	}
-	w := make([]float64, ph.Patients())
 	for i, row := range z {
 		eta := 0.0
 		for a, v := range row {
 			eta += gamma[a] * v
 		}
-		w[i] = math.Exp(eta)
+		c.w[i] = math.Exp(eta)
 	}
-	return base.withRiskWeights(w), nil
-}
-
-// withRiskWeights returns a copy of the model whose risk sets weight patient
-// l by w[l] (w = nil restores the unweighted model).
-func (c *Cox) withRiskWeights(w []float64) *Cox {
-	out := *c
-	out.w = w
-	out.riskDen = make([]float64, len(c.order))
-	cum := make([]float64, len(c.order)+1)
-	for p, i := range c.order {
-		wi := 1.0
-		if w != nil {
-			wi = w[i]
-		}
-		cum[p+1] = cum[p] + wi
-	}
-	for p, i := range c.order {
-		out.riskDen[i] = cum[c.groupEnd[p]+1]
-	}
-	return &out
+	return nil
 }
 
 // ErrNoConvergence is wrapped by fitCoxMulti when Newton–Raphson fails; the

@@ -136,11 +136,11 @@ func TestGaussianAdjustedRemovesConfounding(t *testing.T) {
 		ph.Event[i] = 1
 		cov[i] = []float64{c[i]}
 	}
-	unadj, err := NewGaussian(ph)
+	unadj, err := newLinear("gaussian", ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj, err := NewGaussianAdjusted(ph, cov)
+	adj, err := newLinear("gaussian", ph, cov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestBinomialAdjustedRemovesConfounding(t *testing.T) {
 		}
 		cov[i] = []float64{c[i]}
 	}
-	unadj, err := NewBinomial(ph)
+	unadj, err := newLinear("binomial", ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj, err := NewBinomialAdjusted(ph, cov)
+	adj, err := newLinear("binomial", ph, cov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,11 @@ func TestCoxAdjustedRemovesConfounding(t *testing.T) {
 		}
 		cov[i] = []float64{c[i]}
 	}
-	unadj, err := NewCox(ph)
+	unadj, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj, err := NewCoxAdjusted(ph, cov)
+	adj, err := newCox(ph, cov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFitCoxMultiRecoversGamma(t *testing.T) {
 			ph.Event[i] = 1
 		}
 	}
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +259,11 @@ func TestCoxZeroCovariateEffectMatchesUnadjusted(t *testing.T) {
 		cov[i] = []float64{r.Normal()}
 	}
 	g := randomGenotypes(r, n)
-	unadj, err := NewCox(ph)
+	unadj, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj, err := NewCoxAdjusted(ph, cov)
+	adj, err := newCox(ph, cov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,30 +274,45 @@ func TestCoxZeroCovariateEffectMatchesUnadjusted(t *testing.T) {
 	}
 }
 
+// withRiskWeights returns a copy of the model whose risk sets weight patient
+// l by w[l].
+func withRiskWeights(c *Cox, w []float64) *Cox {
+	out := *c
+	out.w, out.riskDen = w, make([]float64, len(w))
+	out.weighRiskSets()
+	return &out
+}
+
+// TestWithRiskWeightsUnit checks that the unadjusted Cox model's unit risk
+// weights are exact: every risk-set weight sum is the risk-set size b_i to the
+// bit, and the contributions are the unweighted naive form's.
 func TestWithRiskWeightsUnit(t *testing.T) {
 	r := rng.New(8)
 	ph := randomSurvival(r, 100)
 	g := randomGenotypes(r, 100)
-	base, err := NewCox(ph)
+	base, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ones := make([]float64, 100)
-	for i := range ones {
-		ones[i] = 1
+	for i, den := range base.riskDen {
+		b := 0
+		for _, y := range ph.Y {
+			if y >= ph.Y[i] {
+				b++
+			}
+		}
+		if den != float64(b) {
+			t.Fatalf("patient %d: risk-set weight sum %v, risk-set size %d", i, den, b)
+		}
 	}
-	weighted := base.withRiskWeights(ones)
 	u1 := make([]float64, 100)
 	u2 := make([]float64, 100)
 	base.Contributions(g, u1)
-	weighted.Contributions(g, u2)
+	NaiveCoxContributions(ph, g, u2)
 	for i := range u1 {
 		if math.Abs(u1[i]-u2[i]) > 1e-12 {
 			t.Fatalf("unit weights changed contribution %d: %v vs %v", i, u1[i], u2[i])
 		}
-	}
-	if math.Abs(base.Variance(g)-weighted.Variance(g)) > 1e-9 {
-		t.Fatal("unit weights changed the variance")
 	}
 }
 
@@ -321,28 +336,28 @@ func TestNewAdjustedModelDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.(*Gaussian); !ok {
-		t.Fatalf("nil covariates produced %T, want *Gaussian", m)
+	if lin, ok := m.(*linear); !ok || lin.v != nil {
+		t.Fatalf("nil covariates produced %T %+v, want an unadjusted linear model", m, m)
 	}
 }
 
 func TestAdjustedModelValidation(t *testing.T) {
 	ph := &data.Phenotype{Y: []float64{0, 1, 1}, Event: []uint8{1, 1, 1}}
 	// Ragged covariates.
-	if _, err := NewGaussianAdjusted(ph, [][]float64{{1}, {1, 2}, {1}}); err == nil {
+	if _, err := newLinear("gaussian", ph, [][]float64{{1}, {1, 2}, {1}}); err == nil {
 		t.Fatal("ragged covariates accepted")
 	}
 	// Wrong row count.
-	if _, err := NewCoxAdjusted(ph, [][]float64{{1}}); err == nil {
+	if _, err := newCox(ph, [][]float64{{1}}); err == nil {
 		t.Fatal("short covariate matrix accepted")
 	}
 	// Collinear covariates (duplicate column) must fail the fit.
-	if _, err := NewGaussianAdjusted(ph, [][]float64{{1, 1}, {2, 2}, {3, 3}}); err == nil {
+	if _, err := newLinear("gaussian", ph, [][]float64{{1, 1}, {2, 2}, {3, 3}}); err == nil {
 		t.Fatal("collinear covariates accepted")
 	}
 	// Single-class binomial.
 	allOnes := &data.Phenotype{Y: []float64{1, 1, 1}, Event: []uint8{0, 0, 0}}
-	if _, err := NewBinomialAdjusted(allOnes, [][]float64{{1}, {2}, {3}}); err == nil {
+	if _, err := newLinear("binomial", allOnes, [][]float64{{1}, {2}, {3}}); err == nil {
 		t.Fatal("single-class binomial accepted")
 	}
 }
@@ -379,11 +394,11 @@ func TestWeightedCoxMatchesNaive(t *testing.T) {
 		for i := range w {
 			w[i] = math.Exp(rr.Normal() * 0.5)
 		}
-		base, err := NewCox(ph)
+		base, err := newCox(ph, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		weighted := base.withRiskWeights(w)
+		weighted := withRiskWeights(base, w)
 		fast := make([]float64, n)
 		slow := make([]float64, n)
 		weighted.Contributions(g, fast)

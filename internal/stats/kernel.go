@@ -1,19 +1,20 @@
 // Blocked score kernels over packed genotype blocks. Every resampling pass
 // needs only marginal scores, and those are linear in the genotypes: G · r for
-// the model's score residuals (PackedRowScores: the observed score, a
-// permutation replicate) and G · R̃(Z) for the residual panel of a batch of
-// Lin's Monte Carlo weight draws (PanelKernel), both straight off the 2-bit
-// bytes in one written summation order. That order is four lanes, which on
-// an amd64 host with AVX2 are one ymm register: kernel_amd64.s scores four
-// rows per call, and packedRowScore — the same order in Go — scores the rest,
-// and every row on other hosts; the panel kernel's rows become cell lists 32
-// patients a step in the same file's compactChunks, or in compactBytes in
-// Go, and the lists are walked two per call by its cellPairs, or by sumCells
-// in Go. Every score an analysis reports, the asymptotic tests' included, is one of these. The
-// per-patient terms — a block at a time into a UBlock, bit for bit
-// Model.Contributions per row (BlockKernel.Contributions) — serve only the
-// asymptotic set tests' Liu moments, which need the contributions themselves,
-// and the arithmetic of the Reference* oracles.
+// the model's score residuals (Model.ScoreResiduals into PackedRowScores: the
+// observed score, a permutation replicate) and G · R̃(Z) for the residual panel
+// of a batch of Lin's Monte Carlo weight draws (Model.PanelResiduals into
+// PanelKernel), both straight off the 2-bit bytes in one written summation
+// order. That order is four lanes, which on an amd64 host with AVX2 are one ymm
+// register: kernel_amd64.s scores four rows per call, and packedRowScore — the
+// same order in Go — scores the rest, and every row on other hosts; the panel
+// kernel's rows become cell lists 32 patients a step in the same file's
+// compactChunks, or in compactBytes in Go, and the lists are walked two per
+// call by its cellPairs, or by sumCells in Go. Every score an analysis reports,
+// the asymptotic tests' included, is one of these. The per-patient terms — a
+// block at a time into a UBlock, bit for bit Model.Contributions per row
+// (BlockKernel.Contributions) — serve only the asymptotic set tests' Liu
+// moments, which need the contributions themselves, and the arithmetic of the
+// Reference* oracles.
 
 package stats
 
@@ -90,26 +91,6 @@ func (b *UBlock) Scores(z, out []float64) []float64 {
 	return out
 }
 
-// ScoreResidualer is implemented by models whose marginal score factorises as
-// U_j = Σ_i G_ij · r_i for a SNP-invariant vector r, whether or not the
-// per-patient contributions do: the Gaussian and Binomial families and their
-// covariate-adjusted forms (U_ij = G_ij · r_i for their residual vector r) and
-// Cox (its martingale residuals). The factorisation survives reweighting
-// the patients — Lin's replicate Σ_i Z_i U_ij is Σ_l G_lj · r̃_l(Z) — so it is
-// all any resampling pass needs, and every model in this package has it.
-type ScoreResidualer interface {
-	Model
-
-	// ScoreResiduals returns r; callers must not mutate it.
-	ScoreResiduals() []float64
-
-	// PanelResiduals returns R̃ for an n × width panel of patient weights,
-	// patient-major (patient i's weight in replicate k is z[i*width+k]), in
-	// the same layout: Σ_i z_ik · U_ij = Σ_l G_lj · R̃_lk for every SNP j. It is
-	// r ∘ z where the contributions factorise; see Cox.PanelResiduals.
-	PanelResiduals(z []float64, width int) []float64
-}
-
 // residualHeadroom is how far below overflow CheckResiduals wants every
 // magnitude: a replicate scales residuals by |Z| < 16, Cox's hazard sums a
 // cohort of them, and the class table doubles the result.
@@ -118,10 +99,10 @@ const residualHeadroom = 1 << 64
 // CheckResiduals fails closed on a null model the packed kernels cannot score
 // exactly. Leaving out a zero-dosage term is exact only while the residual it
 // would have multiplied is finite (0 · Inf is NaN), in every replicate's R̃ as
-// well as in r — so r and, for Cox, the risk weights w_l and the event
-// patients' 1/den_i that R̃ is built from must be finite with residualHeadroom
-// to spare. The error names the first offending patient.
-func CheckResiduals(m ScoreResidualer) error {
+// well as in r — so r and, for Cox, the risk weights w_l (all ones
+// unadjusted) and the event patients' 1/den_i that R̃ is built from must be
+// finite with residualHeadroom to spare. The error names the first offending patient.
+func CheckResiduals(m Model) error {
 	bad := func(v float64) bool { return !(math.Abs(v) <= math.MaxFloat64/residualHeadroom) }
 	if c, ok := m.(*Cox); ok {
 		for i, w := range c.w {

@@ -75,7 +75,7 @@ func TestBlockKernelMatchesModelBitwise(t *testing.T) {
 func TestBlockKernelMissingScoresAsZeroDosage(t *testing.T) {
 	ph := data.NewPhenotype(4)
 	ph.Y = []float64{1, 2, 3, 4}
-	model, err := NewGaussian(ph)
+	model, err := newLinear("gaussian", ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBlockKernelMissingScoresAsZeroDosage(t *testing.T) {
 
 func TestUBlockScoresMatchMonteCarloScore(t *testing.T) {
 	ph, blk := kernelFixture(t, 23, 6, false)
-	model, err := NewGaussian(ph)
+	model, err := newLinear("gaussian", ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestUBlockScoresMatchMonteCarloScore(t *testing.T) {
 func TestKernelAllocsFlatAcrossPatients(t *testing.T) {
 	allocs := func(patients int) float64 {
 		ph, blk := kernelFixture(nil, patients, 8, false)
-		model, err := NewGaussian(ph)
+		model, err := newLinear("gaussian", ph, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestKernelAllocsFlatAcrossPatients(t *testing.T) {
 // allocates). Run with -benchmem; the packed path's allocs/op stay flat.
 func BenchmarkBlockKernel(b *testing.B) {
 	ph, blk := kernelFixture(nil, 1000, 256, false)
-	model, _ := NewGaussian(ph)
+	model, _ := newLinear("gaussian", ph, nil)
 	k := NewBlockKernel(model)
 	var scores []float64
 	b.ReportAllocs()
@@ -168,7 +168,7 @@ func BenchmarkBlockKernel(b *testing.B) {
 
 func BenchmarkBoxedRows(b *testing.B) {
 	ph, blk := kernelFixture(nil, 1000, 256, false)
-	model, _ := NewGaussian(ph)
+	model, _ := newLinear("gaussian", ph, nil)
 	rows := make([][]data.Genotype, blk.Rows())
 	for r := range rows {
 		rows[r] = blk.DecodeRow(r, nil)
@@ -239,7 +239,7 @@ func TestCoxScoreResidualsMatchNaiveRowSums(t *testing.T) {
 			ph, blk := kernelFixture(t, patients, 12, false)
 			tc.reshape(ph)
 			blk.Packed[0] = blk.Packed[0]&^3 | 1 // row 0, patient 0: missing
-			cox, err := NewCox(ph)
+			cox, err := newCox(ph, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +249,7 @@ func TestCoxScoreResidualsMatchNaiveRowSums(t *testing.T) {
 				for i, r := 0, rng.New(7); i < patients; i++ {
 					w[i] = 0.25 + 3*r.Float64()
 				}
-				cox = cox.withRiskWeights(w)
+				cox = withRiskWeights(cox, w)
 			}
 			got := PackedRowScores(blk, cox.ScoreResiduals(), nil)
 			g, u := make([]data.Genotype, patients), make([]float64, patients)
@@ -273,8 +273,8 @@ func TestCoxScoreResidualsMatchNaiveRowSums(t *testing.T) {
 	}
 }
 
-// TestPackedRowScoresMatchContributions runs every family — the Residualers
-// and the covariate-adjusted forms included — through the packed-row kernel
+// TestPackedRowScoresMatchContributions runs every family — plain and
+// covariate-adjusted — through the packed-row kernel
 // and compares with the row sums of the model's own Contributions.
 func TestPackedRowScoresMatchContributions(t *testing.T) {
 	const patients, rows = 41, 10
@@ -289,7 +289,7 @@ func TestPackedRowScoresMatchContributions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := PackedRowScores(blk, model.(ScoreResidualer).ScoreResiduals(), nil)
+			got := PackedRowScores(blk, model.ScoreResiduals(), nil)
 			ub := NewBlockKernel(model).Contributions(blk)
 			for r, want := range ub.Scores(nil, nil) {
 				if diff := math.Abs(got[r] - want); !(diff <= 1e-12*patients) {
@@ -323,7 +323,7 @@ func TestPackedRowScoresSummationOrder(t *testing.T) {
 	for _, patients := range []int{1, 2, 3, 4, 5, 63, 64, 1000, 1003} {
 		for _, rows := range []int{1, 3, 4, 5, 8, 256} {
 			ph, whole := kernelFixture(t, patients, rows+4, false)
-			model, err := NewGaussian(ph)
+			model, err := newLinear("gaussian", ph, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,7 +411,7 @@ func FuzzPackedRowScores(f *testing.F) {
 func TestPackedRowScoresRejectsMalformedBlocks(t *testing.T) {
 	const patients, rows = 1003, 9
 	ph, good := kernelFixture(t, patients, rows, false)
-	model, err := NewGaussian(ph)
+	model, err := newLinear("gaussian", ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestPackedRowScoresRejectsMalformedBlocks(t *testing.T) {
 func TestBlockKernelCoxAllocsFlatAcrossRows(t *testing.T) {
 	allocs := func(rows int) float64 {
 		ph, blk := kernelFixture(nil, 64, rows, false)
-		model, err := NewCox(ph)
+		model, err := newCox(ph, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,7 +471,7 @@ func TestBlockKernelCoxAllocsFlatAcrossRows(t *testing.T) {
 // to the kernel's scratch: MarginalAsymptotic calls it once per SNP row.
 func TestBlockKernelCoxVarianceAllocatesNothing(t *testing.T) {
 	ph, blk := kernelFixture(t, 64, 3, false)
-	model, err := NewCox(ph)
+	model, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestBlockKernelCoxVarianceAllocatesNothing(t *testing.T) {
 func BenchmarkPackedRowScores(b *testing.B) {
 	const patients, rows = 1000, 256
 	ph, blk := kernelFixture(nil, patients, rows, false)
-	model, err := NewCox(ph)
+	model, err := newCox(ph, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -283,8 +283,7 @@ func TestPanelResidualsMatchContributions(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		blk, z := panelFixture(5, patients, rows, width, func(row int) float64 { return 0.05 + 0.05*float64(row) }, 0.03, 0)
-		sr := model.(ScoreResidualer)
-		panel := sr.PanelResiduals(z, width)
+		panel := model.PanelResiduals(z, width)
 		got := NewPanelKernel(patients, width, panel).Scores(blk, nil)
 		ub := NewBlockKernel(model).Contributions(blk)
 		col := make([]float64, patients)
@@ -304,8 +303,8 @@ func TestPanelResidualsMatchContributions(t *testing.T) {
 		for i := range ones {
 			ones[i] = 1
 		}
-		for i, v := range sr.PanelResiduals(ones, 1) {
-			if r := sr.ScoreResiduals()[i]; math.Float64bits(v) != math.Float64bits(r) {
+		for i, v := range model.PanelResiduals(ones, 1) {
+			if r := model.ScoreResiduals()[i]; math.Float64bits(v) != math.Float64bits(r) {
 				t.Fatalf("%s patient %d: panel residual under unit weights %v, score residual %v", tc.name, i, v, r)
 			}
 		}
@@ -320,8 +319,8 @@ func TestPanelResidualsRejectWrongPanelLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, call := range map[string]func(){
-			"short panel": func() { model.(ScoreResidualer).PanelResiduals(make([]float64, 14), 3) },
-			"zero width":  func() { model.(ScoreResidualer).PanelResiduals(nil, 0) },
+			"short panel": func() { model.PanelResiduals(make([]float64, 14), 3) },
+			"zero width":  func() { model.PanelResiduals(nil, 0) },
 		} {
 			func() {
 				defer func() {
@@ -344,7 +343,7 @@ func TestCheckResiduals(t *testing.T) {
 		ph.Event[i] = 1
 	}
 	cox := func(w ...float64) *Cox {
-		c, err := NewCox(ph)
+		c, err := newCox(ph, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,13 +352,13 @@ func TestCheckResiduals(t *testing.T) {
 			weights[i] = 1
 		}
 		copy(weights[4:], w)
-		return c.withRiskWeights(weights)
+		return withRiskWeights(c, weights)
 	}
-	gaussian := func(at int, y float64) *Gaussian {
+	gaussian := func(at int, y float64) *linear {
 		q := *ph
 		q.Y = append([]float64(nil), ph.Y...)
 		q.Y[at] = y
-		g, err := NewGaussian(&q)
+		g, err := newLinear("gaussian", &q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +367,7 @@ func TestCheckResiduals(t *testing.T) {
 	zeros := make([]float64, 12)
 	for _, tc := range []struct {
 		name  string
-		model ScoreResidualer
+		model Model
 		want  string
 	}{
 		{"finite cox", cox(0.5, 2), ""},
@@ -377,7 +376,7 @@ func TestCheckResiduals(t *testing.T) {
 		{"no headroom", gaussian(7, 1e300), "stats: score residual"},
 		{"infinite risk weight", cox(math.Inf(1)), "stats: cox risk weight +Inf for patient 4"},
 		{"NaN risk weight", cox(1, math.NaN()), "stats: cox risk weight NaN for patient 5"},
-		{"empty risk sets", cox().withRiskWeights(zeros), "stats: cox risk-set weight sum 0 for patient 0"},
+		{"empty risk sets", withRiskWeights(cox(), zeros), "stats: cox risk-set weight sum 0 for patient 0"},
 	} {
 		err := CheckResiduals(tc.model)
 		if (err == nil) != (tc.want == "") || (err != nil && !strings.HasPrefix(err.Error(), tc.want)) {

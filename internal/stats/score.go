@@ -18,12 +18,20 @@ import (
 	"sparkscore/internal/data"
 )
 
-// Model computes per-patient score contributions for one SNP under a fixed
-// phenotype. A Model is built once per phenotype (or per permutation of the
-// phenotype) and then applied to many SNPs; implementations precompute
-// everything SNP-invariant at construction — the paper's observation that
-// "b_i is invariant with respect to the SNP and only needs to be calculated
-// once per analysis". All methods are safe for concurrent use across SNPs.
+// Model is the score model of one phenotype under the null of no association.
+// A Model is built once per phenotype (or per permutation of the phenotype)
+// and then applied to many SNPs; construction precomputes everything
+// SNP-invariant — the paper's observation that "b_i is invariant with respect
+// to the SNP and only needs to be calculated once per analysis". All methods
+// are safe for concurrent use across SNPs.
+//
+// Every model's marginal score factorises as U_j = Σ_i G_ij · r_i for a
+// SNP-invariant residual vector r, whether or not the per-patient
+// contributions do: the Gaussian and Binomial families, plain or
+// covariate-adjusted, have U_ij = G_ij · r_i, and Cox has its martingale
+// residuals. The factorisation survives reweighting the patients — Lin's
+// replicate Σ_i Z_i U_ij is Σ_l G_lj · r̃_l(Z) — so it is all any resampling
+// pass needs.
 type Model interface {
 	// Name identifies the score family ("cox", "gaussian", "binomial").
 	Name() string
@@ -38,6 +46,35 @@ type Model interface {
 
 	// Patients returns the number of patients the model was built for.
 	Patients() int
+
+	// ScoreResiduals returns r; callers must not mutate it.
+	ScoreResiduals() []float64
+
+	// PanelResiduals returns R̃ for an n × width panel of patient weights,
+	// patient-major (patient i's weight in replicate k is z[i*width+k]), in
+	// the same layout: Σ_i z_ik · U_ij = Σ_l G_lj · R̃_lk for every SNP j. It is
+	// r ∘ z where the contributions factorise; see Cox.PanelResiduals.
+	PanelResiduals(z []float64, width int) []float64
+}
+
+// NewModel constructs a model of the named family ("cox", "gaussian",
+// "binomial") for the phenotype, without covariates.
+func NewModel(family string, ph *data.Phenotype) (Model, error) {
+	return NewAdjustedModel(family, ph, nil)
+}
+
+// NewAdjustedModel constructs a covariate-adjusted model of the named family.
+// covariates is an n×p matrix (one row per patient, no intercept column —
+// it is added internally); no rows at all is the unadjusted model.
+func NewAdjustedModel(family string, ph *data.Phenotype, covariates [][]float64) (Model, error) {
+	switch family {
+	case "cox":
+		return newCox(ph, covariates)
+	case "gaussian", "binomial":
+		return newLinear(family, ph, covariates)
+	default:
+		return nil, fmt.Errorf("stats: unknown score family %q", family)
+	}
 }
 
 // Score sums the per-patient contributions into the marginal score U_j.
@@ -57,7 +94,9 @@ func Score(m Model, g []data.Genotype) float64 {
 //	U_ij = Δ_i (G_ij − a_ij/b_i)
 //
 // with a_ij = Σ_l 1(Y_l ≥ Y_i) G_lj (risk-set genotype sum) and
-// b_i = Σ_l 1(Y_l ≥ Y_i) (risk-set size).
+// b_i = Σ_l 1(Y_l ≥ Y_i) (risk-set size). Adjusted for covariates, patient l
+// counts in every risk set with weight w_l = e^{γ̂·X_l}; unadjusted, w_l = 1,
+// and every product by it and risk-set sum of it is exact.
 //
 // Construction sorts patients by observed time once; per-SNP contributions
 // then cost O(n) via prefix sums over the sorted order, instead of the naive
@@ -73,17 +112,17 @@ type Cox struct {
 	groupEnd []int
 	// pos[i] is patient i's sorted position.
 	pos []int
-	// riskDen[i] is the risk-set denominator for patient i: b_i when
-	// unweighted, Σ_{l∈R_i} w_l under covariate-adjusted risk weights.
+	// riskDen[i] is the risk-set denominator for patient i: Σ_{l∈R_i} w_l,
+	// which is b_i unadjusted.
 	riskDen []float64
-	// w holds per-patient risk weights e^{γ̂·X} for the covariate-adjusted
-	// model; nil means unweighted (all ones).
+	// w holds per-patient risk weights e^{γ̂·X}: all ones unadjusted.
 	w []float64
 }
 
-// NewCox builds a Cox score model for the phenotype. The phenotype must have
-// at least one patient; times may tie (risk sets then share members).
-func NewCox(ph *data.Phenotype) (*Cox, error) {
+// newCox builds a Cox score model for the phenotype, adjusted for the
+// covariates when there are any. The phenotype must have at least one
+// patient; times may tie (risk sets then share members).
+func newCox(ph *data.Phenotype, covariates [][]float64) (*Cox, error) {
 	n := ph.Patients()
 	if n == 0 {
 		return nil, fmt.Errorf("stats: empty phenotype")
@@ -97,9 +136,11 @@ func NewCox(ph *data.Phenotype) (*Cox, error) {
 		groupEnd: make([]int, n),
 		pos:      make([]int, n),
 		riskDen:  make([]float64, n),
+		w:        make([]float64, n),
 	}
 	for i := range c.order {
 		c.order[i] = i
+		c.w[i] = 1
 	}
 	sort.SliceStable(c.order, func(a, b int) bool {
 		return ph.Y[c.order[a]] > ph.Y[c.order[b]]
@@ -114,9 +155,26 @@ func NewCox(ph *data.Phenotype) (*Cox, error) {
 	}
 	for p, i := range c.order {
 		c.pos[i] = p
-		c.riskDen[i] = float64(c.groupEnd[p] + 1)
 	}
+	if len(covariates) > 0 {
+		if err := c.fitRiskWeights(covariates); err != nil {
+			return nil, err
+		}
+	}
+	c.weighRiskSets()
 	return c, nil
+}
+
+// weighRiskSets sets every patient's risk-set denominator to the sum of the
+// risk weights over its risk set.
+func (c *Cox) weighRiskSets() {
+	cum := make([]float64, len(c.order)+1)
+	for p, i := range c.order {
+		cum[p+1] = cum[p] + c.w[i]
+	}
+	for p, i := range c.order {
+		c.riskDen[i] = cum[c.groupEnd[p]+1]
+	}
 }
 
 // Name implements Model.
@@ -125,8 +183,8 @@ func (c *Cox) Name() string { return "cox" }
 // Patients implements Model.
 func (c *Cox) Patients() int { return len(c.order) }
 
-// Contributions implements Model in O(n) per SNP. Under covariate-adjusted
-// risk weights w_l the risk-set genotype average becomes weighted.
+// Contributions implements Model in O(n) per SNP; the risk-set genotype
+// average is weighted by the risk weights.
 func (c *Cox) Contributions(g []data.Genotype, u []float64) {
 	c.contributions(g, u, make([]float64, len(c.order)+1))
 }
@@ -140,11 +198,7 @@ func (c *Cox) contributions(g []data.Genotype, u, cum []float64) {
 	// cum[p+1] = weighted genotype sum of the first p+1 sorted patients.
 	cum[0] = 0
 	for p, i := range c.order {
-		wi := 1.0
-		if c.w != nil {
-			wi = c.w[i]
-		}
-		cum[p+1] = cum[p] + wi*float64(g[i])
+		cum[p+1] = cum[p] + c.w[i]*float64(g[i])
 	}
 	for i := 0; i < n; i++ {
 		if c.ph.Event[i] == 0 {
@@ -156,8 +210,8 @@ func (c *Cox) contributions(g []data.Genotype, u, cum []float64) {
 	}
 }
 
-// ScoreResiduals implements ScoreResidualer: the null model's martingale
-// residuals, PanelResiduals under unit weights.
+// ScoreResiduals implements Model: the null model's martingale residuals,
+// PanelResiduals under unit weights.
 func (c *Cox) ScoreResiduals() []float64 {
 	ones := make([]float64, len(c.order))
 	for i := range ones {
@@ -166,9 +220,9 @@ func (c *Cox) ScoreResiduals() []float64 {
 	return c.PanelResiduals(ones, 1)
 }
 
-// PanelResiduals implements ScoreResidualer. The contributions couple
-// patients through the risk sets, but their weighted sum does not: exchanging
-// the order of summation in
+// PanelResiduals implements Model. The contributions couple patients through
+// the risk sets, but their weighted sum does not: exchanging the order of
+// summation in
 // Ũ_j = Σ_i Z_i Δ_i (G_ij − Σ_{l∈R_i} w_l G_lj / den_i) gives Ũ_j = Σ_l G_lj r̃_l
 // with
 //
@@ -195,12 +249,8 @@ func (c *Cox) PanelResiduals(z []float64, width int) []float64 {
 			}
 		}
 		for _, i := range c.order[start : end+1] {
-			wi := 1.0
-			if c.w != nil {
-				wi = c.w[i]
-			}
 			for k, h := range hazard {
-				out[i*width+k] = float64(c.ph.Event[i])*z[i*width+k] - wi*h
+				out[i*width+k] = float64(c.ph.Event[i])*z[i*width+k] - c.w[i]*h
 			}
 		}
 		end = start - 1
@@ -215,29 +265,10 @@ func checkPanel(n int, z []float64, width int) {
 	}
 }
 
-// resid is the SNP-invariant factor r of a model whose contributions factorise
-// as U_ij = G_ij · r_i; embedding it implements ScoreResidualer's two methods.
-type resid []float64
-
-// ScoreResiduals implements ScoreResidualer.
-func (r resid) ScoreResiduals() []float64 { return r }
-
-// PanelResiduals implements ScoreResidualer: row i of the panel scaled by r_i.
-func (r resid) PanelResiduals(z []float64, width int) []float64 {
-	checkPanel(len(r), z, width)
-	out := make([]float64, len(z))
-	for i, ri := range r {
-		for k, zik := range z[i*width:][:width] {
-			out[i*width+k] = ri * zik
-		}
-	}
-	return out
-}
-
 // Variance implements Model with the usual observed-information estimate of
 // the null variance of the Cox score:
 //
-//	V_j = Σ_i Δ_i [ (Σ_{l∈R_i} G_lj²)/b_i − (a_ij/b_i)² ]
+//	V_j = Σ_i Δ_i [ (Σ_{l∈R_i} w_l G_lj²)/den_i − (Σ_{l∈R_i} w_l G_lj/den_i)² ]
 func (c *Cox) Variance(g []data.Genotype) float64 {
 	n := len(c.order) + 1
 	cum := make([]float64, 2*n)
@@ -252,12 +283,8 @@ func (c *Cox) variance(g []data.Genotype, cum, cum2 []float64) float64 {
 	cum[0], cum2[0] = 0, 0
 	for p, i := range c.order {
 		gi := float64(g[i])
-		wi := 1.0
-		if c.w != nil {
-			wi = c.w[i]
-		}
-		cum[p+1] = cum[p] + wi*gi
-		cum2[p+1] = cum2[p] + wi*gi*gi
+		cum[p+1] = cum[p] + c.w[i]*gi
+		cum2[p+1] = cum2[p] + c.w[i]*gi*gi
 	}
 	v := 0.0
 	for i := 0; i < n; i++ {
@@ -272,157 +299,145 @@ func (c *Cox) variance(g []data.Genotype, cum, cum2 []float64) float64 {
 	return v
 }
 
-// Gaussian is the efficient score model for quantitative phenotypes under the
-// linear-model null Y_i = μ + β G_ij + ε, β = 0:
+// linear is the efficient score model of the Gaussian and Binomial families,
+// whose contributions factorise as U_ij = G_ij · r_i with r_i = Y_i − Ŷ_i, and
+// whose null variance is scale · Σ_i v_i (G_ij − Ḡ_j)².
 //
-//	U_ij = G_ij (Y_i − Ȳ)
-//
-// This is the score for β evaluated at the restricted MLE (μ̂ = Ȳ), the
-// statistic behind eQTL-style analyses the paper's conclusion mentions.
-type Gaussian struct {
-	ph     *data.Phenotype
-	meanY  float64
-	sigma2 float64 // residual variance estimate Σ(Y−Ȳ)²/n
-	resid          // Y_i − Ȳ, the SNP-invariant factor of U_ij
+//   - Unadjusted, Ŷ_i = Ȳ, the restricted MLE of the intercept-only null
+//     (the Gaussian linear model Y_i = μ + β G_ij + ε at β = 0, the statistic
+//     behind eQTL-style analyses; the logistic model for a 0/1 Y). v is nil (all
+//     ones) and scale is the residual variance σ̂² = Σ(Y−Ȳ)²/n or Ȳ(1−Ȳ).
+//   - Adjusted, Ŷ_i is the OLS fit of Y on [1, X] or the logistic fit's p̂_i,
+//     v_i is σ̂² or p̂_i(1−p̂_i), and scale is 1: the plug-in estimate, which
+//     ignores the (second-order) effect of estimating the nuisance
+//     coefficients — the resampling path does not rely on it.
+type linear struct {
+	name  string
+	resid []float64 // Y_i − Ŷ_i, the SNP-invariant factor of U_ij
+	v     []float64 // per-patient variance weights; nil means all ones
+	scale float64
 }
 
-// NewGaussian builds a Gaussian score model for the phenotype.
-func NewGaussian(ph *data.Phenotype) (*Gaussian, error) {
+// newLinear builds the linear model of the family ("gaussian" or
+// "binomial"), adjusted for the covariates when there are any. Binomial
+// outcomes must be 0 or 1 with both classes present (otherwise the score is
+// degenerate).
+func newLinear(family string, ph *data.Phenotype, covariates [][]float64) (*linear, error) {
 	n := ph.Patients()
 	if n == 0 {
 		return nil, fmt.Errorf("stats: empty phenotype")
 	}
-	var sum float64
-	for _, y := range ph.Y {
-		sum += y
-	}
-	mean := sum / float64(n)
-	var ss float64
-	resid := make([]float64, n)
-	for i, y := range ph.Y {
-		d := y - mean
-		resid[i] = d
-		ss += d * d
-	}
-	return &Gaussian{ph: ph, meanY: mean, sigma2: ss / float64(n), resid: resid}, nil
-}
-
-// Name implements Model.
-func (g *Gaussian) Name() string { return "gaussian" }
-
-// Patients implements Model.
-func (g *Gaussian) Patients() int { return g.ph.Patients() }
-
-// Contributions implements Model.
-func (g *Gaussian) Contributions(geno []data.Genotype, u []float64) {
-	n := g.ph.Patients()
-	checkLens(n, geno, u)
-	for i := 0; i < n; i++ {
-		u[i] = float64(geno[i]) * (g.ph.Y[i] - g.meanY)
-	}
-}
-
-// Variance implements Model: Var(U_j) = σ̂² Σ_i (G_ij − Ḡ_j)².
-func (g *Gaussian) Variance(geno []data.Genotype) float64 {
-	n := g.ph.Patients()
-	checkLens(n, geno, nil)
-	var sumG float64
-	for _, v := range geno {
-		sumG += float64(v)
-	}
-	meanG := sumG / float64(n)
-	var ss float64
-	for _, v := range geno {
-		d := float64(v) - meanG
-		ss += d * d
-	}
-	return g.sigma2 * ss
-}
-
-// Binomial is the efficient score model for binary phenotypes (case/control)
-// under the logistic-model null, evaluated at the restricted MLE (intercept
-// only):
-//
-//	U_ij = G_ij (Y_i − Ȳ)
-//
-// The contribution formula coincides with the Gaussian one; the families
-// differ in the variance and in input validation (Y must be 0/1).
-type Binomial struct {
-	ph    *data.Phenotype
-	meanY float64
-	resid // Y_i − Ȳ
-}
-
-// NewBinomial builds a Binomial score model. Every outcome must be 0 or 1 and
-// both classes must be present (otherwise the score is degenerate).
-func NewBinomial(ph *data.Phenotype) (*Binomial, error) {
-	n := ph.Patients()
-	if n == 0 {
-		return nil, fmt.Errorf("stats: empty phenotype")
-	}
-	var sum float64
-	for i, y := range ph.Y {
-		if y != 0 && y != 1 {
-			return nil, fmt.Errorf("stats: binomial outcome for patient %d is %v, want 0 or 1", i, y)
+	binomial := family == "binomial"
+	if binomial {
+		ones := 0
+		for i, y := range ph.Y {
+			if y != 0 && y != 1 {
+				return nil, fmt.Errorf("stats: binomial outcome for patient %d is %v, want 0 or 1", i, y)
+			}
+			if y == 1 {
+				ones++
+			}
 		}
-		sum += y
+		if ones == 0 || ones == n {
+			return nil, fmt.Errorf("stats: binomial phenotype has a single class")
+		}
 	}
-	mean := sum / float64(n)
-	if mean == 0 || mean == 1 {
-		return nil, fmt.Errorf("stats: binomial phenotype has a single class")
+	m := &linear{name: family, resid: make([]float64, n), scale: 1}
+	if len(covariates) == 0 {
+		var sum float64
+		for _, y := range ph.Y {
+			sum += y
+		}
+		mean := sum / float64(n)
+		var ss float64
+		for i, y := range ph.Y {
+			d := y - mean
+			m.resid[i] = d
+			ss += d * d
+		}
+		m.scale = ss / float64(n)
+		if binomial {
+			m.scale = mean * (1 - mean)
+		}
+		return m, nil
 	}
-	resid := make([]float64, n)
-	for i, y := range ph.Y {
-		resid[i] = y - mean
+	design, err := designMatrix(covariates, n)
+	if err != nil {
+		return nil, err
 	}
-	return &Binomial{ph: ph, meanY: mean, resid: resid}, nil
+	fit := fitOLS
+	if binomial {
+		fit = fitLogistic
+	}
+	_, fitted, err := fit(design, ph.Y)
+	if err != nil {
+		return nil, fmt.Errorf("stats: adjusted %s: %w", family, err)
+	}
+	var ss float64
+	for i := range m.resid {
+		m.resid[i] = ph.Y[i] - fitted[i]
+		ss += m.resid[i] * m.resid[i]
+	}
+	m.v = make([]float64, n)
+	for i, p := range fitted {
+		if binomial {
+			m.v[i] = p * (1 - p)
+		} else {
+			m.v[i] = ss / float64(n)
+		}
+	}
+	return m, nil
 }
 
 // Name implements Model.
-func (b *Binomial) Name() string { return "binomial" }
+func (m *linear) Name() string { return m.name }
 
 // Patients implements Model.
-func (b *Binomial) Patients() int { return b.ph.Patients() }
+func (m *linear) Patients() int { return len(m.resid) }
 
 // Contributions implements Model.
-func (b *Binomial) Contributions(geno []data.Genotype, u []float64) {
-	n := b.ph.Patients()
-	checkLens(n, geno, u)
+func (m *linear) Contributions(g []data.Genotype, u []float64) {
+	n := len(m.resid)
+	checkLens(n, g, u)
 	for i := 0; i < n; i++ {
-		u[i] = float64(geno[i]) * (b.ph.Y[i] - b.meanY)
+		u[i] = float64(g[i]) * m.resid[i]
 	}
 }
 
-// Variance implements Model: Var(U_j) = Ȳ(1−Ȳ) Σ_i (G_ij − Ḡ_j)².
-func (b *Binomial) Variance(geno []data.Genotype) float64 {
-	n := b.ph.Patients()
-	checkLens(n, geno, nil)
+// Variance implements Model: Var(U_j) = scale · Σ_i v_i (G_ij − Ḡ_j)².
+func (m *linear) Variance(g []data.Genotype) float64 {
+	n := len(m.resid)
+	checkLens(n, g, nil)
 	var sumG float64
-	for _, v := range geno {
+	for _, v := range g {
 		sumG += float64(v)
 	}
 	meanG := sumG / float64(n)
 	var ss float64
-	for _, v := range geno {
+	for i, v := range g {
 		d := float64(v) - meanG
-		ss += d * d
+		if m.v == nil {
+			ss += d * d
+		} else {
+			ss += m.v[i] * d * d
+		}
 	}
-	return b.meanY * (1 - b.meanY) * ss
+	return m.scale * ss
 }
 
-// NewModel constructs a model of the named family ("cox", "gaussian",
-// "binomial") for the phenotype.
-func NewModel(family string, ph *data.Phenotype) (Model, error) {
-	switch family {
-	case "cox":
-		return NewCox(ph)
-	case "gaussian":
-		return NewGaussian(ph)
-	case "binomial":
-		return NewBinomial(ph)
-	default:
-		return nil, fmt.Errorf("stats: unknown score family %q", family)
+// ScoreResiduals implements Model.
+func (m *linear) ScoreResiduals() []float64 { return m.resid }
+
+// PanelResiduals implements Model: row i of the panel scaled by r_i.
+func (m *linear) PanelResiduals(z []float64, width int) []float64 {
+	checkPanel(len(m.resid), z, width)
+	out := make([]float64, len(z))
+	for i, ri := range m.resid {
+		for k, zik := range z[i*width:][:width] {
+			out[i*width+k] = ri * zik
+		}
 	}
+	return out
 }
 
 func checkLens(n int, g []data.Genotype, u []float64) {

@@ -37,7 +37,7 @@ func TestCoxMatchesNaive(t *testing.T) {
 		rr := r.Split(seed)
 		n := rr.Intn(60) + 2
 		ph := randomSurvival(rr, n)
-		cox, err := NewCox(ph)
+		cox, err := newCox(ph, nil)
 		if err != nil {
 			return false
 		}
@@ -61,7 +61,7 @@ func TestCoxMatchesNaive(t *testing.T) {
 func TestCoxCensoredContributeZero(t *testing.T) {
 	r := rng.New(2)
 	ph := randomSurvival(r, 40)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCoxCensoredContributeZero(t *testing.T) {
 
 func TestCoxHandlesAllTied(t *testing.T) {
 	ph := &data.Phenotype{Y: []float64{5, 5, 5, 5}, Event: []uint8{1, 1, 0, 1}}
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCoxHandlesAllTied(t *testing.T) {
 
 func TestCoxSmallestTimeSeesFullRiskSet(t *testing.T) {
 	ph := &data.Phenotype{Y: []float64{1, 2, 3}, Event: []uint8{1, 1, 1}}
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCoxSmallestTimeSeesFullRiskSet(t *testing.T) {
 func TestCoxMonomorphicSNPScoresZero(t *testing.T) {
 	r := rng.New(3)
 	ph := randomSurvival(r, 30)
-	cox, _ := NewCox(ph)
+	cox, _ := newCox(ph, nil)
 	g := make([]data.Genotype, 30)
 	for i := range g {
 		g[i] = 2
@@ -134,7 +134,7 @@ func TestCoxVarianceNonNegative(t *testing.T) {
 		rr := r.Split(seed)
 		n := rr.Intn(50) + 2
 		ph := randomSurvival(rr, n)
-		cox, err := NewCox(ph)
+		cox, err := newCox(ph, nil)
 		if err != nil {
 			return false
 		}
@@ -146,7 +146,7 @@ func TestCoxVarianceNonNegative(t *testing.T) {
 }
 
 func TestCoxRejectsEmptyPhenotype(t *testing.T) {
-	if _, err := NewCox(data.NewPhenotype(0)); err == nil {
+	if _, err := newCox(data.NewPhenotype(0), nil); err == nil {
 		t.Fatal("empty phenotype accepted")
 	}
 }
@@ -155,7 +155,7 @@ func TestCoxConcurrentContributions(t *testing.T) {
 	r := rng.New(5)
 	n := 100
 	ph := randomSurvival(r, n)
-	cox, _ := NewCox(ph)
+	cox, _ := newCox(ph, nil)
 	g := randomGenotypes(r, n)
 	want := make([]float64, n)
 	cox.Contributions(g, want)
@@ -184,7 +184,7 @@ func TestCoxConcurrentContributions(t *testing.T) {
 
 func TestGaussianConstantGenotypeScoresZero(t *testing.T) {
 	ph := &data.Phenotype{Y: []float64{1, 4, 2, 9}, Event: []uint8{1, 1, 1, 1}}
-	m, err := NewGaussian(ph)
+	m, err := newLinear("gaussian", ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestGaussianConstantGenotypeScoresZero(t *testing.T) {
 
 func TestGaussianHandComputed(t *testing.T) {
 	ph := &data.Phenotype{Y: []float64{0, 2, 4}, Event: []uint8{1, 1, 1}} // mean 2
-	m, _ := NewGaussian(ph)
+	m, _ := newLinear("gaussian", ph, nil)
 	g := []data.Genotype{2, 0, 1}
 	u := make([]float64, 3)
 	m.Contributions(g, u)
@@ -214,20 +214,20 @@ func TestGaussianHandComputed(t *testing.T) {
 }
 
 func TestBinomialValidation(t *testing.T) {
-	if _, err := NewBinomial(&data.Phenotype{Y: []float64{0, 0.5}, Event: []uint8{0, 0}}); err == nil {
+	if _, err := newLinear("binomial", &data.Phenotype{Y: []float64{0, 0.5}, Event: []uint8{0, 0}}, nil); err == nil {
 		t.Fatal("non-binary outcome accepted")
 	}
-	if _, err := NewBinomial(&data.Phenotype{Y: []float64{1, 1}, Event: []uint8{0, 0}}); err == nil {
+	if _, err := newLinear("binomial", &data.Phenotype{Y: []float64{1, 1}, Event: []uint8{0, 0}}, nil); err == nil {
 		t.Fatal("single-class outcome accepted")
 	}
-	if _, err := NewBinomial(&data.Phenotype{Y: []float64{0, 1}, Event: []uint8{0, 0}}); err != nil {
+	if _, err := newLinear("binomial", &data.Phenotype{Y: []float64{0, 1}, Event: []uint8{0, 0}}, nil); err != nil {
 		t.Fatalf("valid binary phenotype rejected: %v", err)
 	}
 }
 
 func TestBinomialHandComputed(t *testing.T) {
 	ph := &data.Phenotype{Y: []float64{1, 0, 1, 0}, Event: []uint8{0, 0, 0, 0}} // mean 0.5
-	m, _ := NewBinomial(ph)
+	m, _ := newLinear("binomial", ph, nil)
 	g := []data.Genotype{2, 2, 0, 1}
 	u := make([]float64, 4)
 	m.Contributions(g, u)
@@ -264,7 +264,7 @@ func TestMonteCarloScoreUnitWeightsReproducesScore(t *testing.T) {
 		rr := r.Split(seed)
 		n := rr.Intn(40) + 2
 		ph := randomSurvival(rr, n)
-		cox, err := NewCox(ph)
+		cox, err := newCox(ph, nil)
 		if err != nil {
 			return false
 		}
@@ -314,7 +314,7 @@ func TestScorePermutationDistributionCentred(t *testing.T) {
 	var sum, sumSq float64
 	for rep := 0; rep < b; rep++ {
 		perm := r.Perm(n)
-		cox, err := NewCox(ph.Permuted(perm))
+		cox, err := newCox(ph.Permuted(perm), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestRareVariantTypeIError(t *testing.T) {
 			continue
 		}
 		informative++
-		cox, err := NewCox(ph)
+		cox, err := newCox(ph, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +386,7 @@ func TestRareVariantTypeIError(t *testing.T) {
 		exceed := 0
 		for rep := 0; rep < b; rep++ {
 			rb := rr.Split(uint64(rep) + 1000000)
-			coxb, err := NewCox(ph.Permuted(rb.Perm(n)))
+			coxb, err := newCox(ph.Permuted(rb.Perm(n)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,11 +431,11 @@ func TestCoxInvariantToMonotoneTimeTransform(t *testing.T) {
 		for i, y := range ph.Y {
 			transformed.Y[i] = math.Exp(y/10) + 3 // strictly increasing
 		}
-		a, err := NewCox(ph)
+		a, err := newCox(ph, nil)
 		if err != nil {
 			return false
 		}
-		b, err := NewCox(transformed)
+		b, err := newCox(transformed, nil)
 		if err != nil {
 			return false
 		}
@@ -462,7 +462,7 @@ func TestGaussianScoreScaleCovariance(t *testing.T) {
 	n := 80
 	ph := randomSurvival(r, n)
 	g := randomGenotypes(r, n)
-	base, err := NewGaussian(ph)
+	base, err := newLinear("gaussian", ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestGaussianScoreScaleCovariance(t *testing.T) {
 	for i, y := range ph.Y {
 		scaled.Y[i] = 4*y + 100
 	}
-	m2, err := NewGaussian(scaled)
+	m2, err := newLinear("gaussian", scaled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

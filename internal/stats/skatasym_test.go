@@ -56,7 +56,7 @@ func TestSingleSNPAsymptoticMatchesChiSquare(t *testing.T) {
 	worst := 0.0
 	for trial := 0; trial < 2000; trial++ {
 		n := 20 + r.Intn(400)
-		cox, err := NewCox(randomSurvival(r, n))
+		cox, err := newCox(randomSurvival(r, n), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestMomentsMatchEmpiricalResampling(t *testing.T) {
 	r := rng.New(2)
 	n := 300
 	ph := randomSurvival(r, n)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLiuPValueAgreesWithMonteCarlo(t *testing.T) {
 	r := rng.New(3)
 	n := 400
 	ph := randomSurvival(r, n)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func simulateCoxData(r *rng.RNG, n int, beta float64) (*data.Phenotype, []data.G
 func TestFitCoxRecoversNullBeta(t *testing.T) {
 	r := rng.New(1)
 	ph, g := simulateCoxData(r, 2000, 0)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFitCoxRecoversEffect(t *testing.T) {
 	r := rng.New(2)
 	const trueBeta = 0.7
 	ph, g := simulateCoxData(r, 3000, trueBeta)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestScoreWaldLRTAsymptoticallyAgree(t *testing.T) {
 	// within ~15% of one another.
 	r := rng.New(3)
 	ph, g := simulateCoxData(r, 4000, 0.3)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestScoreWaldLRTAsymptoticallyAgree(t *testing.T) {
 func TestFitCoxScoreAtBetaHatIsZero(t *testing.T) {
 	r := rng.New(4)
 	ph, g := simulateCoxData(r, 500, 0.5)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestFitCoxScoreAtBetaHatIsZero(t *testing.T) {
 func TestFitCoxMonomorphicFailsToConverge(t *testing.T) {
 	r := rng.New(5)
 	ph := randomSurvival(r, 50)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestFitCoxSeparatedDataDiverges(t *testing.T) {
 			ph.Event[i] = 0
 		}
 	}
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestFitCoxSeparatedDataDiverges(t *testing.T) {
 func TestPartialLogLikDecreasesAwayFromMLE(t *testing.T) {
 	r := rng.New(6)
 	ph, g := simulateCoxData(r, 800, 0.4)
-	cox, err := NewCox(ph)
+	cox, err := newCox(ph, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,8 @@
 // kernel instead decodes each SNP row ONCE, computes the SNP's genotype
 // moments (sum, mean, centered sum of squares) once, and scores the whole
 // phenotype batch off the row's dosage classes. The variance factorisation
-// makes the amortisation exact: for the Gaussian and Binomial families
+// makes the amortisation exact: for the unadjusted Gaussian and Binomial
+// families (the linear model with unit variance weights)
 //
 //	Var(U_j) = scale_p · Σ_i (G_ij − Ḡ_j)²
 //
@@ -30,7 +31,7 @@
 //
 // Summation-order contract. score(j, p) = Σ over patients in ascending index
 // of dosage·residual; exact-zero terms may be omitted; variance loops as in
-// Gaussian.Variance. Omitting a zero term is exact because residuals are
+// the linear model's Variance. Omitting a zero term is exact because residuals are
 // finite (NewWideKernel rejects any that are not), so the term is ±0, and a
 // running sum that starts at +0 is unchanged by adding ±0; 1·r and 2·r are
 // exact. Scores and variances therefore equal per-phenotype Score/Variance
@@ -44,22 +45,6 @@ import (
 
 	"sparkscore/internal/data"
 )
-
-// VarianceScaler is implemented by models whose null variance factorises as
-// VarianceScale() · Σ_i (G_ij − Ḡ_j)² — the Gaussian and Binomial families.
-// Together with ScoreResidualer it is what the wide kernel needs to amortise
-// the genotype decode across a phenotype batch; the Cox family (risk sets
-// couple patients in its variance) does not have it.
-type VarianceScaler interface {
-	// VarianceScale returns the SNP-invariant factor of the null variance.
-	VarianceScale() float64
-}
-
-// VarianceScale implements VarianceScaler: the residual variance σ̂².
-func (g *Gaussian) VarianceScale() float64 { return g.sigma2 }
-
-// VarianceScale implements VarianceScaler: Ȳ(1−Ȳ).
-func (b *Binomial) VarianceScale() float64 { return b.meanY * (1 - b.meanY) }
 
 // decodeDosages unpacks 2-bit codes straight into float64 scoring dosages
 // (missing -> 0), four patients per byte; len(dst) genotypes are read. The
@@ -114,8 +99,9 @@ type WideKernel struct {
 }
 
 // NewWideKernel builds a wide kernel over the batch. Every model must share
-// the patient count, implement ScoreResidualer and VarianceScaler, and have finite
-// residuals and variance scale. Its worst cases must be finite too: a score
+// the patient count, be an unadjusted Gaussian or Binomial model — a linear
+// model whose variance weights are all ones — and have finite residuals and
+// variance scale. Its worst cases must be finite too: a score
 // is Σ dosage·r with dosages in [0, 2], so |score| ≤ 2·Σ|r| and score² ≤
 // (2·Σ|r|)²; a variance is scale·Σ(G−Ḡ)², and a dosage in [0, 2] spreads at
 // most 1 per patient, so variance ≤ scale·n. A phenotype past either bound
@@ -137,22 +123,18 @@ func NewWideKernel(models []Model) (*WideKernel, error) {
 			return nil, fmt.Errorf("stats: wide kernel phenotype %d has %d patients, batch has %d",
 				p, m.Patients(), n)
 		}
-		r, ok := m.(ScoreResidualer)
-		if !ok {
-			return nil, fmt.Errorf("stats: wide kernel needs residual-form models; %q does not factorise", m.Name())
-		}
-		v, ok := m.(VarianceScaler)
-		if !ok {
+		lin, ok := m.(*linear)
+		if !ok || lin.v != nil {
 			return nil, fmt.Errorf("stats: wide kernel needs a factorised variance; %q does not provide one", m.Name())
 		}
-		scale := v.VarianceScale()
+		scale := lin.scale
 		if math.IsNaN(scale) || math.IsInf(scale, 0) {
 			return nil, fmt.Errorf("stats: wide kernel phenotype %d has variance scale %v", p, scale)
 		}
 		t.scales[p] = scale
 		tile, lane := t.cells[p/wideTile*2*n:], p%wideTile
 		var sumAbs float64
-		for i, res := range r.ScoreResiduals() {
+		for i, res := range lin.resid {
 			// 2·res finite implies res finite; both go into the table.
 			if d := 2 * res; math.IsNaN(d) || math.IsInf(d, 0) {
 				return nil, fmt.Errorf("stats: wide kernel phenotype %d has residual %v for patient %d", p, res, i)
@@ -205,8 +187,8 @@ func (k *WideKernel) BlockRows(blk data.GenoBlock, row func(snp int32, scores, v
 	w := 0
 	for r := 0; r < rows; r++ {
 		decodeDosages(blk.Row(r), dos)
-		// In the exact loop shapes of Gaussian.Variance and Binomial.Variance:
-		// one pass for the sum, one for the centered sum of squares.
+		// In the exact loop shapes of the linear model's Variance under unit
+		// weights: one pass for the sum, one for the centered sum of squares.
 		var sumG float64
 		for _, v := range dos {
 			sumG += v

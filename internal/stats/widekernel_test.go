@@ -233,12 +233,6 @@ func TestWideKernelForksShareTheTable(t *testing.T) {
 	wg.Wait()
 }
 
-// hugeScale is a Gaussian whose variance scale is finite but whose bound,
-// scale·n, is not.
-type hugeScale struct{ *Gaussian }
-
-func (hugeScale) VarianceScale() float64 { return math.MaxFloat64 / 2 }
-
 func TestWideKernelRejectsBadBatches(t *testing.T) {
 	if _, err := NewWideKernel(nil); err == nil {
 		t.Fatal("accepted an empty batch")
@@ -246,11 +240,11 @@ func TestWideKernelRejectsBadBatches(t *testing.T) {
 	phA, phB := data.NewPhenotype(4), data.NewPhenotype(6)
 	phA.Y = []float64{1, 2, 3, 4}
 	phB.Y = []float64{1, 2, 3, 4, 5, 6}
-	mA, err := NewGaussian(phA)
+	mA, err := newLinear("gaussian", phA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mB, err := NewGaussian(phB)
+	mB, err := newLinear("gaussian", phB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +255,7 @@ func TestWideKernelRejectsBadBatches(t *testing.T) {
 	// -Inf, for which skipping a zero-dosage term (0·Inf = NaN) is not exact.
 	phHuge := data.NewPhenotype(4)
 	phHuge.Y = []float64{1e308, 1e308, 1e308, 1e308}
-	mHuge, err := NewGaussian(phHuge)
+	mHuge, err := newLinear("gaussian", phHuge, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +266,7 @@ func TestWideKernelRejectsBadBatches(t *testing.T) {
 	// variance scale.
 	phWide := data.NewPhenotype(4)
 	phWide.Y = []float64{1e200, -1e200, 1e200, -1e200}
-	mWide, err := NewGaussian(phWide)
+	mWide, err := newLinear("gaussian", phWide, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,25 +277,35 @@ func TestWideKernelRejectsBadBatches(t *testing.T) {
 	// finite scale, but 2·Σ|r| = 4e154 squares past float64.
 	phScore := data.NewPhenotype(4)
 	phScore.Y = []float64{1e155, 0.9e155, 1e155, 0.9e155}
-	mScore, err := NewGaussian(phScore)
+	mScore, err := newLinear("gaussian", phScore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewWideKernel([]Model{mA, mScore}); err == nil || !strings.Contains(err.Error(), "phenotype 1 has worst-case score") {
 		t.Fatalf("overflowing worst-case score²: error %v, want one naming phenotype 1", err)
 	}
-	if _, err := NewWideKernel([]Model{hugeScale{mA}}); err == nil || !strings.Contains(err.Error(), "phenotype 0 has variance bound") {
+	// A variance scale that is finite but whose bound, scale·n, is not.
+	hugeScale := *mA
+	hugeScale.scale = math.MaxFloat64 / 2
+	if _, err := NewWideKernel([]Model{&hugeScale}); err == nil || !strings.Contains(err.Error(), "phenotype 0 has variance bound") {
 		t.Fatalf("overflowing variance bound: error %v, want one naming phenotype 0", err)
 	}
 	for i := range phA.Event {
 		phA.Event[i] = 1
 	}
-	cox, err := NewCox(phA)
+	cox, err := newCox(phA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewWideKernel([]Model{cox}); err == nil {
 		t.Fatal("accepted a Cox model, which has no factorised variance")
+	}
+	adjusted, err := newLinear("gaussian", phA, [][]float64{{0.5}, {-1}, {2}, {0.25}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWideKernel([]Model{mA, adjusted}); err == nil || !strings.Contains(err.Error(), `"gaussian" does not provide one`) {
+		t.Fatalf("covariate-adjusted gaussian: error %v, want the factorised-variance refusal", err)
 	}
 }
 
@@ -459,7 +463,7 @@ func BenchmarkWideKernel(b *testing.B) {
 		expr := gen.ExpressionMatrix(gen.Config{Patients: patients}, rng.New(2), phenos)
 		models := make([]Model, phenos)
 		for p := range models {
-			m, err := NewGaussian(expr.Phenotype(p))
+			m, err := newLinear("gaussian", expr.Phenotype(p), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
