@@ -69,7 +69,12 @@ bench:
 # the packed-row score kernel (four rows per call in AVX2 assembly) on a
 # 256 × 1000 block — and that a reduce-by-key job at the set-sum shape
 # (10 map × 10 reduce partitions, 100 keys, []float64 values) still reports
-# allocs/op, where one combining map per (map task, bucket) would show again.
+# allocs/op, where one combining map per (map task, bucket) would show again —
+# and that input set-up's two layers still report their rates at perm_scan's
+# shape (1 000 patients × 10 000 SNPs): the Section III generator in ns per
+# genotype (rows drawn in parallel, each with the branch-free draw) and the
+# genotype text encoder in MB/s, into a bytes.Buffer (grown once, encoded in
+# place) and into io.Discard (one batch's scratch).
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/rdd -run '^$$' -bench ReduceByKeyCombine -benchmem -benchtime=10x
@@ -78,6 +83,8 @@ bench-smoke:
 	$(GO) test ./internal/stats -run '^$$' -bench PackedPanel -benchtime=3x
 	$(GO) test ./internal/data -run '^$$' -bench ParseGenoText -benchtime=3x
 	$(GO) test ./internal/stats -run '^$$' -bench PackedRowScores -benchtime=3x
+	$(GO) test ./internal/gen -run '^$$' -bench Genotypes -benchtime=3x
+	$(GO) test ./internal/data -run '^$$' -bench WriteGenotypes -benchmem -benchtime=3x
 
 # fuzz-smoke gives each native fuzz target a 10s budget on top of its checked-in
 # seed corpus (testdata/fuzz). The targets assert the GenoBlock and

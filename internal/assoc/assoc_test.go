@@ -591,3 +591,22 @@ func BenchmarkFold(b *testing.B) {
 		b.ReportMetric(float64(acc.scored)/float64(acc.tested), "scored/pair")
 	})
 }
+
+// TestDFSBytesHandsOverExactBuffers: Stage hands the DFS the genotype
+// text's own buffer, grown once to its size, and an exact-size copy of a
+// buffer with more than an eighth of slack.
+func TestDFSBytesHandsOverExactBuffers(t *testing.T) {
+	var exact bytes.Buffer
+	if err := data.WriteGenotypes(&exact, gen.Genotypes(gen.Config{Patients: 100, SNPs: 300}, rng.New(1))); err != nil {
+		t.Fatal(err)
+	}
+	b := exact.Bytes()
+	if got := dfsBytes(b); &got[0] != &b[0] || cap(got) != len(b) {
+		t.Fatalf("a buffer grown to its text's size (len %d, cap %d) was copied or kept its slack", len(b), cap(b))
+	}
+	slack := append(make([]byte, 0, 4096), b[:1000]...)
+	got := dfsBytes(slack)
+	if &got[0] == &slack[0] || !bytes.Equal(got, slack) {
+		t.Fatal("a buffer with 3 kB of slack on 1 kB of text was handed over, or copied wrong")
+	}
+}

@@ -34,9 +34,7 @@ func StageDataset(ctx *rdd.Context, ds *data.Dataset, prefix string) (Paths, err
 	return paths, nil
 }
 
-// stagedFile buffers one file's text and writes it to the DFS on Close. The
-// DFS keeps the slice it is handed, so it gets an exact-size copy and the
-// buffer's slack dies with the buffer.
+// stagedFile buffers one file's text and writes it to the DFS on Close.
 type stagedFile struct {
 	bytes.Buffer
 	fs   *dfs.FS
@@ -44,6 +42,18 @@ type stagedFile struct {
 }
 
 func (f *stagedFile) Close() error {
-	_, err := f.fs.Write(f.name, bytes.Clone(f.Bytes()))
+	_, err := f.fs.Write(f.name, dfsBytes(f.Bytes()))
 	return err
+}
+
+// dfsBytes is what a buffer hands the DFS, which keeps the slice it is handed:
+// the buffer's own bytes when it was grown once to its text's size (as
+// data.WriteGenotypes grows its destination), its slack under an eighth of
+// the text, and an exact-size copy of a buffer that grew by doubling, so that
+// slack dies with the buffer.
+func dfsBytes(b []byte) []byte {
+	if cap(b)-len(b) > len(b)/8 {
+		return bytes.Clone(b)
+	}
+	return b[:len(b):len(b)]
 }

@@ -10,28 +10,127 @@ package data
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
-// WriteGenotypes writes m in the genotype text format. Each row is appended
-// into one reused line buffer, a genotype in {0,1,2} as its single digit and
-// any other value in decimal, each with its separator in the same append (the
-// row's last one dropped), so the per-genotype loop has one branch. A
-// destination that can grow (a bytes.Buffer, a strings.Builder) is grown once
-// to the text's size first, so staging holds one buffer of the text rather
-// than a doubling chain of them.
+// WriteGenotypes writes m in the genotype text format. It encodes batches of
+// rows, a few MB of text each, every batch split into GOMAXPROCS row ranges
+// encoded in parallel at their exact offsets, and writes the batches in row
+// order, so the bytes are those of a serial encoder. A destination that can
+// grow and lend its free space (a bytes.Buffer) is grown once to the text's
+// size and encoded into in place, so staging holds one buffer of the text
+// rather than a doubling chain of them; any other destination gets one
+// batch's scratch, reused. A genotype outside {0,1,2} sends the rows from its
+// batch on to writeGenotypeRows, which writes it in decimal. A write error is
+// returned at once; nothing is written after it.
 func WriteGenotypes(w io.Writer, m *GenotypeMatrix) error {
+	var inPlace interface{ AvailableBuffer() []byte }
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		g.Grow(genotypeTextBytes(m))
+		inPlace, _ = w.(interface{ AvailableBuffer() []byte })
 	}
+	var scratch []byte
+	for lo := 0; lo < len(m.Rows); {
+		hi, n := lo, 0
+		for ; hi < len(m.Rows) && n < encodeBatchBytes; hi++ {
+			n += rowTextBytes(hi, len(m.Rows[hi]))
+		}
+		dst := scratch
+		if inPlace != nil {
+			dst = inPlace.AvailableBuffer()
+		}
+		if cap(dst) < n {
+			scratch = make([]byte, n)
+			dst = scratch
+		}
+		dst = dst[:n]
+		if !encodeRowsParallel(dst, m.Rows[lo:hi], lo) {
+			return writeGenotypeRows(w, m.Rows[lo:], lo)
+		}
+		if _, err := w.Write(dst); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// encodeBatchBytes is the text WriteGenotypes encodes between two writes: it
+// bounds the scratch a destination that cannot lend its free space costs
+// (one row's text, where a row is longer).
+const encodeBatchBytes = 4 << 20
+
+// encodeRowsParallel encodes rows, the first of which is SNP first, into dst,
+// which is exactly their text's size: GOMAXPROCS contiguous row ranges, each
+// on its own goroutine at its offset. It reports false, leaving dst partly
+// written, if a genotype is outside {0,1,2}.
+func encodeRowsParallel(dst []byte, rows [][]Genotype, first int) bool {
+	workers := min(runtime.GOMAXPROCS(0), len(rows))
+	ok := make([]bool, workers)
+	var wg sync.WaitGroup
+	off, j := 0, 0
+	for w := range workers {
+		lo, hi, start := j, (w+1)*len(rows)/workers, off
+		for ; j < hi; j++ {
+			off += rowTextBytes(first+j, len(rows[j]))
+		}
+		part := dst[start:off]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ok[w] = encodeRows(part, rows[lo:hi], first+lo)
+		}()
+	}
+	wg.Wait()
+	return !slices.Contains(ok, false)
+}
+
+// encodeRows encodes rows, the first of which is SNP first, into dst, which is
+// exactly their text's size: per genotype its digit and a separator, four
+// genotypes to a 64-bit store, and the row's last separator overwritten by
+// the newline. It reports whether every genotype was in {0,1,2}; dst is
+// garbage if not.
+func encodeRows(dst []byte, rows [][]Genotype, first int) bool {
+	var seen uint64 // |= g+1: below 4 while every g is 0, 1 or 2
+	k := 0
+	for r, row := range rows {
+		k += len(strconv.AppendInt(dst[k:k], int64(first+r), 10))
+		dst[k] = '\t'
+		k++
+		line := dst[k : k+2*len(row)]
+		k += max(2*len(row), 1)
+		for ; len(row) >= 4; row, line = row[4:], line[8:] {
+			g0, g1, g2, g3 := uint64(uint8(row[0])), uint64(uint8(row[1])), uint64(uint8(row[2])), uint64(uint8(row[3]))
+			seen |= (g0 + 1) | (g1 + 1) | (g2 + 1) | (g3 + 1)
+			binary.LittleEndian.PutUint64(line, g0|g1<<16|g2<<32|g3<<48|0x2030_2030_2030_2030)
+		}
+		for i, g := range row {
+			seen |= uint64(uint8(g)) + 1
+			line[2*i], line[2*i+1] = '0'+byte(g), ' '
+		}
+		dst[k-1] = '\n'
+	}
+	return seen < 4
+}
+
+// writeGenotypeRows is the one-line-at-a-time encoder WriteGenotypes falls
+// back to for rows with genotypes outside {0,1,2}: each row appended into one
+// reused line buffer, a genotype in {0,1,2} as its single digit and any other
+// value in decimal, each with its separator in the same append (the row's
+// last one dropped).
+func writeGenotypeRows(w io.Writer, rows [][]Genotype, first int) error {
 	bw := bufio.NewWriter(w)
 	var line []byte
-	for j, row := range m.Rows {
-		line = strconv.AppendInt(line[:0], int64(j), 10)
+	for r, row := range rows {
+		line = strconv.AppendInt(line[:0], int64(first+r), 10)
 		line = append(line, '\t')
 		for _, g := range row {
 			if uint8(g) <= 2 {
@@ -52,20 +151,24 @@ func WriteGenotypes(w io.Writer, m *GenotypeMatrix) error {
 }
 
 // genotypeTextBytes is the size of WriteGenotypes' text for m when every
-// genotype is in {0,1,2}: per row the id's digits, a tab, one byte per
-// genotype and per separator, and a newline.
+// genotype is in {0,1,2}.
 func genotypeTextBytes(m *GenotypeMatrix) int {
 	n := 0
 	for j, row := range m.Rows {
-		for d := j; ; d /= 10 {
-			n++
-			if d < 10 {
-				break
-			}
-		}
-		n += 1 + max(2*len(row), 1)
+		n += rowTextBytes(j, len(row))
 	}
 	return n
+}
+
+// rowTextBytes is the size of SNP j's line of patients genotypes in {0,1,2}:
+// the id's digits, a tab, one byte per genotype and per separator, and a
+// newline.
+func rowTextBytes(j, patients int) int {
+	n := 1 + max(2*patients, 1)
+	for ; j >= 10; j /= 10 {
+		n++
+	}
+	return n + 1
 }
 
 // ReadGenotypes parses the genotype text format. Lines may arrive in any

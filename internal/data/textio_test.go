@@ -3,7 +3,10 @@ package data
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -339,5 +342,152 @@ func TestReadCovariatesErrors(t *testing.T) {
 		if _, err := ReadCovariates(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %q", name, in)
 		}
+	}
+}
+
+// randomMatrix is a snps × patients matrix of genotypes in {0,1,2}.
+func randomMatrix(snps, patients int, seed uint64) *GenotypeMatrix {
+	m := NewGenotypeMatrix(snps, patients)
+	r := rng.New(seed)
+	for _, row := range m.Rows {
+		for i := range row {
+			row[i] = Genotype(r.Intn(3))
+		}
+	}
+	return m
+}
+
+// plainWriter hides every method of its buffer but Write.
+type plainWriter struct{ buf bytes.Buffer }
+
+func (w *plainWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+
+// failingWriter accepts budget bytes, fails the write that would pass them
+// (keeping nothing of it), and reports any write after the failure.
+type failingWriter struct {
+	t      *testing.T
+	budget int
+	got    bytes.Buffer
+	failed bool
+}
+
+var errWriterFull = errors.New("writer full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.t.Errorf("Write of %d bytes after the writer failed", len(p))
+	}
+	if w.got.Len()+len(p) > w.budget {
+		w.failed = true
+		return 0, errWriterFull
+	}
+	return w.got.Write(p)
+}
+
+// TestWriteGenotypesParallelMatchesOracle: the batched, row-parallel encoder
+// writes the serial oracle's bytes under GOMAXPROCS 1, 2 and 7 — into a
+// bytes.Buffer (encoded in place) and into a writer with nothing but Write —
+// for no rows, one row, fewer rows than workers, no patients, values outside
+// {0,1,2} in the first and in a later batch and in each column of a
+// four-genotype group, and a matrix of several batches.
+// A writer that fails part-way gets the error back and no write after it, and
+// what it accepted is a prefix of the oracle's text.
+func TestWriteGenotypesParallelMatchesOracle(t *testing.T) {
+	batches := randomMatrix(encodeBatchBytes/2000+100, 1001, 1) // two batches
+	late := randomMatrix(len(batches.Rows), 1001, 2)
+	late.Rows[len(late.Rows)-3][500] = MissingGenotype
+	early := randomMatrix(6, 9, 3)
+	early.Rows[0][8], early.Rows[4][0] = MissingGenotype, 100
+	cases := map[string]*GenotypeMatrix{
+		"no rows":          {},
+		"one row":          randomMatrix(1, 13, 4),
+		"fewer than procs": randomMatrix(3, 5, 5),
+		"no patients":      NewGenotypeMatrix(11, 0),
+		"one patient":      randomMatrix(23, 1, 6),
+		"outside first":    early,
+		"outside later":    late,
+		"several batches":  batches,
+	}
+	for col := range 9 { // each of a four-genotype group's lanes, and the tail
+		m := randomMatrix(4, 9, 8)
+		m.Rows[2][col] = MissingGenotype
+		cases[fmt.Sprintf("missing in column %d", col)] = m
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, m := range cases {
+		var want bytes.Buffer
+		if err := writeGenotypesOracle(&want, m); err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2, 7} {
+			runtime.GOMAXPROCS(procs)
+			var buf bytes.Buffer
+			var plain plainWriter
+			for _, w := range []struct {
+				io.Writer
+				got *bytes.Buffer
+			}{{&buf, &buf}, {&plain, &plain.buf}} {
+				if err := WriteGenotypes(w.Writer, m); err != nil {
+					t.Fatalf("%s, GOMAXPROCS %d, %T: %v", name, procs, w.Writer, err)
+				}
+				if !bytes.Equal(w.got.Bytes(), want.Bytes()) {
+					t.Fatalf("%s, GOMAXPROCS %d, %T: %d bytes differ from the oracle's %d",
+						name, procs, w.Writer, w.got.Len(), want.Len())
+				}
+			}
+			for _, budget := range []int{0, want.Len() / 2, want.Len() - 1} {
+				if want.Len() == 0 {
+					break
+				}
+				fw := &failingWriter{t: t, budget: budget}
+				if err := WriteGenotypes(fw, m); !errors.Is(err, errWriterFull) {
+					t.Fatalf("%s, GOMAXPROCS %d, failing after %d bytes: error %v, want the writer's", name, procs, budget, err)
+				}
+				if !bytes.HasPrefix(want.Bytes(), fw.got.Bytes()) {
+					t.Fatalf("%s, GOMAXPROCS %d: the %d bytes accepted before the failure are not the oracle's", name, procs, fw.got.Len())
+				}
+			}
+		}
+	}
+}
+
+// TestWriteGenotypesPlainWriterScratchBounded: into a writer that cannot lend
+// its free space, WriteGenotypes allocates one batch's scratch, not the
+// text's size.
+func TestWriteGenotypesPlainWriterScratchBounded(t *testing.T) {
+	m := randomMatrix(6*encodeBatchBytes/2000, 1000, 7) // 6 batches of text
+	text := genotypeTextBytes(m)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := WriteGenotypes(io.Discard, m); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > encodeBatchBytes+1<<20 {
+		t.Fatalf("%d bytes of text into io.Discard allocated %d bytes, want at most one %d-byte batch and change",
+			text, alloc, encodeBatchBytes)
+	}
+}
+
+// BenchmarkWriteGenotypes encodes perm_scan's 10 000-SNP × 1 000-patient
+// matrix, 20 MB of text, into a bytes.Buffer (grown once and encoded into in
+// place) and into io.Discard (one batch's scratch), and reports MB/s of text.
+func BenchmarkWriteGenotypes(b *testing.B) {
+	m := randomMatrix(10000, 1000, 1)
+	for _, bc := range []struct {
+		name string
+		w    func() io.Writer
+	}{
+		{"buffer", func() io.Writer { return new(bytes.Buffer) }},
+		{"discard", func() io.Writer { return io.Discard }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(genotypeTextBytes(m)))
+			for b.Loop() {
+				if err := WriteGenotypes(bc.w(), m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -19,6 +19,8 @@ package gen
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"sparkscore/internal/data"
 	"sparkscore/internal/rng"
@@ -121,28 +123,60 @@ func Phenotype(cfg Config, r *rng.RNG) *data.Phenotype {
 }
 
 // Genotypes draws the SNP-major genotype matrix. Each SNP row derives its own
-// RNG stream keyed by the SNP index, so rows can be generated (or
-// re-generated) in parallel and in any order.
+// RNG stream keyed by the SNP index, and Split does not advance the parent, so
+// the rows are drawn in parallel — GOMAXPROCS contiguous row ranges, one
+// goroutine each — and the matrix is a function of the seed alone, whatever
+// the number of cores.
 func Genotypes(cfg Config, r *rng.RNG) *data.GenotypeMatrix {
 	cfg = cfg.withDefaults()
 	m := data.NewGenotypeMatrix(cfg.SNPs, cfg.Patients)
-	for j := 0; j < cfg.SNPs; j++ {
-		FillGenotypeRow(m.Rows[j], cfg, r, j)
+	workers := min(runtime.GOMAXPROCS(0), cfg.SNPs)
+	var wg sync.WaitGroup
+	for w := range workers {
+		lo, hi := w*cfg.SNPs/workers, (w+1)*cfg.SNPs/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := lo; j < hi; j++ {
+				FillGenotypeRow(m.Rows[j], cfg, r, j)
+			}
+		}()
 	}
+	wg.Wait()
 	return m
 }
 
 // FillGenotypeRow fills row with the genotypes of SNP j: ρ_j is drawn
 // uniformly from the configured MAF range, then each genotype is
-// Binomial(2, ρ_j). Exposed so large matrices can be generated partition by
+// Binomial(2, ρ_j), two Bernoulli(ρ_j) trials drawn in the order and with the
+// bits of rng's Binomial(2, ρ_j), compared against an integer threshold
+// without a branch. Exposed so large matrices can be generated partition by
 // partition inside the engine without materialising the whole matrix first.
 func FillGenotypeRow(row []data.Genotype, cfg Config, r *rng.RNG, j int) {
 	cfg = cfg.withDefaults()
 	rr := r.Split(uint64(j))
 	rho := cfg.MinMAF + rr.Float64()*(cfg.MaxMAF-cfg.MinMAF)
+	t := bernoulliThreshold(rho)
 	for i := range row {
-		row[i] = data.Genotype(rr.Binomial(2, rho))
+		a := rr.Uint64()>>11 - t
+		b := rr.Uint64()>>11 - t
+		row[i] = data.Genotype(a>>63 + b>>63)
 	}
+}
+
+// bernoulliThreshold returns the t for which u>>11 < t holds exactly when
+// rng's Float64 = float64(u>>11)/2⁵³ is below p, for every 64-bit draw u:
+// p·2⁵³ is exact, and an integer below 2⁵³ is below it exactly when it is
+// below its ceiling. Both sides of the comparison are below 2⁵⁴, so
+// (u>>11 − t)>>63 is the comparison as 0 or 1.
+func bernoulliThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0): // NaN too: no draw is below it
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // GenoBlocks draws the genotype matrix directly into packed 2-bit columnar

@@ -2,6 +2,8 @@ package gen
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -277,4 +279,115 @@ func TestConfigValidateRefusesNonFinite(t *testing.T) {
 			t.Errorf("%+v: error %v, want one naming %s", tc.cfg, err, tc.want)
 		}
 	}
+}
+
+// genotypesOracle draws the matrix as the serial generator did: row after
+// row, each genotype rng's Binomial(2, ρ_j) on the row's split stream.
+func genotypesOracle(cfg Config, r *rng.RNG) [][]int8 {
+	cfg = cfg.withDefaults()
+	rows := make([][]int8, cfg.SNPs)
+	for j := range rows {
+		rr := r.Split(uint64(j))
+		rho := cfg.MinMAF + rr.Float64()*(cfg.MaxMAF-cfg.MinMAF)
+		rows[j] = make([]int8, cfg.Patients)
+		for i := range rows[j] {
+			rows[j][i] = int8(rr.Binomial(2, rho))
+		}
+	}
+	return rows
+}
+
+// TestGenotypesParallelMatchesSerialOracle: the row-parallel, branch-free
+// generator draws the serial Binomial generator's matrix under every
+// GOMAXPROCS, on shapes with fewer rows than workers, an odd row count and a
+// single patient.
+func TestGenotypesParallelMatchesSerialOracle(t *testing.T) {
+	shapes := []Config{
+		{Patients: 40, SNPs: 1, SNPSets: 1},
+		{Patients: 33, SNPs: 3, SNPSets: 1},
+		{Patients: 1, SNPs: 57, SNPSets: 1},
+		{Patients: 101, SNPs: 203, SNPSets: 1},
+		{Patients: 64, SNPs: 20, SNPSets: 1, MinMAF: 0.2, MaxMAF: 0.2},
+		{Patients: 64, SNPs: 9, SNPSets: 1, MinMAF: 1e-9, MaxMAF: 1 - 1e-9},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, cfg := range shapes {
+		want := genotypesOracle(cfg, rng.New(5))
+		for _, procs := range []int{1, 2, 7} {
+			runtime.GOMAXPROCS(procs)
+			got := Genotypes(cfg, rng.New(5))
+			for j := range want {
+				if !slices.Equal(got.Rows[j], want[j]) {
+					t.Fatalf("%d×%d at GOMAXPROCS %d: row %d is %v, the serial oracle %v",
+						cfg.SNPs, cfg.Patients, procs, j, got.Rows[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// checkThreshold reports whether the integer comparison FillGenotypeRow makes
+// agrees with rng's Float64() < p for the draw u.
+func checkThreshold(t *testing.T, u uint64, p float64) {
+	t.Helper()
+	k := u >> 11
+	want := float64(k)/(1<<53) < p
+	if got := k < bernoulliThreshold(p); got != want {
+		t.Fatalf("u %#x, p %v (%#x): u>>11 < threshold %d is %v, Float64 < p is %v",
+			u, p, math.Float64bits(p), bernoulliThreshold(p), got, want)
+	}
+	if got := (k-bernoulliThreshold(p))>>63 == 1; got != want {
+		t.Fatalf("u %#x, p %v: the branch-free comparison is %v, Float64 < p is %v", u, p, got, want)
+	}
+}
+
+// FuzzBernoulliThreshold: u>>11 < ceil(p·2⁵³) equals float64(u>>11)/2⁵³ < p,
+// for every draw u and probability p; the seeds sit p on exact multiples of
+// 2⁻⁵³, their neighbours and the MAF bounds, and u at its extremes and where
+// u>>11 lands on those multiples.
+func FuzzBernoulliThreshold(f *testing.F) {
+	const ulp = 1.0 / (1 << 53)
+	for _, p := range []float64{0.01, 0.5, 0.2, 1e-9, 1 - 1e-9, ulp, 3 * ulp, 0.25 + ulp, 1 - ulp, 0, 1, -0.5, 2} {
+		for _, q := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, 1)} {
+			k := uint64(q * (1 << 53))
+			for _, u := range []uint64{0, math.MaxUint64, k << 11, (k+1)<<11 - 1, (k - 1) << 11} {
+				f.Add(u, q)
+			}
+		}
+	}
+	f.Add(uint64(12345), math.NaN())
+	f.Fuzz(func(t *testing.T, u uint64, p float64) {
+		checkThreshold(t, u, p)
+	})
+}
+
+// TestBernoulliThresholdEdges runs the fuzz target's edge cases, plus every
+// draw around a threshold, in the normal test run.
+func TestBernoulliThresholdEdges(t *testing.T) {
+	r := rng.New(9)
+	for i := 0; i < 2000; i++ {
+		p := r.Float64()
+		if i%2 == 0 {
+			p = float64(r.Uint64()>>11) / (1 << 53) // an exact multiple of 2⁻⁵³
+		}
+		for _, q := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, 1)} {
+			k := uint64(math.Ceil(q * (1 << 53)))
+			for _, kk := range []uint64{k - 1, k, k + 1} {
+				checkThreshold(t, kk<<11, q)
+				checkThreshold(t, kk<<11|0x7ff, q)
+			}
+			checkThreshold(t, 0, q)
+			checkThreshold(t, math.MaxUint64, q)
+		}
+	}
+}
+
+// BenchmarkGenotypes draws perm_scan's 1 000-patient × 10 000-SNP matrix and
+// reports ns per genotype.
+func BenchmarkGenotypes(b *testing.B) {
+	cfg := Config{Patients: 1000, SNPs: 10000, SNPSets: 1}
+	for b.Loop() {
+		Genotypes(cfg, rng.New(1))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cfg.Patients*cfg.SNPs), "ns/genotype")
 }
