@@ -108,20 +108,35 @@ bench-smoke:
 # same panic on an out-of-range index) on arbitrary tile bits and lists, and
 # the all-pairs accumulator's χ² cut-offs leave its partial equal to the exact
 # path's (Tested, top-K bits, BH result) on arbitrary score and variance
-# streams, NaN, ±Inf, zeros, subnormals and ties included.
+# streams, NaN, ±Inf, zeros, subnormals and ties included, its χ² histogram
+# bins equal the p-value's bin on arbitrary χ² (every edge ±1 and ±2 ulps,
+# every bracket end, 0, subnormals, +Inf and NaN seeded), the wide kernel's
+# rows equal per-phenotype Score/Variance bit for bit on arbitrary packed
+# bytes (every code, padding included) and batch shapes, the generator's
+# integer-threshold Bernoulli draw equals Float64() < ρ, the SNP-set and
+# covariate readers return errors or round-trip through their writers, and
+# the serving-pool parser returns an error or a valid configuration that
+# re-encodes to itself — never a panic, nor data after the array accepted.
+# Every native fuzz target in the repository is listed here.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzGenoBlockTextRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzParseGenoText -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzPhenoMatrixRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadPhenotype -fuzztime=10s
+	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadSNPSets -fuzztime=10s
+	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadCovariates -fuzztime=10s
 	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzDecodeFrameBytes -fuzztime=10s
 	$(GO) test ./internal/rdd -run='^$$' -fuzz=FuzzReadEventLog -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPanelKernel -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPanelCompaction -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzPackedRowScores -fuzztime=10s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzSumCellPairs -fuzztime=10s
+	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzWideKernelRows -fuzztime=10s
 	$(GO) test ./internal/assoc -run='^$$' -fuzz=FuzzAccumulatorCutoff -fuzztime=10s
+	$(GO) test ./internal/assoc -run='^$$' -fuzz=FuzzChi2Bins -fuzztime=10s
+	$(GO) test ./internal/gen -run='^$$' -fuzz=FuzzBernoulliThreshold -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzParsePools -fuzztime=10s
 
 # cover enforces the per-package statement-coverage floors recorded in
 # coverage_baseline.txt: <package> <min-percent> per line, '#' comments

@@ -41,6 +41,7 @@ import (
 	"sparkscore/internal/cluster"
 	"sparkscore/internal/core"
 	"sparkscore/internal/data"
+	"sparkscore/internal/dfs"
 	"sparkscore/internal/gen"
 	"sparkscore/internal/rdd"
 	"sparkscore/internal/rng"
@@ -125,12 +126,8 @@ func main() {
 		// re-reads the already-staged genotypes, so the two endpoints share one
 		// copy of the large side.
 		expr := gen.ExpressionMatrix(gen.Config{Patients: analysis.Patients()}, rng.New(*seed), *eqtlPhenos)
-		var buf bytes.Buffer
-		if err := data.WritePhenoMatrix(&buf, expr); err != nil {
-			fatal(err)
-		}
 		const phenoMatrixPath = "input/phenomatrix.txt"
-		if _, err := ctx.FS().Write(phenoMatrixPath, buf.Bytes()); err != nil {
+		if err := stagePhenoMatrix(ctx.FS(), phenoMatrixPath, expr); err != nil {
 			fatal(err)
 		}
 		eq, err := assoc.NewAnalysis(ctx, paths.Genotypes, phenoMatrixPath, assoc.Config{TopK: *eqtlTop})
@@ -174,6 +171,24 @@ func main() {
 		fmt.Printf("sparkserved: stopped after %.1f simulated seconds over %d jobs\n",
 			ctx.VirtualTime(), ctx.JobCount())
 	}
+}
+
+// stagePhenoMatrix writes the expression matrix's text to path on the DFS,
+// which keeps the slice it is handed for the server's lifetime. The text is
+// encoded into a buffer grown by doubling, so, by the rule the batch
+// stagers apply, a buffer with more than an eighth of slack is handed over
+// as an exact-size copy; either way the DFS gets cap == len.
+func stagePhenoMatrix(fs *dfs.FS, path string, expr *data.PhenoMatrix) error {
+	var buf bytes.Buffer
+	if err := data.WritePhenoMatrix(&buf, expr); err != nil {
+		return err
+	}
+	text := buf.Bytes()
+	if cap(text)-len(text) > len(text)/8 {
+		text = append(make([]byte, 0, len(text)), text...)
+	}
+	_, err := fs.Write(path, text[:len(text):len(text)])
+	return err
 }
 
 // loadPools parses the -pools flag: empty, inline JSON, or @file.

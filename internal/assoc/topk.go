@@ -26,6 +26,12 @@
 //     cutMargin) only adds to Tested. Bins past α are never incremented. A
 //     partial is then the exact path's partial with those bins zeroed, and
 //     they cannot change bhFromHist: the BH threshold comes out the same.
+//   - Pairs between the cut-offs are binned by χ², not by p. A pair at or
+//     above the BH cut-off but strictly below the heap's cannot enter the
+//     top-K and needs only its bin; the bins' edges, bracketed in χ² once per
+//     run (bhEdge), give it by search, so erfc runs only for a top-K
+//     candidate, a NaN χ², or a χ² within cutMargin of an edge. The count is
+//     the p-value's bin's, so the partial is unchanged.
 
 package assoc
 
@@ -197,13 +203,22 @@ func cutBelow(x, p float64) float64 {
 	return c
 }
 
-// bhEdge is the run's BH cut-off, computed once from the sketch width: BH can
-// set its threshold only at a bin b with u_b = (b+1)/W ≤ α·C_b/m ≤ α, so only
-// the bins below keep count, and a pair whose χ² is below cut lands past them.
+// bhEdge is the run's BH cut-off and its χ² bin edges, computed once from
+// the sketch width: BH can set its threshold only at a bin b with
+// u_b = (b+1)/W ≤ α·C_b/m ≤ α, so only the bins below keep count, and a pair
+// whose χ² is below cut lands past them.
+//
+// Edge i < keep is the χ² at which a p-value leaves bin i for bin i+1. hi[i]
+// and lo[i] bracket it: every χ² above hi[i] has its p-value in a bin ≤ i,
+// every χ² below lo[i] in a bin ≥ i+1 — each checked, as cutBelow checks its
+// cut-off, to move p past the edge by a relative 1e-9, against erfc's few
+// ulps. The brackets are derived from the bins' p-value edges alone, so
+// other bin shapes change only the p-values the brackets are built around.
 type bhEdge struct {
-	bins int     // the sketch width W
-	keep int     // bins [0, keep) have u_b ≤ α, in bhFromHist's expression
-	cut  float64 // a χ² strictly below cut has a p-value in bin ≥ keep
+	bins   int       // the sketch width W
+	keep   int       // bins [0, keep) have u_b ≤ α, in bhFromHist's expression
+	cut    float64   // a χ² strictly below cut has a p-value in bin ≥ keep
+	lo, hi []float64 // the edges' brackets; empty when some edge has none
 }
 
 func newBHEdge(bins int, alpha float64) bhEdge {
@@ -216,41 +231,97 @@ func newBHEdge(bins int, alpha float64) bhEdge {
 		e.cut = math.Inf(1) // no bin can set the threshold: none counts
 		return e
 	}
-	// Bisect for the χ² at which p·W reaches keep, the lower edge of the
-	// first bin past α; p(0) = 1 is on the low side, and p is 0 by χ² = 2048.
+	// The lower edge of the first bin past α, at which p·W reaches keep.
 	q := float64(e.keep) / w
-	lo, hi := 0.0, 2048.0
-	for range 200 {
-		mid := (lo + hi) / 2
-		if mid == lo || mid == hi {
+	below, _ := bisectChi2(func(p float64) bool { return p >= q })
+	e.cut = cutBelow(below, q)
+
+	// Edge i is where p·W crosses i+1, at χ² = 2·erfcinv((i+1)/W)². The
+	// estimate need only fall well inside the margin, which the checks
+	// confirm: p·W at lo[i] clears i+1 by a relative 1e-9, and at hi[i] falls
+	// short of it by as much.
+	e.lo, e.hi = make([]float64, e.keep), make([]float64, e.keep)
+	for i := range e.keep {
+		edge := float64(i + 1)
+		z := math.Erfcinv(edge / w)
+		e.lo[i], e.hi[i] = 2*z*z*(1-cutMargin), 2*z*z*(1+cutMargin)
+		if !(stats.ChiSquaredSurvival(e.lo[i], 1)*w > edge*(1+1e-9)) ||
+			!(stats.ChiSquaredSurvival(e.hi[i], 1)*w < edge*(1-1e-9)) {
+			e.lo, e.hi = nil, nil // every pair at or above cut takes the exact path
 			break
 		}
-		if stats.ChiSquaredSurvival(mid, 1) >= q {
-			lo = mid
-		} else {
-			hi = mid
-		}
 	}
-	e.cut = cutBelow(lo, q)
 	return e
 }
 
+// bisectChi2 bisects [0, 2048] for where in(p) stops holding, p a χ²'s
+// p-value: in must hold at p = 1 (χ² = 0) and fail at p = 0, which erfc
+// reaches by χ² = 2048. It returns the last χ² tried at which in holds and
+// the first above it at which it does not, adjacent floats when the bisection
+// runs to the end.
+func bisectChi2(in func(p float64) bool) (below, above float64) {
+	below, above = 0, 2048
+	for range 200 {
+		mid := (below + above) / 2
+		if mid == below || mid == above {
+			break
+		}
+		if in(stats.ChiSquaredSurvival(mid, 1)) {
+			below = mid
+		} else {
+			above = mid
+		}
+	}
+	return below, above
+}
+
+// chiBin is the histogram bin of a χ² by search over the edges' brackets
+// alone: bin b when x lies above hi[b] and below lo[b−1], which settles the
+// p-value's bin whether or not the brackets are in order. ok is false — the
+// bin needs the p-value — for a χ² within a bracket, below the last kept
+// edge's, or NaN. The search runs a fixed number of steps without a branch
+// on the data, since a null stream's bins are uniform and such a branch would
+// mispredict about every other step. Each step compares bit patterns, which
+// order the non-negative floats as their values: the sign of hi's bits minus
+// x's is a mask that takes the step when x ≤ hi. Both patterns are below
+// 2⁶³ for a non-negative x, so the difference cannot overflow; any other x
+// it may misplace only fails the float checks at the end.
+func (e *bhEdge) chiBin(x float64) (b int, ok bool) {
+	hi := e.hi
+	if len(hi) == 0 {
+		return 0, false
+	}
+	xb := math.Float64bits(x)
+	above := func(i int) int { return int(int64(math.Float64bits(hi[i])-xb) >> 63) } // −1 when x > hi[i]
+	for n := len(hi); n > 1; {
+		half := n >> 1
+		b += half &^ above(b+half)
+		n -= half
+	}
+	b += 1 + above(b)
+	return b, b < len(hi) && x > hi[b] && (b == 0 || x < e.lo[b-1])
+}
+
 // accumulator builds a partial from the kernel's rows. A pair whose χ² is
-// strictly below cut = min(BH cut-off, heap cut-off) is counted only; every
-// other pair — NaN χ² included, since NaN < cut is false — takes the exact
-// path: its p-value, its histogram bin if kept, and the heap.
+// strictly below cut = min(BH cut-off, heap cut-off) is counted only. A pair
+// at or above it but strictly below the heap cut-off cannot enter the top-K:
+// it takes its bin from the χ² edges (chiBin) where the search settles it.
+// Every other pair — NaN χ² included, since NaN < cut is false — takes the
+// exact path: its p-value, its histogram bin if kept, and the heap.
 type accumulator struct {
-	tested int64
-	scored int64 // pairs that took the exact path
-	top    *topK
-	hist   []int64
-	edge   bhEdge
-	cut    float64
+	tested  int64
+	scored  int64 // pairs that took the exact path
+	top     *topK
+	hist    []int64
+	edge    bhEdge
+	cut     float64
+	heapCut float64 // top.cut()
 }
 
 func newAccumulator(k int, edge bhEdge) *accumulator {
 	a := &accumulator{top: newTopK(k), hist: make([]int64, edge.bins), edge: edge}
-	a.cut = min(edge.cut, a.top.cut())
+	a.heapCut = a.top.cut()
+	a.cut = min(edge.cut, a.heapCut)
 	return a
 }
 
@@ -260,9 +331,17 @@ func (a *accumulator) addRow(snp int32, phenos []int32, scores, variances []floa
 	a.tested += int64(len(scores))
 	variances = variances[:len(scores)]
 	for p, s := range scores {
-		if x := stats.Chi2Stat(s, variances[p]); !(x < a.cut) {
-			a.score(pairResult(snp, phenos[p], s, variances[p]))
+		x := stats.Chi2Stat(s, variances[p])
+		if x < a.cut {
+			continue
 		}
+		if x < a.heapCut {
+			if b, ok := a.edge.chiBin(x); ok {
+				a.hist[b]++
+				continue
+			}
+		}
+		a.score(pairResult(snp, phenos[p], s, variances[p]))
 	}
 }
 
@@ -273,7 +352,8 @@ func (a *accumulator) score(p PairResult) {
 		a.hist[b]++
 	}
 	if a.top.add(p) {
-		a.cut = min(a.edge.cut, a.top.cut())
+		a.heapCut = a.top.cut()
+		a.cut = min(a.edge.cut, a.heapCut)
 	}
 }
 

@@ -448,3 +448,95 @@ func FuzzAccumulatorCutoff(f *testing.F) {
 		checkCutoff(t, k, bins, rows)
 	})
 }
+
+// binOf is the bin the accumulator gives a χ² it bins without a heap offer:
+// chiBin's where the search settles it, the p-value's otherwise.
+func binOf(e *bhEdge, x float64) int {
+	if b, ok := e.chiBin(x); ok {
+		return b
+	}
+	return histBin(stats.ChiSquaredSurvival(x, 1), e.bins)
+}
+
+// chi2BinWidths are the sketch widths FuzzChi2Bins runs: no kept bin, one,
+// two, a few, and the default.
+var chi2BinWidths = []int{1, 19, 20, 21, 40, 64, 512, 4096}
+
+// TestChi2BinsSettleTheKeptRange is chiBin's non-vacuity: every kept bin has
+// bracketed edges, and across the kept range's χ² the search alone bins all
+// but a sliver of values, each into the p-value's bin. At W = 2²⁰ adjacent
+// edges sit ~8e-6 apart in relative χ² near α, so the 2e-6-wide brackets
+// take up to a quarter of that stretch.
+func TestChi2BinsSettleTheKeptRange(t *testing.T) {
+	r := rng.New(43)
+	for _, c := range []struct {
+		bins    int
+		percent int
+	}{{20, 99}, {21, 99}, {40, 99}, {64, 99}, {512, 99}, {4096, 99}, {1 << 20, 80}} {
+		e := newBHEdge(c.bins, fdrAlpha)
+		if len(e.hi) != e.keep || len(e.lo) != e.keep {
+			t.Fatalf("bins=%d: %d and %d brackets for %d kept bins", c.bins, len(e.lo), len(e.hi), e.keep)
+		}
+		settled := 0
+		const draws = 20000
+		for range draws {
+			// p uniform over the kept range, as a null stream's pairs past the
+			// BH cut-off are.
+			p := r.Float64() * float64(e.keep) / float64(c.bins)
+			z := math.Erfcinv(p)
+			x := 2 * z * z
+			if b, ok := e.chiBin(x); ok {
+				settled++
+				if want := histBin(stats.ChiSquaredSurvival(x, 1), c.bins); b != want {
+					t.Fatalf("bins=%d: χ² %v binned %d, its p-value's bin is %d", c.bins, x, b, want)
+				}
+			}
+		}
+		if settled*100 < draws*c.percent {
+			t.Fatalf("bins=%d: the search settled %d of %d χ² values in the kept range, want %d %%", c.bins, settled, draws, c.percent)
+		}
+	}
+}
+
+// FuzzChi2Bins pins the χ² binning to the p-value's: binOf(x) must equal
+// histBin(ChiSquaredSurvival(x, 1), W) at every sketch width of
+// chi2BinWidths. The seeds sit on every edge — the two ends of a bisection
+// for where the p-value's bin changes — and 1 and 2 ulps either side, on
+// every bracket end and 1 ulp either side, and on ±0, subnormals, the normal
+// floor, +Inf, NaN and a negative χ².
+func FuzzChi2Bins(f *testing.F) {
+	edges := make([]bhEdge, len(chi2BinWidths))
+	for w, bins := range chi2BinWidths {
+		edges[w] = newBHEdge(bins, fdrAlpha)
+		e := &edges[w]
+		ulps := func(x float64, n int) []float64 {
+			out := []float64{x}
+			for lo, hi := x, x; n > 0; n-- {
+				lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+				out = append(out, lo, hi)
+			}
+			return out
+		}
+		for i := range e.keep {
+			below, above := bisectChi2(func(p float64) bool { return histBin(p, bins) > i })
+			for _, x := range append(ulps(below, 2), ulps(above, 2)...) {
+				f.Add(uint8(w), x)
+			}
+			for _, x := range append(ulps(e.lo[i], 1), ulps(e.hi[i], 1)...) {
+				f.Add(uint8(w), x)
+			}
+		}
+		for _, x := range []float64{
+			0, math.Copysign(0, -1), 5e-324, 1e-310, 0x1p-1022, 1e-30, 1, 3.84,
+			1600, 2048, math.MaxFloat64, math.Inf(1), math.NaN(), -1,
+		} {
+			f.Add(uint8(w), x)
+		}
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, x float64) {
+		e := &edges[int(sel)%len(edges)]
+		if got, want := binOf(e, x), histBin(stats.ChiSquaredSurvival(x, 1), e.bins); got != want {
+			t.Fatalf("bins=%d: χ² %v (%#x) binned %d, its p-value's bin is %d", e.bins, x, math.Float64bits(x), got, want)
+		}
+	})
+}

@@ -1,16 +1,18 @@
-// Fuzzing the weights and phenotype readers, the two driver-side inputs whose
-// floats reach every analysis: a reader must return an error rather than
-// panic, and whatever it accepts must be finite (non-negative, for a weight)
-// and survive a write/read round trip through its writer bit for bit. Seed
-// corpora under testdata/fuzz/FuzzReadWeights and
-// testdata/fuzz/FuzzReadPhenotype; `make fuzz-smoke` gives each target a
-// 10-second budget.
+// Fuzzing the driver-side text readers: the weights and phenotype readers,
+// whose floats reach every analysis, and the SNP-set and covariate readers. A
+// reader must return an error rather than panic, and whatever it accepts must
+// be finite (non-negative, for a weight) and survive a write/read round trip
+// through its writer bit for bit. Seed corpora under
+// testdata/fuzz/FuzzReadWeights and testdata/fuzz/FuzzReadPhenotype, the
+// others in the f.Add calls; `make fuzz-smoke` gives each target a 10-second
+// budget.
 
 package data
 
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -89,6 +91,85 @@ func FuzzReadPhenotype(f *testing.F) {
 			if math.Float64bits(back.Y[i]) != math.Float64bits(p.Y[i]) || back.Event[i] != p.Event[i] {
 				t.Fatalf("round trip changed patient %d: (%v, %d) -> (%v, %d) (input %q)",
 					i, p.Y[i], p.Event[i], back.Y[i], back.Event[i], in)
+			}
+		}
+	})
+}
+
+func FuzzReadSNPSets(f *testing.F) {
+	f.Add("set0\t0,1,2\nset1\t3\n")
+	f.Add("a b\t 4 , 2,,\r\n\n\tx\n")
+	f.Add("\t7\n")
+	f.Add("s\t+5,-0\n")
+	f.Add("s\t-1\n")
+	f.Add("s\t\n")
+	f.Add("s 1,2\n")
+	f.Add("s\t99999999999999999999\n")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, in string) {
+		sets, err := ReadSNPSets(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for k, set := range sets {
+			if len(set.SNPs) == 0 {
+				t.Fatalf("set %d (%q) accepted empty from %q", k, set.Name, in)
+			}
+			for _, j := range set.SNPs {
+				if j < 0 {
+					t.Fatalf("set %d (%q) holds SNP %d, parsed from %q", k, set.Name, j, in)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteSNPSets(&buf, sets); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadSNPSets(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written sets %q: %v", buf.String(), err)
+		}
+		if !reflect.DeepEqual(back, sets) {
+			t.Fatalf("round trip of %q: %+v, then %+v", in, sets, back)
+		}
+	})
+}
+
+func FuzzReadCovariates(f *testing.F) {
+	f.Add("0\t61 1 0.5\n1\t47 0 -2\n")
+	f.Add("1\t-0 1e-320\n0\t1e308 0x1p-3\n")
+	f.Add("0\t\n1\t\n")
+	f.Add("0\t1e309\n")
+	f.Add("0\tNaN\n")
+	f.Add("0\t1 2\n1\t3\n")
+	f.Add("0\t1\n0\t2\n")
+	f.Add("0\t1\n2\t2\n")
+	f.Add("9223372036854775807\t1\n")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, in string) {
+		c, err := ReadCovariates(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("accepted covariates fail Validate: %v (input %q)", err, in)
+		}
+		var buf bytes.Buffer
+		if err := WriteCovariates(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCovariates(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written covariates %q: %v", buf.String(), err)
+		}
+		if back.Patients() != c.Patients() || back.Width() != c.Width() {
+			t.Fatalf("round trip of %q: %d × %d, then %d × %d", in, c.Patients(), c.Width(), back.Patients(), back.Width())
+		}
+		for i, row := range c.Rows {
+			for j, v := range row {
+				if math.Float64bits(back.Rows[i][j]) != math.Float64bits(v) {
+					t.Fatalf("round trip changed covariate (%d,%d): %v -> %v (input %q)", i, j, v, back.Rows[i][j], in)
+				}
 			}
 		}
 	})

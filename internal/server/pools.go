@@ -59,12 +59,17 @@ func (p PoolConfig) maxQueue() int {
 //
 //	[{"name":"interactive","weight":3,"minShare":8,"maxConcurrent":8},
 //	 {"name":"batch","weight":1,"maxQueue":4}]
+//
+// Anything after the array is an error, as it is in a request body.
 func ParsePools(r io.Reader) ([]PoolConfig, error) {
 	var pools []PoolConfig
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&pools); err != nil {
 		return nil, fmt.Errorf("server: parsing pools: %w", err)
+	}
+	if _, tail := dec.Token(); tail != io.EOF {
+		return nil, fmt.Errorf("server: parsing pools: data after the JSON array")
 	}
 	seen := map[string]bool{}
 	for _, p := range pools {

@@ -750,4 +750,7 @@ func TestParsePools(t *testing.T) {
 	if _, err := ParsePools(strings.NewReader(`[{"weight":1}]`)); err == nil {
 		t.Fatal("empty pool name accepted")
 	}
+	if _, err := ParsePools(strings.NewReader(`[{"name":"a"}]garbage`)); err == nil {
+		t.Fatal("data after the pool array accepted")
+	}
 }

@@ -404,7 +404,11 @@ func (m *linear) Contributions(g []data.Genotype, u []float64) {
 	}
 }
 
-// Variance implements Model: Var(U_j) = scale · Σ_i v_i (G_ij − Ḡ_j)².
+// Variance implements Model: Var(U_j) = scale · Σ_i v_i (G_ij − Ḡ_j)². The
+// explicit conversions round each term before its add, as
+// SKATStatistic.AddPerSNP does: without them the spec lets a compiler fuse
+// the last multiply and the add into one FMA, and the wide kernel, which adds
+// precomputed rounded squares, would no longer match.
 func (m *linear) Variance(g []data.Genotype) float64 {
 	n := len(m.resid)
 	checkLens(n, g, nil)
@@ -417,9 +421,9 @@ func (m *linear) Variance(g []data.Genotype) float64 {
 	for i, v := range g {
 		d := float64(v) - meanG
 		if m.v == nil {
-			ss += d * d
+			ss += float64(d * d)
 		} else {
-			ss += m.v[i] * d * d
+			ss += float64(m.v[i] * d * d)
 		}
 	}
 	return m.scale * ss

@@ -2,11 +2,12 @@
 // single-phenotype BlockKernel fuses one residual vector with the 2-bit
 // dosage decode; scoring M phenotypes that way decodes every genotype block M
 // times and rescans it twice more per phenotype for the variance. The wide
-// kernel instead decodes each SNP row ONCE, computes the SNP's genotype
-// moments (sum, mean, centered sum of squares) once, and scores the whole
-// phenotype batch off the row's dosage classes. The variance factorisation
-// makes the amortisation exact: for the unadjusted Gaussian and Binomial
-// families (the linear model with unit variance weights)
+// kernel instead reads each SNP row's packed bytes once for the SNP's
+// genotype moments (sum, mean, centered sum of squares) and the list of its
+// non-zero patients, and scores the whole phenotype batch off that list. The
+// variance factorisation makes the amortisation exact: for the unadjusted
+// Gaussian and Binomial families (the linear model with unit variance
+// weights)
 //
 //	Var(U_j) = scale_p · Σ_i (G_ij − Ḡ_j)²
 //
@@ -23,6 +24,13 @@
 // cellPairs, four ymm registers whose sixteen columns are independent chains;
 // elsewhere it is sumCells, the same adds one list at a time in Go.
 //
+// Around the walk no genotype is decoded: a row's dosage sum is an exact
+// integer count from a per-byte table, its cell list comes from a per-byte
+// table of cell offsets (four slots written per byte, the cursor advanced by
+// the byte's count), and its centered sum of squares, the one loop left that
+// adds a term per patient, adds a per-row table of four rounded squares (one
+// per 2-bit code) in patient order, four rows' add chains interleaved.
+//
 // The kernel hands its consumer one SNP row at a time (BlockRows): the row's
 // scores against the whole batch and their variances, so a consumer that
 // needs only a cut-off test per pair — the all-pairs engine's χ² = s²/v
@@ -30,12 +38,14 @@
 // per-pair view of the same walk.
 //
 // Summation-order contract. score(j, p) = Σ over patients in ascending index
-// of dosage·residual; exact-zero terms may be omitted; variance loops as in
-// the linear model's Variance. Omitting a zero term is exact because residuals are
-// finite (NewWideKernel rejects any that are not), so the term is ±0, and a
-// running sum that starts at +0 is unchanged by adding ±0; 1·r and 2·r are
-// exact. Scores and variances therefore equal per-phenotype Score/Variance
-// calls bit for bit.
+// of dosage·residual; exact-zero terms may be omitted; variance adds as in
+// the linear model's Variance, each term float64(d·d) rounded before its add
+// (so a table of the four rounded squares adds the same bits), and the
+// dosage sum, an integer below 2⁵³, is exact in any order. Omitting a zero
+// term is exact because residuals are finite (NewWideKernel rejects any that
+// are not), so the term is ±0, and a running sum that starts at +0 is
+// unchanged by adding ±0; 1·r and 2·r are exact. Scores and variances
+// therefore equal per-phenotype Score/Variance calls bit for bit.
 
 package stats
 
@@ -46,23 +56,28 @@ import (
 	"sparkscore/internal/data"
 )
 
-// decodeDosages unpacks 2-bit codes straight into float64 scoring dosages
-// (missing -> 0), four patients per byte; len(dst) genotypes are read. The
-// table holds exactly float64(codeScoring[c]), so dst matches what a genotype
-// decode-then-convert produces bit for bit.
-func decodeDosages(packed []byte, dst []float64) {
-	n := len(dst)
-	for i := 0; i+4 <= n; i += 4 {
-		v := packed[i>>2]
-		dst[i] = codeDosage[v&3]
-		dst[i+1] = codeDosage[(v>>2)&3]
-		dst[i+2] = codeDosage[(v>>4)&3]
-		dst[i+3] = codeDosage[v>>6]
+// byteCells is the wide kernel's per-byte table. For a packed byte of four
+// patients l = 0..3 it holds n, how many have a non-zero scoring dosage; dos,
+// the sum of their dosages; and off[:n], the cell offsets 2l+c−1 of those
+// patients (c their dosage class) in ascending l. off[n:] is padding: the
+// compaction writes all four slots and advances by n, so the next byte
+// overwrites them.
+var byteCells = func() (t [256]struct {
+	off    [4]uint32
+	n, dos uint32
+}) {
+	for v := range t {
+		e := &t[v]
+		for l := range 4 {
+			if c := dosageClass[v>>uint(2*l)&3]; c != 0 {
+				e.off[e.n] = uint32(2*l) + c - 1
+				e.n++
+				e.dos += c
+			}
+		}
 	}
-	for i := n &^ 3; i < n; i++ {
-		dst[i] = codeDosage[(packed[i>>2]>>uint((i&3)*2))&3]
-	}
-}
+	return t
+}()
 
 // wideTile is the number of phenotypes scored per walk of a row's cell list:
 // one float64 accumulator each, a 64-byte cell — two ymm registers in the
@@ -90,7 +105,7 @@ type wideTable struct {
 type WideKernel struct {
 	table *wideTable
 
-	dos    []float64 // decoded dosages of the current SNP row
+	means  []float64 // per-row mean dosage of the current block
 	ss     []float64 // per-row centered sum of squares of the current block
 	cells  []uint32  // the rows' cell lists, concatenated
 	ends   []int     // row r's list is cells[ends[r-1]:ends[r]]
@@ -179,36 +194,40 @@ func (k *WideKernel) BlockRows(blk data.GenoBlock, row func(snp int32, scores, v
 	if blk.Patients != n {
 		panic(fmt.Sprintf("stats: block for %d patients, wide kernel for %d", blk.Patients, n))
 	}
-	k.dos, k.ss, k.ends = sized(k.dos, n), sized(k.ss, rows), sized(k.ends, rows)
+	k.means, k.ss, k.ends = sized(k.means, rows), sized(k.ss, rows), sized(k.ends, rows)
 	k.cells, k.scores, k.vars = sized(k.cells, rows*n), sized(k.scores, rows*m), sized(k.vars, m)
-	dos, ss, ends, cells, scores, vars := k.dos, k.ss, k.ends, k.cells, k.scores, k.vars
+	means, ss, ends, cells, scores, vars := k.means, k.ss, k.ends, k.cells, k.scores, k.vars
 
-	// Per row: the genotype moments, then the cell list.
+	// Per row: the dosage sum and the cell list, a packed byte at a time.
+	// Every partial sum of dosages is an integer below 2⁵³, so float64 of the
+	// exact count is the linear model's running float sum bit for bit. Whole
+	// byte j of row r writes all four of its slots from w ≤ r·n + 4j, so they
+	// end before (r+1)·n and the lists need no slack; only the byte's non-zero
+	// patients advance w. The bytes are the only input read: a block's Counts
+	// column is not consulted.
+	full := n >> 2
 	w := 0
 	for r := 0; r < rows; r++ {
-		decodeDosages(blk.Row(r), dos)
-		// In the exact loop shapes of the linear model's Variance under unit
-		// weights: one pass for the sum, one for the centered sum of squares.
-		var sumG float64
-		for _, v := range dos {
-			sumG += v
+		packed := blk.Row(r)
+		sum := 0
+		for j, v := range packed[:full] {
+			e := &byteCells[v]
+			at := uint32(8 * j)
+			c := (*[4]uint32)(cells[w:])
+			c[0], c[1], c[2], c[3] = at+e.off[0], at+e.off[1], at+e.off[2], at+e.off[3]
+			w += int(e.n)
+			sum += int(e.dos)
 		}
-		meanG := sumG / float64(n)
-		var rowSS float64
-		for _, v := range dos {
-			d := v - meanG
-			rowSS += d * d
-		}
-		ss[r] = rowSS
-		// Branch-free compaction: every patient writes its cell index, only a
-		// non-zero dosage (1 or 2; 0 and missing decode to 0) advances w.
-		for i, v := range dos {
-			d := uint32(v)
-			cells[w] = uint32(2*i) + d - 1
-			w += int((d + 1) >> 1)
+		for i := full << 2; i < n; i++ {
+			c := dosageClass[packed[full]>>uint(2*(i&3))&3]
+			cells[w] = uint32(2*i) + c - 1
+			w += int((c + 1) >> 1)
+			sum += int(c)
 		}
 		ends[r] = w
+		means[r] = float64(sum) / float64(n)
 	}
+	rowSquares(blk, means, ss)
 
 	// Tiles outermost, so one tile's 2n cells stay cache-resident across all
 	// rows of the block; rows r and r+1 share a walk (a last odd row pairs
@@ -234,6 +253,81 @@ func (k *WideKernel) BlockRows(blk data.GenoBlock, row func(snp int32, scores, v
 		}
 		row(blk.SNPs[r], scores[r*m:][:m], vars)
 	}
+}
+
+// rowSquares sets ss[r] to row r's centered sum of squares Σ_i (G_i − Ḡ)²,
+// the adds of the linear model's Variance under unit weights: the patients in
+// ascending order, each term float64(d·d) with d = dosage − means[r]. A row
+// has four distinct terms, one per 2-bit code, so each is rounded once into a
+// per-row table and the loop only adds. Four rows run interleaved, so each
+// chain's add latency hides behind the other three; the rows mod 4 run
+// alone.
+func rowSquares(blk data.GenoBlock, means, ss []float64) {
+	rows, n := blk.Rows(), blk.Patients
+	full := n >> 2
+	squares := func(r int) (q [4]float64) {
+		for code, dos := range codeDosage {
+			d := dos - means[r]
+			q[code] = float64(d * d)
+		}
+		return q
+	}
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		q0, q1, q2, q3 := squares(r), squares(r+1), squares(r+2), squares(r+3)
+		b0 := blk.Row(r)[:full]
+		b1, b2, b3 := blk.Row(r + 1)[:len(b0)], blk.Row(r + 2)[:len(b0)], blk.Row(r + 3)[:len(b0)]
+		var s0, s1, s2, s3 float64
+		for j, v0 := range b0 {
+			v1, v2, v3 := b1[j], b2[j], b3[j]
+			s0 += q0[v0&3]
+			s1 += q1[v1&3]
+			s2 += q2[v2&3]
+			s3 += q3[v3&3]
+			s0 += q0[v0>>2&3]
+			s1 += q1[v1>>2&3]
+			s2 += q2[v2>>2&3]
+			s3 += q3[v3>>2&3]
+			s0 += q0[v0>>4&3]
+			s1 += q1[v1>>4&3]
+			s2 += q2[v2>>4&3]
+			s3 += q3[v3>>4&3]
+			s0 += q0[v0>>6]
+			s1 += q1[v1>>6]
+			s2 += q2[v2>>6]
+			s3 += q3[v3>>6]
+		}
+		ss[r], ss[r+1], ss[r+2], ss[r+3] = s0, s1, s2, s3
+		if full<<2 < n {
+			for l, q := range [4]*[4]float64{&q0, &q1, &q2, &q3} {
+				ss[r+l] = tailSquares(q, blk.Row(r + l)[full], n-full<<2, ss[r+l])
+			}
+		}
+	}
+	for ; r < rows; r++ {
+		q := squares(r)
+		var s float64
+		packed := blk.Row(r)
+		for _, v := range packed[:full] {
+			s += q[v&3]
+			s += q[v>>2&3]
+			s += q[v>>4&3]
+			s += q[v>>6]
+		}
+		if full<<2 < n {
+			s = tailSquares(&q, packed[full], n-full<<2, s)
+		}
+		ss[r] = s
+	}
+}
+
+// tailSquares continues a row's sum of squares over the first k < 4 patients
+// of its partial last byte v; the byte's padding codes are not read.
+func tailSquares(q *[4]float64, v byte, k int, s float64) float64 {
+	for l := range k {
+		s += q[v>>uint(2*l)&3]
+	}
+	return s
 }
 
 // sumCells adds the listed cells of a tile into sum, in list order from +0:

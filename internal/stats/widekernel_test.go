@@ -507,3 +507,54 @@ func BenchmarkPerPhenotypeLoop(b *testing.B) {
 	}
 	_ = sink
 }
+
+// FuzzWideKernelRows pins BlockRows to per-phenotype Score/Variance under
+// math.Float64bits on arbitrary packed bytes: all four codes, every byte
+// value and whatever sits in a last byte's padding codes. The first four
+// bytes pick 1–70 patients, 1–9 rows, 1–17 phenotypes and the family and
+// phenotype seed; the rest fills the rows cyclically (all-zero bytes, every
+// patient homozygous 2, when there is none). The block's Counts column is
+// filled with junk the kernel must not read.
+func FuzzWideKernelRows(f *testing.F) {
+	f.Add([]byte{69, 8, 16, 0, 0x00})
+	f.Add([]byte{4, 3, 8, 1, 0x55, 0xaa, 0xff, 0x1b})
+	f.Add([]byte{0, 0, 0, 0, 0xe4})
+	f.Add([]byte{2, 4, 9, 3, 0x00, 0x01, 0x02, 0x03, 0x7f, 0x80, 0xfe})
+	// 49 patients, 4 rows, 15 Gaussian phenotypes: a fused multiply-add in
+	// Variance's sum of squares moves the first pair's last bit.
+	f.Add([]byte("00000"))
+	seq := []byte{33, 8, 7, 5}
+	for v := range 256 {
+		seq = append(seq, byte(v))
+	}
+	f.Add(seq)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 4 {
+			return
+		}
+		patients, rows, phenos := 1+int(raw[0])%70, 1+int(raw[1])%9, 1+int(raw[2])%17
+		binary := raw[3]&1 == 1 && patients > 1 // a binomial phenotype needs both classes
+		packed := raw[4:]
+		blk := data.GenoBlock{
+			Patients: patients,
+			RowBytes: data.BlockRowBytes(patients),
+			SNPs:     make([]int32, rows),
+			Counts:   make([]int32, rows),
+			Packed:   make([]byte, rows*data.BlockRowBytes(patients)),
+		}
+		for r := range blk.SNPs {
+			blk.SNPs[r], blk.Counts[r] = int32(3*r+1), int32(-7*r-1)
+		}
+		if len(packed) > 0 {
+			for i := range blk.Packed {
+				blk.Packed[i] = packed[i%len(packed)]
+			}
+		}
+		models := wideModels(rng.New(uint64(raw[3])), patients, phenos, binary)
+		k, err := NewWideKernel(models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBlockBitwise(t, k, models, blk)
+	})
+}
