@@ -26,7 +26,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -174,21 +173,13 @@ func main() {
 }
 
 // stagePhenoMatrix writes the expression matrix's text to path on the DFS,
-// which keeps the slice it is handed for the server's lifetime. The text is
-// encoded into a buffer grown by doubling, so, by the rule the batch
-// stagers apply, a buffer with more than an eighth of slack is handed over
-// as an exact-size copy; either way the DFS gets cap == len.
+// which keeps the slice Create hands it for the server's lifetime.
 func stagePhenoMatrix(fs *dfs.FS, path string, expr *data.PhenoMatrix) error {
-	var buf bytes.Buffer
-	if err := data.WritePhenoMatrix(&buf, expr); err != nil {
+	w := fs.Create(path)
+	if err := data.WritePhenoMatrix(w, expr); err != nil {
 		return err
 	}
-	text := buf.Bytes()
-	if cap(text)-len(text) > len(text)/8 {
-		text = append(make([]byte, 0, len(text)), text...)
-	}
-	_, err := fs.Write(path, text[:len(text):len(text)])
-	return err
+	return w.Close()
 }
 
 // loadPools parses the -pools flag: empty, inline JSON, or @file.

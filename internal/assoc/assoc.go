@@ -15,8 +15,8 @@ package assoc
 import (
 	"bytes"
 	"fmt"
-	"iter"
 
+	"sparkscore/internal/core"
 	"sparkscore/internal/data"
 	"sparkscore/internal/rdd"
 	"sparkscore/internal/stats"
@@ -129,7 +129,8 @@ func (a *Analysis) Strategy() string { return "broadcast" }
 
 // Run executes the all-pairs cross and returns the merged result.
 func (a *Analysis) Run() (*Result, error) {
-	blocks, err := a.genotypeBlocks()
+	// The all-pairs ingest analyses every SNP: no membership filter.
+	blocks, err := core.GenotypeBlocks(a.ctx, a.genoPath, a.phenos.Patients, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -141,26 +142,6 @@ func (a *Analysis) Run() (*Result, error) {
 	res.Phenos = a.phenos.Rows()
 	res.SNPBlocks = blocks.Partitions()
 	return res, nil
-}
-
-// genotypeBlocks packs the genotype text into 2-bit columnar blocks at the
-// source — the all-pairs ingest analyses every SNP, so unlike the SKAT
-// pipeline there is no set-membership filter.
-func (a *Analysis) genotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
-	splits, err := a.ctx.TextSplits(a.genoPath, 0)
-	if err != nil {
-		return nil, err
-	}
-	patients := a.phenos.Patients
-	blocks := rdd.FlatMap(splits, "parsePackAllGenotypes", func(text []byte) iter.Seq[data.GenoBlock] {
-		return func(yield func(data.GenoBlock) bool) {
-			if err := data.ParseGenoText(text, patients, nil, yield); err != nil {
-				panic(err)
-			}
-		}
-	})
-	fullBlock := int64(data.GenoBlockRows)*(int64(data.BlockRowBytes(patients))+8) + 96
-	return blocks.SetSizeHint(fullBlock).SetSizeFunc(data.GenoBlock.ApproxBytes), nil
 }
 
 // newKernel builds the wide kernel over the per-phenotype score models of

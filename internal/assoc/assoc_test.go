@@ -592,21 +592,36 @@ func BenchmarkFold(b *testing.B) {
 	})
 }
 
-// TestDFSBytesHandsOverExactBuffers: Stage hands the DFS the genotype
-// text's own buffer, grown once to its size, and an exact-size copy of a
-// buffer with more than an eighth of slack.
+// TestDFSBytesHandsOverExactBuffers: the DFS keeps the slices Stage hands it
+// for as long as the files live, so the genotype text (its buffer grown once
+// to its size) and the phenotype text (its buffer grown by doubling) must each
+// end where the text ends (cap == len of the last block) and hold the
+// writers' bytes.
 func TestDFSBytesHandsOverExactBuffers(t *testing.T) {
-	var exact bytes.Buffer
-	if err := data.WriteGenotypes(&exact, gen.Genotypes(gen.Config{Patients: 100, SNPs: 300}, rng.New(1))); err != nil {
+	ctx := newTestContext(t, 3, 64<<10, rdd.FaultProfile{})
+	geno := gen.Genotypes(gen.Config{Patients: 100, SNPs: 300}, rng.New(1))
+	expr := gen.ExpressionMatrix(gen.Config{Patients: 100}, rng.New(2), 300)
+	paths, err := Stage(ctx, geno, expr, "eqtl")
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := exact.Bytes()
-	if got := dfsBytes(b); &got[0] != &b[0] || cap(got) != len(b) {
-		t.Fatalf("a buffer grown to its text's size (len %d, cap %d) was copied or kept its slack", len(b), cap(b))
+	var genoText, exprText bytes.Buffer
+	if err := data.WriteGenotypes(&genoText, geno); err != nil {
+		t.Fatal(err)
 	}
-	slack := append(make([]byte, 0, 4096), b[:1000]...)
-	got := dfsBytes(slack)
-	if &got[0] == &slack[0] || !bytes.Equal(got, slack) {
-		t.Fatal("a buffer with 3 kB of slack on 1 kB of text was handed over, or copied wrong")
+	if err := data.WritePhenoMatrix(&exprText, expr); err != nil {
+		t.Fatal(err)
+	}
+	for name, text := range map[string][]byte{paths.Genotypes: genoText.Bytes(), paths.Phenotypes: exprText.Bytes()} {
+		f, err := ctx.FS().Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := f.Blocks[len(f.Blocks)-1].Data; cap(last) != len(last) {
+			t.Errorf("%s: the last of %d blocks has len %d, cap %d", name, len(f.Blocks), len(last), cap(last))
+		}
+		if got, err := ctx.FS().ReadAll(name); err != nil || !bytes.Equal(got, text) {
+			t.Errorf("%s: staged %d bytes (err %v), its writer wrote %d", name, len(got), err, len(text))
+		}
 	}
 }

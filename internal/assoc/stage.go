@@ -5,7 +5,6 @@ package assoc
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -21,40 +20,27 @@ type Paths struct {
 }
 
 // Stage writes the genotype matrix and phenotype matrix to the context's
-// file system under the given prefix. The DFS keeps the buffers' bytes, so
-// each text is encoded into a buffer of its own.
+// file system under the given prefix.
 func Stage(ctx *rdd.Context, geno *data.GenotypeMatrix, phenos *data.PhenoMatrix, prefix string) (Paths, error) {
 	paths := Paths{
 		Genotypes:  prefix + "/genotypes.txt",
 		Phenotypes: prefix + "/phenotypes.txt",
 	}
-	var genoText bytes.Buffer
-	if err := data.WriteGenotypes(&genoText, geno); err != nil {
+	w := ctx.FS().Create(paths.Genotypes)
+	if err := data.WriteGenotypes(w, geno); err != nil {
 		return Paths{}, fmt.Errorf("assoc: encoding genotypes: %w", err)
 	}
-	if _, err := ctx.FS().Write(paths.Genotypes, dfsBytes(genoText.Bytes())); err != nil {
+	if err := w.Close(); err != nil {
 		return Paths{}, fmt.Errorf("assoc: staging genotypes: %w", err)
 	}
-	var phenoText bytes.Buffer
-	if err := data.WritePhenoMatrix(&phenoText, phenos); err != nil {
+	w = ctx.FS().Create(paths.Phenotypes)
+	if err := data.WritePhenoMatrix(w, phenos); err != nil {
 		return Paths{}, fmt.Errorf("assoc: encoding phenotypes: %w", err)
 	}
-	if _, err := ctx.FS().Write(paths.Phenotypes, dfsBytes(phenoText.Bytes())); err != nil {
+	if err := w.Close(); err != nil {
 		return Paths{}, fmt.Errorf("assoc: staging phenotypes: %w", err)
 	}
 	return paths, nil
-}
-
-// dfsBytes is what a buffer hands the DFS, which keeps the slice it is handed:
-// the buffer's own bytes when it was grown once to its text's size (as
-// data.WriteGenotypes grows its destination), its slack under an eighth of
-// the text, and an exact-size copy of a buffer that grew by doubling, so that
-// slack dies with the buffer.
-func dfsBytes(b []byte) []byte {
-	if cap(b)-len(b) > len(b)/8 {
-		return bytes.Clone(b)
-	}
-	return b[:len(b):len(b)]
 }
 
 // WriteReport writes res as a deterministic TSV: a summary header, then one

@@ -464,7 +464,7 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 	}
 	// The weights are a broadcast: no stage reads them and nothing is joined.
 	for i, name := range stages {
-		want := []string{"fold:setSums(filter:nonEmptyBlocks(", "reduceByKey(fold:setSums(filter:nonEmptyBlocks("}[i%2]
+		want := []string{"fold:setSums(flatMap:parsePackGenotypes(", "reduceByKey(fold:setSums(flatMap:parsePackGenotypes("}[i%2]
 		if !strings.HasPrefix(name, want) || strings.Contains(name, "join(") || strings.Contains(name, "eights") {
 			t.Errorf("stage %d is %q, want a %s…) stage over the genotype lineage alone", i, name, want)
 		}

@@ -247,36 +247,39 @@ func (a *Analysis) Sets() data.SNPSets { return a.sets }
 // Patients returns the cohort size.
 func (a *Analysis) Patients() int { return a.patients }
 
-// filteredGenotypeBlocks builds RDD_FGM (Algorithm 1 steps 3–5): genotype
-// lines parsed and 2-bit packed into data.GenoBlock columns at the source,
-// restricted to SNPs appearing in some SNP-set. The membership filter runs on
-// the SNP-id prefix alone, before any genotype field is decoded (predicate
-// pushdown), and the pack fuses with the text scan: data.ParseGenoText finds
-// each line's end as it packs the line, streaming one block at a time, so the
-// text is read once and no per-row genotype slice ever materialises.
+// filteredGenotypeBlocks builds RDD_FGM (Algorithm 1 steps 3–5): the
+// genotype blocks of the SNPs appearing in some SNP-set. The membership
+// filter runs on the SNP-id prefix alone, before any genotype field is
+// decoded (predicate pushdown).
 func (a *Analysis) filteredGenotypeBlocks() (*rdd.RDD[data.GenoBlock], error) {
 	if a.warm != nil {
 		return a.warm, nil
 	}
-	splits, err := a.ctx.TextSplits(a.genoPath, 0)
+	index := a.index
+	inSomeSet := func(snp int) bool { return len(index.Value().of(snp)) > 0 }
+	return GenotypeBlocks(a.ctx, a.genoPath, a.patients, inSomeSet)
+}
+
+// GenotypeBlocks reads the genotype text at path as 2-bit packed
+// data.GenoBlock columns of the SNPs keep accepts (nil keeps all), one
+// partition per DFS block. The pack fuses with the text scan:
+// data.ParseGenoText finds each line's end as it packs the line, streaming
+// one block at a time, so the text is read once and no per-row genotype slice
+// ever materialises. It is the one genotype source of both analyses.
+func GenotypeBlocks(ctx *rdd.Context, path string, patients int, keep func(snp int) bool) (*rdd.RDD[data.GenoBlock], error) {
+	splits, err := ctx.TextSplits(path, 0)
 	if err != nil {
 		return nil, err
 	}
-	patients := a.patients
-	index := a.index
-	inSomeSet := func(snp int) bool { return len(index.Value().of(snp)) > 0 }
 	blocks := rdd.FlatMap(splits, "parsePackGenotypes", func(text []byte) iter.Seq[data.GenoBlock] {
 		return func(yield func(data.GenoBlock) bool) {
-			if err := data.ParseGenoText(text, patients, inSomeSet, yield); err != nil {
+			if err := data.ParseGenoText(text, patients, keep, yield); err != nil {
 				panic(err)
 			}
 		}
 	})
-	nonEmpty := rdd.Filter(blocks, "nonEmptyBlocks", func(b data.GenoBlock) bool {
-		return b.Rows() > 0
-	})
 	fullBlock := int64(data.GenoBlockRows)*(int64(data.BlockRowBytes(patients))+8) + 96
-	return nonEmpty.SetSizeHint(fullBlock).SetSizeFunc(data.GenoBlock.ApproxBytes), nil
+	return blocks.SetSizeHint(fullBlock).SetSizeFunc(data.GenoBlock.ApproxBytes), nil
 }
 
 // mcBatch is the number of Monte Carlo replicates one job scores: wide enough

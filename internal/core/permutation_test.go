@@ -137,7 +137,7 @@ func TestPermutationDataflowShape(t *testing.T) {
 		t.Fatalf("%d stages submitted, want %d", len(stages), 2*(1+iters))
 	}
 	for i, name := range stages {
-		want := []string{"fold:setSums(filter:nonEmptyBlocks(flatMap:parsePackGenotypes(textFile(", "reduceByKey(fold:setSums(filter:nonEmptyBlocks("}[i%2]
+		want := []string{"fold:setSums(flatMap:parsePackGenotypes(textFile(", "reduceByKey(fold:setSums(flatMap:parsePackGenotypes("}[i%2]
 		if !strings.HasPrefix(name, want) {
 			t.Errorf("stage %d is %q, want a %s…) stage straight over the packed genotype lineage", i, name, want)
 		}

@@ -2,28 +2,62 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
+	"sparkscore/internal/cluster"
 	"sparkscore/internal/data"
 	"sparkscore/internal/gen"
-	"sparkscore/internal/rng"
+	"sparkscore/internal/rdd"
 )
 
-// TestDFSBytesHandsOverExactBuffers: the genotype text, whose buffer
-// WriteGenotypes grows once to its size, goes to the DFS as it is; a buffer
-// with more than an eighth of slack goes as an exact-size copy.
+// nopCloser lets a bytes.Buffer stand where a staged file is written.
+type nopCloser struct{ *bytes.Buffer }
+
+func (nopCloser) Close() error { return nil }
+
+// TestDFSBytesHandsOverExactBuffers: the DFS keeps every slice StageDataset
+// hands it for as long as the file lives, so each staged file — the genotype
+// text, whose buffer WriteGenotypes grows once to its size, and the small
+// files, whose buffers grow by doubling — must end where its text ends
+// (cap == len of its last block) and hold WriteDataset's bytes.
 func TestDFSBytesHandsOverExactBuffers(t *testing.T) {
-	var exact bytes.Buffer
-	if err := data.WriteGenotypes(&exact, gen.Genotypes(gen.Config{Patients: 100, SNPs: 300}, rng.New(1))); err != nil {
+	ctx, err := rdd.New(rdd.Config{
+		Cluster:      cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
+		DFSBlockSize: 64 << 10,
+		Seed:         7,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := exact.Bytes()
-	if got := dfsBytes(b); &got[0] != &b[0] || cap(got) != len(b) {
-		t.Fatalf("a buffer grown to its text's size (len %d, cap %d) was copied or kept its slack", len(b), cap(b))
+	ds, err := gen.Generate(gen.Config{Patients: 100, SNPs: 700, SNPSets: 20}, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	slack := append(make([]byte, 0, 4096), b[:1000]...)
-	got := dfsBytes(slack)
-	if &got[0] == &slack[0] || !bytes.Equal(got, slack) {
-		t.Fatal("a buffer with 3 kB of slack on 1 kB of text was handed over, or copied wrong")
+	if _, err := StageDataset(ctx, ds, "input"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]*bytes.Buffer{}
+	err = data.WriteDataset(ds, func(name string) (io.WriteCloser, error) {
+		want["input/"+name] = new(bytes.Buffer)
+		return nopCloser{want["input/"+name]}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := want["input/"+data.GenotypesFile]; !ok {
+		t.Fatalf("WriteDataset wrote no %s", data.GenotypesFile)
+	}
+	for name, text := range want {
+		f, err := ctx.FS().Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := f.Blocks[len(f.Blocks)-1].Data; cap(last) != len(last) {
+			t.Errorf("%s: the last of %d blocks has len %d, cap %d", name, len(f.Blocks), len(last), cap(last))
+		}
+		if got, err := ctx.FS().ReadAll(name); err != nil || !bytes.Equal(got, text.Bytes()) {
+			t.Errorf("%s: staged %d bytes (err %v), WriteDataset wrote %d", name, len(got), err, text.Len())
+		}
 	}
 }

@@ -154,10 +154,11 @@ func ParseSNPPrefix(line []byte) (snp int, fields []byte, err error) {
 // each, handing each block to yield as it fills, the partition's last block
 // possibly shorter; a skipped line counts toward its block's lines, so the
 // geometry is the line count's alone. It packs the SNPs keep accepts (nil
-// keeps all); the text is only read, and may be the staged file's bytes in
-// place. It returns the first bad line's error — naming its SNP once the id
-// has parsed — after yielding the blocks before that line's, or nil once the
-// text is packed or yield has returned false.
+// keeps all) and yields no block keep left empty; the text is only read, and
+// may be the staged file's bytes in place. It returns the first bad line's
+// error — naming its SNP once the id has parsed — after yielding the blocks
+// before that line's, or nil once the text is packed or yield has returned
+// false.
 //
 // Reading the text once: a line that starts with a decimal id fitting int32
 // and a tab, and whose 2·patients-th byte after the tab is a newline or the
@@ -191,10 +192,13 @@ func ParseGenoText(text []byte, patients int, keep func(snp int) bool, yield fun
 			}
 		}
 		if lines++; lines == GenoBlockRows || end == len(text) {
-			if !yield(blk) || end == len(text) {
+			if blk.Rows() > 0 && !yield(blk) || end == len(text) {
 				return nil
 			}
-			blk, lines = NewGenoBlock(patients, min(GenoBlockRows, (len(text)-end)/minLine+1)), 0
+			if blk.Rows() > 0 {
+				blk = NewGenoBlock(patients, min(GenoBlockRows, (len(text)-end)/minLine+1))
+			}
+			lines = 0
 		}
 		pos = end + 1
 	}

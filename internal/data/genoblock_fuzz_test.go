@@ -139,6 +139,7 @@ func FuzzParseGenoText(f *testing.F) {
 	f.Add(3, uint16(0), row(1, 3)+"\r\n"+row(2, 3))            // a carriage return
 	f.Add(3, uint16(1<<3), "1\t0\n2\t0\n3\t0 1 2")             // rejected rows whose spans hold a newline
 	f.Add(3, uint16(1<<3), "1\t0 x\n3\t0 1 2")                 // a rejected row's bad genotype goes unnoticed
+	f.Add(3, uint16(1<<2), lines(row(1, 3), row(3, 3)))        // every row rejected: no block
 	f.Add(0, uint16(0), "1\t\n2\t")                            // no patients
 	f.Add(0, uint16(0), "1\t\n2")                              // no patients, digits to the end
 	f.Add(1, uint16(0), "1\t2\n2\t3")

@@ -218,7 +218,8 @@ func ParseGenoBlock(lines [][]byte, patients int, keep func(snp int) bool) (Geno
 }
 
 // oracleGenoText is ParseGenoText by ParseGenoBlock: the text split at every
-// newline, one block per GenoBlockRows lines, stopping at the first error.
+// newline, one block per GenoBlockRows lines, an empty one dropped, stopping
+// at the first error.
 func oracleGenoText(text []byte, patients int, keep func(snp int) bool) ([]GenoBlock, error) {
 	lines := bytes.Split(text, []byte{'\n'})
 	var blocks []GenoBlock
@@ -227,7 +228,9 @@ func oracleGenoText(text []byte, patients int, keep func(snp int) bool) ([]GenoB
 		if err != nil {
 			return blocks, err
 		}
-		blocks = append(blocks, blk)
+		if blk.Rows() > 0 {
+			blocks = append(blocks, blk)
+		}
 	}
 	return blocks, nil
 }
@@ -345,7 +348,9 @@ func TestParseGenoBlock(t *testing.T) {
 
 // TestParseGenoTextBlockGeometry packs 600 lines, every third one rejected by
 // keep: blocks hold 256 lines each, skipped ones included, as the oracle's
-// do; and a yield that returns false ends the parse after that block.
+// do; a keep that also rejects the whole second stretch of 256 lines yields
+// no block for it and leaves the other two blocks their rows; and a yield
+// that returns false ends the parse after that block.
 func TestParseGenoTextBlockGeometry(t *testing.T) {
 	const patients = 70 // two whole 64-byte groups, then words and a tail
 	var text []byte
@@ -353,21 +358,33 @@ func TestParseGenoTextBlockGeometry(t *testing.T) {
 		text = fmt.Appendf(text, "%d\t%s\n", snp, canonicalRow(patients))
 	}
 	text = text[:len(text)-1]
-	keep := func(snp int) bool { return snp%3 != 0 }
-	got, err := parseGenoText(text, patients, keep)
-	want, wantErr := oracleGenoText(text, patients, keep)
-	if err != nil || wantErr != nil || !sameBlocks(got, want) {
-		t.Fatalf("ParseGenoText: %d blocks (%v), the oracle %d (%v), or they differ", len(got), err, len(want), wantErr)
-	}
-	var rows []int
-	for _, b := range got {
-		rows = append(rows, b.Rows())
-	}
-	if fmt.Sprint(rows) != "[170 171 59]" {
-		t.Fatalf("blocks of %v rows, want [170 171 59]", rows)
+	thirds := func(snp int) bool { return snp%3 != 0 }
+	for _, tc := range []struct {
+		name string
+		keep func(snp int) bool
+		rows string
+	}{
+		{"every third rejected", thirds, "[170 171 59]"},
+		{"and lines 256–511", func(snp int) bool { return thirds(snp) && (snp < 256 || snp >= 512) }, "[170 59]"},
+	} {
+		got, err := parseGenoText(text, patients, tc.keep)
+		want, wantErr := oracleGenoText(text, patients, tc.keep)
+		if err != nil || wantErr != nil || !sameBlocks(got, want) {
+			t.Fatalf("%s: ParseGenoText: %d blocks (%v), the oracle %d (%v), or they differ", tc.name, len(got), err, len(want), wantErr)
+		}
+		var rows []int
+		for _, b := range got {
+			rows = append(rows, b.Rows())
+		}
+		if fmt.Sprint(rows) != tc.rows {
+			t.Fatalf("%s: blocks of %v rows, want %s", tc.name, rows, tc.rows)
+		}
+		if last := got[len(got)-1]; last.SNPs[0] != 512 {
+			t.Fatalf("%s: the last block starts at SNP %d, want 512", tc.name, last.SNPs[0])
+		}
 	}
 	calls := 0
-	if err := ParseGenoText(text, patients, keep, func(GenoBlock) bool { calls++; return false }); err != nil || calls != 1 {
+	if err := ParseGenoText(text, patients, thirds, func(GenoBlock) bool { calls++; return false }); err != nil || calls != 1 {
 		t.Fatalf("a yield that stops: %d calls, %v; want 1 call and no error", calls, err)
 	}
 }

@@ -28,9 +28,10 @@ import (
 // grow and lend its free space (a bytes.Buffer) is grown once to the text's
 // size and encoded into in place, so staging holds one buffer of the text
 // rather than a doubling chain of them; any other destination gets one
-// batch's scratch, reused. A genotype outside {0,1,2} sends the rows from its
-// batch on to writeGenotypeRows, which writes it in decimal. A write error is
-// returned at once; nothing is written after it.
+// batch's scratch, reused. A genotype outside {0,1,2}, which no reader
+// accepts, is m.Validate()'s error, naming its SNP and patient, and nothing
+// of its batch is written. A write error is returned at once; nothing is
+// written after it.
 func WriteGenotypes(w io.Writer, m *GenotypeMatrix) error {
 	var inPlace interface{ AvailableBuffer() []byte }
 	if g, ok := w.(interface{ Grow(int) }); ok {
@@ -53,7 +54,7 @@ func WriteGenotypes(w io.Writer, m *GenotypeMatrix) error {
 		}
 		dst = dst[:n]
 		if !encodeRowsParallel(dst, m.Rows[lo:hi], lo) {
-			return writeGenotypeRows(w, m.Rows[lo:], lo)
+			return m.Validate()
 		}
 		if _, err := w.Write(dst); err != nil {
 			return err
@@ -119,35 +120,6 @@ func encodeRows(dst []byte, rows [][]Genotype, first int) bool {
 		dst[k-1] = '\n'
 	}
 	return seen < 4
-}
-
-// writeGenotypeRows is the one-line-at-a-time encoder WriteGenotypes falls
-// back to for rows with genotypes outside {0,1,2}: each row appended into one
-// reused line buffer, a genotype in {0,1,2} as its single digit and any other
-// value in decimal, each with its separator in the same append (the row's
-// last one dropped).
-func writeGenotypeRows(w io.Writer, rows [][]Genotype, first int) error {
-	bw := bufio.NewWriter(w)
-	var line []byte
-	for r, row := range rows {
-		line = strconv.AppendInt(line[:0], int64(first+r), 10)
-		line = append(line, '\t')
-		for _, g := range row {
-			if uint8(g) <= 2 {
-				line = append(line, '0'+byte(g), ' ')
-			} else {
-				line = append(strconv.AppendInt(line, int64(g), 10), ' ')
-			}
-		}
-		if len(row) > 0 {
-			line = line[:len(line)-1]
-		}
-		line = append(line, '\n')
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // genotypeTextBytes is the size of WriteGenotypes' text for m when every

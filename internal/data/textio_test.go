@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -39,20 +40,26 @@ func writeGenotypesOracle(w io.Writer, m *GenotypeMatrix) error {
 }
 
 // TestWriteGenotypesMatchesOracle pins WriteGenotypes' bytes to the
-// Itoa-per-genotype encoder's, on values outside {0,1,2} too, and the size it
-// grows its destination to to the bytes it writes when every value is in
-// {0,1,2}.
+// Itoa-per-genotype encoder's, and the size it grows its destination to to
+// the bytes it writes. A value outside {0,1,2} is Validate's error, naming the
+// first such SNP and patient, with nothing written.
 func TestWriteGenotypesMatchesOracle(t *testing.T) {
-	m := NewGenotypeMatrix(5, 7)
-	r := rng.New(3)
-	for j := range m.Rows {
-		for i := range m.Rows[j] {
-			m.Rows[j][i] = Genotype(r.Intn(3))
+	for _, bad := range []struct {
+		j, i int
+		g    Genotype
+	}{{1, 0, MissingGenotype}, {2, 6, 7}, {3, 3, -128}} {
+		m := randomMatrix(5, 7, 3)
+		m.Rows[bad.j][bad.i] = bad.g
+		m.Rows[4][2] = 3 // a later one: the error names the first
+		var got bytes.Buffer
+		err := WriteGenotypes(&got, m)
+		want := fmt.Sprintf("data: SNP %d patient %d has genotype %d outside {0,1,2}", bad.j, bad.i, bad.g)
+		if err == nil || err.Error() != want || got.Len() != 0 {
+			t.Fatalf("genotype %d at SNP %d, patient %d: error %v and %d bytes written, want %q and none", bad.g, bad.j, bad.i, err, got.Len(), want)
 		}
 	}
-	m.Rows[1][0], m.Rows[2][6], m.Rows[3][3] = MissingGenotype, 7, -128
 	noPatients := NewGenotypeMatrix(12, 0) // an id and a tab per row
-	for _, tc := range []*GenotypeMatrix{m, sampleMatrix(), noPatients, NewGenotypeMatrix(120, 3), {}} {
+	for _, tc := range []*GenotypeMatrix{randomMatrix(5, 7, 3), sampleMatrix(), noPatients, NewGenotypeMatrix(120, 3), {}} {
 		var got, want bytes.Buffer
 		if err := WriteGenotypes(&got, tc); err != nil {
 			t.Fatal(err)
@@ -63,7 +70,7 @@ func TestWriteGenotypesMatchesOracle(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("WriteGenotypes wrote %q, the oracle %q", got.Bytes(), want.Bytes())
 		}
-		if tc != m && got.Len() != genotypeTextBytes(tc) {
+		if got.Len() != genotypeTextBytes(tc) {
 			t.Fatalf("%d rows of {0,1,2}: wrote %d bytes, sized the buffer for %d", len(tc.Rows), got.Len(), genotypeTextBytes(tc))
 		}
 	}
@@ -387,11 +394,12 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 // TestWriteGenotypesParallelMatchesOracle: the batched, row-parallel encoder
 // writes the serial oracle's bytes under GOMAXPROCS 1, 2 and 7 — into a
 // bytes.Buffer (encoded in place) and into a writer with nothing but Write —
-// for no rows, one row, fewer rows than workers, no patients, values outside
-// {0,1,2} in the first and in a later batch and in each column of a
-// four-genotype group, and a matrix of several batches.
-// A writer that fails part-way gets the error back and no write after it, and
-// what it accepted is a prefix of the oracle's text.
+// for no rows, one row, fewer rows than workers, no patients and a matrix of
+// several batches. A value outside {0,1,2} in the first or in a later batch,
+// or in any column of a four-genotype group, is Validate's error, and what
+// was written before it is the oracle's text of the batches before the
+// value's. A writer that fails part-way gets the error back and no write
+// after it, and what it accepted is a prefix of the oracle's text.
 func TestWriteGenotypesParallelMatchesOracle(t *testing.T) {
 	batches := randomMatrix(encodeBatchBytes/2000+100, 1001, 1) // two batches
 	late := randomMatrix(len(batches.Rows), 1001, 2)
@@ -419,6 +427,13 @@ func TestWriteGenotypesParallelMatchesOracle(t *testing.T) {
 		if err := writeGenotypesOracle(&want, m); err != nil {
 			t.Fatal(err)
 		}
+		text, bad := want.Bytes(), m.Validate()
+		if bad != nil { // the oracle's lines before the bad value's batch
+			j := slices.IndexFunc(m.Rows, func(row []Genotype) bool {
+				return slices.ContainsFunc(row, func(g Genotype) bool { return g < 0 || g > 2 })
+			})
+			text = text[:lineStart(text, batchStart(m, j))]
+		}
 		for _, procs := range []int{1, 2, 7} {
 			runtime.GOMAXPROCS(procs)
 			var buf bytes.Buffer
@@ -427,12 +442,12 @@ func TestWriteGenotypesParallelMatchesOracle(t *testing.T) {
 				io.Writer
 				got *bytes.Buffer
 			}{{&buf, &buf}, {&plain, &plain.buf}} {
-				if err := WriteGenotypes(w.Writer, m); err != nil {
-					t.Fatalf("%s, GOMAXPROCS %d, %T: %v", name, procs, w.Writer, err)
+				if err := WriteGenotypes(w.Writer, m); fmt.Sprint(err) != fmt.Sprint(bad) {
+					t.Fatalf("%s, GOMAXPROCS %d, %T: error %v, want %v", name, procs, w.Writer, err, bad)
 				}
-				if !bytes.Equal(w.got.Bytes(), want.Bytes()) {
+				if !bytes.Equal(w.got.Bytes(), text) {
 					t.Fatalf("%s, GOMAXPROCS %d, %T: %d bytes differ from the oracle's %d",
-						name, procs, w.Writer, w.got.Len(), want.Len())
+						name, procs, w.Writer, w.got.Len(), len(text))
 				}
 			}
 			for _, budget := range []int{0, want.Len() / 2, want.Len() - 1} {
@@ -440,8 +455,8 @@ func TestWriteGenotypesParallelMatchesOracle(t *testing.T) {
 					break
 				}
 				fw := &failingWriter{t: t, budget: budget}
-				if err := WriteGenotypes(fw, m); !errors.Is(err, errWriterFull) {
-					t.Fatalf("%s, GOMAXPROCS %d, failing after %d bytes: error %v, want the writer's", name, procs, budget, err)
+				if err := WriteGenotypes(fw, m); !errors.Is(err, errWriterFull) && (bad == nil || fmt.Sprint(err) != bad.Error()) {
+					t.Fatalf("%s, GOMAXPROCS %d, failing after %d bytes: error %v, want the writer's or %v", name, procs, budget, err, bad)
 				}
 				if !bytes.HasPrefix(want.Bytes(), fw.got.Bytes()) {
 					t.Fatalf("%s, GOMAXPROCS %d: the %d bytes accepted before the failure are not the oracle's", name, procs, fw.got.Len())
@@ -449,6 +464,30 @@ func TestWriteGenotypesParallelMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// batchStart is the first row of the batch WriteGenotypes encodes row j in.
+func batchStart(m *GenotypeMatrix, j int) int {
+	lo := 0
+	for {
+		hi, n := lo, 0
+		for ; hi < len(m.Rows) && n < encodeBatchBytes; hi++ {
+			n += rowTextBytes(hi, len(m.Rows[hi]))
+		}
+		if j < hi {
+			return lo
+		}
+		lo = hi
+	}
+}
+
+// lineStart is the offset of line j of text.
+func lineStart(text []byte, j int) int {
+	off := 0
+	for ; j > 0; j-- {
+		off += bytes.IndexByte(text[off:], '\n') + 1
+	}
+	return off
 }
 
 // TestWriteGenotypesPlainWriterScratchBounded: into a writer that cannot lend

@@ -12,6 +12,7 @@ package dfs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sync"
 
 	"sparkscore/internal/rng"
@@ -107,6 +108,34 @@ func (fs *FS) Write(name string, data []byte) (*File, error) {
 	}
 	fs.files[name] = f
 	return f, nil
+}
+
+// Create opens name for writing, as Hadoop's FileSystem.create does: the
+// writer buffers the file's text, and Close stores it with Write. Write keeps
+// the slice it is handed, so Close hands it exactly the text: the buffer
+// itself when its slack is at most an eighth of the text (data.WriteGenotypes
+// grows its destination once to the text's size), else a copy of the text's
+// size, so that a doubling buffer's slack dies with the buffer.
+func (fs *FS) Create(name string) io.WriteCloser {
+	return &fileWriter{fs: fs, name: name}
+}
+
+// fileWriter is the writer Create returns.
+type fileWriter struct {
+	bytes.Buffer
+	fs   *FS
+	name string
+}
+
+func (w *fileWriter) Close() error {
+	text := w.Bytes()
+	if cap(text)-len(text) > len(text)/8 {
+		text = append(make([]byte, 0, len(text)), text...)
+	} else {
+		text = text[:len(text):len(text)]
+	}
+	_, err := w.fs.Write(w.name, text)
+	return err
 }
 
 // WriteLocal stores data under name as a single unreplicated block pinned to

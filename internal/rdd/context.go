@@ -30,8 +30,9 @@ type Config struct {
 	Cluster cluster.Config
 
 	// DFSBlockSize is the HDFS stand-in's block size — and so the partition
-	// size of every TextFile; zero selects the dfs package default. Blocks
-	// are replicated three ways, HDFS's default.
+	// size of a TextSplits read that asks for no more partitions than there
+	// are blocks, as the genotype source does; zero selects the dfs package
+	// default. Blocks are replicated three ways, HDFS's default.
 	DFSBlockSize int
 
 	// Seed drives every random decision in the simulation (replica

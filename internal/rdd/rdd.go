@@ -1,5 +1,5 @@
 // The typed RDD surface: sources (Parallelize, TextSplits, TextFile), narrow
-// transformations (Map, Filter, FlatMap, MapWithSetup), persistence
+// transformations (Map, FlatMap, MapWithSetup), persistence
 // (Cache/Unpersist), and actions (Collect, Count). It holds the operators this repository's callers use — core, assoc, harness, server,
 // cmd, examples, bench — and no others (surface_test.go fails on one that
 // loses its last caller). Narrow transformations fuse into a single
@@ -345,26 +345,6 @@ func MapWithSetup[T, U any](r *RDD[T], name string, setup func(t Task) func(T) U
 		})
 	}
 	return &RDD[U]{n: n}
-}
-
-// Filter keeps the elements for which pred is true. Fused.
-func Filter[T any](r *RDD[T], name string, pred func(T) bool) *RDD[T] {
-	parent := r.n
-	n := newTypedNode[T](parent.ctx, fmt.Sprintf("filter:%s(%s)", name, parent.name), parent.parts)
-	n.narrowParent = parent
-	n.bytesPerElem = parent.bytesPerElem
-	n.fusedDepth = parent.fusedDepth + 1
-	n.compute = func(tc *taskContext, p int) any {
-		in := seqOf[T](parent.iterate(tc, p))
-		return boxSeq[T](func(yield func(T) bool) {
-			for v := range in {
-				if pred(v) && !yield(v) {
-					return
-				}
-			}
-		})
-	}
-	return &RDD[T]{n: n}
 }
 
 // FlatMap applies f to every element and concatenates the sequences it

@@ -88,6 +88,28 @@ func TestMap(t *testing.T) {
 	}
 }
 
+// Filter keeps the elements for which pred is true. Fused. No production
+// pipeline filters — the SNP-set filter is pushed down into the genotype
+// codec — so it lives with the engine's tests, which chain it.
+func Filter[T any](r *RDD[T], name string, pred func(T) bool) *RDD[T] {
+	parent := r.n
+	n := newTypedNode[T](parent.ctx, fmt.Sprintf("filter:%s(%s)", name, parent.name), parent.parts)
+	n.narrowParent = parent
+	n.bytesPerElem = parent.bytesPerElem
+	n.fusedDepth = parent.fusedDepth + 1
+	n.compute = func(tc *taskContext, p int) any {
+		in := seqOf[T](parent.iterate(tc, p))
+		return boxSeq[T](func(yield func(T) bool) {
+			for v := range in {
+				if pred(v) && !yield(v) {
+					return
+				}
+			}
+		})
+	}
+	return &RDD[T]{n: n}
+}
+
 func TestFilter(t *testing.T) {
 	c := newTestContext(t, 2)
 	r := Filter(Parallelize(c, seq(20), 4), "even", func(x int) bool { return x%2 == 0 })

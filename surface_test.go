@@ -156,7 +156,24 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	}
 
 	// A method is called through values whose type a file need not import,
-	// so a file sees the methods of every package its own package imports.
+	// so a file sees the methods of every package its own package imports,
+	// and of every package whose type an exported function or method of one
+	// of those returns (rdd's Context.FS returns a *dfs.FS).
+	returns := map[string][]string{} // "internal/rdd" → {"dfs", …}
+	for _, f := range files {
+		for _, d := range f.file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && fd.Type.Results != nil {
+				ast.Inspect(fd.Type.Results, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok {
+						if id, ok := sel.X.(*ast.Ident); ok && f.imports[id.Name] != "" {
+							returns[f.dir] = append(returns[f.dir], pkgName(f.imports[id.Name]))
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
 	pkgImports := map[string]map[string]bool{} // "internal/rdd" → {"cluster": true, …}
 	for _, f := range files {
 		if pkgImports[f.dir] == nil {
@@ -164,6 +181,9 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		}
 		for _, dir := range f.imports {
 			pkgImports[f.dir][pkgName(dir)] = true
+			for _, p := range returns[dir] {
+				pkgImports[f.dir][p] = true
+			}
 		}
 	}
 
