@@ -52,7 +52,9 @@ bench:
 
 # bench-smoke proves the fused-chain benchmarks still run (allocation numbers
 # are asserted by TestFusedChainAllocsIndependentOfSize; this guards the
-# benchmark harness itself), that the wide kernel's benchmark at the
+# benchmark harness itself; TestBenchSmokeNamesExistingBenchmarks checks that
+# every -bench pattern below still names a benchmark, since one that matches
+# nothing passes), that the wide kernel's benchmark at the
 # eqtl_wide shape still builds its fixture and reports Mpairs/s — beside it
 # the all-pairs fold at that shape, the kernel's rows through the cut-off
 # accumulator, one task's worth — and that the
@@ -111,8 +113,8 @@ bench-smoke:
 # streams, NaN, ±Inf, zeros, subnormals and ties included, its χ² histogram
 # bins equal the p-value's bin on arbitrary χ² (every edge ±1 and ±2 ulps,
 # every bracket end, 0, subnormals, +Inf and NaN seeded), the wide kernel's
-# rows equal per-phenotype Score/Variance bit for bit on arbitrary packed
-# bytes (every code, padding included) and batch shapes, the generator's
+# rows equal per-phenotype PackedRowScores/Variance bit for bit on arbitrary
+# packed bytes (every code, padding included) and batch shapes, the generator's
 # integer-threshold Bernoulli draw equals Float64() < ρ, the SNP-set and
 # covariate readers return errors or round-trip through their writers, and
 # the serving-pool parser returns an error or a valid configuration that

@@ -76,8 +76,11 @@ func main() {
 		progress  = flag.Bool("progress", false, "print job/stage/recovery progress as the analysis runs")
 	)
 	flag.Parse()
-	if *top < 0 || *eqtlTop < 0 {
-		fatal(fmt.Errorf("-top %d / -eqtl-top %d: must be non-negative", *top, *eqtlTop))
+	if *top < 0 {
+		fatal(fmt.Errorf("-top %d: must be non-negative", *top))
+	}
+	if *eqtlTop < 1 {
+		fatal(fmt.Errorf("-eqtl-top %d: must be at least 1", *eqtlTop))
 	}
 	if *memCap < 0 {
 		fatal(fmt.Errorf("-mem-cap-bytes %d: must be non-negative", *memCap))

@@ -124,7 +124,8 @@ func TestDeletedFlagsStayDeleted(t *testing.T) {
 // cap is refused after flag parsing with the usual one-line error — in every
 // mode that prints a table, where -top used to reach rows[:top] and panic;
 // with -eqtl, where a negative phenotype count panicked in makeslice; and
-// where a negative value used to mean "off" without saying so.
+// where a negative value used to mean "off" without saying so. An -eqtl-top
+// below 1 is refused too: a top-K of 0 used to keep the default 100 pairs.
 func TestNegativeTopRejected(t *testing.T) {
 	dir := t.TempDir()
 	bins := map[string]string{"sparkscore": buildCmd(t, dir, "sparkscore"), "sparkserved": buildCmd(t, dir, "sparkserved")}
@@ -133,12 +134,15 @@ func TestNegativeTopRejected(t *testing.T) {
 		{"sparkscore", "-iterations 2 -top -1", "must be non-negative"},
 		{"sparkscore", "-iterations 2 -asymptotic -marginal -top -3", "must be non-negative"},
 		{"sparkscore", "-eqtl -eqtl-phenos 2 -top -1", "must be non-negative"},
-		{"sparkscore", "-eqtl -eqtl-phenos 2 -eqtl-top -1", "must be non-negative"},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -eqtl-top -1", "-eqtl-top -1: must be at least 1"},
+		// assoc.Config reads a top-K of 0 as its default of 100 pairs.
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -eqtl-top 0", "-eqtl-top 0: must be at least 1"},
 		{"sparkscore", "-eqtl -eqtl-phenos -2", "must be at least 1"},
 		{"sparkscore", "-eqtl -eqtl-phenos 0", "must be at least 1"},
 		{"sparkscore", "-iterations 2 -mem-cap-bytes -5", "must be non-negative"},
 		// A sparkserved that accepted its flags would serve until killed.
 		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-phenos -2", "must be non-negative"},
+		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-phenos 2 -eqtl-top 0", "-eqtl-top 0: must be at least 1"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		out, err := exec.CommandContext(ctx, bins[tc.cmd], strings.Fields(shape+" "+tc.args)...).CombinedOutput()

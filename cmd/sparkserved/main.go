@@ -76,8 +76,8 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	)
 	flag.Parse()
-	if *eqtlPhenos < 0 {
-		fatal(fmt.Errorf("-eqtl-phenos %d: must be non-negative (0 disables /v1/eqtl)", *eqtlPhenos))
+	if err := checkEQTLFlags(*eqtlPhenos, *eqtlTop); err != nil {
+		fatal(err)
 	}
 
 	schedMode, err := rdd.ParseSchedulerMode(*mode)
@@ -170,6 +170,18 @@ func main() {
 		fmt.Printf("sparkserved: stopped after %.1f simulated seconds over %d jobs\n",
 			ctx.VirtualTime(), ctx.JobCount())
 	}
+}
+
+// checkEQTLFlags refuses -eqtl-phenos below 0 and -eqtl-top below 1, which
+// assoc.Config would read as its default of 100 pairs.
+func checkEQTLFlags(phenos, top int) error {
+	if phenos < 0 {
+		return fmt.Errorf("-eqtl-phenos %d: must be non-negative (0 disables /v1/eqtl)", phenos)
+	}
+	if top < 1 {
+		return fmt.Errorf("-eqtl-top %d: must be at least 1", top)
+	}
+	return nil
 }
 
 // stagePhenoMatrix writes the expression matrix's text to path on the DFS,

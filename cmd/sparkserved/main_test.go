@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"sparkscore/internal/data"
@@ -38,6 +39,28 @@ func TestStagePhenoMatrixHandsOverExactBytes(t *testing.T) {
 		}
 		if got, err := fs.ReadAll("input/phenomatrix.txt"); err != nil || !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("%d phenotypes: staged %d bytes (err %v), want WritePhenoMatrix's %d", phenos, len(got), err, want.Len())
+		}
+	}
+}
+
+// TestCheckEQTLFlags: a top-K below 1 is refused naming the flag — assoc.Config
+// reads 0 as its default of 100 pairs, so -eqtl-top 0 used to serve 100 —
+// as is a negative phenotype count; 0 phenotypes (the endpoint off) and a
+// top-K of 1 are accepted.
+func TestCheckEQTLFlags(t *testing.T) {
+	for _, tc := range []struct {
+		phenos, top int
+		want        string
+	}{
+		{0, 100, ""},
+		{4, 1, ""},
+		{4, 0, "-eqtl-top 0: must be at least 1"},
+		{0, -3, "-eqtl-top -3: must be at least 1"},
+		{-2, 100, "-eqtl-phenos -2: must be non-negative"},
+	} {
+		err := checkEQTLFlags(tc.phenos, tc.top)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("checkEQTLFlags(%d, %d) = %v, want %q", tc.phenos, tc.top, err, tc.want)
 		}
 	}
 }

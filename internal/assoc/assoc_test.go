@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sparkscore/internal/cluster"
+	"sparkscore/internal/core"
 	"sparkscore/internal/data"
 	"sparkscore/internal/gen"
 	"sparkscore/internal/rdd"
@@ -48,20 +49,109 @@ func stageFixture(t testing.TB, ctx *rdd.Context, patients, snps, phenos int) (P
 	return paths, geno, expr
 }
 
-// bruteForce scores every pair in memory with the single-phenotype model
-// path — the reference the engine is pinned against.
+// bruteForce scores every pair in memory one phenotype at a time — the
+// reference the engine is pinned against: the score is stats.PackedRowScores
+// on the phenotype's residuals, the bits every marginal analysis reports, and
+// the variance Model.Variance on the row. stats.Score on the row, which adds in
+// patient order, is a second check within 1e-12 of the terms' absolute sum.
 func bruteForce(t testing.TB, geno *data.GenotypeMatrix, expr *data.PhenoMatrix, family string) []PairResult {
+	blk := data.NewGenoBlock(geno.Patients, len(geno.Rows))
+	for j, row := range geno.Rows {
+		if err := blk.AppendRow(j, row); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var out []PairResult
 	for p := 0; p < expr.Rows(); p++ {
 		m, err := stats.NewModel(family, expr.Phenotype(p))
 		if err != nil {
 			t.Fatal(err)
 		}
+		scores := stats.PackedRowScores(blk, m.ScoreResiduals(), nil)
 		for j, row := range geno.Rows {
-			out = append(out, pairResult(int32(j), expr.IDs[p], stats.Score(m, row), m.Variance(row)))
+			var terms float64
+			for i, r := range m.ScoreResiduals() {
+				terms += math.Abs(float64(row[i]) * r)
+			}
+			if loop := stats.Score(m, row); math.Abs(scores[j]-loop) > 1e-12*terms {
+				t.Fatalf("SNP %d phenotype %d: PackedRowScores %v, patient-order Score %v", j, expr.IDs[p], scores[j], loop)
+			}
+			out = append(out, pairResult(int32(j), expr.IDs[p], scores[j], m.Variance(row)))
 		}
 	}
 	return out
+}
+
+// TestCrossScoresAreMarginalScores pins the all-pairs cross to the marginal
+// analysis it repeats once per phenotype: with TopK covering every pair, each
+// pair's score, variance and p-value must equal, under math.Float64bits,
+// core.MarginalAsymptotic's result for that SNP with the expression row as
+// the analysis's phenotype — Gaussian and Binomial, the genotype file cut
+// into several partitions.
+func TestCrossScoresAreMarginalScores(t *testing.T) {
+	const patients, snps = 45, 150
+	cfg := gen.Config{Patients: patients, SNPs: snps, SNPSets: 1}
+	geno := gen.Genotypes(cfg, rng.New(21))
+	everySNP := data.SNPSet{Name: "all", SNPs: make([]int, snps)}
+	weights := make(data.Weights, snps)
+	for j := range snps {
+		everySNP.SNPs[j], weights[j] = j, 1
+	}
+	for _, fx := range []struct {
+		family string
+		expr   *data.PhenoMatrix
+	}{
+		{"gaussian", gen.ExpressionMatrix(cfg, rng.New(22), 5)},
+		{"binomial", binaryPhenos(t, rng.New(23), patients, 3)},
+	} {
+		ctx := newTestContext(t, 2, 2<<10, rdd.FaultProfile{})
+		paths, err := Stage(ctx, geno, fx.expr, "eqtl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := snps * fx.expr.Rows()
+		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{Family: fx.family, TopK: pairs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.TopK) != pairs || res.SNPBlocks < 3 {
+			t.Fatalf("%s: %d of %d pairs kept over %d partitions, want all over several", fx.family, len(res.TopK), pairs, res.SNPBlocks)
+		}
+		cross := make(map[[2]int32]PairResult, pairs)
+		for _, pr := range res.TopK {
+			cross[[2]int32{pr.SNP, pr.Pheno}] = pr
+		}
+		for p := 0; p < fx.expr.Rows(); p++ {
+			ds := &data.Dataset{Genotypes: geno, Phenotype: fx.expr.Phenotype(p), Weights: weights, SNPSets: data.SNPSets{everySNP}}
+			mpaths, err := core.StageDataset(ctx, ds, fmt.Sprintf("marginal%d", p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := core.NewAnalysis(ctx, mpaths, core.Options{Family: fx.family})
+			if err != nil {
+				t.Fatal(err)
+			}
+			marginal, err := m.MarginalAsymptotic()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(marginal) != snps {
+				t.Fatalf("%s phenotype %d: %d marginal results, want %d", fx.family, p, len(marginal), snps)
+			}
+			for _, want := range marginal {
+				got, ok := cross[[2]int32{int32(want.SNP), fx.expr.IDs[p]}]
+				if !ok || math.Float64bits(got.Score) != math.Float64bits(want.Score) ||
+					math.Float64bits(got.Variance) != math.Float64bits(want.Variance) ||
+					math.Float64bits(got.PValue) != math.Float64bits(want.PValue) {
+					t.Fatalf("%s SNP %d phenotype %d: cross %+v (found %v), marginal %+v", fx.family, want.SNP, p, got, ok, want)
+				}
+			}
+		}
+	}
 }
 
 func TestAllPairsMatchesBruteForce(t *testing.T) {

@@ -1,9 +1,10 @@
 // Blocked score kernels over packed genotype blocks. Every resampling pass
 // needs only marginal scores, and those are linear in the genotypes: G · r for
 // the model's score residuals (Model.ScoreResiduals into PackedRowScores: the
-// observed score, a permutation replicate) and G · R̃(Z) for the residual panel
-// of a batch of Lin's Monte Carlo weight draws (Model.PanelResiduals into
-// PanelKernel), both straight off the 2-bit bytes in one written summation
+// observed score, a permutation replicate) and G · R̃ for a residual panel —
+// a batch of Lin's Monte Carlo weight draws (Model.PanelResiduals) or a batch
+// of phenotypes' residuals (WideKernel, the all-pairs cross) — into
+// PanelKernel, both straight off the 2-bit bytes in one written summation
 // order. That order is four lanes, which on an amd64 host with AVX2 are one ymm
 // register: kernel_amd64.s scores four rows per call, and packedRowScore — the
 // same order in Go — scores the rest, and every row on other hosts; the panel
@@ -174,15 +175,24 @@ func packedRowScore(packed []byte, r []float64) float64 {
 	return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
+// panelTile is the number of panel columns scored per walk of a row's cell
+// list: one float64 accumulator each, a 64-byte cell — two ymm registers in
+// the amd64 walk.
+const panelTile = 8
+
+// panelCell is one table entry: c·r̃_i for the panelTile columns of a tile, at
+// one patient i and dosage class c.
+type panelCell [panelTile]float64
+
 // PanelKernel scores packed genotype blocks against a patients × width panel
-// of score residuals R̃, one column per Monte Carlo replicate, so that one pass
-// over a block serves width replicates. It is the wide kernel's dosage-class
-// idea in PackedRowScores' summation order: a table of 1·r̃ and 2·r̃,
-// replicate-tiled and patient-major as wideTable, each row turned into lists
-// of the table cells of its non-zero patients (compactLanes: 32 patients a
-// step on amd64 with AVX2), and the cells added into wideTile accumulators
-// per list, two lists per sumCellPairs call — on amd64 with AVX2 four ymm
-// registers of four columns each.
+// of score residuals R̃ — one column per Monte Carlo replicate, or per
+// phenotype of the all-pairs cross's WideKernel — so that one pass over a
+// block serves width columns. Its genotypes take three dosage classes, so it
+// never multiplies: a table of 1·r̃ and 2·r̃, column-tiled and patient-major,
+// each row turned into lists of the table cells of its non-zero patients
+// (compactLanes: 32 patients a step on amd64 with AVX2), and the cells added
+// into panelTile accumulators per list, two lists per sumCellPairs call — on
+// amd64 with AVX2 four ymm registers of four columns each.
 //
 // Summation-order contract. A row's cells are listed in four lane segments,
 // lane l holding the patients i ≡ l (mod 4) in ascending i; each segment is
@@ -198,9 +208,9 @@ func packedRowScore(packed []byte, r []float64) float64 {
 // a kernel single-goroutine, so concurrent tasks each Fork their own.
 type PanelKernel struct {
 	patients, width int
-	column          []float64  // width 1: the panel, handed to PackedRowScores
-	table           []wideCell // width > 1: tile t is table[t·2n:(t+1)·2n], cell 2i+c−1 = c·r̃_i
-	cells           []uint32   // row r, lane l lists at cells[(4r+l)·⌈n/4⌉:ends[4r+l]]
+	column          []float64   // width 1: the panel, handed to PackedRowScores
+	table           []panelCell // width > 1: tile t is table[t·2n:(t+1)·2n], cell 2i+c−1 = c·r̃_i
+	cells           []uint32    // row r, lane l lists at cells[(4r+l)·⌈n/4⌉:ends[4r+l]]
 	ends            []int
 }
 
@@ -211,13 +221,13 @@ func NewPanelKernel(patients, width int, panel []float64) *PanelKernel {
 	if width == 1 {
 		return &PanelKernel{patients: patients, width: width, column: panel}
 	}
-	tiles := (width + wideTile - 1) / wideTile
-	k := &PanelKernel{patients: patients, width: width, table: make([]wideCell, tiles*2*patients)}
+	tiles := (width + panelTile - 1) / panelTile
+	k := &PanelKernel{patients: patients, width: width, table: make([]panelCell, tiles*2*patients)}
 	for i := 0; i < patients; i++ {
 		for c, v := range panel[i*width:][:width] {
-			tile := k.table[c/wideTile*2*patients:]
-			tile[2*i][c%wideTile] = v
-			tile[2*i+1][c%wideTile] = 2 * v
+			tile := k.table[c/panelTile*2*patients:]
+			tile[2*i][c%panelTile] = v
+			tile[2*i+1][c%panelTile] = 2 * v
 		}
 	}
 	return k
@@ -256,14 +266,14 @@ func (k *PanelKernel) Scores(blk data.GenoBlock, out []float64) []float64 {
 
 	// Tiles outermost, so one tile's 2n cells stay cache-resident across the
 	// block's rows.
-	for lo := 0; lo < width; lo += wideTile {
-		tile := k.table[lo/wideTile*2*n:][:2*n]
+	for lo := 0; lo < width; lo += panelTile {
+		tile := k.table[lo/panelTile*2*n:][:2*n]
 		for r := 0; r < rows; r++ {
-			var lane [4]wideCell
+			var lane [4]panelCell
 			list := func(l int) []uint32 { return cells[(4*r+l)*quarter : ends[4*r+l]] }
-			sumCellPairs(tile, list(0), list(1), (*[2]wideCell)(lane[:2]))
-			sumCellPairs(tile, list(2), list(3), (*[2]wideCell)(lane[2:]))
-			for c := range out[r*width+lo:][:min(wideTile, width-lo)] {
+			sumCellPairs(tile, list(0), list(1), (*[2]panelCell)(lane[:2]))
+			sumCellPairs(tile, list(2), list(3), (*[2]panelCell)(lane[2:]))
+			for c := range out[r*width+lo:][:min(panelTile, width-lo)] {
 				out[r*width+lo+c] = (lane[0][c] + lane[1][c]) + (lane[2][c] + lane[3][c])
 			}
 		}
@@ -280,10 +290,10 @@ func compactLanes(cells []uint32, packed []byte, n int, w *[4]int) {
 	compactBytes(cells, packed, n, laneChunks(cells, packed, n, w), w)
 }
 
-// compactBytes is compactLanes from byte from on, in Go: branch-free, as in
-// the wide kernel, every patient writes its cell index at its lane's cursor
-// and only a non-zero dosage advances it. It is the whole compaction off
-// amd64 and the oracle of laneChunks.
+// compactBytes is compactLanes from byte from on, in Go: branch-free, every
+// patient writes its cell index at its lane's cursor and only a non-zero
+// dosage advances it. It is the whole compaction off amd64 and the oracle of
+// laneChunks.
 func compactBytes(cells []uint32, packed []byte, n, from int, w *[4]int) {
 	w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
 	for j, v := range packed[from : n>>2] {
@@ -304,6 +314,43 @@ func compactBytes(cells []uint32, packed []byte, n, from int, w *[4]int) {
 		cells[w[l]] = uint32(2*(n&^3+l)) - 1 + c
 		w[l] += int((c + 1) >> 1)
 	}
+}
+
+// sumCells adds the listed cells of a tile into sum, in list order from +0:
+// the panel kernel's walk, run through sumCellPairs. It is that walk off
+// amd64 and the oracle of the amd64 one.
+func sumCells(tile []panelCell, list []uint32, sum *panelCell) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+	// Bottom-tested, so each accumulator's only use inside the loop is its own
+	// add and the compiler folds the table load into it; a top-tested loop
+	// keeps eight loaded values live beside the eight sums, one more register
+	// than amd64 has, and spills a sum.
+	if len(list) > 0 {
+		for i := 0; ; {
+			e := &tile[list[i]]
+			a0 += e[0]
+			a1 += e[1]
+			a2 += e[2]
+			a3 += e[3]
+			a4 += e[4]
+			a5 += e[5]
+			a6 += e[6]
+			a7 += e[7]
+			if i++; i == len(list) {
+				break
+			}
+		}
+	}
+	*sum = panelCell{a0, a1, a2, a3, a4, a5, a6, a7}
+}
+
+// sized returns buf resliced to n elements, reallocated only when it is too
+// small; contents are unspecified.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // BlockKernel applies a score model to packed genotype blocks. A kernel is

@@ -42,13 +42,13 @@ func packedRows4(table *[256][4]float64, packed *byte, stride, full int, r *floa
 // unwritten, at the first out of range.
 //
 //go:noescape
-func cellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) bool
+func cellPairs(tile []panelCell, a, b []uint32, sums *[2]panelCell) bool
 
 // sumCellPairs is sumCells(tile, a, &sums[0]) then sumCells(tile, b,
 // &sums[1]), bit for bit, in one walk of the two lists where the host has
 // AVX2. On an out-of-range index, or without AVX2, it runs exactly those two
 // calls, which panic on the index as indexing does.
-func sumCellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) {
+func sumCellPairs(tile []panelCell, a, b []uint32, sums *[2]panelCell) {
 	if !useAVX2 || !cellPairs(tile, a, b, sums) {
 		sumCells(tile, a, &sums[0])
 		sumCells(tile, b, &sums[1])

@@ -66,7 +66,7 @@ done:
 	VZEROUPPER
 	RET
 
-// func cellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) bool
+// func cellPairs(tile []panelCell, a, b []uint32, sums *[2]panelCell) bool
 //
 // sumCells over two lists in one walk: sums[0] is list a's cells added in
 // list order from +0, sums[1] list b's. A 64-byte cell is two 32-byte

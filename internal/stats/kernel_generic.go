@@ -9,7 +9,7 @@ import "sparkscore/internal/data"
 func scoreRowGroups(data.GenoBlock, []float64, []float64) int { return 0 }
 
 // sumCellPairs walks the two lists one after the other off amd64.
-func sumCellPairs(tile []wideCell, a, b []uint32, sums *[2]wideCell) {
+func sumCellPairs(tile []panelCell, a, b []uint32, sums *[2]panelCell) {
 	sumCells(tile, a, &sums[0])
 	sumCells(tile, b, &sums[1])
 }

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -72,8 +70,9 @@ func wideModels(r *rng.RNG, patients, phenos int, binary bool) []Model {
 }
 
 // TestWideKernelMatchesPerPhenotypeBitwise is the parity pin of the all-pairs
-// engine: for every (SNP, phenotype) pair the wide kernel's score and variance
-// must equal the single-phenotype Score/Variance path bit for bit, for both
+// engine: for every (SNP, phenotype) pair the wide kernel's score must equal
+// PackedRowScores on that phenotype's residuals — the score every marginal
+// analysis reports — and its variance Model.Variance, bit for bit, for both
 // factorised families, including rows with missing genotypes.
 func TestWideKernelMatchesPerPhenotypeBitwise(t *testing.T) {
 	const patients, rows, phenos = 41, 7, 5
@@ -83,32 +82,9 @@ func TestWideKernelMatchesPerPhenotypeBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		type cell struct{ score, variance float64 }
-		got := make(map[[2]int]cell, rows*phenos)
-		k.BlockStats(blk, func(snp int32, pheno int, score, variance float64) {
-			got[[2]int{int(snp), pheno}] = cell{score, variance}
-		})
-		if len(got) != rows*phenos {
-			t.Fatalf("binary=%v: visited %d pairs, want %d", binary, len(got), rows*phenos)
-		}
-		dec := make([]data.Genotype, patients)
-		for r := 0; r < rows; r++ {
-			// The per-phenotype baseline decodes with the scoring rule
-			// (missing -> dosage 0), as the marginal pipeline does.
-			DecodeDosageGenotypes(blk.Row(r), dec)
-			for p, m := range models {
-				wantScore := Score(m, dec)
-				wantVar := m.Variance(dec)
-				c := got[[2]int{int(blk.SNPs[r]), p}]
-				if math.Float64bits(c.score) != math.Float64bits(wantScore) {
-					t.Fatalf("binary=%v snp %d pheno %d: wide score %v, loop %v",
-						binary, blk.SNPs[r], p, c.score, wantScore)
-				}
-				if math.Float64bits(c.variance) != math.Float64bits(wantVar) {
-					t.Fatalf("binary=%v snp %d pheno %d: wide variance %v, loop %v",
-						binary, blk.SNPs[r], p, c.variance, wantVar)
-				}
-			}
+		checkBlockBitwise(t, k, models, blk)
+		if t.Failed() {
+			t.Fatalf("binary=%v", binary)
 		}
 	}
 }
@@ -139,8 +115,10 @@ func shapeBlock(r *rng.RNG, patients, rows, firstSNP int) data.GenoBlock {
 }
 
 // checkBlockBitwise scores blk through k and requires every pair, in
-// row-major visit order, to equal Score/Variance on the decoded row bit for
-// bit.
+// row-major visit order, to have PackedRowScores' score on the model's
+// residuals and Model.Variance on the decoded row, bit for bit. Score on the
+// decoded row, which adds in patient order, is a second check within 1e-12 of
+// the terms' absolute sum.
 func checkBlockBitwise(t *testing.T, k *WideKernel, models []Model, blk data.GenoBlock) {
 	t.Helper()
 	type cell struct {
@@ -156,20 +134,39 @@ func checkBlockBitwise(t *testing.T, k *WideKernel, models []Model, blk data.Gen
 		t.Errorf("visited %d pairs, want %d", len(got), blk.Rows()*len(models))
 		return
 	}
+	scores := make([][]float64, len(models))
+	for p, m := range models {
+		scores[p] = PackedRowScores(blk, m.ScoreResiduals(), nil)
+	}
 	dec := make([]data.Genotype, blk.Patients)
 	for r := 0; r < blk.Rows(); r++ {
 		DecodeDosageGenotypes(blk.Row(r), dec)
 		for p, m := range models {
 			c := got[r*len(models)+p]
-			want := cell{blk.SNPs[r], p, Score(m, dec), m.Variance(dec)}
+			want := cell{blk.SNPs[r], p, scores[p][r], m.Variance(dec)}
 			if c.snp != want.snp || c.pheno != want.pheno ||
 				math.Float64bits(c.score) != math.Float64bits(want.score) ||
 				math.Float64bits(c.variance) != math.Float64bits(want.variance) {
 				t.Errorf("%d-row block, visit %d = %+v, per-phenotype %+v", blk.Rows(), r*len(models)+p, c, want)
 				return
 			}
+			if loop := Score(m, dec); !scoreNear(c.score, loop, m, dec) {
+				t.Errorf("%d-row block, visit %d: score %v, patient-order Score %v", blk.Rows(), r*len(models)+p, c.score, loop)
+				return
+			}
 		}
 	}
+}
+
+// scoreNear reports whether score is within 1e-12 of want relative to the
+// absolute sum Σ_i |g_i·r_i| of the terms both add: two summation orders of
+// the same terms differ by at most about n·2⁻⁵³ of that sum.
+func scoreNear(score, want float64, m Model, g []data.Genotype) bool {
+	var terms float64
+	for i, r := range m.ScoreResiduals() {
+		terms += math.Abs(float64(g[i]) * r)
+	}
+	return math.Abs(score-want) <= 1e-12*terms
 }
 
 // TestWideKernelShapeMatrix walks the tile and scratch edges: phenotype counts
@@ -309,144 +306,6 @@ func TestWideKernelRejectsBadBatches(t *testing.T) {
 	}
 }
 
-// pairOutcome runs walk and reports its two sums, or what it panicked with.
-func pairOutcome(walk func(*[2]wideCell)) (sums [2]wideCell, panicked any) {
-	defer func() { panicked = recover() }()
-	walk(&sums)
-	return sums, nil
-}
-
-// checkCellPairs requires sumCellPairs(tile, a, b) to equal sumCells over a
-// then over b: the same bits in all sixteen columns (or NaN both, when nan is
-// set), or the same panic.
-func checkCellPairs(t *testing.T, tile []wideCell, a, b []uint32, nan bool) {
-	t.Helper()
-	want, wantPanic := pairOutcome(func(s *[2]wideCell) {
-		sumCells(tile, a, &s[0])
-		sumCells(tile, b, &s[1])
-	})
-	got, gotPanic := pairOutcome(func(s *[2]wideCell) { sumCellPairs(tile, a, b, s) })
-	if fmt.Sprint(gotPanic) != fmt.Sprint(wantPanic) {
-		t.Fatalf("lists of %d and %d over %d cells: sumCellPairs panicked with %v, sumCells with %v",
-			len(a), len(b), len(tile), gotPanic, wantPanic)
-	}
-	for l := range want {
-		for c, w := range want[l] {
-			g := got[l][c]
-			if math.Float64bits(g) != math.Float64bits(w) && !(nan && math.IsNaN(g) && math.IsNaN(w)) {
-				t.Fatalf("lists of %d and %d over %d cells: list %d column %d is %v (%#x), sumCells gives %v (%#x)",
-					len(a), len(b), len(tile), l, c, g, math.Float64bits(g), w, math.Float64bits(w))
-			}
-		}
-	}
-}
-
-// TestSumCellPairsMatchesSumCells pins the two-list walk to two sumCells
-// calls bit for bit over every pairing of list lengths — equal, shorter
-// first and longer first, either list empty — on a tile mixing ±0,
-// subnormals and magnitudes from 1e-300 to 1e300, and requires an index
-// equal to len(tile) or MaxUint32, in either list, in the shared walk or in
-// a tail, to panic as sumCells does.
-func TestSumCellPairsMatchesSumCells(t *testing.T) {
-	r := rng.New(26)
-	edge := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1030, 1e300, -1e300, 1e-300}
-	tile := make([]wideCell, 53)
-	for i := range tile {
-		for c := range tile[i] {
-			if r.Bernoulli(0.3) {
-				tile[i][c] = edge[r.Intn(len(edge))]
-			} else {
-				tile[i][c] = r.Normal() * math.Pow(10, float64(r.Intn(9)-4))
-			}
-		}
-	}
-	list := func(n int) []uint32 {
-		l := make([]uint32, n)
-		for i := range l {
-			l[i] = uint32(r.Intn(len(tile)))
-		}
-		return l
-	}
-	lengths := []int{0, 1, 2, 3, 7, 64, 257}
-	for _, la := range lengths {
-		for _, lb := range lengths {
-			checkCellPairs(t, tile, list(la), list(lb), false)
-		}
-	}
-	for _, bad := range []uint32{uint32(len(tile)), math.MaxUint32} {
-		for _, la := range []int{1, 3, 7} {
-			for _, lb := range []int{1, 3, 7} {
-				for side := 0; side < 2; side++ {
-					for _, first := range []bool{true, false} {
-						a, b := list(la), list(lb)
-						l := [2][]uint32{a, b}[side]
-						if first {
-							l[0] = bad
-						} else {
-							l[len(l)-1] = bad
-						}
-						checkCellPairs(t, tile, a, b, false)
-					}
-				}
-			}
-		}
-	}
-}
-
-// FuzzSumCellPairs is the same pin over arbitrary tile bits, NaN and ±Inf
-// included, and arbitrary lists: equal bits or NaN both, or the same panic.
-// The first three bytes pick the tile's cell count and the two list lengths
-// (a length byte below 0xf0 is a length below 40, 0xf0–0xff the long lists
-// 242–257); the rest is read cyclically, one byte an index (0xfe is
-// len(tile), 0xff MaxUint32, anything else an in-range cell) and then eight
-// bytes a tile value.
-func FuzzSumCellPairs(f *testing.F) {
-	f.Add([]byte{3, 5, 2, 0, 1, 2, 3, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) < 4 {
-			return
-		}
-		length := func(b byte) int {
-			if b >= 0xf0 {
-				return int(b) + 2
-			}
-			return int(b) % 40
-		}
-		cells, la, lb := 1+int(raw[0])%16, length(raw[1]), length(raw[2])
-		raw = raw[3:]
-		at := 0
-		next := func() byte { at++; return raw[(at-1)%len(raw)] }
-		index := func() uint32 {
-			switch sel := next(); sel {
-			case 0xfe:
-				return uint32(cells)
-			case 0xff:
-				return math.MaxUint32
-			default:
-				return uint32(int(sel) % cells)
-			}
-		}
-		a, b := make([]uint32, la), make([]uint32, lb)
-		for i := range a {
-			a[i] = index()
-		}
-		for i := range b {
-			b[i] = index()
-		}
-		tile := make([]wideCell, cells)
-		for i := range tile {
-			for c := range tile[i] {
-				var v [8]byte
-				for j := range v {
-					v[j] = next()
-				}
-				tile[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(v[:]))
-			}
-		}
-		checkCellPairs(t, tile, a, b, true)
-	})
-}
-
 // BenchmarkWideKernel vs BenchmarkPerPhenotypeLoop: the all-pairs cross's
 // decode-amortisation claim on the shared fixture (fixed 0.3 MAF), and the
 // kernel at the eqtl_wide benchmark's shape — one full block of 1000 patients
@@ -508,9 +367,9 @@ func BenchmarkPerPhenotypeLoop(b *testing.B) {
 	_ = sink
 }
 
-// FuzzWideKernelRows pins BlockRows to per-phenotype Score/Variance under
-// math.Float64bits on arbitrary packed bytes: all four codes, every byte
-// value and whatever sits in a last byte's padding codes. The first four
+// FuzzWideKernelRows pins BlockRows to per-phenotype PackedRowScores and
+// Variance under math.Float64bits on arbitrary packed bytes: all four codes,
+// every byte value and whatever sits in a last byte's padding codes. The first four
 // bytes pick 1–70 patients, 1–9 rows, 1–17 phenotypes and the family and
 // phenotype seed; the rest fills the rows cyclically (all-zero bytes, every
 // patient homozygous 2, when there is none). The block's Counts column is
