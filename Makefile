@@ -76,7 +76,9 @@ bench:
 # shape (1 000 patients × 10 000 SNPs): the Section III generator in ns per
 # genotype (rows drawn in parallel, each with the branch-free draw) and the
 # genotype text encoder in MB/s, into a bytes.Buffer (grown once, encoded in
-# place) and into io.Discard (one batch's scratch).
+# place) and into io.Discard (one batch's scratch) — and that the -dir
+# genotype reader (the table scan over the scan's own row codec) still
+# reports ns/genotype and allocs/op reading that matrix's 20 MB text back.
 bench-smoke:
 	$(GO) test ./internal/rdd -run FusedNone -bench FusedChain -benchmem -benchtime=10x
 	$(GO) test ./internal/rdd -run '^$$' -bench ReduceByKeyCombine -benchmem -benchtime=10x
@@ -87,13 +89,16 @@ bench-smoke:
 	$(GO) test ./internal/stats -run '^$$' -bench PackedRowScores -benchtime=3x
 	$(GO) test ./internal/gen -run '^$$' -bench Genotypes -benchtime=3x
 	$(GO) test ./internal/data -run '^$$' -bench WriteGenotypes -benchmem -benchtime=3x
+	$(GO) test ./internal/data -run '^$$' -bench ReadGenotypes -benchmem -benchtime=3x
 
 # fuzz-smoke gives each native fuzz target a 10s budget on top of its checked-in
 # seed corpus (testdata/fuzz). The targets assert the GenoBlock and
 # phenotype-matrix text codecs round-trip whatever they accept, the one-pass
 # genotype text splitter yields the blocks and errors of the line-at-a-time
 # oracle (bytes.Split, then ParseGenoBlock per 256 lines) on arbitrary
-# partition text, patient counts and keep-sets, the weights
+# partition text, patient counts and keep-sets, the -dir genotype reader
+# accepts a row exactly when ParseGenoText packs it (refusing it in the scan's
+# words) and round-trips what it accepts through WriteGenotypes, the weights
 # and phenotype readers accept only finite values (NaN and ±Inf are errors
 # naming the line) and round-trip those through their writers, the
 # spill-frame reader (a bounds-checked gob frame of raw pairs in arrival
@@ -118,12 +123,16 @@ bench-smoke:
 # integer-threshold Bernoulli draw equals Float64() < ρ, the SNP-set and
 # covariate readers return errors or round-trip through their writers, and
 # the serving-pool parser returns an error or a valid configuration that
-# re-encodes to itself — never a panic, nor data after the array accepted.
+# re-encodes to itself — never a panic, nor data after the array accepted —
+# and the job request decoder, on arbitrary bodies for each of the four
+# request types, returns an error or a request that re-encodes to a body it
+# decodes to an equal request.
 # Every native fuzz target in the repository is listed here.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzGenoBlockTextRoundTrip -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzParseGenoText -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzPhenoMatrixRoundTrip -fuzztime=10s
+	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadGenotypes -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadPhenotype -fuzztime=10s
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadSNPSets -fuzztime=10s
@@ -139,6 +148,7 @@ fuzz-smoke:
 	$(GO) test ./internal/assoc -run='^$$' -fuzz=FuzzChi2Bins -fuzztime=10s
 	$(GO) test ./internal/gen -run='^$$' -fuzz=FuzzBernoulliThreshold -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzParsePools -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzJobRequestBodies -fuzztime=10s
 
 # cover enforces the per-package statement-coverage floors recorded in
 # coverage_baseline.txt: <package> <min-percent> per line, '#' comments

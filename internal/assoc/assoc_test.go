@@ -409,7 +409,7 @@ func runWithBadLine(t *testing.T, bad string) error {
 // bad line as a task failure naming the SNP and field, not a bare panic.
 func TestMalformedGenotypeLineFailsTheJob(t *testing.T) {
 	err := runWithBadLine(t, "77\t0 x 2\n")
-	if want := `SNP 77: data: field 2: bad genotype "x"`; !strings.Contains(err.Error(), want) {
+	if want := `SNP 77: field 2: bad genotype "x"`; !strings.Contains(err.Error(), want) {
 		t.Fatalf("Run() = %v, want a task abort containing %q", err, want)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -475,7 +476,9 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 // the one place they can now surface: construction, before any job runs.
 func TestNewAnalysisValidatesWeights(t *testing.T) {
 	ds := testDataset(t, 10, 12, 2, 4)
-	ds.SNPSets[1].SNPs = append(ds.SNPSets[1].SNPs, 11)
+	if !slices.Contains(ds.SNPSets[1].SNPs, 11) { // listing it twice is an error of its own
+		ds.SNPSets[1].SNPs = append(ds.SNPSets[1].SNPs, 11)
+	}
 	for _, tc := range []struct{ name, weights, want string }{
 		{"set member beyond the file", "0\t1\n1\t1\n2\t1\n", `core: SNP-set "set`},
 		{"last member missing", weightLines(11), `core: SNP-set "set1" contains SNP 11, but the weights file ends at SNP 10`},
@@ -496,6 +499,37 @@ func TestNewAnalysisValidatesWeights(t *testing.T) {
 		}
 		if _, err := NewAnalysis(ctx, paths, Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: NewAnalysis = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSNPListedTwiceInASetIsAnInputError: a set that lists a SNP twice would
+// add that SNP's term to its statistic twice. Staging refuses such a dataset
+// (data.SNPSets.Validate), and NewAnalysis refuses a staged SNP-set file that
+// lists one, naming the set and the SNP. A SNP in two sets stays legal.
+func TestSNPListedTwiceInASetIsAnInputError(t *testing.T) {
+	ds := testDataset(t, 10, 12, 2, 4)
+	twice := *ds
+	twice.SNPSets = data.SNPSets{{Name: "twice", SNPs: []int{3, 5, 3}}}
+	if _, err := StageDataset(testContext(t, 1), &twice, "test"); err == nil ||
+		err.Error() != `data: SNP-set 0 ("twice") lists SNP 3 twice` {
+		t.Errorf("staging a set that lists SNP 3 twice: %v", err)
+	}
+	for _, tc := range []struct{ sets, want string }{
+		{"shared\t3,5\ntwice\t4,3,5,3\n", `core: SNP-set "twice" lists SNP 3 twice`},
+		{"a\t3\nb\t3,4\n", ""},
+	} {
+		ctx := testContext(t, 1)
+		paths, err := StageDataset(ctx, ds, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctx.FS().Write(paths.SNPSets, []byte(tc.sets)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewAnalysis(ctx, paths, Options{})
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("sets %q: NewAnalysis = %v, want %q", tc.sets, err, tc.want)
 		}
 	}
 }

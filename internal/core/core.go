@@ -217,7 +217,8 @@ type setIndex struct {
 
 // newSetIndex inverts the SNP-sets over the weight file's id range. A set
 // member without a weight is an input error: the analysis could only drop
-// the SNP silently or fail inside a task.
+// the SNP silently or fail inside a task. So is a SNP listed twice in one
+// set, whose term the set statistic would add twice.
 func newSetIndex(sets data.SNPSets, weights data.Weights) (*setIndex, error) {
 	x := &setIndex{weights: weights, sets: make([][]int32, len(weights))}
 	for k, set := range sets {
@@ -225,6 +226,9 @@ func newSetIndex(sets data.SNPSets, weights data.Weights) (*setIndex, error) {
 			if j >= len(weights) {
 				return nil, fmt.Errorf("core: SNP-set %q contains SNP %d, but the weights file ends at SNP %d",
 					set.Name, j, len(weights)-1)
+			}
+			if in := x.sets[j]; len(in) > 0 && in[len(in)-1] == int32(k) {
+				return nil, fmt.Errorf("core: SNP-set %q lists SNP %d twice", set.Name, j)
 			}
 			x.sets[j] = append(x.sets[j], int32(k))
 		}

@@ -371,11 +371,11 @@ func TestMalformedGenotypeLinesFailTheJob(t *testing.T) {
 		{"-2\t0 1 2", `bad SNP id "-2"`},
 		{"", "empty genotype line"},
 		{"   ", "empty genotype line"},
-		{"0\t0 1", "SNP 0: data: 2 genotypes, want 3"},             // missing genotype
-		{"0\t0 1 2 1", "SNP 0: data: 4 genotypes, want 3"},         // extra genotype
-		{"5\t0 1 7", `SNP 5: data: field 3: bad genotype "7"`},     // out-of-domain code
-		{"5\t0 x 2", `SNP 5: data: field 2: bad genotype "x"`},     // non-numeric code
-		{"5\t0 1 2.0", `SNP 5: data: field 3: bad genotype "2.0"`}, // non-integer code
+		{"0\t0 1", "SNP 0: 2 genotypes, want 3"},             // missing genotype
+		{"0\t0 1 2 1", "SNP 0: 4 genotypes, want 3"},         // extra genotype
+		{"5\t0 1 7", `SNP 5: field 3: bad genotype "7"`},     // out-of-domain code
+		{"5\t0 x 2", `SNP 5: field 2: bad genotype "x"`},     // non-numeric code
+		{"5\t0 1 2.0", `SNP 5: field 3: bad genotype "2.0"`}, // non-integer code
 	} {
 		// The first line is 11 bytes, so 11-byte DFS blocks end on the bad
 		// line: a blank one there must fail the job as it does mid-block.

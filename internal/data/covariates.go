@@ -13,8 +13,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Covariates is an n×p matrix: Rows[i] holds patient i's covariate values.
@@ -52,79 +50,17 @@ func (c *Covariates) Validate() error {
 
 // WriteCovariates writes c in the covariates text format.
 func WriteCovariates(w io.Writer, c *Covariates) error {
-	bw := bufio.NewWriter(w)
-	var sb strings.Builder
-	for i, row := range c.Rows {
-		sb.Reset()
-		sb.WriteString(strconv.Itoa(i))
-		sb.WriteByte('\t')
-		for j, v := range row {
-			if j > 0 {
-				sb.WriteByte(' ')
-			}
-			sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		sb.WriteByte('\n')
-		if _, err := bw.WriteString(sb.String()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeLines(w, len(c.Rows), func(bw *bufio.Writer, i int) { writeFloatRow(bw, i, c.Rows[i]) })
 }
 
 // ReadCovariates parses the covariates text format.
 func ReadCovariates(r io.Reader) (*Covariates, error) {
-	rows := map[int][]float64{}
-	maxID := -1
 	width := -1
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		idStr, rest, ok := strings.Cut(line, "\t")
-		if !ok {
-			return nil, fmt.Errorf("data: covariate line %d: missing tab", sc.lineNo)
-		}
-		id, err := strconv.Atoi(idStr)
-		if err != nil || id < 0 {
-			return nil, fmt.Errorf("data: covariate line %d: bad patient id %q", sc.lineNo, idStr)
-		}
-		fields := strings.Fields(rest)
-		vals := make([]float64, len(fields))
-		for j, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil || !finite(v) {
-				return nil, fmt.Errorf("data: covariate line %d: bad value %q", sc.lineNo, f)
-			}
-			vals[j] = v
-		}
-		if width == -1 {
-			width = len(vals)
-		} else if len(vals) != width {
-			return nil, fmt.Errorf("data: covariate line %d: %d values, want %d", sc.lineNo, len(vals), width)
-		}
-		if _, dup := rows[id]; dup {
-			return nil, fmt.Errorf("data: duplicate covariates for patient %d", id)
-		}
-		rows[id] = vals
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rows, err := readTable(r, covariateTable, func(rest string) ([]float64, error) {
+		return floatRow(rest, &width, func(_ int, f string) error { return fmt.Errorf("bad value %q", f) })
+	})
+	if err != nil {
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("data: empty covariate file")
-	}
-	if len(rows) != maxID+1 {
-		return nil, fmt.Errorf("data: %d covariate rows but max patient id is %d", len(rows), maxID)
-	}
-	c := &Covariates{Rows: make([][]float64, maxID+1)}
-	for id, vals := range rows {
-		c.Rows[id] = vals
-	}
-	return c, nil
+	return &Covariates{Rows: rows}, nil
 }

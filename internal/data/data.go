@@ -129,8 +129,9 @@ type SNPSet struct {
 type SNPSets []SNPSet
 
 // Validate checks that every set is non-empty and references only SNPs in
-// [0, totalSNPs).
+// [0, totalSNPs), each once: a SNP listed twice would add its term twice.
 func (s SNPSets) Validate(totalSNPs int) error {
+	lastSet := make([]int, totalSNPs) // k+1 for the last set k listing SNP j
 	for k, set := range s {
 		if len(set.SNPs) == 0 {
 			return fmt.Errorf("data: SNP-set %d (%q) is empty", k, set.Name)
@@ -139,6 +140,10 @@ func (s SNPSets) Validate(totalSNPs int) error {
 			if j < 0 || j >= totalSNPs {
 				return fmt.Errorf("data: SNP-set %d (%q) references SNP %d outside [0,%d)", k, set.Name, j, totalSNPs)
 			}
+			if lastSet[j] == k+1 {
+				return fmt.Errorf("data: SNP-set %d (%q) lists SNP %d twice", k, set.Name, j)
+			}
+			lastSet[j] = k + 1
 		}
 	}
 	return nil

@@ -114,6 +114,14 @@ func TestSNPSetsValidate(t *testing.T) {
 	if err := s.Validate(3); err == nil {
 		t.Fatal("empty set accepted")
 	}
+	// A SNP may sit in several sets, but only once in each.
+	shared := SNPSets{{Name: "a", SNPs: []int{2, 0}}, {Name: "b", SNPs: []int{0}}, {Name: "c", SNPs: []int{1, 0, 2, 0}}}
+	if err := shared.Validate(3); err == nil || err.Error() != `data: SNP-set 2 ("c") lists SNP 0 twice` {
+		t.Fatalf("SNP listed twice in a set: %v", err)
+	}
+	if err := shared[:2].Validate(3); err != nil {
+		t.Fatalf("SNP in two sets rejected: %v", err)
+	}
 }
 
 func TestSNPSetsTotalMembers(t *testing.T) {

@@ -332,22 +332,30 @@ func packCanonical(fields, row []byte, patients int) (count int32, ok bool) {
 func packTokens(fields, row []byte, patients int) (count int32, err error) {
 	i := 0
 	for f, rest := nextField(fields); len(f) > 0; f, rest = nextField(rest) {
-		if i >= patients {
-			i++
-			continue // count the surplus for the error below
+		v, err := fieldGenotype(f, i+1)
+		if err != nil {
+			return 0, err
 		}
-		v := f[0] - '0'
-		if len(f) != 1 || v > 2 {
-			return 0, fmt.Errorf("data: field %d: bad genotype %q", i+1, f)
+		if i < patients { // a surplus field is counted for the error below
+			row[i>>2] |= genoCodes[v+1] << uint((i&3)*2)
+			count += int32(v)
 		}
-		row[i>>2] |= genoCodes[v+1] << uint((i&3)*2)
-		count += int32(v)
 		i++
 	}
 	if i != patients {
-		return 0, fmt.Errorf("data: %d genotypes, want %d", i, patients)
+		return 0, fmt.Errorf("%d genotypes, want %d", i, patients)
 	}
 	return count, nil
+}
+
+// fieldGenotype is genotype text's one per-field rule, packTokens' and
+// ParseGenotypeFields': a field is a single digit 0, 1 or 2. i is its 1-based
+// index, for the error.
+func fieldGenotype[S string | []byte](f S, i int) (Genotype, error) {
+	if len(f) != 1 || f[0]-'0' > 2 {
+		return 0, fmt.Errorf("field %d: bad genotype %q", i, f)
+	}
+	return Genotype(f[0] - '0'), nil
 }
 
 // nextField splits the next whitespace-separated token off s, mirroring

@@ -334,7 +334,7 @@ func TestParseGenoBlock(t *testing.T) {
 		t.Fatalf("ParseGenoText = %+v, %v, want %+v", blocks, err, want)
 	}
 	for _, tc := range []struct{ line, msg string }{
-		{"9\t0 x 2", `SNP 9: data: field 2: bad genotype "x"`},
+		{"9\t0 x 2", `SNP 9: field 2: bad genotype "x"`},
 		{"x\t0 1 2", `bad SNP id "x"`},
 	} {
 		if _, err := ParseGenoBlock(byteLines("4\t0 1 2", tc.line), 3, nil); err == nil || !strings.Contains(err.Error(), tc.msg) {

@@ -17,9 +17,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
 )
 
 // PhenoMatrix is a phenotype-major matrix of quantitative outcomes: row r
@@ -66,28 +63,13 @@ func (m *PhenoMatrix) AppendRow(id int, vals []float64) error {
 		return fmt.Errorf("data: phenotype %d has %d values, want %d", id, len(vals), m.Patients)
 	}
 	for i, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !finite(v) {
 			return fmt.Errorf("data: phenotype %d patient %d has non-finite value %v", id, i, v)
 		}
 	}
 	m.IDs = append(m.IDs, int32(id))
 	m.Values = append(m.Values, vals...)
 	return nil
-}
-
-// WriteTextRow appends row r in the phenotype-matrix text format
-// ("pheno\ty1 y2 ...") to sb, using shortest-round-trip float formatting.
-func (m *PhenoMatrix) WriteTextRow(r int, sb *strings.Builder) {
-	sb.WriteString(strconv.Itoa(int(m.IDs[r])))
-	sb.WriteByte('\t')
-	row := m.Row(r)
-	for i, v := range row {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	sb.WriteByte('\n')
 }
 
 // ApproxBytes estimates the matrix's resident size for cache accounting.
@@ -97,82 +79,24 @@ func (m PhenoMatrix) ApproxBytes() int64 {
 
 // WritePhenoMatrix writes m in the phenotype-matrix text format.
 func WritePhenoMatrix(w io.Writer, m *PhenoMatrix) error {
-	bw := bufio.NewWriter(w)
-	var sb strings.Builder
-	for r := 0; r < m.Rows(); r++ {
-		sb.Reset()
-		m.WriteTextRow(r, &sb)
-		if _, err := bw.WriteString(sb.String()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeLines(w, m.Rows(), func(bw *bufio.Writer, r int) { writeFloatRow(bw, int(m.IDs[r]), m.Row(r)) })
 }
 
-// ReadPhenoMatrix parses the phenotype-matrix text format. Lines may arrive
-// in any order; the phenotype id on each line places the row, and ids must be
-// dense 0..M-1.
+// ReadPhenoMatrix parses the phenotype-matrix text format: one value slice
+// per row as readTable scans, then the matrix, allocated once and filled in
+// id order.
 func ReadPhenoMatrix(r io.Reader) (*PhenoMatrix, error) {
-	type parsedRow struct {
-		id   int
-		vals []float64
-	}
-	var rows []parsedRow
-	maxID := -1
 	patients := -1
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		idStr, rest, ok := strings.Cut(line, "\t")
-		if !ok {
-			return nil, fmt.Errorf("data: phenomatrix line %d: missing tab", sc.lineNo)
-		}
-		id, err := strconv.Atoi(idStr)
-		if err != nil || id < 0 {
-			return nil, fmt.Errorf("data: phenomatrix line %d: bad phenotype id %q", sc.lineNo, idStr)
-		}
-		fields := strings.Fields(rest)
-		vals := make([]float64, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("data: phenomatrix line %d: field %d: bad value %q", sc.lineNo, i+1, f)
-			}
-			vals[i] = v
-		}
-		if patients == -1 {
-			patients = len(vals)
-		} else if len(vals) != patients {
-			return nil, fmt.Errorf("data: phenomatrix line %d: %d values, want %d", sc.lineNo, len(vals), patients)
-		}
-		if id > maxID {
-			maxID = id
-		}
-		rows = append(rows, parsedRow{id, vals})
-	}
-	if err := sc.Err(); err != nil {
+	rows, err := readTable(r, phenoMatrixTable, func(rest string) ([]float64, error) {
+		return floatRow(rest, &patients, func(i int, f string) error { return fmt.Errorf("field %d: bad value %q", i, f) })
+	})
+	if err != nil {
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("data: empty phenotype matrix")
-	}
-	if len(rows) != maxID+1 {
-		return nil, fmt.Errorf("data: %d phenotype rows but max phenotype id is %d", len(rows), maxID)
-	}
-	m := NewPhenoMatrix(patients, maxID+1)
-	m.Values = m.Values[:(maxID+1)*patients]
-	m.IDs = m.IDs[:maxID+1]
-	seen := make([]bool, maxID+1)
-	for _, pr := range rows {
-		if seen[pr.id] {
-			return nil, fmt.Errorf("data: duplicate phenotype row for id %d", pr.id)
-		}
-		seen[pr.id] = true
-		m.IDs[pr.id] = int32(pr.id)
-		copy(m.Values[pr.id*patients:(pr.id+1)*patients], pr.vals)
+	m := NewPhenoMatrix(patients, len(rows))
+	for id, vals := range rows {
+		m.IDs = append(m.IDs, int32(id))
+		m.Values = append(m.Values, vals...)
 	}
 	return &m, nil
 }

@@ -10,6 +10,7 @@ package data
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -143,89 +144,49 @@ func rowTextBytes(j, patients int) int {
 	return n + 1
 }
 
-// ReadGenotypes parses the genotype text format. Lines may arrive in any
-// order (HDFS blocks are read in parallel); the SNP index on each line places
-// the row.
+// ReadGenotypes parses the genotype text format. Each row is read by the
+// analysis scan's own codec — appendText (the canonical packer, then the
+// tokenizer) into a one-row scratch block, then DecodeRow — so a row is read
+// here exactly when ParseGenoText would pack it, with the same error; the
+// first row fixes the patient count. The table rules are readTable's.
 func ReadGenotypes(r io.Reader) (*GenotypeMatrix, error) {
-	type parsedRow struct {
-		snp int
-		gs  []Genotype
-	}
-	var rows []parsedRow
-	maxSNP := -1
-	patients := -1
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
+	var blk GenoBlock
+	var text []byte
+	rows, err := readTable(r, genotypeTable, func(rest string) ([]Genotype, error) {
+		text = append(text[:0], rest...)
+		if blk.SNPs == nil {
+			blk = NewGenoBlock(len(strings.FieldsFunc(rest, func(c rune) bool { return c == ' ' || c == '\t' })), 1)
 		}
-		snpStr, rest, ok := strings.Cut(line, "\t")
-		if !ok {
-			return nil, fmt.Errorf("data: genotype line %d: missing tab", sc.lineNo)
+		blk.SNPs, blk.Counts, blk.Packed = blk.SNPs[:0], blk.Counts[:0], blk.Packed[:0]
+		if err := blk.appendText(0, text); err != nil {
+			return nil, err
 		}
-		snp, err := strconv.Atoi(snpStr)
-		if err != nil || snp < 0 {
-			return nil, fmt.Errorf("data: genotype line %d: bad SNP id %q", sc.lineNo, snpStr)
-		}
-		fields := strings.Fields(rest)
-		gs, err := ParseGenotypeFields(fields)
-		if err != nil {
-			return nil, fmt.Errorf("data: genotype line %d: %v", sc.lineNo, err)
-		}
-		if patients == -1 {
-			patients = len(gs)
-		} else if len(gs) != patients {
-			return nil, fmt.Errorf("data: genotype line %d: %d genotypes, want %d", sc.lineNo, len(gs), patients)
-		}
-		if snp > maxSNP {
-			maxSNP = snp
-		}
-		rows = append(rows, parsedRow{snp, gs})
-	}
-	if err := sc.Err(); err != nil {
+		return blk.DecodeRow(0, nil), nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("data: empty genotype file")
-	}
-	if len(rows) != maxSNP+1 {
-		return nil, fmt.Errorf("data: %d genotype rows but max SNP id is %d", len(rows), maxSNP)
-	}
-	m := &GenotypeMatrix{Patients: patients, Rows: make([][]Genotype, maxSNP+1)}
-	for _, pr := range rows {
-		if m.Rows[pr.snp] != nil {
-			return nil, fmt.Errorf("data: duplicate genotype row for SNP %d", pr.snp)
-		}
-		m.Rows[pr.snp] = pr.gs
-	}
-	return m, nil
+	return &GenotypeMatrix{Patients: blk.Patients, Rows: rows}, nil
 }
 
-// ParseGenotypeFields converts whitespace-split genotype tokens into values,
-// validating the {0,1,2} domain. It is exported so engine partitions can
-// parse lines without going through a full matrix read.
+// ParseGenotypeFields converts whitespace-split genotype tokens into values
+// by the codec's per-field rule (fieldGenotype), so that one generated line
+// can be checked without reading the whole matrix.
 func ParseGenotypeFields(fields []string) ([]Genotype, error) {
 	gs := make([]Genotype, len(fields))
 	for i, f := range fields {
-		v, err := strconv.Atoi(f)
-		if err != nil || v < 0 || v > 2 {
-			return nil, fmt.Errorf("field %d: bad genotype %q", i+1, f)
+		v, err := fieldGenotype(f, i+1)
+		if err != nil {
+			return nil, err
 		}
-		gs[i] = Genotype(v)
+		gs[i] = v
 	}
 	return gs, nil
 }
 
 // WritePhenotype writes p in the phenotype text format.
 func WritePhenotype(w io.Writer, p *Phenotype) error {
-	bw := bufio.NewWriter(w)
-	for i := range p.Y {
-		if _, err := fmt.Fprintf(bw, "%d\t%g\t%d\n", i, p.Y[i], p.Event[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeLines(w, len(p.Y), func(bw *bufio.Writer, i int) { fmt.Fprintf(bw, "%d\t%g\t%d\n", i, p.Y[i], p.Event[i]) })
 }
 
 // ReadPhenotype parses the phenotype text format.
@@ -234,166 +195,113 @@ func ReadPhenotype(r io.Reader) (*Phenotype, error) {
 		y float64
 		e uint8
 	}
-	recs := map[int]rec{}
-	maxID := -1
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		parts := strings.Split(line, "\t")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("data: phenotype line %d: want 3 fields, got %d", sc.lineNo, len(parts))
-		}
-		id, err := strconv.Atoi(parts[0])
-		if err != nil || id < 0 {
-			return nil, fmt.Errorf("data: phenotype line %d: bad patient id %q", sc.lineNo, parts[0])
-		}
-		y, err := strconv.ParseFloat(parts[1], 64)
+	recs, err := readTable(r, phenotypeTable, func(rest string) (rec, error) {
+		yStr, evStr, _ := strings.Cut(rest, "\t")
+		y, err := strconv.ParseFloat(yStr, 64)
 		if err != nil || !finite(y) {
-			return nil, fmt.Errorf("data: phenotype line %d: bad outcome %q", sc.lineNo, parts[1])
+			return rec{}, fmt.Errorf("bad outcome %q", yStr)
 		}
-		ev, err := strconv.Atoi(parts[2])
+		ev, err := strconv.Atoi(evStr)
 		if err != nil || ev < 0 || ev > 1 {
-			return nil, fmt.Errorf("data: phenotype line %d: bad event indicator %q", sc.lineNo, parts[2])
+			return rec{}, fmt.Errorf("bad event indicator %q", evStr)
 		}
-		if _, dup := recs[id]; dup {
-			return nil, fmt.Errorf("data: duplicate phenotype for patient %d", id)
-		}
-		recs[id] = rec{y, uint8(ev)}
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if err := sc.Err(); err != nil {
+		return rec{y, uint8(ev)}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("data: empty phenotype file")
-	}
-	if len(recs) != maxID+1 {
-		return nil, fmt.Errorf("data: %d phenotype rows but max patient id is %d", len(recs), maxID)
-	}
-	p := NewPhenotype(maxID + 1)
-	for id, r := range recs {
-		p.Y[id] = r.y
-		p.Event[id] = r.e
+	p := NewPhenotype(len(recs))
+	for i, rec := range recs {
+		p.Y[i], p.Event[i] = rec.y, rec.e
 	}
 	return p, nil
 }
 
 // WriteWeights writes w in the weight text format.
 func WriteWeights(w io.Writer, ws Weights) error {
-	bw := bufio.NewWriter(w)
-	for j, v := range ws {
-		if _, err := fmt.Fprintf(bw, "%d\t%g\n", j, v); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeLines(w, len(ws), func(bw *bufio.Writer, j int) { fmt.Fprintf(bw, "%d\t%g\n", j, ws[j]) })
 }
 
 // ReadWeights parses the weight text format.
 func ReadWeights(r io.Reader) (Weights, error) {
-	vals := map[int]float64{}
-	maxID := -1
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		idStr, vStr, ok := strings.Cut(line, "\t")
-		if !ok {
-			return nil, fmt.Errorf("data: weight line %d: missing tab", sc.lineNo)
-		}
-		id, err := strconv.Atoi(idStr)
-		if err != nil || id < 0 {
-			return nil, fmt.Errorf("data: weight line %d: bad SNP id %q", sc.lineNo, idStr)
-		}
-		v, err := strconv.ParseFloat(vStr, 64)
+	return readTable(r, weightTable, func(rest string) (float64, error) {
+		v, err := strconv.ParseFloat(rest, 64)
 		if err != nil || !(v >= 0 && finite(v)) {
-			return nil, fmt.Errorf("data: weight line %d: bad weight %q", sc.lineNo, vStr)
+			return 0, fmt.Errorf("bad weight %q", rest)
 		}
-		if _, dup := vals[id]; dup {
-			return nil, fmt.Errorf("data: duplicate weight for SNP %d", id)
-		}
-		vals[id] = v
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(vals) == 0 {
-		return nil, fmt.Errorf("data: empty weight file")
-	}
-	if len(vals) != maxID+1 {
-		return nil, fmt.Errorf("data: %d weights but max SNP id is %d", len(vals), maxID)
-	}
-	w := make(Weights, maxID+1)
-	for id, v := range vals {
-		w[id] = v
-	}
-	return w, nil
+		return v, nil
+	})
 }
 
 // WriteSNPSets writes s in the SNP-set text format.
 func WriteSNPSets(w io.Writer, s SNPSets) error {
-	bw := bufio.NewWriter(w)
-	var sb strings.Builder
-	for _, set := range s {
-		sb.Reset()
-		sb.WriteString(set.Name)
-		sb.WriteByte('\t')
-		for i, j := range set.SNPs {
+	return writeLines(w, len(s), func(bw *bufio.Writer, k int) {
+		bw.WriteString(s[k].Name)
+		bw.WriteByte('\t')
+		for i, j := range s[k].SNPs {
 			if i > 0 {
-				sb.WriteByte(',')
+				bw.WriteByte(',')
 			}
-			sb.WriteString(strconv.Itoa(j))
+			bw.WriteString(strconv.Itoa(j))
 		}
-		sb.WriteByte('\n')
-		if _, err := bw.WriteString(sb.String()); err != nil {
-			return err
-		}
+		bw.WriteByte('\n')
+	})
+}
+
+// writeLines writes n lines through one buffered writer, line i by line. A
+// write error stops every later write, and is returned.
+func writeLines(w io.Writer, n int, line func(bw *bufio.Writer, i int)) error {
+	bw := bufio.NewWriter(w)
+	for i := range n {
+		line(bw, i)
 	}
 	return bw.Flush()
 }
 
-// ReadSNPSets parses the SNP-set text format.
+// writeFloatRow writes the line "<id>\t<v_1> <v_2> ... <v_n>" of a float
+// table, each value in strconv's shortest round-trip form, built in a
+// strings.Builder of its own.
+func writeFloatRow(bw *bufio.Writer, id int, vals []float64) {
+	var sb strings.Builder
+	sb.WriteString(strconv.Itoa(id))
+	sb.WriteByte('\t')
+	for i, v := range vals {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	sb.WriteByte('\n')
+	bw.WriteString(sb.String())
+}
+
+// ReadSNPSets parses the SNP-set text format. Its key is a set's name, not
+// an id, so it shares readTable's line loop only.
 func ReadSNPSets(r io.Reader) (SNPSets, error) {
 	var sets SNPSets
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
+	err := eachLine(r, func(n int, line string) error {
 		name, rest, ok := strings.Cut(line, "\t")
 		if !ok {
-			return nil, fmt.Errorf("data: snpset line %d: missing tab", sc.lineNo)
+			return fmt.Errorf("data: snpset line %d: missing tab", n)
 		}
-		tokens := strings.Split(rest, ",")
-		snps := make([]int, 0, len(tokens))
-		for _, tok := range tokens {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
+		var snps []int
+		for _, tok := range strings.Split(rest, ",") {
+			if tok = strings.TrimSpace(tok); tok == "" {
 				continue
 			}
 			j, err := strconv.Atoi(tok)
 			if err != nil || j < 0 {
-				return nil, fmt.Errorf("data: snpset line %d: bad SNP id %q", sc.lineNo, tok)
+				return fmt.Errorf("data: snpset line %d: bad SNP id %q", n, tok)
 			}
 			snps = append(snps, j)
 		}
 		if len(snps) == 0 {
-			return nil, fmt.Errorf("data: snpset line %d: set %q is empty", sc.lineNo, name)
+			return fmt.Errorf("data: snpset line %d: set %q is empty", n, name)
 		}
 		sets = append(sets, SNPSet{Name: name, SNPs: snps})
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if len(sets) == 0 {
@@ -406,23 +314,117 @@ func ReadSNPSets(r io.Reader) (SNPSets, error) {
 // accepts as "NaN" and "Inf" but no analysis can score.
 func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
-// lineScanner wraps bufio.Scanner with line counting and a buffer large
-// enough for million-patient genotype rows.
-type lineScanner struct {
-	*bufio.Scanner
-	lineNo int
+// floatRow is the row parser of the float tables (covariates, the phenotype
+// matrix): rest's fields, split at any white space, each a finite float, as
+// many as the table's first row holds — *width, -1 until that row sets it.
+// bad words the error of a field that is not one, given its 1-based index.
+func floatRow(rest string, width *int, bad func(i int, f string) error) ([]float64, error) {
+	fields := strings.Fields(rest)
+	vals := make([]float64, len(fields))
+	for i, f := range fields {
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil || !finite(v) {
+			return nil, bad(i+1, f)
+		}
+		vals[i] = v
+	}
+	if *width == -1 {
+		*width = len(vals)
+	} else if len(vals) != *width {
+		return nil, fmt.Errorf("%d values, want %d", len(vals), *width)
+	}
+	return vals, nil
 }
 
-func newLineScanner(r io.Reader) *lineScanner {
+// table is how an id-keyed text table words its errors — "data: <name> line
+// 3: bad <id> id …", "data: empty <empty>", "data: duplicate <dup> 4",
+// "data: 5 <rows> but max <id> id is 6" — and fields, its lines' count of
+// tab-separated fields if fixed (0 if not).
+type table struct {
+	name, id, rows, dup, empty string
+	fields                     int
+}
+
+var (
+	genotypeTable    = table{"genotype", "SNP", "genotype rows", "genotype row for SNP", "genotype file", 0}
+	phenotypeTable   = table{"phenotype", "patient", "phenotype rows", "phenotype for patient", "phenotype file", 3}
+	weightTable      = table{"weight", "SNP", "weights", "weight for SNP", "weight file", 0}
+	covariateTable   = table{"covariate", "patient", "covariate rows", "covariates for patient", "covariate file", 0}
+	phenoMatrixTable = table{"phenomatrix", "phenotype", "phenotype rows", "phenotype row for id", "phenotype matrix", 0}
+)
+
+// readTable is the one scan of the dataset's id-keyed text tables (genotypes,
+// phenotype, weights, covariates, the phenotype matrix), and the only code
+// that knows their rules. Over eachLine's lines it cuts each at its first tab
+// into a non-negative decimal id and the rest, which parse turns into the row
+// (its error is reported naming the line); an id already read is a duplicate.
+// Once the input ends there must be a row, and the ids must be exactly
+// 0..N−1 for N rows, in any order. It returns the rows placed by id. Until
+// that check has passed the rows wait in a map keyed by id, so no allocation
+// is sized by an id the input holds.
+func readTable[R any](r io.Reader, t table, parse func(rest string) (R, error)) ([]R, error) {
+	rows := map[int]R{}
+	maxID := -1
+	err := eachLine(r, func(n int, line string) error {
+		if t.fields > 0 && 1+strings.Count(line, "\t") != t.fields {
+			return fmt.Errorf("data: %s line %d: want %d fields, got %d", t.name, n, t.fields, 1+strings.Count(line, "\t"))
+		}
+		idStr, rest, ok := strings.Cut(line, "\t")
+		if !ok {
+			return fmt.Errorf("data: %s line %d: missing tab", t.name, n)
+		}
+		id, err := strconv.Atoi(idStr)
+		if err != nil || id < 0 {
+			return fmt.Errorf("data: %s line %d: bad %s id %q", t.name, n, t.id, idStr)
+		}
+		row, err := parse(rest)
+		if err != nil {
+			return fmt.Errorf("data: %s line %d: %w", t.name, n, err)
+		}
+		if _, dup := rows[id]; dup {
+			return fmt.Errorf("data: duplicate %s %d", t.dup, id)
+		}
+		rows[id], maxID = row, max(maxID, id)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("data: empty %s", t.empty)
+	}
+	if len(rows) != maxID+1 {
+		return nil, fmt.Errorf("data: %d %s but max %s id is %d", len(rows), t.rows, t.id, maxID)
+	}
+	placed := make([]R, len(rows))
+	for id, row := range rows {
+		placed[id] = row
+	}
+	return placed, nil
+}
+
+// eachLine calls fn with each non-empty line of r and its 1-based number,
+// stopping at fn's first error. A line ends at '\n' alone, as in the
+// partition text the analysis scans: a '\r' before it is the line's. A line
+// may hold up to 64 MiB (a million-patient genotype row is 2 MB).
+func eachLine(r io.Reader, fn func(n int, line string) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	return &lineScanner{Scanner: sc}
-}
-
-func (s *lineScanner) Scan() bool {
-	ok := s.Scanner.Scan()
-	if ok {
-		s.lineNo++
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i], nil
+		}
+		if atEOF && len(data) > 0 {
+			return len(data), data, nil
+		}
+		return 0, nil, nil
+	})
+	for n := 1; sc.Scan(); n++ {
+		if line := sc.Text(); line != "" {
+			if err := fn(n, line); err != nil {
+				return err
+			}
+		}
 	}
-	return ok
+	return sc.Err()
 }

@@ -1,8 +1,9 @@
-// Fuzzing the driver-side text readers: the weights and phenotype readers,
-// whose floats reach every analysis, and the SNP-set and covariate readers. A
-// reader must return an error rather than panic, and whatever it accepts must
-// be finite (non-negative, for a weight) and survive a write/read round trip
-// through its writer bit for bit. Seed corpora under
+// Fuzzing the driver-side text readers: the genotype reader, which must read
+// a row exactly as the analysis scan's codec does; the weights and phenotype
+// readers, whose floats reach every analysis; and the SNP-set and covariate
+// readers. A reader must return an error rather than panic, and whatever it
+// accepts must be finite (non-negative, for a weight) and survive a
+// write/read round trip through its writer bit for bit. Seed corpora under
 // testdata/fuzz/FuzzReadWeights and testdata/fuzz/FuzzReadPhenotype, the
 // others in the f.Add calls; `make fuzz-smoke` gives each target a 10-second
 // budget.
@@ -16,6 +17,82 @@ import (
 	"strings"
 	"testing"
 )
+
+// FuzzReadGenotypes reads an arbitrary row behind a first row of patients
+// zeros, which fixes the width. The reader accepts it exactly when
+// ParseGenoText, the analysis scan, packs it as SNP 1 at that width, and
+// refuses it with the scan's words, naming line 2 where the scan names the
+// SNP. The same text read as a whole file, and the two-row file, must give
+// an error or a matrix that WriteGenotypes writes and ReadGenotypes reads
+// back unchanged.
+func FuzzReadGenotypes(f *testing.F) {
+	f.Add(3, "0 1 2")
+	f.Add(3, "+1 0 2")
+	f.Add(3, "0 01 2")
+	f.Add(3, "-0 1 2")
+	f.Add(3, "0 1 2\r")
+	f.Add(3, "0\u00a01 2")
+	f.Add(3, "0\v1 2")
+	f.Add(3, "\t 2  0\t1 ")
+	f.Add(3, "0 1")
+	f.Add(3, "0 1 2 7")
+	f.Add(2, "0 3")
+	f.Add(0, "")
+	f.Add(5, "0 1 2\n1\t0 1")
+	f.Add(2, "1\t0 1\n0\t2 2\n\n")
+	f.Fuzz(func(t *testing.T, patients int, row string) {
+		// Bound the row width so the fuzzer explores bytes, not allocations.
+		if patients < 0 {
+			patients = -patients
+		}
+		patients %= 512
+
+		roundTrip(t, row)
+		text := "0\t" + strings.Repeat("0 ", patients) + "\n1\t" + row + "\n"
+		m, err := roundTrip(t, text)
+		if strings.ContainsRune(row, '\n') {
+			return // more rows than two: no panic and the round trip are the contract
+		}
+		scanErr := ParseGenoText([]byte("1\t"+row), patients, nil, func(GenoBlock) bool { return true })
+		switch {
+		case scanErr == nil && err != nil:
+			t.Fatalf("row %q at %d patients: the scan packs it, ReadGenotypes says %v", row, patients, err)
+		case scanErr != nil && err == nil:
+			t.Fatalf("row %q at %d patients: ReadGenotypes reads it, the scan says %v", row, patients, scanErr)
+		case scanErr != nil:
+			want := "data: genotype line 2: " + strings.TrimPrefix(scanErr.Error(), "data: SNP 1: ")
+			if err.Error() != want {
+				t.Fatalf("row %q at %d patients: %q, want %q", row, patients, err, want)
+			}
+		case m.SNPs() != 2 || m.Patients != patients:
+			t.Fatalf("row %q: %d × %d, want 2 × %d", row, m.SNPs(), m.Patients, patients)
+		}
+	})
+}
+
+// roundTrip reads text as a genotype file and, if it is accepted, checks
+// that the matrix is valid and that its written text reads back to it.
+func roundTrip(t *testing.T, text string) (*GenotypeMatrix, error) {
+	m, err := ReadGenotypes(strings.NewReader(text))
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("accepted %q fails Validate: %v", text, err)
+	}
+	var buf bytes.Buffer
+	if err := WriteGenotypes(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadGenotypes(&buf)
+	if err != nil {
+		t.Fatalf("re-reading written genotypes %q (from %q): %v", buf.String(), text, err)
+	}
+	if !reflect.DeepEqual(back, m) {
+		t.Fatalf("round trip of %q: %v, then %v", text, m, back)
+	}
+	return m, nil
+}
 
 func FuzzReadWeights(f *testing.F) {
 	f.Add("0\t1\n1\t0.5\n2\t2.25\n")

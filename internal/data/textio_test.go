@@ -530,3 +530,80 @@ func BenchmarkWriteGenotypes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReadGenotypes reads perm_scan's 10 000-SNP × 1 000-patient
+// matrix back from its 20 MB of canonical text, as sparkscore -dir does, and
+// reports ns per genotype read and allocations per read.
+func BenchmarkReadGenotypes(b *testing.B) {
+	var text bytes.Buffer
+	if err := WriteGenotypes(&text, randomMatrix(10000, 1000, 1)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(text.Len()))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ReadGenotypes(bytes.NewReader(text.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e7, "ns/genotype")
+}
+
+// TestTableRules pins the rules every id-keyed table shares, and the words
+// each reader gives them: the table scan is their one implementation. Blank
+// lines are skipped but counted; ids are dense 0..N−1 in any order, so an id
+// past the row count is a gap, refused before anything is sized by it; the
+// first repeated id is reported even when a gap follows it; and a '\r' ends
+// no line — it is a byte of the field before it.
+func TestTableRules(t *testing.T) {
+	read := map[string]func(string) error{
+		"genotype":    func(s string) error { _, err := ReadGenotypes(strings.NewReader(s)); return err },
+		"phenotype":   readPhenotype,
+		"weight":      readWeights,
+		"covariate":   readCovariates,
+		"phenomatrix": func(s string) error { _, err := ReadPhenoMatrix(strings.NewReader(s)); return err },
+	}
+	row := map[string]string{"genotype": "0 1", "phenotype": "1.5\t1", "weight": "0.5", "covariate": "0 1", "phenomatrix": "0 1"}
+	for _, tc := range []struct {
+		table, in, want string // in's "R" stands for a valid row of the table
+	}{
+		{"genotype", "1\tR\n\n0\tR\n", ""},
+		{"weight", "\n\n2\tR\n0\tR\n1\tR\n", ""},
+		{"genotype", "", "data: empty genotype file"},
+		{"phenotype", "\n\n", "data: empty phenotype file"},
+		{"weight", "", "data: empty weight file"},
+		{"covariate", "\n", "data: empty covariate file"},
+		{"phenomatrix", "", "data: empty phenotype matrix"},
+		{"genotype", "0\tR\n\n1 R\n", "data: genotype line 3: missing tab"},
+		{"phenotype", "0\tR\n1 R\n", "data: phenotype line 2: want 3 fields, got 2"},
+		{"weight", "0 R\n", "data: weight line 1: missing tab"},
+		{"covariate", "0\tR\nR\n", "data: covariate line 2: missing tab"},
+		{"phenomatrix", "R\n", "data: phenomatrix line 1: missing tab"},
+		{"genotype", "-1\tR\n", `data: genotype line 1: bad SNP id "-1"`},
+		{"phenotype", "x\tR\n", `data: phenotype line 1: bad patient id "x"`},
+		{"weight", "0\tR\n\t1\n", `data: weight line 2: bad SNP id ""`},
+		{"covariate", "99999999999999999999\tR\n", `data: covariate line 1: bad patient id "99999999999999999999"`},
+		{"phenomatrix", "1.0\tR\n", `data: phenomatrix line 1: bad phenotype id "1.0"`},
+		{"genotype", "1\tR\n0\tR\n1\tR\n", "data: duplicate genotype row for SNP 1"},
+		{"phenotype", "0\tR\n0\tR\n", "data: duplicate phenotype for patient 0"},
+		{"weight", "0\tR\n1\tR\n0\tR\n", "data: duplicate weight for SNP 0"},
+		{"covariate", "0\tR\n0\tR\n", "data: duplicate covariates for patient 0"},
+		{"phenomatrix", "0\tR\n0\tR\n", "data: duplicate phenotype row for id 0"},
+		{"genotype", "0\tR\n2\tR\n", "data: 2 genotype rows but max SNP id is 2"},
+		{"phenotype", "1\tR\n", "data: 1 phenotype rows but max patient id is 1"},
+		{"weight", "0\tR\n2147483647\tR\n", "data: 2 weights but max SNP id is 2147483647"},
+		{"covariate", "0\tR\n5\tR\n", "data: 2 covariate rows but max patient id is 5"},
+		{"phenomatrix", "3\tR\n1\tR\n", "data: 2 phenotype rows but max phenotype id is 3"},
+		// Two faults, a repeated id and a gap: the repeat, at its line.
+		{"genotype", "0\tR\n5\tR\n0\tR\n", "data: duplicate genotype row for SNP 0"},
+		{"phenomatrix", "7\tR\n7\tR\n", "data: duplicate phenotype row for id 7"},
+		{"genotype", "0\t0 1\r\n", `data: genotype line 1: field 2: bad genotype "1\r"`},
+		{"weight", "0\t1\r\n", `data: weight line 1: bad weight "1\r"`},
+	} {
+		in := strings.ReplaceAll(tc.in, "R", row[tc.table])
+		err := read[tc.table](in)
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("%s table %q: %v, want %q", tc.table, in, err, tc.want)
+		}
+	}
+}

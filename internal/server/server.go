@@ -384,16 +384,13 @@ func (s *Server) nextRequestID() uint64 {
 	return id
 }
 
-// serveJob is the shared request path: decode (exactly one JSON value of at
-// most maxBodyBytes; anything else is a 400), consult the cache, pass
-// admission control, run the work in the request's pool while observing its
-// job spans, cache, and respond.
-func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint string, req jobRequest) {
-	if r.Method != http.MethodPost {
-		writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
-		return
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeJob is the one decoder of a job request body, into req: exactly one
+// JSON value of at most maxBodyBytes, no field req does not declare, then
+// req.validate and timeout_ms's range, whose nanoseconds must fit the
+// time.Duration serveJob converts it to (a larger value would wrap to a short
+// or negative deadline). Its error is the 400's message.
+func decodeJob(w http.ResponseWriter, body io.ReadCloser, req jobRequest) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(req)
 	if err == nil {
@@ -402,22 +399,30 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 		}
 	}
 	if err != nil {
-		writeError(w, &httpError{status: http.StatusBadRequest, msg: "bad request body: " + err.Error()})
-		return
+		return fmt.Errorf("bad request body: %w", err)
 	}
 	if err := req.validate(); err != nil {
+		return err
+	}
+	if ms := req.timeoutMS(); ms < 0 || ms > maxTimeoutMS {
+		return fmt.Errorf("timeout_ms must be in [0, %d]", maxTimeoutMS)
+	}
+	return nil
+}
+
+// serveJob is the shared request path: decode (decodeJob; its error is a
+// 400), consult the cache, pass admission control, run the work in the
+// request's pool while observing its job spans, cache, and respond.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint string, req jobRequest) {
+	if r.Method != http.MethodPost {
+		writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
+		return
+	}
+	if err := decodeJob(w, r.Body, req); err != nil {
 		writeError(w, &httpError{status: http.StatusBadRequest, msg: err.Error()})
 		return
 	}
-	// The one conversion of timeout_ms: a value whose nanoseconds do not fit
-	// a time.Duration would wrap to a short or negative deadline.
-	ms := req.timeoutMS()
-	if ms < 0 || ms > maxTimeoutMS {
-		writeError(w, &httpError{status: http.StatusBadRequest,
-			msg: fmt.Sprintf("timeout_ms must be in [0, %d]", maxTimeoutMS)})
-		return
-	}
-	timeout := time.Duration(ms) * time.Millisecond
+	timeout := time.Duration(req.timeoutMS()) * time.Millisecond
 	id := s.nextRequestID()
 	poolName := req.pool()
 	if poolName == "" {

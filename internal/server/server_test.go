@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -714,22 +715,75 @@ func TestRequestKeys(t *testing.T) {
 		{&resampleRequest{}, `{"pool": "p", "timeout_ms": 7, "method": "mc", "iterations": 2}`},
 		{&eqtlRequest{}, `{"pool": "p", "timeout_ms": 7, "page": 1, "page_size": 2}`},
 	} {
-		dec := json.NewDecoder(strings.NewReader(c.body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(c.req); err != nil {
+		if err := decodeJob(httptest.NewRecorder(), io.NopCloser(strings.NewReader(c.body)), c.req); err != nil {
 			t.Fatalf("%T %s: %v", c.req, c.body, err)
 		}
-		if c.req.pool() != "p" || c.req.timeoutMS() != 7 || c.req.validate() != nil {
-			t.Errorf("%T %s: pool %q, timeout_ms %d, validate %v", c.req, c.body, c.req.pool(), c.req.timeoutMS(), c.req.validate())
+		if c.req.pool() != "p" || c.req.timeoutMS() != 7 {
+			t.Errorf("%T %s: pool %q, timeout_ms %d", c.req, c.body, c.req.pool(), c.req.timeoutMS())
 		}
 	}
 	// The eqtl body takes no top (TestBadRequests covers the others over
 	// HTTP; its test server has no phenotype matrix to serve eqtl).
-	dec := json.NewDecoder(strings.NewReader(`{"top": 1}`))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&eqtlRequest{}); err == nil || !strings.Contains(err.Error(), "unknown field") {
+	err := decodeJob(httptest.NewRecorder(), io.NopCloser(strings.NewReader(`{"top": 1}`)), &eqtlRequest{})
+	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Errorf("eqtl body with top: %v, want an unknown-field error", err)
 	}
+}
+
+// FuzzJobRequestBodies drives decodeJob, the one decoder of a job request
+// body, with arbitrary bytes for each of the four request types: it never
+// panics, and a body it accepts re-encodes to one it accepts again, decoding
+// to an equal request.
+func FuzzJobRequestBodies(f *testing.F) {
+	for _, body := range []string{
+		`{"top": 3, "pool": "interactive", "timeout_ms": 250}`,
+		`{"method": "mc", "iterations": 100}`,
+		`{"method": "replicate", "replicate": 18446744073709551615}`,
+		`{"page": 2, "page_size": 50}`,
+		`{"TOP": 1, "Pool": "p"}`,
+		`{"top": 1, "top": -1}`,
+		`{"pool": "\ud800\xff"}`,
+		`{"top": 1e2}`,
+		`{"timeout_ms": 9223372036855}`,
+		`{"jobFields": {}}`,
+		`{} {}`,
+		`null`,
+		`[]`,
+		``,
+	} {
+		for kind := range uint8(4) {
+			f.Add(kind, body)
+		}
+	}
+	newRequest := func(kind uint8) jobRequest {
+		return [...]func() jobRequest{
+			func() jobRequest { return &scoreRequest{} },
+			func() jobRequest { return &skatRequest{} },
+			func() jobRequest { return &resampleRequest{} },
+			func() jobRequest { return &eqtlRequest{} },
+		}[kind%4]()
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, body string) {
+		decode := func(body []byte) (jobRequest, error) {
+			req := newRequest(kind)
+			return req, decodeJob(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), req)
+		}
+		req, err := decode([]byte(body))
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("%T from %q: %v", req, body, err)
+		}
+		back, err := decode(out)
+		if err != nil {
+			t.Fatalf("%T from %q re-encodes to %s, which decodeJob refuses: %v", req, body, out, err)
+		}
+		if !reflect.DeepEqual(back, req) {
+			t.Fatalf("%T from %q: %+v, re-encoded %s, decoded %+v", req, body, req, out, back)
+		}
+	})
 }
 
 func TestParsePools(t *testing.T) {

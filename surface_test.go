@@ -94,7 +94,6 @@ var surfaceKept = map[string]string{
 	"rdd.Context.FailExecutorAfter": "fault hook for internal/core/core_test.go (executor failure mid-analysis)",
 	"rdd.ListenerFunc":              "event probe for internal/core/spill_test.go, batch_test.go and permutation_test.go",
 	"gen.GenoBlocks":                "packed-matrix fixture for internal/stats/widekernel_test.go and internal/assoc/assoc_test.go",
-	"data.GenoBlock.DecodeRow":      "unpacking oracle for internal/stats/kernel_test.go and internal/gen/gen_test.go",
 }
 
 // TestExportedSurfaceHasCallers is the rule "one production path per layer,
