@@ -169,10 +169,13 @@ cover:
 	done < coverage_baseline.txt; \
 	exit $$fail
 
-# trace runs the quickstart with a timeline listener and leaves a Chrome-trace
-# JSON next to the repo root (open in chrome://tracing or ui.perfetto.dev).
+# trace records a seeded run of the quickstart's shape as an event log and
+# renders its Chrome-trace timeline from the log, leaving both next to the
+# repo root (open the JSON in chrome://tracing or ui.perfetto.dev).
 trace:
-	$(GO) run ./examples/quickstart -trace quickstart.trace.json
+	$(GO) run ./cmd/sparkscore -generate -patients 500 -snps 2000 -sets 50 -seed 1 \
+		-method mc -iterations 1000 -events quickstart.events.jsonl
+	$(GO) run ./cmd/sparkui -log quickstart.events.jsonl -trace quickstart.trace.json
 
 # experiments regenerates the two checked-in renderings of the paper's
 # evaluation: experiments_scale100.txt (what EXPERIMENTS.md quotes) and the

@@ -31,7 +31,6 @@ func main() {
 		maxIters = flag.Int("max-iters", 0, "cap resampling iterations (0 = run the paper's full axes)")
 		seed     = flag.Uint64("seed", 1, "seed for data generation and resampling")
 		events   = flag.String("events", "", "write one JSONL event log per measured run into this directory (render with sparkui)")
-		trace    = flag.String("trace", "", "write one Chrome-trace timeline per measured run into this directory")
 	)
 	flag.Parse()
 	if *scale < 1 || *maxIters < 0 {
@@ -39,18 +38,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	for _, dir := range []string{*events, *trace} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtab:", err)
-				os.Exit(1)
-			}
+	if *events != "" {
+		if err := os.MkdirAll(*events, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, "benchtab:", err)
+			os.Exit(1)
 		}
 	}
-	h := &harness.Harness{
-		Scale: *scale, MaxIterations: *maxIters, Seed: *seed,
-		EventLogDir: *events, TraceDir: *trace,
-	}
+	h := &harness.Harness{Scale: *scale, MaxIterations: *maxIters, Seed: *seed, EventLogDir: *events}
 	start := time.Now()
 	var err error
 	if *exp == "all" {
@@ -70,9 +64,6 @@ func main() {
 	}
 	fmt.Printf("\nbenchtab: done in %.1fs wall (scale 1/%d)\n", time.Since(start).Seconds(), *scale)
 	if *events != "" {
-		fmt.Printf("benchtab: per-run event logs in %s (render with: sparkui -log <file>)\n", *events)
-	}
-	if *trace != "" {
-		fmt.Printf("benchtab: per-run timelines in %s (open in chrome://tracing)\n", *trace)
+		fmt.Printf("benchtab: per-run event logs in %s (render with: sparkui -log <file> [-trace <out.json>])\n", *events)
 	}
 }

@@ -71,8 +71,7 @@ func main() {
 		eqtlPhenos = flag.Int("eqtl-phenos", 32, "expression phenotypes to generate for -eqtl")
 		eqtlTop    = flag.Int("eqtl-top", 100, "most-significant pairs to keep for -eqtl")
 
-		eventsOut = flag.String("events", "", "write a JSONL event log to this file (render it with sparkui)")
-		traceOut  = flag.String("trace", "", "write a Chrome-trace timeline to this file (open in chrome://tracing)")
+		eventsOut = flag.String("events", "", "write a JSONL event log to this file (render it, or its Chrome-trace timeline, with sparkui)")
 		progress  = flag.Bool("progress", false, "print job/stage/recovery progress as the analysis runs")
 	)
 	flag.Parse()
@@ -109,11 +108,6 @@ func main() {
 		eventLog = rdd.NewEventLogWriter(eventFile)
 		listeners = append(listeners, eventLog)
 	}
-	var timeline *rdd.TimelineListener
-	if *traceOut != "" {
-		timeline = rdd.NewTimelineListener()
-		listeners = append(listeners, timeline)
-	}
 	if *progress {
 		listeners = append(listeners, &rdd.ConsoleProgressListener{})
 	}
@@ -146,7 +140,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		finishRun(ctx, eventLog, eventFile, timeline, *eventsOut, *traceOut)
+		finishRun(ctx, eventLog, eventFile, *eventsOut)
 		return
 	}
 	paths, err := core.StageDataset(ctx, ds, "input")
@@ -204,12 +198,12 @@ func main() {
 			fatal(err)
 		}
 	}
-	finishRun(ctx, eventLog, eventFile, timeline, *eventsOut, *traceOut)
+	finishRun(ctx, eventLog, eventFile, *eventsOut)
 }
 
 // finishRun prints the simulated-cluster accounting and flushes the optional
-// event log and Chrome trace — the shared tail of every sparkscore mode.
-func finishRun(ctx *rdd.Context, eventLog *rdd.EventLogWriter, eventFile *os.File, timeline *rdd.TimelineListener, eventsOut, traceOut string) {
+// event log — the shared tail of every sparkscore mode.
+func finishRun(ctx *rdd.Context, eventLog *rdd.EventLogWriter, eventFile *os.File, eventsOut string) {
 	fmt.Printf("\nsimulated cluster time: %.1f s over %d jobs\n", ctx.VirtualTime(), ctx.JobCount())
 	var spilledBytes int64
 	var spillCount int
@@ -229,20 +223,6 @@ func finishRun(ctx *rdd.Context, eventLog *rdd.EventLogWriter, eventFile *os.Fil
 			fatal(err)
 		}
 		fmt.Printf("wrote event log %s (render with: sparkui -log %s)\n", eventsOut, eventsOut)
-	}
-	if timeline != nil {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := timeline.WriteChromeTrace(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote timeline %s (open in chrome://tracing or ui.perfetto.dev)\n", traceOut)
 	}
 }
 

@@ -100,18 +100,20 @@ func TestReportsIdenticalAcrossFlagSets(t *testing.T) {
 }
 
 // TestDeletedFlagsStayDeleted: the online tuner's switches, the eQTL join
-// strategy and adaptive planning are gone from the binaries that carried
-// them, not hidden — the flag package refuses them.
+// strategy, adaptive planning and the live timeline writers (a timeline is
+// sparkui -trace's rendering of an -events log) are gone from the binaries
+// that carried them, not hidden — the flag package refuses them.
 func TestDeletedFlagsStayDeleted(t *testing.T) {
 	dir := t.TempDir()
 	for cmd, flags := range map[string][]string{
 		"sparkserved": {"-autotune", "-adaptive"},
 		"sparktune":   {"-online", "-batches=8"},
-		"sparkscore":  {"-eqtl-strategy=cartesian", "-adaptive"},
+		"sparkscore":  {"-eqtl-strategy=cartesian", "-adaptive", "-trace x"},
+		"benchtab":    {"-trace x"},
 	} {
 		bin := buildCmd(t, dir, cmd)
 		for _, flag := range flags {
-			out, err := exec.Command(bin, flag).CombinedOutput()
+			out, err := exec.Command(bin, strings.Fields(flag)...).CombinedOutput()
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined") {
 				t.Errorf("%s %s: err = %v, want exit status 2 with \"flag provided but not defined\":\n%s", cmd, flag, err, out)

@@ -1,11 +1,14 @@
 // Command sparkui renders a SparkScore event log as a text Spark-UI: job,
 // stage, and recovery-event tables reconstructed purely from the JSONL log,
 // the way Spark's History Server rebuilds its UI from spark.eventLog files.
+// The log is a run's one record, so every post-mortem view is drawn here,
+// the Chrome-trace timeline included.
 //
 //	sparkscore -generate -iterations 200 -events run.jsonl
 //	sparkui -log run.jsonl                    # jobs, stages, recovery events
 //	sparkui -log run.jsonl -tasks             # plus the task-attempt table
 //	sparkui -log run.jsonl -tasks -task-limit 0   # ... uncapped
+//	sparkui -log run.jsonl -trace run.trace.json  # plus a timeline for chrome://tracing
 //
 // Large runs produce hundreds of thousands of task attempts; -task-limit caps
 // the task table (default 500 rows) and a footer reports how many rows were
@@ -15,7 +18,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"unicode/utf8"
 
 	"sparkscore/internal/metrics"
 	"sparkscore/internal/rdd"
@@ -25,12 +30,13 @@ func main() {
 	logPath := flag.String("log", "", "JSONL event log (sparkscore -events, benchtab -events, or rdd.EventLogWriter)")
 	tasks := flag.Bool("tasks", false, "also print the per-task-attempt table")
 	taskLimit := flag.Int("task-limit", 500, "cap the task table at this many rows, noting how many were elided (0 = unlimited)")
+	traceOut := flag.String("trace", "", "also write the run's Chrome-trace timeline to this file (open in chrome://tracing or ui.perfetto.dev)")
 	flag.Parse()
 	if *logPath == "" && flag.NArg() == 1 {
 		*logPath = flag.Arg(0)
 	}
 	if *logPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: sparkui -log <events.jsonl> [-tasks]")
+		fmt.Fprintln(os.Stderr, "usage: sparkui -log <events.jsonl> [-tasks] [-trace <out.json>]")
 		os.Exit(2)
 	}
 	if *taskLimit < 0 {
@@ -46,8 +52,25 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ui := build(events)
-	ui.render(os.Stdout, *tasks, *taskLimit)
+	if *traceOut != "" {
+		if err := writeTraceFile(*traceOut, events); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "sparkui: wrote timeline %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
+	}
+	build(events).render(os.Stdout, *tasks, *taskLimit)
+}
+
+func writeTraceFile(path string, events []rdd.Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := writeChromeTrace(f, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(err error) {
@@ -202,7 +225,7 @@ func stageLabel(id uint64) string {
 	return fmt.Sprintf("map(shuffle %d)", id)
 }
 
-func (m *model) render(w *os.File, withTasks bool, taskLimit int) {
+func (m *model) render(w io.Writer, withTasks bool, taskLimit int) {
 	fmt.Fprintf(w, "event log: %d events, %d jobs, %d recovery events\n\n", m.events, len(m.jobs), len(m.recovery))
 
 	jt := metrics.NewTable("jobs", "job", "action", "pool", "stages", "tasks", "retries", "stage-reattempts", "evictions", "sim-s", "status")
@@ -294,9 +317,15 @@ func flag3(recovery, failed, done bool) string {
 	}
 }
 
+// truncate caps s at n bytes, cutting at a rune boundary so a multi-byte
+// rune is never split.
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
 	}
-	return s[:n-3] + "..."
+	cut := n - 3
+	for cut > 0 && !utf8.RuneStart(s[cut]) {
+		cut--
+	}
+	return s[:cut] + "..."
 }

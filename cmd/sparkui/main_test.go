@@ -5,12 +5,16 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode/utf8"
+
+	"sparkscore/internal/rdd"
 )
 
 // buildCmd compiles the package at pkg into dir as name and returns its path.
@@ -47,7 +51,8 @@ func TestRendersChaosLog(t *testing.T) {
 		t.Fatalf("sparkscore -chaos exited %d:\n%s", code, out)
 	}
 
-	out, code := exitCode(t, sparkui, "-log", events, "-tasks", "-task-limit", "0")
+	trace := filepath.Join(dir, "chaos.trace.json")
+	out, code := exitCode(t, sparkui, "-log", events, "-tasks", "-task-limit", "0", "-trace", trace)
 	if code != 0 {
 		t.Fatalf("sparkui exited %d:\n%s", code, out)
 	}
@@ -65,6 +70,19 @@ func TestRendersChaosLog(t *testing.T) {
 		t.Errorf("task table header = %q", got)
 	}
 
+	// -trace writes the timeline writeChromeTrace draws from the log.
+	raw, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := writeChromeTrace(&want, readLog(t, raw)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(trace); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("sparkui -trace wrote %d bytes (err %v), want the %d bytes of writeChromeTrace", len(got), err, want.Len())
+	}
+
 	// A bad -task-limit is refused before the log is opened.
 	if out, code := exitCode(t, sparkui, "-log", filepath.Join(dir, "missing.jsonl"), "-task-limit", "-1"); code != 2 || !strings.Contains(out, "-task-limit") {
 		t.Errorf("-task-limit -1 exited %d, want 2 naming the flag:\n%s", code, out)
@@ -72,10 +90,6 @@ func TestRendersChaosLog(t *testing.T) {
 
 	// A log an earlier build wrote with adaptive planning on is refused on
 	// the line that carries the deleted event.
-	raw, err := os.ReadFile(events)
-	if err != nil {
-		t.Fatal(err)
-	}
 	first, _, _ := strings.Cut(string(raw), "\n")
 	old := filepath.Join(dir, "adaptive.jsonl")
 	plan := `{"type":"AdaptivePlan","data":{"time":0.5,"job":1,"stage":1,"round":0,"rdd":"reduceByKey","partitions":5,"tasks":1,"coalescedGroups":1}}`
@@ -84,5 +98,22 @@ func TestRendersChaosLog(t *testing.T) {
 	}
 	if out, code := exitCode(t, sparkui, "-log", old); code != 1 || !strings.Contains(out, `line 2: unknown event type "AdaptivePlan"`) {
 		t.Errorf("a log with a deleted event type exited %d, want 1 naming line 2:\n%s", code, out)
+	}
+}
+
+// TestTruncateKeepsRunesWhole: a job error with a multi-byte rune across the
+// cut renders as valid UTF-8, the rune dropped whole.
+func TestTruncateKeepsRunesWhole(t *testing.T) {
+	msg := strings.Repeat("x", 56) + "é" + strings.Repeat("y", 20) // é is bytes 56 and 57
+	if got, want := truncate(msg, 60), strings.Repeat("x", 56)+"..."; got != want {
+		t.Errorf("truncate = %q, want %q", got, want)
+	}
+	var buf bytes.Buffer
+	build([]rdd.Event{
+		&rdd.JobStart{Job: 1, Action: "collect", RDD: "map"},
+		&rdd.JobEnd{Job: 1, Action: "collect", RDD: "map", Failed: true, Error: msg},
+	}).render(&buf, false, 0)
+	if !utf8.Valid(buf.Bytes()) || !strings.Contains(buf.String(), "FAILED: "+strings.Repeat("x", 56)+"...") {
+		t.Errorf("the jobs table does not cut the error at a rune boundary:\n%s", buf.String())
 	}
 }

@@ -7,14 +7,14 @@
 // cluster runtime.
 //
 //	go run ./examples/quickstart
-//	go run ./examples/quickstart -trace quickstart.trace.json   # timeline for chrome://tracing
+//
+// A run's timeline is drawn from its event log: `make trace` records one with
+// sparkscore -events and renders it with sparkui -trace.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
-	"os"
 	"sort"
 
 	"sparkscore/internal/cluster"
@@ -24,21 +24,10 @@ import (
 )
 
 func main() {
-	traceOut := flag.String("trace", "", "write a Chrome-trace timeline of the run to this file")
-	flag.Parse()
-
-	// 1. A driver context over a simulated 6-node EMR cluster, optionally
-	// with a timeline listener recording virtual-time task spans.
-	var listeners []rdd.Listener
-	var timeline *rdd.TimelineListener
-	if *traceOut != "" {
-		timeline = rdd.NewTimelineListener()
-		listeners = append(listeners, timeline)
-	}
+	// 1. A driver context over a simulated 6-node EMR cluster.
 	ctx, err := rdd.New(rdd.Config{
-		Cluster:   cluster.Config{Nodes: 6, Spec: cluster.M3TwoXLarge},
-		Seed:      1,
-		Listeners: listeners,
+		Cluster: cluster.Config{Nodes: 6, Spec: cluster.M3TwoXLarge},
+		Seed:    1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -76,19 +65,4 @@ func main() {
 		fmt.Printf("%-10s %14.2f %10.4f\n", result.Sets[k].Name, result.Observed[k], result.PValues[k])
 	}
 	fmt.Printf("\nsimulated 6-node cluster time: %.1f s\n", ctx.VirtualTime())
-
-	if timeline != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := timeline.WriteChromeTrace(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -361,15 +362,35 @@ func TestMarginalAsymptotic(t *testing.T) {
 // one bad line at a time. Each must abort the job as a task failure whose
 // message names the offending SNP or field, so a bad line in a
 // multi-gigabyte genotype file is findable from the message alone, wherever
-// the DFS blocks put it.
+// the DFS blocks put it. A zero-byte line is not bad: it is skipped, as
+// every dataset table skips one.
 func TestMalformedGenotypeLinesFailTheJob(t *testing.T) {
 	ds := testDataset(t, 3, 6, 1, 4)
 	ds.SNPSets[0].SNPs = []int{0, 1, 2, 3, 4, 5} // every SNP passes the pushdown filter
+	// observed scores text as the staged genotype file.
+	observed := func(text string, blockSize int) ([]float64, error) {
+		ctx, err := rdd.New(rdd.Config{
+			Cluster:      cluster.Config{Nodes: 1, Spec: cluster.M3TwoXLarge},
+			DFSBlockSize: blockSize,
+			Seed:         11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := stagedAnalysis(t, ctx, ds, Options{})
+		if _, err := ctx.FS().Write(a.genoPath, []byte(text)); err != nil {
+			t.Fatal(err)
+		}
+		return a.Observed()
+	}
+	// The first line is 11 bytes, so 11-byte DFS blocks end on the line
+	// under test: it must be read there as it is mid-block. Trailing and
+	// repeated whitespace is tolerated, not an extra field.
+	const first, last = "4\t0  1 2 \t\n", "\n1\t0 1 2\n"
 	for _, tc := range []struct{ line, msg string }{
 		{"no-tab-here", `missing tab: "no-tab-here"`},
 		{"x\t0 1 2", `bad SNP id "x"`},
 		{"-2\t0 1 2", `bad SNP id "-2"`},
-		{"", "empty genotype line"},
 		{"   ", "empty genotype line"},
 		{"0\t0 1", "SNP 0: 2 genotypes, want 3"},             // missing genotype
 		{"0\t0 1 2 1", "SNP 0: 4 genotypes, want 3"},         // extra genotype
@@ -377,28 +398,23 @@ func TestMalformedGenotypeLinesFailTheJob(t *testing.T) {
 		{"5\t0 x 2", `SNP 5: field 2: bad genotype "x"`},     // non-numeric code
 		{"5\t0 1 2.0", `SNP 5: field 3: bad genotype "2.0"`}, // non-integer code
 	} {
-		// The first line is 11 bytes, so 11-byte DFS blocks end on the bad
-		// line: a blank one there must fail the job as it does mid-block.
 		for _, blockSize := range []int{4 << 10, 11} {
-			ctx, err := rdd.New(rdd.Config{
-				Cluster:      cluster.Config{Nodes: 1, Spec: cluster.M3TwoXLarge},
-				DFSBlockSize: blockSize,
-				Seed:         11,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := stagedAnalysis(t, ctx, ds, Options{})
-			// Trailing and repeated whitespace is tolerated, not an extra field.
-			if _, err := ctx.FS().Write(a.genoPath, []byte("4\t0  1 2 \t\n"+tc.line+"\n1\t0 1 2\n")); err != nil {
-				t.Fatal(err)
-			}
-			_, err = a.Observed()
+			_, err := observed(first+tc.line+last, blockSize)
 			var aborted *rdd.TaskAbortedError
 			if !errors.As(err, &aborted) || !strings.Contains(err.Error(), tc.msg) {
 				t.Fatalf("line %q, %d-byte blocks: Observed() = %v, want a task abort containing %q",
 					tc.line, blockSize, err, tc.msg)
 			}
+		}
+	}
+	want, err := observed(first+last[1:], 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blockSize := range []int{4 << 10, 11} {
+		got, err := observed(first+last, blockSize)
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("a blank line, %d-byte blocks: Observed() = %v, %v; want %v as without it", blockSize, got, err, want)
 		}
 	}
 }

@@ -152,13 +152,14 @@ func ParseSNPPrefix(line []byte) (snp int, fields []byte, err error) {
 // ParseGenoText packs a partition's genotype text — lines separated by '\n',
 // as rdd's TextSplits yields them — into GenoBlocks of GenoBlockRows lines
 // each, handing each block to yield as it fills, the partition's last block
-// possibly shorter; a skipped line counts toward its block's lines, so the
-// geometry is the line count's alone. It packs the SNPs keep accepts (nil
-// keeps all) and yields no block keep left empty; the text is only read, and
-// may be the staged file's bytes in place. It returns the first bad line's
-// error — naming its SNP once the id has parsed — after yielding the blocks
-// before that line's, or nil once the text is packed or yield has returned
-// false.
+// possibly shorter; a skipped line — one keep refuses, or a zero-byte line,
+// which every dataset table skips too — counts toward its block's lines, so
+// the geometry is the line count's alone, and a line of only white space is
+// an error. It packs the SNPs keep accepts (nil keeps all) and yields no
+// block keep left empty; the text is only read, and may be the staged file's
+// bytes in place. It returns the first bad line's error — naming its SNP once
+// the id has parsed — after yielding the blocks before that line's, or nil
+// once the text is packed or yield has returned false.
 //
 // Reading the text once: a line that starts with a decimal id fitting int32
 // and a tab, and whose 2·patients-th byte after the tab is a newline or the
@@ -181,13 +182,15 @@ func ParseGenoText(text []byte, patients int, keep func(snp int) bool, yield fun
 			if i := bytes.IndexByte(text[pos:], '\n'); i >= 0 {
 				end = pos + i
 			}
-			snp, fields, err := ParseSNPPrefix(text[pos:end])
-			if err != nil {
-				return err
-			}
-			if keep == nil || keep(snp) {
-				if err := blk.appendText(snp, fields); err != nil {
-					return fmt.Errorf("data: SNP %d: %w", snp, err)
+			if end > pos { // a zero-byte line is skipped, as every dataset table skips one
+				snp, fields, err := ParseSNPPrefix(text[pos:end])
+				if err != nil {
+					return err
+				}
+				if keep == nil || keep(snp) {
+					if err := blk.appendText(snp, fields); err != nil {
+						return fmt.Errorf("data: SNP %d: %w", snp, err)
+					}
 				}
 			}
 		}

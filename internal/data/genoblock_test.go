@@ -196,13 +196,16 @@ func canonicalRow(patients int) string {
 }
 
 // ParseGenoBlock is the line-at-a-time ingest ParseGenoText must equal: it
-// packs a batch of lines into one GenoBlock — ParseSNPPrefix on each line,
-// then the text codec for the SNPs keep accepts (nil keeps all) — and the
-// first bad line fails the whole batch, with an error naming its SNP once the
-// id has parsed.
+// packs a batch of lines into one GenoBlock — ParseSNPPrefix on each
+// non-empty line, then the text codec for the SNPs keep accepts (nil keeps
+// all) — and the first bad line fails the whole batch, with an error naming
+// its SNP once the id has parsed.
 func ParseGenoBlock(lines [][]byte, patients int, keep func(snp int) bool) (GenoBlock, error) {
 	blk := NewGenoBlock(patients, len(lines))
 	for _, line := range lines {
+		if len(line) == 0 {
+			continue
+		}
 		snp, fields, err := ParseSNPPrefix(line)
 		if err != nil {
 			return GenoBlock{}, err

@@ -12,62 +12,99 @@ package data
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// FuzzReadGenotypes reads an arbitrary row behind a first row of patients
-// zeros, which fixes the width. The reader accepts it exactly when
-// ParseGenoText, the analysis scan, packs it as SNP 1 at that width, and
-// refuses it with the scan's words, naming line 2 where the scan names the
-// SNP. The same text read as a whole file, and the two-row file, must give
-// an error or a matrix that WriteGenotypes writes and ReadGenotypes reads
-// back unchanged.
+// FuzzReadGenotypes reads arbitrary rows behind a first row of patients
+// zeros, which fixes the width. The reader accepts the whole text exactly
+// when ParseGenoText, the analysis scan, packs every row at that width and
+// the ids are dense and unique; where the scan's first refused row is a
+// field error, the reader refuses it with the scan's words, naming the line
+// where the scan names the SNP, unless an earlier row repeats an id. The
+// rows read as a whole file, and the text, must give an error or a matrix
+// that WriteGenotypes writes and ReadGenotypes reads back unchanged.
 func FuzzReadGenotypes(f *testing.F) {
-	f.Add(3, "0 1 2")
-	f.Add(3, "+1 0 2")
-	f.Add(3, "0 01 2")
-	f.Add(3, "-0 1 2")
-	f.Add(3, "0 1 2\r")
-	f.Add(3, "0\u00a01 2")
-	f.Add(3, "0\v1 2")
-	f.Add(3, "\t 2  0\t1 ")
-	f.Add(3, "0 1")
-	f.Add(3, "0 1 2 7")
-	f.Add(2, "0 3")
-	f.Add(0, "")
-	f.Add(5, "0 1 2\n1\t0 1")
-	f.Add(2, "1\t0 1\n0\t2 2\n\n")
-	f.Fuzz(func(t *testing.T, patients int, row string) {
+	f.Add(3, "1\t0 1 2")
+	f.Add(3, "1\t+1 0 2")
+	f.Add(3, "1\t0 01 2")
+	f.Add(3, "1\t-0 1 2")
+	f.Add(3, "1\t0 1 2\r")
+	f.Add(3, "1\t0\u00a01 2")
+	f.Add(3, "1\t0\v1 2")
+	f.Add(3, "1\t\t 2  0\t1 ")
+	f.Add(3, "1\t0 1")
+	f.Add(3, "1\t0 1 2 7")
+	f.Add(2, "1\t0 3")
+	f.Add(0, "1\t")
+	f.Add(5, "1\t0 1 2\n1\t0 1")
+	f.Add(2, "1\t1\t0 1\n0\t2 2\n\n")
+	f.Add(2, "\n2\t0 1\n\n1\t2 2\n\n")  // blank lines, ids out of order
+	f.Add(2, "1\t0 1\n   \n2\t2 2")     // a line of only white space
+	f.Add(2, "1\t0 1\n1\t0 1\n2\t0 7")  // a repeated id before a bad field
+	f.Add(2, "2\t0 1\n")                // a gap
+	f.Add(2, "4294967296\t0 1\n1\t0 x") // an id beyond int32, then a bad field
+	f.Fuzz(func(t *testing.T, patients int, rows string) {
 		// Bound the row width so the fuzzer explores bytes, not allocations.
 		if patients < 0 {
 			patients = -patients
 		}
 		patients %= 512
 
-		roundTrip(t, row)
-		text := "0\t" + strings.Repeat("0 ", patients) + "\n1\t" + row + "\n"
+		roundTrip(t, rows)
+		text := "0\t" + strings.Repeat("0 ", patients) + "\n" + rows
 		m, err := roundTrip(t, text)
-		if strings.ContainsRune(row, '\n') {
-			return // more rows than two: no panic and the round trip are the contract
-		}
-		scanErr := ParseGenoText([]byte("1\t"+row), patients, nil, func(GenoBlock) bool { return true })
-		switch {
-		case scanErr == nil && err != nil:
-			t.Fatalf("row %q at %d patients: the scan packs it, ReadGenotypes says %v", row, patients, err)
-		case scanErr != nil && err == nil:
-			t.Fatalf("row %q at %d patients: ReadGenotypes reads it, the scan says %v", row, patients, scanErr)
-		case scanErr != nil:
-			want := "data: genotype line 2: " + strings.TrimPrefix(scanErr.Error(), "data: SNP 1: ")
-			if err.Error() != want {
-				t.Fatalf("row %q at %d patients: %q, want %q", row, patients, err, want)
+		// The scan line by line: the ids it packs, and its first refused row;
+		// as a whole, as the analysis runs it, the scan must say the same.
+		var ids []int32
+		bad, badErr := 0, error(nil)
+		for n, line := range strings.Split(text, "\n") {
+			if badErr = ParseGenoText([]byte(line), patients, nil, func(b GenoBlock) bool { ids = append(ids, b.SNPs...); return true }); badErr != nil {
+				bad = n + 1
+				break
 			}
-		case m.SNPs() != 2 || m.Patients != patients:
-			t.Fatalf("row %q: %d × %d, want 2 × %d", row, m.SNPs(), m.Patients, patients)
+		}
+		if scanErr := ParseGenoText([]byte(text), patients, nil, func(GenoBlock) bool { return true }); fmt.Sprint(scanErr) != fmt.Sprint(badErr) {
+			t.Fatalf("%q at %d patients: the scan says %v, line by line %v", text, patients, scanErr, badErr)
+		}
+		if badErr != nil {
+			if err == nil {
+				t.Fatalf("%q at %d patients: ReadGenotypes reads it, the scan refuses line %d: %v", text, patients, bad, badErr)
+			}
+			rest, named := strings.CutPrefix(badErr.Error(), "data: SNP ")
+			if _, words, field := strings.Cut(rest, ": "); named && field && unique(ids) {
+				if want := fmt.Sprintf("data: genotype line %d: %s", bad, words); err.Error() != want {
+					t.Fatalf("%q at %d patients: %v, want %q", text, patients, err, want)
+				}
+			}
+			return
+		}
+		dense := unique(ids) && slices.Max(ids) == int32(len(ids)-1)
+		switch {
+		case dense && err != nil:
+			t.Fatalf("%q at %d patients: the scan packs ids 0..%d, ReadGenotypes says %v", text, patients, len(ids)-1, err)
+		case !dense && err == nil:
+			t.Fatalf("%q at %d patients: ReadGenotypes reads ids %v", text, patients, ids)
+		case dense && (m.SNPs() != len(ids) || m.Patients != patients):
+			t.Fatalf("%q: %d × %d, want %d × %d", text, m.SNPs(), m.Patients, len(ids), patients)
 		}
 	})
+}
+
+// unique reports whether no id repeats.
+func unique(ids []int32) bool {
+	seen := map[int32]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			return false
+		}
+		seen[id] = true
+	}
+	return true
 }
 
 // roundTrip reads text as a genotype file and, if it is accepted, checks

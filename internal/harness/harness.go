@@ -41,15 +41,14 @@ type Harness struct {
 	Seed uint64
 
 	// EventLogDir, when set, writes one JSONL event log per measured run
-	// into the directory (render with cmd/sparkui); TraceDir likewise writes
-	// one Chrome-trace timeline per run (open in chrome://tracing). Files
-	// are named run-NNN-<method><iterations> in execution order.
+	// into the directory, named run-NNN-<method><iterations>.jsonl in
+	// execution order; cmd/sparkui renders its tables and, with -trace, its
+	// Chrome-trace timeline.
 	EventLogDir string
-	TraceDir    string
 
 	// extraListeners are attached to every run in addition to the
-	// EventLogDir/TraceDir observers; the chaos determinism test uses it to
-	// record each run's event log.
+	// EventLogDir log; the chaos determinism test uses it to record each
+	// run's event log.
 	extraListeners []rdd.Listener
 
 	// workers is rdd.Config.Workers for every run; zero leaves the engine
@@ -216,58 +215,29 @@ func (h *Harness) run(p Params, faults rdd.FaultProfile) (_ *rdd.Context, _ *cor
 	return ctx, res, nil
 }
 
-// observers builds the per-run listeners requested by EventLogDir/TraceDir
-// and returns them with a finish function that flushes the event log and
-// writes the timeline once the run is over. With neither directory set it
-// returns no listeners and a no-op finish.
+// observers builds the per-run listeners — extraListeners plus, with
+// EventLogDir set, an event log named after the run — and returns them with a
+// finish function that flushes and closes the log once the run is over (a
+// no-op without one).
 func (h *Harness) observers(p Params) ([]rdd.Listener, func() error, error) {
 	listeners := append([]rdd.Listener(nil), h.extraListeners...)
-	if h.EventLogDir == "" && h.TraceDir == "" {
+	if h.EventLogDir == "" {
 		return listeners, func() error { return nil }, nil
 	}
 	h.runSeq++
-	tag := fmt.Sprintf("run-%03d-%s%d", h.runSeq, p.Method, p.Iterations)
-	var finishers []func() error
-	if h.EventLogDir != "" {
-		f, err := os.Create(filepath.Join(h.EventLogDir, tag+".jsonl"))
-		if err != nil {
-			return nil, nil, err
-		}
-		elw := rdd.NewEventLogWriter(f)
-		listeners = append(listeners, elw)
-		finishers = append(finishers, func() error {
-			err := elw.Close()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		})
+	f, err := os.Create(filepath.Join(h.EventLogDir, fmt.Sprintf("run-%03d-%s%d.jsonl", h.runSeq, p.Method, p.Iterations)))
+	if err != nil {
+		return nil, nil, err
 	}
-	if h.TraceDir != "" {
-		tl := rdd.NewTimelineListener()
-		listeners = append(listeners, tl)
-		finishers = append(finishers, func() error {
-			f, err := os.Create(filepath.Join(h.TraceDir, tag+".trace.json"))
-			if err != nil {
-				return err
-			}
-			if err := tl.WriteChromeTrace(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		})
-	}
+	elw := rdd.NewEventLogWriter(f)
 	finish := func() error {
-		var first error
-		for _, fin := range finishers {
-			if err := fin(); err != nil && first == nil {
-				first = err
-			}
+		err := elw.Close()
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		return first
+		return err
 	}
-	return listeners, finish, nil
+	return append(listeners, elw), finish, nil
 }
 
 // RecoveryResult is one chaos measurement: the same configuration run

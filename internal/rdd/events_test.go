@@ -2,7 +2,6 @@ package rdd
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -260,61 +259,6 @@ func TestEventTimestampsMonotone(t *testing.T) {
 	}
 	if c.VirtualTime() != lastJobEnd {
 		t.Errorf("context clock %.6f != last JobEnd timestamp %.6f", c.VirtualTime(), lastJobEnd)
-	}
-}
-
-// TestChromeTrace renders a timeline of a run with retries into Chrome-trace
-// JSON and validates its shape.
-func TestChromeTrace(t *testing.T) {
-	tl := NewTimelineListener()
-	c, err := New(Config{
-		Cluster:   cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
-		Seed:      11,
-		Faults:    FaultProfile{TaskCrashProb: 0.12},
-		Listeners: []Listener{tl},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := Map(fusedTestChain(c, 5000), "key", func(x int) KV[int, int] { return KV[int, int]{K: x % 5, V: x} })
-	if _, err := Collect(ReduceByKey(pairs, func(a, b int) int { return a + b }, 4)); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := tl.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-			Pid  int     `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	var tasks, stages, meta int
-	for _, e := range doc.TraceEvents {
-		switch e.Ph {
-		case "X":
-			if e.Dur < 0 || e.Ts < 0 {
-				t.Errorf("span %q has negative ts/dur (%f, %f)", e.Name, e.Ts, e.Dur)
-			}
-			if e.Pid == 0 {
-				stages++
-			} else {
-				tasks++
-			}
-		case "M":
-			meta++
-		}
-	}
-	if tasks == 0 || stages == 0 || meta == 0 {
-		t.Errorf("trace missing spans: %d task, %d stage, %d metadata", tasks, stages, meta)
 	}
 }
 

@@ -1,17 +1,16 @@
 // Built-in bus listeners: the metrics listener that reconstructs JobMetrics
-// from events (the scheduler no longer mutates metrics directly), a timeline
-// listener rendering Chrome-trace JSON of virtual-time task spans, and an
+// from events (the scheduler no longer mutates metrics directly) and an
 // opt-in console progress listener — the engine's stand-ins for the Spark
-// UI's metrics store, its event timeline, and spark.ui.showConsoleProgress.
+// UI's metrics store and spark.ui.showConsoleProgress. Both are views that
+// must be live; every post-mortem view, the event timeline included, is
+// cmd/sparkui's rendering of the EventLogWriter's log.
 
 package rdd
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -152,97 +151,6 @@ func (ml *metricsListener) reset() {
 	ml.jobs = nil
 	ml.active = map[uint64]*JobMetrics{}
 	ml.mu.Unlock()
-}
-
-// traceEvent is one entry of the Chrome trace-event format
-// (chrome://tracing / Perfetto): a complete span ("X"), an instant ("i"), or
-// process metadata ("M"). Timestamps are microseconds of virtual time.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// TimelineListener records per-task and per-stage virtual-time spans and
-// renders them as Chrome-trace JSON (load the file in chrome://tracing or
-// https://ui.perfetto.dev) — the engine's version of the Spark UI's event
-// timeline. Each executor is a trace process whose rows are partitions; the
-// driver process (pid 0) carries stage spans and recovery instants.
-type TimelineListener struct {
-	mu    sync.Mutex
-	spans []traceEvent
-	execs map[int]bool
-}
-
-// NewTimelineListener returns an empty timeline recorder.
-func NewTimelineListener() *TimelineListener {
-	return &TimelineListener{execs: map[int]bool{}}
-}
-
-const microsecond = 1e6 // virtual seconds → trace microseconds
-
-// OnEvent implements Listener.
-func (tl *TimelineListener) OnEvent(ev Event) {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	switch e := ev.(type) {
-	case *TaskEnd:
-		status := "ok"
-		if !e.OK {
-			status = "failed"
-		}
-		tl.execs[e.Executor] = true
-		tl.spans = append(tl.spans, traceEvent{
-			Name: fmt.Sprintf("job %d stage %d part %d attempt %d", e.Job, e.Stage, e.Part, e.Attempt),
-			Ph:   "X", Ts: e.StartSec * microsecond, Dur: e.DurationSec * microsecond,
-			Pid: e.Executor + 1, Tid: e.Part,
-			Args: map[string]any{"status": status, "recovery": e.Recovery, "failure": e.Failure},
-		})
-	case *StageCompleted:
-		tl.spans = append(tl.spans, traceEvent{
-			Name: fmt.Sprintf("job %d stage %d round %d: %s", e.Job, e.Stage, e.Round, e.RDD),
-			Ph:   "X", Ts: (e.Time - e.Seconds) * microsecond, Dur: e.Seconds * microsecond,
-			Pid: 0, Tid: 0,
-			Args: map[string]any{"tasks": e.NumTasks, "failedAttempts": e.FailedAttempts},
-		})
-	case *StageResubmitted:
-		tl.instant(fmt.Sprintf("resubmit shuffle %d (attempt %d)", e.Shuffle, e.Attempt), e.Time)
-	case *JobCancelled:
-		tl.instant(fmt.Sprintf("job %d cancelled: %s", e.Job, e.Reason), e.Time)
-	case *ExecutorExcluded:
-		tl.instant(fmt.Sprintf("executor %d excluded", e.Executor), e.Time)
-	case *NodeLost:
-		tl.instant(fmt.Sprintf("node %d lost", e.Node), e.Time)
-	}
-}
-
-func (tl *TimelineListener) instant(name string, t float64) {
-	tl.spans = append(tl.spans, traceEvent{Name: name, Ph: "i", Ts: t * microsecond, Pid: 0, Tid: 0, S: "g"})
-}
-
-// WriteChromeTrace renders the recorded timeline as a Chrome trace-event
-// JSON object.
-func (tl *TimelineListener) WriteChromeTrace(w io.Writer) error {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	events := make([]traceEvent, 0, len(tl.spans)+len(tl.execs)+1)
-	events = append(events, traceEvent{Name: "process_name", Ph: "M", Pid: 0, Args: map[string]any{"name": "driver (stages)"}})
-	ids := make([]int, 0, len(tl.execs))
-	for id := range tl.execs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		events = append(events, traceEvent{Name: "process_name", Ph: "M", Pid: id + 1, Args: map[string]any{"name": fmt.Sprintf("executor %d", id)}})
-	}
-	events = append(events, tl.spans...)
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events, "displayTimeUnit": "ms"})
 }
 
 // ConsoleProgressListener prints job, stage, and recovery progress as events
