@@ -24,14 +24,15 @@ build:
 	$(GO) build ./...
 
 # cross proves the portable path where the amd64 assembly
-# (internal/stats/kernel_amd64.s: the AVX2 walks packedRows4 and cellPairs
-# and the panel kernel's lane-list compaction compactChunks;
-# internal/data/pack_amd64.s: the canonical text codec's AVX2 packCanon64 and
-# hasAVX2, the one CPUID check both packages read) is absent: arm64 vets, and the whole test suite runs on 386 — natively on
+# (internal/stats/kernel_amd64.s: the AVX2 walks packedRows4 and cellPairs,
+# the AVX-512F two-tile walk tilePairs and the panel kernel's lane-list
+# compaction compactChunks; internal/data/pack_amd64.s: the canonical text
+# codec's AVX2 packCanon64 and cpuFeatures, the one CPUID check both packages
+# read) is absent: arm64 vets, and the whole test suite runs on 386 — natively on
 # an amd64 Linux host — where packedRowScore scores every row, the Go sumCells
 # is the whole cell walk, compactBytes the whole compaction and
 # packCanonical's word loop the whole row. That Go path is also what an amd64
-# host without AVX2 runs. On amd64, vet's asmdecl pass checks the five
+# host without AVX2 runs. On amd64, vet's asmdecl pass checks the six
 # routines' frame offsets against their Go declarations.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
@@ -60,10 +61,11 @@ bench:
 # accumulator, one task's worth — and that the
 # Monte Carlo panel kernel's benchmark still builds mc_cached's packed matrix
 # (500 and 1000 patients × 20 000 SNPs) and reports ns/elem-replicate at
-# b = 1, one tile and core's batch width, the kernel built once and forked
-# per pass as a fold task forks it — the rows compacted 32 patients a step by
-# compactChunks and the cell lists walked two per call by cellPairs, both
-# AVX2, on an amd64 host that has it — and that Algorithm 2's two kernels
+# b = 1, one tile and core's batch width, the kernel built once and shared
+# by every pass as a job's fold tasks share it — the rows compacted 32
+# patients a step by compactChunks in AVX2 and the cell lists walked two per
+# call over two tiles by tilePairs in AVX-512F, on an amd64 host that has
+# them — and that Algorithm 2's two kernels
 # still report ns/genotype at perm_scan's row width: the ingest's
 # ParseGenoText over canonical partition text (the line ends found as it
 # packs, 64 text bytes per AVX2 step on amd64) — one 256-row block's text,
@@ -111,8 +113,9 @@ bench-smoke:
 # all-zero and all-non-zero rows and every chunk, tail and partial-byte
 # boundary included, PackedRowScores equals its written summation order
 # bit for bit (or NaN both) on arbitrary packed bytes and residuals, and the
-# two-list cell walk equals two sumCells calls (equal bits or NaN both, or the
-# same panic on an out-of-range index) on arbitrary tile bits and lists, and
+# two-list cell walk equals two sumCells calls and the two-tile walk four
+# (equal bits or NaN both, or the same panic on an out-of-range index) on
+# arbitrary tile bits and lists, in Go, in AVX2 and in AVX-512F, and
 # the all-pairs accumulator's χ² cut-offs leave its partial equal to the exact
 # path's (Tested, top-K bits, BH result) on arbitrary score and variance
 # streams, NaN, ±Inf, zeros, subnormals and ties included, its χ² histogram

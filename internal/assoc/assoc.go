@@ -7,7 +7,7 @@
 // The phenotype matrix is the small side, so it ships by broadcast (the
 // paper's Algorithm 1, step 6): the wide multi-phenotype kernel
 // (stats.WideKernel) is built over it once on the driver, and every genotype
-// partition folds its blocks through a fork of that kernel — each row decoded
+// partition folds its blocks through that one kernel — each row decoded
 // once, the whole phenotype matrix scored off its non-zero dosages — into one
 // bounded partial. The driver merges partials; it never collects the cross.
 package assoc
@@ -175,12 +175,12 @@ func pairResult(snp, pheno int32, score, variance float64) PairResult {
 }
 
 // broadcastPartials runs the cross: the wide kernel's table over the whole
-// phenotype matrix is built once here on the driver and shared read-only;
-// each genotype partition forks its own scratch, folds every block through it
-// as the block streams by, and emits one partial. On the clock a block costs
+// phenotype matrix is built once here on the driver and shared by every task;
+// each genotype partition folds every block through it as the block streams
+// by, and emits one partial. On the clock a block costs
 // rows × phenotypes × patients operations.
 func (a *Analysis) broadcastPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial, error) {
-	shared, err := newKernel(a.cfg.family(), a.phenos)
+	kernel, err := newKernel(a.cfg.family(), a.phenos)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,6 @@ func (a *Analysis) broadcastPartials(blocks *rdd.RDD[data.GenoBlock]) ([]partial
 	partials := rdd.FoldPartition(blocks, "assocPartials", func(t rdd.Task) (func(data.GenoBlock), func() []partial) {
 		m := bc.Value()
 		perRow := int64(m.Rows()) * int64(m.Patients)
-		kernel := shared.Fork()
 		acc := newAccumulator(k, edge)
 		row := func(snp int32, scores, variances []float64) {
 			acc.addRow(snp, m.IDs, scores, variances)

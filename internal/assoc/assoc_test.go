@@ -658,11 +658,11 @@ func BenchmarkFold(b *testing.B) {
 		cfg := gen.Config{Patients: patients, SNPs: snps, SNPSets: 1}
 		blocks := gen.GenoBlocks(cfg, rng.New(1), data.GenoBlockRows)
 		expr := gen.ExpressionMatrix(cfg, rng.New(2), phenos)
-		shared, err := newKernel("gaussian", expr)
+		kernel, err := newKernel("gaussian", expr)
 		if err != nil {
 			b.Fatal(err)
 		}
-		kernel, edge := shared.Fork(), newBHEdge(Config{}.histBins(), fdrAlpha)
+		edge := newBHEdge(Config{}.histBins(), fdrAlpha)
 		fold := func() *accumulator {
 			acc := newAccumulator(Config{}.topK(), edge)
 			row := func(snp int32, scores, variances []float64) { acc.addRow(snp, expr.IDs, scores, variances) }
@@ -671,7 +671,7 @@ func BenchmarkFold(b *testing.B) {
 			}
 			return acc
 		}
-		acc := fold() // sizes the kernel's scratch
+		acc := fold() // fills the kernel's scratch pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for range b.N {

@@ -287,17 +287,18 @@ func GenotypeBlocks(ctx *rdd.Context, path string, patients int, keep func(snp i
 }
 
 // mcBatch is the number of Monte Carlo replicates one job scores: wide enough
-// that the panel kernel's per-block cell lists are amortised over many tiles
-// and per-job scheduling is noise (BenchmarkPackedPanel, the kernel built once
-// and forked per pass, on a 2-vCPU VM: 0.105–0.112 ns per genotype-replicate
-// at b = 64, 0.13–0.14 at b = 8, 0.20–0.30 at b = 1), small enough that the
-// class table and a task's sets × b partial sums stay cache-sized.
+// that the panel kernel's per-block cell lists are amortised over many tiles,
+// walked two at a time, and per-job scheduling is noise (BenchmarkPackedPanel,
+// the kernel built once and shared by every pass, on a 2-vCPU VM with
+// AVX-512F: 0.055–0.060 ns per genotype-replicate at b = 64, 0.10–0.15 at
+// b = 8, 0.15–0.24 at b = 1), small enough that the class table and a task's
+// sets × b partial sums stay cache-sized.
 const mcBatch = 64
 
 // panelStats is Algorithm 3 step 4 for Monte Carlo replicates first …
 // first+width−1 at once, indexed [replicate][set]. The driver draws the
 // replicates' weight panel, turns it into the residual panel R̃ of the null
-// model and builds its kernel once; every set-sum task forks that kernel.
+// model and builds its kernel once; every set-sum task scores through it.
 //
 // Summation-order contract: marginal scores are stats.PanelKernel's — column
 // k is bitwise stats.PackedRowScores on r̃_k, the order scoreStats sums r in —
@@ -324,11 +325,11 @@ func (a *Analysis) scoreStats(blocks *rdd.RDD[data.GenoBlock], r []float64) ([]f
 }
 
 // foldSetSums is the body of Algorithm 1 steps 8–12 shared by every pass.
-// Each task forks the pass's kernel of its patients × width residual panel,
-// streams its partition's blocks through it, adds each row's weighted
-// per-SNP terms into the task-local sets × width matrix with one
-// SetStatistic.AddPerSNP call per (row, set), and emits one vector per set it
-// touched; a reduce sums the vectors per set. The result is indexed
+// Each task streams its partition's blocks through the pass's kernel of its
+// patients × width residual panel (one kernel, shared by every task), adds
+// each row's weighted per-SNP terms into the task-local sets × width matrix
+// with one SetStatistic.AddPerSNP call per (row, set), and emits one vector
+// per set it touched; a reduce sums the vectors per set. The result is indexed
 // [column][set].
 //
 // Summation-order contract: a set's sum adds its rows in partition order
@@ -336,10 +337,9 @@ func (a *Analysis) scoreStats(blocks *rdd.RDD[data.GenoBlock], r []float64) ([]f
 //
 // Clock: a block charges rows × patients × width operations, one per genotype
 // per residual column — the unit rdd's kernelGops was calibrated in.
-func foldSetSums(a *Analysis, blocks *rdd.RDD[data.GenoBlock], width int, shared *stats.PanelKernel) ([][]float64, error) {
+func foldSetSums(a *Analysis, blocks *rdd.RDD[data.GenoBlock], width int, kernel *stats.PanelKernel) ([][]float64, error) {
 	index, setStat, sets, patients := a.index, a.setStat, len(a.sets), a.patients
 	partials := rdd.FoldPartition(blocks, "setSums", func(t rdd.Task) (func(data.GenoBlock), func() []rdd.KV[int, []float64]) {
-		kernel := shared.Fork()
 		x := index.Value()
 		sums, touched := make([]float64, sets*width), make([]bool, sets)
 		var scores []float64

@@ -1,13 +1,17 @@
 package data
 
-// hasAVX2 is in pack_amd64.s: CPUID and XGETBV, true when the CPU has AVX2
-// and POPCNT and the OS saves the ymm registers.
-func hasAVX2() bool
+// cpuFeatures is in pack_amd64.s: CPUID and XGETBV. avx2 holds when the CPU
+// has AVX2 and POPCNT and the OS saves the ymm registers, avx512f when the
+// CPU has AVX-512F, AVX and POPCNT and the OS saves the zmm and opmask
+// registers.
+func cpuFeatures() (avx2, avx512f bool)
 
-// HasAVX2 is the one CPUID/XGETBV check, run at package init, behind this
-// package's packCanon64 and the stats kernels' assembly. A host without AVX2
-// runs the Go loops other GOARCHes run, with the same results.
-var HasAVX2 = hasAVX2()
+// HasAVX2 and HasAVX512F are the one CPUID/XGETBV check, run at package init.
+// HasAVX2 is behind this package's packCanon64 and the stats kernels' AVX2
+// assembly, HasAVX512F behind the panel kernel's two-tile cell walk. A host
+// without AVX2 runs the Go loops other GOARCHes run, and one without
+// AVX-512F the AVX2 walk, with the same results.
+var HasAVX2, HasAVX512F = cpuFeatures()
 
 // useAVX2 selects packCanon64. Only tests write it, to run the word loop
 // alone on an AVX2 host.

@@ -1,42 +1,52 @@
 #include "textflag.h"
 
-// func hasAVX2() bool
+// func cpuFeatures() (avx2, avx512f bool)
 //
-// Reports whether the CPU has AVX2 and POPCNT and the OS saves the ymm
-// registers: CPUID leaf 1's POPCNT (ECX bit 23), OSXSAVE (ECX bit 27) and AVX
-// (ECX bit 28), XCR0's SSE and AVX state (bits 1 and 2), and CPUID leaf 7's
-// AVX2 (EBX bit 5), leaf 7 only where leaf 0 says it exists.
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+// Reports what the CPU has and the OS saves. Both need CPUID leaf 1's POPCNT
+// (ECX bit 23), OSXSAVE (ECX bit 27) and AVX (ECX bit 28) and XCR0's SSE and
+// AVX state (bits 1 and 2), and leaf 7, read only where leaf 0 says it
+// exists. avx2 adds leaf 7's AVX2 (EBX bit 5); avx512f adds leaf 7's
+// AVX-512F (EBX bit 16) and XCR0's opmask and zmm state (bits 5, 6 and 7).
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, avx512f+1(FP)
+
 	XORL AX, AX
 	XORL CX, CX
 	CPUID
 	CMPL AX, $7
-	JB   no
+	JB   done
 
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
 	ANDL $0x18800000, CX
 	CMPL CX, $0x18800000
-	JNE  no
+	JNE  done
 
 	XORL   CX, CX
 	XGETBV
+	MOVL   AX, R8
 	ANDL   $6, AX
 	CMPL   AX, $6
-	JNE    no
+	JNE    done
 
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
 	TESTL $0x20, BX
-	JZ    no
+	JZ    zmm
+	MOVB  $1, avx2+0(FP)
 
-	MOVB $1, ret+0(FP)
-	RET
+zmm:
+	TESTL $0x10000, BX
+	JZ    done
+	ANDL  $0xe6, R8
+	CMPL  R8, $0xe6
+	JNE   done
+	MOVB  $1, avx512f+1(FP)
 
-no:
-	MOVB $0, ret+0(FP)
+done:
 	RET
 
 // func packCanon64(text *byte, groups int, row *byte) (sum uint64, ok bool)

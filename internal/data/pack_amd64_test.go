@@ -25,9 +25,10 @@ func packBodies(t *testing.T, f func(t *testing.T)) {
 
 // TestAVX2SelectedWhereHostHasIt pins the CPUID/XGETBV check to the host's
 // own view: HasAVX2 must hold exactly where /proc/cpuinfo lists avx2 and
-// popcnt (stats' compactChunks counts each lane's entries with POPCNT). Every
-// bit-equality test passes on either path, so a wrong check would otherwise
-// route an AVX2 host to the Go loops unnoticed.
+// popcnt (stats' compactChunks counts each lane's entries with POPCNT), and
+// HasAVX512F exactly where it lists avx512f. Every bit-equality test passes
+// on either path, so a wrong check would otherwise route an AVX2 or AVX-512
+// host to a slower walk unnoticed.
 func TestAVX2SelectedWhereHostHasIt(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -42,6 +43,9 @@ func TestAVX2SelectedWhereHostHasIt(t *testing.T) {
 		avx2, popcnt := slices.Contains(fields, "avx2"), slices.Contains(fields, "popcnt")
 		if HasAVX2 != (avx2 && popcnt) {
 			t.Fatalf("HasAVX2 = %v, but cpuinfo's avx2 flag present = %v, popcnt = %v", HasAVX2, avx2, popcnt)
+		}
+		if avx512f := slices.Contains(fields, "avx512f"); HasAVX512F != avx512f {
+			t.Fatalf("HasAVX512F = %v, but cpuinfo's avx512f flag present = %v", HasAVX512F, avx512f)
 		}
 		return
 	}

@@ -10,7 +10,8 @@
 // same order in Go — scores the rest, and every row on other hosts; the panel
 // kernel's rows become cell lists 32 patients a step in the same file's
 // compactChunks, or in compactBytes in Go, and the lists are walked two per
-// call by its cellPairs, or by sumCells in Go. Every score an analysis reports,
+// call over two tiles by its tilePairs (AVX-512F), over one by its cellPairs
+// (AVX2), or one list and tile at a time by sumCells in Go. Every score an analysis reports,
 // the asymptotic tests' included, is one of these. The per-patient terms — a
 // block at a time into a UBlock, bit for bit Model.Contributions per row
 // (BlockKernel.Contributions) — serve only the asymptotic set tests' Liu
@@ -22,6 +23,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"sparkscore/internal/data"
 )
@@ -146,16 +148,24 @@ func PackedRowScores(blk data.GenoBlock, r, out []float64) []float64 {
 	if len(r) != blk.Patients {
 		panic(fmt.Sprintf("stats: block for %d patients, %d score residuals", blk.Patients, len(r)))
 	}
+	checkBlockShape(blk)
 	rows := blk.Rows()
-	if want := data.BlockRowBytes(blk.Patients); blk.RowBytes != want || len(blk.Packed) < rows*want {
-		panic(fmt.Sprintf("stats: block of %d rows for %d patients has %d-byte rows and %d packed bytes, want %d-byte rows",
-			rows, blk.Patients, blk.RowBytes, len(blk.Packed), want))
-	}
 	out = sized(out, rows)
 	for row := scoreRowGroups(blk, r, out); row < rows; row++ {
 		out[row] = packedRowScore(blk.Row(row), r)
 	}
 	return out
+}
+
+// checkBlockShape panics unless every row of the block is
+// BlockRowBytes(Patients) bytes and Packed holds them all: the check both
+// packed kernels run before they read a row.
+func checkBlockShape(blk data.GenoBlock) {
+	rows := blk.Rows()
+	if want := data.BlockRowBytes(blk.Patients); blk.RowBytes != want || len(blk.Packed) < rows*want {
+		panic(fmt.Sprintf("stats: block of %d rows for %d patients has %d-byte rows and %d packed bytes, want %d-byte rows",
+			rows, blk.Patients, blk.RowBytes, len(blk.Packed), want))
+	}
 }
 
 func packedRowScore(packed []byte, r []float64) float64 {
@@ -176,8 +186,8 @@ func packedRowScore(packed []byte, r []float64) float64 {
 }
 
 // panelTile is the number of panel columns scored per walk of a row's cell
-// list: one float64 accumulator each, a 64-byte cell — two ymm registers in
-// the amd64 walk.
+// list: one float64 accumulator each, a 64-byte cell — one zmm register in
+// the AVX-512 walk, two ymm registers in the AVX2 one.
 const panelTile = 8
 
 // panelCell is one table entry: c·r̃_i for the panelTile columns of a tile, at
@@ -191,8 +201,9 @@ type panelCell [panelTile]float64
 // never multiplies: a table of 1·r̃ and 2·r̃, column-tiled and patient-major,
 // each row turned into lists of the table cells of its non-zero patients
 // (compactLanes: 32 patients a step on amd64 with AVX2), and the cells added
-// into panelTile accumulators per list, two lists per sumCellPairs call — on
-// amd64 with AVX2 four ymm registers of four columns each.
+// into panelTile accumulators per list and tile, two lists over two adjacent
+// tiles per sumTilePairs call — on amd64 with AVX-512F four zmm registers of
+// eight columns each.
 //
 // Summation-order contract. A row's cells are listed in four lane segments,
 // lane l holding the patients i ≡ l (mod 4) in ascending i; each segment is
@@ -204,14 +215,21 @@ type panelCell [panelTile]float64
 // for bit PackedRowScores(blk, column k of R̃), whatever the width and
 // wherever in a batch the column sits. Width 1 is PackedRowScores itself.
 //
-// The table built by NewPanelKernel is immutable; the scratch beside it makes
-// a kernel single-goroutine, so concurrent tasks each Fork their own.
+// The table built by NewPanelKernel is immutable, and each Scores call takes
+// its cell-list scratch from the kernel's pool and returns it, so one kernel
+// serves every task of a job at once.
 type PanelKernel struct {
 	patients, width int
 	column          []float64   // width 1: the panel, handed to PackedRowScores
 	table           []panelCell // width > 1: tile t is table[t·2n:(t+1)·2n], cell 2i+c−1 = c·r̃_i
-	cells           []uint32    // row r, lane l lists at cells[(4r+l)·⌈n/4⌉:ends[4r+l]]
-	ends            []int
+	scratch         sync.Pool   // *panelScratch
+}
+
+// panelScratch is one Scores call's cell lists: row r, lane l lists at
+// cells[(4r+l)·⌈n/4⌉:ends[4r+l]].
+type panelScratch struct {
+	cells []uint32
+	ends  []int
 }
 
 // NewPanelKernel builds the kernel of a patients × width panel, patient-major
@@ -233,18 +251,12 @@ func NewPanelKernel(patients, width int, panel []float64) *PanelKernel {
 	return k
 }
 
-// Fork returns a kernel that shares k's table (or column) and owns fresh
-// scratch, so the two may run Scores concurrently.
-func (k *PanelKernel) Fork() *PanelKernel {
-	return &PanelKernel{patients: k.patients, width: k.width, column: k.column, table: k.table}
-}
-
 // dosageClass is codeScoring as the cell offset a class adds: missing (01) and
 // the reference homozygote (11) have no cell.
 var dosageClass = [4]uint32{2, 0, 1, 0}
 
 // Scores computes the block's rows × width marginal scores, row-major, into
-// out (grown as needed).
+// out (grown as needed). It is safe for concurrent use.
 func (k *PanelKernel) Scores(blk data.GenoBlock, out []float64) []float64 {
 	if k.width == 1 {
 		return PackedRowScores(blk, k.column, out)
@@ -253,9 +265,14 @@ func (k *PanelKernel) Scores(blk data.GenoBlock, out []float64) []float64 {
 	if blk.Patients != n {
 		panic(fmt.Sprintf("stats: block for %d patients, residual panel for %d", blk.Patients, n))
 	}
+	checkBlockShape(blk)
+	s, _ := k.scratch.Get().(*panelScratch)
+	if s == nil {
+		s = new(panelScratch)
+	}
 	quarter := (n + 3) / 4
-	k.cells, k.ends = sized(k.cells, rows*4*quarter), sized(k.ends, rows*4)
-	cells, ends := k.cells, k.ends
+	s.cells, s.ends = sized(s.cells, rows*4*quarter), sized(s.ends, rows*4)
+	cells, ends := s.cells, s.ends
 	out = sized(out, rows*width)
 
 	for r := 0; r < rows; r++ {
@@ -263,22 +280,41 @@ func (k *PanelKernel) Scores(blk data.GenoBlock, out []float64) []float64 {
 		*w = [4]int{4 * r * quarter, (4*r + 1) * quarter, (4*r + 2) * quarter, (4*r + 3) * quarter}
 		compactLanes(cells, blk.Row(r), n, w)
 	}
+	list := func(r, l int) []uint32 { return cells[(4*r+l)*quarter : ends[4*r+l]] }
 
-	// Tiles outermost, so one tile's 2n cells stay cache-resident across the
-	// block's rows.
-	for lo := 0; lo < width; lo += panelTile {
-		tile := k.table[lo/panelTile*2*n:][:2*n]
-		for r := 0; r < rows; r++ {
-			var lane [4]panelCell
-			list := func(l int) []uint32 { return cells[(4*r+l)*quarter : ends[4*r+l]] }
-			sumCellPairs(tile, list(0), list(1), (*[2]panelCell)(lane[:2]))
-			sumCellPairs(tile, list(2), list(3), (*[2]panelCell)(lane[2:]))
-			for c := range out[r*width+lo:][:min(panelTile, width-lo)] {
-				out[r*width+lo+c] = (lane[0][c] + lane[1][c]) + (lane[2][c] + lane[3][c])
+	// Tile pairs outermost, so their 4n cells stay cache-resident across the
+	// block's rows; an odd last tile is walked alone.
+	tiles := (width + panelTile - 1) / panelTile
+	for t := 0; t < tiles; t += 2 {
+		if t+1 == tiles {
+			tile := k.table[t*2*n:][:2*n]
+			for r := 0; r < rows; r++ {
+				var l01, l23 [2]panelCell
+				sumCellPairs(tile, list(r, 0), list(r, 1), &l01)
+				sumCellPairs(tile, list(r, 2), list(r, 3), &l23)
+				addLanes(out[r*width+t*panelTile:width*(r+1)], &l01[0], &l01[1], &l23[0], &l23[1])
 			}
+			break
+		}
+		pair := k.table[t*2*n:][:4*n]
+		for r := 0; r < rows; r++ {
+			var l01, l23 [4]panelCell // lanes 0–1 and 2–3: tile t, then t+1
+			sumTilePairs(pair, list(r, 0), list(r, 1), &l01)
+			sumTilePairs(pair, list(r, 2), list(r, 3), &l23)
+			addLanes(out[r*width+t*panelTile:][:panelTile], &l01[0], &l01[1], &l23[0], &l23[1])
+			addLanes(out[r*width+(t+1)*panelTile:width*(r+1)], &l01[2], &l01[3], &l23[2], &l23[3])
 		}
 	}
+	k.scratch.Put(s)
 	return out
+}
+
+// addLanes writes the first len(out) columns of a tile's four lane sums,
+// combined (l0 + l1) + (l2 + l3).
+func addLanes(out []float64, l0, l1, l2, l3 *panelCell) {
+	for c := range out[:min(len(out), panelTile)] {
+		out[c] = (l0[c] + l1[c]) + (l2[c] + l3[c])
+	}
 }
 
 // compactLanes appends the table cells of a packed row's n patients to its
@@ -316,9 +352,22 @@ func compactBytes(cells []uint32, packed []byte, n, from int, w *[4]int) {
 	}
 }
 
+// sumTilePairs is sumCellPairs(tile, a, b, sums[:2]) over tile t, the first
+// len(pair)/2 cells of pair, then sumCellPairs(tile, a, b, sums[2:]) over tile
+// t+1, the next as many, bit for bit: in one walk of both tiles where the host
+// has AVX-512F. On an out-of-range index, or without AVX-512F, it runs exactly
+// those two calls, which panic on the index as indexing does.
+func sumTilePairs(pair []panelCell, a, b []uint32, sums *[4]panelCell) {
+	if !walkTilePairs(pair, a, b, sums) {
+		half := len(pair) / 2
+		sumCellPairs(pair[:half], a, b, (*[2]panelCell)(sums[:2]))
+		sumCellPairs(pair[half:2*half], a, b, (*[2]panelCell)(sums[2:]))
+	}
+}
+
 // sumCells adds the listed cells of a tile into sum, in list order from +0:
-// the panel kernel's walk, run through sumCellPairs. It is that walk off
-// amd64 and the oracle of the amd64 one.
+// the panel kernel's walk, run through sumTilePairs and sumCellPairs. It is
+// that walk off amd64 and the oracle of the amd64 ones.
 func sumCells(tile []panelCell, list []uint32, sum *panelCell) {
 	var a0, a1, a2, a3, a4, a5, a6, a7 float64
 	// Bottom-tested, so each accumulator's only use inside the loop is its own

@@ -1,10 +1,11 @@
-// The amd64 entry points of the two float walks, packedRows4 and cellPairs
-// in kernel_amd64.s, AVX2 without FMA, so each lane or column is its own
-// chain of rounded products and adds in the written order, and of the panel
-// kernel's lane-list compaction, compactChunks, the same lists as the Go loop
-// 32 patients a step. data's CPUID/XGETBV check, run at init, selects them; a
-// host without AVX2 runs what other GOARCHes run (kernel_generic.go), the
-// same results in Go.
+// The amd64 entry points of the float walks, packedRows4 and cellPairs in
+// AVX2 and tilePairs in AVX-512F in kernel_amd64.s, without FMA, so each
+// lane or column is its own chain of rounded products and adds in the
+// written order, and of the panel kernel's lane-list compaction,
+// compactChunks, the same lists as the Go loop 32 patients a step. data's
+// CPUID/XGETBV check, run at init, selects them; a host without AVX-512F
+// walks tile pairs as two cellPairs calls, and a host without AVX2 runs what
+// other GOARCHes run (kernel_generic.go), the same results in Go.
 
 package stats
 
@@ -14,9 +15,13 @@ import (
 	"sparkscore/internal/data"
 )
 
-// useAVX2 selects the assembly routines: data's CPUID/XGETBV check, the one
-// probe, read once at init.
-var useAVX2 = data.HasAVX2
+// useAVX2 selects the AVX2 routines and useAVX512 tilePairs: data's
+// CPUID/XGETBV check, the one probe, read once at init. Only tests write
+// them, to run the slower walks on a host that has the faster ones.
+var (
+	useAVX2   = data.HasAVX2
+	useAVX512 = data.HasAVX512F
+)
 
 // dosageQuads[v] holds the dosages of byte v's four 2-bit codes in lane
 // order, so one 32-byte load hands packedRows4 a whole byte: one ymm
@@ -53,6 +58,19 @@ func sumCellPairs(tile []panelCell, a, b []uint32, sums *[2]panelCell) {
 		sumCells(tile, a, &sums[0])
 		sumCells(tile, b, &sums[1])
 	}
+}
+
+// tilePairs is in kernel_amd64.s. It reads the listed cells of both tiles of
+// pair, each index checked against len(pair)/2 first, and reports false,
+// with sums unwritten, at the first out of range.
+//
+//go:noescape
+func tilePairs(pair []panelCell, a, b []uint32, sums *[4]panelCell) bool
+
+// walkTilePairs runs sumTilePairs in one tilePairs call where the host has
+// AVX-512F, and reports whether it did.
+func walkTilePairs(pair []panelCell, a, b []uint32, sums *[4]panelCell) bool {
+	return useAVX512 && tilePairs(pair, a, b, sums)
 }
 
 // scoreRowGroups scores the block's rows four at a time in PackedRowScores'

@@ -160,6 +160,109 @@ bad:
 	MOVB $0, ret+80(FP)
 	RET
 
+// func tilePairs(pair []panelCell, a, b []uint32, sums *[4]panelCell) bool
+//
+// cellPairs over two adjacent tiles in one walk: pair holds tile t in its
+// first len(pair)/2 cells and tile t+1 in the next as many, and sums[0] and
+// sums[1] are lists a and b over tile t, sums[2] and sums[3] over tile t+1.
+// A 64-byte cell is one zmm VADDPD with a memory operand into its list's and
+// tile's accumulator — Z0 a on t, Z1 b on t, Z2 a on t+1, Z3 b on t+1 — so
+// every column of every list on every tile is its own chain and adds its
+// terms in sumCells' order. The lists are walked together up to the shorter
+// length, then the longer one's tail alone. Every index is compared with the
+// tile's cell count before its loads; on the first that is out of range the
+// routine returns false and writes nothing. AVX-512F only: the zeroing is
+// VPXORQ, not VXORPD, which on zmm needs AVX-512DQ.
+TEXT ·tilePairs(SB), NOSPLIT, $0-81
+	MOVQ pair_base+0(FP), SI
+	MOVQ pair_len+8(FP), DX
+	MOVQ a_base+24(FP), R8
+	MOVQ a_len+32(FP), R9
+	MOVQ b_base+48(FP), R10
+	MOVQ b_len+56(FP), R11
+	MOVQ sums+72(FP), DI
+
+	// DX = the cells of one tile; R13 = tile t+1.
+	SHRQ $1, DX
+	MOVQ DX, R13
+	SHLQ $6, R13
+	ADDQ SI, R13
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+
+	// R12 = min(len(a), len(b)): the shared walk.
+	MOVQ    R9, R12
+	CMPQ    R11, R12
+	CMOVQLT R11, R12
+
+	XORQ CX, CX
+	CMPQ CX, R12
+	JAE  atail
+
+pairs:
+	MOVLQZX (R8)(CX*4), AX
+	CMPQ    AX, DX
+	JAE     bad
+	MOVLQZX (R10)(CX*4), BX
+	CMPQ    BX, DX
+	JAE     bad
+	SHLQ    $6, AX
+	SHLQ    $6, BX
+
+	VADDPD (SI)(AX*1), Z0, Z0
+	VADDPD (SI)(BX*1), Z1, Z1
+	VADDPD (R13)(AX*1), Z2, Z2
+	VADDPD (R13)(BX*1), Z3, Z3
+
+	INCQ CX
+	CMPQ CX, R12
+	JB   pairs
+
+	// At most one of the two tails below is non-empty.
+atail:
+	CMPQ    CX, R9
+	JAE     btail
+	MOVLQZX (R8)(CX*4), AX
+	CMPQ    AX, DX
+	JAE     bad
+	SHLQ    $6, AX
+	VADDPD  (SI)(AX*1), Z0, Z0
+	VADDPD  (R13)(AX*1), Z2, Z2
+	INCQ    CX
+	JMP     atail
+
+btail:
+	MOVQ R12, CX
+
+bloop:
+	CMPQ    CX, R11
+	JAE     done
+	MOVLQZX (R10)(CX*4), BX
+	CMPQ    BX, DX
+	JAE     bad
+	SHLQ    $6, BX
+	VADDPD  (SI)(BX*1), Z1, Z1
+	VADDPD  (R13)(BX*1), Z3, Z3
+	INCQ    CX
+	JMP     bloop
+
+done:
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VZEROUPPER
+	MOVB    $1, ret+80(FP)
+	RET
+
+bad:
+	VZEROUPPER
+	MOVB $0, ret+80(FP)
+	RET
+
 // laneBase is the class-2 cell of lane 0 for each byte j of an 8-byte chunk,
 // 8j+1, as eight dwords; laneOne and laneStep are broadcast.
 DATA laneBase<>+0(SB)/4, $1

@@ -3,6 +3,8 @@ package stats
 import (
 	"strings"
 	"testing"
+
+	"sparkscore/internal/data"
 )
 
 // TestLaneChunksChecksItsBounds: before compactChunks runs, its wrapper
@@ -27,5 +29,22 @@ func TestLaneChunksChecksItsBounds(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// eachWalk runs f once per cell walk the host has, named: in Go, as a host
+// without AVX2 walks; with AVX2 alone, as a host without AVX-512F does; and
+// with AVX-512F. It restores the host's own selection after.
+func eachWalk(f func(walk string)) {
+	defer func(avx2, avx512 bool) { useAVX2, useAVX512 = avx2, avx512 }(useAVX2, useAVX512)
+	for _, body := range []struct {
+		name         string
+		avx2, avx512 bool
+	}{{"go", false, false}, {"avx2", true, false}, {"avx512", true, true}} {
+		if body.avx2 && !data.HasAVX2 || body.avx512 && !data.HasAVX512F {
+			continue
+		}
+		useAVX2, useAVX512 = body.avx2, body.avx512
+		f(body.name)
 	}
 }

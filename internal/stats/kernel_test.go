@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"sparkscore/internal/data"
@@ -406,8 +407,10 @@ func FuzzPackedRowScores(f *testing.F) {
 
 // TestPackedRowScoresRejectsMalformedBlocks: a block whose packed bytes are
 // shorter than its rows, or whose row stride is not BlockRowBytes(Patients) —
-// what a corrupt spill frame could decode to — panics before any row is
-// scored, instead of letting the kernel read past what the block holds.
+// what a corrupt spill frame could decode to — panics with a stats: message
+// before any row is scored, instead of letting the kernel read past what the
+// block holds or score the wrong bytes: PackedRowScores, and the panel kernel
+// at width 8 (one tile) and 16 (a tile pair), which share its check.
 func TestPackedRowScoresRejectsMalformedBlocks(t *testing.T) {
 	const patients, rows = 1003, 9
 	ph, good := kernelFixture(t, patients, rows, false)
@@ -416,6 +419,17 @@ func TestPackedRowScoresRejectsMalformedBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := model.ScoreResiduals()
+	_, panel8 := panelFixture(8, patients, 0, 8, nil, 0, 0)
+	_, panel16 := panelFixture(16, patients, 0, 16, nil, 0, 0)
+	scorers := []struct {
+		name  string
+		width int
+		score func(blk data.GenoBlock, out []float64)
+	}{
+		{"PackedRowScores", 1, func(blk data.GenoBlock, out []float64) { PackedRowScores(blk, r, out) }},
+		{"panel width 8", 8, func(blk data.GenoBlock, out []float64) { NewPanelKernel(patients, 8, panel8).Scores(blk, out) }},
+		{"panel width 16", 16, func(blk data.GenoBlock, out []float64) { NewPanelKernel(patients, 16, panel16).Scores(blk, out) }},
+	}
 	for _, tc := range []struct {
 		name  string
 		block func(b *data.GenoBlock)
@@ -429,22 +443,24 @@ func TestPackedRowScoresRejectsMalformedBlocks(t *testing.T) {
 	} {
 		blk := good
 		tc.block(&blk)
-		out := make([]float64, rows)
-		for i := range out {
-			out[i] = -1
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: PackedRowScores did not panic", tc.name)
-				}
+		for _, sc := range scorers {
+			out := make([]float64, rows*sc.width)
+			for i := range out {
+				out[i] = -1
+			}
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "stats: ") {
+						t.Errorf("%s: %s panicked with %q, want a stats: message", tc.name, sc.name, msg)
+					}
+				}()
+				sc.score(blk, out)
 			}()
-			PackedRowScores(blk, r, out)
-		}()
-		for i, v := range out {
-			if v != -1 {
-				t.Errorf("%s: row %d scored (%v) before the panic", tc.name, i, v)
-				break
+			for i, v := range out {
+				if v != -1 {
+					t.Errorf("%s: %s scored %d (%v) before the panic", tc.name, sc.name, i, v)
+					break
+				}
 			}
 		}
 	}

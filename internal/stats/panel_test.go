@@ -77,26 +77,30 @@ func checkPanelColumns(t *testing.T, blk data.GenoBlock, panel []float64, width 
 // compaction's 32-patient AVX2 steps — none, exactly one, one and a partial
 // byte, one and a tail, two, two and a tail, four and a partial byte; the
 // benchmark's cohorts and one that ends mid-byte; width 1, a lone partial
-// tile, a whole tile, tile-and-tail, and core's tail and batch widths.
+// tile, a whole tile, tile-and-tail, one tile pair, a pair and an odd tile,
+// core's tail and batch widths, and the all-pairs cross's 256-phenotype
+// batch.
 var (
 	panelPatients = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65, 129, 500, 503, 1000}
-	panelWidths   = []int{1, 2, 7, 8, 9, 44, 64}
+	panelWidths   = []int{1, 2, 7, 8, 9, 16, 24, 44, 64, 256}
 )
 
 // TestPanelKernelMatchesPackedRowScoresBitwise is the panel kernel's
 // contract: whatever the width, every column is PackedRowScores on that
 // column, with missing calls present, monomorphic and saturated rows, and the
-// empty block.
+// empty block, on every cell walk the host has.
 func TestPanelKernelMatchesPackedRowScoresBitwise(t *testing.T) {
 	maf := func(row int) float64 { return []float64{0, 0.02, 0.3, 0.5, 1}[row%5] }
-	for _, patients := range panelPatients {
-		for _, rows := range []int{0, 1, 11} {
-			for _, width := range panelWidths {
-				blk, panel := panelFixture(uint64(patients*1000+rows*100+width), patients, rows, width, maf, 0.05, 0.25)
-				checkPanelColumns(t, blk, panel, width)
+	walkBodies(t, func(t *testing.T) {
+		for _, patients := range panelPatients {
+			for _, rows := range []int{0, 1, 11} {
+				for _, width := range panelWidths {
+					blk, panel := panelFixture(uint64(patients*1000+rows*100+width), patients, rows, width, maf, 0.05, 0.25)
+					checkPanelColumns(t, blk, panel, width)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestPanelKernelReusesScratchAcrossBlocks scores blocks of different row
@@ -117,11 +121,12 @@ func TestPanelKernelReusesScratchAcrossBlocks(t *testing.T) {
 	}
 }
 
-// TestPanelKernelForksShareTheTable runs forks of one kernel on different
-// blocks at once, as a job's fold tasks do; under -race this pins the table
-// (or the width-1 column) as read-only in Scores, and every fork must score
-// bit for bit like a fresh kernel.
-func TestPanelKernelForksShareTheTable(t *testing.T) {
+// TestPanelKernelScoresConcurrently runs Scores calls on one kernel and
+// different blocks at once, as a job's fold tasks do; under -race this pins
+// the table (or the width-1 column) as read-only in Scores and each call's
+// cell lists as its own, and every call must score bit for bit like a fresh
+// kernel.
+func TestPanelKernelScoresConcurrently(t *testing.T) {
 	const patients = 67
 	for _, width := range []int{1, 19} {
 		_, panel := panelFixture(3, patients, 0, width, nil, 0, 0.1)
@@ -133,13 +138,12 @@ func TestPanelKernelForksShareTheTable(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				fork := shared.Fork()
 				var out []float64
 				for range 20 {
-					out = fork.Scores(blk, out)
+					out = shared.Scores(blk, out)
 					for i, v := range out {
 						if math.Float64bits(v) != math.Float64bits(want[i]) {
-							t.Errorf("width %d, %d rows: a fork scores %v at %d, a fresh kernel %v", width, rows, v, i, want[i])
+							t.Errorf("width %d, %d rows: a shared kernel scores %v at %d, a fresh kernel %v", width, rows, v, i, want[i])
 							return
 						}
 					}
@@ -386,11 +390,11 @@ func TestCheckResiduals(t *testing.T) {
 }
 
 // FuzzPanelKernel is the same bitwise pin over fuzzer-chosen shapes, 2-bit
-// codes (the missing code included) and raw float bit patterns: the first
-// three bytes pick patients, width and rows, the rest is read cyclically, two
-// bits a genotype and then eight bytes a panel value. The contract holds for
-// panels whose doubles are finite, so a pattern that is not has its top
-// exponent bit cleared.
+// codes (the missing code included) and raw float bit patterns, on every cell
+// walk the host has: the first three bytes pick patients, width and rows, the
+// rest is read cyclically, two bits a genotype and then eight bytes a panel
+// value. The contract holds for panels whose doubles are finite, so a pattern
+// that is not has its top exponent bit cleared.
 func FuzzPanelKernel(f *testing.F) {
 	f.Add([]byte{3, 4, 2, 0x1b, 0xe4, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -424,13 +428,16 @@ func FuzzPanelKernel(f *testing.F) {
 			}
 			panel[i] = math.Float64frombits(bits)
 		}
-		checkPanelColumns(t, blk, panel, width)
+		eachWalk(func(walk string) {
+			t.Logf("walk: %s", walk)
+			checkPanelColumns(t, blk, panel, width)
+		})
 	})
 }
 
 // BenchmarkPackedPanel measures the Monte Carlo kernel as a job runs it: the
-// kernel built once, as the driver builds it, and forked per pass, as a fold
-// task forks it (the fork's scratch is allocated per pass and counted),
+// kernel built once, as the driver builds it, and shared by every pass, as
+// a job's fold tasks share it (the scratch comes from the kernel's pool),
 // scoring mc_cached's genotype matrix — 20 000 SNPs in blocks of 256, minor
 // allele frequencies ~ U(0.01, 0.5) as gen draws them — and reports ns per
 // (genotype, replicate). The widths are the b = 1 of a served Replicate
@@ -453,9 +460,8 @@ func BenchmarkPackedPanel(b *testing.B) {
 				var out []float64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					k := shared.Fork()
 					for _, blk := range blocks {
-						out = k.Scores(blk, out)
+						out = shared.Scores(blk, out)
 					}
 				}
 				elems := float64(b.N) * snps * float64(patients) * float64(width)
@@ -465,11 +471,29 @@ func BenchmarkPackedPanel(b *testing.B) {
 	}
 }
 
-// pairOutcome runs walk and reports its two sums, or what it panicked with.
-func pairOutcome(walk func(*[2]panelCell)) (sums [2]panelCell, panicked any) {
+// walkOutcome runs walk and reports its sums, or what it panicked with.
+func walkOutcome[S any](walk func(*S)) (sums S, panicked any) {
 	defer func() { panicked = recover() }()
 	walk(&sums)
 	return sums, nil
+}
+
+// checkWalk requires a walk's sums to equal sumCells': the same panic, or the
+// same bits in every column of every sum (or NaN both, when nan is set).
+func checkWalk(t *testing.T, shape, walk string, got, want []panelCell, gotPanic, wantPanic any, nan bool) {
+	t.Helper()
+	if fmt.Sprint(gotPanic) != fmt.Sprint(wantPanic) {
+		t.Fatalf("%s: %s panicked with %v, sumCells with %v", shape, walk, gotPanic, wantPanic)
+	}
+	for l := range want {
+		for c, w := range want[l] {
+			g := got[l][c]
+			if math.Float64bits(g) != math.Float64bits(w) && !(nan && math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("%s: %s sum %d column %d is %v (%#x), sumCells gives %v (%#x)",
+					shape, walk, l, c, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
 }
 
 // checkCellPairs requires sumCellPairs(tile, a, b) to equal sumCells over a
@@ -477,36 +501,39 @@ func pairOutcome(walk func(*[2]panelCell)) (sums [2]panelCell, panicked any) {
 // set), or the same panic.
 func checkCellPairs(t *testing.T, tile []panelCell, a, b []uint32, nan bool) {
 	t.Helper()
-	want, wantPanic := pairOutcome(func(s *[2]panelCell) {
+	want, wantPanic := walkOutcome(func(s *[2]panelCell) {
 		sumCells(tile, a, &s[0])
 		sumCells(tile, b, &s[1])
 	})
-	got, gotPanic := pairOutcome(func(s *[2]panelCell) { sumCellPairs(tile, a, b, s) })
-	if fmt.Sprint(gotPanic) != fmt.Sprint(wantPanic) {
-		t.Fatalf("lists of %d and %d over %d cells: sumCellPairs panicked with %v, sumCells with %v",
-			len(a), len(b), len(tile), gotPanic, wantPanic)
-	}
-	for l := range want {
-		for c, w := range want[l] {
-			g := got[l][c]
-			if math.Float64bits(g) != math.Float64bits(w) && !(nan && math.IsNaN(g) && math.IsNaN(w)) {
-				t.Fatalf("lists of %d and %d over %d cells: list %d column %d is %v (%#x), sumCells gives %v (%#x)",
-					len(a), len(b), len(tile), l, c, g, math.Float64bits(g), w, math.Float64bits(w))
-			}
-		}
-	}
+	got, gotPanic := walkOutcome(func(s *[2]panelCell) { sumCellPairs(tile, a, b, s) })
+	shape := fmt.Sprintf("lists of %d and %d over %d cells", len(a), len(b), len(tile))
+	checkWalk(t, shape, "sumCellPairs", got[:], want[:], gotPanic, wantPanic, nan)
 }
 
-// TestSumCellPairsMatchesSumCells pins the two-list walk to two sumCells
-// calls bit for bit over every pairing of list lengths — equal, shorter
-// first and longer first, either list empty — on a tile mixing ±0,
-// subnormals and magnitudes from 1e-300 to 1e300, and requires an index
-// equal to len(tile) or MaxUint32, in either list, in the shared walk or in
-// a tail, to panic as sumCells does.
-func TestSumCellPairsMatchesSumCells(t *testing.T) {
-	r := rng.New(26)
+// checkTilePairs requires sumTilePairs(pair, a, b) to equal sumCells over a
+// then over b on the pair's first tile, then over a and b on its second: the
+// same bits in all thirty-two columns (or NaN both, when nan is set), or the
+// same panic.
+func checkTilePairs(t *testing.T, pair []panelCell, a, b []uint32, nan bool) {
+	t.Helper()
+	half := len(pair) / 2
+	want, wantPanic := walkOutcome(func(s *[4]panelCell) {
+		sumCells(pair[:half], a, &s[0])
+		sumCells(pair[:half], b, &s[1])
+		sumCells(pair[half:2*half], a, &s[2])
+		sumCells(pair[half:2*half], b, &s[3])
+	})
+	got, gotPanic := walkOutcome(func(s *[4]panelCell) { sumTilePairs(pair, a, b, s) })
+	shape := fmt.Sprintf("lists of %d and %d over two tiles of %d cells", len(a), len(b), half)
+	checkWalk(t, shape, "sumTilePairs", got[:], want[:], gotPanic, wantPanic, nan)
+}
+
+// cellWalkFixture returns a tile of the given cell count mixing ±0,
+// subnormals and magnitudes from 1e-300 to 1e300, and a drawer of lists of
+// its cells.
+func cellWalkFixture(r *rng.RNG, cells int) ([]panelCell, func(n int) []uint32) {
 	edge := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1030, 1e300, -1e300, 1e-300}
-	tile := make([]panelCell, 53)
+	tile := make([]panelCell, cells)
 	for i := range tile {
 		for c := range tile[i] {
 			if r.Bernoulli(0.3) {
@@ -519,43 +546,93 @@ func TestSumCellPairsMatchesSumCells(t *testing.T) {
 	list := func(n int) []uint32 {
 		l := make([]uint32, n)
 		for i := range l {
-			l[i] = uint32(r.Intn(len(tile)))
+			l[i] = uint32(r.Intn(cells))
 		}
 		return l
 	}
-	lengths := []int{0, 1, 2, 3, 7, 64, 257}
-	for _, la := range lengths {
-		for _, lb := range lengths {
-			checkCellPairs(t, tile, list(la), list(lb), false)
-		}
-	}
-	for _, bad := range []uint32{uint32(len(tile)), math.MaxUint32} {
-		for _, la := range []int{1, 3, 7} {
-			for _, lb := range []int{1, 3, 7} {
-				for side := 0; side < 2; side++ {
-					for _, first := range []bool{true, false} {
-						a, b := list(la), list(lb)
-						l := [2][]uint32{a, b}[side]
-						if first {
-							l[0] = bad
-						} else {
-							l[len(l)-1] = bad
-						}
-						checkCellPairs(t, tile, a, b, false)
+	return tile, list
+}
+
+// walkLengths are the list lengths the walks are pinned at, every pairing of
+// them: either list empty, shorter than, as long as and longer than the
+// other, and long.
+var walkLengths = []int{0, 1, 2, 3, 7, 64, 257}
+
+// badIndexLists calls check on lists of 1, 3 and 7 entries with one index
+// set to bad, in either list, first (the shared walk) or last (a tail, or
+// the shared walk's last step).
+func badIndexLists(list func(n int) []uint32, bad uint32, check func(a, b []uint32)) {
+	for _, la := range []int{1, 3, 7} {
+		for _, lb := range []int{1, 3, 7} {
+			for side := 0; side < 2; side++ {
+				for _, first := range []bool{true, false} {
+					a, b := list(la), list(lb)
+					l := [2][]uint32{a, b}[side]
+					if first {
+						l[0] = bad
+					} else {
+						l[len(l)-1] = bad
 					}
+					check(a, b)
 				}
 			}
 		}
 	}
 }
 
+// TestSumCellPairsMatchesSumCells pins the two-list walk to two sumCells
+// calls bit for bit, on every cell walk the host has, over every pairing of
+// list lengths on a tile mixing ±0, subnormals and magnitudes from 1e-300 to
+// 1e300, and requires an index equal to len(tile) or MaxUint32, in either
+// list, in the shared walk or in a tail, to panic as sumCells does.
+func TestSumCellPairsMatchesSumCells(t *testing.T) {
+	walkBodies(t, func(t *testing.T) {
+		tile, list := cellWalkFixture(rng.New(26), 53)
+		for _, la := range walkLengths {
+			for _, lb := range walkLengths {
+				checkCellPairs(t, tile, list(la), list(lb), false)
+			}
+		}
+		for _, bad := range []uint32{uint32(len(tile)), math.MaxUint32} {
+			badIndexLists(list, bad, func(a, b []uint32) { checkCellPairs(t, tile, a, b, false) })
+		}
+	})
+}
+
+// TestSumTilePairsMatchesSumCells pins the two-tile walk to four sumCells
+// calls bit for bit, on every cell walk the host has: two tiles of different
+// values, every pairing of list lengths, and an index out of range of a tile
+// — its cell count, which is the second tile's first cell, the pair's length,
+// or MaxUint32 — in either list, the shared walk or a tail, panicking as
+// sumCells does on the first tile.
+func TestSumTilePairsMatchesSumCells(t *testing.T) {
+	walkBodies(t, func(t *testing.T) {
+		const cells = 53
+		r := rng.New(27)
+		first, list := cellWalkFixture(r, cells)
+		second, _ := cellWalkFixture(r, cells)
+		pair := append(first, second...)
+		for _, la := range walkLengths {
+			for _, lb := range walkLengths {
+				checkTilePairs(t, pair, list(la), list(lb), false)
+			}
+		}
+		for _, bad := range []uint32{cells, 2 * cells, math.MaxUint32} {
+			badIndexLists(list, bad, func(a, b []uint32) { checkTilePairs(t, pair, a, b, false) })
+		}
+	})
+}
+
 // FuzzSumCellPairs is the same pin over arbitrary tile bits, NaN and ±Inf
-// included, and arbitrary lists: equal bits or NaN both, or the same panic.
-// The first three bytes pick the tile's cell count and the two list lengths
-// (a length byte below 0xf0 is a length below 40, 0xf0–0xff the long lists
-// 242–257); the rest is read cyclically, one byte an index (0xfe is
-// len(tile), 0xff MaxUint32, anything else an in-range cell) and then eight
-// bytes a tile value.
+// included, and arbitrary lists, for both walks — the two-list walk over the
+// first tile and the two-tile walk over both — on every cell walk the host
+// has: equal bits or NaN both, or the same panic. The first three bytes pick
+// a tile's cell count and the two list lengths (a length byte below 0xf0 is
+// a length below 40, 0xf0–0xff the long lists 242–257); the rest is read
+// cyclically, one byte an index (0xfe is a tile's cell count — out of range
+// of a tile, the second tile's first cell in the pair — 0xff MaxUint32,
+// anything else an in-range cell) and then eight bytes a tile value, the
+// first tile's values before the second's.
 func FuzzSumCellPairs(f *testing.F) {
 	f.Add([]byte{3, 5, 2, 0, 1, 2, 3, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -589,16 +666,25 @@ func FuzzSumCellPairs(f *testing.F) {
 		for i := range b {
 			b[i] = index()
 		}
-		tile := make([]panelCell, cells)
-		for i := range tile {
-			for c := range tile[i] {
+		pair := make([]panelCell, 2*cells)
+		for i := range pair {
+			for c := range pair[i] {
 				var v [8]byte
 				for j := range v {
 					v[j] = next()
 				}
-				tile[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(v[:]))
+				pair[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(v[:]))
 			}
 		}
-		checkCellPairs(t, tile, a, b, true)
+		eachWalk(func(walk string) {
+			t.Logf("walk: %s", walk)
+			checkCellPairs(t, pair[:cells], a, b, true)
+			checkTilePairs(t, pair, a, b, true)
+		})
 	})
+}
+
+// walkBodies runs f as one subtest per cell walk the host has (eachWalk).
+func walkBodies(t *testing.T, f func(t *testing.T)) {
+	eachWalk(func(walk string) { t.Run(walk, f) })
 }

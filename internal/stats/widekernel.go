@@ -34,6 +34,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"sparkscore/internal/data"
 )
@@ -50,14 +51,19 @@ var byteDosage = func() (t [256]uint8) {
 
 // WideKernel scores every (SNP, phenotype) pair of a genotype block against a
 // batch of phenotype models in one pass per SNP. The panel kernel built by
-// NewWideKernel is immutable; the scratch beside it makes a kernel
-// single-goroutine, so concurrent tasks each Fork their own.
+// NewWideKernel is immutable, and each BlockRows call takes its scratch from
+// the kernel's pool and returns it, so one kernel serves every task of a job
+// at once.
 type WideKernel struct {
-	panel  *PanelKernel
-	scales []float64 // per-phenotype variance factors; len is the batch width
+	panel   *PanelKernel
+	scales  []float64 // per-phenotype variance factors; len is the batch width
+	scratch sync.Pool // *wideScratch
+}
 
-	means  []float64 // per-row mean dosage of the current block
-	ss     []float64 // per-row centered sum of squares of the current block
+// wideScratch is one BlockRows call's row moments and scores.
+type wideScratch struct {
+	means  []float64 // per-row mean dosage of the block
+	ss     []float64 // per-row centered sum of squares of the block
 	scores []float64 // rows × phenotypes, row-major
 	vars   []float64 // the current row's variance per phenotype
 }
@@ -111,12 +117,6 @@ func NewWideKernel(models []Model) (*WideKernel, error) {
 	return &WideKernel{panel: NewPanelKernel(n, width, panel), scales: scales}, nil
 }
 
-// Fork returns a kernel that shares k's panel kernel's table and owns fresh
-// scratch, so the two may run BlockRows concurrently.
-func (k *WideKernel) Fork() *WideKernel {
-	return &WideKernel{panel: k.panel.Fork(), scales: k.scales}
-}
-
 // BlockStats visits every (SNP, phenotype) pair of the block in row-major
 // order (all phenotypes of row 0, then row 1, ...), passing the marginal
 // score and its null variance: BlockRows, one call per pair.
@@ -131,20 +131,25 @@ func (k *WideKernel) BlockStats(blk data.GenoBlock, visit func(snp int32, pheno 
 // BlockRows visits the block's SNP rows in order, one call per row: the SNP
 // id, scores[p] — the marginal score against phenotype p of the batch — and
 // variances[p] = scale_p · Σ_i (G_ij − Ḡ_j)², its null variance. Both slices
-// have one entry per phenotype and are the kernel's scratch, overwritten by
-// the next row: a consumer that keeps a value copies it.
+// have one entry per phenotype and are scratch, valid only until row returns:
+// a consumer that keeps a value copies it. It is safe for concurrent use.
 func (k *WideKernel) BlockRows(blk data.GenoBlock, row func(snp int32, scores, variances []float64)) {
 	m, rows := len(k.scales), blk.Rows()
-	k.scores = k.panel.Scores(blk, k.scores)
-	k.means, k.ss, k.vars = sized(k.means, rows), sized(k.ss, rows), sized(k.vars, m)
-	rowMeans(blk, k.means)
-	rowSquares(blk, k.means, k.ss)
+	s, _ := k.scratch.Get().(*wideScratch)
+	if s == nil {
+		s = new(wideScratch)
+	}
+	s.scores = k.panel.Scores(blk, s.scores)
+	s.means, s.ss, s.vars = sized(s.means, rows), sized(s.ss, rows), sized(s.vars, m)
+	rowMeans(blk, s.means)
+	rowSquares(blk, s.means, s.ss)
 	for r := 0; r < rows; r++ {
 		for p, scale := range k.scales {
-			k.vars[p] = scale * k.ss[r]
+			s.vars[p] = scale * s.ss[r]
 		}
-		row(blk.SNPs[r], k.scores[r*m:][:m], k.vars)
+		row(blk.SNPs[r], s.scores[r*m:][:m], s.vars)
 	}
+	k.scratch.Put(s)
 }
 
 // rowMeans sets means[r] to row r's mean scoring dosage, off the packed bytes

@@ -205,9 +205,10 @@ func TestWideKernelShapeMatrix(t *testing.T) {
 	}
 }
 
-// TestWideKernelForksShareTheTable runs two forks of one kernel on different
-// blocks at once; under -race this pins the table as read-only in BlockStats.
-func TestWideKernelForksShareTheTable(t *testing.T) {
+// TestWideKernelBlockRowsConcurrently runs BlockStats calls on one kernel
+// and different blocks at once, as a job's fold tasks do; under -race this
+// pins the table as read-only and each call's scratch as its own.
+func TestWideKernelBlockRowsConcurrently(t *testing.T) {
 	const patients, phenos = 37, 13
 	r := rng.New(99)
 	models := wideModels(r, patients, phenos, false)
@@ -221,9 +222,8 @@ func TestWideKernelForksShareTheTable(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fork := k.Fork()
 			for i := 0; i < 20; i++ {
-				checkBlockBitwise(t, fork, models, blk)
+				checkBlockBitwise(t, k, models, blk)
 			}
 		}()
 	}
@@ -339,7 +339,7 @@ func benchWideKernel(b *testing.B, models []Model, blk data.GenoBlock) {
 	}
 	var sink float64
 	visit := func(snp int32, pheno int, score, variance float64) { sink += score + variance }
-	k.BlockStats(blk, visit) // sizes the scratch, so the timed calls allocate nothing
+	k.BlockStats(blk, visit) // fills the scratch pool, so the timed calls allocate nothing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
