@@ -75,6 +75,9 @@ func main() {
 		progress  = flag.Bool("progress", false, "print job/stage/recovery progress as the analysis runs")
 	)
 	flag.Parse()
+	if *method != "mc" && *method != "perm" {
+		fatal(fmt.Errorf(`-method %q: must be "mc" or "perm"`, *method))
+	}
 	if *top < 0 {
 		fatal(fmt.Errorf("-top %d: must be non-negative", *top))
 	}
@@ -166,8 +169,6 @@ func main() {
 		res, err = analysis.MonteCarlo(*iterations)
 	case "perm":
 		res, err = analysis.Permutation(*iterations)
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
 	}
 	if err != nil {
 		fatal(err)
@@ -234,16 +235,20 @@ type eqtlOptions struct {
 	out    string
 }
 
-// runEQTL stages the genotypes beside a generated expression matrix, runs the
-// all-pairs cross, prints the most significant pairs, and writes the
+// runEQTL stages the dataset and beside it a generated expression matrix,
+// runs the all-pairs cross, prints the most significant pairs, and writes the
 // deterministic report when -out is set.
 func runEQTL(ctx *rdd.Context, ds *data.Dataset, o eqtlOptions) error {
 	expr := gen.ExpressionMatrix(gen.Config{Patients: ds.Phenotype.Patients()}, rng.New(o.seed), o.phenos)
-	paths, err := assoc.Stage(ctx, ds.Genotypes, expr, "eqtl")
+	paths, err := core.StageDataset(ctx, ds, "eqtl")
 	if err != nil {
 		return err
 	}
-	a, err := assoc.NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, assoc.Config{TopK: o.topK})
+	const phenoMatrixPath = "eqtl/phenomatrix.txt"
+	if err := assoc.StagePhenotypes(ctx, phenoMatrixPath, expr); err != nil {
+		return err
+	}
+	a, err := assoc.NewAnalysis(ctx, paths.Genotypes, phenoMatrixPath, assoc.Config{TopK: o.topK})
 	if err != nil {
 		return err
 	}

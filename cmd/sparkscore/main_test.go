@@ -123,11 +123,13 @@ func TestDeletedFlagsStayDeleted(t *testing.T) {
 }
 
 // TestNegativeTopRejected: a negative row count, phenotype count or memory
-// cap is refused after flag parsing with the usual one-line error — in every
-// mode that prints a table, where -top used to reach rows[:top] and panic;
-// with -eqtl, where a negative phenotype count panicked in makeslice; and
-// where a negative value used to mean "off" without saying so. An -eqtl-top
-// below 1 is refused too: a top-K of 0 used to keep the default 100 pairs.
+// cap is refused after flag parsing with the usual one-line error and nothing
+// else printed — in every mode that prints a table, where -top used to reach
+// rows[:top] and panic; with -eqtl, where a negative phenotype count panicked
+// in makeslice; and where a negative value used to mean "off" without saying
+// so. An -eqtl-top below 1 is refused too: a top-K of 0 used to keep the
+// default 100 pairs. So is an unknown -method, in every mode: it used to fail
+// only after the banner, generation and staging, and -eqtl ignored it.
 func TestNegativeTopRejected(t *testing.T) {
 	dir := t.TempDir()
 	bins := map[string]string{"sparkscore": buildCmd(t, dir, "sparkscore"), "sparkserved": buildCmd(t, dir, "sparkserved")}
@@ -142,6 +144,8 @@ func TestNegativeTopRejected(t *testing.T) {
 		{"sparkscore", "-eqtl -eqtl-phenos -2", "must be at least 1"},
 		{"sparkscore", "-eqtl -eqtl-phenos 0", "must be at least 1"},
 		{"sparkscore", "-iterations 2 -mem-cap-bytes -5", "must be non-negative"},
+		{"sparkscore", "-iterations 2 -method foo", `-method "foo": must be "mc" or "perm"`},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -method foo", `-method "foo": must be "mc" or "perm"`},
 		// A sparkserved that accepted its flags would serve until killed.
 		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-phenos -2", "must be non-negative"},
 		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-phenos 2 -eqtl-top 0", "-eqtl-top 0: must be at least 1"},
@@ -150,8 +154,8 @@ func TestNegativeTopRejected(t *testing.T) {
 		out, err := exec.CommandContext(ctx, bins[tc.cmd], strings.Fields(shape+" "+tc.args)...).CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "panic") {
-			t.Errorf("%s %s: err = %v, want exit status 1 with %q:\n%s", tc.cmd, tc.args, err, tc.want, out)
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.want) || strings.Count(string(out), "\n") != 1 || strings.Contains(string(out), "panic") {
+			t.Errorf("%s %s: err = %v, want exit status 1 with %q alone:\n%s", tc.cmd, tc.args, err, tc.want, out)
 		}
 	}
 }

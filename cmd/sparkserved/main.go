@@ -40,7 +40,6 @@ import (
 	"sparkscore/internal/cluster"
 	"sparkscore/internal/core"
 	"sparkscore/internal/data"
-	"sparkscore/internal/dfs"
 	"sparkscore/internal/gen"
 	"sparkscore/internal/rdd"
 	"sparkscore/internal/rng"
@@ -125,8 +124,7 @@ func main() {
 		// re-reads the already-staged genotypes, so the two endpoints share one
 		// copy of the large side.
 		expr := gen.ExpressionMatrix(gen.Config{Patients: analysis.Patients()}, rng.New(*seed), *eqtlPhenos)
-		const phenoMatrixPath = "input/phenomatrix.txt"
-		if err := stagePhenoMatrix(ctx.FS(), phenoMatrixPath, expr); err != nil {
+		if err := assoc.StagePhenotypes(ctx, phenoMatrixPath, expr); err != nil {
 			fatal(err)
 		}
 		eq, err := assoc.NewAnalysis(ctx, paths.Genotypes, phenoMatrixPath, assoc.Config{TopK: *eqtlTop})
@@ -184,15 +182,9 @@ func checkEQTLFlags(phenos, top int) error {
 	return nil
 }
 
-// stagePhenoMatrix writes the expression matrix's text to path on the DFS,
-// which keeps the slice Create hands it for the server's lifetime.
-func stagePhenoMatrix(fs *dfs.FS, path string, expr *data.PhenoMatrix) error {
-	w := fs.Create(path)
-	if err := data.WritePhenoMatrix(w, expr); err != nil {
-		return err
-	}
-	return w.Close()
-}
+// phenoMatrixPath is where the eQTL endpoint's expression matrix stages,
+// beside the dataset's files.
+const phenoMatrixPath = "input/phenomatrix.txt"
 
 // loadPools parses the -pools flag: empty, inline JSON, or @file.
 func loadPools(spec string) ([]server.PoolConfig, error) {

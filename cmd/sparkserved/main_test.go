@@ -5,27 +5,34 @@ import (
 	"strings"
 	"testing"
 
+	"sparkscore/internal/assoc"
+	"sparkscore/internal/cluster"
 	"sparkscore/internal/data"
-	"sparkscore/internal/dfs"
 	"sparkscore/internal/gen"
+	"sparkscore/internal/rdd"
 	"sparkscore/internal/rng"
 )
 
 // TestStagePhenoMatrixHandsOverExactBytes: the DFS keeps the slice it is
-// handed for the server's lifetime, so the staged expression matrix must
-// carry no slack past its text (cap == len of its last block, which ends
-// where the handed slice ends), and its bytes must be WritePhenoMatrix's.
+// handed for the server's lifetime, so the expression matrix the server
+// stages at phenoMatrixPath must carry no slack past its text (cap == len of
+// its last block, which ends where the handed slice ends), and its bytes must
+// be WritePhenoMatrix's.
 func TestStagePhenoMatrixHandsOverExactBytes(t *testing.T) {
 	for _, phenos := range []int{1, 40, 300} {
-		fs, err := dfs.New(3, 64<<10, 2, 1)
+		ctx, err := rdd.New(rdd.Config{
+			Cluster:      cluster.Config{Nodes: 3, Spec: cluster.M3TwoXLarge},
+			DFSBlockSize: 64 << 10,
+			Seed:         1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		expr := gen.ExpressionMatrix(gen.Config{Patients: 60}, rng.New(uint64(phenos)), phenos)
-		if err := stagePhenoMatrix(fs, "input/phenomatrix.txt", expr); err != nil {
+		if err := assoc.StagePhenotypes(ctx, phenoMatrixPath, expr); err != nil {
 			t.Fatal(err)
 		}
-		f, err := fs.Open("input/phenomatrix.txt")
+		f, err := ctx.FS().Open(phenoMatrixPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +44,7 @@ func TestStagePhenoMatrixHandsOverExactBytes(t *testing.T) {
 		if err := data.WritePhenoMatrix(&want, expr); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := fs.ReadAll("input/phenomatrix.txt"); err != nil || !bytes.Equal(got, want.Bytes()) {
+		if got, err := ctx.FS().ReadAll(phenoMatrixPath); err != nil || !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("%d phenotypes: staged %d bytes (err %v), want WritePhenoMatrix's %d", phenos, len(got), err, want.Len())
 		}
 	}

@@ -3,10 +3,11 @@
 // investigation) for the layout that minimises the simulated runtime of a
 // representative SparkScore workload:
 //
-//	sparktune -patients 1000 -snps 100000 -sets 1000 -nodes 6 -iterations 100
+//	sparktune -patients 1000 -snps 1000000 -sets 1000 -nodes 6 -iterations 100 -scale 100
 //
-// Candidates are scored on the discrete-event cluster model, so the sweep
-// costs seconds instead of cluster-hours.
+// Candidates are scored on the discrete-event cluster model, each by one
+// measured run of the harness behind benchtab, so the sweep costs seconds
+// instead of cluster-hours.
 package main
 
 import (
@@ -15,52 +16,40 @@ import (
 	"os"
 
 	"sparkscore/internal/cluster"
-	"sparkscore/internal/gen"
+	"sparkscore/internal/harness"
 	"sparkscore/internal/metrics"
-	"sparkscore/internal/tuner"
 )
 
 func main() {
 	var (
 		patients   = flag.Int("patients", 1000, "patients in the representative workload")
-		snps       = flag.Int("snps", 10000, "SNPs in the representative workload")
-		sets       = flag.Int("sets", 100, "SNP-sets in the representative workload")
+		snps       = flag.Int("snps", 10000, "SNPs in the representative workload (full-scale; divided by -scale)")
+		sets       = flag.Int("sets", 100, "SNP-sets in the representative workload (full-scale; divided by -scale)")
 		nodes      = flag.Int("nodes", 6, "cluster nodes (m3.2xlarge)")
 		iterations = flag.Int("iterations", 100, "Monte Carlo iterations in the scored job")
 		family     = flag.String("family", "cox", "score family")
-		scale      = flag.Int("scale", 1, "divide block size and scheduling overheads by this when the workload is a scaled stand-in")
+		scale      = flag.Int("scale", 1, "run a scaled stand-in, as benchtab -scale does: divide SNP and SNP-set counts, block size, scheduling overheads and executor memory by this")
 		seed       = flag.Uint64("seed", 1, "seed")
 	)
 	flag.Parse()
-	if *scale < 1 || *iterations < 0 {
-		fmt.Fprintf(os.Stderr, "sparktune: -scale must be at least 1 and -iterations non-negative (got %d, %d)\n", *scale, *iterations)
+	if *scale < 1 || *nodes < 1 || *iterations < 0 {
+		fmt.Fprintf(os.Stderr, "sparktune: -scale and -nodes must be at least 1 and -iterations non-negative (got %d, %d, %d)\n", *scale, *nodes, *iterations)
 		os.Exit(2)
 	}
 
-	ds, err := gen.Generate(gen.Config{Patients: *patients, SNPs: *snps, SNPSets: *sets}, *seed)
-	if err != nil {
-		fatal(err)
+	h := &harness.Harness{Scale: *scale, Seed: *seed}
+	p := harness.Params{
+		Patients: *patients, SNPs: *snps, SNPSets: *sets, Nodes: *nodes,
+		Method: "mc", Family: *family, Cache: true, Iterations: *iterations,
 	}
-	w := tuner.Workload{
-		Dataset:    ds,
-		Family:     *family,
-		Iterations: *iterations,
-		Nodes:      *nodes,
-		Seed:       *seed,
-	}
-	if *scale > 1 {
-		s := float64(*scale)
-		w.DFSBlockSize = int(float64(128<<20) / s)
-		w.SchedOverheadSec = 0.004 / s
-		w.StageOverheadSec = 0.05 / s
-	}
-	candidates := tuner.Grid(cluster.M3TwoXLarge)
+	candidates := harness.Grid(cluster.M3TwoXLarge)
 	fmt.Printf("sparktune: scoring %d container layouts on %d nodes (%d SNPs x %d patients, %d iterations)\n\n",
 		len(candidates), *nodes, *snps, *patients, *iterations)
 
-	evals, err := tuner.Tune(w, candidates)
+	evals, err := h.Tune(p, candidates)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "sparktune:", err)
+		os.Exit(1)
 	}
 	t := metrics.NewTable("ranked container layouts", "rank", "layout", "sim-time (s)", "note")
 	for i, e := range evals {
@@ -75,9 +64,4 @@ func main() {
 		t.AddRowf(i+1, e.Candidate.String(), e.SimSeconds, note)
 	}
 	t.Fprint(os.Stdout)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sparktune:", err)
-	os.Exit(1)
 }

@@ -1,6 +1,7 @@
-// sparktune's CLI contracts, driven through the real binary: nonsense scales
-// and negative iteration counts are refused, and the ranking is a function of
-// the flags — two runs print the same bytes.
+// sparktune's CLI contracts, driven through the real binary: nonsense scales,
+// node counts below 1 and negative iteration counts are refused at flag
+// parsing, and the ranking is a function of the flags — two runs print the
+// same bytes.
 
 package main
 
@@ -18,12 +19,12 @@ func TestFlagsRefusedAndRankingReproducible(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	for _, args := range []string{"-scale 0", "-scale -3", "-iterations -5"} {
+	for _, args := range []string{"-scale 0", "-scale -3", "-iterations -5", "-nodes 0", "-nodes -2"} {
 		out, err := exec.Command(bin, strings.Fields(args)...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
-			!strings.Contains(string(out), "-scale must be at least 1 and -iterations non-negative") {
-			t.Errorf("sparktune %s: err = %v, want exit status 2 naming both flags:\n%s", args, err, out)
+			!strings.Contains(string(out), "-scale and -nodes must be at least 1 and -iterations non-negative") {
+			t.Errorf("sparktune %s: err = %v, want exit status 2 naming the three flags:\n%s", args, err, out)
 		}
 	}
 

@@ -23,6 +23,7 @@ import (
 
 	"sparkscore/internal/assoc"
 	"sparkscore/internal/cluster"
+	"sparkscore/internal/core"
 	"sparkscore/internal/data"
 	"sparkscore/internal/gen"
 	"sparkscore/internal/rdd"
@@ -65,12 +66,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	paths, err := assoc.Stage(ctx, ds.Genotypes, expr, "eqtl")
+	paths, err := core.StageDataset(ctx, ds, "eqtl")
 	if err != nil {
 		log.Fatal(err)
 	}
+	const phenoMatrixPath = "eqtl/phenomatrix.txt"
+	if err := assoc.StagePhenotypes(ctx, phenoMatrixPath, expr); err != nil {
+		log.Fatal(err)
+	}
 	cfg := assoc.Config{TopK: topK, HistBins: histBins}
-	analysis, err := assoc.NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, cfg)
+	analysis, err := assoc.NewAnalysis(ctx, paths.Genotypes, phenoMatrixPath, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

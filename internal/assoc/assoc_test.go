@@ -36,16 +36,35 @@ func newTestContext(t testing.TB, nodes, blockSize int, faults rdd.FaultProfile)
 	return c
 }
 
+// stagedPaths names the two input files of a staged fixture.
+type stagedPaths struct{ Genotypes, Phenotypes string }
+
+// stage writes the genotype text under prefix through the DFS's Create, as
+// core.StageDataset writes a dataset's, and the phenotype matrix beside it
+// through StagePhenotypes.
+func stage(t testing.TB, ctx *rdd.Context, geno *data.GenotypeMatrix, expr *data.PhenoMatrix, prefix string) stagedPaths {
+	t.Helper()
+	paths := stagedPaths{Genotypes: prefix + "/genotypes.txt", Phenotypes: prefix + "/phenomatrix.txt"}
+	w := ctx.FS().Create(paths.Genotypes)
+	if err := data.WriteGenotypes(w, geno); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := StagePhenotypes(ctx, paths.Phenotypes, expr); err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
 // stageFixture generates and stages a small all-pairs dataset, returning the
 // boxed genotype matrix and phenotype matrix for brute-force checks.
-func stageFixture(t testing.TB, ctx *rdd.Context, patients, snps, phenos int) (Paths, *data.GenotypeMatrix, *data.PhenoMatrix) {
+func stageFixture(t testing.TB, ctx *rdd.Context, patients, snps, phenos int) (stagedPaths, *data.GenotypeMatrix, *data.PhenoMatrix) {
 	cfg := gen.Config{Patients: patients, SNPs: snps, SNPSets: 1}
 	geno := gen.Genotypes(cfg, rng.New(5))
 	expr := gen.ExpressionMatrix(cfg, rng.New(6), phenos)
-	paths, err := Stage(ctx, geno, expr, "eqtl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := stage(t, ctx, geno, expr, "eqtl")
 	return paths, geno, expr
 }
 
@@ -105,10 +124,7 @@ func TestCrossScoresAreMarginalScores(t *testing.T) {
 		{"binomial", binaryPhenos(t, rng.New(23), patients, 3)},
 	} {
 		ctx := newTestContext(t, 2, 2<<10, rdd.FaultProfile{})
-		paths, err := Stage(ctx, geno, fx.expr, "eqtl")
-		if err != nil {
-			t.Fatal(err)
-		}
+		paths := stage(t, ctx, geno, fx.expr, "eqtl")
 		pairs := snps * fx.expr.Rows()
 		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{Family: fx.family, TopK: pairs})
 		if err != nil {
@@ -351,10 +367,7 @@ func TestBinomialFamilyAllPairs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	paths, err := Stage(ctx, geno, &expr, "phewas")
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := stage(t, ctx, geno, &expr, "phewas")
 	a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{Family: "binomial", TopK: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -443,10 +456,7 @@ func TestOverflowingPhenotypeFailsTheRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	paths, err := Stage(ctx, geno, &expr, "overflow")
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := stage(t, ctx, geno, &expr, "overflow")
 	a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -477,10 +487,7 @@ func TestScoreSquareOverflowFailsTheRun(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		paths, err := Stage(ctx, geno, &expr, "overflow")
-		if err != nil {
-			t.Fatal(err)
-		}
+		paths := stage(t, ctx, geno, &expr, "overflow")
 		a, err := NewAnalysis(ctx, paths.Genotypes, paths.Phenotypes, Config{TopK: 2 * snps})
 		if err != nil {
 			t.Fatal(err)
@@ -596,10 +603,7 @@ func TestCutoffMatchesBruteForce(t *testing.T) {
 		}
 		for _, blockSize := range []int{0, fx.many} {
 			ctx := newTestContext(t, 2, blockSize, rdd.FaultProfile{})
-			paths, err := Stage(ctx, fx.geno, fx.expr, fx.name)
-			if err != nil {
-				t.Fatal(err)
-			}
+			paths := stage(t, ctx, fx.geno, fx.expr, fx.name)
 			for _, k := range []int{1, 7, len(all) + 1} {
 				for _, bins := range []int{1, 20, 512, 4096} {
 					where := fmt.Sprintf("%s block=%d k=%d bins=%d", fx.name, blockSize, k, bins)
@@ -682,36 +686,32 @@ func BenchmarkFold(b *testing.B) {
 	})
 }
 
-// TestDFSBytesHandsOverExactBuffers: the DFS keeps the slices Stage hands it
-// for as long as the files live, so the genotype text (its buffer grown once
-// to its size) and the phenotype text (its buffer grown by doubling) must each
-// end where the text ends (cap == len of the last block) and hold the
-// writers' bytes.
+// TestDFSBytesHandsOverExactBuffers: the DFS keeps the slice StagePhenotypes
+// hands it for as long as the file lives, so the phenotype text (its buffer
+// grown by doubling) must end where the text ends (cap == len of its last
+// block, which ends where the handed slice ends) and hold WritePhenoMatrix's
+// bytes — at one phenotype, and at enough to span several blocks.
 func TestDFSBytesHandsOverExactBuffers(t *testing.T) {
-	ctx := newTestContext(t, 3, 64<<10, rdd.FaultProfile{})
-	geno := gen.Genotypes(gen.Config{Patients: 100, SNPs: 300}, rng.New(1))
-	expr := gen.ExpressionMatrix(gen.Config{Patients: 100}, rng.New(2), 300)
-	paths, err := Stage(ctx, geno, expr, "eqtl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var genoText, exprText bytes.Buffer
-	if err := data.WriteGenotypes(&genoText, geno); err != nil {
-		t.Fatal(err)
-	}
-	if err := data.WritePhenoMatrix(&exprText, expr); err != nil {
-		t.Fatal(err)
-	}
-	for name, text := range map[string][]byte{paths.Genotypes: genoText.Bytes(), paths.Phenotypes: exprText.Bytes()} {
-		f, err := ctx.FS().Open(name)
+	for _, phenos := range []int{1, 40, 300} {
+		ctx := newTestContext(t, 3, 64<<10, rdd.FaultProfile{})
+		expr := gen.ExpressionMatrix(gen.Config{Patients: 100}, rng.New(uint64(phenos)), phenos)
+		const path = "eqtl/phenomatrix.txt"
+		if err := StagePhenotypes(ctx, path, expr); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := data.WritePhenoMatrix(&want, expr); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ctx.FS().Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if last := f.Blocks[len(f.Blocks)-1].Data; cap(last) != len(last) {
-			t.Errorf("%s: the last of %d blocks has len %d, cap %d", name, len(f.Blocks), len(last), cap(last))
+			t.Errorf("%d phenotypes: the last of %d blocks has len %d, cap %d", phenos, len(f.Blocks), len(last), cap(last))
 		}
-		if got, err := ctx.FS().ReadAll(name); err != nil || !bytes.Equal(got, text) {
-			t.Errorf("%s: staged %d bytes (err %v), its writer wrote %d", name, len(got), err, len(text))
+		if got, err := ctx.FS().ReadAll(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%d phenotypes: staged %d bytes (err %v), WritePhenoMatrix wrote %d", phenos, len(got), err, want.Len())
 		}
 	}
 }

@@ -1,5 +1,6 @@
-// Staging the all-pairs inputs onto the simulated HDFS, and the deterministic
-// text report that tests compare byte-for-byte across engine configurations.
+// Staging the all-pairs phenotype matrix onto the simulated HDFS, and the
+// deterministic text report that tests compare byte-for-byte across engine
+// configurations.
 
 package assoc
 
@@ -13,34 +14,19 @@ import (
 	"sparkscore/internal/rdd"
 )
 
-// Paths names the two input files of an all-pairs analysis.
-type Paths struct {
-	Genotypes  string
-	Phenotypes string
-}
-
-// Stage writes the genotype matrix and phenotype matrix to the context's
-// file system under the given prefix.
-func Stage(ctx *rdd.Context, geno *data.GenotypeMatrix, phenos *data.PhenoMatrix, prefix string) (Paths, error) {
-	paths := Paths{
-		Genotypes:  prefix + "/genotypes.txt",
-		Phenotypes: prefix + "/phenotypes.txt",
-	}
-	w := ctx.FS().Create(paths.Genotypes)
-	if err := data.WriteGenotypes(w, geno); err != nil {
-		return Paths{}, fmt.Errorf("assoc: encoding genotypes: %w", err)
+// StagePhenotypes writes the phenotype matrix's text to path on the
+// context's file system, which keeps the slice Create hands it for as long as
+// the file lives. The genotypes an analysis crosses it with are the dataset's,
+// staged by core.StageDataset.
+func StagePhenotypes(ctx *rdd.Context, path string, m *data.PhenoMatrix) error {
+	w := ctx.FS().Create(path)
+	if err := data.WritePhenoMatrix(w, m); err != nil {
+		return fmt.Errorf("assoc: encoding phenotypes: %w", err)
 	}
 	if err := w.Close(); err != nil {
-		return Paths{}, fmt.Errorf("assoc: staging genotypes: %w", err)
+		return fmt.Errorf("assoc: staging phenotypes: %w", err)
 	}
-	w = ctx.FS().Create(paths.Phenotypes)
-	if err := data.WritePhenoMatrix(w, phenos); err != nil {
-		return Paths{}, fmt.Errorf("assoc: encoding phenotypes: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		return Paths{}, fmt.Errorf("assoc: staging phenotypes: %w", err)
-	}
-	return paths, nil
+	return nil
 }
 
 // WriteReport writes res as a deterministic TSV: a summary header, then one

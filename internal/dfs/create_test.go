@@ -17,9 +17,9 @@ import (
 // ends) and hold the writer's bytes. A buffer grown once to its text's size,
 // as WriteGenotypes grows its destination, is handed over as it is; a buffer
 // grown by doubling is copied to exactly its text's size (a bytes.Clone would
-// round the capacity up to the allocator's size class). The stagers that write
-// through Create — core.StageDataset, assoc.Stage and sparkserved's
-// stagePhenoMatrix — each check their own files the same way.
+// round the capacity up to the allocator's size class). The two stagers that
+// write through Create — core.StageDataset and assoc.StagePhenotypes — each
+// check their own files the same way.
 func TestCreateHandsOverExactBytes(t *testing.T) {
 	newFS := func(t *testing.T) *dfs.FS {
 		fs, err := dfs.New(3, 64<<10, 2, 1)

@@ -78,6 +78,7 @@ type Params struct {
 	TotalExecutors    int
 
 	Method     string // "mc" or "perm"
+	Family     string // core.Options.Family; "" = cox
 	Cache      bool
 	DiskSpill  bool // persist the cached genotype blocks at MEMORY_AND_DISK instead of MEMORY_ONLY
 	Iterations int
@@ -191,7 +192,7 @@ func (h *Harness) run(p Params, faults rdd.FaultProfile) (_ *rdd.Context, _ *cor
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := core.Options{Seed: h.Seed, DiskSpill: p.DiskSpill}
+	opts := core.Options{Family: p.Family, Seed: h.Seed, DiskSpill: p.DiskSpill}
 	if !p.Cache {
 		opts = opts.WithoutCache()
 	}

@@ -1,10 +1,9 @@
-package tuner
+package harness
 
 import (
 	"testing"
 
 	"sparkscore/internal/cluster"
-	"sparkscore/internal/gen"
 )
 
 func TestGridFeasible(t *testing.T) {
@@ -35,30 +34,24 @@ func TestGridTinyNode(t *testing.T) {
 	}
 }
 
+// TestTuneRanksMemoryStarvedLayoutsLast tunes a 1/128 stand-in — 1 MiB
+// blocks, overheads and executor memory divided by 128 — where one layout's
+// executors cannot hold a cached partition.
 func TestTuneRanksMemoryStarvedLayoutsLast(t *testing.T) {
-	ds, err := gen.Generate(gen.Config{Patients: 500, SNPs: 4000, SNPSets: 40}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := Workload{
-		Dataset: ds,
+	h := &Harness{Scale: 128, Seed: 3}
+	p := Params{
+		Patients: 500, SNPs: 4000 * 128, SNPSets: 40 * 128, Nodes: 2,
 		// Ten resampling jobs after the observed pass, which is what the 2x
 		// threshold below was set for: Monte Carlo batches 64 replicates per
 		// job, so the 10 iterations of the job-per-replicate days are 640.
-		Iterations: 10 * 64,
-		Nodes:      2,
-		// Small blocks and scaled overheads, as when tuning a scaled
-		// stand-in for a big study.
-		DFSBlockSize:     1 << 20,
-		SchedOverheadSec: 0.0001,
-		StageOverheadSec: 0.001,
-		Seed:             3,
+		Method: "mc", Cache: true, Iterations: 10 * 64,
 	}
 	roomy := Candidate{ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 10}
-	// The cached packed matrix here is ~0.5 MB in four partitions; 64 KiB
-	// executors cannot hold one, forcing recomputation in every job.
-	starved := Candidate{ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 64.0 / (1 << 20)}
-	evals, err := Tune(w, []Candidate{starved, roomy})
+	// The cached packed matrix here is ~0.5 MB in four partitions; executors
+	// of 8 MiB / 128 = 64 KiB cannot hold one, forcing recomputation in every
+	// job.
+	starved := Candidate{ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 8.0 / 1024}
+	evals, err := h.Tune(p, []Candidate{starved, roomy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,19 +72,15 @@ func TestTuneRanksMemoryStarvedLayoutsLast(t *testing.T) {
 // same evaluations in the same order — ties included, which a clock that read
 // the host's stopwatch reordered from run to run.
 func TestTuneRankingIsReproducible(t *testing.T) {
-	ds, err := gen.Generate(gen.Config{Patients: 50, SNPs: 500, SNPSets: 5}, 1)
-	if err != nil {
-		t.Fatal(err)
+	p := Params{Patients: 50, SNPs: 500, SNPSets: 5, Nodes: 2, Method: "mc", Cache: true, Iterations: 4}
+	tune := func() []Evaluation {
+		evals, err := (&Harness{Scale: 1, Seed: 1}).Tune(p, Grid(cluster.M3TwoXLarge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evals
 	}
-	w := Workload{Dataset: ds, Iterations: 4, Nodes: 2, Seed: 1}
-	first, err := Tune(w, Grid(cluster.M3TwoXLarge))
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Tune(w, Grid(cluster.M3TwoXLarge))
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, second := tune(), tune()
 	for i := range first {
 		if first[i].Err != nil || second[i].Err != nil {
 			t.Fatalf("rank %d: unexpected errors %v, %v", i+1, first[i].Err, second[i].Err)
@@ -104,14 +93,11 @@ func TestTuneRankingIsReproducible(t *testing.T) {
 }
 
 func TestTuneInfeasibleCandidatesSortLast(t *testing.T) {
-	ds, err := gen.Generate(gen.Config{Patients: 50, SNPs: 100, SNPSets: 5}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := Workload{Dataset: ds, Iterations: 1, Nodes: 1, Seed: 1}
+	h := &Harness{Scale: 1, Seed: 1}
+	p := Params{Patients: 50, SNPs: 100, SNPSets: 5, Nodes: 1, Method: "mc", Cache: true, Iterations: 1}
 	ok := Candidate{ExecutorsPerNode: 2, CoresPerExecutor: 4, MemPerExecutorGiB: 8}
 	bad := Candidate{ExecutorsPerNode: 8, CoresPerExecutor: 8, MemPerExecutorGiB: 8} // 64 cores on 8 vCPUs
-	evals, err := Tune(w, []Candidate{bad, ok})
+	evals, err := h.Tune(p, []Candidate{bad, ok})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,16 +109,24 @@ func TestTuneInfeasibleCandidatesSortLast(t *testing.T) {
 	}
 }
 
+// TestTuneValidation: zero nodes, an empty candidate list and a dataset the
+// generator refuses each fail the whole search before any layout runs.
 func TestTuneValidation(t *testing.T) {
-	ds, _ := gen.Generate(gen.Config{Patients: 10, SNPs: 10, SNPSets: 2}, 1)
-	if _, err := Tune(Workload{Dataset: nil, Nodes: 1}, Grid(cluster.M3TwoXLarge)); err == nil {
-		t.Fatal("nil dataset accepted")
-	}
-	if _, err := Tune(Workload{Dataset: ds, Nodes: 0}, Grid(cluster.M3TwoXLarge)); err == nil {
+	h := &Harness{Scale: 1, Seed: 1}
+	p := Params{Patients: 10, SNPs: 10, SNPSets: 2, Nodes: 1, Method: "mc", Cache: true}
+	grid := Grid(cluster.M3TwoXLarge)
+	zeroNodes := p
+	zeroNodes.Nodes = 0
+	if _, err := h.Tune(zeroNodes, grid); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
-	if _, err := Tune(Workload{Dataset: ds, Nodes: 1}, nil); err == nil {
+	if _, err := h.Tune(p, nil); err == nil {
 		t.Fatal("empty candidate list accepted")
+	}
+	noPatients := p
+	noPatients.Patients = 0
+	if _, err := h.Tune(noPatients, grid); err == nil {
+		t.Fatal("a dataset without patients accepted")
 	}
 }
 

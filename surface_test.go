@@ -296,7 +296,6 @@ var censusStructs = map[string][]string{
 	"internal/core":    {"Options"},
 	"internal/assoc":   {"Config"},
 	"internal/server":  {"Config", "PoolConfig"},
-	"internal/tuner":   {"Workload"},
 	"internal/gen":     {"Config"},
 	"internal/cluster": {"Config"},
 }
