@@ -30,36 +30,22 @@ import (
 	"sort"
 
 	"sparkscore/internal/assoc"
-	"sparkscore/internal/cluster"
 	"sparkscore/internal/core"
 	"sparkscore/internal/data"
-	"sparkscore/internal/gen"
+	"sparkscore/internal/job"
 	"sparkscore/internal/rdd"
-	"sparkscore/internal/rng"
 	"sparkscore/internal/stats"
 )
 
 func main() {
+	run := job.Flags(flag.CommandLine)
 	var (
-		dir      = flag.String("dir", "", "directory with genotypes.txt/phenotype.txt/weights.txt/snpsets.txt")
-		generate = flag.Bool("generate", false, "generate a synthetic dataset instead of reading -dir")
-		patients = flag.Int("patients", 1000, "patients for -generate")
-		snps     = flag.Int("snps", 10000, "SNPs for -generate")
-		sets     = flag.Int("sets", 100, "SNP-sets for -generate")
-
 		method     = flag.String("method", "mc", `resampling method: "mc" (Monte Carlo) or "perm" (permutation)`)
 		iterations = flag.Int("iterations", 1000, "resampling iterations (B)")
-		family     = flag.String("family", "cox", `score family: "cox", "gaussian", or "binomial"`)
 		noCache    = flag.Bool("no-cache", false, "disable caching of the packed genotype RDD")
 		chaos      = flag.Bool("chaos", false, "inject task crashes, fetch failures, and stragglers; results are bitwise unchanged")
-		setStat    = flag.String("set-stat", "skat", `SNP-set statistic: "skat" or "burden"`)
 		betaWts    = flag.Bool("beta-weights", false, "replace input weights with Beta(MAF;1,25) weights (Wu et al. 2011)")
-		seed       = flag.Uint64("seed", 1, "seed for data generation and resampling")
 
-		nodes    = flag.Int("nodes", 6, "simulated cluster nodes (m3.2xlarge)")
-		execs    = flag.Int("executors-per-node", 2, "YARN containers per node")
-		cores    = flag.Int("cores", 4, "cores per container")
-		mem      = flag.Float64("mem", 10, "memory per container (GiB)")
 		memCap   = flag.Int64("mem-cap-bytes", 0, "absolute per-container memory cap in bytes, overriding -mem (0 = off; squeezes the unified pool so the sort shuffle spills)")
 		workers  = flag.Int("workers", 0, "host-side worker goroutines (0 = all CPUs; 1 makes spill points a pure function of the configuration)")
 		top      = flag.Int("top", 10, "print the top N SNP-sets by p-value")
@@ -69,7 +55,6 @@ func main() {
 
 		eqtlMode   = flag.Bool("eqtl", false, "run the all-pairs eQTL engine instead of the SKAT pipeline")
 		eqtlPhenos = flag.Int("eqtl-phenos", 32, "expression phenotypes to generate for -eqtl")
-		eqtlTop    = flag.Int("eqtl-top", 100, "most-significant pairs to keep for -eqtl")
 
 		eventsOut = flag.String("events", "", "write a JSONL event log to this file (render it, or its Chrome-trace timeline, with sparkui)")
 		progress  = flag.Bool("progress", false, "print job/stage/recovery progress as the analysis runs")
@@ -81,17 +66,24 @@ func main() {
 	if *top < 0 {
 		fatal(fmt.Errorf("-top %d: must be non-negative", *top))
 	}
-	if *eqtlTop < 1 {
-		fatal(fmt.Errorf("-eqtl-top %d: must be at least 1", *eqtlTop))
+	if err := run.Check(); err != nil {
+		fatal(err)
 	}
 	if *memCap < 0 {
 		fatal(fmt.Errorf("-mem-cap-bytes %d: must be non-negative", *memCap))
 	}
-	if *eqtlMode && *eqtlPhenos < 1 {
-		fatal(fmt.Errorf("-eqtl-phenos %d: must be at least 1 with -eqtl", *eqtlPhenos))
+	if *eqtlMode {
+		if *eqtlPhenos < 1 {
+			fatal(fmt.Errorf("-eqtl-phenos %d: must be at least 1 with -eqtl", *eqtlPhenos))
+		}
+		flag.Visit(func(f *flag.Flag) {
+			if eqtlUnread[f.Name] {
+				fatal(fmt.Errorf("-%s: not read with -eqtl", f.Name))
+			}
+		})
 	}
 
-	ds, err := loadDataset(*dir, *generate, *patients, *snps, *sets, *seed)
+	ds, err := run.Dataset()
 	if err != nil {
 		fatal(err)
 	}
@@ -100,7 +92,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	var listeners []rdd.Listener
+	cfg := run.Config()
 	var eventLog *rdd.EventLogWriter
 	var eventFile *os.File
 	if *eventsOut != "" {
@@ -109,40 +101,24 @@ func main() {
 			fatal(err)
 		}
 		eventLog = rdd.NewEventLogWriter(eventFile)
-		listeners = append(listeners, eventLog)
+		cfg.Listeners = append(cfg.Listeners, eventLog)
 	}
 	if *progress {
-		listeners = append(listeners, &rdd.ConsoleProgressListener{})
+		cfg.Listeners = append(cfg.Listeners, &rdd.ConsoleProgressListener{})
 	}
-	memGiB := *mem
 	if *memCap > 0 {
-		memGiB = float64(*memCap) / float64(1<<30)
+		cfg.Cluster.MemPerExecutorGiB = float64(*memCap) / float64(1<<30)
 	}
-	var faults rdd.FaultProfile
 	if *chaos {
-		faults = rdd.FaultProfile{TaskCrashProb: 0.05, FetchFailureProb: 0.05, StragglerProb: 0.05}
+		cfg.Faults = rdd.FaultProfile{TaskCrashProb: 0.05, FetchFailureProb: 0.05, StragglerProb: 0.05}
 	}
-	ctx, err := rdd.New(rdd.Config{
-		Cluster: cluster.Config{
-			Nodes: *nodes, Spec: cluster.M3TwoXLarge,
-			ExecutorsPerNode: *execs, CoresPerExecutor: *cores, MemPerExecutorGiB: memGiB,
-		},
-		Seed:      *seed,
-		Faults:    faults,
-		Workers:   *workers,
-		Listeners: listeners,
-	})
+	cfg.Workers = *workers
+	ctx, err := rdd.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	if *eqtlMode {
-		err := runEQTL(ctx, ds, eqtlOptions{
-			phenos: *eqtlPhenos, topK: *eqtlTop,
-			seed: *seed, top: *top, out: *out,
-		})
-		if err != nil {
-			fatal(err)
-		}
+		runEQTL(ctx, run, ds, *eqtlPhenos, *top, *out)
 		finishRun(ctx, eventLog, eventFile, *eventsOut)
 		return
 	}
@@ -150,7 +126,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := core.Options{Family: *family, SetStatistic: *setStat, Seed: *seed}
+	opts := run.Options()
 	if *noCache {
 		opts = opts.WithoutCache()
 	}
@@ -159,9 +135,10 @@ func main() {
 		fatal(err)
 	}
 
+	c := cfg.Cluster
 	fmt.Printf("sparkscore: %d patients, %d SNPs, %d SNP-sets on %d nodes (%dx%d cores, %g GiB)\n",
 		ds.Phenotype.Patients(), ds.Genotypes.SNPs(), len(ds.SNPSets),
-		*nodes, *execs, *cores, memGiB)
+		c.Nodes, c.ExecutorsPerNode, c.CoresPerExecutor, c.MemPerExecutorGiB)
 
 	var res *core.Result
 	switch *method {
@@ -175,31 +152,41 @@ func main() {
 	}
 
 	printResult(os.Stdout, res, *top)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := core.WriteResult(f, res); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", *out)
-	}
+	writeReport(*out, func(w io.Writer) error { return core.WriteResult(w, res) })
 	if *setAsym {
-		if err := printSetAsymptotic(analysis, *top); err != nil {
-			fatal(err)
-		}
+		printSetAsymptotic(analysis, *top)
 	}
 	if *marginal {
-		if err := printMarginal(analysis, *top); err != nil {
-			fatal(err)
-		}
+		printMarginal(analysis, *top)
 	}
 	finishRun(ctx, eventLog, eventFile, *eventsOut)
+}
+
+// eqtlUnread names the flags the all-pairs engine does not read — it scores
+// the Gaussian family over generated phenotypes and resamples nothing — so
+// -eqtl refuses them when they are set rather than ignore them.
+var eqtlUnread = map[string]bool{
+	"method": true, "iterations": true, "family": true, "no-cache": true,
+	"set-stat": true, "beta-weights": true, "marginal": true, "asymptotic": true,
+}
+
+// writeReport writes a report to path through write, when path is set.
+func writeReport(path string, write func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("\nwrote %s\n", path)
 }
 
 // finishRun prints the simulated-cluster accounting and flushes the optional
@@ -227,69 +214,32 @@ func finishRun(ctx *rdd.Context, eventLog *rdd.EventLogWriter, eventFile *os.Fil
 	}
 }
 
-type eqtlOptions struct {
-	phenos int
-	topK   int
-	seed   uint64
-	top    int
-	out    string
-}
-
 // runEQTL stages the dataset and beside it a generated expression matrix,
 // runs the all-pairs cross, prints the most significant pairs, and writes the
 // deterministic report when -out is set.
-func runEQTL(ctx *rdd.Context, ds *data.Dataset, o eqtlOptions) error {
-	expr := gen.ExpressionMatrix(gen.Config{Patients: ds.Phenotype.Patients()}, rng.New(o.seed), o.phenos)
+func runEQTL(ctx *rdd.Context, run *job.Run, ds *data.Dataset, phenos, top int, out string) {
 	paths, err := core.StageDataset(ctx, ds, "eqtl")
 	if err != nil {
-		return err
+		fatal(err)
 	}
-	const phenoMatrixPath = "eqtl/phenomatrix.txt"
-	if err := assoc.StagePhenotypes(ctx, phenoMatrixPath, expr); err != nil {
-		return err
-	}
-	a, err := assoc.NewAnalysis(ctx, paths.Genotypes, phenoMatrixPath, assoc.Config{TopK: o.topK})
+	a, err := run.OpenEQTL(ctx, paths.Genotypes, "eqtl/phenomatrix.txt", ds.Phenotype.Patients(), phenos)
 	if err != nil {
-		return err
+		fatal(err)
 	}
 	fmt.Printf("all-pairs: %d SNPs × %d phenotypes\n", ds.Genotypes.SNPs(), a.Phenos())
 	res, err := a.Run()
 	if err != nil {
-		return err
+		fatal(err)
 	}
 	fmt.Printf("\n%d pair tests; BH FDR at α=%g: threshold %.4g, %d discoveries\n",
 		res.Tested, res.FDR.Alpha, res.FDR.Threshold, res.FDR.Discoveries)
-	top := o.top
-	if top > len(res.TopK) {
-		top = len(res.TopK)
-	}
+	top = min(top, len(res.TopK))
 	fmt.Printf("top %d pairs:\n", top)
 	fmt.Printf("%-8s %-8s %12s %12s %10s\n", "snp", "pheno", "score", "variance", "p-value")
 	for _, p := range res.TopK[:top] {
 		fmt.Printf("%-8d %-8d %12.4f %12.4f %10.4g\n", p.SNP, p.Pheno, p.Score, p.Variance, p.PValue)
 	}
-	if o.out != "" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			return err
-		}
-		if err := assoc.WriteReport(f, res); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", o.out)
-	}
-	return nil
-}
-
-func loadDataset(dir string, generate bool, patients, snps, sets int, seed uint64) (*data.Dataset, error) {
-	if generate || dir == "" {
-		return gen.Generate(gen.Config{Patients: patients, SNPs: snps, SNPSets: sets}, seed)
-	}
-	return data.ReadDataset(os.DirFS(dir))
+	writeReport(out, func(w io.Writer) error { return assoc.WriteReport(w, res) })
 }
 
 // printResult writes the top sets of res, by p-value when it has them and by
@@ -328,48 +278,32 @@ func printResult(w io.Writer, res *core.Result, top int) {
 	}
 }
 
-func printSetAsymptotic(a *core.Analysis, top int) error {
+func printSetAsymptotic(a *core.Analysis, top int) {
 	results, err := a.SetAsymptotic()
 	if err != nil {
-		return err
+		fatal(err)
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].PValue != results[j].PValue {
-			return results[i].PValue < results[j].PValue
-		}
-		return results[i].Set < results[j].Set
-	})
-	if top > len(results) {
-		top = len(results)
-	}
+	core.RankSetAsymptotic(results)
+	top = min(top, len(results))
 	fmt.Printf("\ntop %d SNP-sets by asymptotic (Liu) test:\n", top)
 	fmt.Printf("%-16s %6s %14s %10s\n", "snp-set", "snps", "observed", "p-value")
 	for _, r := range results[:top] {
 		fmt.Printf("%-16s %6d %14.4f %10.4g\n", r.Name, r.SNPs, r.Observed, r.PValue)
 	}
-	return nil
 }
 
-func printMarginal(a *core.Analysis, top int) error {
+func printMarginal(a *core.Analysis, top int) {
 	results, err := a.MarginalAsymptotic()
 	if err != nil {
-		return err
+		fatal(err)
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].PValue != results[j].PValue {
-			return results[i].PValue < results[j].PValue
-		}
-		return results[i].SNP < results[j].SNP
-	})
-	if top > len(results) {
-		top = len(results)
-	}
+	core.RankMarginal(results)
+	top = min(top, len(results))
 	fmt.Printf("\ntop %d SNPs by asymptotic score test:\n", top)
 	fmt.Printf("%-8s %12s %12s %10s\n", "snp", "score", "variance", "p-value")
 	for _, r := range results[:top] {
 		fmt.Printf("%-8d %12.4f %12.4f %10.4g\n", r.SNP, r.Score, r.Variance, r.PValue)
 	}
-	return nil
 }
 
 func fatal(err error) {

@@ -7,8 +7,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,8 +20,12 @@ import (
 	"testing"
 	"time"
 
+	"sparkscore/internal/cluster"
 	"sparkscore/internal/core"
 	"sparkscore/internal/data"
+	"sparkscore/internal/gen"
+	"sparkscore/internal/rdd"
+	"sparkscore/internal/server"
 )
 
 // buildCmd compiles ../<name> into dir and returns the binary's path.
@@ -129,7 +137,8 @@ func TestDeletedFlagsStayDeleted(t *testing.T) {
 // in makeslice; and where a negative value used to mean "off" without saying
 // so. An -eqtl-top below 1 is refused too: a top-K of 0 used to keep the
 // default 100 pairs. So is an unknown -method, in every mode: it used to fail
-// only after the banner, generation and staging, and -eqtl ignored it.
+// only after the banner, generation and staging, and -eqtl ignored it. And
+// -eqtl refuses each flag it does not read once it is set, whatever its value.
 func TestNegativeTopRejected(t *testing.T) {
 	dir := t.TempDir()
 	bins := map[string]string{"sparkscore": buildCmd(t, dir, "sparkscore"), "sparkserved": buildCmd(t, dir, "sparkserved")}
@@ -146,6 +155,15 @@ func TestNegativeTopRejected(t *testing.T) {
 		{"sparkscore", "-iterations 2 -mem-cap-bytes -5", "must be non-negative"},
 		{"sparkscore", "-iterations 2 -method foo", `-method "foo": must be "mc" or "perm"`},
 		{"sparkscore", "-eqtl -eqtl-phenos 2 -method foo", `-method "foo": must be "mc" or "perm"`},
+		// -eqtl reads none of these: it used to run and ignore them.
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -method mc", "-method: not read with -eqtl"},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -iterations 7", "-iterations: not read with -eqtl"},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -family binomial", "-family: not read with -eqtl"},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -no-cache", "-no-cache: not read with -eqtl"},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -set-stat burden", "-set-stat: not read with -eqtl"},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -beta-weights", "-beta-weights: not read with -eqtl"},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -marginal", "-marginal: not read with -eqtl"},
+		{"sparkscore", "-eqtl -eqtl-phenos 2 -asymptotic=false", "-asymptotic: not read with -eqtl"},
 		// A sparkserved that accepted its flags would serve until killed.
 		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-phenos -2", "must be non-negative"},
 		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-phenos 2 -eqtl-top 0", "-eqtl-top 0: must be at least 1"},
@@ -187,5 +205,185 @@ func TestPrintResultBreaksTiesBySetIndex(t *testing.T) {
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("top 20 = %v, want %v", got, want)
+	}
+}
+
+// TestFlagSurface: every flag of sparkscore and sparkserved keeps its name,
+// type and default, and the dataset, cluster and analysis flags the two
+// share have one usage line, as they have one declaration (internal/job).
+// -eqtl-phenos is in both but not shared: its default and meaning differ.
+func TestFlagSurface(t *testing.T) {
+	want := map[string]string{
+		"sparkscore": `-asymptotic | 
+-beta-weights | 
+-chaos | 
+-cores int | 4
+-dir string | 
+-eqtl | 
+-eqtl-phenos int | 32
+-eqtl-top int | 100
+-events string | 
+-executors-per-node int | 2
+-family string | "cox"
+-generate | 
+-iterations int | 1000
+-marginal | 
+-mem float | 10
+-mem-cap-bytes int | 
+-method string | "mc"
+-no-cache | 
+-nodes int | 6
+-out string | 
+-patients int | 1000
+-progress | 
+-seed uint | 1
+-set-stat string | "skat"
+-sets int | 100
+-snps int | 10000
+-top int | 10
+-workers int | `,
+		"sparkserved": `-addr string | "127.0.0.1:8080"
+-cores int | 4
+-dir string | 
+-drain-timeout duration | 30s
+-eqtl-phenos int | 
+-eqtl-top int | 100
+-executors-per-node int | 2
+-family string | "cox"
+-generate | 
+-mem float | 10
+-mode string | "fair"
+-nodes int | 6
+-patients int | 1000
+-pools string | 
+-seed uint | 1
+-set-stat string | "skat"
+-sets int | 100
+-snps int | 10000
+-warm | true`,
+	}
+	shared := []string{"dir", "generate", "patients", "snps", "sets", "seed", "family", "set-stat",
+		"nodes", "executors-per-node", "cores", "mem", "eqtl-top"}
+
+	dir := t.TempDir()
+	usages := map[string]map[string]string{}
+	for cmd, want := range want {
+		out, err := exec.Command(buildCmd(t, dir, cmd), "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", cmd, err, out)
+		}
+		// flag.PrintDefaults: "  -name type" then "    \tusage (default d)",
+		// the suffix left out for a zero default.
+		var got []string
+		usages[cmd] = map[string]string{}
+		lines := strings.Split(string(out), "\n")
+		for i := 1; i+1 < len(lines); i += 2 {
+			usage, ok := strings.CutPrefix(lines[i+1], "    \t")
+			if !strings.HasPrefix(lines[i], "  -") || !ok {
+				t.Fatalf("%s -h: line %d is not a flag's two lines:\n%s", cmd, i+1, out)
+			}
+			head := strings.TrimSpace(lines[i])
+			def := ""
+			if j := strings.LastIndex(usage, " (default "); j >= 0 && strings.HasSuffix(usage, ")") {
+				usage, def = usage[:j], usage[j+len(" (default "):len(usage)-1]
+			}
+			got = append(got, head+" | "+def)
+			name, _, _ := strings.Cut(head[1:], " ")
+			usages[cmd][name] = usage
+		}
+		if g := strings.Join(got, "\n"); g != want {
+			t.Errorf("%s -h: flags and defaults\n%s\nwant\n%s", cmd, g, want)
+		}
+	}
+	for _, name := range shared {
+		if a, b := usages["sparkscore"][name], usages["sparkserved"][name]; a == "" || a != b {
+			t.Errorf("-%s: sparkscore's usage %q, sparkserved's %q; want one, the same", name, a, b)
+		}
+	}
+}
+
+// TestAsymptoticTiesRankAlikeInCLIAndServer: two SNP-sets with the same
+// members have the same asymptotic p-value, and sparkscore -asymptotic and
+// /v1/skat list them in one order, by set index as the resampling table
+// does: set2 before set10, which name order would swap.
+func TestAsymptoticTiesRankAlikeInCLIAndServer(t *testing.T) {
+	ds, err := gen.Generate(gen.Config{Patients: 200, SNPs: 600, SNPSets: 12}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.SNPSets[10].SNPs = ds.SNPSets[2].SNPs
+	dir := t.TempDir()
+	dsDir := filepath.Join(dir, "ds")
+	if err := os.Mkdir(dsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := data.WriteDataset(ds, func(name string) (io.WriteCloser, error) {
+		return os.Create(filepath.Join(dsDir, name))
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := exec.Command(buildCmd(t, dir, "sparkscore"), "-dir", dsDir, "-iterations", "0", "-asymptotic", "-top", "12").CombinedOutput()
+	if err != nil {
+		t.Fatalf("sparkscore: %v\n%s", err, out)
+	}
+	_, table, ok := strings.Cut(string(out), "by asymptotic (Liu) test:\n")
+	if !ok {
+		t.Fatalf("sparkscore printed no asymptotic table:\n%s", out)
+	}
+	var cli []string
+	for _, line := range strings.Split(table, "\n")[1:] {
+		if name, _, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "set") {
+			cli = append(cli, name)
+		}
+	}
+
+	read, err := data.ReadDataset(os.DirFS(dsDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := rdd.New(rdd.Config{Cluster: cluster.Config{Nodes: 2, Spec: cluster.M3TwoXLarge}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := core.StageDataset(ctx, read, "input")
+	if err != nil {
+		t.Fatal(err)
+	}
+	analysis, err := core.NewAnalysis(ctx, paths, core.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Context: ctx, Analysis: analysis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	resp, err := http.Post(hs.URL+"/v1/skat", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Result struct {
+			Sets []server.SKATRow `json:"sets"`
+		} `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	var served []string
+	p := map[string]float64{}
+	for _, r := range body.Result.Sets {
+		served = append(served, r.Name)
+		p[r.Name] = r.PValue
+	}
+
+	if p["set2"] != p["set10"] || p["set2"] == 0 {
+		t.Fatalf("set2 and set10 do not tie: p = %v, %v", p["set2"], p["set10"])
+	}
+	if c, s := strings.Join(cli, " "), strings.Join(served, " "); c != s || !strings.Contains(s, "set2 set10") {
+		t.Errorf("sparkscore -asymptotic lists\n  %s\n/v1/skat lists\n  %s\nwant one order, set2 before set10", c, s)
 	}
 }

@@ -36,38 +36,19 @@ import (
 	"syscall"
 	"time"
 
-	"sparkscore/internal/assoc"
-	"sparkscore/internal/cluster"
 	"sparkscore/internal/core"
-	"sparkscore/internal/data"
-	"sparkscore/internal/gen"
+	"sparkscore/internal/job"
 	"sparkscore/internal/rdd"
-	"sparkscore/internal/rng"
 	"sparkscore/internal/server"
 )
 
 func main() {
+	run := job.Flags(flag.CommandLine)
 	var (
 		addr = flag.String("addr", "127.0.0.1:8080", "listen address")
 
-		dir      = flag.String("dir", "", "directory with genotypes.txt/phenotype.txt/weights.txt/snpsets.txt")
-		generate = flag.Bool("generate", false, "generate a synthetic dataset instead of reading -dir")
-		patients = flag.Int("patients", 1000, "patients for -generate")
-		snps     = flag.Int("snps", 10000, "SNPs for -generate")
-		sets     = flag.Int("sets", 100, "SNP-sets for -generate")
-
 		eqtlPhenos = flag.Int("eqtl-phenos", 0, "expression phenotypes to generate for the all-pairs /v1/eqtl endpoint (0 disables it)")
-		eqtlTop    = flag.Int("eqtl-top", 100, "most-significant pairs the eQTL engine keeps")
-
-		family  = flag.String("family", "cox", `score family: "cox", "gaussian", or "binomial"`)
-		setStat = flag.String("set-stat", "skat", `SNP-set statistic: "skat" or "burden"`)
-		seed    = flag.Uint64("seed", 1, "seed for data generation and resampling")
-		warm    = flag.Bool("warm", true, "pre-materialise and cache the packed genotype matrix before serving")
-
-		nodes = flag.Int("nodes", 6, "simulated cluster nodes (m3.2xlarge)")
-		execs = flag.Int("executors-per-node", 2, "YARN containers per node")
-		cores = flag.Int("cores", 4, "cores per container")
-		mem   = flag.Float64("mem", 10, "memory per container (GiB)")
+		warm       = flag.Bool("warm", true, "pre-materialise and cache the packed genotype matrix before serving")
 
 		mode  = flag.String("mode", "fair", `job scheduler: "fifo" or "fair"`)
 		pools = flag.String("pools", "", `serving pools as a JSON array, or @file to read one (default: a single "default" pool)`)
@@ -75,7 +56,10 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	)
 	flag.Parse()
-	if err := checkEQTLFlags(*eqtlPhenos, *eqtlTop); err != nil {
+	if *eqtlPhenos < 0 {
+		fatal(fmt.Errorf("-eqtl-phenos %d: must be non-negative (0 disables /v1/eqtl)", *eqtlPhenos))
+	}
+	if err := run.Check(); err != nil {
 		fatal(err)
 	}
 
@@ -87,18 +71,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ds, err := loadDataset(*dir, *generate, *patients, *snps, *sets, *seed)
+	ds, err := run.Dataset()
 	if err != nil {
 		fatal(err)
 	}
-	ctx, err := rdd.New(rdd.Config{
-		Cluster: cluster.Config{
-			Nodes: *nodes, Spec: cluster.M3TwoXLarge,
-			ExecutorsPerNode: *execs, CoresPerExecutor: *cores, MemPerExecutorGiB: *mem,
-		},
-		Seed:      *seed,
-		Scheduler: server.SchedulerConfig(schedMode, poolCfgs),
-	})
+	cfg := run.Config()
+	cfg.Scheduler = server.SchedulerConfig(schedMode, poolCfgs)
+	ctx, err := rdd.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -106,9 +85,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	analysis, err := core.NewAnalysis(ctx, paths, core.Options{
-		Family: *family, SetStatistic: *setStat, Seed: *seed,
-	})
+	analysis, err := core.NewAnalysis(ctx, paths, run.Options())
 	if err != nil {
 		fatal(err)
 	}
@@ -120,18 +97,9 @@ func main() {
 	}
 	scfg := server.Config{Context: ctx, Analysis: analysis, Pools: poolCfgs}
 	if *eqtlPhenos > 0 {
-		// The expression matrix stages beside the dataset; the eQTL engine
-		// re-reads the already-staged genotypes, so the two endpoints share one
-		// copy of the large side.
-		expr := gen.ExpressionMatrix(gen.Config{Patients: analysis.Patients()}, rng.New(*seed), *eqtlPhenos)
-		if err := assoc.StagePhenotypes(ctx, phenoMatrixPath, expr); err != nil {
+		if scfg.EQTL, err = run.OpenEQTL(ctx, paths.Genotypes, "input/phenomatrix.txt", analysis.Patients(), *eqtlPhenos); err != nil {
 			fatal(err)
 		}
-		eq, err := assoc.NewAnalysis(ctx, paths.Genotypes, phenoMatrixPath, assoc.Config{TopK: *eqtlTop})
-		if err != nil {
-			fatal(err)
-		}
-		scfg.EQTL = eq
 	}
 	srv, err := server.New(scfg)
 	if err != nil {
@@ -170,22 +138,6 @@ func main() {
 	}
 }
 
-// checkEQTLFlags refuses -eqtl-phenos below 0 and -eqtl-top below 1, which
-// assoc.Config would read as its default of 100 pairs.
-func checkEQTLFlags(phenos, top int) error {
-	if phenos < 0 {
-		return fmt.Errorf("-eqtl-phenos %d: must be non-negative (0 disables /v1/eqtl)", phenos)
-	}
-	if top < 1 {
-		return fmt.Errorf("-eqtl-top %d: must be at least 1", top)
-	}
-	return nil
-}
-
-// phenoMatrixPath is where the eQTL endpoint's expression matrix stages,
-// beside the dataset's files.
-const phenoMatrixPath = "input/phenomatrix.txt"
-
 // loadPools parses the -pools flag: empty, inline JSON, or @file.
 func loadPools(spec string) ([]server.PoolConfig, error) {
 	if spec == "" {
@@ -200,13 +152,6 @@ func loadPools(spec string) ([]server.PoolConfig, error) {
 		return server.ParsePools(f)
 	}
 	return server.ParsePools(strings.NewReader(spec))
-}
-
-func loadDataset(dir string, generate bool, patients, snps, sets int, seed uint64) (*data.Dataset, error) {
-	if generate || dir == "" {
-		return gen.Generate(gen.Config{Patients: patients, SNPs: snps, SNPSets: sets}, seed)
-	}
-	return data.ReadDataset(os.DirFS(dir))
 }
 
 func fatal(err error) {

@@ -27,6 +27,18 @@ type SetAsymptoticResult struct {
 	PValue   float64
 }
 
+// RankSetAsymptotic orders results by p-value, ties by set index as
+// sparkscore's resampling table breaks them: the order sparkscore -asymptotic
+// prints and /v1/skat serves.
+func RankSetAsymptotic(results []SetAsymptoticResult) {
+	sort.Slice(results, func(i, j int) bool {
+		if results[i].PValue != results[j].PValue {
+			return results[i].PValue < results[j].PValue
+		}
+		return results[i].Set < results[j].Set
+	})
+}
+
 // packedRow is the SetAsymptotic shuffle unit: one SNP's 2-bit packed
 // genotype column, routed to each set containing it — (patients+3)/4 genotype
 // bytes per row.

@@ -103,3 +103,31 @@ func TestAsymptoticRoutesReplayUnderChaos(t *testing.T) {
 		}
 	}
 }
+
+// TestRankingsBreakTiesByIndex: both asymptotic rankings put the smallest
+// p-value first and tied results in index order, whatever order they come
+// in and whatever their names: set2 before set10, which name order swaps.
+func TestRankingsBreakTiesByIndex(t *testing.T) {
+	sets := []SetAsymptoticResult{
+		{Set: 10, Name: "set10", PValue: 0.4}, {Set: 3, Name: "set3", PValue: 0.9},
+		{Set: 2, Name: "set2", PValue: 0.4}, {Set: 7, Name: "set7", PValue: 0.1},
+	}
+	RankSetAsymptotic(sets)
+	var got []string
+	for _, r := range sets {
+		got = append(got, r.Name)
+	}
+	if s := strings.Join(got, " "); s != "set7 set2 set10 set3" {
+		t.Errorf("RankSetAsymptotic: %s, want set7 set2 set10 set3", s)
+	}
+
+	snps := []MarginalResult{{SNP: 9, PValue: 0.5}, {SNP: 4, PValue: 0.5}, {SNP: 1, PValue: 0.7}, {SNP: 6, PValue: 0.2}, {SNP: 2, PValue: 0.5}}
+	RankMarginal(snps)
+	got = got[:0]
+	for _, r := range snps {
+		got = append(got, fmt.Sprint(r.SNP))
+	}
+	if s := strings.Join(got, " "); s != "6 2 4 9 1" {
+		t.Errorf("RankMarginal: %s, want 6 2 4 9 1", s)
+	}
+}

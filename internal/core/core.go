@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"sort"
 
 	"sparkscore/internal/data"
 	"sparkscore/internal/rdd"
@@ -586,6 +587,17 @@ type MarginalResult struct {
 	Score    float64
 	Variance float64
 	PValue   float64
+}
+
+// RankMarginal orders results by p-value, ties by SNP index: the order
+// sparkscore -marginal prints and /v1/score serves.
+func RankMarginal(results []MarginalResult) {
+	sort.Slice(results, func(i, j int) bool {
+		if results[i].PValue != results[j].PValue {
+			return results[i].PValue < results[j].PValue
+		}
+		return results[i].SNP < results[j].SNP
+	})
 }
 
 // MarginalAsymptotic computes per-SNP asymptotic score tests: each packed

@@ -28,7 +28,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -608,12 +607,7 @@ func (r *scoreRequest) run(a *core.Analysis) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].PValue != results[j].PValue {
-			return results[i].PValue < results[j].PValue
-		}
-		return results[i].SNP < results[j].SNP
-	})
+	core.RankMarginal(results)
 	if r.Top > 0 && r.Top < len(results) {
 		results = results[:r.Top]
 	}
@@ -639,12 +633,7 @@ func (r *skatRequest) run(a *core.Analysis) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].PValue != results[j].PValue {
-			return results[i].PValue < results[j].PValue
-		}
-		return results[i].Name < results[j].Name
-	})
+	core.RankSetAsymptotic(results)
 	if r.Top > 0 && r.Top < len(results) {
 		results = results[:r.Top]
 	}
