@@ -39,10 +39,7 @@ func mcVirtualSeconds(b *testing.B, cache bool) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{Seed: 3}
-	if !cache {
-		opts = opts.WithoutCache()
-	}
+	opts := core.Options{Seed: 3, NoCache: !cache}
 	a, err := core.NewAnalysis(ctx, paths, opts)
 	if err != nil {
 		b.Fatal(err)

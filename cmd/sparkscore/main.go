@@ -72,16 +72,18 @@ func main() {
 	if *memCap < 0 {
 		fatal(fmt.Errorf("-mem-cap-bytes %d: must be non-negative", *memCap))
 	}
+	unread, why := skatUnread, "read only with -eqtl"
 	if *eqtlMode {
 		if *eqtlPhenos < 1 {
 			fatal(fmt.Errorf("-eqtl-phenos %d: must be at least 1 with -eqtl", *eqtlPhenos))
 		}
-		flag.Visit(func(f *flag.Flag) {
-			if eqtlUnread[f.Name] {
-				fatal(fmt.Errorf("-%s: not read with -eqtl", f.Name))
-			}
-		})
+		unread, why = eqtlUnread, "not read with -eqtl"
 	}
+	flag.Visit(func(f *flag.Flag) {
+		if unread[f.Name] {
+			fatal(fmt.Errorf("-%s: %s", f.Name, why))
+		}
+	})
 
 	ds, err := run.Dataset()
 	if err != nil {
@@ -127,9 +129,7 @@ func main() {
 		fatal(err)
 	}
 	opts := run.Options()
-	if *noCache {
-		opts = opts.WithoutCache()
-	}
+	opts.NoCache = *noCache
 	analysis, err := core.NewAnalysis(ctx, paths, opts)
 	if err != nil {
 		fatal(err)
@@ -163,12 +163,16 @@ func main() {
 }
 
 // eqtlUnread names the flags the all-pairs engine does not read — it scores
-// the Gaussian family over generated phenotypes and resamples nothing — so
-// -eqtl refuses them when they are set rather than ignore them.
-var eqtlUnread = map[string]bool{
-	"method": true, "iterations": true, "family": true, "no-cache": true,
-	"set-stat": true, "beta-weights": true, "marginal": true, "asymptotic": true,
-}
+// the Gaussian family over generated phenotypes and resamples nothing — and
+// skatUnread the flags only the all-pairs engine reads. Each mode refuses
+// the other's flags when they are set rather than ignore them.
+var (
+	eqtlUnread = map[string]bool{
+		"method": true, "iterations": true, "family": true, "no-cache": true,
+		"set-stat": true, "beta-weights": true, "marginal": true, "asymptotic": true,
+	}
+	skatUnread = map[string]bool{"eqtl-phenos": true, "eqtl-top": true}
+)
 
 // writeReport writes a report to path through write, when path is set.
 func writeReport(path string, write func(io.Writer) error) {

@@ -138,7 +138,9 @@ func TestDeletedFlagsStayDeleted(t *testing.T) {
 // so. An -eqtl-top below 1 is refused too: a top-K of 0 used to keep the
 // default 100 pairs. So is an unknown -method, in every mode: it used to fail
 // only after the banner, generation and staging, and -eqtl ignored it. And
-// -eqtl refuses each flag it does not read once it is set, whatever its value.
+// -eqtl refuses each flag it does not read once it is set, whatever its value,
+// as the SKAT pipeline refuses -eqtl-phenos and -eqtl-top and sparkserved
+// refuses -eqtl-top without the /v1/eqtl endpoint.
 func TestNegativeTopRejected(t *testing.T) {
 	dir := t.TempDir()
 	bins := map[string]string{"sparkscore": buildCmd(t, dir, "sparkscore"), "sparkserved": buildCmd(t, dir, "sparkserved")}
@@ -164,9 +166,17 @@ func TestNegativeTopRejected(t *testing.T) {
 		{"sparkscore", "-eqtl -eqtl-phenos 2 -beta-weights", "-beta-weights: not read with -eqtl"},
 		{"sparkscore", "-eqtl -eqtl-phenos 2 -marginal", "-marginal: not read with -eqtl"},
 		{"sparkscore", "-eqtl -eqtl-phenos 2 -asymptotic=false", "-asymptotic: not read with -eqtl"},
+		// The SKAT pipeline reads neither eQTL flag: it used to run and
+		// ignore them.
+		{"sparkscore", "-iterations 2 -eqtl-phenos 7", "-eqtl-phenos: read only with -eqtl"},
+		{"sparkscore", "-iterations 2 -eqtl-top 3", "-eqtl-top: read only with -eqtl"},
+		{"sparkscore", "-iterations 2 -eqtl-phenos 7 -eqtl-top 3", "read only with -eqtl"},
+		{"sparkscore", "-iterations 2 -eqtl-phenos 32 -eqtl-top 100", "read only with -eqtl"},
 		// A sparkserved that accepted its flags would serve until killed.
 		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-phenos -2", "must be non-negative"},
 		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-phenos 2 -eqtl-top 0", "-eqtl-top 0: must be at least 1"},
+		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-top 3", "-eqtl-top: read only with -eqtl-phenos above 0"},
+		{"sparkserved", "-addr 127.0.0.1:0 -eqtl-phenos 0 -eqtl-top 100", "-eqtl-top: read only with -eqtl-phenos above 0"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		out, err := exec.CommandContext(ctx, bins[tc.cmd], strings.Fields(shape+" "+tc.args)...).CombinedOutput()

@@ -62,6 +62,11 @@ func main() {
 	if err := run.Check(); err != nil {
 		fatal(err)
 	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "eqtl-top" && *eqtlPhenos == 0 {
+			fatal(fmt.Errorf("-eqtl-top: read only with -eqtl-phenos above 0"))
+		}
+	})
 
 	schedMode, err := rdd.ParseSchedulerMode(*mode)
 	if err != nil {

@@ -71,7 +71,7 @@ func TestMonteCarloBatchBoundaries(t *testing.T) {
 			with func(Options) Options
 		}{
 			{"cached", func(o Options) Options { return o }},
-			{"uncached", Options.WithoutCache},
+			{"uncached", func(o Options) Options { o.NoCache = true; return o }},
 			{"disk-spill", func(o Options) Options { o.DiskSpill = true; return o }},
 		} {
 			t.Run(cfg.name+"/"+storage.name, func(t *testing.T) {
@@ -451,7 +451,7 @@ func TestMonteCarloDataflowShape(t *testing.T) {
 	a.Release()
 	before = len(ctx.Jobs())
 	uncached := *a
-	uncached.opts = a.opts.WithoutCache()
+	uncached.opts.NoCache = true
 	if _, err := uncached.MonteCarlo(mcBatch + tail); err != nil {
 		t.Fatal(err)
 	}

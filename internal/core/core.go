@@ -61,10 +61,11 @@ type Options struct {
 	// statistics: "skat" (default, the paper's statistic) or "burden".
 	SetStatistic string
 
-	// Cache controls whether Monte Carlo caches the packed genotype blocks it
-	// resamples over (Algorithm 3 step 2, with the blocks in RDD U's place).
-	// The paper's Experiment B flips exactly this switch. Default true.
-	Cache *bool
+	// NoCache stops Monte Carlo caching the packed genotype blocks it
+	// resamples over (Algorithm 3 step 2, with the blocks in RDD U's place),
+	// so every job re-scans the genotype text. The paper's Experiment B flips
+	// exactly this switch.
+	NoCache bool
 
 	// DiskSpill persists the cached blocks at MEMORY_AND_DISK instead of
 	// Spark's default MEMORY_ONLY: partitions that overflow executor storage
@@ -82,14 +83,6 @@ func (o Options) family() string {
 		return "cox"
 	}
 	return o.Family
-}
-
-func (o Options) cache() bool { return o.Cache == nil || *o.Cache }
-
-// WithoutCache returns a copy of o with caching disabled.
-func (o Options) WithoutCache() Options {
-	o.Cache = new(bool)
-	return o
 }
 
 // Result holds the outcome of a resampling analysis.
@@ -514,7 +507,7 @@ func (a *Analysis) MonteCarlo(iterations int) (*Result, error) {
 	if iterations < 0 {
 		return nil, fmt.Errorf("core: %d iterations", iterations)
 	}
-	blocks, release, err := a.source(a.opts.cache())
+	blocks, release, err := a.source(!a.opts.NoCache)
 	if err != nil {
 		return nil, err
 	}

@@ -229,7 +229,7 @@ func TestMonteCarloCacheDoesNotChangeResults(t *testing.T) {
 		return res
 	}
 	cached := run(Options{Seed: 11})
-	uncached := run(Options{Seed: 11}.WithoutCache())
+	uncached := run(Options{Seed: 11, NoCache: true})
 	assertClose(t, "observed", uncached.Observed, cached.Observed, 1e-9)
 	for k := range cached.Exceed {
 		if cached.Exceed[k] != uncached.Exceed[k] {
@@ -250,7 +250,7 @@ func TestMonteCarloCacheReducesVirtualTime(t *testing.T) {
 		return ctx.VirtualTime()
 	}
 	withCache := run(Options{Seed: 1})
-	withoutCache := run(Options{Seed: 1}.WithoutCache())
+	withoutCache := run(Options{Seed: 1, NoCache: true})
 	if withCache >= withoutCache {
 		t.Fatalf("cached MC %.4fs >= uncached %.4fs", withCache, withoutCache)
 	}

@@ -383,23 +383,24 @@ func (b *GenoBlock) DecodeRow(r int, dst []Genotype) []Genotype {
 		dst = make([]Genotype, b.Patients)
 	}
 	dst = dst[:b.Patients]
-	UnpackGenotypes(b.Row(r), dst)
+	UnpackGenotypes(b.Row(r), dst, CodeGenotypes)
 	return dst
 }
 
-// UnpackGenotypes decodes packed 2-bit codes into dst; len(dst) genotypes
-// are read. Missing decodes to MissingGenotype.
-func UnpackGenotypes(packed []byte, dst []Genotype) {
+// UnpackGenotypes decodes packed 2-bit codes into dst through codes, the
+// genotype each code stands for; len(dst) genotypes are read. CodeGenotypes
+// decodes missing to MissingGenotype.
+func UnpackGenotypes(packed []byte, dst []Genotype, codes [4]Genotype) {
 	n := len(dst)
 	for i := 0; i+4 <= n; i += 4 {
 		v := packed[i>>2]
-		dst[i] = CodeGenotypes[v&3]
-		dst[i+1] = CodeGenotypes[(v>>2)&3]
-		dst[i+2] = CodeGenotypes[(v>>4)&3]
-		dst[i+3] = CodeGenotypes[v>>6]
+		dst[i] = codes[v&3]
+		dst[i+1] = codes[(v>>2)&3]
+		dst[i+2] = codes[(v>>4)&3]
+		dst[i+3] = codes[v>>6]
 	}
 	for i := n &^ 3; i < n; i++ {
-		dst[i] = CodeGenotypes[(packed[i>>2]>>uint((i&3)*2))&3]
+		dst[i] = codes[(packed[i>>2]>>uint((i&3)*2))&3]
 	}
 }
 

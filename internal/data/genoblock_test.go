@@ -115,7 +115,7 @@ func TestPackUnpackGenotypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]Genotype, len(g))
-	UnpackGenotypes(packed, out)
+	UnpackGenotypes(packed, out, CodeGenotypes)
 	for i := range g {
 		if out[i] != g[i] {
 			t.Fatalf("patient %d: %d, want %d", i, out[i], g[i])

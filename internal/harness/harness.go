@@ -192,10 +192,7 @@ func (h *Harness) run(p Params, faults rdd.FaultProfile) (_ *rdd.Context, _ *cor
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := core.Options{Family: p.Family, Seed: h.Seed, DiskSpill: p.DiskSpill}
-	if !p.Cache {
-		opts = opts.WithoutCache()
-	}
+	opts := core.Options{Family: p.Family, Seed: h.Seed, DiskSpill: p.DiskSpill, NoCache: !p.Cache}
 	a, err := core.NewAnalysis(ctx, paths, opts)
 	if err != nil {
 		return nil, nil, err

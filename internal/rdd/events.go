@@ -145,7 +145,7 @@ type TaskStart struct {
 func (*TaskStart) Name() string { return "TaskStart" }
 
 // TaskEnd marks a task attempt finishing (SparkListenerTaskEnd), carrying the
-// attempt's metrics snapshot as Spark tasks carry TaskMetrics. Recovery marks
+// attempt's TaskMetrics as Spark tasks do. Recovery marks
 // attempts whose virtual time is charged to JobMetrics.RecoverySeconds.
 type TaskEnd struct {
 	EventTime
@@ -171,10 +171,14 @@ type TaskEnd struct {
 
 func (*TaskEnd) Name() string { return "TaskEnd" }
 
-// TaskMetrics is the per-attempt cost snapshot carried by TaskEnd — the
-// analogue of Spark's TaskMetrics. All fields are byte counters or counts,
-// reproducible for a fixed Config. Ops is the kernel work the task's closures
-// declared through Task.Charge.
+// TaskMetrics is the per-attempt cost carried by TaskEnd — the analogue of
+// Spark's TaskMetrics. The attempt counts into it as it runs. All fields are
+// byte counters or counts, reproducible for a fixed Config. Ops is the kernel
+// work the task's closures declared through Task.Charge. MaterializedBytes
+// totals what the task materialised at pipeline breakers (cache puts, shuffle
+// bucket writes, action boundaries): a fully fused narrow chain ending in a
+// streaming action materialises nothing. FusedChain is the longest fused
+// narrow chain the task drove.
 type TaskMetrics struct {
 	DFSLocalBytes       int64 `json:"dfsLocalBytes,omitempty"`
 	DFSRemoteBytes      int64 `json:"dfsRemoteBytes,omitempty"`

@@ -96,7 +96,7 @@ func (n *node) estBytes(v any) int64 {
 // through (fusion); a cached node is a pipeline breaker — the cursor is
 // drained into a slice for the block manager and the slice is re-wrapped.
 func (n *node) iterate(tc *taskContext, p int) any {
-	tc.noteFused(n.fusedDepth)
+	tc.m.FusedChain = max(tc.m.FusedChain, n.fusedDepth)
 	level := n.cacheLevel.Load()
 	if level == 0 {
 		return n.compute(tc, p)
@@ -106,20 +106,18 @@ func (n *node) iterate(tc *taskContext, p int) any {
 		bytes := n.estBytes(v)
 		local := n.ctx.cluster.Executor(holder).Node == tc.node()
 		switch {
-		case onDisk && local:
-			tc.cacheDiskLocalBytes += bytes
+		case !local:
+			tc.m.CacheRemoteBytes += bytes
 		case onDisk:
-			tc.cacheRemoteBytes += bytes
-		case local:
-			tc.cacheLocalBytes += bytes
+			tc.m.CacheDiskLocalBytes += bytes
 		default:
-			tc.cacheRemoteBytes += bytes
+			tc.m.CacheLocalBytes += bytes
 		}
 		return n.fromSlice(v)
 	}
 	v := n.materialize(n.compute(tc, p))
 	bytes := n.estBytes(v)
-	tc.noteMaterialized(bytes)
+	tc.m.MaterializedBytes += bytes
 	stored, onDisk, evicted := n.ctx.blocks.put(tc.executor, key, v, bytes, level == 2)
 	for _, b := range evicted {
 		tc.emit(&BlockEvicted{Job: tc.job, RDD: b.key.rdd, Part: b.key.part, Executor: b.executor, Bytes: b.bytes})
@@ -161,11 +159,11 @@ func (n *node) stageShuffleDeps() []*shuffleDep {
 	return out
 }
 
-// taskContext carries the executing executor and accumulates the cost
-// drivers of one task; the scheduler converts them to virtual seconds. The
-// identity fields (job, stage, round, part, attempt) name the decision point
-// for deterministic fault injection: they, not scheduling order, decide
-// whether a fault fires.
+// taskContext is one task attempt: the executing executor, the cost drivers
+// the attempt counts, and its outcome; the scheduler converts the counts to
+// virtual seconds. The identity fields (job, stage, round, part, attempt)
+// name the decision point for deterministic fault injection: they, not
+// scheduling order, decide whether a fault fires.
 type taskContext struct {
 	ctx      *Context
 	executor int
@@ -176,39 +174,21 @@ type taskContext struct {
 	part    int    // partition the task computes
 	attempt int    // task attempt within the stage, 1-based
 
-	dfsLocalBytes       int64
-	dfsRemoteBytes      int64
-	shuffleLocalBytes   int64
-	shuffleRemoteBytes  int64
-	cacheLocalBytes     int64
-	cacheDiskLocalBytes int64 // MEMORY_AND_DISK blocks read from local disk
-	cacheRemoteBytes    int64
-	shipBytes           int64 // driver-to-executor payload (Parallelize)
+	// m is the attempt's cost, counted in place at every counting site and
+	// carried as it is by the attempt's TaskEnd.
+	m TaskMetrics
 
-	// ops is the kernel work the task's closures declared (Task.Charge): the
-	// compute term of its simulated duration.
-	ops int64
+	// execReserved is the task's outstanding execution-memory grant from the
+	// memory manager, released when the attempt ends; its high-water mark is
+	// m.ExecutionPeakBytes.
+	execReserved int64
 
-	// materializedBytes totals the bytes this task materialised at pipeline
-	// breakers (cache puts, shuffle bucket writes, action boundaries). A
-	// fully fused narrow chain ending in a streaming action materialises
-	// nothing; the seed's slice-per-operator path materialised every
-	// intermediate. The per-task maximum surfaces as
-	// JobMetrics.PeakMaterializedBytes.
-	materializedBytes int64
-	// fusedChain is the longest fused narrow chain this task drove.
-	fusedChain int
-
-	// Execution-memory accounting. execReserved is the task's outstanding
-	// grant from the memory manager, released when the attempt ends;
-	// execPeak is its high-water mark. shuffleBufferPeak is the largest
-	// shuffle buffer (sort) or bucket set (hash) the task held; spilledBytes
-	// and spillCount record runs written under memory pressure.
-	execReserved      int64
-	execPeak          int64
-	shuffleBufferPeak int64
-	spilledBytes      int64
-	spillCount        int
+	// The outcome, set when the attempt ends: the host time it took (it
+	// reaches TaskEnd.ComputeSec and nothing else), whether it succeeded,
+	// and why not.
+	computeSec float64
+	ok         bool
+	failure    string
 
 	// events buffers the events this attempt produced (cache puts,
 	// evictions, fetch failures). Tasks run concurrently, so publishing from
@@ -224,28 +204,6 @@ func (tc *taskContext) emit(ev Event) {
 	tc.events = append(tc.events, ev)
 }
 
-// snapshot freezes the attempt's cost counters into the TaskMetrics carried
-// by its TaskEnd event.
-func (tc *taskContext) snapshot() TaskMetrics {
-	return TaskMetrics{
-		DFSLocalBytes:       tc.dfsLocalBytes,
-		DFSRemoteBytes:      tc.dfsRemoteBytes,
-		ShuffleLocalBytes:   tc.shuffleLocalBytes,
-		ShuffleRemoteBytes:  tc.shuffleRemoteBytes,
-		CacheLocalBytes:     tc.cacheLocalBytes,
-		CacheDiskLocalBytes: tc.cacheDiskLocalBytes,
-		CacheRemoteBytes:    tc.cacheRemoteBytes,
-		ShipBytes:           tc.shipBytes,
-		Ops:                 tc.ops,
-		MaterializedBytes:   tc.materializedBytes,
-		FusedChain:          tc.fusedChain,
-		SpilledBytes:        tc.spilledBytes,
-		SpillCount:          tc.spillCount,
-		ShuffleBufferBytes:  tc.shuffleBufferPeak,
-		ExecutionPeakBytes:  tc.execPeak,
-	}
-}
-
 // acquireExecution asks the memory manager for execution memory on the
 // task's executor, publishing any evictions the acquisition caused and
 // updating the task's grant accounting. A false return (acqSpill only) means
@@ -259,9 +217,7 @@ func (tc *taskContext) acquireExecution(bytes int64, mode acqMode) bool {
 		return false
 	}
 	tc.execReserved += bytes
-	if tc.execReserved > tc.execPeak {
-		tc.execPeak = tc.execReserved
-	}
+	tc.m.ExecutionPeakBytes = max(tc.m.ExecutionPeakBytes, tc.execReserved)
 	return true
 }
 
@@ -280,30 +236,13 @@ func (tc *taskContext) releaseAllExecution() {
 	}
 }
 
-// noteShuffleBuffer records a shuffle buffer high-water mark.
-func (tc *taskContext) noteShuffleBuffer(bytes int64) {
-	if bytes > tc.shuffleBufferPeak {
-		tc.shuffleBufferPeak = bytes
-	}
-}
-
 func (tc *taskContext) node() int {
 	return tc.ctx.cluster.Executor(tc.executor).Node
 }
 
-func (tc *taskContext) noteMaterialized(bytes int64) {
-	tc.materializedBytes += bytes
-}
-
-func (tc *taskContext) noteFused(depth int) {
-	if depth > tc.fusedChain {
-		tc.fusedChain = depth
-	}
-}
-
 // workBytes is the task's total data touch, the driver of the spill model.
-func (tc *taskContext) workBytes() int64 {
-	return tc.dfsLocalBytes + tc.dfsRemoteBytes +
-		tc.shuffleLocalBytes + tc.shuffleRemoteBytes +
-		tc.cacheLocalBytes + tc.cacheDiskLocalBytes + tc.cacheRemoteBytes + tc.shipBytes
+func (m *TaskMetrics) workBytes() int64 {
+	return m.DFSLocalBytes + m.DFSRemoteBytes +
+		m.ShuffleLocalBytes + m.ShuffleRemoteBytes +
+		m.CacheLocalBytes + m.CacheDiskLocalBytes + m.CacheRemoteBytes + m.ShipBytes
 }

@@ -144,7 +144,7 @@ func Parallelize[T any](c *Context, items []T, parts int) *RDD[T] {
 	n := newTypedNode[T](c, fmt.Sprintf("parallelize[%d]", len(items)), parts)
 	n.compute = func(tc *taskContext, p int) any {
 		lo, hi := partRange(len(owned), n.parts, p)
-		tc.shipBytes += int64(hi-lo) * n.bytesPerElem
+		tc.m.ShipBytes += int64(hi-lo) * n.bytesPerElem
 		return boxSeq(sliceSeq(owned[lo:hi:hi]))
 	}
 	return &RDD[T]{n: n}
@@ -226,9 +226,9 @@ func (c *Context) TextSplits(name string, minPartitions int) (*RDD[[]byte], erro
 			}
 		}
 		if local {
-			tc.dfsLocalBytes += int64(end - start)
+			tc.m.DFSLocalBytes += int64(end - start)
 		} else {
-			tc.dfsRemoteBytes += int64(end - start)
+			tc.m.DFSRemoteBytes += int64(end - start)
 		}
 		// The range holds whole lines. The newline that ends its last line
 		// starts no line of its own, nor do the file's closing newlines.
@@ -321,7 +321,7 @@ func (t Task) Charge(ops int64) {
 	if ops < 0 {
 		panic(fmt.Sprintf("rdd: charge of %d operations", ops))
 	}
-	t.tc.ops += ops
+	t.tc.m.Ops += ops
 }
 
 // MapWithSetup is Map with per-partition setup: setup runs once per
@@ -388,7 +388,7 @@ func Collect[T any](r *RDD[T]) ([]T, error) {
 	parts := make([][]T, n.parts)
 	err := runSeqJob(n, "collect", func(tc *taskContext, s iter.Seq[T]) any {
 		out := drainSeq(s)
-		tc.noteMaterialized(int64(len(out)) * n.bytesPerElem)
+		tc.m.MaterializedBytes += int64(len(out)) * n.bytesPerElem
 		return out
 	}, func(p int, v any) {
 		parts[p] = v.([]T)

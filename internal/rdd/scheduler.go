@@ -34,17 +34,13 @@ import (
 	"time"
 )
 
+// task is one partition of a stage: where its next attempt is placed, the
+// work it runs, and its latest attempt (nil until one is launched).
 type task struct {
 	part     int
 	executor int
-	attempt  int // 1-based attempt number of the latest launch
 	run      func(tc *taskContext)
-
-	// filled after execution
-	computeSec float64 // host time of the attempt; reaches TaskEnd.ComputeSec and nothing else
-	tc         *taskContext
-	ok         bool
-	failMsg    string // why the attempt failed (charge records only)
+	tc       *taskContext
 }
 
 // jobRun is the driver-side state of one running job: its id, the context
@@ -288,7 +284,7 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 	// through every wave so retries still see the stage's load balance.
 	loads := map[int]int{}
 	var (
-		charges     []*task // failed attempts, kept for virtual accounting
+		failed      []*taskContext // failed attempts, kept for virtual accounting
 		stageErr    error
 		stageEvents []Event // executor exclusions, flushed before StageCompleted
 	)
@@ -318,15 +314,14 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 			if jr.ctx.Err() != nil {
 				break // the job is cancelled: this is the next task boundary
 			}
-			t.attempt = attempt
 			wg.Add(1)
 			c.workers <- struct{}{}
+			tc := &taskContext{ctx: c, job: job, stage: stageID, round: round, part: t.part, attempt: attempt, executor: t.executor}
+			t.tc = tc
 			go func(t *task) {
-				tc := &taskContext{ctx: c, job: job, stage: stageID, round: round, part: t.part, attempt: attempt, executor: t.executor}
 				start := time.Now()
 				defer func() {
-					t.computeSec = time.Since(start).Seconds()
-					t.tc = tc
+					tc.computeSec = time.Since(start).Seconds()
 					// The attempt's execution-memory grant dies with it,
 					// success or failure — buffers and merge outputs are
 					// consumed by the downstream cursor before the barrier.
@@ -335,14 +330,16 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 						f := failure{t: t}
 						if ff, ok := r.(*fetchFailedError); ok {
 							f.ff = ff
+							tc.failure = ff.Error()
 						} else {
 							f.err = fmt.Errorf("task %d (attempt %d) on executor %d: %v", t.part, attempt, t.executor, r)
+							tc.failure = f.err.Error()
 						}
 						failMu.Lock()
 						fails = append(fails, f)
 						failMu.Unlock()
 					} else {
-						t.ok = true
+						tc.ok = true
 						c.mu.Lock()
 						c.tasksDone++
 						c.mu.Unlock()
@@ -362,7 +359,6 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 		var retry []*task
 		for _, f := range fails {
 			t := f.t
-			charge := &task{part: t.part, executor: t.executor, attempt: t.attempt, computeSec: t.computeSec, tc: t.tc}
 			noteFailure := func() {
 				if ev := c.noteTaskFailure(t.executor); ev != nil {
 					stageEvents = append(stageEvents, ev)
@@ -379,23 +375,19 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 				if f.ff.injected {
 					c.shuffle.drop(f.ff.shuffle, f.ff.mapPart)
 				}
-				charge.failMsg = f.ff.Error()
 				if stageErr == nil {
 					stageErr = f.ff
 				}
-			case t.attempt >= taskMaxFailures:
-				charge.failMsg = f.err.Error()
+			case attempt >= taskMaxFailures:
 				noteFailure()
 				if stageErr == nil || isFetchFailure(stageErr) {
-					stageErr = &TaskAbortedError{Stage: stageRDD.name, Part: t.part, Attempts: t.attempt, Cause: f.err}
+					stageErr = &TaskAbortedError{Stage: stageRDD.name, Part: t.part, Attempts: attempt, Cause: f.err}
 				}
 			default:
-				charge.failMsg = f.err.Error()
 				noteFailure()
-				t.ok, t.tc = false, nil
 				retry = append(retry, t)
 			}
-			charges = append(charges, charge)
+			failed = append(failed, t.tc)
 		}
 		if stageErr != nil {
 			break
@@ -419,7 +411,7 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 	// post-mortem order), and it is where each attempt's buffered events are
 	// flushed to the bus: TaskStart at the attempt's virtual launch, then the
 	// events the task recorded while running (cache puts, evictions, fetch
-	// failures), then TaskEnd with the metrics snapshot.
+	// failures), then TaskEnd with the attempt's metrics.
 	// Each executor contributes only the job's arbitrated slot share for this
 	// stage: all cores under FIFO or when the job runs alone, a weight- and
 	// minShare-derived fraction when FAIR jobs overlap (see jobArbiter).
@@ -435,32 +427,31 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 		return pool
 	}
 	makespan := 0.0
-	account := func(t *task, isRecovery bool) {
-		if t.tc == nil {
-			return // never launched (the job was cancelled mid-wave)
-		}
-		dur := c.taskBaseDuration(t) * c.stragglerSlowdown(t.tc)
-		done := poolFor(t.executor).run(dur)
+	account := func(tc *taskContext, isRecovery bool) {
+		dur := c.taskBaseDuration(tc) * c.stragglerSlowdown(tc)
+		done := poolFor(tc.executor).run(dur)
 		makespan = max(makespan, done)
 		start, end := stageStart+done-dur, stageStart+done
-		c.emit(start, &TaskStart{Job: job, Stage: stageID, Round: round, Part: t.part, Attempt: t.attempt, Executor: t.executor})
-		for _, ev := range t.tc.events {
+		c.emit(start, &TaskStart{Job: job, Stage: stageID, Round: round, Part: tc.part, Attempt: tc.attempt, Executor: tc.executor})
+		for _, ev := range tc.events {
 			c.emit(end, ev)
 		}
 		c.emit(end, &TaskEnd{
-			Job: job, Stage: stageID, Round: round, Part: t.part, Attempt: t.attempt, Executor: t.executor,
-			OK: t.ok, Failure: t.failMsg, Recovery: isRecovery,
-			StartSec: start, DurationSec: dur, ComputeSec: t.computeSec,
-			Metrics: t.tc.snapshot(),
+			Job: job, Stage: stageID, Round: round, Part: tc.part, Attempt: tc.attempt, Executor: tc.executor,
+			OK: tc.ok, Failure: tc.failure, Recovery: isRecovery,
+			StartSec: start, DurationSec: dur, ComputeSec: tc.computeSec,
+			Metrics: tc.m,
 		})
 	}
+	// A task whose latest attempt failed, or that a cancelled job never
+	// launched, has no success to account.
 	for _, t := range tasks {
-		if t.ok {
-			account(t, recovery || t.attempt > 1)
+		if t.tc != nil && t.tc.ok {
+			account(t.tc, recovery || t.tc.attempt > 1)
 		}
 	}
-	for _, t := range charges {
-		account(t, true)
+	for _, tc := range failed {
+		account(tc, true)
 	}
 	// Node losses fired by plans during this stage, then executor exclusions,
 	// land at the stage barrier — a deterministic log position.
@@ -470,7 +461,7 @@ func (c *Context) runStage(jr *jobRun, stageID uint64, round int, stageRDD *node
 	}
 	elapsed := makespan + c.cfg.StageOverheadSec
 	done := &StageCompleted{Job: job, Stage: stageID, Round: round, RDD: stageRDD.name,
-		NumTasks: len(tasks), FailedAttempts: len(charges), Seconds: elapsed}
+		NumTasks: len(tasks), FailedAttempts: len(failed), Seconds: elapsed}
 	if stageErr != nil {
 		done.Failed, done.Error = true, stageErr.Error()
 	}
@@ -609,9 +600,9 @@ const (
 // and recorded I/O, nothing the host's clock said — into simulated seconds
 // before the straggler slowdown: the duration the task would have run at the
 // stage's normal rate.
-func (c *Context) taskBaseDuration(t *task) float64 {
+func (c *Context) taskBaseDuration(tc *taskContext) float64 {
 	cfg := c.cfg
-	tc := t.tc
+	m := &tc.m
 	const (
 		diskBps = diskMBps * 1e6
 		netBps  = netMBps * 1e6
@@ -619,27 +610,27 @@ func (c *Context) taskBaseDuration(t *task) float64 {
 	)
 
 	dur := cfg.SchedOverheadSec +
-		float64(tc.ops)/(kernelGops*1e9) +
-		float64(tc.dfsLocalBytes+tc.dfsRemoteBytes)/(parseMBps*1e6) +
-		float64(tc.dfsLocalBytes)/diskBps +
-		float64(tc.dfsRemoteBytes)/netBps +
-		float64(tc.shuffleLocalBytes)/diskBps +
-		float64(tc.shuffleRemoteBytes)/netBps +
-		float64(tc.cacheLocalBytes)/memBps +
-		float64(tc.cacheDiskLocalBytes)/diskBps +
-		float64(tc.cacheRemoteBytes)/netBps +
-		float64(tc.shipBytes)/netBps +
-		float64(tc.spilledBytes)/diskBps // runs written under memory pressure
+		float64(m.Ops)/(kernelGops*1e9) +
+		float64(m.DFSLocalBytes+m.DFSRemoteBytes)/(parseMBps*1e6) +
+		float64(m.DFSLocalBytes)/diskBps +
+		float64(m.DFSRemoteBytes)/netBps +
+		float64(m.ShuffleLocalBytes)/diskBps +
+		float64(m.ShuffleRemoteBytes)/netBps +
+		float64(m.CacheLocalBytes)/memBps +
+		float64(m.CacheDiskLocalBytes)/diskBps +
+		float64(m.CacheRemoteBytes)/netBps +
+		float64(m.ShipBytes)/netBps +
+		float64(m.SpilledBytes)/diskBps // runs written under memory pressure
 
 	// Modelled spill: the task's share of execution memory is the unified
 	// pool's non-storage region divided over the executor's core slots; any
 	// working set beyond it spills to disk and is read back. (Accounted
-	// spills — tc.spilledBytes — are charged above from what the memory
+	// spills — SpilledBytes — are charged above from what the memory
 	// manager actually denied; this heuristic covers narrow-stage working
 	// sets the manager never sees.)
-	exec := c.cluster.Executor(t.executor)
+	exec := c.cluster.Executor(tc.executor)
 	execMemPerSlot := float64(exec.MemBytes) * memoryFraction * (1 - storageFraction) / float64(exec.Cores)
-	if ws := float64(tc.workBytes()); ws > execMemPerSlot {
+	if ws := float64(m.workBytes()); ws > execMemPerSlot {
 		dur += 2 * (ws - execMemPerSlot) / diskBps
 	}
 	return dur

@@ -224,9 +224,9 @@ func (sm *shuffleManager) fetch(tc *taskContext, shuffle, reducePart, mapParts i
 			panic(&fetchFailedError{shuffle: shuffle, mapPart: m})
 		}
 		if mo.node == tc.node() {
-			tc.shuffleLocalBytes += mo.bytes[reducePart]
+			tc.m.ShuffleLocalBytes += mo.bytes[reducePart]
 		} else {
-			tc.shuffleRemoteBytes += mo.bytes[reducePart]
+			tc.m.ShuffleRemoteBytes += mo.bytes[reducePart]
 		}
 	}
 	return out
@@ -341,7 +341,7 @@ func registerBuckets[K comparable, V any](ctx *Context, tc *taskContext, sd *shu
 		bytes[i] = int64(len(b)) * bytesPerElem
 		total += bytes[i]
 	}
-	tc.noteMaterialized(total)
+	tc.m.MaterializedBytes += total
 	ctx.shuffle.write(sd.id, mapPart, sd.parent.parts, tc.node(), tc.executor, anyBuckets, bytes, nil)
 }
 
@@ -390,7 +390,7 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], combine func(V, V) V, pa
 		}
 		est := int64(len(merged.keys)) * n.bytesPerElem
 		tc.acquireExecution(est, acqForce)
-		tc.noteMaterialized(est)
+		tc.m.MaterializedBytes += est
 		return boxSeq(merged.seq())
 	}
 	return &RDD[KV[K, V]]{n: n}
@@ -421,7 +421,7 @@ func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, []V
 		}
 		est := int64(elems) * parent.bytesPerElem
 		tc.acquireExecution(est, acqForce)
-		tc.noteMaterialized(est)
+		tc.m.MaterializedBytes += est
 		return boxSeq(merged.seq())
 	}
 	return &RDD[KV[K, []V]]{n: n}
@@ -475,7 +475,7 @@ func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int)
 		}
 		est := int64(lElems)*left.bytesPerElem + int64(rElems)*right.bytesPerElem
 		tc.acquireExecution(est, acqForce)
-		tc.noteMaterialized(est)
+		tc.m.MaterializedBytes += est
 		return boxSeq[KV[K, JoinPair[V, W]]](func(yield func(KV[K, JoinPair[V, W]]) bool) {
 			for _, k := range ls.keys {
 				lvs, _ := ls.get(k)

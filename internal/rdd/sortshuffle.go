@@ -103,7 +103,7 @@ func (b *sortBuffer[K, V]) spill() {
 	}
 	tc, sd := b.tc, b.sd
 	parts := sd.parts
-	b.tc.noteShuffleBuffer(int64(n) * b.bytesPerElem)
+	tc.m.ShuffleBufferBytes = max(tc.m.ShuffleBufferBytes, int64(n)*b.bytesPerElem)
 
 	frames := make([][]spillRec[K, V], parts)
 	for _, kv := range b.pairs {
@@ -136,8 +136,8 @@ func (b *sortBuffer[K, V]) spill() {
 		panic(fmt.Sprintf("rdd: writing spill run %s: %v", run.file, err))
 	}
 	b.runs = append(b.runs, run)
-	tc.spilledBytes += int64(file.Len())
-	tc.spillCount++
+	tc.m.SpilledBytes += int64(file.Len())
+	tc.m.SpillCount++
 	tc.emit(&ShuffleSpill{Job: tc.job, Stage: tc.stage, Round: tc.round, Part: tc.part, Attempt: tc.attempt,
 		Executor: tc.executor, Shuffle: sd.id, Run: runIdx, Bytes: int64(file.Len()), Elems: n})
 
@@ -169,7 +169,7 @@ func runSortMap[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleD
 	buf.ensure()
 	parts := sd.parts
 	if len(buf.runs) == 0 {
-		tc.noteShuffleBuffer(int64(len(buf.pairs)) * bytesPerElem)
+		tc.m.ShuffleBufferBytes = max(tc.m.ShuffleBufferBytes, int64(len(buf.pairs))*bytesPerElem)
 		registerBuckets(ctx, tc, sd, mapPart, mapBuckets(buf.pairs, parts, combine), bytesPerElem)
 		return
 	}
@@ -182,7 +182,7 @@ func runSortMap[K comparable, V any](ctx *Context, tc *taskContext, sd *shuffleD
 			total += r.lens[p]
 		}
 	}
-	tc.noteMaterialized(total)
+	tc.m.MaterializedBytes += total
 	ctx.shuffle.write(sd.id, mapPart, sd.parent.parts, tc.node(), tc.executor, nil, bytes, buf.runs)
 }
 

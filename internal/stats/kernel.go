@@ -33,24 +33,9 @@ import (
 var codeDosage = [4]float64{2, 0, 1, 0}
 
 // codeScoring maps each 2-bit code to its scoring genotype (missing -> 0),
-// the domain the Model interface accepts.
+// the domain the Model interface accepts: data.UnpackGenotypes through it is
+// the scoring decode.
 var codeScoring = [4]data.Genotype{2, 0, 1, 0}
-
-// DecodeDosageGenotypes unpacks 2-bit codes into scoring genotypes
-// (missing -> 0); len(dst) genotypes are read from packed.
-func DecodeDosageGenotypes(packed []byte, dst []data.Genotype) {
-	n := len(dst)
-	for i := 0; i+4 <= n; i += 4 {
-		v := packed[i>>2]
-		dst[i] = codeScoring[v&3]
-		dst[i+1] = codeScoring[(v>>2)&3]
-		dst[i+2] = codeScoring[(v>>4)&3]
-		dst[i+3] = codeScoring[v>>6]
-	}
-	for i := n &^ 3; i < n; i++ {
-		dst[i] = codeScoring[(packed[i>>2]>>uint((i&3)*2))&3]
-	}
-}
 
 // UBlock holds the per-patient score contributions of a block of SNPs,
 // row-major in one flat allocation: row r is U[r*Patients:(r+1)*Patients],
@@ -451,7 +436,7 @@ func (k *BlockKernel) Contributions(blk data.GenoBlock) UBlock {
 // kernel call.
 func (k *BlockKernel) Decode(blk data.GenoBlock, r int) []data.Genotype {
 	dec := k.dec[:blk.Patients]
-	DecodeDosageGenotypes(blk.Row(r), dec)
+	data.UnpackGenotypes(blk.Row(r), dec, codeScoring)
 	return dec
 }
 

@@ -255,7 +255,7 @@ func TestCoxScoreResidualsMatchNaiveRowSums(t *testing.T) {
 			got := PackedRowScores(blk, cox.ScoreResiduals(), nil)
 			g, u := make([]data.Genotype, patients), make([]float64, patients)
 			for r := 0; r < blk.Rows(); r++ {
-				DecodeDosageGenotypes(blk.Row(r), g)
+				data.UnpackGenotypes(blk.Row(r), g, codeScoring)
 				var want float64
 				if tc.weighted {
 					want = weightedNaiveCoxScore(ph, w, g)
@@ -307,7 +307,7 @@ func TestPackedRowScoresMatchContributions(t *testing.T) {
 // ascending within a lane, combined (0+1)+(2+3).
 func writtenOrder(packed []byte, r []float64) float64 {
 	g := make([]data.Genotype, len(r))
-	DecodeDosageGenotypes(packed, g)
+	data.UnpackGenotypes(packed, g, codeScoring)
 	var lanes [4]float64
 	for i, v := range g {
 		lanes[i%4] += float64(v) * r[i]

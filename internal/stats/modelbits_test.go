@@ -86,7 +86,7 @@ func renderModelBits(t *testing.T, label string, m Model) string {
 	g := make([]data.Genotype, n)
 	u := make([]float64, n)
 	for j := range bitsRows {
-		DecodeDosageGenotypes(blk.Row(j), g)
+		data.UnpackGenotypes(blk.Row(j), g, codeScoring)
 		m.Contributions(g, u)
 		line(fmt.Sprintf("contrib%d", j), u...)
 		line(fmt.Sprintf("variance%d", j), m.Variance(g))

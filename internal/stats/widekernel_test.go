@@ -140,7 +140,7 @@ func checkBlockBitwise(t *testing.T, k *WideKernel, models []Model, blk data.Gen
 	}
 	dec := make([]data.Genotype, blk.Patients)
 	for r := 0; r < blk.Rows(); r++ {
-		DecodeDosageGenotypes(blk.Row(r), dec)
+		data.UnpackGenotypes(blk.Row(r), dec, codeScoring)
 		for p, m := range models {
 			c := got[r*len(models)+p]
 			want := cell{blk.SNPs[r], p, scores[p][r], m.Variance(dec)}
@@ -358,7 +358,7 @@ func BenchmarkPerPhenotypeLoop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < blk.Rows(); r++ {
-			DecodeDosageGenotypes(blk.Row(r), dec)
+			data.UnpackGenotypes(blk.Row(r), dec, codeScoring)
 			for _, m := range models {
 				sink += Score(m, dec) + m.Variance(dec)
 			}

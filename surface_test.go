@@ -302,10 +302,9 @@ var censusStructs = map[string][]string{
 
 // optionsKept names the option fields that stay although no production file
 // outside their package names them, each with the reason. An entry that
-// stops being needed fails the test too. (core.Options.Cache, set only
-// through WithoutCache, needs no entry: the selector rule below matches by
-// name, and harness.Params.Cache — the switch that calls WithoutCache —
-// carries the same one.)
+// stops being needed fails the test too. (core.Options.NoCache needs no
+// entry: sparkscore sets it from -no-cache, and harness sets it from
+// harness.Params.Cache.)
 var optionsKept = map[string]string{
 	"assoc.Config.Family":             "selects the score statistic, not a tuning value; callers take the gaussian default",
 	"assoc.Config.HistBins":           "the BH sketch's first bin must sit below alpha/T for T tests: examples/eqtl_gaussian needs 2^20 bins at 48 000 tests, the 4096 default serves the CLI, server and bench",
